@@ -5,6 +5,11 @@ benchmarks run the corresponding experiment exactly once (via
 ``benchmark.pedantic(rounds=1)``), print the reproduced rows, and write them
 to ``benchmarks/results/<experiment>.txt`` so the regenerated artifacts can
 be inspected after a run of ``pytest benchmarks/ --benchmark-only``.
+
+Those files are tracked and hold only the columns that repeat exactly for one
+seed (AUC, loss, recall, staleness, memory): a diff there is a change in what
+the code computes.  A result with wall-clock columns also gets its full table
+under the git-ignored ``benchmarks/results/timing/``.
 """
 
 from __future__ import annotations
@@ -16,6 +21,7 @@ import pytest
 from repro.experiments.reporting import ExperimentResult
 
 RESULTS_DIR = Path(__file__).parent / "results"
+TIMING_DIR = RESULTS_DIR / "timing"
 
 
 def run_once(benchmark, runner, **kwargs) -> ExperimentResult:
@@ -30,7 +36,10 @@ def run_once(benchmark, runner, **kwargs) -> ExperimentResult:
 def save_result(result: ExperimentResult) -> Path:
     RESULTS_DIR.mkdir(exist_ok=True)
     path = RESULTS_DIR / f"{result.experiment_id}.txt"
-    path.write_text(result.to_text() + "\n", encoding="utf-8")
+    path.write_text(result.to_text(timing=False) + "\n", encoding="utf-8")
+    if result.timing_columns:
+        TIMING_DIR.mkdir(exist_ok=True)
+        (TIMING_DIR / path.name).write_text(result.to_text() + "\n", encoding="utf-8")
     return path
 
 

@@ -18,10 +18,14 @@ Five rules encode contracts that previously existed only as prose:
 ``mutable-default``
     Mutable default arguments (``def f(x=[])``) alias across calls.
 ``implicit-dtype``
-    ``np.zeros/empty/ones`` without an explicit ``dtype`` in the
-    table-allocating modules (``embeddings/``, ``store/``, ``nn/optim.py``)
-    silently allocate float64 — twice the footprint the paper's memory
-    accounting assumes.
+    ``np.zeros/empty/ones`` without an explicit ``dtype`` in the modules
+    that allocate tables or dense-network arrays (``embeddings/``,
+    ``store/``, ``nn/``, ``models/``) silently allocate float64 — twice the
+    footprint the paper's memory accounting assumes, and one such array
+    promotes a whole float32 backward chain.  Inside ``nn/functional.py``
+    the same rule also flags ``np.asarray(..., dtype=np.float64)`` and
+    ``.astype(np.float64)``: an operation computes in the dtype of its
+    operands, never in a hard-coded one.
 
 Suppression grammar: a trailing ``# lint: allow[rule-id] <reason>`` on the
 flagged line keeps the violation out of strict mode; the linter still
@@ -53,8 +57,16 @@ _ALLOW_RE = re.compile(r"#\s*lint:\s*allow\[([a-z0-9_,\s-]+)\]")
 #: Default roots scanned under the repo, when present.
 DEFAULT_ROOTS = ("src", "tests", "scripts")
 
-#: Modules where implicit-dtype allocations matter (table storage).
-_DTYPE_SCOPES = ("src/repro/embeddings/", "src/repro/store/", "src/repro/nn/optim.py")
+#: Modules where implicit-dtype allocations matter (table storage and the
+#: dense network that must stay in the store's precision).
+_DTYPE_SCOPES = (
+    "src/repro/embeddings/",
+    "src/repro/store/",
+    "src/repro/nn/",
+    "src/repro/models/",
+)
+#: Where a hard-coded float64 conversion is flagged as well.
+_NO_FLOAT64_SCOPE = "src/repro/nn/functional.py"
 
 _NP_ALLOCATORS = frozenset({"zeros", "empty", "ones"})
 
@@ -108,9 +120,12 @@ RULES: tuple[Rule, ...] = (
     ),
     Rule(
         id="implicit-dtype",
-        summary="np.zeros/empty/ones without an explicit dtype in table-allocating code",
+        summary=(
+            "np.zeros/empty/ones without an explicit dtype in table- or "
+            "dense-allocating code; hard-coded float64 conversions in nn/functional.py"
+        ),
         scope=_dtype_scope,
-        scope_doc="embeddings/, store/, nn/optim.py",
+        scope_doc="embeddings/, store/, nn/, models/",
     ),
 )
 
@@ -185,7 +200,19 @@ def _is_mutable_default(node: ast.expr) -> bool:
     return False
 
 
-def _check_call(node: ast.Call) -> Iterator[tuple[str, str]]:
+def _is_np_float64(node: ast.expr) -> bool:
+    """``np.float64`` / ``numpy.float64`` / ``"float64"``."""
+    if isinstance(node, ast.Constant):
+        return node.value == "float64"
+    return (
+        isinstance(node, ast.Attribute)
+        and node.attr == "float64"
+        and isinstance(node.value, ast.Name)
+        and node.value.id in {"np", "numpy"}
+    )
+
+
+def _check_call(node: ast.Call, rel: str) -> Iterator[tuple[str, str]]:
     func = node.func
     if isinstance(func, ast.Name):
         if func.id == "hasattr":
@@ -227,6 +254,19 @@ def _check_call(node: ast.Call) -> Iterator[tuple[str, str]]:
                 "implicit-dtype",
                 f"np.{func.attr}() without an explicit dtype defaults to float64; "
                 "table-allocating code must pin its dtype",
+            )
+    if rel == _NO_FLOAT64_SCOPE and isinstance(func, ast.Attribute):
+        to_float64 = (
+            func.attr == "asarray"
+            and isinstance(func.value, ast.Name)
+            and func.value.id in {"np", "numpy"}
+            and any(k.arg == "dtype" and _is_np_float64(k.value) for k in node.keywords)
+        ) or (func.attr == "astype" and node.args and _is_np_float64(node.args[0]))
+        if to_float64:
+            yield (
+                "implicit-dtype",
+                "hard-coded float64 conversion; a differentiable op computes in "
+                "the dtype of its operands",
             )
 
 
@@ -275,7 +315,7 @@ def lint_source(source: str, rel: str) -> list[Violation]:
 
     for node in ast.walk(tree):
         if isinstance(node, ast.Call):
-            for rule_id, message in _check_call(node):
+            for rule_id, message in _check_call(node, rel):
                 emit(rule_id, node.lineno, message)
         elif isinstance(node, (ast.Import, ast.ImportFrom)):
             for rule_id, message in _check_import(node):

@@ -327,6 +327,7 @@ class Session:
             "model": {
                 "name": self.config.model.name,
                 "dense_parameters": self.model.dense_parameter_count(),
+                "dense_dtype": str(self.model.dtype),
             },
             "registry": registry_summary(),
         }

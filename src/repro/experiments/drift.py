@@ -64,6 +64,7 @@ def run_fig17_drift_shift(
     result = ExperimentResult(
         experiment_id="fig17",
         title="Experiments on CriteoTB-1/3 (stronger distribution shift)",
+        timing_columns=("swt_p95_ms", "publish_p50_ms", "replica_speedup_2x", "burst_p99_ms"),
     )
     dataset = build_dataset("criteotb", scale=scale, seed=seeds[0])
     # Keep days 0, 3, 6, ... plus the original last day as the test day,

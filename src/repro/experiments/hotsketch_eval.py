@@ -99,6 +99,7 @@ def run_fig18_hotsketch(
     result = ExperimentResult(
         experiment_id="fig18",
         title="Experiments on HotSketch",
+        timing_columns=("insert_mops", "query_mops"),
     )
     rng = np.random.default_rng(seed)
 

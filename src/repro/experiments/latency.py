@@ -28,6 +28,12 @@ def run_fig13_latency_throughput(
     result = ExperimentResult(
         experiment_id="fig13",
         title="Latency and throughput on CriteoTB (10x)",
+        timing_columns=(
+            "train_latency_ms", "inference_latency_ms", "train_throughput",
+            "inference_throughput", "serve_p50_ms", "serve_p95_ms", "serve_p99_ms",
+            "swt_p50_ms", "swt_p95_ms", "publish_p50_ms", "replica_speedup_2x",
+            "burst_p99_ms",
+        ),
     )
     spec = get_scale(scale)
     train_batch_size = train_batch_size or spec.batch_size

@@ -23,6 +23,10 @@ class ExperimentResult:
     rows: list[dict[str, Any]] = field(default_factory=list)
     notes: list[str] = field(default_factory=list)
     extras: dict[str, Any] = field(default_factory=dict)
+    #: Columns measured with the wall clock.  They differ from run to run, so
+    #: a table written to a tracked file leaves them out
+    #: (``to_text(timing=False)``) and quality columns stay diffable.
+    timing_columns: tuple[str, ...] = ()
 
     def add_row(self, **values: Any) -> None:
         self.rows.append(values)
@@ -42,10 +46,11 @@ class ExperimentResult:
             if all(row.get(key) == value for key, value in criteria.items())
         ]
 
-    def to_text(self) -> str:
+    def to_text(self, timing: bool = True) -> str:
+        """The table and notes; ``timing=False`` drops :attr:`timing_columns`."""
         lines = [f"== {self.experiment_id}: {self.title} =="]
         if self.rows:
-            lines.append(format_table(self.rows))
+            lines.append(format_table(self.rows, exclude=() if timing else self.timing_columns))
         for note in self.notes:
             lines.append(f"note: {note}")
         return "\n".join(lines)
@@ -64,14 +69,14 @@ def format_value(value: Any) -> str:
     return str(value)
 
 
-def format_table(rows: list[dict[str, Any]]) -> str:
+def format_table(rows: list[dict[str, Any]], exclude: tuple[str, ...] = ()) -> str:
     """Render a list of dict rows as an aligned plain-text table."""
     if not rows:
         return "(no rows)"
     columns: list[str] = []
     for row in rows:
         for key in row:
-            if key not in columns:
+            if key not in columns and key not in exclude:
                 columns.append(key)
     rendered = [[format_value(row.get(col, "")) for col in columns] for row in rows]
     widths = [max(len(col), *(len(r[i]) for r in rendered)) for i, col in enumerate(columns)]

@@ -19,7 +19,11 @@ def create_model(
     rng=None,
     **kwargs,
 ) -> RecommendationModel:
-    """Factory used by experiment configurations (``"dlrm"``, ``"wdl"``, ``"dcn"``)."""
+    """Factory used by experiment configurations (``"dlrm"``, ``"wdl"``, ``"dcn"``).
+
+    The dense network's precision is not an argument: every model computes
+    in ``np.promote_types(embedding.dtype, float32)`` (see ``models/base.py``).
+    """
     lowered = name.lower()
     if lowered == "dlrm":
         return DLRM(embedding, num_fields, num_numerical, rng=rng, **kwargs)

@@ -10,6 +10,11 @@ modules.  The training loop drives them through
 the leaf embedding tensor so that, after ``loss.backward()``, the per-lookup
 gradient (the quantity CAFE scores features by) can be handed back to the
 store.
+
+Precision follows the store: the dense network computes in
+``np.promote_types(store.dtype, float32)`` — float32 over float16/float32
+tables, float64 only over float64 tables — fixed at construction and carried
+by parameters, activations, gradients and the dense optimizer state.
 """
 
 from __future__ import annotations
@@ -18,7 +23,7 @@ import numpy as np
 
 from repro.embeddings.base import CompressedEmbedding
 from repro.nn.module import Module
-from repro.nn.tensor import Tensor, get_default_dtype
+from repro.nn.tensor import Tensor
 from repro.store import EmbeddingStore, ensure_store
 
 
@@ -44,6 +49,8 @@ class RecommendationModel(Module):
         self.num_fields = int(num_fields)
         self.num_numerical = int(num_numerical)
         self.dim = self.store.dim
+        #: Compute dtype of the dense network (see the module docstring).
+        self.dtype = np.promote_types(self.store.dtype, np.float32)
 
     @classmethod
     def from_schema(
@@ -95,8 +102,15 @@ class RecommendationModel(Module):
     # Dense part (implemented by subclasses)
     # ------------------------------------------------------------------ #
     def forward_dense(self, embeddings: Tensor, numerical: np.ndarray) -> Tensor:
-        """Map ``(batch, fields, dim)`` embeddings + numerical features to logits."""
+        """Map ``(batch, fields, dim)`` embeddings + numerical features to logits.
+
+        ``numerical`` may arrive in any float dtype; implementations bring it
+        to the model's own through :meth:`_numerical_tensor`.
+        """
         raise NotImplementedError  # pragma: no cover - abstract
+
+    def _numerical_tensor(self, numerical: np.ndarray) -> Tensor:
+        return Tensor(np.asarray(numerical, dtype=self.dtype))
 
     # ------------------------------------------------------------------ #
     # Full forward pass
@@ -135,10 +149,10 @@ class RecommendationModel(Module):
 
     def _check_numerical(self, numerical: np.ndarray | None, batch_size: int) -> np.ndarray:
         if self.num_numerical == 0:
-            return np.zeros((batch_size, 0), dtype=get_default_dtype())
+            return np.zeros((batch_size, 0), dtype=self.dtype)
         if numerical is None:
             raise ValueError(f"model expects {self.num_numerical} numerical features, got none")
-        numerical = np.asarray(numerical, dtype=get_default_dtype())
+        numerical = np.asarray(numerical, dtype=self.dtype)
         if numerical.shape != (batch_size, self.num_numerical):
             raise ValueError(
                 f"numerical input must have shape ({batch_size}, {self.num_numerical}), "

@@ -35,15 +35,15 @@ class DCN(RecommendationModel):
         generator = make_rng(rng)
         input_dim = num_fields * self.dim + num_numerical
         deep_sizes = [input_dim] + (deep_mlp or [64, 32])
-        self.cross = CrossNetwork(input_dim, num_cross_layers, rng=generator)
-        self.deep = MLP(deep_sizes, rng=generator)
-        self.output = Linear(input_dim + deep_sizes[-1], 1, rng=generator)
+        self.cross = CrossNetwork(input_dim, num_cross_layers, rng=generator, dtype=self.dtype)
+        self.deep = MLP(deep_sizes, rng=generator, dtype=self.dtype)
+        self.output = Linear(input_dim + deep_sizes[-1], 1, rng=generator, dtype=self.dtype)
 
     def forward_dense(self, embeddings: Tensor, numerical: np.ndarray) -> Tensor:
         batch = embeddings.shape[0]
         flat = F.reshape(embeddings, (batch, self.num_fields * self.dim))
         if self.num_numerical > 0:
-            features = F.concat([flat, Tensor(numerical)], axis=1)
+            features = F.concat([flat, self._numerical_tensor(numerical)], axis=1)
         else:
             features = flat
         cross_out = self.cross(features)

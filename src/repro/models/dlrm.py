@@ -38,7 +38,7 @@ class DLRM(RecommendationModel):
         self.has_dense_field = num_numerical > 0
         if self.has_dense_field:
             bottom_sizes = [num_numerical] + (bottom_mlp or [64, 32]) + [dim]
-            self.bottom = MLP(bottom_sizes, rng=generator)
+            self.bottom = MLP(bottom_sizes, rng=generator, dtype=self.dtype)
         else:
             self.bottom = None
         interaction_fields = num_fields + (1 if self.has_dense_field else 0)
@@ -46,12 +46,12 @@ class DLRM(RecommendationModel):
         top_input = interaction_dim + (dim if self.has_dense_field else 0)
         top_sizes = [top_input] + (top_mlp or [64, 32]) + [1]
         self.interaction = DotInteraction()
-        self.top = MLP(top_sizes, rng=generator)
+        self.top = MLP(top_sizes, rng=generator, dtype=self.dtype)
 
     def forward_dense(self, embeddings: Tensor, numerical: np.ndarray) -> Tensor:
         batch = embeddings.shape[0]
         if self.has_dense_field:
-            dense_vector = self.bottom(Tensor(numerical))
+            dense_vector = self.bottom(self._numerical_tensor(numerical))
             dense_as_field = F.reshape(dense_vector, (batch, 1, self.dim))
             all_fields = F.concat([embeddings, dense_as_field], axis=1)
             interactions = self.interaction(all_fields)

@@ -33,15 +33,15 @@ class WDL(RecommendationModel):
         super().__init__(embedding, num_fields, num_numerical)
         generator = make_rng(rng)
         input_dim = num_fields * self.dim + num_numerical
-        self.wide = Linear(input_dim, 1, rng=generator)
+        self.wide = Linear(input_dim, 1, rng=generator, dtype=self.dtype)
         deep_sizes = [input_dim] + (deep_mlp or [64, 32]) + [1]
-        self.deep = MLP(deep_sizes, rng=generator)
+        self.deep = MLP(deep_sizes, rng=generator, dtype=self.dtype)
 
     def forward_dense(self, embeddings: Tensor, numerical: np.ndarray) -> Tensor:
         batch = embeddings.shape[0]
         flat = F.reshape(embeddings, (batch, self.num_fields * self.dim))
         if self.num_numerical > 0:
-            features = F.concat([flat, Tensor(numerical)], axis=1)
+            features = F.concat([flat, self._numerical_tensor(numerical)], axis=1)
         else:
             features = flat
         wide_logit = self.wide(features)

@@ -20,6 +20,7 @@ from repro.nn.tensor import (
     Tensor,
     ensure_tensor,
     get_default_dtype,
+    no_grad,
     set_default_dtype,
 )
 
@@ -46,4 +47,5 @@ __all__ = [
     "embedding_uniform",
     "get_default_dtype",
     "set_default_dtype",
+    "no_grad",
 ]

@@ -8,59 +8,86 @@ all exercised by gradient-checking tests in ``tests/nn``.
 
 from __future__ import annotations
 
+from functools import lru_cache
+
 import numpy as np
 
-from repro.nn.tensor import ArrayLike, Tensor, _unbroadcast, ensure_tensor
+from repro.nn.tensor import (
+    ArrayLike,
+    Tensor,
+    _unbroadcast,
+    ensure_tensor,
+    ensure_tensors,
+    is_grad_enabled,
+)
+
+# Gradient ownership: a backward closure passes ``owned=True`` to
+# ``Tensor._accumulate_grad`` exactly when the array it hands over was
+# allocated inside that closure and goes to one tensor only; the incoming
+# ``grad`` (the child's own ``.grad``), views of it and arrays given to two
+# parents are passed unowned and get copied on first accumulation.
 
 
 def _make(data: np.ndarray, parents: tuple[Tensor, ...], backward_fn) -> Tensor:
-    requires_grad = any(p.requires_grad for p in parents)
+    requires_grad = is_grad_enabled() and any(p.requires_grad for p in parents)
+    if not requires_grad:
+        return Tensor(data)
     return Tensor(
         data,
-        requires_grad=requires_grad,
+        requires_grad=True,
         parents=tuple(p for p in parents if p.requires_grad),
-        backward_fn=backward_fn if requires_grad else None,
+        backward_fn=backward_fn,
     )
+
+
+def _accumulate_unbroadcast(tensor: Tensor, grad: np.ndarray, fresh: bool = False) -> None:
+    """Accumulate ``grad`` summed down to ``tensor``'s shape.
+
+    ``fresh`` says ``grad`` itself may be adopted; a reduction always
+    produces a new array, which may be adopted either way.
+    """
+    reduced = _unbroadcast(grad, tensor.shape)
+    tensor._accumulate_grad(reduced, owned=fresh or reduced is not grad)
 
 
 # --------------------------------------------------------------------------- #
 # Element-wise arithmetic
 # --------------------------------------------------------------------------- #
 def add(a: Tensor | ArrayLike, b: Tensor | ArrayLike) -> Tensor:
-    a, b = ensure_tensor(a), ensure_tensor(b)
+    a, b = ensure_tensors(a, b)
     out_data = a.data + b.data
 
     def backward(grad: np.ndarray) -> None:
         if a.requires_grad:
-            a._accumulate_grad(_unbroadcast(grad, a.shape))
+            _accumulate_unbroadcast(a, grad)
         if b.requires_grad:
-            b._accumulate_grad(_unbroadcast(grad, b.shape))
+            _accumulate_unbroadcast(b, grad)
 
     return _make(out_data, (a, b), backward)
 
 
 def sub(a: Tensor | ArrayLike, b: Tensor | ArrayLike) -> Tensor:
-    a, b = ensure_tensor(a), ensure_tensor(b)
+    a, b = ensure_tensors(a, b)
     out_data = a.data - b.data
 
     def backward(grad: np.ndarray) -> None:
         if a.requires_grad:
-            a._accumulate_grad(_unbroadcast(grad, a.shape))
+            _accumulate_unbroadcast(a, grad)
         if b.requires_grad:
-            b._accumulate_grad(_unbroadcast(-grad, b.shape))
+            _accumulate_unbroadcast(b, -grad, fresh=True)
 
     return _make(out_data, (a, b), backward)
 
 
 def mul(a: Tensor | ArrayLike, b: Tensor | ArrayLike) -> Tensor:
-    a, b = ensure_tensor(a), ensure_tensor(b)
+    a, b = ensure_tensors(a, b)
     out_data = a.data * b.data
 
     def backward(grad: np.ndarray) -> None:
         if a.requires_grad:
-            a._accumulate_grad(_unbroadcast(grad * b.data, a.shape))
+            _accumulate_unbroadcast(a, grad * b.data, fresh=True)
         if b.requires_grad:
-            b._accumulate_grad(_unbroadcast(grad * a.data, b.shape))
+            _accumulate_unbroadcast(b, grad * a.data, fresh=True)
 
     return _make(out_data, (a, b), backward)
 
@@ -69,18 +96,41 @@ def mul(a: Tensor | ArrayLike, b: Tensor | ArrayLike) -> Tensor:
 # Linear algebra
 # --------------------------------------------------------------------------- #
 def matmul(a: Tensor, b: Tensor) -> Tensor:
-    a, b = ensure_tensor(a), ensure_tensor(b)
+    a, b = ensure_tensors(a, b)
     out_data = a.data @ b.data
 
     def backward(grad: np.ndarray) -> None:
+        # The swapped operands are views; BLAS takes them as transposed.
         if a.requires_grad:
-            grad_a = grad @ np.swapaxes(b.data, -1, -2)
-            a._accumulate_grad(_unbroadcast(grad_a, a.shape))
+            _accumulate_unbroadcast(a, grad @ np.swapaxes(b.data, -1, -2), fresh=True)
         if b.requires_grad:
-            grad_b = np.swapaxes(a.data, -1, -2) @ grad
-            b._accumulate_grad(_unbroadcast(grad_b, b.shape))
+            _accumulate_unbroadcast(b, np.swapaxes(a.data, -1, -2) @ grad, fresh=True)
 
     return _make(out_data, (a, b), backward)
+
+
+def linear(x: Tensor, weight: Tensor, bias: Tensor) -> Tensor:
+    """``x @ weight + bias`` as one graph node.
+
+    Equal, value for value, to ``add(matmul(x, weight), bias)``; as one node
+    its backward produces all three gradients itself, so none of them is a
+    copy of the incoming gradient.
+    """
+    x = ensure_tensor(x)
+    out_data = x.data @ weight.data
+    out_data += bias.data
+
+    def backward(grad: np.ndarray) -> None:
+        if x.requires_grad:
+            x._accumulate_grad(grad @ weight.data.T, owned=True)
+        rows = grad.reshape(-1, grad.shape[-1])
+        if weight.requires_grad:
+            inputs = x.data.reshape(-1, x.shape[-1])
+            weight._accumulate_grad(inputs.T @ rows, owned=True)
+        if bias.requires_grad:
+            bias._accumulate_grad(rows.sum(axis=0), owned=True)
+
+    return _make(out_data, (x, weight, bias), backward)
 
 
 def batched_outer_interaction(x: Tensor) -> Tensor:
@@ -88,24 +138,48 @@ def batched_outer_interaction(x: Tensor) -> Tensor:
 
     ``x`` has shape ``(batch, fields, dim)``; the result contains, for every
     sample, the strictly-lower-triangular entries of ``x @ x^T`` flattened to
-    shape ``(batch, fields * (fields - 1) / 2)``.
+    shape ``(batch, fields * (fields - 1) / 2)`` in the order of
+    ``np.tril_indices(fields, -1)``: row ``i`` of the Gram matrix contributes
+    its first ``i`` columns, rows in increasing order.
     """
     x = ensure_tensor(x)
     batch, fields, _ = x.shape
-    gram = x.data @ np.swapaxes(x.data, 1, 2)  # (batch, fields, fields)
-    rows, cols = np.tril_indices(fields, k=-1)
-    out_data = gram[:, rows, cols]
+    gram = x.data @ np.ascontiguousarray(np.swapaxes(x.data, 1, 2))
+    out_data = np.concatenate([gram[:, i, :i] for i in range(fields)], axis=1)
 
     def backward(grad: np.ndarray) -> None:
         if not x.requires_grad:
             return
-        grad_gram = np.zeros((batch, fields, fields))
-        grad_gram[:, rows, cols] = grad
-        # d(x_i . x_j)/dx = contribution to both rows i and j.
-        grad_x = grad_gram @ x.data + np.swapaxes(grad_gram, 1, 2) @ x.data
-        x._accumulate_grad(grad_x)
+        if fields < 2:  # no pairs: the output is empty and says nothing about x
+            x._accumulate_grad(np.zeros_like(x.data), owned=True)
+            return
+        # d(x_i . x_j) reaches both rows i and j, so the gradient of the Gram
+        # matrix is symmetric with a zero diagonal: gather it whole, then one
+        # batched matmul.
+        grad_gram = np.take(grad, _pair_of_gram_cell(fields), axis=1)
+        grad_gram = grad_gram.reshape(batch, fields, fields)
+        diagonal = np.arange(fields)
+        grad_gram[:, diagonal, diagonal] = 0
+        x._accumulate_grad(grad_gram @ x.data, owned=True)
 
     return _make(out_data, (x,), backward)
+
+
+@lru_cache(maxsize=16)
+def _pair_of_gram_cell(fields: int) -> np.ndarray:
+    """For each cell ``(i, j)`` of a flattened ``fields x fields`` Gram matrix,
+    the position of the pair ``{i, j}`` in ``np.tril_indices(fields, -1)``
+    order (diagonal cells, which belong to no pair, hold 0).  Read-only: the
+    one array is shared by every caller.
+    """
+    rows, cols = np.tril_indices(fields, -1)
+    pair = np.arange(rows.size)
+    cells = np.zeros((fields, fields), dtype=np.intp)
+    cells[rows, cols] = pair
+    cells[cols, rows] = pair
+    cells = cells.reshape(-1)
+    cells.setflags(write=False)
+    return cells
 
 
 # --------------------------------------------------------------------------- #
@@ -118,7 +192,7 @@ def reshape(x: Tensor, shape: tuple[int, ...]) -> Tensor:
 
     def backward(grad: np.ndarray) -> None:
         if x.requires_grad:
-            x._accumulate_grad(grad.reshape(original_shape))
+            x._accumulate_grad(grad.reshape(original_shape))  # a view of grad
 
     return _make(out_data, (x,), backward)
 
@@ -133,7 +207,7 @@ def concat(tensors: list[Tensor], axis: int = -1) -> Tensor:
         pieces = np.split(grad, boundaries, axis=axis)
         for tensor, piece in zip(tensors, pieces):
             if tensor.requires_grad:
-                tensor._accumulate_grad(piece)
+                tensor._accumulate_grad(piece)  # a view of grad
 
     return _make(out_data, tuple(tensors), backward)
 
@@ -151,7 +225,7 @@ def sum(x: Tensor, axis: int | tuple[int, ...] | None = None, keepdims: bool = F
         g = grad
         if axis is not None and not keepdims:
             g = np.expand_dims(g, axis=axis)
-        x._accumulate_grad(np.broadcast_to(g, x.shape).copy())
+        x._accumulate_grad(np.broadcast_to(g, x.shape).copy(), owned=True)
 
     return _make(out_data, (x,), backward)
 
@@ -167,7 +241,7 @@ def mean(x: Tensor, axis: int | tuple[int, ...] | None = None, keepdims: bool = 
         g = grad
         if axis is not None and not keepdims:
             g = np.expand_dims(g, axis=axis)
-        x._accumulate_grad(np.broadcast_to(g, x.shape).copy() / denom)
+        x._accumulate_grad(np.broadcast_to(g / denom, x.shape).copy(), owned=True)
 
     return _make(out_data, (x,), backward)
 
@@ -177,12 +251,11 @@ def mean(x: Tensor, axis: int | tuple[int, ...] | None = None, keepdims: bool = 
 # --------------------------------------------------------------------------- #
 def relu(x: Tensor) -> Tensor:
     x = ensure_tensor(x)
-    mask = x.data > 0
-    out_data = x.data * mask
+    out_data = np.maximum(x.data, 0)
 
     def backward(grad: np.ndarray) -> None:
         if x.requires_grad:
-            x._accumulate_grad(grad * mask)
+            x._accumulate_grad(grad * (out_data > 0), owned=True)
 
     return _make(out_data, (x,), backward)
 
@@ -193,7 +266,7 @@ def sigmoid(x: Tensor) -> Tensor:
 
     def backward(grad: np.ndarray) -> None:
         if x.requires_grad:
-            x._accumulate_grad(grad * out_data * (1.0 - out_data))
+            x._accumulate_grad(grad * out_data * (1.0 - out_data), owned=True)
 
     return _make(out_data, (x,), backward)
 
@@ -227,7 +300,7 @@ def gather_rows(table: Tensor, indices: np.ndarray) -> Tensor:
             return
         grad_table = np.zeros_like(table.data)
         np.add.at(grad_table, idx.reshape(-1), grad.reshape(-1, table.data.shape[1]))
-        table._accumulate_grad(grad_table)
+        table._accumulate_grad(grad_table, owned=True)
 
     return _make(out_data, (table,), backward)
 
@@ -243,15 +316,19 @@ def binary_cross_entropy_with_logits(logits: Tensor, targets: np.ndarray) -> Ten
     ``torch.nn.BCEWithLogitsLoss(reduction="mean")``.
     """
     logits = ensure_tensor(logits)
-    y = np.asarray(targets, dtype=np.float64).reshape(logits.shape)
     z = logits.data
+    y = np.asarray(targets, dtype=z.dtype).reshape(z.shape)
     losses = np.maximum(z, 0.0) - z * y + np.log1p(np.exp(-np.abs(z)))
-    out_data = np.asarray(losses.mean())
+    # One scalar: reduced in double, stored in the graph's dtype.
+    out_data = np.asarray(losses.mean(dtype=np.float64), dtype=z.dtype)
     count = z.size
 
     def backward(grad: np.ndarray) -> None:
         if logits.requires_grad:
-            grad_logits = (_stable_sigmoid(z) - y) / count
-            logits._accumulate_grad(grad * grad_logits)
+            grad_logits = _stable_sigmoid(z)
+            grad_logits -= y
+            grad_logits /= count
+            grad_logits *= grad
+            logits._accumulate_grad(grad_logits, owned=True)
 
     return _make(out_data, (logits,), backward)

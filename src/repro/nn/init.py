@@ -1,9 +1,11 @@
 """Weight initializers.
 
 Every initializer accepts a ``dtype``; ``None`` keeps the RNG's native
-float64, which the dense networks use.  Embedding layers pass their table
-dtype (float32 by default) so storage is allocated at the target precision
-from the start instead of being down-cast after a float64 materialization.
+float64.  Values are always *drawn* in float64 and then rounded to ``dtype``,
+so one seed yields the same initialization at every precision up to that
+rounding.  Embedding layers pass their table dtype (float32 by default) and
+dense layers their compute dtype (float32 whenever the tables are float16 or
+float32, see ``repro.nn.tensor``).
 """
 
 from __future__ import annotations

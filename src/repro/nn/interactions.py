@@ -15,8 +15,9 @@ from __future__ import annotations
 import numpy as np
 
 from repro.nn import functional as F
+from repro.nn.init import DTypeLike
 from repro.nn.module import Module
-from repro.nn.tensor import Parameter, Tensor
+from repro.nn.tensor import Parameter, Tensor, get_default_dtype
 from repro.utils.rng import SeedLike, make_rng
 
 
@@ -44,20 +45,29 @@ class CrossNetwork(Module):
     while keeping the dimensionality fixed.
     """
 
-    def __init__(self, input_dim: int, num_layers: int, rng: SeedLike = None):
+    def __init__(
+        self, input_dim: int, num_layers: int, rng: SeedLike = None, dtype: DTypeLike = None
+    ):
         if input_dim <= 0:
             raise ValueError("input_dim must be positive")
         if num_layers <= 0:
             raise ValueError("num_layers must be positive")
         generator = make_rng(rng)
+        dtype = np.dtype(dtype or get_default_dtype())
         self.input_dim = int(input_dim)
         self.num_layers = int(num_layers)
         scale = 1.0 / np.sqrt(input_dim)
         self.weights = [
-            Parameter(generator.uniform(-scale, scale, size=(input_dim, 1)), name=f"cross_w{i}")
+            Parameter(
+                generator.uniform(-scale, scale, size=(input_dim, 1)).astype(dtype, copy=False),
+                name=f"cross_w{i}",
+            )
             for i in range(num_layers)
         ]
-        self.biases = [Parameter(np.zeros(input_dim), name=f"cross_b{i}") for i in range(num_layers)]
+        self.biases = [
+            Parameter(np.zeros(input_dim, dtype=dtype), name=f"cross_b{i}")
+            for i in range(num_layers)
+        ]
 
     def forward(self, x0: Tensor) -> Tensor:
         x = x0

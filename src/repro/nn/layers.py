@@ -5,26 +5,37 @@ from __future__ import annotations
 import numpy as np
 
 from repro.nn import functional as F
-from repro.nn.init import kaiming_uniform
+from repro.nn.init import DTypeLike, kaiming_uniform
 from repro.nn.module import Module
-from repro.nn.tensor import Parameter, Tensor
+from repro.nn.tensor import Parameter, Tensor, get_default_dtype
 from repro.utils.rng import SeedLike, make_rng
 
 
 class Linear(Module):
-    """Fully connected layer ``y = x W + b``."""
+    """Fully connected layer ``y = x W + b``.
 
-    def __init__(self, in_features: int, out_features: int, rng: SeedLike = None):
+    ``dtype`` is the precision of the parameters (and so of everything
+    computed from them); ``None`` is the autograd default, float64.  The
+    weights are drawn in float64 and rounded, so one seed gives the same
+    layer at every precision up to that rounding.
+    """
+
+    def __init__(
+        self, in_features: int, out_features: int, rng: SeedLike = None, dtype: DTypeLike = None
+    ):
         if in_features <= 0 or out_features <= 0:
             raise ValueError("Linear layer dimensions must be positive")
         generator = make_rng(rng)
+        dtype = np.dtype(dtype or get_default_dtype())
         self.in_features = int(in_features)
         self.out_features = int(out_features)
-        self.weight = Parameter(kaiming_uniform((in_features, out_features), generator), name="weight")
-        self.bias = Parameter(np.zeros(out_features), name="bias")
+        self.weight = Parameter(
+            kaiming_uniform((in_features, out_features), generator, dtype=dtype), name="weight"
+        )
+        self.bias = Parameter(np.zeros(out_features, dtype=dtype), name="bias")
 
     def forward(self, x: Tensor) -> Tensor:
-        return F.add(F.matmul(x, self.weight), self.bias)
+        return F.linear(x, self.weight, self.bias)
 
 
 class MLP(Module):
@@ -41,6 +52,7 @@ class MLP(Module):
         layer_sizes: list[int],
         rng: SeedLike = None,
         sigmoid_output: bool = False,
+        dtype: DTypeLike = None,
     ):
         if len(layer_sizes) < 2:
             raise ValueError("MLP needs at least an input and an output size")
@@ -48,7 +60,7 @@ class MLP(Module):
         self.layer_sizes = list(int(s) for s in layer_sizes)
         self.sigmoid_output = bool(sigmoid_output)
         self.layers = [
-            Linear(self.layer_sizes[i], self.layer_sizes[i + 1], rng=generator)
+            Linear(self.layer_sizes[i], self.layer_sizes[i + 1], rng=generator, dtype=dtype)
             for i in range(len(self.layer_sizes) - 1)
         ]
 

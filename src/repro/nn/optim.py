@@ -25,6 +25,33 @@ class Optimizer:
             raise ValueError(f"learning rate must be positive, got {lr}")
         self.parameters = list(parameters)
         self.lr = float(lr)
+        # State and work arrays are allocated in this one dtype and every
+        # update is in place with Python-scalar coefficients, so a step can
+        # neither widen a float32 parameter nor round a float64 one.
+        dtypes = {p.data.dtype for p in self.parameters}
+        if len(dtypes) > 1 or any(dtype.kind != "f" for dtype in dtypes):
+            raise TypeError(
+                f"dense parameters must share one float dtype, got {sorted(map(str, dtypes))}"
+            )
+        self.dtype = dtypes.pop() if dtypes else np.dtype(np.float64)
+
+    def _state(self) -> list[np.ndarray]:
+        """One zeroed state array per parameter, in the parameters' dtype."""
+        return [np.zeros(p.shape, dtype=self.dtype) for p in self.parameters]
+
+    def _scratch(self, count: int) -> list[list[np.ndarray]]:
+        """``count`` work arrays per parameter, shaped like it.
+
+        They are views into ``count`` buffers the size of the largest
+        parameter, so a step allocates nothing and the optimizer holds
+        ``count`` arrays more, not ``count`` per parameter.
+        """
+        longest = max((p.size for p in self.parameters), default=0)
+        buffers = np.empty((count, longest), dtype=self.dtype)
+        return [
+            [buffers[i, : p.size].reshape(p.shape) for i in range(count)]
+            for p in self.parameters
+        ]
 
     def zero_grad(self) -> None:
         for param in self.parameters:
@@ -42,18 +69,20 @@ class SGD(Optimizer):
         if not 0.0 <= momentum < 1.0:
             raise ValueError(f"momentum must be in [0, 1), got {momentum}")
         self.momentum = float(momentum)
-        self._velocity = [np.zeros_like(p.data) for p in self.parameters]
+        self._velocity = self._state()
+        self._work = self._scratch(1)
 
     def step(self) -> None:
-        for param, velocity in zip(self.parameters, self._velocity):
+        for param, velocity, (work,) in zip(self.parameters, self._velocity, self._work):
             if param.grad is None:
                 continue
+            direction = param.grad
             if self.momentum > 0.0:
                 velocity *= self.momentum
                 velocity += param.grad
-                param.data -= self.lr * velocity
-            else:
-                param.data -= self.lr * param.grad
+                direction = velocity
+            np.multiply(direction, self.lr, out=work)
+            param.data -= work
 
 
 class Adagrad(Optimizer):
@@ -62,14 +91,20 @@ class Adagrad(Optimizer):
     def __init__(self, parameters: list[Parameter], lr: float, eps: float = 1e-10):
         super().__init__(parameters, lr)
         self.eps = float(eps)
-        self._accumulators = [np.zeros_like(p.data) for p in self.parameters]
+        self._accumulators = self._state()
+        self._work = self._scratch(2)
 
     def step(self) -> None:
-        for param, acc in zip(self.parameters, self._accumulators):
+        for param, acc, (update, denom) in zip(self.parameters, self._accumulators, self._work):
             if param.grad is None:
                 continue
-            acc += param.grad**2
-            param.data -= self.lr * param.grad / (np.sqrt(acc) + self.eps)
+            np.square(param.grad, out=update)
+            acc += update
+            np.sqrt(acc, out=denom)
+            denom += self.eps
+            np.multiply(param.grad, self.lr, out=update)
+            update /= denom
+            param.data -= update
 
 
 class Adam(Optimizer):
@@ -89,23 +124,34 @@ class Adam(Optimizer):
         self.beta1, self.beta2 = float(beta1), float(beta2)
         self.eps = float(eps)
         self._step_count = 0
-        self._m = [np.zeros_like(p.data) for p in self.parameters]
-        self._v = [np.zeros_like(p.data) for p in self.parameters]
+        self._m = self._state()
+        self._v = self._state()
+        self._work = self._scratch(2)
 
     def step(self) -> None:
         self._step_count += 1
         bias1 = 1.0 - self.beta1**self._step_count
         bias2 = 1.0 - self.beta2**self._step_count
-        for param, m, v in zip(self.parameters, self._m, self._v):
+        for param, m, v, (update, denom) in zip(self.parameters, self._m, self._v, self._work):
             if param.grad is None:
                 continue
+            # Same operations in the same order as the textbook expression
+            # lr * (m / bias1) / (sqrt(v / bias2) + eps), written into the
+            # two work arrays.
             m *= self.beta1
-            m += (1.0 - self.beta1) * param.grad
+            np.multiply(param.grad, 1.0 - self.beta1, out=update)
+            m += update
             v *= self.beta2
-            v += (1.0 - self.beta2) * param.grad**2
-            m_hat = m / bias1
-            v_hat = v / bias2
-            param.data -= self.lr * m_hat / (np.sqrt(v_hat) + self.eps)
+            np.square(param.grad, out=update)
+            update *= 1.0 - self.beta2
+            v += update
+            np.divide(m, bias1, out=update)
+            update *= self.lr
+            np.divide(v, bias2, out=denom)
+            np.sqrt(denom, out=denom)
+            denom += self.eps
+            update /= denom
+            param.data -= update
 
 
 # --------------------------------------------------------------------------- #

@@ -9,27 +9,39 @@ activations, reductions, concatenation, gathering rows from embedding
 matrices, and the binary cross entropy loss).
 
 The engine intentionally mirrors PyTorch's mental model (``requires_grad``,
-``backward()``, ``grad``) so that the embedding-compression code reads like
-the original plug-in module the paper describes.
+``backward()``, ``grad``, ``no_grad()``) so that the embedding-compression
+code reads like the original plug-in module the paper describes.
+
+Precision: a tensor keeps the float dtype of the array it wraps, and every
+operation computes in the dtype of its operands, so a graph built from
+float32 embeddings and float32 parameters is float32 end to end — data,
+every ``.grad`` and the optimizer state (float16 is widened to float32 on
+entry: there are no half-precision GEMMs here).  Values that carry no float
+dtype of their own (Python numbers, lists, integer arrays) take the default
+dtype — float64, which is what a bare ``Linear``/``MLP`` built outside a
+session uses and what keeps the gradient-check tests tight — or, inside a
+binary operation, the dtype of the other operand.
 """
 
 from __future__ import annotations
 
-from typing import Callable, Iterable
+import threading
+from contextlib import contextmanager
+from typing import Callable, Iterable, Iterator
 
 import numpy as np
 
 ArrayLike = np.ndarray | float | int | list | tuple
 
-# Compute dtype of the autograd engine.  float64 keeps the dense-network
-# gradient checks exact; set_default_dtype(np.float32) switches the whole
-# graph to single precision (embedding tables manage their own storage dtype
-# independently of this).
+# dtype of values that bring none of their own, and of layers built without
+# an explicit dtype.  Models decide theirs from the embedding store
+# (``np.promote_types(store.dtype, float32)``) and never consult this.
 _DEFAULT_DTYPE = np.dtype(np.float64)
+_FLOAT32 = np.dtype(np.float32)
 
 
 def set_default_dtype(dtype: np.dtype | str) -> None:
-    """Set the float dtype every :class:`Tensor` coerces its data to."""
+    """Set the float dtype given to dtype-less values and bare layers."""
     global _DEFAULT_DTYPE
     resolved = np.dtype(dtype)
     if resolved.kind != "f":
@@ -38,16 +50,44 @@ def set_default_dtype(dtype: np.dtype | str) -> None:
 
 
 def get_default_dtype() -> np.dtype:
-    """The float dtype used by the autograd engine."""
+    """The float dtype given to dtype-less values and bare layers."""
     return _DEFAULT_DTYPE
 
 
-def _as_array(value: ArrayLike) -> np.ndarray:
-    if isinstance(value, np.ndarray):
-        if value.dtype != _DEFAULT_DTYPE:
-            return value.astype(_DEFAULT_DTYPE)
-        return value
-    return np.asarray(value, dtype=_DEFAULT_DTYPE)
+def _as_array(value: ArrayLike, dtype: np.dtype | None = None) -> np.ndarray:
+    """``value`` as a float array of at least single precision.
+
+    Float arrays (and NumPy float scalars, which reductions return) keep
+    their dtype, float16 widening to float32; anything else is converted to
+    ``dtype`` (default: the module default).
+    """
+    if isinstance(value, np.floating):
+        value = np.asarray(value)
+    if isinstance(value, np.ndarray) and value.dtype.kind == "f":
+        if value.dtype.itemsize >= _FLOAT32.itemsize:
+            return value
+        return value.astype(_FLOAT32)
+    return np.asarray(value, dtype=dtype or _DEFAULT_DTYPE)
+
+
+# Whether operations record the backward graph.  Per thread: a serving thread
+# inside ``no_grad()`` must not strip the graph of a training thread.
+_grad_mode = threading.local()
+
+
+def is_grad_enabled() -> bool:
+    return getattr(_grad_mode, "enabled", True)
+
+
+@contextmanager
+def no_grad() -> Iterator[None]:
+    """Run the enclosed forward passes without recording a backward graph."""
+    previous = is_grad_enabled()
+    _grad_mode.enabled = False
+    try:
+        yield
+    finally:
+        _grad_mode.enabled = previous
 
 
 def _unbroadcast(grad: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
@@ -118,9 +158,16 @@ class Tensor:
     # ------------------------------------------------------------------ #
     # Autograd machinery
     # ------------------------------------------------------------------ #
-    def _accumulate_grad(self, grad: np.ndarray) -> None:
+    def _accumulate_grad(self, grad: np.ndarray, owned: bool = False) -> None:
+        """Add ``grad`` into ``self.grad``.
+
+        ``owned=True`` is the producer's promise that ``grad`` is a freshly
+        allocated array nobody else references (not a view, not handed to a
+        second tensor), so the first contribution is adopted instead of
+        copied.
+        """
         if self.grad is None:
-            self.grad = grad.copy()
+            self.grad = grad if owned else grad.copy()
         else:
             self.grad += grad
 
@@ -136,13 +183,16 @@ class Tensor:
         if grad is None:
             if self.data.size != 1:
                 raise RuntimeError("grad must be provided for non-scalar tensors")
-            grad = np.ones_like(self.data)
-        grad = _as_array(grad)
-        if grad.shape != self.data.shape:
-            raise ValueError(f"gradient shape {grad.shape} does not match tensor shape {self.data.shape}")
+            seed, owned = np.ones_like(self.data), True
+        else:
+            # The caller keeps its array; the seed takes this tensor's dtype
+            # so a float64 upstream cannot promote a float32 graph.
+            seed, owned = np.asarray(grad, dtype=self.data.dtype), False
+        if seed.shape != self.data.shape:
+            raise ValueError(f"gradient shape {seed.shape} does not match tensor shape {self.data.shape}")
 
         order = _topological_order(self)
-        self._accumulate_grad(grad)
+        self._accumulate_grad(seed, owned)
         for node in reversed(order):
             if node._backward_fn is not None and node.grad is not None:
                 node._backward_fn(node.grad)
@@ -212,11 +262,26 @@ class Tensor:
         return F.sigmoid(self)
 
 
-def ensure_tensor(value: "Tensor | ArrayLike") -> Tensor:
-    """Coerce ``value`` into a non-differentiable :class:`Tensor` if needed."""
+def ensure_tensor(value: "Tensor | ArrayLike", dtype: np.dtype | None = None) -> Tensor:
+    """Coerce ``value`` into a non-differentiable :class:`Tensor` if needed.
+
+    ``dtype`` is what a value without a float dtype of its own becomes.
+    """
     if isinstance(value, Tensor):
         return value
-    return Tensor(value)
+    return Tensor(_as_array(value, dtype))
+
+
+def ensure_tensors(a: "Tensor | ArrayLike", b: "Tensor | ArrayLike") -> tuple[Tensor, Tensor]:
+    """Both operands of a binary operation as tensors.
+
+    A Python number (or any dtype-less value) adopts the dtype of the tensor
+    it meets: as a 0-d float64 *array* it would promote a float32 operand.
+    """
+    if isinstance(a, Tensor):
+        return a, ensure_tensor(b, a.data.dtype)
+    b = ensure_tensor(b)
+    return ensure_tensor(a, b.data.dtype), b
 
 
 def _topological_order(root: Tensor) -> list[Tensor]:

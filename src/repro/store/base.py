@@ -43,6 +43,9 @@ class EmbeddingStore(abc.ABC):
     dim: int
     #: Size of the global feature-id space.
     num_features: int
+    #: Storage dtype of the tables; ``lookup`` returns it and the model built
+    #: on the store derives its compute dtype from it.
+    dtype: np.dtype
 
     @abc.abstractmethod
     def lookup(self, ids: np.ndarray) -> np.ndarray:

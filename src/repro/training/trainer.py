@@ -18,6 +18,7 @@ from repro.data.stream import Batch, iterate_batches
 from repro.models.base import RecommendationModel
 from repro.nn import functional as F
 from repro.nn.optim import Adagrad, Adam, Optimizer, SGD
+from repro.nn.tensor import no_grad
 from repro.training.config import TrainingConfig
 from repro.training.metrics import log_loss, roc_auc
 from repro.utils.logging import get_logger
@@ -126,11 +127,17 @@ class Trainer:
     # Evaluation
     # ------------------------------------------------------------------ #
     def predict(self, batch: Batch, batch_size: int | None = None) -> np.ndarray:
-        """Click probabilities for a (possibly large) evaluation batch."""
+        """Click probabilities for a (possibly large) evaluation batch.
+
+        Runs under ``no_grad()``: evaluation pieces are thousands of rows, and
+        a recorded graph would keep every activation of a piece alive until
+        its forward returns.
+        """
         batch_size = batch_size or self.config.eval_batch_size
         outputs = []
-        for piece in iterate_batches(batch.categorical, batch.numerical, batch.labels, batch_size):
-            outputs.append(self.model.predict_proba(piece.categorical, piece.numerical))
+        with no_grad():
+            for piece in iterate_batches(batch.categorical, batch.numerical, batch.labels, batch_size):
+                outputs.append(self.model.predict_proba(piece.categorical, piece.numerical))
         return np.concatenate(outputs)
 
     def evaluate_auc(self, batch: Batch, batch_size: int | None = None) -> float:

@@ -115,6 +115,49 @@ class TestImplicitDtype:
         source = "mask = np.zeros((4,))\n"
         assert not flags(source, "src/repro/serving/stats.py", "implicit-dtype")
 
+    @pytest.mark.parametrize(
+        "path",
+        [
+            "src/repro/nn/functional.py",
+            "src/repro/nn/layers.py",
+            "src/repro/nn/interactions.py",
+            "src/repro/models/dlrm.py",
+        ],
+    )
+    def test_dense_network_modules_are_in_scope(self, path):
+        # The allocation that used to promote the whole interaction backward.
+        assert flags("grad_gram = np.zeros((batch, fields, fields))\n", path, "implicit-dtype")
+        assert not flags("bias = np.zeros(out_features, dtype=dtype)\n", path, "implicit-dtype")
+
+    @pytest.mark.parametrize(
+        "source",
+        [
+            "y = np.asarray(targets, dtype=np.float64).reshape(shape)\n",
+            "y = numpy.asarray(targets, dtype='float64')\n",
+            "g = grad.astype(np.float64)\n",
+            "g = grad.astype('float64')\n",
+        ],
+    )
+    def test_flags_hard_coded_float64_in_functional(self, source):
+        found = flags(source, "src/repro/nn/functional.py", "implicit-dtype")
+        assert len(found) == 1
+        assert "dtype of its operands" in found[0].message
+        # Metrics and analysis code reduce in float64 on purpose.
+        assert not flags(source, "src/repro/nn/optim.py", "implicit-dtype")
+        assert not flags(source, "src/repro/training/metrics.py", "implicit-dtype")
+
+    @pytest.mark.parametrize(
+        "source",
+        [
+            "y = np.asarray(targets, dtype=z.dtype)\n",
+            "idx = np.asarray(indices, dtype=np.int64)\n",
+            "g = grad.astype(z.dtype)\n",
+            "loss = losses.mean(dtype=np.float64)\n",
+        ],
+    )
+    def test_operand_dtype_conversions_pass_in_functional(self, source):
+        assert not flags(source, "src/repro/nn/functional.py", "implicit-dtype")
+
 
 class TestSuppressions:
     def test_allow_comment_suppresses_and_is_counted(self):

@@ -46,6 +46,14 @@ class TestReporting:
         assert "something important" in text
         assert "2.5" in text
 
+    def test_timing_columns_are_left_out_on_request(self):
+        result = ExperimentResult("figX", "My Title", timing_columns=("latency_ms",))
+        result.add_row(method="cafe", test_auc=0.75, latency_ms=3.125)
+        assert "latency_ms" in result.to_text() and "3.125" in result.to_text()
+        tracked = result.to_text(timing=False)
+        assert "latency_ms" not in tracked and "3.125" not in tracked
+        assert "test_auc" in tracked and "0.75" in tracked
+
     def test_format_table_alignment_and_missing(self):
         rows = [{"a": 1, "b": "x"}, {"a": 22}]
         table = format_table(rows)
