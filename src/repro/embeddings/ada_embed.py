@@ -120,52 +120,38 @@ class AdaEmbed(TableBackedEmbedding):
     # ------------------------------------------------------------------ #
     # Lookup / update
     # ------------------------------------------------------------------ #
-    def _build_routes(self, flat_ids: np.ndarray) -> dict[str, np.ndarray]:
-        rows = self.row_of[flat_ids]
+    def _build_routes(self, uids: np.ndarray) -> dict[str, np.ndarray]:
+        rows = self.row_of[uids]
         allocated = rows != UNALLOCATED
-        shared_rows = hash_to_range(flat_ids[~allocated], self.shared_rows, seed=self.hash_seed)
+        shared_rows = hash_to_range(uids[~allocated], self.shared_rows, seed=self.hash_seed)
         return {"rows": rows, "allocated": allocated, "shared_rows": shared_rows}
 
-    def lookup(self, ids: np.ndarray) -> np.ndarray:
+    def lookup_unique(self, uids: np.ndarray) -> np.ndarray:
         """Gather allocated features from their private rows and the rest from
         the shared fallback table, per the current importance-driven
         allocation.
         """
-        ids = self._check_ids(ids)
-        plan = self.plan_for(ids)
-        rows, allocated = plan.routes["rows"], plan.routes["allocated"]
-        out = np.empty((len(plan), self.dim), dtype=self.dtype)
-        if allocated.any():
-            out[allocated] = self.table[rows[allocated]]
-        if (~allocated).any():
-            out[~allocated] = self.shared_table[plan.routes["shared_rows"]]
-        return out.reshape(plan.ids_shape + (self.dim,))
+        routes = self.plan_for(uids).routes
+        rows, allocated = routes["rows"], routes["allocated"]
+        out = np.empty((uids.shape[0], self.dim), dtype=self.dtype)
+        out[allocated] = self.table[rows[allocated]]
+        out[~allocated] = self.shared_table[routes["shared_rows"]]
+        return out
 
-    def apply_gradients(self, ids: np.ndarray, grads: np.ndarray) -> None:
-        """Update allocated/shared rows, fold gradient norms into the decayed
-        importance scores, and run the periodic reallocation pass.
+    def apply_unique(self, uids: np.ndarray, grad_sums: np.ndarray, scores: np.ndarray) -> None:
+        """Update allocated/shared rows, fold the summed gradient norms into
+        the decayed importance scores, and run the periodic reallocation pass.
         """
-        ids = self._check_ids(ids)
-        grads = self._check_grads(ids, grads)
-        plan = self.plan_for(ids)
-        flat_ids = plan.flat_ids
-        flat_grads = grads.reshape(len(plan), -1)
-
-        # Importance update: decayed running sum of per-lookup gradient norms.
-        norms = np.linalg.norm(flat_grads, axis=1)
-        unique_ids, inverse = np.unique(flat_ids, return_inverse=True)
-        summed_norms = np.zeros(unique_ids.shape[0], dtype=np.float64)
-        np.add.at(summed_norms, inverse, norms)
+        routes = self.plan_for(uids).routes
         self.importance *= self.importance_decay
-        self.importance[unique_ids] += summed_norms
+        self.importance[uids] += scores
 
-        # Parameter updates for allocated and shared rows.
-        rows, allocated = plan.routes["rows"], plan.routes["allocated"]
+        rows, allocated = routes["rows"], routes["allocated"]
         if allocated.any():
-            self._optimizer.update(self.table, rows[allocated], flat_grads[allocated])
-        if (~allocated).any():
+            self._optimizer.update(self.table, rows[allocated], grad_sums[allocated])
+        if not allocated.all():
             self._shared_optimizer.update(
-                self.shared_table, plan.routes["shared_rows"], flat_grads[~allocated]
+                self.shared_table, routes["shared_rows"], grad_sums[~allocated]
             )
 
         self._step += 1

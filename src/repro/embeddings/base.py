@@ -9,6 +9,12 @@ component with two operations:
   loss with respect to those looked-up vectors (same shape) and performs the
   sparse parameter update.
 
+Both are one generic wrapper here.  It collapses the batch onto its sorted
+unique ids (:class:`~repro.embeddings.plan.UniqueBatch`) and calls the two
+hooks every backend implements — :meth:`CompressedEmbedding.lookup_unique`
+and :meth:`CompressedEmbedding.apply_unique` — so a backend (and every shard
+of a sharded store) only ever sees the unique-id axis.
+
 Keeping the embedding storage outside the autograd graph mirrors how large
 DLRM systems separate the "sparse" and "dense" optimizers, and it is exactly
 the hook CAFE needs: the per-lookup gradient norms are the importance scores
@@ -19,7 +25,14 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.embeddings.plan import PlanStats, RoutingPlan
+from repro.embeddings.plan import (
+    PlanStats,
+    RoutingPlan,
+    UniqueBatch,
+    as_id_array,
+    gradient_norms,
+)
+from repro.errors import NonFiniteGradientError
 from repro.nn.optim import RowOptimizer, make_row_optimizer
 
 #: Table storage dtype used unless a layer opts out.  The paper's memory
@@ -32,6 +45,10 @@ DEFAULT_DTYPE = np.float32
 class CompressedEmbedding:
     """Abstract base class for all embedding schemes in this library."""
 
+    #: Importance scores handed to :meth:`apply_unique` count lookups instead
+    #: of summing gradient norms (CAFE's frequency ablation).
+    use_frequency = False
+
     def __init__(self, num_features: int, dim: int, dtype: np.dtype | str = DEFAULT_DTYPE):
         if num_features <= 0:
             raise ValueError(f"num_features must be positive, got {num_features}")
@@ -43,35 +60,91 @@ class CompressedEmbedding:
         if self.dtype.kind != "f":
             raise ValueError(f"dtype must be a float type, got {self.dtype}")
         self._step = 0
+        self._cached_batch: UniqueBatch | None = None
         self._cached_plan: RoutingPlan | None = None
         self._routing_version = 0
         self.plan_stats = PlanStats()
 
     # ------------------------------------------------------------------ #
-    # Required interface
+    # Position-axis wrapper (the only code that sees duplicate ids)
     # ------------------------------------------------------------------ #
     def lookup(self, ids: np.ndarray) -> np.ndarray:
         """Return embeddings for a batch of global feature ids.
 
-        ``ids`` may have any shape; every value must lie in
-        ``[0, num_features)``.  The output has shape ``ids.shape + (dim,)``
-        and dtype :attr:`dtype`.  Looking up the same id twice in one batch
-        returns the same vector twice.  ``lookup`` never mutates parameters,
-        but it *does* build and cache the batch's routing plan, so a
-        training step should call ``lookup`` before ``apply_gradients`` to
-        get the hash/locate pass for free on the update half.
+        ``ids`` may have any shape; every value must be an integer in
+        ``[0, num_features)`` (named :mod:`repro.errors` otherwise).  The
+        output has shape ``ids.shape + (dim,)`` and dtype :attr:`dtype`.
+        Looking up the same id twice in one batch returns the same vector
+        twice.  ``lookup`` never mutates parameters, but it *does* build and
+        cache the batch's unique ids and routing plan, so a training step
+        should call ``lookup`` before ``apply_gradients`` to get the sort and
+        the hash/locate pass for free on the update half.
         """
-        raise NotImplementedError  # pragma: no cover - abstract
+        batch = self._unique_batch(ids)
+        if not len(batch):
+            return np.empty(batch.ids_shape + (self.dim,), dtype=self.dtype)
+        rows = self.lookup_unique(batch.uids)
+        return np.take(rows, batch.inverse, axis=0).reshape(batch.ids_shape + (self.dim,))
 
     def apply_gradients(self, ids: np.ndarray, grads: np.ndarray) -> None:
         """Apply per-lookup gradients; the layer's only mutating operation.
 
         ``grads`` must have shape ``ids.shape + (dim,)`` — the gradient of
         the loss with respect to each vector the preceding :meth:`lookup`
-        returned.  Duplicate ids accumulate (their gradients sum into the
-        same row).  Adaptive schemes also fold per-lookup gradient norms
-        into their importance statistics here (CAFE's HotSketch insert), so
-        the call can move features between representations as a side effect.
+        returned.  Duplicate ids accumulate: the updates are linear in the
+        per-position gradient given the id, so gradients (and the per-lookup
+        gradient norms adaptive schemes use as importance) are summed per id
+        here and :meth:`apply_unique` sees each id once.  An empty batch is
+        a no-op that does not advance :meth:`step`; a NaN/inf gradient raises
+        :class:`~repro.errors.NonFiniteGradientError` before anything is
+        mutated.
+        """
+        batch = self._unique_batch(ids)
+        grads = np.asarray(grads)
+        if grads.dtype != self.dtype:
+            grads = grads.astype(self.dtype)
+        if grads.shape != batch.ids_shape + (self.dim,):
+            raise ValueError(
+                f"gradient shape {grads.shape} does not match {batch.ids_shape + (self.dim,)}"
+            )
+        if not len(batch):
+            return
+        flat_grads = grads.reshape(len(batch), self.dim)
+        scores = batch.sum_per_id(gradient_norms(flat_grads))
+        if not np.isfinite(scores).all():
+            raise NonFiniteGradientError(
+                "gradients contain NaN or inf; the batch was refused and no row, "
+                "optimizer state or sketch score was touched"
+            )
+        if self.use_frequency:
+            scores = batch.counts().astype(np.float64)
+        self.apply_unique(batch.uids, batch.sum_per_id(flat_grads), scores)
+
+    def _unique_batch(self, ids: np.ndarray) -> UniqueBatch:
+        """The batch's :class:`UniqueBatch`; ``apply_gradients`` reuses ``lookup``'s."""
+        ids = as_id_array(ids)
+        cached = self._cached_batch
+        if cached is None or not cached.matches(ids):
+            cached = self._cached_batch = UniqueBatch.build(ids, self.num_features)
+        return cached
+
+    # ------------------------------------------------------------------ #
+    # Required interface (unique-id axis)
+    # ------------------------------------------------------------------ #
+    def lookup_unique(self, uids: np.ndarray) -> np.ndarray:
+        """Rows ``(U, dim)`` for sorted, distinct, in-range int64 ``uids``."""
+        raise NotImplementedError  # pragma: no cover - abstract
+
+    def apply_unique(self, uids: np.ndarray, grad_sums: np.ndarray, scores: np.ndarray) -> None:
+        """Apply one summed gradient row per sorted, distinct id.
+
+        ``grad_sums`` is ``(U, dim)`` in :attr:`dtype`; ``scores`` is the
+        ``(U,)`` float64 importance of each id in this batch (summed
+        per-lookup gradient norms, or lookup counts under
+        :attr:`use_frequency`).  Advances :meth:`step` by one.  Adaptive
+        schemes fold ``scores`` into their importance statistics here
+        (CAFE's HotSketch insert), so the call can move features between
+        representations as a side effect.
         """
         raise NotImplementedError  # pragma: no cover - abstract
 
@@ -79,7 +152,7 @@ class CompressedEmbedding:
         """Force one adaptivity pass (row migration), if the scheme has one.
 
         Adaptive schemes run this periodically from inside
-        :meth:`apply_gradients`; exposing it lets a sharded store fan an
+        :meth:`apply_unique`; exposing it lets a sharded store fan an
         explicit rebalance out across shards on its own schedule.  Returns
         ``True`` if the layer performed (or supports) rebalancing, ``False``
         for static schemes where the call is a no-op.
@@ -97,8 +170,8 @@ class CompressedEmbedding:
     # ------------------------------------------------------------------ #
     # Routing plans
     # ------------------------------------------------------------------ #
-    def _build_routes(self, flat_ids: np.ndarray) -> dict[str, np.ndarray]:
-        """Backend-specific routing arrays for a flat id batch.
+    def _build_routes(self, uids: np.ndarray) -> dict[str, np.ndarray]:
+        """Backend-specific routing arrays for a batch's sorted unique ids.
 
         Subclasses that participate in plan caching override this with the
         hashing/locating work that would otherwise run twice per step.
@@ -122,9 +195,9 @@ class CompressedEmbedding:
     def plan_for(self, ids: np.ndarray) -> RoutingPlan:
         """Return the routing plan for ``ids``, reusing the cached one.
 
-        ``lookup`` builds the plan, ``apply_gradients`` receives the same id
-        batch an instant later and gets a cache hit, so the hash + locate
-        pass runs once per training step.
+        ``lookup_unique`` builds the plan, ``apply_unique`` receives the
+        same unique ids an instant later and gets a cache hit, so the hash +
+        locate pass runs once per training step.
         """
         token = self._routing_token()
         cached = self._cached_plan
@@ -152,31 +225,6 @@ class CompressedEmbedding:
     def compression_ratio(self) -> float:
         """Achieved compression ratio versus an uncompressed table."""
         return (self.num_features * self.dim) / max(self.memory_floats(), 1)
-
-    def _check_ids(self, ids: np.ndarray) -> np.ndarray:
-        ids = np.asarray(ids, dtype=np.int64)
-        if ids.size and (ids.min() < 0 or ids.max() >= self.num_features):
-            raise ValueError(
-                f"feature ids must lie in [0, {self.num_features}), got range "
-                f"[{ids.min()}, {ids.max()}]"
-            )
-        return ids
-
-    def _check_grads(self, ids: np.ndarray, grads: np.ndarray) -> np.ndarray:
-        grads = np.asarray(grads)
-        if grads.dtype != self.dtype:
-            grads = grads.astype(self.dtype)
-        expected = ids.shape + (self.dim,)
-        if grads.shape != expected:
-            raise ValueError(f"gradient shape {grads.shape} does not match {expected}")
-        return grads
-
-    @staticmethod
-    def _flatten(ids: np.ndarray, grads: np.ndarray | None = None):
-        flat_ids = ids.reshape(-1)
-        if grads is None:
-            return flat_ids, None
-        return flat_ids, grads.reshape(flat_ids.shape[0], -1)
 
     def describe(self) -> dict[str, float | int | str]:
         """Human-readable summary used by experiment reports."""
@@ -256,7 +304,7 @@ class TableBackedEmbedding(CompressedEmbedding):
     Table-backed schemes own the fused train-step machinery: a named kernel
     backend (see :mod:`repro.kernels`) supplies the segment-sum and
     fused-scatter primitives, and :attr:`fused` switches between the fused
-    single-scatter ``apply_gradients`` path and the unfused per-table
+    single-scatter ``apply_unique`` path and the unfused per-table
     reference path (both routed through the same kernels, so they are
     bit-exact with each other).
     """
@@ -313,15 +361,15 @@ class TableBackedEmbedding(CompressedEmbedding):
         state["_kernel_instance"] = None
         return state
 
-    def fused_apply(self, table: np.ndarray, optimizer: RowOptimizer, scatter, flat_grads: np.ndarray) -> None:
+    def fused_apply(self, table: np.ndarray, optimizer: RowOptimizer, scatter, grad_sums: np.ndarray) -> None:
         """One fused segment-sum + optimizer scatter into ``table``.
 
         ``scatter`` is a :class:`~repro.embeddings.plan.ScatterPlan` whose
-        ``rows`` index ``table``; ``flat_grads`` is the full ``(n, dim)``
-        per-position gradient matrix the scatter's ``perm`` refers to.
+        ``rows`` index ``table``; ``grad_sums`` is the ``(U, dim)`` per-id
+        gradient matrix the scatter's ``perm`` refers to.
         """
         kernels = self._kernels()
-        summed = kernels.segment_sum(flat_grads, scatter.perm, scatter.starts)
+        summed = kernels.segment_sum(grad_sums, scatter.perm, scatter.starts)
         optimizer.fused_apply(table, scatter.rows, summed, kernels)
 
     def shared_buffers(self) -> dict[str, np.ndarray]:

@@ -24,7 +24,7 @@ hot features".
 Storage layout: all region tables (``hot_table``, ``shared_table``, and any
 subclass extras) are contiguous row-range *views* into one arena matrix.
 That turns the train-step hot path into single fused passes — lookup is one
-arena gather, and ``apply_gradients`` is one segment-sum + one optimizer
+arena gather, and ``apply_unique`` is one segment-sum + one optimizer
 scatter over arena row indices resolved at plan-build time — while every
 region keeps its familiar per-table identity for tests, checkpoints and the
 unfused reference path.  The fused and unfused paths share the same kernel
@@ -41,7 +41,6 @@ import numpy as np
 from repro.embeddings.base import DEFAULT_DTYPE, TableBackedEmbedding
 from repro.embeddings.memory import MemoryBudget
 from repro.embeddings.plan import FreeRowPool, ScatterPlan
-from repro.kernels.ops import stable_order
 from repro.nn.init import embedding_uniform
 from repro.sketch.hotsketch import NO_PAYLOAD, HotSketch
 from repro.utils.hashing import hash_to_range
@@ -190,9 +189,9 @@ class CafeEmbedding(TableBackedEmbedding):
     # ------------------------------------------------------------------ #
     # Shared-table hooks (overridden by the multi-level variant)
     # ------------------------------------------------------------------ #
-    def _shared_routes(self, flat_ids: np.ndarray) -> dict[str, np.ndarray]:
+    def _shared_routes(self, cold_ids: np.ndarray) -> dict[str, np.ndarray]:
         """Routing of non-hot ids through the shared table(s)."""
-        return {"shared_rows": hash_to_range(flat_ids, self.num_shared_rows, seed=self.hash_seed)}
+        return {"shared_rows": hash_to_range(cold_ids, self.num_shared_rows, seed=self.hash_seed)}
 
     def _shared_lookup_routed(self, routes: dict[str, np.ndarray]) -> np.ndarray:
         return self.shared_table[routes["shared_rows"]]
@@ -202,11 +201,8 @@ class CafeEmbedding(TableBackedEmbedding):
     ) -> None:
         self._shared_optimizer.update(self.shared_table, routes["shared_rows"], grads, kernels)
 
-    def _shared_lookup(self, flat_ids: np.ndarray) -> np.ndarray:
-        return self._shared_lookup_routed(self._shared_routes(flat_ids))
-
-    def _shared_update(self, flat_ids: np.ndarray, grads: np.ndarray) -> None:
-        self._shared_update_routed(self._shared_routes(flat_ids), grads)
+    def _shared_lookup(self, ids: np.ndarray) -> np.ndarray:
+        return self._shared_lookup_routed(self._shared_routes(ids))
 
     def _shared_memory_floats(self) -> int:
         return int(self.shared_table.size)
@@ -229,12 +225,12 @@ class CafeEmbedding(TableBackedEmbedding):
     def _scatter_entries(
         self, arena_rows: np.ndarray, routes: dict[str, np.ndarray]
     ) -> tuple[np.ndarray | None, np.ndarray]:
-        """``(positions, rows)`` scatter entries for the fused update.
+        """``(sources, rows)`` scatter entries for the fused update.
 
-        Base CAFE scatters each gradient position into exactly one arena row,
-        so positions are implicit (``None`` = identity) and no gradient
-        gather is needed.  Subclasses where one position updates several rows
-        (summation pooling) return an explicit position per entry.
+        Base CAFE scatters each id's gradient sum into exactly one arena row,
+        so sources are implicit (``None`` = identity) and no gradient gather
+        is needed.  Subclasses where one id updates several rows (summation
+        pooling) return an explicit index into the unique axis per entry.
         """
         return None, arena_rows
 
@@ -298,7 +294,7 @@ class CafeEmbedding(TableBackedEmbedding):
         return num_hot, min(num_shared, budget.num_features)
 
     # ------------------------------------------------------------------ #
-    # Routing plan (shared by lookup and apply_gradients)
+    # Routing plan (shared by lookup_unique and apply_unique)
     # ------------------------------------------------------------------ #
     def _routing_token(self) -> object:
         # Any sketch insertion can move a feature between the hot and shared
@@ -306,203 +302,99 @@ class CafeEmbedding(TableBackedEmbedding):
         # to explicit invalidation (migration, checkpoint load).
         return (self._routing_version, self.sketch.total_insertions)
 
-    def _build_routes(self, flat_ids: np.ndarray) -> dict[str, np.ndarray]:
-        n = flat_ids.shape[0]
-        # One locate per *unique* id: sort the batch by id (stably, so ties
-        # keep batch order — the property every downstream segment sum relies
-        # on for bit-exactness), probe the sketch once per unique id, and
-        # broadcast the results back to positions.  The same locate results
-        # are reused by the fused sketch insertion in apply_gradients.
-        order = stable_order(flat_ids)
-        sorted_ids = flat_ids[order]
-        boundary = np.empty(n, dtype=bool)
-        if n:
-            boundary[0] = True
-            np.not_equal(sorted_ids[1:], sorted_ids[:-1], out=boundary[1:])
-        id_starts = np.flatnonzero(boundary)
-        uids = sorted_ids[id_starts]
-        # Segment index per sorted position: repeat over run lengths is ~3x
-        # cheaper than the cumsum-over-booleans formulation.
-        segment_of_sorted = np.repeat(
-            np.arange(id_starts.shape[0], dtype=np.int64), np.diff(id_starts, append=n)
-        )
-
+    def _build_routes(self, uids: np.ndarray) -> dict[str, np.ndarray]:
+        # One sketch probe per distinct id (the wrapper already deduplicated
+        # the batch); the same locate results are reused by the fused sketch
+        # insertion in apply_unique.
         found, buckets, slots = self.sketch.locate(uids)
-        payloads_u = np.where(found, self.sketch.payloads[buckets, slots], NO_PAYLOAD)
-        hot_u = payloads_u != NO_PAYLOAD
-
+        arena_rows = np.where(found, self.sketch.payloads[buckets, slots], NO_PAYLOAD)
+        hot_mask = arena_rows != NO_PAYLOAD  # hot payloads ARE arena rows (offset 0)
+        cold = ~hot_mask
         routes = {
-            "order": order,
-            "id_starts": id_starts,
-            "uids": uids,
             "sketch_found": found,
             "sketch_buckets": buckets,
             "sketch_slots": slots,
-            "hot_u": hot_u,
-            "segment_of_sorted": segment_of_sorted,
+            "hot_mask": hot_mask,
+            "arena_rows": arena_rows,
         }
-
-        arena_rows_u = self._arena_rows_unique(uids, hot_u, payloads_u)
-        if arena_rows_u is not None:
-            # Fast path: every per-unique-id decision (hot payload vs shared
-            # hash) is resolved on the ~deduplicated axis, then materialized
-            # per position with a single inverse-permutation broadcast.  The
-            # per-position masks the unfused reference path wants are derived
-            # lazily from these rows (see _ensure_position_routes); the fused
-            # scatter needs nothing but the rows themselves.
-            arena_rows = np.empty(n, dtype=np.int64)
-            arena_rows[order] = arena_rows_u[segment_of_sorted]
-            routes["arena_rows"] = arena_rows
-            routes["scatter"] = ScatterPlan.from_rows(arena_rows)
-            routes["scatter_positions"] = None
-            return routes
-
-        # Position-level path (multi-level variant: medium-class routing is
-        # inherently per position, so the masks are broadcast up front).
-        hot_mask = np.empty(n, dtype=bool)
-        hot_mask[order] = hot_u[segment_of_sorted]
-        payloads = np.empty(n, dtype=np.int64)
-        payloads[order] = payloads_u[segment_of_sorted]
-        routes["payloads"] = payloads
-        routes["hot_mask"] = hot_mask
-        routes.update(self._shared_routes(flat_ids[~hot_mask]))
-
-        arena_rows = np.empty(n, dtype=np.int64)
-        arena_rows[hot_mask] = payloads[hot_mask]
-        arena_rows[~hot_mask] = self._shared_offset + routes["shared_rows"]
-        routes["arena_rows"] = arena_rows
-
-        positions, entry_rows = self._scatter_entries(arena_rows, routes)
+        routes.update(self._shared_routes(uids[cold]))
+        arena_rows[cold] = self._shared_offset + routes["shared_rows"]
+        sources, entry_rows = self._scatter_entries(arena_rows, routes)
         routes["scatter"] = ScatterPlan.from_rows(entry_rows)
-        routes["scatter_positions"] = positions
+        routes["scatter_sources"] = sources
         return routes
-
-    def _arena_rows_unique(
-        self, uids: np.ndarray, hot_u: np.ndarray, payloads_u: np.ndarray
-    ) -> np.ndarray | None:
-        """Arena row per *unique* id, or ``None`` to force position routing.
-
-        Base CAFE's routing is a pure function of the id (hot payload, else
-        shared hash), so it can run on the deduplicated axis.  Subclasses
-        whose routing needs per-position information return ``None``.
-        """
-        arena_rows_u = payloads_u.copy()  # hot payloads ARE arena rows (offset 0)
-        cold_uids = uids[~hot_u]
-        arena_rows_u[~hot_u] = self._shared_offset + hash_to_range(
-            cold_uids, self.num_shared_rows, seed=self.hash_seed
-        )
-        return arena_rows_u
-
-    def _ensure_position_routes(self, routes: dict[str, np.ndarray]) -> np.ndarray:
-        """Materialize per-position ``hot_mask``/``payloads``/``shared_rows``.
-
-        The uid-level fast path skips these broadcasts; the unfused reference
-        path (and any introspection) derives them here from the arena rows —
-        the hot region sits at arena offset 0, so a position is hot exactly
-        when its arena row precedes the shared offset, its payload is that
-        row, and shared rows are the offset-relative remainder.  Returns the
-        hot mask.
-        """
-        if "hot_mask" not in routes:
-            arena_rows = routes["arena_rows"]
-            hot_mask = np.empty(arena_rows.shape[0], dtype=bool)
-            hot_mask[routes["order"]] = routes["hot_u"][routes["segment_of_sorted"]]
-            routes["hot_mask"] = hot_mask
-            routes["payloads"] = np.where(hot_mask, arena_rows, NO_PAYLOAD)
-            routes["shared_rows"] = arena_rows[~hot_mask] - self._shared_offset
-        return routes["hot_mask"]
 
     # ------------------------------------------------------------------ #
     # Lookup
     # ------------------------------------------------------------------ #
-    def lookup(self, ids: np.ndarray) -> np.ndarray:
+    def lookup_unique(self, uids: np.ndarray) -> np.ndarray:
         """Gather hot features (sketch payload points at an exclusive row) from
         the hot table and the rest from the shared hashed table, per the
         cached routing plan (paper Fig. 4 serving path).  With the arena
         layout both cases are one gather over precomputed arena rows.
         """
-        ids = self._check_ids(ids)
         start = time.perf_counter_ns()
-        plan = self.plan_for(ids)
+        routes = self.plan_for(uids).routes
         self._phase_ns["locate"] += time.perf_counter_ns() - start
-        routes = plan.routes
         out = np.take(self._arena, routes["arena_rows"], axis=0)
         self._lookup_fused_extra(out, routes)
-        return out.reshape(plan.ids_shape + (self.dim,))
+        return out
 
     # ------------------------------------------------------------------ #
     # Gradient application + sketch maintenance
     # ------------------------------------------------------------------ #
-    def apply_gradients(self, ids: np.ndarray, grads: np.ndarray) -> None:
-        """Update hot/shared rows, feed gradient norms into HotSketch, and run
-        the periodic decay / threshold / migration passes (paper §3).
+    def apply_unique(self, uids: np.ndarray, grad_sums: np.ndarray, scores: np.ndarray) -> None:
+        """Update hot/shared rows, feed the importance scores into HotSketch,
+        and run the periodic decay / threshold / migration passes (paper §3).
         """
-        ids = self._check_ids(ids)
-        grads = self._check_grads(ids, grads)
         # The plan built by the forward pass is reused here (cache hit), so
         # the bucket hash + slot locate run once per training step.
         start = time.perf_counter_ns()
-        plan = self.plan_for(ids)
+        routes = self.plan_for(uids).routes
         tick = time.perf_counter_ns()
         self._phase_ns["locate"] += tick - start
-        flat_ids = plan.flat_ids
-        flat_grads = grads.reshape(len(plan), self.dim)
-        routes = plan.routes
 
         # 1. Parameter update using the assignment that produced the forward
         #    pass: one fused segment-sum + optimizer scatter over the arena,
         #    or the per-region reference path (same kernels, bit-exact).
         if self.fused:
-            positions = routes["scatter_positions"]
-            values = flat_grads if positions is None else flat_grads[positions]
+            sources = routes["scatter_sources"]
+            values = grad_sums if sources is None else grad_sums[sources]
             self.fused_apply(self._arena, self._arena_optimizer, routes["scatter"], values)
         else:
-            hot_mask = self._ensure_position_routes(routes)
+            hot_mask = routes["hot_mask"]
             if hot_mask.any():
                 self._hot_optimizer.update(
                     self.hot_table,
-                    routes["payloads"][hot_mask],
-                    flat_grads[hot_mask],
+                    routes["arena_rows"][hot_mask],
+                    grad_sums[hot_mask],
                     self._kernels(),
                 )
             if not hot_mask.all():
-                self._shared_update_routed(routes, flat_grads[~hot_mask], self._kernels())
+                self._shared_update_routed(routes, grad_sums[~hot_mask], self._kernels())
         tock = time.perf_counter_ns()
         self._phase_ns["apply"] += tock - tick
 
-        # 2. Importance scores: gradient norms (or raw frequency for the ablation).
-        if self.use_frequency:
-            scores = np.ones(flat_ids.shape[0], dtype=np.float64)
-        else:
-            squared = np.einsum("ij,ij->i", flat_grads, flat_grads)
-            scores = np.sqrt(squared).astype(np.float64)
-
-        # 3. Sketch insertion; SpaceSaving replacement may evict hot features.
-        #    The fused path reuses the plan's per-unique-id locate results and
-        #    aggregates duplicate ids with the same stable-sort segment sum
-        #    Sketch.insert performs, so both paths mutate the sketch
-        #    identically.
+        # 2. Sketch insertion; SpaceSaving replacement may evict hot features.
+        #    The fused path reuses the plan's locate results; the reference
+        #    path re-probes.  Both mutate the sketch identically.
         if self.fused:
-            if routes["uids"].shape[0]:
-                totals = np.add.reduceat(scores[routes["order"]], routes["id_starts"])
-                evictions = self.sketch.insert_routed(
-                    routes["uids"],
-                    totals,
-                    routes["sketch_found"],
-                    routes["sketch_buckets"],
-                    routes["sketch_slots"],
-                    self._kernels(),
-                )
-            else:
-                evictions = None
+            evictions = self.sketch.insert_routed(
+                uids,
+                scores,
+                routes["sketch_found"],
+                routes["sketch_buckets"],
+                routes["sketch_slots"],
+                self._kernels(),
+            )
         else:
-            evictions = self.sketch.insert(flat_ids, scores)
-        if evictions is not None and len(evictions):
+            evictions = self.sketch.insert(uids, scores)
+        if len(evictions):
             self._release_rows(evictions.payloads)
         tick = time.perf_counter_ns()
         self._phase_ns["sketch"] += tick - tock
 
-        # 4. Periodic decay, threshold adaptation and migration.
+        # 3. Periodic decay, threshold adaptation and migration.
         self._step += 1
         if self.decay < 1.0 and self._step % self.decay_interval == 0:
             self.sketch.apply_decay()
@@ -530,7 +422,7 @@ class CafeEmbedding(TableBackedEmbedding):
     def rebalance(self) -> bool:
         """Run one threshold-adaptation + migration pass immediately.
 
-        The same pass :meth:`apply_gradients` runs every
+        The same pass :meth:`apply_unique` runs every
         ``rebalance_interval`` steps, exposed so a sharded store can fan
         explicit rebalances out across shards on its own schedule.  Safe to
         call at any point between training steps; invalidates any cached

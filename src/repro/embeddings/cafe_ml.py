@@ -7,7 +7,7 @@ a feature moving between the classes keeps its first-table row and its
 representation stays smooth — exactly the behaviour described in the paper.
 
 The secondary table is a third region of the base class's arena; on the fused
-path a medium position simply contributes two scatter entries (its primary
+path a medium id simply contributes two scatter entries (its primary
 shared row and its secondary row), so summation pooling rides the same single
 segment-sum + scatter as everything else.
 """
@@ -66,21 +66,16 @@ class CafeMultiLevelEmbedding(CafeEmbedding):
         """Medium features have scores in ``[medium_threshold, hot_threshold)``."""
         return self.hot_threshold * self.medium_fraction
 
-    def _arena_rows_unique(self, uids, hot_u, payloads_u):
-        # Medium-class routing needs per-position masks; take the base
-        # class's position-level route construction.
-        return None
-
-    def _medium_mask(self, flat_ids: np.ndarray) -> np.ndarray:
-        scores = self.sketch.query(flat_ids)
+    def _medium_mask(self, cold_ids: np.ndarray) -> np.ndarray:
+        scores = self.sketch.query(cold_ids)
         return scores >= self.medium_threshold
 
-    def _shared_routes(self, flat_ids: np.ndarray) -> dict[str, np.ndarray]:
-        routes = super()._shared_routes(flat_ids)
-        medium = self._medium_mask(flat_ids)
+    def _shared_routes(self, cold_ids: np.ndarray) -> dict[str, np.ndarray]:
+        routes = super()._shared_routes(cold_ids)
+        medium = self._medium_mask(cold_ids)
         routes["medium_mask"] = medium
         routes["secondary_rows"] = hash_to_range(
-            flat_ids[medium], self.num_secondary_rows, seed=self.hash_seed + 1
+            cold_ids[medium], self.num_secondary_rows, seed=self.hash_seed + 1
         )
         return routes
 
@@ -111,31 +106,31 @@ class CafeMultiLevelEmbedding(CafeEmbedding):
     def _scatter_entries(
         self, arena_rows: np.ndarray, routes: dict[str, np.ndarray]
     ) -> tuple[np.ndarray | None, np.ndarray]:
-        """Medium positions scatter into two rows: primary shared + secondary.
+        """Medium ids scatter into two rows: primary shared + secondary.
 
-        The extra entries reference the same gradient position, so the fused
-        segment sum naturally performs the summation-pooling backward pass.
+        The extra entries reference the same per-id gradient sum, so the
+        fused segment sum naturally performs the summation-pooling backward
+        pass.
         """
-        cold_positions = np.flatnonzero(~routes["hot_mask"])
-        medium_positions = cold_positions[routes["medium_mask"]]
+        medium_sources = np.flatnonzero(~routes["hot_mask"])[routes["medium_mask"]]
         secondary_arena_rows = (
             self._region_offsets["secondary_table"] + routes["secondary_rows"]
         )
         # Stash the resolved extras for the fused lookup's secondary add.
-        routes["medium_positions"] = medium_positions
+        routes["medium_sources"] = medium_sources
         routes["secondary_arena_rows"] = secondary_arena_rows
-        if medium_positions.shape[0] == 0:
+        if medium_sources.shape[0] == 0:
             return None, arena_rows
-        positions = np.concatenate(
-            [np.arange(arena_rows.shape[0], dtype=np.int64), medium_positions]
+        sources = np.concatenate(
+            [np.arange(arena_rows.shape[0], dtype=np.int64), medium_sources]
         )
         rows = np.concatenate([arena_rows, secondary_arena_rows])
-        return positions, rows
+        return sources, rows
 
     def _lookup_fused_extra(self, out: np.ndarray, routes: dict[str, np.ndarray]) -> None:
-        medium_positions = routes["medium_positions"]
-        if medium_positions.shape[0]:
-            out[medium_positions] += self._arena[routes["secondary_arena_rows"]]
+        medium_sources = routes["medium_sources"]
+        if medium_sources.shape[0]:
+            out[medium_sources] += self._arena[routes["secondary_arena_rows"]]
 
     # ------------------------------------------------------------------ #
     # Budget-driven construction

@@ -14,7 +14,8 @@ class FullEmbedding(TableBackedEmbedding):
     """One exclusive embedding row per feature (no compression).
 
     Ids map to rows directly, so there is no hashing to cache in a routing
-    plan — lookup and update both index the table with the raw ids.
+    plan — lookup and update both index the table with the unique ids, and
+    the plan only carries the (identity) scatter the write log reads.
     """
 
     def __init__(
@@ -33,28 +34,25 @@ class FullEmbedding(TableBackedEmbedding):
         self.table = embedding_uniform((num_features, dim), generator, dtype=self.dtype)
         self._optimizer = self._new_row_optimizer()
 
-    def _build_routes(self, flat_ids: np.ndarray) -> dict[str, np.ndarray]:
-        # Ids are rows, so the only cacheable routing work is the scatter.
-        return {"scatter": ScatterPlan.from_rows(flat_ids)}
+    def _build_routes(self, uids: np.ndarray) -> dict[str, ScatterPlan]:
+        # Distinct ids are distinct rows: the scatter is the identity, no sort.
+        identity = np.arange(uids.shape[0], dtype=np.int64)
+        return {"scatter": ScatterPlan(perm=identity, starts=identity, rows=uids)}
 
-    def lookup(self, ids: np.ndarray) -> np.ndarray:
+    def lookup_unique(self, uids: np.ndarray) -> np.ndarray:
         """Gather the id's own row: one uncompressed row per feature."""
-        ids = self._check_ids(ids)
-        # Build (or reuse) the plan here so apply_gradients consumes the
-        # scatter prepared by the forward pass instead of re-sorting.
-        self.plan_for(ids)
-        return self.table[ids]
+        # Build (or reuse) the plan here so apply_unique consumes the scatter
+        # prepared by the forward pass.
+        self.plan_for(uids)
+        return np.take(self.table, uids, axis=0)
 
-    def apply_gradients(self, ids: np.ndarray, grads: np.ndarray) -> None:
-        """Scatter gradients into each id's private row (duplicates accumulate)."""
-        ids = self._check_ids(ids)
-        grads = self._check_grads(ids, grads)
-        flat_ids, flat_grads = self._flatten(ids, grads)
+    def apply_unique(self, uids: np.ndarray, grad_sums: np.ndarray, scores: np.ndarray) -> None:
+        """Scatter each id's gradient sum into its private row."""
         if self.fused:
-            plan = self.plan_for(ids)
-            self.fused_apply(self.table, self._optimizer, plan.routes["scatter"], flat_grads)
+            scatter = self.plan_for(uids).routes["scatter"]
+            self.fused_apply(self.table, self._optimizer, scatter, grad_sums)
         else:
-            self._optimizer.update(self.table, flat_ids, flat_grads, self._kernels())
+            self._optimizer.update(self.table, uids, grad_sums, self._kernels())
         self._step += 1
 
     def memory_floats(self) -> int:

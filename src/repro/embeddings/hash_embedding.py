@@ -69,30 +69,25 @@ class HashEmbedding(TableBackedEmbedding):
     def _rows_for(self, ids: np.ndarray) -> np.ndarray:
         return hash_to_range(ids, self.num_rows, seed=self.hash_seed)
 
-    def _build_routes(self, flat_ids: np.ndarray) -> dict[str, np.ndarray]:
-        rows = self._rows_for(flat_ids)
+    def _build_routes(self, uids: np.ndarray) -> dict[str, np.ndarray]:
+        rows = self._rows_for(uids)
         return {"rows": rows, "scatter": ScatterPlan.from_rows(rows)}
 
-    def lookup(self, ids: np.ndarray) -> np.ndarray:
+    def lookup_unique(self, uids: np.ndarray) -> np.ndarray:
         """Gather each id's single hashed row from the shared table (hash-trick:
-        colliding features share one row verbatim); see the base contract.
+        colliding features share one row verbatim).
         """
-        ids = self._check_ids(ids)
-        plan = self.plan_for(ids)
-        return self.table[plan.routes["rows"]].reshape(plan.ids_shape + (self.dim,))
+        return np.take(self.table, self.plan_for(uids).routes["rows"], axis=0)
 
-    def apply_gradients(self, ids: np.ndarray, grads: np.ndarray) -> None:
-        """Scatter per-lookup gradients into the hashed rows; colliding
+    def apply_unique(self, uids: np.ndarray, grad_sums: np.ndarray, scores: np.ndarray) -> None:
+        """Scatter per-id gradient sums into the hashed rows; colliding
         features accumulate into the same shared row.
         """
-        ids = self._check_ids(ids)
-        grads = self._check_grads(ids, grads)
-        plan = self.plan_for(ids)
-        flat_grads = grads.reshape(len(plan), -1)
+        routes = self.plan_for(uids).routes
         if self.fused:
-            self.fused_apply(self.table, self._optimizer, plan.routes["scatter"], flat_grads)
+            self.fused_apply(self.table, self._optimizer, routes["scatter"], grad_sums)
         else:
-            self._optimizer.update(self.table, plan.routes["rows"], flat_grads, self._kernels())
+            self._optimizer.update(self.table, routes["rows"], grad_sums, self._kernels())
         self._step += 1
 
     def memory_floats(self) -> int:

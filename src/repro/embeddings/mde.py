@@ -144,51 +144,41 @@ class MixedDimensionEmbedding(TableBackedEmbedding):
     # ------------------------------------------------------------------ #
     # Lookup / update
     # ------------------------------------------------------------------ #
-    def _split_by_field(self, flat_ids: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """Map global ids to (field index, local id)."""
-        fields = np.searchsorted(self.field_offsets, flat_ids, side="right") - 1
-        local = flat_ids - self.field_offsets[fields]
-        return fields, local
+    def _build_routes(self, uids: np.ndarray) -> dict[str, np.ndarray]:
+        # Sorted ids are sorted by field: each field owns one contiguous slice.
+        return {"bounds": np.searchsorted(uids, self.field_offsets)}
 
-    def _build_routes(self, flat_ids: np.ndarray) -> dict[str, np.ndarray]:
-        fields, local = self._split_by_field(flat_ids)
-        return {"fields": fields, "local": local, "present_fields": np.unique(fields)}
+    def _field_slices(self, uids: np.ndarray):
+        """Yield ``(field_index, slice_of_uids)`` for the fields present."""
+        bounds = self.plan_for(uids).routes["bounds"]
+        for field_index in np.flatnonzero(bounds[1:] > bounds[:-1]):
+            yield int(field_index), slice(int(bounds[field_index]), int(bounds[field_index + 1]))
 
-    def lookup(self, ids: np.ndarray) -> np.ndarray:
+    def lookup_unique(self, uids: np.ndarray) -> np.ndarray:
         """Gather from the owning field's reduced-dimension table and project
         up to ``dim`` with the field's projection matrix.
         """
-        ids = self._check_ids(ids)
-        plan = self.plan_for(ids)
-        fields, local = plan.routes["fields"], plan.routes["local"]
-        out = np.empty((len(plan), self.dim), dtype=self.dtype)
-        for field_index in plan.routes["present_fields"]:
-            mask = fields == field_index
-            rows = self.tables[field_index][local[mask]]
-            out[mask] = rows @ self.projections[field_index]
-        return out.reshape(plan.ids_shape + (self.dim,))
+        out = np.empty((uids.shape[0], self.dim), dtype=self.dtype)
+        for field_index, span in self._field_slices(uids):
+            local = uids[span] - self.field_offsets[field_index]
+            out[span] = self.tables[field_index][local] @ self.projections[field_index]
+        return out
 
-    def apply_gradients(self, ids: np.ndarray, grads: np.ndarray) -> None:
-        """Back-project each gradient through the field's projection matrix and
-        scatter it into the field's reduced-dimension table (the projection
-        matrices themselves also receive gradients).
+    def apply_unique(self, uids: np.ndarray, grad_sums: np.ndarray, scores: np.ndarray) -> None:
+        """Back-project each gradient sum through the field's projection matrix
+        and scatter it into the field's reduced-dimension table (the
+        projection matrices themselves also receive gradients).
         """
-        ids = self._check_ids(ids)
-        grads = self._check_grads(ids, grads)
-        plan = self.plan_for(ids)
-        flat_grads = grads.reshape(len(plan), -1)
-        fields, local = plan.routes["fields"], plan.routes["local"]
-        for field_index in plan.routes["present_fields"]:
-            mask = fields == field_index
+        for field_index, span in self._field_slices(uids):
             table = self.tables[field_index]
             projection = self.projections[field_index]
-            rows_idx = local[mask]
-            grad_out = flat_grads[mask]
-            rows = table[rows_idx]
+            local = uids[span] - self.field_offsets[field_index]
+            grad_out = grad_sums[span]
+            rows = table[local]
             # Backprop through "row @ projection".
             grad_rows = grad_out @ projection.T
             grad_projection = rows.T @ grad_out
-            self._table_optimizers[field_index].update(table, rows_idx, grad_rows)
+            self._table_optimizers[field_index].update(table, local, grad_rows)
             if self.field_dims[field_index] != self.dim:
                 projection -= self.projection_lr * grad_projection
         self._step += 1

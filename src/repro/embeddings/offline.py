@@ -94,41 +94,35 @@ class OfflineSeparationEmbedding(TableBackedEmbedding):
             rng=rng,
         )
 
-    def _build_routes(self, flat_ids: np.ndarray) -> dict[str, np.ndarray]:
+    def _build_routes(self, uids: np.ndarray) -> dict[str, np.ndarray]:
         # The hot/cold split is frozen at construction, so plans never go stale.
-        rows = self.row_of[flat_ids]
+        rows = self.row_of[uids]
         hot_mask = rows != _NO_ROW
-        shared_rows = hash_to_range(flat_ids[~hot_mask], self.num_shared_rows, seed=self.hash_seed)
+        shared_rows = hash_to_range(uids[~hot_mask], self.num_shared_rows, seed=self.hash_seed)
         return {"rows": rows, "hot_mask": hot_mask, "shared_rows": shared_rows}
 
-    def lookup(self, ids: np.ndarray) -> np.ndarray:
+    def lookup_unique(self, uids: np.ndarray) -> np.ndarray:
         """Gather hot features (by offline frequency oracle) from private rows
         and cold features from the shared table.
         """
-        ids = self._check_ids(ids)
-        plan = self.plan_for(ids)
-        rows, hot_mask = plan.routes["rows"], plan.routes["hot_mask"]
-        out = np.empty((len(plan), self.dim), dtype=self.dtype)
-        if hot_mask.any():
-            out[hot_mask] = self.hot_table[rows[hot_mask]]
-        if (~hot_mask).any():
-            out[~hot_mask] = self.shared_table[plan.routes["shared_rows"]]
-        return out.reshape(plan.ids_shape + (self.dim,))
+        routes = self.plan_for(uids).routes
+        rows, hot_mask = routes["rows"], routes["hot_mask"]
+        out = np.empty((uids.shape[0], self.dim), dtype=self.dtype)
+        out[hot_mask] = self.hot_table[rows[hot_mask]]
+        out[~hot_mask] = self.shared_table[routes["shared_rows"]]
+        return out
 
-    def apply_gradients(self, ids: np.ndarray, grads: np.ndarray) -> None:
+    def apply_unique(self, uids: np.ndarray, grad_sums: np.ndarray, scores: np.ndarray) -> None:
         """Update the private/shared rows under the fixed offline hot/cold
         split; no importance tracking happens online.
         """
-        ids = self._check_ids(ids)
-        grads = self._check_grads(ids, grads)
-        plan = self.plan_for(ids)
-        flat_grads = grads.reshape(len(plan), -1)
-        rows, hot_mask = plan.routes["rows"], plan.routes["hot_mask"]
+        routes = self.plan_for(uids).routes
+        rows, hot_mask = routes["rows"], routes["hot_mask"]
         if hot_mask.any():
-            self._hot_optimizer.update(self.hot_table, rows[hot_mask], flat_grads[hot_mask])
-        if (~hot_mask).any():
+            self._hot_optimizer.update(self.hot_table, rows[hot_mask], grad_sums[hot_mask])
+        if not hot_mask.all():
             self._shared_optimizer.update(
-                self.shared_table, plan.routes["shared_rows"], flat_grads[~hot_mask]
+                self.shared_table, routes["shared_rows"], grad_sums[~hot_mask]
             )
         self._step += 1
 

@@ -1,13 +1,19 @@
-"""Routing plans: the hashing/locating work of one embedding batch, made explicit.
+"""Unique batches and routing plans: one step's index work, made explicit.
 
-Every embedding backend maps a batch of feature ids to storage locations —
-hash-table rows, quotient/remainder pairs, sketch slots, exclusive-row
-pointers.  The seed implementation recomputed that mapping twice per training
-step (once in ``lookup``, once in ``apply_gradients``).  A
-:class:`RoutingPlan` captures the mapping once; the layer caches the plan for
-the most recent batch and ``apply_gradients`` consumes it, so the SplitMix64
-hashing and slot location run once per step — the same
-precompute-the-buckets idiom used by tensorized count-sketch implementations.
+Every decision a backend makes for a lookup — owning shard, sketch slot,
+exclusive row or hashed shared row — is a pure function of the feature *id*,
+so nothing below the outermost store needs the position axis.  A
+:class:`UniqueBatch` collapses a batch onto its sorted unique ids with one
+stable sort; the generic ``lookup`` / ``apply_gradients`` wrapper in
+:mod:`repro.embeddings.base` touches the position axis exactly three times
+per step (that sort, one row broadcast, one segment sum each for gradients
+and gradient norms) and hands backends ``(uids, ...)`` only.
+
+A :class:`RoutingPlan` captures a backend's mapping of those unique ids to
+storage locations — hash-table rows, quotient/remainder pairs, sketch slots,
+exclusive-row pointers.  The layer caches the plan of the most recent batch
+and ``apply_unique`` consumes the one ``lookup_unique`` built, so the
+SplitMix64 hashing and slot location run once per step.
 
 Plans are invalidated by a *routing token*: any mutation that can change how
 ids route (sketch insertion, migration, row reallocation, checkpoint load)
@@ -26,25 +32,133 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from repro.kernels.ops import segment_boundaries, stable_order
+from repro.errors import IdOutOfRangeError, NonIntegerIdError
+from repro.kernels.ops import run_lengths, segment_boundaries, stable_sort
+
+
+def as_id_array(ids) -> np.ndarray:
+    """``ids`` as an int64 array; a non-integer dtype is refused, not truncated."""
+    ids = np.asarray(ids)
+    if ids.dtype == np.int64:
+        return ids
+    if ids.dtype.kind not in "iu" and ids.size:
+        raise NonIntegerIdError(
+            f"feature ids must be integers, got dtype {ids.dtype} "
+            "(casting would silently truncate, e.g. 1.5 -> 1)"
+        )
+    return ids.astype(np.int64)
+
+
+def check_id_range(low: int, high: int, num_features: int) -> None:
+    """Raise unless the closed id range ``[low, high]`` fits ``[0, num_features)``."""
+    if low < 0 or high >= num_features:
+        raise IdOutOfRangeError(
+            f"feature ids must lie in [0, {num_features}), got range [{low}, {high}]"
+        )
+
+
+def gradient_norms(grads: np.ndarray) -> np.ndarray:
+    """Float64 L2 norm of every row of ``(k, dim)`` gradients — the
+    per-lookup importance value HotSketch and AdaEmbed accumulate."""
+    return np.sqrt(np.einsum("ij,ij->i", grads, grads)).astype(np.float64)
+
+
+@dataclass
+class UniqueBatch:
+    """One id batch collapsed onto its sorted unique ids.
+
+    Attributes
+    ----------
+    flat_ids, ids_shape:
+        Private copy of the flattened batch and its original shape (what
+        :meth:`matches` compares a later batch against).
+    uids:
+        ``(U,)`` distinct ids, ascending.
+    order:
+        ``(n,)`` stable permutation sorting the batch by id, so each id's
+        positions are adjacent and in batch order.
+    starts:
+        ``(U,)`` first position of each id's run in ``order``.
+    inverse:
+        ``(n,)`` index into ``uids`` per batch position
+        (``uids[inverse] == flat_ids``).
+    """
+
+    flat_ids: np.ndarray
+    ids_shape: tuple[int, ...]
+    uids: np.ndarray
+    order: np.ndarray
+    starts: np.ndarray
+    inverse: np.ndarray
+    #: Lazily built by :meth:`sum_per_id` (lookup-only batches never pay).
+    _repeated: tuple[np.ndarray, np.ndarray, np.ndarray] | None = None
+
+    def __len__(self) -> int:
+        return int(self.flat_ids.shape[0])
+
+    @classmethod
+    def build(cls, ids: np.ndarray, num_features: int) -> "UniqueBatch":
+        """Sort an int64 id batch once; the id range check reads off the ends."""
+        flat = ids.reshape(-1)
+        n = flat.shape[0]
+        if n == 0:
+            return cls(flat, ids.shape, flat, flat, flat, flat)
+        order, sorted_ids = stable_sort(flat)
+        check_id_range(int(sorted_ids[0]), int(sorted_ids[-1]), num_features)
+        uids, starts = segment_boundaries(sorted_ids)
+        inverse = np.empty(n, dtype=np.int64)
+        inverse[order] = np.repeat(np.arange(starts.shape[0]), run_lengths(starts, n))
+        return cls(flat.copy(), ids.shape, uids, order, starts, inverse)
+
+    def matches(self, ids: np.ndarray) -> bool:
+        """True when ``ids`` is exactly the batch this was built from."""
+        return self.ids_shape == ids.shape and np.array_equal(self.flat_ids, ids.reshape(-1))
+
+    def counts(self) -> np.ndarray:
+        """``(U,)`` number of batch positions holding each id."""
+        return run_lengths(self.starts, len(self))
+
+    def sum_per_id(self, per_position: np.ndarray) -> np.ndarray:
+        """Sum a ``(n, ...)`` per-position array over each id's positions.
+
+        Within an id the summation runs in batch order.  ``reduceat`` pays
+        more per *segment* than per row, and most ids of a batch occur once,
+        so ids seen once are a plain gather and only the repeated ids' rows
+        go through the segment sum.
+        """
+        if self._repeated is None:
+            counts = self.counts()
+            repeated = counts > 1
+            rows = self.order[np.repeat(repeated, counts)]
+            repeated_counts = counts[repeated]
+            self._repeated = (
+                np.flatnonzero(repeated),
+                rows,
+                np.cumsum(repeated_counts) - repeated_counts,
+            )
+        repeated, rows, starts = self._repeated
+        sums = np.take(per_position, self.order[self.starts], axis=0)
+        if repeated.shape[0]:
+            sums[repeated] = np.add.reduceat(np.take(per_position, rows, axis=0), starts, axis=0)
+        return sums
 
 
 @dataclass
 class ScatterPlan:
-    """Fully-resolved scatter of one batch's gradients into table rows.
+    """Fully-resolved scatter of one batch's summed gradients into table rows.
 
-    Built once per routing plan and consumed by the fused
-    ``apply_gradients`` path: a segment sum over ``perm``/``starts``
-    collapses the per-lookup gradients into one summed row per unique
-    destination, and a single scatter applies them to ``rows``.
+    Built once per routing plan and consumed by the fused ``apply_unique``
+    path: a segment sum over ``perm``/``starts`` collapses the per-id
+    gradient sums into one row per unique destination (distinct ids sharing
+    a hashed row), and a single scatter applies them to ``rows``.
 
     Attributes
     ----------
     perm:
-        ``(n,)`` int64 permutation of gradient positions, ordered so every
+        ``(n,)`` int64 permutation of scatter entries, ordered so every
         destination row's contributions are adjacent.  Within a segment the
-        order is batch order, which is what makes the fused segment sum
-        bit-exact with the unfused per-table update.
+        order is entry order (ascending id), which is what makes the fused
+        segment sum bit-exact with the unfused per-table update.
     starts:
         ``(k,)`` int64 first position of each segment in ``perm``.
     rows:
@@ -60,17 +174,17 @@ class ScatterPlan:
         return int(self.rows.shape[0])
 
     @classmethod
-    def from_rows(cls, rows_per_position: np.ndarray) -> "ScatterPlan":
-        """Build the scatter for one destination row per gradient position.
+    def from_rows(cls, rows_per_entry: np.ndarray) -> "ScatterPlan":
+        """Build the scatter for one destination row per entry.
 
-        Handles the degenerate cases the fused path must survive: an empty
-        batch (empty scatter), duplicate ids (positions collapse into one
-        segment, batch order preserved), and an all-miss batch where the
-        caller pre-filtered every position away.
+        Handles the degenerate cases the fused path must survive: no entries
+        (empty scatter), entries sharing a row (they collapse into one
+        segment, entry order preserved), and all-distinct rows (every
+        segment has length one).
         """
-        rows_per_position = np.asarray(rows_per_position, dtype=np.int64).reshape(-1)
-        perm = stable_order(rows_per_position)
-        rows, starts = segment_boundaries(rows_per_position[perm])
+        rows_per_entry = np.asarray(rows_per_entry, dtype=np.int64).reshape(-1)
+        perm, sorted_rows = stable_sort(rows_per_entry)
+        rows, starts = segment_boundaries(sorted_rows)
         return cls(perm=perm, starts=starts, rows=rows)
 
 
@@ -81,15 +195,15 @@ class RoutingPlan:
     Attributes
     ----------
     flat_ids:
-        The flattened ``(n,)`` int64 feature ids the plan was built for.
+        The flattened ``(n,)`` int64 ids the plan was built for — a
+        backend's sorted unique ids, or a table-group store's id matrix.
     ids_shape:
-        Original shape of the batch (lookup reshapes its output to
-        ``ids_shape + (dim,)``).
+        Original shape of those ids.
     routes:
         Backend-specific arrays — e.g. ``{"rows": ...}`` for a hash table,
-        ``{"hot_mask": ..., "payloads": ..., "shared_rows": ...}`` for CAFE,
-        plus a fully-resolved ``"scatter"`` :class:`ScatterPlan` on fused
-        backends.
+        ``{"hot_mask": ..., "arena_rows": ..., "shared_rows": ...}`` for
+        CAFE, plus a fully-resolved ``"scatter"`` :class:`ScatterPlan` on
+        fused backends.
     token:
         Value of the owning layer's routing token when the plan was built.
     """
@@ -107,7 +221,6 @@ class RoutingPlan:
         return (
             self.token == token
             and self.ids_shape == ids.shape
-            and self.flat_ids.shape[0] == ids.size
             and np.array_equal(self.flat_ids, ids.reshape(-1))
         )
 

@@ -123,44 +123,38 @@ class QRTrickEmbedding(TableBackedEmbedding):
         quotient = ids // self.num_remainder_rows
         return quotient, remainder
 
-    def _build_routes(self, flat_ids: np.ndarray) -> dict[str, np.ndarray]:
-        quotient, remainder = self._decompose(flat_ids)
+    def _build_routes(self, uids: np.ndarray) -> dict[str, np.ndarray]:
+        quotient, remainder = self._decompose(uids)
         return {"quotient": quotient, "remainder": remainder}
 
-    def lookup(self, ids: np.ndarray) -> np.ndarray:
+    def lookup_unique(self, uids: np.ndarray) -> np.ndarray:
         """Compose each embedding as quotient-table row + remainder-table row
         (the Q-R trick), so distinct ids rarely share the full sum.
         """
-        ids = self._check_ids(ids)
-        plan = self.plan_for(ids)
-        q_vec = self.quotient_table[plan.routes["quotient"]]
-        r_vec = self.remainder_table[plan.routes["remainder"]]
+        routes = self.plan_for(uids).routes
+        q_vec = self.quotient_table[routes["quotient"]]
+        r_vec = self.remainder_table[routes["remainder"]]
         if self.operation == "add":
-            out = q_vec + r_vec
-        elif self.operation == "multiply":
-            out = q_vec * r_vec
-        else:
-            out = np.concatenate([q_vec, r_vec], axis=-1)
-        return out.reshape(plan.ids_shape + (self.dim,))
+            return q_vec + r_vec
+        if self.operation == "multiply":
+            return q_vec * r_vec
+        return np.concatenate([q_vec, r_vec], axis=-1)
 
-    def apply_gradients(self, ids: np.ndarray, grads: np.ndarray) -> None:
-        """Scatter each per-lookup gradient into both the quotient and the
-        remainder row of the id.
+    def apply_unique(self, uids: np.ndarray, grad_sums: np.ndarray, scores: np.ndarray) -> None:
+        """Scatter each id's gradient sum into both its quotient and its
+        remainder row.
         """
-        ids = self._check_ids(ids)
-        grads = self._check_grads(ids, grads)
-        plan = self.plan_for(ids)
-        flat_grads = grads.reshape(len(plan), -1)
-        quotient, remainder = plan.routes["quotient"], plan.routes["remainder"]
+        routes = self.plan_for(uids).routes
+        quotient, remainder = routes["quotient"], routes["remainder"]
         if self.operation == "add":
-            q_grads = flat_grads
-            r_grads = flat_grads
+            q_grads = grad_sums
+            r_grads = grad_sums
         elif self.operation == "multiply":
-            q_grads = flat_grads * self.remainder_table[remainder]
-            r_grads = flat_grads * self.quotient_table[quotient]
+            q_grads = grad_sums * self.remainder_table[remainder]
+            r_grads = grad_sums * self.quotient_table[quotient]
         else:  # concat
-            q_grads = flat_grads[:, : self.row_dim]
-            r_grads = flat_grads[:, self.row_dim :]
+            q_grads = grad_sums[:, : self.row_dim]
+            r_grads = grad_sums[:, self.row_dim :]
         self._quotient_optimizer.update(self.quotient_table, quotient, q_grads)
         self._remainder_optimizer.update(self.remainder_table, remainder, r_grads)
         self._step += 1

@@ -33,6 +33,7 @@ class QuantizedEmbedding(CompressedEmbedding):
             raise ValueError(f"bits must be one of {_SUPPORTED_BITS}, got {bits}")
         super().__init__(base.num_features, base.dim, dtype=getattr(base, "dtype", DEFAULT_DTYPE))
         self.base = base
+        self.use_frequency = base.use_frequency
         self.bits = int(bits)
         self.levels = 2**self.bits - 1
 
@@ -52,15 +53,15 @@ class QuantizedEmbedding(CompressedEmbedding):
     # ------------------------------------------------------------------ #
     # CompressedEmbedding interface
     # ------------------------------------------------------------------ #
-    def lookup(self, ids: np.ndarray) -> np.ndarray:
+    def lookup_unique(self, uids: np.ndarray) -> np.ndarray:
         """Serve the base layer's vectors fake-quantized to the configured bit
         width (what a quantized serving copy would return).
         """
-        return self._fake_quantize(self.base.lookup(ids))
+        return self._fake_quantize(self.base.lookup_unique(uids))
 
-    def apply_gradients(self, ids: np.ndarray, grads: np.ndarray) -> None:
+    def apply_unique(self, uids: np.ndarray, grad_sums: np.ndarray, scores: np.ndarray) -> None:
         # Straight-through estimator: gradients pass to the full-precision store.
-        self.base.apply_gradients(ids, grads)
+        self.base.apply_unique(uids, grad_sums, scores)
         self._step += 1
 
     def memory_floats(self) -> int:

@@ -58,3 +58,28 @@ class ShardWorkerCrashed(ReproError):
     and converts it into this error so callers see which worker and which
     operation failed rather than hanging on a read from a dead pipe.
     """
+
+
+class BadBatchError(ReproError, ValueError):
+    """Base class for a batch an embedding store refuses at its boundary.
+
+    Raised once, by the outermost store, before any shard or table is
+    touched; a ``ValueError`` subclass so callers that caught the historical
+    bare ``ValueError`` keep working.
+    """
+
+
+class NonIntegerIdError(BadBatchError):
+    """Feature ids arrived with a non-integer dtype (``1.5`` is not an id)."""
+
+
+class IdOutOfRangeError(BadBatchError):
+    """A feature id lies outside ``[0, num_features)``."""
+
+
+class NonFiniteGradientError(BadBatchError):
+    """A gradient batch contains NaN or inf.
+
+    Applying it would poison table rows and HotSketch scores for good, so
+    the whole batch is refused and no shard is mutated.
+    """

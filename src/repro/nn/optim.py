@@ -243,13 +243,6 @@ class RowOptimizer:
                 f"{type(self).__name__} has no optimizer state to load: {sorted(state)}"
             )
 
-    @staticmethod
-    def _deduplicate(rows: np.ndarray, grads: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        unique_rows, inverse = np.unique(rows, return_inverse=True)
-        summed = np.zeros((unique_rows.size, grads.shape[1]), dtype=grads.dtype)
-        np.add.at(summed, inverse, grads)
-        return unique_rows, summed
-
 
 class RowSGD(RowOptimizer):
     """Sparse SGD over embedding rows."""

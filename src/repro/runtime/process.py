@@ -52,7 +52,7 @@ _OK, _ERR = "ok", "err"
 #: Ops after which the worker re-checks that its unit's live arrays still sit
 #: inside the writable generation (``load_state_dict`` re-points tables).
 _MUTATING_OPS = frozenset(
-    {"apply_gradients", "apply_sketched_gradients", "rebalance", "load_state_dict"}
+    {"apply_gradients", "apply_unique", "apply_sketched_gradients", "rebalance", "load_state_dict"}
 )
 
 
@@ -240,28 +240,18 @@ class _ShardHost(_UnitHost):
     def op_apply_gradients(self, ids: np.ndarray, grads: np.ndarray) -> None:
         self.unit.apply_gradients(ids, grads)
 
-    def op_apply_sketched_gradients(
-        self,
-        ids: np.ndarray,
-        heavy_index: np.ndarray,
-        heavy_grads: np.ndarray,
-        sketch_table: np.ndarray,
-        sketch_counts: np.ndarray,
-        seed: int,
-    ) -> None:
-        """Sketched gradient exchange: recover worker-side, then apply.
+    def op_lookup_unique(self, uids: np.ndarray) -> np.ndarray:
+        return np.ascontiguousarray(self.unit.lookup_unique(uids))
 
-        The arena arrays are read synchronously (heavy rows exactly, tail
-        rows from the sketch median) and the reconstructed dense update goes
-        through the unit's ordinary ``apply_gradients`` — the same recovery
-        code the in-process executors run (``apply_sketched_payload``).
-        """
-        from repro.store.grad_exchange import reconstruct_gradients
+    def op_apply_unique(self, uids: np.ndarray, grad_sums: np.ndarray, scores: np.ndarray) -> None:
+        self.unit.apply_unique(uids, grad_sums, scores)
 
-        ids, grads = reconstruct_gradients(
-            ids, heavy_index, heavy_grads, sketch_table, sketch_counts, seed
-        )
-        self.unit.apply_gradients(ids, grads)
+    def op_apply_sketched_gradients(self, *payload) -> None:
+        """Sketched gradient exchange: recover worker-side, then apply (the
+        same ``apply_sketched_payload`` the in-process executors run)."""
+        from repro.store.grad_exchange import apply_sketched_payload
+
+        apply_sketched_payload(self.unit, *payload)
 
     def op_rebalance(self) -> bool:
         return bool(self.unit.rebalance())
@@ -488,6 +478,12 @@ class ShardHandle:
 
     def apply_gradients(self, ids: np.ndarray, grads: np.ndarray) -> None:
         self._call("apply_gradients", np.asarray(ids), np.asarray(grads))
+
+    def lookup_unique(self, uids: np.ndarray) -> np.ndarray:
+        return np.array(self._call("lookup_unique", uids), copy=True)
+
+    def apply_unique(self, uids: np.ndarray, grad_sums: np.ndarray, scores: np.ndarray) -> None:
+        self._call("apply_unique", uids, grad_sums, scores)
 
     def rebalance(self) -> bool:
         return bool(self._call("rebalance"))

@@ -38,6 +38,7 @@ class LatencySimulatedShard(CompressedEmbedding):
             raise ValueError(f"stall_s must be non-negative, got {stall_s}")
         super().__init__(inner.num_features, inner.dim, dtype=inner.dtype)
         self.inner = inner
+        self.use_frequency = inner.use_frequency
         self.stall_s = float(stall_s)
         self.stalled_calls = 0
 
@@ -46,13 +47,13 @@ class LatencySimulatedShard(CompressedEmbedding):
         if self.stall_s:
             time.sleep(self.stall_s)
 
-    def lookup(self, ids: np.ndarray) -> np.ndarray:
+    def lookup_unique(self, uids: np.ndarray) -> np.ndarray:
         self._stall()
-        return self.inner.lookup(ids)
+        return self.inner.lookup_unique(uids)
 
-    def apply_gradients(self, ids: np.ndarray, grads: np.ndarray) -> None:
+    def apply_unique(self, uids: np.ndarray, grad_sums: np.ndarray, scores: np.ndarray) -> None:
         self._stall()
-        self.inner.apply_gradients(ids, grads)
+        self.inner.apply_unique(uids, grad_sums, scores)
         self._step += 1
 
     def rebalance(self) -> bool:

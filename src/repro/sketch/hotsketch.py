@@ -26,7 +26,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.kernels.ops import stable_order
+from repro.kernels.ops import run_lengths, segment_boundaries, stable_sort
 from repro.sketch.base import Sketch
 from repro.utils.hashing import hash_to_bucket
 
@@ -204,13 +204,10 @@ class HotSketch(Sketch):
         directly, and all slot state is addressed through flat views.
         """
         c = self.slots_per_bucket
-        order = stable_order(buckets)
-        keys, scores, buckets = keys[order], scores[order], buckets[order]
+        order, buckets = stable_sort(buckets)
+        keys, scores = keys[order], scores[order]
         n = buckets.shape[0]
-        new_segment = np.empty(n, dtype=bool)
-        new_segment[0] = True
-        np.not_equal(buckets[1:], buckets[:-1], out=new_segment[1:])
-        segment_starts = np.flatnonzero(new_segment)
+        _, segment_starts = segment_boundaries(buckets)
 
         # Misses sharing a bucket sit consecutively after the sort, so the
         # ``r``-th miss of each segment lives at ``segment_starts + r`` where
@@ -218,12 +215,15 @@ class HotSketch(Sketch):
         counts = None
         rounds = 1
         if segment_starts.shape[0] != n:
-            counts = np.diff(segment_starts, append=n)
+            counts = run_lengths(segment_starts, n)
             rounds = int(counts.max())
 
         flat_keys = self.keys.ravel()
         flat_scores = self.scores.ravel()
         flat_payloads = self.payloads.ravel()
+        # Slots only ever fill up, so once no slot anywhere is empty (the
+        # steady state) the per-round empty-slot probe is skipped wholesale.
+        may_have_empty = bool((flat_keys == EMPTY_KEY).any())
 
         evicted_keys: list[np.ndarray] = []
         evicted_payloads: list[np.ndarray] = []
@@ -232,25 +232,21 @@ class HotSketch(Sketch):
             bucket = buckets[sel]  # distinct buckets within one round
             score = scores[sel]
 
-            empty = np.take(self.keys, bucket, axis=0) == EMPTY_KEY  # (m, c)
-            has_empty = _row_any(empty)
-            any_empty = bool(has_empty.any())
+            any_empty = False
+            if may_have_empty:
+                empty = np.take(self.keys, bucket, axis=0) == EMPTY_KEY  # (m, c)
+                has_empty = _row_any(empty)
+                any_empty = bool(has_empty.any())
             # First empty slot where available, minimum-score slot otherwise.
+            slot = np.take(self.scores, bucket, axis=0).argmin(axis=1)
             if any_empty:
-                slot = np.where(
-                    has_empty,
-                    empty.argmax(axis=1),
-                    np.take(self.scores, bucket, axis=0).argmin(axis=1),
-                )
-            else:
-                slot = np.take(self.scores, bucket, axis=0).argmin(axis=1)
+                slot = np.where(has_empty, empty.argmax(axis=1), slot)
             lin = bucket * c + slot
 
             old_payloads = flat_payloads[lin]
+            reportable = old_payloads != NO_PAYLOAD
             if any_empty:
-                reportable = ~has_empty & (old_payloads != NO_PAYLOAD)
-            else:
-                reportable = old_payloads != NO_PAYLOAD
+                reportable &= ~has_empty
             if reportable.any():
                 evicted_keys.append(flat_keys[lin[reportable]].copy())
                 evicted_payloads.append(old_payloads[reportable].copy())

@@ -11,8 +11,8 @@ copy-on-write read views that the serving engine consumes.
 """
 
 from repro.store.base import EmbeddingStore, ensure_store
-from repro.store.sharded import DEFAULT_SHARD_SEED, ShardedEmbeddingStore, partition_by_shard
-from repro.store.snapshot import StoreSnapshot
+from repro.store.sharded import DEFAULT_SHARD_SEED, ShardedEmbeddingStore
+from repro.store.snapshot import StoreSnapshot, partition_by_shard
 from repro.store.table_group import TableGroup, TableGroupSnapshot, TableGroupStore
 
 __all__ = [

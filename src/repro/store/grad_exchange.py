@@ -1,11 +1,11 @@
 """Sketched gradient-exchange wire format for the sharded store.
 
-Dense exchange ships ``(flat_ids, flat_grads)`` per shard —
-``O(touched positions x dim)`` bytes every step, the dominant IPC payload of
-the process-parallel runtime.  Sketched exchange replaces it with a compact
-payload per shard:
+Dense exchange ships each shard its slice of ``(unique ids, summed
+gradients, importance scores)`` — ``O(distinct ids x dim)`` bytes every step,
+the dominant IPC payload of the process-parallel runtime.  Sketched exchange
+replaces it with a compact payload per shard:
 
-* the shard's **unique ids** (duplicates are pre-summed by linearity),
+* the shard's **unique ids** (the store already summed duplicates),
 * **exact summed gradients for the heavy ids** (the top ``heavy_frac`` by
   sketched L2 mass — recovered exactly, never estimated),
 * a fixed-size **CSVec** (``float32`` on the wire) from which the tail ids'
@@ -29,6 +29,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from repro.embeddings.plan import gradient_norms
 from repro.sketch.csvec import CSVec
 
 #: Accepted gradient-exchange modes for the sharded store / config tree.
@@ -83,24 +84,9 @@ class SketchedGradPayload:
         return int(sum(array.nbytes for array in self.arrays()))
 
 
-def dedup_gradients(
-    ids: np.ndarray, grads: np.ndarray
-) -> tuple[np.ndarray, np.ndarray]:
-    """Sum duplicate ids' gradients: ``(unique_ids, summed_grads)``.
-
-    Applying the summed gradient once is equivalent to applying each
-    occurrence (the optimizers segment-sum duplicates anyway), and it is
-    what makes the sketch fold linear in the id axis.
-    """
-    unique_ids, inverse = np.unique(np.asarray(ids, dtype=np.int64), return_inverse=True)
-    summed = np.zeros((unique_ids.size, grads.shape[-1]), dtype=grads.dtype)
-    np.add.at(summed, inverse, grads)
-    return unique_ids, summed
-
-
 def build_sketched_payload(
-    ids: np.ndarray,
-    grads: np.ndarray,
+    unique_ids: np.ndarray,
+    summed: np.ndarray,
     *,
     width: int,
     seed: int,
@@ -108,15 +94,13 @@ def build_sketched_payload(
     heavy_frac: float = HEAVY_FRAC,
     kernels=None,
 ) -> SketchedGradPayload:
-    """Fold one shard's ``(ids, grads)`` into the wire payload.
+    """Fold one shard's ``(unique ids, summed gradients)`` into the wire payload.
 
     ``width`` must come from :func:`exchange_width` over the *global* batch
     so the per-shard sketches merge; ``seed`` likewise must match across
     shards.
     """
-    unique_ids, summed = dedup_gradients(ids, grads)
-    dim = grads.shape[-1]
-    sketch = CSVec(width, dim, depth=depth, seed=seed, dtype=np.float32, kernels=kernels)
+    sketch = CSVec(width, summed.shape[-1], depth=depth, seed=seed, dtype=np.float32, kernels=kernels)
     sketch.insert(unique_ids, summed)
     heavy_count = math.ceil(heavy_frac * unique_ids.size) if unique_ids.size else 0
     heavy_index = sketch.heavy_hitters(unique_ids, heavy_count)
@@ -159,18 +143,18 @@ def reconstruct_gradients(
     return ids, grads
 
 
-def apply_sketched_payload(shard, payload: SketchedGradPayload) -> None:
+def apply_sketched_payload(shard, *payload) -> None:
     """Recover a payload's gradients and apply them to ``shard``.
 
-    The in-process twin of the worker-side ``op_apply_sketched_gradients``
-    (:mod:`repro.runtime.process`): both call :func:`reconstruct_gradients`
-    then the shard's ordinary ``apply_gradients``, so serial, threaded and
-    process execution share one recovery code path.
+    ``payload`` is :meth:`SketchedGradPayload.arrays` plus the seed.  Runs
+    shard-side on every executor (the worker's
+    ``op_apply_sketched_gradients`` calls it too), so serial, threaded and
+    process execution share one recovery code path.  The shard's importance
+    scores are the norms of the reconstructed rows.
     """
-    ids, grads = reconstruct_gradients(*payload.arrays(), payload.seed)
-    shard.apply_gradients(ids, grads)
-
-
-def dense_payload_bytes(ids: np.ndarray, grads: np.ndarray) -> int:
-    """Bytes the dense exchange ships for one shard's ``(ids, grads)``."""
-    return int(ids.nbytes + grads.nbytes)
+    ids, grads = reconstruct_gradients(*payload, dtype=shard.dtype)
+    if shard.use_frequency:
+        scores = np.ones(ids.shape[0], dtype=np.float64)
+    else:
+        scores = gradient_norms(grads)
+    shard.apply_unique(ids, grads, scores)

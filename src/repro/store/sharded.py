@@ -4,16 +4,19 @@ A :class:`ShardedEmbeddingStore` splits the global feature-id space across
 ``N`` shards with a SplitMix64 hash; each shard is a full
 :class:`~repro.embeddings.base.CompressedEmbedding` of any scheme (CAFE,
 AdaEmbed, MDE, Q-R, hash, full) holding ``1/N`` of the total memory budget.
-The store itself is also a ``CompressedEmbedding``, so the routing-plan
-engine from the embedding layer applies at *both* levels:
+The store itself is also a ``CompressedEmbedding``: the generic wrapper
+deduplicates the batch once at the store, and everything below it — shard
+routing, the fan-out, every shard backend — works on sorted unique ids only.
+The routing-plan engine from the embedding layer applies at *both* levels:
 
-* the store caches the shard partition of a batch (one hash + one stable
-  sort per training step, shared by ``lookup`` and ``apply_gradients``);
-* each shard backend caches its own per-sub-batch routing plan, because the
-  store hands it the identical sub-batch in both halves of the step.
+* the store caches the shard partition of a batch's unique ids (one hash +
+  one stable sort over ``U`` ids per training step, shared by
+  ``lookup_unique`` and ``apply_unique``);
+* each shard backend caches its own routing plan, because the store hands it
+  the identical ascending id slice in both halves of the step.
 
 With one shard the store skips partitioning entirely and delegates to the
-backend, which keeps the default configuration bit-exact with the historical
+backend, which keeps the default configuration bit-exact with the
 direct-embedding path.
 
 Snapshots are copy-on-write: :meth:`ShardedEmbeddingStore.snapshot` is O(1)
@@ -44,6 +47,7 @@ one while training keeps writing fresh generations.
 from __future__ import annotations
 
 import copy
+from functools import partial
 from typing import Sequence
 
 import numpy as np
@@ -53,29 +57,19 @@ from repro.api import registry as capability_registry
 from repro.embeddings.base import CompressedEmbedding
 from repro.embeddings.plan import PlanStats
 from repro.runtime.executor import SerialShardExecutor, ShardExecutor, create_executor
+from repro.sketch.csvec import CSVec
 from repro.store.base import EmbeddingStore
-from repro.store.grad_exchange import GRAD_EXCHANGE_MODES
-from repro.store.snapshot import StoreSnapshot
-from repro.utils.hashing import hash_to_range
+from repro.store.grad_exchange import (
+    GRAD_EXCHANGE_MODES,
+    apply_sketched_payload,
+    build_sketched_payload,
+    exchange_width,
+)
+from repro.store.snapshot import ShardPartition, StoreSnapshot
 
 #: Default seed of the id -> shard hash (distinct from every backend seed so
 #: shard assignment is independent of intra-shard routing).
 DEFAULT_SHARD_SEED = 2029
-
-
-def partition_by_shard(
-    flat_ids: np.ndarray, num_shards: int, seed: int
-) -> tuple[np.ndarray, np.ndarray]:
-    """Group a flat id batch by owning shard.
-
-    Returns ``(order, starts)``: ``order`` is a stable permutation sorting
-    the batch by shard, and ``starts`` has ``num_shards + 1`` entries so that
-    ``order[starts[s]:starts[s + 1]]`` indexes shard ``s``'s sub-batch.
-    """
-    shard_of = hash_to_range(flat_ids, num_shards, seed=seed)
-    order = np.argsort(shard_of, kind="stable")
-    starts = np.searchsorted(shard_of[order], np.arange(num_shards + 1))
-    return order, starts
 
 
 class ShardedEmbeddingStore(CompressedEmbedding, EmbeddingStore):
@@ -104,6 +98,7 @@ class ShardedEmbeddingStore(CompressedEmbedding, EmbeddingStore):
                 f"num_features={sorted(features)}"
             )
         super().__init__(shards[0].num_features, shards[0].dim, dtype=shards[0].dtype)
+        self.use_frequency = shards[0].use_frequency
         self._shards = shards
         self.num_shards = len(shards)
         self.shard_seed = int(shard_seed)
@@ -185,18 +180,30 @@ class ShardedEmbeddingStore(CompressedEmbedding, EmbeddingStore):
     # ------------------------------------------------------------------ #
     # Routing (store level: the shard partition)
     # ------------------------------------------------------------------ #
-    def _build_routes(self, flat_ids: np.ndarray) -> dict[str, np.ndarray]:
-        order, starts = partition_by_shard(flat_ids, self.num_shards, self.shard_seed)
-        return {"order": order, "starts": starts}
+    def _build_routes(self, uids: np.ndarray) -> dict[str, ShardPartition]:
+        return {"partition": ShardPartition(uids, self.num_shards, self.shard_seed)}
 
-    def _shard_slices(self, plan):
-        """Yield ``(shard_index, sub_batch_index_array)`` for non-empty shards."""
-        order = plan.routes["order"]
-        starts = plan.routes["starts"]
-        for shard_index in range(self.num_shards):
-            idx = order[starts[shard_index]: starts[shard_index + 1]]
-            if idx.size:
-                yield shard_index, idx
+    def _fan_out(self, method: str, shards: list[int], args: list[tuple], local=None) -> list:
+        """Run ``method(*args[i])`` on every listed shard; results in order.
+
+        The one fan-out path of the hot loop: remote shards take the batch as
+        ``run_ops`` requests (the worker dispatches ``op_<method>``), local
+        ones as ``run`` thunks over the shard objects — ``local(shard,
+        *args)`` when the op is a function rather than a shard method.  A
+        local single-shard store calls its shard directly: there is no
+        fan-out to schedule or time.
+        """
+        if self._remote:
+            return self.executor.run_ops(list(zip(shards, [method] * len(shards), args)))
+        thunks = [
+            partial(local, self._shards[shard], *shard_args)
+            if local is not None
+            else partial(getattr(self._shards[shard], method), *shard_args)
+            for shard, shard_args in zip(shards, args)
+        ]
+        if self.num_shards == 1:
+            return [thunks[0]()]
+        return self.executor.run(list(zip(shards, thunks)))
 
     # ------------------------------------------------------------------ #
     # Process-parallel runtime (remote shards)
@@ -285,164 +292,77 @@ class ShardedEmbeddingStore(CompressedEmbedding, EmbeddingStore):
                     shard.set_kernel_backend(resolved)
         return resolved
 
-    def lookup(self, ids: np.ndarray) -> np.ndarray:
-        """Gather embeddings from every owning shard; see the base contract.
+    def lookup_unique(self, uids: np.ndarray) -> np.ndarray:
+        """Gather every id's row from its owning shard.
 
-        The shard partition of the batch is computed (or reused from the
-        plan cache) on the calling thread; per-shard gathers then run
-        through :attr:`executor`.  Each task writes a disjoint row subset of
-        the output array, so threaded execution needs no synchronisation.
+        The shard partition of the unique ids is computed (or reused from the
+        plan cache) on the calling thread; per-shard gathers then run through
+        :attr:`executor` and land in slices of one ``(U, dim)`` buffer.
         """
-        ids = self._check_ids(ids)
         if self.num_shards == 1:
-            return self._shards[0].lookup(ids)
-        plan = self.plan_for(ids)
-        out = np.empty((len(plan), self.dim), dtype=self.dtype)
-        if self._remote:
-            slices = list(self._shard_slices(plan))
-            results = self.executor.run_ops(
-                [
-                    (shard_index, "lookup", (plan.flat_ids[idx],))
-                    for shard_index, idx in slices
-                ]
-            )
-            for (shard_index, idx), vectors in zip(slices, results):
-                out[idx] = vectors  # copies out of the response arena
-            return out.reshape(plan.ids_shape + (self.dim,))
-
-        def gather(shard, idx):
-            out[idx] = shard.lookup(plan.flat_ids[idx])
-
-        self.executor.run(
-            [
-                (shard_index, lambda s=self._shards[shard_index], i=idx: gather(s, i))
-                for shard_index, idx in self._shard_slices(plan)
-            ]
+            return self._shards[0].lookup_unique(uids)
+        partition = self.plan_for(uids).routes["partition"]
+        rows = self._fan_out(
+            "lookup_unique", partition.shards, [(shard_uids,) for shard_uids in partition.shard_uids]
         )
-        return out.reshape(plan.ids_shape + (self.dim,))
+        # Remote results are views into the response arenas; merge copies them.
+        return partition.merge(rows, self.dim, self.dtype)
 
     @single_writer
     def apply_gradients(self, ids: np.ndarray, grads: np.ndarray) -> None:
-        """Scatter per-lookup gradients to the owning shards.
+        super().apply_gradients(ids, grads)
+
+    def apply_unique(self, uids: np.ndarray, grad_sums: np.ndarray, scores: np.ndarray) -> None:
+        """Hand every owning shard its slice of ``(uids, grad_sums, scores)``.
 
         Copy-on-write swaps (:meth:`_ensure_private`) happen serially on the
         calling thread *before* the fan-out, so outstanding snapshots never
         observe a write and the executor tasks only ever touch private,
         mutually disjoint shard objects.
-        """
-        ids = self._check_ids(ids)
-        grads = self._check_grads(ids, grads)
-        if self.grad_exchange == "sketched":
-            self._apply_gradients_sketched(ids, grads)
-            return
-        from repro.store.grad_exchange import dense_payload_bytes
 
-        if self.num_shards == 1:
-            self._ensure_private(0)
-            self._shards[0].apply_gradients(ids, grads)
-            if self._write_log is not None:
-                self._log_write(0)
-            self.executor.stats.record_grad_exchange(
-                dense_payload_bytes(ids, grads), "dense"
-            )
-            self._step += 1
-            return
-        plan = self.plan_for(ids)
-        flat_grads = grads.reshape(len(plan), -1)
-        payload_bytes = sum(
-            dense_payload_bytes(plan.flat_ids[idx], flat_grads[idx])
-            for _, idx in self._shard_slices(plan)
-        )
-        if self._remote:
-            self.executor.run_ops(
-                [
-                    (shard_index, "apply_gradients", (plan.flat_ids[idx], flat_grads[idx]))
-                    for shard_index, idx in self._shard_slices(plan)
-                ]
-            )
-            self.executor.stats.record_grad_exchange(payload_bytes, "dense")
-            self._step += 1
-            return
-        tasks = []
-        for shard_index, idx in self._shard_slices(plan):
-            self._ensure_private(shard_index)
-            shard = self._shards[shard_index]
-            tasks.append(
-                (
-                    shard_index,
-                    lambda s=shard, i=idx: s.apply_gradients(plan.flat_ids[i], flat_grads[i]),
-                )
-            )
-        self.executor.run(tasks)
-        if self._write_log is not None:
-            for shard_index, _ in tasks:
-                self._log_write(shard_index)
-        self.executor.stats.record_grad_exchange(payload_bytes, "dense")
-        self._step += 1
-
-    def _apply_gradients_sketched(self, ids: np.ndarray, grads: np.ndarray) -> None:
-        """Sketched exchange: fold, ship compact payloads, recover shard-side.
-
-        Per shard the trainer folds the sub-batch's deduplicated gradients
-        into a fixed-size :class:`~repro.sketch.CSVec`, ships
+        Under the sketched exchange each shard's slice is folded into a
+        fixed-size :class:`~repro.sketch.CSVec` instead: the trainer ships
         ``(unique ids, exact heavy gradients, sketch)`` and the shard
-        reconstructs — heavy rows exactly, tail rows from the sketch median.
+        reconstructs — heavy rows exactly, tail rows from the sketch median
+        (its importance scores are the norms of the reconstructed rows).
         All shards share one ``(width, depth, seed)`` derived from the whole
         batch, so the per-shard sketches merge by addition into the global
         per-step gradient sketch exposed by :meth:`merged_grad_sketch`.
-        The build/recover math is identical on every executor; only the
-        transport differs (shm arena for processes, in-process otherwise).
+        Build/recover math and the fan-out are identical on every executor;
+        only the transport differs (shm arena for processes).
         """
-        from repro.sketch.csvec import CSVec
-        from repro.store.grad_exchange import (
-            apply_sketched_payload,
-            build_sketched_payload,
-            exchange_width,
-        )
-
-        plan = self.plan_for(ids)
-        flat_grads = grads.reshape(len(plan), -1)
-        width = exchange_width(np.unique(plan.flat_ids).size)
-        seed = self.shard_seed + 7  # one exchange hash family per store
-        slices = list(self._shard_slices(plan))
-        payloads = [
-            build_sketched_payload(
-                plan.flat_ids[idx], flat_grads[idx], width=width, seed=seed
-            )
-            for _, idx in slices
-        ]
-        if self._remote:
-            self.executor.run_ops(
-                [
-                    (
-                        shard_index,
-                        "apply_sketched_gradients",
-                        (*payload.arrays(), payload.seed),
-                    )
-                    for (shard_index, _), payload in zip(slices, payloads)
-                ]
-            )
+        if self.num_shards == 1:
+            shards, shard_uids, shard_grads, shard_scores = [0], [uids], [grad_sums], [scores]
         else:
-            tasks = []
-            for (shard_index, _), payload in zip(slices, payloads):
-                self._ensure_private(shard_index)
-                shard = self._shards[shard_index]
-                tasks.append(
-                    (shard_index, lambda s=shard, p=payload: apply_sketched_payload(s, p))
-                )
-            self.executor.run(tasks)
-            if self._write_log is not None:
-                for shard_index, _ in tasks:
-                    self._log_write(shard_index)
-        self._grad_sketch = CSVec.merge_all(
-            [
-                CSVec.from_state(p.sketch_table, p.sketch_counts, p.seed)
-                for p in payloads
+            partition = self.plan_for(uids).routes["partition"]
+            shards, shard_uids = partition.shards, partition.shard_uids
+            shard_grads, shard_scores = partition.split(grad_sums), partition.split(scores)
+        for shard in shards:
+            self._ensure_private(shard)
+        if self.grad_exchange == "sketched":
+            width = exchange_width(uids.shape[0])
+            seed = self.shard_seed + 7  # one exchange hash family per store
+            payloads = [
+                build_sketched_payload(u, g, width=width, seed=seed)
+                for u, g in zip(shard_uids, shard_grads)
             ]
-        )
-        self.executor.stats.record_grad_exchange(
-            sum(payload.nbytes() for payload in payloads), "sketched"
-        )
+            self._fan_out(
+                "apply_sketched_gradients",
+                shards,
+                [(*payload.arrays(), payload.seed) for payload in payloads],
+                local=apply_sketched_payload,
+            )
+            self._grad_sketch = CSVec.merge_all(
+                [CSVec.from_state(p.sketch_table, p.sketch_counts, p.seed) for p in payloads]
+            )
+            payload_bytes = sum(payload.nbytes() for payload in payloads)
+        else:
+            self._fan_out("apply_unique", shards, list(zip(shard_uids, shard_grads, shard_scores)))
+            payload_bytes = uids.nbytes + grad_sums.nbytes + scores.nbytes
+        if self._write_log is not None:
+            for shard in shards:
+                self._log_write(shard)
+        self.executor.stats.record_grad_exchange(payload_bytes, self.grad_exchange)
         self._step += 1
 
     def merged_grad_sketch(self):

@@ -50,6 +50,8 @@ from repro.analysis.sanitizer import freeze_arrays, single_writer
 from repro.api import registry as capability_registry
 from repro.data.schema import DatasetSchema, FieldConfig, field_configs_from_spec
 from repro.embeddings.base import DEFAULT_DTYPE, CompressedEmbedding
+from repro.embeddings.plan import as_id_array, check_id_range
+from repro.errors import NonFiniteGradientError
 from repro.nn.init import xavier_uniform
 from repro.runtime.executor import SerialShardExecutor, ShardExecutor, create_executor
 from repro.store.base import EmbeddingStore
@@ -200,7 +202,7 @@ class TableGroupSnapshot:
 
     def lookup(self, ids: np.ndarray) -> np.ndarray:
         """Fused embeddings ``(batch, fields, dim)`` at the frozen values."""
-        ids = np.asarray(ids, dtype=np.int64)
+        ids = as_id_array(ids)
         if ids.ndim != 2 or ids.shape[1] != self.num_fields:
             raise ValueError(
                 f"expected ids of shape (batch, {self.num_fields}), got {ids.shape}"
@@ -455,12 +457,14 @@ class TableGroupStore(CompressedEmbedding, EmbeddingStore):
     # Fused planner (store level: the per-group split of a batch)
     # ------------------------------------------------------------------ #
     def _check_matrix(self, ids: np.ndarray) -> np.ndarray:
-        ids = self._check_ids(ids)
+        ids = as_id_array(ids)
         if ids.ndim != 2 or ids.shape[1] != self.num_fields:
             raise ValueError(
                 f"TableGroupStore expects field-aligned ids of shape "
                 f"(batch, {self.num_fields}), got {ids.shape}"
             )
+        if ids.size:
+            check_id_range(int(ids.min()), int(ids.max()), self.num_features)
         return ids
 
     def _build_routes(self, flat_ids: np.ndarray) -> dict[str, np.ndarray]:
@@ -602,11 +606,21 @@ class TableGroupStore(CompressedEmbedding, EmbeddingStore):
         swaps happen serially on the calling thread before the fan-out.
         """
         ids = self._check_matrix(ids)
-        grads = self._check_grads(ids, grads)
-        plan = self.plan_for(ids)
+        grads = np.asarray(grads, dtype=self.dtype)
+        if grads.shape != ids.shape + (self.dim,):
+            raise ValueError(
+                f"gradient shape {grads.shape} does not match {ids.shape + (self.dim,)}"
+            )
         if ids.shape[0] == 0:
-            self._step += 1
-            return
+            return  # like every store: an empty batch is a no-op, not a step
+        flat = grads.reshape(-1)
+        if not np.isfinite(np.dot(flat, flat)):
+            # Checked here, before the first group is touched: the per-group
+            # wrappers would refuse too, but only after earlier groups applied.
+            raise NonFiniteGradientError(
+                "gradients contain NaN or inf; the batch was refused and no group was touched"
+            )
+        plan = self.plan_for(ids)
         if self._remote:
             self.executor.run_ops(
                 [

@@ -12,12 +12,13 @@ from __future__ import annotations
 
 import numpy as np
 
-_MASK64 = np.uint64(0xFFFFFFFFFFFFFFFF)
+_MASK64 = 0xFFFFFFFFFFFFFFFF
 
 # SplitMix64 constants.
-_GAMMA = np.uint64(0x9E3779B97F4A7C15)
+_GAMMA = 0x9E3779B97F4A7C15
 _MIX1 = np.uint64(0xBF58476D1CE4E5B9)
 _MIX2 = np.uint64(0x94D049BB133111EB)
+_SHIFT30, _SHIFT27, _SHIFT31 = np.uint64(30), np.uint64(27), np.uint64(31)
 
 
 def mix64(values: np.ndarray | int, seed: int = 0) -> np.ndarray:
@@ -35,15 +36,16 @@ def mix64(values: np.ndarray | int, seed: int = 0) -> np.ndarray:
     -------
     ``numpy.ndarray`` of dtype ``uint64`` with the same shape as ``values``.
     """
+    # In-place uint64 array arithmetic wraps modulo 2**64 on its own; the
+    # seed offset is folded in Python integers so no numpy scalar overflows.
     x = np.asarray(values).astype(np.uint64, copy=True)
-    with np.errstate(over="ignore"):
-        x = (x + np.uint64(seed) * _GAMMA + _GAMMA) & _MASK64
-        x ^= x >> np.uint64(30)
-        x = (x * _MIX1) & _MASK64
-        x ^= x >> np.uint64(27)
-        x = (x * _MIX2) & _MASK64
-        x ^= x >> np.uint64(31)
-    return x
+    x += np.uint64(((int(seed) + 1) * _GAMMA) & _MASK64)
+    x ^= x >> _SHIFT30
+    x *= _MIX1
+    x ^= x >> _SHIFT27
+    x *= _MIX2
+    x ^= x >> _SHIFT31
+    return x[()]  # a scalar for scalar input, the array itself otherwise
 
 
 def hash_to_range(values: np.ndarray | int, size: int, seed: int = 0) -> np.ndarray:

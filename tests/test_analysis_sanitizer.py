@@ -184,20 +184,21 @@ class TestSingleWriter:
 
         started = threading.Event()
         release = threading.Event()
-        original = ShardedEmbeddingStore._check_ids
+        # The first thing the guarded apply_gradients wrapper does.
+        original = ShardedEmbeddingStore._unique_batch
 
         def stalling_check(self, checked_ids):
             started.set()
             assert release.wait(timeout=5.0)
             return original(self, checked_ids)
 
-        monkeypatch.setattr(ShardedEmbeddingStore, "_check_ids", stalling_check)
+        monkeypatch.setattr(ShardedEmbeddingStore, "_unique_batch", stalling_check)
         background = threading.Thread(
             target=store.apply_gradients, args=(ids, grads), name="trainer"
         )
         background.start()
         assert started.wait(timeout=5.0)
-        monkeypatch.setattr(ShardedEmbeddingStore, "_check_ids", original)
+        monkeypatch.setattr(ShardedEmbeddingStore, "_unique_batch", original)
         try:
             with pytest.raises(SingleWriterViolation, match="trainer"):
                 store.apply_gradients(ids, grads)
