@@ -1,7 +1,11 @@
 #!/usr/bin/env python
-"""CI smoke: flat (pre-table-group) checkpoints migrate into group stores.
+"""CI smoke: old checkpoints load into the current code, new ones resume exactly.
 
-Exercises the checkpoint-migration contract end to end:
+Two legs.  The optimizer leg: a checkpoint written before there was an
+``optim/`` section loads into a current session (fresh optimizer state, said
+so in ``describe()``) and trains; a current checkpoint taken after 20 Adam
+steps resumes bit-exactly.  The table-group leg exercises the
+checkpoint-migration contract end to end:
 
 1. train a DLRM over a *bare* CAFE layer and save a checkpoint — its sparse
    section is the flat, un-namespaced key space every pre-table-group
@@ -27,6 +31,7 @@ from pathlib import Path
 
 import numpy as np
 
+from repro.api import SystemConfig, build
 from repro.data.schema import DatasetSchema, FieldSchema
 from repro.data.synthetic import SyntheticConfig, SyntheticCTRDataset
 from repro.embeddings.cafe import CafeEmbedding
@@ -51,7 +56,39 @@ def make_cafe(num_features: int, seed: int) -> CafeEmbedding:
     )
 
 
+def optimizer_leg(tmp: Path) -> None:
+    config = SystemConfig.load(Path(__file__).resolve().parents[1] / "examples/configs/quickstart.json")
+    with build(config) as session, build(config) as resumed, build(config) as migrated:
+        stream = iter(session.dataset.training_stream(session.batch_size))
+        batches = [next(stream) for _ in range(30)]
+        for batch in batches[:20]:
+            session.trainer.train_step(batch)
+        current = session.checkpoint(tmp / "current.npz")
+        expected = [session.trainer.train_step(batch) for batch in batches[20:]]
+
+        assert resumed.restore(current) == 20
+        got = [resumed.trainer.train_step(batch) for batch in batches[20:]]
+        assert got == expected, "resume after 20 Adam steps is not bit-exact"
+        for ours, theirs in zip(resumed.model.parameters(), session.model.parameters()):
+            assert np.array_equal(ours.data, theirs.data), "resumed parameters differ"
+
+        # The same checkpoint as every earlier commit wrote it: no optim/ keys.
+        with np.load(current) as data:
+            payload = {key: data[key] for key in data.files if not key.startswith("optim/")}
+        assert len(payload) < len(data.files), "current checkpoint has no optim/ section"
+        old = tmp / "without_optim.npz"
+        np.savez(old, **payload)
+        assert migrated.restore(old) == 20
+        described = migrated.describe()["model"]["dense_optimizer"]
+        assert described == {"kind": "adam", "step_count": 0, "restored": False}, described
+        losses = [migrated.trainer.train_step(batch) for batch in batches[20:]]
+        assert np.isfinite(losses).all(), "training after an optim-less restore diverged"
+
+
 def main() -> int:
+    with tempfile.TemporaryDirectory() as tmp:
+        optimizer_leg(Path(tmp))
+
     schema = DatasetSchema(
         name="migration",
         fields=[FieldSchema("a", 50), FieldSchema("mid", 600), FieldSchema("tail", 4000)],
@@ -123,7 +160,10 @@ def main() -> int:
         else:
             raise AssertionError("multi-group store accepted a flat checkpoint")
 
-    print("checkpoint migration smoke: flat -> group-namespaced OK (bit-exact)")
+    print(
+        "checkpoint migration smoke: optim-less -> current OK, Adam resume bit-exact, "
+        "flat -> group-namespaced OK (bit-exact)"
+    )
     return 0
 
 

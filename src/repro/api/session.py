@@ -286,16 +286,21 @@ class Session:
         return self.store.snapshot()
 
     def checkpoint(self, path) -> Any:
-        """Write dense + sparse state to one ``.npz``; returns the path."""
+        """Write dense, dense-optimizer and sparse state to one ``.npz``."""
         from repro.training.checkpoint import save_checkpoint
 
-        return save_checkpoint(path, self.model, step=self.trainer.global_step)
+        return save_checkpoint(
+            path,
+            self.model,
+            step=self.trainer.global_step,
+            optimizer=self.trainer.dense_optimizer,
+        )
 
     def restore(self, path) -> int:
         """Restore a :meth:`checkpoint`; returns (and adopts) its step."""
         from repro.training.checkpoint import load_checkpoint
 
-        step = load_checkpoint(path, self.model)
+        step = load_checkpoint(path, self.model, optimizer=self.trainer.dense_optimizer)
         self.trainer.global_step = step
         return step
 
@@ -312,6 +317,7 @@ class Session:
         """
         from repro.api.registry import registry_summary
 
+        optimizer = self.trainer.dense_optimizer
         return {
             "config": self.config.to_dict(),
             "data": {
@@ -328,6 +334,11 @@ class Session:
                 "name": self.config.model.name,
                 "dense_parameters": self.model.dense_parameter_count(),
                 "dense_dtype": str(self.model.dtype),
+                "dense_optimizer": {
+                    "kind": optimizer.kind,
+                    "step_count": optimizer.step_count,
+                    "restored": optimizer.restored,
+                },
             },
             "registry": registry_summary(),
         }

@@ -80,6 +80,15 @@ class IdOutOfRangeError(BadBatchError):
 class NonFiniteGradientError(BadBatchError):
     """A gradient batch contains NaN or inf.
 
-    Applying it would poison table rows and HotSketch scores for good, so
-    the whole batch is refused and no shard is mutated.
+    Applying it would poison table rows and HotSketch scores (or, on the
+    dense side, every parameter and optimizer moment) for good, so the whole
+    batch is refused and no shard, parameter or state array is mutated.
+    """
+
+
+class OptimizerStateMismatchError(ReproError, ValueError):
+    """Saved dense-optimizer state does not fit the optimizer loading it.
+
+    The kind (sgd / adagrad / adam), the set of state arrays or their size
+    differs, so the arrays cannot belong to this optimizer's parameters.
     """

@@ -14,13 +14,43 @@ import re
 
 import numpy as np
 
+from repro.errors import NonFiniteGradientError, OptimizerStateMismatchError
 from repro.nn.tensor import Parameter
 
 
-class Optimizer:
-    """Base class for dense optimizers over autograd parameters."""
+#: Decaying dense-optimizer state is flushed on every 16th step.  A first
+#: moment at the threshold ``sqrt(tiny)`` (2^-63 in float32) that then decays
+#: by 0.25 or more per step is still above 2^-95 at the next flush, so neither
+#: it nor ``lr * m`` (for lr >= 2^-31) is ever subnormal in between; a second
+#: moment may spend those 16 steps below ``tiny`` on its way to 0.
+FLUSH_EVERY = 16
 
-    def __init__(self, parameters: list[Parameter], lr: float):
+
+class Optimizer:
+    """Base class for dense optimizers over autograd parameters.
+
+    All state lives in flat arrays over the concatenation of the parameters
+    (list order), next to one gradient staging buffer and two work buffers
+    of the same length.  A step gathers every ``param.grad`` into its slice
+    of the staging buffer, runs the update arithmetic once over the flat
+    range, and subtracts each slice of the update from its ``param.data``,
+    which is never aliased (rebinding it or deep-copying the model is safe).
+    A parameter whose ``grad`` is ``None`` is left untouched with its state:
+    the arithmetic runs over the maximal runs of parameters that have
+    gradients — one run in every real training step.
+
+    **Flush contract** (docs/architecture.md, "Subnormals").  State that
+    decays multiplicatively is set to exactly 0 once it is too small to move
+    a parameter; otherwise the entries of units whose gradient is exactly 0
+    decay into the subnormal range, stay there, and slow every ufunc that
+    touches them ~40x.  First moments flush below ``sqrt(tiny)``, second
+    moments (squares) below ``tiny``, on every :data:`FLUSH_EVERY`-th step.
+    """
+
+    #: Name written to (and required of) checkpoints; set by subclasses.
+    kind = ""
+
+    def __init__(self, parameters: list[Parameter], lr: float, state: tuple[str, ...] = ()):
         if lr <= 0:
             raise ValueError(f"learning rate must be positive, got {lr}")
         self.parameters = list(parameters)
@@ -34,81 +64,141 @@ class Optimizer:
                 f"dense parameters must share one float dtype, got {sorted(map(str, dtypes))}"
             )
         self.dtype = dtypes.pop() if dtypes else np.dtype(np.float64)
-
-    def _state(self) -> list[np.ndarray]:
-        """One zeroed state array per parameter, in the parameters' dtype."""
-        return [np.zeros(p.shape, dtype=self.dtype) for p in self.parameters]
-
-    def _scratch(self, count: int) -> list[list[np.ndarray]]:
-        """``count`` work arrays per parameter, shaped like it.
-
-        They are views into ``count`` buffers the size of the largest
-        parameter, so a step allocates nothing and the optimizer holds
-        ``count`` arrays more, not ``count`` per parameter.
-        """
-        longest = max((p.size for p in self.parameters), default=0)
-        buffers = np.empty((count, longest), dtype=self.dtype)
-        return [
-            [buffers[i, : p.size].reshape(p.shape) for i in range(count)]
-            for p in self.parameters
+        bounds = np.cumsum([0] + [p.size for p in self.parameters]).tolist()
+        self.state = {name: np.zeros(bounds[-1], dtype=self.dtype) for name in state}
+        self._grad, self._update, self._denom = np.empty((3, bounds[-1]), dtype=self.dtype)
+        # (parameter, start, stop, its view of the staging buffer, of the update)
+        self._slots = [
+            (p, lo, hi, self._grad[lo:hi].reshape(p.shape), self._update[lo:hi].reshape(p.shape))
+            for p, lo, hi in zip(self.parameters, bounds, bounds[1:])
         ]
+        self.step_count = 0
+        #: Whether the state came from :meth:`load_state_dict` (a checkpoint).
+        self.restored = False
+        self._tiny = float(np.finfo(self.dtype).tiny)
+        self._tiny_root = float(np.sqrt(np.finfo(self.dtype).tiny))
 
     def zero_grad(self) -> None:
         for param in self.parameters:
-            param.zero_grad()
+            param.grad = None
 
-    def step(self) -> None:  # pragma: no cover - abstract
+    def step(self) -> None:
+        runs: list[slice] = []
+        for param, lo, hi, staged, _ in self._slots:
+            if param.grad is None:
+                continue
+            np.copyto(staged, param.grad)
+            if runs and runs[-1].stop == lo:
+                runs[-1] = slice(runs[-1].start, hi)
+            else:
+                runs.append(slice(lo, hi))
+        for run in runs:
+            grad = self._grad[run]
+            if not np.isfinite(np.dot(grad, grad)):
+                raise NonFiniteGradientError(
+                    "dense gradients contain NaN or inf (or overflow when squared); the "
+                    "step is refused and no parameter or optimizer state was touched"
+                )
+        self.step_count += 1
+        for run in runs:
+            self._compute_update(run)
+        for param, _, _, _, update in self._slots:
+            if param.grad is not None:
+                param.data -= update
+
+    def _compute_update(self, run: slice) -> None:  # pragma: no cover - abstract
+        """Advance the state over ``run`` and leave its update in ``_update``."""
         raise NotImplementedError
+
+    def _flush(self, state: np.ndarray, below: float, scratch: np.ndarray) -> None:
+        """Zero the entries of ``state`` smaller in magnitude than ``below``."""
+        if self.step_count % FLUSH_EVERY:
+            return
+        np.abs(state, out=scratch)
+        np.greater_equal(scratch, below, out=scratch)
+        state *= scratch
+
+    def reset_state(self) -> None:
+        """Back to the state of a newly constructed optimizer."""
+        self.step_count = 0
+        self.restored = False
+        for array in self.state.values():
+            array[:] = 0.0
+
+    def state_dict(self) -> dict[str, np.ndarray]:
+        """The flat state arrays by name, the step count and the optimizer kind."""
+        return {
+            "kind": np.asarray(self.kind),
+            "step_count": np.asarray(self.step_count),
+            **{name: array.copy() for name, array in self.state.items()},
+        }
+
+    def load_state_dict(self, state: dict[str, np.ndarray]) -> None:
+        """Restore :meth:`state_dict`; refuses another kind, array set or size."""
+        arrays = {
+            name: np.asarray(value)
+            for name, value in state.items()
+            if name not in ("kind", "step_count")
+        }
+        found = (str(state.get("kind")), {name: a.shape for name, a in arrays.items()})
+        expected = (self.kind, {name: a.shape for name, a in self.state.items()})
+        if found != expected:
+            raise OptimizerStateMismatchError(
+                f"optimizer state {found} does not fit this optimizer, which holds {expected}"
+            )
+        self.step_count = int(state["step_count"])
+        self.restored = True
+        for name, array in self.state.items():
+            array[:] = arrays[name]
 
 
 class SGD(Optimizer):
     """Plain stochastic gradient descent (optionally with momentum)."""
 
+    kind = "sgd"
+
     def __init__(self, parameters: list[Parameter], lr: float, momentum: float = 0.0):
-        super().__init__(parameters, lr)
         if not 0.0 <= momentum < 1.0:
             raise ValueError(f"momentum must be in [0, 1), got {momentum}")
+        super().__init__(parameters, lr, state=("velocity",) if momentum > 0.0 else ())
         self.momentum = float(momentum)
-        self._velocity = self._state()
-        self._work = self._scratch(1)
 
-    def step(self) -> None:
-        for param, velocity, (work,) in zip(self.parameters, self._velocity, self._work):
-            if param.grad is None:
-                continue
-            direction = param.grad
-            if self.momentum > 0.0:
-                velocity *= self.momentum
-                velocity += param.grad
-                direction = velocity
-            np.multiply(direction, self.lr, out=work)
-            param.data -= work
+    def _compute_update(self, run: slice) -> None:
+        direction, update = self._grad[run], self._update[run]
+        if self.momentum > 0.0:
+            velocity = self.state["velocity"][run]
+            velocity *= self.momentum
+            velocity += direction
+            self._flush(velocity, self._tiny_root, update)
+            direction = velocity
+        np.multiply(direction, self.lr, out=update)
 
 
 class Adagrad(Optimizer):
     """Adagrad, the optimizer the reference DLRM uses for embeddings."""
 
-    def __init__(self, parameters: list[Parameter], lr: float, eps: float = 1e-10):
-        super().__init__(parameters, lr)
-        self.eps = float(eps)
-        self._accumulators = self._state()
-        self._work = self._scratch(2)
+    kind = "adagrad"
 
-    def step(self) -> None:
-        for param, acc, (update, denom) in zip(self.parameters, self._accumulators, self._work):
-            if param.grad is None:
-                continue
-            np.square(param.grad, out=update)
-            acc += update
-            np.sqrt(acc, out=denom)
-            denom += self.eps
-            np.multiply(param.grad, self.lr, out=update)
-            update /= denom
-            param.data -= update
+    def __init__(self, parameters: list[Parameter], lr: float, eps: float = 1e-10):
+        super().__init__(parameters, lr, state=("accumulator",))
+        self.eps = float(eps)
+
+    def _compute_update(self, run: slice) -> None:
+        grad, update, denom = self._grad[run], self._update[run], self._denom[run]
+        acc = self.state["accumulator"][run]
+        # The accumulator only grows: nothing decays, nothing to flush.
+        np.square(grad, out=update)
+        acc += update
+        np.sqrt(acc, out=denom)
+        denom += self.eps
+        np.multiply(grad, self.lr, out=update)
+        update /= denom
 
 
 class Adam(Optimizer):
     """Adam optimizer (Kingma & Ba, 2015)."""
+
+    kind = "adam"
 
     def __init__(
         self,
@@ -117,41 +207,36 @@ class Adam(Optimizer):
         betas: tuple[float, float] = (0.9, 0.999),
         eps: float = 1e-8,
     ):
-        super().__init__(parameters, lr)
         beta1, beta2 = betas
         if not (0.0 <= beta1 < 1.0 and 0.0 <= beta2 < 1.0):
             raise ValueError(f"betas must be in [0, 1), got {betas}")
+        super().__init__(parameters, lr, state=("m", "v"))
         self.beta1, self.beta2 = float(beta1), float(beta2)
         self.eps = float(eps)
-        self._step_count = 0
-        self._m = self._state()
-        self._v = self._state()
-        self._work = self._scratch(2)
 
-    def step(self) -> None:
-        self._step_count += 1
-        bias1 = 1.0 - self.beta1**self._step_count
-        bias2 = 1.0 - self.beta2**self._step_count
-        for param, m, v, (update, denom) in zip(self.parameters, self._m, self._v, self._work):
-            if param.grad is None:
-                continue
-            # Same operations in the same order as the textbook expression
-            # lr * (m / bias1) / (sqrt(v / bias2) + eps), written into the
-            # two work arrays.
-            m *= self.beta1
-            np.multiply(param.grad, 1.0 - self.beta1, out=update)
-            m += update
-            v *= self.beta2
-            np.square(param.grad, out=update)
-            update *= 1.0 - self.beta2
-            v += update
-            np.divide(m, bias1, out=update)
-            update *= self.lr
-            np.divide(v, bias2, out=denom)
-            np.sqrt(denom, out=denom)
-            denom += self.eps
-            update /= denom
-            param.data -= update
+    def _compute_update(self, run: slice) -> None:
+        grad, update, denom = self._grad[run], self._update[run], self._denom[run]
+        m, v = self.state["m"][run], self.state["v"][run]
+        bias1 = 1.0 - self.beta1**self.step_count
+        bias2 = 1.0 - self.beta2**self.step_count
+        # Same operations in the same order as the textbook expression
+        # lr * (m / bias1) / (sqrt(v / bias2) + eps), written into the
+        # two work arrays.
+        m *= self.beta1
+        np.multiply(grad, 1.0 - self.beta1, out=update)
+        m += update
+        self._flush(m, self._tiny_root, update)
+        v *= self.beta2
+        np.square(grad, out=update)
+        update *= 1.0 - self.beta2
+        v += update
+        self._flush(v, self._tiny, update)
+        np.divide(m, bias1, out=update)
+        update *= self.lr
+        np.divide(v, bias2, out=denom)
+        np.sqrt(denom, out=denom)
+        denom += self.eps
+        update /= denom
 
 
 # --------------------------------------------------------------------------- #

@@ -3,9 +3,10 @@
 The paper registers HotSketch's state as buffers of the embedding module so
 that checkpoints capture both the dense parameters and the sketch/migration
 state.  This module provides the equivalent for this library: a single
-``.npz`` file containing the model's dense parameters and, when the embedding
-layer supports it, its sparse state (tables, free rows, sketch contents,
-threshold), so online training can resume exactly where it stopped.
+``.npz`` file containing the model's dense parameters, the dense optimizer's
+state (``optim/``: its flat moment arrays, step count and kind) and, when the
+embedding layer supports it, its sparse state (tables, free rows, sketch
+contents, threshold), so online training can resume exactly where it stopped.
 """
 
 from __future__ import annotations
@@ -17,15 +18,24 @@ import numpy as np
 from repro.api import registry as capability_registry
 from repro.embeddings.base import CompressedEmbedding
 from repro.models.base import RecommendationModel
+from repro.nn.optim import Optimizer
 
 _DENSE_PREFIX = "dense/"
+_OPTIM_PREFIX = "optim/"
 _SPARSE_PREFIX = "sparse/"
 _META_PREFIX = "meta/"
 
 
-def save_checkpoint(path: str | Path, model: RecommendationModel, step: int = 0) -> Path:
+def save_checkpoint(
+    path: str | Path,
+    model: RecommendationModel,
+    step: int = 0,
+    optimizer: Optimizer | None = None,
+) -> Path:
     """Write the model's dense parameters and embedding state to ``path``.
 
+    ``optimizer`` (the trainer's dense optimizer) adds its state under
+    ``optim/``; without it a resumed run restarts the moments from zero.
     Embedding layers that implement ``state_dict()`` (CAFE, CAFE-ML) have
     their full sparse state saved; other layers are skipped with a marker so
     :func:`load_checkpoint` knows not to expect one.
@@ -35,6 +45,9 @@ def save_checkpoint(path: str | Path, model: RecommendationModel, step: int = 0)
     payload: dict[str, np.ndarray] = {f"{_META_PREFIX}step": np.asarray(step)}
     for name, value in model.state_dict().items():
         payload[f"{_DENSE_PREFIX}{name}"] = value
+    if optimizer is not None:
+        for name, value in optimizer.state_dict().items():
+            payload[f"{_OPTIM_PREFIX}{name}"] = value
     sparse_state = _sparse_state_dict(_sparse_target(model))
     if sparse_state is not None:
         for name, value in sparse_state.items():
@@ -73,22 +86,34 @@ def _sparse_state_dict(target) -> dict[str, np.ndarray] | None:
         return None
 
 
-def load_checkpoint(path: str | Path, model: RecommendationModel) -> int:
+def load_checkpoint(
+    path: str | Path, model: RecommendationModel, optimizer: Optimizer | None = None
+) -> int:
     """Restore a checkpoint written by :func:`save_checkpoint`.
 
     Returns the training step recorded at save time.  Raises ``KeyError`` /
-    ``ValueError`` if the checkpoint does not match the model structure.
+    ``ValueError`` if the checkpoint does not match the model structure, and
+    :class:`~repro.errors.OptimizerStateMismatchError` if its ``optim/``
+    section belongs to another kind or size of optimizer.  A checkpoint
+    without an ``optim/`` section (written before there was one, or without
+    ``optimizer=``) still loads: ``optimizer`` is reset to its freshly
+    constructed state and says so in ``optimizer.restored``.
     """
     path = Path(path)
     with np.load(path) as data:
-        dense = {
-            key[len(_DENSE_PREFIX):]: data[key] for key in data.files if key.startswith(_DENSE_PREFIX)
-        }
-        sparse = {
-            key[len(_SPARSE_PREFIX):]: data[key] for key in data.files if key.startswith(_SPARSE_PREFIX)
-        }
+
+        def section(prefix: str) -> dict[str, np.ndarray]:
+            return {key[len(prefix):]: data[key] for key in data.files if key.startswith(prefix)}
+
+        dense, sparse, optim = section(_DENSE_PREFIX), section(_SPARSE_PREFIX), section(_OPTIM_PREFIX)
         step = int(data[f"{_META_PREFIX}step"])
         has_sparse = bool(int(data[f"{_META_PREFIX}has_sparse"]))
+    if optimizer is not None:
+        # First, so that a mismatch is raised before anything is restored.
+        if optim:
+            optimizer.load_state_dict(optim)
+        else:
+            optimizer.reset_state()
     model.load_state_dict(dense)
     if has_sparse:
         target: CompressedEmbedding = _sparse_target(model)

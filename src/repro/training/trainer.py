@@ -18,7 +18,7 @@ from repro.data.stream import Batch, iterate_batches
 from repro.models.base import RecommendationModel
 from repro.nn import functional as F
 from repro.nn.optim import Adagrad, Adam, Optimizer, SGD
-from repro.nn.tensor import no_grad
+from repro.nn.tensor import Tensor, no_grad
 from repro.training.config import TrainingConfig
 from repro.training.metrics import log_loss, roc_auc
 from repro.utils.logging import get_logger
@@ -82,16 +82,22 @@ class Trainer:
         and slot location run once per step, not twice — at the shard level
         and inside each shard backend.
         """
+        return float(self._step(batch)[0].data)
+
+    def _step(self, batch: Batch) -> tuple[Tensor, Tensor]:
+        """The training step itself; returns ``(loss, embedding leaf)``."""
         logits, leaf = self.model.forward(batch.categorical, batch.numerical)
         loss = F.binary_cross_entropy_with_logits(logits, batch.labels)
-        self.model.zero_grad()
+        # The optimizer holds the model's parameter list; ``model.zero_grad()``
+        # would re-walk the module tree by reflection on every step.
+        self.dense_optimizer.zero_grad()
         loss.backward()
         if leaf.grad is None:  # pragma: no cover - defensive, autograd always fills it
             raise RuntimeError("embedding leaf did not receive a gradient")
         self.model.store.apply_gradients(batch.categorical, leaf.grad)
         self.dense_optimizer.step()
         self.global_step += 1
-        return float(loss.data)
+        return loss, leaf
 
     def embedding_plan_stats(self) -> dict[str, float | int] | None:
         """Routing-plan cache behaviour of the model's embedding store."""
@@ -158,16 +164,9 @@ class Trainer:
         """
         totals = np.zeros(num_features, dtype=np.float64)
         for batch in stream:
-            logits, leaf = self.model.forward(batch.categorical, batch.numerical)
-            loss = F.binary_cross_entropy_with_logits(logits, batch.labels)
-            self.model.zero_grad()
-            loss.backward()
-            grads = leaf.grad.reshape(-1, self.model.dim)
-            norms = np.linalg.norm(grads, axis=1)
+            _, leaf = self._step(batch)
+            norms = np.linalg.norm(leaf.grad.reshape(-1, self.model.dim), axis=1)
             np.add.at(totals, batch.categorical.reshape(-1), norms)
-            self.model.store.apply_gradients(batch.categorical, leaf.grad)
-            self.dense_optimizer.step()
-            self.global_step += 1
         return totals
 
 

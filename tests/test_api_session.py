@@ -16,7 +16,7 @@ import pytest
 from repro.api.config import SystemConfig
 from repro.api.session import build
 from repro.embeddings import METHOD_NAMES, create_embedding, create_embedding_store
-from repro.errors import ConfigurationError
+from repro.errors import ConfigurationError, OptimizerStateMismatchError
 
 MIXED_SPEC = "full:tiny,cafe[cr=16]:tail,hash[cr=8]:mid"
 
@@ -237,6 +237,73 @@ class TestCheckpointLifecycle:
             assert restored.restore(path) == step
             assert restored.trainer.global_step == step
             assert np.array_equal(restored.store.lookup(ids), expected)
+
+
+    @pytest.mark.parametrize("store_dtype", ["float32", "float64"])
+    @pytest.mark.parametrize("model_name", ["dlrm", "wdl"])
+    @pytest.mark.parametrize("dense_optimizer", ["adam", "adagrad", "sgd"])
+    def test_restore_and_continue_is_bit_identical_to_the_uninterrupted_run(
+        self, tmp_path, dense_optimizer, model_name, store_dtype
+    ):
+        config = tiny_config(
+            model={"name": model_name},
+            store={"spec": "cafe", "compression_ratio": 10.0, "dtype": store_dtype},
+            train={"dense_optimizer": dense_optimizer},
+        )
+        with build(config) as session, build(config) as resumed:
+            stream = iter(session.dataset.training_stream(session.batch_size))
+            batches = [next(stream) for _ in range(35)]
+            for batch in batches[:20]:
+                session.trainer.train_step(batch)
+            path = session.checkpoint(tmp_path / "ckpt.npz")
+            expected = [session.trainer.train_step(batch) for batch in batches[20:]]
+
+            assert resumed.restore(path) == 20
+            optimizer = resumed.describe()["model"]["dense_optimizer"]
+            assert optimizer == {"kind": dense_optimizer, "step_count": 20, "restored": True}
+            assert [resumed.trainer.train_step(batch) for batch in batches[20:]] == expected
+            for got, want in zip(resumed.model.parameters(), session.model.parameters()):
+                assert got.data.tobytes() == want.data.tobytes()
+            live, back = session.trainer.dense_optimizer, resumed.trainer.dense_optimizer
+            assert live.step_count == back.step_count == 35
+            for name, array in live.state.items():
+                assert array.tobytes() == back.state[name].tobytes()
+
+    def test_checkpoint_without_optimizer_section_loads_with_fresh_state(self, tmp_path):
+        config = tiny_config()
+        with build(config) as session, build(config) as restored:
+            session.train(max_steps=5)
+            path = session.checkpoint(tmp_path / "ckpt.npz")
+            with np.load(path) as data:
+                assert {"optim/kind", "optim/step_count", "optim/m", "optim/v"} <= set(data.files)
+                payload = {k: data[k] for k in data.files if not k.startswith("optim/")}
+            old = tmp_path / "old.npz"  # what every earlier commit wrote
+            np.savez(old, **payload)
+
+            restored.train(max_steps=2)  # moments that belong to another run
+            assert restored.restore(old) == 5
+            optimizer = restored.trainer.dense_optimizer
+            assert optimizer.step_count == 0
+            assert all(not array.any() for array in optimizer.state.values())
+            assert restored.describe()["model"]["dense_optimizer"] == {
+                "kind": "adam",
+                "step_count": 0,
+                "restored": False,
+            }
+            restored.train(max_steps=2)  # and it trains
+
+    def test_optimizer_kind_or_size_mismatch_is_a_named_error(self, tmp_path):
+        with build(tiny_config()) as session:
+            session.train(max_steps=2)
+            path = session.checkpoint(tmp_path / "adam.npz")
+        for other in ({"train": {"dense_optimizer": "adagrad"}}, {"model": {"name": "wdl"}}):
+            with build(tiny_config(**other)) as target:
+                before = [p.data.copy() for p in target.model.parameters()]
+                with pytest.raises(OptimizerStateMismatchError):
+                    target.restore(path)
+                # Refused before anything was restored.
+                for param, value in zip(target.model.parameters(), before):
+                    assert np.array_equal(param.data, value)
 
 
 class TestDescribeSchema:

@@ -9,6 +9,7 @@ restoring a float64 dense checkpoint into a float32 session.
 
 from __future__ import annotations
 
+import hashlib
 import runpy
 import sys
 from collections import Counter
@@ -64,12 +65,9 @@ def run_step(session, batch):
 
 
 def optimizer_state(optimizer) -> list[np.ndarray]:
-    arrays = []
-    for value in vars(optimizer).values():
-        if isinstance(value, list):
-            for item in value:
-                arrays.extend(item if isinstance(item, list) else [item])
-    return [a for a in arrays if isinstance(a, np.ndarray)]
+    """Every array the optimizer holds: flat state, staging and work buffers."""
+    held = [value for value in vars(optimizer).values() if isinstance(value, np.ndarray)]
+    return list(optimizer.state.values()) + held
 
 
 # --------------------------------------------------------------------------- #
@@ -428,6 +426,71 @@ def test_float32_training_tracks_float64():
     (loss32, auc32), (loss64, auc64) = results["float32"], results["float64"]
     assert abs(loss32 - loss64) <= 1e-3, (loss32, loss64)
     assert abs(auc32 - auc64) <= 5e-3, (auc32, auc64)
+
+
+# --------------------------------------------------------------------------- #
+# (d') the fused optimizer step left the trajectories where they were
+# --------------------------------------------------------------------------- #
+#: 1 500 quickstart steps (16 days of 12 288 samples, batch 128, float32, Adam)
+#: recorded once at the commit before the flat optimizers: sha256 of the
+#: float64 loss array, and every 100th loss so that a failure shows where.
+GOLDEN_LOSSES = {
+    "dlrm": (
+        "a0869e9235f43c987fcb08b19a4c8d7aeb48120ce656daa4441e95016b17e39b",
+        [
+            0.6191143989562988, 0.5656620860099792, 0.6119319796562195,
+            0.6237161159515381, 0.6516905426979065, 0.5490507483482361,
+            0.614200234413147, 0.5203588604927063, 0.5622726082801819,
+            0.5876370668411255, 0.50226891040802, 0.5633545517921448,
+            0.5581021308898926, 0.554917573928833, 0.5917768478393555,
+        ],
+    ),
+    "wdl": (
+        "3c428303f2dc96c5c0a27fa778e8c67687c8f94e42bf41082928f95549060a14",
+        [
+            0.5930043458938599, 0.5177801251411438, 0.5655486583709717,
+            0.6033080816268921, 0.6321991086006165, 0.5090330243110657,
+            0.5965400338172913, 0.4682150185108185, 0.5047451853752136,
+            0.5703848004341125, 0.4691614508628845, 0.531381368637085,
+            0.5569645166397095, 0.5216230750083923, 0.5494067072868347,
+        ],
+    ),
+    "dcn": (
+        "a82c26263e92cb54f7f9e0d4ded03a6007d3c924462db2c5a731d44e7aaf6002",
+        [
+            0.5985672473907471, 0.5319189429283142, 0.575798749923706,
+            0.6030387878417969, 0.642694354057312, 0.5007506012916565,
+            0.5994713306427002, 0.470437228679657, 0.520372748374939,
+            0.5844486951828003, 0.46630093455314636, 0.5386102199554443,
+            0.5642048120498657, 0.5318922400474548, 0.5522927641868591,
+        ],
+    ),
+}
+#: sha256 of a fixed float32 matmul on the recording host.  Bit-equality of a
+#: 1 500-step trajectory means something only where BLAS rounds the same way.
+GOLDEN_BLAS = "3932c21c03de954568095ea40b0edb2b5d719e70cd0ba1ad111403c536df7a94"
+
+
+def blas_fingerprint() -> str:
+    rng = np.random.default_rng(0)
+    left = rng.normal(size=(128, 367)).astype(np.float32)
+    right = rng.normal(size=(367, 64)).astype(np.float32)
+    return hashlib.sha256((left @ right).tobytes()).hexdigest()
+
+
+@pytest.mark.parametrize("model_name", sorted(GOLDEN_LOSSES))
+def test_quickstart_trajectory_equals_the_recorded_parent(model_name):
+    if blas_fingerprint() != GOLDEN_BLAS:
+        pytest.skip("golden losses were recorded on a host whose BLAS rounds differently")
+    digest, every_100th = GOLDEN_LOSSES[model_name]
+    config = quickstart(model__name=model_name, data__num_days=17, data__samples_per_day=12288)
+    with build(config) as session:
+        history = session.trainer.train_stream(
+            session.dataset.training_stream(session.batch_size), max_steps=1500
+        )
+    losses = np.asarray(history.losses, dtype=np.float64)
+    assert losses[99::100].tolist() == every_100th
+    assert hashlib.sha256(losses.tobytes()).hexdigest() == digest
 
 
 # --------------------------------------------------------------------------- #
