@@ -65,7 +65,6 @@ class SyntheticCTRDataset:
         self.config = config or SyntheticConfig()
         if self.config.samples_per_day <= 0:
             raise DataError("samples_per_day must be positive")
-        self._rng = make_rng(self.config.seed)
         if drift is None:
             if schema.num_days > 1:
                 drift = RotatingDrift(
@@ -120,40 +119,61 @@ class SyntheticCTRDataset:
         return self.num_days - 1
 
     def generate_day(self, day: int, num_samples: int | None = None, seed_offset: int = 0) -> Batch:
-        """Generate all samples of one logical day as a single batch."""
+        """Generate all samples of one logical day as a single batch.
+
+        The RNG draw order is the stream's format ("Synthetic stream contract"
+        in docs/architecture.md).  ``num_samples=None`` is the configured day.
+        """
         if not 0 <= day < self.num_days:
             raise DataError(f"day {day} outside [0, {self.num_days})")
-        num_samples = num_samples or self.config.samples_per_day
+        count = self.config.samples_per_day if num_samples is None else num_samples
+        if count <= 0:
+            raise DataError(f"num_samples / samples_per_day must be positive or None, got {num_samples}")
         rng = make_rng(self.config.seed + 1000 * (day + 1) + seed_offset)
-
-        categorical = np.empty((num_samples, self.schema.num_fields), dtype=np.int64)
-        for f, (zipf, base) in enumerate(zip(self._zipf, self._base_permutations)):
-            ranks = zipf.sample(num_samples, rng)
-            permutation = self.drift.permutation_for_day(day, base.shape[0], base)
-            categorical[:, f] = permutation[ranks]
-        global_ids = self.schema.to_global_ids(categorical)
-
-        numerical = rng.normal(0.0, self.config.numerical_noise, size=(num_samples, self.schema.num_numerical))
-
-        logits = self._logits(global_ids, numerical)
-        logits += rng.normal(0.0, self.config.label_noise, size=num_samples)
+        global_ids, logits = self._draw_fields(day, count, rng)
+        numerical = rng.normal(0.0, self.config.numerical_noise, size=(count, self.schema.num_numerical))
+        logits = logits + numerical @ self._numerical_weights + self._bias
+        logits += rng.normal(0.0, self.config.label_noise, size=count)
         probabilities = 1.0 / (1.0 + np.exp(-logits))
-        labels = (rng.random(num_samples) < probabilities).astype(np.float64)
+        labels = (rng.random(count) < probabilities).astype(np.float64)
         return Batch(categorical=global_ids, numerical=numerical, labels=labels, day=day)
 
-    def _logits(self, global_ids: np.ndarray, numerical: np.ndarray) -> np.ndarray:
-        """Noise-free planted logits for a batch of samples."""
-        linear = self._feature_weights[global_ids].sum(axis=1) / self._linear_norm
-        vectors = self._feature_vectors[global_ids]  # (batch, fields, latent)
-        total = vectors.sum(axis=1)
-        squares = (vectors**2).sum(axis=1)
+    def _draw_fields(self, day: int, count: int, rng: np.random.Generator) -> tuple[np.ndarray, np.ndarray]:
+        """Global ids ``(count, fields)`` and their planted first- plus second-order logits.
+
+        One pass: each field is sampled, mapped to global ids and folded into
+        the interaction sums before the next one is drawn.
+        """
+        latent = self.config.latent_dim
+        # Returned array first, scratch second, so the freed scratch leaves its
+        # hole above the live data: measured lower peak RSS on train_dense
+        # (docs/benchmarks.md, "Earlier runs, for the record").
+        global_ids = np.empty((count, self.schema.num_fields), dtype=np.int64)
+        field_major = np.empty(global_ids.shape[::-1], dtype=np.int64)
+        total = np.zeros((count, latent))
+        squares = np.zeros((count, latent))
+        for ids, offset, zipf, base in zip(
+            field_major, self.schema.field_offsets, self._zipf, self._base_permutations
+        ):
+            permutation = self.drift.permutation_for_day(day, base.shape[0], base)
+            np.add(permutation.take(zipf.sample(count, rng)), offset, out=ids)
+            if latent > 1:
+                # Field by field, left to right: the order in which numpy
+                # reduces axis 1 of the gathered (count, fields, latent) array.
+                vectors = self._feature_vectors.take(ids, axis=0)
+                total += vectors
+                vectors *= vectors
+                squares += vectors
+        np.copyto(global_ids, field_major.T)
+        if latent == 1:
+            # numpy collapses (count, fields, 1) to a contiguous (count, fields)
+            # reduce, which is pairwise: sum it the way ``linear`` is summed.
+            vectors = self._feature_vectors.take(global_ids)
+            total = vectors.sum(axis=1, keepdims=True)
+            squares = (vectors**2).sum(axis=1, keepdims=True)
+        linear = self._feature_weights.take(global_ids).sum(axis=1) / self._linear_norm
         pairwise = 0.5 * ((total**2).sum(axis=1) - squares.sum(axis=1)) / self._interaction_norm
-        return (
-            self.config.signal_scale * linear
-            + self.config.interaction_scale * pairwise
-            + numerical @ self._numerical_weights
-            + self._bias
-        )
+        return global_ids, self.config.signal_scale * linear + self.config.interaction_scale * pairwise
 
     def day_batches(self, day: int, batch_size: int, num_samples: int | None = None) -> Iterator[Batch]:
         """Yield the day's samples split into mini-batches."""
@@ -182,14 +202,14 @@ class SyntheticCTRDataset:
         """
         counts = np.zeros(self.schema.num_features, dtype=np.float64)
         for day in days if days is not None else self.train_days:
-            data = self.generate_day(day, num_samples=samples_per_day)
-            np.add.at(counts, data.categorical.reshape(-1), 1.0)
+            counts += self._histogram(day, samples_per_day)
         return counts
 
     def day_histograms(self, samples_per_day: int | None = None) -> np.ndarray:
         """Per-day global-feature frequency histograms, shape ``(days, n)``."""
-        histograms = np.zeros((self.num_days, self.schema.num_features), dtype=np.float64)
-        for day in range(self.num_days):
-            data = self.generate_day(day, num_samples=samples_per_day)
-            np.add.at(histograms[day], data.categorical.reshape(-1), 1.0)
-        return histograms
+        histograms = [self._histogram(day, samples_per_day) for day in range(self.num_days)]
+        return np.array(histograms, dtype=np.float64)
+
+    def _histogram(self, day: int, samples_per_day: int | None) -> np.ndarray:
+        ids = self.generate_day(day, num_samples=samples_per_day).categorical
+        return np.bincount(ids.reshape(-1), minlength=self.schema.num_features)

@@ -29,10 +29,12 @@ def zipf_probabilities(num_items: int, exponent: float) -> np.ndarray:
 class ZipfDistribution:
     """Truncated Zipf distribution over ``num_items`` ranks.
 
-    Rank 0 is the most popular item.  Sampling uses the inverse-CDF method on
-    the precomputed cumulative distribution, which is exact and fast for the
-    cardinalities used in the synthetic datasets (up to a few hundred thousand
-    items per field).
+    Rank 0 is the most popular item.  Sampling is the inverse-CDF method,
+    ``searchsorted(cdf, uniform, side="right")``, computed through a guide
+    table: the uniform's bucket gives the first rank it can map to, one
+    ``cdf[rank] <= uniform`` step crosses a rank boundary inside the bucket,
+    and uniforms of buckets that hold several boundaries (the flat tail of a
+    field far larger than the table) take the binary search itself.  Exact.
     """
 
     def __init__(self, num_items: int, exponent: float):
@@ -42,12 +44,29 @@ class ZipfDistribution:
         self._cdf = np.cumsum(self.probabilities)
         # Guard against floating point drift so searchsorted never overflows.
         self._cdf[-1] = 1.0
+        # About eight buckets per rank, at most 2**16 (at the paper's ~1.05
+        # exponent < 1 % of the draws then need the binary search); a power of
+        # two, so that ``uniform * buckets`` is exact.  A uniform in bucket b
+        # maps to a rank in [first[b], first[b + 1]].
+        buckets = min(1 << (8 * self.num_items - 1).bit_length(), 1 << 16)
+        first = np.searchsorted(self._cdf, np.arange(buckets + 1) / buckets, side="right")
+        self._guide = first[:-1].astype(np.min_scalar_type(self.num_items))
+        # Probabilities fall with the rank, so buckets span more ranks towards
+        # 1.0: below the first that spans more than one, the guide is exact.
+        wide = np.flatnonzero(np.diff(first) > 1)
+        self._guided_below = wide[0] / buckets if wide.size else 1.0
 
     def sample(self, size: int, rng: SeedLike = None) -> np.ndarray:
         """Draw ``size`` ranks (0-based, 0 = hottest) from the distribution."""
-        generator = make_rng(rng)
-        uniforms = generator.random(size)
-        return np.searchsorted(self._cdf, uniforms, side="right").astype(np.int64)
+        if size < 0:
+            raise ValueError(f"size must be non-negative, got {size}")
+        uniforms = make_rng(rng).random(size)
+        ranks = self._guide.take((uniforms * self._guide.size).astype(np.intp)).astype(np.int64)
+        ranks += self._cdf.take(ranks) <= uniforms
+        if self._guided_below < 1.0:
+            rest = uniforms >= self._guided_below
+            ranks[rest] = np.searchsorted(self._cdf, uniforms[rest], side="right")
+        return ranks
 
     def head_mass(self, top_k: int) -> float:
         """Total probability mass carried by the ``top_k`` most popular ranks."""

@@ -1,13 +1,22 @@
 """Tests for the synthetic CTR stream generator, drift models and statistics."""
 
+import hashlib
+import tracemalloc
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from test_zipf import reference_zipf_sample
 
 from repro.data.drift import NoDrift, RotatingDrift
 from repro.data.schema import DatasetSchema, FieldSchema
 from repro.data.stats import frequency_skew_summary, kl_divergence, kl_divergence_matrix
+from repro.data.stream import Batch
 from repro.data.synthetic import SyntheticConfig, SyntheticCTRDataset
 from repro.errors import DataError
+from repro.experiments.common import build_dataset
+from repro.utils.rng import make_rng
 
 
 def toy_schema(num_days=4, zipf=1.4):
@@ -118,6 +127,17 @@ class TestStreams:
         assert hist.shape == (3, ds.schema.num_features)
         assert hist.sum() == 3 * 200 * 3
 
+    def test_statistics_equal_the_add_at_pass(self):
+        ds = make_dataset(num_days=3, samples=300)
+        expected = np.zeros((3, ds.schema.num_features), dtype=np.float64)
+        for day in range(3):
+            np.add.at(expected[day], ds.generate_day(day, num_samples=150).categorical.reshape(-1), 1.0)
+        hist = ds.day_histograms(samples_per_day=150)
+        freqs = ds.feature_frequencies(samples_per_day=150)
+        assert hist.dtype == freqs.dtype == np.float64
+        assert np.array_equal(hist, expected)
+        assert np.array_equal(freqs, expected[:2].sum(axis=0))
+
 
 class TestDrift:
     def test_no_drift_keeps_distribution(self):
@@ -167,6 +187,308 @@ class TestDrift:
         drift = RotatingDrift()
         with pytest.raises(ValueError):
             drift.permutation_for_day(-1, 10, np.arange(10))
+
+
+# --------------------------------------------------------------------------- #
+# Day generation as it was before the fused pass, kept verbatim as the oracle
+# --------------------------------------------------------------------------- #
+def reference_rotating_permutation(drift, cache, day, cardinality, base):
+    """``RotatingDrift.permutation_for_day`` with the swap loop on numpy scalars.
+
+    ``cache`` plays ``drift._cache``: keyed ``(day, cardinality)``, so fields
+    of equal cardinality share one permutation here exactly as they do there.
+    """
+    key = (day, cardinality)
+    if key in cache:
+        return cache[key]
+    if day == 0:
+        permutation = base.copy()
+    else:
+        previous = reference_rotating_permutation(drift, cache, day - 1, cardinality, base)
+        permutation = previous.copy()
+        rng = np.random.default_rng(drift._seed_root + 7919 * day + cardinality)
+        num_swaps = max(int(drift.swap_fraction * cardinality), 1)
+        u = rng.random(size=(num_swaps, 2))
+        ranks = np.floor(cardinality * u**drift.head_bias).astype(np.int64)
+        ranks = np.clip(ranks, 0, cardinality - 1)
+        for a, b in ranks:
+            permutation[a], permutation[b] = permutation[b], permutation[a]
+    cache[key] = permutation
+    return permutation
+
+
+class ReferenceSyntheticCTRDataset(SyntheticCTRDataset):
+    """Same planted world, the old ``generate_day``: binary-search Zipf draws,
+    one ``(N, fields, latent)`` gather and numpy's own axis-1 reductions."""
+
+    def __init__(self, schema, config=None, drift=None):
+        super().__init__(schema, config=config, drift=drift)
+        self._reference_permutations = {}
+
+    def _permutation(self, day, base):
+        if isinstance(self.drift, RotatingDrift):
+            return reference_rotating_permutation(
+                self.drift, self._reference_permutations, day, base.shape[0], base
+            )
+        return self.drift.permutation_for_day(day, base.shape[0], base)
+
+    def generate_day(self, day, num_samples=None, seed_offset=0):
+        num_samples = num_samples or self.config.samples_per_day
+        rng = make_rng(self.config.seed + 1000 * (day + 1) + seed_offset)
+
+        categorical = np.empty((num_samples, self.schema.num_fields), dtype=np.int64)
+        for f, (zipf, base) in enumerate(zip(self._zipf, self._base_permutations)):
+            ranks = reference_zipf_sample(zipf, num_samples, rng)
+            permutation = self._permutation(day, base)
+            categorical[:, f] = permutation[ranks]
+        global_ids = self.schema.to_global_ids(categorical)
+
+        numerical = rng.normal(0.0, self.config.numerical_noise, size=(num_samples, self.schema.num_numerical))
+
+        logits = self._logits(global_ids, numerical)
+        logits += rng.normal(0.0, self.config.label_noise, size=num_samples)
+        probabilities = 1.0 / (1.0 + np.exp(-logits))
+        labels = (rng.random(num_samples) < probabilities).astype(np.float64)
+        return Batch(categorical=global_ids, numerical=numerical, labels=labels, day=day)
+
+    def _logits(self, global_ids, numerical):
+        linear = self._feature_weights[global_ids].sum(axis=1) / self._linear_norm
+        vectors = self._feature_vectors[global_ids]  # (batch, fields, latent)
+        total = vectors.sum(axis=1)
+        squares = (vectors**2).sum(axis=1)
+        pairwise = 0.5 * ((total**2).sum(axis=1) - squares.sum(axis=1)) / self._interaction_norm
+        return (
+            self.config.signal_scale * linear
+            + self.config.interaction_scale * pairwise
+            + numerical @ self._numerical_weights
+            + self._bias
+        )
+
+
+def assert_same_day(actual: Batch, expected: Batch, where=""):
+    for name in ("categorical", "numerical", "labels"):
+        got, want = getattr(actual, name), getattr(expected, name)
+        assert got.dtype == want.dtype and got.shape == want.shape, (name, where)
+        assert np.array_equal(got, want), (name, where)
+    assert actual.categorical.flags.c_contiguous, where
+
+
+def assert_same_planted_logits(new, oracle, day, count):
+    """Labels only flip when a logit difference straddles a uniform, so a
+    last-bit change in the order-sensitive sums would slip past them: compare
+    the noise-free logits of the fused pass with the oracle's directly."""
+    ids, field_logits = new._draw_fields(day, count, make_rng(day))
+    no_numerical = np.zeros((count, new.schema.num_numerical))
+    logits = field_logits + no_numerical @ new._numerical_weights + new._bias
+    assert np.array_equal(logits, oracle._logits(ids, no_numerical)), (day, count)
+
+
+# The drift models of the grid; the two rotating ones are what ``perf/`` runs
+# (the dataset's default drift, and train_sparse's faster one).
+DRIFTS = {
+    "none": NoDrift,
+    "rotate0.05": lambda: RotatingDrift(0.05, seed=1),
+    "rotate0.2": lambda: RotatingDrift(0.2, seed=0),
+}
+
+
+def criteo_pair(scale, drift, samples_per_day=16384):
+    """(new, oracle) datasets over one ``perf/``-shaped criteo world (57 days)."""
+    schema = build_dataset("criteo", scale=scale, seed=0, num_days=57).schema
+    config = SyntheticConfig(samples_per_day=samples_per_day, seed=0)
+    return (
+        SyntheticCTRDataset(schema, config=config, drift=DRIFTS[drift]()),
+        ReferenceSyntheticCTRDataset(schema, config=config, drift=DRIFTS[drift]()),
+    )
+
+
+def random_schema(cardinalities, num_numerical, num_days=3, zipf=1.05):
+    fields = [FieldSchema(f"f{i}", card) for i, card in enumerate(cardinalities)]
+    return DatasetSchema(
+        name="random", fields=fields, num_numerical=num_numerical, embedding_dim=4,
+        num_days=num_days, zipf_exponent=zipf,
+    )
+
+
+class TestSamplesAreTheContract:
+    """Every sample, label and numerical feature is bit-identical to the oracle's."""
+
+    DAYS = (0, 1, 7, 56)
+    SEED_OFFSETS = (0, 7, 100003, 99991 + 100003 * 4)
+    SIZES = (1, 7, 128, 2048, 16384)
+
+    @pytest.mark.parametrize("drift", sorted(DRIFTS))
+    @pytest.mark.parametrize("scale", ["tiny", "small"])
+    def test_criteo_grid(self, scale, drift):
+        new, oracle = criteo_pair(scale, drift)
+        for day in self.DAYS:
+            for seed_offset in self.SEED_OFFSETS:
+                for size in self.SIZES:
+                    assert_same_day(
+                        new.generate_day(day, size, seed_offset),
+                        oracle.generate_day(day, size, seed_offset),
+                        where=(scale, drift, day, seed_offset, size),
+                    )
+            assert_same_planted_logits(new, oracle, day, 16384)
+
+    @pytest.mark.parametrize("latent_dim", [1, 2, 4])
+    @pytest.mark.parametrize("num_numerical", [0, 3])
+    @pytest.mark.parametrize("num_fields", [1, 7, 8, 26])
+    def test_schema_shapes(self, num_fields, num_numerical, latent_dim):
+        cardinalities = [5 + 37 * i for i in range(num_fields)]
+        schema = random_schema(cardinalities, num_numerical)
+        config = SyntheticConfig(samples_per_day=700, seed=3, latent_dim=latent_dim)
+        new = SyntheticCTRDataset(schema, config=config)
+        oracle = ReferenceSyntheticCTRDataset(schema, config=config)
+        for day in range(schema.num_days):
+            assert_same_day(new.generate_day(day), oracle.generate_day(day), where=day)
+            assert_same_planted_logits(new, oracle, day, 700)
+        assert_same_day(new.test_batch(65), oracle.test_batch(65))
+
+    def test_latent_dim_one_is_the_pairwise_sum(self):
+        # The measured trap: numpy reduces (N, F, 1) over axis 1 pairwise, so
+        # from 8 fields up a field-by-field accumulate differs in the last bit.
+        schema = random_schema([50] * 12, num_numerical=0)
+        dataset = SyntheticCTRDataset(schema, SyntheticConfig(samples_per_day=4000, latent_dim=1))
+        ids = dataset.generate_day(0).categorical
+        vectors = dataset._feature_vectors[ids]
+        accumulated = np.zeros((4000, 1))
+        for f in range(12):
+            accumulated += vectors[:, f]
+        assert not np.array_equal(accumulated, vectors.sum(axis=1))
+
+    @given(
+        cardinalities=st.lists(st.integers(min_value=1, max_value=400), min_size=1, max_size=12),
+        num_numerical=st.integers(min_value=0, max_value=4),
+        latent_dim=st.integers(min_value=1, max_value=6),
+        zipf=st.sampled_from([0.0, 1.05, 1.6]),
+        swap_fraction=st.sampled_from([None, 0.05, 0.5]),
+        seed=st.integers(min_value=0, max_value=10_000),
+        size=st.integers(min_value=1, max_value=300),
+        seed_offset=st.integers(min_value=0, max_value=10**6),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_random_schemas(
+        self, cardinalities, num_numerical, latent_dim, zipf, swap_fraction, seed, size, seed_offset
+    ):
+        schema = random_schema(cardinalities, num_numerical, num_days=4, zipf=zipf)
+        config = SyntheticConfig(samples_per_day=64, seed=seed, latent_dim=latent_dim)
+
+        def drift():
+            return None if swap_fraction is None else RotatingDrift(swap_fraction, seed=seed)
+
+        new = SyntheticCTRDataset(schema, config=config, drift=drift())
+        oracle = ReferenceSyntheticCTRDataset(schema, config=config, drift=drift())
+        for day in (3, 0):
+            assert_same_day(
+                new.generate_day(day, size, seed_offset), oracle.generate_day(day, size, seed_offset)
+            )
+            assert_same_planted_logits(new, oracle, day, size)
+
+    def test_rotating_drift_equals_the_numpy_scalar_swap_loop(self):
+        for fraction in (0.05, 0.2, 1.0):
+            drift, cache = RotatingDrift(fraction, seed=4), {}
+            for cardinality in (1, 2, 31, 3953):
+                base = np.random.default_rng(cardinality).permutation(cardinality).astype(np.int64)
+                for day in (0, 1, 9):
+                    got = drift.permutation_for_day(day, cardinality, base)
+                    want = reference_rotating_permutation(drift, cache, day, cardinality, base)
+                    assert got.dtype == want.dtype and np.array_equal(got, want)
+
+    def test_equal_cardinality_fields_share_one_drift_permutation(self):
+        # Known quirk, pinned (see RotatingDrift's docstring): the cache key
+        # is (day, cardinality), so the second of two equally sized fields is
+        # ranked by the permutation derived from the first one's base.
+        schema = random_schema([40, 40, 41], num_numerical=0, num_days=3)
+        dataset = SyntheticCTRDataset(schema, SyntheticConfig(seed=1), RotatingDrift(0.2, seed=1))
+        first, second, third = dataset._base_permutations
+        assert not np.array_equal(first, second)
+        dataset.generate_day(2)
+        shared = dataset.drift.permutation_for_day(2, 40, second)
+        assert shared is dataset.drift.permutation_for_day(2, 40, first)
+        assert np.array_equal(dataset.drift.permutation_for_day(0, 40, second), first)
+        assert len(dataset.drift._cache) == 2 * 3  # two cardinalities x days 0..2
+
+
+# SHA-256 over the day's categorical, numerical and label bytes, recorded on
+# the commit before the fused pass (e3964be) with the numpy named beside them.
+GOLDEN_NUMPY = "2.4.6"
+GOLDEN_DAYS = {
+    # (scale, drift, day, seed_offset, num_samples): digest
+    ("small", "rotate0.05", 0, 100003, 16384): "bea1f0837c6346185d513d47136b2e9338f6529742763c9a79329047025ab91d",
+    ("small", "rotate0.2", 7, 400012, 16384): "290658b6318becb42246cd7445fb30832567e3b05697f0cd298f8916b3bee619",
+    ("small", "rotate0.2", 56, 500003, 2048): "27bd6ee3748d8e404263cfd25633076e3dac1e80f23b4f3a5f7f8e3e9cac964f",
+    ("tiny", "rotate0.05", 1, 100003, 16384): "9b28ef0622a4d05a1e05b3aa91061cac0027bc1055ec6eff14b0a76b7a0ec08a",
+    ("tiny", "none", 7, 0, 128): "fc864267e3a5288d9620a0b510c4d4db97757a9800d7262c12fd3dc76a2abb35",
+    ("tiny", "rotate0.05", 56, 7, 7): "77a4b7b6fff690ac6fb8687b8102e0066d7021970539ff752087dfd317bbbb6c",
+}
+
+
+def day_digest(batch: Batch) -> str:
+    digest = hashlib.sha256()
+    for array in (batch.categorical, batch.numerical, batch.labels):
+        digest.update(np.ascontiguousarray(array).tobytes())
+    return digest.hexdigest()
+
+
+@pytest.mark.skipif(
+    np.__version__.split(".")[0] != GOLDEN_NUMPY.split(".")[0],
+    reason=f"golden day digests were recorded on numpy {GOLDEN_NUMPY}; this is numpy "
+    f"{np.__version__}, whose Generator stream or summation order may differ",
+)
+@pytest.mark.parametrize("key", sorted(GOLDEN_DAYS))
+def test_golden_day_digests(key):
+    scale, drift, day, seed_offset, size = key
+    new, _ = criteo_pair(scale, drift)
+    assert day_digest(new.generate_day(day, size, seed_offset)) == GOLDEN_DAYS[key]
+
+
+class TestCostGuards:
+    """Deterministic stand-ins for a wall-clock assertion."""
+
+    def test_peak_allocation_of_a_day(self):
+        new, _ = criteo_pair("small", "rotate0.05")
+        new.generate_day(3)  # warm the drift cache: permutations are not the day's cost
+        tracemalloc.start()
+        try:
+            batch = new.generate_day(3)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        returned = batch.categorical.nbytes + batch.numerical.nbytes + batch.labels.nbytes
+        assert peak <= 2.5 * returned, (peak, returned)
+
+    def test_repeat_day_allocates_no_new_permutation(self):
+        new, _ = criteo_pair("tiny", "rotate0.05", samples_per_day=256)
+        new.generate_day(5)
+        cached = dict(new.drift._cache)
+        new.generate_day(5, seed_offset=9)
+        new.generate_day(2)
+        assert new.drift._cache.keys() == cached.keys()
+        assert all(new.drift._cache[key] is cached[key] for key in cached)
+
+
+class TestNumSamplesBoundary:
+    def test_none_is_the_configured_day(self):
+        ds = make_dataset(samples=321)
+        assert len(ds.generate_day(0)) == 321
+        assert len(ds.generate_day(0, num_samples=None)) == 321
+        assert len(ds.test_batch()) == 321
+
+    @pytest.mark.parametrize("bad", [0, -1])
+    def test_non_positive_is_a_named_error(self, bad):
+        ds = make_dataset(num_days=3, samples=100)
+        calls = [
+            lambda: ds.generate_day(0, num_samples=bad),
+            lambda: ds.test_batch(bad),
+            lambda: next(ds.day_batches(0, 10, num_samples=bad)),
+            lambda: next(ds.training_stream(10, samples_per_day=bad)),
+            lambda: ds.feature_frequencies(samples_per_day=bad),
+            lambda: ds.day_histograms(samples_per_day=bad),
+        ]
+        for call in calls:
+            with pytest.raises(DataError, match=f"num_samples / samples_per_day .* got {bad}"):
+                call()
 
 
 class TestStats:

@@ -5,7 +5,27 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.utils.rng import make_rng
 from repro.utils.zipf import ZipfDistribution, fit_zipf_exponent, zipf_probabilities
+
+
+class FixedUniforms(np.random.Generator):
+    """A generator whose ``random(size)`` hands back chosen uniforms."""
+
+    def __init__(self, uniforms):
+        super().__init__(np.random.PCG64(0))
+        self.uniforms = np.asarray(uniforms, dtype=np.float64)
+
+    def random(self, size=None):
+        assert size == self.uniforms.size
+        return self.uniforms
+
+
+def reference_zipf_sample(dist: ZipfDistribution, size: int, rng=None) -> np.ndarray:
+    """``ZipfDistribution.sample`` as it was before the guide table: the oracle."""
+    generator = make_rng(rng)
+    uniforms = generator.random(size)
+    return np.searchsorted(dist._cdf, uniforms, side="right").astype(np.int64)
 
 
 class TestZipfProbabilities:
@@ -56,6 +76,78 @@ class TestZipfDistribution:
         flat = ZipfDistribution(1000, 1.05)
         skewed = ZipfDistribution(1000, 2.0)
         assert skewed.head_mass(10) > flat.head_mass(10)
+
+
+class TestGuideTableIsTheBinarySearch:
+    """The guide table must return ``searchsorted(cdf, u, side="right")`` exactly."""
+
+    CARDINALITIES = (1, 2, 83, 4096, 4097, 300_000)
+    EXPONENTS = (0.0, 1.05, 3.0)
+
+    @pytest.mark.parametrize("exponent", EXPONENTS)
+    @pytest.mark.parametrize("num_items", CARDINALITIES)
+    def test_edge_uniforms(self, num_items, exponent):
+        dist = ZipfDistribution(num_items, exponent)
+        cdf = dist._cdf
+        on_cdf = cdf[cdf < 1.0][:: max(num_items // 2000, 1)]
+        bucket_edges = np.arange(dist._guide.size) / dist._guide.size
+        uniforms = np.concatenate(
+            [
+                [0.0, np.nextafter(1.0, 0.0), dist._guided_below, np.nextafter(dist._guided_below, 0.0)],
+                on_cdf,
+                np.nextafter(on_cdf, 0.0),
+                np.nextafter(on_cdf, 1.0),
+                bucket_edges[:: max(bucket_edges.size // 2000, 1)],
+            ]
+        )
+        uniforms = uniforms[uniforms < 1.0]
+        ranks = dist.sample(uniforms.size, FixedUniforms(uniforms))
+        assert ranks.dtype == np.int64
+        assert np.array_equal(ranks, np.searchsorted(cdf, uniforms, side="right"))
+
+    @pytest.mark.parametrize("exponent", EXPONENTS)
+    @pytest.mark.parametrize("num_items", CARDINALITIES)
+    def test_sample_equals_reference(self, num_items, exponent):
+        dist = ZipfDistribution(num_items, exponent)
+        for size in (1, 7, 20_000):
+            ranks = dist.sample(size, rng=size)
+            assert ranks.dtype == np.int64 and ranks.shape == (size,)
+            assert np.array_equal(ranks, reference_zipf_sample(dist, size, rng=size))
+
+    def test_large_uniform_field_falls_back_entirely(self):
+        # Every bucket of a flat 300k-item field spans more ranks than the
+        # fix-up walks: the whole draw goes through the binary search.
+        dist = ZipfDistribution(300_000, 0.0)
+        assert dist._guided_below == 0.0
+        assert ZipfDistribution(4096, 1.05)._guided_below > 0.9
+
+    def test_guide_table_is_small(self):
+        assert ZipfDistribution(300_000, 1.05)._guide.nbytes <= 256 * 1024
+
+    def test_sample_consumes_exactly_size_uniforms(self):
+        dist = ZipfDistribution(500, 1.05)
+        used, twin = np.random.default_rng(5), np.random.default_rng(5)
+        dist.sample(1000, used)
+        twin.random(1000)
+        assert used.bit_generator.state == twin.bit_generator.state
+        assert np.array_equal(dist.sample(10, used), reference_zipf_sample(dist, 10, twin))
+
+    def test_size_boundary(self):
+        dist = ZipfDistribution(100, 1.1)
+        empty = dist.sample(0, rng=0)
+        assert empty.shape == (0,) and empty.dtype == np.int64
+        with pytest.raises(ValueError, match="size"):
+            dist.sample(-1, rng=0)
+
+    @given(
+        num_items=st.integers(min_value=1, max_value=3000),
+        exponent=st.floats(min_value=0.0, max_value=4.0),
+        seed=st.integers(min_value=0, max_value=2**32 - 1),
+    )
+    @settings(max_examples=40, deadline=None)
+    def test_random_distributions(self, num_items, exponent, seed):
+        dist = ZipfDistribution(num_items, exponent)
+        assert np.array_equal(dist.sample(513, rng=seed), reference_zipf_sample(dist, 513, rng=seed))
 
 
 class TestFitZipfExponent:
