@@ -1,7 +1,7 @@
 #!/usr/bin/env python
 """Assert the acceptance gates recorded in BENCH_embedding.json.
 
-Five gates are checked against the most recent full (non-smoke) run:
+Four gates are checked against the most recent full (non-smoke) run:
 
 * **shard scaling** (written by ``repro.bench.store_bench.
   bench_shard_scaling``): the process-executor speedup of the hash backend
@@ -12,12 +12,6 @@ Five gates are checked against the most recent full (non-smoke) run:
   - full run recorded on >= 4 cores  ->  ``measured >= threshold`` or exit 1;
   - full run recorded on fewer cores ->  require the gate to be present,
     honest (``cpu_constrained: true``) and measured, then pass with a notice;
-
-* **cafe train step** (written by ``repro.bench.embedding_bench.
-  bench_cafe_train_step``): the fused CAFE numpy path must reach at least
-  0.7x the *pre-fusion* hash baseline's steps/s.  Single-process, so the
-  threshold is unconditional; the companion fused-hash ratio is printed for
-  context but not gated.
 
 * **delta publish** (written by ``repro.bench.runtime_bench.
   bench_replica_serving``): publishing a delta snapshot to a replica must
@@ -61,16 +55,6 @@ REQUIRED_KEYS = (
     "num_shards",
 )
 
-CAFE_REQUIRED_KEYS = (
-    "metric",
-    "threshold",
-    "measured",
-    "passed",
-    "hash_baseline_steps_per_s",
-    "hash_fused_steps_per_s",
-    "ratio_vs_fused_hash",
-)
-
 DELTA_REQUIRED_KEYS = (
     "metric",
     "threshold",
@@ -106,27 +90,6 @@ def full_run(envelope: dict) -> dict | None:
         if isinstance(run, dict) and not run.get("workload", {}).get("smoke", True):
             return run
     return None
-
-
-def check_cafe_gate(run: dict) -> int:
-    """The fused-CAFE throughput gate: unconditional (single-process)."""
-    gate = run.get("results", {}).get("cafe_train_step", {}).get("gate")
-    if not isinstance(gate, dict):
-        print("FAIL: the full run's cafe_train_step section has no gate object")
-        return 1
-    missing = [key for key in CAFE_REQUIRED_KEYS if key not in gate]
-    if missing:
-        print(f"FAIL: cafe gate object is missing keys {missing}")
-        return 1
-    label = (
-        f"{gate['metric']}: measured {gate['measured']} vs threshold "
-        f"{gate['threshold']} (vs fused hash: {gate['ratio_vs_fused_hash']})"
-    )
-    if gate["measured"] is None or gate["measured"] < gate["threshold"]:
-        print(f"FAIL: {label}")
-        return 1
-    print(f"PASS: {label}")
-    return 0
 
 
 def check_delta_gate(run: dict) -> int:
@@ -248,7 +211,6 @@ def main(argv: list[str]) -> int:
     # Run every check so a failing report prints every verdict at once.
     return max(
         check_shard_gate(run),
-        check_cafe_gate(run),
         check_delta_gate(run),
         check_optimizer_gate(run),
         check_grad_exchange_gate(run),

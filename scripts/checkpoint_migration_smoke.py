@@ -1,11 +1,13 @@
 #!/usr/bin/env python
 """CI smoke: old checkpoints load into the current code, new ones resume exactly.
 
-Two legs.  The optimizer leg: a checkpoint written before there was an
-``optim/`` section loads into a current session (fresh optimizer state, said
-so in ``describe()``) and trains; a current checkpoint taken after 20 Adam
-steps resumes bit-exactly.  The table-group leg exercises the
-checkpoint-migration contract end to end:
+Three legs.  The dense-optimizer leg: a checkpoint written before there was
+an ``optim/`` section loads into a current session (fresh optimizer state,
+said so in ``describe()``) and trains; a current checkpoint taken after 20
+Adam steps resumes bit-exactly.  The row-optimizer leg is the same pair for
+a 4-shard CAFE store with row-Adagrad, whose shards carried no
+``optimizer.*`` entries before they named their optimizer ``_optimizer``.
+The table-group leg exercises the checkpoint-migration contract end to end:
 
 1. train a DLRM over a *bare* CAFE layer and save a checkpoint — its sparse
    section is the flat, un-namespaced key space every pre-table-group
@@ -31,7 +33,7 @@ from pathlib import Path
 
 import numpy as np
 
-from repro.api import SystemConfig, build
+from repro.api import SystemConfig, apply_overrides, build
 from repro.data.schema import DatasetSchema, FieldSchema
 from repro.data.synthetic import SyntheticConfig, SyntheticCTRDataset
 from repro.embeddings.cafe import CafeEmbedding
@@ -56,8 +58,12 @@ def make_cafe(num_features: int, seed: int) -> CafeEmbedding:
     )
 
 
-def optimizer_leg(tmp: Path) -> None:
-    config = SystemConfig.load(Path(__file__).resolve().parents[1] / "examples/configs/quickstart.json")
+QUICKSTART = Path(__file__).resolve().parents[1] / "examples/configs/quickstart.json"
+
+
+def resume_leg(config: SystemConfig, tmp: Path, dropped, check_cold=None) -> None:
+    """Resume a current checkpoint bit-exactly; load one without the
+    ``dropped(key)`` entries (as an earlier commit wrote it) and train on."""
     with build(config) as session, build(config) as resumed, build(config) as migrated:
         stream = iter(session.dataset.training_stream(session.batch_size))
         batches = [next(stream) for _ in range(30)]
@@ -68,26 +74,37 @@ def optimizer_leg(tmp: Path) -> None:
 
         assert resumed.restore(current) == 20
         got = [resumed.trainer.train_step(batch) for batch in batches[20:]]
-        assert got == expected, "resume after 20 Adam steps is not bit-exact"
+        assert got == expected, "resume after 20 steps is not bit-exact"
         for ours, theirs in zip(resumed.model.parameters(), session.model.parameters()):
             assert np.array_equal(ours.data, theirs.data), "resumed parameters differ"
+        ours, theirs = resumed.store.state_dict(), session.store.state_dict()
+        assert sorted(ours) == sorted(theirs)
+        for key in ours:
+            assert np.array_equal(ours[key], theirs[key]), f"resumed store differs at {key}"
 
-        # The same checkpoint as every earlier commit wrote it: no optim/ keys.
         with np.load(current) as data:
-            payload = {key: data[key] for key in data.files if not key.startswith("optim/")}
-        assert len(payload) < len(data.files), "current checkpoint has no optim/ section"
-        old = tmp / "without_optim.npz"
+            payload = {key: data[key] for key in data.files if not dropped(key)}
+            assert len(payload) < len(data.files), "current checkpoint has nothing to drop"
+        old = tmp / "old.npz"
         np.savez(old, **payload)
         assert migrated.restore(old) == 20
-        described = migrated.describe()["model"]["dense_optimizer"]
-        assert described == {"kind": "adam", "step_count": 0, "restored": False}, described
+        if check_cold is not None:
+            check_cold(migrated)
         losses = [migrated.trainer.train_step(batch) for batch in batches[20:]]
-        assert np.isfinite(losses).all(), "training after an optim-less restore diverged"
+        assert np.isfinite(losses).all(), "training after a cold-optimizer restore diverged"
+
+
+def dense_optimizer_is_cold(session) -> None:
+    described = session.describe()["model"]["dense_optimizer"]
+    assert described == {"kind": "adam", "step_count": 0, "restored": False}, described
 
 
 def main() -> int:
+    quickstart = SystemConfig.load(QUICKSTART)
+    cafe_adagrad = apply_overrides(quickstart, ["store.num_shards=4", "store.optimizer=adagrad"])
     with tempfile.TemporaryDirectory() as tmp:
-        optimizer_leg(Path(tmp))
+        resume_leg(quickstart, Path(tmp), lambda key: key.startswith("optim/"), dense_optimizer_is_cold)
+        resume_leg(cafe_adagrad, Path(tmp), lambda key: ".optimizer." in key)
 
     schema = DatasetSchema(
         name="migration",
@@ -162,6 +179,7 @@ def main() -> int:
 
     print(
         "checkpoint migration smoke: optim-less -> current OK, Adam resume bit-exact, "
+        "CAFE row-Adagrad resume bit-exact (optimizer-less loads), "
         "flat -> group-namespaced OK (bit-exact)"
     )
     return 0

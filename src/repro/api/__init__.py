@@ -53,13 +53,6 @@ _EXPORTS = {
     "get_backend": "repro.api.registry",
     "backend_names": "repro.api.registry",
     "capabilities_of": "repro.api.registry",
-    # kernel-backend registry (fused train-step math)
-    "register_kernel_backend": "repro.api.registry",
-    "unregister_kernel_backend": "repro.api.registry",
-    "available_kernel_backends": "repro.api.registry",
-    "kernel_backend_available": "repro.api.registry",
-    "kernel_registry_summary": "repro.api.registry",
-    "resolve_kernel_backend_name": "repro.api.registry",
     # spec parsing
     "SpecEntry": "repro.api.spec",
     "ParsedSpec": "repro.api.spec",

@@ -191,7 +191,6 @@ class StoreConfig:
     optimizer: str = "sgd"
     learning_rate: float = 0.05
     dtype: str = "float32"
-    kernels: str = "numpy"
     grad_exchange: str = "dense"
     fields: list | None = None
 
@@ -243,11 +242,6 @@ class StoreConfig:
                 f"store.grad_exchange '{self.grad_exchange}' is not a known "
                 f"exchange mode{hint} (expected one of {sorted(GRAD_EXCHANGE_MODES)})"
             )
-        from repro.kernels import resolve_kernel_backend_name
-
-        # Fail fast on an unknown/unavailable kernel backend; the configured
-        # name (possibly "auto") is kept and resolved again at build time.
-        resolve_kernel_backend_name(self.kernels)
         try:
             if np.dtype(self.dtype).kind != "f":
                 raise TypeError(f"'{self.dtype}' is not a float dtype")

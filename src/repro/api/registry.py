@@ -28,20 +28,6 @@ from typing import Any, Callable
 
 from repro.errors import ConfigurationError
 
-# Kernel backends (the fused train-step math: segment sum, scatter-apply,
-# sketch insert) register through the same public surface.  The registry
-# itself lives in repro.kernels; these re-exports make
-# ``repro.api.registry.register_kernel_backend`` the one-stop extension
-# point alongside ``register_backend``.
-from repro.kernels.base import (
-    available_kernel_backends,
-    kernel_backend_available,
-    kernel_registry_summary,
-    register_kernel_backend,
-    resolve_kernel_backend_name,
-    unregister_kernel_backend,
-)
-
 
 class UnknownBackendError(ConfigurationError, ValueError):
     """Raised when a backend name resolves to nothing in the registry.
@@ -316,11 +302,6 @@ def sketch_of(obj: Any) -> Any:
     if callable(merged):
         return merged()
     return getattr(obj, "sketch", None)
-
-
-def supports_kernel_backend(obj: Any) -> bool:
-    """Whether ``obj`` accepts :meth:`set_kernel_backend` (fused kernels)."""
-    return callable(getattr(obj, "set_kernel_backend", None))
 
 
 def shard_count(obj: Any) -> int | None:

@@ -115,7 +115,6 @@ class Session:
             learning_rate=config.store.learning_rate,
             dtype=config.store.dtype,
             seed=config.seed,
-            kernels=config.store.kernels,
             grad_exchange=config.store.grad_exchange,
         )
 

@@ -1,10 +1,8 @@
 """Micro-benchmark harness for the embedding hot path.
 
-Times the embedding-layer training step (lookup + apply_gradients, the code
-path the routing-plan refactor targets) on the CAFE Zipf workload and
-compares it against the pre-refactor reference implementation preserved in
-:mod:`repro.bench.legacy`, plus the sharded-store scaling and snapshot
-serving benchmarks from :mod:`repro.bench.store_bench`.  Results are written
+Times the embedding-layer training step (lookup + apply_gradients) on the
+CAFE Zipf workload, plus the sharded-store scaling and snapshot serving
+benchmarks from :mod:`repro.bench.store_bench`.  Results are written
 to ``BENCH_embedding.json``; the file keeps the latest report under
 ``latest`` and appends every superseded report to a timestamped ``history``
 list so the performance trajectory is tracked PR over PR.
@@ -28,7 +26,6 @@ from pathlib import Path
 import numpy as np
 
 from repro.bench.group_bench import bench_table_group
-from repro.bench.legacy import LegacyCafeEmbedding, LegacyHotSketch, LegacyRowSGD
 from repro.bench.optim_bench import bench_optimizer_memory
 from repro.bench.runtime_bench import (
     bench_online_pipeline,
@@ -110,13 +107,6 @@ def make_workload(config: BenchConfig) -> tuple[np.ndarray, np.ndarray]:
     return ids, grads.astype(np.float32)
 
 
-def _make_cafe(config: BenchConfig, cls=CafeEmbedding):
-    budget = MemoryBudget.from_compression_ratio(
-        config.num_features, config.dim, config.compression_ratio
-    )
-    return cls.from_budget(budget, dtype=config.dtype, rng=config.seed)
-
-
 def time_train_steps(embedding, ids: np.ndarray, grads: np.ndarray, warmup: int) -> float:
     """Drive lookup + apply_gradients over the workload; returns seconds/step."""
     for step in range(warmup):
@@ -130,15 +120,6 @@ def time_train_steps(embedding, ids: np.ndarray, grads: np.ndarray, warmup: int)
     return (time.perf_counter() - start) / timed
 
 
-#: Backwards-compatible alias for external callers of the old private name.
-_time_train_steps = time_train_steps
-
-#: The ``cafe_train_step`` throughput gate: fused CAFE must reach at least
-#: this fraction of the *pre-fusion* hash baseline's steps/s (the ROADMAP's
-#: "cafe trains at ~0.4x hash" gap, closed by the fused scatter).
-CAFE_GATE_THRESHOLD = 0.7
-
-
 def _phase_breakdown_ms(embedding, timed_steps: int, before: dict) -> dict:
     """Per-step phase attribution (milliseconds) from phase_snapshot diffs."""
     after = embedding.phase_snapshot()
@@ -148,137 +129,54 @@ def _phase_breakdown_ms(embedding, timed_steps: int, before: dict) -> dict:
     }
 
 
-def bench_cafe_train_step(config: BenchConfig, hash_result: dict | None = None) -> dict:
-    """CAFE train-step throughput: fused path per kernel backend, phase
-    breakdown, pre-refactor baseline, and the cafe-vs-hash throughput gate.
-    """
-    from repro.kernels import available_kernel_backends, kernel_registry_summary
-
+def bench_cafe_train_step(config: BenchConfig) -> dict:
+    """CAFE train-step throughput with its per-phase breakdown."""
     ids, grads = make_workload(config)
-    timed_steps = config.steps
-
-    # One timed run per available kernel backend; numpy is the reference and
-    # always first, extra backends (numba) are optional accelerators.
-    kernel_rows = []
-    numpy_seconds = None
-    optional_names = {
-        row["name"] for row in kernel_registry_summary() if row.get("optional")
-    }
-    for backend_name in available_kernel_backends():
-        embedding = _make_cafe(config, CafeEmbedding)
-        embedding.set_kernel_backend(backend_name)
-        for step in range(config.warmup_steps):
-            embedding.lookup(ids[step])
-            embedding.apply_gradients(ids[step], grads[step])
-        before = embedding.phase_snapshot()
-        seconds = time_train_steps(
-            embedding, ids[config.warmup_steps:], grads[config.warmup_steps:], 0
-        )
-        row = {
-            "kernels": backend_name,
-            "steps_per_s": round(1.0 / seconds, 2),
-            "rows_per_s": round(config.batch_size / seconds, 1),
-            **_phase_breakdown_ms(embedding, timed_steps, before),
-        }
-        if backend_name in optional_names:
-            row["optional"] = True
-        kernel_rows.append(row)
-        if backend_name == "numpy":
-            numpy_seconds = seconds
-            numpy_plan_reuse = embedding.plan_stats.reuse_rate
-    if numpy_seconds is None:  # numpy is always registered; defensive only
-        raise RuntimeError("numpy kernel backend missing from the registry")
-
-    legacy = _make_cafe(config, LegacyCafeEmbedding)
-    baseline_seconds = time_train_steps(legacy, ids, grads, config.warmup_steps)
-
-    numpy_row = kernel_rows[0]
-    result = {
-        # Headline numbers are the always-available numpy fused path.
-        "steps_per_s": numpy_row["steps_per_s"],
-        "rows_per_s": numpy_row["rows_per_s"],
-        "baseline_steps_per_s": round(1.0 / baseline_seconds, 2),
-        "speedup_vs_baseline": round(baseline_seconds / numpy_seconds, 3),
-        "plan_reuse_rate": numpy_plan_reuse,
-        "phases": {
-            key: numpy_row[key]
-            for key in ("locate_ms", "admit_ms", "apply_ms", "sketch_ms")
-        },
-        "kernel_backends": kernel_rows,
-    }
-    if hash_result is not None:
-        # The gate compares against the PRE-FUSION hash baseline — the
-        # steps/s the ROADMAP's "cafe is ~0.4x hash" gap was measured
-        # against.  The fused hash numbers are recorded alongside so the
-        # envelope stays honest about what the denominator is.
-        hash_baseline = hash_result["baseline_steps_per_s"]
-        hash_fused = hash_result["steps_per_s"]
-        measured = round(numpy_row["steps_per_s"] / hash_baseline, 3)
-        result["gate"] = {
-            "metric": "cafe_fused_steps_per_s / hash_prefusion_steps_per_s",
-            "threshold": CAFE_GATE_THRESHOLD,
-            "measured": measured,
-            "passed": measured >= CAFE_GATE_THRESHOLD,
-            "hash_baseline_steps_per_s": hash_baseline,
-            "hash_fused_steps_per_s": hash_fused,
-            "ratio_vs_fused_hash": round(numpy_row["steps_per_s"] / hash_fused, 3),
-            "note": (
-                "denominator is the pre-fusion hash path (LegacyRowSGD: "
-                "np.unique + np.add.at); the fused hash ratio is reported "
-                "for context but not gated — CAFE's sketch/admission work "
-                "is irreducible relative to a bare hash lookup"
-            ),
-        }
-    return result
-
-
-def bench_hash_train_step(config: BenchConfig) -> dict:
-    """Hash-embedding train-step throughput (the paper's fastest baseline),
-    fused vs. the pre-fusion ``np.unique`` + ``np.add.at`` update."""
-    ids, grads = make_workload(config)
-    rows = max(int(config.num_features / config.compression_ratio), 1)
-
-    def make_hash() -> HashEmbedding:
-        return HashEmbedding(
-            config.num_features, config.dim, num_rows=rows, dtype=config.dtype, rng=config.seed
-        )
-
-    embedding = make_hash()
-    seconds = time_train_steps(embedding, ids, grads, config.warmup_steps)
-    baseline = make_hash()
-    baseline.fused = False
-    baseline._optimizer = LegacyRowSGD(baseline.learning_rate)
-    baseline_seconds = time_train_steps(baseline, ids, grads, config.warmup_steps)
+    budget = MemoryBudget.from_compression_ratio(
+        config.num_features, config.dim, config.compression_ratio
+    )
+    embedding = CafeEmbedding.from_budget(budget, dtype=config.dtype, rng=config.seed)
+    for step in range(config.warmup_steps):
+        embedding.lookup(ids[step])
+        embedding.apply_gradients(ids[step], grads[step])
+    before = embedding.phase_snapshot()
+    seconds = time_train_steps(
+        embedding, ids[config.warmup_steps:], grads[config.warmup_steps:], 0
+    )
     return {
         "steps_per_s": round(1.0 / seconds, 2),
         "rows_per_s": round(config.batch_size / seconds, 1),
-        "baseline_steps_per_s": round(1.0 / baseline_seconds, 2),
-        "speedup_vs_baseline": round(baseline_seconds / seconds, 3),
+        "plan_reuse_rate": embedding.plan_stats.reuse_rate,
+        "phases": _phase_breakdown_ms(embedding, config.steps, before),
+    }
+
+
+def bench_hash_train_step(config: BenchConfig) -> dict:
+    """Hash-embedding train-step throughput (the paper's fastest baseline)."""
+    ids, grads = make_workload(config)
+    rows = max(int(config.num_features / config.compression_ratio), 1)
+    embedding = HashEmbedding(
+        config.num_features, config.dim, num_rows=rows, dtype=config.dtype, rng=config.seed
+    )
+    seconds = time_train_steps(embedding, ids, grads, config.warmup_steps)
+    return {
+        "steps_per_s": round(1.0 / seconds, 2),
+        "rows_per_s": round(config.batch_size / seconds, 1),
         "plan_reuse_rate": embedding.plan_stats.reuse_rate,
     }
 
 
 def bench_hotsketch_insert(config: BenchConfig) -> dict:
-    """Raw sketch insertion throughput, vectorized vs. scalar misses."""
+    """Raw sketch insertion throughput."""
     ids, _ = make_workload(config)
     scores = np.abs(np.random.default_rng(config.seed + 2).normal(size=ids.shape)) + 0.01
     num_buckets = max(config.num_features // 100, 16)
-
-    def run(sketch_cls) -> float:
-        sketch = sketch_cls(num_buckets=num_buckets, slots_per_bucket=4, hot_threshold=1.0, seed=3)
-        start = time.perf_counter()
-        for step in range(ids.shape[0]):
-            sketch.insert(ids[step], scores[step])
-        return time.perf_counter() - start
-
-    seconds = run(HotSketch)
-    baseline_seconds = run(LegacyHotSketch)
-    total_keys = ids.size
-    return {
-        "keys_per_s": round(total_keys / seconds, 1),
-        "baseline_keys_per_s": round(total_keys / baseline_seconds, 1),
-        "speedup_vs_baseline": round(baseline_seconds / seconds, 3),
-    }
+    sketch = HotSketch(num_buckets=num_buckets, slots_per_bucket=4, hot_threshold=1.0, seed=3)
+    start = time.perf_counter()
+    for step in range(ids.shape[0]):
+        sketch.insert(ids[step], scores[step])
+    seconds = time.perf_counter() - start
+    return {"keys_per_s": round(ids.size / seconds, 1)}
 
 
 def bench_environment() -> dict:
@@ -292,16 +190,13 @@ def bench_environment() -> dict:
 
 def run_benchmarks(config: BenchConfig) -> dict:
     """Run every micro-benchmark; returns the JSON-ready report."""
-    # Hash runs first: its pre-fusion baseline is the denominator of the
-    # cafe_train_step throughput gate.
-    hash_result = bench_hash_train_step(config)
     return {
-        "schema_version": 2,
+        "schema_version": 3,
         "workload": config.as_dict(),
         "env": bench_environment(),
         "results": {
-            "cafe_train_step": bench_cafe_train_step(config, hash_result),
-            "hash_train_step": hash_result,
+            "cafe_train_step": bench_cafe_train_step(config),
+            "hash_train_step": bench_hash_train_step(config),
             "hotsketch_insert": bench_hotsketch_insert(config),
             "shard_scaling": bench_shard_scaling(config),
             "serving": bench_serving_throughput(config),

@@ -113,7 +113,6 @@ def create_embedding(
     learning_rate: float = 0.05,
     dtype: np.dtype | str = DEFAULT_DTYPE,
     rng=None,
-    kernels: str | None = None,
     **kwargs,
 ) -> CompressedEmbedding:
     """Factory building any registered embedding scheme from a compression ratio.
@@ -134,18 +133,9 @@ def create_embedding(
     frequencies:
         Required by backends declaring ``requires=("frequencies",)`` (the
         offline-separation oracle).
-    kernels:
-        Kernel-backend name for the fused train-step hot path (``"numpy"``,
-        ``"numba"``, ``"auto"``, or any name added via
-        :func:`repro.kernels.register_kernel_backend`).  Resolved eagerly —
-        an unknown or unavailable name raises — then applied to backends
-        that run fused kernels (:class:`TableBackedEmbedding` subclasses);
-        structurally different backends (QR, MDE) ignore it.
     kwargs:
         Method-specific options forwarded to the backend factory.
     """
-    from repro.kernels import resolve_kernel_backend_name
-
     backend = _registry.get_backend(method)
     side_inputs = {"field_cardinalities": field_cardinalities, "frequencies": frequencies}
     for requirement in backend.requires:
@@ -153,8 +143,7 @@ def create_embedding(
         if value is None:
             raise ValueError(f"{backend.name} requires {requirement}")
         kwargs.setdefault(requirement, value)
-    resolved_kernels = None if kernels is None else resolve_kernel_backend_name(kernels)
-    embedding = backend.factory(
+    return backend.factory(
         num_features=num_features,
         dim=dim,
         compression_ratio=compression_ratio,
@@ -164,9 +153,6 @@ def create_embedding(
         rng=rng,
         **kwargs,
     )
-    if resolved_kernels is not None and _registry.supports_kernel_backend(embedding):
-        embedding.set_kernel_backend(resolved_kernels)
-    return embedding
 
 
 def create_embedding_store(
@@ -179,7 +165,6 @@ def create_embedding_store(
     learning_rate: float = 0.05,
     dtype: np.dtype | str = DEFAULT_DTYPE,
     seed: int = 0,
-    kernels: str | None = None,
     grad_exchange: str = "dense",
     **kwargs,
 ):
@@ -226,7 +211,6 @@ def create_embedding_store(
             dtype=dtype,
             seed=seed,
             executor=executor,
-            kernels=kernels,
             **kwargs,
         )
     entry = parsed.entries[0] if parsed is not None else None
@@ -262,7 +246,6 @@ def create_embedding_store(
         optimizer=optimizer,
         learning_rate=learning_rate,
         dtype=dtype,
-        kernels=kernels,
         grad_exchange=grad_exchange,
         **kwargs,
     )

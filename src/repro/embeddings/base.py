@@ -33,6 +33,7 @@ from repro.embeddings.plan import (
     gradient_norms,
 )
 from repro.errors import NonFiniteGradientError
+from repro.kernels.ops import segment_sum
 from repro.nn.optim import RowOptimizer, make_row_optimizer
 
 #: Table storage dtype used unless a layer opts out.  The paper's memory
@@ -301,16 +302,11 @@ class CompressedEmbedding:
 class TableBackedEmbedding(CompressedEmbedding):
     """Convenience base for schemes storing one or more dense row tables.
 
-    Table-backed schemes own the fused train-step machinery: a named kernel
-    backend (see :mod:`repro.kernels`) supplies the segment-sum and
-    fused-scatter primitives, and :attr:`fused` switches between the fused
-    single-scatter ``apply_unique`` path and the unfused per-table
-    reference path (both routed through the same kernels, so they are
-    bit-exact with each other).
+    Table-backed schemes apply gradients through one path: a segment sum
+    over the routing plan's scatter, then one row-optimizer scatter (the
+    primitives of :mod:`repro.kernels.ops`), with the row optimizer held as
+    ``self._optimizer``.
     """
-
-    #: Whether ``apply_gradients`` takes the fused single-scatter path.
-    fused = True
 
     def __init__(
         self,
@@ -323,54 +319,19 @@ class TableBackedEmbedding(CompressedEmbedding):
         super().__init__(num_features, dim, dtype=dtype)
         self.optimizer_name = optimizer
         self.learning_rate = float(learning_rate)
-        self.kernel_backend = "numpy"
-        self._kernel_instance = None
 
     def _new_row_optimizer(self) -> RowOptimizer:
         return make_row_optimizer(self.optimizer_name, self.learning_rate)
 
-    # ------------------------------------------------------------------ #
-    # Kernel backend selection
-    # ------------------------------------------------------------------ #
-    def set_kernel_backend(self, name: str) -> str:
-        """Select the kernel backend by name; returns the resolved name.
-
-        ``"auto"`` resolves eagerly to the fastest available backend so the
-        choice is recorded (and errors surface) at configuration time, not
-        mid-training.
-        """
-        from repro.kernels import get_kernel_backend, resolve_kernel_backend_name
-
-        resolved = resolve_kernel_backend_name(name)
-        self.kernel_backend = resolved
-        self._kernel_instance = get_kernel_backend(resolved)
-        return resolved
-
-    def _kernels(self):
-        """The selected kernel backend instance (lazily bound)."""
-        if self._kernel_instance is None:
-            from repro.kernels import get_kernel_backend
-
-            self._kernel_instance = get_kernel_backend(self.kernel_backend)
-        return self._kernel_instance
-
-    def __getstate__(self):
-        # Kernel backend instances may hold unpicklable compiled functions;
-        # ship the name and rebind lazily on the other side.
-        state = self.__dict__.copy()
-        state["_kernel_instance"] = None
-        return state
-
-    def fused_apply(self, table: np.ndarray, optimizer: RowOptimizer, scatter, grad_sums: np.ndarray) -> None:
-        """One fused segment-sum + optimizer scatter into ``table``.
+    def fused_apply(self, table: np.ndarray, scatter, grad_sums: np.ndarray) -> None:
+        """One segment-sum + ``self._optimizer`` scatter into ``table``.
 
         ``scatter`` is a :class:`~repro.embeddings.plan.ScatterPlan` whose
         ``rows`` index ``table``; ``grad_sums`` is the ``(U, dim)`` per-id
         gradient matrix the scatter's ``perm`` refers to.
         """
-        kernels = self._kernels()
-        summed = kernels.segment_sum(grad_sums, scatter.perm, scatter.starts)
-        optimizer.fused_apply(table, scatter.rows, summed, kernels)
+        summed = segment_sum(grad_sums, scatter.perm, scatter.starts)
+        self._optimizer.fused_apply(table, scatter.rows, summed)
 
     def shared_buffers(self) -> dict[str, np.ndarray]:
         """The single row table plus the optimizer's per-row state.

@@ -23,13 +23,11 @@ hot features".
 
 Storage layout: all region tables (``hot_table``, ``shared_table``, and any
 subclass extras) are contiguous row-range *views* into one arena matrix.
-That turns the train-step hot path into single fused passes — lookup is one
+That turns the train-step hot path into single passes — lookup is one
 arena gather, and ``apply_unique`` is one segment-sum + one optimizer
-scatter over arena row indices resolved at plan-build time — while every
-region keeps its familiar per-table identity for tests, checkpoints and the
-unfused reference path.  The fused and unfused paths share the same kernel
-backend and the same per-row optimizer state (region optimizers view into
-the arena optimizer's state), so they are bit-exact with each other.
+scatter over arena row indices resolved at plan-build time, through the one
+row optimizer whose per-row state spans the arena — while every region
+keeps its familiar per-table identity for tests and checkpoints.
 """
 
 from __future__ import annotations
@@ -108,8 +106,7 @@ class CafeEmbedding(TableBackedEmbedding):
             seed=sketch_seed,
         )
         self._build_arena(generator)
-        self._arena_optimizer = self._new_row_optimizer()
-        self._bind_region_optimizers()
+        self._optimizer = self._new_row_optimizer()
         self._free_rows = FreeRowPool(self.num_hot_rows)
         self.migrations_in = 0
         self.migrations_out = 0
@@ -148,43 +145,18 @@ class CafeEmbedding(TableBackedEmbedding):
             offset = self._region_offsets[name]
             setattr(self, name, self._arena[offset : offset + rows])
 
-    def _region_optimizer(self, name: str):
-        """A per-region optimizer whose per-row state views the arena state.
-
-        The fused path applies one scatter through ``_arena_optimizer``; the
-        unfused reference path updates each region through these.  Sharing
-        the state arrays (region slices of the arena accumulator) is what
-        keeps the two paths interchangeable mid-training.
-        """
-        optimizer = self._new_row_optimizer()
-        arena_state = self._arena_optimizer.shared_buffers(self._arena)
-        if arena_state:
-            offset = self._region_offsets[name]
-            rows = dict(self._arena_regions())[name]
-            optimizer.adopt_shared_buffers(
-                {key: array[offset : offset + rows] for key, array in arena_state.items()}
-            )
-        return optimizer
-
-    def _bind_region_optimizers(self) -> None:
-        self._hot_optimizer = self._region_optimizer("hot_table")
-        self._shared_optimizer = self._region_optimizer("shared_table")
-
     def __getstate__(self):
-        # Region tables are views into the arena and region optimizers view
-        # the arena optimizer's state; pickling them by value would sever the
-        # aliasing, so they are dropped here and rebuilt in __setstate__.
-        state = super().__getstate__()
+        # Region tables are views into the arena; pickling them by value
+        # would sever the aliasing, so they are dropped here and rebuilt in
+        # __setstate__.
+        state = self.__dict__.copy()
         for name, _ in self._arena_regions():
-            state.pop(name, None)
-        for name in ("_hot_optimizer", "_shared_optimizer", "_secondary_optimizer"):
             state.pop(name, None)
         return state
 
     def __setstate__(self, state):
         self.__dict__.update(state)
         self._bind_arena_views()
-        self._bind_region_optimizers()
 
     # ------------------------------------------------------------------ #
     # Shared-table hooks (overridden by the multi-level variant)
@@ -195,11 +167,6 @@ class CafeEmbedding(TableBackedEmbedding):
 
     def _shared_lookup_routed(self, routes: dict[str, np.ndarray]) -> np.ndarray:
         return self.shared_table[routes["shared_rows"]]
-
-    def _shared_update_routed(
-        self, routes: dict[str, np.ndarray], grads: np.ndarray, kernels=None
-    ) -> None:
-        self._shared_optimizer.update(self.shared_table, routes["shared_rows"], grads, kernels)
 
     def _shared_lookup(self, ids: np.ndarray) -> np.ndarray:
         return self._shared_lookup_routed(self._shared_routes(ids))
@@ -220,12 +187,12 @@ class CafeEmbedding(TableBackedEmbedding):
         self.shared_table[:] = shared
 
     # ------------------------------------------------------------------ #
-    # Fused-scatter hooks (overridden by the multi-level variant)
+    # Scatter hooks (overridden by the multi-level variant)
     # ------------------------------------------------------------------ #
     def _scatter_entries(
         self, arena_rows: np.ndarray, routes: dict[str, np.ndarray]
     ) -> tuple[np.ndarray | None, np.ndarray]:
-        """``(sources, rows)`` scatter entries for the fused update.
+        """``(sources, rows)`` scatter entries for the update.
 
         Base CAFE scatters each id's gradient sum into exactly one arena row,
         so sources are implicit (``None`` = identity) and no gradient gather
@@ -304,7 +271,7 @@ class CafeEmbedding(TableBackedEmbedding):
 
     def _build_routes(self, uids: np.ndarray) -> dict[str, np.ndarray]:
         # One sketch probe per distinct id (the wrapper already deduplicated
-        # the batch); the same locate results are reused by the fused sketch
+        # the batch); the same locate results are reused by the sketch
         # insertion in apply_unique.
         found, buckets, slots = self.sketch.locate(uids)
         arena_rows = np.where(found, self.sketch.payloads[buckets, slots], NO_PAYLOAD)
@@ -355,40 +322,22 @@ class CafeEmbedding(TableBackedEmbedding):
         self._phase_ns["locate"] += tick - start
 
         # 1. Parameter update using the assignment that produced the forward
-        #    pass: one fused segment-sum + optimizer scatter over the arena,
-        #    or the per-region reference path (same kernels, bit-exact).
-        if self.fused:
-            sources = routes["scatter_sources"]
-            values = grad_sums if sources is None else grad_sums[sources]
-            self.fused_apply(self._arena, self._arena_optimizer, routes["scatter"], values)
-        else:
-            hot_mask = routes["hot_mask"]
-            if hot_mask.any():
-                self._hot_optimizer.update(
-                    self.hot_table,
-                    routes["arena_rows"][hot_mask],
-                    grad_sums[hot_mask],
-                    self._kernels(),
-                )
-            if not hot_mask.all():
-                self._shared_update_routed(routes, grad_sums[~hot_mask], self._kernels())
+        #    pass: one segment-sum + optimizer scatter over the arena.
+        sources = routes["scatter_sources"]
+        values = grad_sums if sources is None else grad_sums[sources]
+        self.fused_apply(self._arena, routes["scatter"], values)
         tock = time.perf_counter_ns()
         self._phase_ns["apply"] += tock - tick
 
-        # 2. Sketch insertion; SpaceSaving replacement may evict hot features.
-        #    The fused path reuses the plan's locate results; the reference
-        #    path re-probes.  Both mutate the sketch identically.
-        if self.fused:
-            evictions = self.sketch.insert_routed(
-                uids,
-                scores,
-                routes["sketch_found"],
-                routes["sketch_buckets"],
-                routes["sketch_slots"],
-                self._kernels(),
-            )
-        else:
-            evictions = self.sketch.insert(uids, scores)
+        # 2. Sketch insertion, reusing the plan's locate results; SpaceSaving
+        #    replacement may evict hot features.
+        evictions = self.sketch.insert_routed(
+            uids,
+            scores,
+            routes["sketch_found"],
+            routes["sketch_buckets"],
+            routes["sketch_slots"],
+        )
         if len(evictions):
             self._release_rows(evictions.payloads)
         tick = time.perf_counter_ns()
@@ -497,7 +446,7 @@ class CafeEmbedding(TableBackedEmbedding):
         self.sketch.payloads[buckets, slots] = rows
         # Initialize from the shared embeddings so training stays smooth.
         self.hot_table[rows] = self._shared_lookup(features)
-        self._hot_optimizer.reset_rows(rows)
+        self._optimizer.reset_rows(rows)  # hot rows sit at arena offset 0
         self.migrations_in += int(rows.size)
         self.invalidate_plan()
 
@@ -545,6 +494,7 @@ class CafeEmbedding(TableBackedEmbedding):
         state.update(self._shared_state_dict())
         for key, value in self.sketch.state_dict().items():
             state[f"sketch.{key}"] = value
+        state.update(self._optimizer_state_entries())
         return state
 
     def load_state_dict(self, state: dict[str, np.ndarray]) -> None:
@@ -563,4 +513,5 @@ class CafeEmbedding(TableBackedEmbedding):
         }
         self.sketch.load_state_dict(sketch_state)
         self.sketch.hot_threshold = self.hot_threshold
+        self._load_optimizer_state(state)
         self.invalidate_plan()

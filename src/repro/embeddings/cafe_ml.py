@@ -6,10 +6,10 @@ classes.  Medium features combine two rows from two distinct hash tables
 a feature moving between the classes keeps its first-table row and its
 representation stays smooth — exactly the behaviour described in the paper.
 
-The secondary table is a third region of the base class's arena; on the fused
-path a medium id simply contributes two scatter entries (its primary
-shared row and its secondary row), so summation pooling rides the same single
-segment-sum + scatter as everything else.
+The secondary table is a third region of the base class's arena; a medium id
+simply contributes two scatter entries (its primary shared row and its
+secondary row), so summation pooling rides the same single segment-sum +
+scatter as everything else.
 """
 
 from __future__ import annotations
@@ -57,10 +57,6 @@ class CafeMultiLevelEmbedding(CafeEmbedding):
     def _arena_regions(self) -> list[tuple[str, int]]:
         return super()._arena_regions() + [("secondary_table", self.num_secondary_rows)]
 
-    def _bind_region_optimizers(self) -> None:
-        super()._bind_region_optimizers()
-        self._secondary_optimizer = self._region_optimizer("secondary_table")
-
     @property
     def medium_threshold(self) -> float:
         """Medium features have scores in ``[medium_threshold, hot_threshold)``."""
@@ -86,22 +82,11 @@ class CafeMultiLevelEmbedding(CafeEmbedding):
             out[medium] += self.secondary_table[routes["secondary_rows"]]
         return out
 
-    def _shared_update_routed(
-        self, routes: dict[str, np.ndarray], grads: np.ndarray, kernels=None
-    ) -> None:
-        self._shared_optimizer.update(self.shared_table, routes["shared_rows"], grads, kernels)
-        medium = routes["medium_mask"]
-        if medium.any():
-            # Summation pooling: the gradient flows unchanged into both tables.
-            self._secondary_optimizer.update(
-                self.secondary_table, routes["secondary_rows"], grads[medium], kernels
-            )
-
     def _shared_memory_floats(self) -> int:
         return int(self.shared_table.size + self.secondary_table.size)
 
     # ------------------------------------------------------------------ #
-    # Fused-scatter hooks
+    # Scatter hooks
     # ------------------------------------------------------------------ #
     def _scatter_entries(
         self, arena_rows: np.ndarray, routes: dict[str, np.ndarray]
@@ -109,14 +94,13 @@ class CafeMultiLevelEmbedding(CafeEmbedding):
         """Medium ids scatter into two rows: primary shared + secondary.
 
         The extra entries reference the same per-id gradient sum, so the
-        fused segment sum naturally performs the summation-pooling backward
-        pass.
+        segment sum naturally performs the summation-pooling backward pass.
         """
         medium_sources = np.flatnonzero(~routes["hot_mask"])[routes["medium_mask"]]
         secondary_arena_rows = (
             self._region_offsets["secondary_table"] + routes["secondary_rows"]
         )
-        # Stash the resolved extras for the fused lookup's secondary add.
+        # Stash the resolved extras for the lookup's secondary add.
         routes["medium_sources"] = medium_sources
         routes["secondary_arena_rows"] = secondary_arena_rows
         if medium_sources.shape[0] == 0:

@@ -48,11 +48,8 @@ class FullEmbedding(TableBackedEmbedding):
 
     def apply_unique(self, uids: np.ndarray, grad_sums: np.ndarray, scores: np.ndarray) -> None:
         """Scatter each id's gradient sum into its private row."""
-        if self.fused:
-            scatter = self.plan_for(uids).routes["scatter"]
-            self.fused_apply(self.table, self._optimizer, scatter, grad_sums)
-        else:
-            self._optimizer.update(self.table, uids, grad_sums, self._kernels())
+        scatter = self.plan_for(uids).routes["scatter"]
+        self.fused_apply(self.table, scatter, grad_sums)
         self._step += 1
 
     def memory_floats(self) -> int:

@@ -84,10 +84,7 @@ class HashEmbedding(TableBackedEmbedding):
         features accumulate into the same shared row.
         """
         routes = self.plan_for(uids).routes
-        if self.fused:
-            self.fused_apply(self.table, self._optimizer, routes["scatter"], grad_sums)
-        else:
-            self._optimizer.update(self.table, routes["rows"], grad_sums, self._kernels())
+        self.fused_apply(self.table, routes["scatter"], grad_sums)
         self._step += 1
 
     def memory_floats(self) -> int:

@@ -147,8 +147,8 @@ class UniqueBatch:
 class ScatterPlan:
     """Fully-resolved scatter of one batch's summed gradients into table rows.
 
-    Built once per routing plan and consumed by the fused ``apply_unique``
-    path: a segment sum over ``perm``/``starts`` collapses the per-id
+    Built once per routing plan and consumed by ``apply_unique``: a
+    segment sum over ``perm``/``starts`` collapses the per-id
     gradient sums into one row per unique destination (distinct ids sharing
     a hashed row), and a single scatter applies them to ``rows``.
 
@@ -157,8 +157,8 @@ class ScatterPlan:
     perm:
         ``(n,)`` int64 permutation of scatter entries, ordered so every
         destination row's contributions are adjacent.  Within a segment the
-        order is entry order (ascending id), which is what makes the fused
-        segment sum bit-exact with the unfused per-table update.
+        order is entry order (ascending id): the summation order, and so
+        the bits of every update, are fixed by the ids alone.
     starts:
         ``(k,)`` int64 first position of each segment in ``perm``.
     rows:
@@ -177,7 +177,7 @@ class ScatterPlan:
     def from_rows(cls, rows_per_entry: np.ndarray) -> "ScatterPlan":
         """Build the scatter for one destination row per entry.
 
-        Handles the degenerate cases the fused path must survive: no entries
+        Handles the degenerate cases the update must survive: no entries
         (empty scatter), entries sharing a row (they collapse into one
         segment, entry order preserved), and all-distinct rows (every
         segment has length one).
@@ -203,7 +203,7 @@ class RoutingPlan:
         Backend-specific arrays — e.g. ``{"rows": ...}`` for a hash table,
         ``{"hot_mask": ..., "arena_rows": ..., "shared_rows": ...}`` for
         CAFE, plus a fully-resolved ``"scatter"`` :class:`ScatterPlan` on
-        fused backends.
+        table-backed backends.
     token:
         Value of the owning layer's routing token when the plan was built.
     """

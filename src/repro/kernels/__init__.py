@@ -1,66 +1,17 @@
-"""Pluggable kernel backends for the fused embedding train step.
+"""Numpy primitives of the embedding train step (see :mod:`repro.kernels.ops`)."""
 
-Importing this package registers the built-in backends: the pure-numpy
-reference (always available, the default) and the optional numba backend
-(registered with an availability probe so numba stays a soft dependency —
-it is only imported if the backend is actually selected).  Select a backend
-per embedding with ``TableBackedEmbedding.set_kernel_backend`` or globally
-via ``SystemConfig.store.kernels = "numpy" | "numba" | "auto"``.
-"""
-
-from repro.kernels.base import (
-    AUTO_KERNEL_BACKEND,
-    DEFAULT_KERNEL_BACKEND,
-    KernelBackend,
-    available_kernel_backends,
-    get_kernel_backend,
-    kernel_backend_available,
-    kernel_registry_summary,
-    register_kernel_backend,
-    resolve_kernel_backend_name,
-    unregister_kernel_backend,
+from repro.kernels.ops import (
+    scatter_apply,
+    segment_boundaries,
+    segment_sum,
+    sketch_insert,
+    stable_order,
 )
-from repro.kernels.numpy_backend import NumpyKernelBackend
-from repro.kernels.ops import segment_boundaries, stable_order
 
 __all__ = [
-    "AUTO_KERNEL_BACKEND",
-    "DEFAULT_KERNEL_BACKEND",
-    "KernelBackend",
-    "NumpyKernelBackend",
-    "available_kernel_backends",
-    "get_kernel_backend",
-    "kernel_backend_available",
-    "kernel_registry_summary",
-    "register_kernel_backend",
-    "resolve_kernel_backend_name",
+    "scatter_apply",
     "segment_boundaries",
+    "segment_sum",
+    "sketch_insert",
     "stable_order",
-    "unregister_kernel_backend",
 ]
-
-
-def _numba_factory() -> KernelBackend:
-    from repro.kernels.numba_backend import NumbaKernelBackend
-
-    return NumbaKernelBackend()
-
-
-def _numba_available() -> bool:
-    from repro.kernels.numba_backend import numba_available
-
-    return numba_available()
-
-
-register_kernel_backend(
-    DEFAULT_KERNEL_BACKEND,
-    NumpyKernelBackend,
-    description="pure-numpy reference (reduceat segment sum + fancy-index scatter)",
-)
-register_kernel_backend(
-    "numba",
-    _numba_factory,
-    available=_numba_available,
-    description="compiled sequential loops (optional; soft dependency)",
-    prefer=True,
-)

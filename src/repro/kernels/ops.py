@@ -1,9 +1,13 @@
-"""Index ops shared by every kernel backend and the plan builder.
+"""The numpy primitives the embedding train step is built from.
 
-These are the sorting/segmentation primitives the fused hot path is built
-from.  They stay pure numpy regardless of the selected kernel backend: plan
-construction is index bookkeeping, and its cost is dominated by one sort —
-which :func:`stable_sort` makes cheap with the composite-key trick below.
+Index ops for the plan builder (plan construction is index bookkeeping
+dominated by one sort, which :func:`stable_sort` makes cheap with the
+composite-key trick below) and the three update primitives every
+table-backed embedding applies its gradients through: :func:`segment_sum`,
+:func:`scatter_apply` and :func:`sketch_insert`.  Each update primitive is a
+single vectorized pass whose result defines bit-exactness for the step
+(``np.add.reduceat`` for the segment sum, fancy-index arithmetic for the
+scatters).
 """
 
 from __future__ import annotations
@@ -71,3 +75,46 @@ def run_lengths(starts: np.ndarray, n: int) -> np.ndarray:
         np.subtract(starts[1:], starts[:-1], out=lengths[:-1])
         lengths[-1] = n - starts[-1]
     return lengths
+
+
+def segment_sum(values: np.ndarray, perm: np.ndarray, starts: np.ndarray) -> np.ndarray:
+    """Sum ``values[perm]`` over the runs that begin at ``starts``.
+
+    ``perm`` / ``starts`` are a :class:`~repro.embeddings.plan.ScatterPlan`'s:
+    run ``r`` covers ``perm[starts[r]:starts[r + 1]]``.  Returns one row per
+    run, ``(0, ...)``-shaped for no runs.
+    """
+    if starts.shape[0] == 0:
+        return np.zeros((0,) + values.shape[1:], dtype=values.dtype)
+    # np.take is ~2x faster than fancy indexing for the 2-D row gather
+    # and produces the identical array, so bit-exactness is unaffected.
+    return np.add.reduceat(np.take(values, perm, axis=0), starts, axis=0)
+
+
+def scatter_apply(
+    table: np.ndarray,
+    rows: np.ndarray,
+    summed: np.ndarray,
+    lr: float,
+    accumulator: np.ndarray | None = None,
+    eps: float = 0.0,
+) -> None:
+    """``table[rows] -= lr * summed`` in place over unique ``rows``.
+
+    With an ``accumulator`` (one scalar per table row) this is the row-wise
+    Adagrad step: the accumulator gains the mean squared gradient of each
+    row and the step is scaled by ``lr / (sqrt(accumulator) + eps)``.
+    """
+    if rows.shape[0] == 0:
+        return
+    if accumulator is None:
+        table[rows] -= lr * summed
+        return
+    accumulator[rows] += (summed**2).mean(axis=1)
+    scale = lr / (np.sqrt(accumulator[rows]) + eps)
+    table[rows] -= scale[:, None] * summed
+
+
+def sketch_insert(scores: np.ndarray, slots: np.ndarray, add: np.ndarray) -> None:
+    """``scores[slots] += add`` in place over unique flat ``slots``."""
+    scores[slots] += add

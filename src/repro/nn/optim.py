@@ -15,6 +15,7 @@ import re
 import numpy as np
 
 from repro.errors import NonFiniteGradientError, OptimizerStateMismatchError
+from repro.kernels.ops import scatter_apply, segment_sum
 from repro.nn.tensor import Parameter
 
 
@@ -246,9 +247,7 @@ class RowOptimizer:
     """Applies updates to selected rows of a raw parameter matrix.
 
     The numeric inner loops — segment sum over duplicate rows, then the
-    optimizer scatter — are delegated to a
-    :class:`~repro.kernels.KernelBackend`, so the same optimizer runs on the
-    pure-numpy reference kernels or an accelerated backend unchanged.
+    optimizer scatter — are the primitives of :mod:`repro.kernels.ops`.
     """
 
     def __init__(self, lr: float):
@@ -256,37 +255,28 @@ class RowOptimizer:
             raise ValueError(f"learning rate must be positive, got {lr}")
         self.lr = float(lr)
 
-    def update(
-        self, table: np.ndarray, rows: np.ndarray, grads: np.ndarray, kernels=None
-    ) -> None:
+    def update(self, table: np.ndarray, rows: np.ndarray, grads: np.ndarray) -> None:
         """Apply the update ``table[rows] -= f(grads)`` in place.
 
         ``rows`` may contain duplicates; gradients for duplicate rows are
         summed before the update (scatter-add semantics, batch order within
-        each row).  This is the unfused entry point: it builds the scatter
-        from scratch.  Callers that already hold a
+        each row).  This entry point builds the scatter from scratch.
+        Callers that already hold a
         :class:`~repro.embeddings.plan.ScatterPlan` should segment-sum and
         call :meth:`fused_apply` directly instead.
         """
         from repro.embeddings.plan import ScatterPlan
 
-        if kernels is None:
-            from repro.kernels import get_kernel_backend
-
-            kernels = get_kernel_backend()
         scatter = ScatterPlan.from_rows(np.asarray(rows, dtype=np.int64))
-        summed = kernels.segment_sum(grads, scatter.perm, scatter.starts)
-        self.fused_apply(table, scatter.rows, summed, kernels)
+        summed = segment_sum(grads, scatter.perm, scatter.starts)
+        self.fused_apply(table, scatter.rows, summed)
 
-    def fused_apply(
-        self, table: np.ndarray, rows: np.ndarray, summed: np.ndarray, kernels
-    ) -> None:
+    def fused_apply(self, table: np.ndarray, rows: np.ndarray, summed: np.ndarray) -> None:
         """Apply pre-summed per-row gradients to unique ``rows`` in place.
 
-        This is the fused hot-path entry point: the caller has already
-        collapsed duplicate rows with a kernel segment sum, so the only work
-        left is one optimizer scatter (plus per-row state, updated in the
-        same kernel pass).
+        The caller has already collapsed duplicate rows with
+        :func:`~repro.kernels.ops.segment_sum`, so the only work left is one
+        optimizer scatter (plus per-row state, updated in the same pass).
         """
         raise NotImplementedError  # pragma: no cover - abstract
 
@@ -332,10 +322,8 @@ class RowOptimizer:
 class RowSGD(RowOptimizer):
     """Sparse SGD over embedding rows."""
 
-    def fused_apply(
-        self, table: np.ndarray, rows: np.ndarray, summed: np.ndarray, kernels
-    ) -> None:
-        kernels.fused_scatter_apply(table, rows, summed, self.lr)
+    def fused_apply(self, table: np.ndarray, rows: np.ndarray, summed: np.ndarray) -> None:
+        scatter_apply(table, rows, summed, self.lr)
 
 
 class RowAdagrad(RowOptimizer):
@@ -357,11 +345,9 @@ class RowAdagrad(RowOptimizer):
         if self._accumulator is None or self._accumulator.shape[0] != table.shape[0]:
             self._accumulator = np.zeros(table.shape[0], dtype=table.dtype)
 
-    def fused_apply(
-        self, table: np.ndarray, rows: np.ndarray, summed: np.ndarray, kernels
-    ) -> None:
+    def fused_apply(self, table: np.ndarray, rows: np.ndarray, summed: np.ndarray) -> None:
         self._ensure_state(table)
-        kernels.fused_scatter_apply(
+        scatter_apply(
             table, rows, summed, self.lr, accumulator=self._accumulator, eps=self.eps
         )
 
@@ -491,9 +477,7 @@ class SketchedRowAdagrad(RowOptimizer):
     # ------------------------------------------------------------------ #
     # The fused update
     # ------------------------------------------------------------------ #
-    def fused_apply(
-        self, table: np.ndarray, rows: np.ndarray, summed: np.ndarray, kernels
-    ) -> None:
+    def fused_apply(self, table: np.ndarray, rows: np.ndarray, summed: np.ndarray) -> None:
         from repro.utils.hashing import hash_to_range
 
         self._ensure_state(table)
@@ -542,8 +526,8 @@ class SketchedRowAdagrad(RowOptimizer):
 
         scale = (self.lr / (np.sqrt(new_acc) + self.eps)).astype(summed.dtype)
         # Rows are unique, so the pre-scaled scatter runs through the same
-        # kernel primitive the exact optimizers use (lr folded into scale).
-        kernels.fused_scatter_apply(table, rows, scale[:, None] * summed, 1.0)
+        # primitive the exact optimizers use (lr folded into scale).
+        scatter_apply(table, rows, scale[:, None] * summed, 1.0)
 
     def reset_rows(self, rows: np.ndarray) -> None:
         """Evict recycled rows from the exact lane.

@@ -278,13 +278,6 @@ class _ShardHost(_UnitHost):
     def op_step(self) -> int:
         return int(self.unit.step())
 
-    def op_set_kernel_backend(self, name: str) -> str | None:
-        from repro.api import registry as capability_registry
-
-        if capability_registry.supports_kernel_backend(self.unit):
-            return self.unit.set_kernel_backend(name)
-        return None
-
 
 class _GroupHost(_UnitHost):
     """Hosts one :class:`~repro.store.table_group.TableGroup` (backend +
@@ -348,13 +341,6 @@ class _GroupHost(_UnitHost):
 
     def op_step(self) -> int:
         return int(self.unit.backend.step())
-
-    def op_set_kernel_backend(self, name: str) -> str | None:
-        from repro.api import registry as capability_registry
-
-        if capability_registry.supports_kernel_backend(self.unit.backend):
-            return self.unit.backend.set_kernel_backend(name)
-        return None
 
 
 def _safe_send(conn, payload: tuple) -> None:

@@ -49,10 +49,6 @@ class CSVec:
     dtype:
         Table dtype.  ``float64`` (default) for in-core accumulation;
         the gradient-exchange wire format uses ``float32``.
-    kernels:
-        Optional :class:`repro.kernels.KernelBackend` supplying the
-        ``sketch_fold`` / ``sketch_recover`` ops; ``None`` uses the inline
-        numpy reference (bit-identical to the numpy backend).
     """
 
     def __init__(
@@ -62,7 +58,6 @@ class CSVec:
         depth: int = 3,
         seed: int = 0,
         dtype=np.float64,
-        kernels=None,
     ):
         if width <= 0 or depth <= 0 or dim <= 0:
             raise ValueError("width, depth and dim must be positive")
@@ -75,7 +70,6 @@ class CSVec:
         self.dtype = np.dtype(dtype)
         self.table = np.zeros((self.depth, self.width, self.dim), dtype=self.dtype)
         self.counts = np.zeros((self.depth, self.width), dtype=self.dtype)
-        self._kernels = kernels
 
     # ------------------------------------------------------------------ #
     # Hashing (identical idiom to CountSketch so seeds are portable)
@@ -110,11 +104,8 @@ class CSVec:
         if keys.size == 0:
             return
         positions, signs = self.positions_and_signs(keys)
-        if self._kernels is not None:
-            self._kernels.sketch_fold(self.table, positions, signs, values)
-        else:
-            for row in range(self.depth):
-                np.add.at(self.table[row], positions[row], signs[row][:, None] * values)
+        for row in range(self.depth):
+            np.add.at(self.table[row], positions[row], signs[row][:, None] * values)
         mass = np.sqrt((values.astype(np.float64) ** 2).sum(axis=1)).astype(self.dtype)
         for row in range(self.depth):
             np.add.at(self.counts[row], positions[row], mass)
@@ -125,13 +116,10 @@ class CSVec:
         if keys.size == 0:
             return np.zeros((0, self.dim), dtype=self.dtype)
         positions, signs = self.positions_and_signs(keys)
-        if self._kernels is not None:
-            estimates = self._kernels.sketch_recover(self.table, positions, signs)
-        else:
-            estimates = np.stack(
-                [signs[row][:, None] * self.table[row, positions[row]] for row in range(self.depth)],
-                axis=0,
-            )
+        estimates = np.stack(
+            [signs[row][:, None] * self.table[row, positions[row]] for row in range(self.depth)],
+            axis=0,
+        )
         return np.median(estimates, axis=0).astype(self.dtype)
 
     def estimate_mass(self, keys: np.ndarray) -> np.ndarray:
@@ -194,14 +182,7 @@ class CSVec:
 
     def spawn(self) -> "CSVec":
         """An empty sketch with identical parameters (merge-compatible)."""
-        return CSVec(
-            self.width,
-            self.dim,
-            depth=self.depth,
-            seed=self.seed,
-            dtype=self.dtype,
-            kernels=self._kernels,
-        )
+        return CSVec(self.width, self.dim, depth=self.depth, seed=self.seed, dtype=self.dtype)
 
     # ------------------------------------------------------------------ #
     # Accounting / state
@@ -215,20 +196,14 @@ class CSVec:
         return {"table": self.table, "counts": self.counts}
 
     @classmethod
-    def from_state(
-        cls,
-        table: np.ndarray,
-        counts: np.ndarray,
-        seed: int,
-        kernels=None,
-    ) -> "CSVec":
+    def from_state(cls, table: np.ndarray, counts: np.ndarray, seed: int) -> "CSVec":
         """Rebuild a sketch around shipped ``table``/``counts`` arrays.
 
         The arrays are adopted (not copied): the wire decoder hands the
         arena views straight in, queries never mutate.
         """
         depth, width, dim = table.shape
-        sketch = cls(width, dim, depth=depth, seed=seed, dtype=table.dtype, kernels=kernels)
+        sketch = cls(width, dim, depth=depth, seed=seed, dtype=table.dtype)
         sketch.table = np.ascontiguousarray(table, dtype=sketch.dtype)
         sketch.counts = np.ascontiguousarray(counts, dtype=sketch.dtype)
         return sketch

@@ -26,7 +26,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.kernels.ops import run_lengths, segment_boundaries, stable_sort
+from repro.kernels.ops import run_lengths, segment_boundaries, sketch_insert, stable_sort
 from repro.sketch.base import Sketch
 from repro.utils.hashing import hash_to_bucket
 
@@ -156,20 +156,16 @@ class HotSketch(Sketch):
         found: np.ndarray,
         buckets: np.ndarray,
         slots: np.ndarray,
-        kernels=None,
     ) -> EvictionBatch:
         """Insert pre-aggregated, pre-located ``(key, score)`` pairs.
 
-        The fused embedding path already holds the locate results of the
+        The embedding step already holds the locate results of the
         current batch in its routing plan (and the plan token guarantees the
         sketch has not mutated since they were taken), so re-probing here
         would be pure waste.  ``keys`` must be unique, sorted ascending, with
         summed float64 scores; ``(found, buckets, slots)`` must equal
         ``self.locate(keys)`` against the sketch's current state.  Produces
         bit-identical state to :meth:`insert` on the equivalent raw stream.
-
-        ``kernels`` is an optional :class:`~repro.kernels.KernelBackend`
-        whose ``sketch_insert`` applies the found-slot score adds.
         """
         if keys.shape[0] == 0:
             return EvictionBatch(np.empty(0, dtype=np.int64), np.empty(0, dtype=np.int64))
@@ -177,11 +173,7 @@ class HotSketch(Sketch):
 
         if found.any():
             lin = buckets[found] * self.slots_per_bucket + slots[found]
-            add = scores[found]
-            if kernels is None:
-                self.scores.ravel()[lin] += add
-            else:
-                kernels.sketch_insert(self.scores.ravel(), lin, add)
+            sketch_insert(self.scores.ravel(), lin, scores[found])
 
         missing = ~found
         if not missing.any():

@@ -92,7 +92,6 @@ def build_sketched_payload(
     seed: int,
     depth: int = EXCHANGE_DEPTH,
     heavy_frac: float = HEAVY_FRAC,
-    kernels=None,
 ) -> SketchedGradPayload:
     """Fold one shard's ``(unique ids, summed gradients)`` into the wire payload.
 
@@ -100,7 +99,7 @@ def build_sketched_payload(
     so the per-shard sketches merge; ``seed`` likewise must match across
     shards.
     """
-    sketch = CSVec(width, summed.shape[-1], depth=depth, seed=seed, dtype=np.float32, kernels=kernels)
+    sketch = CSVec(width, summed.shape[-1], depth=depth, seed=seed, dtype=np.float32)
     sketch.insert(unique_ids, summed)
     heavy_count = math.ceil(heavy_frac * unique_ids.size) if unique_ids.size else 0
     heavy_index = sketch.heavy_hitters(unique_ids, heavy_count)
@@ -123,7 +122,6 @@ def reconstruct_gradients(
     seed: int,
     *,
     dtype=None,
-    kernels=None,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Invert :func:`build_sketched_payload`: ``(unique_ids, grads)``.
 
@@ -133,7 +131,7 @@ def reconstruct_gradients(
     everywhere.
     """
     ids = np.asarray(ids, dtype=np.int64)
-    sketch = CSVec.from_state(sketch_table, sketch_counts, int(seed), kernels=kernels)
+    sketch = CSVec.from_state(sketch_table, sketch_counts, int(seed))
     grads = sketch.query(ids)
     heavy_index = np.asarray(heavy_index, dtype=np.int64)
     if heavy_index.size:

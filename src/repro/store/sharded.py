@@ -269,29 +269,6 @@ class ShardedEmbeddingStore(CompressedEmbedding, EmbeddingStore):
         self.executor = executor
         self._adopt_if_remote()
 
-    def set_kernel_backend(self, name: str) -> str:
-        """Switch every shard's fused kernel backend (``"numpy"``, ``"numba"``,
-        ``"auto"`` or a registered third-party name); returns the resolved
-        name.  Remote shards are switched worker-side through ``run_ops``.
-        No table values change — the backends are bit-compatible by the
-        kernel contract — so copy-on-write bookkeeping is untouched.
-        """
-        from repro.kernels import resolve_kernel_backend_name
-
-        resolved = resolve_kernel_backend_name(name)
-        if self._remote:
-            self.executor.run_ops(
-                [
-                    (shard_index, "set_kernel_backend", (resolved,))
-                    for shard_index in range(self.num_shards)
-                ]
-            )
-        else:
-            for shard in self._shards:
-                if capability_registry.supports_kernel_backend(shard):
-                    shard.set_kernel_backend(resolved)
-        return resolved
-
     def lookup_unique(self, uids: np.ndarray) -> np.ndarray:
         """Gather every id's row from its owning shard.
 

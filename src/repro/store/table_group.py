@@ -302,7 +302,6 @@ class TableGroupStore(CompressedEmbedding, EmbeddingStore):
         dtype: np.dtype | str = DEFAULT_DTYPE,
         seed: int = 0,
         executor: ShardExecutor | str | None = None,
-        kernels: str | None = None,
         **spec_kwargs,
     ) -> "TableGroupStore":
         """Build groups for ``schema`` from a spec string or attached configs.
@@ -334,7 +333,6 @@ class TableGroupStore(CompressedEmbedding, EmbeddingStore):
             dtype=dtype,
             seed=seed,
             executor=executor,
-            kernels=kernels,
         )
 
     @classmethod
@@ -347,7 +345,6 @@ class TableGroupStore(CompressedEmbedding, EmbeddingStore):
         dtype: np.dtype | str = DEFAULT_DTYPE,
         seed: int = 0,
         executor: ShardExecutor | str | None = None,
-        kernels: str | None = None,
     ) -> "TableGroupStore":
         """Build one backend per distinct config and assemble the store."""
         from repro.embeddings import create_embedding
@@ -406,7 +403,6 @@ class TableGroupStore(CompressedEmbedding, EmbeddingStore):
                     optimizer=optimizer,
                     learning_rate=learning_rate,
                     dtype=dtype,
-                    kernels=kernels,
                     **extra,
                 )
             else:
@@ -419,7 +415,6 @@ class TableGroupStore(CompressedEmbedding, EmbeddingStore):
                     learning_rate=learning_rate,
                     dtype=dtype,
                     rng=rng,
-                    kernels=kernels,
                     **extra,
                 )
             projection = None
@@ -536,27 +531,6 @@ class TableGroupStore(CompressedEmbedding, EmbeddingStore):
         self.executor.close()
         self.executor = executor
         self._adopt_if_remote()
-
-    def set_kernel_backend(self, name: str) -> str:
-        """Switch every group backend's fused kernel backend; returns the
-        resolved name.  Remote groups switch worker-side through ``run_ops``;
-        sharded-within-a-group backends fan the call out themselves.
-        """
-        from repro.kernels import resolve_kernel_backend_name
-
-        resolved = resolve_kernel_backend_name(name)
-        if self._remote:
-            self.executor.run_ops(
-                [
-                    (group_index, "set_kernel_backend", (resolved,))
-                    for group_index in range(self.num_groups)
-                ]
-            )
-        else:
-            for group in self._groups:
-                if capability_registry.supports_kernel_backend(group.backend):
-                    group.backend.set_kernel_backend(resolved)
-        return resolved
 
     # ------------------------------------------------------------------ #
     # EmbeddingStore / CompressedEmbedding interface

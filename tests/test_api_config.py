@@ -70,6 +70,10 @@ class TestValidation:
         with pytest.raises(ConfigurationError, match="did you mean 'num_shards'"):
             SystemConfig.from_dict({"store": {"num_shard": 2}})
 
+    def test_removed_kernels_option_is_an_unknown_key(self):
+        with pytest.raises(ConfigurationError, match="unknown config key 'store.kernels'"):
+            SystemConfig.from_dict({"store": {"kernels": "numpy"}})
+
     def test_bad_dataset_lists_presets(self):
         with pytest.raises(ConfigurationError, match="criteo"):
             DataConfig(dataset="cripteo")

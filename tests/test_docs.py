@@ -14,7 +14,6 @@ from check_docs_links import check_paths, default_paths, github_slug, heading_an
 
 DOC_PAGES = (
     "architecture.md",
-    "kernels.md",
     "store.md",
     "serving.md",
     "pipeline.md",

@@ -1,94 +1,28 @@
-"""Tests for the kernel-backend registry, the backends, and ScatterPlan."""
+"""Tests for the numpy update primitives and ScatterPlan."""
 
 import numpy as np
 import pytest
 
 from repro.embeddings.plan import ScatterPlan
-from repro.errors import ConfigurationError
-from repro.kernels import (
-    available_kernel_backends,
-    get_kernel_backend,
-    kernel_backend_available,
-    kernel_registry_summary,
-    register_kernel_backend,
-    resolve_kernel_backend_name,
-    unregister_kernel_backend,
+from repro.kernels.ops import (
+    scatter_apply,
+    segment_boundaries,
+    segment_sum,
+    sketch_insert,
+    stable_order,
 )
-from repro.kernels.numba_backend import numba_available
-from repro.kernels.numpy_backend import NumpyKernelBackend
-from repro.kernels.ops import segment_boundaries, stable_order
-
-HAS_NUMBA = numba_available()
 
 
 # --------------------------------------------------------------------------- #
-# Registry
-# --------------------------------------------------------------------------- #
-class TestKernelRegistry:
-    def test_numpy_always_registered_and_available(self):
-        assert kernel_backend_available("numpy")
-        assert "numpy" in available_kernel_backends()
-        assert resolve_kernel_backend_name("numpy") == "numpy"
-        assert get_kernel_backend("numpy").name == "numpy"
-
-    def test_unknown_name_raises_with_alternatives(self):
-        with pytest.raises(ConfigurationError, match="unknown kernel backend"):
-            resolve_kernel_backend_name("cuda")
-
-    def test_registered_but_unavailable_raises(self):
-        register_kernel_backend(
-            "phantom", NumpyKernelBackend, available=lambda: False
-        )
-        try:
-            assert not kernel_backend_available("phantom")
-            assert "phantom" not in available_kernel_backends()
-            with pytest.raises(ConfigurationError, match="unavailable"):
-                resolve_kernel_backend_name("phantom")
-        finally:
-            unregister_kernel_backend("phantom")
-
-    def test_register_custom_backend_and_auto_preference(self):
-        register_kernel_backend("custom", NumpyKernelBackend, prefer=True)
-        try:
-            assert resolve_kernel_backend_name("auto") == "custom"
-            # Duplicate registration is an error unless overwrite is passed.
-            with pytest.raises(ConfigurationError, match="already registered"):
-                register_kernel_backend("custom", NumpyKernelBackend)
-            register_kernel_backend("custom", NumpyKernelBackend, overwrite=True)
-        finally:
-            unregister_kernel_backend("custom")
-        assert resolve_kernel_backend_name("auto") in available_kernel_backends()
-
-    def test_auto_is_reserved(self):
-        with pytest.raises(ConfigurationError, match="reserved"):
-            register_kernel_backend("auto", NumpyKernelBackend)
-
-    def test_auto_resolves_to_an_available_backend(self):
-        resolved = resolve_kernel_backend_name("auto")
-        assert kernel_backend_available(resolved)
-        if HAS_NUMBA:
-            assert resolved == "numba"
-        else:
-            assert resolved == "numpy"
-
-    def test_registry_summary_marks_non_numpy_optional(self):
-        rows = {row["name"]: row for row in kernel_registry_summary()}
-        assert rows["numpy"]["available"] and not rows["numpy"]["optional"]
-        assert rows["numba"]["optional"]
-        assert rows["numba"]["available"] == HAS_NUMBA
-
-
-# --------------------------------------------------------------------------- #
-# numpy reference backend
+# The three update primitives
 # --------------------------------------------------------------------------- #
 class TestNumpyBackend:
     def test_segment_sum_matches_manual(self):
-        kernels = get_kernel_backend("numpy")
         rng = np.random.default_rng(0)
         values = rng.standard_normal((12, 4)).astype(np.float32)
         rows = np.asarray([3, 1, 3, 0, 1, 3, 2, 0, 0, 2, 1, 3])
         plan = ScatterPlan.from_rows(rows)
-        summed = kernels.segment_sum(values, plan.perm, plan.starts)
+        summed = segment_sum(values, plan.perm, plan.starts)
         assert summed.shape == (len(plan), 4)
         for i, row in enumerate(plan.rows):
             # reduceat sums pairwise, so compare to a float64 manual sum with
@@ -97,25 +31,22 @@ class TestNumpyBackend:
             np.testing.assert_allclose(summed[i], expected, rtol=1e-6)
 
     def test_segment_sum_empty(self):
-        kernels = get_kernel_backend("numpy")
         plan = ScatterPlan.from_rows(np.empty(0, dtype=np.int64))
-        out = kernels.segment_sum(np.empty((0, 4), dtype=np.float32), plan.perm, plan.starts)
+        out = segment_sum(np.empty((0, 4), dtype=np.float32), plan.perm, plan.starts)
         assert out.shape == (0, 4)
 
-    def test_fused_scatter_apply_sgd(self):
-        kernels = get_kernel_backend("numpy")
+    def test_scatter_apply_sgd(self):
         table = np.ones((5, 3), dtype=np.float32)
         summed = np.full((2, 3), 2.0, dtype=np.float32)
-        kernels.fused_scatter_apply(table, np.asarray([1, 3]), summed, lr=0.5)
+        scatter_apply(table, np.asarray([1, 3]), summed, lr=0.5)
         np.testing.assert_array_equal(table[[1, 3]], np.zeros((2, 3), dtype=np.float32))
         np.testing.assert_array_equal(table[[0, 2, 4]], np.ones((3, 3), dtype=np.float32))
 
-    def test_fused_scatter_apply_adagrad(self):
-        kernels = get_kernel_backend("numpy")
+    def test_scatter_apply_adagrad(self):
         table = np.ones((4, 2), dtype=np.float32)
         accumulator = np.zeros(4, dtype=np.float32)
         summed = np.asarray([[3.0, 4.0]], dtype=np.float32)
-        kernels.fused_scatter_apply(
+        scatter_apply(
             table, np.asarray([2]), summed, lr=0.1, accumulator=accumulator, eps=1e-8
         )
         expected_acc = (9.0 + 16.0) / 2
@@ -124,50 +55,10 @@ class TestNumpyBackend:
         np.testing.assert_allclose(table[2], 1.0 - scale * summed[0], rtol=1e-6)
 
     def test_sketch_insert(self):
-        kernels = get_kernel_backend("numpy")
         scores = np.zeros(8)
-        kernels.sketch_insert(scores, np.asarray([1, 5, 7]), np.asarray([1.0, 2.0, 3.0]))
+        sketch_insert(scores, np.asarray([1, 5, 7]), np.asarray([1.0, 2.0, 3.0]))
         np.testing.assert_array_equal(scores[[1, 5, 7]], [1.0, 2.0, 3.0])
         assert scores.sum() == 6.0
-
-
-# --------------------------------------------------------------------------- #
-# numba backend parity (skipped when the soft dependency is absent)
-# --------------------------------------------------------------------------- #
-@pytest.mark.skipif(not HAS_NUMBA, reason="numba not installed")
-class TestNumbaBackendParity:
-    def test_primitives_agree_with_numpy(self):
-        numpy_k = get_kernel_backend("numpy")
-        numba_k = get_kernel_backend("numba")
-        rng = np.random.default_rng(1)
-        values = rng.standard_normal((64, 8)).astype(np.float32)
-        rows = rng.integers(0, 10, size=64)
-        plan = ScatterPlan.from_rows(rows)
-
-        a = numpy_k.segment_sum(values, plan.perm, plan.starts)
-        b = numba_k.segment_sum(values, plan.perm, plan.starts)
-        np.testing.assert_allclose(a, b, rtol=1e-5, atol=1e-6)
-
-        table_a = np.ones((10, 8), dtype=np.float32)
-        table_b = table_a.copy()
-        numpy_k.fused_scatter_apply(table_a, plan.rows, a, lr=0.05)
-        numba_k.fused_scatter_apply(table_b, plan.rows, a.copy(), lr=0.05)
-        np.testing.assert_allclose(table_a, table_b, rtol=1e-5, atol=1e-6)
-
-        acc_a = np.zeros(10, dtype=np.float32)
-        acc_b = acc_a.copy()
-        numpy_k.fused_scatter_apply(table_a, plan.rows, a, lr=0.05, accumulator=acc_a, eps=1e-8)
-        numba_k.fused_scatter_apply(table_b, plan.rows, a.copy(), lr=0.05, accumulator=acc_b, eps=1e-8)
-        np.testing.assert_allclose(acc_a, acc_b, rtol=1e-5, atol=1e-6)
-        np.testing.assert_allclose(table_a, table_b, rtol=1e-5, atol=1e-6)
-
-        scores_a = np.zeros(40)
-        scores_b = np.zeros(40)
-        slots = rng.choice(40, size=12, replace=False)
-        add = rng.random(12)
-        numpy_k.sketch_insert(scores_a, slots, add)
-        numba_k.sketch_insert(scores_b, slots, add)
-        np.testing.assert_allclose(scores_a, scores_b)
 
 
 # --------------------------------------------------------------------------- #
@@ -192,7 +83,7 @@ class TestScatterPlan:
 
     def test_all_positions_prefiltered_away(self):
         # An all-miss batch: the caller filtered every position out before
-        # building the scatter; the fused path must treat it as a no-op.
+        # building the scatter; the update must treat it as a no-op.
         rows = np.asarray([5, 6, 7])[np.zeros(0, dtype=np.int64)]
         plan = ScatterPlan.from_rows(rows)
         assert len(plan) == 0

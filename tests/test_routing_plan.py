@@ -3,11 +3,10 @@
 import numpy as np
 import pytest
 
-from repro.bench.legacy import LegacyHotSketch
 from repro.embeddings import create_embedding
 from repro.embeddings.cafe import CafeEmbedding
 from repro.embeddings.plan import FreeRowPool, RoutingPlan
-from repro.sketch.hotsketch import EMPTY_KEY, HotSketch
+from repro.sketch.hotsketch import EMPTY_KEY, NO_PAYLOAD, EvictionBatch, HotSketch
 
 N = 2000
 DIM = 8
@@ -147,6 +146,39 @@ class TestFreeRowPool:
             pool.assert_consistent(num_rows=4)
 
 
+class ReferenceHotSketch(HotSketch):
+    """HotSketch with the seed's scalar miss-handling loop (the oracle; moved
+    here from ``repro.bench.legacy``)."""
+
+    def _insert_misses(
+        self, keys: np.ndarray, scores: np.ndarray, buckets: np.ndarray
+    ) -> EvictionBatch:
+        evicted_keys: list[int] = []
+        evicted_payloads: list[int] = []
+        for key, score, bucket in zip(keys, scores, buckets):
+            bucket_keys = self.keys[bucket]
+            empty = np.nonzero(bucket_keys == EMPTY_KEY)[0]
+            if empty.size > 0:
+                slot = int(empty[0])
+                self.keys[bucket, slot] = key
+                self.scores[bucket, slot] = score
+                self.payloads[bucket, slot] = NO_PAYLOAD
+                continue
+            slot = int(np.argmin(self.scores[bucket]))
+            old_key = int(self.keys[bucket, slot])
+            old_payload = int(self.payloads[bucket, slot])
+            if old_payload != NO_PAYLOAD:
+                evicted_keys.append(old_key)
+                evicted_payloads.append(old_payload)
+            self.keys[bucket, slot] = key
+            self.scores[bucket, slot] += score
+            self.payloads[bucket, slot] = NO_PAYLOAD
+        return EvictionBatch(
+            np.asarray(evicted_keys, dtype=np.int64),
+            np.asarray(evicted_payloads, dtype=np.int64),
+        )
+
+
 class TestVectorizedSketchParity:
     """The grouped-miss insert must match the scalar reference bit for bit."""
 
@@ -155,7 +187,7 @@ class TestVectorizedSketchParity:
     def test_state_matches_legacy_on_random_streams(self, seed, num_buckets, slots):
         kwargs = dict(num_buckets=num_buckets, slots_per_bucket=slots, hot_threshold=1.0, seed=7)
         current = HotSketch(**kwargs)
-        legacy = LegacyHotSketch(**kwargs)
+        legacy = ReferenceHotSketch(**kwargs)
         rng = np.random.default_rng(seed)
         for _ in range(30):
             keys = rng.integers(0, 200, size=64)
@@ -170,7 +202,7 @@ class TestVectorizedSketchParity:
 
     def test_parity_with_payload_evictions(self):
         kwargs = dict(num_buckets=2, slots_per_bucket=2, hot_threshold=0.5, seed=3)
-        current, legacy = HotSketch(**kwargs), LegacyHotSketch(**kwargs)
+        current, legacy = HotSketch(**kwargs), ReferenceHotSketch(**kwargs)
         rng = np.random.default_rng(5)
         for step in range(40):
             keys = rng.integers(0, 50, size=16)

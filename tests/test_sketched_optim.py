@@ -103,18 +103,6 @@ class TestCSVecMerge:
         sketch = CSVec(10, 4, depth=3)
         assert sketch.memory_floats() == 3 * 10 * 4 + 3 * 10
 
-    def test_kernel_backend_fold_matches_inline(self):
-        """The numpy kernel ops are bit-identical to the inline path."""
-        from repro.kernels import get_kernel_backend
-
-        keys, values = random_stream(200, seed=6)
-        inline = CSVec(48, DIM, depth=3, seed=2)
-        inline.insert(keys, values)
-        kerneled = CSVec(48, DIM, depth=3, seed=2, kernels=get_kernel_backend("numpy"))
-        kerneled.insert(keys, values)
-        assert np.array_equal(inline.table, kerneled.table)
-        assert np.array_equal(inline.query(keys), kerneled.query(keys))
-
 
 def unique_stream(n, num_keys, seed, scale=0.01, dim=DIM):
     """``(ascending unique ids, one summed gradient row each)``: what the
@@ -199,13 +187,10 @@ class TestSketchedRowAdagrad:
         optimizer = SketchedRowAdagrad(0.1, frac=0.5, seed=1)
         rows = np.asarray([7])
         grad = np.ones((1, DIM), dtype=np.float64)
-        from repro.kernels import get_kernel_backend
-
-        kernels = get_kernel_backend("numpy")
         deltas = []
         for _ in range(4):
             before = table[7].copy()
-            optimizer.fused_apply(table, rows, grad, kernels)
+            optimizer.fused_apply(table, rows, grad)
             deltas.append(np.abs(table[7] - before).max())
         assert deltas == sorted(deltas, reverse=True)
 
@@ -216,28 +201,22 @@ class TestSketchedRowAdagrad:
         optimizer = SketchedRowAdagrad(0.1, frac=0.05, heavy_frac=0.0, seed=2)
         exact_table = np.zeros((1000, DIM), dtype=np.float64)
         exact = RowAdagrad(0.1)
-        from repro.kernels import get_kernel_backend
-
-        kernels = get_kernel_backend("numpy")
         rng = np.random.default_rng(4)
         for _ in range(5):
             rows = np.unique(rng.integers(0, 1000, size=64))
             grads = rng.normal(size=(rows.size, DIM))
-            optimizer.fused_apply(table, rows, grads, kernels)
-            exact.fused_apply(exact_table, rows, grads, kernels)
+            optimizer.fused_apply(table, rows, grads)
+            exact.fused_apply(exact_table, rows, grads)
         assert np.abs(table).max() <= np.abs(exact_table).max() + 1e-12
 
     def test_state_dict_round_trip(self):
         table = np.zeros((500, DIM), dtype=np.float32)
         optimizer = SketchedRowAdagrad(0.1, frac=0.3, seed=5)
         rng = np.random.default_rng(6)
-        from repro.kernels import get_kernel_backend
-
-        kernels = get_kernel_backend("numpy")
         for _ in range(3):
             rows = np.unique(rng.integers(0, 500, size=32))
             optimizer.fused_apply(
-                table, rows, rng.normal(size=(rows.size, DIM)).astype(np.float32), kernels
+                table, rows, rng.normal(size=(rows.size, DIM)).astype(np.float32)
             )
         state = optimizer.state_dict()
         restored = SketchedRowAdagrad(0.1, frac=0.3, seed=5)
@@ -246,8 +225,8 @@ class TestSketchedRowAdagrad:
         t1, t2 = table.copy(), table.copy()
         rows = np.asarray([3, 14, 15])
         grads = np.ones((3, DIM), dtype=np.float32)
-        optimizer.fused_apply(t1, rows, grads, kernels)
-        restored.fused_apply(t2, rows, grads, kernels)
+        optimizer.fused_apply(t1, rows, grads)
+        restored.fused_apply(t2, rows, grads)
         assert np.array_equal(t1, t2)
 
     def test_invalid_options(self):
@@ -312,16 +291,25 @@ class TestCheckpointRoundTrip:
         restored.embedding.apply_gradients(ids, grads)
         assert np.array_equal(model.embedding.table, restored.embedding.table)
 
-    def test_old_checkpoints_without_optimizer_state_still_load(self):
+    @pytest.mark.parametrize("method", ["hash", "cafe", "cafe_ml"])
+    def test_old_checkpoints_without_optimizer_state_still_load(self, method):
         """Loading a state_dict without optimizer.* keys restarts cold."""
-        from repro.embeddings.hash_embedding import HashEmbedding
+        from repro.embeddings import create_embedding
 
-        embedding = HashEmbedding(
-            1000, DIM, num_rows=32, optimizer="sketched_adagrad", rng=0
+        embedding = create_embedding(
+            method, 1000, DIM, compression_ratio=4.0, optimizer="sketched_adagrad", rng=0
         )
+        ids = np.arange(40)
+        embedding.apply_gradients(ids, np.full((40, DIM), 0.25, dtype=np.float32))
         state = embedding.state_dict()
         legacy = {k: v for k, v in state.items() if not k.startswith("optimizer.")}
-        embedding.load_state_dict(legacy)  # must not raise
+        assert len(legacy) < len(state)
+        fresh = create_embedding(
+            method, 1000, DIM, compression_ratio=4.0, optimizer="sketched_adagrad", rng=1
+        )
+        fresh.load_state_dict(legacy)  # must not raise
+        assert fresh.optimizer_memory_floats() == 0
+        np.testing.assert_array_equal(fresh.lookup(ids), embedding.lookup(ids))
 
 
 class TestSketchedExchangeParity:

@@ -187,6 +187,17 @@ class SlowHash(SlowRows):
         pass
 
 
+class SlowFull(SlowHash):
+    """Oracle of ``FullEmbedding``: the id is the row."""
+
+    def __init__(self, shard, optimizer):
+        SlowRows.__init__(self, optimizer, shard.learning_rate)
+        self.rows = {row: shard.table[row].copy() for row in range(shard.table.shape[0])}
+
+    def destinations(self, uid):
+        return [uid]
+
+
 class SlowCafe(SlowRows):
     """Oracle of ``CafeEmbedding`` / ``CafeMultiLevelEmbedding``.
 
@@ -297,7 +308,8 @@ class SlowStore:
     """Per-position reference of a (sharded) store: python loops only."""
 
     def __init__(self, store, optimizer):
-        oracle = SlowHash if type(store.shards[0]).__name__ == "HashEmbedding" else SlowCafe
+        oracles = {"HashEmbedding": SlowHash, "FullEmbedding": SlowFull}
+        oracle = oracles.get(type(store.shards[0]).__name__, SlowCafe)
         self.shards = [oracle(shard, optimizer) for shard in store.shards]
         self.shard_seed = store.shard_seed
 
@@ -358,9 +370,10 @@ def drifting_batches(steps, batch, fields, seed):
 class TestPositionOrderOracle:
     @pytest.mark.parametrize("num_shards", [1, 4])
     @pytest.mark.parametrize("optimizer", ["sgd", "adagrad"])
-    @pytest.mark.parametrize("method", ["cafe", "hash", "cafe_ml"])
+    @pytest.mark.parametrize("method", ["cafe", "hash", "cafe_ml", "full"])
     def test_store_tracks_the_slow_oracle(self, method, optimizer, num_shards):
-        extra = {} if method == "hash" else {"decay_interval": 50, "rebalance_interval": 10}
+        sketched = method in ("cafe", "cafe_ml")
+        extra = {"decay_interval": 50, "rebalance_interval": 10} if sketched else {}
         store = build_store(method, num_shards, optimizer=optimizer, **extra)
         oracle = SlowStore(store, optimizer)
         worst = 0.0
@@ -371,9 +384,23 @@ class TestPositionOrderOracle:
             oracle.apply_gradients(ids, grads)
         assert worst <= 1e-5, worst
         ours, theirs = library_hot_set(store), oracle.hot_set()
-        if method != "hash":
+        if sketched:
             assert theirs, "the workload never promoted anything"
             assert len(ours & theirs) / len(ours | theirs) >= 0.99
+
+    def test_cafe_trains_under_sketched_adagrad(self):
+        """No oracle for the sketched accumulator: rows stay finite and the
+        exclusive rows stay partitioned."""
+        store = build_store(
+            "cafe", 1, optimizer="sketched_adagrad[frac=0.25]", rebalance_interval=10
+        )
+        for ids, grads in drifting_batches(120, batch=16, fields=4, seed=13):
+            store.lookup(ids)
+            store.apply_gradients(ids, grads)
+        (shard,) = store.shards
+        assert np.isfinite(shard._arena).all()
+        assert shard.migrations_in > 0
+        shard.check_row_invariants()
 
     @pytest.mark.parametrize(
         "ids",
