@@ -1,10 +1,10 @@
 """Online pipeline quickstart: continuous train→serve with snapshot cadence.
 
-This example runs the full shard-parallel online-learning loop:
+This example runs the full sharded online-learning loop:
 
-1. build a `ShardedEmbeddingStore` with a **thread-pool ShardExecutor** so
-   per-shard work fans out concurrently (on one core the pool's win is
-   overlapping per-shard stalls — see docs/pipeline.md);
+1. build a 4-shard `ShardedEmbeddingStore` behind the serial `ShardExecutor`
+   (pass `executor="processes"` to move the shards into worker processes —
+   see docs/runtime_processes.md);
 2. hand the model to an `OnlinePipeline`, which trains over the
    chronological day-stream and publishes a copy-on-write snapshot to its
    `ServingEngine` every `publish_every_steps` training steps;
@@ -18,7 +18,7 @@ from __future__ import annotations
 
 from repro.data import SyntheticConfig, SyntheticCTRDataset, make_preset
 from repro.models import create_model
-from repro.runtime import OnlinePipeline, PipelineConfig, create_executor
+from repro.runtime import OnlinePipeline, PipelineConfig
 from repro.store import ShardedEmbeddingStore
 
 NUM_SHARDS = 4
@@ -41,7 +41,7 @@ def main() -> None:
         num_shards=NUM_SHARDS,
         compression_ratio=COMPRESSION_RATIO,
         seed=SEED,
-        executor=create_executor("thread"),
+        executor="serial",
     )
     model = create_model(
         "dlrm", store, num_fields=schema.num_fields, num_numerical=schema.num_numerical, rng=SEED

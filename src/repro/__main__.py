@@ -1,7 +1,7 @@
 """Entry point for ``python -m repro`` — the consolidated declarative CLI.
 
-Subcommands: ``train`` / ``serve`` / ``pipeline`` / ``bench`` /
-``experiment`` / ``validate-config`` / ``describe`` (see
+Subcommands: ``train`` / ``serve`` / ``pipeline`` / ``experiment`` /
+``validate-config`` / ``describe`` / ``analyze`` (see
 :mod:`repro.api.cli`).  The historical experiment runner is available as
 ``python -m repro experiment run fig8 ...``.
 """

@@ -51,13 +51,13 @@ LAYERS: tuple[tuple[str, tuple[str, ...]], ...] = (
     ("contracts", ("repro.api.registry", "repro.api.spec")),
     ("data", ("repro.data",)),
     ("embeddings", ("repro.embeddings",)),
-    ("exec", ("repro.runtime.executor", "repro.runtime.shm", "repro.runtime.simulate")),
+    ("exec", ("repro.runtime.executor", "repro.runtime.shm")),
     ("store", ("repro.store",)),
     ("models", ("repro.models",)),
     ("training", ("repro.training",)),
     ("runtime", ("repro.runtime",)),
     ("serving", ("repro.serving",)),
-    ("orchestration", ("repro.runtime.pipeline", "repro.experiments", "repro.bench")),
+    ("orchestration", ("repro.runtime.pipeline", "repro.experiments")),
     ("api", ("repro.api",)),
     ("shims", ("repro.cli", "repro.pipeline", "repro.serve", "repro.__main__")),
 )

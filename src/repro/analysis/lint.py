@@ -14,7 +14,14 @@ Five rules encode contracts that previously existed only as prose:
 ``bench-wallclock``
     ``time.time()`` drifts with NTP and has platform-dependent resolution;
     timing paths must use ``time.perf_counter()`` (wall-clock *timestamps*
-    should come from :mod:`datetime`).
+    should come from :mod:`datetime`).  Inside ``tests/`` and
+    ``benchmarks/`` the rule also refuses an ``assert`` on elapsed time: an
+    assertion whose expression reads ``time.perf_counter()`` /
+    ``time.monotonic()`` — directly or through a local name assigned from
+    one in the same function — passes or fails with the host's load, so it
+    belongs to ``perf/`` (repeats, pinned threads, bounds), not to a test.
+    A ``while time.monotonic() < deadline:`` polling loop is not an assert
+    and passes.
 ``mutable-default``
     Mutable default arguments (``def f(x=[])``) alias across calls.
 ``implicit-dtype``
@@ -55,7 +62,7 @@ __all__ = [
 _ALLOW_RE = re.compile(r"#\s*lint:\s*allow\[([a-z0-9_,\s-]+)\]")
 
 #: Default roots scanned under the repo, when present.
-DEFAULT_ROOTS = ("src", "tests", "scripts")
+DEFAULT_ROOTS = ("src", "tests", "benchmarks", "scripts")
 
 #: Modules where implicit-dtype allocations matter (table storage and the
 #: dense network that must stay in the store's precision).
@@ -69,6 +76,10 @@ _DTYPE_SCOPES = (
 _NO_FLOAT64_SCOPE = "src/repro/nn/functional.py"
 
 _NP_ALLOCATORS = frozenset({"zeros", "empty", "ones"})
+
+#: Where an ``assert`` on a clock reading is flagged (bench-wallclock).
+_CLOCK_ASSERT_SCOPES = ("tests/", "benchmarks/")
+_CLOCKS = frozenset({"perf_counter", "monotonic", "perf_counter_ns", "monotonic_ns"})
 
 
 @dataclass(frozen=True)
@@ -108,7 +119,10 @@ RULES: tuple[Rule, ...] = (
     ),
     Rule(
         id="bench-wallclock",
-        summary="time.time() in timing code (use time.perf_counter())",
+        summary=(
+            "time.time() in timing code (use time.perf_counter()); in tests/ and "
+            "benchmarks/, an assert on a perf_counter()/monotonic() reading"
+        ),
         scope=_everywhere,
         scope_doc="everywhere",
     ),
@@ -270,6 +284,49 @@ def _check_call(node: ast.Call, rel: str) -> Iterator[tuple[str, str]]:
             )
 
 
+def _reads_clock(node: ast.AST, tainted: set[str]) -> bool:
+    """True when ``node`` calls a monotonic clock or reads a tainted name."""
+    for sub in ast.walk(node):
+        if isinstance(sub, ast.Name) and sub.id in tainted:
+            return True
+        if isinstance(sub, ast.Call):
+            func = sub.func
+            name = func.attr if isinstance(func, ast.Attribute) else getattr(func, "id", None)
+            if name in _CLOCKS:
+                return True
+    return False
+
+
+def _clock_asserts(function: ast.FunctionDef | ast.AsyncFunctionDef) -> Iterator[ast.Assert]:
+    """Asserts in ``function`` whose expression depends on a clock reading."""
+    assignments: list[tuple[list[ast.expr], ast.expr]] = []
+    asserts: list[ast.Assert] = []
+    for node in ast.walk(function):
+        if isinstance(node, ast.Assign):
+            assignments.append((node.targets, node.value))
+        elif isinstance(node, (ast.AugAssign, ast.AnnAssign)) and node.value is not None:
+            assignments.append(([node.target], node.value))
+        elif isinstance(node, ast.Assert):
+            asserts.append(node)
+    if not asserts:
+        return
+    tainted: set[str] = set()
+    grew = True
+    while grew:  # fixpoint: elapsed = perf_counter() - start; ratio = a / elapsed
+        grew = False
+        for targets, value in assignments:
+            if not _reads_clock(value, tainted):
+                continue
+            for target in targets:
+                for sub in ast.walk(target):
+                    if isinstance(sub, ast.Name) and sub.id not in tainted:
+                        tainted.add(sub.id)
+                        grew = True
+    for node in asserts:
+        if _reads_clock(node.test, tainted):
+            yield node
+
+
 def _check_import(node: ast.Import | ast.ImportFrom) -> Iterator[tuple[str, str]]:
     message = (
         "multiprocessing.shared_memory must only be imported by runtime/shm.py; "
@@ -313,6 +370,7 @@ def lint_source(source: str, rel: str) -> list[Violation]:
             )
         )
 
+    clock_asserts_seen: set[int] = set()  # a nested def is walked from its parent too
     for node in ast.walk(tree):
         if isinstance(node, ast.Call):
             for rule_id, message in _check_call(node, rel):
@@ -321,6 +379,17 @@ def lint_source(source: str, rel: str) -> list[Violation]:
             for rule_id, message in _check_import(node):
                 emit(rule_id, node.lineno, message)
         elif isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            if rel.startswith(_CLOCK_ASSERT_SCOPES):
+                for clock_assert in _clock_asserts(node):
+                    if clock_assert.lineno in clock_asserts_seen:
+                        continue
+                    clock_asserts_seen.add(clock_assert.lineno)
+                    emit(
+                        "bench-wallclock",
+                        clock_assert.lineno,
+                        "assert on a perf_counter()/monotonic() reading depends on "
+                        "host load; assert structure here and measure time in perf/",
+                    )
             defaults = list(node.args.defaults) + [
                 default for default in node.args.kw_defaults if default is not None
             ]

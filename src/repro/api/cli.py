@@ -14,7 +14,6 @@ Subcommands:
                      (``--replicas N --traffic PATTERN`` switches to the
                      delta-fed replicated tier under generated traffic)
 ``pipeline``         online train→publish→probe loop
-``bench``            micro-benchmark harness (forwards to ``repro.bench``)
 ``experiment``       paper tables/figures (forwards to the legacy runner:
                      ``python -m repro experiment run fig8 --scale tiny``)
 ``validate-config``  eagerly validate config files / directories
@@ -43,7 +42,7 @@ def _add_config_arguments(parser: argparse.ArgumentParser) -> None:
                         metavar="SECTION.KEY=VALUE",
                         help="dotted config override, repeatable "
                              "(e.g. --set store.num_shards=4, "
-                             "--set store.executor=serial|threads|processes, "
+                             "--set store.executor=serial|processes, "
                              "--set store.executor_workers=4)")
     parser.add_argument("--output", type=Path, default=None,
                         help="also write the JSON report to this path")
@@ -88,14 +87,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     add_analyze_arguments(analyze)
 
-    # Forwarding subcommands: registered for --help discoverability; their
+    # Forwarding subcommand: registered for --help discoverability; its
     # arguments are passed through verbatim (main() short-circuits before
     # argparse because REMAINDER does not capture leading flags).
-    bench = subparsers.add_parser(
-        "bench", help="micro-benchmarks (forwards to repro.bench)", add_help=False)
-    bench.add_argument("args", nargs=argparse.REMAINDER,
-                       help="arguments for repro.bench (e.g. --smoke --output x.json)")
-
     experiment = subparsers.add_parser(
         "experiment", help="paper tables/figures (forwards to the legacy runner)",
         add_help=False)
@@ -154,11 +148,6 @@ def _run_validate(paths: list[Path]) -> int:
 
 def main(argv: list[str] | None = None) -> int:
     argv = list(sys.argv[1:]) if argv is None else list(argv)
-
-    if argv[:1] == ["bench"]:
-        from repro.bench.__main__ import main as bench_main
-
-        return bench_main(argv[1:])
 
     if argv[:1] == ["experiment"]:
         from repro.cli import run_legacy_cli

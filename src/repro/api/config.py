@@ -198,7 +198,7 @@ class StoreConfig:
         import numpy as np
 
         from repro.api import registry, spec as spec_module
-        from repro.runtime.executor import EXECUTOR_KINDS, canonical_executor_kind
+        from repro.runtime.executor import EXECUTOR_KINDS
 
         if self.compression_ratio <= 0:
             raise ConfigurationError(
@@ -212,13 +212,11 @@ class StoreConfig:
             raise ConfigurationError(
                 f"store.learning_rate must be positive, got {self.learning_rate}"
             )
-        try:
-            self.executor = canonical_executor_kind(self.executor)
-        except ValueError:
+        if self.executor not in EXECUTOR_KINDS:
             raise ConfigurationError(
                 f"store.executor '{self.executor}' is not a known executor; expected "
                 f"one of {sorted(EXECUTOR_KINDS)}"
-            ) from None
+            )
         if self.executor_workers is not None and self.executor_workers <= 0:
             raise ConfigurationError(
                 f"store.executor_workers must be positive, got {self.executor_workers}"

@@ -343,7 +343,7 @@ class Session:
         }
 
     def close(self) -> None:
-        """Shut down the store's executor (thread pools, shard workers)."""
+        """Shut down the store's executor (shard worker processes)."""
         executor = getattr(self.store, "executor", None)
         if executor is not None:
             executor.close()

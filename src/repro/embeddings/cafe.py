@@ -360,8 +360,7 @@ class CafeEmbedding(TableBackedEmbedding):
         ``locate`` covers routing-plan construction/reuse (both halves of the
         step), ``apply`` the parameter update, ``sketch`` scoring + sketch
         insertion + row release, and ``admit`` the periodic decay/threshold/
-        migration maintenance.  The bench diffs two snapshots to attribute
-        per-step cost.
+        migration maintenance.  Diff two snapshots to attribute per-step cost.
         """
         return dict(self._phase_ns)
 

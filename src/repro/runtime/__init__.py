@@ -1,18 +1,15 @@
-"""Shard-parallel runtime: executors, latency simulation, online pipeline.
+"""Shard-parallel runtime: executors and the online pipeline.
 
 ``repro.runtime`` holds the pieces that turn the store + serving stack into
 a continuously running system:
 
-* :mod:`repro.runtime.executor` — the :class:`ShardExecutor` interface with
-  serial and thread-pool implementations, used by
-  :class:`~repro.store.sharded.ShardedEmbeddingStore` to fan per-shard work
-  out concurrently;
+* :mod:`repro.runtime.executor` — the :class:`ShardExecutor` interface and
+  its serial implementation, used by
+  :class:`~repro.store.sharded.ShardedEmbeddingStore` to fan out per-shard
+  work;
 * :mod:`repro.runtime.process` — :class:`ProcessShardExecutor`, which moves
   each shard into a pinned worker process with its tables in shared memory
   (:mod:`repro.runtime.shm`) for real CPU parallelism;
-* :mod:`repro.runtime.simulate` — :class:`LatencySimulatedShard`, an
-  embedding wrapper that charges a per-operation stall so remote-shard
-  deployments can be benchmarked in-process;
 * :mod:`repro.runtime.pipeline` — :class:`OnlinePipeline`, the train→serve
   loop that publishes copy-on-write store snapshots to a live
   :class:`~repro.serving.engine.ServingEngine` on a configurable cadence.
@@ -26,23 +23,17 @@ from repro.runtime.executor import (
     ExecutorStats,
     SerialShardExecutor,
     ShardExecutor,
-    ThreadPoolShardExecutor,
-    canonical_executor_kind,
     create_executor,
 )
-from repro.runtime.simulate import LatencySimulatedShard
 
 __all__ = [
     "ShardExecutor",
     "SerialShardExecutor",
-    "ThreadPoolShardExecutor",
     "ProcessShardExecutor",
     "ShardHandle",
     "ExecutorStats",
     "create_executor",
-    "canonical_executor_kind",
     "EXECUTOR_KINDS",
-    "LatencySimulatedShard",
     "OnlinePipeline",
     "PipelineConfig",
     "PipelineReport",

@@ -16,7 +16,7 @@ import json
 import warnings
 from pathlib import Path
 
-from repro.runtime.executor import EXECUTOR_KINDS, canonical_executor_kind
+from repro.runtime.executor import EXECUTOR_KINDS
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -35,10 +35,8 @@ def build_parser() -> argparse.ArgumentParser:
                              "(overrides --method/--num-shards with a TableGroupStore)")
     parser.add_argument("--num-shards", type=int, default=2,
                         help="hash-partitioned shards in the store (default: 2)")
-    parser.add_argument("--executor", default="serial", type=canonical_executor_kind,
-                        metavar="{" + ",".join(EXECUTOR_KINDS) + "}",
-                        help="shard fan-out runtime; legacy aliases like 'thread' "
-                             "canonicalize (default: serial)")
+    parser.add_argument("--executor", default="serial", choices=EXECUTOR_KINDS,
+                        help="shard fan-out runtime (default: serial)")
     parser.add_argument("--compression-ratio", type=float, default=10.0)
     parser.add_argument("--scale", default="tiny", choices=["tiny", "small", "medium"])
     parser.add_argument("--publish-every", type=int, default=10,

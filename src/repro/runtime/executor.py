@@ -1,4 +1,4 @@
-"""Shard executors: one interface, serial and thread-pool implementations.
+"""Shard executors: one interface, a serial implementation, shared stats.
 
 A :class:`ShardExecutor` runs a set of per-shard tasks — the fan-out half of
 every :class:`~repro.store.sharded.ShardedEmbeddingStore` operation
@@ -8,20 +8,15 @@ shards.
 
 Two implementations exist behind the interface:
 
-* :class:`SerialShardExecutor` runs the tasks in shard order on the calling
-  thread.  This is the default: it adds zero overhead and keeps every store
-  operation deterministic and single-threaded.
-* :class:`ThreadPoolShardExecutor` runs the tasks concurrently on a thread
-  pool.  Python's GIL means CPU-bound NumPy shard work does not speed up on
-  a single core; the pool's win is *overlapping per-shard stalls* — the
-  realistic deployment story where each shard sits behind an RPC, a disk
-  read, or a GIL-releasing native kernel.  The speedup criterion in
-  ``repro.bench`` is therefore measured over latency-simulated shards (see
-  :class:`~repro.runtime.simulate.LatencySimulatedShard`).
+* :class:`SerialShardExecutor` (here) runs the tasks in shard order on the
+  calling thread.  This is the default: it adds zero overhead and keeps
+  every store operation deterministic and single-threaded.
+* :class:`~repro.runtime.process.ProcessShardExecutor` moves each shard into
+  a worker process with its tables in shared memory, for real CPU
+  parallelism on hosts that have the cores.
 
 Tasks submitted in one :meth:`ShardExecutor.run` call must touch *disjoint*
-state (the store guarantees this: each task owns one shard object), which is
-what makes the threaded execution safe without any locking in the shards.
+state (the store guarantees this: each task owns one shard object).
 
 >>> executor = SerialShardExecutor()
 >>> executor.run([(0, lambda: "a"), (2, lambda: "b")])
@@ -37,7 +32,6 @@ from __future__ import annotations
 import abc
 import threading
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from typing import Any, Callable, Sequence
 
@@ -233,109 +227,27 @@ class SerialShardExecutor(ShardExecutor):
         self.__init__()
 
 
-class ThreadPoolShardExecutor(ShardExecutor):
-    """Run shard tasks concurrently on a shared thread pool.
-
-    ``max_workers=None`` (the default) sizes the pool lazily to the widest
-    fan-out seen, so every shard of a store can stall concurrently.  The
-    pool is created on first use and torn down by :meth:`close` (also called
-    by ``with``-statement exit and the finalizer).
-    """
-
-    def __init__(self, max_workers: int | None = None):
-        super().__init__()
-        self._pool: ThreadPoolExecutor | None = None
-        self._pool_width = 0
-        if max_workers is not None and max_workers <= 0:
-            raise ValueError(f"max_workers must be positive, got {max_workers}")
-        self.max_workers = max_workers
-
-    def _ensure_pool(self, width: int) -> ThreadPoolExecutor:
-        target = self.max_workers if self.max_workers is not None else max(width, 1)
-        if self._pool is None or (self.max_workers is None and target > self._pool_width):
-            if self._pool is not None:
-                self._pool.shutdown(wait=True)
-            self._pool = ThreadPoolExecutor(max_workers=target)
-            self._pool_width = target
-        return self._pool
-
-    def run(self, tasks: Sequence[ShardTask]) -> list[Any]:
-        if len(tasks) <= 1:
-            # A single task gains nothing from the pool; skip the handoff.
-            start = time.perf_counter()
-            results = [self._timed(shard_index, thunk) for shard_index, thunk in tasks]
-            with self._lock:
-                self.stats.record_fanout(time.perf_counter() - start)
-            return results
-        pool = self._ensure_pool(len(tasks))
-        start = time.perf_counter()
-        futures = [pool.submit(self._timed, shard_index, thunk) for shard_index, thunk in tasks]
-        results = [future.result() for future in futures]
-        with self._lock:
-            self.stats.record_fanout(time.perf_counter() - start)
-        return results
-
-    def close(self) -> None:
-        if self._pool is not None:
-            self._pool.shutdown(wait=True)
-            self._pool = None
-            self._pool_width = 0
-
-    def __del__(self):  # pragma: no cover - finalizer timing is interpreter-dependent
-        self.close()
-
-    def __deepcopy__(self, memo) -> "ThreadPoolShardExecutor":
-        # Never copy a live pool (deep-copied stores get their own workers).
-        return ThreadPoolShardExecutor(max_workers=self.max_workers)
-
-    def __getstate__(self) -> dict[str, Any]:
-        return {"max_workers": self.max_workers}
-
-    def __setstate__(self, state: dict[str, Any]) -> None:
-        self.__init__(max_workers=state["max_workers"])
-
-
-#: Canonical executor kinds accepted by :func:`create_executor`.
-EXECUTOR_KINDS = ("serial", "threads", "processes")
-
-#: Accepted aliases → canonical kind (legacy spellings keep working).
-_KIND_ALIASES = {
-    "serial": "serial",
-    "thread": "threads",
-    "threads": "threads",
-    "threadpool": "threads",
-    "process": "processes",
-    "processes": "processes",
-}
-
-
-def canonical_executor_kind(kind: str) -> str:
-    """Normalize an executor spelling (``thread`` → ``threads``, …).
-
-    >>> canonical_executor_kind("threadpool")
-    'threads'
-    """
-    canonical = _KIND_ALIASES.get(kind.lower())
-    if canonical is None:
-        raise ValueError(f"unknown executor kind '{kind}'; expected one of {EXECUTOR_KINDS}")
-    return canonical
+#: Executor kinds accepted by :func:`create_executor`.
+EXECUTOR_KINDS = ("serial", "processes")
 
 
 def create_executor(kind: str, max_workers: int | None = None) -> ShardExecutor:
     """Build a :class:`ShardExecutor` from a CLI/config spelling.
 
-    ``kind`` is ``"serial"``, ``"threads"`` or ``"processes"`` (aliases
-    ``thread``, ``threadpool`` and ``process`` are accepted); ``max_workers``
-    applies to the threaded and process executors.
+    ``kind`` is ``"serial"`` or ``"processes"`` (there are no aliases);
+    ``max_workers`` applies to the process executor.
 
     >>> create_executor("serial").run([(0, lambda: 41 + 1)])
     [42]
+    >>> create_executor("threads")
+    Traceback (most recent call last):
+        ...
+    ValueError: unknown executor kind 'threads'; expected one of ('serial', 'processes')
     """
-    canonical = canonical_executor_kind(kind)
-    if canonical == "serial":
+    if kind not in EXECUTOR_KINDS:
+        raise ValueError(f"unknown executor kind '{kind}'; expected one of {EXECUTOR_KINDS}")
+    if kind == "serial":
         return SerialShardExecutor()
-    if canonical == "threads":
-        return ThreadPoolShardExecutor(max_workers=max_workers)
     from repro.runtime.process import ProcessShardExecutor
 
     return ProcessShardExecutor(max_workers=max_workers)

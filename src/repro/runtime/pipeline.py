@@ -112,7 +112,7 @@ class PipelineReport:
         return float(np.percentile(np.asarray(self.publish_latencies_s), percentile) * 1e3)
 
     def as_dict(self) -> dict[str, Any]:
-        """JSON-ready summary (what the CLI and the bench report)."""
+        """JSON-ready summary (what the CLI reports)."""
         return {
             "steps": self.steps,
             "steps_per_s": round(self.steps / self.elapsed_s, 2) if self.elapsed_s else 0.0,

@@ -532,6 +532,9 @@ class ProcessShardExecutor(ShardExecutor):
     """
 
     is_process_executor = True
+    #: Until ``__init__`` finishes there is nothing to close (the finalizer
+    #: also runs on an instance whose arguments were refused).
+    _closed = True
 
     def __init__(
         self,
@@ -686,7 +689,7 @@ class ProcessShardExecutor(ShardExecutor):
 
     def __deepcopy__(self, memo) -> "ProcessShardExecutor":
         # Never copy live workers; a copied store gets a fresh, un-adopted
-        # runtime (mirrors the thread-pool executor's behaviour).
+        # runtime.
         return ProcessShardExecutor(
             max_workers=self.max_workers,
             start_method=self.start_method,

@@ -99,8 +99,8 @@ class SnapshotPayload:
     """One versioned publish: a full snapshot or a delta against a base.
 
     ``payload_rows`` / ``payload_floats`` account what a transport would
-    actually ship (delta rows, or every table row for a full), which is the
-    figure the delta-publish bench gate is about.
+    actually ship (delta rows, or every table row for a full) — the figure
+    ``perf/`` reports as ``serving.delta_rows_per_publish``.
     """
 
     kind: str  # "full" | "delta"
@@ -177,7 +177,7 @@ class DeltaSnapshotPublisher:
     ``rebase_every`` bounds the delta chain: every ``rebase_every``-th
     publish is a full snapshot, so at most ``rebase_every - 1`` deltas sit
     between two fulls (``1`` = every publish is full — the whole-snapshot
-    baseline the bench gate compares against; ``0`` = never rebase).
+    baseline; ``0`` = never rebase).
     """
 
     def __init__(self, model: Any, rebase_every: int = 8):

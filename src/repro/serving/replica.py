@@ -22,11 +22,10 @@ leaves the replica exactly as it was.
 Replicas deliberately *materialize* their state (deep copies / patched
 array copies) instead of aliasing the publisher's frozen snapshots: a
 replica models a process on another machine, so applying a payload pays
-the real shipping cost — that is what the delta-vs-full bench gate
-measures.  To keep a delta apply O(delta rows) rather than O(table), each
-replica double-buffers: the state displaced by a cutover is kept as a
-spare, and the next delta patches the spare in place (replaying the one
-delta batch it is behind) instead of copying the whole table.  The
+the real shipping cost.  To keep a delta apply O(delta rows) rather than
+O(table), each replica double-buffers: the state displaced by a cutover is
+kept as a spare, and the next delta patches the spare in place (replaying
+the one delta batch it is behind) instead of copying the whole table.  The
 resulting contract: an installed view is immutable while it is current
 and throughout the cutover that replaces it; once it is two versions old
 its arrays may be recycled.  Memory cost is ~2x the table per replica.

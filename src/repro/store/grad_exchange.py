@@ -18,8 +18,8 @@ sketches by plain addition into one global per-step gradient sketch
 pin down (merge of N shard sketches == one single-stream fold).
 
 Build and reconstruct run the same code on every executor; only the
-transport differs (in-process handoff for serial/threads, shm arena arrays
-for processes), which is what makes the 3-way parity test meaningful.
+transport differs (in-process handoff for serial, shm arena arrays for
+processes), which is what makes the serial ≡ processes parity test meaningful.
 """
 
 from __future__ import annotations
@@ -146,8 +146,8 @@ def apply_sketched_payload(shard, *payload) -> None:
 
     ``payload`` is :meth:`SketchedGradPayload.arrays` plus the seed.  Runs
     shard-side on every executor (the worker's
-    ``op_apply_sketched_gradients`` calls it too), so serial, threaded and
-    process execution share one recovery code path.  The shard's importance
+    ``op_apply_sketched_gradients`` calls it too), so serial and process
+    execution share one recovery code path.  The shard's importance
     scores are the norms of the reconstructed rows.
     """
     ids, grads = reconstruct_gradients(*payload, dtype=shard.dtype)

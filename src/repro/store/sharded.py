@@ -27,11 +27,9 @@ frozen object immutable for every outstanding snapshot.
 Per-shard work — ``lookup``, ``apply_gradients``, :meth:`ShardedEmbedding
 Store.rebalance` and :meth:`ShardedEmbeddingStore.merged_sketch` — is fanned
 out through a pluggable :class:`~repro.runtime.executor.ShardExecutor`
-(serial by default; a thread pool overlaps per-shard stalls).  The fan-out
-is safe without shard-level locking because the tasks of one operation touch
-disjoint shard objects, and all store-level bookkeeping (plan cache,
-copy-on-write swaps, step counter) happens on the calling thread before or
-after the fan-out.
+(serial by default).  The tasks of one operation touch disjoint shard
+objects, and all store-level bookkeeping (plan cache, copy-on-write swaps,
+step counter) happens on the calling thread before or after the fan-out.
 
 With a :class:`~repro.runtime.process.ProcessShardExecutor` the store goes
 *remote*: the shard objects are adopted into pinned worker processes
@@ -149,7 +147,7 @@ class ShardedEmbeddingStore(CompressedEmbedding, EmbeddingStore):
         shard hash decides ownership) but receives ``1/num_shards`` of the
         total float budget, which is expressed by scaling the per-shard
         compression ratio.  ``executor`` selects the fan-out runtime
-        (``"serial"``, ``"thread"``, or a :class:`~repro.runtime.executor.
+        (``"serial"``, ``"processes"``, or a :class:`~repro.runtime.executor.
         ShardExecutor` instance).  Remaining ``kwargs`` are forwarded to
         :func:`repro.embeddings.create_embedding` (e.g. ``optimizer``,
         ``field_cardinalities``).
@@ -220,8 +218,7 @@ class ShardedEmbeddingStore(CompressedEmbedding, EmbeddingStore):
             if not capability_registry.supports_process_parallel(shard):
                 raise ValueError(
                     f"shard backend {type(shard).__name__} opts out of the process "
-                    "executor (supports_process_parallel=False); use 'serial' or "
-                    "'threads' instead"
+                    "executor (supports_process_parallel=False); use 'serial' instead"
                 )
         self._shards = list(self.executor.adopt_units(self._shards, kind="shard"))
         self._remote = True
@@ -251,8 +248,8 @@ class ShardedEmbeddingStore(CompressedEmbedding, EmbeddingStore):
     # EmbeddingStore / CompressedEmbedding interface
     # ------------------------------------------------------------------ #
     def set_executor(self, executor: ShardExecutor | str) -> None:
-        """Swap the fan-out runtime (``"serial"``, ``"threads"``,
-        ``"processes"``, or an instance).
+        """Swap the fan-out runtime (``"serial"``, ``"processes"``, or an
+        instance).
 
         Leaving a process executor first pulls every shard back out of its
         worker (bit-exact, private arrays); entering one adopts the shards

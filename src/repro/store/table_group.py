@@ -492,7 +492,7 @@ class TableGroupStore(CompressedEmbedding, EmbeddingStore):
                 raise ValueError(
                     f"group '{group.name}' backend {type(group.backend).__name__} opts "
                     "out of the process executor (supports_process_parallel=False); "
-                    "use 'serial' or 'threads' instead"
+                    "use 'serial' instead"
                 )
         handles = self.executor.adopt_units(self._groups, kind="group")
         # The whole group (backend + projection) now lives in the worker; the
@@ -515,8 +515,8 @@ class TableGroupStore(CompressedEmbedding, EmbeddingStore):
         return getattr(capability_registry, "supports_" + capability)(group.backend)
 
     def set_executor(self, executor: ShardExecutor | str) -> None:
-        """Swap the group fan-out runtime (``"serial"``, ``"threads"``,
-        ``"processes"``, or an instance).
+        """Swap the group fan-out runtime (``"serial"``, ``"processes"``, or
+        an instance).
 
         Leaving a process executor pulls every group back out of its worker
         (bit-exact, private arrays); entering one adopts the groups into
@@ -540,8 +540,7 @@ class TableGroupStore(CompressedEmbedding, EmbeddingStore):
         ``(batch, fields, dim)`` with per-group projection.
 
         Per-group gathers run through :attr:`executor`; each task writes a
-        disjoint column slice of the output, so threaded execution needs no
-        synchronisation.
+        disjoint column slice of the output.
         """
         ids = self._check_matrix(ids)
         plan = self.plan_for(ids)
@@ -739,7 +738,7 @@ class TableGroupStore(CompressedEmbedding, EmbeddingStore):
         return max(sketches, key=lambda s: s.total_insertions)
 
     def group_summaries(self) -> list[dict]:
-        """Per-group description rows (used by bench and ``describe``)."""
+        """Per-group description rows (used by ``describe``)."""
         if self._remote:
             # The real backends live worker-side; describe them there.
             return self.executor.run_ops(

@@ -61,16 +61,128 @@ class TestSharedMemoryImport:
         assert not flags(stmt, SRC_PATH, "shared-memory-import")
 
 
+TIMING_PATH = "src/repro/training/latency.py"  # any module that times something
+
+
 class TestBenchWallclock:
     def test_flags_time_time(self):
-        found = flags("start = time.time()\n", "src/repro/bench/embedding_bench.py",
-                      "bench-wallclock")
+        found = flags("start = time.time()\n", TIMING_PATH, "bench-wallclock")
         assert len(found) == 1
         assert "perf_counter" in found[0].message
 
     def test_perf_counter_passes(self):
         source = "start = time.perf_counter()\n"
-        assert not flags(source, "src/repro/bench/embedding_bench.py", "bench-wallclock")
+        assert not flags(source, TIMING_PATH, "bench-wallclock")
+
+
+class TestClockAssert:
+    """The three assertion shapes tier-1 carried before PR 22 (the first
+    failed a fresh checkout's ``pytest -x``), as source strings."""
+
+    # tests/test_runtime_executor.py:84 at the parent: a ratio of two
+    # elapsed-time locals, each a perf_counter() difference.
+    RATIO_OF_LOCALS = """
+    def test_pool_overlaps_stalls(self):
+        tasks = [(i, stall) for i in range(4)]
+        start = time.perf_counter()
+        for _ in range(3):
+            serial.run(tasks)
+        serial_s = time.perf_counter() - start
+        start = time.perf_counter()
+        for _ in range(3):
+            pooled.run(tasks)
+        pooled_s = time.perf_counter() - start
+        pooled.close()
+        assert serial_s / pooled_s >= 1.5
+    """
+
+    # tests/test_runtime_executor.py:139: the same ratio timed around store
+    # lookups; bound to one more local here so the taint has to propagate.
+    RATIO_THROUGH_A_THIRD_NAME = """
+    def test_store_fanout_speedup(self):
+        start = time.perf_counter()
+        for step in range(4):
+            serial.lookup(ids[step])
+        serial_s = time.perf_counter() - start
+        start = time.perf_counter()
+        for step in range(4):
+            pooled.lookup(ids[step])
+        pooled_s = time.perf_counter() - start
+        speedup = serial_s / pooled_s
+        assert speedup >= 1.5
+    """
+
+    # tests/test_bench.py:93-94: the ratio was computed under src/ and
+    # arrived in a report dict; no clock appears in the test's own source.
+    RATIO_FROM_A_REPORT = """
+    def test_smoke(tmp_path):
+        report = run_benchmarks(config)
+        parallel = report["results"]["shard_parallel"]
+        wide_rows = [row for row in parallel["rows"] if row["num_shards"] >= 4]
+        assert wide_rows and all(row["fanout_speedup"] >= 1.2 for row in wide_rows)
+    """
+
+    @pytest.mark.parametrize("path", ["tests/test_runtime_executor.py",
+                                      "benchmarks/test_fig13_throughput.py"])
+    @pytest.mark.parametrize("source", [RATIO_OF_LOCALS, RATIO_THROUGH_A_THIRD_NAME],
+                             ids=["ratio_of_locals", "ratio_through_a_third_name"])
+    def test_flags_assert_on_elapsed_time(self, source, path):
+        found = flags(source, path, "bench-wallclock")
+        assert len(found) == 1
+        assert "perf/" in found[0].message
+        assert textwrap.dedent(source).splitlines()[found[0].line - 1].lstrip().startswith("assert")
+
+    def test_flags_a_direct_clock_read(self):
+        source = """
+        def test_deadline():
+            deadline = time.monotonic() + 1.0
+            work()
+            assert time.monotonic() < deadline
+        """
+        assert len(flags(source, "tests/test_x.py", "bench-wallclock")) == 1
+
+    def test_ratio_from_a_report_is_out_of_reach(self):
+        # Local taint cannot see a timing number that crosses a call: this
+        # shape is closed by deleting its producer (nothing outside perf/
+        # computes a speed ratio any more), not by the rule.
+        assert not flags(self.RATIO_FROM_A_REPORT, "tests/test_bench.py", "bench-wallclock")
+
+    def test_polling_loop_passes(self):
+        # tests/test_runtime_process.py: waiting for a killed worker to go.
+        source = """
+        def test_killed_worker():
+            deadline = time.monotonic() + 10.0
+            while time.monotonic() < deadline:
+                if gone(pid):
+                    break
+                time.sleep(0.01)
+            assert gone(pid)
+        """
+        assert not flags(source, "tests/test_runtime_process.py", "bench-wallclock")
+
+    def test_timing_that_feeds_no_assert_passes(self):
+        source = """
+        def test_reports_elapsed(record):
+            start = time.perf_counter()
+            result = work()
+            record(time.perf_counter() - start)
+            assert result == 42
+        """
+        assert not flags(source, "benchmarks/test_fig13_throughput.py", "bench-wallclock")
+
+    def test_src_is_out_of_scope(self):
+        assert not flags(self.RATIO_OF_LOCALS, TIMING_PATH, "bench-wallclock")
+
+    def test_nested_function_is_reported_once(self):
+        source = """
+        def test_outer():
+            def check():
+                start = time.perf_counter()
+                work()
+                assert time.perf_counter() - start < 0.1
+            check()
+        """
+        assert len(flags(source, "tests/test_x.py", "bench-wallclock")) == 1
 
 
 class TestMutableDefault:

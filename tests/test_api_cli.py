@@ -14,7 +14,7 @@ EXAMPLE_CONFIGS = REPO_ROOT / "examples" / "configs"
 class TestParser:
     def test_subcommands_exist(self):
         parser = build_parser()
-        for command in ("train", "serve", "pipeline", "bench", "experiment",
+        for command in ("train", "serve", "pipeline", "experiment",
                         "validate-config", "describe"):
             args = parser.parse_args(
                 [command] + (["x.json"] if command == "validate-config" else [])
@@ -24,6 +24,11 @@ class TestParser:
     def test_command_required(self):
         with pytest.raises(SystemExit):
             build_parser().parse_args([])
+
+    def test_bench_subcommand_is_gone(self):
+        # Timing lives in perf/ only; see docs/benchmarks.md "Retired in PR 22".
+        with pytest.raises(SystemExit):
+            build_parser().parse_args(["bench"])
 
     def test_set_is_repeatable(self):
         args = build_parser().parse_args(
@@ -138,9 +143,3 @@ class TestForwarding:
             assert main(["experiment", "list"]) == 0
         assert "fig8" in capsys.readouterr().out
 
-    def test_bench_smoke_forwards(self, tmp_path, capsys):
-        out = tmp_path / "bench.json"
-        assert main(["bench", "--smoke", "--output", str(out),
-                     "--steps", "2", "--batch-size", "32"]) == 0
-        report = json.loads(out.read_text())
-        assert "latest" in report

@@ -106,10 +106,9 @@ class TestCheckpoint:
         load_checkpoint(path, restored)
         assert np.array_equal(model.embedding.table, restored.embedding.table)
 
-    def test_roundtrip_sharded_store_with_thread_executor(self, tmp_path):
-        """Satellite of the table-group PR: the full .npz checkpoint path
-        over a thread-pool-executor sharded store restores bit-exact tables
-        at the configured dtype."""
+    def test_roundtrip_sharded_store_with_process_executor(self, tmp_path):
+        """The full .npz checkpoint path over a process-executor sharded
+        store restores bit-exact tables at the configured dtype."""
         from repro.store import ShardedEmbeddingStore
 
         dataset = tiny_dataset()
@@ -123,7 +122,7 @@ class TestCheckpoint:
                 compression_ratio=10.0,
                 seed=seed,
                 dtype="float32",
-                executor="thread",
+                executor="processes",
             )
             return build_model(dataset, embedding=store, seed=seed)
 
@@ -138,9 +137,10 @@ class TestCheckpoint:
             try:
                 assert load_checkpoint(path, restored) == trainer.global_step
                 for shard_a, shard_b in zip(model.store.shards, restored.store.shards):
-                    assert np.array_equal(shard_a.hot_table, shard_b.hot_table)
-                    assert np.array_equal(shard_a.shared_table, shard_b.shared_table)
-                    assert shard_b.hot_table.dtype == np.dtype("float32")
+                    state_a, state_b = shard_a.state_dict(), shard_b.state_dict()
+                    assert np.array_equal(state_a["hot_table"], state_b["hot_table"])
+                    assert np.array_equal(state_a["shared_table"], state_b["shared_table"])
+                    assert state_b["hot_table"].dtype == np.dtype("float32")
                 test = dataset.test_batch(300)
                 assert np.array_equal(
                     model.predict_proba(test.categorical, test.numerical),

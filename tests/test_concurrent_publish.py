@@ -40,7 +40,7 @@ def training_traffic(seed, steps=6, batch=96, fields=3):
         yield ids, grads
 
 
-@pytest.mark.parametrize("executor", ["serial", "thread"])
+@pytest.mark.parametrize("executor", ["serial", "processes"])
 @pytest.mark.parametrize("method", ["hash", "cafe"])
 class TestSnapshotBitIdentical:
     def test_mid_training_snapshot_survives_updates_and_rebalance(self, executor, method):
@@ -65,11 +65,12 @@ class TestSnapshotBitIdentical:
         )
         # The live store did diverge (the snapshot is not a stale alias bug).
         assert not np.array_equal(store.lookup(probe), frozen)
-        assert store.cow_copies > 0
+        if not store.remote:  # workers copy on their side of a sealed generation
+            assert store.cow_copies > 0
         store.executor.close()
 
 
-@pytest.mark.parametrize("executor", ["serial", "thread", "processes"])
+@pytest.mark.parametrize("executor", ["serial", "processes"])
 def test_reader_thread_sees_stable_snapshot_during_training(executor):
     """Genuine concurrency: a reader hammers the snapshot while the writer
     trains; every read must be bit-identical to the first.  Under the
@@ -108,7 +109,7 @@ def test_reader_thread_sees_stable_snapshot_during_training(executor):
     store.executor.close()
 
 
-@pytest.mark.parametrize("executor", ["serial", "thread"])
+@pytest.mark.parametrize("executor", ["serial", "processes"])
 def test_engine_answers_stable_while_training(executor):
     """Through the full serving engine: answers from a published snapshot
     do not move while the live store trains (they move after refresh)."""

@@ -1,4 +1,4 @@
-"""Docs-site integrity: link check, doctests, and bench docs pointer."""
+"""Docs-site integrity: link check and doctests."""
 
 import doctest
 import importlib
@@ -46,17 +46,11 @@ class TestDocsTree:
         problems = check_paths(default_paths(REPO))
         assert not problems, "broken markdown links:\n" + "\n".join(problems)
 
-    def test_benchmarks_page_documents_envelope(self):
-        text = (REPO / "docs" / "benchmarks.md").read_text(encoding="utf-8")
-        for term in ("latest", "history", "recorded_at", "schema_version",
-                     "shard_parallel", "online_pipeline"):
-            assert term in text, f"docs/benchmarks.md does not document '{term}'"
-
 
 class TestLinkChecker:
     def test_github_slug(self):
         assert github_slug("Copy-on-write snapshots") == "copy-on-write-snapshots"
-        assert github_slug("The `BENCH_embedding.json` envelope") == "the-bench_embeddingjson-envelope"
+        assert github_slug("Where `data.next_batch_ms` goes") == "where-datanext_batch_ms-goes"
 
     def test_heading_anchors_skip_code_fences(self, tmp_path):
         page = tmp_path / "page.md"
@@ -68,21 +62,6 @@ class TestLinkChecker:
         page.write_text("# T\n[a](gone.md)\n[b](#nope)\n", encoding="utf-8")
         problems = check_paths([page])
         assert len(problems) == 2
-
-
-class TestBenchDocsPointer:
-    def test_bench_docs_constant_points_at_real_file(self):
-        from repro.bench import BENCH_DOCS
-
-        assert (REPO / BENCH_DOCS).is_file()
-
-    def test_bench_cli_prints_docs_path(self):
-        """The summary output names the schema docs (without running a bench)."""
-        import repro.bench.__main__ as bench_main
-        import inspect
-
-        source = inspect.getsource(bench_main.main)
-        assert "BENCH_DOCS" in source
 
 
 @pytest.mark.parametrize("module_name", DOCTEST_MODULES)

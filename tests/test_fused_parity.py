@@ -154,7 +154,7 @@ def test_sharded_store_matches_golden_digest(method):
     assert run_digest(store, PROBE) == GOLDEN_RUNS[f"sharded-{method}"]
 
 
-@pytest.mark.parametrize("kind", ["threads", "processes"])
+@pytest.mark.parametrize("kind", ["processes"])
 def test_sharded_store_executors_match_serial(kind):
     """Executor choice must not change a bit."""
     batches = make_batches(seed=31)

@@ -147,8 +147,7 @@ class TestFreeRowPool:
 
 
 class ReferenceHotSketch(HotSketch):
-    """HotSketch with the seed's scalar miss-handling loop (the oracle; moved
-    here from ``repro.bench.legacy``)."""
+    """HotSketch with the seed's scalar miss-handling loop (the oracle)."""
 
     def _insert_misses(
         self, keys: np.ndarray, scores: np.ndarray, buckets: np.ndarray

@@ -1,45 +1,36 @@
 """Tests for the shard executors and the fan-out wiring in the store."""
 
 import copy
-import time
 
 import numpy as np
 import pytest
 
-from repro.runtime import (
-    LatencySimulatedShard,
-    SerialShardExecutor,
-    ThreadPoolShardExecutor,
-    create_executor,
-)
+from repro.runtime import ProcessShardExecutor, SerialShardExecutor, create_executor
 from repro.embeddings.hash_embedding import HashEmbedding
 from repro.store import ShardedEmbeddingStore
 
 DIM = 8
 NUM_FEATURES = 4000
+KINDS = ["serial", "processes"]
 
 
-def make_store(num_shards, executor, stall_s=0.0, method="hash"):
-    shards = []
-    for index in range(num_shards):
-        shard = HashEmbedding(
-            NUM_FEATURES, DIM, num_rows=NUM_FEATURES // 10, rng=index
-        ) if method == "hash" else None
-        if stall_s:
-            shard = LatencySimulatedShard(shard, stall_s=stall_s)
-        shards.append(shard)
+def make_store(num_shards, executor):
+    shards = [
+        HashEmbedding(NUM_FEATURES, DIM, num_rows=NUM_FEATURES // 10, rng=index)
+        for index in range(num_shards)
+    ]
     return ShardedEmbeddingStore(shards, executor=executor)
 
 
 class TestExecutorBasics:
-    @pytest.mark.parametrize("kind", ["serial", "thread"])
+    @pytest.mark.parametrize("kind", KINDS)
     def test_results_keep_task_order(self, kind):
         executor = create_executor(kind)
         tasks = [(i, lambda i=i: i * 10) for i in (3, 0, 2)]
         assert executor.run(tasks) == [30, 0, 20]
         executor.close()
 
-    @pytest.mark.parametrize("kind", ["serial", "thread"])
+    @pytest.mark.parametrize("kind", KINDS)
     def test_per_shard_stats_recorded(self, kind):
         executor = create_executor(kind)
         executor.run([(0, lambda: None), (2, lambda: None)])
@@ -52,7 +43,7 @@ class TestExecutorBasics:
         assert executor.stats.fanouts == 0
         executor.close()
 
-    @pytest.mark.parametrize("kind", ["serial", "thread"])
+    @pytest.mark.parametrize("kind", KINDS)
     def test_exceptions_propagate(self, kind):
         executor = create_executor(kind)
 
@@ -63,40 +54,17 @@ class TestExecutorBasics:
             executor.run([(0, lambda: 1), (1, boom)])
         executor.close()
 
-    def test_threaded_overlaps_stalls_1_5x_on_4_shards(self):
-        """The acceptance bar: ≥ 1.5x fan-out speedup at 4 shards when the
-        per-shard work stalls (sleep releases the GIL, like an RPC)."""
-        def stall():
-            time.sleep(0.004)
+    @pytest.mark.parametrize("kind", ["gpu", "threads", "thread", "process"])
+    def test_factory_accepts_exactly_serial_and_processes(self, kind):
+        with pytest.raises(ValueError, match="unknown executor kind.*serial.*processes"):
+            create_executor(kind)
 
-        tasks = [(i, stall) for i in range(4)]
-        serial, threaded = SerialShardExecutor(), ThreadPoolShardExecutor()
-        start = time.perf_counter()
-        for _ in range(3):
-            serial.run(tasks)
-        serial_s = time.perf_counter() - start
-        threaded.run(tasks)  # warm the pool outside the timed window
-        start = time.perf_counter()
-        for _ in range(3):
-            threaded.run(tasks)
-        threaded_s = time.perf_counter() - start
-        threaded.close()
-        assert serial_s / threaded_s >= 1.5
-
-    def test_single_task_skips_pool(self):
-        executor = ThreadPoolShardExecutor()
-        assert executor.run([(0, lambda: "only")]) == ["only"]
-        assert executor._pool is None  # fast path never built the pool
-        executor.close()
-
-    def test_factory_rejects_unknown_kind_and_bad_workers(self):
-        with pytest.raises(ValueError, match="unknown executor kind"):
-            create_executor("gpu")
+    def test_factory_rejects_bad_workers(self):
         with pytest.raises(ValueError, match="max_workers"):
-            ThreadPoolShardExecutor(max_workers=0)
+            create_executor("processes", max_workers=0)
 
     def test_deepcopy_yields_fresh_working_executor(self):
-        executor = ThreadPoolShardExecutor(max_workers=2)
+        executor = create_executor("processes", max_workers=2)
         executor.run([(0, lambda: 1), (1, lambda: 2)])
         clone = copy.deepcopy(executor)
         assert clone is not executor
@@ -108,48 +76,35 @@ class TestExecutorBasics:
 
 
 class TestStoreFanOut:
-    def test_serial_and_threaded_stores_are_bit_exact(self):
+    def test_serial_and_process_stores_are_bit_exact(self):
         ids = np.random.default_rng(0).integers(0, NUM_FEATURES, size=(32, 4))
         grads = np.random.default_rng(1).normal(size=(32, 4, DIM)).astype(np.float32)
         serial = make_store(4, "serial")
-        threaded = make_store(4, "thread")
-        for _ in range(4):
-            assert np.array_equal(serial.lookup(ids), threaded.lookup(ids))
-            serial.apply_gradients(ids, grads)
-            threaded.apply_gradients(ids, grads)
-        assert np.array_equal(serial.lookup(ids), threaded.lookup(ids))
-        threaded.executor.close()
+        remote = make_store(4, "processes")
+        try:
+            for _ in range(4):
+                assert np.array_equal(serial.lookup(ids), remote.lookup(ids))
+                serial.apply_gradients(ids, grads)
+                remote.apply_gradients(ids, grads)
+            assert np.array_equal(serial.lookup(ids), remote.lookup(ids))
+        finally:
+            remote.executor.close()
 
-    def test_store_lookup_fanout_speedup_over_stalling_shards(self):
-        """End-to-end acceptance check at the store level: a 4-shard lookup
-        over stalling (remote-like) shards runs ≥ 1.5x faster threaded."""
-        ids = np.random.default_rng(2).integers(0, NUM_FEATURES, size=(4, 256))
-        serial = make_store(4, "serial", stall_s=0.003)
-        threaded = make_store(4, "thread", stall_s=0.003)
-        threaded.lookup(ids[0])  # warm the pool
-        start = time.perf_counter()
-        for step in range(ids.shape[0]):
-            serial.lookup(ids[step])
-        serial_s = time.perf_counter() - start
-        start = time.perf_counter()
-        for step in range(ids.shape[0]):
-            threaded.lookup(ids[step])
-        threaded_s = time.perf_counter() - start
-        threaded.executor.close()
-        assert serial_s / threaded_s >= 1.5
-
-    def test_store_rebalance_fans_out_and_reports(self):
+    @pytest.mark.parametrize("kind", KINDS)
+    def test_store_rebalance_fans_out_and_reports(self, kind):
         store = ShardedEmbeddingStore.build(
             "cafe", num_features=NUM_FEATURES, dim=DIM, num_shards=3,
-            compression_ratio=10.0, executor="thread",
+            compression_ratio=10.0, executor=kind,
         )
         ids = np.random.default_rng(3).integers(0, NUM_FEATURES, size=(64, 2))
         grads = np.random.default_rng(4).normal(size=(64, 2, DIM)).astype(np.float32)
-        store.lookup(ids)
-        store.apply_gradients(ids, grads)
-        assert store.rebalance() is True  # CAFE shards support rebalancing
-        assert store.executor.stats.per_shard[2].calls > 0
-        store.executor.close()
+        try:
+            store.lookup(ids)
+            store.apply_gradients(ids, grads)
+            assert store.rebalance() is True  # CAFE shards support rebalancing
+            assert store.executor.stats.per_shard[2].calls > 0
+        finally:
+            store.executor.close()
 
     def test_static_backend_rebalance_is_noop(self):
         store = make_store(2, "serial")
@@ -162,31 +117,23 @@ class TestStoreFanOut:
     def test_set_executor_swaps_runtime(self):
         store = make_store(2, "serial")
         assert isinstance(store.executor, SerialShardExecutor)
-        store.set_executor("thread")
-        assert isinstance(store.executor, ThreadPoolShardExecutor)
         ids = np.arange(16).reshape(4, 4)
-        assert store.lookup(ids).shape == (4, 4, DIM)
-        store.executor.close()
+        before = store.lookup(ids)
+        store.set_executor("processes")
+        try:
+            assert isinstance(store.executor, ProcessShardExecutor)
+            assert np.array_equal(store.lookup(ids), before)
+            store.set_executor("serial")
+            assert isinstance(store.executor, SerialShardExecutor)
+            assert np.array_equal(store.lookup(ids), before)
+        finally:
+            store.executor.close()
 
-    def test_describe_names_executor(self):
-        store = make_store(2, "thread")
-        assert store.describe()["executor"] == "ThreadPoolShardExecutor"
-        store.executor.close()
-
-
-class TestLatencySimulatedShard:
-    def test_delegates_and_counts_stalls(self):
-        inner = HashEmbedding(100, DIM, num_rows=20, rng=0)
-        wrapped = LatencySimulatedShard(inner, stall_s=0.0)
-        ids = np.arange(10)
-        assert np.array_equal(wrapped.lookup(ids), inner.lookup(ids))
-        wrapped.apply_gradients(ids, np.zeros((10, DIM), dtype=np.float32))
-        assert wrapped.stalled_calls == 2
-        assert wrapped.memory_floats() == inner.memory_floats()
-        # attribute fall-through to the inner backend
-        assert wrapped.num_rows == inner.num_rows
-
-    def test_rejects_negative_stall(self):
-        inner = HashEmbedding(100, DIM, num_rows=20, rng=0)
-        with pytest.raises(ValueError, match="stall_s"):
-            LatencySimulatedShard(inner, stall_s=-1.0)
+    @pytest.mark.parametrize("kind, name", [("serial", "SerialShardExecutor"),
+                                            ("processes", "ProcessShardExecutor")])
+    def test_describe_names_executor(self, kind, name):
+        store = make_store(2, kind)
+        try:
+            assert store.describe()["executor"] == name
+        finally:
+            store.executor.close()

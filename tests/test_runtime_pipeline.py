@@ -58,7 +58,7 @@ class TestConfigValidation:
 
 
 class TestStalenessContract:
-    @pytest.mark.parametrize("executor", ["serial", "thread"])
+    @pytest.mark.parametrize("executor", ["serial", "processes"])
     def test_snapshot_never_older_than_cadence(self, executor):
         """The acceptance criterion: while training runs, the engine serves
         from a snapshot no older than the configured cadence."""
@@ -144,14 +144,16 @@ class TestReport:
         assert report.losses == reference
 
     @pytest.mark.parametrize("method", ["hash", "cafe"])
-    def test_serial_vs_threaded_pipeline_losses_identical(self, method):
+    def test_serial_vs_process_pipeline_losses_identical(self, method):
         dataset = tiny_dataset()
         serial = make_pipeline(dataset, executor="serial", method=method, max_steps=8)
-        threaded = make_pipeline(tiny_dataset(), executor="thread", method=method, max_steps=8)
-        losses_serial = serial.run(dataset.training_stream(64)).losses
-        losses_threaded = threaded.run(tiny_dataset().training_stream(64)).losses
-        assert losses_serial == losses_threaded
-        threaded.model.store.executor.close()
+        remote = make_pipeline(tiny_dataset(), executor="processes", method=method, max_steps=8)
+        try:
+            losses_serial = serial.run(dataset.training_stream(64)).losses
+            losses_remote = remote.run(tiny_dataset().training_stream(64)).losses
+        finally:
+            remote.model.store.executor.close()
+        assert losses_serial == losses_remote
 
 
 class TestPipelineCLI:
@@ -160,7 +162,7 @@ class TestPipelineCLI:
 
         args = build_parser().parse_args(
             ["--scale", "tiny", "--max-steps", "8", "--publish-every", "3",
-             "--probe-every", "2", "--num-shards", "2", "--executor", "thread",
+             "--probe-every", "2", "--num-shards", "2", "--executor", "processes",
              "--micro-batch", "16"]
         )
         report = run_pipeline_session(args)
@@ -168,7 +170,7 @@ class TestPipelineCLI:
         assert report["pipeline"]["staleness_within_cadence"] is True
         assert report["pipeline"]["max_staleness_steps"] <= 3
         assert report["store"]["num_shards"] == 2
-        assert report["store"]["executor"] == "ThreadPoolShardExecutor"
+        assert report["store"]["executor"] == "ProcessShardExecutor"
 
     def test_cli_writes_output_file(self, tmp_path):
         import json

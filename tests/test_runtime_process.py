@@ -19,13 +19,12 @@ import pytest
 
 from repro.data.schema import DatasetSchema, FieldSchema
 from repro.errors import ShardWorkerCrashed
-from repro.runtime import canonical_executor_kind, create_executor
+from repro.runtime import create_executor
 from repro.store import ShardedEmbeddingStore
 from repro.store.table_group import TableGroupStore
 
 DIM = 8
 NUM_FEATURES = 4000
-EXECUTORS = ("serial", "threads", "processes")
 
 
 def shm_segments() -> set[str]:
@@ -108,9 +107,9 @@ def assert_state_equal(a, b, path="state"):
 
 
 class TestShardedParity:
-    """serial vs threads vs processes on the hash-sharded store."""
+    """serial vs processes on the hash-sharded store."""
 
-    @pytest.mark.parametrize("kind", ["threads", "processes"])
+    @pytest.mark.parametrize("kind", ["processes"])
     def test_train_lookup_state_dict_bit_exact(self, kind):
         reference = make_sharded("serial")
         candidate = make_sharded(kind)
@@ -188,9 +187,9 @@ class TestShardedParity:
 
 
 class TestGroupedParity:
-    """serial vs threads vs processes on the per-field table-group store."""
+    """serial vs processes on the per-field table-group store."""
 
-    @pytest.mark.parametrize("kind", ["threads", "processes"])
+    @pytest.mark.parametrize("kind", ["processes"])
     def test_train_lookup_state_dict_bit_exact(self, kind):
         reference = make_grouped("serial")
         candidate = make_grouped(kind)
@@ -352,19 +351,20 @@ class TestLifecycle:
 
 
 class TestExecutorSelection:
-    def test_aliases_canonicalize(self):
-        assert canonical_executor_kind("thread") == "threads"
-        assert canonical_executor_kind("threadpool") == "threads"
-        assert canonical_executor_kind("process") == "processes"
-        with pytest.raises(ValueError, match="unknown executor kind"):
-            canonical_executor_kind("gpu")
+    @pytest.mark.parametrize("retired", ["threads", "thread", "process"])
+    def test_retired_spellings_are_configuration_errors(self, retired):
+        from repro.api.config import SystemConfig
+        from repro.errors import ConfigurationError
+
+        with pytest.raises(ConfigurationError, match=r"\['processes', 'serial'\]"):
+            SystemConfig.from_dict({"store": {"executor": retired}})
 
     def test_config_accepts_executor_and_worker_count(self):
         from repro.api.config import SystemConfig
         from repro.errors import ConfigurationError
 
         config = SystemConfig.from_dict(
-            {"store": {"executor": "process", "executor_workers": 2}}
+            {"store": {"executor": "processes", "executor_workers": 2}}
         )
         assert config.store.executor == "processes"
         with pytest.raises(ConfigurationError, match="executor_workers"):

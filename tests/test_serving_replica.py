@@ -101,7 +101,7 @@ class TestDeltaChainParity:
             # rebase_every=1 is the always-full baseline by definition.
             assert publisher.stats.delta_publishes == 0
 
-    @pytest.mark.parametrize("executor", ["serial", "thread", "processes"])
+    @pytest.mark.parametrize("executor", ["serial", "processes"])
     @pytest.mark.parametrize("method", ["hash", "cafe"])
     def test_parity_across_executors(self, method, executor):
         """Fixed seeded chain across every executor; also pins which

@@ -8,9 +8,11 @@ The contract under test:
   dense rows, never as estimates);
 * :class:`repro.nn.optim.SketchedRowAdagrad` state survives a checkpoint
   round trip bit-exact;
-* the sketched exchange is executor-independent: serial, threads and
-  processes produce bit-identical stores, at >= 1.5x fewer payload bytes
-  per step than the (equally deduplicated) dense exchange.
+* the sketched exchange is executor-independent: serial and processes
+  produce bit-identical stores, at >= 1.5x fewer payload bytes per step
+  than the (equally deduplicated) dense exchange;
+* optimizer state at a quarter of exact Adagrad's memory keeps >= 0.98x its
+  held-out AUC on a fixed-seed Zipf workload.
 """
 
 import numpy as np
@@ -313,7 +315,7 @@ class TestCheckpointRoundTrip:
 
 
 class TestSketchedExchangeParity:
-    """serial == threads == processes under grad_exchange='sketched'."""
+    """serial == processes under grad_exchange='sketched'."""
 
     def make_store(self, kind, grad_exchange="sketched", num_shards=3):
         from repro.runtime import create_executor
@@ -337,8 +339,8 @@ class TestSketchedExchangeParity:
         grads = rng.normal(scale=0.1, size=(steps, batch, DIM)).astype(np.float32)
         return ids, grads
 
-    @pytest.mark.parametrize("kind", ["threads", "processes"])
-    def test_three_way_parity_is_bit_exact(self, kind):
+    @pytest.mark.parametrize("kind", ["processes"])
+    def test_serial_processes_parity_is_bit_exact(self, kind):
         from tests.test_runtime_process import assert_state_equal
 
         reference = self.make_store("serial")
@@ -412,6 +414,70 @@ class TestSketchedExchangeParity:
             assert store.executor.stats.grad_exchange_mode == "sketched"
         finally:
             store.executor.close()
+
+
+class TestQuarterMemoryKeepsAuc:
+    """Optimizer-state compression at near-baseline quality, no clock: the
+    same DLRM over the same Zipf CTR day under exact row Adagrad and under
+    ``sketched_adagrad[frac=0.25]``.  Dataset, hash table (CR 4, so ids
+    collide and revisit rows and the accumulator matters) and dense seeds
+    are shared; the accumulator's representation is the only thing that
+    moves."""
+
+    BATCH = 128
+
+    @staticmethod
+    def _schema():
+        from repro.data.schema import DatasetSchema, FieldSchema
+
+        cards = (50, 400, 2000, 6000)
+        return DatasetSchema(
+            name="optimizer_memory",
+            fields=[FieldSchema(f"f{i}", card) for i, card in enumerate(cards)],
+            num_numerical=0,
+            embedding_dim=16,
+            num_days=2,
+            zipf_exponent=1.05,
+        )
+
+    def _train_and_eval(self, optimizer, seed):
+        """One day of training; ``(optimizer state floats, held-out AUC)``."""
+        from repro.data.synthetic import SyntheticConfig, SyntheticCTRDataset
+        from repro.embeddings import create_embedding
+        from repro.models.dlrm import DLRM
+        from repro.training.config import TrainingConfig
+        from repro.training.trainer import Trainer
+
+        schema = self._schema()
+        dataset = SyntheticCTRDataset(
+            schema, config=SyntheticConfig(samples_per_day=2048, seed=seed)
+        )
+        embedding = create_embedding(
+            "hash",
+            num_features=schema.num_features,
+            dim=schema.embedding_dim,
+            compression_ratio=4.0,
+            optimizer=optimizer,
+            learning_rate=0.1,
+            dtype="float32",
+            rng=np.random.default_rng(seed + 17),
+        )
+        model = DLRM(embedding, schema.num_fields, schema.num_numerical, rng=seed)
+        trainer = Trainer(model, TrainingConfig(batch_size=self.BATCH, seed=seed))
+        for batch in dataset.day_batches(0, self.BATCH):
+            trainer.train_step(batch)
+        auc = trainer.evaluate_auc(dataset.test_batch(2048))
+        return embedding.optimizer_memory_floats(), float(auc)
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_quarter_memory_sketched_adagrad_keeps_auc(self, seed):
+        exact_floats, exact_auc = self._train_and_eval("adagrad", seed)
+        sketched_floats, sketched_auc = self._train_and_eval(
+            "sketched_adagrad[frac=0.25]", seed
+        )
+        assert exact_auc > 0.5  # the baseline learned something to keep
+        assert sketched_floats / exact_floats <= 0.25
+        assert sketched_auc / exact_auc >= 0.98
 
 
 class TestConfigWiring:

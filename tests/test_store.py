@@ -278,17 +278,17 @@ class TestStoreCheckpointing:
         with pytest.raises(NotImplementedError):
             store.state_dict()
 
+    @pytest.mark.parametrize("executor", ["serial", "processes"])
     @pytest.mark.parametrize("method", ["cafe", "hash"])
-    def test_round_trip_with_thread_pool_executor_active(self, method):
-        """Satellite of the table-group PR: saving and restoring while the
-        thread-pool executor fans shard work out must stay bit-exact and
-        keep the configured table dtype."""
+    def test_round_trip_with_executor_active(self, method, executor):
+        """Saving and restoring while an executor fans shard work out must
+        stay bit-exact and keep the configured table dtype."""
         n = 2000
         def build(seed):
             return ShardedEmbeddingStore.build(
                 method, num_features=n, dim=DIM, num_shards=4,
                 compression_ratio=10.0, seed=seed, dtype="float32",
-                executor="thread",
+                executor=executor,
             )
 
         store = build(0)
@@ -304,14 +304,14 @@ class TestStoreCheckpointing:
                 restored.load_state_dict(state)
                 # Bit-exact tables, shard by shard, and preserved dtype.
                 for shard_a, shard_b in zip(store.shards, restored.shards):
+                    state_b = shard_b.state_dict()
                     for key, value in shard_a.state_dict().items():
-                        assert np.array_equal(value, shard_b.state_dict()[key]), key
-                    for table_attr in ("table", "hot_table", "shared_table"):
-                        if hasattr(shard_a, table_attr):
-                            assert getattr(shard_b, table_attr).dtype == np.dtype("float32")
+                        assert np.array_equal(value, state_b[key]), key
+                    for table_key in {"table", "hot_table", "shared_table"} & state_b.keys():
+                        assert state_b[table_key].dtype == np.dtype("float32")
                 probe = np.random.default_rng(1).integers(0, n, size=200)
                 assert np.array_equal(store.lookup(probe), restored.lookup(probe))
-                # The restored store keeps training through its own pool.
+                # The restored store keeps training through its own executor.
                 restored.apply_gradients(probe, np.ones((200, DIM), dtype=np.float32))
             finally:
                 restored.executor.close()

@@ -452,7 +452,7 @@ class TestEmptyBatch:
         assert store.step() == 0
         assert all(shard.step() == 0 for shard in store.shards)
 
-    @pytest.mark.parametrize("executor", ["serial", "threads", "processes"])
+    @pytest.mark.parametrize("executor", ["serial", "processes"])
     def test_empty_batch_on_every_executor(self, executor):
         store = build_store("cafe", 4, executor=executor)
         try:
