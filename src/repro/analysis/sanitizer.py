@@ -30,7 +30,7 @@ import threading
 import weakref
 from functools import wraps
 from pathlib import Path
-from typing import Any, Callable, Mapping, TypeVar, cast
+from typing import Any, Callable, Iterator, Mapping, TypeVar, cast
 
 import numpy as np
 
@@ -39,6 +39,8 @@ __all__ = [
     "SingleWriterViolation",
     "enabled",
     "freeze_arrays",
+    "reachable_arrays",
+    "assert_unaliased",
     "single_writer",
     "install_shm_audit",
     "shm_audit_baseline",
@@ -74,50 +76,65 @@ class SingleWriterViolation(SanitizerViolation):
 # Sealed-array freezing
 # --------------------------------------------------------------------- #
 
-def freeze_arrays(obj: Any, _seen: set[int] | None = None) -> int:
-    """Set ``writeable=False`` on every array reachable from ``obj``.
+def reachable_arrays(obj: Any, _seen: set[int] | None = None) -> Iterator[np.ndarray]:
+    """Every array reachable from ``obj``, each once.
 
-    Walks mappings, sequences, and the instance ``__dict__`` of objects
-    defined in this package (third-party objects are left alone — freezing
-    a foreign object's internals is not ours to do).  Returns the number of
-    arrays frozen.  Already-frozen arrays count as visited, not frozen.
+    Walks mappings, sequences, and the instance ``__dict__`` / ``__slots__``
+    of objects defined in this package (third-party objects are left alone —
+    a foreign object's internals are not ours to inspect or freeze).
     """
     if _seen is None:
         _seen = set()
     marker = id(obj)
     if marker in _seen:
-        return 0
+        return
     _seen.add(marker)
 
     if isinstance(obj, np.ndarray):
-        if obj.flags.writeable:
-            obj.setflags(write=False)
-            return 1
-        return 0
-
-    frozen = 0
-    if isinstance(obj, Mapping):
+        yield obj
+    elif isinstance(obj, Mapping):
         for value in obj.values():
-            frozen += freeze_arrays(value, _seen)
-        return frozen
-    if isinstance(obj, (list, tuple, set, frozenset)):
+            yield from reachable_arrays(value, _seen)
+    elif isinstance(obj, (list, tuple, set, frozenset)):
         for item in obj:
-            frozen += freeze_arrays(item, _seen)
-        return frozen
-
-    module = type(obj).__module__ or ""
-    if module == "repro" or module.startswith("repro."):
-        state = getattr(obj, "__dict__", None)
-        if state is not None:
-            for value in state.values():
-                frozen += freeze_arrays(value, _seen)
+            yield from reachable_arrays(item, _seen)
+    elif (type(obj).__module__ or "").split(".")[0] == "repro":
+        for value in getattr(obj, "__dict__", {}).values():
+            yield from reachable_arrays(value, _seen)
         for klass in type(obj).__mro__:
             slots = klass.__dict__.get("__slots__", ())
-            if isinstance(slots, str):
-                slots = (slots,)
-            for slot in slots:
-                frozen += freeze_arrays(getattr(obj, slot, None), _seen)
+            for slot in (slots,) if isinstance(slots, str) else slots:
+                yield from reachable_arrays(getattr(obj, slot, None), _seen)
+
+
+def freeze_arrays(obj: Any) -> int:
+    """Set ``writeable=False`` on every array reachable from ``obj``.
+
+    Returns the number of arrays frozen; already-frozen arrays do not count.
+    """
+    frozen = 0
+    for array in reachable_arrays(obj):
+        if array.flags.writeable:
+            array.setflags(write=False)
+            frozen += 1
     return frozen
+
+
+def assert_unaliased(roots: Any, buffers: tuple[np.ndarray, ...], what: str) -> None:
+    """Raise if any array reachable from ``roots`` overlaps one of ``buffers``.
+
+    The serving micro-batcher calls this (sanitize mode only) after every
+    micro-batch: a reply, or anything the model or its store kept, that
+    aliased the request block would be overwritten by the next ``submit``.
+    """
+    for array in reachable_arrays(roots):
+        for buffer in buffers:
+            if np.may_share_memory(array, buffer):
+                raise SanitizerViolation(
+                    f"an array of shape {array.shape} retained after a flush shares "
+                    f"memory with the reusable {what}; it would be overwritten by the "
+                    "next request"
+                )
 
 
 # --------------------------------------------------------------------- #

@@ -38,7 +38,7 @@ import numpy as np
 
 from repro.embeddings.base import DEFAULT_DTYPE, TableBackedEmbedding
 from repro.embeddings.memory import MemoryBudget
-from repro.embeddings.plan import FreeRowPool, ScatterPlan
+from repro.embeddings.plan import FreeRowPool
 from repro.nn.init import embedding_uniform
 from repro.sketch.hotsketch import NO_PAYLOAD, HotSketch
 from repro.utils.hashing import hash_to_range
@@ -286,9 +286,11 @@ class CafeEmbedding(TableBackedEmbedding):
         }
         routes.update(self._shared_routes(uids[cold]))
         arena_rows[cold] = self._shared_offset + routes["shared_rows"]
-        sources, entry_rows = self._scatter_entries(arena_rows, routes)
-        routes["scatter"] = ScatterPlan.from_rows(entry_rows)
-        routes["scatter_sources"] = sources
+        # The scatter's inputs only: the sort over them waits for the first
+        # apply_unique that consumes the plan (RoutingPlan.scatter).
+        routes["scatter_sources"], routes["scatter_rows"] = self._scatter_entries(
+            arena_rows, routes
+        )
         return routes
 
     # ------------------------------------------------------------------ #
@@ -317,7 +319,8 @@ class CafeEmbedding(TableBackedEmbedding):
         # The plan built by the forward pass is reused here (cache hit), so
         # the bucket hash + slot locate run once per training step.
         start = time.perf_counter_ns()
-        routes = self.plan_for(uids).routes
+        plan = self.plan_for(uids)
+        routes = plan.routes
         tick = time.perf_counter_ns()
         self._phase_ns["locate"] += tick - start
 
@@ -325,7 +328,7 @@ class CafeEmbedding(TableBackedEmbedding):
         #    pass: one segment-sum + optimizer scatter over the arena.
         sources = routes["scatter_sources"]
         values = grad_sums if sources is None else grad_sums[sources]
-        self.fused_apply(self._arena, routes["scatter"], values)
+        self.fused_apply(self._arena, plan.scatter(), values)
         tock = time.perf_counter_ns()
         self._phase_ns["apply"] += tock - tick
 

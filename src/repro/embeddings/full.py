@@ -48,8 +48,7 @@ class FullEmbedding(TableBackedEmbedding):
 
     def apply_unique(self, uids: np.ndarray, grad_sums: np.ndarray, scores: np.ndarray) -> None:
         """Scatter each id's gradient sum into its private row."""
-        scatter = self.plan_for(uids).routes["scatter"]
-        self.fused_apply(self.table, scatter, grad_sums)
+        self.fused_apply(self.table, self.plan_for(uids).scatter(), grad_sums)
         self._step += 1
 
     def memory_floats(self) -> int:

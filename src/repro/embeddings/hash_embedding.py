@@ -12,7 +12,6 @@ import numpy as np
 
 from repro.embeddings.base import DEFAULT_DTYPE, TableBackedEmbedding
 from repro.embeddings.memory import MemoryBudget
-from repro.embeddings.plan import ScatterPlan
 from repro.nn.init import embedding_uniform
 from repro.utils.hashing import hash_to_range
 from repro.utils.rng import SeedLike, make_rng
@@ -71,7 +70,7 @@ class HashEmbedding(TableBackedEmbedding):
 
     def _build_routes(self, uids: np.ndarray) -> dict[str, np.ndarray]:
         rows = self._rows_for(uids)
-        return {"rows": rows, "scatter": ScatterPlan.from_rows(rows)}
+        return {"rows": rows, "scatter_rows": rows}
 
     def lookup_unique(self, uids: np.ndarray) -> np.ndarray:
         """Gather each id's single hashed row from the shared table (hash-trick:
@@ -83,8 +82,7 @@ class HashEmbedding(TableBackedEmbedding):
         """Scatter per-id gradient sums into the hashed rows; colliding
         features accumulate into the same shared row.
         """
-        routes = self.plan_for(uids).routes
-        self.fused_apply(self.table, routes["scatter"], grad_sums)
+        self.fused_apply(self.table, self.plan_for(uids).scatter(), grad_sums)
         self._step += 1
 
     def memory_floats(self) -> int:

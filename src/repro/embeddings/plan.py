@@ -121,10 +121,17 @@ class UniqueBatch:
     def sum_per_id(self, per_position: np.ndarray) -> np.ndarray:
         """Sum a ``(n, ...)`` per-position array over each id's positions.
 
-        Within an id the summation runs in batch order.  ``reduceat`` pays
-        more per *segment* than per row, and most ids of a batch occur once,
-        so ids seen once are a plain gather and only the repeated ids' rows
-        go through the segment sum.
+        The association is ``np.add.reduceat``'s over each id's rows taken
+        in batch order ``r0, r1, ...``, and it is part of the bit-exactness
+        contract (the golden digests depend on it): the first row plus the
+        sum of the rest, ``r0 + (((r1 + r2) + r3) + ...)``, while the rest is
+        at most 7 rows; from 9 rows on the rest is summed numpy-pairwise
+        (eight interleaved accumulators combined as a tree, leftovers added
+        last).  It is *not* the left-to-right ``((r0 + r1) + r2) + ...``.
+
+        ``reduceat`` pays more per *segment* than per row, and most ids of a
+        batch occur once, so ids seen once are a plain gather and only the
+        repeated ids' rows go through the segment sum.
         """
         if self._repeated is None:
             counts = self.counts()
@@ -147,10 +154,11 @@ class UniqueBatch:
 class ScatterPlan:
     """Fully-resolved scatter of one batch's summed gradients into table rows.
 
-    Built once per routing plan and consumed by ``apply_unique``: a
-    segment sum over ``perm``/``starts`` collapses the per-id
-    gradient sums into one row per unique destination (distinct ids sharing
-    a hashed row), and a single scatter applies them to ``rows``.
+    Built at most once per routing plan, by the first ``apply_unique`` that
+    consumes it (:meth:`RoutingPlan.scatter`): a segment sum over
+    ``perm``/``starts`` collapses the per-id gradient sums into one row per
+    unique destination (distinct ids sharing a hashed row), and a single
+    scatter applies them to ``rows``.
 
     Attributes
     ----------
@@ -202,8 +210,9 @@ class RoutingPlan:
     routes:
         Backend-specific arrays — e.g. ``{"rows": ...}`` for a hash table,
         ``{"hot_mask": ..., "arena_rows": ..., "shared_rows": ...}`` for
-        CAFE, plus a fully-resolved ``"scatter"`` :class:`ScatterPlan` on
-        table-backed backends.
+        CAFE.  Everything ``lookup_unique`` builds stops at what a gather
+        needs; table-backed backends add ``"scatter_rows"`` (one destination
+        row per scatter entry) and :meth:`scatter` resolves it on demand.
     token:
         Value of the owning layer's routing token when the plan was built.
     """
@@ -215,6 +224,19 @@ class RoutingPlan:
 
     def __len__(self) -> int:
         return int(self.flat_ids.shape[0])
+
+    def scatter(self) -> ScatterPlan:
+        """The :class:`ScatterPlan` over ``routes["scatter_rows"]``.
+
+        Built and memoised (as ``routes["scatter"]``) by the first caller,
+        which is always an ``apply_unique``: a plan that only ever serves
+        lookups — snapshots, replica probes, ``Trainer.predict`` — never
+        pays for the stable sort of an update it will not make.
+        """
+        scatter = self.routes.get("scatter")
+        if scatter is None:
+            scatter = self.routes["scatter"] = ScatterPlan.from_rows(self.routes["scatter_rows"])
+        return scatter
 
     def matches(self, ids: np.ndarray, token: object) -> bool:
         """True when the plan routes exactly this batch under this token."""

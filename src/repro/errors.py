@@ -77,6 +77,15 @@ class IdOutOfRangeError(BadBatchError):
     """A feature id lies outside ``[0, num_features)``."""
 
 
+class MalformedRequestError(BadBatchError):
+    """A serving request was refused at ``submit``, alone and before queueing.
+
+    Its ids do not have the model's field count, or its ``numerical`` block
+    has the wrong shape or contains NaN/inf; requests already queued beside
+    it are unaffected.
+    """
+
+
 class NonFiniteGradientError(BadBatchError):
     """A gradient batch contains NaN or inf.
 

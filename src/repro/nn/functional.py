@@ -29,15 +29,11 @@ from repro.nn.tensor import (
 
 
 def _make(data: np.ndarray, parents: tuple[Tensor, ...], backward_fn) -> Tensor:
-    requires_grad = is_grad_enabled() and any(p.requires_grad for p in parents)
-    if not requires_grad:
-        return Tensor(data)
-    return Tensor(
-        data,
-        requires_grad=True,
-        parents=tuple(p for p in parents if p.requires_grad),
-        backward_fn=backward_fn,
-    )
+    if is_grad_enabled():
+        parents = tuple([p for p in parents if p.requires_grad])
+        if parents:
+            return Tensor(data, True, parents, backward_fn)
+    return Tensor(data)
 
 
 def _accumulate_unbroadcast(tensor: Tensor, grad: np.ndarray, fresh: bool = False) -> None:
@@ -200,10 +196,11 @@ def reshape(x: Tensor, shape: tuple[int, ...]) -> Tensor:
 def concat(tensors: list[Tensor], axis: int = -1) -> Tensor:
     tensors = [ensure_tensor(t) for t in tensors]
     out_data = np.concatenate([t.data for t in tensors], axis=axis)
-    sizes = [t.shape[axis] for t in tensors]
-    boundaries = np.cumsum(sizes)[:-1]
 
     def backward(grad: np.ndarray) -> None:
+        # The split points are backward-only work: a forward that is never
+        # differentiated (serving) does not pay for them.
+        boundaries = np.cumsum([t.shape[axis] for t in tensors])[:-1]
         pieces = np.split(grad, boundaries, axis=axis)
         for tensor, piece in zip(tensors, pieces):
             if tensor.requires_grad:

@@ -1,5 +1,6 @@
 """Serving: snapshot-backed inference, delta-fed replicas, traffic replay."""
 
+from repro.serving.batcher import PendingPrediction
 from repro.serving.delta import (
     STORE_SLOT,
     DeltaSnapshotPublisher,
@@ -7,7 +8,7 @@ from repro.serving.delta import (
     ShardUpdate,
     SnapshotPayload,
 )
-from repro.serving.engine import PendingPrediction, ServingEngine
+from repro.serving.engine import ServingEngine
 from repro.serving.replica import ROUTER_POLICIES, Replica, ReplicaSet, ReplicaTier
 from repro.serving.slo import SLOController
 from repro.serving.stats import PERCENTILES, LatencyTracker

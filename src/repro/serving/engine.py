@@ -12,7 +12,9 @@ a process with it:
   once ``max_batch_size`` rows are pending (or on an explicit
   :meth:`ServingEngine.flush`) — the standard micro-batching trade of a
   little queueing latency for a large throughput win on vectorized
-  backends.
+  backends.  The queue is :class:`~repro.serving.batcher.MicroBatcher`,
+  the one implementation this class shares with
+  :class:`~repro.serving.replica.Replica`.
 * Per-request wall times feed a :class:`~repro.serving.stats.
   LatencyTracker`, giving the p50/p95/p99 columns the fig13 experiment and
   ``python -m repro.serve`` report.
@@ -21,36 +23,11 @@ a process with it:
 from __future__ import annotations
 
 import copy
-import time
-from collections import deque
 
-import numpy as np
-
-from repro.serving.stats import LatencyTracker
+from repro.serving.batcher import MicroBatcher
 
 
-class PendingPrediction:
-    """Future-like handle for one submitted request."""
-
-    __slots__ = ("rows", "submitted_at", "probabilities", "latency_s")
-
-    def __init__(self, rows: int, submitted_at: float):
-        self.rows = int(rows)
-        self.submitted_at = float(submitted_at)
-        self.probabilities: np.ndarray | None = None
-        self.latency_s: float | None = None
-
-    @property
-    def done(self) -> bool:
-        return self.probabilities is not None
-
-    def result(self) -> np.ndarray:
-        if self.probabilities is None:
-            raise RuntimeError("request not served yet; call ServingEngine.flush()")
-        return self.probabilities
-
-
-class ServingEngine:
+class ServingEngine(MicroBatcher):
     """Micro-batching prediction server over embedding-store snapshots.
 
     Consistency model: every request is answered from the engine's current
@@ -65,18 +42,8 @@ class ServingEngine:
     """
 
     def __init__(self, model, max_batch_size: int = 256):
-        if max_batch_size <= 0:
-            raise ValueError(f"max_batch_size must be positive, got {max_batch_size}")
+        super().__init__(max_batch_size)
         self.model = model
-        self.max_batch_size = int(max_batch_size)
-        self.latency = LatencyTracker()
-        self._pending: deque[PendingPrediction] = deque()
-        self._pending_categorical: deque[np.ndarray] = deque()
-        self._pending_numerical: deque[np.ndarray | None] = deque()
-        self._pending_rows = 0
-        self.micro_batches = 0
-        self.requests_served = 0
-        self.rows_served = 0
         self.snapshot = None
         self._frozen_model = None
         self.refresh()
@@ -93,8 +60,7 @@ class ServingEngine:
         copy-on-write; the dense network is deep-copied (it is small), so
         publish latency is dominated by that copy, not by table sizes.
         """
-        if self._pending_rows:
-            self.flush()
+        self.flush()
         store = getattr(self.model, "store", None) or self.model.embedding
         self.snapshot = store.snapshot()
         # Deep-copy the dense network but splice the snapshot in where the
@@ -107,84 +73,8 @@ class ServingEngine:
     def snapshot_version(self) -> int:
         return self.snapshot.version if self.snapshot is not None else 0
 
-    # ------------------------------------------------------------------ #
-    # Request path
-    # ------------------------------------------------------------------ #
-    def submit(self, categorical: np.ndarray, numerical: np.ndarray | None = None) -> PendingPrediction:
-        """Queue one request (a single example or a small row block).
-
-        The request executes when the queue reaches ``max_batch_size`` rows
-        or on :meth:`flush`; the returned handle fills in then.
-        """
-        categorical = np.asarray(categorical, dtype=np.int64)
-        if categorical.ndim == 1:
-            categorical = categorical[None, :]
-        if numerical is not None:
-            numerical = np.asarray(numerical, dtype=np.float64)
-            if numerical.ndim == 1:
-                numerical = numerical[None, :]
-        pending = PendingPrediction(categorical.shape[0], time.perf_counter())
-        self._pending.append(pending)
-        self._pending_categorical.append(categorical)
-        self._pending_numerical.append(numerical)
-        self._pending_rows += pending.rows
-        if self._pending_rows >= self.max_batch_size:
-            self.flush()
-        return pending
-
-    def flush(self) -> int:
-        """Serve every queued request in micro-batches; returns rows served."""
-        served = 0
-        while self._pending:
-            served += self._serve_one_micro_batch()
-        return served
-
-    def predict(self, categorical: np.ndarray, numerical: np.ndarray | None = None) -> np.ndarray:
-        """Synchronous convenience: submit one request and serve it now."""
-        pending = self.submit(categorical, numerical)
-        if not pending.done:
-            self.flush()
-        return pending.result()
-
-    def _serve_one_micro_batch(self) -> int:
-        """Execute one forward pass over up to ``max_batch_size`` queued rows."""
-        requests: list[PendingPrediction] = []
-        categorical: list[np.ndarray] = []
-        numerical: list[np.ndarray | None] = []
-        rows = 0
-        while self._pending and (rows == 0 or rows + self._pending[0].rows <= self.max_batch_size):
-            requests.append(self._pending.popleft())
-            categorical.append(self._pending_categorical.popleft())
-            numerical.append(self._pending_numerical.popleft())
-            rows += requests[-1].rows
-        self._pending_rows -= rows
-
-        cat = np.concatenate(categorical, axis=0)
-        num = None
-        if any(n is not None for n in numerical):
-            # Requests that omitted numerical features get zeros at the
-            # model's expected width so mixed micro-batches still serve.
-            width = getattr(self._frozen_model, "num_numerical", 0)
-            num = np.concatenate(
-                [
-                    n if n is not None else np.zeros((c.shape[0], width))
-                    for n, c in zip(numerical, categorical)
-                ],
-                axis=0,
-            )
-        probabilities = self._frozen_model.predict_proba(cat, num)
-        completed_at = time.perf_counter()
-
-        offset = 0
-        for pending in requests:
-            pending.probabilities = probabilities[offset: offset + pending.rows]
-            pending.latency_s = completed_at - pending.submitted_at
-            self.latency.record(pending.latency_s)
-            offset += pending.rows
-        self.micro_batches += 1
-        self.requests_served += len(requests)
-        self.rows_served += rows
-        return rows
+    def _serving_model(self):
+        return self._frozen_model
 
     # ------------------------------------------------------------------ #
     # Reporting

@@ -35,20 +35,18 @@ from __future__ import annotations
 
 import copy
 import time
-from collections import deque
 from typing import Any, Callable
 
 import numpy as np
 
 from repro.errors import DeltaChainGapError, DeltaProtocolError, VersionRegressionError
+from repro.serving.batcher import MicroBatcher, PendingPrediction
 from repro.serving.delta import (
     STORE_SLOT,
     DeltaSnapshotPublisher,
     SnapshotPayload,
     serving_state_of,
 )
-from repro.serving.engine import PendingPrediction
-from repro.serving.stats import LatencyTracker
 from repro.store.snapshot import StoreSnapshot
 
 #: Router policies a :class:`ReplicaSet` understands.
@@ -72,7 +70,7 @@ class _Published:
         self.step = int(step)
 
 
-class Replica:
+class Replica(MicroBatcher):
     """One serving replica: a micro-batching engine over shipped payloads.
 
     Unlike :class:`~repro.serving.engine.ServingEngine`, a replica never
@@ -87,11 +85,8 @@ class Replica:
     """
 
     def __init__(self, index: int = 0, max_batch_size: int = 64):
-        if max_batch_size <= 0:
-            raise ValueError(f"max_batch_size must be positive, got {max_batch_size}")
+        super().__init__(max_batch_size)
         self.index = int(index)
-        self.max_batch_size = int(max_batch_size)
-        self.latency = LatencyTracker()
         self.before_cutover: Callable[["Replica", SnapshotPayload], None] | None = None
         self._serving: _Published | None = None
         #: Replica-private shard objects (only for StoreSnapshot payloads;
@@ -103,13 +98,6 @@ class Replica:
         #: staging, so an aborted cutover can never leave a corrupted spare —
         #: the retry just falls back to the copy-on-write patch path.
         self._spare: dict[int, tuple[dict[str, Any], Any]] = {}
-        self._pending: deque[PendingPrediction] = deque()
-        self._pending_categorical: deque[np.ndarray] = deque()
-        self._pending_numerical: deque[np.ndarray | None] = deque()
-        self._pending_rows = 0
-        self.micro_batches = 0
-        self.requests_served = 0
-        self.rows_served = 0
         self.full_applies = 0
         self.delta_applies = 0
         self.rows_applied = 0
@@ -145,9 +133,7 @@ class Replica:
         else:
             view, shards, meta, spares = self._stage_delta(payload)
         model = copy.deepcopy(payload.dense_model, memo={id(STORE_SLOT): view})
-        if self._pending_rows:
-            # No queued request may span two parameter versions.
-            self.flush()
+        self.flush()  # no queued request may span two parameter versions
         if self.before_cutover is not None:
             self.before_cutover(self, payload)
         # The actual cutover: one reference assignment, all-or-nothing.
@@ -291,54 +277,16 @@ class Replica:
         return patched, dict(state)
 
     # ------------------------------------------------------------------ #
-    # Request path (micro-batching, same discipline as ServingEngine)
+    # Request path (submit / flush / predict are the shared MicroBatcher's)
     # ------------------------------------------------------------------ #
-    def _require_ready(self) -> _Published:
+    def _serving_model(self):
         serving = self._serving
         if serving is None:
             raise RuntimeError(
                 f"replica {self.index} has no published snapshot; apply a full "
                 "payload before serving"
             )
-        return serving
-
-    def submit(
-        self, categorical: np.ndarray, numerical: np.ndarray | None = None
-    ) -> PendingPrediction:
-        """Queue one request; it executes when the micro-batch fills or on
-        :meth:`flush`."""
-        self._require_ready()
-        categorical = np.asarray(categorical, dtype=np.int64)
-        if categorical.ndim == 1:
-            categorical = categorical[None, :]
-        if numerical is not None:
-            numerical = np.asarray(numerical, dtype=np.float64)
-            if numerical.ndim == 1:
-                numerical = numerical[None, :]
-        pending = PendingPrediction(categorical.shape[0], time.perf_counter())
-        self._pending.append(pending)
-        self._pending_categorical.append(categorical)
-        self._pending_numerical.append(numerical)
-        self._pending_rows += pending.rows
-        if self._pending_rows >= self.max_batch_size:
-            self.flush()
-        return pending
-
-    def flush(self) -> int:
-        """Serve every queued request in micro-batches; returns rows served."""
-        served = 0
-        while self._pending:
-            served += self._serve_one_micro_batch()
-        return served
-
-    def predict(
-        self, categorical: np.ndarray, numerical: np.ndarray | None = None
-    ) -> np.ndarray:
-        """Synchronous convenience: submit one request and serve it now."""
-        pending = self.submit(categorical, numerical)
-        if not pending.done:
-            self.flush()
-        return pending.result()
+        return serving.model
 
     def serve_batch(
         self, categorical: np.ndarray, numerical: np.ndarray | None = None
@@ -348,55 +296,10 @@ class Replica:
         The virtual-time workload driver uses this to run its own queueing
         simulation around real (or modeled) per-batch compute times.
         """
-        serving = self._require_ready()
+        model = self._serving_model()
         start = time.perf_counter()
-        probabilities = serving.model.predict_proba(categorical, numerical)
+        probabilities = model.predict_proba(categorical, numerical)
         return probabilities, time.perf_counter() - start
-
-    def _serve_one_micro_batch(self) -> int:
-        serving = self._require_ready()
-        requests: list[PendingPrediction] = []
-        categorical: list[np.ndarray] = []
-        numerical: list[np.ndarray | None] = []
-        rows = 0
-        while self._pending and (
-            rows == 0 or rows + self._pending[0].rows <= self.max_batch_size
-        ):
-            requests.append(self._pending.popleft())
-            categorical.append(self._pending_categorical.popleft())
-            numerical.append(self._pending_numerical.popleft())
-            rows += requests[-1].rows
-        self._pending_rows -= rows
-
-        cat = np.concatenate(categorical, axis=0)
-        num = None
-        if any(n is not None for n in numerical):
-            width = getattr(serving.model, "num_numerical", 0)
-            num = np.concatenate(
-                [
-                    n if n is not None else np.zeros((c.shape[0], width))
-                    for n, c in zip(numerical, categorical)
-                ],
-                axis=0,
-            )
-        probabilities = serving.model.predict_proba(cat, num)
-        completed_at = time.perf_counter()
-
-        offset = 0
-        for pending in requests:
-            pending.probabilities = probabilities[offset: offset + pending.rows]
-            pending.latency_s = completed_at - pending.submitted_at
-            self.latency.record(pending.latency_s)
-            offset += pending.rows
-        self.micro_batches += 1
-        self.requests_served += len(requests)
-        self.rows_served += rows
-        return rows
-
-    @property
-    def queued_rows(self) -> int:
-        """Rows waiting in the micro-batch queue (the least-loaded signal)."""
-        return self._pending_rows
 
     # ------------------------------------------------------------------ #
     # Reporting

@@ -56,6 +56,10 @@ class LatencyTracker:
     def record(self, seconds: float) -> None:
         self._seconds.append(float(seconds))
 
+    def record_many(self, seconds: list[float]) -> None:
+        """One micro-batch's request latencies in one call."""
+        self._seconds.extend(seconds)
+
     def __len__(self) -> int:
         return len(self._seconds)
 

@@ -438,6 +438,8 @@ class ShardedEmbeddingStore(CompressedEmbedding, EmbeddingStore):
         if log is None or log[shard_index] is None:
             return
         plan = getattr(self._shards[shard_index], "_cached_plan", None)
+        # Read, never built here: the apply that just ran memoised the
+        # scatter it executed (RoutingPlan.scatter) on the plan it left cached.
         scatter = plan.routes.get("scatter") if plan is not None else None
         if scatter is None:
             # The backend routed without a scatter plan; coverage unprovable.

@@ -62,6 +62,23 @@ class TestFreezeArrays:
         thawed.hot_table[0, 0] = 1.0  # must not raise
 
 
+class TestAssertUnaliased:
+    def test_views_of_the_buffer_are_found_wherever_they_hide(self):
+        buffer = np.zeros((8, 4), dtype=np.float32)
+        layer = make_cafe()
+        sanitizer.assert_unaliased((layer, [np.ones(3)]), (buffer,), "block")  # no overlap
+        for holder in ({"kept": buffer[2:4]}, [("x", buffer[:, 1])], (buffer.reshape(-1)[5:6],)):
+            with pytest.raises(SanitizerViolation, match="reusable block"):
+                sanitizer.assert_unaliased((layer, holder), (buffer,), "block")
+        layer.stashed = buffer[0]  # behind a repro object's __dict__
+        with pytest.raises(SanitizerViolation):
+            sanitizer.assert_unaliased(layer, (np.empty(2), buffer), "block")
+
+    def test_a_copy_is_not_an_alias(self):
+        buffer = np.arange(12.0).reshape(3, 4)
+        sanitizer.assert_unaliased([buffer[1].copy(), buffer.sum(axis=0)], (buffer,), "block")
+
+
 class TestWriteAfterSnapshotRaises:
     def test_snapshot_arrays_are_read_only(self):
         store = make_store()

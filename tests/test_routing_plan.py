@@ -5,8 +5,9 @@ import pytest
 
 from repro.embeddings import create_embedding
 from repro.embeddings.cafe import CafeEmbedding
-from repro.embeddings.plan import FreeRowPool, RoutingPlan
+from repro.embeddings.plan import FreeRowPool, RoutingPlan, ScatterPlan
 from repro.sketch.hotsketch import EMPTY_KEY, NO_PAYLOAD, EvictionBatch, HotSketch
+from repro.store import ShardedEmbeddingStore
 
 N = 2000
 DIM = 8
@@ -109,6 +110,82 @@ class TestPlanReuse:
             again = emb.lookup(ids)  # served from the cached plan
             assert np.array_equal(first, again)
             emb.apply_gradients(ids, grads)
+
+
+@pytest.fixture
+def scatters_built(monkeypatch):
+    """Sizes of every ``ScatterPlan`` built through ``from_rows``."""
+    built = []
+    from_rows = ScatterPlan.from_rows.__func__
+
+    def counting(cls, rows_per_entry):
+        built.append(len(rows_per_entry))
+        return from_rows(cls, rows_per_entry)
+
+    monkeypatch.setattr(ScatterPlan, "from_rows", classmethod(counting))
+    return built
+
+
+class TestLookupStopsAtTheGather:
+    """A plan built by ``lookup`` holds what a gather needs; the scatter (a
+    stable sort over the destination rows) belongs to the first apply."""
+
+    IDS = np.asarray([[1, 5, 9, 5], [2, 5, 1999, 1]])
+
+    def make(self, method):
+        return create_embedding(
+            method, num_features=N, dim=DIM, compression_ratio=10.0, rng=np.random.default_rng(1)
+        )
+
+    @pytest.mark.parametrize("method", ["hash", "cafe", "cafe_ml"])
+    def test_scatter_is_built_once_by_the_apply(self, method, scatters_built):
+        emb = self.make(method)
+        emb.lookup(self.IDS)
+        plan = emb._cached_plan
+        assert plan is not None and "scatter" not in plan.routes
+        assert "scatter_rows" in plan.routes and scatters_built == []
+        emb.apply_gradients(self.IDS, np.full(self.IDS.shape + (DIM,), 0.01))
+        assert len(scatters_built) == 1
+        assert isinstance(plan.routes["scatter"], ScatterPlan)  # memoised on the plan it used
+        assert emb.plan_stats.as_dict() == {"hits": 1, "misses": 1, "reuse_rate": 0.5}
+
+    def test_repeated_batch_reuses_the_memoised_scatter(self, scatters_built):
+        emb = self.make("hash")
+        grads = np.full(self.IDS.shape + (DIM,), 0.01)
+        for _ in range(3):
+            emb.lookup(self.IDS)
+            emb.apply_gradients(self.IDS, grads)
+        assert len(scatters_built) == 1 and emb.plan_stats.misses == 1
+
+    @pytest.mark.parametrize("method", ["hash", "cafe", "cafe_ml"])
+    def test_snapshot_and_repeated_lookups_never_build_one(self, method, scatters_built):
+        store = ShardedEmbeddingStore.build(
+            method, num_features=N, dim=DIM, num_shards=2, compression_ratio=10.0, seed=3
+        )
+        store.lookup(self.IDS)
+        store.apply_gradients(self.IDS, np.full(self.IDS.shape + (DIM,), 0.01))
+        after_training = len(scatters_built)
+        assert after_training == 2  # one per owning shard
+        snapshot = store.snapshot()
+        for _ in range(3):
+            snapshot.lookup(self.IDS)
+            store.lookup(self.IDS)
+        assert len(scatters_built) == after_training
+
+    def test_write_log_reads_the_scatter_the_apply_built(self, scatters_built):
+        store = ShardedEmbeddingStore.build(
+            "hash", num_features=N, dim=DIM, num_shards=2, compression_ratio=10.0, seed=3
+        )
+        assert store.enable_write_log()
+        store.lookup(self.IDS)
+        store.apply_gradients(self.IDS, np.full(self.IDS.shape + (DIM,), 0.01))
+        built = len(scatters_built)
+        logged = store.drain_write_log()
+        assert len(scatters_built) == built  # the log built nothing of its own
+        for shard, rows in zip(store.shards, logged):
+            assert rows is not None  # not poisoned: the scatter was there to read
+            uids = shard._cached_plan.flat_ids
+            assert np.array_equal(rows, np.unique(shard._rows_for(uids)))
 
 
 class TestFreeRowPool:

@@ -94,6 +94,37 @@ class TestUniqueBatch:
         )
 
 
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("trailing", [(), (DIM,)])
+    def test_sum_per_id_association_is_pinned(self, dtype, trailing):
+        """The docstring's contract on a 3-row and a 9-row run: the first row
+        plus the sum of the rest — the rest in order while it is at most 7
+        rows, numpy's eight-accumulator pairwise tree from 8 rows on.
+        ``big`` absorbs a 1 added to it, which tells the three candidate
+        associations apart (left-to-right would give 0 and 0)."""
+        big = 2.0 ** 60
+        runs = {
+            2: [1.0, big, -big],                                  # 1 + (big - big) = 1
+            7: [1.0] + [1.0] * 6 + [big, -big],                   # 1 + ((1+1)+(1+1))+((1+1)+(big-big)) = 7
+            4: [0.5, 0.25],
+        }
+        ids = np.asarray([7, 2, 7, 4, 7, 2, 7, 7, 4, 7, 2, 7, 7, 7])
+        cursor = {uid: iter(rows) for uid, rows in runs.items()}
+        column = np.asarray([next(cursor[uid]) for uid in ids.tolist()], dtype=dtype)
+        values = column if not trailing else np.repeat(column[:, None], DIM, axis=1)
+        batch = UniqueBatch.build(ids, 10)
+        assert batch.uids.tolist() == [2, 4, 7] and batch.counts().tolist() == [3, 2, 9]
+        summed = batch.sum_per_id(values)
+        assert summed.dtype == dtype and summed.shape == (3,) + trailing
+        assert np.all(summed[0] == 1.0)
+        assert np.all(summed[1] == 0.75)
+        assert np.all(summed[2] == 7.0)
+        # The same rows left to right, and first + the rest left to right:
+        left_to_right = np.asarray(runs[7], dtype=dtype).cumsum()[-1]
+        assert left_to_right == 0.0
+        assert dtype(1.0) + np.asarray(runs[7][1:], dtype=dtype).cumsum()[-1] == 1.0
+
+
 # --------------------------------------------------------------------------- #
 # (a) Call counts: the position axis is sorted once, whatever the shard count
 # --------------------------------------------------------------------------- #
