@@ -20,7 +20,7 @@ import numpy as np
 from repro.data import SyntheticConfig, SyntheticCTRDataset, make_preset
 from repro.embeddings import CafeEmbedding, create_embedding
 from repro.models import create_model
-from repro.training import Trainer, TrainingConfig
+from repro.training import Trainer
 
 BATCH_SIZE = 128
 SEED = 5
@@ -67,7 +67,7 @@ def main() -> None:
     dataset = SyntheticCTRDataset(schema, config=SyntheticConfig(samples_per_day=2500, seed=SEED))
 
     embedding, model = build(dataset)
-    trainer = Trainer(model, TrainingConfig(batch_size=BATCH_SIZE, seed=SEED))
+    trainer = Trainer(model)
 
     # Phase 1: train on the first two days, then checkpoint.
     for day in [0, 1]:
@@ -89,14 +89,14 @@ def main() -> None:
         restored_embedding, restored_model = build(dataset, seed=SEED + 100)
         load_checkpoint(checkpoint, restored_model, restored_embedding)
 
-    restored_auc = Trainer(restored_model, TrainingConfig(batch_size=BATCH_SIZE)).evaluate_auc(test)
+    restored_auc = Trainer(restored_model).evaluate_auc(test)
     print(f"restored model: test AUC = {restored_auc:.4f} "
           f"(matches: {np.isclose(restored_auc, auc_before)})")
     print(f"restored hot features = {restored_embedding.num_hot_features()}, "
           f"threshold = {restored_embedding.hot_threshold:.3f}")
 
     # Phase 2: resume online training on the remaining days with the restored state.
-    resumed_trainer = Trainer(restored_model, TrainingConfig(batch_size=BATCH_SIZE, seed=SEED))
+    resumed_trainer = Trainer(restored_model)
     for day in [2, 3]:
         for batch in dataset.day_batches(day, BATCH_SIZE):
             resumed_trainer.train_step(batch)

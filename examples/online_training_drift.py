@@ -20,7 +20,7 @@ import numpy as np
 from repro.data import RotatingDrift, SyntheticConfig, SyntheticCTRDataset, make_preset
 from repro.embeddings import create_embedding
 from repro.models import create_model
-from repro.training import Trainer, TrainingConfig, recall_at_k
+from repro.training import Trainer, recall_at_k
 
 COMPRESSION_RATIO = 50.0
 BATCH_SIZE = 128
@@ -41,7 +41,7 @@ def build(method: str, dataset: SyntheticCTRDataset):
     model = create_model(
         "dlrm", embedding, schema.num_fields, schema.num_numerical, rng=np.random.default_rng(SEED + 1)
     )
-    return embedding, Trainer(model, TrainingConfig(batch_size=BATCH_SIZE, seed=SEED))
+    return embedding, Trainer(model)
 
 
 def main() -> None:

@@ -15,7 +15,7 @@ import numpy as np
 from repro.data import SyntheticConfig, SyntheticCTRDataset, make_preset
 from repro.embeddings import create_embedding
 from repro.models import create_model
-from repro.training import TrainingConfig, train_and_evaluate
+from repro.training import train_and_evaluate
 
 COMPRESSION_RATIO = 100.0
 BATCH_SIZE = 128
@@ -45,7 +45,6 @@ def train_one(method: str, dataset: SyntheticCTRDataset, compression_ratio: floa
         model,
         dataset.training_stream(BATCH_SIZE),
         dataset.test_batch(2048),
-        config=TrainingConfig(batch_size=BATCH_SIZE, seed=SEED),
     )
     results["memory_floats"] = embedding.memory_floats()
     results["achieved_ratio"] = embedding.compression_ratio()

@@ -22,7 +22,7 @@ from repro.data import SyntheticConfig, SyntheticCTRDataset, make_preset
 from repro.models import create_model
 from repro.serving import ServingEngine
 from repro.store import ShardedEmbeddingStore
-from repro.training import Trainer, TrainingConfig
+from repro.training import Trainer
 
 NUM_SHARDS = 4
 COMPRESSION_RATIO = 50.0
@@ -50,7 +50,7 @@ def main() -> None:
     model = create_model(
         "dlrm", store, num_fields=schema.num_fields, num_numerical=schema.num_numerical, rng=SEED
     )
-    trainer = Trainer(model, TrainingConfig(batch_size=BATCH_SIZE, seed=SEED))
+    trainer = Trainer(model)
     for batch in dataset.day_batches(0, BATCH_SIZE):
         trainer.train_step(batch)
     print(f"warmed up: {trainer.global_step} training steps, "

@@ -40,7 +40,6 @@ from repro.embeddings.cafe import CafeEmbedding
 from repro.models.dlrm import DLRM
 from repro.store import TableGroup, TableGroupStore
 from repro.training.checkpoint import load_checkpoint, save_checkpoint
-from repro.training.config import TrainingConfig
 from repro.training.trainer import Trainer
 
 DIM = 8
@@ -135,7 +134,7 @@ def main() -> int:
 
     # 1. Flat checkpoint from the pre-table-group architecture.
     flat_model = DLRM(make_cafe(n, seed=0), schema.num_fields, schema.num_numerical, rng=1)
-    trainer = Trainer(flat_model, TrainingConfig(batch_size=64))
+    trainer = Trainer(flat_model)
     for batch in dataset.day_batches(0, 64):
         trainer.train_step(batch)
     test = dataset.test_batch(256)

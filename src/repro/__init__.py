@@ -12,7 +12,7 @@ The package provides:
 * ``repro.store`` — the embedding-store interface, hash-partitioned sharding
   and copy-on-write snapshots;
 * ``repro.serving`` — snapshot-backed micro-batching inference engine
-  (``python -m repro.serve``);
+  (``python -m repro serve``);
 * ``repro.data`` — synthetic CTR streams, Criteo reader, dataset schemas;
 * ``repro.training`` — training/evaluation loops and metrics;
 * ``repro.experiments`` — one runner per table/figure of the paper.

@@ -1,9 +1,8 @@
-"""Entry point for ``python -m repro`` — the consolidated declarative CLI.
+"""Entry point for ``python -m repro`` (see :mod:`repro.api.cli`).
 
 Subcommands: ``train`` / ``serve`` / ``pipeline`` / ``experiment`` /
-``validate-config`` / ``describe`` / ``analyze`` (see
-:mod:`repro.api.cli`).  The historical experiment runner is available as
-``python -m repro experiment run fig8 ...``.
+``validate-config`` / ``describe`` / ``analyze``; the paper's tables and
+figures run as ``python -m repro experiment run fig8 --scale tiny``.
 """
 
 import sys

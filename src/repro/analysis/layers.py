@@ -58,8 +58,7 @@ LAYERS: tuple[tuple[str, tuple[str, ...]], ...] = (
     ("runtime", ("repro.runtime",)),
     ("serving", ("repro.serving",)),
     ("orchestration", ("repro.runtime.pipeline", "repro.experiments")),
-    ("api", ("repro.api",)),
-    ("shims", ("repro.cli", "repro.pipeline", "repro.serve", "repro.__main__")),
+    ("api", ("repro.api", "repro.__main__")),
 )
 
 

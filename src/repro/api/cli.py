@@ -1,8 +1,6 @@
-"""The consolidated command line: ``python -m repro <subcommand>``.
+"""The package's one command line: ``python -m repro <subcommand>``.
 
-One CLI replaces the three historical entry points (``repro.cli``,
-``repro.pipeline``, ``repro.serve``, now deprecation shims).  Every
-workload subcommand takes the same two knobs::
+Every workload subcommand takes the same two knobs::
 
     --config path.json          a SystemConfig file (defaults apply without it)
     --set section.key=value     dotted overrides, repeatable
@@ -14,8 +12,8 @@ Subcommands:
                      (``--replicas N --traffic PATTERN`` switches to the
                      delta-fed replicated tier under generated traffic)
 ``pipeline``         online train→publish→probe loop
-``experiment``       paper tables/figures (forwards to the legacy runner:
-                     ``python -m repro experiment run fig8 --scale tiny``)
+``experiment``       paper tables/figures: ``list``, ``run fig8 --scale tiny``,
+                     or a free-form method x compression-ratio ``sweep``
 ``validate-config``  eagerly validate config files / directories
 ``describe``         print the fully resolved plan for a config
 ``analyze``          project lint rules + import-layering checker
@@ -26,6 +24,7 @@ Subcommands:
 from __future__ import annotations
 
 import argparse
+import inspect
 import json
 import sys
 from pathlib import Path
@@ -87,15 +86,41 @@ def build_parser() -> argparse.ArgumentParser:
 
     add_analyze_arguments(analyze)
 
-    # Forwarding subcommand: registered for --help discoverability; its
-    # arguments are passed through verbatim (main() short-circuits before
-    # argparse because REMAINDER does not capture leading flags).
-    experiment = subparsers.add_parser(
-        "experiment", help="paper tables/figures (forwards to the legacy runner)",
-        add_help=False)
-    experiment.add_argument("args", nargs=argparse.REMAINDER,
-                            help="legacy experiment arguments (list / run / sweep ...)")
+    _add_experiment_parser(subparsers)
     return parser
+
+
+def _add_experiment_parser(subparsers) -> None:
+    from repro.experiments import list_experiments
+
+    experiment = subparsers.add_parser(
+        "experiment", help="paper tables/figures: list, run one, or sweep",
+        description="Reproduction harness for 'CAFE: Compact, Adaptive, and Fast "
+                    "Embedding' (SIGMOD 2024)")
+    actions = experiment.add_subparsers(dest="action", required=True)
+
+    actions.add_parser("list", help="list all reproducible tables and figures")
+
+    run = actions.add_parser("run", help="run one table/figure experiment or ablation")
+    run.add_argument("experiment", choices=list_experiments(include_ablations=True),
+                     help="experiment id (e.g. fig8, ablation_slots)")
+    run.add_argument("--scale", default="tiny", choices=["tiny", "small", "medium"],
+                     help="workload scale (default: tiny)")
+    run.add_argument("--seed", type=int, default=0, help="base random seed")
+    run.add_argument("--output", type=Path, default=None,
+                     help="write the result table to this file")
+
+    sweep = actions.add_parser("sweep", help="free-form method x compression-ratio sweep")
+    sweep.add_argument("--dataset", default="criteo",
+                       choices=["avazu", "criteo", "kdd12", "criteotb"])
+    sweep.add_argument("--model", default="dlrm", choices=["dlrm", "wdl", "dcn"])
+    sweep.add_argument("--methods", nargs="+", default=["hash", "cafe"],
+                       help="embedding methods to compare")
+    sweep.add_argument("--ratios", nargs="+", type=float, default=[10.0, 100.0],
+                       help="compression ratios to sweep")
+    sweep.add_argument("--scale", default="tiny", choices=["tiny", "small", "medium"])
+    sweep.add_argument("--seed", type=int, default=0)
+    sweep.add_argument("--output", type=Path, default=None)
 
 
 def _load_session_config(args: argparse.Namespace):
@@ -105,8 +130,7 @@ def _load_session_config(args: argparse.Namespace):
     return apply_overrides(config, args.overrides)
 
 
-def _emit(report: dict, output: Path | None) -> None:
-    text = json.dumps(report, indent=2)
+def _emit(text: str, output: Path | None) -> None:
     print(text)
     if output is not None:
         output.parent.mkdir(parents=True, exist_ok=True)
@@ -146,15 +170,69 @@ def _run_validate(paths: list[Path]) -> int:
     return 0
 
 
+def _experiment_kwargs(experiment_id: str, scale: str, seed: int) -> dict:
+    """Map CLI options onto the (slightly heterogeneous) runner signatures."""
+    from repro.experiments import EXPERIMENTS
+    from repro.experiments.registry import ABLATIONS
+
+    spec = EXPERIMENTS.get(experiment_id) or ABLATIONS[experiment_id]
+    parameters = inspect.signature(spec.runner).parameters
+    kwargs: dict = {}
+    if "scale" in parameters:
+        kwargs["scale"] = scale
+    if "seed" in parameters:
+        kwargs["seed"] = seed
+    elif "seeds" in parameters:
+        kwargs["seeds"] = (seed,)
+    return kwargs
+
+
+def _run_experiment(args: argparse.Namespace) -> int:
+    from repro.experiments import (
+        EXPERIMENTS,
+        build_dataset,
+        compare_methods,
+        format_table,
+        run_experiment,
+    )
+    from repro.experiments.registry import ABLATIONS
+    from repro.experiments.reporting import ExperimentResult
+
+    if args.action == "list":
+        rows = [
+            {"id": spec.experiment_id, "paper": spec.paper_reference, "title": spec.title}
+            for spec in list(EXPERIMENTS.values()) + list(ABLATIONS.values())
+        ]
+        print(format_table(rows))
+        return 0
+
+    if args.action == "run":
+        kwargs = _experiment_kwargs(args.experiment, args.scale, args.seed)
+        result = run_experiment(args.experiment, **kwargs)
+    else:
+        dataset = build_dataset(args.dataset, scale=args.scale, seed=args.seed)
+        outcomes = compare_methods(
+            dataset,
+            list(args.methods),
+            list(args.ratios),
+            model_name=args.model,
+            scale=args.scale,
+            seed=args.seed,
+        )
+        result = ExperimentResult(
+            experiment_id="sweep",
+            title=f"{args.model} on the {args.dataset} preset",
+            rows=[o.as_row() for o in outcomes],
+        )
+    _emit(result.to_text(), args.output)
+    return 0
+
+
 def main(argv: list[str] | None = None) -> int:
-    argv = list(sys.argv[1:]) if argv is None else list(argv)
-
-    if argv[:1] == ["experiment"]:
-        from repro.cli import run_legacy_cli
-
-        return run_legacy_cli(argv[1:])
-
     args = build_parser().parse_args(argv)
+
+    if args.command == "experiment":
+        return _run_experiment(args)
 
     if args.command == "validate-config":
         try:
@@ -194,7 +272,7 @@ def main(argv: list[str] | None = None) -> int:
                 report = session.run_pipeline()
             else:  # pragma: no cover - argparse enforces the choices
                 raise AssertionError("unreachable")
-            _emit(report, args.output)
+            _emit(json.dumps(report, indent=2), args.output)
     except (ReproError, ValueError) as exc:
         # Config-shaped mistakes that need the resolved schema to surface
         # (e.g. store.fields not matching the dataset's fields, an

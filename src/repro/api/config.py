@@ -340,7 +340,6 @@ class TrainConfig:
     max_steps: int | None = None
     dense_optimizer: str = "adam"
     dense_learning_rate: float = 0.01
-    eval_every: int | None = None
 
     def __post_init__(self):
         if self.batch_size is not None and self.batch_size <= 0:

@@ -3,7 +3,7 @@
 :func:`build` is the single construction path: it resolves the dataset
 preset, builds the embedding store (uniform sharded or per-field table
 groups), wires the model and trainer, and returns a :class:`Session` whose
-lifecycle methods run every workload the three historical CLIs ran:
+lifecycle methods run every workload of ``python -m repro``:
 
 =================  ======================================================
 ``session.train()``         one (partial) chronological epoch + eval
@@ -50,7 +50,6 @@ class Session:
     def __init__(self, config: SystemConfig):
         from repro.experiments.common import build_dataset, get_scale
         from repro.models import create_model
-        from repro.training.config import TrainingConfig
         from repro.training.trainer import Trainer
 
         config.validate()
@@ -85,14 +84,8 @@ class Session:
         self.batch_size = config.train.batch_size or self.scale.batch_size
         self.trainer = Trainer(
             self.model,
-            TrainingConfig(
-                batch_size=self.batch_size,
-                dense_optimizer=config.train.dense_optimizer,
-                dense_learning_rate=config.train.dense_learning_rate,
-                embedding_dtype=config.store.dtype,
-                eval_every=config.train.eval_every,
-                seed=config.seed,
-            ),
+            dense_optimizer=config.train.dense_optimizer,
+            dense_learning_rate=config.train.dense_learning_rate,
         )
 
     def _build_store(self):
@@ -156,7 +149,7 @@ class Session:
     def serve(self) -> dict[str, Any]:
         """Warm-up train, snapshot, replay requests.
 
-        The zero-to-serving path the old ``python -m repro.serve`` ran:
+        The zero-to-serving path of ``python -m repro serve``:
         ``serve.warmup_steps`` training steps build non-trivial store state,
         then ``serve.requests`` single-row requests stream through the
         micro-batching engine against a fresh snapshot.  With

@@ -21,7 +21,6 @@ from repro.embeddings.base import CompressedEmbedding
 from repro.errors import MemoryBudgetError
 from repro.models import create_model
 from repro.models.base import RecommendationModel
-from repro.training.config import TrainingConfig
 from repro.training.trainer import TrainingHistory, train_and_evaluate
 from repro.utils.logging import get_logger
 
@@ -173,6 +172,7 @@ def run_single(
     seed: int = 0,
     eval_every: int | None = None,
     embedding_kwargs: dict | None = None,
+    days: list[int] | None = None,
 ) -> RunOutcome:
     """Train one configuration end to end; infeasible budgets are reported,
     not raised, because the paper's figures simply omit those points.
@@ -181,9 +181,10 @@ def run_single(
     ``:``, e.g. ``"full:tiny,cafe:tail"``): the run then trains over a
     heterogeneous :class:`~repro.store.table_group.TableGroupStore` instead
     of one uniform layer, opening the mixed-policy scenario axis.
+    ``days`` restricts training to those days (default: every training day).
+    Every run trains its rows with Adagrad at 0.1 in float32.
     """
     spec = get_scale(scale)
-    config = TrainingConfig(batch_size=spec.batch_size, seed=seed)
     try:
         # One parser decides: grouped specs and option-carrying uniform
         # specs ("cafe[cr=8,shards=2]") go through the store factory; a bare
@@ -200,21 +201,13 @@ def run_single(
                 spec=method,
                 compression_ratio=compression_ratio,
                 seed=seed,
-                optimizer=config.sparse_optimizer,
-                learning_rate=config.sparse_learning_rate,
-                dtype=config.embedding_dtype,
+                optimizer="adagrad",
+                learning_rate=0.1,
                 **(embedding_kwargs or {}),
             )
         else:
             embedding = build_embedding(
-                method,
-                dataset,
-                compression_ratio,
-                seed=seed,
-                optimizer=config.sparse_optimizer,
-                learning_rate=config.sparse_learning_rate,
-                dtype=config.embedding_dtype,
-                **(embedding_kwargs or {}),
+                method, dataset, compression_ratio, seed=seed, **(embedding_kwargs or {})
             )
     except MemoryBudgetError as exc:
         logger.info("%s infeasible at CR %.0fx: %s", method, compression_ratio, exc)
@@ -230,9 +223,9 @@ def run_single(
             failure_reason=str(exc),
         )
     model = build_model(model_name, embedding, dataset.schema, seed=seed)
-    stream = dataset.training_stream(spec.batch_size)
+    stream = dataset.training_stream(spec.batch_size, days=days)
     test_batch = dataset.test_batch(num_samples=spec.test_samples)
-    results = train_and_evaluate(model, stream, test_batch, config=config, eval_every=eval_every)
+    results = train_and_evaluate(model, stream, test_batch, eval_every=eval_every)
     return RunOutcome(
         method=method,
         compression_ratio=compression_ratio,

@@ -78,7 +78,10 @@ def run_fig17_drift_shift(
             losses, aucs, feasible = [], [], True
             history = None
             for seed in seeds:
-                outcome = _run_on_days(dataset, method, ratio, subsampled, scale, seed)
+                outcome = run_single(
+                    dataset, method, ratio, model_name="dlrm", scale=scale, seed=seed,
+                    days=subsampled,
+                )
                 if not outcome.feasible:
                     feasible = False
                     break
@@ -153,50 +156,3 @@ def _serve_while_train_columns(dataset, method, ratio, days, scale, seed) -> dic
         "replica_speedup_2x": round(replica["replica_speedup_2x"], 3),
         "burst_p99_ms": round(replica["burst_p99_ms"], 3),
     }
-
-
-def _run_on_days(dataset, method, ratio, days, scale, seed):
-    """Run one configuration with a restricted list of training days."""
-    from repro.experiments.common import ScaleSpec, build_embedding, build_model
-    from repro.errors import MemoryBudgetError
-    from repro.training.config import TrainingConfig
-    from repro.training.trainer import train_and_evaluate
-    from repro.experiments.common import RunOutcome
-    from repro.training.trainer import TrainingHistory
-
-    spec = get_scale(scale)
-    config = TrainingConfig(batch_size=spec.batch_size, seed=seed)
-    try:
-        embedding = build_embedding(
-            method,
-            dataset,
-            ratio,
-            seed=seed,
-            optimizer=config.sparse_optimizer,
-            learning_rate=config.sparse_learning_rate,
-        )
-    except MemoryBudgetError as exc:
-        return RunOutcome(
-            method=method,
-            compression_ratio=ratio,
-            achieved_ratio=float("nan"),
-            train_loss=float("nan"),
-            test_auc=float("nan"),
-            test_log_loss=float("nan"),
-            history=TrainingHistory(),
-            feasible=False,
-            failure_reason=str(exc),
-        )
-    model = build_model("dlrm", embedding, dataset.schema, seed=seed)
-    stream = dataset.training_stream(spec.batch_size, days=days)
-    test_batch = dataset.test_batch(num_samples=spec.test_samples)
-    results = train_and_evaluate(model, stream, test_batch, config=config)
-    return RunOutcome(
-        method=method,
-        compression_ratio=ratio,
-        achieved_ratio=embedding.compression_ratio(),
-        train_loss=results["train_loss"],
-        test_auc=results["test_auc"],
-        test_log_loss=results["test_log_loss"],
-        history=results["history"],
-    )

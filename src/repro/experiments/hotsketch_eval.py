@@ -19,7 +19,6 @@ from repro.experiments.common import build_dataset, build_embedding, build_model
 from repro.experiments.reporting import ExperimentResult
 from repro.sketch.analysis import optimal_slots_per_bucket, retention_probability_grid
 from repro.sketch.hotsketch import HotSketch
-from repro.training.config import TrainingConfig
 from repro.training.latency import measure_sketch_throughput
 from repro.training.metrics import recall_at_k
 from repro.training.trainer import Trainer
@@ -42,7 +41,7 @@ def run_fig3_gradient_zipf(
         dataset = build_dataset(dataset_name, scale=scale, seed=seed)
         embedding = build_embedding("full", dataset, 1.0, seed=seed)
         model = build_model("dlrm", embedding, dataset.schema, seed=seed)
-        trainer = Trainer(model, TrainingConfig(batch_size=spec.batch_size, seed=seed))
+        trainer = Trainer(model)
         stream = dataset.training_stream(spec.batch_size, days=dataset.train_days[:2])
         norms = trainer.collect_gradient_norms(stream, dataset.schema.num_features)
         positive = norms[norms > 0]
@@ -135,7 +134,7 @@ def run_fig18_hotsketch(
     for ratio in tracking_ratios:
         embedding = build_embedding("cafe", dataset, ratio, seed=seed)
         model = build_model("dlrm", embedding, dataset.schema, seed=seed)
-        trainer = Trainer(model, TrainingConfig(batch_size=spec.batch_size, seed=seed))
+        trainer = Trainer(model)
         cumulative = np.zeros(dataset.schema.num_features)
         k = embedding.num_hot_rows
         window = max(int(dataset.config.samples_per_day * window_fraction), spec.batch_size)

@@ -35,7 +35,6 @@ from repro.models.base import RecommendationModel
 from repro.serving.engine import ServingEngine
 from repro.serving.replica import ReplicaTier
 from repro.serving.stats import LatencyTracker
-from repro.training.config import TrainingConfig
 from repro.training.trainer import Trainer
 
 
@@ -153,13 +152,12 @@ class OnlinePipeline:
         model: RecommendationModel,
         config: PipelineConfig | None = None,
         trainer: Trainer | None = None,
-        trainer_config: TrainingConfig | None = None,
         engine: ServingEngine | None = None,
         tier: ReplicaTier | None = None,
     ):
         self.model = model
         self.config = config or PipelineConfig()
-        self.trainer = trainer or Trainer(model, trainer_config)
+        self.trainer = trainer or Trainer(model)
         self.engine = engine or ServingEngine(
             model, max_batch_size=self.config.serving_micro_batch
         )

@@ -17,7 +17,7 @@ a process with it:
   :class:`~repro.serving.replica.Replica`.
 * Per-request wall times feed a :class:`~repro.serving.stats.
   LatencyTracker`, giving the p50/p95/p99 columns the fig13 experiment and
-  ``python -m repro.serve`` report.
+  ``python -m repro serve`` report.
 """
 
 from __future__ import annotations

@@ -9,9 +9,7 @@ from repro.sketch.analysis import (
 )
 from repro.sketch.base import Sketch
 from repro.sketch.cm_sketch import CountMinSketch
-from repro.sketch.count_sketch import CountSketch
 from repro.sketch.csvec import CSVec
-from repro.sketch.decay import DecaySchedule, NoDecay, PeriodicDecay
 from repro.sketch.hotsketch import EMPTY_KEY, NO_PAYLOAD, EvictionBatch, HotSketch
 from repro.sketch.spacesaving import SpaceSaving
 
@@ -23,11 +21,7 @@ __all__ = [
     "NO_PAYLOAD",
     "SpaceSaving",
     "CountMinSketch",
-    "CountSketch",
     "CSVec",
-    "DecaySchedule",
-    "NoDecay",
-    "PeriodicDecay",
     "retention_probability_uniform",
     "retention_probability_zipf",
     "retention_probability_grid",

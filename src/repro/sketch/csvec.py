@@ -1,8 +1,8 @@
 """CSVec — a mergeable count-sketch over *vectors* keyed by integer ids.
 
-Classic :class:`~repro.sketch.count_sketch.CountSketch` summarises a stream
-of scalar scores.  Gradient exchange and sketched optimizer state need the
-same trick over *rows*: every key carries a ``dim``-vector (a gradient), the
+A classic count sketch (Charikar et al., 2002) summarises a stream of scalar
+scores.  Gradient exchange and sketched optimizer state need the same trick
+over *rows*: every key carries a ``dim``-vector (a gradient), the
 sketch folds ``sign(key) * vector`` into ``depth × width`` bucket rows, and
 an individual key's vector is recovered as the component-wise median over
 depth.  Because the fold is linear, two sketches built from disjoint (or
@@ -72,7 +72,7 @@ class CSVec:
         self.counts = np.zeros((self.depth, self.width), dtype=self.dtype)
 
     # ------------------------------------------------------------------ #
-    # Hashing (identical idiom to CountSketch so seeds are portable)
+    # Hashing: SplitMix64 positions per depth row, ``mix64 & 1`` signs
     # ------------------------------------------------------------------ #
     def positions_and_signs(self, keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """``(depth, n)`` bucket positions and ±1 signs for ``keys``."""

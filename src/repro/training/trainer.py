@@ -19,11 +19,13 @@ from repro.models.base import RecommendationModel
 from repro.nn import functional as F
 from repro.nn.optim import Adagrad, Adam, Optimizer, SGD
 from repro.nn.tensor import Tensor, no_grad
-from repro.training.config import TrainingConfig
 from repro.training.metrics import log_loss, roc_auc
 from repro.utils.logging import get_logger
 
 logger = get_logger(__name__)
+
+#: Rows per forward pass when :meth:`Trainer.predict` is not given a size.
+EVAL_BATCH_SIZE = 4096
 
 
 @dataclass
@@ -61,13 +63,23 @@ def _make_dense_optimizer(name: str, parameters, lr: float) -> Optimizer:
 
 
 class Trainer:
-    """Drives a :class:`RecommendationModel` over a batch stream."""
+    """Drives a :class:`RecommendationModel` over a batch stream.
 
-    def __init__(self, model: RecommendationModel, config: TrainingConfig | None = None):
+    The dense network is trained by ``dense_optimizer`` (``"sgd"``,
+    ``"adagrad"`` or ``"adam"``); the embedding store updates itself with the
+    row optimizer it was built with.
+    """
+
+    def __init__(
+        self,
+        model: RecommendationModel,
+        *,
+        dense_optimizer: str = "adam",
+        dense_learning_rate: float = 0.01,
+    ):
         self.model = model
-        self.config = config or TrainingConfig()
         self.dense_optimizer = _make_dense_optimizer(
-            self.config.dense_optimizer, list(model.parameters()), self.config.dense_learning_rate
+            dense_optimizer, list(model.parameters()), dense_learning_rate
         )
         self.global_step = 0
 
@@ -116,7 +128,6 @@ class Trainer:
     ) -> TrainingHistory:
         """Train over ``stream`` capturing the loss curve and periodic AUC."""
         history = TrainingHistory()
-        eval_every = eval_every if eval_every is not None else self.config.eval_every
         for batch in stream:
             loss = self.train_step(batch)
             history.losses.append(loss)
@@ -139,7 +150,7 @@ class Trainer:
         a recorded graph would keep every activation of a piece alive until
         its forward returns.
         """
-        batch_size = batch_size or self.config.eval_batch_size
+        batch_size = batch_size or EVAL_BATCH_SIZE
         outputs = []
         with no_grad():
             for piece in iterate_batches(batch.categorical, batch.numerical, batch.labels, batch_size):
@@ -174,7 +185,6 @@ def train_and_evaluate(
     model: RecommendationModel,
     train_stream: Iterator[Batch],
     test_batch: Batch,
-    config: TrainingConfig | None = None,
     eval_every: int | None = None,
 ) -> dict[str, float | TrainingHistory]:
     """Convenience wrapper: one epoch of online training + final testing AUC.
@@ -183,7 +193,7 @@ def train_and_evaluate(
     configuration — the average training loss (online metric) and the testing
     AUC on the held-out last day (offline metric) — plus the raw history.
     """
-    trainer = Trainer(model, config)
+    trainer = Trainer(model)
     history = trainer.train_stream(train_stream, eval_batch=test_batch, eval_every=eval_every)
     test_auc = trainer.evaluate_auc(test_batch)
     test_loss = trainer.evaluate_log_loss(test_batch)

@@ -1,5 +1,6 @@
 """Tests for the consolidated ``python -m repro`` CLI (repro.api.cli)."""
 
+import importlib
 import json
 from pathlib import Path
 
@@ -14,11 +15,10 @@ EXAMPLE_CONFIGS = REPO_ROOT / "examples" / "configs"
 class TestParser:
     def test_subcommands_exist(self):
         parser = build_parser()
+        required = {"validate-config": ["x.json"], "experiment": ["list"]}
         for command in ("train", "serve", "pipeline", "experiment",
                         "validate-config", "describe"):
-            args = parser.parse_args(
-                [command] + (["x.json"] if command == "validate-config" else [])
-            )
+            args = parser.parse_args([command] + required.get(command, []))
             assert args.command == command
 
     def test_command_required(self):
@@ -134,12 +134,12 @@ class TestWorkloadCommands:
         assert "must be int" in capsys.readouterr().out
 
 
-class TestForwarding:
-    def test_experiment_list_forwards_without_deprecation(self, capsys):
-        import warnings
-
-        with warnings.catch_warnings():
-            warnings.simplefilter("error", DeprecationWarning)
-            assert main(["experiment", "list"]) == 0
-        assert "fig8" in capsys.readouterr().out
+class TestRetiredModules:
+    @pytest.mark.parametrize("module", [
+        "cli", "pipeline", "serve", "serving.cli", "runtime.cli",
+        "training.config", "sketch.decay", "sketch.count_sketch",
+    ])
+    def test_import_fails(self, module):
+        with pytest.raises(ModuleNotFoundError):
+            importlib.import_module(f"repro.{module}")
 

@@ -74,6 +74,13 @@ class TestValidation:
         with pytest.raises(ConfigurationError, match="unknown config key 'store.kernels'"):
             SystemConfig.from_dict({"store": {"kernels": "numpy"}})
 
+    def test_removed_eval_every_option_is_an_unknown_key(self):
+        # Session.train() never passed an eval batch, so the key did nothing.
+        with pytest.raises(ConfigurationError, match="unknown config key 'train.eval_every'"):
+            SystemConfig.from_dict({"train": {"eval_every": 10}})
+        with pytest.raises(ConfigurationError, match="unknown config key 'train.eval_every'"):
+            apply_overrides(SystemConfig(), ["train.eval_every=10"])
+
     def test_bad_dataset_lists_presets(self):
         with pytest.raises(ConfigurationError, match="criteo"):
             DataConfig(dataset="cripteo")

@@ -133,7 +133,6 @@ class TestRoundTripBitExactness:
         from repro.experiments.common import build_dataset
         from repro.models import create_model
         from repro.runtime.executor import create_executor
-        from repro.training.config import TrainingConfig
         from repro.training.trainer import Trainer
 
         dataset = build_dataset("criteo", scale="tiny", seed=0)
@@ -148,7 +147,7 @@ class TestRoundTripBitExactness:
             "dlrm", store, num_fields=dataset.schema.num_fields,
             num_numerical=dataset.schema.num_numerical, rng=0,
         )
-        trainer = Trainer(model, TrainingConfig(batch_size=128, seed=0))
+        trainer = Trainer(model)
         batch = next(dataset.training_stream(128))
         direct_loss = trainer.train_step(batch)
 
@@ -179,7 +178,6 @@ class TestFrontDoorEquivalence:
         from repro.models import create_model
         from repro.runtime.executor import create_executor
         from repro.runtime.pipeline import OnlinePipeline, PipelineConfig
-        from repro.training.config import TrainingConfig
 
         dataset = build_dataset("criteo", scale="tiny", seed=0)
         store = create_embedding_store(
@@ -201,7 +199,6 @@ class TestFrontDoorEquivalence:
                 probe_every_steps=2,
                 max_steps=12,
             ),
-            trainer_config=TrainingConfig(batch_size=128, seed=0),
         )
         probe = dataset.test_batch(num_samples=64)
         hand_report = pipeline.run(dataset.training_stream(128), probe_batch=probe)
@@ -221,6 +218,21 @@ class TestFrontDoorEquivalence:
         config_state = session.store.state_dict()
         for key in hand_state:
             assert np.array_equal(hand_state[key], config_state[key]), key
+
+
+class TestDirectConstructionKeepsWorking:
+    def test_make_preset_and_store_factory_unchanged(self):
+        """Direct construction without a config stays a supported library path."""
+        from repro.data.schema import make_preset
+        from repro.models import create_model
+
+        schema = make_preset("criteo", base_cardinality=300,
+                             field_spec="full:tiny,cafe:tail")
+        store = create_embedding_store(schema, spec=None, seed=0)
+        model = create_model("dlrm", store, num_fields=schema.num_fields,
+                             num_numerical=schema.num_numerical, rng=0)
+        assert model.store is store
+        assert store.num_groups >= 2
 
 
 class TestCheckpointLifecycle:

@@ -11,7 +11,6 @@ from repro.embeddings.hash_embedding import HashEmbedding
 from repro.embeddings.quantized import QuantizedEmbedding
 from repro.models.dlrm import DLRM
 from repro.training.checkpoint import load_checkpoint, save_checkpoint
-from repro.training.config import TrainingConfig
 from repro.training.trainer import Trainer
 
 N = 600
@@ -47,7 +46,7 @@ class TestCheckpoint:
     def test_roundtrip_with_cafe(self, tmp_path):
         dataset = tiny_dataset()
         model = build_model(dataset)
-        trainer = Trainer(model, TrainingConfig(batch_size=64))
+        trainer = Trainer(model)
         for batch in dataset.day_batches(0, 64):
             trainer.train_step(batch)
 
@@ -94,7 +93,7 @@ class TestCheckpoint:
         model = build_model(
             dataset, embedding=HashEmbedding(dataset.schema.num_features, DIM, num_rows=32, rng=0)
         )
-        trainer = Trainer(model, TrainingConfig(batch_size=64))
+        trainer = Trainer(model)
         for batch in dataset.day_batches(0, 64):
             trainer.train_step(batch)
         path = save_checkpoint(tmp_path / "hash.npz", model)
@@ -127,7 +126,7 @@ class TestCheckpoint:
             return build_model(dataset, embedding=store, seed=seed)
 
         model = sharded_model(0)
-        trainer = Trainer(model, TrainingConfig(batch_size=64))
+        trainer = Trainer(model)
         try:
             for batch in dataset.day_batches(0, 64):
                 trainer.train_step(batch)
@@ -191,7 +190,7 @@ class TestCheckpoint:
             return build_model(dataset, embedding=embedding, seed=seed)
 
         model = typed_model(0)
-        trainer = Trainer(model, TrainingConfig(batch_size=64))
+        trainer = Trainer(model)
         for batch in dataset.day_batches(0, 64):
             trainer.train_step(batch)
         path = save_checkpoint(tmp_path / "typed.npz", model, step=trainer.global_step)
@@ -284,7 +283,7 @@ class TestQuantizedEmbedding:
         )
         quantized = QuantizedEmbedding(cafe, bits=8)
         model = build_model(dataset, embedding=quantized)
-        trainer = Trainer(model, TrainingConfig(batch_size=64))
+        trainer = Trainer(model)
         losses = [trainer.train_step(batch) for batch in dataset.day_batches(0, 64)]
         assert np.isfinite(losses).all()
         assert quantized.memory_floats() < cafe.memory_floats()

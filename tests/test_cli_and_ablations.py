@@ -1,9 +1,9 @@
-"""Tests for the command-line interface and the extra ablation runners."""
+"""Tests for ``python -m repro experiment`` and the extra ablation runners."""
 
 import numpy as np
 import pytest
 
-from repro.cli import build_parser, main
+from repro.api.cli import build_parser, main
 from repro.experiments.ablations import run_ablation_adaptivity, run_ablation_slots_per_bucket
 from repro.experiments.common import ScaleSpec
 from repro.experiments.registry import ABLATIONS, list_experiments, run_experiment
@@ -13,51 +13,60 @@ MICRO = ScaleSpec("micro", base_cardinality=60, samples_per_day=400, batch_size=
 
 class TestParser:
     def test_list_command_parses(self):
-        args = build_parser().parse_args(["list"])
-        assert args.command == "list"
+        args = build_parser().parse_args(["experiment", "list"])
+        assert args.action == "list"
 
     def test_run_command_parses(self):
-        args = build_parser().parse_args(["run", "fig7", "--scale", "small", "--seed", "3"])
+        args = build_parser().parse_args(
+            ["experiment", "run", "fig7", "--scale", "small", "--seed", "3"]
+        )
         assert args.experiment == "fig7"
         assert args.scale == "small"
         assert args.seed == 3
 
     def test_run_rejects_unknown_experiment(self):
         with pytest.raises(SystemExit):
-            build_parser().parse_args(["run", "fig99"])
+            build_parser().parse_args(["experiment", "run", "fig99"])
 
     def test_sweep_command_parses(self):
         args = build_parser().parse_args(
-            ["sweep", "--dataset", "avazu", "--methods", "hash", "cafe", "--ratios", "10", "50"]
+            ["experiment", "sweep", "--dataset", "avazu", "--methods", "hash", "cafe",
+             "--ratios", "10", "50"]
         )
         assert args.methods == ["hash", "cafe"]
         assert args.ratios == [10.0, 50.0]
 
     def test_command_required(self):
         with pytest.raises(SystemExit):
-            build_parser().parse_args([])
+            build_parser().parse_args(["experiment"])
+
+    def test_help_lists_the_three_actions(self, capsys):
+        with pytest.raises(SystemExit) as exit_info:
+            main(["experiment", "--help"])
+        assert exit_info.value.code == 0
+        assert "{list,run,sweep}" in capsys.readouterr().out
 
 
 class TestMain:
     def test_list_output(self, capsys):
-        assert main(["list"]) == 0
+        assert main(["experiment", "list"]) == 0
         out = capsys.readouterr().out
         assert "fig8" in out
         assert "ablation_slots" in out
 
     def test_run_cheap_experiment(self, capsys):
-        assert main(["run", "fig7"]) == 0
+        assert main(["experiment", "run", "fig7"]) == 0
         out = capsys.readouterr().out
         assert "Theorem 3.3" in out or "probability" in out
 
     def test_run_writes_output_file(self, tmp_path, capsys):
         target = tmp_path / "out" / "table2.txt"
-        assert main(["run", "table2", "--output", str(target)]) == 0
+        assert main(["experiment", "run", "table2", "--output", str(target)]) == 0
         assert target.exists()
         assert "criteo" in target.read_text()
 
     def test_run_table2_respects_seed_and_scale(self, capsys):
-        assert main(["run", "table2", "--scale", "small", "--seed", "5"]) == 0
+        assert main(["experiment", "run", "table2", "--scale", "small", "--seed", "5"]) == 0
         assert "criteotb" in capsys.readouterr().out
 
 

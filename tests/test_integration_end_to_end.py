@@ -9,7 +9,6 @@ from repro.data.synthetic import SyntheticConfig, SyntheticCTRDataset
 from repro.embeddings import create_embedding
 from repro.experiments.common import ScaleSpec, build_dataset, run_single
 from repro.models import create_model
-from repro.training.config import TrainingConfig
 from repro.training.trainer import Trainer, train_and_evaluate
 
 MICRO = ScaleSpec("micro", base_cardinality=80, samples_per_day=1200, batch_size=128, test_samples=800)
@@ -51,7 +50,6 @@ def train(dataset, method, cr, seed=0, model_name="dlrm", **embedding_kwargs):
         model,
         dataset.training_stream(128),
         dataset.test_batch(1000),
-        config=TrainingConfig(batch_size=128),
     )
     return results, embedding, model
 

@@ -157,15 +157,18 @@ class TestReport:
 
 
 class TestPipelineCLI:
-    def test_run_pipeline_session_smoke(self):
-        from repro.pipeline import build_parser, run_pipeline_session
+    def test_run_pipeline_session_smoke(self, tmp_path):
+        import json
 
-        args = build_parser().parse_args(
-            ["--scale", "tiny", "--max-steps", "8", "--publish-every", "3",
-             "--probe-every", "2", "--num-shards", "2", "--executor", "processes",
-             "--micro-batch", "16"]
-        )
-        report = run_pipeline_session(args)
+        from repro.api.cli import main
+
+        out = tmp_path / "report.json"
+        assert main(["pipeline", "--set", "pipeline.max_steps=8",
+                     "--set", "pipeline.publish_every_steps=3",
+                     "--set", "pipeline.probe_every_steps=2",
+                     "--set", "store.num_shards=2", "--set", "store.executor=processes",
+                     "--set", "pipeline.micro_batch=16", "--output", str(out)]) == 0
+        report = json.loads(out.read_text())
         assert report["pipeline"]["steps"] == 8
         assert report["pipeline"]["staleness_within_cadence"] is True
         assert report["pipeline"]["max_staleness_steps"] <= 3
@@ -175,11 +178,12 @@ class TestPipelineCLI:
     def test_cli_writes_output_file(self, tmp_path):
         import json
 
-        from repro.pipeline import main
+        from repro.api.cli import main
 
         out = tmp_path / "report.json"
-        assert main(["--scale", "tiny", "--max-steps", "4", "--publish-every", "2",
-                     "--probe-every", "0", "--num-shards", "1",
+        assert main(["pipeline", "--set", "pipeline.max_steps=4",
+                     "--set", "pipeline.publish_every_steps=2",
+                     "--set", "pipeline.probe_every_steps=0",
                      "--output", str(out)]) == 0
         written = json.loads(out.read_text())
         assert written["pipeline"]["steps"] == 4

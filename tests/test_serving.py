@@ -10,7 +10,6 @@ from repro.data.synthetic import SyntheticConfig, SyntheticCTRDataset
 from repro.models.dlrm import DLRM
 from repro.serving import LatencyTracker, ServingEngine
 from repro.store import ShardedEmbeddingStore
-from repro.training.config import TrainingConfig
 from repro.training.latency import measure_serving_latency
 from repro.training.trainer import Trainer
 
@@ -106,7 +105,7 @@ class TestServingEngine:
     def test_results_match_direct_prediction_on_frozen_model(self):
         dataset = tiny_dataset()
         model = make_model(dataset)
-        trainer = Trainer(model, TrainingConfig(batch_size=64))
+        trainer = Trainer(model)
         for b in dataset.day_batches(0, 64):
             trainer.train_step(b)
         engine = ServingEngine(model, max_batch_size=8)
@@ -120,7 +119,7 @@ class TestServingEngine:
     def test_snapshot_isolates_serving_from_training(self):
         dataset = tiny_dataset()
         model = make_model(dataset)
-        trainer = Trainer(model, TrainingConfig(batch_size=64))
+        trainer = Trainer(model)
         for b in dataset.day_batches(0, 64):
             trainer.train_step(b)
         engine = ServingEngine(model, max_batch_size=16)
@@ -188,15 +187,16 @@ class TestMeasureServingLatency:
 
 class TestServeCli:
     def test_end_to_end_report(self, tmp_path):
-        from repro.serve import main
+        from repro.api.cli import main
 
         out = tmp_path / "serving.json"
         code = main(
             [
-                "--requests", "64",
-                "--train-batches", "2",
-                "--num-shards", "2",
-                "--micro-batch", "16",
+                "serve",
+                "--set", "serve.requests=64",
+                "--set", "serve.warmup_steps=2",
+                "--set", "store.num_shards=2",
+                "--set", "serve.micro_batch=16",
                 "--output", str(out),
             ]
         )

@@ -1,11 +1,9 @@
-"""Tests for SpaceSaving, Count-Min, Count sketch and decay schedules."""
+"""Tests for the baseline sketches: SpaceSaving and Count-Min."""
 
 import numpy as np
 import pytest
 
 from repro.sketch.cm_sketch import CountMinSketch
-from repro.sketch.count_sketch import CountSketch
-from repro.sketch.decay import NoDecay, PeriodicDecay
 from repro.sketch.spacesaving import SpaceSaving
 from repro.utils.zipf import ZipfDistribution
 
@@ -82,38 +80,3 @@ class TestCountMinSketch:
     def test_memory(self):
         assert CountMinSketch(width=100, depth=5).memory_floats() == 500
 
-
-class TestCountSketch:
-    def test_unbiased_estimation(self):
-        """Averaged over many random seeds the Count sketch estimate is unbiased."""
-        estimates = []
-        for seed in range(20):
-            cs = CountSketch(width=32, depth=3, seed=seed)
-            keys = np.repeat(np.arange(100), 5)
-            cs.insert(keys)
-            estimates.append(cs.query(np.asarray([7]))[0])
-        assert abs(np.mean(estimates) - 5.0) < 2.0
-
-    def test_even_depth_rejected(self):
-        with pytest.raises(ValueError):
-            CountSketch(width=16, depth=2)
-
-    def test_query_shape(self):
-        cs = CountSketch(width=64, depth=3)
-        cs.insert(np.arange(100))
-        assert cs.query(np.arange(6).reshape(2, 3)).shape == (2, 3)
-
-
-class TestDecaySchedules:
-    def test_no_decay(self):
-        schedule = NoDecay()
-        assert not any(schedule.should_decay(step) for step in range(100))
-
-    def test_periodic_decay(self):
-        schedule = PeriodicDecay(interval=10)
-        fired = [step for step in range(1, 51) if schedule.should_decay(step)]
-        assert fired == [10, 20, 30, 40, 50]
-
-    def test_invalid_interval(self):
-        with pytest.raises(ValueError):
-            PeriodicDecay(interval=0)

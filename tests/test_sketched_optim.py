@@ -249,7 +249,6 @@ class TestCheckpointRoundTrip:
         from repro.embeddings.hash_embedding import HashEmbedding
         from repro.models.dlrm import DLRM
         from repro.training.checkpoint import load_checkpoint, save_checkpoint
-        from repro.training.config import TrainingConfig
         from repro.training.trainer import Trainer
 
         schema = DatasetSchema(
@@ -274,7 +273,7 @@ class TestCheckpointRoundTrip:
             return DLRM(embedding, schema.num_fields, schema.num_numerical, rng=rng_seed)
 
         model = build(0)
-        trainer = Trainer(model, TrainingConfig(batch_size=64))
+        trainer = Trainer(model)
         for batch in dataset.day_batches(0, 64):
             trainer.train_step(batch)
         state = model.embedding.state_dict()
@@ -445,7 +444,6 @@ class TestQuarterMemoryKeepsAuc:
         from repro.data.synthetic import SyntheticConfig, SyntheticCTRDataset
         from repro.embeddings import create_embedding
         from repro.models.dlrm import DLRM
-        from repro.training.config import TrainingConfig
         from repro.training.trainer import Trainer
 
         schema = self._schema()
@@ -463,7 +461,7 @@ class TestQuarterMemoryKeepsAuc:
             rng=np.random.default_rng(seed + 17),
         )
         model = DLRM(embedding, schema.num_fields, schema.num_numerical, rng=seed)
-        trainer = Trainer(model, TrainingConfig(batch_size=self.BATCH, seed=seed))
+        trainer = Trainer(model)
         for batch in dataset.day_batches(0, self.BATCH):
             trainer.train_step(batch)
         auc = trainer.evaluate_auc(dataset.test_batch(2048))

@@ -9,7 +9,6 @@ from repro.embeddings.cafe import CafeEmbedding
 from repro.embeddings.hash_embedding import HashEmbedding
 from repro.models.dlrm import DLRM
 from repro.store import ShardedEmbeddingStore, StoreSnapshot, ensure_store, partition_by_shard
-from repro.training.config import TrainingConfig
 from repro.training.trainer import Trainer
 
 DIM = 8
@@ -54,7 +53,7 @@ class TestSingleShardParity:
 
         # Model B trains through the store (the default path after the refactor).
         model_b = DLRM(stored, dataset.schema.num_fields, dataset.schema.num_numerical, rng=1)
-        trainer_b = Trainer(model_b, TrainingConfig(batch_size=64))
+        trainer_b = Trainer(model_b)
 
         # Model A replicates the pre-store loop: raw embedding layer driven
         # directly, no store in between.
@@ -150,7 +149,7 @@ class TestSharding:
             seed=0,
         )
         model = DLRM(store, dataset.schema.num_fields, dataset.schema.num_numerical, rng=0)
-        trainer = Trainer(model, TrainingConfig(batch_size=64))
+        trainer = Trainer(model)
         losses = [trainer.train_step(b) for b in dataset.day_batches(0, 64)]
         assert np.isfinite(losses).all()
         # Store-level partition is built in lookup and reused by apply_gradients.
@@ -193,7 +192,7 @@ class TestSnapshots:
             seed=0,
         )
         model = DLRM(store, dataset.schema.num_fields, dataset.schema.num_numerical, rng=0)
-        trainer = Trainer(model, TrainingConfig(batch_size=64))
+        trainer = Trainer(model)
         for batch in dataset.day_batches(0, 64):
             trainer.train_step(batch)
 

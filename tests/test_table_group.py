@@ -19,7 +19,6 @@ from repro.models.dlrm import DLRM
 from repro.serving.engine import ServingEngine
 from repro.store import ShardedEmbeddingStore, TableGroup, TableGroupSnapshot, TableGroupStore
 from repro.training.checkpoint import load_checkpoint, save_checkpoint
-from repro.training.config import TrainingConfig
 from repro.training.trainer import Trainer
 
 DIM = 8
@@ -198,7 +197,7 @@ class TestMixedPolicyTraining:
         store = TableGroupStore.from_schema(schema, spec=MIXED_SPEC, seed=0)
         assert store.num_groups == 3
         model = DLRM(store, schema.num_fields, schema.num_numerical, rng=0)
-        trainer = Trainer(model, TrainingConfig(batch_size=64))
+        trainer = Trainer(model)
         losses = [trainer.train_step(b) for b in dataset.day_batches(0, 64)]
         assert np.isfinite(losses).all()
         # The tiny group really is uncompressed; the tail group really is CAFE.
@@ -218,7 +217,7 @@ class TestMixedPolicyTraining:
         before = projected[0].projection.copy()
         dataset = hetero_dataset()
         model = DLRM(store, schema.num_fields, schema.num_numerical, rng=0)
-        trainer = Trainer(model, TrainingConfig(batch_size=64))
+        trainer = Trainer(model)
         for batch in dataset.day_batches(0, 64):
             trainer.train_step(batch)
         assert store.lookup(dataset.test_batch(16).categorical).shape == (16, 5, DIM)
@@ -233,7 +232,7 @@ class TestMixedPolicyTraining:
         assert len(sharded) == 1 and sharded[0].backend.num_shards == 2
         dataset = hetero_dataset()
         model = DLRM(store, schema.num_fields, schema.num_numerical, rng=0)
-        trainer = Trainer(model, TrainingConfig(batch_size=64))
+        trainer = Trainer(model)
         losses = [trainer.train_step(b) for b in dataset.day_batches(0, 64)]
         assert np.isfinite(losses).all()
 
@@ -272,7 +271,7 @@ class TestGroupSnapshots:
         schema = dataset.schema
         store = TableGroupStore.from_schema(schema, spec=MIXED_SPEC, seed=0)
         model = DLRM(store, schema.num_fields, schema.num_numerical, rng=0)
-        trainer = Trainer(model, TrainingConfig(batch_size=64))
+        trainer = Trainer(model)
         for batch in dataset.day_batches(0, 64):
             trainer.train_step(batch)
 
@@ -299,7 +298,7 @@ class TestGroupSnapshots:
         schema = dataset.schema
         store = TableGroupStore.from_schema(schema, spec=MIXED_SPEC, seed=0)
         model = DLRM(store, schema.num_fields, schema.num_numerical, rng=0)
-        trainer = Trainer(model, TrainingConfig(batch_size=64))
+        trainer = Trainer(model)
         engine = ServingEngine(model, max_batch_size=32)
         assert isinstance(engine.snapshot, TableGroupSnapshot)
         test = dataset.test_batch(64)
@@ -405,7 +404,7 @@ class TestGroupCheckpointing:
             return DLRM(store, schema.num_fields, schema.num_numerical, rng=seed)
 
         model = build(0)
-        trainer = Trainer(model, TrainingConfig(batch_size=64))
+        trainer = Trainer(model)
         for batch in dataset.day_batches(0, 64):
             trainer.train_step(batch)
         path = save_checkpoint(tmp_path / "groups.npz", model, step=trainer.global_step)

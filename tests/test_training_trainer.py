@@ -1,4 +1,4 @@
-"""Tests for the training loop, configuration and latency helpers."""
+"""Tests for the training loop, its keywords and latency helpers."""
 
 import numpy as np
 import pytest
@@ -8,9 +8,8 @@ from repro.data.synthetic import SyntheticConfig, SyntheticCTRDataset
 from repro.embeddings.cafe import CafeEmbedding
 from repro.embeddings.full import FullEmbedding
 from repro.models.dlrm import DLRM
-from repro.training.config import TrainingConfig
 from repro.training.latency import measure_latency, measure_sketch_throughput
-from repro.training.trainer import Trainer, TrainingHistory, train_and_evaluate
+from repro.training.trainer import EVAL_BATCH_SIZE, Trainer, TrainingHistory, train_and_evaluate
 from repro.sketch.hotsketch import HotSketch
 
 
@@ -32,35 +31,48 @@ def toy_model(dataset, seed=0, embedding=None):
     return DLRM(embedding, schema.num_fields, schema.num_numerical, rng=seed)
 
 
-class TestTrainingConfig:
-    def test_defaults_valid(self):
-        config = TrainingConfig()
-        assert config.batch_size > 0
+class TestTrainerKeywords:
+    def test_defaults_are_adam_at_0_01(self):
+        trainer = Trainer(toy_model(toy_dataset()))
+        assert trainer.dense_optimizer.kind == "adam"
+        assert trainer.dense_optimizer.lr == 0.01
 
-    def test_invalid_values(self):
+    def test_keywords_pick_the_dense_optimizer(self):
+        trainer = Trainer(toy_model(toy_dataset()), dense_optimizer="SGD", dense_learning_rate=0.5)
+        assert trainer.dense_optimizer.kind == "sgd"
+        assert trainer.dense_optimizer.lr == 0.5
+
+    def test_keywords_only(self):
+        with pytest.raises(TypeError):
+            Trainer(toy_model(toy_dataset()), "adam")
+
+    def test_non_positive_learning_rate(self):
         with pytest.raises(ValueError):
-            TrainingConfig(batch_size=0)
-        with pytest.raises(ValueError):
-            TrainingConfig(dense_learning_rate=0.0)
+            Trainer(toy_model(toy_dataset()), dense_learning_rate=0.0)
+
+    def test_unknown_dense_optimizer(self):
+        with pytest.raises(ValueError, match="rmsprop"):
+            Trainer(toy_model(toy_dataset()), dense_optimizer="rmsprop")
+
+    def test_predict_defaults_to_eval_batch_size_pieces(self):
+        dataset = toy_dataset()
+        trainer = Trainer(toy_model(dataset))
+        batch = dataset.test_batch(EVAL_BATCH_SIZE + 10)
+        assert np.array_equal(trainer.predict(batch), trainer.predict(batch, batch_size=EVAL_BATCH_SIZE))
 
 
 class TestTrainerBasics:
     def test_train_step_returns_finite_loss(self):
         dataset = toy_dataset()
-        trainer = Trainer(toy_model(dataset), TrainingConfig(batch_size=64))
+        trainer = Trainer(toy_model(dataset))
         batch = dataset.generate_day(0, num_samples=64)
         loss = trainer.train_step(batch)
         assert np.isfinite(loss)
         assert trainer.global_step == 1
 
-    def test_unknown_dense_optimizer(self):
-        dataset = toy_dataset()
-        with pytest.raises(ValueError):
-            Trainer(toy_model(dataset), TrainingConfig(dense_optimizer="rmsprop"))
-
     def test_training_reduces_loss(self):
         dataset = toy_dataset()
-        trainer = Trainer(toy_model(dataset), TrainingConfig(batch_size=128, dense_learning_rate=0.01))
+        trainer = Trainer(toy_model(dataset))
         history = trainer.train_stream(dataset.training_stream(128))
         early = float(np.mean(history.losses[:5]))
         late = float(np.mean(history.losses[-5:]))
@@ -68,7 +80,7 @@ class TestTrainerBasics:
 
     def test_history_eval_hooks(self):
         dataset = toy_dataset()
-        trainer = Trainer(toy_model(dataset), TrainingConfig(batch_size=128))
+        trainer = Trainer(toy_model(dataset))
         test_batch = dataset.test_batch(400)
         history = trainer.train_stream(
             dataset.training_stream(128), eval_batch=test_batch, eval_every=5
@@ -78,13 +90,13 @@ class TestTrainerBasics:
 
     def test_max_steps(self):
         dataset = toy_dataset()
-        trainer = Trainer(toy_model(dataset), TrainingConfig(batch_size=64))
+        trainer = Trainer(toy_model(dataset))
         history = trainer.train_stream(dataset.training_stream(64), max_steps=3)
         assert len(history.losses) == 3
 
     def test_predict_and_metrics(self):
         dataset = toy_dataset()
-        trainer = Trainer(toy_model(dataset), TrainingConfig(batch_size=64))
+        trainer = Trainer(toy_model(dataset))
         batch = dataset.test_batch(500)
         probs = trainer.predict(batch, batch_size=200)
         assert probs.shape == (500,)
@@ -95,7 +107,7 @@ class TestTrainerBasics:
         dataset = toy_dataset()
         embedding = FullEmbedding(dataset.schema.num_features, 8, learning_rate=0.1, rng=0)
         model = toy_model(dataset, embedding=embedding)
-        trainer = Trainer(model, TrainingConfig(batch_size=64))
+        trainer = Trainer(model)
         table_before = embedding.table.copy()
         trainer.train_step(dataset.generate_day(0, num_samples=64))
         assert not np.allclose(embedding.table, table_before)
@@ -111,7 +123,7 @@ class TestTrainerBasics:
             learning_rate=0.1,
             rng=0,
         )
-        trainer = Trainer(toy_model(dataset, embedding=embedding), TrainingConfig(batch_size=64))
+        trainer = Trainer(toy_model(dataset, embedding=embedding))
         for batch in dataset.day_batches(0, 64):
             trainer.train_step(batch)
         assert embedding.sketch.total_insertions > 0
@@ -139,7 +151,6 @@ class TestTrainAndEvaluate:
             model,
             dataset.training_stream(128),
             dataset.test_batch(400),
-            config=TrainingConfig(batch_size=128),
         )
         assert set(results) >= {"train_loss", "test_auc", "test_log_loss", "history"}
         assert 0.0 <= results["test_auc"] <= 1.0
@@ -147,7 +158,7 @@ class TestTrainAndEvaluate:
     def test_gradient_norm_collection(self):
         dataset = toy_dataset()
         model = toy_model(dataset)
-        trainer = Trainer(model, TrainingConfig(batch_size=128))
+        trainer = Trainer(model)
         norms = trainer.collect_gradient_norms(
             dataset.day_batches(0, 128), dataset.schema.num_features
         )
