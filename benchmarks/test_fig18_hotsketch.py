@@ -20,12 +20,13 @@ def test_fig18_hotsketch(benchmark, bench_scale):
     )
     panel_a = {row["slots_per_bucket"]: row for row in result.filter_rows(panel="recall_throughput")}
     assert set(panel_a) == {1, 4, 16}
-    # Recall is meaningful for every configuration and the paper's chosen
-    # c=4 is competitive with the extremes under a fixed memory budget.
-    for row in panel_a.values():
-        assert 0.0 <= row["recall"] <= 1.0
+    # Per-c recall floors under a fixed memory budget, with the stream fed in
+    # training-sized inserts.  One slot per bucket still keeps most of the
+    # top 256 (0.73 measured; 1/256 when the whole stream was one insert).
+    floors = {1: 0.6, 4: 0.95, 16: 0.95}
+    for slots, row in panel_a.items():
+        assert row["recall"] >= floors[slots], (slots, row["recall"])
         assert row["insert_mops"] > 0 and row["query_mops"] > 0
-    assert panel_a[4]["recall"] >= min(r["recall"] for r in panel_a.values())
 
     # Panels (c)/(d): real-time top-k recall during online training.  The
     # paper reports >90% with 100k+ sketch buckets; at reproduction scale the

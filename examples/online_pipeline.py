@@ -3,8 +3,9 @@
 This example runs the full sharded online-learning loop:
 
 1. build a 4-shard `ShardedEmbeddingStore` behind the serial `ShardExecutor`
-   (pass `executor="processes"` to move the shards into worker processes —
-   see docs/runtime_processes.md);
+   (its CAFE shards are stacked, so one pass trains all four — see
+   docs/store.md; pass `executor="processes"` to move the shards into worker
+   processes instead — see docs/runtime_processes.md);
 2. hand the model to an `OnlinePipeline`, which trains over the
    chronological day-stream and publishes a copy-on-write snapshot to its
    `ServingEngine` every `publish_every_steps` training steps;
@@ -46,7 +47,8 @@ def main() -> None:
     model = create_model(
         "dlrm", store, num_fields=schema.num_fields, num_numerical=schema.num_numerical, rng=SEED
     )
-    print(f"store: {store.num_shards} CAFE shards behind {type(store.executor).__name__}")
+    layout = "stacked into one allocation" if store.describe()["stacked"] else "fanned out"
+    print(f"store: {store.num_shards} CAFE shards {layout} behind {type(store.executor).__name__}")
 
     pipeline = OnlinePipeline(
         model,
@@ -72,7 +74,7 @@ def main() -> None:
     print(f"serve-while-train probes: p50 {probe['p50_ms']:.2f} ms, "
           f"p95 {probe['p95_ms']:.2f} ms over {probe['count']} requests")
     executor = summary["executor"]
-    print(f"executor: {executor['fanouts']} fan-outs, "
+    print(f"executor: {executor['fanouts']} fan-outs (stacked steps are not fan-outs), "
           f"parallel efficiency {executor['parallel_efficiency']:.2f}")
 
     assert report.staleness_within_cadence, "cadence bound violated"

@@ -28,20 +28,25 @@ arena gather, and ``apply_unique`` is one segment-sum + one optimizer
 scatter over arena row indices resolved at plan-build time, through the one
 row optimizer whose per-row state spans the arena — while every region
 keeps its familiar per-table identity for tests and checkpoints.
+
+The step itself is :class:`CafeStack`'s: a layer is a stack of one, and a
+sharded store runs it once over all its CAFE shards, stacked.
 """
 
 from __future__ import annotations
 
-import time
+import copy
 
 import numpy as np
 
 from repro.embeddings.base import DEFAULT_DTYPE, TableBackedEmbedding
 from repro.embeddings.memory import MemoryBudget
-from repro.embeddings.plan import FreeRowPool
+from repro.embeddings.plan import FreeRowPool, RoutingPlan
+from repro.kernels.ops import segment_sum
 from repro.nn.init import embedding_uniform
+from repro.nn.optim import RowAdagrad, RowSGD
 from repro.sketch.hotsketch import NO_PAYLOAD, HotSketch
-from repro.utils.hashing import hash_to_range
+from repro.utils.hashing import hash_to_bucket, hash_to_range
 from repro.utils.rng import SeedLike, make_rng
 
 # Memory cost of the sketch per hot feature: ``slots_per_bucket`` slots of 3
@@ -110,7 +115,6 @@ class CafeEmbedding(TableBackedEmbedding):
         self._free_rows = FreeRowPool(self.num_hot_rows)
         self.migrations_in = 0
         self.migrations_out = 0
-        self._phase_ns = {"locate": 0, "admit": 0, "apply": 0, "sketch": 0}
 
     # ------------------------------------------------------------------ #
     # Arena layout (region tables are views into one contiguous matrix)
@@ -270,28 +274,11 @@ class CafeEmbedding(TableBackedEmbedding):
         return (self._routing_version, self.sketch.total_insertions)
 
     def _build_routes(self, uids: np.ndarray) -> dict[str, np.ndarray]:
-        # One sketch probe per distinct id (the wrapper already deduplicated
-        # the batch); the same locate results are reused by the sketch
-        # insertion in apply_unique.
-        found, buckets, slots = self.sketch.locate(uids)
-        arena_rows = np.where(found, self.sketch.payloads[buckets, slots], NO_PAYLOAD)
-        hot_mask = arena_rows != NO_PAYLOAD  # hot payloads ARE arena rows (offset 0)
-        cold = ~hot_mask
-        routes = {
-            "sketch_found": found,
-            "sketch_buckets": buckets,
-            "sketch_slots": slots,
-            "hot_mask": hot_mask,
-            "arena_rows": arena_rows,
-        }
-        routes.update(self._shared_routes(uids[cold]))
-        arena_rows[cold] = self._shared_offset + routes["shared_rows"]
-        # The scatter's inputs only: the sort over them waits for the first
-        # apply_unique that consumes the plan (RoutingPlan.scatter).
-        routes["scatter_sources"], routes["scatter_rows"] = self._scatter_entries(
-            arena_rows, routes
-        )
-        return routes
+        return self._solo().routes(uids)
+
+    def _solo(self) -> "CafeStack":
+        """This layer as a stack of one: its own sketch, arena and optimizer."""
+        return CafeStack([self], self.sketch, self._arena, self._optimizer)
 
     # ------------------------------------------------------------------ #
     # Lookup
@@ -302,12 +289,7 @@ class CafeEmbedding(TableBackedEmbedding):
         cached routing plan (paper Fig. 4 serving path).  With the arena
         layout both cases are one gather over precomputed arena rows.
         """
-        start = time.perf_counter_ns()
-        routes = self.plan_for(uids).routes
-        self._phase_ns["locate"] += time.perf_counter_ns() - start
-        out = np.take(self._arena, routes["arena_rows"], axis=0)
-        self._lookup_fused_extra(out, routes)
-        return out
+        return self._solo().lookup(self.plan_for(uids).routes)
 
     # ------------------------------------------------------------------ #
     # Gradient application + sketch maintenance
@@ -318,35 +300,13 @@ class CafeEmbedding(TableBackedEmbedding):
         """
         # The plan built by the forward pass is reused here (cache hit), so
         # the bucket hash + slot locate run once per training step.
-        start = time.perf_counter_ns()
-        plan = self.plan_for(uids)
-        routes = plan.routes
-        tick = time.perf_counter_ns()
-        self._phase_ns["locate"] += tick - start
+        self._solo().apply(self.plan_for(uids), uids, grad_sums, scores)
 
-        # 1. Parameter update using the assignment that produced the forward
-        #    pass: one segment-sum + optimizer scatter over the arena.
-        sources = routes["scatter_sources"]
-        values = grad_sums if sources is None else grad_sums[sources]
-        self.fused_apply(self._arena, plan.scatter(), values)
-        tock = time.perf_counter_ns()
-        self._phase_ns["apply"] += tock - tick
-
-        # 2. Sketch insertion, reusing the plan's locate results; SpaceSaving
-        #    replacement may evict hot features.
-        evictions = self.sketch.insert_routed(
-            uids,
-            scores,
-            routes["sketch_found"],
-            routes["sketch_buckets"],
-            routes["sketch_slots"],
-        )
-        if len(evictions):
-            self._release_rows(evictions.payloads)
-        tick = time.perf_counter_ns()
-        self._phase_ns["sketch"] += tick - tock
-
-        # 3. Periodic decay, threshold adaptation and migration.
+    def _finish_step(self, released_rows: np.ndarray) -> None:
+        """Release evicted rows, then the periodic decay, threshold
+        adaptation and migration passes of one step."""
+        if released_rows.shape[0]:
+            self._release_rows(released_rows)
         self._step += 1
         if self.decay < 1.0 and self._step % self.decay_interval == 0:
             self.sketch.apply_decay()
@@ -355,17 +315,6 @@ class CafeEmbedding(TableBackedEmbedding):
                 self._update_threshold()
             self._rebalance()
         self.invalidate_plan()
-        self._phase_ns["admit"] += time.perf_counter_ns() - tick
-
-    def phase_snapshot(self) -> dict[str, int]:
-        """Cumulative nanoseconds spent per train-step phase.
-
-        ``locate`` covers routing-plan construction/reuse (both halves of the
-        step), ``apply`` the parameter update, ``sketch`` scoring + sketch
-        insertion + row release, and ``admit`` the periodic decay/threshold/
-        migration maintenance.  Diff two snapshots to attribute per-step cost.
-        """
-        return dict(self._phase_ns)
 
     # ------------------------------------------------------------------ #
     # Migration machinery (§3.3)
@@ -517,3 +466,204 @@ class CafeEmbedding(TableBackedEmbedding):
         self.sketch.hot_threshold = self.hot_threshold
         self._load_optimizer_state(state)
         self.invalidate_plan()
+
+
+class CafeStack:
+    """The arrays one CAFE step touches: one layer's, or S shards' stacked.
+
+    A stack of one is a :class:`CafeEmbedding`'s own sketch, arena and row
+    optimizer; its ``lookup_unique`` / ``apply_unique`` are :meth:`lookup` /
+    :meth:`apply`.  A stack of ``S ≥ 2`` same-geometry layers (:meth:`stacked`)
+    holds their sketch keys/scores/payloads ``(S·w, c)``, arena ``(S·A, d)``
+    and row-optimizer state ``(S·A,)`` in one allocation each, every member
+    keeping only views.  A step then runs once, with member ``k``'s buckets
+    at ``k·w + b`` and rows at ``k·A + r`` — bit-identical to S steps, since
+    every per-row and per-bucket operation is independent across members and
+    the stable sorts keep each member's order.  Decay, threshold and
+    rebalance stay per member, on the views (docs/store.md "Stacked shards").
+    """
+
+    def __init__(self, members: list, sketch: HotSketch, arena: np.ndarray, optimizer):
+        self.members = members
+        self.sketch = sketch
+        self.arena = arena
+        self.optimizer = optimizer
+        self.rows_per = members[0]._arena.shape[0]
+        self.buckets_per = members[0].sketch.num_buckets
+        #: Stacked per-row optimizer state, and which members view it yet (a
+        #: member's row optimizer materialises its state at its first step).
+        self._row_state: dict[str, np.ndarray] = {}
+        self._bound: list[bool] = []
+
+    # ------------------------------------------------------------------ #
+    # Building, copying and binding a stack of S ≥ 2
+    # ------------------------------------------------------------------ #
+    @staticmethod
+    def can_stack(layers) -> bool:
+        """≥ 2 plain CAFE layers, exact row optimizers, one geometry and seeds."""
+        def geometry(layer):
+            if type(layer) is not CafeEmbedding or type(layer._optimizer) not in (
+                RowSGD, RowAdagrad
+            ):
+                return None
+            return (layer.dim, layer.dtype, layer.num_hot_rows, layer.num_shared_rows,
+                    layer.slots_per_bucket, layer.hash_seed, layer.sketch.seed,
+                    layer.optimizer_name, layer.learning_rate)
+
+        kinds = {geometry(layer) for layer in layers}
+        return len(layers) >= 2 and len(kinds) == 1 and None not in kinds
+
+    @classmethod
+    def stacked(cls, members: list) -> "CafeStack":
+        """Copy ``members``' state into fresh stacked arrays and rebind each
+        member to its views (``members`` must pass :meth:`can_stack`)."""
+        first, count = members[0], len(members)
+        sketch = HotSketch(
+            count * first.sketch.num_buckets, first.slots_per_bucket, seed=first.sketch.seed
+        )
+        arena = np.empty((count * first._arena.shape[0], first.dim), dtype=first.dtype)
+        stack = cls(members, sketch, arena, first._new_row_optimizer())
+        stack._row_state = stack.optimizer.shared_buffers(arena)
+        stack._bound = [member._optimizer.memory_floats() > 0 for member in members]
+        for index in range(count):
+            for view, array in zip(stack._views(index), stack._arrays(index)):
+                view[...] = array
+            stack._bind(index)
+        return stack
+
+    def copy(self) -> "CafeStack":
+        """Privatise the whole stack in one copy (copy-on-write): the members
+        are deep-copied with their views mapped straight onto the copies."""
+        twin = copy.copy(self)
+        twin.arena = self.arena.copy()
+        twin.sketch = copy.copy(self.sketch)
+        for name in ("keys", "scores", "payloads"):
+            setattr(twin.sketch, name, getattr(self.sketch, name).copy())
+        twin.optimizer = copy.copy(self.optimizer)
+        twin._row_state = {key: array.copy() for key, array in self._row_state.items()}
+        twin.optimizer.adopt_shared_buffers(twin._row_state)
+        twin._bound = list(self._bound)
+        memo = {
+            id(old): new
+            for index in range(len(self.members))
+            for old, new in zip(self._arrays(index), twin._views(index))
+        }
+        twin.members = copy.deepcopy(self.members, memo)
+        return twin
+
+    def _views(self, index: int) -> list[np.ndarray]:
+        """Member ``index``'s slices of the stacked arrays, in :meth:`_arrays` order."""
+        rows = slice(index * self.rows_per, (index + 1) * self.rows_per)
+        buckets = slice(index * self.buckets_per, (index + 1) * self.buckets_per)
+        sketch = self.sketch
+        views = [self.arena[rows]]
+        views += [sketch.keys[buckets], sketch.scores[buckets], sketch.payloads[buckets]]
+        if self._bound[index]:
+            views += [state[rows] for state in self._row_state.values()]
+        return views
+
+    def _arrays(self, index: int) -> list[np.ndarray]:
+        """The arrays member ``index`` holds now, in :meth:`_views` order."""
+        member = self.members[index]
+        arrays = [member._arena, member.sketch.keys, member.sketch.scores, member.sketch.payloads]
+        if self._bound[index]:
+            live = member._optimizer.shared_buffers(member._arena)
+            arrays += [live[key] for key in self._row_state]
+        return arrays
+
+    def _bind(self, index: int) -> None:
+        member = self.members[index]
+        views = self._views(index)
+        member._arena = views[0]
+        member._bind_arena_views()
+        member.sketch.keys, member.sketch.scores, member.sketch.payloads = views[1:4]
+        if self._bound[index]:
+            member._optimizer.adopt_shared_buffers(dict(zip(self._row_state, views[4:])))
+
+    def member_rows(self, rows: np.ndarray) -> list[np.ndarray]:
+        """Split ascending stacked arena rows into each member's own rows."""
+        count, per = len(self.members), self.rows_per
+        bounds = np.searchsorted(rows, np.arange(count + 1) * per)
+        return [rows[bounds[k] : bounds[k + 1]] - k * per for k in range(count)]
+
+    # ------------------------------------------------------------------ #
+    # The step
+    # ------------------------------------------------------------------ #
+    def routes(self, uids: np.ndarray, shard: np.ndarray | None = None) -> dict[str, np.ndarray]:
+        """Routing of sorted unique ids; ``shard`` is each id's member index
+        (``None`` for a stack of one)."""
+        # The first member's routing hooks serve the stack (S ≥ 2 members
+        # share them).  One sketch probe per distinct id, whose results the
+        # sketch insertion in apply reuses.
+        layer = self.members[0]
+        buckets = hash_to_bucket(uids, self.buckets_per, seed=layer.sketch.seed)
+        if shard is not None:
+            buckets += shard * self.buckets_per
+        found, slots = self.sketch.match(uids, buckets)
+        arena_rows = np.where(found, self.sketch.payloads[buckets, slots], NO_PAYLOAD)
+        hot_mask = arena_rows != NO_PAYLOAD  # hot payloads ARE arena rows (offset 0)
+        cold = ~hot_mask
+        routes = {
+            "sketch_found": found,
+            "sketch_buckets": buckets,
+            "sketch_slots": slots,
+            "hot_mask": hot_mask,
+            "arena_rows": arena_rows,
+        }
+        routes.update(layer._shared_routes(uids[cold]))
+        arena_rows[cold] = layer._shared_offset + routes["shared_rows"]
+        if shard is not None:
+            arena_rows += shard * self.rows_per
+        # The scatter's inputs only: the sort over them waits for the first
+        # apply that consumes the plan (RoutingPlan.scatter).
+        routes["scatter_sources"], routes["scatter_rows"] = layer._scatter_entries(
+            arena_rows, routes
+        )
+        return routes
+
+    def lookup(self, routes: dict[str, np.ndarray]) -> np.ndarray:
+        out = np.take(self.arena, routes["arena_rows"], axis=0)
+        self.members[0]._lookup_fused_extra(out, routes)
+        return out
+
+    def apply(
+        self,
+        plan: RoutingPlan,
+        uids: np.ndarray,
+        grad_sums: np.ndarray,
+        scores: np.ndarray,
+        shard: np.ndarray | None = None,
+    ) -> list[int]:
+        """One step over the stack; returns the members that owned an id
+        (only those advance their step)."""
+        routes = plan.routes
+        # 1. Parameter update using the assignment that produced the forward
+        #    pass: one segment-sum + optimizer scatter over the arena.
+        sources = routes["scatter_sources"]
+        values = grad_sums if sources is None else grad_sums[sources]
+        scatter = plan.scatter()
+        summed = segment_sum(values, scatter.perm, scatter.starts)
+        self.optimizer.fused_apply(self.arena, scatter.rows, summed)
+
+        # 2. Sketch insertion, reusing the plan's locate results; SpaceSaving
+        #    replacement may evict hot features.
+        evictions = self.sketch.insert_routed(
+            uids, scores, routes["sketch_found"], routes["sketch_buckets"], routes["sketch_slots"]
+        )
+
+        # 3. Per member: row release (in eviction order), then decay /
+        #    threshold / migration.
+        if shard is None:
+            self.members[0]._finish_step(evictions.payloads)
+            return [0]
+        counts = np.bincount(shard, minlength=len(self.members))
+        owners = evictions.buckets // self.buckets_per
+        touched = np.flatnonzero(counts).tolist()
+        for index in touched:
+            member = self.members[index]
+            member.sketch.total_insertions += int(counts[index])
+            if self._row_state and not self._bound[index]:
+                self._bound[index] = True
+                self._bind(index)
+            member._finish_step(evictions.payloads[owners == index])
+        return touched

@@ -95,6 +95,11 @@ class NonFiniteGradientError(BadBatchError):
     """
 
 
+class SketchStateMismatchError(ReproError, ValueError):
+    """A saved HotSketch's keys, scores or payloads shape does not fit the
+    sketch loading it (another geometry: every feature would be misplaced)."""
+
+
 class OptimizerStateMismatchError(ReproError, ValueError):
     """Saved dense-optimizer state does not fit the optimizer loading it.
 

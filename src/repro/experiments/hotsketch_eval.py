@@ -24,6 +24,10 @@ from repro.training.metrics import recall_at_k
 from repro.training.trainer import Trainer
 from repro.utils.zipf import ZipfDistribution, fit_zipf_exponent
 
+#: Ids per HotSketch insert in Fig 18 (a): about one batch-128 training step
+#: of a 26-field dataset.
+STREAM_CHUNK = 4096
+
 
 def run_fig3_gradient_zipf(
     scale: str = "tiny",
@@ -110,7 +114,10 @@ def run_fig18_hotsketch(
     for slots in slots_options:
         buckets = max(memory_slots // slots, 1)
         sketch = HotSketch(num_buckets=buckets, slots_per_bucket=slots, hot_threshold=1.0, seed=seed)
-        sketch.insert(stream)
+        # One insert is one aggregated step (HotSketch.insert), so the stream
+        # arrives the way training feeds it: in batch-sized chunks.
+        for start in range(0, stream_length, STREAM_CHUNK):
+            sketch.insert(stream[start : start + STREAM_CHUNK])
         reported = sketch.top_k(top_k)
         recall = recall_at_k(true_top, reported)
         throughput = measure_sketch_throughput(

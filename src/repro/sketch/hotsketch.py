@@ -26,6 +26,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from repro.errors import SketchStateMismatchError
 from repro.kernels.ops import run_lengths, segment_boundaries, sketch_insert, stable_sort
 from repro.sketch.base import Sketch
 from repro.utils.hashing import hash_to_bucket
@@ -53,10 +54,17 @@ def _row_any(matrix: np.ndarray) -> np.ndarray:
 
 @dataclass
 class EvictionBatch:
-    """Features displaced from the sketch during one insert call."""
+    """Features displaced from the sketch during one insert call, with the
+    bucket each was displaced from (a stacked store's shard owner)."""
 
     keys: np.ndarray
     payloads: np.ndarray
+    buckets: np.ndarray | None = None
+
+    @classmethod
+    def empty(cls) -> "EvictionBatch":
+        nothing = np.empty(0, dtype=np.int64)
+        return cls(nothing, nothing, nothing)
 
     def __len__(self) -> int:
         return int(self.keys.shape[0])
@@ -124,14 +132,21 @@ class HotSketch(Sketch):
         """Insert a batch of ``(key, score)`` pairs.
 
         Duplicate keys within the batch are aggregated first (their scores are
-        summed), which both matches the logical stream semantics and makes the
-        per-bucket work proportional to the number of distinct features per
-        batch.  Returns the features evicted by SpaceSaving replacement along
-        with their payloads so the caller can release external resources.
+        summed), which makes the per-bucket work proportional to the number
+        of distinct features per batch.  Returns the features evicted by
+        SpaceSaving replacement along with their payloads so the caller can
+        release external resources.
+
+        A call is one *aggregated* step, not a replay of its keys in stream
+        order: each distinct key arrives once with its batch total, and the
+        misses of one bucket are placed in ascending key order.  So a whole
+        stream inserted as one call loses SpaceSaving's recency — with one
+        slot per bucket the largest id of each bucket simply wins.  Feed a
+        stream in training-sized batches to get the streaming behaviour.
         """
         keys, scores = self._normalize_inputs(keys, scores)
         if keys.size == 0:
-            return EvictionBatch(np.empty(0, dtype=np.int64), np.empty(0, dtype=np.int64))
+            return EvictionBatch.empty()
         keys, scores = self.aggregate_duplicates(keys, scores)
         self.total_insertions += int(keys.size)
 
@@ -146,7 +161,7 @@ class HotSketch(Sketch):
 
         missing = ~found
         if not missing.any():
-            return EvictionBatch(np.empty(0, dtype=np.int64), np.empty(0, dtype=np.int64))
+            return EvictionBatch.empty()
         return self._insert_misses(keys[missing], scores[missing], buckets[missing])
 
     def insert_routed(
@@ -164,11 +179,12 @@ class HotSketch(Sketch):
         sketch has not mutated since they were taken), so re-probing here
         would be pure waste.  ``keys`` must be unique, sorted ascending, with
         summed float64 scores; ``(found, buckets, slots)`` must equal
-        ``self.locate(keys)`` against the sketch's current state.  Produces
+        ``self.locate(keys)`` against the sketch's current state (or any
+        caller-chosen bucket rows: nothing here re-hashes).  Produces
         bit-identical state to :meth:`insert` on the equivalent raw stream.
         """
         if keys.shape[0] == 0:
-            return EvictionBatch(np.empty(0, dtype=np.int64), np.empty(0, dtype=np.int64))
+            return EvictionBatch.empty()
         self.total_insertions += int(keys.shape[0])
 
         if found.any():
@@ -177,7 +193,7 @@ class HotSketch(Sketch):
 
         missing = ~found
         if not missing.any():
-            return EvictionBatch(np.empty(0, dtype=np.int64), np.empty(0, dtype=np.int64))
+            return EvictionBatch.empty()
         return self._insert_misses(keys[missing], scores[missing], buckets[missing])
 
     def _insert_misses(
@@ -219,6 +235,7 @@ class HotSketch(Sketch):
 
         evicted_keys: list[np.ndarray] = []
         evicted_payloads: list[np.ndarray] = []
+        evicted_buckets: list[np.ndarray] = []
         for rank in range(rounds):
             sel = segment_starts if rank == 0 else segment_starts[counts > rank] + rank
             bucket = buckets[sel]  # distinct buckets within one round
@@ -242,6 +259,7 @@ class HotSketch(Sketch):
             if reportable.any():
                 evicted_keys.append(flat_keys[lin[reportable]].copy())
                 evicted_payloads.append(old_payloads[reportable].copy())
+                evicted_buckets.append(bucket[reportable])
 
             # SpaceSaving: a replacement inherits the displaced minimum score.
             if any_empty:
@@ -252,8 +270,12 @@ class HotSketch(Sketch):
             flat_payloads[lin] = NO_PAYLOAD
 
         if not evicted_keys:
-            return EvictionBatch(np.empty(0, dtype=np.int64), np.empty(0, dtype=np.int64))
-        return EvictionBatch(np.concatenate(evicted_keys), np.concatenate(evicted_payloads))
+            return EvictionBatch.empty()
+        return EvictionBatch(
+            np.concatenate(evicted_keys),
+            np.concatenate(evicted_payloads),
+            np.concatenate(evicted_buckets),
+        )
 
     def query(self, keys: np.ndarray) -> np.ndarray:
         """Estimated importance score for each key (0 if not recorded)."""
@@ -274,10 +296,14 @@ class HotSketch(Sketch):
         """
         keys = np.asarray(keys, dtype=np.int64).reshape(-1)
         buckets = hash_to_bucket(keys, self.num_buckets, seed=self.seed)
-        slot_match = np.take(self.keys, buckets, axis=0) == keys[:, None]
-        found = _row_any(slot_match)
-        slots = slot_match.argmax(axis=1)
+        found, slots = self.match(keys, buckets)
         return found, buckets, slots
+
+    def match(self, keys: np.ndarray, buckets: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """``(found, slots)`` of each key in its given bucket row (the half of
+        :meth:`locate` after the hash)."""
+        slot_match = np.take(self.keys, buckets, axis=0) == keys[:, None]
+        return _row_any(slot_match), slot_match.argmax(axis=1)
 
     # ------------------------------------------------------------------ #
     # Payload management (embedding pointers)
@@ -456,10 +482,15 @@ class HotSketch(Sketch):
         }
 
     def load_state_dict(self, state: dict[str, np.ndarray]) -> None:
-        keys = np.asarray(state["keys"], dtype=np.int64)
-        if keys.shape != self.keys.shape:
-            raise ValueError(f"sketch shape mismatch: {keys.shape} vs {self.keys.shape}")
-        self.keys = keys.copy()
-        self.scores = np.asarray(state["scores"], dtype=np.float64).copy()
-        self.payloads = np.asarray(state["payloads"], dtype=np.int64).copy()
+        """Restore :meth:`state_dict` output in place (the arrays may be views
+        into a stacked store); all three shapes are checked before any write."""
+        live = {"keys": self.keys, "scores": self.scores, "payloads": self.payloads}
+        for name, array in live.items():
+            if np.shape(state[name]) != array.shape:
+                raise SketchStateMismatchError(
+                    f"checkpoint sketch {name} shape {np.shape(state[name])} does not "
+                    f"match {array.shape}"
+                )
+        for name, array in live.items():
+            array[...] = state[name]
         self.total_insertions = int(state["total_insertions"])

@@ -5,24 +5,19 @@ A :class:`ShardedEmbeddingStore` splits the global feature-id space across
 :class:`~repro.embeddings.base.CompressedEmbedding` of any scheme (CAFE,
 AdaEmbed, MDE, Q-R, hash, full) holding ``1/N`` of the total memory budget.
 The store itself is also a ``CompressedEmbedding``: the generic wrapper
-deduplicates the batch once at the store, and everything below it — shard
-routing, the fan-out, every shard backend — works on sorted unique ids only.
-The routing-plan engine from the embedding layer applies at *both* levels:
+deduplicates the batch once at the store, and everything below it works on
+sorted unique ids only.  The store caches the shard partition of a batch's
+unique ids (one hash + one stable sort per step, shared by both halves of
+the step); each shard caches its own routing plan.  With one shard the store
+delegates to the backend, bit-exact with the direct-embedding path.
 
-* the store caches the shard partition of a batch's unique ids (one hash +
-  one stable sort over ``U`` ids per training step, shared by
-  ``lookup_unique`` and ``apply_unique``);
-* each shard backend caches its own routing plan, because the store hands it
-  the identical ascending id slice in both halves of the step.
-
-With one shard the store skips partitioning entirely and delegates to the
-backend, which keeps the default configuration bit-exact with the
-direct-embedding path.
+Local plain-CAFE shards are *stacked* (:class:`~repro.embeddings.cafe.
+CafeStack`): their state lives in one allocation per kind, the shards keep
+views, and a step is one pass over the stack instead of a fan-out.
 
 Snapshots are copy-on-write: :meth:`ShardedEmbeddingStore.snapshot` is O(1)
-(it freezes the current shard objects); the first ``apply_gradients`` that
-touches a frozen shard replaces it with a private deep copy, leaving the
-frozen object immutable for every outstanding snapshot.
+(it freezes the current shard objects); the first write to a frozen shard
+replaces it (a stack: all of it, in one copy) with a private deep copy.
 
 Per-shard work — ``lookup``, ``apply_gradients``, :meth:`ShardedEmbedding
 Store.rebalance` and :meth:`ShardedEmbeddingStore.merged_sketch` — is fanned
@@ -32,16 +27,12 @@ objects, and all store-level bookkeeping (plan cache, copy-on-write swaps,
 step counter) happens on the calling thread before or after the fan-out.
 
 With a :class:`~repro.runtime.process.ProcessShardExecutor` the store goes
-*remote*: the shard objects are adopted into pinned worker processes
-(tables in shared memory) and ``self._shards`` holds
-:class:`~repro.runtime.process.ShardHandle` proxies instead.  Hot paths
-batch one op per shard through ``run_ops``; ``snapshot()`` swaps the
-copy-on-write discipline for *sealed generations* — the workers freeze
-their current segments, the parent maps them read-only, and the returned
-:class:`~repro.store.snapshot.StoreSnapshot` is bit-exact with the serial
-one while training keeps writing fresh generations.
+*remote*: the shards are adopted into pinned worker processes (tables in
+shared memory) behind :class:`~repro.runtime.process.ShardHandle` proxies,
+hot paths batch one op per shard through ``run_ops``, and ``snapshot()``
+swaps copy-on-write for *sealed generations* — the workers freeze their
+segments, the parent maps them read-only, bit-exact with the serial store.
 """
-
 from __future__ import annotations
 
 import copy
@@ -53,6 +44,7 @@ import numpy as np
 from repro.analysis.sanitizer import freeze_arrays, single_writer
 from repro.api import registry as capability_registry
 from repro.embeddings.base import CompressedEmbedding
+from repro.embeddings.cafe import CafeStack
 from repro.embeddings.plan import PlanStats
 from repro.runtime.executor import SerialShardExecutor, ShardExecutor, create_executor
 from repro.sketch.csvec import CSVec
@@ -64,6 +56,7 @@ from repro.store.grad_exchange import (
     exchange_width,
 )
 from repro.store.snapshot import ShardPartition, StoreSnapshot
+from repro.utils.hashing import hash_to_range
 
 #: Default seed of the id -> shard hash (distinct from every backend seed so
 #: shard assignment is independent of intra-shard routing).
@@ -122,7 +115,9 @@ class ShardedEmbeddingStore(CompressedEmbedding, EmbeddingStore):
             # cache, so surface the backend's stats instead.
             self.plan_stats = self._shards[0].plan_stats
         self._remote = False
+        self._stack: CafeStack | None = None
         self._adopt_if_remote()
+        self._restack()
 
     # ------------------------------------------------------------------ #
     # Construction
@@ -178,8 +173,20 @@ class ShardedEmbeddingStore(CompressedEmbedding, EmbeddingStore):
     # ------------------------------------------------------------------ #
     # Routing (store level: the shard partition)
     # ------------------------------------------------------------------ #
-    def _build_routes(self, uids: np.ndarray) -> dict[str, ShardPartition]:
-        return {"partition": ShardPartition(uids, self.num_shards, self.shard_seed)}
+    def _build_routes(self, uids: np.ndarray) -> dict:
+        if self._stack is None:
+            return {"partition": ShardPartition(uids, self.num_shards, self.shard_seed)}
+        shard = hash_to_range(uids, self.num_shards, seed=self.shard_seed)
+        routes = self._stack.routes(uids, shard)
+        routes["shard"] = shard
+        return routes
+
+    def _routing_token(self) -> object:
+        # A stacked plan routes through every shard's sketch, so it is tied
+        # to every shard's own token as well.
+        if self._stack is None:
+            return self._routing_version
+        return (self._routing_version, *(shard._routing_token() for shard in self._shards))
 
     def _fan_out(self, method: str, shards: list[int], args: list[tuple], local=None) -> list:
         """Run ``method(*args[i])`` on every listed shard; results in order.
@@ -231,6 +238,27 @@ class ShardedEmbeddingStore(CompressedEmbedding, EmbeddingStore):
             # rate is surfaced through describe() instead of this alias.
             self.plan_stats = PlanStats()
 
+    def _restack(self) -> None:
+        """(Re)build the stack from the shards' current arrays, if they stack:
+        S ≥ 2 local plain-CAFE shards under the dense exchange."""
+        stackable = (
+            not self._remote
+            and self.grad_exchange == "dense"
+            and CafeStack.can_stack(self._shards)
+        )
+        self._stack = CafeStack.stacked(self._shards) if stackable else None
+        self.invalidate_plan()
+
+    def __getstate__(self):
+        # Views do not survive a copy or pickle; the copy restacks instead.
+        state = self.__dict__.copy()
+        state["_stack"] = None
+        return state
+
+    def __setstate__(self, state):
+        self.__dict__.update(state)
+        self._restack()
+
     def _shard_supports(self, shard, capability: str) -> bool:
         """Capability check that works for both local shards and proxies.
 
@@ -265,17 +293,22 @@ class ShardedEmbeddingStore(CompressedEmbedding, EmbeddingStore):
         self.executor.close()
         self.executor = executor
         self._adopt_if_remote()
+        self._restack()
 
     def lookup_unique(self, uids: np.ndarray) -> np.ndarray:
         """Gather every id's row from its owning shard.
 
         The shard partition of the unique ids is computed (or reused from the
         plan cache) on the calling thread; per-shard gathers then run through
-        :attr:`executor` and land in slices of one ``(U, dim)`` buffer.
+        :attr:`executor` and land in slices of one ``(U, dim)`` buffer.  A
+        stacked store gathers every row in one pass over the stack instead.
         """
         if self.num_shards == 1:
             return self._shards[0].lookup_unique(uids)
-        partition = self.plan_for(uids).routes["partition"]
+        routes = self.plan_for(uids).routes
+        if self._stack is not None:
+            return self._stack.lookup(routes)
+        partition = routes["partition"]
         rows = self._fan_out(
             "lookup_unique", partition.shards, [(shard_uids,) for shard_uids in partition.shard_uids]
         )
@@ -303,8 +336,21 @@ class ShardedEmbeddingStore(CompressedEmbedding, EmbeddingStore):
         batch, so the per-shard sketches merge by addition into the global
         per-step gradient sketch exposed by :meth:`merged_grad_sketch`.
         Build/recover math and the fan-out are identical on every executor;
-        only the transport differs (shm arena for processes).
+        only the transport differs (shm arena for processes).  A stacked
+        store runs one step over the whole stack instead of the fan-out.
         """
+        payload_bytes = uids.nbytes + grad_sums.nbytes + scores.nbytes
+        if self._stack is not None:
+            plan = self.plan_for(uids)
+            self._ensure_private(0)
+            shards = self._stack.apply(plan, uids, grad_sums, scores, plan.routes["shard"])
+            if self._write_log is not None:
+                written = self._stack.member_rows(plan.scatter().rows)
+                for shard in shards:
+                    self._log_write(shard, written[shard])
+            self.executor.stats.record_grad_exchange(payload_bytes, self.grad_exchange)
+            self._step += 1
+            return
         if self.num_shards == 1:
             shards, shard_uids, shard_grads, shard_scores = [0], [uids], [grad_sums], [scores]
         else:
@@ -332,10 +378,14 @@ class ShardedEmbeddingStore(CompressedEmbedding, EmbeddingStore):
             payload_bytes = sum(payload.nbytes() for payload in payloads)
         else:
             self._fan_out("apply_unique", shards, list(zip(shard_uids, shard_grads, shard_scores)))
-            payload_bytes = uids.nbytes + grad_sums.nbytes + scores.nbytes
         if self._write_log is not None:
             for shard in shards:
-                self._log_write(shard)
+                plan = getattr(self._shards[shard], "_cached_plan", None)
+                # Read, never built here: the apply that just ran memoised the
+                # scatter it executed (RoutingPlan.scatter) on the plan it left
+                # cached.  Without one, coverage is unprovable (None poisons).
+                scatter = plan.routes.get("scatter") if plan is not None else None
+                self._log_write(shard, None if scatter is None else scatter.rows)
         self.executor.stats.record_grad_exchange(payload_bytes, self.grad_exchange)
         self._step += 1
 
@@ -433,19 +483,14 @@ class ShardedEmbeddingStore(CompressedEmbedding, EmbeddingStore):
         self._write_log = [[] for _ in range(self.num_shards)]
         return drained
 
-    def _log_write(self, shard_index: int) -> None:
+    def _log_write(self, shard_index: int, rows: np.ndarray | None) -> None:
         log = self._write_log
         if log is None or log[shard_index] is None:
             return
-        plan = getattr(self._shards[shard_index], "_cached_plan", None)
-        # Read, never built here: the apply that just ran memoised the
-        # scatter it executed (RoutingPlan.scatter) on the plan it left cached.
-        scatter = plan.routes.get("scatter") if plan is not None else None
-        if scatter is None:
-            # The backend routed without a scatter plan; coverage unprovable.
+        if rows is None:
             log[shard_index] = None
             return
-        log[shard_index].append(np.asarray(scatter.rows, dtype=np.int64))
+        log[shard_index].append(np.asarray(rows, dtype=np.int64))
 
     def _poison_write_log(self, shard_index: int | None = None) -> None:
         if self._write_log is None:
@@ -478,6 +523,10 @@ class ShardedEmbeddingStore(CompressedEmbedding, EmbeddingStore):
         else:
             self._cow_pending = [True] * self.num_shards
             shards = tuple(self._shards)
+            if self._stack is not None:
+                # Freezing the shards' views alone would not stop a write
+                # through the stack that skipped copy-on-write.
+                freeze_arrays(self._stack)
         view = StoreSnapshot(
             shards=shards,
             shard_seed=self.shard_seed,
@@ -496,8 +545,13 @@ class ShardedEmbeddingStore(CompressedEmbedding, EmbeddingStore):
     def _ensure_private(self, shard_index: int) -> None:
         if self._remote or not self._cow_pending[shard_index]:
             return
-        self._shards[shard_index] = copy.deepcopy(self._shards[shard_index])
-        self._cow_pending[shard_index] = False
+        if self._stack is not None:  # every shard goes private, in one copy
+            self._stack = self._stack.copy()
+            self._shards = self._stack.members
+            self._cow_pending = [False] * self.num_shards
+        else:
+            self._shards[shard_index] = copy.deepcopy(self._shards[shard_index])
+            self._cow_pending[shard_index] = False
         self.cow_copies += 1
         if self.num_shards == 1:
             self.plan_stats = self._shards[0].plan_stats
@@ -543,6 +597,7 @@ class ShardedEmbeddingStore(CompressedEmbedding, EmbeddingStore):
         first = self._shards[0]
         info["backend"] = getattr(first, "backend_class", None) or type(first).__name__
         info["executor"] = type(self.executor).__name__
+        info["stacked"] = self._stack is not None
         if self._remote:
             # Per-worker wall vs on-worker compute (IPC overhead) breakdown.
             info["executor_stats"] = self.executor.stats.as_dict()
@@ -596,7 +651,8 @@ class ShardedEmbeddingStore(CompressedEmbedding, EmbeddingStore):
                 index,
                 {key[len(prefix):]: value for key, value in state.items() if key.startswith(prefix)},
             )
-        self.invalidate_plan()
+        # A shard's row optimizer may have adopted private arrays.
+        self._restack()
 
     def _load_into_shard(self, index: int, state: dict[str, np.ndarray]) -> None:
         # Restoring is a write: never mutate a shard a snapshot still serves.

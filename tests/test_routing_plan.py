@@ -165,7 +165,8 @@ class TestLookupStopsAtTheGather:
         store.lookup(self.IDS)
         store.apply_gradients(self.IDS, np.full(self.IDS.shape + (DIM,), 0.01))
         after_training = len(scatters_built)
-        assert after_training == 2  # one per owning shard
+        # One per owning shard; plain CAFE shards are stacked and share one.
+        assert after_training == (1 if store.describe()["stacked"] else 2)
         snapshot = store.snapshot()
         for _ in range(3):
             snapshot.lookup(self.IDS)

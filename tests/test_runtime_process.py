@@ -144,21 +144,26 @@ class TestShardedParity:
             reference.executor.close()
             candidate.executor.close()
 
-    def test_set_executor_round_trip_is_bit_exact(self):
-        store = make_sharded("serial")
+    @pytest.mark.parametrize("method", ["hash", "cafe"])
+    def test_set_executor_round_trip_is_bit_exact(self, method):
+        store = make_sharded("serial", method=method)
         ids, grads = sharded_workload()
         store.lookup(ids[0])
         store.apply_gradients(ids[0], grads[0])
+        # CAFE shards stack while local; remote ones are stacks of one
+        # inside their worker, and come back into a fresh stack.
+        assert store.describe()["stacked"] == (method == "cafe")
 
         store.set_executor("processes")
-        assert store.remote
+        assert store.remote and not store.describe()["stacked"]
         remote_out = store.lookup(ids[1])
         store.apply_gradients(ids[1], grads[1])
 
         store.set_executor("serial")
         assert not store.remote
+        assert store.describe()["stacked"] == (method == "cafe")
         try:
-            reference = make_sharded("serial")
+            reference = make_sharded("serial", method=method)
             reference.lookup(ids[0])
             reference.apply_gradients(ids[0], grads[0])
             assert np.array_equal(remote_out, reference.lookup(ids[1]))

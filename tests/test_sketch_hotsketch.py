@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from repro.errors import SketchStateMismatchError
 from repro.sketch.hotsketch import EMPTY_KEY, NO_PAYLOAD, HotSketch
 from repro.utils.zipf import ZipfDistribution
 
@@ -275,6 +276,31 @@ class TestCheckpointing:
         other = HotSketch(num_buckets=8, slots_per_bucket=2)
         with pytest.raises(ValueError):
             other.load_state_dict(sketch.state_dict())
+
+    @pytest.mark.parametrize("name", ["keys", "scores", "payloads"])
+    def test_every_array_shape_is_checked_before_any_write(self, name):
+        sketch = make_sketch()
+        sketch.insert(np.arange(100), np.linspace(1, 5, 100))
+        state = sketch.state_dict()
+        state[name] = state[name][:, :2]  # one array from another geometry
+        other = make_sketch()
+        other.insert(np.arange(500, 520))
+        before = other.state_dict()
+        with pytest.raises(SketchStateMismatchError, match=name):
+            other.load_state_dict(state)
+        for key, value in before.items():
+            assert np.array_equal(other.state_dict()[key], value), key
+
+    def test_load_restores_in_place(self):
+        # A stacked store's shard sketches are views into one allocation;
+        # a restore must write through them, not rebind them.
+        sketch = make_sketch()
+        sketch.insert(np.arange(100), np.linspace(1, 5, 100))
+        other = make_sketch()
+        live = (other.keys, other.scores, other.payloads)
+        other.load_state_dict(sketch.state_dict())
+        assert all(a is b for a, b in zip(live, (other.keys, other.scores, other.payloads)))
+        assert np.array_equal(other.scores, sketch.scores)
 
 
 class TestMerge:
