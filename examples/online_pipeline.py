@@ -2,10 +2,8 @@
 
 This example runs the full sharded online-learning loop:
 
-1. build a 4-shard `ShardedEmbeddingStore` behind the serial `ShardExecutor`
-   (its CAFE shards are stacked, so one pass trains all four — see
-   docs/store.md; pass `executor="processes"` to move the shards into worker
-   processes instead — see docs/runtime_processes.md);
+1. build a 4-shard `ShardedEmbeddingStore` (its CAFE shards are stacked, so
+   one pass trains all four — see docs/store.md);
 2. hand the model to an `OnlinePipeline`, which trains over the
    chronological day-stream and publishes a copy-on-write snapshot to its
    `ServingEngine` every `publish_every_steps` training steps;
@@ -42,7 +40,6 @@ def main() -> None:
         num_shards=NUM_SHARDS,
         compression_ratio=COMPRESSION_RATIO,
         seed=SEED,
-        executor="serial",
     )
     model = create_model(
         "dlrm", store, num_fields=schema.num_fields, num_numerical=schema.num_numerical, rng=SEED

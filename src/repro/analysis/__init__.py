@@ -3,13 +3,12 @@
 Three legs, one front door (``python -m repro analyze``):
 
 * :mod:`repro.analysis.lint` — AST rules for the contracts that used to be
-  prose (capability probes stay in the registry, shared-memory imports stay
-  in ``runtime/shm``, bench timing uses ``perf_counter``, ...).
+  prose (capability probes stay in the registry, bench timing uses
+  ``perf_counter``, ...).
 * :mod:`repro.analysis.layers` — the package import DAG, cycle detection,
   and the generated ``docs/import_graph.md``.
-* :mod:`repro.analysis.sanitizer` — runtime guards: sealed-array freezing,
-  the opt-in ``REPRO_SANITIZE=1`` single-writer race detector, and the
-  shared-memory leak audit.
+* :mod:`repro.analysis.sanitizer` — runtime guards: sealed-array freezing
+  and the opt-in ``REPRO_SANITIZE=1`` single-writer race detector.
 
 This package sits near the bottom of the layer order (just above the
 foundation) because the runtime and store layers import the sanitizer; the

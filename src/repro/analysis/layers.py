@@ -5,8 +5,8 @@ The architecture note in the README describes a strict layer order —
 now nothing checked it.  This module declares the full order (including the
 module-granular overrides that prose elides: ``api.registry`` and
 ``api.spec`` are *contracts* the mid-layers may import, while ``api.cli``
-and ``api.session`` sit on top; ``runtime.executor``/``runtime.shm`` are
-the low-level execution substrate the store builds on, while
+and ``api.session`` sit on top; ``runtime.executor`` is the low-level
+execution substrate the store builds on, while
 ``runtime.pipeline`` orchestrates everything), parses every module's
 imports from the AST, and reports:
 
@@ -51,7 +51,7 @@ LAYERS: tuple[tuple[str, tuple[str, ...]], ...] = (
     ("contracts", ("repro.api.registry", "repro.api.spec")),
     ("data", ("repro.data",)),
     ("embeddings", ("repro.embeddings",)),
-    ("exec", ("repro.runtime.executor", "repro.runtime.shm")),
+    ("exec", ("repro.runtime.executor",)),
     ("store", ("repro.store",)),
     ("models", ("repro.models",)),
     ("training", ("repro.training",)),

@@ -1,16 +1,12 @@
 """Project-specific AST lint rules.
 
-Five rules encode contracts that previously existed only as prose:
+Four rules encode contracts that previously existed only as prose:
 
 ``capability-probe``
     ``hasattr(...)`` (and ``callable(getattr(...))``) capability probing is
     the registry's job; everywhere else routes through
     :mod:`repro.api.registry` helpers so capabilities stay declared, not
     guessed.  Applies to ``src/`` outside ``api/registry.py``.
-``shared-memory-import``
-    :mod:`multiprocessing.shared_memory` may only be imported by
-    ``runtime/shm.py`` — the one module that owns segment lifecycle (and
-    the create/unlink bookkeeping the sanitizer audits).
 ``bench-wallclock``
     ``time.time()`` drifts with NTP and has platform-dependent resolution;
     timing paths must use ``time.perf_counter()`` (wall-clock *timestamps*
@@ -110,12 +106,6 @@ RULES: tuple[Rule, ...] = (
         summary="hasattr/callable(getattr(...)) capability probing outside the registry",
         scope=lambda rel: _in_src(rel) and rel != "src/repro/api/registry.py",
         scope_doc="src/ except api/registry.py",
-    ),
-    Rule(
-        id="shared-memory-import",
-        summary="multiprocessing.shared_memory imported outside runtime/shm.py",
-        scope=lambda rel: rel != "src/repro/runtime/shm.py",
-        scope_doc="everywhere except runtime/shm.py",
     ),
     Rule(
         id="bench-wallclock",
@@ -327,24 +317,6 @@ def _clock_asserts(function: ast.FunctionDef | ast.AsyncFunctionDef) -> Iterator
             yield node
 
 
-def _check_import(node: ast.Import | ast.ImportFrom) -> Iterator[tuple[str, str]]:
-    message = (
-        "multiprocessing.shared_memory must only be imported by runtime/shm.py; "
-        "use its create_segment/attach_segment helpers"
-    )
-    if isinstance(node, ast.Import):
-        for alias in node.names:
-            if alias.name == "multiprocessing.shared_memory":
-                yield ("shared-memory-import", message)
-    else:
-        if node.module == "multiprocessing.shared_memory":
-            yield ("shared-memory-import", message)
-        elif node.module == "multiprocessing" and any(
-            alias.name == "shared_memory" for alias in node.names
-        ):
-            yield ("shared-memory-import", message)
-
-
 def lint_source(source: str, rel: str) -> list[Violation]:
     """Lint one file's source; ``rel`` is its repo-relative posix path."""
     try:
@@ -374,9 +346,6 @@ def lint_source(source: str, rel: str) -> list[Violation]:
     for node in ast.walk(tree):
         if isinstance(node, ast.Call):
             for rule_id, message in _check_call(node, rel):
-                emit(rule_id, node.lineno, message)
-        elif isinstance(node, (ast.Import, ast.ImportFrom)):
-            for rule_id, message in _check_import(node):
                 emit(rule_id, node.lineno, message)
         elif isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
             if rel.startswith(_CLOCK_ASSERT_SCOPES):

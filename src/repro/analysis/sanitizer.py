@@ -12,9 +12,8 @@ Two enforcement tiers live here:
 * **Opt-in (``REPRO_SANITIZE=1``)** — the :func:`single_writer` decorator
   tags store mutation entry points with the owning thread and raises a
   descriptive :class:`SingleWriterViolation` when a second thread enters
-  mid-mutation; :mod:`repro.runtime.shm` adds refcount-underflow and
-  double-release guards on sealed generations, plus an end-of-run
-  ``/dev/shm`` leak audit armed by :func:`install_shm_audit`.
+  mid-mutation; the serving micro-batcher checks every reply with
+  :func:`assert_unaliased`.
 
 The sanitize flag is read from the environment *per call*, so tests can
 flip it with ``monkeypatch.setenv`` without re-importing anything.
@@ -22,14 +21,10 @@ flip it with ``monkeypatch.setenv`` without re-importing anything.
 
 from __future__ import annotations
 
-import atexit
-import multiprocessing
 import os
-import sys
 import threading
 import weakref
 from functools import wraps
-from pathlib import Path
 from typing import Any, Callable, Iterator, Mapping, TypeVar, cast
 
 import numpy as np
@@ -42,12 +37,6 @@ __all__ = [
     "reachable_arrays",
     "assert_unaliased",
     "single_writer",
-    "install_shm_audit",
-    "shm_audit_baseline",
-    "shm_leaks",
-    "note_segment_created",
-    "note_segment_unlinked",
-    "tracked_segments",
 ]
 
 _ENV_FLAG = "REPRO_SANITIZE"
@@ -203,92 +192,3 @@ def single_writer(method: _Method) -> _Method:
                     guard.owner = None
 
     return cast(_Method, wrapper)
-
-
-# --------------------------------------------------------------------- #
-# /dev/shm leak audit
-# --------------------------------------------------------------------- #
-
-_SHM_DIR = Path("/dev/shm")
-
-#: Segment names created through :func:`repro.runtime.shm.create_segment`
-#: and not yet unlinked — the portable half of the audit (works even where
-#: ``/dev/shm`` is not a real directory).
-_tracked: set[str] = set()
-_tracked_lock = threading.Lock()
-
-_baseline: set[str] | None = None
-_audit_armed = False
-
-
-def note_segment_created(name: str) -> None:
-    with _tracked_lock:
-        _tracked.add(name)
-
-
-def note_segment_unlinked(name: str) -> None:
-    with _tracked_lock:
-        _tracked.discard(name)
-
-
-def tracked_segments() -> set[str]:
-    """Names of segments created but not yet unlinked (sanitize mode)."""
-    with _tracked_lock:
-        return set(_tracked)
-
-
-def _shm_names() -> set[str]:
-    if not _SHM_DIR.is_dir():
-        return set()
-    # Python names anonymous segments psm_<token>; ignore unrelated tenants.
-    return {entry.name for entry in _SHM_DIR.iterdir() if entry.name.startswith("psm_")}
-
-
-def shm_audit_baseline() -> set[str]:
-    """Record the current ``/dev/shm`` population as the leak baseline."""
-    global _baseline
-    _baseline = _shm_names()
-    return set(_baseline)
-
-
-def shm_leaks() -> set[str]:
-    """Segments that outlived their owners.
-
-    The union of the filesystem diff against the baseline and any
-    create-tracked segment that still exists on disk (a tracked name no
-    longer present was unlinked by the parent, which is the contract).
-    """
-    if _SHM_DIR.is_dir():
-        names = _shm_names()
-        filesystem = names - _baseline if _baseline is not None else set()
-        return filesystem | (tracked_segments() & names)
-    return tracked_segments()
-
-
-def install_shm_audit() -> bool:
-    """Arm the end-of-run leak audit; returns True the first time it arms.
-
-    A no-op unless sanitize mode is on, and parent-process only — workers
-    never unlink (the parent settles the books), so a worker-side audit
-    would flag segments the parent is still responsible for.  Called by
-    :mod:`repro.runtime.shm` at import time, so the baseline is captured
-    before any segment exists.
-    """
-    global _audit_armed
-    if not enabled() or _audit_armed:
-        return False
-    if multiprocessing.parent_process() is not None:
-        return False
-    shm_audit_baseline()
-    atexit.register(_report_leaks)
-    _audit_armed = True
-    return True
-
-
-def _report_leaks() -> None:  # pragma: no cover - exercised via atexit
-    leaked = sorted(shm_leaks())
-    if leaked:
-        print(
-            "[repro.sanitize] leaked shared-memory segments: " + ", ".join(leaked),
-            file=sys.stderr,
-        )

@@ -41,8 +41,7 @@ def _add_config_arguments(parser: argparse.ArgumentParser) -> None:
                         metavar="SECTION.KEY=VALUE",
                         help="dotted config override, repeatable "
                              "(e.g. --set store.num_shards=4, "
-                             "--set store.executor=serial|processes, "
-                             "--set store.executor_workers=4)")
+                             "--set store.optimizer=adagrad)")
     parser.add_argument("--output", type=Path, default=None,
                         help="also write the JSON report to this path")
 

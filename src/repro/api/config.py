@@ -2,7 +2,7 @@
 
 :class:`SystemConfig` nests one section per layer of the system —
 ``data`` (which synthetic preset, at what scale), ``store`` (embedding
-backends, sharding, executor), ``model`` (dense architecture), ``train``,
+backends, sharding), ``model`` (dense architecture), ``train``,
 ``serve`` and ``pipeline`` (cadences) — plus one global ``seed``.  The tree:
 
 * **round-trips losslessly**: ``SystemConfig.from_json(cfg.to_json()) ==
@@ -171,7 +171,7 @@ class DataConfig:
 
 @dataclass
 class StoreConfig:
-    """The embedding store: backends, budgets, sharding, fan-out runtime.
+    """The embedding store: backends, budgets, sharding.
 
     ``spec`` is a field-spec string — a plain backend name (``"cafe"``,
     optionally with ``[cr=...,shards=...]`` options) for one uniform table,
@@ -181,24 +181,23 @@ class StoreConfig:
     of :class:`repro.data.schema.FieldConfig`); set ``spec`` to ``null``
     when using it.  ``num_shards`` shards the uniform case; table-group
     stores shard within a group via the ``[shards=N]`` option instead.
+    ``executor`` accepts only ``"serial"``, the one shard executor; the key
+    stays so configs that name it keep loading.
     """
 
     spec: str | None = "cafe"
     compression_ratio: float = 10.0
     num_shards: int = 1
     executor: str = "serial"
-    executor_workers: int | None = None
     optimizer: str = "sgd"
     learning_rate: float = 0.05
     dtype: str = "float32"
-    grad_exchange: str = "dense"
     fields: list | None = None
 
     def __post_init__(self):
         import numpy as np
 
         from repro.api import registry, spec as spec_module
-        from repro.runtime.executor import EXECUTOR_KINDS
 
         if self.compression_ratio <= 0:
             raise ConfigurationError(
@@ -212,14 +211,10 @@ class StoreConfig:
             raise ConfigurationError(
                 f"store.learning_rate must be positive, got {self.learning_rate}"
             )
-        if self.executor not in EXECUTOR_KINDS:
+        if self.executor != "serial":
             raise ConfigurationError(
                 f"store.executor '{self.executor}' is not a known executor; expected "
-                f"one of {sorted(EXECUTOR_KINDS)}"
-            )
-        if self.executor_workers is not None and self.executor_workers <= 0:
-            raise ConfigurationError(
-                f"store.executor_workers must be positive, got {self.executor_workers}"
+                "one of ['serial']"
             )
         from repro.nn.optim import make_row_optimizer
 
@@ -229,17 +224,6 @@ class StoreConfig:
             make_row_optimizer(self.optimizer, self.learning_rate)
         except ValueError as exc:
             raise ConfigurationError(f"store.optimizer: {exc}") from None
-        from repro.store.grad_exchange import GRAD_EXCHANGE_MODES
-
-        if self.grad_exchange not in GRAD_EXCHANGE_MODES:
-            suggestion = difflib.get_close_matches(
-                self.grad_exchange, GRAD_EXCHANGE_MODES, n=1
-            )
-            hint = f"; did you mean '{suggestion[0]}'?" if suggestion else ""
-            raise ConfigurationError(
-                f"store.grad_exchange '{self.grad_exchange}' is not a known "
-                f"exchange mode{hint} (expected one of {sorted(GRAD_EXCHANGE_MODES)})"
-            )
         try:
             if np.dtype(self.dtype).kind != "f":
                 raise TypeError(f"'{self.dtype}' is not a float dtype")

@@ -54,18 +54,12 @@ class BackendCapabilities:
     ``trainable_projection``
         The backend trains per-field up-projections internally (the MDE
         idiom); informational for planners that add their own projections.
-    ``supports_process_parallel``
-        The backend can be adopted into a pinned worker process by the
-        :class:`~repro.runtime.process.ProcessShardExecutor` (picklable,
-        no process-hostile resources).  Defaults to ``True``; backends
-        holding sockets, file handles or other fork-hostile state opt out.
     """
 
     supports_rebalance: bool = False
     supports_state_dict: bool = False
     supports_snapshot: bool = True
     trainable_projection: bool = False
-    supports_process_parallel: bool = True
 
     def as_dict(self) -> dict[str, bool]:
         return {
@@ -73,7 +67,6 @@ class BackendCapabilities:
             "supports_state_dict": self.supports_state_dict,
             "supports_snapshot": self.supports_snapshot,
             "trainable_projection": self.trainable_projection,
-            "supports_process_parallel": self.supports_process_parallel,
         }
 
 
@@ -208,7 +201,6 @@ def capabilities_of(backend: str | Any) -> BackendCapabilities:
         supports_snapshot=callable(getattr(backend, "snapshot", None))
         or _declared(backend, "supports_snapshot", True),
         trainable_projection=_declared(backend, "trainable_projection", False),
-        supports_process_parallel=supports_process_parallel(backend),
     )
 
 
@@ -265,18 +257,6 @@ def supports_load_state_dict(obj: Any) -> bool:
     return callable(getattr(obj, "load_state_dict", None))
 
 
-def supports_process_parallel(obj: Any) -> bool:
-    """Whether ``obj`` may be adopted into a shard worker process.
-
-    Declared capability for registered backend classes; everything else
-    defaults to ``True`` (the ordinary NumPy-backed layers all ship fine).
-    """
-    caps = _declared_capabilities(obj)
-    if caps is not None:
-        return caps.supports_process_parallel
-    return True
-
-
 def supports_sketch(obj: Any) -> bool:
     """Whether ``obj`` carries a hot-feature sketch worth merging.
 
@@ -313,21 +293,6 @@ def shard_count(obj: Any) -> int | None:
     """
     count = getattr(obj, "num_shards", None)
     return int(count) if count is not None else None
-
-
-def instance_capabilities(obj: Any) -> dict[str, bool]:
-    """One-shot capability row for an instance (what shard proxies carry).
-
-    The process runtime probes a backend exactly once at adopt time and
-    pins the answers onto its :class:`~repro.runtime.process.ShardHandle`,
-    because a structural probe on the proxy itself would always say yes.
-    """
-    return {
-        "rebalance": supports_rebalance(obj),
-        "state_dict": supports_state_dict(obj),
-        "load_state_dict": supports_load_state_dict(obj),
-        "sketch": supports_sketch(obj),
-    }
 
 
 def registry_summary() -> list[dict[str, Any]]:

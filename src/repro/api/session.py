@@ -90,7 +90,6 @@ class Session:
 
     def _build_store(self):
         from repro.embeddings import create_embedding_store
-        from repro.runtime.executor import create_executor
 
         config = self.config
         field_configs = config.store.field_configs()
@@ -101,14 +100,10 @@ class Session:
             spec=config.store.spec,
             compression_ratio=config.store.compression_ratio,
             num_shards=config.store.num_shards,
-            executor=create_executor(
-                config.store.executor, max_workers=config.store.executor_workers
-            ),
             optimizer=config.store.optimizer,
             learning_rate=config.store.learning_rate,
             dtype=config.store.dtype,
             seed=config.seed,
-            grad_exchange=config.store.grad_exchange,
         )
 
     # ------------------------------------------------------------------ #
@@ -336,10 +331,9 @@ class Session:
         }
 
     def close(self) -> None:
-        """Shut down the store's executor (shard worker processes)."""
-        executor = getattr(self.store, "executor", None)
-        if executor is not None:
-            executor.close()
+        """End the session.  It holds no worker, file or handle today, so
+        this releases nothing; it keeps ``with build(config) as session:``
+        blocks valid."""
 
     def __enter__(self) -> "Session":
         return self

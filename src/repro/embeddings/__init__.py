@@ -160,12 +160,10 @@ def create_embedding_store(
     spec: str | None = None,
     compression_ratio: float = 1.0,
     num_shards: int = 1,
-    executor=None,
     optimizer: str = "sgd",
     learning_rate: float = 0.05,
     dtype: np.dtype | str = DEFAULT_DTYPE,
     seed: int = 0,
-    grad_exchange: str = "dense",
     **kwargs,
 ):
     """Build an embedding *store* for a dataset schema from a spec string.
@@ -178,11 +176,8 @@ def create_embedding_store(
     the schema's attached ``field_configs`` when present, else uniform CAFE.
     ``num_shards`` applies only to the uniform case; sharding a table-group
     store happens *within* a group (the ``[shards=N]`` spec option), so
-    combining the two raises.  ``grad_exchange`` selects the sharded store's
-    trainer→shard gradient wire format (``"dense"`` or ``"sketched"``, see
-    :mod:`repro.store.grad_exchange`) and applies only to the uniform case.
-    The store layer is imported lazily to keep ``repro.embeddings`` free of
-    a circular dependency on ``repro.store``.
+    combining the two raises.  The store layer is imported lazily to keep
+    ``repro.embeddings`` free of a circular dependency on ``repro.store``.
     """
     from repro.store import ShardedEmbeddingStore
     from repro.store.table_group import TableGroupStore
@@ -197,11 +192,6 @@ def create_embedding_store(
                 "num_shards does not apply to a table-group store; shard within a "
                 "group via the [shards=N] spec option or FieldConfig.num_shards"
             )
-        if grad_exchange != "dense":
-            raise ValueError(
-                "grad_exchange='sketched' applies to the uniform sharded store; "
-                "table-group stores exchange gradients per group (dense only)"
-            )
         return TableGroupStore.from_schema(
             schema,
             spec=spec,
@@ -210,7 +200,6 @@ def create_embedding_store(
             learning_rate=learning_rate,
             dtype=dtype,
             seed=seed,
-            executor=executor,
             **kwargs,
         )
     entry = parsed.entries[0] if parsed is not None else None
@@ -242,11 +231,9 @@ def create_embedding_store(
         num_shards=num_shards,
         compression_ratio=compression_ratio,
         seed=seed,
-        executor=executor,
         optimizer=optimizer,
         learning_rate=learning_rate,
         dtype=dtype,
-        grad_exchange=grad_exchange,
         **kwargs,
     )
 

@@ -268,36 +268,6 @@ class CompressedEmbedding:
             "returned None), cannot adopt arrays"
         )
 
-    # ------------------------------------------------------------------ #
-    # Shared-memory buffer protocol (process shard runtime)
-    # ------------------------------------------------------------------ #
-    def shared_buffers(self) -> dict[str, np.ndarray]:
-        """Arrays eligible to live in a shared-memory generation.
-
-        The process shard runtime keeps these arrays in a
-        ``multiprocessing.shared_memory`` segment so sealing a snapshot is a
-        single ``memcpy`` instead of a pickle round-trip.  Returning ``{}``
-        (the default) opts the backend out: it still works under the process
-        executor, but snapshots fall back to pickling the whole backend over
-        the control pipe.  Backends that return a *subset* of their arrays
-        remain correct — anything not listed here is carried by value at
-        seal time.
-        """
-        return {}
-
-    def adopt_shared_buffers(self, buffers: dict[str, np.ndarray]) -> None:
-        """Re-point internal storage at externally managed arrays.
-
-        ``buffers`` uses the same keys as :meth:`shared_buffers`.  Routing
-        plans stay valid (routes are row indices, independent of the table's
-        storage identity), so this must not invalidate the plan cache.
-        """
-        if buffers:  # pragma: no cover - defensive
-            raise NotImplementedError(
-                f"{type(self).__name__} declares no shared buffers, cannot adopt "
-                f"{sorted(buffers)}"
-            )
-
 
 class TableBackedEmbedding(CompressedEmbedding):
     """Convenience base for schemes storing one or more dense row tables.
@@ -332,36 +302,6 @@ class TableBackedEmbedding(CompressedEmbedding):
         """
         summed = segment_sum(grad_sums, scatter.perm, scatter.starts)
         self._optimizer.fused_apply(table, scatter.rows, summed)
-
-    def shared_buffers(self) -> dict[str, np.ndarray]:
-        """The single row table plus the optimizer's per-row state.
-
-        Applies to subclasses storing exactly one dense table as
-        ``self.table`` (hash and full embeddings); multi-table schemes fall
-        through to the empty default and use the pickle seal path.
-        """
-        table = getattr(self, "table", None)
-        if not isinstance(table, np.ndarray):
-            return {}
-        buffers: dict[str, np.ndarray] = {"table": table}
-        optimizer = getattr(self, "_optimizer", None)
-        if optimizer is not None:
-            for key, array in optimizer.shared_buffers(table).items():
-                buffers[f"optimizer.{key}"] = array
-        return buffers
-
-    def adopt_shared_buffers(self, buffers: dict[str, np.ndarray]) -> None:
-        if "table" in buffers:
-            self.table = buffers["table"]
-        optimizer = getattr(self, "_optimizer", None)
-        if optimizer is not None:
-            optimizer_buffers = {
-                key.split(".", 1)[1]: array
-                for key, array in buffers.items()
-                if key.startswith("optimizer.")
-            }
-            if optimizer_buffers:
-                optimizer.adopt_shared_buffers(optimizer_buffers)
 
     # ------------------------------------------------------------------ #
     # Optimizer state in checkpoints

@@ -175,7 +175,7 @@ class CafeEmbedding(TableBackedEmbedding):
     def _shared_lookup(self, ids: np.ndarray) -> np.ndarray:
         return self._shared_lookup_routed(self._shared_routes(ids))
 
-    def _shared_memory_floats(self) -> int:
+    def _shared_table_floats(self) -> int:
         return int(self.shared_table.size)
 
     def _shared_state_dict(self) -> dict[str, np.ndarray]:
@@ -428,7 +428,7 @@ class CafeEmbedding(TableBackedEmbedding):
 
     def memory_floats(self) -> int:
         """Hot table + shared table(s) + the HotSketch slots (§5.1.4 fairness)."""
-        return int(self.hot_table.size + self._shared_memory_floats() + self.sketch.memory_floats())
+        return int(self.hot_table.size + self._shared_table_floats() + self.sketch.memory_floats())
 
     # ------------------------------------------------------------------ #
     # Checkpointing (paper §4, "Fault Tolerance")
@@ -523,7 +523,7 @@ class CafeStack:
         )
         arena = np.empty((count * first._arena.shape[0], first.dim), dtype=first.dtype)
         stack = cls(members, sketch, arena, first._new_row_optimizer())
-        stack._row_state = stack.optimizer.shared_buffers(arena)
+        stack._row_state = stack.optimizer.state_buffers(arena)
         stack._bound = [member._optimizer.memory_floats() > 0 for member in members]
         for index in range(count):
             for view, array in zip(stack._views(index), stack._arrays(index)):
@@ -541,7 +541,7 @@ class CafeStack:
             setattr(twin.sketch, name, getattr(self.sketch, name).copy())
         twin.optimizer = copy.copy(self.optimizer)
         twin._row_state = {key: array.copy() for key, array in self._row_state.items()}
-        twin.optimizer.adopt_shared_buffers(twin._row_state)
+        twin.optimizer.adopt_state_buffers(twin._row_state)
         twin._bound = list(self._bound)
         memo = {
             id(old): new
@@ -567,7 +567,7 @@ class CafeStack:
         member = self.members[index]
         arrays = [member._arena, member.sketch.keys, member.sketch.scores, member.sketch.payloads]
         if self._bound[index]:
-            live = member._optimizer.shared_buffers(member._arena)
+            live = member._optimizer.state_buffers(member._arena)
             arrays += [live[key] for key in self._row_state]
         return arrays
 
@@ -578,7 +578,7 @@ class CafeStack:
         member._bind_arena_views()
         member.sketch.keys, member.sketch.scores, member.sketch.payloads = views[1:4]
         if self._bound[index]:
-            member._optimizer.adopt_shared_buffers(dict(zip(self._row_state, views[4:])))
+            member._optimizer.adopt_state_buffers(dict(zip(self._row_state, views[4:])))
 
     def member_rows(self, rows: np.ndarray) -> list[np.ndarray]:
         """Split ascending stacked arena rows into each member's own rows."""

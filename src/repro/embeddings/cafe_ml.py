@@ -82,7 +82,7 @@ class CafeMultiLevelEmbedding(CafeEmbedding):
             out[medium] += self.secondary_table[routes["secondary_rows"]]
         return out
 
-    def _shared_memory_floats(self) -> int:
+    def _shared_table_floats(self) -> int:
         return int(self.shared_table.size + self.secondary_table.size)
 
     # ------------------------------------------------------------------ #

@@ -51,15 +51,6 @@ class DeltaChainGapError(DeltaProtocolError):
     """
 
 
-class ShardWorkerCrashed(ReproError):
-    """Raised when a shard worker process dies instead of answering a request.
-
-    The process executor detects the death (closed pipe or reaped process)
-    and converts it into this error so callers see which worker and which
-    operation failed rather than hanging on a read from a dead pipe.
-    """
-
-
 class BadBatchError(ReproError, ValueError):
     """Base class for a batch an embedding store refuses at its boundary.
 

@@ -59,7 +59,6 @@ class RecommendationModel(Module):
         spec: str | None = None,
         compression_ratio: float = 1.0,
         num_shards: int = 1,
-        executor=None,
         optimizer: str = "sgd",
         learning_rate: float = 0.05,
         dtype="float32",
@@ -84,7 +83,6 @@ class RecommendationModel(Module):
             spec=spec,
             compression_ratio=compression_ratio,
             num_shards=num_shards,
-            executor=executor,
             optimizer=optimizer,
             learning_rate=learning_rate,
             dtype=dtype,

@@ -283,22 +283,22 @@ class RowOptimizer:
     def reset_rows(self, rows: np.ndarray) -> None:
         """Clear any per-row state (used when an embedding row is recycled)."""
 
-    def shared_buffers(self, table: np.ndarray) -> dict[str, np.ndarray]:
-        """Per-row state arrays eligible to live in shared memory.
+    def state_buffers(self, table: np.ndarray) -> dict[str, np.ndarray]:
+        """The live per-row state arrays for ``table``, by name.
 
-        Called by the process shard runtime so optimizer state rides in the
-        same shared segment as the table.  Stateless optimizers return ``{}``;
-        stateful ones must materialize their state for ``table`` first so the
-        returned arrays are the live ones.
+        :class:`~repro.embeddings.cafe.CafeStack` stacks these across shards
+        and rebinds each shard's optimizer to its slice.  Stateless
+        optimizers return ``{}``; stateful ones materialize their state for
+        ``table`` first so the returned arrays are the live ones.
         """
         return {}
 
-    def adopt_shared_buffers(self, buffers: dict[str, np.ndarray]) -> None:
-        """Re-point per-row state at externally managed arrays (same keys as
-        :meth:`shared_buffers`)."""
+    def adopt_state_buffers(self, buffers: dict[str, np.ndarray]) -> None:
+        """Re-point per-row state at caller-owned arrays (same keys and
+        shapes as :meth:`state_buffers`)."""
         if buffers:  # pragma: no cover - defensive: stateless base has no state
             raise NotImplementedError(
-                f"{type(self).__name__} has no shared buffers to adopt: {sorted(buffers)}"
+                f"{type(self).__name__} has no state buffers to adopt: {sorted(buffers)}"
             )
 
     def memory_floats(self) -> int:
@@ -312,7 +312,7 @@ class RowOptimizer:
 
     def load_state_dict(self, state: dict[str, np.ndarray]) -> None:
         """Restore :meth:`state_dict` arrays.  Copies in place when the live
-        arrays match in shape (they may be shared-memory views)."""
+        arrays match in shape (they may be views into a stack)."""
         if state:  # pragma: no cover - defensive: stateless base has no state
             raise NotImplementedError(
                 f"{type(self).__name__} has no optimizer state to load: {sorted(state)}"
@@ -355,12 +355,12 @@ class RowAdagrad(RowOptimizer):
         if self._accumulator is not None:
             self._accumulator[np.asarray(rows, dtype=np.int64)] = 0.0
 
-    def shared_buffers(self, table: np.ndarray) -> dict[str, np.ndarray]:
+    def state_buffers(self, table: np.ndarray) -> dict[str, np.ndarray]:
         self._ensure_state(table)
         assert self._accumulator is not None
         return {"accumulator": self._accumulator}
 
-    def adopt_shared_buffers(self, buffers: dict[str, np.ndarray]) -> None:
+    def adopt_state_buffers(self, buffers: dict[str, np.ndarray]) -> None:
         self._accumulator = buffers["accumulator"]
 
     def memory_floats(self) -> int:
@@ -376,7 +376,7 @@ class RowAdagrad(RowOptimizer):
             return  # old checkpoints carry no optimizer state
         incoming = np.asarray(state["accumulator"])
         if self._accumulator is not None and self._accumulator.shape == incoming.shape:
-            self._accumulator[:] = incoming  # in place: may be a shm view
+            self._accumulator[:] = incoming  # in place: may be a stack view
         else:
             self._accumulator = incoming.copy()
 
@@ -402,10 +402,8 @@ class SketchedRowAdagrad(RowOptimizer):
       evictee falls back to its sketch estimate, which has kept accumulating
       the whole time (every update is always folded into the sketch).
 
-    Both structures are fixed-size numpy arrays, so the state rides in
-    shared memory next to the table exactly like the exact accumulator does
-    (:meth:`shared_buffers` / :meth:`adopt_shared_buffers`) and serializes
-    through :meth:`state_dict` for checkpoints.
+    Both structures are fixed-size numpy arrays and serialize through
+    :meth:`state_dict` for checkpoints.
     """
 
     def __init__(
@@ -434,7 +432,7 @@ class SketchedRowAdagrad(RowOptimizer):
         self._heavy_vals: np.ndarray | None = None  # (capacity,) exact accumulators
         self._width = 0
         self._capacity = 0
-        self._sized_rows = -1  # -1: unsized or externally sized (adopted/loaded)
+        self._sized_rows = -1  # -1: unsized or externally sized (loaded)
 
     # ------------------------------------------------------------------ #
     # Sizing
@@ -512,7 +510,7 @@ class SketchedRowAdagrad(RowOptimizer):
             misses = ~hits
             if misses.any():
                 # One admission candidate per slot (largest mass, ties to the
-                # earlier row — deterministic across executors).
+                # earlier row — deterministic).
                 cand = np.flatnonzero(misses)
                 order = np.lexsort((cand, -new_acc[cand]))
                 cand = cand[order]
@@ -550,26 +548,8 @@ class SketchedRowAdagrad(RowOptimizer):
         self._heavy_vals[slots[evict]] = 0.0
 
     # ------------------------------------------------------------------ #
-    # Shared memory / checkpoint / accounting
+    # Checkpoint / accounting
     # ------------------------------------------------------------------ #
-    def shared_buffers(self, table: np.ndarray) -> dict[str, np.ndarray]:
-        self._ensure_state(table)
-        assert self._counters is not None
-        assert self._heavy_keys is not None and self._heavy_vals is not None
-        return {
-            "sketch_counters": self._counters,
-            "heavy_keys": self._heavy_keys,
-            "heavy_vals": self._heavy_vals,
-        }
-
-    def adopt_shared_buffers(self, buffers: dict[str, np.ndarray]) -> None:
-        self._counters = buffers["sketch_counters"]
-        self._heavy_keys = buffers["heavy_keys"]
-        self._heavy_vals = buffers["heavy_vals"]
-        self._width = int(self._counters.shape[1])
-        self._capacity = int(self._heavy_keys.shape[0]) if self.heavy_frac else 0
-        self._sized_rows = -1  # externally sized: trust the adopted arrays
-
     def memory_floats(self) -> int:
         """State scalars held: CM counters plus 2 per exact-lane slot."""
         if self._counters is None:
@@ -597,7 +577,7 @@ class SketchedRowAdagrad(RowOptimizer):
             incoming = np.asarray(state[name])
             live = getattr(self, attr)
             if live is not None and live.shape == incoming.shape:
-                live[:] = incoming  # in place: may be a shm view
+                live[:] = incoming  # in place, keeping the live dtype
             else:
                 setattr(self, attr, incoming.copy())
         assert self._counters is not None and self._heavy_keys is not None

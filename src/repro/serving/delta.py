@@ -31,9 +31,8 @@ Correctness is layered, cheapest proof first:
    extraction is O(churn).
 3. **Row diff**: without a clean log the changed shard's serving arrays are
    compared row-wise (vectorized O(table) compare, no allocation of the
-   table) — always correct, used for process-executor stores (sealed
-   generations have fresh object identity every publish) and any backend
-   whose log was poisoned by a rebalance or checkpoint restore.
+   table) — always correct, used for stores that keep no write log and any
+   backend whose log was poisoned by a rebalance or checkpoint restore.
 4. **Replacement**: backends with no :meth:`~repro.embeddings.base.
    CompressedEmbedding.serving_state` (CAFE and friends: their *routing*
    trains, so changed lookups are not confined to changed rows) ship the

@@ -9,7 +9,6 @@ from repro.sketch.analysis import (
 )
 from repro.sketch.base import Sketch
 from repro.sketch.cm_sketch import CountMinSketch
-from repro.sketch.csvec import CSVec
 from repro.sketch.hotsketch import EMPTY_KEY, NO_PAYLOAD, EvictionBatch, HotSketch
 from repro.sketch.spacesaving import SpaceSaving
 
@@ -21,7 +20,6 @@ __all__ = [
     "NO_PAYLOAD",
     "SpaceSaving",
     "CountMinSketch",
-    "CSVec",
     "retention_probability_uniform",
     "retention_probability_zipf",
     "retention_probability_grid",

@@ -11,7 +11,7 @@ unique ids (one hash + one stable sort per step, shared by both halves of
 the step); each shard caches its own routing plan.  With one shard the store
 delegates to the backend, bit-exact with the direct-embedding path.
 
-Local plain-CAFE shards are *stacked* (:class:`~repro.embeddings.cafe.
+Plain-CAFE shards are *stacked* (:class:`~repro.embeddings.cafe.
 CafeStack`): their state lives in one allocation per kind, the shards keep
 views, and a step is one pass over the stack instead of a fan-out.
 
@@ -19,19 +19,12 @@ Snapshots are copy-on-write: :meth:`ShardedEmbeddingStore.snapshot` is O(1)
 (it freezes the current shard objects); the first write to a frozen shard
 replaces it (a stack: all of it, in one copy) with a private deep copy.
 
-Per-shard work — ``lookup``, ``apply_gradients``, :meth:`ShardedEmbedding
-Store.rebalance` and :meth:`ShardedEmbeddingStore.merged_sketch` — is fanned
-out through a pluggable :class:`~repro.runtime.executor.ShardExecutor`
-(serial by default).  The tasks of one operation touch disjoint shard
+Per-shard work — ``lookup``, ``apply_gradients`` and
+:meth:`ShardedEmbeddingStore.rebalance` — is fanned out through a
+:class:`~repro.runtime.executor.SerialShardExecutor`, which times each
+shard's task.  The tasks of one operation touch disjoint shard
 objects, and all store-level bookkeeping (plan cache, copy-on-write swaps,
-step counter) happens on the calling thread before or after the fan-out.
-
-With a :class:`~repro.runtime.process.ProcessShardExecutor` the store goes
-*remote*: the shards are adopted into pinned worker processes (tables in
-shared memory) behind :class:`~repro.runtime.process.ShardHandle` proxies,
-hot paths batch one op per shard through ``run_ops``, and ``snapshot()``
-swaps copy-on-write for *sealed generations* — the workers freeze their
-segments, the parent maps them read-only, bit-exact with the serial store.
+step counter) happens before or after the fan-out.
 """
 from __future__ import annotations
 
@@ -45,16 +38,8 @@ from repro.analysis.sanitizer import freeze_arrays, single_writer
 from repro.api import registry as capability_registry
 from repro.embeddings.base import CompressedEmbedding
 from repro.embeddings.cafe import CafeStack
-from repro.embeddings.plan import PlanStats
-from repro.runtime.executor import SerialShardExecutor, ShardExecutor, create_executor
-from repro.sketch.csvec import CSVec
+from repro.runtime.executor import SerialShardExecutor
 from repro.store.base import EmbeddingStore
-from repro.store.grad_exchange import (
-    GRAD_EXCHANGE_MODES,
-    apply_sketched_payload,
-    build_sketched_payload,
-    exchange_width,
-)
 from repro.store.snapshot import ShardPartition, StoreSnapshot
 from repro.utils.hashing import hash_to_range
 
@@ -70,14 +55,7 @@ class ShardedEmbeddingStore(CompressedEmbedding, EmbeddingStore):
         self,
         shards: Sequence[CompressedEmbedding],
         shard_seed: int = DEFAULT_SHARD_SEED,
-        executor: ShardExecutor | str | None = None,
-        grad_exchange: str = "dense",
     ):
-        if grad_exchange not in GRAD_EXCHANGE_MODES:
-            raise ValueError(
-                f"unknown grad_exchange mode '{grad_exchange}'; "
-                f"expected one of {GRAD_EXCHANGE_MODES}"
-            )
         shards = list(shards)
         if not shards:
             raise ValueError("ShardedEmbeddingStore requires at least one shard")
@@ -93,15 +71,7 @@ class ShardedEmbeddingStore(CompressedEmbedding, EmbeddingStore):
         self._shards = shards
         self.num_shards = len(shards)
         self.shard_seed = int(shard_seed)
-        self.grad_exchange = grad_exchange
-        # The most recent step's per-shard gradient sketches merged by
-        # addition (sketched exchange only); see merged_grad_sketch().
-        self._grad_sketch = None
-        if executor is None:
-            executor = SerialShardExecutor()
-        elif isinstance(executor, str):
-            executor = create_executor(executor)
-        self.executor = executor
+        self.executor = SerialShardExecutor()
         # Shards become frozen (shared with a snapshot) when snapshot() runs;
         # the first write afterwards swaps in a private copy.
         self._cow_pending = [False] * self.num_shards
@@ -114,9 +84,7 @@ class ShardedEmbeddingStore(CompressedEmbedding, EmbeddingStore):
             # The delegating fast path never touches the store-level plan
             # cache, so surface the backend's stats instead.
             self.plan_stats = self._shards[0].plan_stats
-        self._remote = False
         self._stack: CafeStack | None = None
-        self._adopt_if_remote()
         self._restack()
 
     # ------------------------------------------------------------------ #
@@ -132,8 +100,6 @@ class ShardedEmbeddingStore(CompressedEmbedding, EmbeddingStore):
         compression_ratio: float = 1.0,
         shard_seed: int = DEFAULT_SHARD_SEED,
         seed: int = 0,
-        executor: ShardExecutor | str | None = None,
-        grad_exchange: str = "dense",
         **kwargs,
     ) -> "ShardedEmbeddingStore":
         """Build ``num_shards`` shards of ``method`` splitting one budget.
@@ -141,9 +107,7 @@ class ShardedEmbeddingStore(CompressedEmbedding, EmbeddingStore):
         Every shard keeps the *global* id space (ids are not re-indexed; the
         shard hash decides ownership) but receives ``1/num_shards`` of the
         total float budget, which is expressed by scaling the per-shard
-        compression ratio.  ``executor`` selects the fan-out runtime
-        (``"serial"``, ``"processes"``, or a :class:`~repro.runtime.executor.
-        ShardExecutor` instance).  Remaining ``kwargs`` are forwarded to
+        compression ratio.  Remaining ``kwargs`` are forwarded to
         :func:`repro.embeddings.create_embedding` (e.g. ``optimizer``,
         ``field_cardinalities``).
         """
@@ -162,9 +126,7 @@ class ShardedEmbeddingStore(CompressedEmbedding, EmbeddingStore):
             )
             for index in range(num_shards)
         ]
-        return cls(
-            shards, shard_seed=shard_seed, executor=executor, grad_exchange=grad_exchange
-        )
+        return cls(shards, shard_seed=shard_seed)
 
     @property
     def shards(self) -> tuple[CompressedEmbedding, ...]:
@@ -188,64 +150,24 @@ class ShardedEmbeddingStore(CompressedEmbedding, EmbeddingStore):
             return self._routing_version
         return (self._routing_version, *(shard._routing_token() for shard in self._shards))
 
-    def _fan_out(self, method: str, shards: list[int], args: list[tuple], local=None) -> list:
+    def _fan_out(self, method: str, shards: list[int], args: list[tuple]) -> list:
         """Run ``method(*args[i])`` on every listed shard; results in order.
 
-        The one fan-out path of the hot loop: remote shards take the batch as
-        ``run_ops`` requests (the worker dispatches ``op_<method>``), local
-        ones as ``run`` thunks over the shard objects — ``local(shard,
-        *args)`` when the op is a function rather than a shard method.  A
-        local single-shard store calls its shard directly: there is no
-        fan-out to schedule or time.
+        The one fan-out path of the hot loop.  A single-shard store calls its
+        shard directly: there is no fan-out to schedule or time.
         """
-        if self._remote:
-            return self.executor.run_ops(list(zip(shards, [method] * len(shards), args)))
         thunks = [
-            partial(local, self._shards[shard], *shard_args)
-            if local is not None
-            else partial(getattr(self._shards[shard], method), *shard_args)
+            partial(getattr(self._shards[shard], method), *shard_args)
             for shard, shard_args in zip(shards, args)
         ]
         if self.num_shards == 1:
             return [thunks[0]()]
         return self.executor.run(list(zip(shards, thunks)))
 
-    # ------------------------------------------------------------------ #
-    # Process-parallel runtime (remote shards)
-    # ------------------------------------------------------------------ #
-    @property
-    def remote(self) -> bool:
-        """True when the shards live in worker processes behind proxies."""
-        return self._remote
-
-    def _adopt_if_remote(self) -> None:
-        if not getattr(self.executor, "is_process_executor", False):
-            return
-        for shard in self._shards:
-            if not capability_registry.supports_process_parallel(shard):
-                raise ValueError(
-                    f"shard backend {type(shard).__name__} opts out of the process "
-                    "executor (supports_process_parallel=False); use 'serial' instead"
-                )
-        self._shards = list(self.executor.adopt_units(self._shards, kind="shard"))
-        self._remote = True
-        self._cow_pending = [False] * self.num_shards
-        # Worker-side plans are out of reach; delta publishers fall back to
-        # row diffs against the sealed generations.
-        self._write_log = None
-        if self.num_shards == 1:
-            # The backend's plan cache now lives in the worker; its reuse
-            # rate is surfaced through describe() instead of this alias.
-            self.plan_stats = PlanStats()
-
     def _restack(self) -> None:
         """(Re)build the stack from the shards' current arrays, if they stack:
-        S ≥ 2 local plain-CAFE shards under the dense exchange."""
-        stackable = (
-            not self._remote
-            and self.grad_exchange == "dense"
-            and CafeStack.can_stack(self._shards)
-        )
+        S ≥ 2 plain-CAFE shards (:meth:`CafeStack.can_stack`)."""
+        stackable = CafeStack.can_stack(self._shards)
         self._stack = CafeStack.stacked(self._shards) if stackable else None
         self.invalidate_plan()
 
@@ -259,42 +181,9 @@ class ShardedEmbeddingStore(CompressedEmbedding, EmbeddingStore):
         self.__dict__.update(state)
         self._restack()
 
-    def _shard_supports(self, shard, capability: str) -> bool:
-        """Capability check that works for both local shards and proxies.
-
-        Proxies carry the capabilities probed on the real backend at adopt
-        time (a structural probe on the proxy would always say yes).
-        """
-        caps = getattr(shard, "caps", None)
-        if caps is not None:
-            return bool(caps.get(capability, False))
-        if capability == "sketch":
-            return capability_registry.supports_sketch(shard)
-        return getattr(capability_registry, "supports_" + capability)(shard)
-
     # ------------------------------------------------------------------ #
     # EmbeddingStore / CompressedEmbedding interface
     # ------------------------------------------------------------------ #
-    def set_executor(self, executor: ShardExecutor | str) -> None:
-        """Swap the fan-out runtime (``"serial"``, ``"processes"``, or an
-        instance).
-
-        Leaving a process executor first pulls every shard back out of its
-        worker (bit-exact, private arrays); entering one adopts the shards
-        into fresh workers.
-        """
-        if isinstance(executor, str):
-            executor = create_executor(executor)
-        if self._remote:
-            self._shards = list(self.executor.release_units())
-            self._remote = False
-            if self.num_shards == 1:
-                self.plan_stats = self._shards[0].plan_stats
-        self.executor.close()
-        self.executor = executor
-        self._adopt_if_remote()
-        self._restack()
-
     def lookup_unique(self, uids: np.ndarray) -> np.ndarray:
         """Gather every id's row from its owning shard.
 
@@ -312,7 +201,6 @@ class ShardedEmbeddingStore(CompressedEmbedding, EmbeddingStore):
         rows = self._fan_out(
             "lookup_unique", partition.shards, [(shard_uids,) for shard_uids in partition.shard_uids]
         )
-        # Remote results are views into the response arenas; merge copies them.
         return partition.merge(rows, self.dim, self.dtype)
 
     @single_writer
@@ -325,21 +213,9 @@ class ShardedEmbeddingStore(CompressedEmbedding, EmbeddingStore):
         Copy-on-write swaps (:meth:`_ensure_private`) happen serially on the
         calling thread *before* the fan-out, so outstanding snapshots never
         observe a write and the executor tasks only ever touch private,
-        mutually disjoint shard objects.
-
-        Under the sketched exchange each shard's slice is folded into a
-        fixed-size :class:`~repro.sketch.CSVec` instead: the trainer ships
-        ``(unique ids, exact heavy gradients, sketch)`` and the shard
-        reconstructs — heavy rows exactly, tail rows from the sketch median
-        (its importance scores are the norms of the reconstructed rows).
-        All shards share one ``(width, depth, seed)`` derived from the whole
-        batch, so the per-shard sketches merge by addition into the global
-        per-step gradient sketch exposed by :meth:`merged_grad_sketch`.
-        Build/recover math and the fan-out are identical on every executor;
-        only the transport differs (shm arena for processes).  A stacked
-        store runs one step over the whole stack instead of the fan-out.
+        mutually disjoint shard objects.  A stacked store runs one step over
+        the whole stack instead of the fan-out.
         """
-        payload_bytes = uids.nbytes + grad_sums.nbytes + scores.nbytes
         if self._stack is not None:
             plan = self.plan_for(uids)
             self._ensure_private(0)
@@ -348,9 +224,12 @@ class ShardedEmbeddingStore(CompressedEmbedding, EmbeddingStore):
                 written = self._stack.member_rows(plan.scatter().rows)
                 for shard in shards:
                     self._log_write(shard, written[shard])
-            self.executor.stats.record_grad_exchange(payload_bytes, self.grad_exchange)
-            self._step += 1
-            return
+        else:
+            self._apply_fan_out(uids, grad_sums, scores)
+        self.executor.stats.record_grad_exchange(uids.nbytes + grad_sums.nbytes + scores.nbytes)
+        self._step += 1
+
+    def _apply_fan_out(self, uids: np.ndarray, grad_sums: np.ndarray, scores: np.ndarray) -> None:
         if self.num_shards == 1:
             shards, shard_uids, shard_grads, shard_scores = [0], [uids], [grad_sums], [scores]
         else:
@@ -359,25 +238,7 @@ class ShardedEmbeddingStore(CompressedEmbedding, EmbeddingStore):
             shard_grads, shard_scores = partition.split(grad_sums), partition.split(scores)
         for shard in shards:
             self._ensure_private(shard)
-        if self.grad_exchange == "sketched":
-            width = exchange_width(uids.shape[0])
-            seed = self.shard_seed + 7  # one exchange hash family per store
-            payloads = [
-                build_sketched_payload(u, g, width=width, seed=seed)
-                for u, g in zip(shard_uids, shard_grads)
-            ]
-            self._fan_out(
-                "apply_sketched_gradients",
-                shards,
-                [(*payload.arrays(), payload.seed) for payload in payloads],
-                local=apply_sketched_payload,
-            )
-            self._grad_sketch = CSVec.merge_all(
-                [CSVec.from_state(p.sketch_table, p.sketch_counts, p.seed) for p in payloads]
-            )
-            payload_bytes = sum(payload.nbytes() for payload in payloads)
-        else:
-            self._fan_out("apply_unique", shards, list(zip(shard_uids, shard_grads, shard_scores)))
+        self._fan_out("apply_unique", shards, list(zip(shard_uids, shard_grads, shard_scores)))
         if self._write_log is not None:
             for shard in shards:
                 plan = getattr(self._shards[shard], "_cached_plan", None)
@@ -386,18 +247,6 @@ class ShardedEmbeddingStore(CompressedEmbedding, EmbeddingStore):
                 # cached.  Without one, coverage is unprovable (None poisons).
                 scatter = plan.routes.get("scatter") if plan is not None else None
                 self._log_write(shard, None if scatter is None else scatter.rows)
-        self.executor.stats.record_grad_exchange(payload_bytes, self.grad_exchange)
-        self._step += 1
-
-    def merged_grad_sketch(self):
-        """The last step's shard gradient sketches merged by addition.
-
-        ``None`` until a sketched-exchange step ran.  Heavy rows of the
-        *global* batch can be recovered from it
-        (:meth:`~repro.sketch.CSVec.heavy_hitters` /
-        :meth:`~repro.sketch.CSVec.query`) without re-touching any shard.
-        """
-        return self._grad_sketch
 
     @single_writer
     def rebalance(self) -> bool:
@@ -411,21 +260,16 @@ class ShardedEmbeddingStore(CompressedEmbedding, EmbeddingStore):
         """
         supported = [
             shard_index
-            for shard_index in range(self.num_shards)
-            if self._shard_supports(self._shards[shard_index], "rebalance")
+            for shard_index, shard in enumerate(self._shards)
+            if capability_registry.supports_rebalance(shard)
         ]
         if not supported:
             return False
-        if self._remote:
-            results = self.executor.run_ops(
-                [(shard_index, "rebalance", ()) for shard_index in supported]
-            )
-        else:
-            for shard_index in supported:
-                self._ensure_private(shard_index)
-            results = self.executor.run(
-                [(shard_index, self._shards[shard_index].rebalance) for shard_index in supported]
-            )
+        for shard_index in supported:
+            self._ensure_private(shard_index)
+        results = self.executor.run(
+            [(shard_index, self._shards[shard_index].rebalance) for shard_index in supported]
+        )
         for shard_index in supported:
             # Row migration rewrites state outside the scatter path.
             self._poison_write_log(shard_index)
@@ -450,14 +294,9 @@ class ShardedEmbeddingStore(CompressedEmbedding, EmbeddingStore):
         no interleaving can slip a write past it.  Mutations that bypass
         the scatter path (:meth:`rebalance`, :meth:`load_state_dict`)
         poison the affected shards' logs, which downgrades them to a full
-        row diff on the next publish — slower, never wrong.
-
-        Returns ``False`` (and records nothing) under the process executor:
-        worker-side plans are out of reach, and sealed generations make the
-        publisher's row-diff fallback the honest path there.
+        row diff on the next publish — slower, never wrong.  Returns ``True``:
+        the log is on.
         """
-        if self._remote:
-            return False
         if self._write_log is None:
             self._write_log = [[] for _ in range(self.num_shards)]
         return True
@@ -510,25 +349,15 @@ class ShardedEmbeddingStore(CompressedEmbedding, EmbeddingStore):
         shared; training's next write to a shard replaces it with a private
         deep copy (:attr:`cow_copies` counts those), so the returned view
         keeps serving exactly the values visible now.
-
-        Under the process executor the same contract is kept by *sealed
-        generations* instead: every worker seals its current shared-memory
-        segment (the parent maps it read-only and grafts it into a frozen
-        shard clone) and continues training in a fresh writable generation,
-        so no copy-on-write is needed afterwards.
         """
         self.snapshots_taken += 1
-        if self._remote:
-            shards = tuple(self.executor.seal_units())
-        else:
-            self._cow_pending = [True] * self.num_shards
-            shards = tuple(self._shards)
-            if self._stack is not None:
-                # Freezing the shards' views alone would not stop a write
-                # through the stack that skipped copy-on-write.
-                freeze_arrays(self._stack)
+        self._cow_pending = [True] * self.num_shards
+        if self._stack is not None:
+            # Freezing the shards' views alone would not stop a write
+            # through the stack that skipped copy-on-write.
+            freeze_arrays(self._stack)
         view = StoreSnapshot(
-            shards=shards,
+            shards=tuple(self._shards),
             shard_seed=self.shard_seed,
             dim=self.dim,
             num_features=self.num_features,
@@ -543,7 +372,7 @@ class ShardedEmbeddingStore(CompressedEmbedding, EmbeddingStore):
         return view
 
     def _ensure_private(self, shard_index: int) -> None:
-        if self._remote or not self._cow_pending[shard_index]:
+        if not self._cow_pending[shard_index]:
             return
         if self._stack is not None:  # every shard goes private, in one copy
             self._stack = self._stack.copy()
@@ -562,30 +391,11 @@ class ShardedEmbeddingStore(CompressedEmbedding, EmbeddingStore):
     def merged_sketch(self):
         """One global HotSketch merged from all sketch-carrying shards.
 
-        Per-shard sketch retrieval fans out through :attr:`executor` (for a
-        remote shard this is the expensive half); the pairwise SpaceSaving
-        merge then runs on the calling thread.  Only meaningful when the
-        shards are CAFE-style backends; returns ``None`` when no shard
-        exposes a sketch.
+        The pairwise SpaceSaving merge runs over every shard that carries a
+        sketch.  Only meaningful when the shards are CAFE-style backends;
+        returns ``None`` when no shard exposes a sketch.
         """
-        supported = [
-            shard_index
-            for shard_index, shard in enumerate(self._shards)
-            if self._shard_supports(shard, "sketch")
-        ]
-        if not supported:
-            return None
-        if self._remote:
-            sketches = self.executor.run_ops(
-                [(shard_index, "sketch", ()) for shard_index in supported]
-            )
-        else:
-            sketches = self.executor.run(
-                [
-                    (shard_index, lambda s=self._shards[shard_index]: s.sketch)
-                    for shard_index in supported
-                ]
-            )
+        sketches = [capability_registry.sketch_of(shard) for shard in self._shards]
         sketches = [sketch for sketch in sketches if sketch is not None]
         if not sketches:
             return None
@@ -598,15 +408,6 @@ class ShardedEmbeddingStore(CompressedEmbedding, EmbeddingStore):
         info["backend"] = getattr(first, "backend_class", None) or type(first).__name__
         info["executor"] = type(self.executor).__name__
         info["stacked"] = self._stack is not None
-        if self._remote:
-            # Per-worker wall vs on-worker compute (IPC overhead) breakdown.
-            info["executor_stats"] = self.executor.stats.as_dict()
-        stats = self.executor.stats
-        if stats.grad_steps:
-            info["grad_exchange"] = {
-                "mode": stats.grad_exchange_mode,
-                "grad_bytes_per_step": round(stats.grad_bytes_per_step, 1),
-            }
         return info
 
     def state_dict(self) -> dict[str, np.ndarray]:
@@ -615,7 +416,7 @@ class ShardedEmbeddingStore(CompressedEmbedding, EmbeddingStore):
         """
         state: dict[str, np.ndarray] = {"num_shards": np.asarray(self.num_shards)}
         for index, shard in enumerate(self._shards):
-            if not self._shard_supports(shard, "state_dict"):
+            if not capability_registry.supports_state_dict(shard):
                 name = getattr(shard, "backend_class", None) or type(shard).__name__
                 raise NotImplementedError(
                     f"shard backend {name} does not support state_dict"
@@ -659,7 +460,7 @@ class ShardedEmbeddingStore(CompressedEmbedding, EmbeddingStore):
         self._ensure_private(index)
         self._poison_write_log(index)
         shard = self._shards[index]
-        if not self._shard_supports(shard, "load_state_dict"):
+        if not capability_registry.supports_load_state_dict(shard):
             name = getattr(shard, "backend_class", None) or type(shard).__name__
             raise ValueError(f"shard backend {name} cannot load a state dict")
         shard.load_state_dict(state)

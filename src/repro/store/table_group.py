@@ -53,7 +53,7 @@ from repro.embeddings.base import DEFAULT_DTYPE, CompressedEmbedding
 from repro.embeddings.plan import as_id_array, check_id_range
 from repro.errors import NonFiniteGradientError
 from repro.nn.init import xavier_uniform
-from repro.runtime.executor import SerialShardExecutor, ShardExecutor, create_executor
+from repro.runtime.executor import SerialShardExecutor
 from repro.store.base import EmbeddingStore
 from repro.utils.rng import make_rng
 
@@ -242,7 +242,6 @@ class TableGroupStore(CompressedEmbedding, EmbeddingStore):
         num_fields: int,
         num_features: int,
         dim: int,
-        executor: ShardExecutor | str | None = None,
     ):
         groups = list(groups)
         if not groups:
@@ -273,20 +272,10 @@ class TableGroupStore(CompressedEmbedding, EmbeddingStore):
                 )
         self._groups = groups
         self.num_groups = len(groups)
-        if executor is None:
-            executor = SerialShardExecutor()
-        elif isinstance(executor, str):
-            executor = create_executor(executor)
-        self.executor = executor
+        self.executor = SerialShardExecutor()
         self._cow_pending = [False] * self.num_groups
         self.snapshots_taken = 0
         self.cow_copies = 0
-        self._remote = False
-        self._handles: list = []
-        #: Projection presence per group, captured before any adoption moves
-        #: the projection matrix into a worker process.
-        self._has_projection = [group.projection is not None for group in groups]
-        self._adopt_if_remote()
 
     # ------------------------------------------------------------------ #
     # Construction
@@ -301,7 +290,6 @@ class TableGroupStore(CompressedEmbedding, EmbeddingStore):
         learning_rate: float = 0.05,
         dtype: np.dtype | str = DEFAULT_DTYPE,
         seed: int = 0,
-        executor: ShardExecutor | str | None = None,
         **spec_kwargs,
     ) -> "TableGroupStore":
         """Build groups for ``schema`` from a spec string or attached configs.
@@ -332,7 +320,6 @@ class TableGroupStore(CompressedEmbedding, EmbeddingStore):
             learning_rate=learning_rate,
             dtype=dtype,
             seed=seed,
-            executor=executor,
         )
 
     @classmethod
@@ -344,7 +331,6 @@ class TableGroupStore(CompressedEmbedding, EmbeddingStore):
         learning_rate: float = 0.05,
         dtype: np.dtype | str = DEFAULT_DTYPE,
         seed: int = 0,
-        executor: ShardExecutor | str | None = None,
     ) -> "TableGroupStore":
         """Build one backend per distinct config and assemble the store."""
         from repro.embeddings import create_embedding
@@ -441,7 +427,6 @@ class TableGroupStore(CompressedEmbedding, EmbeddingStore):
             num_fields=schema.num_fields,
             num_features=schema.num_features,
             dim=schema.embedding_dim,
-            executor=executor,
         )
 
     @property
@@ -477,62 +462,6 @@ class TableGroupStore(CompressedEmbedding, EmbeddingStore):
         }
 
     # ------------------------------------------------------------------ #
-    # Process-parallel runtime (remote groups)
-    # ------------------------------------------------------------------ #
-    @property
-    def remote(self) -> bool:
-        """True when the groups live in worker processes behind proxies."""
-        return self._remote
-
-    def _adopt_if_remote(self) -> None:
-        if not getattr(self.executor, "is_process_executor", False):
-            return
-        for group in self._groups:
-            if not capability_registry.supports_process_parallel(group.backend):
-                raise ValueError(
-                    f"group '{group.name}' backend {type(group.backend).__name__} opts "
-                    "out of the process executor (supports_process_parallel=False); "
-                    "use 'serial' instead"
-                )
-        handles = self.executor.adopt_units(self._groups, kind="group")
-        # The whole group (backend + projection) now lives in the worker; the
-        # parent-side group keeps only the routing arrays and the proxy, so
-        # the fused math (projection included) runs worker-side.
-        for group, handle in zip(self._groups, handles):
-            group.backend = handle
-            group.projection = None
-        self._handles = list(handles)
-        self._remote = True
-        self._cow_pending = [False] * self.num_groups
-
-    def _group_supports(self, group: TableGroup, capability: str) -> bool:
-        """Capability check on the group's backend, proxy-aware."""
-        caps = getattr(group.backend, "caps", None)
-        if caps is not None:
-            return bool(caps.get(capability, False))
-        if capability == "sketch":
-            return capability_registry.supports_sketch(group.backend)
-        return getattr(capability_registry, "supports_" + capability)(group.backend)
-
-    def set_executor(self, executor: ShardExecutor | str) -> None:
-        """Swap the group fan-out runtime (``"serial"``, ``"processes"``, or
-        an instance).
-
-        Leaving a process executor pulls every group back out of its worker
-        (bit-exact, private arrays); entering one adopts the groups into
-        fresh workers.
-        """
-        if isinstance(executor, str):
-            executor = create_executor(executor)
-        if self._remote:
-            self._groups = list(self.executor.release_units())
-            self._handles = []
-            self._remote = False
-        self.executor.close()
-        self.executor = executor
-        self._adopt_if_remote()
-
-    # ------------------------------------------------------------------ #
     # EmbeddingStore / CompressedEmbedding interface
     # ------------------------------------------------------------------ #
     def lookup(self, ids: np.ndarray) -> np.ndarray:
@@ -546,16 +475,6 @@ class TableGroupStore(CompressedEmbedding, EmbeddingStore):
         plan = self.plan_for(ids)
         out = np.empty(ids.shape + (self.dim,), dtype=self.dtype)
         if ids.shape[0] == 0:
-            return out
-        if self._remote:
-            results = self.executor.run_ops(
-                [
-                    (index, "lookup", (plan.routes[f"local{index}"],))
-                    for index in range(self.num_groups)
-                ]
-            )
-            for group, vectors in zip(self._groups, results):
-                out[:, group.field_indices, :] = vectors
             return out
 
         def gather(group: TableGroup, local: np.ndarray) -> None:
@@ -594,19 +513,6 @@ class TableGroupStore(CompressedEmbedding, EmbeddingStore):
                 "gradients contain NaN or inf; the batch was refused and no group was touched"
             )
         plan = self.plan_for(ids)
-        if self._remote:
-            self.executor.run_ops(
-                [
-                    (
-                        index,
-                        "apply_gradients",
-                        (plan.routes[f"local{index}"], grads[:, group.field_indices, :]),
-                    )
-                    for index, group in enumerate(self._groups)
-                ]
-            )
-            self._step += 1
-            return
         tasks = []
         for index, group in enumerate(self._groups):
             self._ensure_private(index)
@@ -623,18 +529,15 @@ class TableGroupStore(CompressedEmbedding, EmbeddingStore):
         supported = [
             index
             for index, group in enumerate(self._groups)
-            if self._group_supports(group, "rebalance")
+            if capability_registry.supports_rebalance(group.backend)
         ]
         if not supported:
             return False
-        if self._remote:
-            results = self.executor.run_ops([(index, "rebalance", ()) for index in supported])
-        else:
-            for index in supported:
-                self._ensure_private(index)
-            results = self.executor.run(
-                [(index, self._groups[index].backend.rebalance) for index in supported]
-            )
+        for index in supported:
+            self._ensure_private(index)
+        results = self.executor.run(
+            [(index, self._groups[index].backend.rebalance) for index in supported]
+        )
         self.invalidate_plan()
         return any(results)
 
@@ -652,31 +555,18 @@ class TableGroupStore(CompressedEmbedding, EmbeddingStore):
         copy-on-write (training's next write to a group swaps in a private
         deep copy).  The small projection matrices are copied eagerly so
         in-place projection updates never leak into the snapshot.
-
-        Under the process executor the same contract is kept by *sealed
-        generations*: every worker seals its current shared-memory segment
-        and continues in a fresh writable one; the parent maps the sealed
-        segment read-only and grafts it into a frozen backend clone, so the
-        snapshot is bit-exact and copy-free on the reader side.
         """
         self.snapshots_taken += 1
-        if self._remote:
-            sealed = self.executor.seal_units()
-            groups = [
-                (backend, group.field_indices.copy(), group.global_shift.copy(), projection)
-                for (backend, projection), group in zip(sealed, self._groups)
-            ]
-        else:
-            self._cow_pending = [True] * self.num_groups
-            groups = [
-                (
-                    group.backend,
-                    group.field_indices.copy(),
-                    group.global_shift.copy(),
-                    None if group.projection is None else group.projection.copy(),
-                )
-                for group in self._groups
-            ]
+        self._cow_pending = [True] * self.num_groups
+        groups = [
+            (
+                group.backend,
+                group.field_indices.copy(),
+                group.global_shift.copy(),
+                None if group.projection is None else group.projection.copy(),
+            )
+            for group in self._groups
+        ]
         view = TableGroupSnapshot(
             groups=groups,
             dim=self.dim,
@@ -692,7 +582,7 @@ class TableGroupStore(CompressedEmbedding, EmbeddingStore):
         return view
 
     def _ensure_private(self, group_index: int) -> None:
-        if self._remote or not self._cow_pending[group_index]:
+        if not self._cow_pending[group_index]:
             return
         self._groups[group_index] = copy.deepcopy(self._groups[group_index])
         self._cow_pending[group_index] = False
@@ -710,23 +600,8 @@ class TableGroupStore(CompressedEmbedding, EmbeddingStore):
         alone is returned — still the store's best hot-feature view.
         Returns ``None`` when no group carries a sketch.
         """
-        if self._remote:
-            supported = [
-                index
-                for index, group in enumerate(self._groups)
-                if self._group_supports(group, "sketch")
-            ]
-            if not supported:
-                return None
-            results = self.executor.run_ops([(index, "sketch", ()) for index in supported])
-            sketches = [sketch for sketch in results if sketch is not None]
-        else:
-            sketches = []
-            for group in self._groups:
-                sketch = capability_registry.sketch_of(group.backend)
-                if sketch is not None:
-                    sketches.append(sketch)
-        return self._merge_sketches(sketches)
+        sketches = [capability_registry.sketch_of(group.backend) for group in self._groups]
+        return self._merge_sketches([sketch for sketch in sketches if sketch is not None])
 
     @staticmethod
     def _merge_sketches(sketches: list):
@@ -739,11 +614,6 @@ class TableGroupStore(CompressedEmbedding, EmbeddingStore):
 
     def group_summaries(self) -> list[dict]:
         """Per-group description rows (used by ``describe``)."""
-        if self._remote:
-            # The real backends live worker-side; describe them there.
-            return self.executor.run_ops(
-                [(index, "describe", ()) for index in range(self.num_groups)]
-            )
         return [group.describe() for group in self._groups]
 
     def describe(self) -> dict:
@@ -751,9 +621,6 @@ class TableGroupStore(CompressedEmbedding, EmbeddingStore):
         info["num_groups"] = self.num_groups
         info["num_fields"] = self.num_fields
         info["executor"] = type(self.executor).__name__
-        if self._remote:
-            # Per-worker wall vs on-worker compute (IPC overhead) breakdown.
-            info["executor_stats"] = self.executor.stats.as_dict()
         info["groups"] = self.group_summaries()
         return info
 
@@ -766,24 +633,13 @@ class TableGroupStore(CompressedEmbedding, EmbeddingStore):
             "step": np.asarray(self._step),
         }
         for group in self._groups:
-            if not self._group_supports(group, "state_dict"):
+            if not capability_registry.supports_state_dict(group.backend):
                 name = getattr(group.backend, "backend_class", None) or type(
                     group.backend
                 ).__name__
                 raise NotImplementedError(
                     f"group '{group.name}' backend {name} does not support state_dict"
                 )
-        if self._remote:
-            payloads = self.executor.run_ops(
-                [(index, "state_dict", ()) for index in range(self.num_groups)]
-            )
-            for index, (group, payload) in enumerate(zip(self._groups, payloads)):
-                state[f"group{index}.fields"] = group.field_indices.copy()
-                if payload["projection"] is not None:
-                    state[f"group{index}.projection"] = payload["projection"]
-                for key, value in payload["backend"].items():
-                    state[f"group{index}.backend.{key}"] = value
-            return state
         for index, group in enumerate(self._groups):
             state[f"group{index}.fields"] = group.field_indices.copy()
             if group.projection is not None:
@@ -851,10 +707,7 @@ class TableGroupStore(CompressedEmbedding, EmbeddingStore):
             self._ensure_private(index)
             group = self._groups[index]
             projection_key = f"group{index}.projection"
-            has_projection = (
-                self._has_projection[index] if self._remote else group.projection is not None
-            )
-            if (projection_key in state) != has_projection:
+            if (projection_key in state) != (group.projection is not None):
                 raise ValueError(
                     f"checkpoint group {index} projection presence does not match the store"
                 )
@@ -870,24 +723,13 @@ class TableGroupStore(CompressedEmbedding, EmbeddingStore):
                     for key, value in state.items()
                     if key.startswith(prefix)
                 },
-                projection=state.get(projection_key),
             )
         self._step = int(state["step"])
         self.invalidate_plan()
 
-    def _load_backend(
-        self,
-        index: int,
-        state: dict[str, np.ndarray],
-        projection: np.ndarray | None = None,
-    ) -> None:
+    def _load_backend(self, index: int, state: dict[str, np.ndarray]) -> None:
         group = self._groups[index]
-        if not self._group_supports(group, "load_state_dict"):
+        if not capability_registry.supports_load_state_dict(group.backend):
             name = getattr(group.backend, "backend_class", None) or type(group.backend).__name__
             raise ValueError(f"group backend {name} cannot load a state dict")
-        if self._remote:
-            # The worker owns both halves of the group: ship the projection
-            # alongside the backend state in one payload.
-            group.backend.load_state_dict({"backend": state, "projection": projection})
-            return
         group.backend.load_state_dict(state)

@@ -15,7 +15,6 @@ from repro.analysis.sanitizer import (
 )
 from repro.data.schema import DatasetSchema, FieldSchema
 from repro.embeddings.cafe import CafeEmbedding
-from repro.runtime import shm as shm_lib
 from repro.store import ShardedEmbeddingStore
 
 DIM = 8
@@ -102,22 +101,6 @@ class TestWriteAfterSnapshotRaises:
         assert store.cow_copies >= 1
         # The published view still serves the values visible at snapshot time.
         np.testing.assert_array_equal(before, snapshot.lookup(batch(np.random.default_rng(0))))
-
-    def test_sealed_generation_views_are_read_only(self):
-        arrays = {"table": np.arange(12, dtype=np.float32).reshape(3, 4)}
-        layout, size = shm_lib.layout_for(arrays)
-        segment = shm_lib.create_segment(size)
-        try:
-            shm_lib.write_arrays(segment.buf, layout, arrays)
-            generation = shm_lib.SealedGeneration(segment.name, layout)
-            try:
-                views = generation.views()
-                with pytest.raises(ValueError, match="read-only"):
-                    views["table"][0, 0] = 9.0
-            finally:
-                generation.force_release()
-        finally:
-            shm_lib.close_segment(segment)
 
 
 class TestSingleWriter:
@@ -222,60 +205,3 @@ class TestSingleWriter:
         finally:
             release.set()
             background.join(timeout=5.0)
-
-
-class TestLeaseGuards:
-    def _sealed(self):
-        arrays = {"x": np.ones(4, dtype=np.float32)}
-        layout, size = shm_lib.layout_for(arrays)
-        segment = shm_lib.create_segment(size)
-        shm_lib.write_arrays(segment.buf, layout, arrays)
-        generation = shm_lib.SealedGeneration(segment.name, layout)
-        shm_lib.close_segment(segment)
-        return generation
-
-    def test_refcount_underflow_raises_under_sanitize(self, monkeypatch):
-        monkeypatch.setenv("REPRO_SANITIZE", "1")
-        generation = self._sealed()
-        generation.retain()
-        generation.release()
-        with pytest.raises(SanitizerViolation, match="refcount underflow"):
-            generation.release()
-
-    def test_lease_double_release_raises_under_sanitize(self, monkeypatch):
-        monkeypatch.setenv("REPRO_SANITIZE", "1")
-        generation = self._sealed()
-        lease = shm_lib.GenerationLease(generation)
-        lease.release()
-        with pytest.raises(SanitizerViolation, match="double release"):
-            lease.release()
-
-    def test_lease_double_release_is_silent_without_sanitize(self, monkeypatch):
-        monkeypatch.delenv("REPRO_SANITIZE", raising=False)
-        generation = self._sealed()
-        lease = shm_lib.GenerationLease(generation)
-        lease.release()
-        lease.release()  # idempotent when the sanitizer is off
-
-
-class TestShmAudit:
-    def test_created_segments_are_tracked_and_settled(self, monkeypatch):
-        monkeypatch.setenv("REPRO_SANITIZE", "1")
-        segment = shm_lib.create_segment(64)
-        try:
-            assert segment.name in sanitizer.tracked_segments()
-        finally:
-            shm_lib.close_segment(segment)
-            shm_lib.unlink_segment(segment)
-        assert segment.name not in sanitizer.tracked_segments()
-
-    def test_leak_shows_up_in_audit_until_unlinked(self, monkeypatch):
-        monkeypatch.setenv("REPRO_SANITIZE", "1")
-        sanitizer.shm_audit_baseline()
-        segment = shm_lib.create_segment(64)
-        try:
-            assert segment.name in sanitizer.shm_leaks()
-        finally:
-            shm_lib.close_segment(segment)
-            shm_lib.unlink_segment(segment)
-        assert segment.name not in sanitizer.shm_leaks()

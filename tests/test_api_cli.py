@@ -138,6 +138,7 @@ class TestRetiredModules:
     @pytest.mark.parametrize("module", [
         "cli", "pipeline", "serve", "serving.cli", "runtime.cli",
         "training.config", "sketch.decay", "sketch.count_sketch",
+        "runtime.process", "runtime.shm", "store.grad_exchange", "sketch.csvec",
     ])
     def test_import_fails(self, module):
         with pytest.raises(ModuleNotFoundError):

@@ -81,6 +81,18 @@ class TestValidation:
         with pytest.raises(ConfigurationError, match="unknown config key 'train.eval_every'"):
             apply_overrides(SystemConfig(), ["train.eval_every=10"])
 
+    @pytest.mark.parametrize("key, value", [("executor_workers", 2), ("grad_exchange", "sketched")])
+    def test_removed_process_runtime_options_are_unknown_keys(self, key, value):
+        with pytest.raises(ConfigurationError, match=f"unknown config key 'store.{key}'"):
+            SystemConfig.from_dict({"store": {key: value}})
+        with pytest.raises(ConfigurationError, match=f"unknown config key 'store.{key}'"):
+            apply_overrides(SystemConfig(), [f"store.{key}={value}"])
+
+    def test_processes_executor_is_refused_listing_serial(self):
+        with pytest.raises(ConfigurationError, match=r"store\.executor 'processes'.*\['serial'\]"):
+            apply_overrides(SystemConfig(), ["store.executor=processes"])
+        assert apply_overrides(SystemConfig(), ["store.executor=serial"]).store.executor == "serial"
+
     def test_bad_dataset_lists_presets(self):
         with pytest.raises(ConfigurationError, match="criteo"):
             DataConfig(dataset="cripteo")
@@ -92,6 +104,13 @@ class TestValidation:
     def test_bad_executor(self):
         with pytest.raises(ConfigurationError, match="executor"):
             StoreConfig(executor="gpu")
+
+    @pytest.mark.parametrize("retired", ["processes", "process", "threads", "thread", "Serial"])
+    def test_retired_executor_spellings_list_serial(self, retired):
+        with pytest.raises(ConfigurationError, match=r"\['serial'\]"):
+            SystemConfig.from_dict({"store": {"executor": retired}})
+        with pytest.raises(ConfigurationError, match=r"\['serial'\]"):
+            StoreConfig(executor=retired)
 
     def test_bad_dtype(self):
         with pytest.raises(ConfigurationError, match="dtype"):

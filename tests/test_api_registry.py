@@ -146,6 +146,15 @@ class TestThirdPartyRegistration:
         with pytest.raises(ConfigurationError, match="unknown capability flags"):
             register_backend("x", _scaled_factory, supports_teleport=True)
 
+    def test_capability_flags_are_exactly_the_four(self):
+        # The worker-process flag went with the process runtime.
+        assert set(BackendCapabilities().as_dict()) == {
+            "supports_rebalance",
+            "supports_state_dict",
+            "supports_snapshot",
+            "trainable_projection",
+        }
+
     def test_factory_dispatch(self, scaled_backend):
         emb = create_embedding("scaled_full", num_features=50, dim=4, rng=0)
         assert isinstance(emb, _ScaledFullEmbedding)

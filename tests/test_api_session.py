@@ -132,7 +132,6 @@ class TestRoundTripBitExactness:
         # The pre-PR-5 hand wiring (what experiments and the old CLIs did).
         from repro.experiments.common import build_dataset
         from repro.models import create_model
-        from repro.runtime.executor import create_executor
         from repro.training.trainer import Trainer
 
         dataset = build_dataset("criteo", scale="tiny", seed=0)
@@ -140,7 +139,6 @@ class TestRoundTripBitExactness:
             dataset.schema,
             spec=MIXED_SPEC,
             compression_ratio=10.0,
-            executor=create_executor("serial"),
             seed=0,
         )
         model = create_model(
@@ -176,7 +174,6 @@ class TestFrontDoorEquivalence:
         equals the PR-4 wiring (store factory + OnlinePipeline by hand)."""
         from repro.experiments.common import build_dataset
         from repro.models import create_model
-        from repro.runtime.executor import create_executor
         from repro.runtime.pipeline import OnlinePipeline, PipelineConfig
 
         dataset = build_dataset("criteo", scale="tiny", seed=0)
@@ -184,7 +181,6 @@ class TestFrontDoorEquivalence:
             dataset.schema,
             spec=MIXED_SPEC,
             compression_ratio=10.0,
-            executor=create_executor("serial"),
             seed=0,
         )
         model = create_model(

@@ -105,9 +105,9 @@ class TestCheckpoint:
         load_checkpoint(path, restored)
         assert np.array_equal(model.embedding.table, restored.embedding.table)
 
-    def test_roundtrip_sharded_store_with_process_executor(self, tmp_path):
-        """The full .npz checkpoint path over a process-executor sharded
-        store restores bit-exact tables at the configured dtype."""
+    def test_roundtrip_sharded_store(self, tmp_path):
+        """The full .npz checkpoint path over a sharded store restores
+        bit-exact tables at the configured dtype."""
         from repro.store import ShardedEmbeddingStore
 
         dataset = tiny_dataset()
@@ -121,34 +121,27 @@ class TestCheckpoint:
                 compression_ratio=10.0,
                 seed=seed,
                 dtype="float32",
-                executor="processes",
             )
             return build_model(dataset, embedding=store, seed=seed)
 
         model = sharded_model(0)
         trainer = Trainer(model)
-        try:
-            for batch in dataset.day_batches(0, 64):
-                trainer.train_step(batch)
-            path = save_checkpoint(tmp_path / "sharded.npz", model, step=trainer.global_step)
+        for batch in dataset.day_batches(0, 64):
+            trainer.train_step(batch)
+        path = save_checkpoint(tmp_path / "sharded.npz", model, step=trainer.global_step)
 
-            restored = sharded_model(42)
-            try:
-                assert load_checkpoint(path, restored) == trainer.global_step
-                for shard_a, shard_b in zip(model.store.shards, restored.store.shards):
-                    state_a, state_b = shard_a.state_dict(), shard_b.state_dict()
-                    assert np.array_equal(state_a["hot_table"], state_b["hot_table"])
-                    assert np.array_equal(state_a["shared_table"], state_b["shared_table"])
-                    assert state_b["hot_table"].dtype == np.dtype("float32")
-                test = dataset.test_batch(300)
-                assert np.array_equal(
-                    model.predict_proba(test.categorical, test.numerical),
-                    restored.predict_proba(test.categorical, test.numerical),
-                )
-            finally:
-                restored.store.executor.close()
-        finally:
-            model.store.executor.close()
+        restored = sharded_model(42)
+        assert load_checkpoint(path, restored) == trainer.global_step
+        for shard_a, shard_b in zip(model.store.shards, restored.store.shards):
+            state_a, state_b = shard_a.state_dict(), shard_b.state_dict()
+            assert np.array_equal(state_a["hot_table"], state_b["hot_table"])
+            assert np.array_equal(state_a["shared_table"], state_b["shared_table"])
+            assert state_b["hot_table"].dtype == np.dtype("float32")
+        test = dataset.test_batch(300)
+        assert np.array_equal(
+            model.predict_proba(test.categorical, test.numerical),
+            restored.predict_proba(test.categorical, test.numerical),
+        )
 
     def test_mismatched_model_rejected(self, tmp_path):
         dataset = tiny_dataset()

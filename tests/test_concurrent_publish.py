@@ -2,9 +2,8 @@
 
 The copy-on-write contract behind serve-while-train: a snapshot taken
 mid-training must stay bit-identical no matter how much `apply_gradients`
-and `rebalance` traffic hits the live store afterwards — under both the
-serial and the thread-pool executor, and also when a reader thread hammers
-the snapshot *while* the writer thread trains.
+and `rebalance` traffic hits the live store afterwards, also when a reader
+thread hammers the snapshot *while* the writer thread trains.
 """
 
 import threading
@@ -20,7 +19,7 @@ DIM = 8
 NUM_FEATURES = 3000
 
 
-def make_store(executor, num_shards=3, method="cafe"):
+def make_store(num_shards=3, method="cafe"):
     return ShardedEmbeddingStore.build(
         method,
         num_features=NUM_FEATURES,
@@ -28,7 +27,6 @@ def make_store(executor, num_shards=3, method="cafe"):
         num_shards=num_shards,
         compression_ratio=8.0,
         seed=0,
-        executor=executor,
     )
 
 
@@ -40,11 +38,10 @@ def training_traffic(seed, steps=6, batch=96, fields=3):
         yield ids, grads
 
 
-@pytest.mark.parametrize("executor", ["serial", "processes"])
 @pytest.mark.parametrize("method", ["hash", "cafe"])
 class TestSnapshotBitIdentical:
-    def test_mid_training_snapshot_survives_updates_and_rebalance(self, executor, method):
-        store = make_store(executor, method=method)
+    def test_mid_training_snapshot_survives_updates_and_rebalance(self, method):
+        store = make_store(method=method)
         probe = np.random.default_rng(99).integers(0, NUM_FEATURES, size=(64, 3))
 
         # Warm up, snapshot mid-training, capture the frozen values.
@@ -65,19 +62,13 @@ class TestSnapshotBitIdentical:
         )
         # The live store did diverge (the snapshot is not a stale alias bug).
         assert not np.array_equal(store.lookup(probe), frozen)
-        if not store.remote:  # workers copy on their side of a sealed generation
-            assert store.cow_copies > 0
-        store.executor.close()
+        assert store.cow_copies > 0
 
 
-@pytest.mark.parametrize("executor", ["serial", "processes"])
-def test_reader_thread_sees_stable_snapshot_during_training(executor):
+def test_reader_thread_sees_stable_snapshot_during_training():
     """Genuine concurrency: a reader hammers the snapshot while the writer
-    trains; every read must be bit-identical to the first.  Under the
-    processes executor the snapshot is a sealed shared-memory generation,
-    so this additionally pins the seal-and-graft path against writer
-    mutation and rebalance."""
-    store = make_store(executor)
+    trains; every read must be bit-identical to the first."""
+    store = make_store()
     for ids, grads in training_traffic(3):
         store.lookup(ids)
         store.apply_gradients(ids, grads)
@@ -106,14 +97,12 @@ def test_reader_thread_sees_stable_snapshot_during_training(executor):
         thread.join(timeout=10)
     assert not thread.is_alive()
     assert not mismatches
-    store.executor.close()
 
 
-@pytest.mark.parametrize("executor", ["serial", "processes"])
-def test_engine_answers_stable_while_training(executor):
+def test_engine_answers_stable_while_training():
     """Through the full serving engine: answers from a published snapshot
     do not move while the live store trains (they move after refresh)."""
-    store = make_store(executor, num_shards=2)
+    store = make_store(num_shards=2)
     model = DLRM(store, num_fields=3, num_numerical=0, rng=0)
     engine = ServingEngine(model, max_batch_size=16)
     probe = np.random.default_rng(11).integers(0, NUM_FEATURES, size=(32, 3))
@@ -126,4 +115,3 @@ def test_engine_answers_stable_while_training(executor):
 
     engine.refresh()
     assert not np.array_equal(engine.predict(probe), first)
-    store.executor.close()

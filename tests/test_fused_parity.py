@@ -4,8 +4,7 @@ The table-backed backends apply a step through one path (one segment-sum +
 one scatter per table).  Its bits were recorded as SHA-256 digests at the
 commit before the second, per-region implementation was deleted (636f398,
 where both implementations produced these digests): per embedding scheme,
-through the 2-shard store and through grouped tables.  Executor choice must
-not change a bit either.
+through the 2-shard store and through grouped tables.
 """
 
 import hashlib
@@ -15,7 +14,6 @@ import pytest
 
 from repro.data.schema import DatasetSchema, FieldSchema
 from repro.embeddings import create_embedding, create_embedding_store
-from repro.runtime.executor import create_executor
 from repro.store import ShardedEmbeddingStore, TableGroupStore
 
 NUM_FEATURES = 5000
@@ -129,45 +127,23 @@ def test_embedding_matches_golden_digest(method, optimizer):
 
 
 # --------------------------------------------------------------------------- #
-# Through the sharded store, all three executors
+# Through the sharded store
 # --------------------------------------------------------------------------- #
-def build_store(method, executor, seed=3, **kwargs):
-    return ShardedEmbeddingStore.build(
+@golden
+@pytest.mark.parametrize("method", ["cafe", "hash"])
+def test_sharded_store_matches_golden_digest(method):
+    store = ShardedEmbeddingStore.build(
         method,
         num_features=NUM_FEATURES,
         dim=DIM,
         num_shards=2,
         compression_ratio=10.0,
-        seed=seed,
-        executor=executor,
+        seed=3,
         optimizer="adagrad",
         learning_rate=0.05,
-        **kwargs,
     )
-
-
-@golden
-@pytest.mark.parametrize("method", ["cafe", "hash"])
-def test_sharded_store_matches_golden_digest(method):
-    store = build_store(method, create_executor("serial"))
     train(store, make_batches(seed=23))
     assert run_digest(store, PROBE) == GOLDEN_RUNS[f"sharded-{method}"]
-
-
-@pytest.mark.parametrize("kind", ["processes"])
-def test_sharded_store_executors_match_serial(kind):
-    """Executor choice must not change a bit."""
-    batches = make_batches(seed=31)
-    serial_store = build_store("cafe", create_executor("serial"))
-    train(serial_store, batches)
-    executor = create_executor(kind, max_workers=2)
-    try:
-        store = build_store("cafe", executor)
-        train(store, batches)
-        assert_states_equal(store.state_dict(), serial_store.state_dict())
-        np.testing.assert_array_equal(store.lookup(PROBE), serial_store.lookup(PROBE))
-    finally:
-        executor.close()
 
 
 # --------------------------------------------------------------------------- #

@@ -361,6 +361,43 @@ class TestRowOptimizers:
         opt.update(large, np.asarray([5]), np.ones((1, 2)))  # must not raise
         assert opt._accumulator.shape[0] == 6
 
+    def test_row_adagrad_state_buffers_are_the_live_accumulator(self):
+        table = np.zeros((4, 2))
+        opt = RowAdagrad(lr=1.0)
+        buffers = opt.state_buffers(table)
+        assert set(buffers) == {"accumulator"}
+        assert buffers["accumulator"].shape == (4,)
+        opt.update(table, np.asarray([2]), np.ones((1, 2)))
+        # The returned array is the optimizer's own state, not a copy.
+        assert buffers["accumulator"][2] > 0.0
+        assert buffers["accumulator"][[0, 1, 3]].tolist() == [0.0, 0.0, 0.0]
+
+    def test_adopted_state_buffers_keep_the_update_bits(self):
+        rng = np.random.default_rng(5)
+        rows = rng.integers(0, 6, size=(10, 3))
+        grads = rng.normal(size=(10, 3, 2))
+        plain_table, adopted_table = np.zeros((6, 2)), np.zeros((6, 2))
+        plain, adopted = RowAdagrad(lr=0.3), RowAdagrad(lr=0.3)
+        owned = np.zeros(6)
+        adopted.adopt_state_buffers({"accumulator": owned})
+        for step_rows, step_grads in zip(rows, grads):
+            plain.update(plain_table, step_rows, step_grads)
+            adopted.update(adopted_table, step_rows, step_grads)
+        assert np.array_equal(plain_table, adopted_table)
+        # Every step wrote into the caller-owned array.
+        assert adopted.state_buffers(adopted_table)["accumulator"] is owned
+        assert np.array_equal(owned, plain.state_buffers(plain_table)["accumulator"])
+
+    def test_stateless_row_sgd_has_no_state_buffers(self):
+        opt = RowSGD(lr=0.1)
+        assert opt.state_buffers(np.zeros((3, 2))) == {}
+        opt.adopt_state_buffers({})  # nothing to adopt is fine
+
+    def test_shared_buffer_names_are_retired(self):
+        for opt in (RowSGD(lr=0.1), RowAdagrad(lr=0.1)):
+            assert not hasattr(opt, "shared_buffers")
+            assert not hasattr(opt, "adopt_shared_buffers")
+
     def test_factory(self):
         assert isinstance(make_row_optimizer("sgd", 0.1), RowSGD)
         assert isinstance(make_row_optimizer("adagrad", 0.1), RowAdagrad)

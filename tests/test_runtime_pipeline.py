@@ -26,16 +26,15 @@ def tiny_dataset(seed=0, samples_per_day=384):
     )
 
 
-def make_pipeline(dataset, executor="serial", num_shards=2, method="cafe", **config):
+def make_pipeline(dataset, **config):
     schema = dataset.schema
     store = ShardedEmbeddingStore.build(
-        method,
+        "cafe",
         num_features=schema.num_features,
         dim=DIM,
-        num_shards=num_shards,
+        num_shards=2,
         compression_ratio=5.0,
         seed=0,
-        executor=executor,
     )
     model = DLRM(store, num_fields=schema.num_fields, num_numerical=schema.num_numerical, rng=0)
     defaults = dict(publish_every_steps=4, probe_every_steps=2, serving_micro_batch=32)
@@ -58,19 +57,17 @@ class TestConfigValidation:
 
 
 class TestStalenessContract:
-    @pytest.mark.parametrize("executor", ["serial", "processes"])
-    def test_snapshot_never_older_than_cadence(self, executor):
+    def test_snapshot_never_older_than_cadence(self):
         """The acceptance criterion: while training runs, the engine serves
         from a snapshot no older than the configured cadence."""
         dataset = tiny_dataset()
-        pipeline = make_pipeline(dataset, executor=executor, publish_every_steps=4)
+        pipeline = make_pipeline(dataset, publish_every_steps=4)
         report = pipeline.run(
             dataset.training_stream(64), probe_batch=dataset.test_batch(64)
         )
         assert report.steps > 8
         assert report.max_staleness_steps <= 4
         assert report.staleness_within_cadence
-        pipeline.model.store.executor.close()
 
     def test_staleness_tracks_cadence_exactly_on_multiples(self):
         dataset = tiny_dataset()
@@ -146,18 +143,6 @@ class TestReport:
         ]
         assert report.losses == reference
 
-    @pytest.mark.parametrize("method", ["hash", "cafe"])
-    def test_serial_vs_process_pipeline_losses_identical(self, method):
-        dataset = tiny_dataset()
-        serial = make_pipeline(dataset, executor="serial", method=method, max_steps=8)
-        remote = make_pipeline(tiny_dataset(), executor="processes", method=method, max_steps=8)
-        try:
-            losses_serial = serial.run(dataset.training_stream(64)).losses
-            losses_remote = remote.run(tiny_dataset().training_stream(64)).losses
-        finally:
-            remote.model.store.executor.close()
-        assert losses_serial == losses_remote
-
 
 class TestPipelineCLI:
     def test_run_pipeline_session_smoke(self, tmp_path):
@@ -169,14 +154,14 @@ class TestPipelineCLI:
         assert main(["pipeline", "--set", "pipeline.max_steps=8",
                      "--set", "pipeline.publish_every_steps=3",
                      "--set", "pipeline.probe_every_steps=2",
-                     "--set", "store.num_shards=2", "--set", "store.executor=processes",
+                     "--set", "store.num_shards=2", "--set", "store.executor=serial",
                      "--set", "pipeline.micro_batch=16", "--output", str(out)]) == 0
         report = json.loads(out.read_text())
         assert report["pipeline"]["steps"] == 8
         assert report["pipeline"]["staleness_within_cadence"] is True
         assert report["pipeline"]["max_staleness_steps"] <= 3
         assert report["store"]["num_shards"] == 2
-        assert report["store"]["executor"] == "ProcessShardExecutor"
+        assert report["store"]["executor"] == "SerialShardExecutor"
 
     def test_cli_writes_output_file(self, tmp_path):
         import json

@@ -4,10 +4,10 @@ The replicated tier's core claim: a replica fed *only* versioned payloads
 (one full base + any mix of deltas and rebases) serves bit-identically to a
 :class:`~repro.serving.engine.ServingEngine` handed the whole snapshot at
 every version.  These tests pin that down property-based (random
-train/publish interleavings, random rebase cadence), across all three shard
-executors (the processes executor exercises the row-diff fallback — sealed
-generations never preserve object identity), and for the replacement path
-(CAFE shards train their routing, so deltas cannot be proven row-local).
+train/publish interleavings, random rebase cadence), with and without the
+store's write log (without it the row-diff fallback carries every delta),
+and for the replacement path (CAFE shards train their routing, so deltas
+cannot be proven row-local).
 """
 
 import numpy as np
@@ -27,7 +27,7 @@ FIELDS = 3
 NUMERICAL = 2
 
 
-def make_model(method="hash", executor="serial", num_shards=3, seed=0):
+def make_model(method="hash", num_shards=3, seed=0):
     store = ShardedEmbeddingStore.build(
         method,
         num_features=NUM_FEATURES,
@@ -35,7 +35,6 @@ def make_model(method="hash", executor="serial", num_shards=3, seed=0):
         num_shards=num_shards,
         compression_ratio=8.0,
         seed=seed,
-        executor=executor,
     )
     return DLRM(store, FIELDS, NUMERICAL, rng=seed)
 
@@ -101,48 +100,46 @@ class TestDeltaChainParity:
             # rebase_every=1 is the always-full baseline by definition.
             assert publisher.stats.delta_publishes == 0
 
-    @pytest.mark.parametrize("executor", ["serial", "processes"])
+    @pytest.mark.parametrize("write_log", [True, False])
     @pytest.mark.parametrize("method", ["hash", "cafe"])
-    def test_parity_across_executors(self, method, executor):
-        """Fixed seeded chain across every executor; also pins which
-        extraction tier each combination is expected to use."""
-        model = make_model(method, executor)
-        try:
-            publisher = DeltaSnapshotPublisher(model, rebase_every=3)
-            replicas = ReplicaSet(2, policy="least_loaded")
-            engine = ServingEngine(model, max_batch_size=64)
-            rng = np.random.default_rng(7)
-            hot = rng.integers(0, 200, size=(48, FIELDS))
-            cat, num = probe_rows()
-            kinds = []
-            for round_index in range(5):
-                train_steps(model, rng, 2, hot)
-                payload = publisher.publish()
-                kinds.append(payload.kind)
-                replicas.publish(payload)
-                engine.refresh()
-                assert_parity(
-                    engine, replicas, cat, num,
-                    context=f"round {round_index} on {method}/{executor}",
-                )
-            # full base, deltas, one rebase at the cadence boundary.
-            assert kinds == ["full", "delta", "delta", "full", "delta"]
-            stats = publisher.stats
-            if method == "cafe":
-                # Routing trains -> whole-shard replacements, never row deltas.
-                assert stats.replacements > 0
-                assert stats.logged_diffs == 0 and stats.row_diffs == 0
-            elif executor == "processes":
-                # Sealed generations have fresh identity and no write log:
-                # the vectorized row-diff fallback must carry every delta.
-                assert stats.row_diffs > 0
-                assert stats.logged_diffs == 0
-            else:
-                # In-process executors keep the exact write log clean.
-                assert stats.logged_diffs > 0
-                assert stats.row_diffs == 0
-        finally:
-            model.store.executor.close()
+    def test_parity_across_extraction_tiers(self, method, write_log, monkeypatch):
+        """Fixed seeded chain with and without the store's write log; also
+        pins which extraction tier each combination is expected to use."""
+        model = make_model(method)
+        if not write_log:
+            monkeypatch.setattr(model.store, "enable_write_log", lambda: False)
+        publisher = DeltaSnapshotPublisher(model, rebase_every=3)
+        replicas = ReplicaSet(2, policy="least_loaded")
+        engine = ServingEngine(model, max_batch_size=64)
+        rng = np.random.default_rng(7)
+        hot = rng.integers(0, 200, size=(48, FIELDS))
+        cat, num = probe_rows()
+        kinds = []
+        for round_index in range(5):
+            train_steps(model, rng, 2, hot)
+            payload = publisher.publish()
+            kinds.append(payload.kind)
+            replicas.publish(payload)
+            engine.refresh()
+            assert_parity(
+                engine, replicas, cat, num,
+                context=f"round {round_index} on {method}, write_log={write_log}",
+            )
+        # full base, deltas, one rebase at the cadence boundary.
+        assert kinds == ["full", "delta", "delta", "full", "delta"]
+        stats = publisher.stats
+        if method == "cafe":
+            # Routing trains -> whole-shard replacements, never row deltas.
+            assert stats.replacements > 0
+            assert stats.logged_diffs == 0 and stats.row_diffs == 0
+        elif not write_log:
+            # No write log: the vectorized row-diff fallback carries every delta.
+            assert stats.row_diffs > 0
+            assert stats.logged_diffs == 0
+        else:
+            # The exact write log narrows every compare.
+            assert stats.logged_diffs > 0
+            assert stats.row_diffs == 0
 
     def test_versions_strictly_increase_and_chain(self):
         model = make_model()

@@ -201,7 +201,7 @@ class StackedStoreMachine(RuleBasedStateMachine):
             live = [shard._arena, shard.hot_table, shard.shared_table]
             live += [sketch.keys, sketch.scores, sketch.payloads]
             if shard._optimizer.memory_floats():
-                live += list(shard._optimizer.shared_buffers(shard._arena).values())
+                live += list(shard._optimizer.state_buffers(shard._arena).values())
             for array in live:
                 assert any(np.shares_memory(array, base) for base in stacked)
         live_shards = {id(shard) for shard in self.store.shards}
@@ -233,7 +233,6 @@ TestStackedStore = StackedStoreMachine.TestCase
         (2, "cafe_ml", {}, False),
         (2, "hash", {}, False),
         (2, "cafe", {"optimizer": "sketched_adagrad"}, False),
-        (2, "cafe", {"grad_exchange": "sketched"}, False),
     ],
 )
 def test_which_stores_stack(num_shards, method, kwargs, stacked):

@@ -279,45 +279,37 @@ class TestStoreCheckpointing:
         with pytest.raises(NotImplementedError):
             store.state_dict()
 
-    @pytest.mark.parametrize("executor", ["serial", "processes"])
     @pytest.mark.parametrize("method", ["cafe", "hash"])
-    def test_round_trip_with_executor_active(self, method, executor):
-        """Saving and restoring while an executor fans shard work out must
+    def test_round_trip_with_executor_active(self, method):
+        """Saving and restoring while the executor fans shard work out must
         stay bit-exact and keep the configured table dtype."""
         n = 2000
         def build(seed):
             return ShardedEmbeddingStore.build(
                 method, num_features=n, dim=DIM, num_shards=4,
                 compression_ratio=10.0, seed=seed, dtype="float32",
-                executor=executor,
             )
 
         store = build(0)
         ids = np.random.default_rng(0).integers(0, n, size=(16, 8))
-        try:
-            for _ in range(5):
-                store.lookup(ids)
-                store.apply_gradients(ids, np.ones((16, 8, DIM), dtype=np.float32))
-            state = store.state_dict()
+        for _ in range(5):
+            store.lookup(ids)
+            store.apply_gradients(ids, np.ones((16, 8, DIM), dtype=np.float32))
+        state = store.state_dict()
 
-            restored = build(99)
-            try:
-                restored.load_state_dict(state)
-                # Bit-exact tables, shard by shard, and preserved dtype.
-                for shard_a, shard_b in zip(store.shards, restored.shards):
-                    state_b = shard_b.state_dict()
-                    for key, value in shard_a.state_dict().items():
-                        assert np.array_equal(value, state_b[key]), key
-                    for table_key in {"table", "hot_table", "shared_table"} & state_b.keys():
-                        assert state_b[table_key].dtype == np.dtype("float32")
-                probe = np.random.default_rng(1).integers(0, n, size=200)
-                assert np.array_equal(store.lookup(probe), restored.lookup(probe))
-                # The restored store keeps training through its own executor.
-                restored.apply_gradients(probe, np.ones((200, DIM), dtype=np.float32))
-            finally:
-                restored.executor.close()
-        finally:
-            store.executor.close()
+        restored = build(99)
+        restored.load_state_dict(state)
+        # Bit-exact tables, shard by shard, and preserved dtype.
+        for shard_a, shard_b in zip(store.shards, restored.shards):
+            state_b = shard_b.state_dict()
+            for key, value in shard_a.state_dict().items():
+                assert np.array_equal(value, state_b[key]), key
+            for table_key in {"table", "hot_table", "shared_table"} & state_b.keys():
+                assert state_b[table_key].dtype == np.dtype("float32")
+        probe = np.random.default_rng(1).integers(0, n, size=200)
+        assert np.array_equal(store.lookup(probe), restored.lookup(probe))
+        # The restored store keeps training through its own executor.
+        restored.apply_gradients(probe, np.ones((200, DIM), dtype=np.float32))
 
     def test_legacy_unprefixed_state_loads_into_single_shard_store(self):
         """Checkpoints written before the store refactor carry the bare

@@ -13,8 +13,8 @@ Pinned here:
 * the boundary: empty batches are no-ops on every store, and NaN/inf
   gradients, non-integer ids and out-of-range ids raise named
   ``repro.errors`` before any shard is touched;
-* the wire: shards receive ascending distinct ids under both exchanges, and
-  the write log still names exactly the rows the scatter wrote.
+* the wire: shards receive ascending distinct ids, and the write log still
+  names exactly the rows the scatter wrote.
 """
 
 import sys
@@ -37,9 +37,7 @@ from repro.utils.hashing import hash_to_range
 N, DIM = 2000, 4
 
 
-def build_store(
-    method, num_shards, optimizer="sgd", executor=None, compression_ratio=4.0, **kwargs
-):
+def build_store(method, num_shards, optimizer="sgd", compression_ratio=4.0, **kwargs):
     return ShardedEmbeddingStore.build(
         method,
         num_features=N,
@@ -49,7 +47,6 @@ def build_store(
         seed=0,
         optimizer=optimizer,
         learning_rate=0.1,
-        executor=executor,
         **kwargs,
     )
 
@@ -483,17 +480,14 @@ class TestEmptyBatch:
         assert store.step() == 0
         assert all(shard.step() == 0 for shard in store.shards)
 
-    @pytest.mark.parametrize("executor", ["serial", "processes"])
-    def test_empty_batch_on_every_executor(self, executor):
-        store = build_store("cafe", 4, executor=executor)
-        try:
-            before = store.state_dict()
-            assert store.lookup(np.empty((0,), dtype=np.int64)).shape == (0, DIM)
-            store.apply_gradients(np.empty((0, 2), dtype=np.int64), np.empty((0, 2, DIM)))
-            assert store.step() == 0
-            assert_states_equal(before, store.state_dict())
-        finally:
-            store.executor.close()
+    @pytest.mark.parametrize("method", ["cafe", "cafe_ml", "hash", "full"])
+    def test_empty_batch_on_the_sharded_store(self, method):
+        store = build_store(method, 4)
+        before = store.state_dict()
+        assert store.lookup(np.empty((0,), dtype=np.int64)).shape == (0, DIM)
+        store.apply_gradients(np.empty((0, 2), dtype=np.int64), np.empty((0, 2, DIM)))
+        assert store.step() == 0
+        assert_states_equal(before, store.state_dict())
 
     def test_quantized_and_snapshot(self):
         from repro.embeddings import QuantizedEmbedding
@@ -524,17 +518,6 @@ class TestNamedErrors:
         assert store.step() == steps
         assert_states_equal(before, store.state_dict())
         assert all(np.isfinite(shard.sketch.scores).all() for shard in store.shards)
-
-    def test_non_finite_gradient_under_processes(self):
-        store = build_store("hash", 2, executor="processes")
-        try:
-            ids = np.asarray([[1, 2], [3, 1]])
-            before = store.state_dict()
-            with pytest.raises(NonFiniteGradientError):
-                store.apply_gradients(ids, np.full(ids.shape + (DIM,), np.nan))
-            assert_states_equal(before, store.state_dict())
-        finally:
-            store.executor.close()
 
     @pytest.mark.parametrize("num_shards", [1, 4])
     def test_non_integer_ids_are_refused_not_truncated(self, num_shards):
@@ -605,11 +588,10 @@ class TestNamedErrors:
 # (c) The wire: what a shard receives, and what the write log records
 # --------------------------------------------------------------------------- #
 class TestWire:
-    @pytest.mark.parametrize("grad_exchange", ["dense", "sketched"])
-    def test_shards_receive_ascending_distinct_ids(self, grad_exchange, monkeypatch):
-        # Under the dense exchange plain CAFE shards are stacked and step in
-        # one pass with no per-shard wire; cafe_ml always fans out.
-        store = build_store("cafe_ml", 4, grad_exchange=grad_exchange)
+    def test_shards_receive_ascending_distinct_ids(self, monkeypatch):
+        # Plain CAFE shards are stacked and step in one pass with no
+        # per-shard wire; cafe_ml always fans out.
+        store = build_store("cafe_ml", 4)
         received = []
         for shard in store.shards:
             original = shard.apply_unique
@@ -631,20 +613,15 @@ class TestWire:
             assert np.all(np.diff(uids) > 0)
             assert grad_sums.shape == (uids.size, DIM) and grad_sums.dtype == store.dtype
             assert scores.shape == (uids.size,) and scores.dtype == np.float64
-            if grad_exchange == "sketched":
-                # Importance is measured on what the shard reconstructed.
-                expected = np.sqrt(np.einsum("ij,ij->i", grad_sums, grad_sums))
-                assert np.array_equal(scores, expected.astype(np.float64))
-        if grad_exchange == "dense":
-            flat_ids, flat = ids.reshape(-1), grads.reshape(-1, DIM)
-            norms = np.sqrt(np.einsum("ij,ij->i", flat, flat)).astype(np.float64)
-            for uids, grad_sums, scores in received:
-                for uid, row, score in zip(uids, grad_sums, scores):
-                    mask = flat_ids == uid
-                    assert np.allclose(row, flat[mask].sum(axis=0), atol=1e-5)
-                    assert score == pytest.approx(norms[mask].sum())
-            unique = np.unique(ids).size
-            assert store.executor.stats.grad_bytes_per_step == unique * (8 + 4 * DIM + 8)
+        flat_ids, flat = ids.reshape(-1), grads.reshape(-1, DIM)
+        norms = np.sqrt(np.einsum("ij,ij->i", flat, flat)).astype(np.float64)
+        for uids, grad_sums, scores in received:
+            for uid, row, score in zip(uids, grad_sums, scores):
+                mask = flat_ids == uid
+                assert np.allclose(row, flat[mask].sum(axis=0), atol=1e-5)
+                assert score == pytest.approx(norms[mask].sum())
+        unique = np.unique(ids).size
+        assert store.executor.stats.grad_bytes_per_step == unique * (8 + 4 * DIM + 8)
 
     @pytest.mark.parametrize("method", ["hash", "full"])
     def test_write_log_names_exactly_the_written_rows(self, method):
