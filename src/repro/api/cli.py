@@ -9,8 +9,8 @@ Subcommands:
 
 ``train``            one (partial) chronological epoch + held-out AUC
 ``serve``            warm-up train → snapshot → micro-batched request replay
-                     (``--replicas N --traffic PATTERN`` switches to the
-                     delta-fed replicated tier under generated traffic)
+                     (``--replicas N`` replays through the delta-fed
+                     replicated tier instead of one engine)
 ``pipeline``         online train→publish→probe loop
 ``experiment``       paper tables/figures: ``list``, ``run fig8 --scale tiny``,
                      or a free-form method x compression-ratio ``sweep``
@@ -64,15 +64,11 @@ def build_parser() -> argparse.ArgumentParser:
         sub = subparsers.add_parser(command, help=help_by_command[command])
         _add_config_arguments(sub)
         if command == "serve":
-            # Shorthands for the replicated tier (equivalent --set spelling
+            # Shorthand for the replicated tier (the equivalent --set spelling
             # in the help keeps the dotted override path discoverable).
             sub.add_argument("--replicas", type=int, default=None, metavar="N",
                              help="serve from N delta-fed replicas behind a router "
                                   "(same as --set serve.replicas=N; 0 = single engine)")
-            sub.add_argument("--traffic", default=None, metavar="PATTERN",
-                             help="traffic pattern for the replicated replay: "
-                                  "uniform|zipf|zipf-diurnal|zipf-burst "
-                                  "(same as --set serve.traffic=PATTERN)")
 
     validate = subparsers.add_parser(
         "validate-config", help="validate config files (or directories of them)")
@@ -245,11 +241,8 @@ def main(argv: list[str] | None = None) -> int:
 
         return run_analyze(args)
 
-    if args.command == "serve":
-        if args.replicas is not None:
-            args.overrides.append(f"serve.replicas={args.replicas}")
-        if args.traffic is not None:
-            args.overrides.append(f"serve.traffic={args.traffic}")
+    if args.command == "serve" and args.replicas is not None:
+        args.overrides.append(f"serve.replicas={args.replicas}")
 
     try:
         config = _load_session_config(args)

@@ -348,27 +348,18 @@ class TrainConfig:
 
 @dataclass
 class ServeConfig:
-    """Offline serving replay (the ``serve`` lifecycle / subcommand).
+    """Offline closed-loop serving replay (the ``serve`` lifecycle / subcommand).
 
-    With ``replicas == 0`` (the default) the classic single-engine replay
-    runs.  Setting ``replicas > 0`` switches to the replicated tier: a
-    delta-snapshot publisher feeds N replicas behind a router, and the
-    replay becomes a generated traffic trace (``traffic`` names one of the
-    :data:`repro.serving.traffic.TRAFFIC_PATTERNS` presets) driven through
-    the virtual-time workload simulator.  ``slo_target_p99_ms > 0`` arms
-    the micro-batch SLO controller against that target.
+    ``requests`` single-row test requests are submitted one after another
+    and flushed, through one micro-batching engine when ``replicas == 0``
+    (the default) or, with ``replicas > 0``, through a delta-fed replica
+    tier of that many replicas behind a round-robin router.
     """
 
     micro_batch: int = 64
     requests: int = 256
     warmup_steps: int = 20
     replicas: int = 0
-    policy: str = "round_robin"
-    rebase_every: int = 8
-    traffic: str = "zipf"
-    traffic_duration_s: float = 2.0
-    traffic_rate: float = 2000.0
-    slo_target_p99_ms: float = 0.0
 
     def __post_init__(self):
         if self.micro_batch <= 0:
@@ -385,34 +376,6 @@ class ServeConfig:
             raise ConfigurationError(
                 f"serve.replicas must be non-negative (0 = single engine), "
                 f"got {self.replicas}"
-            )
-        if self.policy not in ("round_robin", "least_loaded"):
-            raise ConfigurationError(
-                f"serve.policy must be 'round_robin' or 'least_loaded', "
-                f"got '{self.policy}'"
-            )
-        if self.rebase_every < 0:
-            raise ConfigurationError(
-                f"serve.rebase_every must be non-negative (0 = never rebase, "
-                f"1 = always full), got {self.rebase_every}"
-            )
-        if self.traffic not in ("uniform", "zipf", "zipf-diurnal", "zipf-burst"):
-            raise ConfigurationError(
-                f"serve.traffic '{self.traffic}' is not a known pattern; expected "
-                "one of ['uniform', 'zipf', 'zipf-burst', 'zipf-diurnal']"
-            )
-        if self.traffic_duration_s <= 0:
-            raise ConfigurationError(
-                f"serve.traffic_duration_s must be positive, got {self.traffic_duration_s}"
-            )
-        if self.traffic_rate <= 0:
-            raise ConfigurationError(
-                f"serve.traffic_rate must be positive, got {self.traffic_rate}"
-            )
-        if self.slo_target_p99_ms < 0:
-            raise ConfigurationError(
-                f"serve.slo_target_p99_ms must be non-negative (0 disables the "
-                f"controller), got {self.slo_target_p99_ms}"
             )
 
 

@@ -7,7 +7,7 @@ lifecycle methods run every workload of ``python -m repro``:
 
 =================  ======================================================
 ``session.train()``         one (partial) chronological epoch + eval
-``session.serve()``         warm-up train → snapshot → request replay
+``session.serve()``         warm-up train → publish → closed-loop replay
 ``session.run_pipeline()``  online train→publish→probe loop
 ``session.snapshot()``      O(1) copy-on-write store snapshot
 ``session.checkpoint(p)``   dense + sparse state to one ``.npz``
@@ -142,16 +142,14 @@ class Session:
     # Lifecycle: serving replay
     # ------------------------------------------------------------------ #
     def serve(self) -> dict[str, Any]:
-        """Warm-up train, snapshot, replay requests.
+        """Warm-up train, publish, replay requests closed-loop.
 
         The zero-to-serving path of ``python -m repro serve``:
         ``serve.warmup_steps`` training steps build non-trivial store state,
-        then ``serve.requests`` single-row requests stream through the
-        micro-batching engine against a fresh snapshot.  With
-        ``serve.replicas > 0`` the replay instead goes through the
-        replicated tier: bootstrap full publish, delta-publish rounds, then
-        a generated traffic trace through the virtual-time workload driver
-        (see :meth:`_serve_replicated`).
+        then ``serve.requests`` single-row requests are submitted one after
+        another and flushed.  The server is a micro-batching engine over a
+        fresh snapshot or, with ``serve.replicas > 0``, the replicated tier
+        (see :meth:`_replica_tier`).
         """
         from repro.serving.engine import ServingEngine
 
@@ -162,39 +160,31 @@ class Session:
                 max_steps=config.serve.warmup_steps,
             )
         if config.serve.replicas:
-            return self._serve_replicated()
-        engine = ServingEngine(self.model, max_batch_size=config.serve.micro_batch)
+            server = self._replica_tier()
+        else:
+            server = ServingEngine(self.model, max_batch_size=config.serve.micro_batch)
         replay = self.dataset.test_batch(num_samples=config.serve.requests)
         started = time.perf_counter()
         for row in range(len(replay)):
             numerical = replay.numerical[row] if self.schema.num_numerical else None
-            engine.submit(replay.categorical[row], numerical)
-        engine.flush()
+            server.submit(replay.categorical[row], numerical)
+        server.flush()
         elapsed = time.perf_counter() - started
-        stats = engine.stats()
+        stats = server.stats()
         stats["requests_per_s"] = round(len(replay) / elapsed, 1)
         return {"config": config.to_dict(), "store": self.store.describe(), "serving": stats}
 
-    def _serve_replicated(self) -> dict[str, Any]:
-        """Replicated replay: delta-fed replicas under generated traffic.
+    def _replica_tier(self):
+        """A ``serve.replicas``-wide tier serving a delta-patched view.
 
-        Three train→publish rounds follow the bootstrap full snapshot so the
-        replay is served from a genuinely delta-patched view, then the
-        configured traffic pattern is replayed through the replica router in
-        virtual time (optionally under the SLO controller).
+        Three train→publish rounds follow the bootstrap full snapshot, so
+        the replay is answered from replicas that applied real deltas.
         """
         from repro.serving.replica import ReplicaTier
-        from repro.serving.slo import SLOController
-        from repro.serving.traffic import TrafficConfig, TrafficGenerator, run_workload
 
-        config = self.config
-        serve = config.serve
+        serve = self.config.serve
         tier = ReplicaTier(
-            self.model,
-            num_replicas=serve.replicas,
-            max_batch_size=serve.micro_batch,
-            policy=serve.policy,
-            rebase_every=serve.rebase_every,
+            self.model, num_replicas=serve.replicas, max_batch_size=serve.micro_batch
         )
         tier.publish()  # the full base snapshot every delta chains from
         delta_steps = max(1, serve.warmup_steps // 4 or 2)
@@ -203,34 +193,7 @@ class Session:
                 self.dataset.training_stream(self.batch_size), max_steps=delta_steps
             )
             tier.publish()
-
-        traffic = TrafficConfig.from_pattern(
-            serve.traffic,
-            duration_s=serve.traffic_duration_s,
-            base_rate=serve.traffic_rate,
-            seed=config.seed,
-        )
-        trace = TrafficGenerator(self.schema, traffic).trace()
-        controller = None
-        if serve.slo_target_p99_ms:
-            controller = SLOController(
-                serve.slo_target_p99_ms, micro_batch=serve.micro_batch
-            )
-        workload = run_workload(tier.replicas, trace, controller=controller)
-
-        serving = tier.stats()
-        serving["traffic"] = {
-            "pattern": traffic.pattern,
-            "duration_s": traffic.duration_s,
-            "base_rate": traffic.base_rate,
-            "requests": len(trace),
-        }
-        serving["workload"] = workload.as_dict()
-        return {
-            "config": config.to_dict(),
-            "store": self.store.describe(),
-            "serving": serving,
-        }
+        return tier
 
     # ------------------------------------------------------------------ #
     # Lifecycle: online pipeline

@@ -64,7 +64,7 @@ def run_fig17_drift_shift(
     result = ExperimentResult(
         experiment_id="fig17",
         title="Experiments on CriteoTB-1/3 (stronger distribution shift)",
-        timing_columns=("swt_p95_ms", "publish_p50_ms", "replica_speedup_2x", "burst_p99_ms"),
+        timing_columns=("swt_p95_ms", "publish_p50_ms"),
     )
     dataset = build_dataset("criteotb", scale=scale, seed=seeds[0])
     # Keep days 0, 3, 6, ... plus the original last day as the test day,
@@ -116,11 +116,6 @@ def run_fig17_drift_shift(
         "probe latency, snapshot publish latency and worst snapshot staleness of an "
         "OnlinePipeline run over the drifted stream"
     )
-    result.add_note(
-        "replica_speedup_2x / burst_p99_ms (focus-ratio rows): replicated-tier replay of "
-        "the drift-trained model — 2-replica saturated-throughput speedup and p99 under "
-        "a 4x flash crowd with the SLO controller adapting"
-    )
     return result
 
 
@@ -129,7 +124,6 @@ def _serve_while_train_columns(dataset, method, ratio, days, scale, seed) -> dic
     from repro.errors import MemoryBudgetError
     from repro.experiments.common import build_embedding, build_model
     from repro.runtime.pipeline import OnlinePipeline, PipelineConfig
-    from repro.training.latency import measure_replicated_serving
 
     spec = get_scale(scale)
     try:
@@ -148,11 +142,8 @@ def _serve_while_train_columns(dataset, method, ratio, days, scale, seed) -> dic
         probe_batch=dataset.test_batch(num_samples=64),
     )
     probe = report.probe_stats or {}
-    replica = measure_replicated_serving(model, dataset.schema, requests=800, seed=seed)
     return {
         "swt_p95_ms": round(float(probe.get("p95_ms", float("nan"))), 3),
         "publish_p50_ms": round(report.publish_percentile_ms(50.0), 3),
         "staleness_steps": report.max_staleness_steps,
-        "replica_speedup_2x": round(replica["replica_speedup_2x"], 3),
-        "burst_p99_ms": round(replica["burst_p99_ms"], 3),
     }

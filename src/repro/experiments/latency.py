@@ -31,8 +31,7 @@ def run_fig13_latency_throughput(
         timing_columns=(
             "train_latency_ms", "inference_latency_ms", "train_throughput",
             "inference_throughput", "serve_p50_ms", "serve_p95_ms", "serve_p99_ms",
-            "swt_p50_ms", "swt_p95_ms", "publish_p50_ms", "replica_speedup_2x",
-            "burst_p99_ms",
+            "swt_p50_ms", "swt_p95_ms", "publish_p50_ms",
         ),
     )
     spec = get_scale(scale)
@@ -57,7 +56,6 @@ def run_fig13_latency_throughput(
             method_name=method,
             repeats=repeats,
             serving_micro_batch=serving_micro_batch,
-            schema=dataset.schema,
         )
         result.add_row(feasible=True, **report.as_row())
     result.add_note(
@@ -77,10 +75,5 @@ def run_fig13_latency_throughput(
         "(requests answered from the last published snapshot while training continues); "
         "publish_p50_ms is the snapshot publish latency and staleness_steps the worst "
         "snapshot lag observed (bounded by the publish cadence)"
-    )
-    result.add_note(
-        "replica_speedup_2x / burst_p99_ms: replicated-tier replay in virtual time — "
-        "saturated-throughput ratio of 2 replicas vs 1, and overall p99 under a 4x "
-        "flash crowd with the SLO micro-batch controller adapting"
     )
     return result

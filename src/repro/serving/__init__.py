@@ -1,4 +1,4 @@
-"""Serving: snapshot-backed inference, delta-fed replicas, traffic replay."""
+"""Serving: snapshot-backed inference and delta-fed replicas."""
 
 from repro.serving.batcher import PendingPrediction
 from repro.serving.delta import (
@@ -9,17 +9,8 @@ from repro.serving.delta import (
     SnapshotPayload,
 )
 from repro.serving.engine import ServingEngine
-from repro.serving.replica import ROUTER_POLICIES, Replica, ReplicaSet, ReplicaTier
-from repro.serving.slo import SLOController
+from repro.serving.replica import Replica, ReplicaSet, ReplicaTier
 from repro.serving.stats import PERCENTILES, LatencyTracker
-from repro.serving.traffic import (
-    TRAFFIC_PATTERNS,
-    Request,
-    TrafficConfig,
-    TrafficGenerator,
-    WorkloadReport,
-    run_workload,
-)
 
 __all__ = [
     "ServingEngine",
@@ -34,12 +25,4 @@ __all__ = [
     "Replica",
     "ReplicaSet",
     "ReplicaTier",
-    "ROUTER_POLICIES",
-    "SLOController",
-    "TrafficConfig",
-    "TrafficGenerator",
-    "TRAFFIC_PATTERNS",
-    "Request",
-    "WorkloadReport",
-    "run_workload",
 ]

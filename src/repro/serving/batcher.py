@@ -67,7 +67,7 @@ class MicroBatcher:
         self.micro_batches = 0
         self.requests_served = 0
         self.rows_served = 0
-        #: Rows waiting in the queue (the router's least-loaded signal).
+        #: Rows waiting in the queue (the next free row of the request block).
         self.queued_rows = 0
         self._queue: list[PendingPrediction] = []
         # The request blocks and their shape constants, allocated by _stage();

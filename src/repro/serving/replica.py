@@ -4,8 +4,8 @@ One :class:`~repro.serving.engine.ServingEngine` tops out at one core's
 forward-pass throughput.  The replicated tier scales horizontally: a
 :class:`ReplicaSet` holds N :class:`Replica` instances — each a private,
 micro-batching serving engine — and routes requests across them
-(round-robin, or least-loaded by queued rows).  Replicas are fed by the
-:class:`~repro.serving.delta.DeltaSnapshotPublisher`: a *full* payload
+round-robin.  Replicas are fed by the :class:`~repro.serving.delta.
+DeltaSnapshotPublisher`: a *full* payload
 rebuilds a replica's entire view, a *delta* payload patches only the rows
 training touched, and every payload is versioned so the chain is checked,
 not assumed.
@@ -48,9 +48,6 @@ from repro.serving.delta import (
     serving_state_of,
 )
 from repro.store.snapshot import StoreSnapshot
-
-#: Router policies a :class:`ReplicaSet` understands.
-ROUTER_POLICIES = ("round_robin", "least_loaded")
 
 
 class _Published:
@@ -288,19 +285,6 @@ class Replica(MicroBatcher):
             )
         return serving.model
 
-    def serve_batch(
-        self, categorical: np.ndarray, numerical: np.ndarray | None = None
-    ) -> tuple[np.ndarray, float]:
-        """One direct forward pass: ``(probabilities, compute_seconds)``.
-
-        The virtual-time workload driver uses this to run its own queueing
-        simulation around real (or modeled) per-batch compute times.
-        """
-        model = self._serving_model()
-        start = time.perf_counter()
-        probabilities = model.predict_proba(categorical, numerical)
-        return probabilities, time.perf_counter() - start
-
     # ------------------------------------------------------------------ #
     # Reporting
     # ------------------------------------------------------------------ #
@@ -320,28 +304,12 @@ class Replica(MicroBatcher):
 
 
 class ReplicaSet:
-    """N replicas behind one router.
+    """N replicas behind one round-robin router."""
 
-    ``policy`` picks the routing discipline: ``"round_robin"`` spreads
-    requests evenly; ``"least_loaded"`` sends each request to the replica
-    with the fewest queued rows (ties break to the lowest index), which
-    absorbs stragglers and uneven request sizes.
-    """
-
-    def __init__(
-        self,
-        num_replicas: int,
-        max_batch_size: int = 64,
-        policy: str = "round_robin",
-    ):
+    def __init__(self, num_replicas: int, max_batch_size: int = 64):
         if num_replicas <= 0:
             raise ValueError(f"num_replicas must be positive, got {num_replicas}")
-        if policy not in ROUTER_POLICIES:
-            raise ValueError(
-                f"unknown router policy {policy!r}; expected one of {ROUTER_POLICIES}"
-            )
         self.replicas = [Replica(i, max_batch_size) for i in range(num_replicas)]
-        self.policy = policy
         self._next = 0
 
     def __len__(self) -> int:
@@ -373,8 +341,6 @@ class ReplicaSet:
     # ------------------------------------------------------------------ #
     def route(self) -> Replica:
         """Pick the replica the next request goes to."""
-        if self.policy == "least_loaded":
-            return min(self.replicas, key=lambda r: (r.queued_rows, r.index))
         replica = self.replicas[self._next]
         self._next = (self._next + 1) % len(self.replicas)
         return replica
@@ -392,13 +358,6 @@ class ReplicaSet:
     def flush(self) -> int:
         return sum(replica.flush() for replica in self.replicas)
 
-    def set_max_batch_size(self, max_batch_size: int) -> None:
-        """Retarget every replica's micro-batch (the SLO controller's lever)."""
-        if max_batch_size <= 0:
-            raise ValueError(f"max_batch_size must be positive, got {max_batch_size}")
-        for replica in self.replicas:
-            replica.max_batch_size = int(max_batch_size)
-
     # ------------------------------------------------------------------ #
     # Reporting
     # ------------------------------------------------------------------ #
@@ -406,7 +365,6 @@ class ReplicaSet:
         per_replica = [replica.stats() for replica in self.replicas]
         return {
             "num_replicas": len(self.replicas),
-            "policy": self.policy,
             "versions": self.versions(),
             "requests_served": sum(r["requests_served"] for r in per_replica),
             "replicas": per_replica,
@@ -425,13 +383,10 @@ class ReplicaTier:
         model: Any,
         num_replicas: int = 2,
         max_batch_size: int = 64,
-        policy: str = "round_robin",
         rebase_every: int = 8,
     ):
         self.publisher = DeltaSnapshotPublisher(model, rebase_every=rebase_every)
-        self.replicas = ReplicaSet(
-            num_replicas, max_batch_size=max_batch_size, policy=policy
-        )
+        self.replicas = ReplicaSet(num_replicas, max_batch_size=max_batch_size)
 
     def publish(self) -> SnapshotPayload:
         start = time.perf_counter()
@@ -459,5 +414,5 @@ class ReplicaTier:
 
     def stats(self) -> dict[str, Any]:
         stats = self.replicas.stats()
-        stats["publisher"] = self.publisher.stats.as_dict()
+        stats["publisher"] = {"version": self.publisher.version} | self.publisher.stats.as_dict()
         return stats

@@ -21,13 +21,9 @@ class LatencyTracker:
     """Accumulates per-request latencies and summarizes their distribution.
 
     Percentiles are NaN-safe: an empty tracker reports ``0.0`` for every
-    latency figure (count ``0``) instead of ``nan``, so callers — the SLO
-    controller sampling short windows, JSON reports — never need a guard,
-    and a single sample is its own p50/p95/p99.
-
-    ``window`` bounds the tracker to the most recent N samples (a sliding
-    window), which is what the SLO controller reads: old traffic must not
-    dilute the tail of the current regime.
+    latency figure (count ``0``) instead of ``nan``, so callers — a probe
+    that has not fired yet, JSON reports — never need a guard, and a single
+    sample is its own p50/p95/p99.
 
     >>> tracker = LatencyTracker()
     >>> tracker.percentile_ms(99.0)
@@ -40,18 +36,10 @@ class LatencyTracker:
     2.0
     >>> tracker.summary()["count"]
     3
-    >>> windowed = LatencyTracker(window=2)
-    >>> for seconds in (0.9, 0.001, 0.003):
-    ...     windowed.record(seconds)
-    >>> windowed.percentile_ms(99.0) < 10.0
-    True
     """
 
-    def __init__(self, window: int | None = None):
-        if window is not None and window <= 0:
-            raise ValueError(f"window must be positive, got {window}")
-        self.window = window
-        self._seconds: deque[float] = deque(maxlen=window)
+    def __init__(self):
+        self._seconds: deque[float] = deque()  # grows without reallocating
 
     def record(self, seconds: float) -> None:
         self._seconds.append(float(seconds))

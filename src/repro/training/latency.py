@@ -44,11 +44,6 @@ class LatencyReport:
     swt_p95_ms: float = float("nan")
     publish_p50_ms: float = float("nan")
     staleness_steps: int = 0
-    #: Replicated tier: saturated-throughput ratio of 2 replicas vs 1, and
-    #: overall p99 under a 4x flash crowd with the SLO micro-batch
-    #: controller active (NaN when the replica replay was not measured).
-    replica_speedup_2x: float = float("nan")
-    burst_p99_ms: float = float("nan")
 
     def as_row(self) -> dict[str, float | str]:
         return {
@@ -65,8 +60,6 @@ class LatencyReport:
             "swt_p95_ms": round(self.swt_p95_ms, 3),
             "publish_p50_ms": round(self.publish_p50_ms, 3),
             "staleness_steps": self.staleness_steps,
-            "replica_speedup_2x": round(self.replica_speedup_2x, 3),
-            "burst_p99_ms": round(self.burst_p99_ms, 3),
         }
 
 
@@ -132,110 +125,6 @@ def measure_serve_while_train(
     }
 
 
-def measure_replicated_serving(
-    model: RecommendationModel,
-    schema,
-    micro_batch: int = 32,
-    requests: int = 1200,
-    seed: int = 0,
-) -> dict[str, float]:
-    """Replica-count scaling and p99-under-burst through the replicated tier.
-
-    Virtual-time queueing replays (:func:`repro.serving.traffic.
-    run_workload`) driven by a service model calibrated from this method's
-    real forward passes, so both columns reflect its measured compute cost
-    while the queueing physics stay deterministic:
-
-    * ``replica_speedup_2x`` — saturated-throughput ratio of 2 replicas vs 1
-      under the same Zipfian arrival stream;
-    * ``burst_p99_ms`` — overall request p99 (virtual ms) under a 4x
-      flash-crowd window on 2 replicas with the SLO micro-batch controller
-      active.
-
-    Arrival rates are placed relative to a quick capacity calibration
-    (two forward passes) so the replays hit the intended queueing regimes —
-    saturation, then a burst past baseline capacity — on any host.
-    """
-    from repro.serving.replica import ReplicaTier
-    from repro.serving.slo import SLOController
-    from repro.serving.traffic import TrafficConfig, TrafficGenerator, run_workload
-
-    def fresh_set(num_replicas: int):
-        tier = ReplicaTier(model, num_replicas=num_replicas, max_batch_size=micro_batch)
-        tier.publish()
-        return tier.replicas
-
-    calibration = TrafficGenerator(
-        schema,
-        TrafficConfig.from_pattern(
-            "zipf", duration_s=1.0, base_rate=8.0 * micro_batch, seed=seed
-        ),
-    ).trace()
-    rows = np.concatenate(
-        [r.categorical for r in calibration[: 4 * micro_batch]], axis=0
-    )
-    width = int(getattr(schema, "num_numerical", 0))
-    numerical = np.zeros((rows.shape[0], width)) if width else None
-
-    def calib_batch(n):
-        return rows[:n], None if numerical is None else numerical[:n]
-
-    replica = fresh_set(1).replicas[0]
-    replica.serve_batch(*calib_batch(micro_batch))  # warmup
-    _, t_small = replica.serve_batch(*calib_batch(micro_batch))
-    _, t_large = replica.serve_batch(rows, numerical)
-    per_row_s = max((t_large - t_small) / (rows.shape[0] - micro_batch), 1e-8)
-    base_s = max(t_small - micro_batch * per_row_s, 1e-6)
-    batch_service_s = base_s + per_row_s * micro_batch
-    capacity_rps = micro_batch / batch_service_s
-
-    throughput: dict[int, float] = {}
-    saturation_rate = 3.0 * capacity_rps
-    for count in (1, 2):
-        config = TrafficConfig.from_pattern(
-            "zipf",
-            duration_s=requests / saturation_rate,
-            base_rate=saturation_rate,
-            seed=seed,
-        )
-        trace = TrafficGenerator(schema, config).trace()
-        report = run_workload(
-            fresh_set(count),
-            trace,
-            window_s=config.duration_s / 4,
-            # Batching timeout on the service-time scale: the default 10 ms
-            # would dwarf the whole trace at these calibrated rates.
-            max_wait_s=batch_service_s,
-            service_model=(base_s, per_row_s),
-        )
-        throughput[count] = report.throughput_rps or 1.0
-
-    # 55% baseline utilization on 2 replicas, then a 4x flash crowd.
-    burst_rate = 1.1 * capacity_rps
-    burst_config = TrafficConfig.from_pattern(
-        "zipf-burst",
-        duration_s=requests / (1.75 * burst_rate),
-        base_rate=burst_rate,
-        burst_magnitude=4.0,
-        diurnal_amplitude=0.0,
-        straggler_fraction=0.0,
-        seed=seed + 1,
-    )
-    target_p99_ms = 8.0 * batch_service_s * 1e3
-    burst_report = run_workload(
-        fresh_set(2),
-        TrafficGenerator(schema, burst_config).trace(),
-        window_s=burst_config.duration_s / 8,
-        max_wait_s=batch_service_s,
-        controller=SLOController(target_p99_ms, micro_batch=micro_batch),
-        service_model=(base_s, per_row_s),
-    )
-    return {
-        "replica_speedup_2x": throughput[2] / throughput[1],
-        "burst_p99_ms": float(burst_report.overall["p99_ms"]),
-    }
-
-
 def measure_latency(
     model: RecommendationModel,
     train_batch: Batch,
@@ -245,16 +134,13 @@ def measure_latency(
     repeats: int = 5,
     serving_micro_batch: int | None = 64,
     serve_while_train_steps: int = 12,
-    schema=None,
 ) -> LatencyReport:
     """Time training steps, inference passes and (optionally) serving.
 
     ``serving_micro_batch`` enables the per-request serving measurement
     through the snapshot engine (pass ``None`` to skip it) and, with it, the
     serve-while-train measurement through the online pipeline
-    (``serve_while_train_steps=0`` skips just that part).  Passing
-    ``schema`` additionally measures the replicated tier (replica-count
-    scaling and p99-under-burst) via :func:`measure_replicated_serving`.
+    (``serve_while_train_steps=0`` skips just that part).
     """
     trainer = Trainer(model)
     for _ in range(warmup):
@@ -280,7 +166,6 @@ def measure_latency(
 
     serve_stats: dict[str, float | int] = {}
     swt_stats: dict[str, float | int] = {}
-    replica_stats: dict[str, float] = {}
     if serving_micro_batch is not None:
         serve_stats = measure_serving_latency(model, inference_batch, serving_micro_batch)
         if serve_while_train_steps:
@@ -292,8 +177,6 @@ def measure_latency(
                 steps=serve_while_train_steps,
                 micro_batch=serving_micro_batch,
             )
-        if schema is not None:
-            replica_stats = measure_replicated_serving(model, schema)
 
     train_latency = float(np.median(train_times))
     inference_latency = float(np.median(inference_times))
@@ -311,8 +194,6 @@ def measure_latency(
         swt_p95_ms=float(swt_stats.get("swt_p95_ms", float("nan"))),
         publish_p50_ms=float(swt_stats.get("publish_p50_ms", float("nan"))),
         staleness_steps=int(swt_stats.get("staleness_steps", 0)),
-        replica_speedup_2x=float(replica_stats.get("replica_speedup_2x", float("nan"))),
-        burst_p99_ms=float(replica_stats.get("burst_p99_ms", float("nan"))),
     )
 
 

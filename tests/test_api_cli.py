@@ -90,17 +90,31 @@ class TestWorkloadCommands:
         assert report["pipeline"]["staleness_within_cadence"] is True
         assert report["store"]["num_groups"] >= 2
 
-    def test_serve_defaults_with_small_overrides(self, capsys):
+    @pytest.mark.parametrize("replicas", [0, 2])
+    def test_serve_defaults_with_small_overrides(self, replicas, capsys):
         code = main([
             "serve",
             "--set", "serve.requests=16",
             "--set", "serve.warmup_steps=1",
             "--set", "serve.micro_batch=8",
+            "--set", f"serve.replicas={replicas}",
         ])
         assert code == 0
-        report = json.loads(capsys.readouterr().out)
-        assert report["serving"]["requests_served"] == 16
-        assert report["serving"]["requests_per_s"] > 0
+        serving = json.loads(capsys.readouterr().out)["serving"]
+        assert serving["requests_served"] == 16
+        assert serving["requests_per_s"] > 0
+        if replicas:
+            # Bootstrap full + three delta rounds reached every replica.
+            assert serving["publisher"]["version"] > 0
+            assert serving["versions"] == [serving["publisher"]["version"]] * replicas
+            assert [r["version"] for r in serving["replicas"]] == serving["versions"]
+
+    def test_serve_traffic_flag_is_gone(self, capsys):
+        # Serving is closed-loop only; see docs/serving.md "Retired in PR 28".
+        with pytest.raises(SystemExit) as exited:
+            main(["serve", "--traffic", "zipf"])
+        assert exited.value.code == 2
+        assert "--traffic" in capsys.readouterr().err
 
     def test_describe_resolved_plan(self, capsys):
         assert main(["describe", "--set", "store.num_shards=2"]) == 0
@@ -139,6 +153,7 @@ class TestRetiredModules:
         "cli", "pipeline", "serve", "serving.cli", "runtime.cli",
         "training.config", "sketch.decay", "sketch.count_sketch",
         "runtime.process", "runtime.shm", "store.grad_exchange", "sketch.csvec",
+        "serving.traffic", "serving.slo",
     ])
     def test_import_fails(self, module):
         with pytest.raises(ModuleNotFoundError):

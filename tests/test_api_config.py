@@ -88,6 +88,18 @@ class TestValidation:
         with pytest.raises(ConfigurationError, match=f"unknown config key 'store.{key}'"):
             apply_overrides(SystemConfig(), [f"store.{key}={value}"])
 
+    @pytest.mark.parametrize("key, value", [
+        ("traffic", "zipf"), ("traffic_duration_s", 2.0), ("traffic_rate", 800.0),
+        ("slo_target_p99_ms", 50.0), ("policy", "round_robin"), ("rebase_every", 8),
+    ])
+    def test_removed_traffic_replay_options_are_unknown_keys(self, key, value):
+        # The error names the key and lists what serve.* still accepts.
+        message = rf"unknown config key 'serve\.{key}'.*valid keys under 'serve'.*'replicas'"
+        with pytest.raises(ConfigurationError, match=message):
+            SystemConfig.from_dict({"serve": {key: value}})
+        with pytest.raises(ConfigurationError, match=message):
+            apply_overrides(SystemConfig(), [f"serve.{key}={value}"])
+
     def test_processes_executor_is_refused_listing_serial(self):
         with pytest.raises(ConfigurationError, match=r"store\.executor 'processes'.*\['serial'\]"):
             apply_overrides(SystemConfig(), ["store.executor=processes"])

@@ -69,24 +69,13 @@ class TestLatencyTracker:
             assert summary[key] == pytest.approx(5.0)
 
     def test_record_many_equals_repeated_record(self):
-        one_by_one, batched = LatencyTracker(window=5), LatencyTracker(window=5)
+        one_by_one, batched = LatencyTracker(), LatencyTracker()
         samples = [0.004, 0.001, 0.009, 0.002, 0.007, 0.003, 0.005]
         for seconds in samples:
             one_by_one.record(seconds)
         batched.record_many(samples[:3])
         batched.record_many(samples[3:])
-        assert len(batched) == 5 and batched.summary() == one_by_one.summary()
-
-    def test_windowed_tracker_evicts_oldest(self):
-        """window=N keeps the last N samples only — the sliding view the SLO
-        controller and the workload driver observe."""
-        tracker = LatencyTracker(window=4)
-        for ms in (100, 100, 100, 1, 1, 1, 1):
-            tracker.record(ms / 1000.0)
-        assert len(tracker) == 4
-        assert tracker.percentile_ms(99.0) == pytest.approx(1.0)
-        with pytest.raises(ValueError):
-            LatencyTracker(window=0)
+        assert len(batched) == 7 and batched.summary() == one_by_one.summary()
 
 
 class TestServingEngine:

@@ -1,14 +1,11 @@
 """Fault injection for the replicated serve path.
 
-Three failure families the delta protocol must turn into *defined* behaviour:
+Two failure families the delta protocol must turn into *defined* behaviour:
 
 * a replica that stalls (or dies) mid-cutover keeps serving the old version
   — readers never observe a half-applied view;
 * dropped or duplicated payloads raise descriptive protocol errors instead
-  of silently serving stale or corrupted rows;
-* a flash-crowd burst drives p99 past the SLO target, and the micro-batch
-  controller brings it back within its adaptation window (deterministic
-  virtual-time replay via a modeled service time).
+  of silently serving stale or corrupted rows.
 """
 
 import threading
@@ -16,17 +13,9 @@ import threading
 import numpy as np
 import pytest
 
-from repro.data.schema import DatasetSchema, FieldSchema
 from repro.errors import DeltaChainGapError, VersionRegressionError
 from repro.models.dlrm import DLRM
-from repro.serving import (
-    DeltaSnapshotPublisher,
-    ReplicaSet,
-    SLOController,
-    TrafficConfig,
-    TrafficGenerator,
-    run_workload,
-)
+from repro.serving import DeltaSnapshotPublisher, ReplicaSet
 from repro.store import ShardedEmbeddingStore
 
 DIM = 8
@@ -91,7 +80,7 @@ class TestStalledCutover:
 
         def stall(rep, incoming):
             observed["version"] = rep.version
-            observed["prediction"], _ = rep.serve_batch(cat, num)
+            observed["prediction"] = rep.predict(cat, num)
 
         replica.before_cutover = stall
         replica.apply(payload)
@@ -120,7 +109,7 @@ class TestStalledCutover:
         def reader():
             stalled.wait(timeout=5.0)
             for _ in range(3):
-                probabilities, _ = replica.serve_batch(cat, num)
+                probabilities = replica.predict(cat, num)
                 reads.append((replica.version, probabilities))
             release.set()
 
@@ -225,93 +214,3 @@ class TestDeltaProtocolFaults:
             fresh.apply(delta)
         assert not fresh.ready
 
-
-class TestSLOBurstRecovery:
-    """Deterministic queueing: service time is modeled (base + per-row), so
-    the only physics is arrivals vs batch size — exactly what the SLO
-    controller manipulates."""
-
-    TARGET_P99_MS = 60.0
-    BASELINE_BATCH = 16
-    #: 8 ms per batch + 10 us per row: throughput scales with batch size.
-    SERVICE_MODEL = (0.008, 0.00001)
-
-    def burst_replay(self, controller):
-        model = make_model()
-        publisher = DeltaSnapshotPublisher(model)
-        rng = np.random.default_rng(17)
-        train_some(model, rng)
-        replicas = ReplicaSet(2, max_batch_size=self.BASELINE_BATCH)
-        replicas.publish(publisher.publish())
-        schema = DatasetSchema(
-            name="faults",
-            fields=[FieldSchema(f"f{i}", NUM_FEATURES // FIELDS) for i in range(FIELDS)],
-            num_numerical=NUMERICAL,
-            embedding_dim=DIM,
-        )
-        config = TrafficConfig.from_pattern(
-            "zipf-burst",
-            duration_s=4.0,
-            base_rate=700.0,
-            burst_magnitude=10.0,
-            # Pure burst: no diurnal swing, no stragglers, so the only
-            # tail-latency physics is the flash crowd vs the batch size.
-            diurnal_amplitude=0.0,
-            straggler_fraction=0.0,
-            seed=21,
-        )
-        trace = TrafficGenerator(schema, config).trace()
-        report = run_workload(
-            replicas,
-            trace,
-            window_s=0.25,
-            controller=controller,
-            service_model=self.SERVICE_MODEL,
-        )
-        return config, report
-
-    def controller(self):
-        return SLOController(
-            self.TARGET_P99_MS, micro_batch=self.BASELINE_BATCH, grow=2.0
-        )
-
-    def test_burst_breaches_target_then_controller_recovers(self):
-        controller = self.controller()
-        config, report = self.burst_replay(controller)
-        burst_start, burst_end = config.burst_window()
-
-        # The burst genuinely broke the SLO at the baseline batch size...
-        burst_windows = report.windows_between(burst_start, burst_end)
-        assert max(w["p99_ms"] for w in burst_windows) > self.TARGET_P99_MS
-
-        # ...the controller reacted (grew the batch past the baseline)...
-        assert controller.adaptations > 0
-        assert controller.summary()["max_micro_batch_used"] > self.BASELINE_BATCH
-
-        # ...and p99 is back under target within the adaptation window: every
-        # report window after one second of burst is compliant again.
-        recovered = report.windows_between(burst_start + 1.0, report.virtual_duration_s)
-        assert recovered, "replay must extend past the recovery deadline"
-        worst_after = max(w["p99_ms"] for w in recovered if w["completions"])
-        assert worst_after < self.TARGET_P99_MS, (
-            f"p99 stayed at {worst_after:.1f} ms after the adaptation window "
-            f"(target {self.TARGET_P99_MS} ms)"
-        )
-
-    def test_without_controller_the_burst_backlog_persists(self):
-        """Control experiment: identical trace and service model, fixed batch
-        — the queue built during the burst keeps p99 broken long after."""
-        config, fixed = self.burst_replay(controller=None)
-        burst_start, _ = config.burst_window()
-        late = fixed.windows_between(burst_start + 1.0, fixed.virtual_duration_s)
-        worst_late = max(w["p99_ms"] for w in late if w["completions"])
-        assert worst_late > self.TARGET_P99_MS, (
-            "without adaptation the backlog should keep violating the target "
-            "(otherwise the recovery test proves nothing)"
-        )
-
-        controller = self.controller()
-        _, adapted = self.burst_replay(controller)
-        assert adapted.overall["p99_ms"] < fixed.overall["p99_ms"], (
-            "the controller must improve overall tail latency on this trace"
-        )

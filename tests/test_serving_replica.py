@@ -109,7 +109,7 @@ class TestDeltaChainParity:
         if not write_log:
             monkeypatch.setattr(model.store, "enable_write_log", lambda: False)
         publisher = DeltaSnapshotPublisher(model, rebase_every=3)
-        replicas = ReplicaSet(2, policy="least_loaded")
+        replicas = ReplicaSet(2)
         engine = ServingEngine(model, max_batch_size=64)
         rng = np.random.default_rng(7)
         hot = rng.integers(0, 200, size=(48, FIELDS))
