@@ -8,8 +8,17 @@ other ``CompressedEmbedding``) without touching the dense network, as long as
 it routes the per-lookup gradients back through ``apply_gradients``.
 
 This example defines a small custom two-tower-style model from scratch —
-without using ``repro.models`` — and trains it with three interchangeable
-embedding backends.
+without using ``repro.models`` — and trains it with three named embedding
+backends plus one brought by the example itself.
+
+Bringing your own backend: subclass ``CompressedEmbedding`` and implement
+``lookup_unique`` / ``apply_unique`` / ``memory_floats``; build instances
+directly (there is nothing to register) and, to shard them, pass them to
+``ShardedEmbeddingStore([...])``.  What the class implements of the rest of
+the contract is what it can do: ``state_dict`` / ``load_state_dict`` make it
+checkpointable, overriding ``rebalance`` makes it adaptive,
+``merged_sketch`` gives it a hot-feature sketch and ``serving_state`` lets
+the delta publisher ship changed rows instead of whole shards.
 
 Run with:  python examples/custom_model_integration.py
 """
@@ -22,10 +31,34 @@ from repro.data import SyntheticConfig, SyntheticCTRDataset, make_preset
 from repro.embeddings import CompressedEmbedding, create_embedding
 from repro.nn import MLP, Adam, Tensor, functional as F
 from repro.nn.module import Module
+from repro.store import ShardedEmbeddingStore
 from repro.training.metrics import roc_auc
 
 BATCH_SIZE = 128
 SEED = 11
+
+
+class PlainSGDTable(CompressedEmbedding):
+    """A backend of our own: one row per feature, plain SGD, no checkpoint.
+
+    Plain SGD needs a far larger step than the built-ins' Adagrad at 0.1.
+    """
+
+    def __init__(self, num_features: int, dim: int, learning_rate: float = 2.0, rng=None):
+        super().__init__(num_features, dim)
+        self.learning_rate = learning_rate
+        init = np.random.default_rng(rng).standard_normal((num_features, dim)) * 0.01
+        self.table = init.astype(self.dtype)
+
+    def lookup_unique(self, uids: np.ndarray) -> np.ndarray:
+        return self.table[uids]
+
+    def apply_unique(self, uids: np.ndarray, grad_sums: np.ndarray, scores: np.ndarray) -> None:
+        self.table[uids] -= self.learning_rate * grad_sums
+        self._step += 1
+
+    def memory_floats(self) -> int:
+        return int(self.table.size)
 
 
 class TwoTowerModel(Module):
@@ -58,9 +91,13 @@ class TwoTowerModel(Module):
         return logits, leaf
 
 
-def train(backend: str, dataset: SyntheticCTRDataset, compression_ratio: float) -> float:
-    schema = dataset.schema
-    embedding = create_embedding(
+def make_embedding(backend: str, schema, compression_ratio: float) -> CompressedEmbedding:
+    if backend == "own":
+        # Two shards of our own class behind one store: built, not registered.
+        return ShardedEmbeddingStore(
+            [PlainSGDTable(schema.num_features, schema.embedding_dim, rng=SEED + i) for i in range(2)]
+        )
+    return create_embedding(
         backend,
         num_features=schema.num_features,
         dim=schema.embedding_dim,
@@ -69,6 +106,11 @@ def train(backend: str, dataset: SyntheticCTRDataset, compression_ratio: float) 
         learning_rate=0.1,
         rng=np.random.default_rng(SEED),
     )
+
+
+def train(backend: str, dataset: SyntheticCTRDataset, compression_ratio: float) -> float:
+    schema = dataset.schema
+    embedding = make_embedding(backend, schema, compression_ratio)
     model = TwoTowerModel(embedding, schema.num_fields, rng=np.random.default_rng(SEED + 1))
     optimizer = Adam(list(model.parameters()), lr=0.01)
 
@@ -96,9 +138,14 @@ def main() -> None:
 
     print("custom two-tower model with interchangeable embedding backends")
     print(f"dataset: {schema.name} preset, {schema.num_features} features\n")
-    for backend, ratio in [("full", 1.0), ("hash", 50.0), ("cafe", 50.0)]:
+    for backend, ratio in [("full", 1.0), ("hash", 50.0), ("cafe", 50.0), ("own", 1.0)]:
         auc = train(backend, dataset, ratio)
         print(f"backend={backend:<6} compression={ratio:>6.0f}x  test AUC = {auc:.4f}")
+    store = make_embedding("own", dataset.schema, 1.0)
+    try:
+        store.state_dict()
+    except NotImplementedError as error:
+        print(f"\nown backend: not checkpointable ({error}); define state_dict to make it so")
     print("\nThe point of this example is the integration contract, not the absolute")
     print("numbers: any CompressedEmbedding drops into a hand-written model as long")
     print("as the per-lookup gradients are routed back through apply_gradients().")

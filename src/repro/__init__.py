@@ -3,11 +3,12 @@
 The package provides:
 
 * ``repro.api`` — the declarative front door: ``SystemConfig`` →
-  ``Session``, the backend capability registry, and the consolidated
-  ``python -m repro`` CLI;
+  ``Session``, the field-spec parser and the consolidated ``python -m repro``
+  CLI;
 * ``repro.nn`` — a NumPy autograd / neural-network substrate;
 * ``repro.sketch`` — HotSketch and reference sketches;
-* ``repro.embeddings`` — CAFE, CAFE-ML and all baseline compressed embeddings;
+* ``repro.embeddings`` — CAFE, CAFE-ML and all baseline compressed
+  embeddings, and the name → backend table;
 * ``repro.models`` — DLRM, WDL and DCN recommendation models;
 * ``repro.store`` — the embedding-store interface, hash-partitioned sharding
   and copy-on-write snapshots;

@@ -3,7 +3,7 @@
 Three legs, one front door (``python -m repro analyze``):
 
 * :mod:`repro.analysis.lint` — AST rules for the contracts that used to be
-  prose (capability probes stay in the registry, bench timing uses
+  prose (a capability is a ``CompressedEmbedding`` method, bench timing uses
   ``perf_counter``, ...).
 * :mod:`repro.analysis.layers` — the package import DAG, cycle detection,
   and the generated ``docs/import_graph.md``.

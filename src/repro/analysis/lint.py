@@ -3,10 +3,12 @@
 Four rules encode contracts that previously existed only as prose:
 
 ``capability-probe``
-    ``hasattr(...)`` (and ``callable(getattr(...))``) capability probing is
-    the registry's job; everywhere else routes through
-    :mod:`repro.api.registry` helpers so capabilities stay declared, not
-    guessed.  Applies to ``src/`` outside ``api/registry.py``.
+    No ``hasattr(...)`` (or ``callable(getattr(...))``) capability probing
+    in ``src/``: what a backend can do is a method of the
+    :class:`~repro.embeddings.base.CompressedEmbedding` contract
+    (``state_dict`` raising ``NotImplementedError``, ``merged_sketch`` or
+    ``serving_state`` returning ``None``; ``embeddings.base.is_adaptive``
+    for ``rebalance``), so call it.
 ``bench-wallclock``
     ``time.time()`` drifts with NTP and has platform-dependent resolution;
     timing paths must use ``time.perf_counter()`` (wall-clock *timestamps*
@@ -103,9 +105,9 @@ def _dtype_scope(rel: str) -> bool:
 RULES: tuple[Rule, ...] = (
     Rule(
         id="capability-probe",
-        summary="hasattr/callable(getattr(...)) capability probing outside the registry",
-        scope=lambda rel: _in_src(rel) and rel != "src/repro/api/registry.py",
-        scope_doc="src/ except api/registry.py",
+        summary="hasattr/callable(getattr(...)) capability probing",
+        scope=_in_src,
+        scope_doc="src/",
     ),
     Rule(
         id="bench-wallclock",
@@ -222,16 +224,16 @@ def _check_call(node: ast.Call, rel: str) -> Iterator[tuple[str, str]]:
         if func.id == "hasattr":
             yield (
                 "capability-probe",
-                "hasattr() capability probe; declare the capability in "
-                "repro.api.registry and call its helper instead",
+                "hasattr() capability probe; call the CompressedEmbedding method "
+                "that answers it instead",
             )
         elif func.id == "callable" and node.args and isinstance(node.args[0], ast.Call):
             inner = node.args[0].func
             if isinstance(inner, ast.Name) and inner.id == "getattr":
                 yield (
                     "capability-probe",
-                    "callable(getattr(...)) capability probe; route through a "
-                    "repro.api.registry helper",
+                    "callable(getattr(...)) capability probe; call the "
+                    "CompressedEmbedding method that answers it instead",
                 )
     if (
         isinstance(func, ast.Attribute)

@@ -11,9 +11,6 @@ table-group stores, trainer, online pipeline, serving engine):
   :class:`Session` (stream → store → model → trainer → pipeline → serving)
   with lifecycle methods ``train`` / ``serve`` / ``run_pipeline`` /
   ``snapshot`` / ``checkpoint`` / ``restore`` / ``describe``;
-* :func:`register_backend` — the backend capability registry that both the
-  factories and the stores consult, and the hook third-party embedding
-  schemes use to plug in;
 * :mod:`repro.api.spec` — the single parser for per-field table-group spec
   strings (``"full:tiny,cafe[cr=16]:tail"``).
 
@@ -46,13 +43,6 @@ _EXPORTS = {
     # session
     "Session": "repro.api.session",
     "build": "repro.api.session",
-    # registry
-    "BackendCapabilities": "repro.api.registry",
-    "RegisteredBackend": "repro.api.registry",
-    "register_backend": "repro.api.registry",
-    "get_backend": "repro.api.registry",
-    "backend_names": "repro.api.registry",
-    "capabilities_of": "repro.api.registry",
     # spec parsing
     "SpecEntry": "repro.api.spec",
     "ParsedSpec": "repro.api.spec",

@@ -15,9 +15,8 @@ backends, sharding), ``model`` (dense architecture), ``train``,
   ``--set store.num_shards=4`` syntax with type-aware coercion.
 
 Spec strings inside ``store.spec`` are parsed by the single shared parser
-(:mod:`repro.api.spec`) and backend names are checked against the
-capability registry, so a registered third-party backend is immediately
-legal in a config file.
+(:mod:`repro.api.spec`) and backend names are checked against the backend
+table (:func:`repro.embeddings.backend_names`).
 """
 
 from __future__ import annotations
@@ -197,7 +196,8 @@ class StoreConfig:
     def __post_init__(self):
         import numpy as np
 
-        from repro.api import registry, spec as spec_module
+        from repro.api import spec as spec_module
+        from repro.embeddings import backend_names
 
         if self.compression_ratio <= 0:
             raise ConfigurationError(
@@ -242,7 +242,7 @@ class StoreConfig:
         from repro.errors import DataError
 
         try:
-            parsed = spec_module.parse_spec(self.spec, known_backends=registry.backend_names())
+            parsed = spec_module.parse_spec(self.spec, known_backends=backend_names())
         except DataError as exc:
             raise ConfigurationError(f"store.spec: {exc}") from None
         if parsed.grouped and self.num_shards > 1:
@@ -252,8 +252,8 @@ class StoreConfig:
             )
 
     def _check_fields(self) -> None:
-        from repro.api import registry
         from repro.data.schema import FieldConfig
+        from repro.embeddings import backend_names
 
         if not isinstance(self.fields, list) or not self.fields:
             raise ConfigurationError("store.fields must be a non-empty list of objects")
@@ -275,10 +275,10 @@ class StoreConfig:
                     f"store.fields[{position}] needs a 'field' name"
                 )
             backend = entry.get("backend", "cafe")
-            if backend.lower() not in registry.backend_names():
+            if backend.lower() not in backend_names():
                 raise ConfigurationError(
-                    f"store.fields[{position}] backend '{backend}' is not registered; "
-                    f"registered backends: {sorted(registry.backend_names())}"
+                    f"store.fields[{position}] backend '{backend}' is not a known "
+                    f"backend; known backends: {sorted(backend_names())}"
                 )
 
     @property

@@ -132,10 +132,8 @@ class Session:
             "avg_train_loss": round(history.average_loss, 5),
             "test_auc": round(self.trainer.evaluate_auc(test_batch), 4),
             "global_step": self.trainer.global_step,
+            "plan_stats": self.trainer.embedding_plan_stats(),
         }
-        plan_stats = self.trainer.embedding_plan_stats()
-        if plan_stats is not None:
-            report["plan_stats"] = plan_stats
         return {"config": config.to_dict(), "store": self.store.describe(), "train": report}
 
     # ------------------------------------------------------------------ #
@@ -258,14 +256,14 @@ class Session:
     # Introspection / teardown
     # ------------------------------------------------------------------ #
     def describe(self) -> dict[str, Any]:
-        """The full resolved plan: config, dataset, store, model, registry.
+        """The full resolved plan: config, dataset, store, model, backends.
 
         The store section is the live ``store.describe()`` (which for
         table-group stores nests per-group rows under the same key schema);
-        the registry section lists every backend the session could have
-        used, with its declared capabilities.
+        the ``registry`` section lists every backend the session could have
+        used, with its side inputs and spec options.
         """
-        from repro.api.registry import registry_summary
+        from repro.embeddings import METHOD_NAMES, get_backend
 
         optimizer = self.trainer.dense_optimizer
         return {
@@ -290,7 +288,10 @@ class Session:
                     "restored": optimizer.restored,
                 },
             },
-            "registry": registry_summary(),
+            "registry": [
+                {"name": b.name, "requires": list(b.requires), "spec_options": list(b.spec_options)}
+                for b in map(get_backend, METHOD_NAMES)
+            ],
         }
 
     def close(self) -> None:

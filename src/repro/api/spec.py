@@ -103,7 +103,7 @@ def parse_spec(spec: str, known_backends: tuple[str, ...] | None = None) -> Pars
 
     Raises :class:`~repro.errors.DataError` with an actionable message on
     malformed entries, unknown field classes or unknown option keys.  When
-    ``known_backends`` is given (e.g. :func:`repro.api.registry.
+    ``known_backends`` is given (e.g. :func:`repro.embeddings.
     backend_names`), backend names are validated against it too — the eager
     check :class:`~repro.api.config.StoreConfig` runs at config time.
     """
@@ -149,7 +149,7 @@ def parse_spec(spec: str, known_backends: tuple[str, ...] | None = None) -> Pars
         backend = backend_part.lower()
         if known_backends is not None and backend not in known_backends:
             raise DataError(
-                f"unknown backend '{backend}' in spec entry '{raw}'; registered "
+                f"unknown backend '{backend}' in spec entry '{raw}'; known "
                 f"backends: {sorted(known_backends)}"
             )
         entries.append(

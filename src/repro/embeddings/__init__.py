@@ -1,17 +1,20 @@
 """Compressed embedding layers: CAFE, CAFE-ML, and all paper baselines.
 
-Every scheme registers itself in the :mod:`repro.api.registry` backend
-capability registry; the factories below resolve names there, so
-third-party backends added via :func:`repro.api.registry.register_backend`
-work everywhere a built-in name does (uniform stores, sharded stores,
-table-group specs, :class:`~repro.api.config.SystemConfig`).
+Every scheme has a name in one backend table (:func:`get_backend`) that the
+factories below, the store builders, field specs and
+:class:`~repro.api.config.SystemConfig` resolve.  What a scheme can do
+beyond lookup and apply is what its class implements of the
+:class:`CompressedEmbedding` contract (``state_dict``, ``rebalance``,
+``merged_sketch``, ``serving_state``); a scheme of your own is built
+directly and handed to :class:`~repro.store.sharded.ShardedEmbeddingStore`.
 """
 
 from __future__ import annotations
 
+from typing import Callable, NamedTuple
+
 import numpy as np
 
-from repro.api import registry as _registry
 from repro.api.spec import parse_spec
 from repro.embeddings.ada_embed import AdaEmbed
 from repro.embeddings.base import DEFAULT_DTYPE, CompressedEmbedding, TableBackedEmbedding
@@ -29,6 +32,7 @@ from repro.embeddings.offline import OfflineSeparationEmbedding
 from repro.embeddings.plan import FreeRowPool, PlanStats, RoutingPlan
 from repro.embeddings.qr_embedding import QRTrickEmbedding
 from repro.embeddings.quantized import QuantizedEmbedding
+from repro.errors import UnknownBackendError
 
 
 def _full_factory(num_features, dim, compression_ratio=1.0, hash_seed=None, **kwargs):
@@ -46,60 +50,56 @@ def _budget_factory(cls):
     return factory
 
 
-def _register_builtins() -> None:
-    # (name, factory, class, capability flags, requires, spec options, blurb)
-    builtins = [
-        ("full", _full_factory, FullEmbedding,
-         dict(supports_state_dict=True), (), ("seed",),
-         "uncompressed per-feature table"),
-        ("hash", _budget_factory(HashEmbedding), HashEmbedding,
-         dict(supports_state_dict=True), (), ("seed",),
-         "single hash-shared table"),
-        ("qr", _budget_factory(QRTrickEmbedding), QRTrickEmbedding,
-         dict(), (), (), "quotient-remainder composed tables"),
-        ("adaembed", _budget_factory(AdaEmbed), AdaEmbed,
-         dict(supports_rebalance=True), (), ("seed",),
-         "importance-based row reassignment"),
-        ("mde", _budget_factory(MixedDimensionEmbedding), MixedDimensionEmbedding,
-         dict(trainable_projection=True), ("field_cardinalities",), (),
-         "per-field mixed dimensions with trained up-projection"),
-        ("cafe", _budget_factory(CafeEmbedding), CafeEmbedding,
-         dict(supports_rebalance=True, supports_state_dict=True), (), ("seed",),
-         "HotSketch-routed hot/cold separation (the paper's method)"),
-        ("cafe_ml", _budget_factory(CafeMultiLevelEmbedding), CafeMultiLevelEmbedding,
-         dict(supports_rebalance=True, supports_state_dict=True), (), ("seed",),
-         "multi-level CAFE (hot / warm / cold tiers)"),
-        ("offline", _budget_factory(OfflineSeparationEmbedding), OfflineSeparationEmbedding,
-         dict(), ("frequencies",), ("seed",), "oracle frequency-separated baseline"),
-    ]
-    for name, factory, klass, caps, requires, spec_options, description in builtins:
-        _registry.register_backend(
-            name,
-            factory,
-            backend_class=klass,
-            requires=requires,
-            spec_options=spec_options,
-            description=description,
-            overwrite=True,
-            **caps,
+class Backend(NamedTuple):
+    """One named embedding scheme."""
+
+    name: str
+    factory: Callable[..., CompressedEmbedding]
+    #: Side inputs the factory needs beyond the common arguments; the store
+    #: builders supply them from the schema.
+    requires: tuple[str, ...] = ()
+    #: Spec-string options beyond ``cr`` / ``shards`` / ``dim`` (which the
+    #: store layer consumes): ``seed`` for hash-routing schemes.
+    spec_options: tuple[str, ...] = ()
+
+
+_BACKENDS = {
+    backend.name: backend
+    for backend in (
+        Backend("full", _full_factory, spec_options=("seed",)),
+        Backend("hash", _budget_factory(HashEmbedding), spec_options=("seed",)),
+        Backend("qr", _budget_factory(QRTrickEmbedding)),
+        Backend("adaembed", _budget_factory(AdaEmbed), spec_options=("seed",)),
+        Backend("mde", _budget_factory(MixedDimensionEmbedding), requires=("field_cardinalities",)),
+        Backend("cafe", _budget_factory(CafeEmbedding), spec_options=("seed",)),
+        Backend("cafe_ml", _budget_factory(CafeMultiLevelEmbedding), spec_options=("seed",)),
+        Backend(
+            "offline",
+            _budget_factory(OfflineSeparationEmbedding),
+            requires=("frequencies",),
+            spec_options=("seed",),
+        ),
+    )
+}
+
+#: Every backend name, in table order.
+METHOD_NAMES = tuple(_BACKENDS)
+
+
+def backend_names() -> tuple[str, ...]:
+    """Names of every backend (:data:`METHOD_NAMES`)."""
+    return METHOD_NAMES
+
+
+def get_backend(name: str) -> Backend:
+    """Look up a backend by (case-insensitive) name; raises
+    :class:`~repro.errors.UnknownBackendError` listing the known names."""
+    backend = _BACKENDS.get(name.lower())
+    if backend is None:
+        raise UnknownBackendError(
+            f"unknown embedding backend '{name}'; known backends: {sorted(_BACKENDS)}"
         )
-
-
-_register_builtins()
-
-#: Canonical built-in method names (registration order).  Third-party
-#: backends registered later are visible through
-#: :func:`repro.api.registry.backend_names`, not this constant.
-METHOD_NAMES = (
-    "full",
-    "hash",
-    "qr",
-    "adaembed",
-    "mde",
-    "cafe",
-    "cafe_ml",
-    "offline",
-)
+    return backend
 
 
 def create_embedding(
@@ -115,13 +115,12 @@ def create_embedding(
     rng=None,
     **kwargs,
 ) -> CompressedEmbedding:
-    """Factory building any registered embedding scheme from a compression ratio.
+    """Factory building any named embedding scheme from a compression ratio.
 
     Parameters
     ----------
     method:
-        Any name in :func:`repro.api.registry.backend_names` (the built-ins
-        are :data:`METHOD_NAMES`).
+        Any name in :data:`METHOD_NAMES`.
     num_features, dim:
         Total categorical feature count and embedding dimension.
     compression_ratio:
@@ -136,7 +135,7 @@ def create_embedding(
     kwargs:
         Method-specific options forwarded to the backend factory.
     """
-    backend = _registry.get_backend(method)
+    backend = get_backend(method)
     side_inputs = {"field_cardinalities": field_cardinalities, "frequencies": frequencies}
     for requirement in backend.requires:
         value = side_inputs.get(requirement, kwargs.get(requirement))
@@ -204,7 +203,7 @@ def create_embedding_store(
         )
     entry = parsed.entries[0] if parsed is not None else None
     method = entry.backend if entry is not None else "cafe"
-    backend = _registry.get_backend(method)
+    backend = get_backend(method)
     if entry is not None and entry.options:
         # A bare "cafe[cr=8,shards=2]" spec configures the uniform store too.
         if "dim" in entry.options:
@@ -254,6 +253,9 @@ __all__ = [
     "max_compression_ratio_qr",
     "max_compression_ratio_adaembed",
     "METHOD_NAMES",
+    "Backend",
+    "backend_names",
+    "get_backend",
     "create_embedding",
     "create_embedding_store",
 ]

@@ -156,9 +156,27 @@ class CompressedEmbedding:
         :meth:`apply_unique`; exposing it lets a sharded store fan an
         explicit rebalance out across shards on its own schedule.  Returns
         ``True`` if the layer performed (or supports) rebalancing, ``False``
-        for static schemes where the call is a no-op.
+        for static schemes where the call is a no-op (see :func:`is_adaptive`).
         """
         return False
+
+    def state_dict(self) -> dict[str, np.ndarray]:
+        """The full sparse state (tables, row optimizer, sketch) for checkpoints.
+
+        A scheme without checkpointable state raises ``NotImplementedError``;
+        a checkpoint then omits its sparse section.
+        """
+        raise NotImplementedError(f"{type(self).__name__} does not support state_dict")
+
+    def load_state_dict(self, state: dict[str, np.ndarray]) -> None:
+        """Restore what :meth:`state_dict` returned (``NotImplementedError``
+        when the scheme has none)."""
+        raise NotImplementedError(f"{type(self).__name__} cannot load a state dict")
+
+    def merged_sketch(self):
+        """The hot-feature sketch, merged across members for a composite
+        store; ``None`` when the scheme tracks no sketch."""
+        return None
 
     def memory_floats(self) -> int:
         """Total memory footprint in float32-equivalent parameters.
@@ -267,6 +285,15 @@ class CompressedEmbedding:
             f"{type(self).__name__} declares no serving state (serving_state() "
             "returned None), cannot adopt arrays"
         )
+
+
+def is_adaptive(layer: CompressedEmbedding) -> bool:
+    """Whether ``layer``'s class overrides :meth:`CompressedEmbedding.rebalance`.
+
+    Stores fan an explicit rebalance out only to such layers, so a static
+    one is never privatised from a snapshot for a no-op.
+    """
+    return type(layer).rebalance is not CompressedEmbedding.rebalance
 
 
 class TableBackedEmbedding(CompressedEmbedding):

@@ -411,6 +411,9 @@ class CafeEmbedding(TableBackedEmbedding):
     def num_hot_features(self) -> int:
         return self.num_hot_rows - len(self._free_rows)
 
+    def merged_sketch(self) -> HotSketch:
+        return self.sketch
+
     def check_row_invariants(self) -> None:
         """Assert free rows + sketch-assigned rows exactly partition the hot table.
 

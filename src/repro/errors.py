@@ -9,6 +9,12 @@ class ConfigurationError(ReproError):
     """Raised when a component is constructed with inconsistent parameters."""
 
 
+class UnknownBackendError(ConfigurationError, ValueError):
+    """An embedding backend name that names no backend; the message lists
+    the known ones.  A ``ValueError`` so callers that caught the factory's
+    historical ``ValueError`` keep working."""
+
+
 class MemoryBudgetError(ConfigurationError):
     """Raised when an embedding method cannot satisfy a memory budget.
 
@@ -74,6 +80,15 @@ class MalformedRequestError(BadBatchError):
     Its ids do not have the model's field count, or its ``numerical`` block
     has the wrong shape or contains NaN/inf; requests already queued beside
     it are unaffected.
+    """
+
+
+class NonFiniteFeatureError(BadBatchError):
+    """A training batch's ``numerical`` features contain NaN or inf.
+
+    Refused before the forward pass: the NaN would otherwise surface one
+    backward pass later as a :class:`NonFiniteGradientError`, which names
+    the wrong input.
     """
 
 

@@ -3,11 +3,11 @@
 from __future__ import annotations
 
 import time
-from math import isfinite
 
 import numpy as np
 
 from repro.analysis import sanitizer
+from repro.data.stream import all_finite
 from repro.embeddings.plan import as_id_array
 from repro.errors import MalformedRequestError
 from repro.serving.stats import LatencyTracker
@@ -113,13 +113,7 @@ class MicroBatcher:
                 raise MalformedRequestError(
                     f"request numerical must be ({stop - start}, {self._width}): {error}"
                 ) from None
-            # NaN/inf check on what the block now holds.  For one example a
-            # Python sum of its few cast values screens at a third of a numpy
-            # reduction's fixed cost; blocks, and a sum that overflowed from
-            # finite values, take the exact test.
-            if not (
-                target.ndim == 1 and isfinite(sum(target.tolist())) or np.isfinite(target).all()
-            ):
+            if not all_finite(target):  # what the block now holds
                 raise MalformedRequestError("request numerical contains NaN or inf")
         pending = PendingPrediction(stop - start, time.perf_counter())
         self._queue.append(pending)

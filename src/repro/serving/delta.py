@@ -126,14 +126,6 @@ class SnapshotPayload:
         }
 
 
-def serving_state_of(shard: Any) -> dict[str, np.ndarray] | None:
-    """The shard's serving arrays, or ``None`` when not delta-capable."""
-    probe = getattr(shard, "serving_state", None)
-    if not callable(probe):
-        return None
-    return probe()
-
-
 @dataclass
 class PublisherStats:
     """Publish accounting: how often each extraction tier actually ran."""
@@ -249,10 +241,8 @@ class DeltaSnapshotPublisher:
     def _remember(self, snapshot: Any) -> None:
         self._prev = snapshot
         if isinstance(snapshot, StoreSnapshot):
-            self._prev_states = [serving_state_of(s) for s in snapshot.shards]
-            self._prev_tokens = [
-                getattr(s, "_routing_version", None) for s in snapshot.shards
-            ]
+            self._prev_states = [s.serving_state() for s in snapshot.shards]
+            self._prev_tokens = [s._routing_version for s in snapshot.shards]
         else:
             self._prev_states = []
             self._prev_tokens = []
@@ -268,15 +258,11 @@ class DeltaSnapshotPublisher:
     # ------------------------------------------------------------------ #
     def _full_payload(self, snapshot, version, step, dense) -> SnapshotPayload:
         rows = 0
-        floats = 0
-        shards = getattr(snapshot, "shards", None)
-        units = shards if shards is not None else [snapshot]
-        for unit in units:
-            state = serving_state_of(unit)
-            if state:
-                rows += int(sum(arr.shape[0] for arr in state.values()))
-            memory = getattr(unit, "memory_floats", None)
-            floats += int(memory()) if callable(memory) else 0
+        if isinstance(snapshot, StoreSnapshot):  # a group snapshot has no serving rows
+            for shard in snapshot.shards:
+                state = shard.serving_state()
+                if state:
+                    rows += int(sum(arr.shape[0] for arr in state.values()))
         return SnapshotPayload(
             kind="full",
             version=version,
@@ -284,7 +270,7 @@ class DeltaSnapshotPublisher:
             dense_model=dense,
             snapshot=snapshot,
             payload_rows=rows,
-            payload_floats=floats,
+            payload_floats=int(snapshot.memory_floats()),
         )
 
     def _delta_payload(self, prev, snapshot, version, step, dense, log) -> SnapshotPayload:
@@ -317,7 +303,7 @@ class DeltaSnapshotPublisher:
         self, index, old, new, logged
     ) -> tuple[ShardUpdate | None, int, int]:
         """Smallest provably-correct update for one changed shard."""
-        new_state = serving_state_of(new)
+        new_state = new.serving_state()
         old_state = self._prev_states[index] if index < len(self._prev_states) else None
         old_token = self._prev_tokens[index] if index < len(self._prev_tokens) else None
         compatible = (
@@ -329,14 +315,12 @@ class DeltaSnapshotPublisher:
                 and new_state[k].dtype == old_state[k].dtype
                 for k in new_state
             )
-            and getattr(new, "_routing_version", None) == old_token
+            and new._routing_version == old_token
         )
         if not compatible:
             self.stats.replacements += 1
-            memory = getattr(new, "memory_floats", None)
-            floats = int(memory()) if callable(memory) else 0
             rows = int(sum(a.shape[0] for a in new_state.values())) if new_state else 0
-            return ShardUpdate(index=index, replacement=new), rows, floats
+            return ShardUpdate(index=index, replacement=new), rows, int(new.memory_floats())
 
         # The write log narrows the compare to rows training scattered into;
         # it only applies when the shard's whole serving state is the single

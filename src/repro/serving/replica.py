@@ -41,12 +41,7 @@ import numpy as np
 
 from repro.errors import DeltaChainGapError, DeltaProtocolError, VersionRegressionError
 from repro.serving.batcher import MicroBatcher, PendingPrediction
-from repro.serving.delta import (
-    STORE_SLOT,
-    DeltaSnapshotPublisher,
-    SnapshotPayload,
-    serving_state_of,
-)
+from repro.serving.delta import STORE_SLOT, DeltaSnapshotPublisher, SnapshotPayload
 from repro.store.snapshot import StoreSnapshot
 
 
@@ -246,7 +241,7 @@ class Replica(MicroBatcher):
         state)``; the displaced state becomes the next spare once the
         cutover commits.
         """
-        state = serving_state_of(shard)
+        state = shard.serving_state()
         if state is None:
             raise DeltaProtocolError(
                 f"replica {self.index} received row deltas for a shard with no "

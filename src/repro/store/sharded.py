@@ -35,8 +35,7 @@ from typing import Sequence
 import numpy as np
 
 from repro.analysis.sanitizer import freeze_arrays, single_writer
-from repro.api import registry as capability_registry
-from repro.embeddings.base import CompressedEmbedding
+from repro.embeddings.base import CompressedEmbedding, is_adaptive
 from repro.embeddings.cafe import CafeStack
 from repro.runtime.executor import SerialShardExecutor
 from repro.store.base import EmbeddingStore
@@ -253,15 +252,13 @@ class ShardedEmbeddingStore(CompressedEmbedding, EmbeddingStore):
         """Fan one explicit adaptivity pass out across all shards.
 
         Counts as a write: a shard still shared with a snapshot is
-        privatised first — but only if its backend declares the
-        ``supports_rebalance`` capability (:mod:`repro.api.registry`), so
-        the call is free (no copies, no tasks) on static backends.  Returns
-        ``True`` if at least one shard performed a rebalance.
+        privatised first — but only if its backend overrides ``rebalance``
+        (:func:`~repro.embeddings.base.is_adaptive`), so the call is free
+        (no copies, no tasks) on static backends.  Returns ``True`` if at
+        least one shard performed a rebalance.
         """
         supported = [
-            shard_index
-            for shard_index, shard in enumerate(self._shards)
-            if capability_registry.supports_rebalance(shard)
+            shard_index for shard_index, shard in enumerate(self._shards) if is_adaptive(shard)
         ]
         if not supported:
             return False
@@ -395,7 +392,7 @@ class ShardedEmbeddingStore(CompressedEmbedding, EmbeddingStore):
         sketch.  Only meaningful when the shards are CAFE-style backends;
         returns ``None`` when no shard exposes a sketch.
         """
-        sketches = [capability_registry.sketch_of(shard) for shard in self._shards]
+        sketches = [shard.merged_sketch() for shard in self._shards]
         sketches = [sketch for sketch in sketches if sketch is not None]
         if not sketches:
             return None
@@ -404,23 +401,18 @@ class ShardedEmbeddingStore(CompressedEmbedding, EmbeddingStore):
     def describe(self) -> dict[str, float | int | str]:
         info = super().describe()
         info["num_shards"] = self.num_shards
-        first = self._shards[0]
-        info["backend"] = getattr(first, "backend_class", None) or type(first).__name__
+        info["backend"] = type(self._shards[0]).__name__
         info["executor"] = type(self.executor).__name__
         info["stacked"] = self._stack is not None
         return info
 
     def state_dict(self) -> dict[str, np.ndarray]:
         """Flatten every shard's state under ``shard{i}.`` prefixes plus the
-        shard-count header; the inverse of :meth:`load_state_dict`.
+        shard-count header; the inverse of :meth:`load_state_dict`.  Raises
+        the shards' ``NotImplementedError`` when their backend has no state.
         """
         state: dict[str, np.ndarray] = {"num_shards": np.asarray(self.num_shards)}
         for index, shard in enumerate(self._shards):
-            if not capability_registry.supports_state_dict(shard):
-                name = getattr(shard, "backend_class", None) or type(shard).__name__
-                raise NotImplementedError(
-                    f"shard backend {name} does not support state_dict"
-                )
             for key, value in shard.state_dict().items():
                 state[f"shard{index}.{key}"] = value
         return state
@@ -459,8 +451,4 @@ class ShardedEmbeddingStore(CompressedEmbedding, EmbeddingStore):
         # Restoring is a write: never mutate a shard a snapshot still serves.
         self._ensure_private(index)
         self._poison_write_log(index)
-        shard = self._shards[index]
-        if not capability_registry.supports_load_state_dict(shard):
-            name = getattr(shard, "backend_class", None) or type(shard).__name__
-            raise ValueError(f"shard backend {name} cannot load a state dict")
-        shard.load_state_dict(state)
+        self._shards[index].load_state_dict(state)

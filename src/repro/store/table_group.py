@@ -47,14 +47,15 @@ from typing import Sequence
 import numpy as np
 
 from repro.analysis.sanitizer import freeze_arrays, single_writer
-from repro.api import registry as capability_registry
 from repro.data.schema import DatasetSchema, FieldConfig, field_configs_from_spec
-from repro.embeddings.base import DEFAULT_DTYPE, CompressedEmbedding
+from repro.embeddings import create_embedding, get_backend
+from repro.embeddings.base import DEFAULT_DTYPE, CompressedEmbedding, is_adaptive
 from repro.embeddings.plan import as_id_array, check_id_range
 from repro.errors import NonFiniteGradientError
 from repro.nn.init import xavier_uniform
 from repro.runtime.executor import SerialShardExecutor
 from repro.store.base import EmbeddingStore
+from repro.store.sharded import ShardedEmbeddingStore
 from repro.utils.rng import make_rng
 
 
@@ -152,9 +153,8 @@ class TableGroup:
             "memory_floats": self.memory_floats(),
             "compression_ratio": round(native_params / max(self.memory_floats(), 1), 2),
         }
-        shards = capability_registry.shard_count(self.backend)
-        if shards is not None:
-            info["num_shards"] = shards
+        if isinstance(self.backend, ShardedEmbeddingStore):
+            info["num_shards"] = self.backend.num_shards
         return info
 
 
@@ -333,9 +333,6 @@ class TableGroupStore(CompressedEmbedding, EmbeddingStore):
         seed: int = 0,
     ) -> "TableGroupStore":
         """Build one backend per distinct config and assemble the store."""
-        from repro.embeddings import create_embedding
-        from repro.store.sharded import ShardedEmbeddingStore
-
         configs = list(configs)
         if len(configs) != schema.num_fields:
             raise ValueError(
@@ -363,19 +360,19 @@ class TableGroupStore(CompressedEmbedding, EmbeddingStore):
                 group_ratio = (group_features * group_dim) / max(target, 1)
             else:
                 group_ratio = prototype.compression_ratio
-            registered = capability_registry.get_backend(prototype.backend)
+            named = get_backend(prototype.backend)
             extra: dict = {}
             if prototype.hash_seed is not None:
-                if "seed" not in registered.spec_options:
+                if "seed" not in named.spec_options:
                     raise ValueError(
                         f"backend '{prototype.backend}' does not route by hash and "
                         "takes no [seed=N] spec option (group "
                         f"'{prototype.field}')"
                     )
                 extra["hash_seed"] = prototype.hash_seed
-            # Any backend declaring the side input in the registry gets the
-            # group's member cardinalities (MDE built-in or third-party).
-            if "field_cardinalities" in registered.requires:
+            # A backend requiring the side input (MDE) gets the group's
+            # member cardinalities.
+            if "field_cardinalities" in named.requires:
                 extra["field_cardinalities"] = member_cards
             rng = np.random.default_rng(seed + 104729 * group_index)
             if prototype.num_shards > 1:
@@ -525,11 +522,9 @@ class TableGroupStore(CompressedEmbedding, EmbeddingStore):
 
     @single_writer
     def rebalance(self) -> bool:
-        """Fan one explicit adaptivity pass out across rebalance-capable groups."""
+        """Fan one explicit adaptivity pass out across adaptive groups."""
         supported = [
-            index
-            for index, group in enumerate(self._groups)
-            if capability_registry.supports_rebalance(group.backend)
+            index for index, group in enumerate(self._groups) if is_adaptive(group.backend)
         ]
         if not supported:
             return False
@@ -600,7 +595,7 @@ class TableGroupStore(CompressedEmbedding, EmbeddingStore):
         alone is returned — still the store's best hot-feature view.
         Returns ``None`` when no group carries a sketch.
         """
-        sketches = [capability_registry.sketch_of(group.backend) for group in self._groups]
+        sketches = [group.backend.merged_sketch() for group in self._groups]
         return self._merge_sketches([sketch for sketch in sketches if sketch is not None])
 
     @staticmethod
@@ -626,20 +621,13 @@ class TableGroupStore(CompressedEmbedding, EmbeddingStore):
 
     def state_dict(self) -> dict[str, np.ndarray]:
         """Group-namespaced state: ``group{i}.backend.*`` per group plus the
-        group headers; the inverse of :meth:`load_state_dict`.
+        group headers; the inverse of :meth:`load_state_dict`.  Raises a
+        group backend's ``NotImplementedError`` when it has no state.
         """
         state: dict[str, np.ndarray] = {
             "num_groups": np.asarray(self.num_groups),
             "step": np.asarray(self._step),
         }
-        for group in self._groups:
-            if not capability_registry.supports_state_dict(group.backend):
-                name = getattr(group.backend, "backend_class", None) or type(
-                    group.backend
-                ).__name__
-                raise NotImplementedError(
-                    f"group '{group.name}' backend {name} does not support state_dict"
-                )
         for index, group in enumerate(self._groups):
             state[f"group{index}.fields"] = group.field_indices.copy()
             if group.projection is not None:
@@ -667,9 +655,8 @@ class TableGroupStore(CompressedEmbedding, EmbeddingStore):
                     "single-group TableGroupStore first"
                 )
             flat = dict(state)
-            if (
-                "num_shards" in flat
-                and capability_registry.shard_count(self._groups[0].backend) is None
+            if "num_shards" in flat and not isinstance(
+                self._groups[0].backend, ShardedEmbeddingStore
             ):
                 # A single-shard sharded-store checkpoint (what ensure_store
                 # models wrote) loading into a bare group backend: unwrap
@@ -686,7 +673,7 @@ class TableGroupStore(CompressedEmbedding, EmbeddingStore):
                     if key.startswith("shard0.")
                 }
             self._ensure_private(0)
-            self._load_backend(0, flat)
+            self._groups[0].backend.load_state_dict(flat)
             # Flat checkpoints carry the step only inside the backend state;
             # adopt it so snapshots and re-saved group checkpoints keep it.
             self._step = int(self._groups[0].backend.step())
@@ -716,20 +703,12 @@ class TableGroupStore(CompressedEmbedding, EmbeddingStore):
                     state[projection_key], dtype=self.dtype
                 ).copy()
             prefix = f"group{index}.backend."
-            self._load_backend(
-                index,
+            group.backend.load_state_dict(
                 {
                     key[len(prefix):]: value
                     for key, value in state.items()
                     if key.startswith(prefix)
-                },
+                }
             )
         self._step = int(state["step"])
         self.invalidate_plan()
-
-    def _load_backend(self, index: int, state: dict[str, np.ndarray]) -> None:
-        group = self._groups[index]
-        if not capability_registry.supports_load_state_dict(group.backend):
-            name = getattr(group.backend, "backend_class", None) or type(group.backend).__name__
-            raise ValueError(f"group backend {name} cannot load a state dict")
-        group.backend.load_state_dict(state)

@@ -15,7 +15,6 @@ from pathlib import Path
 
 import numpy as np
 
-from repro.api import registry as capability_registry
 from repro.embeddings.base import CompressedEmbedding
 from repro.models.base import RecommendationModel
 from repro.nn.optim import Optimizer
@@ -36,9 +35,9 @@ def save_checkpoint(
 
     ``optimizer`` (the trainer's dense optimizer) adds its state under
     ``optim/``; without it a resumed run restarts the moments from zero.
-    Embedding layers that implement ``state_dict()`` (CAFE, CAFE-ML) have
-    their full sparse state saved; other layers are skipped with a marker so
-    :func:`load_checkpoint` knows not to expect one.
+    Embedding layers that implement ``state_dict()`` (full, hash, CAFE,
+    CAFE-ML) have their full sparse state saved; other layers are skipped
+    with a marker so :func:`load_checkpoint` knows not to expect one.
     """
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
@@ -73,13 +72,10 @@ def _sparse_target(model: RecommendationModel):
 def _sparse_state_dict(target) -> dict[str, np.ndarray] | None:
     """``target.state_dict()``, or ``None`` when the layer has no sparse state.
 
-    Sharded stores raise ``NotImplementedError`` when their backend keeps no
-    checkpointable state (e.g. a plain hash table whose contents are pure
-    function of training); those checkpoints simply omit the sparse section,
-    exactly like a bare stateless layer.
+    Layers and stores whose backend keeps no checkpointable state raise
+    ``NotImplementedError`` (the :class:`CompressedEmbedding` default); those
+    checkpoints simply omit the sparse section.
     """
-    if not capability_registry.supports_state_dict(target):
-        return None
     try:
         return target.state_dict()
     except NotImplementedError:
@@ -117,10 +113,11 @@ def load_checkpoint(
     model.load_state_dict(dense)
     if has_sparse:
         target: CompressedEmbedding = _sparse_target(model)
-        if not capability_registry.supports_load_state_dict(target):
+        try:
+            target.load_state_dict(sparse)
+        except NotImplementedError:
             raise ValueError(
                 "checkpoint contains embedding state but the model's embedding store "
                 f"({type(target).__name__}) cannot load one"
-            )
-        target.load_state_dict(sparse)
+            ) from None
     return step

@@ -186,7 +186,7 @@ def measure_latency(
         inference_latency_ms=inference_latency * 1e3,
         train_throughput=len(train_batch) / train_latency,
         inference_throughput=len(inference_batch) / inference_latency,
-        plan_reuse_rate=plan_stats["reuse_rate"] if plan_stats is not None else 0.0,
+        plan_reuse_rate=plan_stats["reuse_rate"],
         serve_p50_ms=float(serve_stats.get("p50_ms", float("nan"))),
         serve_p95_ms=float(serve_stats.get("p95_ms", float("nan"))),
         serve_p99_ms=float(serve_stats.get("p99_ms", float("nan"))),

@@ -14,7 +14,8 @@ from typing import Iterable, Iterator
 
 import numpy as np
 
-from repro.data.stream import Batch, iterate_batches
+from repro.data.stream import Batch, all_finite, iterate_batches
+from repro.errors import NonFiniteFeatureError
 from repro.models.base import RecommendationModel
 from repro.nn import functional as F
 from repro.nn.optim import Adagrad, Adam, Optimizer, SGD
@@ -92,12 +93,19 @@ class Trainer:
         The embedding store computes its routing plan during the forward
         lookup and reuses it here when the gradients come back, so hashing
         and slot location run once per step, not twice — at the shard level
-        and inside each shard backend.
+        and inside each shard backend.  NaN/inf in ``batch.numerical``
+        raises :class:`~repro.errors.NonFiniteFeatureError` before the
+        forward pass, with nothing touched.
         """
         return float(self._step(batch)[0].data)
 
     def _step(self, batch: Batch) -> tuple[Tensor, Tensor]:
         """The training step itself; returns ``(loss, embedding leaf)``."""
+        if not all_finite(batch.numerical):
+            raise NonFiniteFeatureError(
+                "batch numerical features contain NaN or inf; the batch was refused "
+                "before the forward pass"
+            )
         logits, leaf = self.model.forward(batch.categorical, batch.numerical)
         loss = F.binary_cross_entropy_with_logits(logits, batch.labels)
         # The optimizer holds the model's parameter list; ``model.zero_grad()``
@@ -111,10 +119,9 @@ class Trainer:
         self.global_step += 1
         return loss, leaf
 
-    def embedding_plan_stats(self) -> dict[str, float | int] | None:
+    def embedding_plan_stats(self) -> dict[str, float | int]:
         """Routing-plan cache behaviour of the model's embedding store."""
-        stats = getattr(self.model.store, "plan_stats", None)
-        return stats.as_dict() if stats is not None else None
+        return self.model.store.plan_stats.as_dict()
 
     # ------------------------------------------------------------------ #
     # Stream / epoch training

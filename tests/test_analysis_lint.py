@@ -24,15 +24,19 @@ class TestCapabilityProbe:
     def test_flags_hasattr_in_src(self):
         found = flags("ok = hasattr(backend, 'sketch')\n", SRC_PATH, "capability-probe")
         assert len(found) == 1
-        assert "registry" in found[0].message
+        assert "CompressedEmbedding method" in found[0].message
 
     def test_flags_callable_getattr_probe(self):
         source = "ok = callable(getattr(backend, 'seal', None))\n"
-        assert flags(source, SRC_PATH, "capability-probe")
+        found = flags(source, SRC_PATH, "capability-probe")
+        assert found and "CompressedEmbedding method" in found[0].message
 
-    def test_registry_is_exempt(self):
-        source = "ok = hasattr(backend, 'sketch')\n"
-        assert not flags(source, "src/repro/api/registry.py", "capability-probe")
+    @pytest.mark.parametrize("rel", [
+        "src/repro/api/config.py", "src/repro/embeddings/base.py", "src/repro/store/sharded.py",
+    ])
+    def test_all_of_src_is_in_scope(self, rel):
+        # The one exempt module (the capability registry) is gone.
+        assert flags("ok = hasattr(backend, 'sketch')\n", rel, "capability-probe")
 
     def test_tests_are_out_of_scope(self):
         source = "ok = hasattr(store, '_shards')\n"

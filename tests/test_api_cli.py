@@ -153,9 +153,18 @@ class TestRetiredModules:
         "cli", "pipeline", "serve", "serving.cli", "runtime.cli",
         "training.config", "sketch.decay", "sketch.count_sketch",
         "runtime.process", "runtime.shm", "store.grad_exchange", "sketch.csvec",
-        "serving.traffic", "serving.slo",
+        "serving.traffic", "serving.slo", "api.registry",
     ])
     def test_import_fails(self, module):
         with pytest.raises(ModuleNotFoundError):
             importlib.import_module(f"repro.{module}")
+
+    @pytest.mark.parametrize("name", [
+        "register_backend", "capabilities_of", "BackendCapabilities", "get_backend",
+    ])
+    def test_registry_exports_are_gone(self, name):
+        import repro.api
+
+        with pytest.raises(AttributeError):
+            getattr(repro.api, name)
 

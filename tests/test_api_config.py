@@ -129,7 +129,7 @@ class TestValidation:
             StoreConfig(dtype="int32")
 
     def test_unknown_backend_in_spec(self):
-        with pytest.raises(ConfigurationError, match="registered backends"):
+        with pytest.raises(ConfigurationError, match="known backends"):
             StoreConfig(spec="bogus:tail,cafe:rest")
 
     def test_grouped_spec_rejects_num_shards(self):
@@ -149,7 +149,7 @@ class TestValidation:
             StoreConfig(spec=None, fields=[{"field": "a", "widthh": 3}])
 
     def test_fields_unknown_backend(self):
-        with pytest.raises(ConfigurationError, match="not registered"):
+        with pytest.raises(ConfigurationError, match="not a known backend"):
             StoreConfig(spec=None, fields=[{"field": "a", "backend": "bogus"}])
 
     def test_bad_model(self):
@@ -241,5 +241,5 @@ class TestOverrides:
             apply_overrides(SystemConfig(), ["store.num_shards=many"])
 
     def test_override_result_is_validated(self):
-        with pytest.raises(ConfigurationError, match="registered backends"):
+        with pytest.raises(ConfigurationError, match="known backends"):
             apply_overrides(SystemConfig(), ["store.spec=bogus"])

@@ -365,4 +365,6 @@ class TestDescribeSchema:
             info = session.describe()
         assert {"config", "data", "store", "model", "registry"} <= set(info)
         assert CORE_DESCRIBE_KEYS <= set(info["store"])
-        assert any(row["name"] == "cafe" for row in info["registry"])
+        mde = {"name": "mde", "requires": ["field_cardinalities"], "spec_options": []}
+        assert mde in info["registry"]
+        assert [row["name"] for row in info["registry"]] == list(METHOD_NAMES)

@@ -4,9 +4,9 @@ import numpy as np
 import pytest
 
 from repro.api import spec as spec_module
-from repro.api.registry import backend_names
 from repro.api.spec import ParsedSpec, SpecEntry, parse_spec
 from repro.data.schema import field_configs_from_spec, make_preset
+from repro.embeddings import backend_names
 from repro.errors import DataError
 
 
@@ -88,30 +88,19 @@ class TestParseSpec:
         assert {type(g.backend).__name__ for g in store.groups} >= {"FullEmbedding"}
 
     def test_group_backend_receives_declared_side_inputs(self):
-        """TableGroupStore supplies field_cardinalities to any backend whose
-        registry entry declares the requirement, not just the literal 'mde'."""
-        from repro.api.registry import register_backend, unregister_backend
-        from repro.embeddings import FullEmbedding, create_embedding_store
+        """TableGroupStore supplies field_cardinalities to a backend that
+        requires them (MDE): the group's member cardinalities, in order."""
+        from repro.embeddings import MixedDimensionEmbedding, create_embedding_store
 
-        seen = {}
-
-        def factory(num_features, dim, compression_ratio=1.0,
-                    field_cardinalities=None, **kwargs):
-            assert field_cardinalities is not None
-            seen["cards"] = list(field_cardinalities)
-            return FullEmbedding(num_features, dim, **kwargs)
-
-        register_backend("needs_cards", factory, requires=("field_cardinalities",))
-        try:
-            schema = make_preset("criteo", base_cardinality=300)
-            store = create_embedding_store(
-                schema, spec="needs_cards:tiny,cafe:rest", compression_ratio=10.0, seed=0
-            )
-            tiny_group = store.groups[0]
-            assert seen["cards"]
-            assert sum(seen["cards"]) == tiny_group.backend.num_features
-        finally:
-            unregister_backend("needs_cards")
+        schema = make_preset("criteo", base_cardinality=300)
+        store = create_embedding_store(
+            schema, spec="mde[cr=2]:tiny,cafe:rest", compression_ratio=10.0, seed=0
+        )
+        tiny_group = store.groups[0]
+        assert isinstance(tiny_group.backend, MixedDimensionEmbedding)
+        cards = [schema.field_cardinalities[i] for i in tiny_group.field_indices]
+        assert tiny_group.backend.field_cardinalities == cards
+        assert sum(cards) == tiny_group.backend.num_features
 
     def test_experiment_runner_uses_the_shared_parser(self):
         """run_single dispatches uniform-with-options specs through the store

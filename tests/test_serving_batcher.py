@@ -395,8 +395,9 @@ class TestMalformedRequests:
         engine = ServingEngine(model, max_batch_size=4)
         categorical, _ = request_pool()
         huge = np.full(NUMERICAL, np.finfo(np.float64).max)
-        handle = engine.submit(categorical[0], huge)
-        with np.errstate(all="ignore"):  # the forward pass overflows; not the point here
+        # The screen's sum and the forward pass overflow (numpy warns); not the point here.
+        with np.errstate(all="ignore"):
+            handle = engine.submit(categorical[0], huge)
             engine.flush()
         assert handle.done
 

@@ -4,9 +4,11 @@ import numpy as np
 import pytest
 
 from repro.data.schema import DatasetSchema, FieldSchema
+from repro.data.stream import all_finite
 from repro.data.synthetic import SyntheticConfig, SyntheticCTRDataset
 from repro.embeddings.cafe import CafeEmbedding
 from repro.embeddings.full import FullEmbedding
+from repro.errors import BadBatchError, NonFiniteFeatureError
 from repro.models.dlrm import DLRM
 from repro.training.latency import measure_latency, measure_sketch_throughput
 from repro.training.trainer import EVAL_BATCH_SIZE, Trainer, TrainingHistory, train_and_evaluate
@@ -128,6 +130,33 @@ class TestTrainerBasics:
             trainer.train_step(batch)
         assert embedding.sketch.total_insertions > 0
         assert embedding.step() == trainer.global_step
+
+
+class TestBadNumericalInput:
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_numerical_is_refused_before_the_forward_pass(self, bad):
+        dataset = toy_dataset()
+        model = toy_model(dataset)
+        trainer = Trainer(model)
+        trainer.train_step(dataset.generate_day(0, num_samples=64))
+        batch = dataset.generate_day(1, num_samples=64)
+        batch.numerical[5, 1] = bad
+        dense_before = [p.data.copy() for p in model.parameters()]
+        with pytest.raises(NonFiniteFeatureError, match="numerical"):
+            trainer.train_step(batch)
+        assert issubclass(NonFiniteFeatureError, BadBatchError)
+        assert trainer.global_step == 1
+        assert model.store.step() == 1
+        assert trainer.dense_optimizer.step_count == 1
+        for before, after in zip(dense_before, model.parameters()):
+            assert np.array_equal(before, after.data)
+
+    def test_all_finite_screen_is_exact(self):
+        # Finite values whose sum overflows fall back to the exact test.
+        assert all_finite(np.full(3, 1e308))
+        with np.errstate(over="ignore"):
+            assert all_finite(np.full((2, 3), 1e308))
+        assert not all_finite(np.asarray([1.0, np.nan])) and not all_finite(np.full((2, 2), np.nan))
 
 
 class TestHistory:
