@@ -16,9 +16,8 @@ Bringing your own backend: subclass ``CompressedEmbedding`` and implement
 directly (there is nothing to register) and, to shard them, pass them to
 ``ShardedEmbeddingStore([...])``.  What the class implements of the rest of
 the contract is what it can do: ``state_dict`` / ``load_state_dict`` make it
-checkpointable, overriding ``rebalance`` makes it adaptive,
-``merged_sketch`` gives it a hot-feature sketch and ``serving_state`` lets
-the delta publisher ship changed rows instead of whole shards.
+checkpointable, overriding ``rebalance`` makes it adaptive and
+``merged_sketch`` gives it a hot-feature sketch.
 
 Run with:  python examples/custom_model_integration.py
 """

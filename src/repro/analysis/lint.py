@@ -6,9 +6,9 @@ Four rules encode contracts that previously existed only as prose:
     No ``hasattr(...)`` (or ``callable(getattr(...))``) capability probing
     in ``src/``: what a backend can do is a method of the
     :class:`~repro.embeddings.base.CompressedEmbedding` contract
-    (``state_dict`` raising ``NotImplementedError``, ``merged_sketch`` or
-    ``serving_state`` returning ``None``; ``embeddings.base.is_adaptive``
-    for ``rebalance``), so call it.
+    (``state_dict`` raising ``NotImplementedError``, ``merged_sketch``
+    returning ``None``; ``embeddings.base.is_adaptive`` for ``rebalance``),
+    so call it.
 ``bench-wallclock``
     ``time.time()`` drifts with NTP and has platform-dependent resolution;
     timing paths must use ``time.perf_counter()`` (wall-clock *timestamps*

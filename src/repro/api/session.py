@@ -173,7 +173,7 @@ class Session:
         return {"config": config.to_dict(), "store": self.store.describe(), "serving": stats}
 
     def _replica_tier(self):
-        """A ``serve.replicas``-wide tier serving a delta-patched view.
+        """A ``serve.replicas``-wide tier serving a view built from deltas.
 
         Three train→publish rounds follow the bootstrap full snapshot, so
         the replay is answered from replicas that applied real deltas.

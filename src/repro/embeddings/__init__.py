@@ -5,7 +5,7 @@ factories below, the store builders, field specs and
 :class:`~repro.api.config.SystemConfig` resolve.  What a scheme can do
 beyond lookup and apply is what its class implements of the
 :class:`CompressedEmbedding` contract (``state_dict``, ``rebalance``,
-``merged_sketch``, ``serving_state``); a scheme of your own is built
+``merged_sketch``); a scheme of your own is built
 directly and handed to :class:`~repro.store.sharded.ShardedEmbeddingStore`.
 """
 

@@ -256,36 +256,6 @@ class CompressedEmbedding:
             "compression_ratio": round(self.compression_ratio(), 2),
         }
 
-    # ------------------------------------------------------------------ #
-    # Delta-serving protocol (replicated serving tier)
-    # ------------------------------------------------------------------ #
-    def serving_state(self) -> dict[str, np.ndarray] | None:
-        """Arrays that fully determine :meth:`lookup` output, or ``None``.
-
-        The delta-snapshot publisher (:mod:`repro.serving.delta`) ships only
-        the rows of these arrays that changed between two store snapshots.
-        A backend may participate only if its lookup is a pure function of
-        the returned arrays plus *static* configuration (hash seeds, table
-        shapes): hash and full embeddings qualify; adaptive schemes whose
-        routing itself trains (CAFE's sketch decides which table answers an
-        id) must return ``None`` — the publisher then ships the whole shard
-        on change, which is always correct.  Optimizer state is deliberately
-        not part of serving state: replicas serve, they do not train.
-        """
-        return None
-
-    def adopt_serving_state(self, arrays: dict[str, np.ndarray]) -> None:
-        """Re-point lookup storage at replica-owned arrays.
-
-        ``arrays`` uses the keys of :meth:`serving_state`.  Called on a
-        replica-side shard copy during delta cutover; must leave routing
-        valid (the arrays have identical shapes, only values differ).
-        """
-        raise NotImplementedError(
-            f"{type(self).__name__} declares no serving state (serving_state() "
-            "returned None), cannot adopt arrays"
-        )
-
 
 def is_adaptive(layer: CompressedEmbedding) -> bool:
     """Whether ``layer``'s class overrides :meth:`CompressedEmbedding.rebalance`.

@@ -583,12 +583,6 @@ class CafeStack:
         if self._bound[index]:
             member._optimizer.adopt_state_buffers(dict(zip(self._row_state, views[4:])))
 
-    def member_rows(self, rows: np.ndarray) -> list[np.ndarray]:
-        """Split ascending stacked arena rows into each member's own rows."""
-        count, per = len(self.members), self.rows_per
-        bounds = np.searchsorted(rows, np.arange(count + 1) * per)
-        return [rows[bounds[k] : bounds[k + 1]] - k * per for k in range(count)]
-
     # ------------------------------------------------------------------ #
     # The step
     # ------------------------------------------------------------------ #
@@ -636,9 +630,9 @@ class CafeStack:
         grad_sums: np.ndarray,
         scores: np.ndarray,
         shard: np.ndarray | None = None,
-    ) -> list[int]:
-        """One step over the stack; returns the members that owned an id
-        (only those advance their step)."""
+    ) -> None:
+        """One step over the stack; only the members that owned an id
+        advance their step."""
         routes = plan.routes
         # 1. Parameter update using the assignment that produced the forward
         #    pass: one segment-sum + optimizer scatter over the arena.
@@ -658,15 +652,13 @@ class CafeStack:
         #    threshold / migration.
         if shard is None:
             self.members[0]._finish_step(evictions.payloads)
-            return [0]
+            return
         counts = np.bincount(shard, minlength=len(self.members))
         owners = evictions.buckets // self.buckets_per
-        touched = np.flatnonzero(counts).tolist()
-        for index in touched:
+        for index in np.flatnonzero(counts).tolist():
             member = self.members[index]
             member.sketch.total_insertions += int(counts[index])
             if self._row_state and not self._bound[index]:
                 self._bound[index] = True
                 self._bind(index)
             member._finish_step(evictions.payloads[owners == index])
-        return touched

@@ -15,7 +15,7 @@ class FullEmbedding(TableBackedEmbedding):
 
     Ids map to rows directly, so there is no hashing to cache in a routing
     plan — lookup and update both index the table with the unique ids, and
-    the plan only carries the (identity) scatter the write log reads.
+    the plan only carries the (identity) scatter the apply consumes.
     """
 
     def __init__(
@@ -54,15 +54,6 @@ class FullEmbedding(TableBackedEmbedding):
     def memory_floats(self) -> int:
         """The full ``num_features x dim`` table."""
         return int(self.table.size)
-
-    def serving_state(self) -> dict[str, np.ndarray]:
-        """Ids index the table directly, so the table alone determines
-        lookups and delta publishes can ship changed rows only.
-        """
-        return {"table": self.table}
-
-    def adopt_serving_state(self, arrays: dict[str, np.ndarray]) -> None:
-        self.table = arrays["table"]
 
     def state_dict(self) -> dict[str, np.ndarray]:
         state = {"table": self.table.copy(), "step": np.asarray(self._step)}

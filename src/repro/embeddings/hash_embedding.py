@@ -89,16 +89,6 @@ class HashEmbedding(TableBackedEmbedding):
         """One ``num_rows x dim`` table; no auxiliary structures."""
         return int(self.table.size)
 
-    def serving_state(self) -> dict[str, np.ndarray]:
-        """Lookup is the hashed-row gather: the table alone determines it
-        (the hash seed is static configuration), so delta publishes can
-        ship changed table rows only.
-        """
-        return {"table": self.table}
-
-    def adopt_serving_state(self, arrays: dict[str, np.ndarray]) -> None:
-        self.table = arrays["table"]
-
     def state_dict(self) -> dict[str, np.ndarray]:
         state = {
             "table": self.table.copy(),

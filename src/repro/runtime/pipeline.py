@@ -183,10 +183,10 @@ class OnlinePipeline:
         """Refresh the engine's snapshot now; returns publish latency in s.
 
         With a replica tier attached the same cadence also ships one
-        versioned payload (delta or full, the publisher decides) to every
-        replica; the tier records its own publish latencies separately
-        because shipping materialized state is the expensive part the
-        delta protocol exists to shrink.
+        versioned payload to every replica: a full snapshot, or a delta
+        carrying each shard written since the last publish whole (the
+        publisher decides).  The tier records its own publish latencies;
+        the latency returned here is the engine refresh alone.
         """
         start = time.perf_counter()
         self.engine.refresh()
@@ -260,7 +260,7 @@ class OnlinePipeline:
             probe_stats=probe_tracker.summary() if len(probe_tracker) else None,
             serving_stats=self.engine.stats(),
             replica_stats=self.tier.stats() if self.tier is not None else None,
-            executor_stats=self._executor_stats(),
+            executor_stats=self.model.store.executor.stats.as_dict(),
             final_snapshot_version=self.engine.snapshot_version,
             days_seen=days,
         )
@@ -277,7 +277,3 @@ class OnlinePipeline:
         pending = target.submit(probe_batch.categorical[start:stop], numerical)
         target.flush()
         tracker.record(pending.latency_s)
-
-    def _executor_stats(self) -> dict[str, Any] | None:
-        executor = getattr(self.model.store, "executor", None)
-        return executor.stats.as_dict() if executor is not None else None

@@ -4,7 +4,6 @@ from repro.serving.batcher import PendingPrediction
 from repro.serving.delta import (
     STORE_SLOT,
     DeltaSnapshotPublisher,
-    RowDelta,
     ShardUpdate,
     SnapshotPayload,
 )
@@ -20,7 +19,6 @@ __all__ = [
     "DeltaSnapshotPublisher",
     "SnapshotPayload",
     "ShardUpdate",
-    "RowDelta",
     "STORE_SLOT",
     "Replica",
     "ReplicaSet",

@@ -61,7 +61,7 @@ class ServingEngine(MicroBatcher):
         publish latency is dominated by that copy, not by table sizes.
         """
         self.flush()
-        store = getattr(self.model, "store", None) or self.model.embedding
+        store = self.model.store
         self.snapshot = store.snapshot()
         # Deep-copy the dense network but splice the snapshot in where the
         # model references its store/embedding, so the frozen model's forward

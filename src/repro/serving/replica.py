@@ -6,8 +6,8 @@ forward-pass throughput.  The replicated tier scales horizontally: a
 micro-batching serving engine — and routes requests across them
 round-robin.  Replicas are fed by the :class:`~repro.serving.delta.
 DeltaSnapshotPublisher`: a *full* payload
-rebuilds a replica's entire view, a *delta* payload patches only the rows
-training touched, and every payload is versioned so the chain is checked,
+rebuilds a replica's entire view, a *delta* payload replaces only the shards
+training changed, and every payload is versioned so the chain is checked,
 not assumed.
 
 Cutover is atomic and all-or-nothing per replica: a payload is staged into
@@ -19,16 +19,11 @@ staging, so a refused payload (duplicate, replay, or a gap from a dropped
 delta) raises one of the :mod:`repro.errors` delta-protocol errors and
 leaves the replica exactly as it was.
 
-Replicas deliberately *materialize* their state (deep copies / patched
-array copies) instead of aliasing the publisher's frozen snapshots: a
+Replicas deliberately *materialize* their state (deep copies of every
+shipped shard) instead of aliasing the publisher's frozen snapshots: a
 replica models a process on another machine, so applying a payload pays
-the real shipping cost.  To keep a delta apply O(delta rows) rather than
-O(table), each replica double-buffers: the state displaced by a cutover is
-kept as a spare, and the next delta patches the spare in place (replaying
-the one delta batch it is behind) instead of copying the whole table.  The
-resulting contract: an installed view is immutable while it is current
-and throughout the cutover that replaces it; once it is two versions old
-its arrays may be recycled.  Memory cost is ~2x the table per replica.
+the real shipping cost.  A replica keeps one copy of its state: a new view
+shares the unchanged shards of the one it replaces.
 """
 
 from __future__ import annotations
@@ -62,6 +57,19 @@ class _Published:
         self.step = int(step)
 
 
+def _view(template: StoreSnapshot, shards: list, payload: SnapshotPayload) -> StoreSnapshot:
+    """A snapshot over ``shards`` laid out like ``template``, at ``payload``'s version."""
+    return StoreSnapshot(
+        shards=shards,
+        shard_seed=template.shard_seed,
+        dim=template.dim,
+        num_features=template.num_features,
+        dtype=template.dtype,
+        version=payload.version,
+        step=payload.step,
+    )
+
+
 class Replica(MicroBatcher):
     """One serving replica: a micro-batching engine over shipped payloads.
 
@@ -81,15 +89,6 @@ class Replica(MicroBatcher):
         self.index = int(index)
         self.before_cutover: Callable[["Replica", SnapshotPayload], None] | None = None
         self._serving: _Published | None = None
-        #: Replica-private shard objects (only for StoreSnapshot payloads;
-        #: generic snapshots are served whole and cannot take row deltas).
-        self._shards: list[Any] | None = None
-        self._meta: dict[str, Any] | None = None
-        #: Double-buffer spares: shard index -> (displaced serving state, the
-        #: row-delta batch that superseded it).  Consumed (popped) while
-        #: staging, so an aborted cutover can never leave a corrupted spare —
-        #: the retry just falls back to the copy-on-write patch path.
-        self._spare: dict[int, tuple[dict[str, Any], Any]] = {}
         self.full_applies = 0
         self.delta_applies = 0
         self.rows_applied = 0
@@ -119,25 +118,16 @@ class Replica(MicroBatcher):
         serving its current version.
         """
         self._check_version(payload)
-        if payload.kind == "full":
-            view, shards, meta = self._stage_full(payload)
-            spares: dict[int, tuple[dict[str, Any], Any]] = {}
-        else:
-            view, shards, meta, spares = self._stage_delta(payload)
+        view = self._stage_full(payload) if payload.kind == "full" else self._stage_delta(payload)
         model = copy.deepcopy(payload.dense_model, memo={id(STORE_SLOT): view})
         self.flush()  # no queued request may span two parameter versions
         if self.before_cutover is not None:
             self.before_cutover(self, payload)
         # The actual cutover: one reference assignment, all-or-nothing.
         self._serving = _Published(view, model, payload.version, payload.step)
-        self._shards = shards
-        self._meta = meta
         if payload.kind == "full":
-            # A full rebuild severs the delta lineage the spares depend on.
-            self._spare.clear()
             self.full_applies += 1
         else:
-            self._spare.update(spares)
             self.delta_applies += 1
             self.rows_applied += payload.payload_rows
 
@@ -185,88 +175,22 @@ class Replica(MicroBatcher):
             # Materialize private shard copies: the replica models a remote
             # process, so a full payload pays the whole-table shipping cost.
             shards = [copy.deepcopy(shard) for shard in snapshot.shards]
-            meta = {
-                "shard_seed": snapshot.shard_seed,
-                "dim": snapshot.dim,
-                "num_features": snapshot.num_features,
-                "dtype": snapshot.dtype,
-            }
-            view = StoreSnapshot(
-                shards=shards,
-                version=payload.version,
-                step=payload.step,
-                **meta,
-            )
-            return view, shards, meta
+            return _view(snapshot, shards, payload)
         # Generic snapshot (e.g. TableGroupSnapshot): served whole.
-        return copy.deepcopy(snapshot), None, None
+        return copy.deepcopy(snapshot)
 
-    def _stage_delta(self, payload: SnapshotPayload):
-        if self._shards is None:
+    def _stage_delta(self, payload: SnapshotPayload) -> StoreSnapshot:
+        current = self._serving.view
+        if not isinstance(current, StoreSnapshot):
             raise DeltaProtocolError(
                 f"replica {self.index} serves a whole-snapshot view that "
-                "cannot take row deltas; the publisher must send full "
+                "cannot take shard deltas; the publisher must send full "
                 "payloads for this store type"
             )
-        shards = list(self._shards)
-        spares: dict[int, tuple[dict[str, Any], Any]] = {}
+        shards = list(current.shards)
         for update in payload.updates:
-            if update.replacement is not None:
-                self._spare.pop(update.index, None)
-                shards[update.index] = copy.deepcopy(update.replacement)
-                continue
-            shards[update.index], displaced = self._patch_shard(
-                shards[update.index], update.index, update.row_deltas
-            )
-            spares[update.index] = (displaced, update.row_deltas)
-        view = StoreSnapshot(
-            shards=shards,
-            version=payload.version,
-            step=payload.step,
-            **self._meta,
-        )
-        return view, shards, self._meta, spares
-
-    def _patch_shard(self, shard: Any, index: int, row_deltas):
-        """Patch one shard into a new object; the current view is untouched.
-
-        Double-buffered: when a spare (the state displaced two cutovers ago,
-        plus the delta batch it missed) is available, the spare's arrays are
-        brought current and patched in place — O(delta rows).  Without a
-        spare (first delta after a full/replacement, or after an aborted
-        cutover consumed it) the touched arrays are copied first —
-        O(table) once, re-seeding the buffer pair.  Either way the arrays a
-        reader can observe (the current view and every view newer than the
-        spare) are never written.  Returns ``(patched_shard, displaced
-        state)``; the displaced state becomes the next spare once the
-        cutover commits.
-        """
-        state = shard.serving_state()
-        if state is None:
-            raise DeltaProtocolError(
-                f"replica {self.index} received row deltas for a shard with no "
-                "serving state; the publisher should have shipped a replacement"
-            )
-        spare = self._spare.pop(index, None)
-        new_state = dict(state)
-        fresh: dict[str, Any] = {}
-        if spare is not None:
-            spare_state, pending = spare
-            # Only keys the pending batch re-wrote got fresh arrays at the
-            # last patch; other spare keys still alias live views.
-            for delta in pending:
-                fresh.setdefault(delta.key, spare_state[delta.key])
-                fresh[delta.key][delta.rows] = delta.values
-        for delta in row_deltas:
-            target = fresh.get(delta.key)
-            if target is None:
-                target = new_state[delta.key].copy()
-                fresh[delta.key] = target
-            target[delta.rows] = delta.values
-        new_state.update(fresh)
-        patched = copy.copy(shard)  # routing/config shared, storage re-pointed
-        patched.adopt_serving_state(new_state)
-        return patched, dict(state)
+            shards[update.index] = copy.deepcopy(update.shard)
+        return _view(current, shards, payload)
 
     # ------------------------------------------------------------------ #
     # Request path (submit / flush / predict are the shared MicroBatcher's)

@@ -76,9 +76,6 @@ class ShardedEmbeddingStore(CompressedEmbedding, EmbeddingStore):
         self._cow_pending = [False] * self.num_shards
         self.snapshots_taken = 0
         self.cow_copies = 0
-        # Optional per-shard record of fused-scatter target rows (the delta
-        # publisher's O(churn) diff source); None until enable_write_log().
-        self._write_log: list[list[np.ndarray] | None] | None = None
         if self.num_shards == 1:
             # The delegating fast path never touches the store-level plan
             # cache, so surface the backend's stats instead.
@@ -218,11 +215,7 @@ class ShardedEmbeddingStore(CompressedEmbedding, EmbeddingStore):
         if self._stack is not None:
             plan = self.plan_for(uids)
             self._ensure_private(0)
-            shards = self._stack.apply(plan, uids, grad_sums, scores, plan.routes["shard"])
-            if self._write_log is not None:
-                written = self._stack.member_rows(plan.scatter().rows)
-                for shard in shards:
-                    self._log_write(shard, written[shard])
+            self._stack.apply(plan, uids, grad_sums, scores, plan.routes["shard"])
         else:
             self._apply_fan_out(uids, grad_sums, scores)
         self.executor.stats.record_grad_exchange(uids.nbytes + grad_sums.nbytes + scores.nbytes)
@@ -238,14 +231,6 @@ class ShardedEmbeddingStore(CompressedEmbedding, EmbeddingStore):
         for shard in shards:
             self._ensure_private(shard)
         self._fan_out("apply_unique", shards, list(zip(shard_uids, shard_grads, shard_scores)))
-        if self._write_log is not None:
-            for shard in shards:
-                plan = getattr(self._shards[shard], "_cached_plan", None)
-                # Read, never built here: the apply that just ran memoised the
-                # scatter it executed (RoutingPlan.scatter) on the plan it left
-                # cached.  Without one, coverage is unprovable (None poisons).
-                scatter = plan.routes.get("scatter") if plan is not None else None
-                self._log_write(shard, None if scatter is None else scatter.rows)
 
     @single_writer
     def rebalance(self) -> bool:
@@ -267,74 +252,12 @@ class ShardedEmbeddingStore(CompressedEmbedding, EmbeddingStore):
         results = self.executor.run(
             [(shard_index, self._shards[shard_index].rebalance) for shard_index in supported]
         )
-        for shard_index in supported:
-            # Row migration rewrites state outside the scatter path.
-            self._poison_write_log(shard_index)
         self.invalidate_plan()
         return any(results)
 
     def memory_floats(self) -> int:
         """Sum of all shard footprints (each shard holds 1/N of the budget)."""
         return int(sum(shard.memory_floats() for shard in self._shards))
-
-    # ------------------------------------------------------------------ #
-    # Write log (delta-snapshot extraction)
-    # ------------------------------------------------------------------ #
-    def enable_write_log(self) -> bool:
-        """Start recording which table rows each ``apply_gradients`` hits.
-
-        The delta publisher (:mod:`repro.serving.delta`) drains the log at
-        every publish and compares only those rows between snapshots, so
-        extraction cost follows hot-set churn instead of table size.  The
-        log is *exact*, not sampled: rows are read from the same scatter
-        plan the write just executed, inside this store's own methods, so
-        no interleaving can slip a write past it.  Mutations that bypass
-        the scatter path (:meth:`rebalance`, :meth:`load_state_dict`)
-        poison the affected shards' logs, which downgrades them to a full
-        row diff on the next publish — slower, never wrong.  Returns ``True``:
-        the log is on.
-        """
-        if self._write_log is None:
-            self._write_log = [[] for _ in range(self.num_shards)]
-        return True
-
-    def drain_write_log(self) -> list[np.ndarray | None] | None:
-        """Per-shard unique written rows since the last drain (then reset).
-
-        ``None`` entries mark shards whose log was poisoned; an overall
-        ``None`` means logging is off.  Draining also clears poison — it
-        only ever applies to the interval that contained the bypassing
-        mutation.
-        """
-        if self._write_log is None:
-            return None
-        drained: list[np.ndarray | None] = []
-        for entries in self._write_log:
-            if entries is None:
-                drained.append(None)
-            elif entries:
-                drained.append(np.unique(np.concatenate(entries)))
-            else:
-                drained.append(np.empty(0, dtype=np.int64))
-        self._write_log = [[] for _ in range(self.num_shards)]
-        return drained
-
-    def _log_write(self, shard_index: int, rows: np.ndarray | None) -> None:
-        log = self._write_log
-        if log is None or log[shard_index] is None:
-            return
-        if rows is None:
-            log[shard_index] = None
-            return
-        log[shard_index].append(np.asarray(rows, dtype=np.int64))
-
-    def _poison_write_log(self, shard_index: int | None = None) -> None:
-        if self._write_log is None:
-            return
-        if shard_index is None:
-            self._write_log = [None] * self.num_shards
-        else:
-            self._write_log[shard_index] = None
 
     # ------------------------------------------------------------------ #
     # Snapshots (copy-on-write)
@@ -450,5 +373,4 @@ class ShardedEmbeddingStore(CompressedEmbedding, EmbeddingStore):
     def _load_into_shard(self, index: int, state: dict[str, np.ndarray]) -> None:
         # Restoring is a write: never mutate a shard a snapshot still serves.
         self._ensure_private(index)
-        self._poison_write_log(index)
         self._shards[index].load_state_dict(state)

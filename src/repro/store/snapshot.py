@@ -99,7 +99,7 @@ class StoreSnapshot:
     def shards(self) -> tuple:
         """The frozen shard objects (immutable by the copy-on-write contract).
 
-        The delta publisher diffs consecutive snapshots shard by shard:
+        The delta publisher compares consecutive snapshots shard by shard:
         identical objects mean the shard was never written between the two
         (copy-on-write swaps in a private copy on the first write), so the
         identity check alone clears unchanged shards in O(1).

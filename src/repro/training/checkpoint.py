@@ -15,7 +15,6 @@ from pathlib import Path
 
 import numpy as np
 
-from repro.embeddings.base import CompressedEmbedding
 from repro.models.base import RecommendationModel
 from repro.nn.optim import Optimizer
 
@@ -47,7 +46,9 @@ def save_checkpoint(
     if optimizer is not None:
         for name, value in optimizer.state_dict().items():
             payload[f"{_OPTIM_PREFIX}{name}"] = value
-    sparse_state = _sparse_state_dict(_sparse_target(model))
+    # The store, not the layer the model was built with: after a copy-on-write
+    # snapshot the live shards may be private copies of it.
+    sparse_state = _sparse_state_dict(model.store)
     if sparse_state is not None:
         for name, value in sparse_state.items():
             payload[f"{_SPARSE_PREFIX}{name}"] = value
@@ -58,23 +59,13 @@ def save_checkpoint(
     return path
 
 
-def _sparse_target(model: RecommendationModel):
-    """The object whose sparse state is checkpointed.
-
-    The store is the source of truth for embedding parameters (after a
-    copy-on-write snapshot the live shards may no longer be the object the
-    model was constructed with); models without a store fall back to their
-    bare embedding layer.
-    """
-    return getattr(model, "store", None) or model.embedding
-
-
 def _sparse_state_dict(target) -> dict[str, np.ndarray] | None:
     """``target.state_dict()``, or ``None`` when the layer has no sparse state.
 
     Layers and stores whose backend keeps no checkpointable state raise
-    ``NotImplementedError`` (the :class:`CompressedEmbedding` default); those
-    checkpoints simply omit the sparse section.
+    ``NotImplementedError`` (the :class:`~repro.embeddings.base.
+    CompressedEmbedding` default); those checkpoints simply omit the sparse
+    section.
     """
     try:
         return target.state_dict()
@@ -112,7 +103,7 @@ def load_checkpoint(
             optimizer.reset_state()
     model.load_state_dict(dense)
     if has_sparse:
-        target: CompressedEmbedding = _sparse_target(model)
+        target = model.store
         try:
             target.load_state_dict(sparse)
         except NotImplementedError:

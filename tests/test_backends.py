@@ -26,7 +26,6 @@ from repro.training.checkpoint import load_checkpoint, save_checkpoint
 CHECKPOINTABLE = {"full", "hash", "cafe", "cafe_ml"}
 ADAPTIVE = {"adaembed", "cafe", "cafe_ml"}
 SKETCH_CARRYING = {"cafe", "cafe_ml"}
-DELTA_SERVABLE = {"full", "hash"}
 
 SCHEMA = DatasetSchema(
     name="matrix",
@@ -113,7 +112,6 @@ class TestCapabilityMatrix:
         assert is_adaptive(layer) == (method in ADAPTIVE)
         assert layer.rebalance() == (method in ADAPTIVE)
         assert (layer.merged_sketch() is not None) == (method in SKETCH_CARRYING)
-        assert (layer.serving_state() is not None) == (method in DELTA_SERVABLE)
         if method not in CHECKPOINTABLE:
             with pytest.raises(NotImplementedError):
                 layer.load_state_dict({})
@@ -122,7 +120,6 @@ class TestCapabilityMatrix:
         store = build(method, num_shards=2)
         assert checkpointable(store) == (method in CHECKPOINTABLE)
         assert (store.merged_sketch() is not None) == (method in SKETCH_CARRYING)
-        assert all((s.serving_state() is not None) == (method in DELTA_SERVABLE) for s in store.shards)
         assert privatises_on_rebalance(store) == (method in ADAPTIVE)
 
     def test_grouped_store(self, method):

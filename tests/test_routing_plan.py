@@ -173,21 +173,6 @@ class TestLookupStopsAtTheGather:
             store.lookup(self.IDS)
         assert len(scatters_built) == after_training
 
-    def test_write_log_reads_the_scatter_the_apply_built(self, scatters_built):
-        store = ShardedEmbeddingStore.build(
-            "hash", num_features=N, dim=DIM, num_shards=2, compression_ratio=10.0, seed=3
-        )
-        assert store.enable_write_log()
-        store.lookup(self.IDS)
-        store.apply_gradients(self.IDS, np.full(self.IDS.shape + (DIM,), 0.01))
-        built = len(scatters_built)
-        logged = store.drain_write_log()
-        assert len(scatters_built) == built  # the log built nothing of its own
-        for shard, rows in zip(store.shards, logged):
-            assert rows is not None  # not poisoned: the scatter was there to read
-            uids = shard._cached_plan.flat_ids
-            assert np.array_equal(rows, np.unique(shard._rows_for(uids)))
-
 
 class TestFreeRowPool:
     def test_claim_matches_lifo_pop_order(self):

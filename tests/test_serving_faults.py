@@ -15,7 +15,7 @@ import pytest
 
 from repro.errors import DeltaChainGapError, VersionRegressionError
 from repro.models.dlrm import DLRM
-from repro.serving import DeltaSnapshotPublisher, ReplicaSet
+from repro.serving import DeltaSnapshotPublisher, ReplicaSet, ServingEngine
 from repro.store import ShardedEmbeddingStore
 
 DIM = 8
@@ -178,6 +178,25 @@ class TestDeltaProtocolFaults:
         replica.apply(dropped)
         replica.apply(following)
         assert replica.version == following.version
+
+    def test_gap_counts_publishes_not_engine_refreshes(self):
+        """An engine refreshing the same store takes snapshots of its own
+        between publishes; the gap a replica reports still counts publishes."""
+        model = make_model()
+        engine = ServingEngine(model)
+        publisher = DeltaSnapshotPublisher(model, rebase_every=0)
+        replica = ReplicaSet(1).replicas[0]
+        rng = np.random.default_rng(17)
+        payloads = []
+        for _ in range(3):
+            train_some(model, rng)
+            engine.refresh()
+            payloads.append(publisher.publish())
+        assert [payload.version for payload in payloads] == [1, 2, 3]
+        assert publisher.version == 3
+        replica.apply(payloads[0])
+        with pytest.raises(DeltaChainGapError, match=r"\b1 intermediate publish\(es\) were dropped"):
+            replica.apply(payloads[2])
 
     def test_duplicated_delta_raises_version_regression(self):
         model, publisher, replica, rng = publish_chain(rounds=1)

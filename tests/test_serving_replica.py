@@ -4,10 +4,9 @@ The replicated tier's core claim: a replica fed *only* versioned payloads
 (one full base + any mix of deltas and rebases) serves bit-identically to a
 :class:`~repro.serving.engine.ServingEngine` handed the whole snapshot at
 every version.  These tests pin that down property-based (random
-train/publish interleavings, random rebase cadence), with and without the
-store's write log (without it the row-diff fallback carries every delta),
-and for the replacement path (CAFE shards train their routing, so deltas
-cannot be proven row-local).
+train/publish interleavings, random rebase cadence) on static and adaptive
+backends alike: a delta skips every shard copy-on-write shows unwritten and
+ships every changed shard whole.
 """
 
 import numpy as np
@@ -15,11 +14,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import repro.serving.delta
 from repro.data.schema import DatasetSchema, FieldSchema
+from repro.embeddings.base import CompressedEmbedding
 from repro.models.dlrm import DLRM
 from repro.serving import DeltaSnapshotPublisher, ReplicaSet, ServingEngine
 from repro.store import ShardedEmbeddingStore
 from repro.store.table_group import TableGroupStore
+from repro.utils.hashing import hash_to_range
 
 DIM = 8
 NUM_FEATURES = 1200
@@ -27,13 +29,13 @@ FIELDS = 3
 NUMERICAL = 2
 
 
-def make_model(method="hash", num_shards=3, seed=0):
+def make_model(method="hash", num_shards=3, seed=0, compression_ratio=8.0):
     store = ShardedEmbeddingStore.build(
         method,
         num_features=NUM_FEATURES,
         dim=DIM,
         num_shards=num_shards,
-        compression_ratio=8.0,
+        compression_ratio=compression_ratio,
         seed=seed,
     )
     return DLRM(store, FIELDS, NUMERICAL, rng=seed)
@@ -70,16 +72,17 @@ def assert_parity(engine, replicas, cat, num, context=""):
 
 
 class TestDeltaChainParity:
+    @pytest.mark.parametrize("method", ["hash", "full", "cafe"])
     @given(
         plan=st.lists(st.integers(min_value=0, max_value=3), min_size=2, max_size=6),
         rebase_every=st.sampled_from([0, 1, 2, 3]),
     )
-    @settings(max_examples=12, deadline=None)
-    def test_random_interleavings_stay_bit_exact(self, plan, rebase_every):
+    @settings(max_examples=8, deadline=None)
+    def test_random_interleavings_stay_bit_exact(self, method, plan, rebase_every):
         """Any interleaving of train steps and publishes (including publishes
         with zero intervening steps) keeps every replica bit-identical to the
         engine at every version — across rebase boundaries too."""
-        model = make_model()
+        model = make_model(method)
         publisher = DeltaSnapshotPublisher(model, rebase_every=rebase_every)
         replicas = ReplicaSet(2)
         engine = ServingEngine(model, max_batch_size=64)
@@ -93,21 +96,19 @@ class TestDeltaChainParity:
             engine.refresh()
             assert_parity(
                 engine, replicas, cat, num,
-                context=f"after round {round_index} ({steps} steps, "
+                context=f"after round {round_index} on {method} ({steps} steps, "
                         f"rebase_every={rebase_every}, kind={payload.kind})",
             )
         if rebase_every == 1:
             # rebase_every=1 is the always-full baseline by definition.
             assert publisher.stats.delta_publishes == 0
 
-    @pytest.mark.parametrize("write_log", [True, False])
-    @pytest.mark.parametrize("method", ["hash", "cafe"])
-    def test_parity_across_extraction_tiers(self, method, write_log, monkeypatch):
-        """Fixed seeded chain with and without the store's write log; also
-        pins which extraction tier each combination is expected to use."""
-        model = make_model(method)
-        if not write_log:
-            monkeypatch.setattr(model.store, "enable_write_log", lambda: False)
+    @pytest.mark.parametrize("method", ["full", "hash", "qr", "cafe"])
+    def test_parity_across_extraction_tiers(self, method):
+        """Fixed seeded chain on static and adaptive backends: every delta
+        ships its changed shards whole, whatever the backend (at 2x: Q-R
+        cannot reach 8x over 3 shards of 1200 ids)."""
+        model = make_model(method, compression_ratio=2.0)
         publisher = DeltaSnapshotPublisher(model, rebase_every=3)
         replicas = ReplicaSet(2)
         engine = ServingEngine(model, max_batch_size=64)
@@ -115,31 +116,21 @@ class TestDeltaChainParity:
         hot = rng.integers(0, 200, size=(48, FIELDS))
         cat, num = probe_rows()
         kinds = []
+        shipped = 0
         for round_index in range(5):
             train_steps(model, rng, 2, hot)
             payload = publisher.publish()
             kinds.append(payload.kind)
+            shipped += len(payload.updates)
+            assert all(update.shard is model.store.shards[update.index] for update in payload.updates)
             replicas.publish(payload)
             engine.refresh()
-            assert_parity(
-                engine, replicas, cat, num,
-                context=f"round {round_index} on {method}, write_log={write_log}",
-            )
+            assert_parity(engine, replicas, cat, num, context=f"round {round_index} on {method}")
         # full base, deltas, one rebase at the cadence boundary.
         assert kinds == ["full", "delta", "delta", "full", "delta"]
         stats = publisher.stats
-        if method == "cafe":
-            # Routing trains -> whole-shard replacements, never row deltas.
-            assert stats.replacements > 0
-            assert stats.logged_diffs == 0 and stats.row_diffs == 0
-        elif not write_log:
-            # No write log: the vectorized row-diff fallback carries every delta.
-            assert stats.row_diffs > 0
-            assert stats.logged_diffs == 0
-        else:
-            # The exact write log narrows every compare.
-            assert stats.logged_diffs > 0
-            assert stats.row_diffs == 0
+        assert stats.replacements == shipped > 0
+        assert stats.replacements + stats.unchanged_shards == 3 * stats.delta_publishes
 
     def test_versions_strictly_increase_and_chain(self):
         model = make_model()
@@ -153,7 +144,8 @@ class TestDeltaChainParity:
             payload = publisher.publish()
             versions.append(payload.version)
             bases.append(payload.base_version)
-        assert versions == sorted(set(versions)), "payload versions must increase"
+        # Payloads are numbered by the publisher, from 1.
+        assert versions == [1, 2, 3, 4] and publisher.version == 4
         assert bases[0] is None  # the bootstrap full
         # Every delta names the previous payload as its base: the chain is
         # explicit, so a dropped publish is detectable, not silent.
@@ -161,31 +153,30 @@ class TestDeltaChainParity:
 
 
 class TestPayloadAccounting:
-    def test_hot_set_delta_ships_a_fraction_of_the_table(self):
-        """The reason the tier exists: a delta after hot-set training ships
-        far fewer rows than the full snapshot it replaces.  The uncompressed
-        backend makes the accounting exact: one feature = one table row."""
+    def test_delta_ships_exactly_the_written_shard(self):
+        """Training only ids one shard owns changes only that shard: the
+        delta ships it whole and counts the other two as unchanged."""
         model = make_model("full")
+        store = model.store
         publisher = DeltaSnapshotPublisher(model, rebase_every=0)
         rng = np.random.default_rng(3)
-        hot = rng.integers(0, 100, size=(48, FIELDS))
-
-        def train_hot_only(steps):
-            for _ in range(steps):
-                ids = hot[rng.permutation(48)]
-                grads = rng.normal(scale=0.1, size=(48, FIELDS, DIM)).astype(np.float32)
-                model.store.lookup(ids)
-                model.store.apply_gradients(ids, grads)
-
-        train_hot_only(2)
+        candidates = np.arange(NUM_FEATURES)
+        owned = candidates[hash_to_range(candidates, 3, seed=store.shard_seed) == 1]
         full = publisher.publish()
-        train_hot_only(2)
+        for _ in range(2):
+            ids = rng.choice(owned, size=(48, FIELDS))
+            grads = rng.normal(scale=0.1, size=(48, FIELDS, DIM)).astype(np.float32)
+            store.lookup(ids)
+            store.apply_gradients(ids, grads)
         delta = publisher.publish()
         assert full.kind == "full" and delta.kind == "delta"
-        assert 0 < delta.payload_rows < full.payload_rows / 2, (
-            f"delta shipped {delta.payload_rows} rows vs {full.payload_rows} "
-            "for the full snapshot; hot-set training should change few rows"
-        )
+        assert [update.index for update in delta.updates] == [1]
+        shard = store.shards[1]
+        assert delta.updates[0].shard is shard
+        assert delta.payload_floats == shard.memory_floats()
+        assert delta.payload_rows == shard.memory_floats() // DIM
+        assert full.payload_floats == store.memory_floats()
+        assert publisher.stats.unchanged_shards == 2
 
     def test_publish_with_no_training_ships_nothing(self):
         model = make_model()
@@ -197,7 +188,7 @@ class TestPayloadAccounting:
         assert idle.kind == "delta"
         assert idle.payload_rows == 0 and not idle.updates
         # Copy-on-write identity proves the skip in O(1), not by comparing.
-        assert publisher.stats.unchanged_shards >= 1
+        assert publisher.stats.unchanged_shards == 3
 
     def test_replica_apply_counters(self):
         model = make_model()
@@ -255,8 +246,8 @@ class TestGroupedStoreFullOnly:
             model.store.apply_gradients(ids, grads)
             payload = publisher.publish()
             assert payload.kind == "full", (
-                "non-sharded snapshots cannot prove row deltas; every publish "
-                "must be a full rebase"
+                "a grouped snapshot has no shard list a delta could index; "
+                "every publish must be a full rebase"
             )
             replicas.publish(payload)
             engine.refresh()
@@ -267,3 +258,10 @@ class TestGroupedStoreFullOnly:
                     f"grouped replica {replica.index} diverged at round {round_index}"
                 )
         assert publisher.stats.delta_publishes == 0
+
+
+def test_the_row_level_delta_tier_is_gone():
+    """Publishes ship whole shards; the row-level tier has no API left."""
+    assert not hasattr(ShardedEmbeddingStore, "enable_write_log")
+    assert not hasattr(CompressedEmbedding, "serving_state")
+    assert not hasattr(repro.serving.delta, "RowDelta")

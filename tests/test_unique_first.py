@@ -623,24 +623,6 @@ class TestWire:
         unique = np.unique(ids).size
         assert store.executor.stats.grad_bytes_per_step == unique * (8 + 4 * DIM + 8)
 
-    @pytest.mark.parametrize("method", ["hash", "full"])
-    def test_write_log_names_exactly_the_written_rows(self, method):
-        store = build_store(method, 4, optimizer="adagrad")
-        assert store.enable_write_log()
-        rng = np.random.default_rng(6)
-        tables = [shard.table.copy() for shard in store.shards]
-        for _ in range(3):
-            ids = rng.integers(0, N, size=(16, 4))
-            # Strictly positive gradients: every touched row really changes.
-            grads = rng.uniform(0.1, 1.0, size=ids.shape + (DIM,)).astype(np.float32)
-            store.lookup(ids)
-            store.apply_gradients(ids, grads)
-        drained = store.drain_write_log()
-        for shard, before, rows in zip(store.shards, tables, drained):
-            changed = np.flatnonzero(np.any(shard.table != before, axis=1))
-            assert np.array_equal(rows, changed)
-        assert all(rows.size == 0 for rows in store.drain_write_log())
-
     def test_use_frequency_scores_are_lookup_counts(self):
         store = build_store("cafe", 2, use_frequency=True)
         assert store.use_frequency
