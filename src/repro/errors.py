@@ -83,6 +83,15 @@ class MalformedRequestError(BadBatchError):
     """
 
 
+class BatchShapeError(BadBatchError):
+    """A batch's ids or ``numerical`` block does not have the model's shape.
+
+    Raised by the model (``forward`` / ``predict_proba``, so also by
+    ``Trainer.train_step``) before any lookup: a batch with 25 of 26 fields
+    or 12 of 13 numerical columns is refused with nothing touched.
+    """
+
+
 class NonFiniteFeatureError(BadBatchError):
     """A training batch's ``numerical`` features contain NaN or inf.
 

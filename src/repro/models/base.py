@@ -11,6 +11,17 @@ the leaf embedding tensor so that, after ``loss.backward()``, the per-lookup
 gradient (the quantity CAFE scores features by) can be handed back to the
 store.
 
+The dense network is one graph node per pass.  Each model writes its
+forward (:meth:`~RecommendationModel.dense_forward`) and backward
+(:meth:`~RecommendationModel.dense_backward`) once, over plain arrays, from
+the ``forward_array`` / ``backward_array`` pairs of its layers, with every
+intermediate in a per-batch-size :class:`~repro.nn.layers.Workspace`; the
+values are bit-identical to the per-op graph the layers' ``Tensor`` forms
+build (``tests/reference_dense.py`` keeps that graph as the oracle).
+Inference (:meth:`~RecommendationModel.predict_proba`, and the
+:class:`ServedModel` serving answers from) calls the array forward alone and
+builds no ``Tensor``.
+
 Precision follows the store: the dense network computes in
 ``np.promote_types(store.dtype, float32)`` — float32 over float16/float32
 tables, float64 only over float64 tables — fixed at construction and carried
@@ -19,11 +30,15 @@ by parameters, activations, gradients and the dense optimizer state.
 
 from __future__ import annotations
 
+from typing import Any, Sequence
+
 import numpy as np
 
 from repro.embeddings.base import CompressedEmbedding
+from repro.errors import BatchShapeError
+from repro.nn.layers import Workspace, claim_workspace
 from repro.nn.module import Module
-from repro.nn.tensor import Tensor
+from repro.nn.tensor import Tensor, make_node
 from repro.store import EmbeddingStore, ensure_store
 
 
@@ -51,6 +66,8 @@ class RecommendationModel(Module):
         self.dim = self.store.dim
         #: Compute dtype of the dense network (see the module docstring).
         self.dtype = np.promote_types(self.store.dtype, np.float32)
+        #: Scratch arrays of the last batch size a pass ran at.
+        self._workspace: Workspace | None = None
 
     @classmethod
     def from_schema(
@@ -97,18 +114,84 @@ class RecommendationModel(Module):
         )
 
     # ------------------------------------------------------------------ #
-    # Dense part (implemented by subclasses)
+    # Dense part (implemented by subclasses over arrays)
     # ------------------------------------------------------------------ #
+    def dense_forward(
+        self, weights: Sequence[np.ndarray], embeddings: np.ndarray, numerical: np.ndarray,
+        ws: Workspace,
+    ) -> np.ndarray:
+        """``(batch, 1)`` logits (a workspace array) of ``(batch, fields, dim)``
+        embeddings and ``(batch, num_numerical)`` features in the model's
+        dtype, under ``weights`` (arrays in ``parameters()`` order).  Reads
+        nothing of the model but its structure, so a :class:`ServedModel`
+        runs it over frozen weights."""
+        raise NotImplementedError  # pragma: no cover - abstract
+
+    def dense_backward(
+        self, weights: Sequence[np.ndarray], embeddings: np.ndarray, numerical: np.ndarray,
+        dlogits: np.ndarray, ws: Workspace,
+    ) -> tuple[np.ndarray, list[np.ndarray]]:
+        """``(embedding gradient, parameter gradients)`` of the last
+        :meth:`dense_forward` on ``ws`` for ``(batch, 1)`` upstream
+        ``dlogits``.  The parameter gradients are new arrays; the embedding
+        gradient is a :meth:`~repro.nn.layers.Workspace.handout`, which no
+        later pass writes while the caller still holds it."""
+        raise NotImplementedError  # pragma: no cover - abstract
+
+    def _flat_features(
+        self, embeddings: np.ndarray, numerical: np.ndarray, ws: Workspace, fill: bool = True
+    ) -> np.ndarray:
+        """WDL's and DCN's input: the flattened embeddings, then ``numerical``
+        (``fill=False``: as the forward pass left it in ``ws``)."""
+        flat = embeddings.reshape(embeddings.shape[0], self.num_fields * self.dim)
+        if not self.num_numerical:
+            return flat
+        features = ws((self, "features"), flat.shape[1] + self.num_numerical)
+        if fill:
+            features[:, : flat.shape[1]] = flat
+            features[:, flat.shape[1]:] = numerical
+        return features
+
+    def _leaf_gradient(self, dfields: np.ndarray, ws: Workspace) -> np.ndarray:
+        """The embedding gradient, copied out of the workspace into an array
+        the caller may keep: ``dfields`` is ``(batch, fields, dim)`` or, for
+        a :meth:`_flat_features` gradient, ``(batch, columns)``."""
+        out = ws.handout(self, self.num_fields, self.dim)
+        if dfields.ndim == 2:
+            dfields = dfields[:, : self.num_fields * self.dim].reshape(out.shape)
+        np.copyto(out, dfields[:, : self.num_fields])
+        return out
+
     def forward_dense(self, embeddings: Tensor, numerical: np.ndarray) -> Tensor:
         """Map ``(batch, fields, dim)`` embeddings + numerical features to logits.
 
-        ``numerical`` may arrive in any float dtype; implementations bring it
-        to the model's own through :meth:`_numerical_tensor`.
+        One graph node: its backward fills ``embeddings.grad`` (when it
+        requires one) and every parameter's ``.grad``.  ``numerical`` may
+        arrive in any float dtype; it is cast to the model's.  The node's
+        activations live in the model's workspace, so its backward must run
+        before the next forward at the same batch size.
         """
-        raise NotImplementedError  # pragma: no cover - abstract
+        params = list(self.parameters())
+        weights = [param.data for param in params]
+        x = embeddings.data
+        numerical = np.asarray(numerical, dtype=self.dtype)
+        ws = self._workspace = claim_workspace(self._workspace, x.shape[0], self.dtype)
+        claimed = ws.passes
+        logits = self.dense_forward(weights, x, numerical, ws).reshape(-1).copy()
 
-    def _numerical_tensor(self, numerical: np.ndarray) -> Tensor:
-        return Tensor(np.asarray(numerical, dtype=self.dtype))
+        def backward(grad: np.ndarray) -> None:
+            if ws.passes != claimed:
+                raise RuntimeError(
+                    "a later forward at this batch size overwrote this pass's activations; "
+                    "run backward before the next forward or predict_proba"
+                )
+            dx, grads = self.dense_backward(weights, x, numerical, grad.reshape(-1, 1), ws)
+            if embeddings.requires_grad:
+                embeddings._accumulate_grad(dx, owned=True)
+            for param, param_grad in zip(params, grads):
+                param._accumulate_grad(param_grad, owned=True)
+
+        return make_node(logits, (embeddings, *params), backward)
 
     # ------------------------------------------------------------------ #
     # Full forward pass
@@ -118,46 +201,94 @@ class RecommendationModel(Module):
 
         ``categorical`` holds global feature ids of shape ``(batch, fields)``;
         ``numerical`` holds dense features of shape ``(batch, num_numerical)``
-        (may be ``None``/empty when the dataset has no numerical fields).
-        The embedding leaf is a ``requires_grad`` tensor wrapping the looked-up
-        vectors; after backward its ``grad`` is passed to
-        ``embedding.apply_gradients``.
+        (may be ``None``/empty when the dataset has no numerical fields); a
+        mis-shaped batch raises :class:`~repro.errors.BatchShapeError` before
+        the lookup.  The embedding leaf is a ``requires_grad`` tensor
+        wrapping the looked-up vectors; after backward its ``grad`` is passed
+        to ``embedding.apply_gradients``.
         """
-        categorical = np.asarray(categorical, dtype=np.int64)
-        if categorical.ndim != 2 or categorical.shape[1] != self.num_fields:
-            raise ValueError(
-                f"categorical input must have shape (batch, {self.num_fields}), got {categorical.shape}"
-            )
-        numerical = self._check_numerical(numerical, categorical.shape[0])
+        categorical, numerical = self._check_batch(categorical, numerical)
         vectors = self.store.lookup(categorical)
         leaf = Tensor(vectors, requires_grad=True, name="embedding_leaf")
         logits = self.forward_dense(leaf, numerical)
         return logits, leaf
 
     def predict_proba(self, categorical: np.ndarray, numerical: np.ndarray | None = None) -> np.ndarray:
-        """Click probabilities for a batch (no gradient bookkeeping)."""
-        logits, _ = self.forward(categorical, numerical)
-        z = logits.data.reshape(-1)
-        out = np.empty_like(z)
-        positive = z >= 0
-        out[positive] = 1.0 / (1.0 + np.exp(-z[positive]))
-        exp_z = np.exp(z[~positive])
-        out[~positive] = exp_z / (1.0 + exp_z)
-        return out
+        """Click probabilities for a batch: the array forward alone, no graph."""
+        weights = [param.data for param in self.parameters()]
+        return _predict(self, self, self.store, weights, categorical, numerical)
 
-    def _check_numerical(self, numerical: np.ndarray | None, batch_size: int) -> np.ndarray:
+    def served(self, store: Any, weights: np.ndarray | None = None) -> "ServedModel":
+        """This architecture over ``store`` (a snapshot view) and ``weights``
+        (a flat array in :meth:`~repro.nn.module.Module.flat_parameters`
+        layout; default: a new copy of the live parameters)."""
+        return ServedModel(self, store, self.flat_parameters() if weights is None else weights)
+
+    def _check_batch(
+        self, categorical: np.ndarray, numerical: np.ndarray | None
+    ) -> tuple[np.ndarray, np.ndarray]:
+        """``(categorical as int64, numerical in the model's dtype)``, or
+        :class:`~repro.errors.BatchShapeError` if either has the wrong shape."""
+        categorical = np.asarray(categorical, dtype=np.int64)
+        if categorical.ndim != 2 or categorical.shape[1] != self.num_fields:
+            raise BatchShapeError(
+                f"categorical input must have shape (batch, {self.num_fields}), got {categorical.shape}"
+            )
+        batch_size = categorical.shape[0]
         if self.num_numerical == 0:
-            return np.zeros((batch_size, 0), dtype=self.dtype)
+            return categorical, np.zeros((batch_size, 0), dtype=self.dtype)
         if numerical is None:
-            raise ValueError(f"model expects {self.num_numerical} numerical features, got none")
+            raise BatchShapeError(f"model expects {self.num_numerical} numerical features, got none")
         numerical = np.asarray(numerical, dtype=self.dtype)
         if numerical.shape != (batch_size, self.num_numerical):
-            raise ValueError(
+            raise BatchShapeError(
                 f"numerical input must have shape ({batch_size}, {self.num_numerical}), "
                 f"got {numerical.shape}"
             )
-        return numerical
+        return categorical, numerical
 
     def dense_parameter_count(self) -> int:
         """Number of parameters in the dense network (excludes embeddings)."""
         return self.num_parameters()
+
+
+class ServedModel:
+    """What serving answers from: an architecture, frozen weights, a store view.
+
+    ``weights`` is one flat array (never copied here) and ``store`` any
+    snapshot with ``lookup``; ``architecture`` is the trained model, used
+    for its structure and :meth:`~RecommendationModel.dense_forward` only —
+    its live parameters are never read.  :meth:`predict_proba` builds no
+    ``Tensor``, and the workspace is this object's own, so serving never
+    touches the live model's.  Like the engine or replica holding it, one
+    served model answers one thread at a time: every call reuses that
+    workspace.
+    """
+
+    def __init__(self, architecture: RecommendationModel, store: Any, weights: np.ndarray):
+        self.architecture = architecture
+        self.store = store
+        self.weights = weights
+        self.num_fields = architecture.num_fields
+        self.num_numerical = architecture.num_numerical
+        self.dtype = architecture.dtype
+        self._views = architecture.parameter_views(weights)
+        self._workspace: Workspace | None = None
+
+    def predict_proba(self, categorical: np.ndarray, numerical: np.ndarray | None = None) -> np.ndarray:
+        """Click probabilities under the frozen weights and store view."""
+        return _predict(self, self.architecture, self.store, self._views, categorical, numerical)
+
+
+def _predict(owner, model, store, weights, categorical, numerical) -> np.ndarray:
+    """``sigmoid`` of ``model``'s array forward over ``store`` and ``weights``,
+    in ``owner``'s workspace."""
+    categorical, numerical = model._check_batch(categorical, numerical)
+    ws = owner._workspace = claim_workspace(owner._workspace, len(categorical), model.dtype)
+    z = model.dense_forward(weights, store.lookup(categorical), numerical, ws).reshape(-1)
+    out = np.empty_like(z)
+    positive = z >= 0
+    out[positive] = 1.0 / (1.0 + np.exp(-z[positive]))
+    exp_z = np.exp(z[~positive])
+    out[~positive] = exp_z / (1.0 + exp_z)
+    return out

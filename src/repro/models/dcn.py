@@ -6,10 +6,8 @@ import numpy as np
 
 from repro.embeddings.base import CompressedEmbedding
 from repro.models.base import RecommendationModel
-from repro.nn import functional as F
 from repro.nn.interactions import CrossNetwork
-from repro.nn.layers import MLP, Linear
-from repro.nn.tensor import Tensor
+from repro.nn.layers import MLP, Linear, Workspace
 from repro.store import EmbeddingStore
 from repro.utils.rng import SeedLike, make_rng
 
@@ -39,15 +37,34 @@ class DCN(RecommendationModel):
         self.deep = MLP(deep_sizes, rng=generator, dtype=self.dtype)
         self.output = Linear(input_dim + deep_sizes[-1], 1, rng=generator, dtype=self.dtype)
 
-    def forward_dense(self, embeddings: Tensor, numerical: np.ndarray) -> Tensor:
-        batch = embeddings.shape[0]
-        flat = F.reshape(embeddings, (batch, self.num_fields * self.dim))
-        if self.num_numerical > 0:
-            features = F.concat([flat, self._numerical_tensor(numerical)], axis=1)
-        else:
-            features = flat
-        cross_out = self.cross(features)
-        deep_out = F.relu(self.deep(features))
-        combined = F.concat([cross_out, deep_out], axis=1)
-        logits = self.output(combined)
-        return F.reshape(logits, (batch,))
+    def dense_forward(self, weights, embeddings, numerical, ws: Workspace) -> np.ndarray:
+        cross_end, deep_end = self._splits()
+        features = self._flat_features(embeddings, numerical, ws)
+        cross_out = self.cross.forward_array(weights[:cross_end], features, ws)
+        deep_out = self.deep.forward_array(weights[cross_end:deep_end], features, ws)
+        np.maximum(deep_out, 0, out=deep_out)
+        combined = ws((self, "combined"), self.output.in_features)
+        combined[:, : cross_out.shape[1]] = cross_out
+        combined[:, cross_out.shape[1]:] = deep_out
+        return self.output.forward_array(weights[deep_end:], combined, ws)
+
+    def dense_backward(self, weights, embeddings, numerical, dlogits, ws: Workspace):
+        cross_end, deep_end = self._splits()
+        width = self.cross.input_dim
+        features = self._flat_features(embeddings, numerical, ws, fill=False)
+        combined = ws((self, "combined"), self.output.in_features)
+        dcombined, output_grads = self.output.backward_array(weights[deep_end:], combined, dlogits, ws)
+        deep_out = ws(self.deep.layers[-1], self.deep.layers[-1].out_features)
+        mask = np.greater(deep_out, 0, out=ws((self, "mask"), deep_out.shape[1], dtype=np.bool_))
+        ddeep_out = np.multiply(dcombined[:, width:], mask, out=ws((self, "ddeep"), deep_out.shape[1]))
+        dfeatures, cross_grads = self.cross.backward_array(
+            weights[:cross_end], features, dcombined[:, :width], ws
+        )
+        ddeep, deep_grads = self.deep.backward_array(weights[cross_end:deep_end], features, ddeep_out, ws)
+        dfeatures += ddeep  # the deep MLP's contribution comes last in the per-op graph too
+        return self._leaf_gradient(dfeatures, ws), cross_grads + deep_grads + output_grads
+
+    def _splits(self) -> tuple[int, int]:
+        """Where the cross network's and the deep MLP's parameter arrays end."""
+        cross_end = 2 * self.cross.num_layers
+        return cross_end, cross_end + 2 * len(self.deep.layers)

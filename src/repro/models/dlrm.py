@@ -6,10 +6,8 @@ import numpy as np
 
 from repro.embeddings.base import CompressedEmbedding
 from repro.models.base import RecommendationModel
-from repro.nn import functional as F
 from repro.nn.interactions import DotInteraction
-from repro.nn.layers import MLP
-from repro.nn.tensor import Tensor
+from repro.nn.layers import MLP, Workspace
 from repro.store import EmbeddingStore
 from repro.utils.rng import SeedLike, make_rng
 
@@ -48,16 +46,37 @@ class DLRM(RecommendationModel):
         self.interaction = DotInteraction()
         self.top = MLP(top_sizes, rng=generator, dtype=self.dtype)
 
-    def forward_dense(self, embeddings: Tensor, numerical: np.ndarray) -> Tensor:
-        batch = embeddings.shape[0]
-        if self.has_dense_field:
-            dense_vector = self.bottom(self._numerical_tensor(numerical))
-            dense_as_field = F.reshape(dense_vector, (batch, 1, self.dim))
-            all_fields = F.concat([embeddings, dense_as_field], axis=1)
-            interactions = self.interaction(all_fields)
-            top_input = F.concat([dense_vector, interactions], axis=1)
+    def dense_forward(self, weights, embeddings, numerical, ws: Workspace) -> np.ndarray:
+        split = self._bottom_arrays()
+        if self.bottom is None:
+            top_input = self.interaction.forward_array(embeddings, ws)
         else:
-            interactions = self.interaction(embeddings)
-            top_input = interactions
-        logits = self.top(top_input)
-        return F.reshape(logits, (batch,))
+            dense = self.bottom.forward_array(weights[:split], numerical, ws)
+            fields = ws((self, "fields"), self.num_fields + 1, self.dim)
+            fields[:, : self.num_fields] = embeddings
+            fields[:, self.num_fields] = dense
+            interactions = self.interaction.forward_array(fields, ws)
+            # The interaction's Gram region is free until its backward.
+            top_input = ws(self.interaction.gram, self.dim + interactions.shape[1])
+            top_input[:, : self.dim] = dense
+            top_input[:, self.dim:] = interactions
+        return self.top.forward_array(weights[split:], top_input, ws)
+
+    def dense_backward(self, weights, embeddings, numerical, dlogits, ws: Workspace):
+        split = self._bottom_arrays()
+        if self.bottom is None:
+            top_input = ws((self.interaction, "x"), DotInteraction.output_dim(self.num_fields))
+            dtop, grads = self.top.backward_array(weights[split:], top_input, dlogits, ws)
+            return self._leaf_gradient(self.interaction.backward_array(embeddings, dtop, ws), ws), grads
+        fields = ws((self, "fields"), self.num_fields + 1, self.dim)
+        top_input = ws(self.interaction.gram, self.dim + DotInteraction.output_dim(self.num_fields + 1))
+        dtop, top_grads = self.top.backward_array(weights[split:], top_input, dlogits, ws)
+        dfields = self.interaction.backward_array(fields, dtop[:, self.dim:], ws)
+        # The dense vector is both the top MLP's first columns and the extra field.
+        ddense = np.add(dtop[:, : self.dim], dfields[:, self.num_fields], out=ws((self, "ddense"), self.dim))
+        _, bottom_grads = self.bottom.backward_array(weights[:split], numerical, ddense, ws, need_dx=False)
+        return self._leaf_gradient(dfields, ws), bottom_grads + top_grads
+
+    def _bottom_arrays(self) -> int:
+        """How many of the parameter arrays are the bottom MLP's (it comes first)."""
+        return 0 if self.bottom is None else 2 * len(self.bottom.layers)

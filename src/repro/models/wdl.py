@@ -6,9 +6,7 @@ import numpy as np
 
 from repro.embeddings.base import CompressedEmbedding
 from repro.models.base import RecommendationModel
-from repro.nn import functional as F
-from repro.nn.layers import MLP, Linear
-from repro.nn.tensor import Tensor
+from repro.nn.layers import MLP, Linear, Workspace
 from repro.store import EmbeddingStore
 from repro.utils.rng import SeedLike, make_rng
 
@@ -37,13 +35,15 @@ class WDL(RecommendationModel):
         deep_sizes = [input_dim] + (deep_mlp or [64, 32]) + [1]
         self.deep = MLP(deep_sizes, rng=generator, dtype=self.dtype)
 
-    def forward_dense(self, embeddings: Tensor, numerical: np.ndarray) -> Tensor:
-        batch = embeddings.shape[0]
-        flat = F.reshape(embeddings, (batch, self.num_fields * self.dim))
-        if self.num_numerical > 0:
-            features = F.concat([flat, self._numerical_tensor(numerical)], axis=1)
-        else:
-            features = flat
-        wide_logit = self.wide(features)
-        deep_logit = self.deep(features)
-        return F.reshape(F.add(wide_logit, deep_logit), (batch,))
+    def dense_forward(self, weights, embeddings, numerical, ws: Workspace) -> np.ndarray:
+        features = self._flat_features(embeddings, numerical, ws)
+        wide_logit = self.wide.forward_array(weights[:2], features, ws)
+        deep_logit = self.deep.forward_array(weights[2:], features, ws)
+        return np.add(wide_logit, deep_logit, out=ws(self, 1))
+
+    def dense_backward(self, weights, embeddings, numerical, dlogits, ws: Workspace):
+        features = self._flat_features(embeddings, numerical, ws, fill=False)
+        dwide, wide_grads = self.wide.backward_array(weights[:2], features, dlogits, ws)
+        ddeep, deep_grads = self.deep.backward_array(weights[2:], features, dlogits, ws)
+        dwide += ddeep
+        return self._leaf_gradient(dwide, ws), wide_grads + deep_grads

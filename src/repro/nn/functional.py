@@ -1,14 +1,15 @@
 """Differentiable operations over :class:`repro.nn.tensor.Tensor`.
 
 Each function builds the forward result eagerly and registers a closure that
-propagates gradients to its inputs.  Only the operations required by the
-recommendation models and losses in this library are implemented; they are
-all exercised by gradient-checking tests in ``tests/nn``.
+propagates gradients to its inputs.  This per-op engine is what a custom
+model built from ``repro.nn`` layers runs on (``examples/custom_model_
+integration.py``) and the oracle the built-in models' fused dense pass is
+tested against (``tests/reference_dense.py``); the built-in DLRM / WDL / DCN
+train through one node per dense pass instead (``repro.models.base``).
+Every operation here is exercised by gradient-checking tests.
 """
 
 from __future__ import annotations
-
-from functools import lru_cache
 
 import numpy as np
 
@@ -18,7 +19,7 @@ from repro.nn.tensor import (
     _unbroadcast,
     ensure_tensor,
     ensure_tensors,
-    is_grad_enabled,
+    make_node,
 )
 
 # Gradient ownership: a backward closure passes ``owned=True`` to
@@ -26,14 +27,6 @@ from repro.nn.tensor import (
 # allocated inside that closure and goes to one tensor only; the incoming
 # ``grad`` (the child's own ``.grad``), views of it and arrays given to two
 # parents are passed unowned and get copied on first accumulation.
-
-
-def _make(data: np.ndarray, parents: tuple[Tensor, ...], backward_fn) -> Tensor:
-    if is_grad_enabled():
-        parents = tuple([p for p in parents if p.requires_grad])
-        if parents:
-            return Tensor(data, True, parents, backward_fn)
-    return Tensor(data)
 
 
 def _accumulate_unbroadcast(tensor: Tensor, grad: np.ndarray, fresh: bool = False) -> None:
@@ -59,7 +52,7 @@ def add(a: Tensor | ArrayLike, b: Tensor | ArrayLike) -> Tensor:
         if b.requires_grad:
             _accumulate_unbroadcast(b, grad)
 
-    return _make(out_data, (a, b), backward)
+    return make_node(out_data, (a, b), backward)
 
 
 def sub(a: Tensor | ArrayLike, b: Tensor | ArrayLike) -> Tensor:
@@ -72,7 +65,7 @@ def sub(a: Tensor | ArrayLike, b: Tensor | ArrayLike) -> Tensor:
         if b.requires_grad:
             _accumulate_unbroadcast(b, -grad, fresh=True)
 
-    return _make(out_data, (a, b), backward)
+    return make_node(out_data, (a, b), backward)
 
 
 def mul(a: Tensor | ArrayLike, b: Tensor | ArrayLike) -> Tensor:
@@ -85,7 +78,7 @@ def mul(a: Tensor | ArrayLike, b: Tensor | ArrayLike) -> Tensor:
         if b.requires_grad:
             _accumulate_unbroadcast(b, grad * a.data, fresh=True)
 
-    return _make(out_data, (a, b), backward)
+    return make_node(out_data, (a, b), backward)
 
 
 # --------------------------------------------------------------------------- #
@@ -102,7 +95,7 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
         if b.requires_grad:
             _accumulate_unbroadcast(b, np.swapaxes(a.data, -1, -2) @ grad, fresh=True)
 
-    return _make(out_data, (a, b), backward)
+    return make_node(out_data, (a, b), backward)
 
 
 def linear(x: Tensor, weight: Tensor, bias: Tensor) -> Tensor:
@@ -126,56 +119,7 @@ def linear(x: Tensor, weight: Tensor, bias: Tensor) -> Tensor:
         if bias.requires_grad:
             bias._accumulate_grad(rows.sum(axis=0), owned=True)
 
-    return _make(out_data, (x, weight, bias), backward)
-
-
-def batched_outer_interaction(x: Tensor) -> Tensor:
-    """Pairwise dot products between field embeddings (DLRM interaction).
-
-    ``x`` has shape ``(batch, fields, dim)``; the result contains, for every
-    sample, the strictly-lower-triangular entries of ``x @ x^T`` flattened to
-    shape ``(batch, fields * (fields - 1) / 2)`` in the order of
-    ``np.tril_indices(fields, -1)``: row ``i`` of the Gram matrix contributes
-    its first ``i`` columns, rows in increasing order.
-    """
-    x = ensure_tensor(x)
-    batch, fields, _ = x.shape
-    gram = x.data @ np.ascontiguousarray(np.swapaxes(x.data, 1, 2))
-    out_data = np.concatenate([gram[:, i, :i] for i in range(fields)], axis=1)
-
-    def backward(grad: np.ndarray) -> None:
-        if not x.requires_grad:
-            return
-        if fields < 2:  # no pairs: the output is empty and says nothing about x
-            x._accumulate_grad(np.zeros_like(x.data), owned=True)
-            return
-        # d(x_i . x_j) reaches both rows i and j, so the gradient of the Gram
-        # matrix is symmetric with a zero diagonal: gather it whole, then one
-        # batched matmul.
-        grad_gram = np.take(grad, _pair_of_gram_cell(fields), axis=1)
-        grad_gram = grad_gram.reshape(batch, fields, fields)
-        diagonal = np.arange(fields)
-        grad_gram[:, diagonal, diagonal] = 0
-        x._accumulate_grad(grad_gram @ x.data, owned=True)
-
-    return _make(out_data, (x,), backward)
-
-
-@lru_cache(maxsize=16)
-def _pair_of_gram_cell(fields: int) -> np.ndarray:
-    """For each cell ``(i, j)`` of a flattened ``fields x fields`` Gram matrix,
-    the position of the pair ``{i, j}`` in ``np.tril_indices(fields, -1)``
-    order (diagonal cells, which belong to no pair, hold 0).  Read-only: the
-    one array is shared by every caller.
-    """
-    rows, cols = np.tril_indices(fields, -1)
-    pair = np.arange(rows.size)
-    cells = np.zeros((fields, fields), dtype=np.intp)
-    cells[rows, cols] = pair
-    cells[cols, rows] = pair
-    cells = cells.reshape(-1)
-    cells.setflags(write=False)
-    return cells
+    return make_node(out_data, (x, weight, bias), backward)
 
 
 # --------------------------------------------------------------------------- #
@@ -190,23 +134,7 @@ def reshape(x: Tensor, shape: tuple[int, ...]) -> Tensor:
         if x.requires_grad:
             x._accumulate_grad(grad.reshape(original_shape))  # a view of grad
 
-    return _make(out_data, (x,), backward)
-
-
-def concat(tensors: list[Tensor], axis: int = -1) -> Tensor:
-    tensors = [ensure_tensor(t) for t in tensors]
-    out_data = np.concatenate([t.data for t in tensors], axis=axis)
-
-    def backward(grad: np.ndarray) -> None:
-        # The split points are backward-only work: a forward that is never
-        # differentiated (serving) does not pay for them.
-        boundaries = np.cumsum([t.shape[axis] for t in tensors])[:-1]
-        pieces = np.split(grad, boundaries, axis=axis)
-        for tensor, piece in zip(tensors, pieces):
-            if tensor.requires_grad:
-                tensor._accumulate_grad(piece)  # a view of grad
-
-    return _make(out_data, tuple(tensors), backward)
+    return make_node(out_data, (x,), backward)
 
 
 # --------------------------------------------------------------------------- #
@@ -224,7 +152,7 @@ def sum(x: Tensor, axis: int | tuple[int, ...] | None = None, keepdims: bool = F
             g = np.expand_dims(g, axis=axis)
         x._accumulate_grad(np.broadcast_to(g, x.shape).copy(), owned=True)
 
-    return _make(out_data, (x,), backward)
+    return make_node(out_data, (x,), backward)
 
 
 def mean(x: Tensor, axis: int | tuple[int, ...] | None = None, keepdims: bool = False) -> Tensor:
@@ -240,7 +168,7 @@ def mean(x: Tensor, axis: int | tuple[int, ...] | None = None, keepdims: bool = 
             g = np.expand_dims(g, axis=axis)
         x._accumulate_grad(np.broadcast_to(g / denom, x.shape).copy(), owned=True)
 
-    return _make(out_data, (x,), backward)
+    return make_node(out_data, (x,), backward)
 
 
 # --------------------------------------------------------------------------- #
@@ -254,7 +182,7 @@ def relu(x: Tensor) -> Tensor:
         if x.requires_grad:
             x._accumulate_grad(grad * (out_data > 0), owned=True)
 
-    return _make(out_data, (x,), backward)
+    return make_node(out_data, (x,), backward)
 
 
 def sigmoid(x: Tensor) -> Tensor:
@@ -265,7 +193,7 @@ def sigmoid(x: Tensor) -> Tensor:
         if x.requires_grad:
             x._accumulate_grad(grad * out_data * (1.0 - out_data), owned=True)
 
-    return _make(out_data, (x,), backward)
+    return make_node(out_data, (x,), backward)
 
 
 def _stable_sigmoid(z: np.ndarray) -> np.ndarray:
@@ -275,31 +203,6 @@ def _stable_sigmoid(z: np.ndarray) -> np.ndarray:
     exp_z = np.exp(z[~positive])
     out[~positive] = exp_z / (1.0 + exp_z)
     return out
-
-
-# --------------------------------------------------------------------------- #
-# Embedding gather
-# --------------------------------------------------------------------------- #
-def gather_rows(table: Tensor, indices: np.ndarray) -> Tensor:
-    """Select rows ``indices`` from 2-D ``table``; gradient scatters back.
-
-    ``indices`` may have any shape; the output has shape
-    ``indices.shape + (table.shape[1],)``.  The backward pass accumulates with
-    ``np.add.at`` so repeated indices within a batch sum their gradients, the
-    same semantics as a sparse embedding lookup in PyTorch.
-    """
-    table = ensure_tensor(table)
-    idx = np.asarray(indices, dtype=np.int64)
-    out_data = table.data[idx]
-
-    def backward(grad: np.ndarray) -> None:
-        if not table.requires_grad:
-            return
-        grad_table = np.zeros_like(table.data)
-        np.add.at(grad_table, idx.reshape(-1), grad.reshape(-1, table.data.shape[1]))
-        table._accumulate_grad(grad_table, owned=True)
-
-    return _make(out_data, (table,), backward)
 
 
 # --------------------------------------------------------------------------- #
@@ -328,4 +231,4 @@ def binary_cross_entropy_with_logits(logits: Tensor, targets: np.ndarray) -> Ten
             grad_logits *= grad
             logits._accumulate_grad(grad_logits, owned=True)
 
-    return _make(out_data, (logits,), backward)
+    return make_node(out_data, (logits,), backward)

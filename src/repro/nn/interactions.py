@@ -12,12 +12,16 @@ field embeddings with the dense features:
 
 from __future__ import annotations
 
+from functools import lru_cache
+from typing import Sequence
+
 import numpy as np
 
 from repro.nn import functional as F
 from repro.nn.init import DTypeLike
+from repro.nn.layers import Workspace
 from repro.nn.module import Module
-from repro.nn.tensor import Parameter, Tensor, get_default_dtype
+from repro.nn.tensor import Parameter, Tensor, ensure_tensor, get_default_dtype, make_node
 from repro.utils.rng import SeedLike, make_rng
 
 
@@ -26,16 +30,91 @@ class DotInteraction(Module):
 
     Input is the per-field embedding tensor of shape ``(batch, fields, dim)``
     (optionally with the projected dense features appended as an extra "field")
-    and the output is the flattened strictly-lower-triangular part of the
-    per-sample Gram matrix, shape ``(batch, fields*(fields-1)/2)``.
+    and the output is, for every sample, the strictly-lower-triangular entries
+    of the Gram matrix ``x @ x^T`` flattened to ``(batch, fields*(fields-1)/2)``
+    in ``np.tril_indices(fields, -1)`` order: row ``i`` contributes its first
+    ``i`` columns, rows in increasing order.
     """
 
     def forward(self, embeddings: Tensor) -> Tensor:
-        return F.batched_outer_interaction(embeddings)
+        """One graph node over :meth:`forward_array` / :meth:`backward_array`."""
+        x = ensure_tensor(embeddings)
+        ws = Workspace(x.shape[0], x.data.dtype)  # private: its dx can be handed out
+
+        def backward(grad: np.ndarray) -> None:
+            x._accumulate_grad(self.backward_array(x.data, grad, ws), owned=True)
+
+        # A copy: backward_array's dx reuses the output's region.
+        return make_node(self.forward_array(x.data, ws).copy(), (x,), backward)
+
+    def forward_array(self, x: np.ndarray, ws: Workspace) -> np.ndarray:
+        """The pair products of ``x``, a view of this layer's ``(self, "x")``
+        region.  Its ``self.gram`` region is dead when this returns (until
+        :meth:`backward_array`), so a caller may lay a product of its own
+        there."""
+        batch, fields, dim = x.shape
+        transposed = ws((self, "x"), dim, fields)
+        np.copyto(transposed, np.swapaxes(x, 1, 2))
+        gram = np.matmul(x, transposed, out=ws(self.gram, fields, fields))
+        # The transposed copy is dead: the pairs go to its region.  mode="clip"
+        # (the indices are in range) lets take write there directly; the
+        # default mode stages every result in a fresh buffer.
+        out = ws((self, "x"), self.output_dim(fields))
+        cells = gram.reshape(batch, fields * fields)
+        return np.take(cells, _gram_cell_of_pair(fields), 1, out, "clip")
+
+    def backward_array(self, x: np.ndarray, dy: np.ndarray, ws: Workspace) -> np.ndarray:
+        """The gradient at ``x`` for upstream ``dy``, a view of the
+        ``(self, "x")`` region (the forward's output is dead by now)."""
+        batch, fields, dim = x.shape
+        dx = ws((self, "x"), fields, dim)
+        if fields < 2:  # no pairs: the output is empty and says nothing about x
+            dx[...] = 0
+            return dx
+        # d(x_i . x_j) reaches both rows i and j, so the gradient of the Gram
+        # matrix is symmetric with a zero diagonal: gather it whole, then one
+        # batched matmul.
+        grad_gram = ws(self.gram, fields, fields)
+        cells = grad_gram.reshape(batch, fields * fields)
+        np.take(dy, _pair_of_gram_cell(fields), 1, cells, "clip")
+        cells[:, :: fields + 1] = 0
+        return np.matmul(grad_gram, x, out=dx)
+
+    @property
+    def gram(self) -> tuple["DotInteraction", str]:
+        """The workspace key of the Gram matrix (and of its gradient)."""
+        return (self, "gram")
 
     @staticmethod
     def output_dim(num_fields: int) -> int:
         return num_fields * (num_fields - 1) // 2
+
+
+@lru_cache(maxsize=16)
+def _gram_cell_of_pair(fields: int) -> np.ndarray:
+    """For each pair in ``np.tril_indices(fields, -1)`` order, its cell in a
+    flattened ``fields x fields`` Gram matrix.  Read-only and shared."""
+    rows, cols = np.tril_indices(fields, -1)
+    cells = rows * fields + cols
+    cells.setflags(write=False)
+    return cells
+
+
+@lru_cache(maxsize=16)
+def _pair_of_gram_cell(fields: int) -> np.ndarray:
+    """For each cell ``(i, j)`` of a flattened ``fields x fields`` Gram matrix,
+    the position of the pair ``{i, j}`` in ``np.tril_indices(fields, -1)``
+    order (diagonal cells, which belong to no pair, hold 0).  Read-only: the
+    one array is shared by every caller.
+    """
+    rows, cols = np.tril_indices(fields, -1)
+    pair = np.arange(rows.size)
+    cells = np.zeros((fields, fields), dtype=np.intp)
+    cells[rows, cols] = pair
+    cells[cols, rows] = pair
+    cells = cells.reshape(-1)
+    cells.setflags(write=False)
+    return cells
 
 
 class CrossNetwork(Module):
@@ -77,3 +156,55 @@ class CrossNetwork(Module):
             crossed = F.mul(x0, projected)  # broadcast over the feature axis
             x = F.add(F.add(crossed, bias), x)
         return x
+
+    def forward_array(self, weights: Sequence[np.ndarray], x0: np.ndarray, ws: Workspace) -> np.ndarray:
+        """:meth:`forward` on arrays (``weights = [w_0.., b_0..]``, the
+        ``parameters()`` order); the result is a workspace array."""
+        layers, x = self.num_layers, x0
+        for i in range(layers):
+            projected = np.matmul(x, weights[i], out=ws((self, "p", i), 1))
+            out = np.multiply(x0, projected, out=ws((self, "x", i), self.input_dim))
+            out += weights[layers + i]
+            out += x
+            x = out
+        return x
+
+    def backward_array(
+        self, weights: Sequence[np.ndarray], x0: np.ndarray, dy: np.ndarray, ws: Workspace
+    ) -> tuple[np.ndarray, list[np.ndarray]]:
+        """``(dx0, grads)`` of the last :meth:`forward_array` for upstream ``dy``.
+
+        ``x0`` reaches the output through every layer's product and through
+        layer 0's projection and residual; those contributions are summed in
+        the order the per-op graph of :meth:`forward` adds them — products of
+        layers L-1 .. 1, then layer 0's residual, product and projection — so
+        the result is bit-identical to it.  ``dx0`` is a workspace array.
+        """
+        layers, dim = self.num_layers, self.input_dim
+        weight_grads, bias_grads = [], []  # layers L-1 .. 0
+        dx0 = ws((self, "dx0"), dim)
+        term = ws((self, "term"), dim)
+        g = ws((self, "g"), dim)  # the gradient at layer i's output
+        np.copyto(g, dy)
+        for i in range(layers - 1, -1, -1):
+            projected = ws((self, "p", i), 1)
+            inputs = ws((self, "x", i - 1), dim) if i else x0
+            if i:  # the product's contribution to x0
+                np.multiply(g, projected, out=dx0 if i == layers - 1 else term)
+                if i < layers - 1:
+                    dx0 += term
+            np.multiply(g, x0, out=term)
+            dprojected = np.sum(term, axis=1, keepdims=True, out=ws((self, "dp"), 1))
+            weight_grads.append(inputs.T @ dprojected)
+            bias_grads.append(g.sum(axis=0))
+            through = np.matmul(dprojected, weights[i].T, out=ws((self, "mm"), dim))
+            if i:  # x_{i-1} feeds the projection and the residual of layer i
+                g += through
+            else:
+                if layers == 1:
+                    np.copyto(dx0, g)
+                else:
+                    dx0 += g
+                dx0 += np.multiply(g, projected, out=term)
+                dx0 += through
+        return dx0, weight_grads[::-1] + bias_grads[::-1]

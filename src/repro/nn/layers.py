@@ -1,6 +1,18 @@
-"""Dense layers: Linear and MLP stacks used by the recommendation models."""
+"""Dense layers: Linear and MLP stacks used by the recommendation models.
+
+Each layer has two forms.  ``layer(tensor)`` records per-op autograd nodes
+(what a custom model built from ``repro.nn`` runs on).  ``forward_array`` /
+``backward_array`` compute the same values, operation for operation, on
+plain arrays with the weights passed in (``parameters()`` order) and every
+intermediate kept in a :class:`Workspace`; the built-in models chain these
+into one graph node per dense pass.
+"""
 
 from __future__ import annotations
+
+import math
+import sys
+from typing import Hashable, Sequence
 
 import numpy as np
 
@@ -9,6 +21,78 @@ from repro.nn.init import DTypeLike, kaiming_uniform
 from repro.nn.module import Module
 from repro.nn.tensor import Parameter, Tensor, get_default_dtype
 from repro.utils.rng import SeedLike, make_rng
+
+
+class Workspace:
+    """Scratch arrays of one batch size, reused by every pass at that size.
+
+    ``ws(key, *shape)`` is a ``(rows, *shape)`` view of the region filed
+    under ``key`` (layers use themselves, or ``(self, name)``), allocated on
+    first use, so a loop at one batch size maps no new pages.  A key may be
+    taken again with another shape once what it held is dead — a layer's
+    transposed input and its output, say — which keeps a forward pass's
+    live set near the per-op graph's; a region grows to its largest use.
+    The next pass overwrites every region: nothing handed to a caller may
+    be one of them.  ``passes`` counts the forward passes that claimed the
+    workspace; a backward compares it with its own forward's count.
+    """
+
+    __slots__ = ("rows", "dtype", "passes", "_regions", "_views", "_handed_out")
+
+    def __init__(self, rows: int, dtype: DTypeLike):
+        self.rows = int(rows)
+        self.dtype = np.dtype(dtype)
+        self.passes = 0
+        self._regions: dict[Hashable, np.ndarray] = {}
+        self._views: dict[tuple, np.ndarray] = {}
+        self._handed_out: dict[Hashable, np.ndarray] = {}
+
+    def __call__(self, key: Hashable, *shape: int, dtype: DTypeLike = None) -> np.ndarray:
+        """The view; a key keeps the dtype of its first use (default: the
+        workspace's)."""
+        view = self._views.get((key, shape))
+        if view is None:
+            size = self.rows * math.prod(shape)
+            region = self._regions.get(key)
+            if region is None or region.size < size:
+                region = self._regions[key] = np.empty(size, dtype=dtype or self.dtype)
+                self._views.clear()  # views of a replaced region must not be handed out again
+            view = self._views[key, shape] = region[:size].reshape(self.rows, *shape)
+        return view
+
+    def handout(self, key: Hashable, *shape: int) -> np.ndarray:
+        """An array for a result the caller keeps (an embedding gradient).
+
+        The one last handed out under ``key`` if nothing but this workspace
+        references it any more, else a new one: a training loop that lets
+        each step's gradient go reuses one buffer (a fresh 3 MB array per
+        step makes glibc trim and re-fault the heap top), and a gradient
+        somebody still holds is never overwritten.
+        """
+        array = self._handed_out.get(key)
+        if array is None or sys.getrefcount(array) != _UNHELD:
+            array = self._handed_out[key] = np.empty((self.rows, *shape), dtype=self.dtype)
+        return array
+
+
+def _unheld_refcount() -> int:
+    """``sys.getrefcount`` of an array only a dict holds, read as
+    :meth:`Workspace.handout` reads it (the count is interpreter-specific)."""
+    held = {0: np.empty(0, dtype=np.float64)}
+    array = held.get(0)
+    return sys.getrefcount(array)
+
+
+_UNHELD = _unheld_refcount()
+
+
+def claim_workspace(current: Workspace | None, rows: int, dtype: DTypeLike) -> Workspace:
+    """``current`` if it holds ``rows`` rows, else a new one; one more pass
+    is counted on the result (one workspace per model: the last batch size)."""
+    if current is None or current.rows != rows:
+        current = Workspace(rows, dtype)
+    current.passes += 1
+    return current
 
 
 class Linear(Module):
@@ -36,6 +120,25 @@ class Linear(Module):
 
     def forward(self, x: Tensor) -> Tensor:
         return F.linear(x, self.weight, self.bias)
+
+    def forward_array(self, weights: Sequence[np.ndarray], x: np.ndarray, ws: Workspace) -> np.ndarray:
+        """``x @ W + b`` (``weights = [W, b]``) into this layer's workspace array."""
+        weight, bias = weights
+        out = ws(self, self.out_features)
+        np.matmul(x, weight, out=out)
+        out += bias
+        return out
+
+    def backward_array(
+        self, weights: Sequence[np.ndarray], x: np.ndarray, dy: np.ndarray, ws: Workspace,
+        need_dx: bool = True,
+    ) -> tuple[np.ndarray | None, list[np.ndarray]]:
+        """``(dx, [dW, db])`` at input ``x`` for upstream ``dy``; ``dx`` is a
+        workspace array (``None`` unless ``need_dx``), the gradients are new."""
+        dx = None
+        if need_dx:
+            dx = np.matmul(dy, weights[0].T, out=ws((self, "dx"), self.in_features))
+        return dx, [x.T @ dy, dy.sum(axis=0)]
 
 
 class MLP(Module):
@@ -74,3 +177,34 @@ class MLP(Module):
         if self.sigmoid_output:
             out = F.sigmoid(out)
         return out
+
+    def forward_array(self, weights: Sequence[np.ndarray], x: np.ndarray, ws: Workspace) -> np.ndarray:
+        """:meth:`forward` on arrays; the result is the last layer's workspace
+        array.  Raw output only: ``sigmoid_output`` has no array form."""
+        if self.sigmoid_output:
+            raise ValueError("forward_array computes the raw output; sigmoid_output is Tensor-only")
+        last = len(self.layers) - 1
+        for i, layer in enumerate(self.layers):
+            x = layer.forward_array(weights[2 * i: 2 * i + 2], x, ws)
+            if i < last:
+                np.maximum(x, 0, out=x)
+        return x
+
+    def backward_array(
+        self, weights: Sequence[np.ndarray], x: np.ndarray, dy: np.ndarray, ws: Workspace,
+        need_dx: bool = True,
+    ) -> tuple[np.ndarray | None, list[np.ndarray]]:
+        """``(dx, grads)`` of the last :meth:`forward_array` at input ``x``;
+        ``grads`` are new arrays in ``parameters()`` order."""
+        grads: list[np.ndarray] = []
+        for i in range(len(self.layers) - 1, -1, -1):
+            below = self.layers[i - 1] if i else None
+            inputs = x if below is None else ws(below, below.out_features)
+            dx, layer_grads = self.layers[i].backward_array(
+                weights[2 * i: 2 * i + 2], inputs, dy, ws, need_dx=below is not None or need_dx
+            )
+            grads[:0] = layer_grads
+            if below is not None:  # through the ReLU: its output (our input) > 0
+                mask = np.greater(inputs, 0, out=ws((below, "mask"), below.out_features, dtype=np.bool_))
+                dy = np.multiply(dx, mask, out=dx)
+        return dx, grads

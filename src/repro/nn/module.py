@@ -59,6 +59,19 @@ class Module:
         """Total number of scalar learnable parameters."""
         return int(sum(p.size for p in self.parameters()))
 
+    def flat_parameters(self) -> np.ndarray:
+        """One new flat array holding every parameter, in :meth:`parameters` order."""
+        return np.concatenate([param.data.reshape(-1) for param in self.parameters()])
+
+    def parameter_views(self, flat: np.ndarray) -> list[np.ndarray]:
+        """Views of ``flat`` (laid out by :meth:`flat_parameters`), one per
+        parameter in its shape."""
+        views, start = [], 0
+        for param in self.parameters():
+            views.append(flat[start: start + param.size].reshape(param.shape))
+            start += param.size
+        return views
+
     def state_dict(self) -> dict[str, np.ndarray]:
         """Copy of every parameter keyed by its dotted name."""
         return {name: param.data.copy() for name, param in self.named_parameters()}

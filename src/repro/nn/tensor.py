@@ -284,6 +284,22 @@ def ensure_tensors(a: "Tensor | ArrayLike", b: "Tensor | ArrayLike") -> tuple[Te
     return ensure_tensor(a, b.data.dtype), b
 
 
+def make_node(
+    data: np.ndarray, parents: tuple[Tensor, ...], backward_fn: Callable[[np.ndarray], None]
+) -> Tensor:
+    """``data`` as the output of an operation on ``parents``.
+
+    Records ``backward_fn`` (called with the node's gradient once every
+    consumer has contributed to it) when gradients are enabled and some
+    parent requires one; otherwise returns a plain tensor with no graph.
+    """
+    if is_grad_enabled():
+        parents = tuple([p for p in parents if p.requires_grad])
+        if parents:
+            return Tensor(data, True, parents, backward_fn)
+    return Tensor(data)
+
+
 def _topological_order(root: Tensor) -> list[Tensor]:
     """Return tensors reachable from ``root`` in topological order."""
     order: list[Tensor] = []

@@ -12,7 +12,7 @@ is that loop:
     day-stream ──► Trainer.train_step ──► live ShardedEmbeddingStore
                         │ every `publish_every_steps`
                         ▼
-               engine.refresh()  ── O(1) snapshot + frozen dense net
+               engine.refresh()  ── O(1) snapshot + flat dense weight copy
                         ▼
                ServingEngine ◄── probe / client requests (micro-batched)
 

@@ -1,12 +1,7 @@
 """Serving: snapshot-backed inference and delta-fed replicas."""
 
 from repro.serving.batcher import PendingPrediction
-from repro.serving.delta import (
-    STORE_SLOT,
-    DeltaSnapshotPublisher,
-    ShardUpdate,
-    SnapshotPayload,
-)
+from repro.serving.delta import DeltaSnapshotPublisher, ShardUpdate, SnapshotPayload
 from repro.serving.engine import ServingEngine
 from repro.serving.replica import Replica, ReplicaSet, ReplicaTier
 from repro.serving.stats import PERCENTILES, LatencyTracker
@@ -19,7 +14,6 @@ __all__ = [
     "DeltaSnapshotPublisher",
     "SnapshotPayload",
     "ShardUpdate",
-    "STORE_SLOT",
     "Replica",
     "ReplicaSet",
     "ReplicaTier",

@@ -7,13 +7,14 @@ N × (whole table) regardless of how little actually changed between
 publishes.  The publisher here ships what changed as a *versioned delta*:
 
 ``full``
-    A complete snapshot (shard objects + frozen dense network).  Sent for
+    A complete snapshot (shard objects + flat dense weights).  Sent for
     the first publish, after every ``rebase_every`` deltas (so a fresh
     replica can always catch up from the latest full), and for every
     publish of a store whose snapshot is not sharded (a table group).
 
 ``delta``
-    The changed shards against an explicit ``base_version``.  Replicas
+    The changed shards (+ flat dense weights) against an explicit
+    ``base_version``.  Replicas
     refuse a delta whose base is not their current version (see
     :mod:`repro.errors`), which turns dropped or duplicated publishes into
     loud protocol errors instead of silent staleness.
@@ -35,34 +36,12 @@ number of dropped publishes.
 
 from __future__ import annotations
 
-import copy
 from dataclasses import dataclass, field
 from typing import Any
 
+import numpy as np
+
 from repro.store.snapshot import StoreSnapshot
-
-
-class _StoreSlot:
-    """Placeholder spliced where the dense network references its store.
-
-    The publisher deep-copies the dense network once per publish with this
-    sentinel memoised in place of the (arbitrarily large) store; each
-    replica re-splices its own view over the sentinel at cutover.  Deep
-    copies of the sentinel are the sentinel itself, so the id survives the
-    round trip.
-    """
-
-    __slots__ = ()
-
-    def __deepcopy__(self, memo):
-        return self
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging helper
-        return "<STORE_SLOT>"
-
-
-#: The one shared sentinel instance payloads are built around.
-STORE_SLOT = _StoreSlot()
 
 
 @dataclass(frozen=True)
@@ -86,7 +65,12 @@ class SnapshotPayload:
     kind: str  # "full" | "delta"
     version: int
     step: int
-    dense_model: Any
+    #: The trained model, for its architecture only (replicas never read
+    #: its live parameters) ...
+    architecture: Any
+    #: ... and one flat copy of its dense weights at this version
+    #: (:meth:`~repro.nn.module.Module.flat_parameters`).
+    dense_weights: np.ndarray
     base_version: int | None = None
     #: Full payloads carry the whole frozen snapshot (replicas rebuild from
     #: it); deltas carry per-shard updates instead.
@@ -163,7 +147,7 @@ class DeltaSnapshotPublisher:
     def publish(self) -> SnapshotPayload:
         """Snapshot the live store and emit the next payload in the chain."""
         snapshot = self.store.snapshot()
-        dense = self._frozen_dense()
+        dense = self.model.flat_parameters()
         version = self.version + 1
         rebase_due = (
             self.rebase_every and self._deltas_since_full + 1 >= self.rebase_every
@@ -187,18 +171,14 @@ class DeltaSnapshotPublisher:
         self._prev = snapshot
         return payload
 
-    def _frozen_dense(self) -> Any:
-        """Dense network copy with the store replaced by :data:`STORE_SLOT`."""
-        memo = {id(self.store): STORE_SLOT, id(self.model.embedding): STORE_SLOT}
-        return copy.deepcopy(self.model, memo)
-
     def _payload(self, kind, version, snapshot, dense, floats, updates=()) -> SnapshotPayload:
         full = kind == "full"
         return SnapshotPayload(
             kind=kind,
             version=version,
             step=snapshot.step,
-            dense_model=dense,
+            architecture=self.model,
+            dense_weights=dense,
             base_version=None if full else self.version,
             snapshot=snapshot if full else None,
             updates=updates,

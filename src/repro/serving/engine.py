@@ -5,9 +5,10 @@ a process with it:
 
 * On :meth:`ServingEngine.refresh` the engine takes a copy-on-write
   :class:`~repro.store.snapshot.StoreSnapshot` of the model's embedding
-  store and a frozen copy of the dense network, so in-flight requests see
-  one consistent parameter version while online training keeps mutating the
-  live store.
+  store and one flat copy of the dense weights, bound together as a
+  :class:`~repro.models.base.ServedModel`, so in-flight requests see one
+  consistent parameter version while online training keeps mutating the
+  live store and the live parameters.
 * Incoming requests queue up and are executed as one batched forward pass
   once ``max_batch_size`` rows are pending (or on an explicit
   :meth:`ServingEngine.flush`) — the standard micro-batching trade of a
@@ -22,8 +23,6 @@ a process with it:
 
 from __future__ import annotations
 
-import copy
-
 from repro.serving.batcher import MicroBatcher
 
 
@@ -31,7 +30,7 @@ class ServingEngine(MicroBatcher):
     """Micro-batching prediction server over embedding-store snapshots.
 
     Consistency model: every request is answered from the engine's current
-    :class:`~repro.store.snapshot.StoreSnapshot` and frozen dense network —
+    :class:`~repro.store.snapshot.StoreSnapshot` and frozen dense weights —
     training the live store between :meth:`refresh` calls never changes
     served answers (the copy-on-write contract).  The engine itself is not
     internally locked: drive one engine from one thread, or synchronize
@@ -52,22 +51,17 @@ class ServingEngine(MicroBatcher):
     # Snapshot management
     # ------------------------------------------------------------------ #
     def refresh(self) -> None:
-        """Re-snapshot the store and freeze the dense network ("publish").
+        """Re-snapshot the store and freeze the dense weights ("publish").
 
         Call after (or periodically during) training to publish the newest
         parameters.  Requests already queued are flushed first so no request
         spans two parameter versions.  The snapshot half is O(1)
-        copy-on-write; the dense network is deep-copied (it is small), so
-        publish latency is dominated by that copy, not by table sizes.
+        copy-on-write and the dense half one flat array copy, so publish
+        latency does not grow with table sizes.
         """
         self.flush()
-        store = self.model.store
-        self.snapshot = store.snapshot()
-        # Deep-copy the dense network but splice the snapshot in where the
-        # model references its store/embedding, so the frozen model's forward
-        # reads embeddings from the snapshot without copying any table.
-        memo = {id(store): self.snapshot, id(self.model.embedding): self.snapshot}
-        self._frozen_model = copy.deepcopy(self.model, memo)
+        self.snapshot = self.model.store.snapshot()
+        self._frozen_model = self.model.served(self.snapshot)
 
     @property
     def snapshot_version(self) -> int:

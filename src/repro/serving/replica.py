@@ -11,7 +11,8 @@ training changed, and every payload is versioned so the chain is checked,
 not assumed.
 
 Cutover is atomic and all-or-nothing per replica: a payload is staged into
-a completely new view (fresh shard list, fresh spliced dense network) while
+a completely new view (fresh shard list, private copy of the flat dense
+weights, bound as a :class:`~repro.models.base.ServedModel`) while
 readers keep using the current one, and the switch is a single reference
 assignment — a replica that stalls (or dies) mid-cutover keeps serving the
 old version, never a half-applied one.  Version checks happen before any
@@ -20,7 +21,8 @@ delta) raises one of the :mod:`repro.errors` delta-protocol errors and
 leaves the replica exactly as it was.
 
 Replicas deliberately *materialize* their state (deep copies of every
-shipped shard) instead of aliasing the publisher's frozen snapshots: a
+shipped shard, a copy of the dense weights) instead of aliasing the
+publisher's frozen snapshots: a
 replica models a process on another machine, so applying a payload pays
 the real shipping cost.  A replica keeps one copy of its state: a new view
 shares the unchanged shards of the one it replaces.
@@ -36,7 +38,7 @@ import numpy as np
 
 from repro.errors import DeltaChainGapError, DeltaProtocolError, VersionRegressionError
 from repro.serving.batcher import MicroBatcher, PendingPrediction
-from repro.serving.delta import STORE_SLOT, DeltaSnapshotPublisher, SnapshotPayload
+from repro.serving.delta import DeltaSnapshotPublisher, SnapshotPayload
 from repro.store.snapshot import StoreSnapshot
 
 
@@ -119,7 +121,7 @@ class Replica(MicroBatcher):
         """
         self._check_version(payload)
         view = self._stage_full(payload) if payload.kind == "full" else self._stage_delta(payload)
-        model = copy.deepcopy(payload.dense_model, memo={id(STORE_SLOT): view})
+        model = payload.architecture.served(view, payload.dense_weights.copy())
         self.flush()  # no queued request may span two parameter versions
         if self.before_cutover is not None:
             self.before_cutover(self, payload)

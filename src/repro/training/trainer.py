@@ -19,7 +19,7 @@ from repro.errors import NonFiniteFeatureError
 from repro.models.base import RecommendationModel
 from repro.nn import functional as F
 from repro.nn.optim import Adagrad, Adam, Optimizer, SGD
-from repro.nn.tensor import Tensor, no_grad
+from repro.nn.tensor import Tensor
 from repro.training.metrics import log_loss, roc_auc
 from repro.utils.logging import get_logger
 
@@ -94,8 +94,10 @@ class Trainer:
         lookup and reuses it here when the gradients come back, so hashing
         and slot location run once per step, not twice — at the shard level
         and inside each shard backend.  NaN/inf in ``batch.numerical``
-        raises :class:`~repro.errors.NonFiniteFeatureError` before the
-        forward pass, with nothing touched.
+        raises :class:`~repro.errors.NonFiniteFeatureError`, and a batch
+        without the model's field or numerical-column count
+        :class:`~repro.errors.BatchShapeError`, before the forward pass,
+        with nothing touched.
         """
         return float(self._step(batch)[0].data)
 
@@ -151,17 +153,13 @@ class Trainer:
     # Evaluation
     # ------------------------------------------------------------------ #
     def predict(self, batch: Batch, batch_size: int | None = None) -> np.ndarray:
-        """Click probabilities for a (possibly large) evaluation batch.
-
-        Runs under ``no_grad()``: evaluation pieces are thousands of rows, and
-        a recorded graph would keep every activation of a piece alive until
-        its forward returns.
-        """
+        """Click probabilities for a (possibly large) evaluation batch, in
+        pieces of ``batch_size`` rows (``predict_proba`` builds no graph)."""
         batch_size = batch_size or EVAL_BATCH_SIZE
-        outputs = []
-        with no_grad():
-            for piece in iterate_batches(batch.categorical, batch.numerical, batch.labels, batch_size):
-                outputs.append(self.model.predict_proba(piece.categorical, piece.numerical))
+        outputs = [
+            self.model.predict_proba(piece.categorical, piece.numerical)
+            for piece in iterate_batches(batch.categorical, batch.numerical, batch.labels, batch_size)
+        ]
         return np.concatenate(outputs)
 
     def evaluate_auc(self, batch: Batch, batch_size: int | None = None) -> float:

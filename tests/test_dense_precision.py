@@ -21,10 +21,13 @@ import pytest
 from repro.api import SystemConfig, build
 from repro.api.config import apply_overrides
 from repro.nn import functional as F
+from repro.nn.interactions import DotInteraction
 from repro.nn.optim import SGD, Adagrad, Adam
 from repro.nn.tensor import Parameter, Tensor, no_grad
+from repro.serving import ServingEngine
 from repro.training.metrics import roc_auc
 
+from reference_dense import concat
 from test_nn_functional import numerical_gradient
 
 REPO = Path(__file__).resolve().parents[1]
@@ -102,12 +105,15 @@ class TestDtypeClosure:
             for param in session.model.parameters():
                 assert param.data.dtype == expected
                 assert param.grad is not None and param.grad.dtype == expected
-            # Every activation and every gradient in the graph, not only the
-            # ones with a name.
-            assert len(tensors) > 10
+            # The graph is the loss, one dense node, the leaf and the
+            # parameters; the activations live in the model's workspace.
+            assert len(tensors) == 3 + len(list(session.model.parameters()))
             for tensor in tensors:
                 assert tensor.data.dtype == expected
                 assert tensor.grad is not None and tensor.grad.dtype == expected
+            activations = session.model._workspace._regions.values()
+            assert len(activations) > 10
+            assert {array.dtype for array in activations} <= {expected, np.dtype(np.bool_)}
             state = optimizer_state(session.trainer.dense_optimizer)
             assert state, "optimizer exposes no state arrays"
             assert all(array.dtype == expected for array in state)
@@ -207,7 +213,7 @@ class TestInteractionKernel:
         upstream = rng.normal(size=(5, total * (total - 1) // 2))
 
         x = Tensor(data.copy(), requires_grad=True)
-        out = F.batched_outer_interaction(x)
+        out = DotInteraction()(x)
         out.backward(upstream)
         expected_out, expected_grad = reference_interaction(data, upstream)
 
@@ -223,7 +229,7 @@ class TestInteractionKernel:
         data = np.zeros((1, fields, 3))
         data[0, :, 0] = np.arange(1, fields + 1)
         rows, cols = np.tril_indices(fields, -1)
-        out = F.batched_outer_interaction(Tensor(data)).data
+        out = DotInteraction()(Tensor(data)).data
         assert np.array_equal(out[0], (rows + 1.0) * (cols + 1.0))
 
     def test_finite_differences(self):
@@ -232,7 +238,7 @@ class TestInteractionKernel:
         weights = Tensor(rng.normal(size=(2, 6)))
 
         def weighted_sum(x: Tensor) -> Tensor:
-            return F.mul(F.batched_outer_interaction(x), weights).sum()
+            return F.mul(DotInteraction()(x), weights).sum()
 
         x = Tensor(data.copy(), requires_grad=True)
         weighted_sum(x).backward()
@@ -242,14 +248,14 @@ class TestInteractionKernel:
     def test_float32_input_stays_float32(self):
         data = np.random.default_rng(0).normal(size=(3, 5, 4)).astype(np.float32)
         x = Tensor(data, requires_grad=True)
-        out = F.batched_outer_interaction(x)
+        out = DotInteraction()(x)
         out.sum().backward()
         assert out.data.dtype == np.float32 and x.grad.dtype == np.float32
         assert np.allclose(out.data, reference_interaction(data.astype(np.float64)), atol=1e-5)
 
     def test_single_field_has_no_pairs(self):
         x = Tensor(np.ones((2, 1, 3)), requires_grad=True)
-        out = F.batched_outer_interaction(x)
+        out = DotInteraction()(x)
         assert out.shape == (2, 0)
         out.backward(np.zeros((2, 0)))
         assert np.array_equal(x.grad, np.zeros((2, 1, 3)))
@@ -322,7 +328,7 @@ class TestGradientOwnership:
         flat.name = "reshape"
         left = Tensor(base.copy(), requires_grad=True, name="left")
         right = Tensor(base.copy(), requires_grad=True, name="right")
-        joined = F.concat([left, right], axis=1)  # backward hands out pieces
+        joined = concat([left, right], axis=1)  # backward hands out pieces
         joined.name = "concat"
         total = F.add(F.add(doubled.sum(), flat.sum()), joined.sum())
         total.backward()
@@ -357,26 +363,29 @@ class TestGradientOwnership:
 # no_grad: evaluation records no graph
 # --------------------------------------------------------------------------- #
 class TestNoGrad:
-    def test_trainer_predict_builds_no_graph(self, monkeypatch):
-        with build(quickstart()) as session:
+    @pytest.mark.parametrize("model_name", ["dlrm", "wdl", "dcn"])
+    def test_predict_proba_creates_no_tensor(self, model_name, monkeypatch):
+        with build(quickstart(model__name=model_name)) as session:
             batch = next(iter(session.dataset.training_stream(session.batch_size)))
-            built = []
-            original = session.model.forward_dense
+            logits, _ = session.model.forward(batch.categorical, batch.numerical)
+            engine = ServingEngine(session.model, max_batch_size=64)
+            created = []
+            original = Tensor.__init__
 
-            def spy(embeddings, numerical):
-                logits = original(embeddings, numerical)
-                built.append(logits)
-                return logits
+            def counting(self, *args, **kwargs):
+                created.append(type(self))
+                original(self, *args, **kwargs)
 
-            monkeypatch.setattr(session.model, "forward_dense", spy)
-            session.model.forward(batch.categorical, batch.numerical)
+            monkeypatch.setattr(Tensor, "__init__", counting)
             probabilities = session.trainer.predict(batch)
-            with_graph, without_graph = built
-            assert with_graph.requires_grad and with_graph._parents
-            assert not without_graph.requires_grad
-            assert without_graph._parents == () and without_graph._backward_fn is None
-            assert np.array_equal(with_graph.data, without_graph.data)
+            direct = session.model.predict_proba(batch.categorical, batch.numerical)
+            served = engine.predict(batch.categorical[:64], batch.numerical[:64])
+            assert created == []
             assert probabilities.dtype == np.float32
+            assert np.array_equal(probabilities, direct)
+            assert np.array_equal(served, direct[:64])
+            # Same values as the training forward's logits, through a sigmoid.
+            assert np.allclose(direct, 1.0 / (1.0 + np.exp(-logits.data.astype(np.float64))))
 
     def test_no_grad_is_per_thread_and_restored(self):
         import threading

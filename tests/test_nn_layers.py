@@ -5,9 +5,11 @@ import pytest
 
 from repro.nn import functional as F
 from repro.nn.interactions import CrossNetwork, DotInteraction
-from repro.nn.layers import MLP, Linear
+from repro.nn.layers import MLP, Linear, Workspace
 from repro.nn.module import Module
 from repro.nn.tensor import Parameter, Tensor
+
+from test_nn_functional import check_gradient
 
 
 class TestLinear:
@@ -98,6 +100,28 @@ class TestDotInteraction:
             ]
         )
         assert np.allclose(out, manual)
+
+    def test_output_shape(self):
+        x = Tensor(np.random.default_rng(10).normal(size=(5, 4, 3)))
+        assert DotInteraction()(x).shape == (5, 6)  # 4*3/2 pairs
+
+    def test_gradient_check(self):
+        check_gradient(lambda x: DotInteraction()(x).sum(), (2, 4, 3), atol=1e-4)
+
+    def test_tensor_form_equals_the_array_pair_and_shares_nothing(self):
+        rng = np.random.default_rng(4)
+        data, upstream = rng.normal(size=(3, 4, 2)), rng.normal(size=(3, 6))
+        layer = DotInteraction()
+        x = Tensor(data.copy(), requires_grad=True)
+        out = layer(x)
+        out.backward(upstream)
+        ws = Workspace(3, np.float64)
+        assert np.array_equal(out.data, layer.forward_array(data, ws))
+        assert np.array_equal(x.grad, layer.backward_array(data, upstream, ws))
+        # Each call has its own workspace: a second call leaves the first's
+        # output and gradient alone.
+        layer(Tensor(np.zeros_like(data), requires_grad=True)).backward(upstream)
+        assert np.array_equal(out.data, layer.forward_array(data, ws))
 
 
 class TestCrossNetwork:

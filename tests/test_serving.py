@@ -1,5 +1,6 @@
 """Tests for the snapshot serving engine, latency stats and the serve CLI."""
 
+import copy
 import json
 
 import numpy as np
@@ -8,7 +9,7 @@ import pytest
 from repro.data.schema import DatasetSchema, FieldSchema
 from repro.data.synthetic import SyntheticConfig, SyntheticCTRDataset
 from repro.models.dlrm import DLRM
-from repro.serving import LatencyTracker, ServingEngine
+from repro.serving import LatencyTracker, ReplicaTier, ServingEngine
 from repro.store import ShardedEmbeddingStore
 from repro.training.latency import measure_serving_latency
 from repro.training.trainer import Trainer
@@ -163,6 +164,73 @@ class TestServingEngine:
         assert stats["count"] == 20
         assert stats["p50_ms"] <= stats["p95_ms"] <= stats["p99_ms"]
         assert stats["micro_batches"] >= 3
+
+
+class TestServedModel:
+    """A served model is the architecture + one flat weight copy + a store view."""
+
+    def trained(self, steps_day=0):
+        dataset = tiny_dataset()
+        model = make_model(dataset)
+        trainer = Trainer(model)
+        for batch in dataset.day_batches(steps_day, 64):
+            trainer.train_step(batch)
+        return dataset, model, trainer
+
+    def test_served_weights_share_no_memory(self):
+        dataset, model, trainer = self.trained()
+        engine = ServingEngine(model, max_batch_size=8)
+        tier = ReplicaTier(model, num_replicas=2, max_batch_size=8)
+        payload = tier.publish()
+        served = [engine._frozen_model] + [r._serving.model for r in tier.replicas.replicas]
+        optimizer = trainer.dense_optimizer
+        live = [p.data for p in model.parameters()] + list(optimizer.state.values()) + [
+            optimizer._grad, optimizer._update, optimizer._denom
+        ]
+        assert all(s.weights.size == model.num_parameters() for s in served)
+        for index, frozen in enumerate(served):
+            for array in live + [payload.dense_weights]:
+                assert not np.shares_memory(frozen.weights, array)
+            for other in served[index + 1:]:
+                assert not np.shares_memory(frozen.weights, other.weights)
+            assert all(np.shares_memory(view, frozen.weights) for view in frozen._views)
+            assert np.array_equal(frozen.weights, model.flat_parameters())
+
+    def test_training_after_a_publish_leaves_replies_bit_identical(self):
+        dataset, model, trainer = self.trained()
+        engine = ServingEngine(model, max_batch_size=8)
+        tier = ReplicaTier(model, num_replicas=2, max_batch_size=8)
+        tier.publish()
+        batch = dataset.test_batch(16)
+        servers = [engine] + tier.replicas.replicas
+        before = [server.predict(batch.categorical, batch.numerical) for server in servers]
+        weights_before = model.flat_parameters()
+        for step in dataset.day_batches(1, 64):
+            trainer.train_step(step)
+        assert not np.array_equal(weights_before, model.flat_parameters())
+        for server, reply in zip(servers, before):
+            assert np.array_equal(server.predict(batch.categorical, batch.numerical), reply)
+        engine.refresh()
+        tier.publish()
+        fresh = model.predict_proba(batch.categorical, batch.numerical)
+        for server in servers:
+            assert np.array_equal(server.predict(batch.categorical, batch.numerical), fresh)
+
+    def test_no_dense_model_is_deep_copied_per_publish(self, monkeypatch):
+        _, model, _ = self.trained()
+        engine = ServingEngine(model, max_batch_size=8)
+        tier = ReplicaTier(model, num_replicas=2, max_batch_size=8)
+        copied = []
+        original = copy.deepcopy
+
+        def spy(value, memo=None):
+            copied.append(type(value).__name__)
+            return original(value, memo)
+
+        monkeypatch.setattr(copy, "deepcopy", spy)
+        engine.refresh()
+        tier.publish()
+        assert "DLRM" not in copied and "ServedModel" not in copied
 
 
 class TestMeasureServingLatency:

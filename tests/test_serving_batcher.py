@@ -11,7 +11,6 @@ call and return bit-equal replies — through ``ServingEngine`` and through
 which the old code could not.
 """
 
-import copy
 import time
 from collections import deque
 
@@ -27,6 +26,7 @@ from repro.errors import (
     MalformedRequestError,
     NonIntegerIdError,
 )
+from repro.models.base import ServedModel
 from repro.models.dlrm import DLRM
 from repro.serving import PendingPrediction, ReplicaSet, ReplicaTier, ServingEngine
 from repro.serving.batcher import MicroBatcher
@@ -160,15 +160,13 @@ def record_batches(model, log):
 
 
 def _twin_of(model):
-    """A second handle on ``model``'s parameters with its own method table.
+    """A second served model over ``model``'s very weights and store view.
 
     The oracle must run the very same frozen network as the system under
-    test, but its batch log is recorded separately; a shallow copy shares
-    every parameter and the store view.
+    test, but its batch log is recorded separately; it gets its own method
+    table and workspace, and shares the flat weight array (no copy).
     """
-    twin = copy.copy(model)
-    twin.__dict__.pop("predict_proba", None)
-    return twin
+    return ServedModel(model.architecture, model.store, model.weights)
 
 
 #: One step of a request script.  Sizes are relative to the micro-batch so

@@ -4,11 +4,11 @@ import numpy as np
 import pytest
 
 from repro.data.schema import DatasetSchema, FieldSchema
-from repro.data.stream import all_finite
+from repro.data.stream import Batch, all_finite
 from repro.data.synthetic import SyntheticConfig, SyntheticCTRDataset
 from repro.embeddings.cafe import CafeEmbedding
 from repro.embeddings.full import FullEmbedding
-from repro.errors import BadBatchError, NonFiniteFeatureError
+from repro.errors import BadBatchError, BatchShapeError, NonFiniteFeatureError
 from repro.models.dlrm import DLRM
 from repro.training.latency import measure_latency, measure_sketch_throughput
 from repro.training.trainer import EVAL_BATCH_SIZE, Trainer, TrainingHistory, train_and_evaluate
@@ -145,6 +145,29 @@ class TestBadNumericalInput:
         with pytest.raises(NonFiniteFeatureError, match="numerical"):
             trainer.train_step(batch)
         assert issubclass(NonFiniteFeatureError, BadBatchError)
+        assert trainer.global_step == 1
+        assert model.store.step() == 1
+        assert trainer.dense_optimizer.step_count == 1
+        for before, after in zip(dense_before, model.parameters()):
+            assert np.array_equal(before, after.data)
+
+    @pytest.mark.parametrize("part", ["fields", "numerical"])
+    def test_mis_shaped_batch_is_refused_before_the_forward_pass(self, part):
+        dataset = toy_dataset()
+        model = toy_model(dataset)
+        trainer = Trainer(model)
+        trainer.train_step(dataset.generate_day(0, num_samples=64))
+        batch = dataset.generate_day(1, num_samples=64)
+        if part == "fields":  # 2 of 3 fields
+            batch = Batch(batch.categorical[:, :-1], batch.numerical, batch.labels)
+        else:  # 1 of 2 numerical columns
+            batch = Batch(batch.categorical, batch.numerical[:, :-1], batch.labels)
+        dense_before = [p.data.copy() for p in model.parameters()]
+        with pytest.raises(BatchShapeError, match="must have shape"):
+            trainer.train_step(batch)
+        with pytest.raises(BatchShapeError):
+            model.predict_proba(batch.categorical, batch.numerical)
+        assert issubclass(BatchShapeError, BadBatchError) and issubclass(BatchShapeError, ValueError)
         assert trainer.global_step == 1
         assert model.store.step() == 1
         assert trainer.dense_optimizer.step_count == 1
