@@ -1,6 +1,6 @@
 """Project-specific AST lint rules.
 
-Four rules encode contracts that previously existed only as prose:
+Five rules encode contracts that previously existed only as prose:
 
 ``capability-probe``
     No ``hasattr(...)`` (or ``callable(getattr(...))``) capability probing
@@ -31,6 +31,11 @@ Four rules encode contracts that previously existed only as prose:
     the same rule also flags ``np.asarray(..., dtype=np.float64)`` and
     ``.astype(np.float64)``: an operation computes in the dtype of its
     operands, never in a hard-coded one.
+``segment-sum``
+    ``np.add.reduceat`` in ``src/`` outside ``repro/kernels/ops.py``.  The
+    segment sum is part of the bit-exactness contract, and
+    :class:`~repro.kernels.ops.SegmentSum` is its one implementation: a
+    second reduceat elsewhere is a second path to keep byte-identical.
 
 Suppression grammar: a trailing ``# lint: allow[rule-id] <reason>`` on the
 flagged line keeps the violation out of strict mode; the linter still
@@ -75,6 +80,9 @@ _NO_FLOAT64_SCOPE = "src/repro/nn/functional.py"
 
 _NP_ALLOCATORS = frozenset({"zeros", "empty", "ones"})
 
+#: The one module that may call ``np.add.reduceat`` (segment-sum).
+_SEGMENT_SUM_HOME = "src/repro/kernels/ops.py"
+
 #: Where an ``assert`` on a clock reading is flagged (bench-wallclock).
 _CLOCK_ASSERT_SCOPES = ("tests/", "benchmarks/")
 _CLOCKS = frozenset({"perf_counter", "monotonic", "perf_counter_ns", "monotonic_ns"})
@@ -100,6 +108,10 @@ def _everywhere(rel: str) -> bool:
 
 def _dtype_scope(rel: str) -> bool:
     return any(rel.startswith(scope) or rel == scope.rstrip("/") for scope in _DTYPE_SCOPES)
+
+
+def _segment_sum_scope(rel: str) -> bool:
+    return rel.startswith("src/") and rel != _SEGMENT_SUM_HOME
 
 
 RULES: tuple[Rule, ...] = (
@@ -132,6 +144,12 @@ RULES: tuple[Rule, ...] = (
         ),
         scope=_dtype_scope,
         scope_doc="embeddings/, store/, nn/, models/",
+    ),
+    Rule(
+        id="segment-sum",
+        summary="np.add.reduceat outside repro/kernels/ops.py (use SegmentSum)",
+        scope=_segment_sum_scope,
+        scope_doc="src/ except repro/kernels/ops.py",
     ),
 )
 
@@ -276,6 +294,18 @@ def _check_call(node: ast.Call, rel: str) -> Iterator[tuple[str, str]]:
             )
 
 
+def _is_add_reduceat(node: ast.Attribute) -> bool:
+    """``np.add.reduceat`` / ``numpy.add.reduceat``, called or not."""
+    owner = node.value
+    return (
+        node.attr == "reduceat"
+        and isinstance(owner, ast.Attribute)
+        and owner.attr == "add"
+        and isinstance(owner.value, ast.Name)
+        and owner.value.id in {"np", "numpy"}
+    )
+
+
 def _reads_clock(node: ast.AST, tainted: set[str]) -> bool:
     """True when ``node`` calls a monotonic clock or reads a tainted name."""
     for sub in ast.walk(node):
@@ -349,6 +379,13 @@ def lint_source(source: str, rel: str) -> list[Violation]:
         if isinstance(node, ast.Call):
             for rule_id, message in _check_call(node, rel):
                 emit(rule_id, node.lineno, message)
+        elif isinstance(node, ast.Attribute) and _is_add_reduceat(node):
+            emit(
+                "segment-sum",
+                node.lineno,
+                "np.add.reduceat outside repro/kernels/ops.py; sum segments with "
+                "SegmentSum, the one implementation of the summation order",
+            )
         elif isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
             if rel.startswith(_CLOCK_ASSERT_SCOPES):
                 for clock_assert in _clock_asserts(node):

@@ -33,7 +33,6 @@ from repro.embeddings.plan import (
     gradient_norms,
 )
 from repro.errors import NonFiniteGradientError
-from repro.kernels.ops import segment_sum
 from repro.nn.optim import RowOptimizer, make_row_optimizer
 
 #: Table storage dtype used unless a layer opts out.  The paper's memory
@@ -297,7 +296,7 @@ class TableBackedEmbedding(CompressedEmbedding):
         ``rows`` index ``table``; ``grad_sums`` is the ``(U, dim)`` per-id
         gradient matrix the scatter's ``perm`` refers to.
         """
-        summed = segment_sum(grad_sums, scatter.perm, scatter.starts)
+        summed = scatter.sum(grad_sums)
         self._optimizer.fused_apply(table, scatter.rows, summed)
 
     # ------------------------------------------------------------------ #

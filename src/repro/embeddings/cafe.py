@@ -42,7 +42,6 @@ import numpy as np
 from repro.embeddings.base import DEFAULT_DTYPE, TableBackedEmbedding
 from repro.embeddings.memory import MemoryBudget
 from repro.embeddings.plan import FreeRowPool, RoutingPlan
-from repro.kernels.ops import segment_sum
 from repro.nn.init import embedding_uniform
 from repro.nn.optim import RowAdagrad, RowSGD
 from repro.sketch.hotsketch import NO_PAYLOAD, HotSketch
@@ -639,7 +638,7 @@ class CafeStack:
         sources = routes["scatter_sources"]
         values = grad_sums if sources is None else grad_sums[sources]
         scatter = plan.scatter()
-        summed = segment_sum(values, scatter.perm, scatter.starts)
+        summed = scatter.sum(values)
         self.optimizer.fused_apply(self.arena, scatter.rows, summed)
 
         # 2. Sketch insertion, reusing the plan's locate results; SpaceSaving

@@ -33,7 +33,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from repro.errors import IdOutOfRangeError, NonIntegerIdError
-from repro.kernels.ops import run_lengths, segment_boundaries, stable_sort
+from repro.kernels.ops import SegmentSum, run_lengths, segment_boundaries, stable_sort
 
 
 def as_id_array(ids) -> np.ndarray:
@@ -58,8 +58,13 @@ def check_id_range(low: int, high: int, num_features: int) -> None:
 
 
 def gradient_norms(grads: np.ndarray) -> np.ndarray:
-    """Float64 L2 norm of every row of ``(k, dim)`` gradients — the
-    per-lookup importance value HotSketch and AdaEmbed accumulate."""
+    """L2 norm of every row of ``(k, dim)`` gradients — the per-lookup
+    importance value HotSketch and AdaEmbed accumulate.
+
+    The squares are summed and rooted in the gradients' own dtype (float32
+    on a default store); only the roots are widened to float64.  The golden
+    digests pin those bits, so this is not computed in float64.
+    """
     return np.sqrt(np.einsum("ij,ij->i", grads, grads)).astype(np.float64)
 
 
@@ -90,8 +95,8 @@ class UniqueBatch:
     order: np.ndarray
     starts: np.ndarray
     inverse: np.ndarray
-    #: Lazily built by :meth:`sum_per_id` (lookup-only batches never pay).
-    _repeated: tuple[np.ndarray, np.ndarray, np.ndarray] | None = None
+    #: Built by the first :meth:`sum_per_id` (lookup-only batches never pay).
+    _segments: SegmentSum | None = field(default=None, repr=False, compare=False)
 
     def __len__(self) -> int:
         return int(self.flat_ids.shape[0])
@@ -125,29 +130,15 @@ class UniqueBatch:
         in batch order ``r0, r1, ...``, and it is part of the bit-exactness
         contract (the golden digests depend on it): the first row plus the
         sum of the rest, ``r0 + (((r1 + r2) + r3) + ...)``, while the rest is
-        at most 7 rows; from 9 rows on the rest is summed numpy-pairwise
+        at most 7 rows; from 8 rows on the rest is summed numpy-pairwise
         (eight interleaved accumulators combined as a tree, leftovers added
         last).  It is *not* the left-to-right ``((r0 + r1) + r2) + ...``.
-
-        ``reduceat`` pays more per *segment* than per row, and most ids of a
-        batch occur once, so ids seen once are a plain gather and only the
-        repeated ids' rows go through the segment sum.
+        :class:`~repro.kernels.ops.SegmentSum` computes it; the gradient
+        and gradient-norm sums of a step share one plan.
         """
-        if self._repeated is None:
-            counts = self.counts()
-            repeated = counts > 1
-            rows = self.order[np.repeat(repeated, counts)]
-            repeated_counts = counts[repeated]
-            self._repeated = (
-                np.flatnonzero(repeated),
-                rows,
-                np.cumsum(repeated_counts) - repeated_counts,
-            )
-        repeated, rows, starts = self._repeated
-        sums = np.take(per_position, self.order[self.starts], axis=0)
-        if repeated.shape[0]:
-            sums[repeated] = np.add.reduceat(np.take(per_position, rows, axis=0), starts, axis=0)
-        return sums
+        if self._segments is None:
+            self._segments = SegmentSum(self.order, self.starts)
+        return self._segments(per_position)
 
 
 @dataclass
@@ -155,7 +146,7 @@ class ScatterPlan:
     """Fully-resolved scatter of one batch's summed gradients into table rows.
 
     Built at most once per routing plan, by the first ``apply_unique`` that
-    consumes it (:meth:`RoutingPlan.scatter`): a segment sum over
+    consumes it (:meth:`RoutingPlan.scatter`): a segment sum (:meth:`sum`) over
     ``perm``/``starts`` collapses the per-id gradient sums into one row per
     unique destination (distinct ids sharing a hashed row), and a single
     scatter applies them to ``rows``.
@@ -177,9 +168,17 @@ class ScatterPlan:
     perm: np.ndarray
     starts: np.ndarray
     rows: np.ndarray
+    #: Built by the first :meth:`sum`.
+    _segments: SegmentSum | None = field(default=None, repr=False, compare=False)
 
     def __len__(self) -> int:
         return int(self.rows.shape[0])
+
+    def sum(self, values: np.ndarray) -> np.ndarray:
+        """``(k, ...)`` sum of ``values[perm]`` per destination row."""
+        if self._segments is None:
+            self._segments = SegmentSum(self.perm, self.starts)
+        return self._segments(values)
 
     @classmethod
     def from_rows(cls, rows_per_entry: np.ndarray) -> "ScatterPlan":

@@ -1,17 +1,17 @@
 """Numpy primitives of the embedding train step (see :mod:`repro.kernels.ops`)."""
 
 from repro.kernels.ops import (
+    SegmentSum,
     scatter_apply,
     segment_boundaries,
-    segment_sum,
     sketch_insert,
     stable_order,
 )
 
 __all__ = [
+    "SegmentSum",
     "scatter_apply",
     "segment_boundaries",
-    "segment_sum",
     "sketch_insert",
     "stable_order",
 ]

@@ -137,7 +137,15 @@ class Linear(Module):
         workspace array (``None`` unless ``need_dx``), the gradients are new."""
         dx = None
         if need_dx:
-            dx = np.matmul(dy, weights[0].T, out=ws((self, "dx"), self.in_features))
+            dx = ws((self, "dx"), self.in_features)
+            if self.out_features == 1:
+                # A K = 1 matmul takes numpy's slow path.  The outer product
+                # is the same bits once +0.0 is added: the matmul's sum
+                # starts at +0.0, so a -0.0 product comes out +0.0.
+                np.multiply(dy, weights[0].reshape(1, -1), out=dx)
+                dx += 0.0
+            else:
+                np.matmul(dy, weights[0].T, out=dx)
         return dx, [x.T @ dy, dy.sum(axis=0)]
 
 

@@ -15,7 +15,7 @@ import re
 import numpy as np
 
 from repro.errors import NonFiniteGradientError, OptimizerStateMismatchError
-from repro.kernels.ops import scatter_apply, segment_sum
+from repro.kernels.ops import scatter_apply
 from repro.nn.tensor import Parameter
 
 
@@ -268,14 +268,14 @@ class RowOptimizer:
         from repro.embeddings.plan import ScatterPlan
 
         scatter = ScatterPlan.from_rows(np.asarray(rows, dtype=np.int64))
-        summed = segment_sum(grads, scatter.perm, scatter.starts)
+        summed = scatter.sum(grads)
         self.fused_apply(table, scatter.rows, summed)
 
     def fused_apply(self, table: np.ndarray, rows: np.ndarray, summed: np.ndarray) -> None:
         """Apply pre-summed per-row gradients to unique ``rows`` in place.
 
         The caller has already collapsed duplicate rows with
-        :func:`~repro.kernels.ops.segment_sum`, so the only work left is one
+        :meth:`~repro.embeddings.plan.ScatterPlan.sum`, so the only work left is one
         optimizer scatter (plus per-row state, updated in the same pass).
         """
         raise NotImplementedError  # pragma: no cover - abstract

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.kernels.ops import segment_boundaries, stable_order
+from repro.kernels.ops import SegmentSum, segment_boundaries, stable_order
 
 
 class Sketch:
@@ -52,7 +52,8 @@ class Sketch:
         """Sum scores of duplicate keys; returns unique keys and their totals.
 
         Totals are formed by a stable key sort followed by a segment sum
-        (``np.add.reduceat``), summing each key's scores in input order.
+        (:class:`~repro.kernels.ops.SegmentSum`, ``np.add.reduceat``'s
+        association), summing each key's scores in input order.
         This is the same aggregation the fused embedding path performs from
         its routing plan, which keeps the two bit-exact with each other.
         """
@@ -60,5 +61,4 @@ class Sketch:
             return keys, scores
         order = stable_order(keys)
         unique_keys, starts = segment_boundaries(keys[order])
-        totals = np.add.reduceat(scores[order], starts)
-        return unique_keys, totals
+        return unique_keys, SegmentSum(order, starts)(scores)

@@ -292,6 +292,34 @@ class TestSuppressions:
         assert report.suppression_counts == {"capability-probe": 1}
 
 
+class TestSegmentSum:
+    @pytest.mark.parametrize(
+        "source",
+        [
+            "sums = np.add.reduceat(values, starts, axis=0)\n",
+            "sums = numpy.add.reduceat(values[order], starts)\n",
+            "reduce = np.add.reduceat\n",
+        ],
+    )
+    def test_flags_reduceat_in_src(self, source):
+        found = flags(source, "src/repro/sketch/base.py", "segment-sum")
+        assert len(found) == 1
+        assert "SegmentSum" in found[0].message
+
+    def test_kernels_ops_is_its_home(self):
+        source = "sums = np.add.reduceat(values, starts, axis=0)\n"
+        assert not flags(source, "src/repro/kernels/ops.py", "segment-sum")
+
+    def test_tests_are_out_of_scope(self):
+        # Tests compare against reduceat: it is the reference, not a second path.
+        source = "expected = np.add.reduceat(values[perm], starts, axis=0)\n"
+        assert not flags(source, "tests/test_kernels.py", "segment-sum")
+
+    def test_other_ufunc_methods_pass(self):
+        source = "total = np.add.reduce(values)\nsums = np.maximum.reduceat(values, starts)\n"
+        assert not flags(source, "src/repro/sketch/base.py", "segment-sum")
+
+
 class TestRepoIsClean:
     def test_rule_catalog_is_stable(self):
         assert {rule.id for rule in RULES} == {
@@ -299,6 +327,7 @@ class TestRepoIsClean:
             "bench-wallclock",
             "mutable-default",
             "implicit-dtype",
+            "segment-sum",
         }
 
     def test_lint_tree_finds_no_unsuppressed_violations(self):

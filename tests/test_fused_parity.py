@@ -4,7 +4,9 @@ The table-backed backends apply a step through one path (one segment-sum +
 one scatter per table).  Its bits were recorded as SHA-256 digests at the
 commit before the second, per-region implementation was deleted (636f398,
 where both implementations produced these digests): per embedding scheme,
-through the 2-shard store and through grouped tables.
+through the 2-shard store and through grouped tables.  The large-batch
+digests (2048 × 26 ids, every run-length class of the segment sum) were
+recorded at fc8fe3a, where the segment sum was still ``np.add.reduceat``.
 """
 
 import hashlib
@@ -230,3 +232,52 @@ def test_grouped_store_matches_golden_digest():
     assert isinstance(store, TableGroupStore)
     train(store, batches)
     assert run_digest(store, batches[0][0]) == GOLDEN_RUNS["grouped"]
+
+
+# --------------------------------------------------------------------------- #
+# Large batches: every run-length class of the segment sum
+# --------------------------------------------------------------------------- #
+LARGE_FEATURES = 200_000
+LARGE_DIM = 16
+LARGE_GOLDEN = {
+    "large-cafe-1shard": "4ba472d5c8906f0bf6e7568a9175bcc9e27a00644874a01dfe4ee20015ecf9e1",
+    "large-cafe-4shard": "0652c6371d46c3356515fdbe0d01292d0585b9d520ccf054f644d8c78f0a2289",
+}
+
+
+def large_batches(seed, steps=4, batch=2048, fields=26):
+    """``(batch, fields)`` id matrices as a DLRM step at batch 2048 sees them:
+    per-field vocabularies of 30 to 20 000 ids, each with a Zipf head.  A
+    batch has ≈ 4.8k ids seen once, 2.5k seen 2-8 times, 700 seen 9-129
+    times and 60 seen more often, so the gradient sum folds every class."""
+    sizes = np.geomspace(30, 20_000, fields).astype(np.int64)
+    offsets = np.cumsum(sizes) - sizes
+    rng = np.random.default_rng(seed)
+    batches = []
+    for _ in range(steps):
+        ids = offsets + (rng.zipf(1.3, size=(batch, fields)) - 1) % sizes
+        grads = rng.standard_normal((batch, fields, LARGE_DIM)).astype(np.float32)
+        batches.append((ids, grads))
+    return batches
+
+
+@golden
+@pytest.mark.parametrize(
+    "num_shards, optimizer", [(1, "sgd"), (4, "adagrad")], ids=["1shard", "4shard"]
+)
+def test_large_batch_cafe_matches_golden_digest(num_shards, optimizer):
+    store = ShardedEmbeddingStore.build(
+        "cafe",
+        num_features=LARGE_FEATURES,
+        dim=LARGE_DIM,
+        num_shards=num_shards,
+        compression_ratio=10.0,
+        seed=13,
+        optimizer=optimizer,
+        learning_rate=0.05,
+        dtype="float32",
+    )
+    assert (store._stack is not None) == (num_shards > 1)
+    train(store, large_batches(seed=29))
+    probe = np.arange(0, LARGE_FEATURES, 97)
+    assert run_digest(store, probe) == LARGE_GOLDEN[f"large-cafe-{num_shards}shard"]

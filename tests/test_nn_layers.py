@@ -13,6 +13,34 @@ from test_nn_functional import check_gradient
 
 
 class TestLinear:
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("in_features", [32, 429])
+    @pytest.mark.parametrize("batch", [1, 64, 128, 2048])
+    def test_single_output_dx_is_the_matmul_bytes(self, batch, in_features, dtype):
+        """Linear(→1)'s ``dx`` is an outer product plus 0.0, not a matmul;
+        it must be ``dy @ W.T`` byte for byte, signed zeros and subnormal
+        products included."""
+        rng = np.random.default_rng(batch + in_features)
+        info = np.finfo(dtype)
+        tiny = dtype(2.0) ** ((int(np.log2(info.tiny)) - info.nmant // 2) // 2)
+        dy = rng.standard_normal((batch, 1)).astype(dtype)
+        weight = rng.standard_normal((in_features, 1)).astype(dtype)
+        dy[0::5] = 0.0
+        dy[1::5] = -0.0
+        dy[2::5] *= tiny  # times a tiny weight: a subnormal product, or ±0
+        weight[0::4] = -0.0
+        weight[1::4] = 0.0
+        weight[2::4] *= tiny
+        products = dy * weight.T
+        assert batch < 3 or (np.abs(products[products != 0]) < info.tiny).any()  # subnormals occur
+        layer = Linear(in_features, 1, rng=0, dtype=dtype)
+        ws = Workspace(batch, dtype)
+        x = rng.standard_normal((batch, in_features)).astype(dtype)
+        dx, _ = layer.backward_array([weight, np.zeros(1, dtype)], x, dy, ws)
+        expected = dy @ weight.T
+        assert dx.dtype == expected.dtype
+        assert dx.tobytes() == expected.tobytes()
+
     def test_output_shape(self):
         layer = Linear(4, 3, rng=0)
         out = layer(Tensor(np.zeros((5, 4))))
