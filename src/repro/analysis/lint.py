@@ -1,6 +1,6 @@
 """Project-specific AST lint rules.
 
-Five rules encode contracts that previously existed only as prose:
+Six rules encode contracts that previously existed only as prose:
 
 ``capability-probe``
     No ``hasattr(...)`` (or ``callable(getattr(...))``) capability probing
@@ -36,6 +36,14 @@ Five rules encode contracts that previously existed only as prose:
     segment sum is part of the bit-exactness contract, and
     :class:`~repro.kernels.ops.SegmentSum` is its one implementation: a
     second reduceat elsewhere is a second path to keep byte-identical.
+``graph-in-loop``
+    An autograd graph in the training, runtime or serving loops
+    (``src/repro/{training,runtime,serving}/``): an import of
+    ``repro.nn.tensor`` (or of ``Tensor`` / ``make_node`` through
+    ``repro.nn``), a ``make_node`` call or a ``.backward(`` call.
+    The built-in models train and serve over arrays (``Trainer``'s array
+    step, ``predict_proba``); the per-op graph is for custom models and
+    tests.
 
 Suppression grammar: a trailing ``# lint: allow[rule-id] <reason>`` on the
 flagged line keeps the violation out of strict mode; the linter still
@@ -83,6 +91,11 @@ _NP_ALLOCATORS = frozenset({"zeros", "empty", "ones"})
 #: The one module that may call ``np.add.reduceat`` (segment-sum).
 _SEGMENT_SUM_HOME = "src/repro/kernels/ops.py"
 
+#: The loops that run no autograd graph (graph-in-loop).
+_GRAPH_FREE_SCOPES = ("src/repro/training/", "src/repro/runtime/", "src/repro/serving/")
+_GRAPH_MODULE = "repro.nn.tensor"
+_GRAPH_NAMES = frozenset({"tensor", "Tensor", "make_node"})
+
 #: Where an ``assert`` on a clock reading is flagged (bench-wallclock).
 _CLOCK_ASSERT_SCOPES = ("tests/", "benchmarks/")
 _CLOCKS = frozenset({"perf_counter", "monotonic", "perf_counter_ns", "monotonic_ns"})
@@ -112,6 +125,10 @@ def _dtype_scope(rel: str) -> bool:
 
 def _segment_sum_scope(rel: str) -> bool:
     return rel.startswith("src/") and rel != _SEGMENT_SUM_HOME
+
+
+def _graph_free_scope(rel: str) -> bool:
+    return rel.startswith(_GRAPH_FREE_SCOPES)
 
 
 RULES: tuple[Rule, ...] = (
@@ -150,6 +167,12 @@ RULES: tuple[Rule, ...] = (
         summary="np.add.reduceat outside repro/kernels/ops.py (use SegmentSum)",
         scope=_segment_sum_scope,
         scope_doc="src/ except repro/kernels/ops.py",
+    ),
+    Rule(
+        id="graph-in-loop",
+        summary="repro.nn.tensor import, make_node or .backward( call in a training/serving loop",
+        scope=_graph_free_scope,
+        scope_doc="src/repro/training/, runtime/, serving/",
     ),
 )
 
@@ -279,6 +302,13 @@ def _check_call(node: ast.Call, rel: str) -> Iterator[tuple[str, str]]:
                 f"np.{func.attr}() without an explicit dtype defaults to float64; "
                 "table-allocating code must pin its dtype",
             )
+    called = func.attr if isinstance(func, ast.Attribute) else getattr(func, "id", None)
+    if called == "make_node" or (called == "backward" and isinstance(func, ast.Attribute)):
+        yield (
+            "graph-in-loop",
+            f"{called}() builds or walks an autograd graph; the built-in models "
+            "train and serve over arrays (dense_forward / dense_backward)",
+        )
     if rel == _NO_FLOAT64_SCOPE and isinstance(func, ast.Attribute):
         to_float64 = (
             func.attr == "asarray"
@@ -304,6 +334,16 @@ def _is_add_reduceat(node: ast.Attribute) -> bool:
         and isinstance(owner.value, ast.Name)
         and owner.value.id in {"np", "numpy"}
     )
+
+
+def _imports_graph(node: ast.Import | ast.ImportFrom) -> bool:
+    """``import repro.nn.tensor``, ``from repro.nn.tensor import ...``, or
+    the module or its graph names re-exported by ``repro.nn``."""
+    if isinstance(node, ast.Import):
+        return any(alias.name == _GRAPH_MODULE for alias in node.names)
+    if node.module == _GRAPH_MODULE:
+        return True
+    return node.module == "repro.nn" and any(alias.name in _GRAPH_NAMES for alias in node.names)
 
 
 def _reads_clock(node: ast.AST, tainted: set[str]) -> bool:
@@ -379,6 +419,13 @@ def lint_source(source: str, rel: str) -> list[Violation]:
         if isinstance(node, ast.Call):
             for rule_id, message in _check_call(node, rel):
                 emit(rule_id, node.lineno, message)
+        elif isinstance(node, (ast.Import, ast.ImportFrom)) and _imports_graph(node):
+            emit(
+                "graph-in-loop",
+                node.lineno,
+                "repro.nn.tensor import in a training/serving loop; the built-in "
+                "models run there over arrays, with no Tensor",
+            )
         elif isinstance(node, ast.Attribute) and _is_add_reduceat(node):
             emit(
                 "segment-sum",

@@ -88,7 +88,8 @@ class BatchShapeError(BadBatchError):
 
     Raised by the model (``forward`` / ``predict_proba``, so also by
     ``Trainer.train_step``) before any lookup: a batch with 25 of 26 fields
-    or 12 of 13 numerical columns is refused with nothing touched.
+    or 12 of 13 numerical columns is refused with nothing touched, and so is
+    a training batch whose labels are not one value per row.
     """
 
 
@@ -98,6 +99,15 @@ class NonFiniteFeatureError(BadBatchError):
     Refused before the forward pass: the NaN would otherwise surface one
     backward pass later as a :class:`NonFiniteGradientError`, which names
     the wrong input.
+    """
+
+
+class InvalidLabelError(BadBatchError):
+    """A training batch's labels are NaN/inf or lie outside ``[0, 1]``.
+
+    Refused by ``Trainer.train_step`` before the lookup: a NaN label would
+    otherwise surface after the forward pass as a
+    :class:`NonFiniteGradientError`, and a label of 2 would train silently.
     """
 
 

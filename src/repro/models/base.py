@@ -5,22 +5,21 @@ A model owns (a) an embedding *store* — anything satisfying
 :class:`repro.embeddings.CompressedEmbedding` (wrapped in a bit-exact
 single-shard store) to a multi-shard :class:`repro.store.
 ShardedEmbeddingStore` — and (b) a dense network built from :mod:`repro.nn`
-modules.  The training loop drives them through
-:meth:`RecommendationModel.forward`, which returns both the logits tensor and
-the leaf embedding tensor so that, after ``loss.backward()``, the per-lookup
-gradient (the quantity CAFE scores features by) can be handed back to the
-store.
+modules.
 
-The dense network is one graph node per pass.  Each model writes its
-forward (:meth:`~RecommendationModel.dense_forward`) and backward
-(:meth:`~RecommendationModel.dense_backward`) once, over plain arrays, from
-the ``forward_array`` / ``backward_array`` pairs of its layers, with every
-intermediate in a per-batch-size :class:`~repro.nn.layers.Workspace`; the
-values are bit-identical to the per-op graph the layers' ``Tensor`` forms
-build (``tests/reference_dense.py`` keeps that graph as the oracle).
-Inference (:meth:`~RecommendationModel.predict_proba`, and the
-:class:`ServedModel` serving answers from) calls the array forward alone and
-builds no ``Tensor``.
+Each model writes its dense forward (:meth:`~RecommendationModel.
+dense_forward`) and backward (:meth:`~RecommendationModel.dense_backward`)
+once, over plain arrays, from the ``forward_array`` / ``backward_array``
+pairs of its layers, with every intermediate in a per-batch-size
+:class:`~repro.nn.layers.Workspace`.  ``Trainer.train_step`` calls the two
+directly, with the array BCE between them, and builds no graph; the values
+are bit-identical to the per-op graph the layers' ``Tensor`` forms build
+(``tests/reference_dense.py`` keeps that graph as the oracle).  The graph
+form, :meth:`~RecommendationModel.forward` (the logits and the embedding
+leaf whose ``grad``, after ``loss.backward()``, is the per-lookup gradient
+CAFE scores features by), is one node per dense pass over the same two
+methods.  Inference (:meth:`~RecommendationModel.predict_proba`, and the
+:class:`ServedModel` serving answers from) calls the array forward alone.
 
 Precision follows the store: the dense network computes in
 ``np.promote_types(store.dtype, float32)`` — float32 over float16/float32
@@ -36,6 +35,7 @@ import numpy as np
 
 from repro.embeddings.base import CompressedEmbedding
 from repro.errors import BatchShapeError
+from repro.nn.functional import sigmoid_array
 from repro.nn.layers import Workspace, claim_workspace
 from repro.nn.module import Module
 from repro.nn.tensor import Tensor, make_node
@@ -129,13 +129,14 @@ class RecommendationModel(Module):
 
     def dense_backward(
         self, weights: Sequence[np.ndarray], embeddings: np.ndarray, numerical: np.ndarray,
-        dlogits: np.ndarray, ws: Workspace,
-    ) -> tuple[np.ndarray, list[np.ndarray]]:
-        """``(embedding gradient, parameter gradients)`` of the last
-        :meth:`dense_forward` on ``ws`` for ``(batch, 1)`` upstream
-        ``dlogits``.  The parameter gradients are new arrays; the embedding
-        gradient is a :meth:`~repro.nn.layers.Workspace.handout`, which no
-        later pass writes while the caller still holds it."""
+        dlogits: np.ndarray, ws: Workspace, grads: Sequence[np.ndarray],
+    ) -> np.ndarray:
+        """The embedding gradient of the last :meth:`dense_forward` on ``ws``
+        for ``(batch, 1)`` upstream ``dlogits``, with the parameter gradients
+        written into ``grads`` (one array per entry of ``weights``, in its
+        shape: new arrays, or the dense optimizer's staging views).  The
+        embedding gradient is a :meth:`~repro.nn.layers.Workspace.handout`,
+        which no later pass writes while the caller still holds it."""
         raise NotImplementedError  # pragma: no cover - abstract
 
     def _flat_features(
@@ -165,11 +166,12 @@ class RecommendationModel(Module):
     def forward_dense(self, embeddings: Tensor, numerical: np.ndarray) -> Tensor:
         """Map ``(batch, fields, dim)`` embeddings + numerical features to logits.
 
-        One graph node: its backward fills ``embeddings.grad`` (when it
-        requires one) and every parameter's ``.grad``.  ``numerical`` may
-        arrive in any float dtype; it is cast to the model's.  The node's
-        activations live in the model's workspace, so its backward must run
-        before the next forward at the same batch size.
+        The graph form of the array pass ``Trainer`` runs directly: one node
+        whose backward fills ``embeddings.grad`` (when it requires one) and
+        every parameter's ``.grad``.  ``numerical`` may arrive in any float
+        dtype; it is cast to the model's.  The node's activations live in the
+        model's workspace, so its backward must run before the next forward
+        at the same batch size.
         """
         params = list(self.parameters())
         weights = [param.data for param in params]
@@ -185,7 +187,8 @@ class RecommendationModel(Module):
                     "a later forward at this batch size overwrote this pass's activations; "
                     "run backward before the next forward or predict_proba"
                 )
-            dx, grads = self.dense_backward(weights, x, numerical, grad.reshape(-1, 1), ws)
+            grads = [np.empty_like(weight) for weight in weights]
+            dx = self.dense_backward(weights, x, numerical, grad.reshape(-1, 1), ws, grads)
             if embeddings.requires_grad:
                 embeddings._accumulate_grad(dx, owned=True)
             for param, param_grad in zip(params, grads):
@@ -286,9 +289,4 @@ def _predict(owner, model, store, weights, categorical, numerical) -> np.ndarray
     categorical, numerical = model._check_batch(categorical, numerical)
     ws = owner._workspace = claim_workspace(owner._workspace, len(categorical), model.dtype)
     z = model.dense_forward(weights, store.lookup(categorical), numerical, ws).reshape(-1)
-    out = np.empty_like(z)
-    positive = z >= 0
-    out[positive] = 1.0 / (1.0 + np.exp(-z[positive]))
-    exp_z = np.exp(z[~positive])
-    out[~positive] = exp_z / (1.0 + exp_z)
-    return out
+    return sigmoid_array(z)

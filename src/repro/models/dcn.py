@@ -48,21 +48,23 @@ class DCN(RecommendationModel):
         combined[:, cross_out.shape[1]:] = deep_out
         return self.output.forward_array(weights[deep_end:], combined, ws)
 
-    def dense_backward(self, weights, embeddings, numerical, dlogits, ws: Workspace):
+    def dense_backward(self, weights, embeddings, numerical, dlogits, ws: Workspace, grads):
         cross_end, deep_end = self._splits()
         width = self.cross.input_dim
         features = self._flat_features(embeddings, numerical, ws, fill=False)
         combined = ws((self, "combined"), self.output.in_features)
-        dcombined, output_grads = self.output.backward_array(weights[deep_end:], combined, dlogits, ws)
+        dcombined = self.output.backward_array(weights[deep_end:], combined, dlogits, ws, grads[deep_end:])
         deep_out = ws(self.deep.layers[-1], self.deep.layers[-1].out_features)
         mask = np.greater(deep_out, 0, out=ws((self, "mask"), deep_out.shape[1], dtype=np.bool_))
         ddeep_out = np.multiply(dcombined[:, width:], mask, out=ws((self, "ddeep"), deep_out.shape[1]))
-        dfeatures, cross_grads = self.cross.backward_array(
-            weights[:cross_end], features, dcombined[:, :width], ws
+        dfeatures = self.cross.backward_array(
+            weights[:cross_end], features, dcombined[:, :width], ws, grads[:cross_end]
         )
-        ddeep, deep_grads = self.deep.backward_array(weights[cross_end:deep_end], features, ddeep_out, ws)
+        ddeep = self.deep.backward_array(
+            weights[cross_end:deep_end], features, ddeep_out, ws, grads[cross_end:deep_end]
+        )
         dfeatures += ddeep  # the deep MLP's contribution comes last in the per-op graph too
-        return self._leaf_gradient(dfeatures, ws), cross_grads + deep_grads + output_grads
+        return self._leaf_gradient(dfeatures, ws)
 
     def _splits(self) -> tuple[int, int]:
         """Where the cross network's and the deep MLP's parameter arrays end."""

@@ -62,20 +62,20 @@ class DLRM(RecommendationModel):
             top_input[:, self.dim:] = interactions
         return self.top.forward_array(weights[split:], top_input, ws)
 
-    def dense_backward(self, weights, embeddings, numerical, dlogits, ws: Workspace):
+    def dense_backward(self, weights, embeddings, numerical, dlogits, ws: Workspace, grads):
         split = self._bottom_arrays()
         if self.bottom is None:
             top_input = ws((self.interaction, "x"), DotInteraction.output_dim(self.num_fields))
-            dtop, grads = self.top.backward_array(weights[split:], top_input, dlogits, ws)
-            return self._leaf_gradient(self.interaction.backward_array(embeddings, dtop, ws), ws), grads
+            dtop = self.top.backward_array(weights[split:], top_input, dlogits, ws, grads[split:])
+            return self._leaf_gradient(self.interaction.backward_array(embeddings, dtop, ws), ws)
         fields = ws((self, "fields"), self.num_fields + 1, self.dim)
         top_input = ws(self.interaction.gram, self.dim + DotInteraction.output_dim(self.num_fields + 1))
-        dtop, top_grads = self.top.backward_array(weights[split:], top_input, dlogits, ws)
+        dtop = self.top.backward_array(weights[split:], top_input, dlogits, ws, grads[split:])
         dfields = self.interaction.backward_array(fields, dtop[:, self.dim:], ws)
         # The dense vector is both the top MLP's first columns and the extra field.
         ddense = np.add(dtop[:, : self.dim], dfields[:, self.num_fields], out=ws((self, "ddense"), self.dim))
-        _, bottom_grads = self.bottom.backward_array(weights[:split], numerical, ddense, ws, need_dx=False)
-        return self._leaf_gradient(dfields, ws), bottom_grads + top_grads
+        self.bottom.backward_array(weights[:split], numerical, ddense, ws, grads[:split], need_dx=False)
+        return self._leaf_gradient(dfields, ws)
 
     def _bottom_arrays(self) -> int:
         """How many of the parameter arrays are the bottom MLP's (it comes first)."""

@@ -41,9 +41,9 @@ class WDL(RecommendationModel):
         deep_logit = self.deep.forward_array(weights[2:], features, ws)
         return np.add(wide_logit, deep_logit, out=ws(self, 1))
 
-    def dense_backward(self, weights, embeddings, numerical, dlogits, ws: Workspace):
+    def dense_backward(self, weights, embeddings, numerical, dlogits, ws: Workspace, grads):
         features = self._flat_features(embeddings, numerical, ws, fill=False)
-        dwide, wide_grads = self.wide.backward_array(weights[:2], features, dlogits, ws)
-        ddeep, deep_grads = self.deep.backward_array(weights[2:], features, dlogits, ws)
+        dwide = self.wide.backward_array(weights[:2], features, dlogits, ws, grads[:2])
+        ddeep = self.deep.backward_array(weights[2:], features, dlogits, ws, grads[2:])
         dwide += ddeep
-        return self._leaf_gradient(dwide, ws), wide_grads + deep_grads
+        return self._leaf_gradient(dwide, ws)

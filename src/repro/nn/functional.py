@@ -3,10 +3,13 @@
 Each function builds the forward result eagerly and registers a closure that
 propagates gradients to its inputs.  This per-op engine is what a custom
 model built from ``repro.nn`` layers runs on (``examples/custom_model_
-integration.py``) and the oracle the built-in models' fused dense pass is
-tested against (``tests/reference_dense.py``); the built-in DLRM / WDL / DCN
-train through one node per dense pass instead (``repro.models.base``).
-Every operation here is exercised by gradient-checking tests.
+integration.py``) and the oracle the built-in models' dense pass is tested
+against (``tests/reference_dense.py``).  The built-in DLRM / WDL / DCN train
+with no graph: ``Trainer`` calls their array forward and backward and the
+array functions here (:func:`bce_with_logits_array`,
+:func:`bce_with_logits_backward_array`, :func:`sigmoid_array`), which the
+graph forms of the loss and the sigmoid wrap.  Every operation here is
+exercised by gradient-checking tests.
 """
 
 from __future__ import annotations
@@ -187,7 +190,7 @@ def relu(x: Tensor) -> Tensor:
 
 def sigmoid(x: Tensor) -> Tensor:
     x = ensure_tensor(x)
-    out_data = _stable_sigmoid(x.data)
+    out_data = sigmoid_array(x.data)
 
     def backward(grad: np.ndarray) -> None:
         if x.requires_grad:
@@ -196,38 +199,69 @@ def sigmoid(x: Tensor) -> Tensor:
     return make_node(out_data, (x,), backward)
 
 
-def _stable_sigmoid(z: np.ndarray) -> np.ndarray:
-    out = np.empty_like(z)
-    positive = z >= 0
-    out[positive] = 1.0 / (1.0 + np.exp(-z[positive]))
-    exp_z = np.exp(z[~positive])
-    out[~positive] = exp_z / (1.0 + exp_z)
-    return out
+def sigmoid_array(z: np.ndarray, e: np.ndarray | None = None) -> np.ndarray:
+    """The logistic function of ``z``, with no overflow at either tail.
+
+    With ``e = exp(-|z|)`` (pass it when it is already computed, see
+    :func:`bce_with_logits_array`) the result is ``1 / (1 + e)`` where
+    ``z >= 0`` and ``e / (1 + e)`` elsewhere.  This is the one sigmoid of the
+    library: the loss gradient, :func:`sigmoid` and ``predict_proba`` all
+    call it.
+    """
+    if e is None:
+        e = _exp_neg_abs(z)
+    denom = 1.0 + e
+    return np.where(z >= 0, 1.0 / denom, e / denom)
+
+
+def _exp_neg_abs(z: np.ndarray) -> np.ndarray:
+    """``exp(-|z|)``, with ``-|z|`` taken as ``min(z, -z)``: the same value,
+    except that a NaN keeps its sign, as ``exp(z)`` of a negative-branch
+    sigmoid would."""
+    return np.exp(np.minimum(z, -z))
 
 
 # --------------------------------------------------------------------------- #
 # Losses
 # --------------------------------------------------------------------------- #
+def bce_with_logits_array(z: np.ndarray, y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Mean binary cross entropy of logits ``z`` against targets ``y`` (same
+    shape and dtype), as ``(0-d loss in z's dtype, exp(-|z|))``.
+
+    Uses ``BCE(z, y) = max(z, 0) - z*y + log(1 + exp(-|z|))``, averaged in
+    double; the second value is what :func:`bce_with_logits_backward_array`
+    reuses, so one step computes one ``exp``.
+    """
+    e = _exp_neg_abs(z)
+    losses = np.maximum(z, 0.0) - z * y + np.log1p(e)
+    return np.asarray(losses.mean(dtype=np.float64), dtype=z.dtype), e
+
+
+def bce_with_logits_backward_array(z: np.ndarray, y: np.ndarray, e: np.ndarray) -> np.ndarray:
+    """Gradient of :func:`bce_with_logits_array`'s mean loss with respect to
+    ``z``: ``(sigmoid(z) - y) / z.size``, a new array."""
+    grad = sigmoid_array(z, e)
+    grad -= y
+    grad /= z.size
+    return grad
+
+
 def binary_cross_entropy_with_logits(logits: Tensor, targets: np.ndarray) -> Tensor:
     """Mean binary cross entropy computed from raw logits (numerically stable).
 
-    Uses the identity ``BCE(z, y) = max(z, 0) - z*y + log(1 + exp(-|z|))`` and
-    the gradient ``sigmoid(z) - y``, matching
+    The graph form of :func:`bce_with_logits_array` and
+    :func:`bce_with_logits_backward_array`; the gradient is
+    ``sigmoid(z) - y`` over the batch, matching
     ``torch.nn.BCEWithLogitsLoss(reduction="mean")``.
     """
     logits = ensure_tensor(logits)
     z = logits.data
     y = np.asarray(targets, dtype=z.dtype).reshape(z.shape)
-    losses = np.maximum(z, 0.0) - z * y + np.log1p(np.exp(-np.abs(z)))
-    # One scalar: reduced in double, stored in the graph's dtype.
-    out_data = np.asarray(losses.mean(dtype=np.float64), dtype=z.dtype)
-    count = z.size
+    out_data, e = bce_with_logits_array(z, y)
 
     def backward(grad: np.ndarray) -> None:
         if logits.requires_grad:
-            grad_logits = _stable_sigmoid(z)
-            grad_logits -= y
-            grad_logits /= count
+            grad_logits = bce_with_logits_backward_array(z, y, e)
             grad_logits *= grad
             logits._accumulate_grad(grad_logits, owned=True)
 

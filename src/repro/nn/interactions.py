@@ -170,9 +170,11 @@ class CrossNetwork(Module):
         return x
 
     def backward_array(
-        self, weights: Sequence[np.ndarray], x0: np.ndarray, dy: np.ndarray, ws: Workspace
-    ) -> tuple[np.ndarray, list[np.ndarray]]:
-        """``(dx0, grads)`` of the last :meth:`forward_array` for upstream ``dy``.
+        self, weights: Sequence[np.ndarray], x0: np.ndarray, dy: np.ndarray, ws: Workspace,
+        grads: Sequence[np.ndarray],
+    ) -> np.ndarray:
+        """``dx0`` of the last :meth:`forward_array` for upstream ``dy``, with
+        the parameter gradients written into ``grads`` (``parameters()`` order).
 
         ``x0`` reaches the output through every layer's product and through
         layer 0's projection and residual; those contributions are summed in
@@ -181,7 +183,6 @@ class CrossNetwork(Module):
         the result is bit-identical to it.  ``dx0`` is a workspace array.
         """
         layers, dim = self.num_layers, self.input_dim
-        weight_grads, bias_grads = [], []  # layers L-1 .. 0
         dx0 = ws((self, "dx0"), dim)
         term = ws((self, "term"), dim)
         g = ws((self, "g"), dim)  # the gradient at layer i's output
@@ -195,8 +196,8 @@ class CrossNetwork(Module):
                     dx0 += term
             np.multiply(g, x0, out=term)
             dprojected = np.sum(term, axis=1, keepdims=True, out=ws((self, "dp"), 1))
-            weight_grads.append(inputs.T @ dprojected)
-            bias_grads.append(g.sum(axis=0))
+            np.matmul(inputs.T, dprojected, out=grads[i])
+            np.sum(g, axis=0, out=grads[layers + i])
             through = np.matmul(dprojected, weights[i].T, out=ws((self, "mm"), dim))
             if i:  # x_{i-1} feeds the projection and the residual of layer i
                 g += through
@@ -207,4 +208,4 @@ class CrossNetwork(Module):
                     dx0 += g
                 dx0 += np.multiply(g, projected, out=term)
                 dx0 += through
-        return dx0, weight_grads[::-1] + bias_grads[::-1]
+        return dx0

@@ -5,7 +5,7 @@ Each layer has two forms.  ``layer(tensor)`` records per-op autograd nodes
 ``backward_array`` compute the same values, operation for operation, on
 plain arrays with the weights passed in (``parameters()`` order) and every
 intermediate kept in a :class:`Workspace`; the built-in models chain these
-into one graph node per dense pass.
+into their dense pass, which ``Trainer`` runs with no graph.
 """
 
 from __future__ import annotations
@@ -131,10 +131,10 @@ class Linear(Module):
 
     def backward_array(
         self, weights: Sequence[np.ndarray], x: np.ndarray, dy: np.ndarray, ws: Workspace,
-        need_dx: bool = True,
-    ) -> tuple[np.ndarray | None, list[np.ndarray]]:
-        """``(dx, [dW, db])`` at input ``x`` for upstream ``dy``; ``dx`` is a
-        workspace array (``None`` unless ``need_dx``), the gradients are new."""
+        grads: Sequence[np.ndarray], need_dx: bool = True,
+    ) -> np.ndarray | None:
+        """``dx`` at input ``x`` for upstream ``dy`` (a workspace array, ``None``
+        unless ``need_dx``); ``[dW, db]`` are written into ``grads``."""
         dx = None
         if need_dx:
             dx = ws((self, "dx"), self.in_features)
@@ -146,7 +146,9 @@ class Linear(Module):
                 dx += 0.0
             else:
                 np.matmul(dy, weights[0].T, out=dx)
-        return dx, [x.T @ dy, dy.sum(axis=0)]
+        np.matmul(x.T, dy, out=grads[0])
+        np.sum(dy, axis=0, out=grads[1])
+        return dx
 
 
 class MLP(Module):
@@ -200,19 +202,18 @@ class MLP(Module):
 
     def backward_array(
         self, weights: Sequence[np.ndarray], x: np.ndarray, dy: np.ndarray, ws: Workspace,
-        need_dx: bool = True,
-    ) -> tuple[np.ndarray | None, list[np.ndarray]]:
-        """``(dx, grads)`` of the last :meth:`forward_array` at input ``x``;
-        ``grads`` are new arrays in ``parameters()`` order."""
-        grads: list[np.ndarray] = []
+        grads: Sequence[np.ndarray], need_dx: bool = True,
+    ) -> np.ndarray | None:
+        """``dx`` of the last :meth:`forward_array` at input ``x``, with the
+        parameter gradients written into ``grads`` (``parameters()`` order)."""
         for i in range(len(self.layers) - 1, -1, -1):
             below = self.layers[i - 1] if i else None
             inputs = x if below is None else ws(below, below.out_features)
-            dx, layer_grads = self.layers[i].backward_array(
-                weights[2 * i: 2 * i + 2], inputs, dy, ws, need_dx=below is not None or need_dx
+            dx = self.layers[i].backward_array(
+                weights[2 * i: 2 * i + 2], inputs, dy, ws, grads[2 * i: 2 * i + 2],
+                need_dx=below is not None or need_dx,
             )
-            grads[:0] = layer_grads
             if below is not None:  # through the ReLU: its output (our input) > 0
                 mask = np.greater(inputs, 0, out=ws((below, "mask"), below.out_features, dtype=np.bool_))
                 dy = np.multiply(dx, mask, out=dx)
-        return dx, grads
+        return dx

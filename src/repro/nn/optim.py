@@ -32,9 +32,11 @@ class Optimizer:
 
     All state lives in flat arrays over the concatenation of the parameters
     (list order), next to one gradient staging buffer and two work buffers
-    of the same length.  A step gathers every ``param.grad`` into its slice
-    of the staging buffer, runs the update arithmetic once over the flat
-    range, and subtracts each slice of the update from its ``param.data``,
+    of the same length.  Every gradient reaches its slice of the staging
+    buffer — copied from ``param.grad`` by :meth:`step`, or written there by
+    the caller through :attr:`staging` before :meth:`step_staged`, as
+    ``Trainer`` does — then the update arithmetic runs once over the flat
+    range and each slice of the update is subtracted from its ``param.data``,
     which is never aliased (rebinding it or deep-copying the model is safe).
     A parameter whose ``grad`` is ``None`` is left untouched with its state:
     the arithmetic runs over the maximal runs of parameters that have
@@ -73,6 +75,10 @@ class Optimizer:
             (p, lo, hi, self._grad[lo:hi].reshape(p.shape), self._update[lo:hi].reshape(p.shape))
             for p, lo, hi in zip(self.parameters, bounds, bounds[1:])
         ]
+        self._all = [slice(0, bounds[-1])]
+        #: One view of the staging buffer per parameter, in its shape, for a
+        #: caller that writes the gradients itself (:meth:`step_staged`).
+        self.staging = [slot[3] for slot in self._slots]
         self.step_count = 0
         #: Whether the state came from :meth:`load_state_dict` (a checkpoint).
         self.restored = False
@@ -84,15 +90,31 @@ class Optimizer:
             param.grad = None
 
     def step(self) -> None:
+        """One update from every ``param.grad`` (a parameter whose grad is
+        ``None`` is skipped): staged, then the update :meth:`step_staged`
+        runs."""
         runs: list[slice] = []
-        for param, lo, hi, staged, _ in self._slots:
+        stepped = []
+        for slot in self._slots:
+            param, lo, hi, staged, _ = slot
             if param.grad is None:
                 continue
             np.copyto(staged, param.grad)
+            stepped.append(slot)
             if runs and runs[-1].stop == lo:
                 runs[-1] = slice(runs[-1].start, hi)
             else:
                 runs.append(slice(lo, hi))
+        self._apply(runs, stepped)
+
+    def step_staged(self) -> None:
+        """One update of every parameter from the gradients the caller wrote
+        into :attr:`staging` (``Trainer``'s step; no ``param.grad`` is read)."""
+        self._apply(self._all, self._slots)
+
+    def _apply(self, runs: list[slice], stepped: list[tuple]) -> None:
+        """Check the staged gradients over ``runs``, advance the state and
+        subtract the update from the parameters of the ``stepped`` slots."""
         for run in runs:
             grad = self._grad[run]
             if not np.isfinite(np.dot(grad, grad)):
@@ -103,9 +125,8 @@ class Optimizer:
         self.step_count += 1
         for run in runs:
             self._compute_update(run)
-        for param, _, _, _, update in self._slots:
-            if param.grad is not None:
-                param.data -= update
+        for param, _, _, _, update in stepped:
+            param.data -= update
 
     def _compute_update(self, run: slice) -> None:  # pragma: no cover - abstract
         """Advance the state over ``run`` and leave its update in ``_update``."""

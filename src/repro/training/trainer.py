@@ -15,11 +15,11 @@ from typing import Iterable, Iterator
 import numpy as np
 
 from repro.data.stream import Batch, all_finite, iterate_batches
-from repro.errors import NonFiniteFeatureError
+from repro.errors import BatchShapeError, InvalidLabelError, NonFiniteFeatureError
 from repro.models.base import RecommendationModel
 from repro.nn import functional as F
+from repro.nn.layers import claim_workspace
 from repro.nn.optim import Adagrad, Adam, Optimizer, SGD
-from repro.nn.tensor import Tensor
 from repro.training.metrics import log_loss, roc_auc
 from repro.utils.logging import get_logger
 
@@ -63,6 +63,19 @@ def _make_dense_optimizer(name: str, parameters, lr: float) -> Optimizer:
     raise ValueError(f"unknown dense optimizer '{name}'")
 
 
+def _checked_labels(labels: np.ndarray, rows: int) -> np.ndarray:
+    """``labels`` if they are ``rows`` values in ``[0, 1]``; two reductions
+    (a NaN fails both comparisons, an inf one of them)."""
+    labels = np.asarray(labels)
+    if labels.shape != (rows,):
+        raise BatchShapeError(f"labels must have shape ({rows},), got {labels.shape}")
+    if rows and not (labels.min() >= 0 and labels.max() <= 1):
+        raise InvalidLabelError(
+            "labels must be finite and in [0, 1]; the batch was refused before the lookup"
+        )
+    return labels
+
+
 class Trainer:
     """Drives a :class:`RecommendationModel` over a batch stream.
 
@@ -93,33 +106,49 @@ class Trainer:
         The embedding store computes its routing plan during the forward
         lookup and reuses it here when the gradients come back, so hashing
         and slot location run once per step, not twice — at the shard level
-        and inside each shard backend.  NaN/inf in ``batch.numerical``
-        raises :class:`~repro.errors.NonFiniteFeatureError`, and a batch
-        without the model's field or numerical-column count
-        :class:`~repro.errors.BatchShapeError`, before the forward pass,
+        and inside each shard backend.  A batch without the model's field or
+        numerical-column count, or without one label per row, raises
+        :class:`~repro.errors.BatchShapeError`; NaN/inf in
+        ``batch.numerical`` :class:`~repro.errors.NonFiniteFeatureError`;
+        a label that is NaN/inf or outside ``[0, 1]``
+        :class:`~repro.errors.InvalidLabelError` — all before the lookup,
         with nothing touched.
         """
-        return float(self._step(batch)[0].data)
+        return self._step(batch)[0]
 
-    def _step(self, batch: Batch) -> tuple[Tensor, Tensor]:
-        """The training step itself; returns ``(loss, embedding leaf)``."""
+    def _step(self, batch: Batch) -> tuple[float, np.ndarray]:
+        """The training step itself, over arrays (no graph): returns
+        ``(loss, embedding gradient)``.
+
+        The model's array forward and backward run in its workspace, as
+        ``forward_dense``'s graph node runs them, and the backward writes the
+        parameter gradients straight into the dense optimizer's staging
+        buffer.  The values are bit-identical to the graph composition
+        ``forward`` → ``binary_cross_entropy_with_logits`` → ``backward()``
+        → ``step()``.
+        """
+        model, optimizer = self.model, self.dense_optimizer
+        categorical, numerical = model._check_batch(batch.categorical, batch.numerical)
+        labels = _checked_labels(batch.labels, len(categorical))
         if not all_finite(batch.numerical):
             raise NonFiniteFeatureError(
                 "batch numerical features contain NaN or inf; the batch was refused "
                 "before the forward pass"
             )
-        logits, leaf = self.model.forward(batch.categorical, batch.numerical)
-        loss = F.binary_cross_entropy_with_logits(logits, batch.labels)
-        # The optimizer holds the model's parameter list; ``model.zero_grad()``
-        # would re-walk the module tree by reflection on every step.
-        self.dense_optimizer.zero_grad()
-        loss.backward()
-        if leaf.grad is None:  # pragma: no cover - defensive, autograd always fills it
-            raise RuntimeError("embedding leaf did not receive a gradient")
-        self.model.store.apply_gradients(batch.categorical, leaf.grad)
-        self.dense_optimizer.step()
+        x = np.asarray(model.store.lookup(categorical), dtype=model.dtype)
+        weights = [param.data for param in optimizer.parameters]
+        ws = model._workspace = claim_workspace(model._workspace, len(x), model.dtype)
+        z = model.dense_forward(weights, x, numerical, ws).reshape(-1)
+        y = np.asarray(labels, dtype=model.dtype)
+        loss, e = F.bce_with_logits_array(z, y)
+        dlogits = F.bce_with_logits_backward_array(z, y, e)
+        dx = model.dense_backward(
+            weights, x, numerical, dlogits.reshape(-1, 1), ws, optimizer.staging
+        )
+        model.store.apply_gradients(categorical, dx)
+        optimizer.step_staged()
         self.global_step += 1
-        return loss, leaf
+        return float(loss), dx
 
     def embedding_plan_stats(self) -> dict[str, float | int]:
         """Routing-plan cache behaviour of the model's embedding store."""
@@ -154,8 +183,10 @@ class Trainer:
     # ------------------------------------------------------------------ #
     def predict(self, batch: Batch, batch_size: int | None = None) -> np.ndarray:
         """Click probabilities for a (possibly large) evaluation batch, in
-        pieces of ``batch_size`` rows (``predict_proba`` builds no graph)."""
-        batch_size = batch_size or EVAL_BATCH_SIZE
+        pieces of ``batch_size`` rows (default :data:`EVAL_BATCH_SIZE`; a size
+        below 1 raises :class:`~repro.errors.DataError`)."""
+        if batch_size is None:
+            batch_size = EVAL_BATCH_SIZE
         outputs = [
             self.model.predict_proba(piece.categorical, piece.numerical)
             for piece in iterate_batches(batch.categorical, batch.numerical, batch.labels, batch_size)
@@ -180,8 +211,8 @@ class Trainer:
         """
         totals = np.zeros(num_features, dtype=np.float64)
         for batch in stream:
-            _, leaf = self._step(batch)
-            norms = np.linalg.norm(leaf.grad.reshape(-1, self.model.dim), axis=1)
+            grad = self._step(batch)[1]
+            norms = np.linalg.norm(grad.reshape(-1, self.model.dim), axis=1)
             np.add.at(totals, batch.categorical.reshape(-1), norms)
         return totals
 

@@ -320,6 +320,45 @@ class TestSegmentSum:
         assert not flags(source, "src/repro/sketch/base.py", "segment-sum")
 
 
+class TestGraphInLoop:
+    @pytest.mark.parametrize(
+        "source",
+        [
+            "from repro.nn.tensor import Tensor\n",
+            "import repro.nn.tensor\n",
+            "from repro.nn import Tensor, functional as F\n",
+            "from repro.nn import tensor\n",
+            "loss.backward()\n",
+            "node = make_node(out, (x,), backward)\n",
+            "node = tensor.make_node(out, (x,), backward)\n",
+        ],
+    )
+    @pytest.mark.parametrize(
+        "rel",
+        ["src/repro/training/trainer.py", "src/repro/runtime/pipeline.py", "src/repro/serving/engine.py"],
+    )
+    def test_flags_a_graph_in_the_loops(self, source, rel):
+        found = flags(source, rel, "graph-in-loop")
+        assert len(found) == 1
+        assert "arrays" in found[0].message
+
+    def test_arrays_pass(self):
+        source = (
+            "from repro.nn import functional as F\n"
+            "from repro.nn.layers import claim_workspace\n"
+            "loss, e = F.bce_with_logits_array(z, y)\n"
+            "dx = model.dense_backward(weights, x, numerical, dlogits, ws, optimizer.staging)\n"
+        )
+        assert not flags(source, "src/repro/training/trainer.py", "graph-in-loop")
+
+    @pytest.mark.parametrize(
+        "rel", ["src/repro/models/base.py", "src/repro/nn/functional.py", "tests/test_array_step.py"]
+    )
+    def test_the_graph_itself_and_tests_are_out_of_scope(self, rel):
+        source = "from repro.nn.tensor import make_node\nloss.backward()\n"
+        assert not flags(source, rel, "graph-in-loop")
+
+
 class TestRepoIsClean:
     def test_rule_catalog_is_stable(self):
         assert {rule.id for rule in RULES} == {
@@ -328,6 +367,7 @@ class TestRepoIsClean:
             "mutable-default",
             "implicit-dtype",
             "segment-sum",
+            "graph-in-loop",
         }
 
     def test_lint_tree_finds_no_unsuppressed_violations(self):

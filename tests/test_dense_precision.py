@@ -121,6 +121,50 @@ class TestDtypeClosure:
             session.trainer.train_step(batch)
             assert all(p.data.dtype == expected for p in session.model.parameters())
 
+    @pytest.mark.parametrize("model_name", ["dlrm", "wdl", "dcn"])
+    @pytest.mark.parametrize("dense_optimizer", ["adam", "adagrad", "sgd"])
+    @pytest.mark.parametrize(
+        "store_dtype, expected",
+        [("float32", np.float32), ("float64", np.float64), ("float16", np.float32)],
+    )
+    def test_one_dtype_through_the_array_step(
+        self, model_name, dense_optimizer, store_dtype, expected, monkeypatch
+    ):
+        expected = np.dtype(expected)
+        with build(
+            quickstart(
+                model__name=model_name,
+                store__dtype=store_dtype,
+                train__dense_optimizer=dense_optimizer,
+            )
+        ) as session:
+            model, optimizer = session.model, session.trainer.dense_optimizer
+            seen = {}
+            dense_backward = model.dense_backward
+
+            def recording(weights, embeddings, numerical, dlogits, ws, grads):
+                dx = dense_backward(weights, embeddings, numerical, dlogits, ws, grads)
+                seen.update(embeddings=embeddings, numerical=numerical, dlogits=dlogits, dx=dx)
+                seen["grads"] = grads
+                return dx
+
+            monkeypatch.setattr(model, "dense_backward", recording)
+            batch = next(iter(session.dataset.training_stream(session.batch_size)))
+            _, dx = session.trainer._step(batch)
+
+            assert dx is seen["dx"]
+            for name in ("embeddings", "numerical", "dlogits", "dx"):
+                assert seen[name].dtype == expected, name
+            assert seen["dlogits"].shape == (len(batch), 1)
+            # The backward wrote the gradients into the optimizer's staging
+            # buffer, in its dtype; no param.grad was read or written.
+            assert seen["grads"] is optimizer.staging
+            assert optimizer._grad.dtype == expected
+            assert all(np.shares_memory(grad, optimizer._grad) for grad in seen["grads"])
+            assert all(param.grad is None for param in model.parameters())
+            assert all(array.dtype == expected for array in optimizer_state(optimizer))
+            assert all(param.data.dtype == expected for param in model.parameters())
+
     def test_float64_numerical_is_cast_by_forward_dense(self):
         with build(quickstart()) as session:
             batch = next(iter(session.dataset.training_stream(session.batch_size)))

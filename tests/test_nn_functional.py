@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.nn import functional as F
 from repro.nn.tensor import Tensor
@@ -160,3 +162,71 @@ class TestBCEWithLogits:
         assert float(loss.data) == pytest.approx(0.0, abs=1e-9)
         loss_bad = F.binary_cross_entropy_with_logits(Tensor([-1000.0]), np.asarray([1.0]))
         assert np.isfinite(float(loss_bad.data))
+
+
+# --------------------------------------------------------------------------- #
+# The array forms the training step calls, against the formulas they replaced
+# --------------------------------------------------------------------------- #
+def two_branch_sigmoid(z: np.ndarray) -> np.ndarray:
+    """The masked sigmoid ``F.sigmoid``, the loss and ``predict_proba`` used."""
+    out = np.empty_like(z)
+    positive = z >= 0
+    out[positive] = 1.0 / (1.0 + np.exp(-z[positive]))
+    exp_z = np.exp(z[~positive])
+    out[~positive] = exp_z / (1.0 + exp_z)
+    return out
+
+
+def graph_bce(z: np.ndarray, y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """``(loss, d loss / dz)`` as the BCE node computed them, with its own exps."""
+    losses = np.maximum(z, 0.0) - z * y + np.log1p(np.exp(-np.abs(z)))
+    loss = np.asarray(losses.mean(dtype=np.float64), dtype=z.dtype)
+    grad = two_branch_sigmoid(z)
+    grad -= y
+    grad /= z.size
+    return loss, grad
+
+
+SPECIAL_LOGITS = [
+    0.0, -0.0, np.nan, -np.nan, np.inf, -np.inf, 88.5, -88.5, 89.0, -89.0, 710.0, -710.0, 1e30, -1e30
+]
+
+
+def logits_and_labels(dtype, size, special, seed):
+    rng = np.random.default_rng(seed)
+    z = (rng.standard_normal(size) * rng.choice([1.0, 30.0, 120.0], size)).astype(dtype)
+    z[: len(special)] = np.asarray(special, dtype=dtype)[:size]
+    return z, (rng.random(size) < 0.4).astype(dtype)
+
+
+@given(
+    dtype=st.sampled_from([np.float32, np.float64]),
+    size=st.integers(1, 300),
+    special=st.lists(st.sampled_from(SPECIAL_LOGITS), max_size=8),
+    seed=st.integers(0, 2**32 - 1),
+)
+@settings(max_examples=150, deadline=None)
+def test_sigmoid_and_bce_arrays_are_the_old_formulas_bytes(dtype, size, special, seed):
+    z, y = logits_and_labels(dtype, size, special, seed)
+    with np.errstate(invalid="ignore", over="ignore"):
+        expected_loss, expected_grad = graph_bce(z, y)
+        loss, e = F.bce_with_logits_array(z, y)
+        grad = F.bce_with_logits_backward_array(z, y, e)
+        assert F.sigmoid_array(z).tobytes() == two_branch_sigmoid(z).tobytes()
+    assert loss.dtype == grad.dtype == z.dtype and loss.shape == ()
+    assert loss.tobytes() == expected_loss.tobytes()
+    assert grad.tobytes() == expected_grad.tobytes()
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_special_logits_are_the_old_bytes(dtype):
+    # Every special value in one array, so each case runs on every pass
+    # (``-|z|`` instead of ``min(z, -z)`` flips a float64 NaN's sign bit).
+    z = np.asarray(SPECIAL_LOGITS, dtype=dtype)
+    y = np.resize(np.asarray([0.0, 1.0], dtype=dtype), z.size)
+    with np.errstate(invalid="ignore", over="ignore"):
+        assert F.sigmoid_array(z).tobytes() == two_branch_sigmoid(z).tobytes()
+        loss, e = F.bce_with_logits_array(z, y)
+        expected_loss, expected_grad = graph_bce(z, y)
+        assert loss.tobytes() == expected_loss.tobytes()
+        assert F.bce_with_logits_backward_array(z, y, e).tobytes() == expected_grad.tobytes()

@@ -36,7 +36,8 @@ class TestLinear:
         layer = Linear(in_features, 1, rng=0, dtype=dtype)
         ws = Workspace(batch, dtype)
         x = rng.standard_normal((batch, in_features)).astype(dtype)
-        dx, _ = layer.backward_array([weight, np.zeros(1, dtype)], x, dy, ws)
+        grads = [np.empty_like(weight), np.empty(1, dtype)]
+        dx = layer.backward_array([weight, np.zeros(1, dtype)], x, dy, ws, grads)
         expected = dy @ weight.T
         assert dx.dtype == expected.dtype
         assert dx.tobytes() == expected.tobytes()

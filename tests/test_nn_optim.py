@@ -172,21 +172,33 @@ def assert_same_bits(optimizer, reference):
         assert got.data.tobytes() == expected.data.tobytes()
 
 
+def give_gradients(optimizer, grads, staged: bool) -> None:
+    """Hand ``grads`` to ``optimizer`` as ``param.grad`` or, ``staged``, by
+    writing them into its staging views (what ``Trainer`` does)."""
+    for param, view, grad in zip(optimizer.parameters, optimizer.staging, grads):
+        if staged:
+            np.copyto(view, grad)
+        else:
+            param.grad = grad
+
+
 def subnormal(array: np.ndarray) -> np.ndarray:
     return (array != 0) & (np.abs(array) < np.finfo(array.dtype).tiny)
 
 
 class TestFlatOptimizersAgainstTheOracle:
+    @pytest.mark.parametrize("staged", [False, True])
     @pytest.mark.parametrize("dtype", [np.float64, np.float32])
     @pytest.mark.parametrize("case", sorted(CASES))
-    def test_bit_equal_over_300_random_steps(self, case, dtype):
+    def test_bit_equal_over_300_random_steps(self, case, dtype, staged):
         optimizer, reference, rng = twin_optimizers(case, dtype)
         threshold = np.sqrt(np.finfo(dtype).tiny)
         for _ in range(300):
-            for got, expected in zip(optimizer.parameters, reference.parameters):
-                got.grad = rng.normal(size=got.shape).astype(dtype)
-                expected.grad = got.grad.copy()
-            optimizer.step()
+            grads = [rng.normal(size=shape).astype(dtype) for shape in SHAPES]
+            give_gradients(optimizer, grads, staged)
+            for expected, grad in zip(reference.parameters, grads):
+                expected.grad = grad.copy()
+            optimizer.step_staged() if staged else optimizer.step()
             reference.step()
             assert_same_bits(optimizer, reference)
         # Nothing came near the flush threshold, so state is bit-equal too.
@@ -256,22 +268,25 @@ class TestFlatOptimizersAgainstTheOracle:
         for name, array in optimizer.state.items():
             assert array.tobytes() == flat(reference.state[name]).tobytes()
 
+    @pytest.mark.parametrize("staged", [False, True])
     @pytest.mark.parametrize("case", sorted(CASES))
     @pytest.mark.parametrize("poison", [np.nan, np.inf, -np.inf])
-    def test_non_finite_gradient_is_refused_before_anything_is_touched(self, case, poison):
+    def test_non_finite_gradient_is_refused_before_anything_is_touched(self, case, poison, staged):
         optimizer, _, rng = twin_optimizers(case, np.float32)
+        step = optimizer.step_staged if staged else optimizer.step
         for _ in range(3):
-            for param in optimizer.parameters:
-                param.grad = rng.normal(size=param.shape).astype(np.float32)
-            optimizer.step()
-        optimizer.parameters[-2].grad[1, 0] = poison  # late in the flat range
+            give_gradients(optimizer, [rng.normal(size=s).astype(np.float32) for s in SHAPES], staged)
+            step()
+        grads = [rng.normal(size=s).astype(np.float32) for s in SHAPES]
+        grads[-2][1, 0] = poison  # late in the flat range
+        give_gradients(optimizer, grads, staged)
         before = (
             [param.data.tobytes() for param in optimizer.parameters],
             {name: array.tobytes() for name, array in optimizer.state.items()},
             optimizer.step_count,
         )
         with pytest.raises(NonFiniteGradientError):
-            optimizer.step()
+            step()
         after = (
             [param.data.tobytes() for param in optimizer.parameters],
             {name: array.tobytes() for name, array in optimizer.state.items()},

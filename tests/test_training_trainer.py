@@ -8,7 +8,7 @@ from repro.data.stream import Batch, all_finite
 from repro.data.synthetic import SyntheticConfig, SyntheticCTRDataset
 from repro.embeddings.cafe import CafeEmbedding
 from repro.embeddings.full import FullEmbedding
-from repro.errors import BadBatchError, BatchShapeError, NonFiniteFeatureError
+from repro.errors import BadBatchError, BatchShapeError, DataError, NonFiniteFeatureError
 from repro.models.dlrm import DLRM
 from repro.training.latency import measure_latency, measure_sketch_throughput
 from repro.training.trainer import EVAL_BATCH_SIZE, Trainer, TrainingHistory, train_and_evaluate
@@ -62,6 +62,16 @@ class TestTrainerKeywords:
         batch = dataset.test_batch(EVAL_BATCH_SIZE + 10)
         assert np.array_equal(trainer.predict(batch), trainer.predict(batch, batch_size=EVAL_BATCH_SIZE))
 
+
+    @pytest.mark.parametrize("size", [0, -1])
+    def test_predict_refuses_a_batch_size_below_one(self, size):
+        dataset = toy_dataset()
+        trainer = Trainer(toy_model(dataset))
+        batch = dataset.test_batch(10)
+        with pytest.raises(DataError, match="batch_size must be positive"):
+            trainer.predict(batch, batch_size=size)
+        with pytest.raises(DataError):
+            trainer.evaluate_auc(batch, batch_size=size)
 
 class TestTrainerBasics:
     def test_train_step_returns_finite_loss(self):
