@@ -1,8 +1,8 @@
 """The declarative front door end to end: config -> session -> lifecycle.
 
-Builds one ``SystemConfig`` describing a mixed-policy store (tiny fields
-uncompressed, tails on CAFE, mids hashed), proves the JSON round trip is
-lossless, then drives the full Session lifecycle: train, snapshot,
+Builds one ``SystemConfig`` describing a 2-shard CAFE store (one table over
+every field, its budget split across two hash-partitioned shards), proves
+the JSON round trip is lossless, then drives the full Session lifecycle: train, snapshot,
 checkpoint/restore, and the online train->serve pipeline.
 
 Run with: PYTHONPATH=src python examples/declarative_session.py
@@ -19,7 +19,7 @@ config = SystemConfig.from_dict(
     {
         "seed": 0,
         "data": {"dataset": "criteo", "scale": "tiny"},
-        "store": {"spec": "full:tiny,cafe[cr=16]:tail,hash[cr=8]:mid"},
+        "store": {"spec": "cafe", "compression_ratio": 16.0, "num_shards": 2},
         "train": {"max_steps": 20},
         "pipeline": {"publish_every_steps": 5, "probe_every_steps": 2, "max_steps": 15},
     }
@@ -30,10 +30,9 @@ assert SystemConfig.from_json(config.to_json()) == config
 
 with build(config) as session:
     plan = session.describe()
-    print(f"store: {plan['store']['method']} with {plan['store']['num_groups']} groups")
-    for group in plan["store"]["groups"]:
-        print(f"  {group['name']}: {group['num_fields']} fields, "
-              f"{group['memory_floats']} floats ({group['backend']})")
+    store = plan["store"]
+    print(f"store: {store['num_shards']} x {store['backend']}, "
+          f"{store['memory_floats']} floats (CR {store['compression_ratio']})")
 
     report = session.train()
     print(f"trained {report['train']['steps']} steps, "

@@ -7,18 +7,18 @@ said so in ``describe()``) and trains; a current checkpoint taken after 20
 Adam steps resumes bit-exactly.  The row-optimizer leg is the same pair for
 a 4-shard CAFE store with row-Adagrad, whose shards carried no
 ``optimizer.*`` entries before they named their optimizer ``_optimizer``.
-The table-group leg exercises the checkpoint-migration contract end to end:
+The table-group leg checks that a checkpoint of the retired table-group
+store is refused, and refused whole:
 
-1. train a DLRM over a *bare* CAFE layer and save a checkpoint — its sparse
-   section is the flat, un-namespaced key space every pre-table-group
-   checkpoint has;
-2. load that checkpoint into a model whose store is a single-group
-   ``TableGroupStore`` of the same geometry and verify bit-exact
-   predictions (the migration path);
-3. re-save through the group store and verify the new checkpoint is
-   group-namespaced and round-trips bit-exact;
-4. verify a multi-group store refuses the flat checkpoint with a clear
-   error instead of corrupting state.
+1. train a DLRM over a CAFE layer and save a checkpoint (a 1-shard store:
+   a ``num_shards`` header and ``shard0.*`` keys);
+2. write the same state as a two-group table-group store saved it (a
+   ``num_groups`` header and the layer's keys under ``group{i}.backend.``)
+   and verify that loading it into a 1-shard model raises
+   ``CheckpointLayoutError`` naming table groups, with the dense weights,
+   the dense optimizer and the store unchanged;
+3. verify the step-1 checkpoint still loads into that model and predicts
+   bit-exactly.
 
 Usage::
 
@@ -37,8 +37,8 @@ from repro.api import SystemConfig, apply_overrides, build
 from repro.data.schema import DatasetSchema, FieldSchema
 from repro.data.synthetic import SyntheticConfig, SyntheticCTRDataset
 from repro.embeddings.cafe import CafeEmbedding
+from repro.errors import CheckpointLayoutError
 from repro.models.dlrm import DLRM
-from repro.store import TableGroup, TableGroupStore
 from repro.training.checkpoint import load_checkpoint, save_checkpoint
 from repro.training.trainer import Trainer
 
@@ -116,70 +116,64 @@ def main() -> int:
     dataset = SyntheticCTRDataset(schema, config=SyntheticConfig(samples_per_day=512, seed=0))
     n = schema.num_features
 
-    def grouped_model(seed: int) -> DLRM:
-        store = TableGroupStore(
-            [
-                TableGroup(
-                    "g0_cafe",
-                    make_cafe(n, seed),
-                    field_indices=np.arange(schema.num_fields),
-                    global_shift=np.zeros(schema.num_fields, dtype=np.int64),
-                )
-            ],
-            num_fields=schema.num_fields,
-            num_features=n,
-            dim=DIM,
-        )
-        return DLRM(store, schema.num_fields, schema.num_numerical, rng=1)
-
-    # 1. Flat checkpoint from the pre-table-group architecture.
-    flat_model = DLRM(make_cafe(n, seed=0), schema.num_fields, schema.num_numerical, rng=1)
-    trainer = Trainer(flat_model)
+    # 1. A current checkpoint.
+    model = DLRM(make_cafe(n, seed=0), schema.num_fields, schema.num_numerical, rng=1)
+    trainer = Trainer(model)
     for batch in dataset.day_batches(0, 64):
         trainer.train_step(batch)
     test = dataset.test_batch(256)
-    expected = flat_model.predict_proba(test.categorical, test.numerical)
+    expected = model.predict_proba(test.categorical, test.numerical)
 
     with tempfile.TemporaryDirectory() as tmp:
-        flat_path = Path(tmp) / "flat.npz"
-        save_checkpoint(flat_path, flat_model, step=trainer.global_step)
+        current_path = Path(tmp) / "current.npz"
+        save_checkpoint(current_path, model, step=trainer.global_step)
 
-        # 2. Migrate into a single-group table-group store.
-        migrated = grouped_model(seed=9)
-        step = load_checkpoint(flat_path, migrated)
-        assert step == trainer.global_step, (step, trainer.global_step)
-        got = migrated.predict_proba(test.categorical, test.numerical)
-        assert np.array_equal(expected, got), "flat -> group migration is not bit-exact"
-
-        # 3. Re-save group-namespaced and round-trip.
+        # 2. The same state as a two-group table-group store wrote it.
         group_path = Path(tmp) / "grouped.npz"
-        save_checkpoint(group_path, migrated, step=step)
-        with np.load(group_path) as data:
-            keys = [k for k in data.files if k.startswith("sparse/")]
-        assert any(k.startswith("sparse/group0.backend.") for k in keys), keys
-        assert "sparse/num_groups" in keys, keys
-        restored = grouped_model(seed=21)
-        load_checkpoint(group_path, restored)
-        assert np.array_equal(
-            expected, restored.predict_proba(test.categorical, test.numerical)
-        ), "group-namespaced round trip is not bit-exact"
+        with np.load(current_path) as data:
+            payload = {k: data[k] for k in data.files if not k.startswith("sparse/")}
+            prefix = "sparse/shard0."
+            backend = {k[len(prefix):]: data[k] for k in data.files if k.startswith(prefix)}
+        payload["sparse/num_groups"] = np.asarray(2)
+        payload["sparse/step"] = np.asarray(trainer.global_step)
+        for group in range(2):
+            payload[f"sparse/group{group}.fields"] = np.arange(group, schema.num_fields, 2)
+            for key, value in backend.items():
+                payload[f"sparse/group{group}.backend.{key}"] = value
+        np.savez(group_path, **payload)
 
-        # 4. A multi-group store must refuse the flat format.
-        multi = TableGroupStore.from_schema(
-            schema, spec="full:tiny,cafe[cr=10]:tail,hash[cr=4]:mid", seed=0
-        )
-        multi_model = DLRM(multi, schema.num_fields, schema.num_numerical, rng=1)
+        target = DLRM(make_cafe(n, seed=9), schema.num_fields, schema.num_numerical, rng=2)
+        target_trainer = Trainer(target)
+        target_trainer.train_step(next(dataset.day_batches(1, 64)))  # non-zero moments
+        optimizer = target_trainer.dense_optimizer
+        dense_before = {k: v.copy() for k, v in target.state_dict().items()}
+        optim_before = {k: np.array(v, copy=True) for k, v in optimizer.state_dict().items()}
+        store_before = target.store.state_dict()
         try:
-            load_checkpoint(flat_path, multi_model)
-        except (ValueError, KeyError):
-            pass
+            load_checkpoint(group_path, target, optimizer=optimizer)
+        except CheckpointLayoutError as exc:
+            assert "table-group" in str(exc), exc
         else:
-            raise AssertionError("multi-group store accepted a flat checkpoint")
+            raise AssertionError("a table-group checkpoint loaded into a sharded store")
+        for before, after in (
+            (dense_before, target.state_dict()),
+            (optim_before, optimizer.state_dict()),
+            (store_before, target.store.state_dict()),
+        ):
+            assert sorted(before) == sorted(after)
+            for key in before:
+                assert np.array_equal(before[key], after[key]), f"refused load wrote {key}"
+
+        # 3. The current checkpoint still loads.
+        step = load_checkpoint(current_path, target, optimizer=optimizer)
+        assert step == trainer.global_step, (step, trainer.global_step)
+        got = target.predict_proba(test.categorical, test.numerical)
+        assert np.array_equal(expected, got), "checkpoint restore is not bit-exact"
 
     print(
         "checkpoint migration smoke: optim-less -> current OK, Adam resume bit-exact, "
         "CAFE row-Adagrad resume bit-exact (optimizer-less loads), "
-        "flat -> group-namespaced OK (bit-exact)"
+        "table-group checkpoint refused with nothing restored"
     )
     return 0
 

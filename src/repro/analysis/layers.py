@@ -3,10 +3,8 @@
 The architecture note in the README describes a strict layer order —
 ``nn → sketch → embeddings → store → runtime → serving → api`` — but until
 now nothing checked it.  This module declares the full order (including the
-module-granular overrides that prose elides: ``api.spec`` is a
-*contract* the mid-layers may import, while ``api.cli``
-and ``api.session`` sit on top; ``runtime.executor`` is the low-level
-execution substrate the store builds on, while
+module-granular overrides that prose elides: ``runtime.executor`` is the
+low-level execution substrate the store builds on, while
 ``runtime.pipeline`` orchestrates everything), parses every module's
 imports from the AST, and reports:
 
@@ -48,7 +46,6 @@ LAYERS: tuple[tuple[str, tuple[str, ...]], ...] = (
     ("kernels", ("repro.kernels",)),
     ("nn", ("repro.nn",)),
     ("sketch", ("repro.sketch",)),
-    ("contracts", ("repro.api.spec",)),
     ("data", ("repro.data",)),
     ("embeddings", ("repro.embeddings",)),
     ("exec", ("repro.runtime.executor",)),

@@ -1,8 +1,8 @@
 """One declarative front door for the whole system.
 
 ``repro.api`` is the canonical way to construct and run the stack that the
-rest of the package implements layer by layer (embedding backends, sharded +
-table-group stores, trainer, online pipeline, serving engine):
+rest of the package implements layer by layer (embedding backends, the
+sharded store, trainer, online pipeline, serving engine):
 
 * :class:`SystemConfig` — a nested, JSON-round-trippable configuration tree
   (``data`` / ``store`` / ``model`` / ``train`` / ``serve`` / ``pipeline``)
@@ -10,9 +10,7 @@ table-group stores, trainer, online pipeline, serving engine):
 * :func:`build` — compiles a :class:`SystemConfig` into a wired
   :class:`Session` (stream → store → model → trainer → pipeline → serving)
   with lifecycle methods ``train`` / ``serve`` / ``run_pipeline`` /
-  ``snapshot`` / ``checkpoint`` / ``restore`` / ``describe``;
-* :mod:`repro.api.spec` — the single parser for per-field table-group spec
-  strings (``"full:tiny,cafe[cr=16]:tail"``).
+  ``snapshot`` / ``checkpoint`` / ``restore`` / ``describe``.
 
 The consolidated command line lives in :mod:`repro.api.cli` and is what
 ``python -m repro`` runs::
@@ -20,11 +18,10 @@ The consolidated command line lives in :mod:`repro.api.cli` and is what
     python -m repro train --config examples/configs/quickstart.json
     python -m repro pipeline --config c.json --set store.num_shards=4
 
-This module resolves its exports lazily so that low-level modules (e.g.
-``repro.data.schema``, which delegates spec parsing to
-:mod:`repro.api.spec`) can import ``repro.api`` submodules without pulling
-the whole session machinery — and its heavier dependencies — into every
-import chain.
+This module resolves its exports lazily so that importing one
+``repro.api`` submodule (``python -m repro`` imports :mod:`repro.api.cli`)
+does not pull the whole session machinery — and its heavier dependencies —
+into every import chain.
 """
 
 from __future__ import annotations
@@ -43,10 +40,6 @@ _EXPORTS = {
     # session
     "Session": "repro.api.session",
     "build": "repro.api.session",
-    # spec parsing
-    "SpecEntry": "repro.api.spec",
-    "ParsedSpec": "repro.api.spec",
-    "parse_spec": "repro.api.spec",
 }
 
 __all__ = sorted(_EXPORTS)

@@ -157,8 +157,7 @@ def _run_validate(paths: list[Path]) -> int:
             failures += 1
             print(f"FAIL {path}: {exc}")
             continue
-        store = config.store.spec if config.store.spec is not None else "<explicit fields>"
-        print(f"ok   {path} (dataset={config.data.dataset}, store={store})")
+        print(f"ok   {path} (dataset={config.data.dataset}, store={config.store.spec})")
     if failures:
         print(f"\n{failures} invalid config(s)")
         return 1

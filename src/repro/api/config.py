@@ -14,9 +14,8 @@ backends, sharding), ``model`` (dense architecture), ``train``,
 * **supports dotted overrides**: :func:`apply_overrides` implements the CLI
   ``--set store.num_shards=4`` syntax with type-aware coercion.
 
-Spec strings inside ``store.spec`` are parsed by the single shared parser
-(:mod:`repro.api.spec`) and backend names are checked against the backend
-table (:func:`repro.embeddings.backend_names`).
+``store.spec`` names one backend, checked against the backend table
+(:func:`repro.embeddings.get_backend`).
 """
 
 from __future__ import annotations
@@ -60,8 +59,6 @@ def _check_value_type(value, annotation, dotted: str) -> None:
             return
         non_none = [a for a in args if a is not type(None)]
         annotation = non_none[0] if non_none else str
-        origin = typing.get_origin(annotation)
-    expected_name = getattr(annotation, "__name__", str(annotation))
     if annotation is bool:
         ok = isinstance(value, bool)
     elif annotation is int:
@@ -70,14 +67,11 @@ def _check_value_type(value, annotation, dotted: str) -> None:
         ok = isinstance(value, (int, float)) and not isinstance(value, bool)
     elif annotation is str:
         ok = isinstance(value, str)
-    elif annotation is list or origin is list:
-        ok = isinstance(value, list)
-        expected_name = "list"
     else:  # pragma: no cover - no other annotations in the tree
         return
     if not ok:
         raise ConfigurationError(
-            f"config key '{dotted}' must be {expected_name}, got "
+            f"config key '{dotted}' must be {annotation.__name__}, got "
             f"{type(value).__name__} ({value!r})"
         )
 
@@ -108,7 +102,6 @@ def _coerce(text: str, annotation, dotted: str):
         if text.strip().lower() in ("none", "null"):
             return None
         annotation = args[0] if args else str
-        origin = typing.get_origin(annotation)
     try:
         if annotation is bool:
             lowered = text.strip().lower()
@@ -121,11 +114,8 @@ def _coerce(text: str, annotation, dotted: str):
             return int(text)
         if annotation is float:
             return float(text)
-        if annotation is str:
-            return text
-        # Structured fields (lists of field configs, ...) take JSON.
-        return json.loads(text)
-    except (ValueError, json.JSONDecodeError) as exc:
+        return text
+    except ValueError as exc:
         raise ConfigurationError(f"cannot parse override '{dotted}={text}': {exc}") from None
 
 
@@ -170,35 +160,33 @@ class DataConfig:
 
 @dataclass
 class StoreConfig:
-    """The embedding store: backends, budgets, sharding.
+    """The embedding store: backend, budget, sharding.
 
-    ``spec`` is a field-spec string — a plain backend name (``"cafe"``,
-    optionally with ``[cr=...,shards=...]`` options) for one uniform table,
-    or a table-group spec (``"full:tiny,cafe[cr=16]:tail"``) for a
-    heterogeneous per-field store.  ``fields`` alternatively gives explicit
-    per-field configs (one object per schema field, in order, with the keys
-    of :class:`repro.data.schema.FieldConfig`); set ``spec`` to ``null``
-    when using it.  ``num_shards`` shards the uniform case; table-group
-    stores shard within a group via the ``[shards=N]`` option instead.
-    ``executor`` accepts only ``"serial"``, the one shard executor; the key
-    stays so configs that name it keep loading.
+    ``spec`` names the embedding backend (``"cafe"``, ``"hash"``, …) of the
+    one table every field shares; ``num_shards`` splits that table's budget
+    across hash-partitioned shards.  ``executor`` accepts only
+    ``"serial"``, the one shard executor; the key stays so configs that name
+    it keep loading.
     """
 
-    spec: str | None = "cafe"
+    spec: str = "cafe"
     compression_ratio: float = 10.0
     num_shards: int = 1
     executor: str = "serial"
     optimizer: str = "sgd"
     learning_rate: float = 0.05
     dtype: str = "float32"
-    fields: list | None = None
 
     def __post_init__(self):
         import numpy as np
 
-        from repro.api import spec as spec_module
-        from repro.embeddings import backend_names
+        from repro.embeddings import get_backend
+        from repro.errors import UnknownBackendError
 
+        try:
+            get_backend(self.spec)
+        except UnknownBackendError as exc:
+            raise UnknownBackendError(f"store.spec: {exc}") from None
         if self.compression_ratio <= 0:
             raise ConfigurationError(
                 f"store.compression_ratio must be positive, got {self.compression_ratio}"
@@ -229,75 +217,6 @@ class StoreConfig:
                 raise TypeError(f"'{self.dtype}' is not a float dtype")
         except TypeError as exc:
             raise ConfigurationError(f"store.dtype: {exc}") from None
-        if self.fields is not None:
-            if self.spec is not None:
-                raise ConfigurationError(
-                    "store.fields and store.spec are mutually exclusive; set "
-                    "store.spec to null when listing explicit per-field configs"
-                )
-            self._check_fields()
-            return
-        if self.spec is None:
-            raise ConfigurationError("store.spec must be set (or give store.fields)")
-        from repro.errors import DataError
-
-        try:
-            parsed = spec_module.parse_spec(self.spec, known_backends=backend_names())
-        except DataError as exc:
-            raise ConfigurationError(f"store.spec: {exc}") from None
-        if parsed.grouped and self.num_shards > 1:
-            raise ConfigurationError(
-                "store.num_shards does not apply to a table-group spec; use the "
-                "[shards=N] option on the group entry instead"
-            )
-
-    def _check_fields(self) -> None:
-        from repro.data.schema import FieldConfig
-        from repro.embeddings import backend_names
-
-        if not isinstance(self.fields, list) or not self.fields:
-            raise ConfigurationError("store.fields must be a non-empty list of objects")
-        valid = {f.name for f in dataclasses.fields(FieldConfig)}
-        for position, entry in enumerate(self.fields):
-            if not isinstance(entry, dict):
-                raise ConfigurationError(
-                    f"store.fields[{position}] must be an object, got "
-                    f"{type(entry).__name__}"
-                )
-            unknown = set(entry) - valid
-            if unknown:
-                raise ConfigurationError(
-                    f"store.fields[{position}] has unknown keys {sorted(unknown)}; "
-                    f"valid keys: {sorted(valid)}"
-                )
-            if "field" not in entry:
-                raise ConfigurationError(
-                    f"store.fields[{position}] needs a 'field' name"
-                )
-            backend = entry.get("backend", "cafe")
-            if backend.lower() not in backend_names():
-                raise ConfigurationError(
-                    f"store.fields[{position}] backend '{backend}' is not a known "
-                    f"backend; known backends: {sorted(backend_names())}"
-                )
-
-    @property
-    def grouped(self) -> bool:
-        """Whether this config builds a table-group store."""
-        if self.fields is not None:
-            return True
-        from repro.api import spec as spec_module
-
-        return spec_module.parse_spec(self.spec).grouped
-
-    def field_configs(self):
-        """Explicit ``fields`` entries as :class:`~repro.data.schema.
-        FieldConfig` objects (``None`` when ``fields`` is unset)."""
-        if self.fields is None:
-            return None
-        from repro.data.schema import FieldConfig
-
-        return [FieldConfig(**entry) for entry in self.fields]
 
 
 @dataclass
@@ -529,8 +448,8 @@ def apply_overrides(config: SystemConfig, assignments: list[str] | None) -> Syst
 
     This is the CLI ``--set`` implementation: ``apply_overrides(cfg,
     ["store.num_shards=4", "pipeline.max_steps=100"])``.  Values are coerced
-    to the field's annotated type (``none``/``null`` clear optional fields;
-    structured fields take JSON).  Unknown sections or keys raise with the
+    to the field's annotated type (``none``/``null`` clear optional
+    fields).  Unknown sections or keys raise with the
     valid alternatives listed.
     """
     if not assignments:

@@ -1,9 +1,9 @@
 """Compile a :class:`~repro.api.config.SystemConfig` into a wired system.
 
 :func:`build` is the single construction path: it resolves the dataset
-preset, builds the embedding store (uniform sharded or per-field table
-groups), wires the model and trainer, and returns a :class:`Session` whose
-lifecycle methods run every workload of ``python -m repro``:
+preset, builds the sharded embedding store, wires the model and trainer,
+and returns a :class:`Session` whose lifecycle methods run every workload
+of ``python -m repro``:
 
 =================  ======================================================
 ``session.train()``         one (partial) chronological epoch + eval
@@ -43,8 +43,8 @@ class Session:
 
     The serving engine and the online pipeline are created on demand by
     :meth:`serve` / :meth:`run_pipeline`; everything else is built eagerly
-    so configuration errors that need a schema (e.g. a per-field list that
-    does not match the preset's fields) surface at build time.
+    so configuration errors that need a schema (e.g. a memory budget the
+    backend cannot meet) surface at build time.
     """
 
     def __init__(self, config: SystemConfig):
@@ -92,9 +92,6 @@ class Session:
         from repro.embeddings import create_embedding_store
 
         config = self.config
-        field_configs = config.store.field_configs()
-        if field_configs is not None:
-            self.schema.configure_fields(field_configs)
         return create_embedding_store(
             self.schema,
             spec=config.store.spec,
@@ -258,10 +255,9 @@ class Session:
     def describe(self) -> dict[str, Any]:
         """The full resolved plan: config, dataset, store, model, backends.
 
-        The store section is the live ``store.describe()`` (which for
-        table-group stores nests per-group rows under the same key schema);
-        the ``registry`` section lists every backend the session could have
-        used, with its side inputs and spec options.
+        The store section is the live ``store.describe()``; the
+        ``registry`` section lists every backend the session could have
+        used, with the side inputs it needs from the schema.
         """
         from repro.embeddings import METHOD_NAMES, get_backend
 
@@ -289,7 +285,7 @@ class Session:
                 },
             },
             "registry": [
-                {"name": b.name, "requires": list(b.requires), "spec_options": list(b.spec_options)}
+                {"name": b.name, "requires": list(b.requires)}
                 for b in map(get_backend, METHOD_NAMES)
             ],
         }

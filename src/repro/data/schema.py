@@ -22,28 +22,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-# Canonical spec-string grammar (classes, thresholds, parser) lives in
-# repro.api.spec; these re-exports keep the historical import paths working
-# (they are re-published via __all__ below).
-from repro.api.spec import (
-    DEFAULT_TAIL_MIN,
-    DEFAULT_TINY_MAX,
-    FIELD_CLASSES,
-)
-from repro.api.spec import field_configs_from_spec as _field_configs_from_spec
 from repro.errors import DataError
 
-__all__ = [
-    "DEFAULT_TAIL_MIN",
-    "DEFAULT_TINY_MAX",
-    "FIELD_CLASSES",
-    "FieldSchema",
-    "FieldConfig",
-    "DatasetSchema",
-    "classify_fields",
-    "field_configs_from_spec",
-    "make_preset",
-]
+__all__ = ["FieldSchema", "DatasetSchema", "make_preset"]
 
 
 @dataclass(frozen=True)
@@ -58,79 +39,6 @@ class FieldSchema:
             raise DataError(f"field '{self.name}' must have positive cardinality")
 
 
-@dataclass(frozen=True)
-class FieldConfig:
-    """Per-field embedding policy: which table group a field belongs to.
-
-    Fields whose configs compare equal (ignoring ``field``) share one table
-    group — one backend instance, one id space, one memory budget.  That is
-    the unit the :class:`~repro.store.table_group.TableGroupStore` allocates:
-    a tiny enum field can keep a ``full`` uncompressed table while the 10M-id
-    long-tail field next to it runs CAFE at 100x compression.
-
-    Parameters
-    ----------
-    field:
-        Name of the field this config applies to.
-    backend:
-        Embedding method for the group (any :data:`repro.embeddings.
-        METHOD_NAMES` entry, e.g. ``"full"``, ``"cafe"``, ``"hash"``).
-    dim:
-        Native table dimension of the group.  ``None`` means the schema's
-        ``embedding_dim``; a smaller value stores narrow rows and the store
-        projects them up to the fused output dimension (MDE-style).
-    compression_ratio:
-        Memory budget of the group expressed as native-parameters /
-        budget-floats.  Ignored by ``full`` and whenever ``memory_floats``
-        is set.
-    memory_floats:
-        Absolute per-field float budget; the group budget is the sum over
-        its member fields.  Overrides ``compression_ratio``.
-    hash_seed:
-        Per-group hash policy for hash-routing backends; ``None`` keeps the
-        backend default.
-    num_shards:
-        Shards *within* the group (a :class:`~repro.store.sharded.
-        ShardedEmbeddingStore` wraps the group backend when > 1).
-    """
-
-    field: str
-    backend: str = "cafe"
-    dim: int | None = None
-    compression_ratio: float = 1.0
-    memory_floats: int | None = None
-    hash_seed: int | None = None
-    num_shards: int = 1
-
-    def __post_init__(self):
-        if self.dim is not None and self.dim <= 0:
-            raise DataError(f"field '{self.field}': dim must be positive, got {self.dim}")
-        if self.compression_ratio <= 0:
-            raise DataError(
-                f"field '{self.field}': compression_ratio must be positive, "
-                f"got {self.compression_ratio}"
-            )
-        if self.memory_floats is not None and self.memory_floats <= 0:
-            raise DataError(
-                f"field '{self.field}': memory_floats must be positive, got {self.memory_floats}"
-            )
-        if self.num_shards <= 0:
-            raise DataError(
-                f"field '{self.field}': num_shards must be positive, got {self.num_shards}"
-            )
-
-    def group_key(self) -> tuple:
-        """Fields with equal keys share one table group."""
-        return (
-            self.backend.lower(),
-            self.dim,
-            float(self.compression_ratio),
-            self.memory_floats is not None,
-            self.hash_seed,
-            self.num_shards,
-        )
-
-
 @dataclass
 class DatasetSchema:
     """Structure of a CTR dataset."""
@@ -142,10 +50,6 @@ class DatasetSchema:
     num_days: int = 1
     zipf_exponent: float = 1.05
     metadata: dict = field(default_factory=dict)
-    #: Optional per-field embedding policies (one per field, same order as
-    #: ``fields``).  ``None`` means the uniform single-table default; set via
-    #: :meth:`configure_fields` or ``make_preset(..., field_spec=...)``.
-    field_configs: list[FieldConfig] | None = None
 
     def __post_init__(self):
         if not self.fields:
@@ -156,37 +60,6 @@ class DatasetSchema:
             raise DataError("embedding_dim must be positive")
         if self.num_days <= 0:
             raise DataError("num_days must be positive")
-        if self.field_configs is not None:
-            self._check_field_configs(self.field_configs)
-
-    def _check_field_configs(self, configs: list[FieldConfig]) -> None:
-        names = [f.name for f in self.fields]
-        if [c.field for c in configs] != names:
-            raise DataError(
-                "field_configs must cover every field in schema order; "
-                f"expected {names}, got {[c.field for c in configs]}"
-            )
-        for config in configs:
-            if config.dim is not None and config.dim > self.embedding_dim:
-                raise DataError(
-                    f"field '{config.field}': group dim {config.dim} exceeds the "
-                    f"schema embedding_dim {self.embedding_dim}"
-                )
-
-    def configure_fields(self, spec_or_configs, **spec_kwargs) -> "DatasetSchema":
-        """Attach per-field table-group policies; returns ``self``.
-
-        Accepts either a ready list of :class:`FieldConfig` (one per field,
-        schema order) or a spec string handled by
-        :func:`field_configs_from_spec` (``spec_kwargs`` forwarded).
-        """
-        if isinstance(spec_or_configs, str):
-            configs = field_configs_from_spec(self, spec_or_configs, **spec_kwargs)
-        else:
-            configs = list(spec_or_configs)
-        self._check_field_configs(configs)
-        self.field_configs = configs
-        return self
 
     # ------------------------------------------------------------------ #
     # Derived quantities
@@ -228,57 +101,6 @@ class DatasetSchema:
         return np.asarray(global_ids, dtype=np.int64) - self.field_offsets[:-1][None, :]
 
 
-def classify_fields(
-    schema: DatasetSchema,
-    tiny_max: int = DEFAULT_TINY_MAX,
-    tail_min: int = DEFAULT_TAIL_MIN,
-) -> list[str]:
-    """Size class (``"tiny"`` / ``"mid"`` / ``"tail"``) of every field.
-
-    A field is ``tiny`` when its cardinality is at most ``tiny_max`` (cheap
-    to keep uncompressed), ``tail`` when at least ``tail_min`` (the skewed
-    long-tail id spaces CAFE targets), and ``mid`` otherwise.  When
-    ``tail_min`` exceeds every cardinality the thresholds still partition
-    the fields — some classes are simply empty.
-    """
-    if tiny_max >= tail_min:
-        raise DataError(f"tiny_max ({tiny_max}) must be below tail_min ({tail_min})")
-    classes = []
-    for field_schema in schema.fields:
-        if field_schema.cardinality <= tiny_max:
-            classes.append("tiny")
-        elif field_schema.cardinality >= tail_min:
-            classes.append("tail")
-        else:
-            classes.append("mid")
-    return classes
-
-
-def field_configs_from_spec(
-    schema: DatasetSchema,
-    spec: str,
-    compression_ratio: float = 1.0,
-    tiny_max: int = DEFAULT_TINY_MAX,
-    tail_min: int = DEFAULT_TAIL_MIN,
-) -> list[FieldConfig]:
-    """Resolve a table-group spec string into one :class:`FieldConfig` per field.
-
-    The spec grammar (``backend[options]:class`` entries; see
-    :mod:`repro.api.spec` for the full reference) is parsed by the single
-    shared parser — this wrapper exists so schema-level callers keep their
-    historical import path.  ``compression_ratio`` is the default ``cr`` for
-    entries that do not set one (``full`` ignores it); ``tiny_max`` /
-    ``tail_min`` are the :func:`classify_fields` thresholds.
-    """
-    return _field_configs_from_spec(
-        schema,
-        spec,
-        compression_ratio=compression_ratio,
-        tiny_max=tiny_max,
-        tail_min=tail_min,
-    )
-
-
 #: Table 2 of the paper, verbatim (samples, features, fields, dim, params).
 PAPER_DATASET_STATS = {
     "avazu": {"samples": 40_428_967, "features": 9_449_445, "fields": 22, "dim": 16, "params": "150M"},
@@ -307,17 +129,13 @@ def make_preset(
     scale: float = 1.0,
     base_cardinality: int = 2000,
     seed: int = 0,
-    field_spec: str | None = None,
 ) -> DatasetSchema:
     """Build a scaled-down synthetic preset mirroring one of the paper datasets.
 
     Field cardinalities are drawn log-uniformly around ``base_cardinality`` so
     that, like the real datasets, a few fields dominate the total feature
     count.  ``scale`` multiplies every cardinality, letting experiments trade
-    fidelity for runtime.  ``field_spec`` optionally attaches per-field
-    table-group policies (see :func:`field_configs_from_spec`); the size
-    thresholds scale with ``base_cardinality`` so ``"full:tiny,cafe:tail"``
-    splits the preset's fields the same way at every scale.
+    fidelity for runtime.
     """
     lowered = name.lower()
     if lowered not in _PRESET_STRUCTURE:
@@ -333,7 +151,7 @@ def make_preset(
     cards = np.maximum(cards, 10)
     cards = np.maximum((cards * scale).astype(int), 4)
     fields = [FieldSchema(name=f"{lowered}_c{i}", cardinality=int(c)) for i, c in enumerate(cards)]
-    schema = DatasetSchema(
+    return DatasetSchema(
         name=lowered,
         fields=fields,
         num_numerical=num_numerical,
@@ -342,13 +160,3 @@ def make_preset(
         zipf_exponent=zipf,
         metadata={"paper_stats": PAPER_DATASET_STATS[lowered], "scale": scale},
     )
-    if field_spec is not None:
-        # Thresholds track the log-uniform cardinality range (base/10..base*10)
-        # so the tiny/mid/tail split is scale-invariant.
-        effective_base = max(base_cardinality * scale, 1.0)
-        schema.configure_fields(
-            field_spec,
-            tiny_max=max(int(effective_base / 3), 1),
-            tail_min=max(int(effective_base * 3), 2),
-        )
-    return schema

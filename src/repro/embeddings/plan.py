@@ -202,8 +202,8 @@ class RoutingPlan:
     Attributes
     ----------
     flat_ids:
-        The flattened ``(n,)`` int64 ids the plan was built for — a
-        backend's sorted unique ids, or a table-group store's id matrix.
+        The flattened ``(n,)`` int64 ids the plan was built for (a
+        backend's sorted unique ids).
     ids_shape:
         Original shape of those ids.
     routes:

@@ -125,6 +125,16 @@ class SketchStateMismatchError(ReproError, ValueError):
     sketch loading it (another geometry: every feature would be misplaced)."""
 
 
+class CheckpointLayoutError(ReproError, ValueError):
+    """A checkpoint's sparse state does not have the store's layout.
+
+    It was saved from another shard count, or from a table-group store
+    (a ``num_groups`` header over ``group{i}.backend.*`` keys), a store
+    this library no longer has.  ``load_checkpoint`` raises it before the
+    dense optimizer, the dense weights or any shard is restored.
+    """
+
+
 class OptimizerStateMismatchError(ReproError, ValueError):
     """Saved dense-optimizer state does not fit the optimizer loading it.
 

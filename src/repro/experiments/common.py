@@ -177,38 +177,14 @@ def run_single(
     """Train one configuration end to end; infeasible budgets are reported,
     not raised, because the paper's figures simply omit those points.
 
-    ``method`` may also be a per-field table-group spec (it contains a
-    ``:``, e.g. ``"full:tiny,cafe:tail"``): the run then trains over a
-    heterogeneous :class:`~repro.store.table_group.TableGroupStore` instead
-    of one uniform layer, opening the mixed-policy scenario axis.
     ``days`` restricts training to those days (default: every training day).
     Every run trains its rows with Adagrad at 0.1 in float32.
     """
     spec = get_scale(scale)
     try:
-        # One parser decides: grouped specs and option-carrying uniform
-        # specs ("cafe[cr=8,shards=2]") go through the store factory; a bare
-        # method name keeps the historical direct-embedding construction
-        # (bit-exact with every recorded figure).
-        from repro.api.spec import parse_spec
-
-        parsed = parse_spec(method)
-        if parsed.grouped or parsed.entries[0].options:
-            from repro.embeddings import create_embedding_store
-
-            embedding = create_embedding_store(
-                dataset.schema,
-                spec=method,
-                compression_ratio=compression_ratio,
-                seed=seed,
-                optimizer="adagrad",
-                learning_rate=0.1,
-                **(embedding_kwargs or {}),
-            )
-        else:
-            embedding = build_embedding(
-                method, dataset, compression_ratio, seed=seed, **(embedding_kwargs or {})
-            )
+        embedding = build_embedding(
+            method, dataset, compression_ratio, seed=seed, **(embedding_kwargs or {})
+        )
     except MemoryBudgetError as exc:
         logger.info("%s infeasible at CR %.0fx: %s", method, compression_ratio, exc)
         return RunOutcome(

@@ -69,50 +69,6 @@ class RecommendationModel(Module):
         #: Scratch arrays of the last batch size a pass ran at.
         self._workspace: Workspace | None = None
 
-    @classmethod
-    def from_schema(
-        cls,
-        schema,
-        spec: str | None = None,
-        compression_ratio: float = 1.0,
-        num_shards: int = 1,
-        optimizer: str = "sgd",
-        learning_rate: float = 0.05,
-        dtype="float32",
-        seed: int = 0,
-        rng=None,
-        **model_kwargs,
-    ) -> "RecommendationModel":
-        """Build the model plus its embedding store from a dataset schema.
-
-        ``spec`` selects the store: a plain method name gives one uniform
-        (optionally sharded) table, a table-group spec such as
-        ``"full:tiny,cafe:tail"`` gives a heterogeneous per-field
-        :class:`~repro.store.table_group.TableGroupStore`; ``None`` follows
-        the schema's attached ``field_configs``.  The model's training
-        contract is unchanged — it still talks to the
-        :class:`~repro.store.EmbeddingStore` interface.
-        """
-        from repro.embeddings import create_embedding_store
-
-        store = create_embedding_store(
-            schema,
-            spec=spec,
-            compression_ratio=compression_ratio,
-            num_shards=num_shards,
-            optimizer=optimizer,
-            learning_rate=learning_rate,
-            dtype=dtype,
-            seed=seed,
-        )
-        return cls(
-            store,
-            num_fields=schema.num_fields,
-            num_numerical=schema.num_numerical,
-            rng=rng if rng is not None else seed,
-            **model_kwargs,
-        )
-
     # ------------------------------------------------------------------ #
     # Dense part (implemented by subclasses over arrays)
     # ------------------------------------------------------------------ #

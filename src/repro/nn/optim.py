@@ -616,9 +616,9 @@ _SKETCHED_OPTIONS = ("frac", "depth", "heavy_frac", "seed")
 def parse_row_optimizer_spec(spec: str) -> tuple[str, dict[str, float]]:
     """Split ``"name[key=value,...]"`` into ``(name, options)``.
 
-    The grammar mirrors the store spec strings (``"hash[cr=8]"``): a bare
-    name, or a name followed by comma-separated ``key=value`` options in
-    brackets.  Raises :class:`ValueError` for malformed specs; option *names*
+    A spec is a bare name, or a name followed by comma-separated
+    ``key=value`` options in brackets (``"sketched_adagrad[frac=0.25]"``).
+    Raises :class:`ValueError` for malformed specs; option *names*
     are validated by :func:`make_row_optimizer` per optimizer.
     """
     match = _OPTIMIZER_SPEC.match(spec.strip().lower())

@@ -4,8 +4,7 @@
 a continuously running system:
 
 * :mod:`repro.runtime.executor` — :class:`SerialShardExecutor`, used by
-  :class:`~repro.store.sharded.ShardedEmbeddingStore` and
-  :class:`~repro.store.table_group.TableGroupStore` to fan out and time
+  :class:`~repro.store.sharded.ShardedEmbeddingStore` to fan out and time
   per-shard work;
 * :mod:`repro.runtime.pipeline` — :class:`OnlinePipeline`, the train→serve
   loop that publishes copy-on-write store snapshots to a live

@@ -8,9 +8,8 @@ publishes.  The publisher here ships what changed as a *versioned delta*:
 
 ``full``
     A complete snapshot (shard objects + flat dense weights).  Sent for
-    the first publish, after every ``rebase_every`` deltas (so a fresh
-    replica can always catch up from the latest full), and for every
-    publish of a store whose snapshot is not sharded (a table group).
+    the first publish and after every ``rebase_every`` deltas (so a fresh
+    replica can always catch up from the latest full).
 
 ``delta``
     The changed shards (+ flat dense weights) against an explicit
@@ -141,7 +140,7 @@ class DeltaSnapshotPublisher:
         self.stats = PublisherStats()
         #: Number of the most recent payload (0 before the first).
         self.version = 0
-        self._prev: Any | None = None
+        self._prev: StoreSnapshot | None = None
         self._deltas_since_full = 0
 
     def publish(self) -> SnapshotPayload:
@@ -152,7 +151,7 @@ class DeltaSnapshotPublisher:
         rebase_due = (
             self.rebase_every and self._deltas_since_full + 1 >= self.rebase_every
         )
-        if isinstance(self._prev, StoreSnapshot) and not rebase_due:
+        if self._prev is not None and not rebase_due:
             updates = self._changed_shards(self._prev, snapshot)
             floats = int(sum(update.shard.memory_floats() for update in updates))
             payload = self._payload("delta", version, snapshot, dense, floats, updates)

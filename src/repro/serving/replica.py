@@ -171,24 +171,15 @@ class Replica(MicroBatcher):
                 "serving silently stale rows"
             )
 
-    def _stage_full(self, payload: SnapshotPayload):
+    def _stage_full(self, payload: SnapshotPayload) -> StoreSnapshot:
+        # Materialize private shard copies: the replica models a remote
+        # process, so a full payload pays the whole-table shipping cost.
         snapshot = payload.snapshot
-        if isinstance(snapshot, StoreSnapshot):
-            # Materialize private shard copies: the replica models a remote
-            # process, so a full payload pays the whole-table shipping cost.
-            shards = [copy.deepcopy(shard) for shard in snapshot.shards]
-            return _view(snapshot, shards, payload)
-        # Generic snapshot (e.g. TableGroupSnapshot): served whole.
-        return copy.deepcopy(snapshot)
+        shards = [copy.deepcopy(shard) for shard in snapshot.shards]
+        return _view(snapshot, shards, payload)
 
     def _stage_delta(self, payload: SnapshotPayload) -> StoreSnapshot:
         current = self._serving.view
-        if not isinstance(current, StoreSnapshot):
-            raise DeltaProtocolError(
-                f"replica {self.index} serves a whole-snapshot view that "
-                "cannot take shard deltas; the publisher must send full "
-                "payloads for this store type"
-            )
         shards = list(current.shards)
         for update in payload.updates:
             shards[update.index] = copy.deepcopy(update.shard)

@@ -37,6 +37,7 @@ import numpy as np
 from repro.analysis.sanitizer import freeze_arrays, single_writer
 from repro.embeddings.base import CompressedEmbedding, is_adaptive
 from repro.embeddings.cafe import CafeStack
+from repro.errors import CheckpointLayoutError
 from repro.runtime.executor import SerialShardExecutor
 from repro.store.base import EmbeddingStore
 from repro.store.snapshot import ShardPartition, StoreSnapshot
@@ -340,27 +341,43 @@ class ShardedEmbeddingStore(CompressedEmbedding, EmbeddingStore):
                 state[f"shard{index}.{key}"] = value
         return state
 
-    @single_writer
-    def load_state_dict(self, state: dict[str, np.ndarray]) -> None:
-        """Restore all shards from :meth:`state_dict` output (shard counts must
-        match); also absorbs a pre-store single-layer checkpoint into a
-        single-shard store.  Counts as a write for copy-on-write purposes.
+    def check_state_layout(self, state: dict[str, np.ndarray]) -> None:
+        """Raise :class:`~repro.errors.CheckpointLayoutError` unless ``state``
+        fits this store: a ``num_shards`` header equal to :attr:`num_shards`,
+        or no header (a bare layer's keys, the pre-store format) and one
+        shard.  Reads the headers only, so a checkpoint is refused before
+        any part of it is restored.
         """
+        if "num_groups" in state:
+            raise CheckpointLayoutError(
+                f"checkpoint holds a {int(state['num_groups'])}-group table-group store "
+                "(num_groups, group{i}.backend.* keys); table-group checkpoints are no "
+                "longer loadable"
+            )
         if "num_shards" not in state:
-            # Checkpoint written against a bare embedding layer (pre-store
-            # format): only a single-shard store can absorb it.
             if self.num_shards != 1:
-                raise ValueError(
+                raise CheckpointLayoutError(
                     "checkpoint has no shard layout and cannot be loaded into a "
                     f"{self.num_shards}-shard store"
                 )
+        elif int(state["num_shards"]) != self.num_shards:
+            raise CheckpointLayoutError(
+                f"checkpoint has {int(state['num_shards'])} shards, store has {self.num_shards}"
+            )
+
+    @single_writer
+    def load_state_dict(self, state: dict[str, np.ndarray]) -> None:
+        """Restore all shards from :meth:`state_dict` output (the layout must
+        pass :meth:`check_state_layout`); also absorbs a pre-store
+        single-layer checkpoint into a single-shard store.  Counts as a write
+        for copy-on-write purposes.
+        """
+        self.check_state_layout(state)
+        if "num_shards" not in state:
+            # Checkpoint written against a bare embedding layer.
             self._load_into_shard(0, dict(state))
             self.invalidate_plan()
             return
-        if int(state["num_shards"]) != self.num_shards:
-            raise ValueError(
-                f"checkpoint has {int(state['num_shards'])} shards, store has {self.num_shards}"
-            )
         for index in range(self.num_shards):
             prefix = f"shard{index}."
             self._load_into_shard(

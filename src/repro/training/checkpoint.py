@@ -78,10 +78,13 @@ def load_checkpoint(
 ) -> int:
     """Restore a checkpoint written by :func:`save_checkpoint`.
 
-    Returns the training step recorded at save time.  Raises ``KeyError`` /
-    ``ValueError`` if the checkpoint does not match the model structure, and
+    Returns the training step recorded at save time.  Raises
+    :class:`~repro.errors.CheckpointLayoutError` if its sparse section has
+    another shard count or is a table-group checkpoint, ``KeyError`` /
+    ``ValueError`` if it does not otherwise match the model structure, and
     :class:`~repro.errors.OptimizerStateMismatchError` if its ``optim/``
-    section belongs to another kind or size of optimizer.  A checkpoint
+    section belongs to another kind or size of optimizer.  The two named
+    errors are raised before anything is restored.  A checkpoint
     without an ``optim/`` section (written before there was one, or without
     ``optimizer=``) still loads: ``optimizer`` is reset to its freshly
     constructed state and says so in ``optimizer.restored``.
@@ -95,8 +98,11 @@ def load_checkpoint(
         dense, sparse, optim = section(_DENSE_PREFIX), section(_SPARSE_PREFIX), section(_OPTIM_PREFIX)
         step = int(data[f"{_META_PREFIX}step"])
         has_sparse = bool(int(data[f"{_META_PREFIX}has_sparse"]))
+    # The layout check runs first, and the optimizer refuses a mismatch
+    # before it writes, so either error leaves the model untouched.
+    if has_sparse:
+        model.store.check_state_layout(sparse)
     if optimizer is not None:
-        # First, so that a mismatch is raised before anything is restored.
         if optim:
             optimizer.load_state_dict(optim)
         else:

@@ -125,7 +125,7 @@ class TestResolution:
         assert layer_of("repro.runtime.pipeline")[1] == "orchestration"
         assert layer_of("repro.runtime.executor")[1] == "exec"
         assert layer_of("repro.runtime")[1] == "runtime"
-        assert layer_of("repro.api.spec")[1] == "contracts"
+        assert layer_of("repro.api.config")[1] == "api"
         assert layer_of("repro.api.session")[1] == "api"
         assert layer_of("repro.errors")[1] == "foundation"
 

@@ -75,11 +75,11 @@ class TestWorkloadCommands:
         assert report["config"]["train"]["max_steps"] == 2
         assert report["store"]["backend"] == "CafeEmbedding"
 
-    def test_pipeline_mixed_policy_config(self, tmp_path):
+    def test_pipeline_sharded_config(self, tmp_path):
         out = tmp_path / "pipeline.json"
         code = main([
             "pipeline",
-            "--config", str(EXAMPLE_CONFIGS / "pipeline_mixed.json"),
+            "--config", str(EXAMPLE_CONFIGS / "serve_sharded.json"),
             "--set", "pipeline.max_steps=6",
             "--set", "pipeline.publish_every_steps=3",
             "--output", str(out),
@@ -88,7 +88,7 @@ class TestWorkloadCommands:
         report = json.loads(out.read_text())
         assert report["pipeline"]["steps"] == 6
         assert report["pipeline"]["staleness_within_cadence"] is True
-        assert report["store"]["num_groups"] >= 2
+        assert report["store"]["num_shards"] == 2
 
     @pytest.mark.parametrize("replicas", [0, 2])
     def test_serve_defaults_with_small_overrides(self, replicas, capsys):
@@ -130,16 +130,16 @@ class TestWorkloadCommands:
         assert main(["train", "--config", "/nonexistent/cfg.json"]) == 2
         assert "cannot read config" in capsys.readouterr().err
 
-    def test_build_time_schema_mismatch_is_a_clean_error(self, tmp_path, capsys):
-        # Passes config-tree validation (fields are well-formed) but cannot
-        # bind to the dataset's schema; must exit 2, not traceback.
-        bad = tmp_path / "fields.json"
+    def test_build_time_budget_error_is_a_clean_error(self, tmp_path, capsys):
+        # Passes config-tree validation (the compression ratio is positive)
+        # but the backend cannot meet the budget for the dataset's schema;
+        # must exit 2, not traceback.
+        bad = tmp_path / "budget.json"
         bad.write_text(json.dumps({
-            "store": {"spec": None,
-                      "fields": [{"field": "nope", "backend": "cafe"}]},
+            "store": {"spec": "qr", "compression_ratio": 100000.0},
         }), encoding="utf-8")
         assert main(["describe", "--config", str(bad)]) == 2
-        assert "error:" in capsys.readouterr().err
+        assert "error: Q-R trick needs at least" in capsys.readouterr().err
 
     def test_wrong_typed_config_value_fails_validation_cleanly(self, tmp_path, capsys):
         bad = tmp_path / "typed.json"

@@ -9,7 +9,7 @@ from repro.api.config import (
     apply_overrides,
     load_config,
 )
-from repro.errors import ConfigurationError
+from repro.errors import ConfigurationError, UnknownBackendError
 
 
 def mixed_config() -> SystemConfig:
@@ -17,10 +17,7 @@ def mixed_config() -> SystemConfig:
         {
             "seed": 7,
             "data": {"dataset": "avazu", "scale": "tiny", "num_days": 3},
-            "store": {
-                "spec": "full:tiny,cafe[cr=16,shards=2]:tail,hash[cr=8,dim=8]:mid",
-                "compression_ratio": 12.0,
-            },
+            "store": {"spec": "hash", "compression_ratio": 12.0, "num_shards": 2},
             "model": {"name": "dcn"},
             "train": {"batch_size": 64, "max_steps": 5},
             "pipeline": {"publish_every_steps": 3, "max_steps": 9},
@@ -41,24 +38,6 @@ class TestRoundTrip:
         config = mixed_config()
         path = config.save(tmp_path / "cfg.json")
         assert load_config(path) == config
-
-    def test_explicit_fields_round_trip(self):
-        config = SystemConfig.from_dict(
-            {
-                "data": {"dataset": "kdd12"},
-                "store": {
-                    "spec": None,
-                    "fields": [
-                        {"field": f"kdd12_c{i}", "backend": "cafe", "compression_ratio": 8.0}
-                        for i in range(11)
-                    ],
-                },
-            }
-        )
-        rebuilt = SystemConfig.from_json(config.to_json())
-        assert rebuilt == config
-        assert rebuilt.store.grouped
-        assert len(rebuilt.store.field_configs()) == 11
 
 
 class TestValidation:
@@ -129,28 +108,26 @@ class TestValidation:
             StoreConfig(dtype="int32")
 
     def test_unknown_backend_in_spec(self):
-        with pytest.raises(ConfigurationError, match="known backends"):
-            StoreConfig(spec="bogus:tail,cafe:rest")
+        with pytest.raises(UnknownBackendError, match="store.spec: .*known backends"):
+            StoreConfig(spec="bogus")
 
-    def test_grouped_spec_rejects_num_shards(self):
-        with pytest.raises(ConfigurationError, match=r"\[shards=N\]"):
-            StoreConfig(spec="full:tiny,cafe:tail", num_shards=4)
+    @pytest.mark.parametrize(
+        "spec, suggestion",
+        [("full:tiny,cafe:tail", None), ("cafe[cr=8]", "cafe"), ("hash[cr=8,shards=2]", "hash")],
+    )
+    def test_table_group_and_option_specs_are_unknown_backends(self, spec, suggestion):
+        """The field-class / bracket-option grammar is gone: a spec is one
+        backend name, and an old spec string is refused as an unknown one."""
+        with pytest.raises(UnknownBackendError) as raised:
+            SystemConfig.from_dict({"store": {"spec": spec}})
+        if suggestion is not None:
+            assert f"did you mean '{suggestion}'?" in str(raised.value)
 
-    def test_fields_and_spec_mutually_exclusive(self):
-        with pytest.raises(ConfigurationError, match="mutually exclusive"):
-            StoreConfig(spec="cafe", fields=[{"field": "a"}])
-
-    def test_neither_fields_nor_spec(self):
-        with pytest.raises(ConfigurationError, match="store.spec must be set"):
-            StoreConfig(spec=None)
-
-    def test_fields_unknown_key(self):
-        with pytest.raises(ConfigurationError, match="unknown keys"):
-            StoreConfig(spec=None, fields=[{"field": "a", "widthh": 3}])
-
-    def test_fields_unknown_backend(self):
-        with pytest.raises(ConfigurationError, match="not a known backend"):
-            StoreConfig(spec=None, fields=[{"field": "a", "backend": "bogus"}])
+    def test_store_fields_is_an_unknown_key(self):
+        with pytest.raises(ConfigurationError, match="unknown config key 'store.fields'"):
+            SystemConfig.from_dict(
+                {"store": {"spec": "cafe", "fields": [{"field": "a", "backend": "full"}]}}
+            )
 
     def test_bad_model(self):
         with pytest.raises(ConfigurationError, match="dlrm"):
@@ -179,21 +156,12 @@ class TestValidation:
             SystemConfig.from_dict({"seed": "3"})
         with pytest.raises(ConfigurationError, match="'pipeline.final_publish' must be bool"):
             SystemConfig.from_dict({"pipeline": {"final_publish": "yes"}})
-        with pytest.raises(ConfigurationError, match="'store.fields' must be list"):
-            SystemConfig.from_dict({"store": {"spec": None, "fields": {"field": "a"}}})
+        with pytest.raises(ConfigurationError, match="'store.spec' must be str"):
+            SystemConfig.from_dict({"store": {"spec": None}})
         # An int where a float is expected is fine (JSON has one number type).
         assert SystemConfig.from_dict(
             {"store": {"compression_ratio": 10}}
         ).store.compression_ratio == 10
-
-    def test_seed_spec_option_rejected_for_seedless_backends(self):
-        from repro.api.session import build
-
-        config = SystemConfig.from_dict(
-            {"store": {"spec": "qr[seed=7]", "compression_ratio": 8.0}}
-        )
-        with pytest.raises(ValueError, match="takes no \\[seed=N\\]"):
-            build(config)
 
 
 class TestOverrides:

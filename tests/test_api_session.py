@@ -7,7 +7,7 @@ The two headline guarantees pinned here:
   identical sparse state;
 * **Front-door equivalence** — the Session wires the exact same system the
   pre-PR-5 entry points wired by hand, so the declarative path reproduces
-  the PR-4 mixed-policy pipeline result bit for bit.
+  a hand-wired sharded pipeline result bit for bit.
 """
 
 import numpy as np
@@ -18,9 +18,10 @@ from repro.api.session import build
 from repro.embeddings import METHOD_NAMES, create_embedding, create_embedding_store
 from repro.errors import ConfigurationError, OptimizerStateMismatchError
 
-MIXED_SPEC = "full:tiny,cafe[cr=16]:tail,hash[cr=8]:mid"
+#: A non-default store: a 2-shard hash table.
+SHARDED_STORE = {"spec": "hash", "compression_ratio": 10.0, "num_shards": 2}
 
-#: Keys every backend / store / group ``describe()`` must report.
+#: Keys every backend / store ``describe()`` must report.
 CORE_DESCRIBE_KEYS = {
     "num_features",
     "dim",
@@ -41,12 +42,12 @@ def tiny_config(**overrides) -> SystemConfig:
     return SystemConfig.from_dict(data)
 
 
-def mixed_pipeline_config() -> SystemConfig:
+def sharded_pipeline_config() -> SystemConfig:
     return SystemConfig.from_dict(
         {
             "seed": 0,
             "data": {"dataset": "criteo", "scale": "tiny"},
-            "store": {"spec": MIXED_SPEC, "compression_ratio": 10.0},
+            "store": SHARDED_STORE,
             "pipeline": {
                 "publish_every_steps": 5,
                 "probe_every_steps": 2,
@@ -73,36 +74,6 @@ class TestBuild:
         from_dict = build(config.to_dict())
         assert from_path.config == from_dict.config == config
 
-    def test_explicit_fields_build_a_grouped_store(self):
-        config = tiny_config()
-        schema_fields = build(config).schema.fields
-        field_list = [
-            {"field": f.name, "backend": "full" if i < 2 else "hash",
-             "compression_ratio": 8.0}
-            for i, f in enumerate(schema_fields)
-        ]
-        grouped = SystemConfig.from_dict(
-            {
-                "data": {"dataset": "criteo", "scale": "tiny"},
-                "store": {"spec": None, "fields": field_list},
-                "train": {"max_steps": 2},
-            }
-        )
-        with build(grouped) as session:
-            assert session.store.num_groups == 2
-            report = session.train()
-        assert report["train"]["steps"] == 2
-
-    def test_mismatched_fields_fail_at_build_time(self):
-        config = SystemConfig.from_dict(
-            {
-                "data": {"dataset": "criteo", "scale": "tiny"},
-                "store": {"spec": None, "fields": [{"field": "nope", "backend": "cafe"}]},
-            }
-        )
-        with pytest.raises(Exception, match="field_configs|nope"):
-            build(config)
-
     def test_snapshot_is_frozen(self):
         with build(tiny_config()) as session:
             session.train(max_steps=2)
@@ -115,7 +86,7 @@ class TestBuild:
 
 class TestRoundTripBitExactness:
     def test_json_round_trip_builds_identical_store(self):
-        config = mixed_pipeline_config()
+        config = sharded_pipeline_config()
         rebuilt = SystemConfig.from_json(config.to_json())
         with build(config) as a, build(rebuilt) as b:
             assert a.store.describe() == b.store.describe()
@@ -126,7 +97,7 @@ class TestRoundTripBitExactness:
                 assert np.array_equal(state_a[key], state_b[key]), key
 
     def test_round_trip_matches_first_step_loss_and_direct_construction(self):
-        config = tiny_config(store={"spec": MIXED_SPEC, "compression_ratio": 10.0})
+        config = tiny_config(store=SHARDED_STORE)
         rebuilt = SystemConfig.from_json(config.to_json())
 
         # The pre-PR-5 hand wiring (what experiments and the old CLIs did).
@@ -135,12 +106,7 @@ class TestRoundTripBitExactness:
         from repro.training.trainer import Trainer
 
         dataset = build_dataset("criteo", scale="tiny", seed=0)
-        store = create_embedding_store(
-            dataset.schema,
-            spec=MIXED_SPEC,
-            compression_ratio=10.0,
-            seed=0,
-        )
+        store = create_embedding_store(dataset.schema, seed=0, **SHARDED_STORE)
         model = create_model(
             "dlrm", store, num_fields=dataset.schema.num_fields,
             num_numerical=dataset.schema.num_numerical, rng=0,
@@ -157,7 +123,7 @@ class TestRoundTripBitExactness:
         assert losses[0] == losses[1] == direct_loss
 
     def test_pipeline_state_bit_exact_after_round_trip(self):
-        config = mixed_pipeline_config()
+        config = sharded_pipeline_config()
         rebuilt = SystemConfig.from_json(config.to_json())
         with build(config) as a, build(rebuilt) as b:
             report_a = a.run_pipeline()
@@ -169,20 +135,15 @@ class TestRoundTripBitExactness:
 
 
 class TestFrontDoorEquivalence:
-    def test_config_driven_pipeline_reproduces_hand_wired_mixed_policy_run(self):
+    def test_config_driven_pipeline_reproduces_hand_wired_sharded_run(self):
         """The acceptance criterion: `python -m repro pipeline --config ...`
-        equals the PR-4 wiring (store factory + OnlinePipeline by hand)."""
+        equals the hand wiring (store factory + OnlinePipeline)."""
         from repro.experiments.common import build_dataset
         from repro.models import create_model
         from repro.runtime.pipeline import OnlinePipeline, PipelineConfig
 
         dataset = build_dataset("criteo", scale="tiny", seed=0)
-        store = create_embedding_store(
-            dataset.schema,
-            spec=MIXED_SPEC,
-            compression_ratio=10.0,
-            seed=0,
-        )
+        store = create_embedding_store(dataset.schema, seed=0, **SHARDED_STORE)
         model = create_model(
             "dlrm", store, num_fields=dataset.schema.num_fields,
             num_numerical=dataset.schema.num_numerical, rng=0,
@@ -199,7 +160,7 @@ class TestFrontDoorEquivalence:
         probe = dataset.test_batch(num_samples=64)
         hand_report = pipeline.run(dataset.training_stream(128), probe_batch=probe)
 
-        with build(mixed_pipeline_config()) as session:
+        with build(sharded_pipeline_config()) as session:
             config_report = session.run_pipeline()
 
         assert config_report["pipeline"]["steps"] == hand_report.steps
@@ -222,13 +183,12 @@ class TestDirectConstructionKeepsWorking:
         from repro.data.schema import make_preset
         from repro.models import create_model
 
-        schema = make_preset("criteo", base_cardinality=300,
-                             field_spec="full:tiny,cafe:tail")
-        store = create_embedding_store(schema, spec=None, seed=0)
+        schema = make_preset("criteo", base_cardinality=300)
+        store = create_embedding_store(schema, seed=0)
         model = create_model("dlrm", store, num_fields=schema.num_fields,
                              num_numerical=schema.num_numerical, rng=0)
         assert model.store is store
-        assert store.num_groups >= 2
+        assert (store.num_shards, store.describe()["backend"]) == (1, "CafeEmbedding")
 
 
 class TestCheckpointLifecycle:
@@ -315,8 +275,7 @@ class TestCheckpointLifecycle:
 
 
 class TestDescribeSchema:
-    """Every describe() surface reports the same core keys (the satellite
-    bugfix: some group rows used to omit dtype / compression_ratio)."""
+    """Every describe() surface reports the same core keys."""
 
     def _build_backend(self, method):
         kwargs = {"rng": 0}
@@ -348,23 +307,11 @@ class TestDescribeSchema:
         info = store.describe()
         assert CORE_DESCRIBE_KEYS | {"num_shards", "backend", "executor"} <= set(info)
 
-    def test_table_group_describe_keys(self):
-        from repro.data.schema import make_preset
-
-        schema = make_preset("criteo", base_cardinality=300)
-        store = create_embedding_store(schema, spec=MIXED_SPEC, seed=0)
-        info = store.describe()
-        assert CORE_DESCRIBE_KEYS | {"num_groups", "groups", "executor"} <= set(info)
-        for group_row in info["groups"]:
-            assert CORE_DESCRIBE_KEYS | {"name", "backend", "num_fields"} <= set(
-                group_row
-            ), group_row["name"]
-
     def test_session_describe_aggregates(self):
         with build(tiny_config()) as session:
             info = session.describe()
         assert {"config", "data", "store", "model", "registry"} <= set(info)
         assert CORE_DESCRIBE_KEYS <= set(info["store"])
-        mde = {"name": "mde", "requires": ["field_cardinalities"], "spec_options": []}
+        mde = {"name": "mde", "requires": ["field_cardinalities"]}
         assert mde in info["registry"]
         assert [row["name"] for row in info["registry"]] == list(METHOD_NAMES)

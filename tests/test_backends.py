@@ -2,8 +2,8 @@
 
 A backend is its class: what it can do beyond lookup / apply is what it
 implements of the ``CompressedEmbedding`` contract.  The matrix below is
-pinned through that contract on each backend bare, through a 2-shard store,
-through a grouped store and through a checkpoint's ``has_sparse`` flag.
+pinned through that contract on each backend bare, through a 2-shard store
+and through a checkpoint's ``has_sparse`` flag.
 """
 
 import numpy as np
@@ -20,7 +20,7 @@ from repro.embeddings import (
 from repro.embeddings.base import is_adaptive
 from repro.errors import ConfigurationError, UnknownBackendError
 from repro.models.dlrm import DLRM
-from repro.store import ShardedEmbeddingStore, TableGroup, TableGroupStore
+from repro.store import ShardedEmbeddingStore
 from repro.training.checkpoint import load_checkpoint, save_checkpoint
 
 CHECKPOINTABLE = {"full", "hash", "cafe", "cafe_ml"}
@@ -52,13 +52,6 @@ def build(method, num_shards=None, seed=0):
     return ShardedEmbeddingStore.build(method, num_shards=num_shards, seed=seed, **kwargs)
 
 
-def grouped(method):
-    """A one-group table-group store over a bare backend."""
-    fields = np.arange(SCHEMA.num_fields)
-    group = TableGroup("g0", build(method), fields, np.zeros_like(fields))
-    return TableGroupStore([group], SCHEMA.num_fields, SCHEMA.num_features, SCHEMA.embedding_dim)
-
-
 def train(layer, steps=3):
     rng = np.random.default_rng(1)
     for _ in range(steps):
@@ -88,11 +81,10 @@ class TestBackendTable:
         assert backend_names() == METHOD_NAMES
         assert all(get_backend(name).name == name for name in METHOD_NAMES)
 
-    def test_side_inputs_and_spec_options(self):
+    def test_side_inputs(self):
         assert get_backend("offline").requires == ("frequencies",)
         assert get_backend("mde").requires == ("field_cardinalities",)
-        assert get_backend("qr").spec_options == ()
-        assert get_backend("CAFE").spec_options == ("seed",)
+        assert get_backend("CAFE").requires == ()
 
     def test_unknown_backend_is_value_error_and_configuration_error(self):
         with pytest.raises(UnknownBackendError, match="known backends: .*'cafe'"):
@@ -118,12 +110,6 @@ class TestCapabilityMatrix:
 
     def test_two_shard_store(self, method):
         store = build(method, num_shards=2)
-        assert checkpointable(store) == (method in CHECKPOINTABLE)
-        assert (store.merged_sketch() is not None) == (method in SKETCH_CARRYING)
-        assert privatises_on_rebalance(store) == (method in ADAPTIVE)
-
-    def test_grouped_store(self, method):
-        store = grouped(method)
         assert checkpointable(store) == (method in CHECKPOINTABLE)
         assert (store.merged_sketch() is not None) == (method in SKETCH_CARRYING)
         assert privatises_on_rebalance(store) == (method in ADAPTIVE)

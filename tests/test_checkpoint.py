@@ -1,4 +1,4 @@
-"""Tests for the checkpoint utilities and the quantized embedding wrapper."""
+"""Tests for the checkpoint utilities."""
 
 import numpy as np
 import pytest
@@ -8,8 +8,9 @@ from repro.data.synthetic import SyntheticConfig, SyntheticCTRDataset
 from repro.embeddings.cafe import CafeEmbedding
 from repro.embeddings.full import FullEmbedding
 from repro.embeddings.hash_embedding import HashEmbedding
-from repro.embeddings.quantized import QuantizedEmbedding
+from repro.errors import CheckpointLayoutError
 from repro.models.dlrm import DLRM
+from repro.store import ShardedEmbeddingStore
 from repro.training.checkpoint import load_checkpoint, save_checkpoint
 from repro.training.trainer import Trainer
 
@@ -64,9 +65,8 @@ class TestCheckpoint:
         )
 
     def test_roundtrip_without_sparse_state(self, tmp_path):
-        """Embeddings without a state_dict (e.g. Q-R; hash/full grew one for
-        table groups) still checkpoint the dense network and do not confuse
-        the loader."""
+        """Embeddings without a state_dict (e.g. Q-R) still checkpoint the
+        dense network and do not confuse the loader."""
         from repro.embeddings.qr_embedding import QRTrickEmbedding
 
         dataset = tiny_dataset()
@@ -108,8 +108,6 @@ class TestCheckpoint:
     def test_roundtrip_sharded_store(self, tmp_path):
         """The full .npz checkpoint path over a sharded store restores
         bit-exact tables at the configured dtype."""
-        from repro.store import ShardedEmbeddingStore
-
         dataset = tiny_dataset()
 
         def sharded_model(seed):
@@ -218,66 +216,80 @@ class TestCheckpoint:
             set_default_dtype(previous)
 
 
-class TestQuantizedEmbedding:
-    def test_invalid_bits(self):
-        base = FullEmbedding(N, DIM, rng=0)
-        with pytest.raises(ValueError):
-            QuantizedEmbedding(base, bits=3)
+def sharded_cafe_model(dataset, num_shards, seed):
+    store = ShardedEmbeddingStore.build(
+        "cafe",
+        num_features=dataset.schema.num_features,
+        dim=DIM,
+        num_shards=num_shards,
+        compression_ratio=10.0,
+        seed=seed,
+        optimizer="adagrad",
+    )
+    return build_model(dataset, embedding=store, seed=seed)
 
-    def test_lookup_shape_matches_base(self):
-        base = FullEmbedding(N, DIM, rng=0)
-        quantized = QuantizedEmbedding(base, bits=8)
-        ids = np.asarray([[1, 2], [3, 4]])
-        assert quantized.lookup(ids).shape == base.lookup(ids).shape
 
-    def test_quantization_error_small_at_8_bits(self):
-        base = FullEmbedding(N, DIM, rng=0)
-        quantized = QuantizedEmbedding(base, bits=8)
-        ids = np.arange(50)
-        error = np.abs(quantized.lookup(ids) - base.lookup(ids)).max()
-        value_range = base.lookup(ids).max() - base.lookup(ids).min()
-        assert error <= value_range / 100
+def trained(model, dataset):
+    trainer = Trainer(model)
+    for batch in list(dataset.day_batches(0, 64))[:4]:
+        trainer.train_step(batch)
+    return trainer.dense_optimizer
 
-    def test_lower_bits_larger_error(self):
-        base = FullEmbedding(N, DIM, rng=0)
-        ids = np.arange(100)
-        exact = base.lookup(ids)
-        err4 = np.abs(QuantizedEmbedding(base, bits=4).lookup(ids) - exact).mean()
-        err16 = np.abs(QuantizedEmbedding(base, bits=16).lookup(ids) - exact).mean()
-        assert err4 > err16
 
-    def test_memory_reflects_type_ratio(self):
-        base = FullEmbedding(N, DIM, rng=0)
-        int8 = QuantizedEmbedding(base, bits=8)
-        int4 = QuantizedEmbedding(base, bits=4)
-        assert int8.memory_floats() < base.memory_floats()
-        assert int4.memory_floats() < int8.memory_floats()
+def everything_a_restore_writes(model, optimizer) -> dict[str, np.ndarray]:
+    state = {f"dense/{k}": v for k, v in model.state_dict().items()}
+    state.update({f"optim/{k}": v for k, v in optimizer.state_dict().items()})
+    state.update({f"sparse/{k}": v for k, v in model.store.state_dict().items()})
+    return {key: np.array(value, copy=True) for key, value in state.items()}
 
-    def test_gradients_reach_base_table(self):
-        base = FullEmbedding(N, DIM, rng=0, learning_rate=0.1)
-        quantized = QuantizedEmbedding(base, bits=8)
-        before = base.table.copy()
-        quantized.apply_gradients(np.asarray([5]), np.ones((1, DIM)))
-        assert not np.allclose(base.table, before)
-        assert quantized.step() == 1
 
-    def test_composes_with_row_compression(self):
-        """Quantization is orthogonal to row compression (paper §6.1): it can
-        wrap CAFE and still train end to end."""
+def group_namespaced_checkpoint(path, model, optimizer):
+    """What a two-group table-group store's checkpoint held: a ``num_groups``
+    header and ``group{i}.backend.*`` keys where a sharded store has
+    ``num_shards`` and ``shard{i}.*``."""
+    payload = {"meta/step": np.asarray(7), "meta/has_sparse": np.asarray(1)}
+    payload.update({f"dense/{k}": v + 1 for k, v in model.state_dict().items()})
+    payload.update({f"optim/{k}": v for k, v in optimizer.state_dict().items()})
+    payload.update({"sparse/num_groups": np.asarray(2), "sparse/step": np.asarray(7)})
+    shard_state = model.store.shards[0].state_dict()
+    for group in range(2):
+        payload[f"sparse/group{group}.fields"] = np.asarray([group])
+        for key, value in shard_state.items():
+            payload[f"sparse/group{group}.backend.{key}"] = value
+    np.savez(path, **payload)
+    return path
+
+
+class TestRefusedCheckpointRestoresNothing:
+    """A checkpoint whose sparse layout does not fit the store is refused
+    before the dense optimizer, the dense weights or any shard is written."""
+
+    def test_other_shard_count(self, tmp_path):
         dataset = tiny_dataset()
-        cafe = CafeEmbedding(
-            num_features=dataset.schema.num_features,
-            dim=DIM,
-            num_hot_rows=12,
-            num_shared_rows=24,
-            rebalance_interval=3,
-            learning_rate=0.1,
-            rng=0,
+        source = sharded_cafe_model(dataset, num_shards=2, seed=1)
+        path = save_checkpoint(
+            tmp_path / "two.npz", source, optimizer=trained(source, dataset)
         )
-        quantized = QuantizedEmbedding(cafe, bits=8)
-        model = build_model(dataset, embedding=quantized)
-        trainer = Trainer(model)
-        losses = [trainer.train_step(batch) for batch in dataset.day_batches(0, 64)]
-        assert np.isfinite(losses).all()
-        assert quantized.memory_floats() < cafe.memory_floats()
-        assert quantized.describe()["base_method"] == "CafeEmbedding"
+        self.assert_refused_untouched(path, dataset, match="has 2 shards, store has 4")
+
+    def test_table_group_checkpoint(self, tmp_path):
+        dataset = tiny_dataset()
+        source = sharded_cafe_model(dataset, num_shards=1, seed=1)
+        path = group_namespaced_checkpoint(
+            tmp_path / "groups.npz", source, trained(source, dataset)
+        )
+        self.assert_refused_untouched(
+            path, dataset, num_shards=1, match="table-group checkpoints are no longer loadable"
+        )
+
+    def assert_refused_untouched(self, path, dataset, match, num_shards=4):
+        target = sharded_cafe_model(dataset, num_shards=num_shards, seed=2)
+        optimizer = trained(target, dataset)
+        before = everything_a_restore_writes(target, optimizer)
+        with pytest.raises(CheckpointLayoutError, match=match):
+            load_checkpoint(path, target, optimizer=optimizer)
+        after = everything_a_restore_writes(target, optimizer)
+        assert sorted(after) == sorted(before)
+        for key, value in before.items():
+            assert after[key].dtype == value.dtype, key
+            assert after[key].tobytes() == value.tobytes(), key

@@ -3,8 +3,8 @@
 The table-backed backends apply a step through one path (one segment-sum +
 one scatter per table).  Its bits were recorded as SHA-256 digests at the
 commit before the second, per-region implementation was deleted (636f398,
-where both implementations produced these digests): per embedding scheme,
-through the 2-shard store and through grouped tables.  The large-batch
+where both implementations produced these digests): per embedding scheme
+and through the 2-shard store.  The large-batch
 digests (2048 × 26 ids, every run-length class of the segment sum) were
 recorded at fc8fe3a, where the segment sum was still ``np.add.reduceat``.
 """
@@ -14,9 +14,8 @@ import hashlib
 import numpy as np
 import pytest
 
-from repro.data.schema import DatasetSchema, FieldSchema
-from repro.embeddings import create_embedding, create_embedding_store
-from repro.store import ShardedEmbeddingStore, TableGroupStore
+from repro.embeddings import create_embedding
+from repro.store import ShardedEmbeddingStore
 
 NUM_FEATURES = 5000
 DIM = 8
@@ -52,13 +51,9 @@ def assert_states_equal(a, b):
 
 
 def row_optimizers(target):
-    """Every row optimizer under ``target``, in shard / group order."""
+    """Every row optimizer under ``target``, in shard order."""
     if isinstance(target, ShardedEmbeddingStore):
         return [optimizer for shard in target.shards for optimizer in row_optimizers(shard)]
-    if isinstance(target, TableGroupStore):
-        return [
-            optimizer for group in target._groups for optimizer in row_optimizers(group.backend)
-        ]
     return [target._optimizer]
 
 
@@ -96,7 +91,6 @@ GOLDEN_RUNS = {
     "full-adagrad": "875fedd5725a53e277d9938083983ffbaa53d1d45aace74b9d0899dd8847f6d9",
     "sharded-cafe": "c5a9dc4b41d75d5a3ac762b05945a186e5ffdc4f48d490661e13b440c395ac59",
     "sharded-hash": "9b6c7fb704e02b4004b3155c36a32b2ee7e49d7e185c184b72843c2547f39d02",
-    "grouped": "99ef93bf31345e38156ea0100402b27c495ca040add2db355a508a624ea147db",
 }
 
 golden = pytest.mark.skipif(
@@ -179,59 +173,6 @@ def test_restore_and_continue_is_bit_identical(method, optimizer, num_shards):
     train(resumed, batches[20:])
     assert_states_equal(resumed.state_dict(), uninterrupted.state_dict())
     np.testing.assert_array_equal(resumed.lookup(PROBE), uninterrupted.lookup(PROBE))
-
-
-# --------------------------------------------------------------------------- #
-# Through grouped tables (heterogeneous per-field backends)
-# --------------------------------------------------------------------------- #
-def hetero_schema():
-    return DatasetSchema(
-        name="parity",
-        fields=[
-            FieldSchema("tiny", 30),
-            FieldSchema("mid", 900),
-            FieldSchema("tail_a", 4000),
-            FieldSchema("tail_b", 7000),
-        ],
-        num_numerical=1,
-        embedding_dim=DIM,
-        num_days=1,
-        zipf_exponent=1.2,
-    )
-
-
-def grouped_batches(schema, seed, steps=25, batch=64):
-    rng = np.random.default_rng(seed)
-    cards = [field.cardinality for field in schema.fields]
-    offsets = np.concatenate([[0], np.cumsum(cards)[:-1]])
-    batches = []
-    for _ in range(steps):
-        ids = np.stack(
-            [
-                offset + rng.integers(0, card, size=batch)
-                for offset, card in zip(offsets, cards)
-            ],
-            axis=1,
-        )
-        grads = rng.standard_normal((batch, len(cards), DIM)).astype(np.float32)
-        batches.append((ids, grads))
-    return batches
-
-
-@golden
-def test_grouped_store_matches_golden_digest():
-    schema = hetero_schema()
-    batches = grouped_batches(schema, seed=41)
-    store = create_embedding_store(
-        schema,
-        "full:tiny,cafe[cr=16]:tail,hash[cr=8]:mid",
-        optimizer="adagrad",
-        learning_rate=0.05,
-        seed=5,
-    )
-    assert isinstance(store, TableGroupStore)
-    train(store, batches)
-    assert run_digest(store, batches[0][0]) == GOLDEN_RUNS["grouped"]
 
 
 # --------------------------------------------------------------------------- #

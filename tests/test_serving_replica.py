@@ -15,12 +15,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import repro.serving.delta
-from repro.data.schema import DatasetSchema, FieldSchema
 from repro.embeddings.base import CompressedEmbedding
 from repro.models.dlrm import DLRM
 from repro.serving import DeltaSnapshotPublisher, ReplicaSet, ServingEngine
 from repro.store import ShardedEmbeddingStore
-from repro.store.table_group import TableGroupStore
 from repro.utils.hashing import hash_to_range
 
 DIM = 8
@@ -203,61 +201,6 @@ class TestPayloadAccounting:
         assert replica.full_applies == 1
         assert replica.delta_applies == 2
         assert replica.rows_applied > 0
-
-
-class TestGroupedStoreFullOnly:
-    """Per-field table groups snapshot as one opaque unit: the publisher
-    must fall back to full payloads and replicas serve the whole view."""
-
-    def grouped_model(self):
-        schema = DatasetSchema(
-            name="grouped",
-            fields=[
-                FieldSchema("tiny", 8),
-                FieldSchema("mid", 400),
-                FieldSchema("tail", 2000),
-            ],
-            num_numerical=0,
-            embedding_dim=DIM,
-        )
-        store = TableGroupStore.from_schema(
-            schema, spec="full:tiny,cafe[cr=16]:tail,hash[cr=8]:mid", seed=0
-        )
-        return schema, DLRM(store, schema.num_fields, 0, rng=0)
-
-    def grouped_ids(self, schema, rng, rows=32):
-        cards = np.array([f.cardinality for f in schema.fields])
-        local = rng.integers(0, cards, size=(rows, schema.num_fields))
-        return local + np.asarray(schema.field_offsets[: schema.num_fields])
-
-    def test_grouped_store_serves_full_payloads_bit_exact(self):
-        schema, model = self.grouped_model()
-        publisher = DeltaSnapshotPublisher(model, rebase_every=0)
-        replicas = ReplicaSet(2)
-        engine = ServingEngine(model, max_batch_size=64)
-        rng = np.random.default_rng(9)
-        cat = self.grouped_ids(schema, rng)
-        for round_index in range(3):
-            ids = self.grouped_ids(schema, rng)
-            grads = rng.normal(scale=0.1, size=(32, schema.num_fields, DIM)).astype(
-                np.float32
-            )
-            model.store.lookup(ids)
-            model.store.apply_gradients(ids, grads)
-            payload = publisher.publish()
-            assert payload.kind == "full", (
-                "a grouped snapshot has no shard list a delta could index; "
-                "every publish must be a full rebase"
-            )
-            replicas.publish(payload)
-            engine.refresh()
-            want = engine.predict(cat, None)
-            for replica in replicas.replicas:
-                got = replica.predict(cat, None)
-                assert np.array_equal(got, want), (
-                    f"grouped replica {replica.index} diverged at round {round_index}"
-                )
-        assert publisher.stats.delta_publishes == 0
 
 
 def test_the_row_level_delta_tier_is_gone():

@@ -1,0 +1,209 @@
+"""What the one embedding store promises, for every backend.
+
+``ShardedEmbeddingStore`` is the only store: every backend reaches the
+trainer, a snapshot, a serving engine and a checkpoint through it.  Each
+promise below is pinned for all eight backends, at one shard (the
+delegating fast path) and at two (the partitioned path):
+
+* the shard partition built by ``lookup`` is reused by ``apply_gradients``;
+* a snapshot is frozen while training continues, costs nothing until the
+  first write and then one copy per private shard (one per stack);
+* a one-shard store is bit-exact with the bare backend;
+* a serving engine answers from its snapshot until ``refresh()``;
+* for the backends with state, ``state_dict`` / ``load_state_dict`` and
+  ``save_checkpoint`` / ``load_checkpoint`` round-trip bit for bit, a
+  restore leaves outstanding snapshots alone, and a checkpoint of another
+  shard layout is refused before anything changes.
+"""
+
+import numpy as np
+import pytest
+
+from repro.data.schema import DatasetSchema, FieldSchema
+from repro.data.synthetic import SyntheticConfig, SyntheticCTRDataset
+from repro.embeddings import METHOD_NAMES, create_embedding, get_backend
+from repro.errors import CheckpointLayoutError
+from repro.models.dlrm import DLRM
+from repro.serving.engine import ServingEngine
+from repro.store import ShardedEmbeddingStore, StoreSnapshot
+from repro.training.checkpoint import load_checkpoint, save_checkpoint
+from repro.training.trainer import Trainer
+
+CHECKPOINTABLE = ["cafe", "cafe_ml", "full", "hash"]
+SHARD_COUNTS = [1, 2]
+
+SCHEMA = DatasetSchema(
+    name="contract",
+    fields=[FieldSchema("a", 300), FieldSchema("b", 200), FieldSchema("c", 100)],
+    num_numerical=2,
+    embedding_dim=8,
+    num_days=3,
+    zipf_exponent=1.3,
+)
+DIM = SCHEMA.embedding_dim
+SIDE_INPUTS = {
+    "field_cardinalities": SCHEMA.field_cardinalities,
+    "frequencies": np.arange(SCHEMA.num_features, 0, -1).astype(np.float64),
+}
+PROBE = np.arange(SCHEMA.num_fields * 100).reshape(-1, SCHEMA.num_fields) % SCHEMA.num_features
+
+
+def backend_kwargs(method):
+    return dict(
+        num_features=SCHEMA.num_features,
+        dim=DIM,
+        compression_ratio=2.0,
+        **{key: SIDE_INPUTS[key] for key in get_backend(method).requires},
+    )
+
+
+def build_store(method, num_shards, seed=0):
+    return ShardedEmbeddingStore.build(method, num_shards=num_shards, seed=seed, **backend_kwargs(method))
+
+
+def dataset():
+    return SyntheticCTRDataset(SCHEMA, config=SyntheticConfig(samples_per_day=256, seed=0))
+
+
+def steps(layer, count=4, seed=1):
+    """Drive ``count`` lookup + apply steps with fixed random gradients."""
+    rng = np.random.default_rng(seed)
+    for _ in range(count):
+        ids = rng.integers(0, SCHEMA.num_features, size=(32, SCHEMA.num_fields))
+        layer.lookup(ids)
+        layer.apply_gradients(ids, rng.normal(scale=0.1, size=ids.shape + (DIM,)))
+
+
+def model_on(store, seed=0):
+    return DLRM(store, SCHEMA.num_fields, SCHEMA.num_numerical, rng=seed)
+
+
+def assert_states_equal(a, b):
+    assert a.keys() == b.keys()
+    for key in a:
+        assert np.array_equal(a[key], b[key]), key
+
+
+def cow_copies_after_writing_every_shard(store):
+    """A stack goes private in one copy; unstacked shards one copy each."""
+    return 1 if store.describe()["stacked"] else store.num_shards
+
+
+@pytest.mark.parametrize("num_shards", SHARD_COUNTS)
+@pytest.mark.parametrize("method", METHOD_NAMES)
+class TestEveryBackend:
+    def test_plan_built_by_lookup_is_reused_by_apply(self, method, num_shards):
+        store = build_store(method, num_shards)
+        steps(store, count=4)
+        # One miss (lookup) and one hit (apply_gradients) per step.
+        assert store.plan_stats.misses == 4
+        assert store.plan_stats.hits == 4
+        assert store.plan_stats.reuse_rate == 0.5
+
+    def test_snapshot_frozen_while_training_continues(self, method, num_shards):
+        store = build_store(method, num_shards)
+        steps(store, seed=1)
+        snapshot = store.snapshot()
+        assert isinstance(snapshot, StoreSnapshot)
+        frozen = snapshot.lookup(PROBE).copy()
+        steps(store, seed=2)
+        assert np.array_equal(frozen, snapshot.lookup(PROBE))
+        assert not np.array_equal(frozen, store.lookup(PROBE))
+        assert store.cow_copies == cow_copies_after_writing_every_shard(store)
+
+    def test_snapshot_without_writes_costs_no_copies(self, method, num_shards):
+        store = build_store(method, num_shards)
+        steps(store)
+        snapshot = store.snapshot()
+        assert np.array_equal(snapshot.lookup(PROBE), store.lookup(PROBE))
+        assert store.cow_copies == 0
+
+    def test_later_snapshot_sees_newer_parameters(self, method, num_shards):
+        store = build_store(method, num_shards)
+        first = store.snapshot()
+        steps(store)
+        second = store.snapshot()
+        assert first.version < second.version
+        assert second.step == store.step() == 4
+        assert not np.array_equal(first.lookup(PROBE), second.lookup(PROBE))
+        assert np.array_equal(second.lookup(PROBE), store.lookup(PROBE))
+
+    def test_serving_engine_answers_from_its_snapshot_until_refresh(self, method, num_shards):
+        data = dataset()
+        model = model_on(build_store(method, num_shards))
+        trainer = Trainer(model)
+        engine = ServingEngine(model, max_batch_size=32)
+        test = data.test_batch(64)
+        before = engine.predict(test.categorical, test.numerical).copy()
+        for batch in data.day_batches(0, 64):
+            trainer.train_step(batch)
+        assert np.array_equal(before, engine.predict(test.categorical, test.numerical))
+        engine.refresh()
+        served = engine.predict(test.categorical, test.numerical)
+        assert not np.array_equal(before, served)
+        assert np.array_equal(served, model.predict_proba(test.categorical, test.numerical))
+
+
+@pytest.mark.parametrize("method", METHOD_NAMES)
+def test_one_shard_store_is_bit_exact_with_the_bare_backend(method):
+    bare = create_embedding(method, rng=np.random.default_rng(0), **backend_kwargs(method))
+    store = build_store(method, 1, seed=0)
+    rng = np.random.default_rng(3)
+    for _ in range(5):
+        ids = rng.integers(0, SCHEMA.num_features, size=(32, SCHEMA.num_fields))
+        grads = rng.normal(scale=0.1, size=ids.shape + (DIM,))
+        assert np.array_equal(store.lookup(ids), bare.lookup(ids))
+        store.apply_gradients(ids, grads)
+        bare.apply_gradients(ids, grads)
+    assert np.array_equal(store.lookup(PROBE), bare.lookup(PROBE))
+    assert store.step() == bare.step()
+
+
+@pytest.mark.parametrize("num_shards", SHARD_COUNTS)
+@pytest.mark.parametrize("method", CHECKPOINTABLE)
+class TestEveryCheckpointableBackend:
+    def test_state_dict_round_trip_is_bit_exact(self, method, num_shards):
+        store = build_store(method, num_shards, seed=0)
+        steps(store)
+        state = store.state_dict()
+        assert int(state["num_shards"]) == num_shards
+        restored = build_store(method, num_shards, seed=99)
+        restored.load_state_dict(state)
+        assert np.array_equal(store.lookup(PROBE), restored.lookup(PROBE))
+        assert_states_equal(state, restored.state_dict())
+
+    def test_restore_leaves_outstanding_snapshots_alone(self, method, num_shards):
+        store = build_store(method, num_shards, seed=0)
+        other = build_store(method, num_shards, seed=42)
+        steps(other)
+        snapshot = store.snapshot()
+        frozen = snapshot.lookup(PROBE).copy()
+        store.load_state_dict(other.state_dict())
+        assert np.array_equal(frozen, snapshot.lookup(PROBE))
+        assert np.array_equal(store.lookup(PROBE), other.lookup(PROBE))
+
+    def test_model_checkpoint_round_trip(self, method, num_shards, tmp_path):
+        data = dataset()
+        model = model_on(build_store(method, num_shards, seed=0), seed=0)
+        trainer = Trainer(model)
+        for batch in data.day_batches(0, 64):
+            trainer.train_step(batch)
+        path = save_checkpoint(tmp_path / f"{method}.npz", model, step=trainer.global_step)
+        restored = model_on(build_store(method, num_shards, seed=7), seed=7)
+        assert load_checkpoint(path, restored) == trainer.global_step
+        test = data.test_batch(128)
+        assert np.array_equal(
+            model.predict_proba(test.categorical, test.numerical),
+            restored.predict_proba(test.categorical, test.numerical),
+        )
+
+    def test_other_shard_layout_is_refused_before_anything_changes(self, method, num_shards):
+        store = build_store(method, num_shards, seed=0)
+        steps(store)
+        before = store.state_dict()
+        other = build_store(method, num_shards + 1, seed=5)
+        steps(other, seed=4)
+        with pytest.raises(CheckpointLayoutError, match=f"has {num_shards + 1} shards"):
+            store.load_state_dict(other.state_dict())
+        assert_states_equal(before, store.state_dict())
+        assert store.cow_copies == 0

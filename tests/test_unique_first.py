@@ -23,7 +23,6 @@ from collections import Counter
 import numpy as np
 import pytest
 
-from repro.embeddings import create_embedding
 from repro.embeddings.plan import UniqueBatch
 from repro.errors import (
     BadBatchError,
@@ -31,7 +30,7 @@ from repro.errors import (
     NonFiniteGradientError,
     NonIntegerIdError,
 )
-from repro.store import ShardedEmbeddingStore, TableGroupStore
+from repro.store import ShardedEmbeddingStore
 from repro.utils.hashing import hash_to_range
 
 N, DIM = 2000, 4
@@ -489,13 +488,7 @@ class TestEmptyBatch:
         assert store.step() == 0
         assert_states_equal(before, store.state_dict())
 
-    def test_quantized_and_snapshot(self):
-        from repro.embeddings import QuantizedEmbedding
-
-        quantized = QuantizedEmbedding(create_embedding("hash", N, DIM, 4.0, rng=0))
-        assert quantized.lookup(np.empty((0, 2), dtype=np.int64)).shape == (0, 2, DIM)
-        quantized.apply_gradients(np.empty((0,), dtype=np.int64), np.empty((0, DIM)))
-        assert quantized.step() == 0
+    def test_empty_batch_on_a_snapshot(self):
         snapshot = build_store("cafe", 4).snapshot()
         assert snapshot.lookup(np.empty((0, 5), dtype=np.int64)).shape == (0, 5, DIM)
 
@@ -560,28 +553,6 @@ class TestNamedErrors:
             store.lookup(np.asarray([N + 3]))
         with pytest.raises(NonFiniteGradientError):
             store.apply_gradients(np.asarray([3]), np.full((1, DIM), np.nan))
-
-    def test_table_group_store_refuses_before_any_group(self):
-        from repro.data.schema import DatasetSchema, FieldSchema
-
-        schema = DatasetSchema(
-            name="mixed",
-            fields=[FieldSchema("tiny", 20), FieldSchema("big", 600)],
-            num_numerical=0,
-            embedding_dim=DIM,
-        )
-        store = TableGroupStore.from_schema(schema, spec="full:tiny,hash[cr=4]:rest", seed=0)
-        ids = np.asarray([[3, 25], [7, 400]])
-        before = store.state_dict()
-        grads = np.zeros(ids.shape + (DIM,), dtype=np.float32)
-        grads[1, 1, 0] = np.nan  # the *last* group's column
-        with pytest.raises(NonFiniteGradientError):
-            store.apply_gradients(ids, grads)
-        assert_states_equal(before, store.state_dict())
-        with pytest.raises(IdOutOfRangeError):
-            store.lookup(np.asarray([[3, 620]]))
-        with pytest.raises(NonIntegerIdError):
-            store.lookup(np.asarray([[3.0, 25.0]]))
 
 
 # --------------------------------------------------------------------------- #
