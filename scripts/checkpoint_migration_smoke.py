@@ -1,12 +1,15 @@
 #!/usr/bin/env python
 """CI smoke: old checkpoints load into the current code, new ones resume exactly.
 
-Three legs.  The dense-optimizer leg: a checkpoint written before there was
+Four legs.  The dense-optimizer leg: a checkpoint written before there was
 an ``optim/`` section loads into a current session (fresh optimizer state,
 said so in ``describe()``) and trains; a current checkpoint taken after 20
 Adam steps resumes bit-exactly.  The row-optimizer leg is the same pair for
 a 4-shard CAFE store with row-Adagrad, whose shards carried no
-``optimizer.*`` entries before they named their optimizer ``_optimizer``.
+``optimizer.*`` entries before they named their optimizer ``_optimizer``;
+then a checkpoint carrying the retired ``sketched_adagrad``'s
+``optimizer.sketch_counters`` / ``heavy_keys`` / ``heavy_vals`` is refused
+by that store with ``OptimizerStateMismatchError``, and refused whole.
 The table-group leg checks that a checkpoint of the retired table-group
 store is refused, and refused whole:
 
@@ -37,7 +40,7 @@ from repro.api import SystemConfig, apply_overrides, build
 from repro.data.schema import DatasetSchema, FieldSchema
 from repro.data.synthetic import SyntheticConfig, SyntheticCTRDataset
 from repro.embeddings.cafe import CafeEmbedding
-from repro.errors import CheckpointLayoutError
+from repro.errors import CheckpointLayoutError, OptimizerStateMismatchError
 from repro.models.dlrm import DLRM
 from repro.training.checkpoint import load_checkpoint, save_checkpoint
 from repro.training.trainer import Trainer
@@ -93,6 +96,54 @@ def resume_leg(config: SystemConfig, tmp: Path, dropped, check_cold=None) -> Non
         assert np.isfinite(losses).all(), "training after a cold-optimizer restore diverged"
 
 
+def assert_refused_whole(load, error, match: str, model, optimizer) -> None:
+    """``load()`` raises ``error`` naming ``match`` and leaves the dense
+    weights, the dense optimizer and the store as they were."""
+    dense_before = {k: v.copy() for k, v in model.state_dict().items()}
+    optim_before = {k: np.array(v, copy=True) for k, v in optimizer.state_dict().items()}
+    store_before = model.store.state_dict()
+    try:
+        load()
+    except error as exc:
+        assert match in str(exc), exc
+    else:
+        raise AssertionError(f"a checkpoint that should raise {error.__name__} loaded")
+    for before, after in (
+        (dense_before, model.state_dict()),
+        (optim_before, optimizer.state_dict()),
+        (store_before, model.store.state_dict()),
+    ):
+        assert sorted(before) == sorted(after)
+        for key in before:
+            assert np.array_equal(before[key], after[key]), f"refused load wrote {key}"
+
+
+def sketched_state_leg(config: SystemConfig, tmp: Path) -> None:
+    """A row-Adagrad store refuses the retired sketched optimizer's state."""
+    with build(config) as source, build(config) as target:
+        stream = iter(source.dataset.training_stream(source.batch_size))
+        for _ in range(5):
+            batch = next(stream)
+            source.trainer.train_step(batch)
+            target.trainer.train_step(batch)  # non-zero moments and accumulators
+        path = source.checkpoint(tmp / "sketched.npz")
+        with np.load(path) as data:
+            payload = {key: data[key] for key in data.files if ".optimizer." not in key}
+        for shard in range(config.store.num_shards):
+            prefix = f"sparse/shard{shard}.optimizer."
+            payload[prefix + "sketch_counters"] = np.zeros((3, 64), dtype=np.float32)
+            payload[prefix + "heavy_keys"] = np.full(16, -1, dtype=np.int64)
+            payload[prefix + "heavy_vals"] = np.zeros(16, dtype=np.float32)
+        np.savez(path, **payload)
+        assert_refused_whole(
+            lambda: target.restore(path),
+            OptimizerStateMismatchError,
+            "sketched_adagrad",
+            target.model,
+            target.trainer.dense_optimizer,
+        )
+
+
 def dense_optimizer_is_cold(session) -> None:
     described = session.describe()["model"]["dense_optimizer"]
     assert described == {"kind": "adam", "step_count": 0, "restored": False}, described
@@ -104,6 +155,7 @@ def main() -> int:
     with tempfile.TemporaryDirectory() as tmp:
         resume_leg(quickstart, Path(tmp), lambda key: key.startswith("optim/"), dense_optimizer_is_cold)
         resume_leg(cafe_adagrad, Path(tmp), lambda key: ".optimizer." in key)
+        sketched_state_leg(cafe_adagrad, Path(tmp))
 
     schema = DatasetSchema(
         name="migration",
@@ -146,23 +198,13 @@ def main() -> int:
         target_trainer = Trainer(target)
         target_trainer.train_step(next(dataset.day_batches(1, 64)))  # non-zero moments
         optimizer = target_trainer.dense_optimizer
-        dense_before = {k: v.copy() for k, v in target.state_dict().items()}
-        optim_before = {k: np.array(v, copy=True) for k, v in optimizer.state_dict().items()}
-        store_before = target.store.state_dict()
-        try:
-            load_checkpoint(group_path, target, optimizer=optimizer)
-        except CheckpointLayoutError as exc:
-            assert "table-group" in str(exc), exc
-        else:
-            raise AssertionError("a table-group checkpoint loaded into a sharded store")
-        for before, after in (
-            (dense_before, target.state_dict()),
-            (optim_before, optimizer.state_dict()),
-            (store_before, target.store.state_dict()),
-        ):
-            assert sorted(before) == sorted(after)
-            for key in before:
-                assert np.array_equal(before[key], after[key]), f"refused load wrote {key}"
+        assert_refused_whole(
+            lambda: load_checkpoint(group_path, target, optimizer=optimizer),
+            CheckpointLayoutError,
+            "table-group",
+            target,
+            optimizer,
+        )
 
         # 3. The current checkpoint still loads.
         step = load_checkpoint(current_path, target, optimizer=optimizer)
@@ -173,7 +215,7 @@ def main() -> int:
     print(
         "checkpoint migration smoke: optim-less -> current OK, Adam resume bit-exact, "
         "CAFE row-Adagrad resume bit-exact (optimizer-less loads), "
-        "table-group checkpoint refused with nothing restored"
+        "sketched_adagrad state and table-group checkpoint refused with nothing restored"
     )
     return 0
 

@@ -207,8 +207,7 @@ class StoreConfig:
         from repro.nn.optim import make_row_optimizer
 
         try:
-            # Full validation (names, bracket options, ranges), state-free:
-            # row optimizers allocate lazily on first use.
+            # State-free: row optimizers allocate lazily on first use.
             make_row_optimizer(self.optimizer, self.learning_rate)
         except ValueError as exc:
             raise ConfigurationError(f"store.optimizer: {exc}") from None

@@ -311,8 +311,7 @@ class TableBackedEmbedding(CompressedEmbedding):
         """Row-optimizer state under ``optimizer.``-prefixed keys.
 
         Backends merge these into their ``state_dict`` so restoring a
-        checkpoint resumes with the same effective per-row learning rates
-        (exact accumulators or sketch counters alike).
+        checkpoint resumes with the same effective per-row learning rates.
         """
         optimizer = getattr(self, "_optimizer", None)
         if optimizer is None:
@@ -322,19 +321,19 @@ class TableBackedEmbedding(CompressedEmbedding):
         }
 
     def _load_optimizer_state(self, state: dict[str, np.ndarray]) -> None:
-        """Restore the ``optimizer.``-prefixed entries of ``state`` (if any).
+        """Restore the ``optimizer.``-prefixed entries of ``state``.
 
-        Tolerates their absence so checkpoints written before optimizer
-        state was serialized keep loading (the optimizer simply restarts
-        cold, the pre-existing behaviour).
+        Tolerates their absence so checkpoints written by an ``sgd`` store
+        or before optimizer state was serialized keep loading: the
+        optimizer restarts cold.
         """
         optimizer = getattr(self, "_optimizer", None)
         if optimizer is None:
             return
-        entries = {
-            key.split(".", 1)[1]: array
-            for key, array in state.items()
-            if key.startswith("optimizer.")
-        }
-        if entries:
-            optimizer.load_state_dict(entries)
+        optimizer.load_state_dict(
+            {
+                key.split(".", 1)[1]: array
+                for key, array in state.items()
+                if key.startswith("optimizer.")
+            }
+        )

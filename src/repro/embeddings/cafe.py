@@ -43,7 +43,6 @@ from repro.embeddings.base import DEFAULT_DTYPE, TableBackedEmbedding
 from repro.embeddings.memory import MemoryBudget
 from repro.embeddings.plan import FreeRowPool, RoutingPlan
 from repro.nn.init import embedding_uniform
-from repro.nn.optim import RowAdagrad, RowSGD
 from repro.sketch.hotsketch import NO_PAYLOAD, HotSketch
 from repro.utils.hashing import hash_to_bucket, hash_to_range
 from repro.utils.rng import SeedLike, make_rng
@@ -502,11 +501,9 @@ class CafeStack:
     # ------------------------------------------------------------------ #
     @staticmethod
     def can_stack(layers) -> bool:
-        """≥ 2 plain CAFE layers, exact row optimizers, one geometry and seeds."""
+        """≥ 2 plain CAFE layers with one geometry, seeds and row optimizer."""
         def geometry(layer):
-            if type(layer) is not CafeEmbedding or type(layer._optimizer) not in (
-                RowSGD, RowAdagrad
-            ):
+            if type(layer) is not CafeEmbedding:
                 return None
             return (layer.dim, layer.dtype, layer.num_hot_rows, layer.num_shared_rows,
                     layer.slots_per_bucket, layer.hash_seed, layer.sketch.seed,

@@ -136,8 +136,9 @@ class CheckpointLayoutError(ReproError, ValueError):
 
 
 class OptimizerStateMismatchError(ReproError, ValueError):
-    """Saved dense-optimizer state does not fit the optimizer loading it.
+    """Saved optimizer state does not fit the optimizer loading it.
 
     The kind (sgd / adagrad / adam), the set of state arrays or their size
-    differs, so the arrays cannot belong to this optimizer's parameters.
+    differs, so the arrays cannot belong to this optimizer's parameters; or
+    a store's row optimizer cannot take a checkpoint's ``optimizer.*`` keys.
     """

@@ -10,8 +10,6 @@ between a "dense" and a "sparse" optimizer that production DLRM trainers use.
 
 from __future__ import annotations
 
-import re
-
 import numpy as np
 
 from repro.errors import NonFiniteGradientError, OptimizerStateMismatchError
@@ -271,6 +269,11 @@ class RowOptimizer:
     optimizer scatter — are the primitives of :mod:`repro.kernels.ops`.
     """
 
+    #: Name in :data:`ROW_OPTIMIZERS`; set by subclasses.
+    kind = ""
+    #: Keys of :meth:`state_dict` (checkpointed as ``optimizer.<key>``).
+    state_keys: tuple[str, ...] = ()
+
     def __init__(self, lr: float):
         if lr <= 0:
             raise ValueError(f"learning rate must be positive, got {lr}")
@@ -343,6 +346,8 @@ class RowOptimizer:
 class RowSGD(RowOptimizer):
     """Sparse SGD over embedding rows."""
 
+    kind = "sgd"
+
     def fused_apply(self, table: np.ndarray, rows: np.ndarray, summed: np.ndarray) -> None:
         scatter_apply(table, rows, summed, self.lr)
 
@@ -354,6 +359,9 @@ class RowAdagrad(RowOptimizer):
     called, and tracks one scalar per row (row-wise Adagrad), which is the
     standard memory-frugal variant used for huge embedding tables.
     """
+
+    kind = "adagrad"
+    state_keys = ("accumulator",)
 
     def __init__(self, lr: float, eps: float = 1e-10):
         super().__init__(lr)
@@ -394,7 +402,11 @@ class RowAdagrad(RowOptimizer):
 
     def load_state_dict(self, state: dict[str, np.ndarray]) -> None:
         if "accumulator" not in state:
-            return  # old checkpoints carry no optimizer state
+            # Saved without row-optimizer state (an sgd or pre-state
+            # checkpoint): restart cold, in place (may be a stack view).
+            if self._accumulator is not None:
+                self._accumulator[:] = 0.0
+            return
         incoming = np.asarray(state["accumulator"])
         if self._accumulator is not None and self._accumulator.shape == incoming.shape:
             self._accumulator[:] = incoming  # in place: may be a stack view
@@ -402,281 +414,33 @@ class RowAdagrad(RowOptimizer):
             self._accumulator = incoming.copy()
 
 
-class SketchedRowAdagrad(RowOptimizer):
-    """Row-wise Adagrad whose accumulator lives in a count-min sketch.
+#: Row optimizers by the name ``store.optimizer`` and the backends take.
+ROW_OPTIMIZERS: dict[str, type[RowOptimizer]] = {cls.kind: cls for cls in (RowSGD, RowAdagrad)}
 
-    Exact row-wise Adagrad keeps one accumulator scalar per table row —
-    state that scales 1:1 with the table and defeats part of the compression
-    win.  This variant bounds the state to ``frac × num_rows`` scalars total
-    (``frac=0.25`` by default), split between:
-
-    * a **count-min sketch** of the accumulated squared-gradient mass,
-      keyed by row index (``depth`` rows of ``width`` counters, SplitMix64
-      positions — the idiom of :class:`repro.sketch.CountMinSketch`).  The
-      min-over-depth estimate is a *monotone overestimate*, so hash
-      collisions can only shrink the effective learning rate of a colliding
-      row — updates degrade gracefully, they never blow up; and
-    * an **exact lane** for sketch-identified heavy hitters: a direct-mapped
-      cache (hashed slot, stored key) holding the exact accumulator for the
-      rows with the largest accumulated mass.  A newcomer evicts a resident
-      only when its sketched mass exceeds the resident's exact value; the
-      evictee falls back to its sketch estimate, which has kept accumulating
-      the whole time (every update is always folded into the sketch).
-
-    Both structures are fixed-size numpy arrays and serialize through
-    :meth:`state_dict` for checkpoints.
-    """
-
-    def __init__(
-        self,
-        lr: float,
-        eps: float = 1e-10,
-        frac: float = 0.25,
-        depth: int = 3,
-        heavy_frac: float = 0.25,
-        seed: int = 0,
-    ):
-        super().__init__(lr)
-        if not 0.0 < frac <= 1.0:
-            raise ValueError(f"frac must be in (0, 1], got {frac}")
-        if depth <= 0:
-            raise ValueError(f"depth must be positive, got {depth}")
-        if not 0.0 <= heavy_frac < 1.0:
-            raise ValueError(f"heavy_frac must be in [0, 1), got {heavy_frac}")
-        self.eps = float(eps)
-        self.frac = float(frac)
-        self.depth = int(depth)
-        self.heavy_frac = float(heavy_frac)
-        self.seed = int(seed)
-        self._counters: np.ndarray | None = None  # (depth, width) CM sketch
-        self._heavy_keys: np.ndarray | None = None  # (capacity,) int64, -1 = empty
-        self._heavy_vals: np.ndarray | None = None  # (capacity,) exact accumulators
-        self._width = 0
-        self._capacity = 0
-        self._sized_rows = -1  # -1: unsized or externally sized (loaded)
-
-    # ------------------------------------------------------------------ #
-    # Sizing
-    # ------------------------------------------------------------------ #
-    def _ensure_state(self, table: np.ndarray) -> None:
-        num_rows = int(table.shape[0])
-        if self._counters is not None and (
-            self._sized_rows == num_rows or self._sized_rows == -1
-        ):
-            return
-        # Budget: frac × num_rows state scalars, split between the exact
-        # lane (key + value = 2 scalars per slot) and the CM counters.
-        budget = max(self.depth + 2, int(round(self.frac * num_rows)))
-        capacity = max(1, int(self.heavy_frac * budget / 2)) if self.heavy_frac else 0
-        width = max(1, (budget - 2 * capacity) // self.depth)
-        self._width = width
-        self._capacity = capacity
-        self._counters = np.zeros((self.depth, width), dtype=table.dtype)
-        self._heavy_keys = np.full(max(capacity, 1), -1, dtype=np.int64)
-        self._heavy_vals = np.zeros(max(capacity, 1), dtype=table.dtype)
-        self._sized_rows = num_rows
-
-    def _positions(self, rows: np.ndarray) -> np.ndarray:
-        from repro.utils.hashing import hash_to_range
-
-        return np.stack(
-            [hash_to_range(rows, self._width, seed=self.seed + r) for r in range(self.depth)],
-            axis=0,
-        )
-
-    def _estimate(self, rows: np.ndarray) -> np.ndarray:
-        """Count-min (min over depth) accumulator estimate for ``rows``."""
-        assert self._counters is not None
-        positions = self._positions(rows)
-        stacked = np.stack(
-            [self._counters[r, positions[r]] for r in range(self.depth)], axis=0
-        )
-        return stacked.min(axis=0)
-
-    # ------------------------------------------------------------------ #
-    # The fused update
-    # ------------------------------------------------------------------ #
-    def fused_apply(self, table: np.ndarray, rows: np.ndarray, summed: np.ndarray) -> None:
-        from repro.utils.hashing import hash_to_range
-
-        self._ensure_state(table)
-        assert self._counters is not None
-        assert self._heavy_keys is not None and self._heavy_vals is not None
-        if rows.shape[0] == 0:
-            return
-        rows = np.asarray(rows, dtype=np.int64)
-        g2 = (summed**2).mean(axis=1)
-
-        # Prior accumulator: exact for lane residents, sketched otherwise.
-        estimate = self._estimate(rows)
-        if self._capacity:
-            slots = hash_to_range(rows, self._capacity, seed=self.seed + 777)
-            hits = self._heavy_keys[slots] == rows
-            prior = np.where(hits, self._heavy_vals[slots], estimate)
-        else:
-            slots = np.zeros(rows.shape[0], dtype=np.int64)
-            hits = np.zeros(rows.shape[0], dtype=bool)
-            prior = estimate
-        new_acc = prior + g2
-
-        # Every update folds into the sketch, including lane residents', so
-        # an evicted row falls back to an estimate that never stopped
-        # accumulating.
-        positions = self._positions(rows)
-        for r in range(self.depth):
-            np.add.at(self._counters[r], positions[r], g2)
-
-        if self._capacity:
-            self._heavy_vals[slots[hits]] = new_acc[hits]
-            misses = ~hits
-            if misses.any():
-                # One admission candidate per slot (largest mass, ties to the
-                # earlier row — deterministic).
-                cand = np.flatnonzero(misses)
-                order = np.lexsort((cand, -new_acc[cand]))
-                cand = cand[order]
-                keep = np.unique(slots[cand], return_index=True)[1]
-                cand = cand[keep]
-                resident = self._heavy_keys[slots[cand]]
-                admit = (resident < 0) | (new_acc[cand] > self._heavy_vals[slots[cand]])
-                winners = cand[admit]
-                self._heavy_keys[slots[winners]] = rows[winners]
-                self._heavy_vals[slots[winners]] = new_acc[winners]
-
-        scale = (self.lr / (np.sqrt(new_acc) + self.eps)).astype(summed.dtype)
-        # Rows are unique, so the pre-scaled scatter runs through the same
-        # primitive the exact optimizers use (lr folded into scale).
-        scatter_apply(table, rows, scale[:, None] * summed, 1.0)
-
-    def reset_rows(self, rows: np.ndarray) -> None:
-        """Evict recycled rows from the exact lane.
-
-        The sketch is additive and cannot forget a single key; a recycled
-        row index inherits residual sketch mass (a smaller initial learning
-        rate) until decay-by-dilution washes it out — the documented
-        approximation of this optimizer.
-        """
-        if self._heavy_keys is None or not self._capacity:
-            return
-        from repro.utils.hashing import hash_to_range
-
-        rows = np.asarray(rows, dtype=np.int64).reshape(-1)
-        if rows.size == 0:
-            return
-        slots = hash_to_range(rows, self._capacity, seed=self.seed + 777)
-        evict = self._heavy_keys[slots] == rows
-        self._heavy_keys[slots[evict]] = -1
-        self._heavy_vals[slots[evict]] = 0.0
-
-    # ------------------------------------------------------------------ #
-    # Checkpoint / accounting
-    # ------------------------------------------------------------------ #
-    def memory_floats(self) -> int:
-        """State scalars held: CM counters plus 2 per exact-lane slot."""
-        if self._counters is None:
-            return 0
-        return int(self._counters.size + 2 * self._capacity)
-
-    def state_dict(self) -> dict[str, np.ndarray]:
-        if self._counters is None:
-            return {}
-        assert self._heavy_keys is not None and self._heavy_vals is not None
-        return {
-            "sketch_counters": self._counters.copy(),
-            "heavy_keys": self._heavy_keys.copy(),
-            "heavy_vals": self._heavy_vals.copy(),
-        }
-
-    def load_state_dict(self, state: dict[str, np.ndarray]) -> None:
-        if "sketch_counters" not in state:
-            return  # old checkpoints carry no optimizer state
-        for name, attr in (
-            ("sketch_counters", "_counters"),
-            ("heavy_keys", "_heavy_keys"),
-            ("heavy_vals", "_heavy_vals"),
-        ):
-            incoming = np.asarray(state[name])
-            live = getattr(self, attr)
-            if live is not None and live.shape == incoming.shape:
-                live[:] = incoming  # in place, keeping the live dtype
-            else:
-                setattr(self, attr, incoming.copy())
-        assert self._counters is not None and self._heavy_keys is not None
-        self._width = int(self._counters.shape[1])
-        self._capacity = int(self._heavy_keys.shape[0]) if self.heavy_frac else 0
-        self._sized_rows = -1  # externally sized: trust the restored arrays
-
-
-_OPTIMIZER_SPEC = re.compile(r"^(?P<name>[a-z_]+)(?:\[(?P<options>[^\]]*)\])?$")
-
-#: Option grammar per optimizer name: option -> (parser, validator hint).
-_SKETCHED_OPTIONS = ("frac", "depth", "heavy_frac", "seed")
-
-
-def parse_row_optimizer_spec(spec: str) -> tuple[str, dict[str, float]]:
-    """Split ``"name[key=value,...]"`` into ``(name, options)``.
-
-    A spec is a bare name, or a name followed by comma-separated
-    ``key=value`` options in brackets (``"sketched_adagrad[frac=0.25]"``).
-    Raises :class:`ValueError` for malformed specs; option *names*
-    are validated by :func:`make_row_optimizer` per optimizer.
-    """
-    match = _OPTIMIZER_SPEC.match(spec.strip().lower())
-    if match is None:
-        raise ValueError(
-            f"malformed row-optimizer spec '{spec}' (expected \"name\" or "
-            f"\"name[key=value,...]\", e.g. \"sketched_adagrad[frac=0.25]\")"
-        )
-    options: dict[str, float] = {}
-    raw = match.group("options")
-    if raw:
-        for item in raw.split(","):
-            if "=" not in item:
-                raise ValueError(
-                    f"malformed option '{item}' in row-optimizer spec '{spec}'"
-                )
-            key, value = item.split("=", 1)
-            try:
-                options[key.strip()] = float(value)
-            except ValueError as exc:
-                raise ValueError(
-                    f"non-numeric value for option '{key.strip()}' in "
-                    f"row-optimizer spec '{spec}'"
-                ) from exc
-    return match.group("name"), options
+#: The ``optimizer.*`` state of the retired count-min ``sketched_adagrad``
+#: (accumulator sketch plus exact heavy-hitter lane).  No row optimizer
+#: takes it, so a checkpoint carrying it is refused rather than run cold.
+RETIRED_SKETCHED_STATE = frozenset({"sketch_counters", "heavy_keys", "heavy_vals"})
 
 
 def make_row_optimizer(name: str, lr: float) -> RowOptimizer:
-    """Factory used by configuration code.
-
-    Accepts ``"sgd"``, ``"adagrad"``, and ``"sketched_adagrad"`` — the last
-    with optional bracket options, e.g. ``"sketched_adagrad[frac=0.25]"``
-    (also ``depth``, ``heavy_frac``, ``seed``).
-    """
-    base, options = parse_row_optimizer_spec(name)
-    if base == "sgd":
-        if options:
-            raise ValueError(f"'sgd' takes no options, got {sorted(options)}")
-        return RowSGD(lr)
-    if base == "adagrad":
-        if options:
-            raise ValueError(f"'adagrad' takes no options, got {sorted(options)}")
-        return RowAdagrad(lr)
-    if base == "sketched_adagrad":
-        unknown = sorted(set(options) - set(_SKETCHED_OPTIONS))
-        if unknown:
-            raise ValueError(
-                f"unknown sketched_adagrad option(s) {unknown}; "
-                f"expected {list(_SKETCHED_OPTIONS)}"
-            )
-        return SketchedRowAdagrad(
-            lr,
-            frac=options.get("frac", 0.25),
-            depth=int(options.get("depth", 3)),
-            heavy_frac=options.get("heavy_frac", 0.25),
-            seed=int(options.get("seed", 0)),
+    """The row optimizer called ``name`` (``"sgd"`` or ``"adagrad"``)."""
+    optimizer = ROW_OPTIMIZERS.get(name)
+    if optimizer is None:
+        raise ValueError(
+            f"unknown row optimizer '{name}'; expected one of {sorted(ROW_OPTIMIZERS)}"
         )
-    raise ValueError(
-        f"unknown row optimizer '{name}' "
-        "(expected 'sgd', 'adagrad' or 'sketched_adagrad[frac=...]')"
-    )
+    return optimizer(lr)
+
+
+def check_row_state(optimizer: RowOptimizer | None, keys: set[str]) -> None:
+    """Raise :class:`~repro.errors.OptimizerStateMismatchError` unless
+    ``optimizer`` takes the checkpointed row-optimizer state ``keys`` (a
+    backend's ``optimizer.<key>`` entries); no keys always fit (cold start)."""
+    takes = set(getattr(optimizer, "state_keys", ()))
+    if not keys <= takes:
+        retired = " of the retired 'sketched_adagrad'" if keys == RETIRED_SKETCHED_STATE else ""
+        raise OptimizerStateMismatchError(
+            f"checkpoint holds row-optimizer state {sorted(keys)}{retired}; this store's "
+            f"row optimizer '{getattr(optimizer, 'kind', None)}' takes {sorted(takes)}"
+        )

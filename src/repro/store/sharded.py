@@ -29,6 +29,7 @@ step counter) happens before or after the fan-out.
 from __future__ import annotations
 
 import copy
+import re
 from functools import partial
 from typing import Sequence
 
@@ -38,6 +39,7 @@ from repro.analysis.sanitizer import freeze_arrays, single_writer
 from repro.embeddings.base import CompressedEmbedding, is_adaptive
 from repro.embeddings.cafe import CafeStack
 from repro.errors import CheckpointLayoutError
+from repro.nn.optim import check_row_state
 from repro.runtime.executor import SerialShardExecutor
 from repro.store.base import EmbeddingStore
 from repro.store.snapshot import ShardPartition, StoreSnapshot
@@ -46,6 +48,9 @@ from repro.utils.hashing import hash_to_range
 #: Default seed of the id -> shard hash (distinct from every backend seed so
 #: shard assignment is independent of intra-shard routing).
 DEFAULT_SHARD_SEED = 2029
+
+#: A shard's (or a headerless layer's) row-optimizer state key.
+_ROW_STATE_KEY = re.compile(r"(?:shard\d+\.)?optimizer\.(.+)")
 
 
 class ShardedEmbeddingStore(CompressedEmbedding, EmbeddingStore):
@@ -345,8 +350,10 @@ class ShardedEmbeddingStore(CompressedEmbedding, EmbeddingStore):
         """Raise :class:`~repro.errors.CheckpointLayoutError` unless ``state``
         fits this store: a ``num_shards`` header equal to :attr:`num_shards`,
         or no header (a bare layer's keys, the pre-store format) and one
-        shard.  Reads the headers only, so a checkpoint is refused before
-        any part of it is restored.
+        shard.  Raise :class:`~repro.errors.OptimizerStateMismatchError`
+        for ``optimizer.*`` entries the shards' row optimizer cannot take
+        (none at all fit: it restarts cold).  Reads the keys and headers
+        only, so a checkpoint is refused before any part of it is restored.
         """
         if "num_groups" in state:
             raise CheckpointLayoutError(
@@ -364,6 +371,10 @@ class ShardedEmbeddingStore(CompressedEmbedding, EmbeddingStore):
             raise CheckpointLayoutError(
                 f"checkpoint has {int(state['num_shards'])} shards, store has {self.num_shards}"
             )
+        check_row_state(
+            getattr(self._shards[0], "_optimizer", None),
+            {match[1] for match in map(_ROW_STATE_KEY.match, state) if match},
+        )
 
     @single_writer
     def load_state_dict(self, state: dict[str, np.ndarray]) -> None:

@@ -83,7 +83,9 @@ def load_checkpoint(
     another shard count or is a table-group checkpoint, ``KeyError`` /
     ``ValueError`` if it does not otherwise match the model structure, and
     :class:`~repro.errors.OptimizerStateMismatchError` if its ``optim/``
-    section belongs to another kind or size of optimizer.  The two named
+    section belongs to another kind or size of optimizer, or its sparse
+    section carries row-optimizer state the store's row optimizer cannot
+    take.  The two named
     errors are raised before anything is restored.  A checkpoint
     without an ``optim/`` section (written before there was one, or without
     ``optimizer=``) still loads: ``optimizer`` is reset to its freshly

@@ -103,6 +103,17 @@ class TestValidation:
         with pytest.raises(ConfigurationError, match=r"\['serial'\]"):
             StoreConfig(executor=retired)
 
+    @pytest.mark.parametrize(
+        "optimizer", ["adagrab", "sketched_adagrad[frac=0.25]", "adagrad[eps=1]"]
+    )
+    def test_unknown_row_optimizer_lists_the_names(self, optimizer):
+        """``store.optimizer`` is a bare name: a typo, the retired sketched
+        optimizer and bracket options are all refused the same way."""
+        with pytest.raises(ConfigurationError, match=r"store\.optimizer.*\['adagrad', 'sgd'\]"):
+            SystemConfig.from_dict({"store": {"optimizer": optimizer}})
+        with pytest.raises(ConfigurationError, match=r"store\.optimizer.*\['adagrad', 'sgd'\]"):
+            StoreConfig(optimizer=optimizer)
+
     def test_bad_dtype(self):
         with pytest.raises(ConfigurationError, match="dtype"):
             StoreConfig(dtype="int32")

@@ -18,7 +18,6 @@ DOC_PAGES = (
     "serving.md",
     "pipeline.md",
     "benchmarks.md",
-    "sketched_optimizers.md",
     "analysis.md",
 )
 

@@ -232,7 +232,6 @@ TestStackedStore = StackedStoreMachine.TestCase
         (1, "cafe", {}, False),  # the store delegates to its one shard
         (2, "cafe_ml", {}, False),
         (2, "hash", {}, False),
-        (2, "cafe", {"optimizer": "sketched_adagrad"}, False),
     ],
 )
 def test_which_stores_stack(num_shards, method, kwargs, stacked):

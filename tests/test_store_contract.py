@@ -13,7 +13,8 @@ delegating fast path) and at two (the partitioned path):
 * for the backends with state, ``state_dict`` / ``load_state_dict`` and
   ``save_checkpoint`` / ``load_checkpoint`` round-trip bit for bit, a
   restore leaves outstanding snapshots alone, and a checkpoint of another
-  shard layout is refused before anything changes.
+  shard layout, or with row-optimizer state the store's row optimizer
+  cannot take, is refused before anything changes.
 """
 
 import numpy as np
@@ -22,7 +23,7 @@ import pytest
 from repro.data.schema import DatasetSchema, FieldSchema
 from repro.data.synthetic import SyntheticConfig, SyntheticCTRDataset
 from repro.embeddings import METHOD_NAMES, create_embedding, get_backend
-from repro.errors import CheckpointLayoutError
+from repro.errors import CheckpointLayoutError, OptimizerStateMismatchError
 from repro.models.dlrm import DLRM
 from repro.serving.engine import ServingEngine
 from repro.store import ShardedEmbeddingStore, StoreSnapshot
@@ -57,8 +58,10 @@ def backend_kwargs(method):
     )
 
 
-def build_store(method, num_shards, seed=0):
-    return ShardedEmbeddingStore.build(method, num_shards=num_shards, seed=seed, **backend_kwargs(method))
+def build_store(method, num_shards, seed=0, **kwargs):
+    return ShardedEmbeddingStore.build(
+        method, num_shards=num_shards, seed=seed, **backend_kwargs(method), **kwargs
+    )
 
 
 def dataset():
@@ -207,3 +210,45 @@ class TestEveryCheckpointableBackend:
             store.load_state_dict(other.state_dict())
         assert_states_equal(before, store.state_dict())
         assert store.cow_copies == 0
+
+    @pytest.mark.parametrize(
+        "store_optimizer, sketched, match",
+        [
+            ("sgd", False, r"\['accumulator'\].*'sgd' takes \[\]"),
+            ("adagrad", True, r"retired 'sketched_adagrad'.*'adagrad' takes \['accumulator'\]"),
+        ],
+        ids=["adagrad-into-sgd", "retired-sketched-into-adagrad"],
+    )
+    def test_row_optimizer_state_it_cannot_take_is_refused_whole(
+        self, method, num_shards, store_optimizer, sketched, match
+    ):
+        store = build_store(method, num_shards, seed=0, optimizer=store_optimizer)
+        steps(store)
+        before = store.state_dict()
+        other = build_store(method, num_shards, seed=5, optimizer="adagrad")
+        steps(other, seed=4)
+        state = other.state_dict()
+        if sketched:  # the layout sketched_adagrad wrote, in place of the accumulator
+            state = {key: value for key, value in state.items() if ".optimizer." not in key}
+            for shard in range(num_shards):
+                state[f"shard{shard}.optimizer.sketch_counters"] = np.zeros((3, 16))
+                state[f"shard{shard}.optimizer.heavy_keys"] = np.full(4, -1)
+                state[f"shard{shard}.optimizer.heavy_vals"] = np.zeros(4)
+        with pytest.raises(OptimizerStateMismatchError, match=match):
+            store.load_state_dict(state)
+        assert_states_equal(before, store.state_dict())
+        assert store.cow_copies == 0
+
+    def test_sgd_state_loads_into_an_adagrad_store_cold(self, method, num_shards):
+        source = build_store(method, num_shards, seed=5, optimizer="sgd")
+        steps(source, seed=4)
+        warm = build_store(method, num_shards, seed=0, optimizer="adagrad")
+        steps(warm)
+        warm.load_state_dict(source.state_dict())
+        assert np.array_equal(warm.lookup(PROBE), source.lookup(PROBE))
+        # Cold: the next steps match an adagrad store that never trained.
+        fresh = build_store(method, num_shards, seed=7, optimizer="adagrad")
+        fresh.load_state_dict(source.state_dict())
+        steps(warm, seed=9)
+        steps(fresh, seed=9)
+        assert np.array_equal(warm.lookup(PROBE), fresh.lookup(PROBE))

@@ -415,20 +415,6 @@ class TestPositionOrderOracle:
             assert theirs, "the workload never promoted anything"
             assert len(ours & theirs) / len(ours | theirs) >= 0.99
 
-    def test_cafe_trains_under_sketched_adagrad(self):
-        """No oracle for the sketched accumulator: rows stay finite and the
-        exclusive rows stay partitioned."""
-        store = build_store(
-            "cafe", 1, optimizer="sketched_adagrad[frac=0.25]", rebalance_interval=10
-        )
-        for ids, grads in drifting_batches(120, batch=16, fields=4, seed=13):
-            store.lookup(ids)
-            store.apply_gradients(ids, grads)
-        (shard,) = store.shards
-        assert np.isfinite(shard._arena).all()
-        assert shard.migrations_in > 0
-        shard.check_row_invariants()
-
     @pytest.mark.parametrize(
         "ids",
         [
