@@ -16,8 +16,9 @@ Bringing your own backend: subclass ``CompressedEmbedding`` and implement
 directly (there is nothing to register) and, to shard them, pass them to
 ``ShardedEmbeddingStore([...])``.  What the class implements of the rest of
 the contract is what it can do: ``state_dict`` / ``load_state_dict`` make it
-checkpointable, overriding ``rebalance`` makes it adaptive and
-``merged_sketch`` gives it a hot-feature sketch.
+checkpointable and ``merged_sketch`` gives it a hot-feature sketch.  An
+adaptive scheme migrates on its own schedule inside ``apply_unique``, as
+CAFE and AdaEmbed do.
 
 Run with:  python examples/custom_model_integration.py
 """

@@ -6,9 +6,12 @@ This example runs the full sharded online-learning loop:
    one pass trains all four — see docs/store.md);
 2. hand the model to an `OnlinePipeline`, which trains over the
    chronological day-stream and publishes a copy-on-write snapshot to its
-   `ServingEngine` every `publish_every_steps` training steps;
-3. fire serve-while-train probe requests between publishes and report
-   snapshot staleness, publish latency and probe latency at the end.
+   `ServingEngine` every `publish_every_steps` training steps, and ships the
+   same cadence as versioned full/delta payloads to a `ReplicaTier` of two
+   replicas (bootstrapped with a full snapshot before the first step);
+3. fire serve-while-train probe requests through the replicas between
+   publishes and report snapshot staleness, publish latency, probe latency
+   and the replicas' versions at the end.
 
 Run with:  python examples/online_pipeline.py
 """
@@ -18,6 +21,7 @@ from __future__ import annotations
 from repro.data import SyntheticConfig, SyntheticCTRDataset, make_preset
 from repro.models import create_model
 from repro.runtime import OnlinePipeline, PipelineConfig
+from repro.serving import ReplicaTier
 from repro.store import ShardedEmbeddingStore
 
 NUM_SHARDS = 4
@@ -25,6 +29,7 @@ COMPRESSION_RATIO = 20.0
 BATCH_SIZE = 128
 PUBLISH_EVERY = 8
 PROBE_EVERY = 3
+NUM_REPLICAS = 2
 SEED = 0
 
 
@@ -54,6 +59,7 @@ def main() -> None:
             probe_every_steps=PROBE_EVERY,
             serving_micro_batch=32,
         ),
+        tier=ReplicaTier(model, num_replicas=NUM_REPLICAS, max_batch_size=32),
     )
     report = pipeline.run(
         dataset.training_stream(BATCH_SIZE),
@@ -70,11 +76,16 @@ def main() -> None:
     probe = summary["probe"]
     print(f"serve-while-train probes: p50 {probe['p50_ms']:.2f} ms, "
           f"p95 {probe['p95_ms']:.2f} ms over {probe['count']} requests")
+    replicas = summary["replicas"]
+    publisher = replicas["publisher"]
+    print(f"{replicas['num_replicas']} replicas at versions {replicas['versions']} "
+          f"({publisher['full_publishes']} full + {publisher['delta_publishes']} delta payloads)")
     executor = summary["executor"]
     print(f"executor: {executor['fanouts']} fan-outs (stacked steps are not fan-outs), "
           f"parallel efficiency {executor['parallel_efficiency']:.2f}")
 
     assert report.staleness_within_cadence, "cadence bound violated"
+    assert replicas["versions"] == [publisher["version"]] * NUM_REPLICAS, "a replica fell behind"
 
 
 if __name__ == "__main__":

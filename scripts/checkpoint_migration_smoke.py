@@ -1,7 +1,7 @@
 #!/usr/bin/env python
 """CI smoke: old checkpoints load into the current code, new ones resume exactly.
 
-Four legs.  The dense-optimizer leg: a checkpoint written before there was
+Six legs.  The dense-optimizer leg: a checkpoint written before there was
 an ``optim/`` section loads into a current session (fresh optimizer state,
 said so in ``describe()``) and trains; a current checkpoint taken after 20
 Adam steps resumes bit-exactly.  The row-optimizer leg is the same pair for
@@ -10,6 +10,11 @@ a 4-shard CAFE store with row-Adagrad, whose shards carried no
 then a checkpoint carrying the retired ``sketched_adagrad``'s
 ``optimizer.sketch_counters`` / ``heavy_keys`` / ``heavy_vals`` is refused
 by that store with ``OptimizerStateMismatchError``, and refused whole.
+The store-step leg checks that the store's ``step()`` comes back from a
+checkpoint's ``sparse/step`` header, at 1 and 4 shards, and that a
+checkpoint without that header (as an earlier commit wrote it) still loads.
+The backend leg resumes a checkpoint of every backend that has sparse state
+(``full``, ``hash``, ``cafe``, ``cafe_ml``) bit-exactly.
 The table-group leg checks that a checkpoint of the retired table-group
 store is refused, and refused whole:
 
@@ -144,6 +149,48 @@ def sketched_state_leg(config: SystemConfig, tmp: Path) -> None:
         )
 
 
+def store_step_leg(config: SystemConfig, tmp: Path) -> None:
+    """The store's step survives a restore; a step-less checkpoint loads."""
+    with build(config) as session, build(config) as resumed, build(config) as migrated:
+        stream = iter(session.dataset.training_stream(session.batch_size))
+        for _ in range(12):
+            session.trainer.train_step(next(stream))
+        path = session.checkpoint(tmp / "step.npz")
+        resumed.restore(path)
+        assert resumed.store.step() == session.store.step() == 12, resumed.store.step()
+        with np.load(path) as data:
+            assert "sparse/step" in data.files, "the checkpoint has no store step header"
+            payload = {key: data[key] for key in data.files if key != "sparse/step"}
+        stepless = tmp / "stepless.npz"
+        np.savez(stepless, **payload)
+        migrated.restore(stepless)
+        assert migrated.store.step() == 0, migrated.store.step()
+        test = session.dataset.test_batch(128)
+        assert np.array_equal(
+            session.model.predict_proba(test.categorical, test.numerical),
+            migrated.model.predict_proba(test.categorical, test.numerical),
+        ), "a step-less checkpoint did not restore the model"
+
+
+def backend_leg(config: SystemConfig, tmp: Path) -> None:
+    """Every backend with sparse state resumes from its checkpoint bit-exactly."""
+    for spec in ("full", "hash", "cafe", "cafe_ml"):
+        backend = apply_overrides(config, [f"store.spec={spec}"])
+        with build(backend) as session, build(backend) as resumed:
+            stream = iter(session.dataset.training_stream(session.batch_size))
+            batches = [next(stream) for _ in range(15)]
+            for batch in batches[:10]:
+                session.trainer.train_step(batch)
+            path = session.checkpoint(tmp / f"{spec}.npz")
+            with np.load(path) as data:
+                assert any(key.startswith("sparse/shard0.") for key in data.files), spec
+            assert resumed.restore(path) == 10
+            assert resumed.store.step() == session.store.step() == 10, spec
+            expected = [session.trainer.train_step(batch) for batch in batches[10:]]
+            got = [resumed.trainer.train_step(batch) for batch in batches[10:]]
+            assert got == expected, f"{spec}: resume after 10 steps is not bit-exact"
+
+
 def dense_optimizer_is_cold(session) -> None:
     described = session.describe()["model"]["dense_optimizer"]
     assert described == {"kind": "adam", "step_count": 0, "restored": False}, described
@@ -156,6 +203,9 @@ def main() -> int:
         resume_leg(quickstart, Path(tmp), lambda key: key.startswith("optim/"), dense_optimizer_is_cold)
         resume_leg(cafe_adagrad, Path(tmp), lambda key: ".optimizer." in key)
         sketched_state_leg(cafe_adagrad, Path(tmp))
+        store_step_leg(quickstart, Path(tmp))
+        store_step_leg(cafe_adagrad, Path(tmp))
+        backend_leg(quickstart, Path(tmp))
 
     schema = DatasetSchema(
         name="migration",
@@ -214,8 +264,8 @@ def main() -> int:
 
     print(
         "checkpoint migration smoke: optim-less -> current OK, Adam resume bit-exact, "
-        "CAFE row-Adagrad resume bit-exact (optimizer-less loads), "
-        "sketched_adagrad state and table-group checkpoint refused with nothing restored"
+        "CAFE row-Adagrad resume bit-exact (optimizer-less loads), store step restored "
+        "(step-less loads), full/hash/cafe/cafe_ml resume bit-exact, sketched_adagrad state and table-group checkpoint refused with nothing restored"
     )
     return 0
 

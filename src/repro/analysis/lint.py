@@ -7,8 +7,7 @@ Six rules encode contracts that previously existed only as prose:
     in ``src/``: what a backend can do is a method of the
     :class:`~repro.embeddings.base.CompressedEmbedding` contract
     (``state_dict`` raising ``NotImplementedError``, ``merged_sketch``
-    returning ``None``; ``embeddings.base.is_adaptive`` for ``rebalance``),
-    so call it.
+    returning ``None``), so call it.
 ``bench-wallclock``
     ``time.time()`` drifts with NTP and has platform-dependent resolution;
     timing paths must use ``time.perf_counter()`` (wall-clock *timestamps*

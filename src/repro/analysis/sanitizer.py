@@ -161,8 +161,9 @@ def _guard_for(obj: Any) -> _WriterGuard:
 def single_writer(method: _Method) -> _Method:
     """Tag a store mutation entry point with the single-writer detector.
 
-    A no-op unless sanitize mode is on.  Reentrant calls from the owning
-    thread pass (``load_state_dict`` calls ``rebalance`` internally); a
+    A no-op unless sanitize mode is on.  The store tags ``apply_gradients``
+    and ``load_state_dict``.  Reentrant calls from the owning thread pass
+    (a mutation may call another tagged method of the same object); a
     second thread entering while another's mutation is in flight raises
     :class:`SingleWriterViolation` naming both threads and the method.
     """

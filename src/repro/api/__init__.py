@@ -52,7 +52,3 @@ def __getattr__(name: str):
     import importlib
 
     return getattr(importlib.import_module(module_name), name)
-
-
-def __dir__():
-    return __all__

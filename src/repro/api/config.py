@@ -59,9 +59,7 @@ def _check_value_type(value, annotation, dotted: str) -> None:
             return
         non_none = [a for a in args if a is not type(None)]
         annotation = non_none[0] if non_none else str
-    if annotation is bool:
-        ok = isinstance(value, bool)
-    elif annotation is int:
+    if annotation is int:
         ok = isinstance(value, int) and not isinstance(value, bool)
     elif annotation is float:
         ok = isinstance(value, (int, float)) and not isinstance(value, bool)
@@ -103,13 +101,6 @@ def _coerce(text: str, annotation, dotted: str):
             return None
         annotation = args[0] if args else str
     try:
-        if annotation is bool:
-            lowered = text.strip().lower()
-            if lowered in ("true", "1", "yes", "on"):
-                return True
-            if lowered in ("false", "0", "no", "off"):
-                return False
-            raise ValueError(f"not a boolean: '{text}'")
         if annotation is int:
             return int(text)
         if annotation is float:
@@ -304,9 +295,7 @@ class PipelineConfig:
     publish_every_steps: int = 10
     probe_every_steps: int = 5
     micro_batch: int = 64
-    probe_rows: int = 1
     max_steps: int | None = None
-    final_publish: bool = True
 
     def __post_init__(self):
         if self.publish_every_steps <= 0:
@@ -322,10 +311,6 @@ class PipelineConfig:
         if self.micro_batch <= 0:
             raise ConfigurationError(
                 f"pipeline.micro_batch must be positive, got {self.micro_batch}"
-            )
-        if self.probe_rows <= 0:
-            raise ConfigurationError(
-                f"pipeline.probe_rows must be positive, got {self.probe_rows}"
             )
         if self.max_steps is not None and self.max_steps <= 0:
             raise ConfigurationError(
@@ -415,12 +400,6 @@ class SystemConfig:
             return cls.from_json(text)
         except ConfigurationError as exc:
             raise ConfigurationError(f"{path}: {exc}") from None
-
-    def save(self, path: str | Path) -> Path:
-        path = Path(path)
-        path.parent.mkdir(parents=True, exist_ok=True)
-        path.write_text(self.to_json() + "\n", encoding="utf-8")
-        return path
 
     # ------------------------------------------------------------------ #
     # Validation

@@ -205,9 +205,7 @@ class Session:
                 publish_every_steps=config.pipeline.publish_every_steps,
                 serving_micro_batch=config.pipeline.micro_batch,
                 probe_every_steps=config.pipeline.probe_every_steps,
-                probe_rows=config.pipeline.probe_rows,
                 max_steps=config.pipeline.max_steps,
-                final_publish=config.pipeline.final_publish,
             ),
             trainer=self.trainer,
         )

@@ -9,7 +9,7 @@ from repro.data.schema import (
     make_preset,
 )
 from repro.data.stats import frequency_skew_summary, kl_divergence, kl_divergence_matrix
-from repro.data.stream import Batch, concat_batches, iterate_batches
+from repro.data.stream import Batch, iterate_batches
 from repro.data.synthetic import SyntheticConfig, SyntheticCTRDataset
 
 __all__ = [
@@ -19,7 +19,6 @@ __all__ = [
     "PAPER_DATASET_STATS",
     "Batch",
     "iterate_batches",
-    "concat_batches",
     "SyntheticCTRDataset",
     "SyntheticConfig",
     "DriftModel",

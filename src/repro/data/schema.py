@@ -96,10 +96,6 @@ class DatasetSchema:
             )
         return per_field_ids + self.field_offsets[:-1][None, :]
 
-    def to_field_ids(self, global_ids: np.ndarray) -> np.ndarray:
-        """Inverse of :meth:`to_global_ids`."""
-        return np.asarray(global_ids, dtype=np.int64) - self.field_offsets[:-1][None, :]
-
 
 #: Table 2 of the paper, verbatim (samples, features, fields, dim, params).
 PAPER_DATASET_STATS = {

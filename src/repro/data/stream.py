@@ -4,7 +4,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from math import isfinite
-from typing import Iterable, Iterator
+from typing import Iterator
 
 import numpy as np
 
@@ -64,10 +64,6 @@ class Batch:
     def __len__(self) -> int:
         return int(self.categorical.shape[0])
 
-    @property
-    def positive_rate(self) -> float:
-        return float(self.labels.mean()) if len(self) else 0.0
-
 
 def iterate_batches(
     categorical: np.ndarray,
@@ -91,16 +87,3 @@ def iterate_batches(
             labels=labels[start:end],
             day=day,
         )
-
-
-def concat_batches(batches: Iterable[Batch]) -> Batch:
-    """Concatenate several batches into one (used for evaluation sets)."""
-    batches = list(batches)
-    if not batches:
-        raise DataError("cannot concatenate an empty list of batches")
-    return Batch(
-        categorical=np.concatenate([b.categorical for b in batches], axis=0),
-        numerical=np.concatenate([b.numerical for b in batches], axis=0),
-        labels=np.concatenate([b.labels for b in batches], axis=0),
-        day=batches[-1].day,
-    )

@@ -4,7 +4,7 @@ Every scheme has a name in one backend table (:func:`get_backend`) that the
 factories below, the store builder and :class:`~repro.api.config.
 SystemConfig` (``store.spec``) resolve.  What a scheme can do
 beyond lookup and apply is what its class implements of the
-:class:`CompressedEmbedding` contract (``state_dict``, ``rebalance``,
+:class:`CompressedEmbedding` contract (``state_dict``,
 ``merged_sketch``); a scheme of your own is built
 directly and handed to :class:`~repro.store.sharded.ShardedEmbeddingStore`.
 """
@@ -24,8 +24,6 @@ from repro.embeddings.full import FullEmbedding
 from repro.embeddings.hash_embedding import HashEmbedding
 from repro.embeddings.memory import (
     MemoryBudget,
-    max_compression_ratio_adaembed,
-    max_compression_ratio_qr,
 )
 from repro.embeddings.mde import MixedDimensionEmbedding
 from repro.embeddings.offline import OfflineSeparationEmbedding
@@ -74,11 +72,6 @@ _BACKENDS = {
 
 #: Every backend name, in table order.
 METHOD_NAMES = tuple(_BACKENDS)
-
-
-def backend_names() -> tuple[str, ...]:
-    """Names of every backend (:data:`METHOD_NAMES`)."""
-    return METHOD_NAMES
 
 
 def get_backend(name: str) -> Backend:
@@ -197,11 +190,8 @@ __all__ = [
     "CafeMultiLevelEmbedding",
     "OfflineSeparationEmbedding",
     "MemoryBudget",
-    "max_compression_ratio_qr",
-    "max_compression_ratio_adaembed",
     "METHOD_NAMES",
     "Backend",
-    "backend_names",
     "get_backend",
     "create_embedding",
     "create_embedding_store",

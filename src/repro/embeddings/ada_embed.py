@@ -161,17 +161,6 @@ class AdaEmbed(TableBackedEmbedding):
     # ------------------------------------------------------------------ #
     # Reallocation (the "sampling and migration" the paper charges latency to)
     # ------------------------------------------------------------------ #
-    def rebalance(self) -> bool:
-        """Run one importance-driven reallocation pass immediately.
-
-        The same pass :meth:`apply_gradients` runs every
-        ``reallocation_interval`` steps, exposed so a sharded store can fan
-        explicit rebalances out across shards.  Invalidates cached routing.
-        """
-        self._reallocate()
-        self.invalidate_plan()
-        return True
-
     def _reallocate(self) -> None:
         """Give rows to the currently most-important features.
 

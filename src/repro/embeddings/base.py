@@ -148,17 +148,6 @@ class CompressedEmbedding:
         """
         raise NotImplementedError  # pragma: no cover - abstract
 
-    def rebalance(self) -> bool:
-        """Force one adaptivity pass (row migration), if the scheme has one.
-
-        Adaptive schemes run this periodically from inside
-        :meth:`apply_unique`; exposing it lets a sharded store fan an
-        explicit rebalance out across shards on its own schedule.  Returns
-        ``True`` if the layer performed (or supports) rebalancing, ``False``
-        for static schemes where the call is a no-op (see :func:`is_adaptive`).
-        """
-        return False
-
     def state_dict(self) -> dict[str, np.ndarray]:
         """The full sparse state (tables, row optimizer, sketch) for checkpoints.
 
@@ -254,15 +243,6 @@ class CompressedEmbedding:
             "memory_floats": self.memory_floats(),
             "compression_ratio": round(self.compression_ratio(), 2),
         }
-
-
-def is_adaptive(layer: CompressedEmbedding) -> bool:
-    """Whether ``layer``'s class overrides :meth:`CompressedEmbedding.rebalance`.
-
-    Stores fan an explicit rebalance out only to such layers, so a static
-    one is never privatised from a snapshot for a no-op.
-    """
-    return type(layer).rebalance is not CompressedEmbedding.rebalance
 
 
 class TableBackedEmbedding(CompressedEmbedding):

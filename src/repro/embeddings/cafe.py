@@ -317,21 +317,6 @@ class CafeEmbedding(TableBackedEmbedding):
     # ------------------------------------------------------------------ #
     # Migration machinery (§3.3)
     # ------------------------------------------------------------------ #
-    def rebalance(self) -> bool:
-        """Run one threshold-adaptation + migration pass immediately.
-
-        The same pass :meth:`apply_unique` runs every
-        ``rebalance_interval`` steps, exposed so a sharded store can fan
-        explicit rebalances out across shards on its own schedule.  Safe to
-        call at any point between training steps; invalidates any cached
-        routing plan.
-        """
-        if self.adaptive_threshold:
-            self._update_threshold()
-        self._rebalance()
-        self.invalidate_plan()
-        return True
-
     def _release_rows(self, rows: np.ndarray) -> None:
         self.migrations_out += self._free_rows.release(rows)
 
@@ -481,7 +466,7 @@ class CafeStack:
     at ``k·w + b`` and rows at ``k·A + r`` — bit-identical to S steps, since
     every per-row and per-bucket operation is independent across members and
     the stable sorts keep each member's order.  Decay, threshold and
-    rebalance stay per member, on the views (docs/store.md "Stacked shards").
+    migration stay per member, on the views (docs/store.md "Stacked shards").
     """
 
     def __init__(self, members: list, sketch: HotSketch, arena: np.ndarray, optimizer):

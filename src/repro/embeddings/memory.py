@@ -62,33 +62,3 @@ class MemoryBudget:
                 f"{self.dim}-dim embedding row after {overhead_floats} floats of overhead"
             )
         return available // self.dim
-
-    def require(self, needed_floats: int, reason: str) -> None:
-        """Raise if the budget cannot cover ``needed_floats``."""
-        if needed_floats > self.total_floats:
-            raise MemoryBudgetError(
-                f"{reason}: needs {needed_floats} floats but the budget is {self.total_floats} "
-                f"(CR {self.compression_ratio:.0f}x)"
-            )
-
-
-def max_compression_ratio_qr(num_features: int, dim: int) -> float:
-    """The structural ceiling of the Q-R trick's compression ratio.
-
-    The two complementary tables must jointly cover all features, so the
-    smallest possible memory is ``2 * sqrt(n) * d`` — matching the paper's
-    observation that Q-R "can only compress to around 500×" on Criteo.
-    """
-    import math
-
-    min_rows = 2 * math.ceil(math.sqrt(num_features))
-    return (num_features * dim) / (min_rows * dim)
-
-
-def max_compression_ratio_adaembed(num_features: int, dim: int, min_rows: int = 1) -> float:
-    """The structural ceiling of AdaEmbed's compression ratio.
-
-    AdaEmbed stores one importance score per feature regardless of how few
-    embedding rows it keeps, so its memory floor is ``n + min_rows * d``.
-    """
-    return (num_features * dim) / (num_features + min_rows * dim)

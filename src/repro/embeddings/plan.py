@@ -221,9 +221,6 @@ class RoutingPlan:
     routes: dict[str, np.ndarray] = field(default_factory=dict)
     token: object = None
 
-    def __len__(self) -> int:
-        return int(self.flat_ids.shape[0])
-
     def scatter(self) -> ScatterPlan:
         """The :class:`ScatterPlan` over ``routes["scatter_rows"]``.
 
@@ -325,9 +322,6 @@ class FreeRowPool:
         self._rows = self._rows[:-1]
         return row
 
-    def append(self, row: int) -> None:
-        self._rows = np.concatenate([self._rows, np.asarray([row], dtype=np.int64)])
-
     def remove(self, row: int) -> None:
         matches = np.nonzero(self._rows == int(row))[0]
         if matches.size == 0:
@@ -340,6 +334,3 @@ class FreeRowPool:
             raise AssertionError("free pool contains duplicate rows (double free)")
         if self._rows.size and (self._rows.min() < 0 or self._rows.max() >= num_rows):
             raise AssertionError("free pool contains out-of-range rows")
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging helper
-        return f"FreeRowPool(size={len(self)})"

@@ -11,7 +11,7 @@ from repro.experiments.common import (
     run_single,
 )
 from repro.experiments.registry import EXPERIMENTS, ExperimentSpec, list_experiments, run_experiment
-from repro.experiments.reporting import ExperimentResult, format_table, print_result
+from repro.experiments.reporting import ExperimentResult, format_table
 
 __all__ = [
     "SCALES",
@@ -24,7 +24,6 @@ __all__ = [
     "averaged_rows",
     "ExperimentResult",
     "format_table",
-    "print_result",
     "EXPERIMENTS",
     "ExperimentSpec",
     "list_experiments",

@@ -12,7 +12,7 @@ from __future__ import annotations
 import numpy as np
 
 from repro.data.stats import kl_divergence_matrix
-from repro.experiments.common import averaged_rows, build_dataset, get_scale, run_single
+from repro.experiments.common import build_dataset, get_scale, run_single
 from repro.experiments.reporting import ExperimentResult
 
 
@@ -64,7 +64,6 @@ def run_fig17_drift_shift(
     result = ExperimentResult(
         experiment_id="fig17",
         title="Experiments on CriteoTB-1/3 (stronger distribution shift)",
-        timing_columns=("swt_p95_ms", "publish_p50_ms"),
     )
     dataset = build_dataset("criteotb", scale=scale, seed=seeds[0])
     # Keep days 0, 3, 6, ... plus the original last day as the test day,
@@ -91,59 +90,17 @@ def run_fig17_drift_shift(
             if not feasible:
                 result.add_row(method=method, compression_ratio=ratio, feasible=False)
                 continue
-            row = {
-                "method": method,
-                "compression_ratio": ratio,
-                "train_loss": round(float(np.mean(losses)), 4),
-                "test_auc": round(float(np.mean(aucs)), 4),
-                "feasible": True,
-            }
-            if ratio == iteration_ratio:
-                # Serve-while-train columns: probe the online pipeline under
-                # the same amplified-drift stream at the focus ratio.
-                row.update(
-                    _serve_while_train_columns(dataset, method, ratio, subsampled, scale, seeds[0])
-                )
-            result.add_row(**row)
+            result.add_row(
+                method=method,
+                compression_ratio=ratio,
+                train_loss=round(float(np.mean(losses)), 4),
+                test_auc=round(float(np.mean(aucs)), 4),
+                feasible=True,
+            )
             if ratio == iteration_ratio and history is not None:
                 result.extras[f"{method}_loss_curve"] = history.smoothed_losses(window=10)
     result.add_note(
         f"training days subsampled 1-in-3 from {full_days} days; test day unchanged "
         f"({spec.samples_per_day} samples/day)"
     )
-    result.add_note(
-        "swt_p95_ms / publish_p50_ms / staleness_steps (focus-ratio rows): serve-while-train "
-        "probe latency, snapshot publish latency and worst snapshot staleness of an "
-        "OnlinePipeline run over the drifted stream"
-    )
     return result
-
-
-def _serve_while_train_columns(dataset, method, ratio, days, scale, seed) -> dict:
-    """OnlinePipeline metrics for one method under the drifted day-stream."""
-    from repro.errors import MemoryBudgetError
-    from repro.experiments.common import build_embedding, build_model
-    from repro.runtime.pipeline import OnlinePipeline, PipelineConfig
-
-    spec = get_scale(scale)
-    try:
-        embedding = build_embedding(method, dataset, ratio, seed=seed)
-    except MemoryBudgetError:
-        return {}
-    model = build_model("dlrm", embedding, dataset.schema, seed=seed)
-    pipeline = OnlinePipeline(
-        model,
-        config=PipelineConfig(
-            publish_every_steps=5, probe_every_steps=2, serving_micro_batch=64, max_steps=20
-        ),
-    )
-    report = pipeline.run(
-        dataset.training_stream(spec.batch_size, days=days),
-        probe_batch=dataset.test_batch(num_samples=64),
-    )
-    probe = report.probe_stats or {}
-    return {
-        "swt_p95_ms": round(float(probe.get("p95_ms", float("nan"))), 3),
-        "publish_p50_ms": round(report.publish_percentile_ms(50.0), 3),
-        "staleness_steps": report.max_staleness_steps,
-    }

@@ -22,16 +22,14 @@ def run_fig13_latency_throughput(
     train_batch_size: int | None = None,
     inference_batch_size: int | None = None,
     repeats: int = 5,
-    serving_micro_batch: int | None = 64,
 ) -> ExperimentResult:
-    """Measure per-method training, inference and serving latency/throughput."""
+    """Measure per-method training and inference latency/throughput."""
     result = ExperimentResult(
         experiment_id="fig13",
         title="Latency and throughput on CriteoTB (10x)",
         timing_columns=(
             "train_latency_ms", "inference_latency_ms", "train_throughput",
-            "inference_throughput", "serve_p50_ms", "serve_p95_ms", "serve_p99_ms",
-            "swt_p50_ms", "swt_p95_ms", "publish_p50_ms",
+            "inference_throughput",
         ),
     )
     spec = get_scale(scale)
@@ -50,12 +48,7 @@ def run_fig13_latency_throughput(
             continue
         model = build_model("dlrm", embedding, dataset.schema, seed=seed)
         report = measure_latency(
-            model,
-            train_batch,
-            inference_batch,
-            method_name=method,
-            repeats=repeats,
-            serving_micro_batch=serving_micro_batch,
+            model, train_batch, inference_batch, method_name=method, repeats=repeats
         )
         result.add_row(feasible=True, **report.as_row())
     result.add_note(
@@ -65,15 +58,5 @@ def run_fig13_latency_throughput(
     result.add_note(
         "plan_reuse_rate: fraction of routing-plan requests served from the lookup-time cache "
         "(each train step hashes once, then apply_gradients reuses the plan)"
-    )
-    result.add_note(
-        "serve_p50/p95/p99_ms: per-request latency through the snapshot serving engine "
-        "(single-example requests micro-batched over a copy-on-write store snapshot)"
-    )
-    result.add_note(
-        "swt_p50/p95_ms: serve-while-train probe latency through the OnlinePipeline "
-        "(requests answered from the last published snapshot while training continues); "
-        "publish_p50_ms is the snapshot publish latency and staleness_steps the worst "
-        "snapshot lag observed (bounded by the publish cadence)"
     )
     return result

@@ -34,10 +34,6 @@ class ExperimentResult:
     def add_note(self, note: str) -> None:
         self.notes.append(note)
 
-    def column(self, name: str) -> list[Any]:
-        """Extract one column across all rows (missing values become None)."""
-        return [row.get(name) for row in self.rows]
-
     def filter_rows(self, **criteria: Any) -> list[dict[str, Any]]:
         """Rows matching all of the given column=value criteria."""
         return [
@@ -54,9 +50,6 @@ class ExperimentResult:
         for note in self.notes:
             lines.append(f"note: {note}")
         return "\n".join(lines)
-
-    def __str__(self) -> str:  # pragma: no cover - convenience
-        return self.to_text()
 
 
 def format_value(value: Any) -> str:
@@ -84,7 +77,3 @@ def format_table(rows: list[dict[str, Any]], exclude: tuple[str, ...] = ()) -> s
     separator = "-+-".join("-" * w for w in widths)
     body = [" | ".join(r[i].ljust(widths[i]) for i in range(len(columns))) for r in rendered]
     return "\n".join([header, separator] + body)
-
-
-def print_result(result: ExperimentResult) -> None:  # pragma: no cover - console helper
-    print(result.to_text())

@@ -1,10 +1,9 @@
 """Base class shared by the DLRM / WDL / DCN recommendation models.
 
-A model owns (a) an embedding *store* — anything satisfying
-:class:`repro.store.EmbeddingStore`, from a bare
-:class:`repro.embeddings.CompressedEmbedding` (wrapped in a bit-exact
-single-shard store) to a multi-shard :class:`repro.store.
-ShardedEmbeddingStore` — and (b) a dense network built from :mod:`repro.nn`
+A model owns (a) an embedding *store* — a :class:`repro.store.
+ShardedEmbeddingStore`, built from a bare :class:`repro.embeddings.
+CompressedEmbedding` (wrapped in a bit-exact single-shard store) or handed
+in whole — and (b) a dense network built from :mod:`repro.nn`
 modules.
 
 Each model writes its dense forward (:meth:`~RecommendationModel.
@@ -39,7 +38,7 @@ from repro.nn.functional import sigmoid_array
 from repro.nn.layers import Workspace, claim_workspace
 from repro.nn.module import Module
 from repro.nn.tensor import Tensor, make_node
-from repro.store import EmbeddingStore, ensure_store
+from repro.store import ShardedEmbeddingStore, ensure_store
 
 
 class RecommendationModel(Module):
@@ -47,7 +46,7 @@ class RecommendationModel(Module):
 
     def __init__(
         self,
-        embedding: CompressedEmbedding | EmbeddingStore,
+        embedding: CompressedEmbedding | ShardedEmbeddingStore,
         num_fields: int,
         num_numerical: int,
     ):
@@ -57,7 +56,7 @@ class RecommendationModel(Module):
             raise ValueError(f"num_numerical must be non-negative, got {num_numerical}")
         #: The store is what the forward pass and trainer talk to; a bare
         #: embedding layer is adapted via a delegating single-shard store.
-        self.store: EmbeddingStore = ensure_store(embedding)
+        self.store: ShardedEmbeddingStore = ensure_store(embedding)
         #: The object the caller handed in, kept for introspection (e.g.
         #: reaching a CAFE layer's sketch in experiments).
         self.embedding = embedding

@@ -8,7 +8,7 @@ from repro.embeddings.base import CompressedEmbedding
 from repro.models.base import RecommendationModel
 from repro.nn.interactions import DotInteraction
 from repro.nn.layers import MLP, Workspace
-from repro.store import EmbeddingStore
+from repro.store import ShardedEmbeddingStore
 from repro.utils.rng import SeedLike, make_rng
 
 
@@ -23,7 +23,7 @@ class DLRM(RecommendationModel):
 
     def __init__(
         self,
-        embedding: CompressedEmbedding | EmbeddingStore,
+        embedding: CompressedEmbedding | ShardedEmbeddingStore,
         num_fields: int,
         num_numerical: int,
         bottom_mlp: list[int] | None = None,

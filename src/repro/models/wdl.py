@@ -7,7 +7,7 @@ import numpy as np
 from repro.embeddings.base import CompressedEmbedding
 from repro.models.base import RecommendationModel
 from repro.nn.layers import MLP, Linear, Workspace
-from repro.store import EmbeddingStore
+from repro.store import ShardedEmbeddingStore
 from repro.utils.rng import SeedLike, make_rng
 
 
@@ -22,7 +22,7 @@ class WDL(RecommendationModel):
 
     def __init__(
         self,
-        embedding: CompressedEmbedding | EmbeddingStore,
+        embedding: CompressedEmbedding | ShardedEmbeddingStore,
         num_fields: int,
         num_numerical: int,
         deep_mlp: list[int] | None = None,

@@ -21,7 +21,6 @@ from repro.nn.tensor import (
     ensure_tensor,
     get_default_dtype,
     no_grad,
-    set_default_dtype,
 )
 
 __all__ = [
@@ -46,6 +45,5 @@ __all__ = [
     "kaiming_uniform",
     "embedding_uniform",
     "get_default_dtype",
-    "set_default_dtype",
     "no_grad",
 ]

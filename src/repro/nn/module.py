@@ -39,18 +39,6 @@ class Module:
                     elif isinstance(item, Parameter):
                         yield f"{full_name}.{i}", item
 
-    def modules(self) -> Iterator["Module"]:
-        """Yield this module and all sub-modules, depth first."""
-        yield self
-        for value in vars(self).items():
-            _, obj = value
-            if isinstance(obj, Module):
-                yield from obj.modules()
-            elif isinstance(obj, (list, tuple)):
-                for item in obj:
-                    if isinstance(item, Module):
-                        yield from item.modules()
-
     def zero_grad(self) -> None:
         for param in self.parameters():
             param.zero_grad()

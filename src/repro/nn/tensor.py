@@ -27,7 +27,7 @@ from __future__ import annotations
 
 import threading
 from contextlib import contextmanager
-from typing import Callable, Iterable, Iterator
+from typing import Callable, Iterator
 
 import numpy as np
 
@@ -38,15 +38,6 @@ ArrayLike = np.ndarray | float | int | list | tuple
 # (``np.promote_types(store.dtype, float32)``) and never consult this.
 _DEFAULT_DTYPE = np.dtype(np.float64)
 _FLOAT32 = np.dtype(np.float32)
-
-
-def set_default_dtype(dtype: np.dtype | str) -> None:
-    """Set the float dtype given to dtype-less values and bare layers."""
-    global _DEFAULT_DTYPE
-    resolved = np.dtype(dtype)
-    if resolved.kind != "f":
-        raise ValueError(f"default dtype must be a float type, got {resolved}")
-    _DEFAULT_DTYPE = resolved
 
 
 def get_default_dtype() -> np.dtype:
@@ -327,8 +318,3 @@ class Parameter(Tensor):
 
     def __init__(self, data: ArrayLike, name: str = ""):
         super().__init__(data, requires_grad=True, name=name)
-
-
-def stack_parameters(parameters: Iterable[Parameter]) -> int:
-    """Total number of scalar parameters in ``parameters``."""
-    return int(sum(p.size for p in parameters))

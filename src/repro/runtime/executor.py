@@ -2,7 +2,7 @@
 
 :class:`SerialShardExecutor` runs a set of per-shard tasks — the fan-out
 half of the multi-shard :class:`~repro.store.sharded.ShardedEmbeddingStore`
-operations (``lookup``, ``apply_gradients``, ``rebalance``) — one after
+operations (``lookup``, ``apply_gradients``) — one after
 another on the calling thread, and records per-shard timing so the
 benchmarks can attribute time to individual shards.
 It adds no overhead beyond the timing and keeps every store operation

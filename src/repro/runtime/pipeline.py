@@ -45,18 +45,16 @@ class PipelineConfig:
     ``publish_every_steps`` is the snapshot cadence: after every such number
     of training steps the engine re-snapshots the store, which bounds
     snapshot staleness (in steps) by exactly this value.
-    ``probe_every_steps`` optionally sends a probe request through the
-    serving engine every N steps to sample serve-while-train latency
-    (``0`` disables probing).
+    ``probe_every_steps`` optionally sends a one-row probe request through
+    the serving engine every N steps to sample serve-while-train latency
+    (``0`` disables probing).  When the stream ends the pipeline publishes
+    once more, so serving finishes fresh.
     """
 
     publish_every_steps: int = 20
     serving_micro_batch: int = 64
     probe_every_steps: int = 0
-    probe_rows: int = 1
     max_steps: int | None = None
-    #: Publish once more after the stream ends so serving finishes fresh.
-    final_publish: bool = True
 
     def __post_init__(self):
         if self.publish_every_steps <= 0:
@@ -67,8 +65,6 @@ class PipelineConfig:
             raise ValueError(
                 f"probe_every_steps must be non-negative, got {self.probe_every_steps}"
             )
-        if self.probe_rows <= 0:
-            raise ValueError(f"probe_rows must be positive, got {self.probe_rows}")
 
 
 @dataclass
@@ -245,7 +241,7 @@ class OnlinePipeline:
                 break
 
         elapsed = time.perf_counter() - started
-        if config.final_publish and self.staleness_steps():
+        if self.staleness_steps():
             publish_latencies.append(self.publish())
 
         return PipelineReport(
@@ -267,13 +263,11 @@ class OnlinePipeline:
 
     def _probe(self, probe_batch: Batch, probe_index: int, tracker: LatencyTracker) -> None:
         """Send one serve-while-train request and record its latency."""
-        rows = probe_batch.categorical.shape[0]
-        start = (probe_index * self.config.probe_rows) % rows
-        stop = min(start + self.config.probe_rows, rows)
+        row = probe_index % probe_batch.categorical.shape[0]
         numerical = None
         if probe_batch.numerical.shape[1]:
-            numerical = probe_batch.numerical[start:stop]
+            numerical = probe_batch.numerical[row : row + 1]
         target = self.tier if self.tier is not None else self.engine
-        pending = target.submit(probe_batch.categorical[start:stop], numerical)
+        pending = target.submit(probe_batch.categorical[row : row + 1], numerical)
         target.flush()
         tracker.record(pending.latency_s)

@@ -78,17 +78,6 @@ class SnapshotPayload:
     payload_rows: int = 0
     payload_floats: int = 0
 
-    def describe(self) -> dict[str, Any]:
-        return {
-            "kind": self.kind,
-            "version": self.version,
-            "step": self.step,
-            "base_version": self.base_version,
-            "updated_shards": len(self.updates),
-            "payload_rows": self.payload_rows,
-            "payload_floats": self.payload_floats,
-        }
-
 
 @dataclass
 class PublisherStats:

@@ -224,9 +224,6 @@ class ReplicaSet:
         self.replicas = [Replica(i, max_batch_size) for i in range(num_replicas)]
         self._next = 0
 
-    def __len__(self) -> int:
-        return len(self.replicas)
-
     # ------------------------------------------------------------------ #
     # Publishing
     # ------------------------------------------------------------------ #
@@ -237,11 +234,6 @@ class ReplicaSet:
 
     def versions(self) -> list[int]:
         return [replica.version for replica in self.replicas]
-
-    @property
-    def ready(self) -> bool:
-        """True once every replica has a published snapshot to serve."""
-        return all(replica.ready for replica in self.replicas)
 
     @property
     def version(self) -> int:
@@ -261,11 +253,6 @@ class ReplicaSet:
         self, categorical: np.ndarray, numerical: np.ndarray | None = None
     ) -> PendingPrediction:
         return self.route().submit(categorical, numerical)
-
-    def predict(
-        self, categorical: np.ndarray, numerical: np.ndarray | None = None
-    ) -> np.ndarray:
-        return self.route().predict(categorical, numerical)
 
     def flush(self) -> int:
         return sum(replica.flush() for replica in self.replicas)
@@ -310,9 +297,6 @@ class ReplicaTier:
     def submit(self, categorical, numerical=None) -> PendingPrediction:
         return self.replicas.submit(categorical, numerical)
 
-    def predict(self, categorical, numerical=None) -> np.ndarray:
-        return self.replicas.predict(categorical, numerical)
-
     def flush(self) -> int:
         return self.replicas.flush()
 
@@ -322,7 +306,8 @@ class ReplicaTier:
 
     @property
     def ready(self) -> bool:
-        return self.replicas.ready
+        """True once every replica holds a published snapshot to serve."""
+        return all(replica.ready for replica in self.replicas.replicas)
 
     def stats(self) -> dict[str, Any]:
         stats = self.replicas.stats()

@@ -1,10 +1,9 @@
 """Latency accounting for the serving path (p50/p95/p99).
 
-Production serving is judged on tail latency, not means; the paper's Figure
-13 reports per-batch latency and throughput per embedding method.  The
-tracker here records per-request wall times and summarizes them with the
-standard serving percentiles so both the serving engine and the fig13
-experiment report the same columns.
+Production serving is judged on tail latency, not means.  The tracker here
+records per-request wall times and summarizes them with the standard
+serving percentiles for the serving engine, the replica tier and the
+online pipeline's probes.
 """
 
 from __future__ import annotations
@@ -26,16 +25,14 @@ class LatencyTracker:
     sample is its own p50/p95/p99.
 
     >>> tracker = LatencyTracker()
-    >>> tracker.percentile_ms(99.0)
+    >>> tracker.summary()["p99_ms"]
     0.0
     >>> for seconds in (0.001, 0.002, 0.003):
     ...     tracker.record(seconds)
     >>> len(tracker)
     3
-    >>> tracker.percentile_ms(50.0)
+    >>> tracker.summary()["p50_ms"]
     2.0
-    >>> tracker.summary()["count"]
-    3
     """
 
     def __init__(self):
@@ -50,12 +47,6 @@ class LatencyTracker:
 
     def __len__(self) -> int:
         return len(self._seconds)
-
-    def percentile_ms(self, percentile: float) -> float:
-        """The given latency percentile in milliseconds (``0.0`` if empty)."""
-        if not self._seconds:
-            return 0.0
-        return float(np.percentile(np.asarray(self._seconds), percentile) * 1e3)
 
     def summary(self) -> dict[str, float | int]:
         """Count, mean and tail percentiles in milliseconds.

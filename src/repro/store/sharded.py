@@ -19,8 +19,7 @@ Snapshots are copy-on-write: :meth:`ShardedEmbeddingStore.snapshot` is O(1)
 (it freezes the current shard objects); the first write to a frozen shard
 replaces it (a stack: all of it, in one copy) with a private deep copy.
 
-Per-shard work — ``lookup``, ``apply_gradients`` and
-:meth:`ShardedEmbeddingStore.rebalance` — is fanned out through a
+Per-shard work — ``lookup`` and ``apply_gradients`` — is fanned out through a
 :class:`~repro.runtime.executor.SerialShardExecutor`, which times each
 shard's task.  The tasks of one operation touch disjoint shard
 objects, and all store-level bookkeeping (plan cache, copy-on-write swaps,
@@ -36,12 +35,11 @@ from typing import Sequence
 import numpy as np
 
 from repro.analysis.sanitizer import freeze_arrays, single_writer
-from repro.embeddings.base import CompressedEmbedding, is_adaptive
+from repro.embeddings.base import CompressedEmbedding
 from repro.embeddings.cafe import CafeStack
 from repro.errors import CheckpointLayoutError
 from repro.nn.optim import check_row_state
 from repro.runtime.executor import SerialShardExecutor
-from repro.store.base import EmbeddingStore
 from repro.store.snapshot import ShardPartition, StoreSnapshot
 from repro.utils.hashing import hash_to_range
 
@@ -53,8 +51,15 @@ DEFAULT_SHARD_SEED = 2029
 _ROW_STATE_KEY = re.compile(r"(?:shard\d+\.)?optimizer\.(.+)")
 
 
-class ShardedEmbeddingStore(CompressedEmbedding, EmbeddingStore):
-    """N hash-partitioned embedding shards behind one store interface."""
+class ShardedEmbeddingStore(CompressedEmbedding):
+    """N hash-partitioned embedding shards behind one store interface.
+
+    The store the models and trainer program against.  It is single-writer:
+    exactly one thread (the trainer) calls ``apply_gradients`` or
+    ``load_state_dict``, and ``lookup`` on the live store is not safe
+    against it.  Any number of threads may read :meth:`snapshot` views,
+    which are immutable by contract.
+    """
 
     def __init__(
         self,
@@ -184,7 +189,7 @@ class ShardedEmbeddingStore(CompressedEmbedding, EmbeddingStore):
         self._restack()
 
     # ------------------------------------------------------------------ #
-    # EmbeddingStore / CompressedEmbedding interface
+    # CompressedEmbedding interface
     # ------------------------------------------------------------------ #
     def lookup_unique(self, uids: np.ndarray) -> np.ndarray:
         """Gather every id's row from its owning shard.
@@ -237,29 +242,6 @@ class ShardedEmbeddingStore(CompressedEmbedding, EmbeddingStore):
         for shard in shards:
             self._ensure_private(shard)
         self._fan_out("apply_unique", shards, list(zip(shard_uids, shard_grads, shard_scores)))
-
-    @single_writer
-    def rebalance(self) -> bool:
-        """Fan one explicit adaptivity pass out across all shards.
-
-        Counts as a write: a shard still shared with a snapshot is
-        privatised first — but only if its backend overrides ``rebalance``
-        (:func:`~repro.embeddings.base.is_adaptive`), so the call is free
-        (no copies, no tasks) on static backends.  Returns ``True`` if at
-        least one shard performed a rebalance.
-        """
-        supported = [
-            shard_index for shard_index, shard in enumerate(self._shards) if is_adaptive(shard)
-        ]
-        if not supported:
-            return False
-        for shard_index in supported:
-            self._ensure_private(shard_index)
-        results = self.executor.run(
-            [(shard_index, self._shards[shard_index].rebalance) for shard_index in supported]
-        )
-        self.invalidate_plan()
-        return any(results)
 
     def memory_floats(self) -> int:
         """Sum of all shard footprints (each shard holds 1/N of the budget)."""
@@ -337,10 +319,14 @@ class ShardedEmbeddingStore(CompressedEmbedding, EmbeddingStore):
 
     def state_dict(self) -> dict[str, np.ndarray]:
         """Flatten every shard's state under ``shard{i}.`` prefixes plus the
-        shard-count header; the inverse of :meth:`load_state_dict`.  Raises
-        the shards' ``NotImplementedError`` when their backend has no state.
+        ``num_shards`` and ``step`` headers; the inverse of
+        :meth:`load_state_dict`.  Raises the shards' ``NotImplementedError``
+        when their backend has no state.
         """
-        state: dict[str, np.ndarray] = {"num_shards": np.asarray(self.num_shards)}
+        state: dict[str, np.ndarray] = {
+            "num_shards": np.asarray(self.num_shards),
+            "step": np.asarray(self._step),
+        }
         for index, shard in enumerate(self._shards):
             for key, value in shard.state_dict().items():
                 state[f"shard{index}.{key}"] = value
@@ -350,9 +336,10 @@ class ShardedEmbeddingStore(CompressedEmbedding, EmbeddingStore):
         """Raise :class:`~repro.errors.CheckpointLayoutError` unless ``state``
         fits this store: a ``num_shards`` header equal to :attr:`num_shards`,
         or no header (a bare layer's keys, the pre-store format) and one
-        shard.  Raise :class:`~repro.errors.OptimizerStateMismatchError`
-        for ``optimizer.*`` entries the shards' row optimizer cannot take
-        (none at all fit: it restarts cold).  Reads the keys and headers
+        shard; a ``step`` header is optional.  Raise
+        :class:`~repro.errors.OptimizerStateMismatchError` for
+        ``optimizer.*`` entries the shards' row optimizer cannot take (none
+        at all fit: it restarts cold).  Reads the keys and headers
         only, so a checkpoint is refused before any part of it is restored.
         """
         if "num_groups" in state:
@@ -381,24 +368,47 @@ class ShardedEmbeddingStore(CompressedEmbedding, EmbeddingStore):
         """Restore all shards from :meth:`state_dict` output (the layout must
         pass :meth:`check_state_layout`); also absorbs a pre-store
         single-layer checkpoint into a single-shard store.  Counts as a write
-        for copy-on-write purposes.
+        for copy-on-write purposes.  The store's :meth:`step` comes back from
+        the ``step`` header (a bare layer's own ``step`` is the same count);
+        a state without one leaves it as it was.
         """
         self.check_state_layout(state)
         if "num_shards" not in state:
             # Checkpoint written against a bare embedding layer.
             self._load_into_shard(0, dict(state))
             self.invalidate_plan()
-            return
-        for index in range(self.num_shards):
-            prefix = f"shard{index}."
-            self._load_into_shard(
-                index,
-                {key[len(prefix):]: value for key, value in state.items() if key.startswith(prefix)},
-            )
-        # A shard's row optimizer may have adopted private arrays.
-        self._restack()
+        else:
+            for index in range(self.num_shards):
+                prefix = f"shard{index}."
+                self._load_into_shard(
+                    index,
+                    {key[len(prefix):]: value for key, value in state.items() if key.startswith(prefix)},
+                )
+            # A shard's row optimizer may have adopted private arrays.
+            self._restack()
+        if "step" in state:
+            self._step = int(state["step"])
 
     def _load_into_shard(self, index: int, state: dict[str, np.ndarray]) -> None:
         # Restoring is a write: never mutate a shard a snapshot still serves.
         self._ensure_private(index)
         self._shards[index].load_state_dict(state)
+
+
+def ensure_store(embedding: CompressedEmbedding) -> ShardedEmbeddingStore:
+    """Adapt ``embedding`` to the store interface.
+
+    Stores pass through unchanged; a bare embedding layer is wrapped in a
+    single-shard store that delegates to it directly (bit-exact with
+    calling the layer itself).
+
+    >>> from repro.embeddings.hash_embedding import HashEmbedding
+    >>> store = ensure_store(HashEmbedding(100, 4, num_rows=10, rng=0))
+    >>> store.num_shards, store.num_features, store.dim
+    (1, 100, 4)
+    >>> ensure_store(store) is store
+    True
+    """
+    if isinstance(embedding, ShardedEmbeddingStore):
+        return embedding
+    return ShardedEmbeddingStore([embedding])

@@ -129,9 +129,3 @@ class StoreSnapshot:
         copy-on-write copies diverge).
         """
         return int(sum(shard.memory_floats() for shard in self._shards))
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging helper
-        return (
-            f"StoreSnapshot(version={self.version}, step={self.step}, "
-            f"num_shards={self.num_shards}, dim={self.dim})"
-        )

@@ -1,13 +1,11 @@
 """Shared utilities: hashing, Zipf sampling/fitting, RNG helpers, logging."""
 
 from repro.utils.hashing import (
-    HashFamily,
     mix64,
     hash_to_bucket,
     hash_to_range,
-    hash_to_unit,
 )
-from repro.utils.rng import make_rng, spawn_rngs
+from repro.utils.rng import make_rng
 from repro.utils.zipf import (
     ZipfDistribution,
     fit_zipf_exponent,
@@ -15,13 +13,10 @@ from repro.utils.zipf import (
 )
 
 __all__ = [
-    "HashFamily",
     "mix64",
     "hash_to_bucket",
     "hash_to_range",
-    "hash_to_unit",
     "make_rng",
-    "spawn_rngs",
     "ZipfDistribution",
     "fit_zipf_exponent",
     "zipf_probabilities",

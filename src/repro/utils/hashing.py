@@ -58,50 +58,3 @@ def hash_to_range(values: np.ndarray | int, size: int, seed: int = 0) -> np.ndar
 def hash_to_bucket(values: np.ndarray | int, num_buckets: int, seed: int = 0) -> np.ndarray:
     """Alias of :func:`hash_to_range` with sketch-oriented naming."""
     return hash_to_range(values, num_buckets, seed)
-
-
-def hash_to_unit(values: np.ndarray | int, seed: int = 0) -> np.ndarray:
-    """Hash ``values`` to floats uniformly distributed in ``[0, 1)``."""
-    return mix64(values, seed).astype(np.float64) / float(2**64)
-
-
-class HashFamily:
-    """A family of independent hash functions over integer keys.
-
-    Used by multi-level hash embeddings and the Q-R trick, where each level /
-    component needs its own hash function mapping feature ids into a table of
-    a given size.
-    """
-
-    def __init__(self, num_hashes: int, size: int, seed: int = 0):
-        if num_hashes <= 0:
-            raise ValueError(f"num_hashes must be positive, got {num_hashes}")
-        if size <= 0:
-            raise ValueError(f"size must be positive, got {size}")
-        self.num_hashes = int(num_hashes)
-        self.size = int(size)
-        self.seed = int(seed)
-        # Derive well-separated per-function seeds from the family seed.
-        base = mix64(np.arange(num_hashes, dtype=np.int64), seed=seed)
-        self._seeds = [int(s) for s in base]
-
-    def __len__(self) -> int:
-        return self.num_hashes
-
-    def hash(self, values: np.ndarray | int, index: int) -> np.ndarray:
-        """Hash ``values`` with the ``index``-th function of the family."""
-        if not 0 <= index < self.num_hashes:
-            raise IndexError(f"hash index {index} out of range [0, {self.num_hashes})")
-        return hash_to_range(values, self.size, seed=self._seeds[index])
-
-    def hash_all(self, values: np.ndarray | int) -> np.ndarray:
-        """Hash ``values`` with every function; result has a trailing axis of
-        length ``num_hashes``."""
-        arr = np.asarray(values)
-        out = np.empty(arr.shape + (self.num_hashes,), dtype=np.int64)
-        for i in range(self.num_hashes):
-            out[..., i] = self.hash(arr, i)
-        return out
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging helper
-        return f"HashFamily(num_hashes={self.num_hashes}, size={self.size}, seed={self.seed})"

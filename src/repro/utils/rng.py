@@ -17,14 +17,3 @@ def make_rng(seed: SeedLike = None) -> np.random.Generator:
     if isinstance(seed, np.random.Generator):
         return seed
     return np.random.default_rng(seed)
-
-
-def spawn_rngs(seed: SeedLike, count: int) -> list[np.random.Generator]:
-    """Deterministically derive ``count`` independent generators from ``seed``."""
-    if count < 0:
-        raise ValueError(f"count must be non-negative, got {count}")
-    root = np.random.SeedSequence(seed if isinstance(seed, int) else None)
-    if isinstance(seed, np.random.Generator):
-        # Derive children from the generator's own bit stream for determinism.
-        root = np.random.SeedSequence(int(seed.integers(0, 2**63 - 1)))
-    return [np.random.default_rng(child) for child in root.spawn(count)]

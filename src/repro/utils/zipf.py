@@ -68,14 +68,6 @@ class ZipfDistribution:
             ranks[rest] = np.searchsorted(self._cdf, uniforms[rest], side="right")
         return ranks
 
-    def head_mass(self, top_k: int) -> float:
-        """Total probability mass carried by the ``top_k`` most popular ranks."""
-        top_k = min(max(top_k, 0), self.num_items)
-        return float(self.probabilities[:top_k].sum())
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging helper
-        return f"ZipfDistribution(num_items={self.num_items}, exponent={self.exponent})"
-
 
 def fit_zipf_exponent(scores: np.ndarray, min_rank: int = 1, max_rank: int | None = None) -> float:
     """Fit a Zipf exponent to sorted positive ``scores`` via log-log regression.

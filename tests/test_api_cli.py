@@ -153,7 +153,7 @@ class TestRetiredModules:
         "cli", "pipeline", "serve", "serving.cli", "runtime.cli",
         "training.config", "sketch.decay", "sketch.count_sketch",
         "runtime.process", "runtime.shm", "store.grad_exchange", "sketch.csvec",
-        "serving.traffic", "serving.slo", "api.registry",
+        "serving.traffic", "serving.slo", "api.registry", "store.base",
     ])
     def test_import_fails(self, module):
         with pytest.raises(ModuleNotFoundError):

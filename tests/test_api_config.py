@@ -36,7 +36,8 @@ class TestRoundTrip:
 
     def test_save_load_file(self, tmp_path):
         config = mixed_config()
-        path = config.save(tmp_path / "cfg.json")
+        path = tmp_path / "cfg.json"
+        path.write_text(config.to_json(), encoding="utf-8")
         assert load_config(path) == config
 
 
@@ -66,6 +67,15 @@ class TestValidation:
             SystemConfig.from_dict({"store": {key: value}})
         with pytest.raises(ConfigurationError, match=f"unknown config key 'store.{key}'"):
             apply_overrides(SystemConfig(), [f"store.{key}={value}"])
+
+    @pytest.mark.parametrize("key, value", [("probe_rows", 1), ("final_publish", "true")])
+    def test_pipeline_constants_are_unknown_keys(self, key, value):
+        # A probe is one row and the pipeline always publishes at the end.
+        message = rf"unknown config key 'pipeline\.{key}'.*valid keys under 'pipeline'"
+        with pytest.raises(ConfigurationError, match=message):
+            SystemConfig.from_dict({"pipeline": {key: value}})
+        with pytest.raises(ConfigurationError, match=message):
+            apply_overrides(SystemConfig(), [f"pipeline.{key}={value}"])
 
     @pytest.mark.parametrize("key, value", [
         ("traffic", "zipf"), ("traffic_duration_s", 2.0), ("traffic_rate", 800.0),
@@ -165,8 +175,8 @@ class TestValidation:
             SystemConfig.from_dict({"train": {"max_steps": "50"}})
         with pytest.raises(ConfigurationError, match="'seed' must be int"):
             SystemConfig.from_dict({"seed": "3"})
-        with pytest.raises(ConfigurationError, match="'pipeline.final_publish' must be bool"):
-            SystemConfig.from_dict({"pipeline": {"final_publish": "yes"}})
+        with pytest.raises(ConfigurationError, match="'pipeline.max_steps' must be int"):
+            SystemConfig.from_dict({"pipeline": {"max_steps": True}})
         with pytest.raises(ConfigurationError, match="'store.spec' must be str"):
             SystemConfig.from_dict({"store": {"spec": None}})
         # An int where a float is expected is fine (JSON has one number type).
@@ -185,13 +195,9 @@ class TestOverrides:
         assert config.store.compression_ratio == 25.5
         assert config.data.dataset == "avazu"
 
-    def test_optional_none_and_bool(self):
-        config = apply_overrides(
-            SystemConfig(),
-            ["train.max_steps=10", "pipeline.final_publish=false"],
-        )
+    def test_optional_none(self):
+        config = apply_overrides(SystemConfig(), ["train.max_steps=10"])
         assert config.train.max_steps == 10
-        assert config.pipeline.final_publish is False
         cleared = apply_overrides(config, ["train.max_steps=none"])
         assert cleared.train.max_steps is None
 

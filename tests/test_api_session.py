@@ -69,7 +69,8 @@ class TestBuild:
 
     def test_build_accepts_dict_and_path(self, tmp_path):
         config = tiny_config()
-        path = config.save(tmp_path / "cfg.json")
+        path = tmp_path / "cfg.json"
+        path.write_text(config.to_json(), encoding="utf-8")
         from_path = build(str(path))
         from_dict = build(config.to_dict())
         assert from_path.config == from_dict.config == config

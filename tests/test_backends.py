@@ -13,18 +13,15 @@ from repro.data.schema import DatasetSchema, FieldSchema
 from repro.embeddings import (
     METHOD_NAMES,
     QRTrickEmbedding,
-    backend_names,
     create_embedding,
     get_backend,
 )
-from repro.embeddings.base import is_adaptive
 from repro.errors import ConfigurationError, UnknownBackendError
 from repro.models.dlrm import DLRM
 from repro.store import ShardedEmbeddingStore
 from repro.training.checkpoint import load_checkpoint, save_checkpoint
 
 CHECKPOINTABLE = {"full", "hash", "cafe", "cafe_ml"}
-ADAPTIVE = {"adaembed", "cafe", "cafe_ml"}
 SKETCH_CARRYING = {"cafe", "cafe_ml"}
 
 SCHEMA = DatasetSchema(
@@ -68,17 +65,8 @@ def checkpointable(layer) -> bool:
     return True
 
 
-def privatises_on_rebalance(store) -> bool:
-    """Whether ``rebalance()`` after a snapshot copied anything."""
-    train(store)
-    store.snapshot()
-    store.rebalance()
-    return store.cow_copies > 0
-
-
 class TestBackendTable:
     def test_every_method_name_is_a_backend(self):
-        assert backend_names() == METHOD_NAMES
         assert all(get_backend(name).name == name for name in METHOD_NAMES)
 
     def test_side_inputs(self):
@@ -101,8 +89,6 @@ class TestCapabilityMatrix:
         layer = build(method)
         train(layer)
         assert checkpointable(layer) == (method in CHECKPOINTABLE)
-        assert is_adaptive(layer) == (method in ADAPTIVE)
-        assert layer.rebalance() == (method in ADAPTIVE)
         assert (layer.merged_sketch() is not None) == (method in SKETCH_CARRYING)
         if method not in CHECKPOINTABLE:
             with pytest.raises(NotImplementedError):
@@ -112,7 +98,6 @@ class TestCapabilityMatrix:
         store = build(method, num_shards=2)
         assert checkpointable(store) == (method in CHECKPOINTABLE)
         assert (store.merged_sketch() is not None) == (method in SKETCH_CARRYING)
-        assert privatises_on_rebalance(store) == (method in ADAPTIVE)
 
     def test_checkpoint_has_sparse(self, method, tmp_path):
         def model(seed):
@@ -153,7 +138,7 @@ def test_a_class_of_your_own_is_checkpointable_through_a_store():
     restored.load_state_dict(trained.state_dict())
     ids = np.arange(SCHEMA.num_fields * 20).reshape(-1, SCHEMA.num_fields)
     assert np.array_equal(restored.lookup(ids), trained.lookup(ids))
-    assert not is_adaptive(trained.shards[0]) and trained.merged_sketch() is None
+    assert trained.merged_sketch() is None
 
 
 def test_sparse_section_into_a_stateless_store_is_refused(tmp_path):

@@ -199,21 +199,14 @@ class TestCheckpoint:
 
     def test_restore_preserves_dense_parameter_dtype(self, tmp_path):
         """Dense parameters restore at their configured dtype too: a float32
-        autograd session must not come back as float64."""
-        from repro.nn.tensor import get_default_dtype, set_default_dtype
-
-        previous = get_default_dtype()
-        try:
-            set_default_dtype(np.float32)
-            dataset = tiny_dataset()
-            model = build_model(dataset)
-            assert all(p.data.dtype == np.float32 for p in model.parameters())
-            path = save_checkpoint(tmp_path / "f32.npz", model)
-            restored = build_model(dataset, seed=3)
-            load_checkpoint(path, restored)
-            assert all(p.data.dtype == np.float32 for p in restored.parameters())
-        finally:
-            set_default_dtype(previous)
+        model (over a float32 store) must not come back as float64."""
+        dataset = tiny_dataset()
+        model = build_model(dataset)
+        assert all(p.data.dtype == np.float32 for p in model.parameters())
+        path = save_checkpoint(tmp_path / "f32.npz", model)
+        restored = build_model(dataset, seed=3)
+        load_checkpoint(path, restored)
+        assert all(p.data.dtype == np.float32 for p in restored.parameters())
 
 
 def sharded_cafe_model(dataset, num_shards, seed):

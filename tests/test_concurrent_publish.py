@@ -2,8 +2,9 @@
 
 The copy-on-write contract behind serve-while-train: a snapshot taken
 mid-training must stay bit-identical no matter how much `apply_gradients`
-and `rebalance` traffic hits the live store afterwards, also when a reader
-thread hammers the snapshot *while* the writer thread trains.
+traffic (CAFE migrating rows on every step) hits the live store afterwards,
+also when a reader thread hammers the snapshot *while* the writer thread
+trains.
 """
 
 import threading
@@ -20,6 +21,9 @@ NUM_FEATURES = 3000
 
 
 def make_store(num_shards=3, method="cafe"):
+    # CAFE runs its migration pass after every step, so every write below
+    # also moves rows between the hot and shared tables.
+    migrate = {"rebalance_interval": 1} if method == "cafe" else {}
     return ShardedEmbeddingStore.build(
         method,
         num_features=NUM_FEATURES,
@@ -27,6 +31,7 @@ def make_store(num_shards=3, method="cafe"):
         num_shards=num_shards,
         compression_ratio=8.0,
         seed=0,
+        **migrate,
     )
 
 
@@ -40,7 +45,7 @@ def training_traffic(seed, steps=6, batch=96, fields=3):
 
 @pytest.mark.parametrize("method", ["hash", "cafe"])
 class TestSnapshotBitIdentical:
-    def test_mid_training_snapshot_survives_updates_and_rebalance(self, method):
+    def test_mid_training_snapshot_survives_updates_and_migration(self, method):
         store = make_store(method=method)
         probe = np.random.default_rng(99).integers(0, NUM_FEATURES, size=(64, 3))
 
@@ -55,7 +60,6 @@ class TestSnapshotBitIdentical:
         for ids, grads in training_traffic(2):
             store.lookup(ids)
             store.apply_gradients(ids, grads)
-            store.rebalance()
 
         assert np.array_equal(snapshot.lookup(probe), frozen), (
             "snapshot drifted while the live store trained"
@@ -91,7 +95,6 @@ def test_reader_thread_sees_stable_snapshot_during_training():
         for ids, grads in training_traffic(4, steps=10):
             store.lookup(ids)
             store.apply_gradients(ids, grads)
-            store.rebalance()
     finally:
         stop.set()
         thread.join(timeout=10)

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from repro.data.schema import PAPER_DATASET_STATS, DatasetSchema, FieldSchema, make_preset
-from repro.data.stream import Batch, concat_batches, iterate_batches
+from repro.data.stream import Batch, iterate_batches
 from repro.errors import DataError
 
 
@@ -36,7 +36,6 @@ class TestDatasetSchema:
         per_field = np.asarray([[1, 2, 3], [9, 19, 4]])
         global_ids = schema.to_global_ids(per_field)
         assert global_ids.tolist() == [[1, 12, 33], [9, 29, 34]]
-        assert np.array_equal(schema.to_field_ids(global_ids), per_field)
 
     def test_global_id_shape_validated(self):
         schema = self.make()
@@ -91,13 +90,12 @@ class TestBatch:
                 labels=np.zeros(3),
             )
 
-    def test_positive_rate(self):
+    def test_len_counts_rows(self):
         batch = Batch(
             categorical=np.zeros((4, 1), dtype=np.int64),
             numerical=np.zeros((4, 0)),
             labels=np.asarray([1.0, 0.0, 1.0, 1.0]),
         )
-        assert batch.positive_rate == pytest.approx(0.75)
         assert len(batch) == 4
 
 
@@ -129,14 +127,3 @@ class TestIterateBatches:
         cats, nums, labels = self.arrays(4)
         with pytest.raises(DataError):
             list(iterate_batches(cats, nums, labels, batch_size=0))
-
-    def test_concat_batches(self):
-        cats, nums, labels = self.arrays(6)
-        batches = list(iterate_batches(cats, nums, labels, batch_size=2, day=3))
-        merged = concat_batches(batches)
-        assert len(merged) == 6
-        assert merged.day == 3
-
-    def test_concat_empty_rejected(self):
-        with pytest.raises(DataError):
-            concat_batches([])

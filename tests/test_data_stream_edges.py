@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from repro.data.schema import DatasetSchema, FieldSchema
-from repro.data.stream import Batch, concat_batches, iterate_batches
+from repro.data.stream import Batch, iterate_batches
 from repro.data.synthetic import SyntheticConfig, SyntheticCTRDataset
 from repro.errors import DataError
 
@@ -39,19 +39,7 @@ class TestEmptyDay:
         categorical, numerical, labels = empty_arrays()
         batch = Batch(categorical=categorical, numerical=numerical, labels=labels, day=2)
         assert len(batch) == 0
-        assert batch.positive_rate == 0.0
         assert batch.day == 2
-
-    def test_concat_of_only_empty_batches_stays_empty(self):
-        categorical, numerical, labels = empty_arrays()
-        batches = [Batch(categorical, numerical, labels, day=d) for d in (0, 1)]
-        merged = concat_batches(batches)
-        assert len(merged) == 0
-        assert merged.day == 1  # takes the last batch's day
-
-    def test_concat_of_no_batches_rejected(self):
-        with pytest.raises(DataError):
-            concat_batches([])
 
 
 class TestSingleBatchDay:

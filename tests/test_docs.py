@@ -19,6 +19,7 @@ DOC_PAGES = (
     "pipeline.md",
     "benchmarks.md",
     "analysis.md",
+    "census.md",
 )
 
 #: Modules whose docstrings carry runnable examples (the CI doctest set).
@@ -26,7 +27,7 @@ DOCTEST_MODULES = (
     "repro.data.stream",
     "repro.serving.stats",
     "repro.runtime.executor",
-    "repro.store.base",
+    "repro.store.sharded",
 )
 
 

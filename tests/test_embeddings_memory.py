@@ -2,11 +2,7 @@
 
 import pytest
 
-from repro.embeddings.memory import (
-    MemoryBudget,
-    max_compression_ratio_adaembed,
-    max_compression_ratio_qr,
-)
+from repro.embeddings.memory import MemoryBudget
 from repro.errors import MemoryBudgetError
 
 
@@ -33,29 +29,3 @@ class TestMemoryBudget:
         budget = MemoryBudget(num_features=1000, dim=8, total_floats=10)
         with pytest.raises(MemoryBudgetError):
             budget.rows(overhead_floats=5)
-
-    def test_require_raises_with_context(self):
-        budget = MemoryBudget(num_features=1000, dim=8, total_floats=100)
-        with pytest.raises(MemoryBudgetError, match="my structure"):
-            budget.require(200, "my structure")
-        budget.require(50, "fits")  # must not raise
-
-
-class TestStructuralCeilings:
-    def test_qr_ceiling_matches_paper_magnitude(self):
-        """On Criteo-sized tables (33.7M features) the Q-R ceiling is a few
-        thousand x, consistent with the paper's ~500x practical limit."""
-        ceiling = max_compression_ratio_qr(33_762_577, 16)
-        assert 1_000 < ceiling < 5_000
-
-    def test_qr_ceiling_small(self):
-        assert max_compression_ratio_qr(10_000, 16) == pytest.approx(10_000 / 200, rel=0.01)
-
-    def test_adaembed_ceiling_close_to_dim(self):
-        """AdaEmbed's score array caps its compression ratio just under the
-        embedding dimension (e.g. <16x for dim 16), matching the paper's
-        observation that it only reaches ~5x-50x depending on dim."""
-        ceiling = max_compression_ratio_adaembed(1_000_000, 16)
-        assert 10 < ceiling < 16
-        ceiling_128 = max_compression_ratio_adaembed(1_000_000, 128)
-        assert 60 < ceiling_128 < 128

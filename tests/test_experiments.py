@@ -22,12 +22,11 @@ MICRO = ScaleSpec("micro", base_cardinality=60, samples_per_day=400, batch_size=
 
 
 class TestReporting:
-    def test_add_row_and_column(self):
+    def test_add_row(self):
         result = ExperimentResult("figX", "title")
         result.add_row(method="hash", auc=0.7)
         result.add_row(method="cafe", auc=0.8)
-        assert result.column("method") == ["hash", "cafe"]
-        assert result.column("missing") == [None, None]
+        assert [row.get("method") for row in result.rows] == ["hash", "cafe"]
 
     def test_filter_rows(self):
         result = ExperimentResult("figX", "title")

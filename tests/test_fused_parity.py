@@ -62,9 +62,13 @@ def run_digest(target, probe):
     ``state_dict()`` arrays and the probe lookup (names, dtypes and shapes
     included).  ``optimizer.*`` entries of the store's state are left out and
     the optimizers read directly, because CAFE's ``state_dict`` did not carry
-    them at the recording commit."""
+    them at the recording commit; so is a store's own ``step`` header, which
+    came later too (the shards' ``step`` entries stay in)."""
     state = target.state_dict()
-    arrays = [(key, state[key]) for key in sorted(state) if "optimizer." not in key]
+    recorded = {key for key in state if "optimizer." not in key}
+    if isinstance(target, ShardedEmbeddingStore):
+        recorded.discard("step")
+    arrays = [(key, state[key]) for key in sorted(recorded)]
     for index, optimizer in enumerate(row_optimizers(target)):
         arrays += [
             (f"row_optimizer{index}.{key}", value)

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.utils.hashing import HashFamily, hash_to_range, hash_to_unit, mix64
+from repro.utils.hashing import hash_to_range, mix64
 
 
 class TestMix64:
@@ -50,42 +50,6 @@ class TestHashToRange:
     def test_preserves_shape(self):
         out = hash_to_range(np.arange(12).reshape(3, 4), size=7)
         assert out.shape == (3, 4)
-
-
-class TestHashToUnit:
-    def test_unit_interval(self):
-        out = hash_to_unit(np.arange(10_000))
-        assert out.min() >= 0.0
-        assert out.max() < 1.0
-
-    def test_mean_near_half(self):
-        out = hash_to_unit(np.arange(100_000))
-        assert abs(out.mean() - 0.5) < 0.01
-
-
-class TestHashFamily:
-    def test_members_are_independent(self):
-        family = HashFamily(num_hashes=3, size=1000, seed=5)
-        keys = np.arange(5000)
-        h0, h1 = family.hash(keys, 0), family.hash(keys, 1)
-        # Two independent hash functions should rarely agree.
-        assert (h0 == h1).mean() < 0.01
-
-    def test_hash_all_shape(self):
-        family = HashFamily(num_hashes=4, size=100)
-        out = family.hash_all(np.arange(6).reshape(2, 3))
-        assert out.shape == (2, 3, 4)
-
-    def test_index_out_of_range(self):
-        family = HashFamily(num_hashes=2, size=10)
-        with pytest.raises(IndexError):
-            family.hash(np.arange(3), 2)
-
-    def test_invalid_construction(self):
-        with pytest.raises(ValueError):
-            HashFamily(num_hashes=0, size=10)
-        with pytest.raises(ValueError):
-            HashFamily(num_hashes=1, size=0)
 
     @given(seed=st.integers(min_value=0, max_value=2**31 - 1), size=st.integers(min_value=1, max_value=10_000))
     @settings(max_examples=30, deadline=None)

@@ -3,10 +3,9 @@
 import logging
 
 import numpy as np
-import pytest
 
 from repro.utils.logging import get_logger
-from repro.utils.rng import make_rng, spawn_rngs
+from repro.utils.rng import make_rng
 
 
 class TestMakeRng:
@@ -21,27 +20,6 @@ class TestMakeRng:
 
     def test_none_gives_generator(self):
         assert isinstance(make_rng(None), np.random.Generator)
-
-
-class TestSpawnRngs:
-    def test_count_and_independence(self):
-        rngs = spawn_rngs(7, 3)
-        assert len(rngs) == 3
-        draws = [r.random(4).tolist() for r in rngs]
-        assert draws[0] != draws[1] != draws[2]
-
-    def test_deterministic(self):
-        a = [r.random(3).tolist() for r in spawn_rngs(11, 2)]
-        b = [r.random(3).tolist() for r in spawn_rngs(11, 2)]
-        assert a == b
-
-    def test_negative_count_rejected(self):
-        with pytest.raises(ValueError):
-            spawn_rngs(0, -1)
-
-    def test_from_generator(self):
-        rngs = spawn_rngs(np.random.default_rng(3), 2)
-        assert len(rngs) == 2
 
 
 class TestLogging:

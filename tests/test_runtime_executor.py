@@ -8,7 +8,6 @@ import pytest
 
 from repro.runtime import SerialShardExecutor
 from repro.runtime.executor import ExecutorStats, ShardTiming
-from repro.embeddings.base import is_adaptive
 from repro.embeddings.hash_embedding import HashEmbedding
 from repro.store import ShardedEmbeddingStore
 from repro.utils.hashing import hash_to_range
@@ -144,10 +143,21 @@ STATEFUL_BACKENDS = [
 ]
 
 
-def build_sharded(method, ratio, num_shards=3, seed=0):
+#: The backends that move features between rows on their own interval
+#: during ``apply_gradients`` (CAFE's migration, AdaEmbed's reallocation):
+#: the interval's keyword and the counter each pass advances.
+ADAPTIVE_BACKENDS = [
+    ("adaembed", 2.0, "reallocation_interval", "reallocation_count"),
+    ("cafe", 10.0, "rebalance_interval", "migrations_in"),
+    ("cafe_ml", 10.0, "rebalance_interval", "migrations_in"),
+]
+ADAPTIVE_IDS = [method for method, *_ in ADAPTIVE_BACKENDS]
+
+
+def build_sharded(method, ratio, num_shards=3, seed=0, **kwargs):
     return ShardedEmbeddingStore.build(
         method, num_features=NUM_FEATURES, dim=DIM, num_shards=num_shards,
-        compression_ratio=ratio, seed=seed,
+        compression_ratio=ratio, seed=seed, **kwargs,
     )
 
 
@@ -218,15 +228,6 @@ class TestFanOutOnEveryBackend:
         assert stats.grad_bytes_per_step == expected / len(ids)
 
     @pytest.mark.parametrize("method,ratio", FAN_OUT_BACKENDS, ids=BACKEND_IDS)
-    def test_rebalance_fans_out_only_to_adaptive_backends(self, method, ratio):
-        store = build_sharded(method, ratio)
-        train(store, *workload())
-        store.executor.stats.reset()
-        adaptive = is_adaptive(store.shards[0])
-        assert store.rebalance() is adaptive
-        assert store.executor.stats.fanouts == int(adaptive)
-
-    @pytest.mark.parametrize("method,ratio", FAN_OUT_BACKENDS, ids=BACKEND_IDS)
     def test_snapshot_stays_frozen_while_the_store_trains(self, method, ratio):
         store = build_sharded(method, ratio)
         ids, grads = workload(steps=8)
@@ -235,7 +236,6 @@ class TestFanOutOnEveryBackend:
         snapshot = store.snapshot()
         frozen = snapshot.lookup(probe).copy()
         train(store, ids[1:], grads[1:])
-        store.rebalance()
         assert np.array_equal(snapshot.lookup(probe), frozen)
         assert not np.array_equal(store.lookup(probe), frozen), (
             "live store never diverged; the frozen check proved nothing"
@@ -274,26 +274,41 @@ class TestFanOutOnEveryBackend:
         assert_state_equal(reference.state_dict(), restored.state_dict())
 
 
-class TestStoreFanOut:
-    def test_store_rebalance_fans_out_and_reports(self):
-        store = ShardedEmbeddingStore.build(
-            "cafe", num_features=NUM_FEATURES, dim=DIM, num_shards=3,
-            compression_ratio=10.0,
+@pytest.mark.parametrize("num_shards", [1, 3])
+@pytest.mark.parametrize("method,ratio,interval,counter", ADAPTIVE_BACKENDS, ids=ADAPTIVE_IDS)
+class TestIntervalMigration:
+    """Migration has no store-level entry point: each shard runs it on its
+    own interval inside ``apply_gradients``, stacked or not."""
+
+    def test_every_shard_migrates_on_its_interval(
+        self, method, ratio, interval, counter, num_shards
+    ):
+        store = build_sharded(method, ratio, num_shards, **{interval: 2})
+        train(store, *workload(steps=6))
+        for index, shard in enumerate(store.shards):
+            assert getattr(shard, counter) > 0, f"shard {index} never migrated"
+            if hasattr(shard, "check_row_invariants"):
+                shard.check_row_invariants()
+
+    def test_snapshot_stays_frozen_through_migration(
+        self, method, ratio, interval, counter, num_shards
+    ):
+        store = build_sharded(method, ratio, num_shards, **{interval: 1})
+        ids, grads = workload(steps=8)
+        train(store, ids[:1], grads[:1])
+        probe = np.unique(ids)
+        snapshot = store.snapshot()
+        frozen = snapshot.lookup(probe).copy()
+        before = [getattr(shard, counter) for shard in store.shards]
+        train(store, ids[1:], grads[1:])
+        after = [getattr(shard, counter) for shard in store.shards]
+        assert all(b > a for a, b in zip(before, after)), (
+            "no shard migrated after the snapshot; the frozen check proved little"
         )
-        ids = np.random.default_rng(3).integers(0, NUM_FEATURES, size=(64, 2))
-        grads = np.random.default_rng(4).normal(size=(64, 2, DIM)).astype(np.float32)
-        store.lookup(ids)
-        store.apply_gradients(ids, grads)
-        assert store.rebalance() is True  # CAFE shards support rebalancing
-        assert store.executor.stats.per_shard[2].calls > 0
+        assert np.array_equal(snapshot.lookup(probe), frozen)
+        assert not np.array_equal(store.lookup(probe), frozen)
 
-    def test_static_backend_rebalance_is_noop(self):
-        store = make_store(2)
-        store.snapshot()  # freeze shards: a real write would trigger COW
-        assert store.rebalance() is False
-        # No-op on static backends must not pay copy-on-write either.
-        assert store.cow_copies == 0
-        assert store.executor.stats.fanouts == 0
 
+class TestStoreFanOut:
     def test_describe_names_executor(self):
         assert make_store(2).describe()["executor"] == "SerialShardExecutor"

@@ -1,5 +1,7 @@
 """Tests for the OnlinePipeline: cadence, staleness, metrics, CLI."""
 
+import itertools
+
 import numpy as np
 import pytest
 
@@ -7,6 +9,7 @@ from repro.data.schema import DatasetSchema, FieldSchema
 from repro.data.synthetic import SyntheticConfig, SyntheticCTRDataset
 from repro.models.dlrm import DLRM
 from repro.runtime import OnlinePipeline, PipelineConfig
+from repro.serving import ReplicaTier
 from repro.store import ShardedEmbeddingStore
 
 DIM = 8
@@ -26,7 +29,7 @@ def tiny_dataset(seed=0, samples_per_day=384):
     )
 
 
-def make_pipeline(dataset, **config):
+def make_pipeline(dataset, replicas=0, **config):
     schema = dataset.schema
     store = ShardedEmbeddingStore.build(
         "cafe",
@@ -39,7 +42,8 @@ def make_pipeline(dataset, **config):
     model = DLRM(store, num_fields=schema.num_fields, num_numerical=schema.num_numerical, rng=0)
     defaults = dict(publish_every_steps=4, probe_every_steps=2, serving_micro_batch=32)
     defaults.update(config)
-    return OnlinePipeline(model, config=PipelineConfig(**defaults))
+    tier = ReplicaTier(model, num_replicas=replicas) if replicas else None
+    return OnlinePipeline(model, config=PipelineConfig(**defaults), tier=tier)
 
 
 class TestConfigValidation:
@@ -50,10 +54,6 @@ class TestConfigValidation:
     def test_rejects_negative_probe_cadence(self):
         with pytest.raises(ValueError, match="probe_every_steps"):
             PipelineConfig(probe_every_steps=-1)
-
-    def test_rejects_bad_probe_rows(self):
-        with pytest.raises(ValueError, match="probe_rows"):
-            PipelineConfig(probe_rows=0)
 
 
 class TestStalenessContract:
@@ -88,11 +88,11 @@ class TestStalenessContract:
 
     def test_served_answers_frozen_between_publishes(self):
         dataset = tiny_dataset()
-        pipeline = make_pipeline(dataset, publish_every_steps=1000, probe_every_steps=0,
-                                 max_steps=6, final_publish=False)
+        pipeline = make_pipeline(dataset, publish_every_steps=1000, probe_every_steps=0)
         probe = dataset.test_batch(16)
         before = pipeline.engine.predict(probe.categorical, probe.numerical).copy()
-        pipeline.run(dataset.training_stream(64))
+        for batch in itertools.islice(dataset.training_stream(64), 6):
+            pipeline.trainer.train_step(batch)
         after = pipeline.engine.predict(probe.categorical, probe.numerical)
         # No publish happened, so serving stayed on the initial snapshot.
         assert np.array_equal(before, after)
@@ -120,6 +120,25 @@ class TestReport:
         assert summary["executor"]["grad_exchange"]["steps"] == 8
         assert np.isfinite(summary["avg_train_loss"])
 
+    def test_each_probe_is_one_row_cycling_through_the_probe_batch(self):
+        dataset = tiny_dataset()
+        pipeline = make_pipeline(dataset, max_steps=7, probe_every_steps=1)
+        probe_batch = dataset.test_batch(3)
+        sent = []
+        submit = pipeline.engine.submit
+
+        def record(categorical, numerical=None):
+            sent.append((categorical.copy(), numerical.copy()))
+            return submit(categorical, numerical)
+
+        pipeline.engine.submit = record
+        report = pipeline.run(dataset.training_stream(64), probe_batch=probe_batch)
+        assert report.probe_stats["count"] == 7
+        for index, (categorical, numerical) in enumerate(sent):
+            row = index % 3
+            assert np.array_equal(categorical, probe_batch.categorical[row : row + 1])
+            assert np.array_equal(numerical, probe_batch.numerical[row : row + 1])
+
     def test_losses_match_dedicated_trainer_bit_exact(self):
         """The pipeline must not perturb training: same seeds, same losses
         as a plain Trainer run (publishing is copy-on-write only)."""
@@ -142,6 +161,32 @@ class TestReport:
             if i < 10
         ]
         assert report.losses == reference
+
+
+class TestReplicaTier:
+    def test_run_bootstraps_the_tier_and_probes_through_it(self):
+        """``run`` ships a full base snapshot before the first step, one
+        payload per cadence tick after it, and routes every probe through
+        the replicas instead of the local engine."""
+        dataset = tiny_dataset()
+        pipeline = make_pipeline(dataset, replicas=2, max_steps=8)
+        report = pipeline.run(dataset.training_stream(64), probe_batch=dataset.test_batch(32))
+        stats = report.replica_stats
+        assert report.publishes == 2  # steps 4 and 8; the stream ends fresh
+        assert stats["versions"] == [3, 3]  # bootstrap + two cadence ticks
+        assert stats["publisher"]["full_publishes"] == 1
+        assert stats["publisher"]["delta_publishes"] == 2
+        assert stats["requests_served"] == 4  # probes every 2 of 8 steps
+        assert report.probe_stats["count"] == 4
+        assert report.serving_stats["requests_served"] == 0
+
+    def test_a_ready_tier_is_not_bootstrapped_again(self):
+        dataset = tiny_dataset()
+        pipeline = make_pipeline(dataset, replicas=2, max_steps=4, probe_every_steps=0)
+        pipeline.tier.publish()
+        report = pipeline.run(dataset.training_stream(64))
+        assert report.replica_stats["versions"] == [2, 2]
+        assert report.replica_stats["publisher"]["full_publishes"] == 1
 
 
 class TestPipelineCLI:

@@ -11,7 +11,6 @@ from repro.data.synthetic import SyntheticConfig, SyntheticCTRDataset
 from repro.models.dlrm import DLRM
 from repro.serving import LatencyTracker, ReplicaTier, ServingEngine
 from repro.store import ShardedEmbeddingStore
-from repro.training.latency import measure_serving_latency
 from repro.training.trainer import Trainer
 
 DIM = 8
@@ -59,7 +58,6 @@ class TestLatencyTracker:
         assert summary["count"] == 0
         for key in ("mean_ms", "p50_ms", "p95_ms", "p99_ms"):
             assert summary[key] == 0.0
-        assert tracker.percentile_ms(99.0) == 0.0
 
     def test_single_sample_percentiles_are_that_sample(self):
         tracker = LatencyTracker()
@@ -231,15 +229,6 @@ class TestServedModel:
         engine.refresh()
         tier.publish()
         assert "DLRM" not in copied and "ServedModel" not in copied
-
-
-class TestMeasureServingLatency:
-    def test_returns_percentiles(self):
-        dataset = tiny_dataset()
-        model = make_model(dataset, num_shards=1)
-        stats = measure_serving_latency(model, dataset.test_batch(32), micro_batch=8)
-        assert stats["count"] == 32
-        assert stats["p99_ms"] > 0
 
 
 class TestServeCli:

@@ -270,7 +270,7 @@ class TestDifferentialAgainstTheOldQueue:
         replicas = tier.replicas
         new_batches = [[] for _ in replicas.replicas]
         old_batches = [[] for _ in replicas.replicas]
-        twins = [None] * len(replicas)
+        twins = [None] * len(replicas.replicas)
 
         def rewire():
             for index, replica in enumerate(replicas.replicas):
@@ -282,7 +282,7 @@ class TestDifferentialAgainstTheOldQueue:
         rewire()
         oracles = [
             ReferenceMicroBatcher(lambda index=index: twins[index], max_batch)
-            for index in range(len(replicas))
+            for index in range(len(replicas.replicas))
         ]
         next_oracle = [0]
 
@@ -299,7 +299,7 @@ class TestDifferentialAgainstTheOldQueue:
                     driver.new_handles.append(replicas.submit(categorical, numerical))
                     driver.old_handles.append(route().submit(categorical, numerical))
                 else:
-                    got = replicas.predict(categorical, numerical)
+                    got = replicas.route().predict(categorical, numerical)
                     assert np.array_equal(got, route().predict(categorical, numerical))
             elif op == "flush":
                 assert replicas.flush() == sum(oracle.flush() for oracle in oracles)
@@ -377,9 +377,10 @@ class TestMalformedRequests:
             if all(h.done for h in good):  # the threshold flushed them: start over
                 good = [server.submit(categorical[0], numerical[0])]
         assert server.flush() == len(good)
-        reference = server.predict(categorical[0], numerical[0])
+        reference = server.submit(categorical[0], numerical[0])
+        server.flush()
         for handle in good:
-            assert handle.done and np.allclose(handle.result(), reference, rtol=1e-5)
+            assert handle.done and np.allclose(handle.result(), reference.result(), rtol=1e-5)
 
     def test_huge_but_finite_float64_passes_a_float64_model(self):
         """The NaN/inf screen sums the cast values; a sum that overflows from

@@ -88,6 +88,7 @@ class StackedStoreMachine(RuleBasedStateMachine):
         self.num_shards, self.optimizer = num_shards, optimizer
         self.store = build_store(num_shards, optimizer, seed=3)
         self.oracles = build_oracles(num_shards, optimizer, seed=3)
+        self.steps = 0
         self.snapshots = []
         assert self.store.describe()["stacked"]
 
@@ -114,6 +115,7 @@ class StackedStoreMachine(RuleBasedStateMachine):
         batch, partition = self.partition(ids)
         if not len(batch):
             return
+        self.steps += 1
         flat = grads.reshape(len(batch), DIM)
         sums = partition.split(batch.sum_per_id(flat))
         scores = partition.split(batch.sum_per_id(gradient_norms(flat)))
@@ -142,12 +144,6 @@ class StackedStoreMachine(RuleBasedStateMachine):
         grads = np.random.default_rng(seed).standard_normal((8, FIELDS, DIM)).astype(np.float32)
         self.store.apply_gradients(ids, grads)
         self.oracle_apply(ids, grads)
-
-    @rule()
-    def rebalance(self):
-        assert self.store.rebalance()
-        for oracle in self.oracles:
-            oracle.rebalance()
 
     @precondition(lambda self: len(self.snapshots) < 3)
     @rule()
@@ -178,7 +174,7 @@ class StackedStoreMachine(RuleBasedStateMachine):
     @invariant()
     def state_matches_the_oracles(self):
         state = self.store.state_dict()
-        expected = {"num_shards": np.asarray(self.num_shards)}
+        expected = {"num_shards": np.asarray(self.num_shards), "step": np.asarray(self.steps)}
         for index, oracle in enumerate(self.oracles):
             for key, value in oracle.state_dict().items():
                 expected[f"shard{index}.{key}"] = value

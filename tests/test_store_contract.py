@@ -11,7 +11,8 @@ delegating fast path) and at two (the partitioned path):
 * a one-shard store is bit-exact with the bare backend;
 * a serving engine answers from its snapshot until ``refresh()``;
 * for the backends with state, ``state_dict`` / ``load_state_dict`` and
-  ``save_checkpoint`` / ``load_checkpoint`` round-trip bit for bit, a
+  ``save_checkpoint`` / ``load_checkpoint`` round-trip bit for bit, the
+  store's ``step()`` (and so a pipeline's staleness) survives a restore, a
   restore leaves outstanding snapshots alone, and a checkpoint of another
   shard layout, or with row-optimizer state the store's row optimizer
   cannot take, is refused before anything changes.
@@ -25,6 +26,7 @@ from repro.data.synthetic import SyntheticConfig, SyntheticCTRDataset
 from repro.embeddings import METHOD_NAMES, create_embedding, get_backend
 from repro.errors import CheckpointLayoutError, OptimizerStateMismatchError
 from repro.models.dlrm import DLRM
+from repro.runtime.pipeline import OnlinePipeline, PipelineConfig
 from repro.serving.engine import ServingEngine
 from repro.store import ShardedEmbeddingStore, StoreSnapshot
 from repro.training.checkpoint import load_checkpoint, save_checkpoint
@@ -162,6 +164,16 @@ def test_one_shard_store_is_bit_exact_with_the_bare_backend(method):
     assert store.step() == bare.step()
 
 
+@pytest.mark.parametrize("method", CHECKPOINTABLE)
+def test_a_bare_layer_state_brings_its_step_into_a_one_shard_store(method):
+    bare = create_embedding(method, rng=np.random.default_rng(0), **backend_kwargs(method))
+    steps(bare, count=5)
+    store = build_store(method, 1, seed=9)
+    store.load_state_dict(bare.state_dict())
+    assert store.step() == bare.step() == 5
+    assert np.array_equal(store.lookup(PROBE), bare.lookup(PROBE))
+
+
 @pytest.mark.parametrize("num_shards", SHARD_COUNTS)
 @pytest.mark.parametrize("method", CHECKPOINTABLE)
 class TestEveryCheckpointableBackend:
@@ -174,6 +186,27 @@ class TestEveryCheckpointableBackend:
         restored.load_state_dict(state)
         assert np.array_equal(store.lookup(PROBE), restored.lookup(PROBE))
         assert_states_equal(state, restored.state_dict())
+
+    def test_step_and_pipeline_staleness_survive_a_restore(self, method, num_shards):
+        source = build_store(method, num_shards, seed=5)
+        steps(source, count=10, seed=4)
+        pipeline = OnlinePipeline(
+            model_on(build_store(method, num_shards, seed=0)),
+            config=PipelineConfig(publish_every_steps=1000),
+        )
+        steps(pipeline.model.store, count=6)
+        pipeline.publish()
+        assert pipeline.staleness_steps() == 0
+        pipeline.model.store.load_state_dict(source.state_dict())
+        assert pipeline.model.store.step() == source.step() == 10
+        assert pipeline.staleness_steps() == 4
+        # A state without the step header (as older checkpoints wrote it)
+        # still loads and leaves the step where it was.
+        stepless = {key: value for key, value in source.state_dict().items() if key != "step"}
+        fresh = build_store(method, num_shards, seed=7)
+        fresh.load_state_dict(stepless)
+        assert fresh.step() == 0
+        assert np.array_equal(fresh.lookup(PROBE), source.lookup(PROBE))
 
     def test_restore_leaves_outstanding_snapshots_alone(self, method, num_shards):
         store = build_store(method, num_shards, seed=0)

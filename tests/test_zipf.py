@@ -62,12 +62,6 @@ class TestZipfDistribution:
         empirical = np.bincount(samples, minlength=50) / 200_000
         assert np.allclose(empirical, dist.probabilities, atol=0.01)
 
-    def test_head_mass(self):
-        dist = ZipfDistribution(1000, 1.5)
-        assert dist.head_mass(0) == 0.0
-        assert dist.head_mass(1000) == pytest.approx(1.0)
-        assert 0 < dist.head_mass(10) < 1
-
     def test_determinism_with_seed(self):
         dist = ZipfDistribution(100, 1.1)
         assert np.array_equal(dist.sample(100, rng=7), dist.sample(100, rng=7))
@@ -75,7 +69,7 @@ class TestZipfDistribution:
     def test_more_skew_more_head_mass(self):
         flat = ZipfDistribution(1000, 1.05)
         skewed = ZipfDistribution(1000, 2.0)
-        assert skewed.head_mass(10) > flat.head_mass(10)
+        assert skewed.probabilities[:10].sum() > flat.probabilities[:10].sum()
 
 
 class TestGuideTableIsTheBinarySearch:
