@@ -2,13 +2,17 @@
 
 The paper implements CAFE as "a plug-in embedding layer module ... [that] can
 directly replace the original Embedding module in any PyTorch-based
-recommendation model" (§4).  The same is true here: any model built on
-``repro.nn`` can swap its embedding storage for a ``CafeEmbedding`` (or any
-other ``CompressedEmbedding``) without touching the dense network, as long as
-it routes the per-lookup gradients back through ``apply_gradients``.
+recommendation model" (§4).  The same is true here: a model of your own
+subclasses ``RecommendationModel``, writes its dense forward and backward
+over arrays from the ``repro.nn`` layers' ``forward_array`` /
+``backward_array``, and trains through the one training path every model
+uses, ``Trainer.train_step``.  The trainer hands the per-lookup gradient
+back to the embedding store's ``apply_gradients``, so any
+``CompressedEmbedding`` (CAFE included) drops in without touching the dense
+network.
 
-This example defines a small custom two-tower-style model from scratch —
-without using ``repro.models`` — and trains it with three named embedding
+This example defines a small two-tower model from scratch — no
+``repro.models`` architecture — and trains it with three named embedding
 backends plus one brought by the example itself.
 
 Bringing your own backend: subclass ``CompressedEmbedding`` and implement
@@ -29,10 +33,10 @@ import numpy as np
 
 from repro.data import SyntheticConfig, SyntheticCTRDataset, make_preset
 from repro.embeddings import CompressedEmbedding, create_embedding
-from repro.nn import MLP, Adam, Tensor, functional as F
-from repro.nn.module import Module
+from repro.models.base import RecommendationModel
+from repro.nn import MLP
 from repro.store import ShardedEmbeddingStore
-from repro.training.metrics import roc_auc
+from repro.training import Trainer
 
 BATCH_SIZE = 128
 SEED = 11
@@ -61,34 +65,49 @@ class PlainSGDTable(CompressedEmbedding):
         return int(self.table.size)
 
 
-class TwoTowerModel(Module):
-    """A minimal custom model: user tower and item tower of pooled embeddings.
+class TwoTowerModel(RecommendationModel):
+    """A minimal custom model: a user tower and an item tower.
 
-    The first half of the categorical fields feeds the "user" tower, the rest
-    the "item" tower; the prediction is the dot product of the tower outputs.
-    The embedding backend is any :class:`CompressedEmbedding`.
+    The first half of the categorical fields is the user, the rest the item;
+    each tower is an MLP over the mean of its fields' embeddings, and the
+    logit is the dot product of the two tower outputs.  The embedding
+    backend is any :class:`CompressedEmbedding` or store.
     """
 
-    def __init__(self, embedding: CompressedEmbedding, num_fields: int, tower_dim: int = 16, rng=None):
-        self.embedding = embedding
-        self.num_fields = num_fields
+    def __init__(self, embedding, num_fields: int, tower_dim: int = 16, rng=None):
+        super().__init__(embedding, num_fields, num_numerical=0)
+        generator = np.random.default_rng(rng)
         self.split = num_fields // 2
-        self.user_tower = MLP([embedding.dim, 32, tower_dim], rng=rng)
-        self.item_tower = MLP([embedding.dim, 32, tower_dim], rng=rng)
+        self.user_tower = MLP([self.dim, 32, tower_dim], rng=generator, dtype=self.dtype)
+        self.item_tower = MLP([self.dim, 32, tower_dim], rng=generator, dtype=self.dtype)
 
-    def forward(self, categorical: np.ndarray) -> tuple[Tensor, Tensor]:
-        vectors = self.embedding.lookup(categorical)  # (batch, fields, dim)
-        leaf = Tensor(vectors, requires_grad=True)
-        user_fields = F.mean(
-            F.reshape(leaf, (categorical.shape[0], self.num_fields, self.embedding.dim)), axis=1
+    def dense_forward(self, weights, embeddings, numerical, ws):
+        half = len(weights) // 2  # the towers are alike: user's parameters, then item's
+        user_weights, item_weights = weights[:half], weights[half:]
+        user_in = np.mean(embeddings[:, : self.split], axis=1, out=ws((self, "user"), self.dim))
+        item_in = np.mean(embeddings[:, self.split:], axis=1, out=ws((self, "item"), self.dim))
+        user = self.user_tower.forward_array(user_weights, user_in, ws)
+        item = self.item_tower.forward_array(item_weights, item_in, ws)
+        product = np.multiply(user, item, out=ws((self, "product"), user.shape[1]))
+        return np.sum(product, axis=1, keepdims=True, out=ws((self, "logits"), 1))
+
+    def dense_backward(self, weights, embeddings, numerical, dlogits, ws, grads):
+        user_in, item_in = ws((self, "user"), self.dim), ws((self, "item"), self.dim)
+        user = ws(self.user_tower.layers[-1], self.user_tower.layer_sizes[-1])
+        item = ws(self.item_tower.layers[-1], self.item_tower.layer_sizes[-1])
+        # d(user . item) / d user = item, and the other way round.
+        half = len(weights) // 2
+        duser = self.user_tower.backward_array(
+            weights[:half], user_in, dlogits * item, ws, grads[:half]
         )
-        # Average the first / second half of the fields per tower by slicing the
-        # pooled representation — kept simple on purpose; a production model
-        # would pool each tower's fields separately.
-        user = self.user_tower(user_fields)
-        item = self.item_tower(user_fields)
-        logits = F.sum(F.mul(user, item), axis=1)
-        return logits, leaf
+        ditem = self.item_tower.backward_array(
+            weights[half:], item_in, dlogits * user, ws, grads[half:]
+        )
+        # A mean's gradient reaches each of its fields divided by their count.
+        dx = ws.handout(self, self.num_fields, self.dim)
+        np.divide(duser[:, None], float(self.split), out=dx[:, : self.split])
+        np.divide(ditem[:, None], float(self.num_fields - self.split), out=dx[:, self.split:])
+        return dx
 
 
 def make_embedding(backend: str, schema, compression_ratio: float) -> CompressedEmbedding:
@@ -111,24 +130,13 @@ def make_embedding(backend: str, schema, compression_ratio: float) -> Compressed
 def train(backend: str, dataset: SyntheticCTRDataset, compression_ratio: float) -> float:
     schema = dataset.schema
     embedding = make_embedding(backend, schema, compression_ratio)
-    model = TwoTowerModel(embedding, schema.num_fields, rng=np.random.default_rng(SEED + 1))
-    optimizer = Adam(list(model.parameters()), lr=0.01)
-
-    for batch in dataset.training_stream(BATCH_SIZE):
-        logits, leaf = model.forward(batch.categorical)
-        loss = F.binary_cross_entropy_with_logits(logits, batch.labels)
-        model.zero_grad()
-        loss.backward()
-        # The integration contract: hand the per-lookup gradient back to the
-        # embedding layer.  For CAFE this is also where HotSketch learns the
-        # importance scores and migrations happen.
-        embedding.apply_gradients(batch.categorical, leaf.grad)
-        optimizer.step()
-
-    test = dataset.test_batch(2048)
-    logits, _ = model.forward(test.categorical)
-    probabilities = 1.0 / (1.0 + np.exp(-logits.data))
-    return roc_auc(test.labels, probabilities)
+    model = TwoTowerModel(embedding, schema.num_fields, rng=SEED + 1)
+    trainer = Trainer(model, dense_learning_rate=0.01)
+    # Lookup, dense forward, loss, dense backward, apply_gradients (where
+    # CAFE's HotSketch learns importance scores and migrates rows) and the
+    # dense update: the step every built-in model trains with.
+    trainer.train_stream(dataset.training_stream(BATCH_SIZE))
+    return trainer.evaluate_auc(dataset.test_batch(2048))
 
 
 def main() -> None:
@@ -147,8 +155,9 @@ def main() -> None:
     except NotImplementedError as error:
         print(f"\nown backend: not checkpointable ({error}); define state_dict to make it so")
     print("\nThe point of this example is the integration contract, not the absolute")
-    print("numbers: any CompressedEmbedding drops into a hand-written model as long")
-    print("as the per-lookup gradients are routed back through apply_gradients().")
+    print("numbers: any CompressedEmbedding drops into a model of your own, and")
+    print("Trainer.train_step routes the per-lookup gradients back through")
+    print("apply_gradients().")
 
 
 if __name__ == "__main__":

@@ -91,7 +91,6 @@ KEEP_REASONS = {
     "invariant": "a consistency check tests and the sanitizer call",
     "error-path": "runs only on bad input or a failed check, which the traffic never makes",
     "item-5": "the per-shard fan-out path (ROADMAP item 5 deletes it)",
-    "item-6": "the per-op autograd engine (ROADMAP item 6 moves it out)",
     "item-7": "the HotSketch accessors (ROADMAP item 7)",
     "parked": "real-dataset loading (ROADMAP Parked)",
 }
@@ -113,6 +112,7 @@ KEEP: dict[str, str] = {
     "repro/embeddings/base.py:CompressedEmbedding.memory_floats": "abstract",
     "repro/embeddings/base.py:CompressedEmbedding._build_routes": "abstract",
     "repro/embeddings/base.py:CompressedEmbedding.load_state_dict": "abstract",
+    "repro/embeddings/base.py:CompressedEmbedding.merged_sketch": "error-path",
     "repro/embeddings/base.py:TableBackedEmbedding.optimizer_memory_floats": "oracle",
     "repro/embeddings/cafe.py:CafeEmbedding.check_row_invariants": "invariant",
     "repro/embeddings/plan.py:ScatterPlan.__len__": "oracle",
@@ -123,19 +123,8 @@ KEEP: dict[str, str] = {
     "repro/experiments/reporting.py:ExperimentResult.filter_rows": "oracle",
     "repro/models/base.py:RecommendationModel.dense_forward": "abstract",
     "repro/models/base.py:RecommendationModel.dense_backward": "abstract",
-    "repro/models/base.py:RecommendationModel.forward": "item-6",
-    "repro/nn/functional.py:add": "item-6",
-    "repro/nn/functional.py:sub": "item-6",
-    "repro/nn/functional.py:matmul": "item-6",
-    "repro/nn/functional.py:sigmoid": "item-6",
-    "repro/nn/interactions.py:DotInteraction.forward": "item-6",
-    "repro/nn/interactions.py:CrossNetwork.forward": "item-6",
-    "repro/nn/module.py:Module.forward": "item-6",
-    "repro/nn/optim.py:Optimizer.zero_grad": "item-6",
     "repro/nn/optim.py:Optimizer._compute_update": "abstract",
     "repro/nn/optim.py:RowOptimizer.fused_apply": "abstract",
-    "repro/nn/tensor.py:no_grad": "item-6",
-    "repro/nn/tensor.py:Tensor": "item-6",
     "repro/runtime/executor.py:ShardTiming.as_dict": "item-5",
     "repro/runtime/executor.py:SerialShardExecutor": "item-5",
     "repro/serving/batcher.py:MicroBatcher._serving_model": "abstract",
@@ -144,6 +133,7 @@ KEEP: dict[str, str] = {
     "repro/sketch/base.py:Sketch": "abstract",
     "repro/sketch/hotsketch.py:EvictionBatch.__len__": "item-7",
     "repro/sketch/hotsketch.py:HotSketch": "item-7",
+    "repro/store/sharded.py:ShardedEmbeddingStore.__reduce_ex__": "error-path",
     "repro/store/sharded.py:ShardedEmbeddingStore.shards": "oracle",
 }
 #: Why a git-ignored column no test names stays: ``{column: reason}``.

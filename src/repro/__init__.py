@@ -5,7 +5,7 @@ The package provides:
 * ``repro.api`` — the declarative front door: ``SystemConfig`` →
   ``Session``, the field-spec parser and the consolidated ``python -m repro``
   CLI;
-* ``repro.nn`` — a NumPy autograd / neural-network substrate;
+* ``repro.nn`` — NumPy layers over arrays, parameters and optimizers;
 * ``repro.sketch`` — HotSketch and reference sketches;
 * ``repro.embeddings`` — CAFE, CAFE-ML and all baseline compressed
   embeddings, and the name → backend table;

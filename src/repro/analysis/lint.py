@@ -6,8 +6,8 @@ Six rules encode contracts that previously existed only as prose:
     No ``hasattr(...)`` (or ``callable(getattr(...))``) capability probing
     in ``src/``: what a backend can do is a method of the
     :class:`~repro.embeddings.base.CompressedEmbedding` contract
-    (``state_dict`` raising ``NotImplementedError``, ``merged_sketch``
-    returning ``None``), so call it.
+    (``state_dict`` and ``merged_sketch`` raise ``NotImplementedError``
+    where the scheme has no such state), so call it.
 ``bench-wallclock``
     ``time.time()`` drifts with NTP and has platform-dependent resolution;
     timing paths must use ``time.perf_counter()`` (wall-clock *timestamps*
@@ -40,9 +40,10 @@ Six rules encode contracts that previously existed only as prose:
     (``src/repro/{training,runtime,serving}/``): an import of
     ``repro.nn.tensor`` (or of ``Tensor`` / ``make_node`` through
     ``repro.nn``), a ``make_node`` call or a ``.backward(`` call.
-    The built-in models train and serve over arrays (``Trainer``'s array
-    step, ``predict_proba``); the per-op graph is for custom models and
-    tests.
+    Every model trains and serves over arrays (``Trainer``'s array step,
+    ``predict_proba``).  One graph node remains in ``src/``, the model's
+    ``forward_dense``, with the BCE node over it: the traced training step
+    under ``perf/`` times the loss and the backward as separate calls.
 
 Suppression grammar: a trailing ``# lint: allow[rule-id] <reason>`` on the
 flagged line keeps the violation out of strict mode; the linter still
@@ -305,8 +306,8 @@ def _check_call(node: ast.Call, rel: str) -> Iterator[tuple[str, str]]:
     if called == "make_node" or (called == "backward" and isinstance(func, ast.Attribute)):
         yield (
             "graph-in-loop",
-            f"{called}() builds or walks an autograd graph; the built-in models "
-            "train and serve over arrays (dense_forward / dense_backward)",
+            f"{called}() builds or walks an autograd graph; models train and "
+            "serve over arrays (dense_forward / dense_backward)",
         )
     if rel == _NO_FLOAT64_SCOPE and isinstance(func, ast.Attribute):
         to_float64 = (

@@ -231,7 +231,6 @@ class TrainConfig:
 
     batch_size: int | None = None
     max_steps: int | None = None
-    dense_optimizer: str = "adam"
     dense_learning_rate: float = 0.01
 
     def __post_init__(self):
@@ -247,11 +246,6 @@ class TrainConfig:
             raise ConfigurationError(
                 f"train.dense_learning_rate must be positive, got "
                 f"{self.dense_learning_rate}"
-            )
-        if self.dense_optimizer.lower() not in ("sgd", "adagrad", "adam"):
-            raise ConfigurationError(
-                f"train.dense_optimizer '{self.dense_optimizer}' is not a known "
-                "optimizer; expected one of ['adagrad', 'adam', 'sgd']"
             )
 
 

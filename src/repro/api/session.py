@@ -82,11 +82,7 @@ class Session:
             rng=config.seed,
         )
         self.batch_size = config.train.batch_size or self.scale.batch_size
-        self.trainer = Trainer(
-            self.model,
-            dense_optimizer=config.train.dense_optimizer,
-            dense_learning_rate=config.train.dense_learning_rate,
-        )
+        self.trainer = Trainer(self.model, dense_learning_rate=config.train.dense_learning_rate)
 
     def _build_store(self):
         from repro.embeddings import create_embedding_store

@@ -1,7 +1,7 @@
 """Data pipeline: schemas, synthetic streams, Criteo reader, statistics."""
 
 from repro.data.criteo import CriteoFileReader, criteo_schema
-from repro.data.drift import DriftModel, NoDrift, RotatingDrift
+from repro.data.drift import DriftModel, RotatingDrift
 from repro.data.schema import (
     PAPER_DATASET_STATS,
     DatasetSchema,
@@ -22,7 +22,6 @@ __all__ = [
     "SyntheticCTRDataset",
     "SyntheticConfig",
     "DriftModel",
-    "NoDrift",
     "RotatingDrift",
     "kl_divergence",
     "kl_divergence_matrix",

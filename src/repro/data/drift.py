@@ -24,13 +24,6 @@ class DriftModel:
         raise NotImplementedError  # pragma: no cover - abstract
 
 
-class NoDrift(DriftModel):
-    """Stationary distribution: every day uses the base permutation."""
-
-    def permutation_for_day(self, day: int, cardinality: int, base: np.ndarray) -> np.ndarray:
-        return base
-
-
 class RotatingDrift(DriftModel):
     """Each day swaps a fixed fraction of ranks, cumulatively.
 

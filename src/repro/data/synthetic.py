@@ -22,7 +22,7 @@ from typing import Iterator
 
 import numpy as np
 
-from repro.data.drift import DriftModel, NoDrift, RotatingDrift
+from repro.data.drift import DriftModel, RotatingDrift
 from repro.data.schema import DatasetSchema
 from repro.data.stream import Batch, iterate_batches
 from repro.errors import DataError
@@ -66,12 +66,10 @@ class SyntheticCTRDataset:
         if self.config.samples_per_day <= 0:
             raise DataError("samples_per_day must be positive")
         if drift is None:
-            if schema.num_days > 1:
-                drift = RotatingDrift(
-                    swap_fraction=self.config.drift_swap_fraction, seed=self.config.seed + 1
-                )
-            else:
-                drift = NoDrift()
+            # Day 0 is the base permutation, so a one-day schema is stationary.
+            drift = RotatingDrift(
+                swap_fraction=self.config.drift_swap_fraction, seed=self.config.seed + 1
+            )
         self.drift = drift
 
         # Per-field Zipf distributions over ranks and base rank→feature maps.

@@ -15,7 +15,7 @@ hooks every backend implements — :meth:`CompressedEmbedding.lookup_unique`
 and :meth:`CompressedEmbedding.apply_unique` — so a backend (and every shard
 of a sharded store) only ever sees the unique-id axis.
 
-Keeping the embedding storage outside the autograd graph mirrors how large
+Keeping the embedding storage out of the dense network mirrors how large
 DLRM systems separate the "sparse" and "dense" optimizers, and it is exactly
 the hook CAFE needs: the per-lookup gradient norms are the importance scores
 fed into HotSketch (paper §3.1).
@@ -163,8 +163,9 @@ class CompressedEmbedding:
 
     def merged_sketch(self):
         """The hot-feature sketch, merged across members for a composite
-        store; ``None`` when the scheme tracks no sketch."""
-        return None
+        store.  A scheme that tracks no sketch raises
+        ``NotImplementedError``."""
+        raise NotImplementedError(f"{type(self).__name__} tracks no hot-feature sketch")
 
     def memory_floats(self) -> int:
         """Total memory footprint in float32-equivalent parameters.

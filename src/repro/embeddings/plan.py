@@ -263,7 +263,7 @@ class FreeRowPool:
     """Array-backed LIFO pool of free exclusive-row indices.
 
     Mirrors the subset of the ``list`` API the embedding layers and their
-    tests rely on (``len``, ``pop``, ``append``, ``remove``, truthiness,
+    tests rely on (``len``, ``pop``, ``remove``, ``in``, truthiness,
     iteration) while supporting batched :meth:`claim` and :meth:`release`
     with no per-row Python loop.
     """

@@ -1,4 +1,5 @@
-"""Base class shared by the DLRM / WDL / DCN recommendation models.
+"""Base class of every recommendation model: the built-in DLRM / WDL / DCN
+and a custom one (``examples/custom_model_integration.py``).
 
 A model owns (a) an embedding *store* — a :class:`repro.store.
 ShardedEmbeddingStore`, built from a bare :class:`repro.embeddings.
@@ -12,13 +13,13 @@ once, over plain arrays, from the ``forward_array`` / ``backward_array``
 pairs of its layers, with every intermediate in a per-batch-size
 :class:`~repro.nn.layers.Workspace`.  ``Trainer.train_step`` calls the two
 directly, with the array BCE between them, and builds no graph; the values
-are bit-identical to the per-op graph the layers' ``Tensor`` forms build
-(``tests/reference_dense.py`` keeps that graph as the oracle).  The graph
-form, :meth:`~RecommendationModel.forward` (the logits and the embedding
-leaf whose ``grad``, after ``loss.backward()``, is the per-lookup gradient
-CAFE scores features by), is one node per dense pass over the same two
-methods.  Inference (:meth:`~RecommendationModel.predict_proba`, and the
-:class:`ServedModel` serving answers from) calls the array forward alone.
+are bit-identical to a per-op graph of the same network (the tests keep
+that graph as the oracle, ``tests/reference_dense.py``).  Inference
+(:meth:`~RecommendationModel.predict_proba`, and the :class:`ServedModel`
+serving answers from) calls the array forward alone.
+:meth:`~RecommendationModel.forward_dense` wraps the two methods in one
+graph node, for a caller that times the loss and the backward as separate
+calls (the traced training step under ``perf/``).
 
 Precision follows the store: the dense network computes in
 ``np.promote_types(store.dtype, float32)`` — float32 over float16/float32
@@ -42,7 +43,7 @@ from repro.store import ShardedEmbeddingStore, ensure_store
 
 
 class RecommendationModel(Module):
-    """Common scaffolding: embedding lookup + dense forward."""
+    """Common scaffolding: the store, batch checks, the array passes' workspace."""
 
     def __init__(
         self,
@@ -150,26 +151,6 @@ class RecommendationModel(Module):
                 param._accumulate_grad(param_grad, owned=True)
 
         return make_node(logits, (embeddings, *params), backward)
-
-    # ------------------------------------------------------------------ #
-    # Full forward pass
-    # ------------------------------------------------------------------ #
-    def forward(self, categorical: np.ndarray, numerical: np.ndarray | None = None) -> tuple[Tensor, Tensor]:
-        """Return ``(logits, embedding_leaf)``.
-
-        ``categorical`` holds global feature ids of shape ``(batch, fields)``;
-        ``numerical`` holds dense features of shape ``(batch, num_numerical)``
-        (may be ``None``/empty when the dataset has no numerical fields); a
-        mis-shaped batch raises :class:`~repro.errors.BatchShapeError` before
-        the lookup.  The embedding leaf is a ``requires_grad`` tensor
-        wrapping the looked-up vectors; after backward its ``grad`` is passed
-        to ``embedding.apply_gradients``.
-        """
-        categorical, numerical = self._check_batch(categorical, numerical)
-        vectors = self.store.lookup(categorical)
-        leaf = Tensor(vectors, requires_grad=True, name="embedding_leaf")
-        logits = self.forward_dense(leaf, numerical)
-        return logits, leaf
 
     def predict_proba(self, categorical: np.ndarray, numerical: np.ndarray | None = None) -> np.ndarray:
         """Click probabilities for a batch: the array forward alone, no graph."""

@@ -17,11 +17,10 @@ from typing import Sequence
 
 import numpy as np
 
-from repro.nn import functional as F
 from repro.nn.init import DTypeLike
 from repro.nn.layers import Workspace
 from repro.nn.module import Module
-from repro.nn.tensor import Parameter, Tensor, ensure_tensor, get_default_dtype, make_node
+from repro.nn.tensor import Parameter, get_default_dtype
 from repro.utils.rng import SeedLike, make_rng
 
 
@@ -35,17 +34,6 @@ class DotInteraction(Module):
     in ``np.tril_indices(fields, -1)`` order: row ``i`` contributes its first
     ``i`` columns, rows in increasing order.
     """
-
-    def forward(self, embeddings: Tensor) -> Tensor:
-        """One graph node over :meth:`forward_array` / :meth:`backward_array`."""
-        x = ensure_tensor(embeddings)
-        ws = Workspace(x.shape[0], x.data.dtype)  # private: its dx can be handed out
-
-        def backward(grad: np.ndarray) -> None:
-            x._accumulate_grad(self.backward_array(x.data, grad, ws), owned=True)
-
-        # A copy: backward_array's dx reuses the output's region.
-        return make_node(self.forward_array(x.data, ws).copy(), (x,), backward)
 
     def forward_array(self, x: np.ndarray, ws: Workspace) -> np.ndarray:
         """The pair products of ``x``, a view of this layer's ``(self, "x")``
@@ -148,18 +136,10 @@ class CrossNetwork(Module):
             for i in range(num_layers)
         ]
 
-    def forward(self, x0: Tensor) -> Tensor:
-        x = x0
-        for weight, bias in zip(self.weights, self.biases):
-            # (batch, 1) scalar per sample = x_l . w_l
-            projected = F.matmul(x, weight)
-            crossed = F.mul(x0, projected)  # broadcast over the feature axis
-            x = F.add(F.add(crossed, bias), x)
-        return x
-
     def forward_array(self, weights: Sequence[np.ndarray], x0: np.ndarray, ws: Workspace) -> np.ndarray:
-        """:meth:`forward` on arrays (``weights = [w_0.., b_0..]``, the
-        ``parameters()`` order); the result is a workspace array."""
+        """The network's output for input ``x0`` under ``weights``
+        (``[w_0.., b_0..]``, the ``parameters()`` order): layer ``l`` is
+        ``x0 * (x @ w_l) + b_l + x``; the result is a workspace array."""
         layers, x = self.num_layers, x0
         for i in range(layers):
             projected = np.matmul(x, weights[i], out=ws((self, "p", i), 1))
@@ -178,9 +158,10 @@ class CrossNetwork(Module):
 
         ``x0`` reaches the output through every layer's product and through
         layer 0's projection and residual; those contributions are summed in
-        the order the per-op graph of :meth:`forward` adds them — products of
+        the order a per-op graph of the forward adds them — products of
         layers L-1 .. 1, then layer 0's residual, product and projection — so
-        the result is bit-identical to it.  ``dx0`` is a workspace array.
+        the result is bit-identical to it (``tests/reference_dense.py``).
+        ``dx0`` is a workspace array.
         """
         layers, dim = self.num_layers, self.input_dim
         dx0 = ws((self, "dx0"), dim)

@@ -1,11 +1,10 @@
 """Dense layers: Linear and MLP stacks used by the recommendation models.
 
-Each layer has two forms.  ``layer(tensor)`` records per-op autograd nodes
-(what a custom model built from ``repro.nn`` runs on).  ``forward_array`` /
-``backward_array`` compute the same values, operation for operation, on
-plain arrays with the weights passed in (``parameters()`` order) and every
-intermediate kept in a :class:`Workspace`; the built-in models chain these
-into their dense pass, which ``Trainer`` runs with no graph.
+A layer holds its :class:`~repro.nn.tensor.Parameter` objects and computes
+over plain arrays: ``forward_array`` / ``backward_array`` take the weights
+passed in (``parameters()`` order) and keep every intermediate in a
+:class:`Workspace`.  A model chains them into its dense pass, which
+``Trainer`` runs with no graph.
 """
 
 from __future__ import annotations
@@ -16,10 +15,9 @@ from typing import Hashable, Sequence
 
 import numpy as np
 
-from repro.nn import functional as F
 from repro.nn.init import DTypeLike, kaiming_uniform
 from repro.nn.module import Module
-from repro.nn.tensor import Parameter, Tensor, get_default_dtype
+from repro.nn.tensor import Parameter, get_default_dtype
 from repro.utils.rng import SeedLike, make_rng
 
 
@@ -31,7 +29,7 @@ class Workspace:
     first use, so a loop at one batch size maps no new pages.  A key may be
     taken again with another shape once what it held is dead — a layer's
     transposed input and its output, say — which keeps a forward pass's
-    live set near the per-op graph's; a region grows to its largest use.
+    live set small; a region grows to its largest use.
     The next pass overwrites every region: nothing handed to a caller may
     be one of them.  ``passes`` counts the forward passes that claimed the
     workspace; a backward compares it with its own forward's count.
@@ -99,7 +97,8 @@ class Linear(Module):
     """Fully connected layer ``y = x W + b``.
 
     ``dtype`` is the precision of the parameters (and so of everything
-    computed from them); ``None`` is the autograd default, float64.  The
+    computed from them); ``None`` is float64, the precision of a bare layer
+    built outside a model (:func:`~repro.nn.tensor.get_default_dtype`).  The
     weights are drawn in float64 and rounded, so one seed gives the same
     layer at every precision up to that rounding.
     """
@@ -117,9 +116,6 @@ class Linear(Module):
             kaiming_uniform((in_features, out_features), generator, dtype=dtype), name="weight"
         )
         self.bias = Parameter(np.zeros(out_features, dtype=dtype), name="bias")
-
-    def forward(self, x: Tensor) -> Tensor:
-        return F.linear(x, self.weight, self.bias)
 
     def forward_array(self, weights: Sequence[np.ndarray], x: np.ndarray, ws: Workspace) -> np.ndarray:
         """``x @ W + b`` (``weights = [W, b]``) into this layer's workspace array."""
@@ -152,47 +148,22 @@ class Linear(Module):
 
 
 class MLP(Module):
-    """A stack of Linear layers with ReLU activations between them.
+    """A stack of Linear layers with ReLU activations between them; the
+    output is raw (the models return logits and the loss applies the
+    sigmoid)."""
 
-    ``sigmoid_output=True`` applies a sigmoid to the final layer, which the
-    reference DLRM uses for its top MLP when producing probabilities; in this
-    library the models return raw logits and apply the loss' own sigmoid, so
-    the flag exists mainly for API parity and custom use.
-    """
-
-    def __init__(
-        self,
-        layer_sizes: list[int],
-        rng: SeedLike = None,
-        sigmoid_output: bool = False,
-        dtype: DTypeLike = None,
-    ):
+    def __init__(self, layer_sizes: list[int], rng: SeedLike = None, dtype: DTypeLike = None):
         if len(layer_sizes) < 2:
             raise ValueError("MLP needs at least an input and an output size")
         generator = make_rng(rng)
         self.layer_sizes = list(int(s) for s in layer_sizes)
-        self.sigmoid_output = bool(sigmoid_output)
         self.layers = [
             Linear(self.layer_sizes[i], self.layer_sizes[i + 1], rng=generator, dtype=dtype)
             for i in range(len(self.layer_sizes) - 1)
         ]
 
-    def forward(self, x: Tensor) -> Tensor:
-        out = x
-        last = len(self.layers) - 1
-        for i, layer in enumerate(self.layers):
-            out = layer(out)
-            if i < last:
-                out = F.relu(out)
-        if self.sigmoid_output:
-            out = F.sigmoid(out)
-        return out
-
     def forward_array(self, weights: Sequence[np.ndarray], x: np.ndarray, ws: Workspace) -> np.ndarray:
-        """:meth:`forward` on arrays; the result is the last layer's workspace
-        array.  Raw output only: ``sigmoid_output`` has no array form."""
-        if self.sigmoid_output:
-            raise ValueError("forward_array computes the raw output; sigmoid_output is Tensor-only")
+        """The stack's output for input ``x``: the last layer's workspace array."""
         last = len(self.layers) - 1
         for i, layer in enumerate(self.layers):
             x = layer.forward_array(weights[2 * i: 2 * i + 2], x, ws)

@@ -40,8 +40,9 @@ class Module:
                         yield f"{full_name}.{i}", item
 
     def zero_grad(self) -> None:
+        """Clear every ``param.grad`` (before a graph ``backward()``)."""
         for param in self.parameters():
-            param.zero_grad()
+            param.grad = None
 
     def num_parameters(self) -> int:
         """Total number of scalar learnable parameters."""
@@ -79,9 +80,3 @@ class Module:
             if value.shape != param.data.shape:
                 raise ValueError(f"shape mismatch for {name}: {value.shape} vs {param.data.shape}")
             param.data = value.copy()
-
-    def __call__(self, *args, **kwargs):
-        return self.forward(*args, **kwargs)
-
-    def forward(self, *args, **kwargs):  # pragma: no cover - abstract
-        raise NotImplementedError

@@ -1,11 +1,12 @@
 """Optimizers for dense parameters and for sparse (row-indexed) updates.
 
-Dense optimizers operate on autograd :class:`Parameter` objects after
-``backward()``.  The embedding-compression layers manage their own storage
-outside the autograd graph (they must intercept per-lookup gradients to feed
-HotSketch), so this module also provides *row optimizers* that apply SGD or
-Adagrad updates to selected rows of a raw NumPy matrix — the same split
-between a "dense" and a "sparse" optimizer that production DLRM trainers use.
+The dense network's :class:`Parameter` objects are trained by :class:`Adam`,
+from gradients ``Trainer``'s backward writes into its staging buffer.  The
+embedding-compression layers manage their own storage (they must intercept
+per-lookup gradients to feed HotSketch), so this module also provides *row
+optimizers* that apply SGD or Adagrad updates to selected rows of a raw
+NumPy matrix — the same split between a "dense" and a "sparse" optimizer
+that production DLRM trainers use.
 """
 
 from __future__ import annotations
@@ -26,7 +27,7 @@ FLUSH_EVERY = 16
 
 
 class Optimizer:
-    """Base class for dense optimizers over autograd parameters.
+    """Base class of the dense optimizer (:class:`Adam`) over parameters.
 
     All state lives in flat arrays over the concatenation of the parameters
     (list order), next to one gradient staging buffer and two work buffers
@@ -82,10 +83,6 @@ class Optimizer:
         self.restored = False
         self._tiny = float(np.finfo(self.dtype).tiny)
         self._tiny_root = float(np.sqrt(np.finfo(self.dtype).tiny))
-
-    def zero_grad(self) -> None:
-        for param in self.parameters:
-            param.grad = None
 
     def step(self) -> None:
         """One update from every ``param.grad`` (a parameter whose grad is
@@ -172,51 +169,8 @@ class Optimizer:
             array[:] = arrays[name]
 
 
-class SGD(Optimizer):
-    """Plain stochastic gradient descent (optionally with momentum)."""
-
-    kind = "sgd"
-
-    def __init__(self, parameters: list[Parameter], lr: float, momentum: float = 0.0):
-        if not 0.0 <= momentum < 1.0:
-            raise ValueError(f"momentum must be in [0, 1), got {momentum}")
-        super().__init__(parameters, lr, state=("velocity",) if momentum > 0.0 else ())
-        self.momentum = float(momentum)
-
-    def _compute_update(self, run: slice) -> None:
-        direction, update = self._grad[run], self._update[run]
-        if self.momentum > 0.0:
-            velocity = self.state["velocity"][run]
-            velocity *= self.momentum
-            velocity += direction
-            self._flush(velocity, self._tiny_root, update)
-            direction = velocity
-        np.multiply(direction, self.lr, out=update)
-
-
-class Adagrad(Optimizer):
-    """Adagrad, the optimizer the reference DLRM uses for embeddings."""
-
-    kind = "adagrad"
-
-    def __init__(self, parameters: list[Parameter], lr: float, eps: float = 1e-10):
-        super().__init__(parameters, lr, state=("accumulator",))
-        self.eps = float(eps)
-
-    def _compute_update(self, run: slice) -> None:
-        grad, update, denom = self._grad[run], self._update[run], self._denom[run]
-        acc = self.state["accumulator"][run]
-        # The accumulator only grows: nothing decays, nothing to flush.
-        np.square(grad, out=update)
-        acc += update
-        np.sqrt(acc, out=denom)
-        denom += self.eps
-        np.multiply(grad, self.lr, out=update)
-        update /= denom
-
-
 class Adam(Optimizer):
-    """Adam optimizer (Kingma & Ba, 2015)."""
+    """Adam (Kingma & Ba, 2015), the dense network's optimizer."""
 
     kind = "adam"
 

@@ -1,33 +1,27 @@
-"""A small reverse-mode automatic differentiation engine over NumPy arrays.
+"""Parameters, and the one graph node a dense pass can still be wrapped in.
 
-The CAFE paper builds on PyTorch; PyTorch is not available in this offline
-environment, so this module provides the minimal-but-real substrate the rest
-of the library needs: a ``Tensor`` holding a ``numpy.ndarray``, a dynamic
-computation graph, and reverse-mode gradients for the operations used by the
-DLRM / WDL / DCN models (matrix multiplication, element-wise arithmetic,
-activations, reductions, concatenation, gathering rows from embedding
-matrices, and the binary cross entropy loss).
+A :class:`Parameter` is a named array a model learns (``Module`` walks
+them; the dense optimizer updates their ``data``).  ``Trainer`` trains with
+no graph: it runs the models' array forward and backward directly.  What is
+left of reverse-mode autograd here is what the graph form of that pass
+needs: a :class:`Tensor` holding an array and, after :meth:`Tensor.backward`,
+its ``grad``; :func:`make_node`, which records one operation's backward; and
+the ``Parameter`` leaves it fills.  ``RecommendationModel.forward_dense`` is
+one such node and ``binary_cross_entropy_with_logits`` another, so a loss
+built from them back-propagates into the embedding leaf and every
+``param.grad``.  The per-op graph the dense passes are checked against lives
+in the tests, beside ``tests/reference_dense.py``.
 
-The engine intentionally mirrors PyTorch's mental model (``requires_grad``,
-``backward()``, ``grad``, ``no_grad()``) so that the embedding-compression
-code reads like the original plug-in module the paper describes.
-
-Precision: a tensor keeps the float dtype of the array it wraps, and every
-operation computes in the dtype of its operands, so a graph built from
-float32 embeddings and float32 parameters is float32 end to end — data,
-every ``.grad`` and the optimizer state (float16 is widened to float32 on
-entry: there are no half-precision GEMMs here).  Values that carry no float
-dtype of their own (Python numbers, lists, integer arrays) take the default
-dtype — float64, which is what a bare ``Linear``/``MLP`` built outside a
-session uses and what keeps the gradient-check tests tight — or, inside a
-binary operation, the dtype of the other operand.
+Precision: a tensor keeps the float dtype of the array it wraps (float16 is
+widened to float32 on entry: there are no half-precision GEMMs here).
+Values that carry no float dtype of their own (Python numbers, lists,
+integer arrays) take the default dtype, float64, which is also what a bare
+``Linear`` / ``MLP`` built outside a session uses.
 """
 
 from __future__ import annotations
 
-import threading
-from contextlib import contextmanager
-from typing import Callable, Iterator
+from typing import Callable
 
 import numpy as np
 
@@ -45,12 +39,12 @@ def get_default_dtype() -> np.dtype:
     return _DEFAULT_DTYPE
 
 
-def _as_array(value: ArrayLike, dtype: np.dtype | None = None) -> np.ndarray:
+def _as_array(value: ArrayLike) -> np.ndarray:
     """``value`` as a float array of at least single precision.
 
     Float arrays (and NumPy float scalars, which reductions return) keep
     their dtype, float16 widening to float32; anything else is converted to
-    ``dtype`` (default: the module default).
+    the default dtype.
     """
     if isinstance(value, np.floating):
         value = np.asarray(value)
@@ -58,46 +52,12 @@ def _as_array(value: ArrayLike, dtype: np.dtype | None = None) -> np.ndarray:
         if value.dtype.itemsize >= _FLOAT32.itemsize:
             return value
         return value.astype(_FLOAT32)
-    return np.asarray(value, dtype=dtype or _DEFAULT_DTYPE)
-
-
-# Whether operations record the backward graph.  Per thread: a serving thread
-# inside ``no_grad()`` must not strip the graph of a training thread.
-_grad_mode = threading.local()
-
-
-def is_grad_enabled() -> bool:
-    return getattr(_grad_mode, "enabled", True)
-
-
-@contextmanager
-def no_grad() -> Iterator[None]:
-    """Run the enclosed forward passes without recording a backward graph."""
-    previous = is_grad_enabled()
-    _grad_mode.enabled = False
-    try:
-        yield
-    finally:
-        _grad_mode.enabled = previous
-
-
-def _unbroadcast(grad: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
-    """Sum ``grad`` back down to ``shape``, undoing NumPy broadcasting."""
-    if grad.shape == shape:
-        return grad
-    # Sum over leading axes added by broadcasting.
-    extra = grad.ndim - len(shape)
-    if extra > 0:
-        grad = grad.sum(axis=tuple(range(extra)))
-    # Sum over axes that were broadcast from size 1.
-    axes = tuple(i for i, dim in enumerate(shape) if dim == 1 and grad.shape[i] != 1)
-    if axes:
-        grad = grad.sum(axis=axes, keepdims=True)
-    return grad.reshape(shape)
+    return np.asarray(value, dtype=_DEFAULT_DTYPE)
 
 
 class Tensor:
-    """A NumPy-backed tensor participating in a dynamic autograd graph."""
+    """An array in a dynamic autograd graph: ``data``, and ``grad`` after
+    :meth:`backward`."""
 
     __slots__ = ("data", "grad", "requires_grad", "_parents", "_backward_fn", "name")
 
@@ -116,39 +76,14 @@ class Tensor:
         self._backward_fn = backward_fn
         self.name = name
 
-    # ------------------------------------------------------------------ #
-    # Basic introspection
-    # ------------------------------------------------------------------ #
     @property
     def shape(self) -> tuple[int, ...]:
         return self.data.shape
 
     @property
-    def ndim(self) -> int:
-        return self.data.ndim
-
-    @property
     def size(self) -> int:
         return self.data.size
 
-    def numpy(self) -> np.ndarray:
-        """Return the underlying array (not a copy)."""
-        return self.data
-
-    def detach(self) -> "Tensor":
-        """Return a new tensor sharing data but cut off from the graph."""
-        return Tensor(self.data, requires_grad=False)
-
-    def zero_grad(self) -> None:
-        self.grad = None
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging helper
-        flag = ", requires_grad=True" if self.requires_grad else ""
-        return f"Tensor(shape={self.shape}{flag})"
-
-    # ------------------------------------------------------------------ #
-    # Autograd machinery
-    # ------------------------------------------------------------------ #
     def _accumulate_grad(self, grad: np.ndarray, owned: bool = False) -> None:
         """Add ``grad`` into ``self.grad``.
 
@@ -188,92 +123,6 @@ class Tensor:
             if node._backward_fn is not None and node.grad is not None:
                 node._backward_fn(node.grad)
 
-    # ------------------------------------------------------------------ #
-    # Operator overloads (thin wrappers over repro.nn.functional)
-    # ------------------------------------------------------------------ #
-    def __add__(self, other: "Tensor | ArrayLike") -> "Tensor":
-        from repro.nn import functional as F
-
-        return F.add(self, other)
-
-    __radd__ = __add__
-
-    def __sub__(self, other: "Tensor | ArrayLike") -> "Tensor":
-        from repro.nn import functional as F
-
-        return F.sub(self, other)
-
-    def __rsub__(self, other: "Tensor | ArrayLike") -> "Tensor":
-        from repro.nn import functional as F
-
-        return F.sub(other, self)
-
-    def __mul__(self, other: "Tensor | ArrayLike") -> "Tensor":
-        from repro.nn import functional as F
-
-        return F.mul(self, other)
-
-    __rmul__ = __mul__
-
-    def __neg__(self) -> "Tensor":
-        from repro.nn import functional as F
-
-        return F.mul(self, -1.0)
-
-    def __matmul__(self, other: "Tensor") -> "Tensor":
-        from repro.nn import functional as F
-
-        return F.matmul(self, other)
-
-    def sum(self, axis: int | tuple[int, ...] | None = None, keepdims: bool = False) -> "Tensor":
-        from repro.nn import functional as F
-
-        return F.sum(self, axis=axis, keepdims=keepdims)
-
-    def mean(self, axis: int | tuple[int, ...] | None = None, keepdims: bool = False) -> "Tensor":
-        from repro.nn import functional as F
-
-        return F.mean(self, axis=axis, keepdims=keepdims)
-
-    def reshape(self, *shape: int) -> "Tensor":
-        from repro.nn import functional as F
-
-        if len(shape) == 1 and isinstance(shape[0], (tuple, list)):
-            shape = tuple(shape[0])
-        return F.reshape(self, shape)
-
-    def relu(self) -> "Tensor":
-        from repro.nn import functional as F
-
-        return F.relu(self)
-
-    def sigmoid(self) -> "Tensor":
-        from repro.nn import functional as F
-
-        return F.sigmoid(self)
-
-
-def ensure_tensor(value: "Tensor | ArrayLike", dtype: np.dtype | None = None) -> Tensor:
-    """Coerce ``value`` into a non-differentiable :class:`Tensor` if needed.
-
-    ``dtype`` is what a value without a float dtype of its own becomes.
-    """
-    if isinstance(value, Tensor):
-        return value
-    return Tensor(_as_array(value, dtype))
-
-
-def ensure_tensors(a: "Tensor | ArrayLike", b: "Tensor | ArrayLike") -> tuple[Tensor, Tensor]:
-    """Both operands of a binary operation as tensors.
-
-    A Python number (or any dtype-less value) adopts the dtype of the tensor
-    it meets: as a 0-d float64 *array* it would promote a float32 operand.
-    """
-    if isinstance(a, Tensor):
-        return a, ensure_tensor(b, a.data.dtype)
-    b = ensure_tensor(b)
-    return ensure_tensor(a, b.data.dtype), b
-
 
 def make_node(
     data: np.ndarray, parents: tuple[Tensor, ...], backward_fn: Callable[[np.ndarray], None]
@@ -281,13 +130,12 @@ def make_node(
     """``data`` as the output of an operation on ``parents``.
 
     Records ``backward_fn`` (called with the node's gradient once every
-    consumer has contributed to it) when gradients are enabled and some
-    parent requires one; otherwise returns a plain tensor with no graph.
+    consumer has contributed to it) when some parent requires a gradient;
+    otherwise returns a plain tensor with no graph.
     """
-    if is_grad_enabled():
-        parents = tuple([p for p in parents if p.requires_grad])
-        if parents:
-            return Tensor(data, True, parents, backward_fn)
+    parents = tuple([p for p in parents if p.requires_grad])
+    if parents:
+        return Tensor(data, True, parents, backward_fn)
     return Tensor(data)
 
 

@@ -10,9 +10,10 @@ from repro.kernels.ops import SegmentSum, segment_boundaries, stable_order
 class Sketch:
     """Base class for frequency / importance sketches over integer keys.
 
-    All sketches in this package support batched insertion of ``(key, score)``
-    pairs and batched point queries, because the training loop feeds them one
-    mini-batch of feature ids at a time.
+    Sketches take batched insertion of ``(key, score)`` pairs, because the
+    training loop feeds them one mini-batch of feature ids at a time, and
+    answer batched point queries (all but :class:`~repro.sketch.spacesaving.
+    SpaceSaving`, which answers top-k only).
     """
 
     def insert(self, keys: np.ndarray, scores: np.ndarray | None = None) -> None:

@@ -29,7 +29,8 @@ class SpaceSaving(Sketch):
     Implemented with a dictionary plus a lazily-rebuilt min-heap, which gives
     amortized O(log capacity) updates — not the O(1) Stream-Summary of the
     original paper, but functionally identical estimates, which is all the
-    comparison experiments need.
+    comparison experiments need.  It answers :meth:`top_k` only (the
+    evaluation compares top-k sets); it has no point :meth:`query`.
     """
 
     def __init__(self, capacity: int):
@@ -73,12 +74,6 @@ class SpaceSaving(Sketch):
                 self._invalidate(min_key)
                 self._scores[key] = min_score + score
                 self._push(key, min_score + score)
-
-    def query(self, keys: np.ndarray) -> np.ndarray:
-        keys = np.asarray(keys, dtype=np.int64)
-        flat = keys.reshape(-1)
-        out = np.asarray([self._scores.get(int(k), 0.0) for k in flat], dtype=np.float64)
-        return out.reshape(keys.shape)
 
     def top_k(self, k: int) -> np.ndarray:
         ordered = sorted(self._scores.items(), key=lambda item: item[1], reverse=True)

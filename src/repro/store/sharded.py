@@ -178,15 +178,12 @@ class ShardedEmbeddingStore(CompressedEmbedding):
         self._stack = CafeStack.stacked(self._shards) if stackable else None
         self.invalidate_plan()
 
-    def __getstate__(self):
-        # Views do not survive a copy or pickle; the copy restacks instead.
-        state = self.__dict__.copy()
-        state["_stack"] = None
-        return state
-
-    def __setstate__(self, state):
-        self.__dict__.update(state)
-        self._restack()
+    def __reduce_ex__(self, protocol):
+        # A copy would sever the stacked shards' views from the stack.
+        raise TypeError(
+            "a ShardedEmbeddingStore is neither copied nor pickled: take snapshot() for a "
+            "frozen view, state_dict() to save it"
+        )
 
     # ------------------------------------------------------------------ #
     # CompressedEmbedding interface
@@ -297,16 +294,10 @@ class ShardedEmbeddingStore(CompressedEmbedding):
     # Introspection / checkpointing
     # ------------------------------------------------------------------ #
     def merged_sketch(self):
-        """One global HotSketch merged from all sketch-carrying shards.
-
-        The pairwise SpaceSaving merge runs over every shard that carries a
-        sketch.  Only meaningful when the shards are CAFE-style backends;
-        returns ``None`` when no shard exposes a sketch.
-        """
+        """One global HotSketch: the pairwise SpaceSaving merge of every
+        shard's.  Shards that track no sketch (anything but CAFE-style
+        backends) raise ``NotImplementedError``."""
         sketches = [shard.merged_sketch() for shard in self._shards]
-        sketches = [sketch for sketch in sketches if sketch is not None]
-        if not sketches:
-            return None
         return type(sketches[0]).merge_all(sketches)
 
     def describe(self) -> dict[str, float | int | str]:

@@ -19,7 +19,7 @@ from repro.errors import BatchShapeError, InvalidLabelError, NonFiniteFeatureErr
 from repro.models.base import RecommendationModel
 from repro.nn import functional as F
 from repro.nn.layers import claim_workspace
-from repro.nn.optim import Adagrad, Adam, Optimizer, SGD
+from repro.nn.optim import Adam
 from repro.training.metrics import log_loss, roc_auc
 from repro.utils.logging import get_logger
 
@@ -52,17 +52,6 @@ class TrainingHistory:
         return np.convolve(values, kernel, mode="valid")
 
 
-def _make_dense_optimizer(name: str, parameters, lr: float) -> Optimizer:
-    lowered = name.lower()
-    if lowered == "sgd":
-        return SGD(parameters, lr)
-    if lowered == "adagrad":
-        return Adagrad(parameters, lr)
-    if lowered == "adam":
-        return Adam(parameters, lr)
-    raise ValueError(f"unknown dense optimizer '{name}'")
-
-
 def _checked_labels(labels: np.ndarray, rows: int) -> np.ndarray:
     """``labels`` if they are ``rows`` values in ``[0, 1]``; two reductions
     (a NaN fails both comparisons, an inf one of them)."""
@@ -79,22 +68,17 @@ def _checked_labels(labels: np.ndarray, rows: int) -> np.ndarray:
 class Trainer:
     """Drives a :class:`RecommendationModel` over a batch stream.
 
-    The dense network is trained by ``dense_optimizer`` (``"sgd"``,
-    ``"adagrad"`` or ``"adam"``); the embedding store updates itself with the
-    row optimizer it was built with.
+    The dense network is trained by an :class:`~repro.nn.optim.Adam` at
+    ``dense_learning_rate`` (:attr:`dense_optimizer`); the embedding store
+    updates itself with the row optimizer it was built with.  Any model
+    that implements ``dense_forward`` / ``dense_backward`` trains here, the
+    built-in ones and a custom one alike
+    (``examples/custom_model_integration.py``).
     """
 
-    def __init__(
-        self,
-        model: RecommendationModel,
-        *,
-        dense_optimizer: str = "adam",
-        dense_learning_rate: float = 0.01,
-    ):
+    def __init__(self, model: RecommendationModel, *, dense_learning_rate: float = 0.01):
         self.model = model
-        self.dense_optimizer = _make_dense_optimizer(
-            dense_optimizer, list(model.parameters()), dense_learning_rate
-        )
+        self.dense_optimizer = Adam(list(model.parameters()), dense_learning_rate)
         self.global_step = 0
 
     # ------------------------------------------------------------------ #
@@ -124,8 +108,8 @@ class Trainer:
         ``forward_dense``'s graph node runs them, and the backward writes the
         parameter gradients straight into the dense optimizer's staging
         buffer.  The values are bit-identical to the graph composition
-        ``forward`` → ``binary_cross_entropy_with_logits`` → ``backward()``
-        → ``step()``.
+        ``forward_dense`` → ``binary_cross_entropy_with_logits`` →
+        ``backward()`` → ``step()``.
         """
         model, optimizer = self.model, self.dense_optimizer
         categorical, numerical = model._check_batch(batch.categorical, batch.numerical)

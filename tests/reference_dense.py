@@ -2,12 +2,11 @@
 
 ``DLRM`` / ``WDL`` / ``DCN`` compute their dense network as one graph node
 over hand-written array code.  The classes below keep the composed
-``forward_dense`` bodies that code replaced — every op its own
-``repro.nn.functional`` node, over the *same* parameter objects — as the
+``forward_dense`` bodies that code replaced — every op its own node of
+``tests/reference_graph.py``, over the *same* parameter objects — as the
 oracle the fused node must equal bit for bit (values, ``leaf.grad`` and
 every ``param.grad``).  ``concat`` and ``batched_outer_interaction`` are the
-two ops those bodies used that no library code needs any more, kept here
-verbatim.
+two ops only these bodies use.
 """
 
 from __future__ import annotations
@@ -16,9 +15,10 @@ from functools import lru_cache
 
 import numpy as np
 
+import reference_graph as G
+from reference_graph import ensure_tensor
 from repro.models import DCN, DLRM, WDL
-from repro.nn import functional as F
-from repro.nn.tensor import Tensor, ensure_tensor, make_node
+from repro.nn.tensor import Tensor, make_node
 
 
 def concat(tensors: list[Tensor], axis: int = -1) -> Tensor:
@@ -76,7 +76,7 @@ class _Reference:
 
     def flat_features(self, embeddings: Tensor, numerical: np.ndarray) -> Tensor:
         model, batch = self.model, embeddings.shape[0]
-        flat = F.reshape(embeddings, (batch, model.num_fields * model.dim))
+        flat = G.reshape(embeddings, (batch, model.num_fields * model.dim))
         if model.num_numerical > 0:
             return concat([flat, self.numerical(numerical)], axis=1)
         return flat
@@ -86,32 +86,32 @@ class ReferenceDLRM(_Reference):
     def forward_dense(self, embeddings: Tensor, numerical: np.ndarray) -> Tensor:
         model, batch = self.model, embeddings.shape[0]
         if model.has_dense_field:
-            dense_vector = model.bottom(self.numerical(numerical))
-            dense_as_field = F.reshape(dense_vector, (batch, 1, model.dim))
+            dense_vector = G.mlp(model.bottom, self.numerical(numerical))
+            dense_as_field = G.reshape(dense_vector, (batch, 1, model.dim))
             all_fields = concat([embeddings, dense_as_field], axis=1)
             interactions = batched_outer_interaction(all_fields)
             top_input = concat([dense_vector, interactions], axis=1)
         else:
             top_input = batched_outer_interaction(embeddings)
-        return F.reshape(model.top(top_input), (batch,))
+        return G.reshape(G.mlp(model.top, top_input), (batch,))
 
 
 class ReferenceWDL(_Reference):
     def forward_dense(self, embeddings: Tensor, numerical: np.ndarray) -> Tensor:
         model = self.model
         features = self.flat_features(embeddings, numerical)
-        logits = F.add(model.wide(features), model.deep(features))
-        return F.reshape(logits, (embeddings.shape[0],))
+        logits = G.add(G.linear_layer(model.wide, features), G.mlp(model.deep, features))
+        return G.reshape(logits, (embeddings.shape[0],))
 
 
 class ReferenceDCN(_Reference):
     def forward_dense(self, embeddings: Tensor, numerical: np.ndarray) -> Tensor:
         model = self.model
         features = self.flat_features(embeddings, numerical)
-        cross_out = model.cross(features)
-        deep_out = F.relu(model.deep(features))
-        logits = model.output(concat([cross_out, deep_out], axis=1))
-        return F.reshape(logits, (embeddings.shape[0],))
+        cross_out = G.cross_network(model.cross, features)
+        deep_out = G.relu(G.mlp(model.deep, features))
+        logits = G.linear_layer(model.output, concat([cross_out, deep_out], axis=1))
+        return G.reshape(logits, (embeddings.shape[0],))
 
 
 REFERENCES = {DLRM: ReferenceDLRM, WDL: ReferenceWDL, DCN: ReferenceDCN}

@@ -61,6 +61,15 @@ class TestValidation:
         with pytest.raises(ConfigurationError, match="unknown config key 'train.eval_every'"):
             apply_overrides(SystemConfig(), ["train.eval_every=10"])
 
+    @pytest.mark.parametrize("value", ["adam", "sgd", "adagrad"])
+    def test_removed_dense_optimizer_option_is_an_unknown_key(self, value):
+        # The dense network always trains with Adam.
+        message = r"unknown config key 'train\.dense_optimizer'.*valid keys under 'train'"
+        with pytest.raises(ConfigurationError, match=message):
+            SystemConfig.from_dict({"train": {"dense_optimizer": value}})
+        with pytest.raises(ConfigurationError, match=message):
+            apply_overrides(SystemConfig(), [f"train.dense_optimizer={value}"])
+
     @pytest.mark.parametrize("key, value", [("executor_workers", 2), ("grad_exchange", "sketched")])
     def test_removed_process_runtime_options_are_unknown_keys(self, key, value):
         with pytest.raises(ConfigurationError, match=f"unknown config key 'store.{key}'"):

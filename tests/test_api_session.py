@@ -210,14 +210,13 @@ class TestCheckpointLifecycle:
 
     @pytest.mark.parametrize("store_dtype", ["float32", "float64"])
     @pytest.mark.parametrize("model_name", ["dlrm", "wdl"])
-    @pytest.mark.parametrize("dense_optimizer", ["adam", "adagrad", "sgd"])
+    @pytest.mark.parametrize("store_spec", ["cafe", "cafe_ml", "hash"])
     def test_restore_and_continue_is_bit_identical_to_the_uninterrupted_run(
-        self, tmp_path, dense_optimizer, model_name, store_dtype
+        self, tmp_path, store_spec, model_name, store_dtype
     ):
         config = tiny_config(
             model={"name": model_name},
-            store={"spec": "cafe", "compression_ratio": 10.0, "dtype": store_dtype},
-            train={"dense_optimizer": dense_optimizer},
+            store={"spec": store_spec, "compression_ratio": 10.0, "dtype": store_dtype},
         )
         with build(config) as session, build(config) as resumed:
             stream = iter(session.dataset.training_stream(session.batch_size))
@@ -229,7 +228,7 @@ class TestCheckpointLifecycle:
 
             assert resumed.restore(path) == 20
             optimizer = resumed.describe()["model"]["dense_optimizer"]
-            assert optimizer == {"kind": dense_optimizer, "step_count": 20, "restored": True}
+            assert optimizer == {"kind": "adam", "step_count": 20, "restored": True}
             assert [resumed.trainer.train_step(batch) for batch in batches[20:]] == expected
             for got, want in zip(resumed.model.parameters(), session.model.parameters()):
                 assert got.data.tobytes() == want.data.tobytes()
@@ -261,18 +260,52 @@ class TestCheckpointLifecycle:
             }
             restored.train(max_steps=2)  # and it trains
 
-    def test_optimizer_kind_or_size_mismatch_is_a_named_error(self, tmp_path):
+    def test_optimizer_size_mismatch_is_a_named_error(self, tmp_path):
         with build(tiny_config()) as session:
             session.train(max_steps=2)
             path = session.checkpoint(tmp_path / "adam.npz")
-        for other in ({"train": {"dense_optimizer": "adagrad"}}, {"model": {"name": "wdl"}}):
-            with build(tiny_config(**other)) as target:
-                before = [p.data.copy() for p in target.model.parameters()]
-                with pytest.raises(OptimizerStateMismatchError):
-                    target.restore(path)
-                # Refused before anything was restored.
-                for param, value in zip(target.model.parameters(), before):
-                    assert np.array_equal(param.data, value)
+        with build(tiny_config(model={"name": "wdl"})) as target:
+            before = [p.data.copy() for p in target.model.parameters()]
+            with pytest.raises(OptimizerStateMismatchError):
+                target.restore(path)
+            # Refused before anything was restored.
+            for param, value in zip(target.model.parameters(), before):
+                assert np.array_equal(param.data, value)
+
+    @pytest.mark.parametrize("kind, arrays", [("sgd", ("velocity",)), ("adagrad", ("accumulator",))])
+    def test_retired_dense_optimizer_checkpoint_is_refused_before_any_write(
+        self, tmp_path, kind, arrays
+    ):
+        """The dense SGD / Adagrad wrote their own ``optim/kind`` and arrays."""
+        with build(tiny_config()) as session:
+            session.train(max_steps=3)
+            path = session.checkpoint(tmp_path / "adam.npz")
+        with np.load(path) as data:
+            payload = {k: data[k] for k in data.files if not k.startswith("optim/")}
+            size = data["optim/m"].size
+        payload["optim/kind"] = np.asarray(kind)
+        payload["optim/step_count"] = np.asarray(3)
+        payload.update({f"optim/{name}": np.ones(size, dtype=np.float32) for name in arrays})
+        retired = tmp_path / f"{kind}.npz"
+        np.savez(retired, **payload)
+        with build(tiny_config()) as target:
+            target.train(max_steps=1)
+            optimizer = target.trainer.dense_optimizer
+            before = (
+                [p.data.copy() for p in target.model.parameters()],
+                {k: v.copy() for k, v in optimizer.state.items()},
+                {k: v.copy() for k, v in target.store.state_dict().items()},
+            )
+            with pytest.raises(OptimizerStateMismatchError, match=kind):
+                target.restore(retired)
+            assert optimizer.step_count == 1 and not optimizer.restored
+            for param, value in zip(target.model.parameters(), before[0]):
+                assert np.array_equal(param.data, value)
+            for name, array in optimizer.state.items():
+                assert np.array_equal(array, before[1][name])
+            after = target.store.state_dict()
+            assert after.keys() == before[2].keys()
+            assert all(np.array_equal(after[k], v) for k, v in before[2].items())
 
 
 class TestDescribeSchema:

@@ -2,11 +2,12 @@
 
 ``Trainer.train_step`` runs the built-in models' array forward, the array
 BCE, ``dense_backward`` and the optimizer's flat update with no graph.  The
-graph composition (``run_step``: ``model.forward`` → the BCE node →
-``loss.backward()`` → ``optimizer.step()``) stays the oracle: over every
-model × store dtype × dense optimizer, on one shard and on four stacked
-shards, the two must agree bit for bit on the loss, the embedding gradient,
-the dense parameters, the optimizer state and the store.  Bad labels are
+graph composition (``run_step``: the lookup → ``model.forward_dense`` →
+the BCE node → ``loss.backward()`` → ``optimizer.step()``) stays the oracle:
+over every model × store dtype × backend (adaptive and static), on one
+shard and on four (stacked for plain CAFE), the two must agree bit for bit
+on the loss, the embedding gradient, the dense parameters, the optimizer
+state and the store.  Bad labels are
 refused before the lookup with nothing touched.
 """
 
@@ -41,18 +42,19 @@ def dense_state(session) -> dict:
 
 
 @pytest.mark.parametrize("num_shards", [1, 4])
-@pytest.mark.parametrize("dense_optimizer", ["adam", "adagrad", "sgd"])
+@pytest.mark.parametrize("store_spec", ["cafe", "cafe_ml", "hash", "full"])
 @pytest.mark.parametrize("store_dtype", ["float16", "float32", "float64"])
 @pytest.mark.parametrize("model_name", ["dlrm", "wdl", "dcn"])
-def test_array_step_is_the_graph_composition(model_name, store_dtype, dense_optimizer, num_shards):
+def test_array_step_is_the_graph_composition(model_name, store_dtype, store_spec, num_shards):
     config = quickstart(
         model__name=model_name,
         store__dtype=store_dtype,
+        store__spec=store_spec,
         store__num_shards=num_shards,
-        train__dense_optimizer=dense_optimizer,
     )
     with build(config) as graph, build(config) as array:
-        assert array.store.describe()["stacked"] is (num_shards > 1)
+        stacked = num_shards > 1 and store_spec == "cafe"
+        assert array.store.describe()["stacked"] is stacked
         stream = graph.dataset.training_stream(graph.batch_size)
         for batch in islice(stream, STEPS):
             _, leaf, loss, _ = run_step(graph, batch)

@@ -109,5 +109,4 @@ class TestBatchIteration:
         embedding = HashEmbedding(schema.num_features, schema.embedding_dim, num_rows=64, rng=0)
         model = DLRM(embedding, schema.num_fields, schema.num_numerical, rng=0)
         for batch in reader.iter_batches(path, batch_size=4):
-            logits, _ = model.forward(batch.categorical, batch.numerical)
-            assert np.all(np.isfinite(logits.data))
+            assert np.all(np.isfinite(model.predict_proba(batch.categorical, batch.numerical)))

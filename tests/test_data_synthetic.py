@@ -9,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from test_zipf import reference_zipf_sample
 
-from repro.data.drift import NoDrift, RotatingDrift
+from repro.data.drift import DriftModel, RotatingDrift
 from repro.data.schema import DatasetSchema, FieldSchema
 from repro.data.stats import frequency_skew_summary, kl_divergence, kl_divergence_matrix
 from repro.data.stream import Batch
@@ -17,6 +17,13 @@ from repro.data.synthetic import SyntheticConfig, SyntheticCTRDataset
 from repro.errors import DataError
 from repro.experiments.common import build_dataset
 from repro.utils.rng import make_rng
+
+
+class NoDrift(DriftModel):
+    """A stationary stream: every day uses the base permutation."""
+
+    def permutation_for_day(self, day, cardinality, base):
+        return base
 
 
 def toy_schema(num_days=4, zipf=1.4):
@@ -87,6 +94,14 @@ class TestGeneration:
         assert ds.test_day == 3
         single = make_dataset(num_days=1)
         assert single.train_days == [0]
+
+    def test_a_one_day_stream_is_stationary_under_the_default_drift(self):
+        # Day 0 of the default drift is the base permutation itself.
+        default, stationary = make_dataset(num_days=1), make_dataset(num_days=1, drift=NoDrift())
+        assert isinstance(default.drift, RotatingDrift)
+        left, right = default.generate_day(0), stationary.generate_day(0)
+        assert np.array_equal(left.categorical, right.categorical)
+        assert np.array_equal(left.labels, right.labels)
 
     def test_labels_depend_on_features(self):
         """Samples sharing the same hot feature should have correlated labels

@@ -20,10 +20,12 @@ import pytest
 
 from repro.api import SystemConfig, build
 from repro.api.config import apply_overrides
+import reference_graph as G
 from repro.nn import functional as F
 from repro.nn.interactions import DotInteraction
-from repro.nn.optim import SGD, Adagrad, Adam
-from repro.nn.tensor import Parameter, Tensor, no_grad
+from repro.nn.layers import Workspace
+from repro.nn.optim import Adam
+from repro.nn.tensor import Parameter, Tensor
 from repro.serving import ServingEngine
 from repro.training.metrics import roc_auc
 
@@ -54,10 +56,17 @@ def graph_tensors(root: Tensor) -> list[Tensor]:
     return list(seen.values())
 
 
+def forward(model, batch) -> tuple[Tensor, Tensor]:
+    """``(logits, embedding leaf)``: the lookup, then the model's graph node."""
+    categorical, numerical = model._check_batch(batch.categorical, batch.numerical)
+    leaf = Tensor(model.store.lookup(categorical), requires_grad=True, name="embedding_leaf")
+    return model.forward_dense(leaf, numerical), leaf
+
+
 def run_step(session, batch):
-    """``Trainer.train_step`` spelled out, returning what it builds."""
+    """``Trainer.train_step`` as the graph composition, returning what it builds."""
     model, trainer = session.model, session.trainer
-    logits, leaf = model.forward(batch.categorical, batch.numerical)
+    logits, leaf = forward(model, batch)
     loss = F.binary_cross_entropy_with_logits(logits, batch.labels)
     model.zero_grad()
     loss.backward()
@@ -78,22 +87,15 @@ def optimizer_state(optimizer) -> list[np.ndarray]:
 # --------------------------------------------------------------------------- #
 class TestDtypeClosure:
     @pytest.mark.parametrize("model_name", ["dlrm", "wdl", "dcn"])
-    @pytest.mark.parametrize("dense_optimizer", ["adam", "adagrad", "sgd"])
+    @pytest.mark.parametrize("store_spec", ["cafe", "hash", "full"])
     @pytest.mark.parametrize(
         "store_dtype, expected",
         [("float32", np.float32), ("float64", np.float64), ("float16", np.float32)],
     )
-    def test_one_dtype_through_the_whole_step(
-        self, model_name, dense_optimizer, store_dtype, expected
-    ):
+    def test_one_dtype_through_the_whole_step(self, model_name, store_spec, store_dtype, expected):
         expected = np.dtype(expected)
-        with build(
-            quickstart(
-                model__name=model_name,
-                store__dtype=store_dtype,
-                train__dense_optimizer=dense_optimizer,
-            )
-        ) as session:
+        config = quickstart(model__name=model_name, store__spec=store_spec, store__dtype=store_dtype)
+        with build(config) as session:
             assert session.model.dtype == expected
             assert session.describe()["model"]["dense_dtype"] == str(expected)
             batch = next(iter(session.dataset.training_stream(session.batch_size)))
@@ -122,22 +124,17 @@ class TestDtypeClosure:
             assert all(p.data.dtype == expected for p in session.model.parameters())
 
     @pytest.mark.parametrize("model_name", ["dlrm", "wdl", "dcn"])
-    @pytest.mark.parametrize("dense_optimizer", ["adam", "adagrad", "sgd"])
+    @pytest.mark.parametrize("store_spec", ["cafe", "hash", "full"])
     @pytest.mark.parametrize(
         "store_dtype, expected",
         [("float32", np.float32), ("float64", np.float64), ("float16", np.float32)],
     )
     def test_one_dtype_through_the_array_step(
-        self, model_name, dense_optimizer, store_dtype, expected, monkeypatch
+        self, model_name, store_spec, store_dtype, expected, monkeypatch
     ):
         expected = np.dtype(expected)
-        with build(
-            quickstart(
-                model__name=model_name,
-                store__dtype=store_dtype,
-                train__dense_optimizer=dense_optimizer,
-            )
-        ) as session:
+        config = quickstart(model__name=model_name, store__spec=store_spec, store__dtype=store_dtype)
+        with build(config) as session:
             model, optimizer = session.model, session.trainer.dense_optimizer
             seen = {}
             dense_backward = model.dense_backward
@@ -185,47 +182,39 @@ class TestDtypeClosure:
 
     def test_python_scalars_adopt_the_tensor_dtype(self):
         x = Tensor(np.ones((2, 3), dtype=np.float32), requires_grad=True)
-        for out in (x * 2.0, 2.0 * x, x + 1, 1 - x, x - 0.5, -x, F.mul(x, -1.0)):
+        for out in (G.mul(x, 2.0), G.mul(2.0, x), G.add(x, 1), G.add(1, x), G.mul(x, -1.0)):
             assert out.data.dtype == np.float32
-        loss = (-(x * 2.0) + 1.0).sum()
+        loss = G.sum(G.add(G.mul(G.mul(x, 2.0), -1.0), 1.0))
         loss.backward()
         assert x.grad.dtype == np.float32
         assert np.array_equal(x.grad, np.full((2, 3), -2.0, dtype=np.float32))
 
     def test_float64_seed_does_not_promote_a_float32_graph(self):
         x = Tensor(np.ones((2, 2), dtype=np.float32), requires_grad=True)
-        out = F.relu(x)
+        out = G.relu(x)
         out.backward(np.ones((2, 2), dtype=np.float64))
         assert out.grad.dtype == np.float32 and x.grad.dtype == np.float32
 
-    @pytest.mark.parametrize("optimizer_cls", [SGD, Adagrad, Adam])
-    def test_dense_optimizers_reject_mixed_parameter_dtypes(self, optimizer_cls):
+    def test_dense_optimizer_rejects_mixed_parameter_dtypes(self):
         mixed = [Parameter(np.ones(2, dtype=np.float32)), Parameter(np.ones(2))]
         with pytest.raises(TypeError, match="one float dtype"):
-            optimizer_cls(mixed, lr=0.1)
+            Adam(mixed, lr=0.1)
 
-    @pytest.mark.parametrize("optimizer_cls", [SGD, Adagrad, Adam])
-    def test_in_place_updates_match_the_textbook_expressions(self, optimizer_cls):
+    def test_in_place_updates_match_the_textbook_expressions(self):
         rng = np.random.default_rng(0)
         start = rng.normal(size=(4, 3))
         grads = [rng.normal(size=(4, 3)) for _ in range(3)]
         param = Parameter(start.copy())
-        optimizer = optimizer_cls([param], lr=0.05)
+        optimizer = Adam([param], lr=0.05)
 
-        data, m, v, acc = start.copy(), 0.0, 0.0, 0.0
+        data, m, v = start.copy(), 0.0, 0.0
         for step, grad in enumerate(grads, start=1):
             param.grad = grad
             optimizer.step()
-            if optimizer_cls is SGD:
-                data = data - 0.05 * grad
-            elif optimizer_cls is Adagrad:
-                acc = acc + grad**2
-                data = data - 0.05 * grad / (np.sqrt(acc) + 1e-10)
-            else:
-                m = 0.9 * m + (1.0 - 0.9) * grad
-                v = 0.999 * v + (1.0 - 0.999) * grad**2
-                m_hat, v_hat = m / (1.0 - 0.9**step), v / (1.0 - 0.999**step)
-                data = data - 0.05 * m_hat / (np.sqrt(v_hat) + 1e-8)
+            m = 0.9 * m + (1.0 - 0.9) * grad
+            v = 0.999 * v + (1.0 - 0.999) * grad**2
+            m_hat, v_hat = m / (1.0 - 0.9**step), v / (1.0 - 0.999**step)
+            data = data - 0.05 * m_hat / (np.sqrt(v_hat) + 1e-8)
             assert np.array_equal(param.data, data)
             assert param.grad is grad, "the step must not consume the gradient"
 
@@ -256,15 +245,15 @@ class TestInteractionKernel:
         data = rng.normal(size=(5, total, 4))
         upstream = rng.normal(size=(5, total * (total - 1) // 2))
 
-        x = Tensor(data.copy(), requires_grad=True)
-        out = DotInteraction()(x)
-        out.backward(upstream)
+        layer, ws = DotInteraction(), Workspace(5, np.float64)
+        out = layer.forward_array(data, ws).copy()
+        grad = layer.backward_array(data, upstream, ws)
         expected_out, expected_grad = reference_interaction(data, upstream)
 
-        assert out.data.dtype == np.float64 and x.grad.dtype == np.float64
+        assert out.dtype == np.float64 and grad.dtype == np.float64
         assert out.shape == expected_out.shape
-        assert np.abs(out.data - expected_out).max() <= 1e-12
-        assert np.abs(x.grad - expected_grad).max() <= 1e-12
+        assert np.abs(out - expected_out).max() <= 1e-12
+        assert np.abs(grad - expected_grad).max() <= 1e-12
 
     @pytest.mark.parametrize("fields", [2, 3, 27])
     def test_column_order_is_tril_indices(self, fields):
@@ -273,36 +262,36 @@ class TestInteractionKernel:
         data = np.zeros((1, fields, 3))
         data[0, :, 0] = np.arange(1, fields + 1)
         rows, cols = np.tril_indices(fields, -1)
-        out = DotInteraction()(Tensor(data)).data
+        out = DotInteraction().forward_array(data, Workspace(1, np.float64))
         assert np.array_equal(out[0], (rows + 1.0) * (cols + 1.0))
 
     def test_finite_differences(self):
         rng = np.random.default_rng(3)
         data = rng.normal(size=(2, 4, 3))
-        weights = Tensor(rng.normal(size=(2, 6)))
+        weights = rng.normal(size=(2, 6))
+        layer, ws = DotInteraction(), Workspace(2, np.float64)
 
-        def weighted_sum(x: Tensor) -> Tensor:
-            return F.mul(DotInteraction()(x), weights).sum()
+        def weighted_sum(array: np.ndarray) -> float:
+            return float((layer.forward_array(array, ws) * weights).sum())
 
-        x = Tensor(data.copy(), requires_grad=True)
-        weighted_sum(x).backward()
-        numeric = numerical_gradient(lambda array: float(weighted_sum(Tensor(array)).data), data)
-        assert np.abs(x.grad - numeric).max() <= 1e-7
+        numeric = numerical_gradient(weighted_sum, data.copy())
+        layer.forward_array(data, ws)
+        assert np.abs(layer.backward_array(data, weights, ws) - numeric).max() <= 1e-7
 
     def test_float32_input_stays_float32(self):
         data = np.random.default_rng(0).normal(size=(3, 5, 4)).astype(np.float32)
-        x = Tensor(data, requires_grad=True)
-        out = DotInteraction()(x)
-        out.sum().backward()
-        assert out.data.dtype == np.float32 and x.grad.dtype == np.float32
-        assert np.allclose(out.data, reference_interaction(data.astype(np.float64)), atol=1e-5)
+        layer, ws = DotInteraction(), Workspace(3, np.float32)
+        out = layer.forward_array(data, ws).copy()
+        grad = layer.backward_array(data, np.ones_like(out), ws)
+        assert out.dtype == np.float32 and grad.dtype == np.float32
+        assert np.allclose(out, reference_interaction(data.astype(np.float64)), atol=1e-5)
 
     def test_single_field_has_no_pairs(self):
-        x = Tensor(np.ones((2, 1, 3)), requires_grad=True)
-        out = DotInteraction()(x)
+        data = np.ones((2, 1, 3))
+        layer, ws = DotInteraction(), Workspace(2, np.float64)
+        out = layer.forward_array(data, ws)
         assert out.shape == (2, 0)
-        out.backward(np.zeros((2, 0)))
-        assert np.array_equal(x.grad, np.zeros((2, 1, 3)))
+        assert np.array_equal(layer.backward_array(data, np.zeros((2, 0)), ws), np.zeros((2, 1, 3)))
 
     def test_linear_is_matmul_plus_add(self):
         rng = np.random.default_rng(1)
@@ -312,7 +301,7 @@ class TestInteractionKernel:
         for fused in (True, False):
             x = Tensor(data.copy(), requires_grad=True)
             w, b = Parameter(weights.copy()), Parameter(np.arange(3.0))
-            out = F.linear(x, w, b) if fused else F.add(F.matmul(x, w), b)
+            out = G.linear(x, w, b) if fused else G.add(G.matmul(x, w), b)
             out.backward(upstream)
             results.append((out.data, x.grad, w.grad, b.grad))
         for fused_value, unfused_value in zip(*results):
@@ -365,16 +354,16 @@ class TestGradientOwnership:
     def test_shared_views_and_pieces_are_copied(self):
         base = np.arange(12.0).reshape(3, 4)
         x = Tensor(base.copy(), requires_grad=True, name="x")
-        doubled = F.add(x, x)  # one array offered to the same parent twice
+        doubled = G.add(x, x)  # one array offered to the same parent twice
         doubled.name = "x+x"
         leaf = Tensor(base.copy(), requires_grad=True, name="leaf")
-        flat = F.reshape(leaf, (12,))  # backward hands out a view
+        flat = G.reshape(leaf, (12,))  # backward hands out a view
         flat.name = "reshape"
         left = Tensor(base.copy(), requires_grad=True, name="left")
         right = Tensor(base.copy(), requires_grad=True, name="right")
         joined = concat([left, right], axis=1)  # backward hands out pieces
         joined.name = "concat"
-        total = F.add(F.add(doubled.sum(), flat.sum()), joined.sum())
+        total = G.add(G.add(G.sum(doubled), G.sum(flat)), G.sum(joined))
         total.backward()
 
         assert np.array_equal(x.grad, np.full((3, 4), 2.0))
@@ -388,7 +377,7 @@ class TestGradientOwnership:
 
     def test_caller_keeps_the_seed_gradient(self):
         x = Tensor(np.ones(3), requires_grad=True)
-        out = F.mul(x, 2.0)
+        out = G.mul(x, 2.0)
         seed = np.ones(3)
         out.backward(seed)
         assert not np.shares_memory(out.grad, seed)
@@ -404,14 +393,14 @@ class TestGradientOwnership:
 
 
 # --------------------------------------------------------------------------- #
-# no_grad: evaluation records no graph
+# Evaluation builds no graph
 # --------------------------------------------------------------------------- #
-class TestNoGrad:
+class TestInferenceBuildsNoGraph:
     @pytest.mark.parametrize("model_name", ["dlrm", "wdl", "dcn"])
     def test_predict_proba_creates_no_tensor(self, model_name, monkeypatch):
         with build(quickstart(model__name=model_name)) as session:
             batch = next(iter(session.dataset.training_stream(session.batch_size)))
-            logits, _ = session.model.forward(batch.categorical, batch.numerical)
+            logits, _ = forward(session.model, batch)
             engine = ServingEngine(session.model, max_batch_size=64)
             created = []
             original = Tensor.__init__
@@ -430,35 +419,6 @@ class TestNoGrad:
             assert np.array_equal(served, direct[:64])
             # Same values as the training forward's logits, through a sigmoid.
             assert np.allclose(direct, 1.0 / (1.0 + np.exp(-logits.data.astype(np.float64))))
-
-    def test_no_grad_is_per_thread_and_restored(self):
-        import threading
-
-        from repro.nn.tensor import is_grad_enabled
-
-        seen = {}
-        entered, release = threading.Event(), threading.Event()
-
-        def serving_thread():
-            with no_grad():
-                entered.set()
-                release.wait(timeout=5)
-                seen["inside"] = is_grad_enabled()
-            seen["after"] = is_grad_enabled()
-
-        worker = threading.Thread(target=serving_thread)
-        worker.start()
-        assert entered.wait(timeout=5)
-        x = Tensor(np.ones(2), requires_grad=True)
-        assert F.relu(x).requires_grad, "another thread's no_grad leaked into this one"
-        release.set()
-        worker.join(timeout=5)
-        assert not worker.is_alive()
-        assert seen == {"inside": False, "after": True}
-        with pytest.raises(RuntimeError):
-            with no_grad():
-                raise RuntimeError("boom")
-        assert is_grad_enabled()
 
 
 # --------------------------------------------------------------------------- #

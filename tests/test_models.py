@@ -10,6 +10,7 @@ from repro.models.dcn import DCN
 from repro.models.dlrm import DLRM
 from repro.models.wdl import WDL
 from repro.nn import functional as F
+from repro.nn.tensor import Tensor
 
 N = 500
 DIM = 8
@@ -23,6 +24,14 @@ def make_batch(batch_size=16, num_numerical=NUMERICAL, seed=0):
     numerical = rng.normal(size=(batch_size, num_numerical))
     labels = rng.integers(0, 2, size=batch_size).astype(float)
     return categorical, numerical, labels
+
+
+def forward(model, categorical, numerical):
+    """``(logits, embedding leaf)``: the batch checks, the lookup, then the
+    model's graph node (``forward_dense``)."""
+    categorical, numerical = model._check_batch(categorical, numerical)
+    leaf = Tensor(model.store.lookup(categorical), requires_grad=True)
+    return model.forward_dense(leaf, numerical), leaf
 
 
 def make_model(name, num_numerical=NUMERICAL, seed=0):
@@ -51,7 +60,7 @@ class TestForward:
     def test_logit_shape(self, name):
         model = make_model(name)
         categorical, numerical, _ = make_batch()
-        logits, leaf = model.forward(categorical, numerical)
+        logits, leaf = forward(model, categorical, numerical)
         assert logits.shape == (16,)
         assert leaf.shape == (16, FIELDS, DIM)
 
@@ -59,7 +68,7 @@ class TestForward:
     def test_without_numerical_features(self, name):
         model = make_model(name, num_numerical=0)
         categorical, _, _ = make_batch(num_numerical=0)
-        logits, _ = model.forward(categorical, None)
+        logits, _ = forward(model, categorical, None)
         assert logits.shape == (16,)
 
     @pytest.mark.parametrize("name", MODEL_NAMES)
@@ -73,22 +82,22 @@ class TestForward:
     def test_categorical_shape_validated(self):
         model = make_model("dlrm")
         with pytest.raises(ValueError):
-            model.forward(np.zeros((4, FIELDS + 1), dtype=np.int64), np.zeros((4, NUMERICAL)))
+            forward(model, np.zeros((4, FIELDS + 1), dtype=np.int64), np.zeros((4, NUMERICAL)))
 
     def test_numerical_shape_validated(self):
         model = make_model("dlrm")
         categorical, _, _ = make_batch()
         with pytest.raises(ValueError):
-            model.forward(categorical, np.zeros((16, NUMERICAL + 1)))
+            forward(model, categorical, np.zeros((16, NUMERICAL + 1)))
         with pytest.raises(ValueError):
-            model.forward(categorical, None)
+            forward(model, categorical, None)
 
     @pytest.mark.parametrize("name", MODEL_NAMES)
     def test_deterministic_forward(self, name):
         model = make_model(name)
         categorical, numerical, _ = make_batch()
-        a, _ = model.forward(categorical, numerical)
-        b, _ = model.forward(categorical, numerical)
+        a, _ = forward(model, categorical, numerical)
+        b, _ = forward(model, categorical, numerical)
         assert np.allclose(a.data, b.data)
 
 
@@ -97,7 +106,7 @@ class TestBackward:
     def test_embedding_leaf_receives_gradient(self, name):
         model = make_model(name)
         categorical, numerical, labels = make_batch()
-        logits, leaf = model.forward(categorical, numerical)
+        logits, leaf = forward(model, categorical, numerical)
         loss = F.binary_cross_entropy_with_logits(logits, labels)
         loss.backward()
         assert leaf.grad is not None
@@ -108,7 +117,7 @@ class TestBackward:
     def test_dense_parameters_receive_gradients(self, name):
         model = make_model(name)
         categorical, numerical, labels = make_batch()
-        logits, _ = model.forward(categorical, numerical)
+        logits, _ = forward(model, categorical, numerical)
         loss = F.binary_cross_entropy_with_logits(logits, labels)
         model.zero_grad()
         loss.backward()
@@ -128,7 +137,7 @@ class TestWithCompressedEmbeddings:
         embedding = HashEmbedding(N, DIM, num_rows=16, rng=0)
         model = create_model(name, embedding, num_fields=FIELDS, num_numerical=NUMERICAL, rng=0)
         categorical, numerical, _ = make_batch()
-        logits, _ = model.forward(categorical, numerical)
+        logits, _ = forward(model, categorical, numerical)
         assert np.all(np.isfinite(logits.data))
 
     def test_invalid_field_count(self):

@@ -1,15 +1,25 @@
-"""Tests for Linear, MLP, interaction layers and the Module base class."""
+"""Tests for Linear, MLP, interaction layers and the Module base class.
+
+The layers compute over arrays (``forward_array`` / ``backward_array``);
+where a backward is checked exactly, the oracle is the per-op graph of
+``tests/reference_graph.py`` over the same parameters."""
 
 import numpy as np
 import pytest
 
-from repro.nn import functional as F
+import reference_graph as G
+from reference_dense import batched_outer_interaction
 from repro.nn.interactions import CrossNetwork, DotInteraction
 from repro.nn.layers import MLP, Linear, Workspace
 from repro.nn.module import Module
+from repro.nn.optim import Adam
 from repro.nn.tensor import Parameter, Tensor
 
-from test_nn_functional import check_gradient
+from test_nn_functional import numerical_gradient
+
+
+def params(module) -> list[np.ndarray]:
+    return [param.data for param in module.parameters()]
 
 
 class TestLinear:
@@ -44,27 +54,32 @@ class TestLinear:
 
     def test_output_shape(self):
         layer = Linear(4, 3, rng=0)
-        out = layer(Tensor(np.zeros((5, 4))))
+        out = layer.forward_array(params(layer), np.zeros((5, 4)), Workspace(5, np.float64))
         assert out.shape == (5, 3)
 
     def test_zero_input_gives_bias(self):
         layer = Linear(4, 2, rng=0)
-        out = layer(Tensor(np.zeros((1, 4))))
-        assert np.allclose(out.data, layer.bias.data)
+        out = layer.forward_array(params(layer), np.zeros((1, 4)), Workspace(1, np.float64))
+        assert np.allclose(out, layer.bias.data)
 
     def test_parameters_discovered(self):
         layer = Linear(4, 3, rng=0)
-        params = list(layer.parameters())
-        assert len(params) == 2
+        assert len(list(layer.parameters())) == 2
         assert layer.num_parameters() == 4 * 3 + 3
 
-    def test_gradients_flow(self):
+    def test_backward_is_the_graph_bytes(self):
         layer = Linear(3, 2, rng=1)
-        x = Tensor(np.random.default_rng(0).normal(size=(4, 3)))
-        loss = layer(x).sum()
-        loss.backward()
-        assert layer.weight.grad is not None
-        assert layer.bias.grad is not None
+        rng = np.random.default_rng(0)
+        x, dy = rng.normal(size=(4, 3)), rng.normal(size=(4, 2))
+        ws = Workspace(4, np.float64)
+        layer.forward_array(params(layer), x, ws)
+        grads = [np.empty_like(p) for p in params(layer)]
+        dx = layer.backward_array(params(layer), x, dy, ws, grads)
+        leaf = Tensor(x.copy(), requires_grad=True)
+        G.linear_layer(layer, leaf).backward(dy)
+        assert dx.tobytes() == leaf.grad.tobytes()
+        for grad, param in zip(grads, layer.parameters()):
+            assert grad.tobytes() == param.grad.tobytes()
 
     def test_invalid_sizes(self):
         with pytest.raises(ValueError):
@@ -76,13 +91,8 @@ class TestLinear:
 class TestMLP:
     def test_forward_shape(self):
         mlp = MLP([8, 16, 4, 1], rng=0)
-        out = mlp(Tensor(np.zeros((10, 8))))
+        out = mlp.forward_array(params(mlp), np.zeros((10, 8)), Workspace(10, np.float64))
         assert out.shape == (10, 1)
-
-    def test_sigmoid_output_range(self):
-        mlp = MLP([4, 8, 1], rng=0, sigmoid_output=True)
-        out = mlp(Tensor(np.random.default_rng(1).normal(size=(6, 4))))
-        assert np.all(out.data >= 0) and np.all(out.data <= 1)
 
     def test_needs_two_sizes(self):
         with pytest.raises(ValueError):
@@ -94,23 +104,19 @@ class TestMLP:
         assert mlp.num_parameters() == expected
 
     def test_training_reduces_loss(self):
-        """A tiny MLP should fit a simple regression target with SGD."""
+        """A tiny MLP should fit a simple regression target with Adam."""
         rng = np.random.default_rng(0)
         x = rng.normal(size=(64, 3))
         y = (x[:, 0] - 2 * x[:, 1]).reshape(-1, 1)
         mlp = MLP([3, 16, 1], rng=1)
-        from repro.nn.optim import SGD
-
-        optimizer = SGD(list(mlp.parameters()), lr=0.05)
+        optimizer = Adam(list(mlp.parameters()), lr=0.02)
+        ws = Workspace(64, np.float64)
         losses = []
         for _ in range(200):
-            out = mlp(Tensor(x))
-            diff = F.sub(out, Tensor(y))
-            loss = F.mean(F.mul(diff, diff))
-            mlp.zero_grad()
-            loss.backward()
-            optimizer.step()
-            losses.append(float(loss.data))
+            diff = mlp.forward_array(params(mlp), x, ws) - y
+            mlp.backward_array(params(mlp), x, 2.0 * diff / diff.size, ws, optimizer.staging)
+            optimizer.step_staged()
+            losses.append(float(np.mean(diff * diff)))
         assert losses[-1] < losses[0] * 0.2
 
 
@@ -121,7 +127,7 @@ class TestDotInteraction:
 
     def test_forward_matches_manual(self):
         x = np.random.default_rng(2).normal(size=(2, 3, 4))
-        out = DotInteraction()(Tensor(x)).data
+        out = DotInteraction().forward_array(x, Workspace(2, np.float64))
         manual = np.asarray(
             [
                 [x[b, 1] @ x[b, 0], x[b, 2] @ x[b, 0], x[b, 2] @ x[b, 1]]
@@ -131,42 +137,49 @@ class TestDotInteraction:
         assert np.allclose(out, manual)
 
     def test_output_shape(self):
-        x = Tensor(np.random.default_rng(10).normal(size=(5, 4, 3)))
-        assert DotInteraction()(x).shape == (5, 6)  # 4*3/2 pairs
+        x = np.random.default_rng(10).normal(size=(5, 4, 3))
+        assert DotInteraction().forward_array(x, Workspace(5, np.float64)).shape == (5, 6)
 
     def test_gradient_check(self):
-        check_gradient(lambda x: DotInteraction()(x).sum(), (2, 4, 3), atol=1e-4)
+        layer, ws = DotInteraction(), Workspace(2, np.float64)
+        x = np.random.default_rng(0).normal(size=(2, 4, 3))
+        upstream = np.ones((2, 6))
+        layer.forward_array(x, ws)
+        analytic = layer.backward_array(x, upstream, ws).copy()
+        numeric = numerical_gradient(lambda arr: float(layer.forward_array(arr, ws).sum()), x.copy())
+        assert np.allclose(analytic, numeric, atol=1e-4)
 
-    def test_tensor_form_equals_the_array_pair_and_shares_nothing(self):
+    def test_array_pair_is_the_graph_op_bytes(self):
         rng = np.random.default_rng(4)
         data, upstream = rng.normal(size=(3, 4, 2)), rng.normal(size=(3, 6))
-        layer = DotInteraction()
+        layer, ws = DotInteraction(), Workspace(3, np.float64)
         x = Tensor(data.copy(), requires_grad=True)
-        out = layer(x)
+        out = batched_outer_interaction(x)
         out.backward(upstream)
-        ws = Workspace(3, np.float64)
-        assert np.array_equal(out.data, layer.forward_array(data, ws))
-        assert np.array_equal(x.grad, layer.backward_array(data, upstream, ws))
-        # Each call has its own workspace: a second call leaves the first's
-        # output and gradient alone.
-        layer(Tensor(np.zeros_like(data), requires_grad=True)).backward(upstream)
-        assert np.array_equal(out.data, layer.forward_array(data, ws))
+        assert out.data.tobytes() == layer.forward_array(data, ws).tobytes()
+        assert x.grad.tobytes() == layer.backward_array(data, upstream, ws).tobytes()
 
 
 class TestCrossNetwork:
     def test_shape_preserved(self):
         net = CrossNetwork(input_dim=6, num_layers=3, rng=0)
-        out = net(Tensor(np.random.default_rng(0).normal(size=(5, 6))))
-        assert out.shape == (5, 6)
+        x = np.random.default_rng(0).normal(size=(5, 6))
+        assert net.forward_array(params(net), x, Workspace(5, np.float64)).shape == (5, 6)
 
     def test_gradients_reach_all_layers(self):
         net = CrossNetwork(input_dim=4, num_layers=2, rng=0)
-        x = Tensor(np.random.default_rng(1).normal(size=(3, 4)))
-        net(x).sum().backward()
-        for weight in net.weights:
-            assert weight.grad is not None
-        for bias in net.biases:
-            assert bias.grad is not None
+        x = np.random.default_rng(1).normal(size=(3, 4))
+        ws = Workspace(3, np.float64)
+        out = net.forward_array(params(net), x, ws).copy()
+        grads = [np.empty_like(p) for p in params(net)]
+        dx = net.backward_array(params(net), x, np.ones_like(out), ws, grads)
+        leaf = Tensor(x.copy(), requires_grad=True)
+        graph = G.cross_network(net, leaf)
+        G.sum(graph).backward()
+        assert out.tobytes() == graph.data.tobytes()
+        assert dx.tobytes() == leaf.grad.tobytes()
+        for grad, param in zip(grads, net.parameters()):
+            assert grad.tobytes() == param.grad.tobytes()
 
     def test_invalid_construction(self):
         with pytest.raises(ValueError):
@@ -180,7 +193,7 @@ class TestCrossNetwork:
             w.data[:] = 0.0
             b.data[:] = 0.0
         x = np.random.default_rng(3).normal(size=(4, 3))
-        out = net(Tensor(x)).data
+        out = net.forward_array(params(net), x, Workspace(4, np.float64))
         assert np.allclose(out, x)
 
 
@@ -191,9 +204,6 @@ class TestModule:
                 self.inner = Linear(2, 2, rng=0)
                 self.scale = Parameter(np.ones(1))
 
-            def forward(self, x):
-                return self.inner(x)
-
         outer = Outer()
         names = dict(outer.named_parameters())
         assert "scale" in names
@@ -203,9 +213,6 @@ class TestModule:
         class WithList(Module):
             def __init__(self):
                 self.layers = [Linear(2, 2, rng=0), Linear(2, 2, rng=1)]
-
-            def forward(self, x):
-                return x
 
         model = WithList()
         assert len(list(model.parameters())) == 4
@@ -233,7 +240,7 @@ class TestModule:
 
     def test_zero_grad_clears(self):
         layer = Linear(2, 2, rng=0)
-        layer(Tensor(np.ones((1, 2)))).sum().backward()
+        G.sum(G.linear_layer(layer, Tensor(np.ones((1, 2))))).backward()
         assert layer.weight.grad is not None
         layer.zero_grad()
         assert layer.weight.grad is None

@@ -242,21 +242,19 @@ class TestFanOutOnEveryBackend:
         )
 
     @pytest.mark.parametrize("method,ratio", FAN_OUT_BACKENDS, ids=BACKEND_IDS)
-    def test_deepcopy_is_bit_exact_and_independent(self, method, ratio):
+    def test_copy_and_pickle_are_refused_and_the_store_trains_on(self, method, ratio):
+        # A stacked store's shards are views into one stack: a copy would
+        # sever them.  snapshot() and state_dict() are the copies there are.
         store = build_sharded(method, ratio)
         ids, grads = workload(steps=6)
         train(store, ids[:3], grads[:3])
-        clone = copy.deepcopy(store)
-        assert clone.describe()["stacked"] == store.describe()["stacked"]
-        assert clone.executor.stats.fanouts == 0
+        for duplicate in (copy.copy, copy.deepcopy, pickle.dumps):
+            with pytest.raises(TypeError, match="snapshot"):
+                duplicate(store)
         probe = ids[0]
         before = store.lookup(probe).copy()
-        assert np.array_equal(clone.lookup(probe), before)
-        train(clone, ids[3:], grads[3:])
-        assert np.array_equal(store.lookup(probe), before)
-        # The original, trained the same way, stays bit-exact with its copy.
         train(store, ids[3:], grads[3:])
-        assert np.array_equal(store.lookup(probe), clone.lookup(probe))
+        assert not np.array_equal(store.lookup(probe), before)
 
     @pytest.mark.parametrize(
         "method,ratio", STATEFUL_BACKENDS, ids=[method for method, _ in STATEFUL_BACKENDS]

@@ -4,8 +4,8 @@ A ``ShardedEmbeddingStore`` over S ≥ 2 local plain-CAFE shards keeps their
 state in one allocation per kind (``CafeStack``) and steps once over the
 stack.  The state machine below drives a 2- or 4-shard store (sgd or
 adagrad) through random interleavings of lookup, apply_gradients (empty and
-repeated-id batches included), rebalance, snapshot, state_dict ->
-load_state_dict, deepcopy and pickle.  After every rule it checks the store
+repeated-id batches included), rebalance, snapshot and state_dict ->
+load_state_dict.  After every rule it checks the store
 against S independent ``CafeEmbedding`` oracles, each fed its slice of the
 store's own ``ShardPartition``:
 
@@ -14,9 +14,6 @@ store's own ``ShardPartition``:
 * the aliasing invariant: every live shard array is a view into the stack,
   and a frozen (snapshot-held) shard shares no memory with the live stack.
 """
-
-import copy
-import pickle
 
 import numpy as np
 import pytest
@@ -159,14 +156,6 @@ class StackedStoreMachine(RuleBasedStateMachine):
         target = build_store(self.num_shards, self.optimizer, seed=99) if fresh else self.store
         target.load_state_dict(state)
         self.store = target
-
-    @rule()
-    def deepcopy(self):
-        self.store = copy.deepcopy(self.store)
-
-    @rule()
-    def pickle_roundtrip(self):
-        self.store = pickle.loads(pickle.dumps(self.store))
 
     # ------------------------------------------------------------------ #
     # Invariants
