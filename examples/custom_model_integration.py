@@ -16,12 +16,14 @@ This example defines a small two-tower model from scratch — no
 backends plus one brought by the example itself.
 
 Bringing your own backend: subclass ``CompressedEmbedding`` and implement
-``lookup_unique`` / ``apply_unique`` / ``memory_floats``; build instances
-directly (there is nothing to register) and, to shard them, pass them to
-``ShardedEmbeddingStore([...])``.  What the class implements of the rest of
-the contract is what it can do: ``state_dict`` / ``load_state_dict`` make it
-checkpointable and ``merged_sketch`` gives it a hot-feature sketch.  An
-adaptive scheme migrates on its own schedule inside ``apply_unique``, as
+``lookup_unique`` / ``apply_unique`` / ``memory_floats``, build an instance
+directly (there is nothing to register) and hand it to the model, which
+wraps it in a one-shard store.  Only ``cafe`` shards: a store of several
+shards is one CAFE stack, so ``ShardedEmbeddingStore([...])`` of two tables
+of your own raises ``ConfigurationError``.  What the class implements of the
+rest of the contract is what it can do: ``state_dict`` / ``load_state_dict``
+make it checkpointable and ``merged_sketch`` gives it a hot-feature sketch.
+An adaptive scheme migrates on its own schedule inside ``apply_unique``, as
 CAFE and AdaEmbed do.
 
 Run with:  python examples/custom_model_integration.py
@@ -35,7 +37,6 @@ from repro.data import SyntheticConfig, SyntheticCTRDataset, make_preset
 from repro.embeddings import CompressedEmbedding, create_embedding
 from repro.models.base import RecommendationModel
 from repro.nn import MLP
-from repro.store import ShardedEmbeddingStore
 from repro.training import Trainer
 
 BATCH_SIZE = 128
@@ -111,11 +112,8 @@ class TwoTowerModel(RecommendationModel):
 
 
 def make_embedding(backend: str, schema, compression_ratio: float) -> CompressedEmbedding:
-    if backend == "own":
-        # Two shards of our own class behind one store: built, not registered.
-        return ShardedEmbeddingStore(
-            [PlainSGDTable(schema.num_features, schema.embedding_dim, rng=SEED + i) for i in range(2)]
-        )
+    if backend == "own":  # our own class: built, not registered
+        return PlainSGDTable(schema.num_features, schema.embedding_dim, rng=SEED)
     return create_embedding(
         backend,
         num_features=schema.num_features,
@@ -149,9 +147,9 @@ def main() -> None:
     for backend, ratio in [("full", 1.0), ("hash", 50.0), ("cafe", 50.0), ("own", 1.0)]:
         auc = train(backend, dataset, ratio)
         print(f"backend={backend:<6} compression={ratio:>6.0f}x  test AUC = {auc:.4f}")
-    store = make_embedding("own", dataset.schema, 1.0)
+    own = make_embedding("own", dataset.schema, 1.0)
     try:
-        store.state_dict()
+        own.state_dict()
     except NotImplementedError as error:
         print(f"\nown backend: not checkpointable ({error}); define state_dict to make it so")
     print("\nThe point of this example is the integration contract, not the absolute")

@@ -49,8 +49,7 @@ def main() -> None:
     model = create_model(
         "dlrm", store, num_fields=schema.num_fields, num_numerical=schema.num_numerical, rng=SEED
     )
-    layout = "stacked into one allocation" if store.describe()["stacked"] else "fanned out"
-    print(f"store: {store.num_shards} CAFE shards {layout} behind {type(store.executor).__name__}")
+    print(f"store: {store.num_shards} CAFE shards stacked into one allocation")
 
     pipeline = OnlinePipeline(
         model,
@@ -80,9 +79,6 @@ def main() -> None:
     publisher = replicas["publisher"]
     print(f"{replicas['num_replicas']} replicas at versions {replicas['versions']} "
           f"({publisher['full_publishes']} full + {publisher['delta_publishes']} delta payloads)")
-    executor = summary["executor"]
-    print(f"executor: {executor['fanouts']} fan-outs (stacked steps are not fan-outs), "
-          f"parallel efficiency {executor['parallel_efficiency']:.2f}")
 
     assert report.staleness_within_cadence, "cadence bound violated"
     assert replicas["versions"] == [publisher["version"]] * NUM_REPLICAS, "a replica fell behind"

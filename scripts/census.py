@@ -90,7 +90,6 @@ KEEP_REASONS = {
     "oracle": "what a kept test checks the system against, or observes it through",
     "invariant": "a consistency check tests and the sanitizer call",
     "error-path": "runs only on bad input or a failed check, which the traffic never makes",
-    "item-5": "the per-shard fan-out path (ROADMAP item 5 deletes it)",
     "item-7": "the HotSketch accessors (ROADMAP item 7)",
     "parked": "real-dataset loading (ROADMAP Parked)",
 }
@@ -125,9 +124,8 @@ KEEP: dict[str, str] = {
     "repro/models/base.py:RecommendationModel.dense_backward": "abstract",
     "repro/nn/optim.py:Optimizer._compute_update": "abstract",
     "repro/nn/optim.py:RowOptimizer.fused_apply": "abstract",
-    "repro/runtime/executor.py:ShardTiming.as_dict": "item-5",
-    "repro/runtime/executor.py:SerialShardExecutor": "item-5",
     "repro/serving/batcher.py:MicroBatcher._serving_model": "abstract",
+    "repro/serving/batcher.py:MicroBatcher._serve_in_range": "error-path",
     "repro/sketch/analysis.py:retention_probability_uniform": "oracle",
     "repro/sketch/analysis.py:expected_bucket_noise": "oracle",
     "repro/sketch/base.py:Sketch": "abstract",
@@ -224,8 +222,7 @@ def repo_legs(experiments: list[str], scratch_src: str) -> dict[str, list[str]]:
         "--set", "pipeline.max_steps=20", "--set", "pipeline.publish_every_steps=5",
         "--set", "pipeline.probe_every_steps=2"]
     legs["ci-serve-replicas"] = cli + ["serve", "--replicas", "3", "--set", "serve.warmup_steps=8"]
-    legs["ci-serve-replicas-hash"] = legs["ci-serve-replicas"] + [
-        "--set", "store.spec=hash", "--set", "store.num_shards=3"]
+    legs["ci-serve-replicas-hash"] = legs["ci-serve-replicas"] + ["--set", "store.spec=hash"]
     legs["analyze-strict"] = cli + ["analyze", "--strict"]
     legs["analyze-write-graph"] = cli + ["analyze", "--write-graph", "--root", scratch_src]
     for example in sorted((REPO / "examples").glob("*.py")):

@@ -1,7 +1,7 @@
 #!/usr/bin/env python
 """CI smoke: old checkpoints load into the current code, new ones resume exactly.
 
-Six legs.  The dense-optimizer leg: a checkpoint written before there was
+Seven legs.  The dense-optimizer leg: a checkpoint written before there was
 an ``optim/`` section loads into a current session (fresh optimizer state,
 said so in ``describe()``) and trains; a current checkpoint taken after 20
 Adam steps resumes bit-exactly.  The row-optimizer leg is the same pair for
@@ -14,7 +14,10 @@ The store-step leg checks that the store's ``step()`` comes back from a
 checkpoint's ``sparse/step`` header, at 1 and 4 shards, and that a
 checkpoint without that header (as an earlier commit wrote it) still loads.
 The backend leg resumes a checkpoint of every backend that has sparse state
-(``full``, ``hash``, ``cafe``, ``cafe_ml``) bit-exactly.
+(``full``, ``hash``, ``cafe``, ``cafe_ml``) bit-exactly.  The sharded-hash
+leg checks that a 2-shard ``hash`` checkpoint (written before a store of
+several shards had to be one CAFE stack) is refused by a 2-shard CAFE
+store with ``CheckpointLayoutError``, and refused whole.
 The table-group leg checks that a checkpoint of the retired table-group
 store is refused, and refused whole:
 
@@ -191,6 +194,32 @@ def backend_leg(config: SystemConfig, tmp: Path) -> None:
             assert got == expected, f"{spec}: resume after 10 steps is not bit-exact"
 
 
+def sharded_hash_leg(config: SystemConfig, tmp: Path) -> None:
+    """A 2-shard hash checkpoint is refused whole by a 2-shard CAFE store."""
+    hash_config = apply_overrides(config, ["store.spec=hash"])
+    cafe_config = apply_overrides(config, ["store.num_shards=2", "store.optimizer=adagrad"])
+    with build(hash_config) as source, build(cafe_config) as target:
+        stream = iter(source.dataset.training_stream(source.batch_size))
+        for _ in range(5):
+            batch = next(stream)
+            source.trainer.train_step(batch)
+            target.trainer.train_step(batch)  # non-zero moments and accumulators
+        path = source.checkpoint(tmp / "sharded_hash.npz")
+        with np.load(path) as data:
+            payload = {key: data[key] for key in data.files}
+        payload["sparse/num_shards"] = np.asarray(2)
+        for key in [key for key in payload if key.startswith("sparse/shard0.")]:
+            payload[key.replace("shard0.", "shard1.", 1)] = payload[key]
+        np.savez(path, **payload)
+        assert_refused_whole(
+            lambda: target.restore(path),
+            CheckpointLayoutError,
+            "not a CAFE shard's",
+            target.model,
+            target.trainer.dense_optimizer,
+        )
+
+
 def dense_optimizer_is_cold(session) -> None:
     described = session.describe()["model"]["dense_optimizer"]
     assert described == {"kind": "adam", "step_count": 0, "restored": False}, described
@@ -206,6 +235,7 @@ def main() -> int:
         store_step_leg(quickstart, Path(tmp))
         store_step_leg(cafe_adagrad, Path(tmp))
         backend_leg(quickstart, Path(tmp))
+        sharded_hash_leg(quickstart, Path(tmp))
 
     schema = DatasetSchema(
         name="migration",
@@ -265,7 +295,8 @@ def main() -> int:
     print(
         "checkpoint migration smoke: optim-less -> current OK, Adam resume bit-exact, "
         "CAFE row-Adagrad resume bit-exact (optimizer-less loads), store step restored "
-        "(step-less loads), full/hash/cafe/cafe_ml resume bit-exact, sketched_adagrad state and table-group checkpoint refused with nothing restored"
+        "(step-less loads), full/hash/cafe/cafe_ml resume bit-exact, sketched_adagrad state, 2-shard hash "
+        "checkpoint and table-group checkpoint refused with nothing restored"
     )
     return 0
 

@@ -1,12 +1,9 @@
 """Import-layering checker: the package DAG, machine-enforced.
 
 The architecture note in the README describes a strict layer order —
-``nn → sketch → embeddings → store → runtime → serving → api`` — but until
-now nothing checked it.  This module declares the full order (including the
-module-granular overrides that prose elides: ``runtime.executor`` is the
-low-level execution substrate the store builds on, while
-``runtime.pipeline`` orchestrates everything), parses every module's
-imports from the AST, and reports:
+``nn → sketch → embeddings → store → serving → runtime → api`` — but until
+now nothing checked it.  This module declares the full order, parses every
+module's imports from the AST, and reports:
 
 * **cycles** — strongly connected components in the eager (module-level)
   import graph; always an error.
@@ -37,8 +34,8 @@ __all__ = [
 
 #: The declared layer order, lowest first.  Each entry is
 #: ``(layer name, module prefixes)``; a module belongs to the entry with the
-#: *longest* matching prefix, so ``repro.runtime.pipeline`` lands in
-#: ``orchestration`` even though ``repro.runtime`` is declared lower.
+#: *longest* matching prefix, so ``repro.api.config`` lands in ``api`` even
+#: though ``repro`` is declared in ``foundation``.
 #: An eager import must point at the same or a lower layer.
 LAYERS: tuple[tuple[str, tuple[str, ...]], ...] = (
     ("foundation", ("repro", "repro.errors", "repro.version", "repro.utils")),
@@ -48,13 +45,11 @@ LAYERS: tuple[tuple[str, tuple[str, ...]], ...] = (
     ("sketch", ("repro.sketch",)),
     ("data", ("repro.data",)),
     ("embeddings", ("repro.embeddings",)),
-    ("exec", ("repro.runtime.executor",)),
     ("store", ("repro.store",)),
     ("models", ("repro.models",)),
     ("training", ("repro.training",)),
-    ("runtime", ("repro.runtime",)),
     ("serving", ("repro.serving",)),
-    ("orchestration", ("repro.runtime.pipeline", "repro.experiments")),
+    ("orchestration", ("repro.runtime", "repro.experiments")),
     ("api", ("repro.api", "repro.__main__")),
 )
 

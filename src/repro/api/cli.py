@@ -265,11 +265,11 @@ def main(argv: list[str] | None = None) -> int:
                 raise AssertionError("unreachable")
             _emit(json.dumps(report, indent=2), args.output)
     except (ReproError, ValueError) as exc:
-        # Config-shaped mistakes that need the resolved schema to surface
-        # (e.g. store.fields not matching the dataset's fields, an
-        # infeasible memory budget, a [seed=N] option on a seedless
-        # backend) end as a clean error, not a traceback.
-        print(f"error: {exc}", file=sys.stderr)
+        # Config-shaped mistakes that need the resolved schema or the built
+        # store to surface (an infeasible memory budget, a backend that does
+        # not shard at store.num_shards > 1) end as a clean error naming its
+        # class, not a traceback.
+        print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 2
     return 0
 

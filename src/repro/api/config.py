@@ -155,9 +155,9 @@ class StoreConfig:
 
     ``spec`` names the embedding backend (``"cafe"``, ``"hash"``, …) of the
     one table every field shares; ``num_shards`` splits that table's budget
-    across hash-partitioned shards.  ``executor`` accepts only
-    ``"serial"``, the one shard executor; the key stays so configs that name
-    it keep loading.
+    across hash-partitioned shards, which only ``cafe`` does (``build()``
+    refuses any other backend at ``num_shards > 1``).  ``executor`` accepts
+    only ``"serial"``; the key stays so configs that name it keep loading.
     """
 
     spec: str = "cafe"

@@ -23,7 +23,13 @@ def run_fig13_latency_throughput(
     inference_batch_size: int | None = None,
     repeats: int = 5,
 ) -> ExperimentResult:
-    """Measure per-method training and inference latency/throughput."""
+    """Measure per-method training and inference latency/throughput.
+
+    Every feasible method's model is built first; the timing then runs
+    ``repeats`` interleaved rounds of one train step and one inference pass
+    per method, in alternating direction (after one untimed round), and
+    reports per-method medians.
+    """
     result = ExperimentResult(
         experiment_id="fig13",
         title="Latency and throughput on CriteoTB (10x)",
@@ -40,16 +46,15 @@ def run_fig13_latency_throughput(
     train_batch = dataset.generate_day(0, num_samples=train_batch_size)
     inference_batch = dataset.generate_day(0, num_samples=inference_batch_size, seed_offset=7)
 
+    models = {}
     for method in methods:
         try:
             embedding = build_embedding(method, dataset, compression_ratio, seed=seed)
         except Exception as exc:  # infeasible method at this ratio
             result.add_row(method=method, feasible=False, reason=str(exc)[:60])
             continue
-        model = build_model("dlrm", embedding, dataset.schema, seed=seed)
-        report = measure_latency(
-            model, train_batch, inference_batch, method_name=method, repeats=repeats
-        )
+        models[method] = build_model("dlrm", embedding, dataset.schema, seed=seed)
+    for report in measure_latency(models, train_batch, inference_batch, repeats=repeats):
         result.add_row(feasible=True, **report.as_row())
     result.add_note(
         "expected shape: Hash fastest, Q-R and MDE close behind, CAFE adds sketch maintenance, "

@@ -89,7 +89,6 @@ class PipelineReport:
     probe_stats: dict[str, Any] | None = None
     serving_stats: dict[str, Any] | None = None
     replica_stats: dict[str, Any] | None = None
-    executor_stats: dict[str, Any] | None = None
     final_snapshot_version: int = 0
     days_seen: list[int] = field(default_factory=list)
 
@@ -124,7 +123,6 @@ class PipelineReport:
             "probe": self.probe_stats,
             "serving": self.serving_stats,
             "replicas": self.replica_stats,
-            "executor": self.executor_stats,
         }
 
 
@@ -256,7 +254,6 @@ class OnlinePipeline:
             probe_stats=probe_tracker.summary() if len(probe_tracker) else None,
             serving_stats=self.engine.stats(),
             replica_stats=self.tier.stats() if self.tier is not None else None,
-            executor_stats=self.model.store.executor.stats.as_dict(),
             final_snapshot_version=self.engine.snapshot_version,
             days_seen=days,
         )

@@ -8,8 +8,8 @@ import numpy as np
 
 from repro.analysis import sanitizer
 from repro.data.stream import all_finite
-from repro.embeddings.plan import as_id_array
-from repro.errors import MalformedRequestError
+from repro.embeddings.plan import as_id_array, check_id_range
+from repro.errors import IdOutOfRangeError, MalformedRequestError
 from repro.serving.stats import LatencyTracker
 
 
@@ -19,19 +19,23 @@ _INT64 = np.dtype(np.int64)
 class PendingPrediction:
     """Future-like handle for one submitted request."""
 
-    __slots__ = ("rows", "submitted_at", "probabilities", "latency_s")
+    __slots__ = ("rows", "submitted_at", "probabilities", "latency_s", "error")
 
     def __init__(self, rows: int, submitted_at: float):
         self.rows = rows
         self.submitted_at = submitted_at
         self.probabilities: np.ndarray | None = None
         self.latency_s: float | None = None
+        #: Why the request was refused at its flush (an out-of-range id).
+        self.error: Exception | None = None
 
     @property
     def done(self) -> bool:
-        return self.probabilities is not None
+        return self.probabilities is not None or self.error is not None
 
     def result(self) -> np.ndarray:
+        if self.error is not None:
+            raise self.error
         if self.probabilities is None:
             raise RuntimeError("request not served yet; call flush()")
         return self.probabilities
@@ -169,8 +173,18 @@ class MicroBatcher:
         return served
 
     def _serve(self, model, requests: list[PendingPrediction], start: int, stop: int) -> None:
-        """One forward pass over block rows ``[start, stop)`` = ``requests``."""
-        probabilities = model.predict_proba(self._categorical[start:stop], self._numerical[start:stop])
+        """One forward pass over block rows ``[start, stop)`` = ``requests``.
+
+        The store range-checks ids at lookup; when that refuses the pass,
+        each request holding an out-of-range id is completed with the error
+        and the others are served in one pass over their rows.
+        """
+        try:
+            probabilities = model.predict_proba(
+                self._categorical[start:stop], self._numerical[start:stop]
+            )
+        except IdOutOfRangeError:
+            requests, probabilities = self._serve_in_range(model, requests, start, stop)
         completed_at = time.perf_counter()
         offset = 0
         for pending in requests:
@@ -181,11 +195,38 @@ class MicroBatcher:
         self.latency.record_many([pending.latency_s for pending in requests])
         self.micro_batches += 1
         self.requests_served += len(requests)
-        self.rows_served += stop - start
+        self.rows_served += len(probabilities)
         if sanitizer.enabled():
             sanitizer.assert_unaliased(
                 (probabilities, model), (self._categorical, self._numerical), "request block"
             )
+
+    def _serve_in_range(
+        self, model, requests: list[PendingPrediction], start: int, stop: int
+    ) -> tuple[list[PendingPrediction], np.ndarray]:
+        """Complete each request of block rows ``[start, stop)`` that holds an
+        out-of-range id with the error; returns the others, served."""
+        categorical = self._categorical[start:stop]
+        num_features = model.store.num_features
+        in_range = ((categorical >= 0) & (categorical < num_features)).all(axis=1)
+        valid, rows, offset = [], [], 0
+        for pending in requests:
+            span = slice(offset, offset + pending.rows)
+            offset = span.stop
+            if in_range[span].all():
+                valid.append(pending)
+                rows.append(np.arange(start + span.start, start + span.stop))
+                continue
+            ids = categorical[span]
+            try:
+                check_id_range(int(ids.min()), int(ids.max()), num_features)
+            except IdOutOfRangeError as error:
+                pending.error = error
+            pending.latency_s = time.perf_counter() - pending.submitted_at
+        if not valid:
+            return valid, np.empty(0, dtype=model.dtype)
+        rows = np.concatenate(rows)
+        return valid, model.predict_proba(self._categorical[rows], self._numerical[rows])
 
     def predict(self, categorical: np.ndarray, numerical: np.ndarray | None = None) -> np.ndarray:
         """Synchronous convenience: submit one request and serve it now."""

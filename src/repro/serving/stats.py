@@ -15,9 +15,14 @@ import numpy as np
 #: The percentiles serving dashboards conventionally report.
 PERCENTILES = (50.0, 95.0, 99.0)
 
+#: Samples a tracker keeps: the most recent ones, so a long-lived server's
+#: tracker stays bounded.
+MAX_SAMPLES = 65_536
+
 
 class LatencyTracker:
-    """Accumulates per-request latencies and summarizes their distribution.
+    """Keeps the most recent :data:`MAX_SAMPLES` per-request latencies and
+    summarizes their distribution; older samples drop out as new ones arrive.
 
     Percentiles are NaN-safe: an empty tracker reports ``0.0`` for every
     latency figure (count ``0``) instead of ``nan``, so callers — a probe
@@ -36,7 +41,7 @@ class LatencyTracker:
     """
 
     def __init__(self):
-        self._seconds: deque[float] = deque()  # grows without reallocating
+        self._seconds: deque[float] = deque(maxlen=MAX_SAMPLES)
 
     def record(self, seconds: float) -> None:
         self._seconds.append(float(seconds))

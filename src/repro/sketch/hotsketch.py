@@ -148,21 +148,7 @@ class HotSketch(Sketch):
         if keys.size == 0:
             return EvictionBatch.empty()
         keys, scores = self.aggregate_duplicates(keys, scores)
-        self.total_insertions += int(keys.size)
-
-        buckets = hash_to_bucket(keys, self.num_buckets, seed=self.seed)
-
-        # Phase 1 (vectorized): add scores of features already present.
-        slot_match = np.take(self.keys, buckets, axis=0) == keys[:, None]  # (n, c)
-        found = _row_any(slot_match)
-        if found.any():
-            slot_idx = slot_match[found].argmax(axis=1)
-            np.add.at(self.scores, (buckets[found], slot_idx), scores[found])
-
-        missing = ~found
-        if not missing.any():
-            return EvictionBatch.empty()
-        return self._insert_misses(keys[missing], scores[missing], buckets[missing])
+        return self.insert_routed(keys, scores, *self.locate(keys))
 
     def insert_routed(
         self,

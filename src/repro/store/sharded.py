@@ -1,35 +1,28 @@
-"""Hash-partitioned sharding of any embedding backend.
+"""A sharded embedding store: one backend, or one CAFE stack of shards.
 
 A :class:`ShardedEmbeddingStore` splits the global feature-id space across
-``N`` shards with a SplitMix64 hash; each shard is a full
-:class:`~repro.embeddings.base.CompressedEmbedding` of any scheme (CAFE,
-AdaEmbed, MDE, Q-R, hash, full) holding ``1/N`` of the total memory budget.
-The store itself is also a ``CompressedEmbedding``: the generic wrapper
-deduplicates the batch once at the store, and everything below it works on
-sorted unique ids only.  The store caches the shard partition of a batch's
-unique ids (one hash + one stable sort per step, shared by both halves of
-the step); each shard caches its own routing plan.  With one shard the store
-delegates to the backend, bit-exact with the direct-embedding path.
+``N`` shards with a SplitMix64 hash, each shard holding ``1/N`` of the total
+memory budget.  The store itself is also a ``CompressedEmbedding``: the
+generic wrapper deduplicates the batch once at the store, and everything
+below it works on sorted unique ids only.
 
-Plain-CAFE shards are *stacked* (:class:`~repro.embeddings.cafe.
-CafeStack`): their state lives in one allocation per kind, the shards keep
-views, and a step is one pass over the stack instead of a fan-out.
+One shard, of any backend, is that backend behind the store's checks
+(bit-exact with the direct-embedding path).  ``N ≥ 2`` shards are one
+:class:`~repro.embeddings.cafe.CafeStack`: plain ``cafe`` shards of one
+geometry whose state lives in one allocation per kind, so a shard is a
+bucket and row range and a step is one pass over the stack.  Any other
+backend at ``N ≥ 2`` is a :class:`~repro.errors.ConfigurationError` (split
+S ways by a second hash, a hash table is still one hashing-trick table).
 
 Snapshots are copy-on-write: :meth:`ShardedEmbeddingStore.snapshot` is O(1)
-(it freezes the current shard objects); the first write to a frozen shard
-replaces it (a stack: all of it, in one copy) with a private deep copy.
-
-Per-shard work — ``lookup`` and ``apply_gradients`` — is fanned out through a
-:class:`~repro.runtime.executor.SerialShardExecutor`, which times each
-shard's task.  The tasks of one operation touch disjoint shard
-objects, and all store-level bookkeeping (plan cache, copy-on-write swaps,
-step counter) happens before or after the fan-out.
+(it freezes the current shards); the first write afterwards replaces them (a
+stack: all of it, in one copy) with a private deep copy.
 """
 from __future__ import annotations
 
 import copy
 import re
-from functools import partial
+from types import SimpleNamespace
 from typing import Sequence
 
 import numpy as np
@@ -37,10 +30,9 @@ import numpy as np
 from repro.analysis.sanitizer import freeze_arrays, single_writer
 from repro.embeddings.base import CompressedEmbedding
 from repro.embeddings.cafe import CafeStack
-from repro.errors import CheckpointLayoutError
+from repro.errors import CheckpointLayoutError, ConfigurationError
 from repro.nn.optim import check_row_state
-from repro.runtime.executor import SerialShardExecutor
-from repro.store.snapshot import ShardPartition, StoreSnapshot
+from repro.store.snapshot import StoreSnapshot
 from repro.utils.hashing import hash_to_range
 
 #: Default seed of the id -> shard hash (distinct from every backend seed so
@@ -51,6 +43,26 @@ DEFAULT_SHARD_SEED = 2029
 _ROW_STATE_KEY = re.compile(r"(?:shard\d+\.)?optimizer\.(.+)")
 
 
+class ExecutorStats:
+    """The trainer→store payload of every ``apply_gradients`` step (unique
+    ids, per-id gradient sums and scores), read as ``store.executor.stats``.
+    A store never fans out, so ``fanout_wall_s`` and ``parallel_efficiency``
+    are 0."""
+
+    fanout_wall_s = parallel_efficiency = 0.0
+
+    def __init__(self):
+        self.reset()
+
+    def reset(self) -> None:
+        self.grad_bytes = self.grad_steps = 0
+
+    @property
+    def grad_bytes_per_step(self) -> float:
+        """Mean payload bytes per ``apply_gradients`` step."""
+        return self.grad_bytes / self.grad_steps if self.grad_steps else 0.0
+
+
 class ShardedEmbeddingStore(CompressedEmbedding):
     """N hash-partitioned embedding shards behind one store interface.
 
@@ -59,6 +71,11 @@ class ShardedEmbeddingStore(CompressedEmbedding):
     ``load_state_dict``, and ``lookup`` on the live store is not safe
     against it.  Any number of threads may read :meth:`snapshot` views,
     which are immutable by contract.
+
+    One shard may be any backend; ``N ≥ 2`` shards must stack
+    (:meth:`CafeStack.can_stack`: plain ``cafe`` layers of one geometry,
+    seeds and row optimizer), or construction raises
+    :class:`~repro.errors.ConfigurationError`.
     """
 
     def __init__(
@@ -76,20 +93,28 @@ class ShardedEmbeddingStore(CompressedEmbedding):
                 f"all shards must agree on (num_features, dim); got dims={sorted(dims)}, "
                 f"num_features={sorted(features)}"
             )
+        if len(shards) > 1 and not CafeStack.can_stack(shards):
+            backends = sorted({type(shard).__name__ for shard in shards})
+            raise ConfigurationError(
+                f"a store of {len(shards)} shards is one CAFE stack, so only 'cafe' shards "
+                f"(CafeEmbedding, one geometry, seeds and row optimizer) shard; got {backends}. "
+                "Build any other backend with num_shards=1"
+            )
         super().__init__(shards[0].num_features, shards[0].dim, dtype=shards[0].dtype)
         self.use_frequency = shards[0].use_frequency
         self._shards = shards
         self.num_shards = len(shards)
         self.shard_seed = int(shard_seed)
-        self.executor = SerialShardExecutor()
-        # Shards become frozen (shared with a snapshot) when snapshot() runs;
-        # the first write afterwards swaps in a private copy.
-        self._cow_pending = [False] * self.num_shards
+        #: ``perf/workloads.py`` reads ``store.executor.stats``.
+        self.executor = SimpleNamespace(stats=ExecutorStats())
+        # The shards become frozen (shared with a snapshot) when snapshot()
+        # runs; the first write afterwards swaps in a private copy.
+        self._cow_pending = False
         self.snapshots_taken = 0
         self.cow_copies = 0
         if self.num_shards == 1:
-            # The delegating fast path never touches the store-level plan
-            # cache, so surface the backend's stats instead.
+            # The delegating path never touches the store-level plan cache,
+            # so surface the backend's stats instead.
             self.plan_stats = self._shards[0].plan_stats
         self._stack: CafeStack | None = None
         self._restack()
@@ -116,7 +141,7 @@ class ShardedEmbeddingStore(CompressedEmbedding):
         total float budget, which is expressed by scaling the per-shard
         compression ratio.  Remaining ``kwargs`` are forwarded to
         :func:`repro.embeddings.create_embedding` (e.g. ``optimizer``,
-        ``field_cardinalities``).
+        ``field_cardinalities``).  ``num_shards ≥ 2`` takes ``cafe``.
         """
         from repro.embeddings import create_embedding
 
@@ -140,11 +165,9 @@ class ShardedEmbeddingStore(CompressedEmbedding):
         return tuple(self._shards)
 
     # ------------------------------------------------------------------ #
-    # Routing (store level: the shard partition)
+    # Routing (a stack's: shard owner, then buckets and rows in the stack)
     # ------------------------------------------------------------------ #
     def _build_routes(self, uids: np.ndarray) -> dict:
-        if self._stack is None:
-            return {"partition": ShardPartition(uids, self.num_shards, self.shard_seed)}
         shard = hash_to_range(uids, self.num_shards, seed=self.shard_seed)
         routes = self._stack.routes(uids, shard)
         routes["shard"] = shard
@@ -153,29 +176,11 @@ class ShardedEmbeddingStore(CompressedEmbedding):
     def _routing_token(self) -> object:
         # A stacked plan routes through every shard's sketch, so it is tied
         # to every shard's own token as well.
-        if self._stack is None:
-            return self._routing_version
         return (self._routing_version, *(shard._routing_token() for shard in self._shards))
 
-    def _fan_out(self, method: str, shards: list[int], args: list[tuple]) -> list:
-        """Run ``method(*args[i])`` on every listed shard; results in order.
-
-        The one fan-out path of the hot loop.  A single-shard store calls its
-        shard directly: there is no fan-out to schedule or time.
-        """
-        thunks = [
-            partial(getattr(self._shards[shard], method), *shard_args)
-            for shard, shard_args in zip(shards, args)
-        ]
-        if self.num_shards == 1:
-            return [thunks[0]()]
-        return self.executor.run(list(zip(shards, thunks)))
-
     def _restack(self) -> None:
-        """(Re)build the stack from the shards' current arrays, if they stack:
-        S ≥ 2 plain-CAFE shards (:meth:`CafeStack.can_stack`)."""
-        stackable = CafeStack.can_stack(self._shards)
-        self._stack = CafeStack.stacked(self._shards) if stackable else None
+        """(Re)build the stack from the shards' current arrays (N ≥ 2)."""
+        self._stack = CafeStack.stacked(self._shards) if self.num_shards > 1 else None
         self.invalidate_plan()
 
     def __reduce_ex__(self, protocol):
@@ -189,56 +194,32 @@ class ShardedEmbeddingStore(CompressedEmbedding):
     # CompressedEmbedding interface
     # ------------------------------------------------------------------ #
     def lookup_unique(self, uids: np.ndarray) -> np.ndarray:
-        """Gather every id's row from its owning shard.
-
-        The shard partition of the unique ids is computed (or reused from the
-        plan cache) on the calling thread; per-shard gathers then run through
-        :attr:`executor` and land in slices of one ``(U, dim)`` buffer.  A
-        stacked store gathers every row in one pass over the stack instead.
-        """
-        if self.num_shards == 1:
+        """Every id's row: the one shard's, or one gather over the stack
+        (routes computed or reused from the plan cache)."""
+        if self._stack is None:
             return self._shards[0].lookup_unique(uids)
-        routes = self.plan_for(uids).routes
-        if self._stack is not None:
-            return self._stack.lookup(routes)
-        partition = routes["partition"]
-        rows = self._fan_out(
-            "lookup_unique", partition.shards, [(shard_uids,) for shard_uids in partition.shard_uids]
-        )
-        return partition.merge(rows, self.dim, self.dtype)
+        return self._stack.lookup(self.plan_for(uids).routes)
 
     @single_writer
     def apply_gradients(self, ids: np.ndarray, grads: np.ndarray) -> None:
         super().apply_gradients(ids, grads)
 
     def apply_unique(self, uids: np.ndarray, grad_sums: np.ndarray, scores: np.ndarray) -> None:
-        """Hand every owning shard its slice of ``(uids, grad_sums, scores)``.
-
-        Copy-on-write swaps (:meth:`_ensure_private`) happen serially on the
-        calling thread *before* the fan-out, so outstanding snapshots never
-        observe a write and the executor tasks only ever touch private,
-        mutually disjoint shard objects.  A stacked store runs one step over
-        the whole stack instead of the fan-out.
-        """
-        if self._stack is not None:
+        """Apply ``(uids, grad_sums, scores)`` through the one shard, or as one
+        step over the whole stack.  The copy-on-write swap
+        (:meth:`_ensure_private`) comes first, so outstanding snapshots never
+        observe a write."""
+        if self._stack is None:
+            self._ensure_private()
+            self._shards[0].apply_unique(uids, grad_sums, scores)
+        else:
             plan = self.plan_for(uids)
-            self._ensure_private(0)
+            self._ensure_private()
             self._stack.apply(plan, uids, grad_sums, scores, plan.routes["shard"])
-        else:
-            self._apply_fan_out(uids, grad_sums, scores)
-        self.executor.stats.record_grad_exchange(uids.nbytes + grad_sums.nbytes + scores.nbytes)
+        stats = self.executor.stats
+        stats.grad_bytes += uids.nbytes + grad_sums.nbytes + scores.nbytes
+        stats.grad_steps += 1
         self._step += 1
-
-    def _apply_fan_out(self, uids: np.ndarray, grad_sums: np.ndarray, scores: np.ndarray) -> None:
-        if self.num_shards == 1:
-            shards, shard_uids, shard_grads, shard_scores = [0], [uids], [grad_sums], [scores]
-        else:
-            partition = self.plan_for(uids).routes["partition"]
-            shards, shard_uids = partition.shards, partition.shard_uids
-            shard_grads, shard_scores = partition.split(grad_sums), partition.split(scores)
-        for shard in shards:
-            self._ensure_private(shard)
-        self._fan_out("apply_unique", shards, list(zip(shard_uids, shard_grads, shard_scores)))
 
     def memory_floats(self) -> int:
         """Sum of all shard footprints (each shard holds 1/N of the budget)."""
@@ -250,13 +231,13 @@ class ShardedEmbeddingStore(CompressedEmbedding):
     def snapshot(self) -> StoreSnapshot:
         """Freeze the current parameters into a read-only serving view.
 
-        O(1): no tables are copied here.  The store marks every shard as
-        shared; training's next write to a shard replaces it with a private
-        deep copy (:attr:`cow_copies` counts those), so the returned view
-        keeps serving exactly the values visible now.
+        O(1): no tables are copied here.  The store marks its shards as
+        shared; training's next write replaces them with a private deep copy
+        (:attr:`cow_copies` counts those), so the returned view keeps
+        serving exactly the values visible now.
         """
         self.snapshots_taken += 1
-        self._cow_pending = [True] * self.num_shards
+        self._cow_pending = True
         if self._stack is not None:
             # Freezing the shards' views alone would not stop a write
             # through the stack that skipped copy-on-write.
@@ -276,19 +257,17 @@ class ShardedEmbeddingStore(CompressedEmbedding):
         freeze_arrays(view)
         return view
 
-    def _ensure_private(self, shard_index: int) -> None:
-        if not self._cow_pending[shard_index]:
+    def _ensure_private(self) -> None:
+        if not self._cow_pending:
             return
         if self._stack is not None:  # every shard goes private, in one copy
             self._stack = self._stack.copy()
             self._shards = self._stack.members
-            self._cow_pending = [False] * self.num_shards
         else:
-            self._shards[shard_index] = copy.deepcopy(self._shards[shard_index])
-            self._cow_pending[shard_index] = False
-        self.cow_copies += 1
-        if self.num_shards == 1:
+            self._shards[0] = copy.deepcopy(self._shards[0])
             self.plan_stats = self._shards[0].plan_stats
+        self._cow_pending = False
+        self.cow_copies += 1
 
     # ------------------------------------------------------------------ #
     # Introspection / checkpointing
@@ -304,7 +283,6 @@ class ShardedEmbeddingStore(CompressedEmbedding):
         info = super().describe()
         info["num_shards"] = self.num_shards
         info["backend"] = type(self._shards[0]).__name__
-        info["executor"] = type(self.executor).__name__
         info["stacked"] = self._stack is not None
         return info
 
@@ -327,7 +305,8 @@ class ShardedEmbeddingStore(CompressedEmbedding):
         """Raise :class:`~repro.errors.CheckpointLayoutError` unless ``state``
         fits this store: a ``num_shards`` header equal to :attr:`num_shards`,
         or no header (a bare layer's keys, the pre-store format) and one
-        shard; a ``step`` header is optional.  Raise
+        shard; a ``step`` header is optional.  A multi-shard state must hold
+        CAFE shards (a stack's keys, row-optimizer entries aside).  Raise
         :class:`~repro.errors.OptimizerStateMismatchError` for
         ``optimizer.*`` entries the shards' row optimizer cannot take (none
         at all fit: it restarts cold).  Reads the keys and headers
@@ -349,10 +328,28 @@ class ShardedEmbeddingStore(CompressedEmbedding):
             raise CheckpointLayoutError(
                 f"checkpoint has {int(state['num_shards'])} shards, store has {self.num_shards}"
             )
+        if self._stack is not None:
+            self._check_stacked_keys(state)
         check_row_state(
             getattr(self._shards[0], "_optimizer", None),
             {match[1] for match in map(_ROW_STATE_KEY.match, state) if match},
         )
+
+    def _check_stacked_keys(self, state: dict[str, np.ndarray]) -> None:
+        """Every ``shard{i}.`` section must carry a CAFE shard's keys."""
+        expected = {key for key in self._shards[0].state_dict() if not _ROW_STATE_KEY.match(key)}
+        for index in range(self.num_shards):
+            prefix = f"shard{index}."
+            found = {
+                key[len(prefix):] for key in state
+                if key.startswith(prefix) and not _ROW_STATE_KEY.match(key)
+            }
+            if found != expected:
+                raise CheckpointLayoutError(
+                    f"checkpoint shard {index} holds keys {sorted(found)}, not a CAFE shard's "
+                    f"{sorted(expected)}: a {self.num_shards}-shard store is one CAFE stack, "
+                    "and a multi-shard checkpoint of another backend is not loadable"
+                )
 
     @single_writer
     def load_state_dict(self, state: dict[str, np.ndarray]) -> None:
@@ -364,26 +361,22 @@ class ShardedEmbeddingStore(CompressedEmbedding):
         a state without one leaves it as it was.
         """
         self.check_state_layout(state)
+        # Restoring is a write: never mutate a shard a snapshot still serves.
+        self._ensure_private()
         if "num_shards" not in state:
             # Checkpoint written against a bare embedding layer.
-            self._load_into_shard(0, dict(state))
+            self._shards[0].load_state_dict(dict(state))
             self.invalidate_plan()
         else:
-            for index in range(self.num_shards):
+            for index, shard in enumerate(self._shards):
                 prefix = f"shard{index}."
-                self._load_into_shard(
-                    index,
-                    {key[len(prefix):]: value for key, value in state.items() if key.startswith(prefix)},
+                shard.load_state_dict(
+                    {key[len(prefix):]: value for key, value in state.items() if key.startswith(prefix)}
                 )
             # A shard's row optimizer may have adopted private arrays.
             self._restack()
         if "step" in state:
             self._step = int(state["step"])
-
-    def _load_into_shard(self, index: int, state: dict[str, np.ndarray]) -> None:
-        # Restoring is a write: never mutate a shard a snapshot still serves.
-        self._ensure_private(index)
-        self._shards[index].load_state_dict(state)
 
 
 def ensure_store(embedding: CompressedEmbedding) -> ShardedEmbeddingStore:

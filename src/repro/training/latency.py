@@ -44,42 +44,44 @@ class LatencyReport:
 
 
 def measure_latency(
-    model: RecommendationModel,
+    models: dict[str, RecommendationModel],
     train_batch: Batch,
     inference_batch: Batch,
-    method_name: str,
-    warmup: int = 2,
     repeats: int = 5,
-) -> LatencyReport:
-    """Time training steps and inference passes of ``model``."""
-    trainer = Trainer(model)
-    for _ in range(warmup):
-        trainer.train_step(train_batch)
-        model.predict_proba(inference_batch.categorical, inference_batch.numerical)
+) -> list[LatencyReport]:
+    """Time training steps and inference passes of every model, interleaved.
 
-    train_times = []
-    for _ in range(repeats):
-        start = time.perf_counter()
-        trainer.train_step(train_batch)
-        train_times.append(time.perf_counter() - start)
+    One untimed round warms every model up; each of the ``repeats`` timed
+    rounds then takes one train step and one inference pass of every model.
+    The rounds alternate direction (forward, backward, forward, …), so a slow
+    stretch of the host at the start (a CPU still clocking up after idle)
+    that reaches the first model's second timed sample has already covered
+    two samples of every model: the first model's median is never the only
+    slow one.  One report per model, in ``models`` order, of its medians.
+    """
+    trainers = {name: Trainer(model) for name, model in models.items()}
+    times: dict[str, list[tuple[float, float]]] = {name: [] for name in models}
+    for round_index in range(repeats + 1):
+        for name in list(trainers)[:: 1 if round_index % 2 else -1]:
+            start = time.perf_counter()
+            trainers[name].train_step(train_batch)
+            trained = time.perf_counter()
+            models[name].predict_proba(inference_batch.categorical, inference_batch.numerical)
+            if round_index:
+                times[name].append((trained - start, time.perf_counter() - trained))
 
-    inference_times = []
-    for _ in range(repeats):
-        start = time.perf_counter()
-        model.predict_proba(inference_batch.categorical, inference_batch.numerical)
-        inference_times.append(time.perf_counter() - start)
-
-    plan_stats = trainer.embedding_plan_stats()
-    train_latency = float(np.median(train_times))
-    inference_latency = float(np.median(inference_times))
-    return LatencyReport(
-        method=method_name,
-        train_latency_ms=train_latency * 1e3,
-        inference_latency_ms=inference_latency * 1e3,
-        train_throughput=len(train_batch) / train_latency,
-        inference_throughput=len(inference_batch) / inference_latency,
-        plan_reuse_rate=plan_stats["reuse_rate"],
-    )
+    reports = []
+    for name, trainer in trainers.items():
+        train_latency, inference_latency = map(float, np.median(times[name], axis=0))
+        reports.append(LatencyReport(
+            method=name,
+            train_latency_ms=train_latency * 1e3,
+            inference_latency_ms=inference_latency * 1e3,
+            train_throughput=len(train_batch) / train_latency,
+            inference_throughput=len(inference_batch) / inference_latency,
+            plan_reuse_rate=trainer.embedding_plan_stats()["reuse_rate"],
+        ))
+    return reports
 
 
 def measure_sketch_throughput(sketch, keys: np.ndarray, scores: np.ndarray, repeats: int = 3) -> dict[str, float]:

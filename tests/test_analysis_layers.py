@@ -123,8 +123,7 @@ class TestResolution:
 
     def test_layer_of_longest_prefix_wins(self):
         assert layer_of("repro.runtime.pipeline")[1] == "orchestration"
-        assert layer_of("repro.runtime.executor")[1] == "exec"
-        assert layer_of("repro.runtime")[1] == "runtime"
+        assert layer_of("repro.runtime")[1] == "orchestration"
         assert layer_of("repro.api.config")[1] == "api"
         assert layer_of("repro.api.session")[1] == "api"
         assert layer_of("repro.errors")[1] == "foundation"

@@ -139,7 +139,7 @@ class TestWorkloadCommands:
             "store": {"spec": "qr", "compression_ratio": 100000.0},
         }), encoding="utf-8")
         assert main(["describe", "--config", str(bad)]) == 2
-        assert "error: Q-R trick needs at least" in capsys.readouterr().err
+        assert "error: MemoryBudgetError: Q-R trick needs at least" in capsys.readouterr().err
 
     def test_wrong_typed_config_value_fails_validation_cleanly(self, tmp_path, capsys):
         bad = tmp_path / "typed.json"

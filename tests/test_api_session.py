@@ -18,8 +18,8 @@ from repro.api.session import build
 from repro.embeddings import METHOD_NAMES, create_embedding, create_embedding_store
 from repro.errors import ConfigurationError, OptimizerStateMismatchError
 
-#: A non-default store: a 2-shard hash table.
-SHARDED_STORE = {"spec": "hash", "compression_ratio": 10.0, "num_shards": 2}
+#: A non-default store: a 2-shard CAFE stack.
+SHARDED_STORE = {"spec": "cafe", "compression_ratio": 10.0, "num_shards": 2}
 
 #: Keys every backend / store ``describe()`` must report.
 CORE_DESCRIBE_KEYS = {
@@ -339,7 +339,7 @@ class TestDescribeSchema:
             "cafe", num_features=1200, dim=8, num_shards=2, compression_ratio=10.0
         )
         info = store.describe()
-        assert CORE_DESCRIBE_KEYS | {"num_shards", "backend", "executor"} <= set(info)
+        assert CORE_DESCRIBE_KEYS | {"num_shards", "backend", "stacked"} <= set(info)
 
     def test_session_describe_aggregates(self):
         with build(tiny_config()) as session:

@@ -46,7 +46,7 @@ def training_traffic(seed, steps=6, batch=96, fields=3):
 @pytest.mark.parametrize("method", ["hash", "cafe"])
 class TestSnapshotBitIdentical:
     def test_mid_training_snapshot_survives_updates_and_migration(self, method):
-        store = make_store(method=method)
+        store = make_store(num_shards=3 if method == "cafe" else 1, method=method)
         probe = np.random.default_rng(99).integers(0, NUM_FEATURES, size=(64, 3))
 
         # Warm up, snapshot mid-training, capture the frozen values.

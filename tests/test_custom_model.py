@@ -50,7 +50,7 @@ def dataset() -> SyntheticCTRDataset:
 
 def make_model(data, backend: str, dtype: str):
     schema = data.schema
-    if backend == "own":  # the example's own class, two shards behind one store
+    if backend == "own":  # the example's own class
         embedding = example.make_embedding("own", schema, 1.0)
     else:
         embedding = create_embedding(

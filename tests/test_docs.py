@@ -26,7 +26,6 @@ DOC_PAGES = (
 DOCTEST_MODULES = (
     "repro.data.stream",
     "repro.serving.stats",
-    "repro.runtime.executor",
     "repro.store.sharded",
 )
 

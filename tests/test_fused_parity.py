@@ -4,7 +4,8 @@ The table-backed backends apply a step through one path (one segment-sum +
 one scatter per table).  Its bits were recorded as SHA-256 digests at the
 commit before the second, per-region implementation was deleted (636f398,
 where both implementations produced these digests): per embedding scheme
-and through the 2-shard store.  The large-batch
+and through the 2-shard store (a CAFE stack; the 2-shard hash store's
+digest went with multi-shard hash stores).  The large-batch
 digests (2048 × 26 ids, every run-length class of the segment sum) were
 recorded at fc8fe3a, where the segment sum was still ``np.add.reduceat``.
 """
@@ -94,7 +95,6 @@ GOLDEN_RUNS = {
     "full-sgd": "9d09401083ca9ef6cbb2559215b05a90428e7bd58f5ab6fcf6461a0ee85db77c",
     "full-adagrad": "875fedd5725a53e277d9938083983ffbaa53d1d45aace74b9d0899dd8847f6d9",
     "sharded-cafe": "c5a9dc4b41d75d5a3ac762b05945a186e5ffdc4f48d490661e13b440c395ac59",
-    "sharded-hash": "9b6c7fb704e02b4004b3155c36a32b2ee7e49d7e185c184b72843c2547f39d02",
 }
 
 golden = pytest.mark.skipif(
@@ -130,7 +130,7 @@ def test_embedding_matches_golden_digest(method, optimizer):
 # Through the sharded store
 # --------------------------------------------------------------------------- #
 @golden
-@pytest.mark.parametrize("method", ["cafe", "hash"])
+@pytest.mark.parametrize("method", ["cafe"])
 def test_sharded_store_matches_golden_digest(method):
     store = ShardedEmbeddingStore.build(
         method,
@@ -149,8 +149,10 @@ def test_sharded_store_matches_golden_digest(method):
 # --------------------------------------------------------------------------- #
 # Restore-and-continue: the row optimizer rides in CAFE's state_dict
 # --------------------------------------------------------------------------- #
-@pytest.mark.parametrize("num_shards", [1, 4])
-@pytest.mark.parametrize("method", ["cafe", "cafe_ml"])
+@pytest.mark.parametrize(
+    "method, num_shards", [("cafe", 1), ("cafe", 2), ("cafe", 4), ("cafe_ml", 1)],
+    ids=["cafe-1", "cafe-2", "cafe-4", "cafe_ml-1"],
+)
 def test_restore_and_continue_is_bit_identical(method, num_shards):
     batches = make_batches(seed=61, steps=30)
 

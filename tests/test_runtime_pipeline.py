@@ -110,14 +110,13 @@ class TestReport:
         for key in (
             "steps", "steps_per_s", "avg_train_loss", "cadence_steps", "publishes",
             "publish_p50_ms", "max_staleness_steps", "staleness_within_cadence",
-            "probe", "serving", "executor", "final_snapshot_version", "days_seen",
+            "probe", "serving", "final_snapshot_version", "days_seen",
         ):
             assert key in summary
+        assert "executor" not in summary
         assert summary["probe"]["count"] == 4  # probes every 2 of 8 steps
-        # The two CAFE shards are stacked: every step is one pass over the
-        # stack, not an executor fan-out, but the exchange is still counted.
-        assert summary["executor"]["fanouts"] == 0
-        assert summary["executor"]["grad_exchange"]["steps"] == 8
+        # The two CAFE shards are one stack; the exchange is still counted.
+        assert pipeline.model.store.executor.stats.grad_steps == 8
         assert np.isfinite(summary["avg_train_loss"])
 
     def test_each_probe_is_one_row_cycling_through_the_probe_batch(self):
@@ -206,7 +205,7 @@ class TestPipelineCLI:
         assert report["pipeline"]["staleness_within_cadence"] is True
         assert report["pipeline"]["max_staleness_steps"] <= 3
         assert report["store"]["num_shards"] == 2
-        assert report["store"]["executor"] == "SerialShardExecutor"
+        assert report["store"]["stacked"] is True
 
     def test_cli_writes_output_file(self, tmp_path):
         import json

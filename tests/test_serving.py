@@ -10,6 +10,7 @@ from repro.data.schema import DatasetSchema, FieldSchema
 from repro.data.synthetic import SyntheticConfig, SyntheticCTRDataset
 from repro.models.dlrm import DLRM
 from repro.serving import LatencyTracker, ReplicaTier, ServingEngine
+from repro.serving.stats import MAX_SAMPLES
 from repro.store import ShardedEmbeddingStore
 from repro.training.trainer import Trainer
 
@@ -75,6 +76,17 @@ class TestLatencyTracker:
         batched.record_many(samples[:3])
         batched.record_many(samples[3:])
         assert len(batched) == 7 and batched.summary() == one_by_one.summary()
+
+    def test_keeps_the_most_recent_65536_samples(self):
+        samples = np.random.default_rng(0).exponential(0.002, size=2 * MAX_SAMPLES)
+        tracker, recent = LatencyTracker(), LatencyTracker()
+        tracker.record_many(list(samples[: MAX_SAMPLES // 2]))
+        for seconds in samples[MAX_SAMPLES // 2:]:
+            tracker.record(seconds)
+        recent.record_many(list(samples[-MAX_SAMPLES:]))
+        assert MAX_SAMPLES == 65_536
+        assert len(tracker) == len(recent) == 65_536
+        assert tracker.summary() == recent.summary()
 
 
 class TestServingEngine:

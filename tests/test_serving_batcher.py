@@ -125,7 +125,7 @@ class ReferenceMicroBatcher:
 
 def make_model(method="hash", seed=0):
     store = ShardedEmbeddingStore.build(
-        method, num_features=NUM_FEATURES, dim=DIM, num_shards=2,
+        method, num_features=NUM_FEATURES, dim=DIM, num_shards=2 if method == "cafe" else 1,
         compression_ratio=6.0, seed=seed,
     )
     return DLRM(store, FIELDS, NUMERICAL, rng=seed)
@@ -418,34 +418,59 @@ class TestMalformedRequests:
 
 class TestOutOfRangeIdAtFlush:
     """Ids are range-checked by the store at lookup, not at ``submit``: an
-    out-of-range id fails the ``flush`` that serves it, takes the requests
-    queued with it along, and leaves the batcher ready for the next request
-    (docs/serving.md, "Malformed requests")."""
+    out-of-range id fails only its own request.  The flush serves the valid
+    requests queued with it in one pass, and the bad handle is done with the
+    named error (docs/serving.md, "Malformed requests")."""
 
-    def test_flush_raises_and_the_batcher_is_not_wedged(self, server):
+    def test_only_the_bad_request_fails(self, server):
         categorical, numerical = request_pool()
-        rows = range(3)
-
-        def serve_three():
-            handles = [server.submit(categorical[i], numerical[i]) for i in rows]
-            assert server.flush() == 3
-            return np.concatenate([h.result() for h in handles])
-
-        expected = serve_three()
+        good = [4, 5, 6]
+        expected = [server.submit(categorical[i], numerical[i]) for i in good]
+        server.flush()
+        expected = [handle.result() for handle in expected]
         bad = categorical[3].copy()
         bad[1] = NUM_FEATURES
         queued = [
             server.submit(categorical[4], numerical[4]),
             server.submit(bad, numerical[3]),
-            server.submit(categorical[5], numerical[5]),
+            server.submit(categorical[5:7], numerical[5:7]),
         ]
-        with pytest.raises(IdOutOfRangeError):
-            server.flush()
-        assert not any(handle.done for handle in queued)
+        assert server.flush() == 4
+        assert all(handle.done for handle in queued)
+        with pytest.raises(IdOutOfRangeError, match=f"\\[0, {NUM_FEATURES}\\)"):
+            queued[1].result()
+        served = np.concatenate([queued[0].result(), queued[2].result()])
+        np.testing.assert_allclose(served, np.concatenate(expected), rtol=1e-6)
         batchers = server.replicas if isinstance(server, ReplicaSet) else [server]
         assert all(batcher.queued_rows == 0 for batcher in batchers)
+        assert sum(batcher.rows_served for batcher in batchers) == 3 + 3
         assert server.flush() == 0
-        assert np.array_equal(serve_three(), expected)
+
+    def test_a_threshold_submit_does_not_raise(self, server):
+        categorical, numerical = request_pool()
+        bad = categorical[0].copy()
+        bad[0] = -1
+        handles = [server.submit(bad, numerical[0])]
+        handles += [server.submit(categorical[i], numerical[i]) for i in range(1, 8)]
+        assert all(handle.done for handle in handles)  # micro-batch 8: served at submit
+        with pytest.raises(IdOutOfRangeError):
+            handles[0].result()
+        assert all(handle.result().shape == (1,) for handle in handles[1:])
+
+    def test_a_micro_batch_of_bad_requests_only(self, server):
+        categorical, numerical = request_pool()
+        bad = categorical[0].copy()
+        bad[2] = NUM_FEATURES + 5
+        handle = server.submit(bad, numerical[0])
+        assert server.flush() == 1
+        with pytest.raises(IdOutOfRangeError):
+            handle.result()
+        after = server.submit(categorical[:2], numerical[:2])
+        assert server.flush() == 2
+        assert np.array_equal(
+            after.result(),
+            ServingEngine(make_model(), max_batch_size=8).predict(categorical[:2], numerical[:2]),
+        )
 
 
 class TestBlockReuseContract:

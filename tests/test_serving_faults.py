@@ -29,7 +29,7 @@ def make_model(seed=0):
         "hash",
         num_features=NUM_FEATURES,
         dim=DIM,
-        num_shards=3,
+        num_shards=1,
         compression_ratio=8.0,
         seed=seed,
     )

@@ -6,7 +6,8 @@ The replicated tier's core claim: a replica fed *only* versioned payloads
 every version.  These tests pin that down property-based (random
 train/publish interleavings, random rebase cadence) on static and adaptive
 backends alike: a delta skips every shard copy-on-write shows unwritten and
-ships every changed shard whole.
+ships every changed shard whole.  Only CAFE shards (3, one stack); every
+other backend runs on one shard.
 """
 
 import numpy as np
@@ -27,12 +28,12 @@ FIELDS = 3
 NUMERICAL = 2
 
 
-def make_model(method="hash", num_shards=3, seed=0, compression_ratio=8.0):
+def make_model(method="hash", seed=0, compression_ratio=8.0):
     store = ShardedEmbeddingStore.build(
         method,
         num_features=NUM_FEATURES,
         dim=DIM,
-        num_shards=num_shards,
+        num_shards=3 if method == "cafe" else 1,
         compression_ratio=compression_ratio,
         seed=seed,
     )
@@ -105,7 +106,7 @@ class TestDeltaChainParity:
     def test_parity_across_extraction_tiers(self, method):
         """Fixed seeded chain on static and adaptive backends: every delta
         ships its changed shards whole, whatever the backend (at 2x: Q-R
-        cannot reach 8x over 3 shards of 1200 ids)."""
+        cannot reach 8x over 1200 ids)."""
         model = make_model(method, compression_ratio=2.0)
         publisher = DeltaSnapshotPublisher(model, rebase_every=3)
         replicas = ReplicaSet(2)
@@ -128,7 +129,9 @@ class TestDeltaChainParity:
         assert kinds == ["full", "delta", "delta", "full", "delta"]
         stats = publisher.stats
         assert stats.replacements == shipped > 0
-        assert stats.replacements + stats.unchanged_shards == 3 * stats.delta_publishes
+        assert stats.replacements + stats.unchanged_shards == (
+            model.store.num_shards * stats.delta_publishes
+        )
 
     def test_versions_strictly_increase_and_chain(self):
         model = make_model()
@@ -151,10 +154,11 @@ class TestDeltaChainParity:
 
 
 class TestPayloadAccounting:
-    def test_delta_ships_exactly_the_written_shard(self):
-        """Training only ids one shard owns changes only that shard: the
-        delta ships it whole and counts the other two as unchanged."""
-        model = make_model("full")
+    def test_a_write_ships_the_stack_whole(self):
+        """Copy-on-write privatises a stack in one copy, so training only ids
+        one shard owns still replaces every shard: the delta ships all three
+        whole and counts none as unchanged."""
+        model = make_model("cafe")
         store = model.store
         publisher = DeltaSnapshotPublisher(model, rebase_every=0)
         rng = np.random.default_rng(3)
@@ -168,13 +172,11 @@ class TestPayloadAccounting:
             store.apply_gradients(ids, grads)
         delta = publisher.publish()
         assert full.kind == "full" and delta.kind == "delta"
-        assert [update.index for update in delta.updates] == [1]
-        shard = store.shards[1]
-        assert delta.updates[0].shard is shard
-        assert delta.payload_floats == shard.memory_floats()
-        assert delta.payload_rows == shard.memory_floats() // DIM
-        assert full.payload_floats == store.memory_floats()
-        assert publisher.stats.unchanged_shards == 2
+        assert [update.index for update in delta.updates] == [0, 1, 2]
+        assert all(update.shard is shard for update, shard in zip(delta.updates, store.shards))
+        assert delta.payload_floats == full.payload_floats == store.memory_floats()
+        assert delta.payload_rows == store.memory_floats() // DIM
+        assert publisher.stats.unchanged_shards == 0
 
     def test_publish_with_no_training_ships_nothing(self):
         model = make_model()
@@ -186,7 +188,7 @@ class TestPayloadAccounting:
         assert idle.kind == "delta"
         assert idle.payload_rows == 0 and not idle.updates
         # Copy-on-write identity proves the skip in O(1), not by comparing.
-        assert publisher.stats.unchanged_shards == 3
+        assert publisher.stats.unchanged_shards == model.store.num_shards == 1
 
     def test_replica_apply_counters(self):
         model = make_model()

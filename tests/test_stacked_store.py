@@ -213,10 +213,11 @@ TestStackedStore = StackedStoreMachine.TestCase
     "num_shards, method, kwargs, stacked",
     [
         (2, "cafe", {"optimizer": "sgd"}, True),
+        (3, "cafe", {"optimizer": "sgd"}, True),
         (4, "cafe", {"optimizer": "adagrad"}, True),
         (1, "cafe", {}, False),  # the store delegates to its one shard
-        (2, "cafe_ml", {}, False),
-        (2, "hash", {}, False),
+        (1, "cafe_ml", {}, False),
+        (1, "hash", {}, False),
     ],
 )
 def test_which_stores_stack(num_shards, method, kwargs, stacked):

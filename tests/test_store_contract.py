@@ -2,8 +2,9 @@
 
 ``ShardedEmbeddingStore`` is the only store: every backend reaches the
 trainer, a snapshot, a serving engine and a checkpoint through it.  Each
-promise below is pinned for all eight backends, at one shard (the
-delegating fast path) and at two (the partitioned path):
+promise below is pinned for all eight backends at one shard (the backend
+behind the store's checks), and for ``cafe`` at two, three and four as well
+(one stack, the only multi-shard store):
 
 * the shard partition built by ``lookup`` is reused by ``apply_gradients``;
 * a snapshot is frozen while training continues, costs nothing until the
@@ -14,8 +15,9 @@ delegating fast path) and at two (the partitioned path):
   ``save_checkpoint`` / ``load_checkpoint`` round-trip bit for bit, the
   store's ``step()`` (and so a pipeline's staleness) survives a restore, a
   restore leaves outstanding snapshots alone, and a checkpoint of another
-  shard layout, or with row-optimizer state the store's row optimizer
-  cannot take, is refused before anything changes.
+  shard layout, a multi-shard checkpoint of a backend that does not stack,
+  or row-optimizer state the store's row optimizer cannot take, is refused
+  before anything changes.
 """
 
 import numpy as np
@@ -33,7 +35,15 @@ from repro.training.checkpoint import load_checkpoint, save_checkpoint
 from repro.training.trainer import Trainer
 
 CHECKPOINTABLE = ["cafe", "cafe_ml", "full", "hash"]
-SHARD_COUNTS = [1, 2]
+#: ``(method, num_shards)``: every backend at one shard, and CAFE stacks of
+#: two, three and four shards.
+STACKS = [("cafe", 2), ("cafe", 3), ("cafe", 4)]
+LAYOUTS = [(method, 1) for method in METHOD_NAMES] + STACKS
+CHECKPOINT_LAYOUTS = [(method, 1) for method in CHECKPOINTABLE] + STACKS
+
+
+def layout_ids(layouts):
+    return [f"{method}-{num_shards}" for method, num_shards in layouts]
 
 SCHEMA = DatasetSchema(
     name="contract",
@@ -89,13 +99,7 @@ def assert_states_equal(a, b):
         assert np.array_equal(a[key], b[key]), key
 
 
-def cow_copies_after_writing_every_shard(store):
-    """A stack goes private in one copy; unstacked shards one copy each."""
-    return 1 if store.describe()["stacked"] else store.num_shards
-
-
-@pytest.mark.parametrize("num_shards", SHARD_COUNTS)
-@pytest.mark.parametrize("method", METHOD_NAMES)
+@pytest.mark.parametrize("method, num_shards", LAYOUTS, ids=layout_ids(LAYOUTS))
 class TestEveryBackend:
     def test_plan_built_by_lookup_is_reused_by_apply(self, method, num_shards):
         store = build_store(method, num_shards)
@@ -114,7 +118,7 @@ class TestEveryBackend:
         steps(store, seed=2)
         assert np.array_equal(frozen, snapshot.lookup(PROBE))
         assert not np.array_equal(frozen, store.lookup(PROBE))
-        assert store.cow_copies == cow_copies_after_writing_every_shard(store)
+        assert store.cow_copies == 1  # a shard, or a whole stack, goes private in one copy
 
     def test_snapshot_without_writes_costs_no_copies(self, method, num_shards):
         store = build_store(method, num_shards)
@@ -174,8 +178,9 @@ def test_a_bare_layer_state_brings_its_step_into_a_one_shard_store(method):
     assert np.array_equal(store.lookup(PROBE), bare.lookup(PROBE))
 
 
-@pytest.mark.parametrize("num_shards", SHARD_COUNTS)
-@pytest.mark.parametrize("method", CHECKPOINTABLE)
+@pytest.mark.parametrize(
+    "method, num_shards", CHECKPOINT_LAYOUTS, ids=layout_ids(CHECKPOINT_LAYOUTS)
+)
 class TestEveryCheckpointableBackend:
     def test_state_dict_round_trip_is_bit_exact(self, method, num_shards):
         store = build_store(method, num_shards, seed=0)
@@ -237,7 +242,7 @@ class TestEveryCheckpointableBackend:
         store = build_store(method, num_shards, seed=0)
         steps(store)
         before = store.state_dict()
-        other = build_store(method, num_shards + 1, seed=5)
+        other = build_store("cafe", num_shards + 1, seed=5)
         steps(other, seed=4)
         with pytest.raises(CheckpointLayoutError, match=f"has {num_shards + 1} shards"):
             store.load_state_dict(other.state_dict())
@@ -285,3 +290,30 @@ class TestEveryCheckpointableBackend:
         steps(warm, seed=9)
         steps(fresh, seed=9)
         assert np.array_equal(warm.lookup(PROBE), fresh.lookup(PROBE))
+
+
+@pytest.mark.parametrize("optimizer", ["sgd", "adagrad"])
+@pytest.mark.parametrize("method", [name for name in CHECKPOINTABLE if name != "cafe"])
+def test_a_multi_shard_checkpoint_of_a_backend_that_does_not_stack_is_refused(method, optimizer):
+    # Written before a store of several shards had to be one CAFE stack: two
+    # shards of another backend under the store's headers.
+    shards = [
+        create_embedding(method, rng=np.random.default_rng(index), optimizer=optimizer,
+                         **backend_kwargs(method))
+        for index in range(2)
+    ]
+    for shard in shards:
+        steps(shard)
+    state = {"num_shards": np.asarray(2), "step": np.asarray(4)}
+    for index, shard in enumerate(shards):
+        state.update({f"shard{index}.{key}": value for key, value in shard.state_dict().items()})
+    store = build_store("cafe", 2, seed=0, optimizer=optimizer)
+    steps(store)
+    before = store.state_dict()
+    assert any(".optimizer." in key for key in before) == (optimizer == "adagrad")
+    with pytest.raises(CheckpointLayoutError, match="not a CAFE shard's"):
+        store.load_state_dict(state)
+    after = store.state_dict()
+    assert after.keys() == before.keys()
+    assert all(after[key].tobytes() == before[key].tobytes() for key in before)
+    assert store.cow_copies == 0

@@ -240,7 +240,7 @@ class TestLatencyHelpers:
         model = toy_model(dataset)
         train_batch = dataset.generate_day(0, num_samples=64)
         infer_batch = dataset.generate_day(0, num_samples=128, seed_offset=3)
-        report = measure_latency(model, train_batch, infer_batch, "full", warmup=1, repeats=2)
+        [report] = measure_latency({"full": model}, train_batch, infer_batch, repeats=2)
         assert report.train_latency_ms > 0
         assert report.inference_latency_ms > 0
         assert report.train_throughput > 0

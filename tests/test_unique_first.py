@@ -394,10 +394,21 @@ def drifting_batches(steps, batch, fields, seed):
         yield ranking[ranks], grads
 
 
+#: ``(method, optimizer, num_shards)``: every backend at one shard, CAFE
+#: stacked at two and four as well.
+ORACLE_CASES = [
+    (method, optimizer, num_shards)
+    for num_shards in (1, 2, 4)
+    for optimizer in ("sgd", "adagrad")
+    for method in ("cafe", "hash", "cafe_ml", "full")
+    if num_shards == 1 or method == "cafe"
+]
+
+
 class TestPositionOrderOracle:
-    @pytest.mark.parametrize("num_shards", [1, 4])
-    @pytest.mark.parametrize("optimizer", ["sgd", "adagrad"])
-    @pytest.mark.parametrize("method", ["cafe", "hash", "cafe_ml", "full"])
+    @pytest.mark.parametrize(
+        "method, optimizer, num_shards", ORACLE_CASES, ids=["-".join(map(str, c)) for c in ORACLE_CASES]
+    )
     def test_store_tracks_the_slow_oracle(self, method, optimizer, num_shards):
         sketched = method in ("cafe", "cafe_ml")
         extra = {"decay_interval": 50, "rebalance_interval": 10} if sketched else {}
@@ -439,25 +450,27 @@ class TestPositionOrderOracle:
 # --------------------------------------------------------------------------- #
 # The boundary: empty batches and named errors
 # --------------------------------------------------------------------------- #
-#: ``(method, build kwargs, sharded?)`` — Q-R, AdaEmbed and MDE have memory
-#: floors the per-shard budget of a 4-shard store falls below at this size.
+#: ``(method, build kwargs, num_shards)``: every backend at one shard, and
+#: the one that shards (CAFE, stacked) at two, three and four.
 BACKENDS = [
-    ("cafe", {}, True),
-    ("cafe_ml", {}, True),
-    ("hash", {}, True),
-    ("full", {}, True),
-    ("qr", {}, False),
-    ("adaembed", {"compression_ratio": 1.5}, False),
-    ("mde", {"compression_ratio": 1.5, "field_cardinalities": [800, 600, 400, 200]}, False),
+    ("cafe", {}, 1),
+    ("cafe_ml", {}, 1),
+    ("hash", {}, 1),
+    ("full", {}, 1),
+    ("qr", {}, 1),
+    ("adaembed", {"compression_ratio": 1.5}, 1),
+    ("mde", {"compression_ratio": 1.5, "field_cardinalities": [800, 600, 400, 200]}, 1),
+    ("cafe", {}, 2),
+    ("cafe", {}, 3),
+    ("cafe", {}, 4),
 ]
 
 
 class TestEmptyBatch:
-    @pytest.mark.parametrize("num_shards", [1, 4])
-    @pytest.mark.parametrize("method,extra,sharded", BACKENDS, ids=[b[0] for b in BACKENDS])
-    def test_empty_batch_is_a_noop_on_every_backend(self, method, extra, sharded, num_shards):
-        if num_shards > 1 and not sharded:
-            pytest.skip(f"{method} cannot reach the per-shard compression ratio")
+    @pytest.mark.parametrize(
+        "method,extra,num_shards", BACKENDS, ids=[f"{b[0]}-{b[2]}" for b in BACKENDS]
+    )
+    def test_empty_batch_is_a_noop_on_every_backend(self, method, extra, num_shards):
         store = build_store(method, num_shards, **extra)
         # The float dtype of np.empty is fine: there is nothing to truncate.
         assert store.lookup(np.empty((0, 3))).shape == (0, 3, DIM)
@@ -465,9 +478,9 @@ class TestEmptyBatch:
         assert store.step() == 0
         assert all(shard.step() == 0 for shard in store.shards)
 
-    @pytest.mark.parametrize("method", ["cafe", "cafe_ml", "hash", "full"])
-    def test_empty_batch_on_the_sharded_store(self, method):
-        store = build_store(method, 4)
+    @pytest.mark.parametrize("num_shards", [2, 3, 4])
+    def test_empty_batch_on_the_sharded_store(self, num_shards):
+        store = build_store("cafe", num_shards)
         before = store.state_dict()
         assert store.lookup(np.empty((0,), dtype=np.int64)).shape == (0, DIM)
         store.apply_gradients(np.empty((0, 2), dtype=np.int64), np.empty((0, 2, DIM)))
@@ -500,7 +513,7 @@ class TestNamedErrors:
 
     @pytest.mark.parametrize("num_shards", [1, 4])
     def test_non_integer_ids_are_refused_not_truncated(self, num_shards):
-        store = build_store("hash", num_shards)
+        store = build_store("cafe", num_shards)
         with pytest.raises(NonIntegerIdError, match="float64"):
             store.lookup(np.asarray([1.5, 2.0]))
         with pytest.raises(NonIntegerIdError):
@@ -542,13 +555,13 @@ class TestNamedErrors:
 
 
 # --------------------------------------------------------------------------- #
-# (c) The wire: what a shard receives, and what the write log records
+# (c) The wire: what a one-shard store's backend receives
 # --------------------------------------------------------------------------- #
 class TestWire:
     def test_shards_receive_ascending_distinct_ids(self, monkeypatch):
-        # Plain CAFE shards are stacked and step in one pass with no
-        # per-shard wire; cafe_ml always fans out.
-        store = build_store("cafe_ml", 4)
+        # A store of several shards is one CAFE stack with no per-shard wire;
+        # a one-shard store hands its backend the unique-id wire.
+        store = build_store("cafe_ml", 1)
         received = []
         for shard in store.shards:
             original = shard.apply_unique
@@ -563,7 +576,7 @@ class TestWire:
         grads = rng.normal(size=ids.shape + (DIM,)).astype(np.float32)
         store.lookup(ids)
         store.apply_gradients(ids, grads)
-        assert 1 < len(received) <= 4
+        assert len(received) == 1
         seen = np.concatenate([uids for uids, _, _ in received])
         assert np.array_equal(np.sort(seen), np.unique(ids))
         for uids, grad_sums, scores in received:
