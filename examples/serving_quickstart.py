@@ -4,7 +4,8 @@ This example shows the production-shaped path layered on top of the paper's
 CAFE embedding:
 
 1. build a `ShardedEmbeddingStore` — CAFE shards hash-partitioned over the
-   global feature-id space, each with its own HotSketch;
+   global feature-id space, stacked into one table (each shard's HotSketch
+   is a bucket range of the stack's one sketch);
 2. train a DLRM against the store (the trainer talks to the store interface,
    a single shard would be bit-exact with the bare embedding layer);
 3. take a copy-on-write snapshot and serve single-example requests through
@@ -85,9 +86,11 @@ def main() -> None:
           f"p99 {stats['p99_ms']:.2f} ms over {stats['count']} requests "
           f"({stats['avg_micro_batch_rows']:.0f} rows/micro-batch)")
 
+    snapshot = engine.snapshot
     merged = store.merged_sketch()
-    print(f"global hot view: {len(merged.top_k(10))} of the top-10 features tracked across "
-          f"{store.num_shards} per-shard sketches")
+    print(f"served from one frozen {type(snapshot.table).__name__} of {snapshot.memory_floats()} "
+          f"floats; global hot view: {len(merged.top_k(10))} of the top-10 features, merged "
+          f"from the {store.num_shards} shards' sketches")
 
 
 if __name__ == "__main__":

@@ -223,6 +223,7 @@ def repo_legs(experiments: list[str], scratch_src: str) -> dict[str, list[str]]:
         "--set", "pipeline.probe_every_steps=2"]
     legs["ci-serve-replicas"] = cli + ["serve", "--replicas", "3", "--set", "serve.warmup_steps=8"]
     legs["ci-serve-replicas-hash"] = legs["ci-serve-replicas"] + ["--set", "store.spec=hash"]
+    legs["ci-serve-replicas-stack"] = legs["ci-serve-replicas"] + ["--set", "store.num_shards=2"]
     legs["analyze-strict"] = cli + ["analyze", "--strict"]
     legs["analyze-write-graph"] = cli + ["analyze", "--write-graph", "--root", scratch_src]
     for example in sorted((REPO / "examples").glob("*.py")):

@@ -467,13 +467,27 @@ class CafeStack:
     every per-row and per-bucket operation is independent across members and
     the stable sorts keep each member's order.  Decay, threshold and
     migration stay per member, on the views (docs/store.md "Stacked shards").
+    An id's member is a SplitMix64 hash of it under ``shard_seed``.
+
+    A stack is also a read-only table: :meth:`lookup_unique` and
+    :meth:`memory_floats` are what a frozen snapshot of a sharded store
+    serves and ships.
     """
 
-    def __init__(self, members: list, sketch: HotSketch, arena: np.ndarray, optimizer):
+    def __init__(
+        self,
+        members: list,
+        sketch: HotSketch,
+        arena: np.ndarray,
+        optimizer,
+        shard_seed: int | None = None,
+    ):
         self.members = members
         self.sketch = sketch
         self.arena = arena
         self.optimizer = optimizer
+        #: Seed of the id -> member hash (``None`` for a stack of one).
+        self.shard_seed = shard_seed
         self.rows_per = members[0]._arena.shape[0]
         self.buckets_per = members[0].sketch.num_buckets
         #: Stacked per-row optimizer state, and which members view it yet (a
@@ -498,15 +512,16 @@ class CafeStack:
         return len(layers) >= 2 and len(kinds) == 1 and None not in kinds
 
     @classmethod
-    def stacked(cls, members: list) -> "CafeStack":
+    def stacked(cls, members: list, shard_seed: int) -> "CafeStack":
         """Copy ``members``' state into fresh stacked arrays and rebind each
-        member to its views (``members`` must pass :meth:`can_stack`)."""
+        member to its views (``members`` must pass :meth:`can_stack`); ids
+        go to members by their hash under ``shard_seed``."""
         first, count = members[0], len(members)
         sketch = HotSketch(
             count * first.sketch.num_buckets, first.slots_per_bucket, seed=first.sketch.seed
         )
         arena = np.empty((count * first._arena.shape[0], first.dim), dtype=first.dtype)
-        stack = cls(members, sketch, arena, first._new_row_optimizer())
+        stack = cls(members, sketch, arena, first._new_row_optimizer(), int(shard_seed))
         stack._row_state = stack.optimizer.state_buffers(arena)
         stack._bound = [member._optimizer.memory_floats() > 0 for member in members]
         for index in range(count):
@@ -534,6 +549,15 @@ class CafeStack:
         }
         twin.members = copy.deepcopy(self.members, memo)
         return twin
+
+    def __deepcopy__(self, memo) -> "CafeStack":
+        # A member-by-member deepcopy would copy the stacked arrays twice
+        # (once as the stack's, once as the members' views) and unstack them.
+        # A stack of one views its member's own arrays, so the member is copied.
+        # (``copy.deepcopy`` registers the result in ``memo`` itself.)
+        if len(self.members) == 1:
+            return copy.deepcopy(self.members[0], memo)._solo()
+        return self.copy()
 
     def _views(self, index: int) -> list[np.ndarray]:
         """Member ``index``'s slices of the stacked arrays, in :meth:`_arrays` order."""
@@ -567,15 +591,17 @@ class CafeStack:
     # ------------------------------------------------------------------ #
     # The step
     # ------------------------------------------------------------------ #
-    def routes(self, uids: np.ndarray, shard: np.ndarray | None = None) -> dict[str, np.ndarray]:
-        """Routing of sorted unique ids; ``shard`` is each id's member index
-        (``None`` for a stack of one)."""
+    def routes(self, uids: np.ndarray) -> dict[str, np.ndarray]:
+        """Routing of sorted unique ids; a stack of S ≥ 2 also routes each id
+        to its member (``routes["shard"]``)."""
         # The first member's routing hooks serve the stack (S ≥ 2 members
         # share them).  One sketch probe per distinct id, whose results the
         # sketch insertion in apply reuses.
         layer = self.members[0]
         buckets = hash_to_bucket(uids, self.buckets_per, seed=layer.sketch.seed)
-        if shard is not None:
+        shard = None
+        if self.shard_seed is not None:
+            shard = hash_to_range(uids, len(self.members), seed=self.shard_seed)
             buckets += shard * self.buckets_per
         found, slots = self.sketch.match(uids, buckets)
         arena_rows = np.where(found, self.sketch.payloads[buckets, slots], NO_PAYLOAD)
@@ -597,6 +623,8 @@ class CafeStack:
         routes["scatter_sources"], routes["scatter_rows"] = layer._scatter_entries(
             arena_rows, routes
         )
+        if shard is not None:
+            routes["shard"] = shard
         return routes
 
     def lookup(self, routes: dict[str, np.ndarray]) -> np.ndarray:
@@ -604,13 +632,15 @@ class CafeStack:
         self.members[0]._lookup_fused_extra(out, routes)
         return out
 
+    def lookup_unique(self, uids: np.ndarray) -> np.ndarray:
+        """Rows ``(U, dim)`` for sorted, distinct, in-range ``uids``."""
+        return self.lookup(self.routes(uids))
+
+    def memory_floats(self) -> int:
+        return int(sum(member.memory_floats() for member in self.members))
+
     def apply(
-        self,
-        plan: RoutingPlan,
-        uids: np.ndarray,
-        grad_sums: np.ndarray,
-        scores: np.ndarray,
-        shard: np.ndarray | None = None,
+        self, plan: RoutingPlan, uids: np.ndarray, grad_sums: np.ndarray, scores: np.ndarray
     ) -> None:
         """One step over the stack; only the members that owned an id
         advance their step."""
@@ -631,6 +661,7 @@ class CafeStack:
 
         # 3. Per member: row release (in eviction order), then decay /
         #    threshold / migration.
+        shard = routes.get("shard")
         if shard is None:
             self.members[0]._finish_step(evictions.payloads)
             return

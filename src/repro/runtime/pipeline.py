@@ -26,6 +26,7 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field
+from itertools import islice
 from typing import Any, Iterable
 
 import numpy as np
@@ -47,8 +48,9 @@ class PipelineConfig:
     snapshot staleness (in steps) by exactly this value.
     ``probe_every_steps`` optionally sends a one-row probe request through
     the serving engine every N steps to sample serve-while-train latency
-    (``0`` disables probing).  When the stream ends the pipeline publishes
-    once more, so serving finishes fresh.
+    (``0`` disables probing).  ``max_steps`` (positive, or ``None`` for the
+    whole stream) bounds the run.  When the stream ends the pipeline
+    publishes once more, so serving finishes fresh.
     """
 
     publish_every_steps: int = 20
@@ -65,6 +67,8 @@ class PipelineConfig:
             raise ValueError(
                 f"probe_every_steps must be non-negative, got {self.probe_every_steps}"
             )
+        if self.max_steps is not None and self.max_steps <= 0:
+            raise ValueError(f"max_steps must be positive, got {self.max_steps}")
 
 
 @dataclass
@@ -212,7 +216,7 @@ class OnlinePipeline:
         last_publish = time.perf_counter()
         started = time.perf_counter()
 
-        for batch in stream:
+        for batch in islice(stream, config.max_steps):
             losses.append(self.trainer.train_step(batch))
             steps += 1
             if not days or days[-1] != batch.day:
@@ -234,9 +238,6 @@ class OnlinePipeline:
             ):
                 self._probe(probe_batch, probes, probe_tracker)
                 probes += 1
-
-            if config.max_steps is not None and steps >= config.max_steps:
-                break
 
         elapsed = time.perf_counter() - started
         if self.staleness_steps():

@@ -1,7 +1,7 @@
 """Serving: snapshot-backed inference and delta-fed replicas."""
 
 from repro.serving.batcher import PendingPrediction
-from repro.serving.delta import DeltaSnapshotPublisher, ShardUpdate, SnapshotPayload
+from repro.serving.delta import DeltaSnapshotPublisher, SnapshotPayload
 from repro.serving.engine import ServingEngine
 from repro.serving.replica import Replica, ReplicaSet, ReplicaTier
 from repro.serving.stats import PERCENTILES, LatencyTracker
@@ -13,7 +13,6 @@ __all__ = [
     "PERCENTILES",
     "DeltaSnapshotPublisher",
     "SnapshotPayload",
-    "ShardUpdate",
     "Replica",
     "ReplicaSet",
     "ReplicaTier",

@@ -5,33 +5,31 @@ forward-pass throughput.  The replicated tier scales horizontally: a
 :class:`ReplicaSet` holds N :class:`Replica` instances — each a private,
 micro-batching serving engine — and routes requests across them
 round-robin.  Replicas are fed by the :class:`~repro.serving.delta.
-DeltaSnapshotPublisher`: a *full* payload
-rebuilds a replica's entire view, a *delta* payload replaces only the shards
-training changed, and every payload is versioned so the chain is checked,
-not assumed.
+DeltaSnapshotPublisher`: a payload that ships the store's table replaces
+the replica's, one that ships none keeps it (only the dense weights move),
+and every payload is versioned so the chain is checked, not assumed.
 
 Cutover is atomic and all-or-nothing per replica: a payload is staged into
-a completely new view (fresh shard list, private copy of the flat dense
-weights, bound as a :class:`~repro.models.base.ServedModel`) while
-readers keep using the current one, and the switch is a single reference
+a completely new view (the kept or a freshly copied table, a private copy of
+the flat dense weights, bound as a :class:`~repro.models.base.ServedModel`)
+while readers keep using the current one, and the switch is a single reference
 assignment — a replica that stalls (or dies) mid-cutover keeps serving the
 old version, never a half-applied one.  Version checks happen before any
 staging, so a refused payload (duplicate, replay, or a gap from a dropped
 delta) raises one of the :mod:`repro.errors` delta-protocol errors and
 leaves the replica exactly as it was.
 
-Replicas deliberately *materialize* their state (deep copies of every
-shipped shard, a copy of the dense weights) instead of aliasing the
-publisher's frozen snapshots: a
-replica models a process on another machine, so applying a payload pays
-the real shipping cost.  A replica keeps one copy of its state: a new view
-shares the unchanged shards of the one it replaces.
+Replicas deliberately *materialize* their state (a private copy of every
+shipped table, a copy of the dense weights) instead of aliasing the
+publisher's frozen snapshots: a replica models a process on another machine,
+so applying a payload pays the real shipping cost.  A replica keeps one copy
+of its state: a new view over an unchanged table shares it with the view it
+replaces.
 """
 
 from __future__ import annotations
 
 import copy
-import time
 from typing import Any, Callable
 
 import numpy as np
@@ -57,19 +55,6 @@ class _Published:
         self.model = model
         self.version = int(version)
         self.step = int(step)
-
-
-def _view(template: StoreSnapshot, shards: list, payload: SnapshotPayload) -> StoreSnapshot:
-    """A snapshot over ``shards`` laid out like ``template``, at ``payload``'s version."""
-    return StoreSnapshot(
-        shards=shards,
-        shard_seed=template.shard_seed,
-        dim=template.dim,
-        num_features=template.num_features,
-        dtype=template.dtype,
-        version=payload.version,
-        step=payload.step,
-    )
 
 
 class Replica(MicroBatcher):
@@ -120,7 +105,7 @@ class Replica(MicroBatcher):
         serving its current version.
         """
         self._check_version(payload)
-        view = self._stage_full(payload) if payload.kind == "full" else self._stage_delta(payload)
+        view = self._stage_view(payload)
         model = payload.architecture.served(view, payload.dense_weights.copy())
         self.flush()  # no queued request may span two parameter versions
         if self.before_cutover is not None:
@@ -171,19 +156,20 @@ class Replica(MicroBatcher):
                 "serving silently stale rows"
             )
 
-    def _stage_full(self, payload: SnapshotPayload) -> StoreSnapshot:
-        # Materialize private shard copies: the replica models a remote
-        # process, so a full payload pays the whole-table shipping cost.
-        snapshot = payload.snapshot
-        shards = [copy.deepcopy(shard) for shard in snapshot.shards]
-        return _view(snapshot, shards, payload)
-
-    def _stage_delta(self, payload: SnapshotPayload) -> StoreSnapshot:
-        current = self._serving.view
-        shards = list(current.shards)
-        for update in payload.updates:
-            shards[update.index] = copy.deepcopy(update.shard)
-        return _view(current, shards, payload)
+    def _stage_view(self, payload: SnapshotPayload) -> StoreSnapshot:
+        """A view at ``payload``'s version over the current table, or over a
+        private copy of the shipped one (the replica models a remote process,
+        so taking a table pays the whole-table shipping cost; a stack copies
+        in one pass, :meth:`~repro.embeddings.cafe.CafeStack.copy`)."""
+        shipped = payload.snapshot
+        if shipped is None:  # a delta with no write since its base
+            shipped = self._serving.view
+            table = shipped.table
+        else:
+            table = copy.deepcopy(shipped.table)
+        return StoreSnapshot(
+            table, shipped.dim, shipped.num_features, shipped.dtype, payload.version, payload.step
+        )
 
     # ------------------------------------------------------------------ #
     # Request path (submit / flush / predict are the shared MicroBatcher's)
@@ -288,10 +274,8 @@ class ReplicaTier:
         self.replicas = ReplicaSet(num_replicas, max_batch_size=max_batch_size)
 
     def publish(self) -> SnapshotPayload:
-        start = time.perf_counter()
         payload = self.publisher.publish()
         self.replicas.publish(payload)
-        self.publisher.stats.publish_latencies_s.append(time.perf_counter() - start)
         return payload
 
     def submit(self, categorical, numerical=None) -> PendingPrediction:

@@ -8,12 +8,11 @@ the serving engine consumes.
 """
 
 from repro.store.sharded import DEFAULT_SHARD_SEED, ShardedEmbeddingStore, ensure_store
-from repro.store.snapshot import StoreSnapshot, partition_by_shard
+from repro.store.snapshot import StoreSnapshot
 
 __all__ = [
     "ensure_store",
     "ShardedEmbeddingStore",
     "StoreSnapshot",
-    "partition_by_shard",
     "DEFAULT_SHARD_SEED",
 ]

@@ -15,8 +15,9 @@ backend at ``N ≥ 2`` is a :class:`~repro.errors.ConfigurationError` (split
 S ways by a second hash, a hash table is still one hashing-trick table).
 
 Snapshots are copy-on-write: :meth:`ShardedEmbeddingStore.snapshot` is O(1)
-(it freezes the current shards); the first write afterwards replaces them (a
-stack: all of it, in one copy) with a private deep copy.
+(it freezes the store's one table, the shard or the stack); the first write
+afterwards replaces it (a stack: all of it, in one copy) with a private deep
+copy.
 """
 from __future__ import annotations
 
@@ -33,7 +34,6 @@ from repro.embeddings.cafe import CafeStack
 from repro.errors import CheckpointLayoutError, ConfigurationError
 from repro.nn.optim import check_row_state
 from repro.store.snapshot import StoreSnapshot
-from repro.utils.hashing import hash_to_range
 
 #: Default seed of the id -> shard hash (distinct from every backend seed so
 #: shard assignment is independent of intra-shard routing).
@@ -168,10 +168,7 @@ class ShardedEmbeddingStore(CompressedEmbedding):
     # Routing (a stack's: shard owner, then buckets and rows in the stack)
     # ------------------------------------------------------------------ #
     def _build_routes(self, uids: np.ndarray) -> dict:
-        shard = hash_to_range(uids, self.num_shards, seed=self.shard_seed)
-        routes = self._stack.routes(uids, shard)
-        routes["shard"] = shard
-        return routes
+        return self._stack.routes(uids)
 
     def _routing_token(self) -> object:
         # A stacked plan routes through every shard's sketch, so it is tied
@@ -180,7 +177,9 @@ class ShardedEmbeddingStore(CompressedEmbedding):
 
     def _restack(self) -> None:
         """(Re)build the stack from the shards' current arrays (N ≥ 2)."""
-        self._stack = CafeStack.stacked(self._shards) if self.num_shards > 1 else None
+        self._stack = (
+            CafeStack.stacked(self._shards, self.shard_seed) if self.num_shards > 1 else None
+        )
         self.invalidate_plan()
 
     def __reduce_ex__(self, protocol):
@@ -215,7 +214,7 @@ class ShardedEmbeddingStore(CompressedEmbedding):
         else:
             plan = self.plan_for(uids)
             self._ensure_private()
-            self._stack.apply(plan, uids, grad_sums, scores, plan.routes["shard"])
+            self._stack.apply(plan, uids, grad_sums, scores)
         stats = self.executor.stats
         stats.grad_bytes += uids.nbytes + grad_sums.nbytes + scores.nbytes
         stats.grad_steps += 1
@@ -231,28 +230,25 @@ class ShardedEmbeddingStore(CompressedEmbedding):
     def snapshot(self) -> StoreSnapshot:
         """Freeze the current parameters into a read-only serving view.
 
-        O(1): no tables are copied here.  The store marks its shards as
-        shared; training's next write replaces them with a private deep copy
+        O(1): no tables are copied here.  The view holds the store's one
+        table (the shard, or the stack of them) and the store marks it as
+        shared; training's next write replaces it with a private deep copy
         (:attr:`cow_copies` counts those), so the returned view keeps
         serving exactly the values visible now.
         """
         self.snapshots_taken += 1
         self._cow_pending = True
-        if self._stack is not None:
-            # Freezing the shards' views alone would not stop a write
-            # through the stack that skipped copy-on-write.
-            freeze_arrays(self._stack)
         view = StoreSnapshot(
-            shards=tuple(self._shards),
-            shard_seed=self.shard_seed,
+            table=self._shards[0] if self._stack is None else self._stack,
             dim=self.dim,
             num_features=self.num_features,
             dtype=self.dtype,
             version=self.snapshots_taken,
             step=self._step,
         )
-        # Published arrays are read-only from here on: a stray serve-path
-        # write raises instead of corrupting readers.  Training thaws shards
+        # Published arrays (a stack's own, not only its shards' views) are
+        # read-only from here on: a stray write that skipped copy-on-write
+        # raises instead of corrupting readers.  Training thaws the table
         # naturally — the COW deep copy yields private writable arrays.
         freeze_arrays(view)
         return view

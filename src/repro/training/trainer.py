@@ -10,6 +10,7 @@ histories (Figure 9) and per-feature gradient-norm accumulation (Figure 3).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from itertools import islice
 from typing import Iterable, Iterator
 
 import numpy as np
@@ -148,9 +149,17 @@ class Trainer:
         eval_every: int | None = None,
         max_steps: int | None = None,
     ) -> TrainingHistory:
-        """Train over ``stream`` capturing the loss curve and periodic AUC."""
+        """Train over ``stream`` capturing the loss curve and periodic AUC.
+
+        ``max_steps`` bounds the run before each step (``0`` trains nothing)
+        and no batch past it is drawn from ``stream``.  A negative bound is
+        refused with a ``ValueError`` that names ``max_steps`` (``islice``'s
+        own refusal does not say which argument was wrong).
+        """
+        if max_steps is not None and max_steps < 0:
+            raise ValueError(f"max_steps must be non-negative, got {max_steps}")
         history = TrainingHistory()
-        for batch in stream:
+        for batch in islice(stream, max_steps):
             loss = self.train_step(batch)
             history.losses.append(loss)
             history.steps.append(self.global_step)
@@ -158,8 +167,6 @@ class Trainer:
                 auc = self.evaluate_auc(eval_batch)
                 history.eval_steps.append(self.global_step)
                 history.eval_aucs.append(auc)
-            if max_steps is not None and len(history.losses) >= max_steps:
-                break
         return history
 
     # ------------------------------------------------------------------ #

@@ -82,7 +82,7 @@ class TestWriteAfterSnapshotRaises:
     def test_snapshot_arrays_are_read_only(self):
         store = make_store()
         snapshot = store.snapshot()
-        table = snapshot.shards[0].hot_table
+        table = snapshot.table.members[0].hot_table
         assert not table.flags.writeable
         with pytest.raises(ValueError, match="read-only"):
             table[0, 0] = 123.0

@@ -55,6 +55,19 @@ class TestConfigValidation:
         with pytest.raises(ValueError, match="probe_every_steps"):
             PipelineConfig(probe_every_steps=-1)
 
+    @pytest.mark.parametrize("max_steps", [0, -3])
+    def test_rejects_a_step_bound_below_one(self, max_steps):
+        with pytest.raises(ValueError, match="max_steps must be positive"):
+            PipelineConfig(max_steps=max_steps)
+
+    def test_the_step_bound_draws_no_batch_past_it(self):
+        dataset = tiny_dataset()
+        pipeline = make_pipeline(dataset, max_steps=3, probe_every_steps=0)
+        stream = iter(list(itertools.islice(dataset.training_stream(32), 5)))
+        report = pipeline.run(stream)
+        assert report.steps == len(report.losses) == 3
+        assert len(list(stream)) == 2
+
 
 class TestStalenessContract:
     def test_snapshot_never_older_than_cadence(self):

@@ -326,10 +326,17 @@ class TestDifferentialAgainstTheOldQueue:
         )
 
 
+@pytest.fixture(params=["hash", "cafe"], ids=["hash", "cafe2"])
+def method(request):
+    """The store under ``server``: a one-shard hash store or a two-shard
+    CAFE stack."""
+    return request.param
+
+
 @pytest.fixture(params=["engine", "replica_set"])
-def server(request):
-    """A ready server of each kind, micro-batch 8."""
-    model = make_model()
+def server(request, method):
+    """A ready server of each kind, micro-batch 8, over ``method``'s store."""
+    model = make_model(method)
     if request.param == "engine":
         return ServingEngine(model, max_batch_size=8)
     tier = ReplicaTier(model, num_replicas=1, max_batch_size=8)
@@ -457,7 +464,7 @@ class TestOutOfRangeIdAtFlush:
             handles[0].result()
         assert all(handle.result().shape == (1,) for handle in handles[1:])
 
-    def test_a_micro_batch_of_bad_requests_only(self, server):
+    def test_a_micro_batch_of_bad_requests_only(self, server, method):
         categorical, numerical = request_pool()
         bad = categorical[0].copy()
         bad[2] = NUM_FEATURES + 5
@@ -469,7 +476,9 @@ class TestOutOfRangeIdAtFlush:
         assert server.flush() == 2
         assert np.array_equal(
             after.result(),
-            ServingEngine(make_model(), max_batch_size=8).predict(categorical[:2], numerical[:2]),
+            ServingEngine(make_model(method), max_batch_size=8).predict(
+                categorical[:2], numerical[:2]
+            ),
         )
 
 

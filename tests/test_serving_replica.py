@@ -5,8 +5,8 @@ The replicated tier's core claim: a replica fed *only* versioned payloads
 :class:`~repro.serving.engine.ServingEngine` handed the whole snapshot at
 every version.  These tests pin that down property-based (random
 train/publish interleavings, random rebase cadence) on static and adaptive
-backends alike: a delta skips every shard copy-on-write shows unwritten and
-ships every changed shard whole.  Only CAFE shards (3, one stack); every
+backends alike: a store ships its one table whole, or nothing when
+copy-on-write shows it unwritten.  Only CAFE shards (3, one stack); every
 other backend runs on one shard.
 """
 
@@ -16,7 +16,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import repro.serving.delta
+from repro.analysis.sanitizer import reachable_arrays
 from repro.embeddings.base import CompressedEmbedding
+from repro.embeddings.cafe import CafeStack
 from repro.models.dlrm import DLRM
 from repro.serving import DeltaSnapshotPublisher, ReplicaSet, ServingEngine
 from repro.store import ShardedEmbeddingStore
@@ -104,9 +106,9 @@ class TestDeltaChainParity:
 
     @pytest.mark.parametrize("method", ["full", "hash", "qr", "cafe"])
     def test_parity_across_extraction_tiers(self, method):
-        """Fixed seeded chain on static and adaptive backends: every delta
-        ships its changed shards whole, whatever the backend (at 2x: Q-R
-        cannot reach 8x over 1200 ids)."""
+        """Fixed seeded chain on static and adaptive backends: every payload
+        after training ships the store's table whole, whatever the backend
+        (at 2x: Q-R cannot reach 8x over 1200 ids)."""
         model = make_model(method, compression_ratio=2.0)
         publisher = DeltaSnapshotPublisher(model, rebase_every=3)
         replicas = ReplicaSet(2)
@@ -115,23 +117,20 @@ class TestDeltaChainParity:
         hot = rng.integers(0, 200, size=(48, FIELDS))
         cat, num = probe_rows()
         kinds = []
-        shipped = 0
         for round_index in range(5):
             train_steps(model, rng, 2, hot)
             payload = publisher.publish()
             kinds.append(payload.kind)
-            shipped += len(payload.updates)
-            assert all(update.shard is model.store.shards[update.index] for update in payload.updates)
+            assert payload.snapshot is not None
+            assert payload.payload_floats == model.store.memory_floats()
             replicas.publish(payload)
             engine.refresh()
             assert_parity(engine, replicas, cat, num, context=f"round {round_index} on {method}")
         # full base, deltas, one rebase at the cadence boundary.
         assert kinds == ["full", "delta", "delta", "full", "delta"]
         stats = publisher.stats
-        assert stats.replacements == shipped > 0
-        assert stats.replacements + stats.unchanged_shards == (
-            model.store.num_shards * stats.delta_publishes
-        )
+        assert stats.floats_shipped == 5 * model.store.memory_floats()
+        assert stats.rows_shipped == 5 * (model.store.memory_floats() // DIM)
 
     def test_versions_strictly_increase_and_chain(self):
         model = make_model()
@@ -156,8 +155,8 @@ class TestDeltaChainParity:
 class TestPayloadAccounting:
     def test_a_write_ships_the_stack_whole(self):
         """Copy-on-write privatises a stack in one copy, so training only ids
-        one shard owns still replaces every shard: the delta ships all three
-        whole and counts none as unchanged."""
+        one shard owns still replaces the whole stack: the delta ships it,
+        all three shards."""
         model = make_model("cafe")
         store = model.store
         publisher = DeltaSnapshotPublisher(model, rebase_every=0)
@@ -172,23 +171,30 @@ class TestPayloadAccounting:
             store.apply_gradients(ids, grads)
         delta = publisher.publish()
         assert full.kind == "full" and delta.kind == "delta"
-        assert [update.index for update in delta.updates] == [0, 1, 2]
-        assert all(update.shard is shard for update, shard in zip(delta.updates, store.shards))
+        assert delta.snapshot.table is store._stack
+        assert delta.snapshot.table.members == list(store.shards)
         assert delta.payload_floats == full.payload_floats == store.memory_floats()
         assert delta.payload_rows == store.memory_floats() // DIM
-        assert publisher.stats.unchanged_shards == 0
 
-    def test_publish_with_no_training_ships_nothing(self):
-        model = make_model()
+    @pytest.mark.parametrize("method", ["hash", "cafe"])
+    def test_publish_with_no_training_ships_nothing(self, method):
+        """Copy-on-write identity proves the skip in O(1), not by comparing:
+        the idle delta carries no table, and a replica keeps its own."""
+        model = make_model(method)
         publisher = DeltaSnapshotPublisher(model, rebase_every=0)
+        replicas = ReplicaSet(1)
         rng = np.random.default_rng(4)
         train_steps(model, rng, 1, rng.integers(0, 200, size=(48, FIELDS)))
-        publisher.publish()
+        replicas.publish(publisher.publish())
+        replica = replicas.replicas[0]
+        kept = replica._serving.view.table
         idle = publisher.publish()
         assert idle.kind == "delta"
-        assert idle.payload_rows == 0 and not idle.updates
-        # Copy-on-write identity proves the skip in O(1), not by comparing.
-        assert publisher.stats.unchanged_shards == model.store.num_shards == 1
+        assert idle.snapshot is None
+        assert idle.payload_rows == idle.payload_floats == 0
+        replicas.publish(idle)
+        assert replica.version == idle.version
+        assert replica._serving.view.table is kept
 
     def test_replica_apply_counters(self):
         model = make_model()
@@ -203,6 +209,45 @@ class TestPayloadAccounting:
         assert replica.full_applies == 1
         assert replica.delta_applies == 2
         assert replica.rows_applied > 0
+
+
+class TestReplicaStage:
+    def test_a_replica_copies_the_stack_privately_in_one_piece(self):
+        """A replica's staged stack is its own (no array shared with the
+        publisher's frozen stack or another replica's), still one stack (its
+        members view its arrays), and as large as the store."""
+        model = make_model("cafe")
+        publisher = DeltaSnapshotPublisher(model, rebase_every=0)
+        replicas = ReplicaSet(2)
+        rng = np.random.default_rng(9)
+        train_steps(model, rng, 2, rng.integers(0, 200, size=(48, FIELDS)))
+        payload = publisher.publish()
+        replicas.publish(payload)
+        frozen = list(reachable_arrays(payload.snapshot.table))
+        staged = [replica._serving.view.table for replica in replicas.replicas]
+        for stack in staged:
+            assert isinstance(stack, CafeStack) and stack is not payload.snapshot.table
+            assert stack.memory_floats() == model.store.memory_floats()
+            for array in reachable_arrays(stack):
+                assert not any(np.shares_memory(array, base) for base in frozen)
+            for member in stack.members:
+                assert np.shares_memory(member._arena, stack.arena)
+                assert np.shares_memory(member.sketch.scores, stack.sketch.scores)
+        assert not np.shares_memory(staged[0].arena, staged[1].arena)
+
+    def test_a_delta_chain_on_a_stack_answers_like_a_fresh_engine(self):
+        model = make_model("cafe")
+        publisher = DeltaSnapshotPublisher(model, rebase_every=0)
+        replicas = ReplicaSet(2)
+        rng = np.random.default_rng(10)
+        hot = rng.integers(0, 200, size=(48, FIELDS))
+        cat, num = probe_rows()
+        for steps in (2, 0, 3, 1):
+            train_steps(model, rng, steps, hot)
+            replicas.publish(publisher.publish())
+            fresh = ServingEngine(model, max_batch_size=64)
+            assert_parity(fresh, replicas, cat, num, context=f"after {steps} steps")
+        assert publisher.stats.delta_publishes == 3
 
 
 def test_the_row_level_delta_tier_is_gone():

@@ -6,14 +6,16 @@ stack.  The state machine below drives a 2- or 4-shard store (sgd or
 adagrad) through random interleavings of lookup, apply_gradients (empty and
 repeated-id batches included), rebalance, snapshot and state_dict ->
 load_state_dict.  After every rule it checks the store
-against S independent ``CafeEmbedding`` oracles, each fed its slice of the
-store's own ``ShardPartition``:
+against S independent ``CafeEmbedding`` oracles, each fed the ids that
+``hash_to_range`` under the store's shard seed assigns it:
 
 * lookups and state dicts are bit-equal;
 * every snapshot taken keeps serving exactly what it served when taken;
 * the aliasing invariant: every live shard array is a view into the stack,
   and a frozen (snapshot-held) shard shares no memory with the live stack.
 """
+
+import copy
 
 import numpy as np
 import pytest
@@ -24,7 +26,7 @@ from hypothesis.stateful import RuleBasedStateMachine, initialize, invariant, pr
 from repro.embeddings import create_embedding
 from repro.embeddings.plan import UniqueBatch, gradient_norms
 from repro.store import ShardedEmbeddingStore
-from repro.store.snapshot import ShardPartition
+from repro.utils.hashing import hash_to_range
 
 N, DIM, FIELDS = 3000, 4, 3
 COMPRESSION = 4.0
@@ -93,31 +95,29 @@ class StackedStoreMachine(RuleBasedStateMachine):
     # The oracle side of a step
     # ------------------------------------------------------------------ #
     def partition(self, ids):
+        """The batch's unique ids, and each oracle's (ascending) share of them."""
         batch = UniqueBatch.build(np.asarray(ids, dtype=np.int64), N)
-        return batch, ShardPartition(batch.uids, self.num_shards, self.store.shard_seed)
+        owner = hash_to_range(batch.uids, self.num_shards, seed=self.store.shard_seed)
+        shares = [(shard, owner == shard) for shard in range(self.num_shards)]
+        return batch, [(shard, mask) for shard, mask in shares if mask.any()]
 
     def oracle_lookup(self, ids):
-        batch, partition = self.partition(ids)
-        rows = partition.merge(
-            [
-                self.oracles[shard].lookup_unique(uids)
-                for shard, uids in zip(partition.shards, partition.shard_uids)
-            ],
-            DIM,
-            self.store.dtype,
-        )
+        batch, shares = self.partition(ids)
+        rows = np.empty((batch.uids.shape[0], DIM), dtype=self.store.dtype)
+        for shard, mask in shares:
+            rows[mask] = self.oracles[shard].lookup_unique(batch.uids[mask])
         return np.take(rows, batch.inverse, axis=0).reshape(batch.ids_shape + (DIM,))
 
     def oracle_apply(self, ids, grads):
-        batch, partition = self.partition(ids)
+        batch, shares = self.partition(ids)
         if not len(batch):
             return
         self.steps += 1
         flat = grads.reshape(len(batch), DIM)
-        sums = partition.split(batch.sum_per_id(flat))
-        scores = partition.split(batch.sum_per_id(gradient_norms(flat)))
-        for index, shard in enumerate(partition.shards):
-            self.oracles[shard].apply_unique(partition.shard_uids[index], sums[index], scores[index])
+        sums = batch.sum_per_id(flat)
+        scores = batch.sum_per_id(gradient_norms(flat))
+        for shard, mask in shares:
+            self.oracles[shard].apply_unique(batch.uids[mask], sums[mask], scores[mask])
 
     # ------------------------------------------------------------------ #
     # Rules
@@ -191,7 +191,7 @@ class StackedStoreMachine(RuleBasedStateMachine):
                 assert any(np.shares_memory(array, base) for base in stacked)
         live_shards = {id(shard) for shard in self.store.shards}
         for view, _ in self.snapshots:
-            for shard in view.shards:
+            for shard in view.table.members:
                 if id(shard) in live_shards:
                     continue  # no write since this snapshot: still shared
                 assert not shard._arena.flags.writeable
@@ -243,3 +243,37 @@ def test_snapshot_freezes_the_stack_and_the_next_write_copies_it_once():
     store.apply_gradients(ids, grads)
     assert store._stack is not frozen and store.cow_copies == 1
     assert all(base.flags.writeable for base in stack_arrays(store._stack))
+
+
+@pytest.mark.parametrize("num_shards", [2, 3, 4])
+def test_a_stacked_snapshot_keeps_serving_what_the_store_served(num_shards):
+    """The snapshot reads its frozen stack through the store's own routing:
+    bit-equal to the live store when taken, and unchanged after training."""
+    store = build_store(num_shards, "adagrad", seed=5)
+    for seed in range(6):
+        store.apply_gradients(*make_batch(seed, 24))
+    probe = np.concatenate([PROBE, PROBE[:51]]).reshape(-1, FIELDS)  # repeats too
+    served = store.lookup(probe)
+    view = store.snapshot()
+    assert view.table is store._stack
+    np.testing.assert_array_equal(view.lookup(probe), served)
+    for seed in range(6, 12):
+        store.apply_gradients(*make_batch(seed, 24))
+    assert not np.array_equal(store.lookup(probe), served)
+    np.testing.assert_array_equal(view.lookup(probe), served)
+    assert view.memory_floats() == store.memory_floats()
+
+
+@pytest.mark.parametrize("num_shards", [1, 3])
+def test_a_deepcopy_of_a_stack_is_one_private_copy(num_shards):
+    """``copy.deepcopy`` of a stack of S ≥ 2, or of a layer's stack of one,
+    gives one copy that shares no memory and reads the same rows."""
+    store = build_store(num_shards, "adagrad", seed=2)
+    for seed in range(3):
+        store.apply_gradients(*make_batch(seed, 24))
+    stack = store._stack if num_shards > 1 else store._shards[0]._solo()
+    uids = np.unique(PROBE)
+    first, second = copy.deepcopy([stack, stack])
+    assert first is second
+    assert not any(np.shares_memory(first.arena, base) for base in stack_arrays(stack))
+    np.testing.assert_array_equal(first.lookup(first.routes(uids)), stack.lookup(stack.routes(uids)))

@@ -8,7 +8,7 @@ from repro.data.synthetic import SyntheticConfig, SyntheticCTRDataset
 from repro.embeddings.cafe import CafeEmbedding
 from repro.embeddings.hash_embedding import HashEmbedding
 from repro.models.dlrm import DLRM
-from repro.store import ShardedEmbeddingStore, StoreSnapshot, ensure_store, partition_by_shard
+from repro.store import ShardedEmbeddingStore, StoreSnapshot, ensure_store
 from repro.training.trainer import Trainer
 
 DIM = 8
@@ -92,16 +92,23 @@ class TestSingleShardParity:
 
 
 class TestSharding:
-    def test_partition_is_a_permutation_grouped_by_shard(self):
-        ids = np.random.default_rng(0).integers(0, 10_000, size=500)
-        order, starts = partition_by_shard(ids, 4, seed=7)
-        assert sorted(order.tolist()) == list(range(500))
-        assert starts[0] == 0 and starts[-1] == 500
+    def test_the_stack_routes_each_id_to_its_hash_owner(self):
+        """The id -> shard hash lives in the stack, under the store's seed:
+        each id's buckets and rows fall in its owner's ranges."""
         from repro.utils.hashing import hash_to_range
 
-        shard_of = hash_to_range(ids, 4, seed=7)
-        for s in range(4):
-            assert (shard_of[order[starts[s]: starts[s + 1]]] == s).all()
+        store = ShardedEmbeddingStore.build(
+            "cafe", num_features=10_000, dim=DIM, num_shards=4, compression_ratio=10.0,
+            seed=0, shard_seed=7,
+        )
+        stack = store._stack
+        assert stack.shard_seed == store.shard_seed == 7
+        uids = np.unique(np.random.default_rng(0).integers(0, 10_000, size=500))
+        routes = stack.routes(uids)
+        owner = hash_to_range(uids, 4, seed=7)
+        np.testing.assert_array_equal(routes["shard"], owner)
+        np.testing.assert_array_equal(routes["sketch_buckets"] // stack.buckets_per, owner)
+        np.testing.assert_array_equal(routes["arena_rows"] // stack.rows_per, owner)
 
     def test_lookup_matches_per_shard_backends(self):
         """The store's scatter/gather must route every id to the shard the

@@ -106,6 +106,29 @@ class TestTrainerBasics:
         history = trainer.train_stream(dataset.training_stream(64), max_steps=3)
         assert len(history.losses) == 3
 
+    def test_max_steps_zero_trains_nothing(self):
+        dataset = toy_dataset()
+        trainer = Trainer(toy_model(dataset))
+        before = trainer.model.store.state_dict()
+        history = trainer.train_stream(dataset.training_stream(64), max_steps=0)
+        assert history.losses == [] and trainer.global_step == 0
+        after = trainer.model.store.state_dict()
+        assert all(np.array_equal(before[key], after[key]) for key in before)
+
+    def test_max_steps_draws_no_batch_past_the_bound(self):
+        dataset = toy_dataset()
+        trainer = Trainer(toy_model(dataset))
+        stream = iter(list(dataset.training_stream(64))[:5])
+        trainer.train_stream(stream, max_steps=2)
+        assert len(list(stream)) == 3
+
+    def test_negative_max_steps_is_refused(self):
+        dataset = toy_dataset()
+        trainer = Trainer(toy_model(dataset))
+        with pytest.raises(ValueError, match="max_steps"):
+            trainer.train_stream(dataset.training_stream(64), max_steps=-3)
+        assert trainer.global_step == 0
+
     def test_predict_and_metrics(self):
         dataset = toy_dataset()
         trainer = Trainer(toy_model(dataset))
