@@ -16,15 +16,17 @@ This example defines a small two-tower model from scratch — no
 backends plus one brought by the example itself.
 
 Bringing your own backend: subclass ``CompressedEmbedding`` and implement
-``lookup_unique`` / ``apply_unique`` / ``memory_floats``, build an instance
+``gather`` / ``apply`` / ``memory_floats`` (and ``routes``, when the table
+hashes or locates ids: the store routes each step's ids once, and
+``gather`` and ``apply`` both receive that routing), build an instance
 directly (there is nothing to register) and hand it to the model, which
 wraps it in a one-shard store.  Only ``cafe`` shards: a store of several
 shards is one CAFE stack, so ``ShardedEmbeddingStore([...])`` of two tables
 of your own raises ``ConfigurationError``.  What the class implements of the
 rest of the contract is what it can do: ``state_dict`` / ``load_state_dict``
 make it checkpointable and ``merged_sketch`` gives it a hot-feature sketch.
-An adaptive scheme migrates on its own schedule inside ``apply_unique``, as
-CAFE and AdaEmbed do.
+An adaptive scheme migrates on its own schedule inside ``apply``, as CAFE
+and AdaEmbed do (and calls ``invalidate_plan()`` when routing changes).
 
 Run with:  python examples/custom_model_integration.py
 """
@@ -55,10 +57,10 @@ class PlainSGDTable(CompressedEmbedding):
         init = np.random.default_rng(rng).standard_normal((num_features, dim)) * 0.01
         self.table = init.astype(self.dtype)
 
-    def lookup_unique(self, uids: np.ndarray) -> np.ndarray:
+    def gather(self, uids: np.ndarray, routes: dict) -> np.ndarray:
         return self.table[uids]
 
-    def apply_unique(self, uids: np.ndarray, grad_sums: np.ndarray, scores: np.ndarray) -> None:
+    def apply(self, plan, uids: np.ndarray, grad_sums: np.ndarray, scores: np.ndarray) -> None:
         self.table[uids] -= self.learning_rate * grad_sums
         self._step += 1
 

@@ -106,10 +106,9 @@ KEEP: dict[str, str] = {
     "repro/data/schema.py:DatasetSchema.to_global_ids": "oracle",
     "repro/data/stats.py:frequency_skew_summary": "oracle",
     "repro/embeddings/ada_embed.py:AdaEmbed.num_allocated": "oracle",
-    "repro/embeddings/base.py:CompressedEmbedding.lookup_unique": "abstract",
-    "repro/embeddings/base.py:CompressedEmbedding.apply_unique": "abstract",
+    "repro/embeddings/base.py:CompressedEmbedding.gather": "abstract",
+    "repro/embeddings/base.py:CompressedEmbedding.apply": "abstract",
     "repro/embeddings/base.py:CompressedEmbedding.memory_floats": "abstract",
-    "repro/embeddings/base.py:CompressedEmbedding._build_routes": "abstract",
     "repro/embeddings/base.py:CompressedEmbedding.load_state_dict": "abstract",
     "repro/embeddings/base.py:CompressedEmbedding.merged_sketch": "error-path",
     "repro/embeddings/base.py:TableBackedEmbedding.optimizer_memory_floats": "oracle",
@@ -132,7 +131,6 @@ KEEP: dict[str, str] = {
     "repro/sketch/hotsketch.py:EvictionBatch.__len__": "item-7",
     "repro/sketch/hotsketch.py:HotSketch": "item-7",
     "repro/store/sharded.py:ShardedEmbeddingStore.__reduce_ex__": "error-path",
-    "repro/store/sharded.py:ShardedEmbeddingStore.shards": "oracle",
 }
 #: Why a git-ignored column no test names stays: ``{column: reason}``.
 KEEP_COLUMN_REASONS = {

@@ -23,7 +23,7 @@ import numpy as np
 
 from repro.embeddings.base import DEFAULT_DTYPE, TableBackedEmbedding
 from repro.embeddings.memory import MemoryBudget
-from repro.embeddings.plan import FreeRowPool
+from repro.embeddings.plan import FreeRowPool, RoutingPlan
 from repro.errors import MemoryBudgetError
 from repro.nn.init import embedding_uniform
 from repro.utils.hashing import hash_to_range
@@ -120,29 +120,30 @@ class AdaEmbed(TableBackedEmbedding):
     # ------------------------------------------------------------------ #
     # Lookup / update
     # ------------------------------------------------------------------ #
-    def _build_routes(self, uids: np.ndarray) -> dict[str, np.ndarray]:
+    def routes(self, uids: np.ndarray) -> dict[str, np.ndarray]:
         rows = self.row_of[uids]
         allocated = rows != UNALLOCATED
         shared_rows = hash_to_range(uids[~allocated], self.shared_rows, seed=self.hash_seed)
         return {"rows": rows, "allocated": allocated, "shared_rows": shared_rows}
 
-    def lookup_unique(self, uids: np.ndarray) -> np.ndarray:
+    def gather(self, uids: np.ndarray, routes: dict[str, np.ndarray]) -> np.ndarray:
         """Gather allocated features from their private rows and the rest from
         the shared fallback table, per the current importance-driven
         allocation.
         """
-        routes = self.plan_for(uids).routes
         rows, allocated = routes["rows"], routes["allocated"]
         out = np.empty((uids.shape[0], self.dim), dtype=self.dtype)
         out[allocated] = self.table[rows[allocated]]
         out[~allocated] = self.shared_table[routes["shared_rows"]]
         return out
 
-    def apply_unique(self, uids: np.ndarray, grad_sums: np.ndarray, scores: np.ndarray) -> None:
+    def apply(
+        self, plan: RoutingPlan, uids: np.ndarray, grad_sums: np.ndarray, scores: np.ndarray
+    ) -> None:
         """Update allocated/shared rows, fold the summed gradient norms into
         the decayed importance scores, and run the periodic reallocation pass.
         """
-        routes = self.plan_for(uids).routes
+        routes = plan.routes
         self.importance *= self.importance_decay
         self.importance[uids] += scores
 

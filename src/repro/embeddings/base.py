@@ -10,10 +10,10 @@ component with two operations:
   sparse parameter update.
 
 Both are one generic wrapper here.  It collapses the batch onto its sorted
-unique ids (:class:`~repro.embeddings.plan.UniqueBatch`) and calls the two
-hooks every backend implements — :meth:`CompressedEmbedding.lookup_unique`
-and :meth:`CompressedEmbedding.apply_unique` — so a backend (and every shard
-of a sharded store) only ever sees the unique-id axis.
+unique ids (:class:`~repro.embeddings.plan.UniqueBatch`), routes them once
+(:meth:`CompressedEmbedding.plan_for` caches a backend's ``routes``) and
+calls the two hooks every backend implements — ``gather`` and ``apply`` —
+so a backend (and a sharded store's stack) only sees the unique-id axis.
 
 Keeping the embedding storage out of the dense network mirrors how large
 DLRM systems separate the "sparse" and "dense" optimizers, and it is exactly
@@ -129,15 +129,33 @@ class CompressedEmbedding:
         return cached
 
     # ------------------------------------------------------------------ #
-    # Required interface (unique-id axis)
+    # Unique-id axis: route once, then gather / apply through the plan
     # ------------------------------------------------------------------ #
     def lookup_unique(self, uids: np.ndarray) -> np.ndarray:
-        """Rows ``(U, dim)`` for sorted, distinct, in-range int64 ``uids``."""
-        raise NotImplementedError  # pragma: no cover - abstract
+        """Rows ``(U, dim)`` for sorted, distinct, in-range int64 ``uids``:
+        :meth:`gather` through the (cached) routing plan."""
+        return self.gather(uids, self.plan_for(uids).routes)
 
     def apply_unique(self, uids: np.ndarray, grad_sums: np.ndarray, scores: np.ndarray) -> None:
+        """:meth:`apply` with the routing plan :meth:`lookup_unique` built."""
+        self.apply(self.plan_for(uids), uids, grad_sums, scores)
+
+    def routes(self, uids: np.ndarray) -> dict[str, np.ndarray]:
+        """Backend-specific routing arrays for sorted unique ids: a pure read
+        of the backend's state, which :meth:`plan_for` caches."""
+        return {}
+
+    def gather(self, uids: np.ndarray, routes: dict[str, np.ndarray]) -> np.ndarray:
+        """Rows ``(U, dim)`` of sorted, distinct, in-range int64 ``uids``
+        routed by ``routes``; reads only, so a frozen table can serve it."""
+        raise NotImplementedError  # pragma: no cover - abstract
+
+    def apply(
+        self, plan: RoutingPlan, uids: np.ndarray, grad_sums: np.ndarray, scores: np.ndarray
+    ) -> None:
         """Apply one summed gradient row per sorted, distinct id.
 
+        ``plan`` is the routing of ``uids`` (``plan.routes``, the lookup's);
         ``grad_sums`` is ``(U, dim)`` in :attr:`dtype`; ``scores`` is the
         ``(U,)`` float64 importance of each id in this batch (summed
         per-lookup gradient norms, or lookup counts under
@@ -178,14 +196,6 @@ class CompressedEmbedding:
     # ------------------------------------------------------------------ #
     # Routing plans
     # ------------------------------------------------------------------ #
-    def _build_routes(self, uids: np.ndarray) -> dict[str, np.ndarray]:
-        """Backend-specific routing arrays for a batch's sorted unique ids.
-
-        Subclasses that participate in plan caching override this with the
-        hashing/locating work that would otherwise run twice per step.
-        """
-        return {}
-
     def _routing_token(self) -> object:
         """Identity of the routing-relevant state a cached plan depends on.
 
@@ -200,27 +210,21 @@ class CompressedEmbedding:
         self._routing_version += 1
         self._cached_plan = None
 
-    def plan_for(self, ids: np.ndarray) -> RoutingPlan:
-        """Return the routing plan for ``ids``, reusing the cached one.
+    def plan_for(self, uids: np.ndarray) -> RoutingPlan:
+        """Return the routing plan for sorted unique ``uids``, reusing the
+        cached one.
 
         ``lookup_unique`` builds the plan, ``apply_unique`` receives the
         same unique ids an instant later and gets a cache hit, so the hash +
-        locate pass runs once per training step.
+        locate pass (:meth:`routes`) runs once per training step.
         """
         token = self._routing_token()
         cached = self._cached_plan
-        if cached is not None and cached.matches(ids, token):
+        if cached is not None and cached.matches(uids, token):
             self.plan_stats.hits += 1
             return cached
         self.plan_stats.misses += 1
-        flat_ids = ids.reshape(-1)
-        plan = RoutingPlan(
-            flat_ids=flat_ids.copy(),
-            ids_shape=ids.shape,
-            routes=self._build_routes(flat_ids),
-            token=token,
-        )
-        self._cached_plan = plan
+        plan = self._cached_plan = RoutingPlan(uids.copy(), self.routes(uids), token)
         return plan
 
     # ------------------------------------------------------------------ #

@@ -263,7 +263,7 @@ class CafeEmbedding(TableBackedEmbedding):
         return num_hot, min(num_shared, budget.num_features)
 
     # ------------------------------------------------------------------ #
-    # Routing plan (shared by lookup_unique and apply_unique)
+    # Routing plan (built by routes, shared by gather and apply)
     # ------------------------------------------------------------------ #
     def _routing_token(self) -> object:
         # Any sketch insertion can move a feature between the hot and shared
@@ -271,7 +271,7 @@ class CafeEmbedding(TableBackedEmbedding):
         # to explicit invalidation (migration, checkpoint load).
         return (self._routing_version, self.sketch.total_insertions)
 
-    def _build_routes(self, uids: np.ndarray) -> dict[str, np.ndarray]:
+    def routes(self, uids: np.ndarray) -> dict[str, np.ndarray]:
         return self._solo().routes(uids)
 
     def _solo(self) -> "CafeStack":
@@ -281,24 +281,24 @@ class CafeEmbedding(TableBackedEmbedding):
     # ------------------------------------------------------------------ #
     # Lookup
     # ------------------------------------------------------------------ #
-    def lookup_unique(self, uids: np.ndarray) -> np.ndarray:
+    def gather(self, uids: np.ndarray, routes: dict[str, np.ndarray]) -> np.ndarray:
         """Gather hot features (sketch payload points at an exclusive row) from
         the hot table and the rest from the shared hashed table, per the
-        cached routing plan (paper Fig. 4 serving path).  With the arena
-        layout both cases are one gather over precomputed arena rows.
+        routing plan (paper Fig. 4 serving path).  With the arena layout both
+        cases are one gather over precomputed arena rows.
         """
-        return self._solo().lookup(self.plan_for(uids).routes)
+        return self._solo().gather(uids, routes)
 
     # ------------------------------------------------------------------ #
     # Gradient application + sketch maintenance
     # ------------------------------------------------------------------ #
-    def apply_unique(self, uids: np.ndarray, grad_sums: np.ndarray, scores: np.ndarray) -> None:
+    def apply(
+        self, plan: RoutingPlan, uids: np.ndarray, grad_sums: np.ndarray, scores: np.ndarray
+    ) -> None:
         """Update hot/shared rows, feed the importance scores into HotSketch,
         and run the periodic decay / threshold / migration passes (paper §3).
         """
-        # The plan built by the forward pass is reused here (cache hit), so
-        # the bucket hash + slot locate run once per training step.
-        self._solo().apply(self.plan_for(uids), uids, grad_sums, scores)
+        self._solo().apply(plan, uids, grad_sums, scores)
 
     def _finish_step(self, released_rows: np.ndarray) -> None:
         """Release evicted rows, then the periodic decay, threshold
@@ -458,8 +458,8 @@ class CafeStack:
     """The arrays one CAFE step touches: one layer's, or S shards' stacked.
 
     A stack of one is a :class:`CafeEmbedding`'s own sketch, arena and row
-    optimizer; its ``lookup_unique`` / ``apply_unique`` are :meth:`lookup` /
-    :meth:`apply`.  A stack of ``S ≥ 2`` same-geometry layers (:meth:`stacked`)
+    optimizer; the layer's ``routes`` / ``gather`` / ``apply`` are the
+    stack's.  A stack of ``S ≥ 2`` same-geometry layers (:meth:`stacked`)
     holds their sketch keys/scores/payloads ``(S·w, c)``, arena ``(S·A, d)``
     and row-optimizer state ``(S·A,)`` in one allocation each, every member
     keeping only views.  A step then runs once, with member ``k``'s buckets
@@ -469,9 +469,9 @@ class CafeStack:
     migration stay per member, on the views (docs/store.md "Stacked shards").
     An id's member is a SplitMix64 hash of it under ``shard_seed``.
 
-    A stack is also a read-only table: :meth:`lookup_unique` and
-    :meth:`memory_floats` are what a frozen snapshot of a sharded store
-    serves and ships.
+    A stack has a layer's table contract (``routes`` / ``gather`` / ``apply``
+    / ``memory_floats`` and a routing token): a sharded store and its
+    snapshots hold it where a one-shard store holds its backend.
     """
 
     def __init__(
@@ -523,16 +523,25 @@ class CafeStack:
         arena = np.empty((count * first._arena.shape[0], first.dim), dtype=first.dtype)
         stack = cls(members, sketch, arena, first._new_row_optimizer(), int(shard_seed))
         stack._row_state = stack.optimizer.state_buffers(arena)
-        stack._bound = [member._optimizer.memory_floats() > 0 for member in members]
-        for index in range(count):
-            for view, array in zip(stack._views(index), stack._arrays(index)):
-                view[...] = array
-            stack._bind(index)
+        stack.restack()
         return stack
 
-    def copy(self) -> "CafeStack":
+    def restack(self) -> None:
+        """Copy every member's current arrays into the stack and rebind it to
+        its views (a restored member's row optimizer may hold its own)."""
+        self._bound = [member._optimizer.memory_floats() > 0 for member in self.members]
+        for index in range(len(self.members)):
+            for view, array in zip(self._views(index), self._arrays(index)):
+                view[...] = array
+            self._bind(index)
+
+    def __deepcopy__(self, memo) -> "CafeStack":
         """Privatise the whole stack in one copy (copy-on-write): the members
-        are deep-copied with their views mapped straight onto the copies."""
+        are deep-copied with their views mapped straight onto the copies (a
+        member-by-member deepcopy would copy the stacked arrays twice and
+        unstack them).  A stack of one copies its member instead."""
+        if len(self.members) == 1:
+            return copy.deepcopy(self.members[0], memo)._solo()
         twin = copy.copy(self)
         twin.arena = self.arena.copy()
         twin.sketch = copy.copy(self.sketch)
@@ -542,22 +551,13 @@ class CafeStack:
         twin._row_state = {key: array.copy() for key, array in self._row_state.items()}
         twin.optimizer.adopt_state_buffers(twin._row_state)
         twin._bound = list(self._bound)
-        memo = {
+        views = {
             id(old): new
             for index in range(len(self.members))
             for old, new in zip(self._arrays(index), twin._views(index))
         }
-        twin.members = copy.deepcopy(self.members, memo)
+        twin.members = copy.deepcopy(self.members, views)
         return twin
-
-    def __deepcopy__(self, memo) -> "CafeStack":
-        # A member-by-member deepcopy would copy the stacked arrays twice
-        # (once as the stack's, once as the members' views) and unstack them.
-        # A stack of one views its member's own arrays, so the member is copied.
-        # (``copy.deepcopy`` registers the result in ``memo`` itself.)
-        if len(self.members) == 1:
-            return copy.deepcopy(self.members[0], memo)._solo()
-        return self.copy()
 
     def _views(self, index: int) -> list[np.ndarray]:
         """Member ``index``'s slices of the stacked arrays, in :meth:`_arrays` order."""
@@ -627,14 +627,16 @@ class CafeStack:
             routes["shard"] = shard
         return routes
 
-    def lookup(self, routes: dict[str, np.ndarray]) -> np.ndarray:
+    def _routing_token(self) -> object:
+        # A stacked plan routes through every member's sketch, so it is tied
+        # to every member's own token.
+        return tuple(member._routing_token() for member in self.members)
+
+    def gather(self, uids: np.ndarray, routes: dict[str, np.ndarray]) -> np.ndarray:
+        """Rows ``(U, dim)`` of the routed ids: one arena gather."""
         out = np.take(self.arena, routes["arena_rows"], axis=0)
         self.members[0]._lookup_fused_extra(out, routes)
         return out
-
-    def lookup_unique(self, uids: np.ndarray) -> np.ndarray:
-        """Rows ``(U, dim)`` for sorted, distinct, in-range ``uids``."""
-        return self.lookup(self.routes(uids))
 
     def memory_floats(self) -> int:
         return int(sum(member.memory_floats() for member in self.members))

@@ -5,7 +5,7 @@ from __future__ import annotations
 import numpy as np
 
 from repro.embeddings.base import DEFAULT_DTYPE, TableBackedEmbedding
-from repro.embeddings.plan import ScatterPlan
+from repro.embeddings.plan import RoutingPlan, ScatterPlan
 from repro.nn.init import embedding_uniform
 from repro.utils.rng import SeedLike, make_rng
 
@@ -34,21 +34,20 @@ class FullEmbedding(TableBackedEmbedding):
         self.table = embedding_uniform((num_features, dim), generator, dtype=self.dtype)
         self._optimizer = self._new_row_optimizer()
 
-    def _build_routes(self, uids: np.ndarray) -> dict[str, ScatterPlan]:
+    def routes(self, uids: np.ndarray) -> dict[str, ScatterPlan]:
         # Distinct ids are distinct rows: the scatter is the identity, no sort.
         identity = np.arange(uids.shape[0], dtype=np.int64)
         return {"scatter": ScatterPlan(perm=identity, starts=identity, rows=uids)}
 
-    def lookup_unique(self, uids: np.ndarray) -> np.ndarray:
+    def gather(self, uids: np.ndarray, routes: dict[str, ScatterPlan]) -> np.ndarray:
         """Gather the id's own row: one uncompressed row per feature."""
-        # Build (or reuse) the plan here so apply_unique consumes the scatter
-        # prepared by the forward pass.
-        self.plan_for(uids)
         return np.take(self.table, uids, axis=0)
 
-    def apply_unique(self, uids: np.ndarray, grad_sums: np.ndarray, scores: np.ndarray) -> None:
+    def apply(
+        self, plan: RoutingPlan, uids: np.ndarray, grad_sums: np.ndarray, scores: np.ndarray
+    ) -> None:
         """Scatter each id's gradient sum into its private row."""
-        self.fused_apply(self.table, self.plan_for(uids).scatter(), grad_sums)
+        self.fused_apply(self.table, plan.scatter(), grad_sums)
         self._step += 1
 
     def memory_floats(self) -> int:

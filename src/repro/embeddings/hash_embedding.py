@@ -12,6 +12,7 @@ import numpy as np
 
 from repro.embeddings.base import DEFAULT_DTYPE, TableBackedEmbedding
 from repro.embeddings.memory import MemoryBudget
+from repro.embeddings.plan import RoutingPlan
 from repro.nn.init import embedding_uniform
 from repro.utils.hashing import hash_to_range
 from repro.utils.rng import SeedLike, make_rng
@@ -68,21 +69,23 @@ class HashEmbedding(TableBackedEmbedding):
     def _rows_for(self, ids: np.ndarray) -> np.ndarray:
         return hash_to_range(ids, self.num_rows, seed=self.hash_seed)
 
-    def _build_routes(self, uids: np.ndarray) -> dict[str, np.ndarray]:
+    def routes(self, uids: np.ndarray) -> dict[str, np.ndarray]:
         rows = self._rows_for(uids)
         return {"rows": rows, "scatter_rows": rows}
 
-    def lookup_unique(self, uids: np.ndarray) -> np.ndarray:
+    def gather(self, uids: np.ndarray, routes: dict[str, np.ndarray]) -> np.ndarray:
         """Gather each id's single hashed row from the shared table (hash-trick:
         colliding features share one row verbatim).
         """
-        return np.take(self.table, self.plan_for(uids).routes["rows"], axis=0)
+        return np.take(self.table, routes["rows"], axis=0)
 
-    def apply_unique(self, uids: np.ndarray, grad_sums: np.ndarray, scores: np.ndarray) -> None:
+    def apply(
+        self, plan: RoutingPlan, uids: np.ndarray, grad_sums: np.ndarray, scores: np.ndarray
+    ) -> None:
         """Scatter per-id gradient sums into the hashed rows; colliding
         features accumulate into the same shared row.
         """
-        self.fused_apply(self.table, self.plan_for(uids).scatter(), grad_sums)
+        self.fused_apply(self.table, plan.scatter(), grad_sums)
         self._step += 1
 
     def memory_floats(self) -> int:

@@ -18,6 +18,7 @@ import numpy as np
 
 from repro.embeddings.base import DEFAULT_DTYPE, TableBackedEmbedding
 from repro.embeddings.memory import MemoryBudget
+from repro.embeddings.plan import RoutingPlan
 from repro.errors import MemoryBudgetError
 from repro.nn.init import embedding_uniform, xavier_uniform
 from repro.utils.rng import SeedLike, make_rng
@@ -144,32 +145,35 @@ class MixedDimensionEmbedding(TableBackedEmbedding):
     # ------------------------------------------------------------------ #
     # Lookup / update
     # ------------------------------------------------------------------ #
-    def _build_routes(self, uids: np.ndarray) -> dict[str, np.ndarray]:
+    def routes(self, uids: np.ndarray) -> dict[str, np.ndarray]:
         # Sorted ids are sorted by field: each field owns one contiguous slice.
         return {"bounds": np.searchsorted(uids, self.field_offsets)}
 
-    def _field_slices(self, uids: np.ndarray):
+    @staticmethod
+    def _field_slices(routes: dict[str, np.ndarray]):
         """Yield ``(field_index, slice_of_uids)`` for the fields present."""
-        bounds = self.plan_for(uids).routes["bounds"]
+        bounds = routes["bounds"]
         for field_index in np.flatnonzero(bounds[1:] > bounds[:-1]):
             yield int(field_index), slice(int(bounds[field_index]), int(bounds[field_index + 1]))
 
-    def lookup_unique(self, uids: np.ndarray) -> np.ndarray:
+    def gather(self, uids: np.ndarray, routes: dict[str, np.ndarray]) -> np.ndarray:
         """Gather from the owning field's reduced-dimension table and project
         up to ``dim`` with the field's projection matrix.
         """
         out = np.empty((uids.shape[0], self.dim), dtype=self.dtype)
-        for field_index, span in self._field_slices(uids):
+        for field_index, span in self._field_slices(routes):
             local = uids[span] - self.field_offsets[field_index]
             out[span] = self.tables[field_index][local] @ self.projections[field_index]
         return out
 
-    def apply_unique(self, uids: np.ndarray, grad_sums: np.ndarray, scores: np.ndarray) -> None:
+    def apply(
+        self, plan: RoutingPlan, uids: np.ndarray, grad_sums: np.ndarray, scores: np.ndarray
+    ) -> None:
         """Back-project each gradient sum through the field's projection matrix
         and scatter it into the field's reduced-dimension table (the
         projection matrices themselves also receive gradients).
         """
-        for field_index, span in self._field_slices(uids):
+        for field_index, span in self._field_slices(plan.routes):
             table = self.tables[field_index]
             projection = self.projections[field_index]
             local = uids[span] - self.field_offsets[field_index]

@@ -20,6 +20,7 @@ import numpy as np
 from repro.embeddings.base import DEFAULT_DTYPE, TableBackedEmbedding
 from repro.embeddings.cafe import CafeEmbedding
 from repro.embeddings.memory import MemoryBudget
+from repro.embeddings.plan import RoutingPlan
 from repro.nn.init import embedding_uniform
 from repro.utils.hashing import hash_to_range
 from repro.utils.rng import SeedLike, make_rng
@@ -94,29 +95,30 @@ class OfflineSeparationEmbedding(TableBackedEmbedding):
             rng=rng,
         )
 
-    def _build_routes(self, uids: np.ndarray) -> dict[str, np.ndarray]:
+    def routes(self, uids: np.ndarray) -> dict[str, np.ndarray]:
         # The hot/cold split is frozen at construction, so plans never go stale.
         rows = self.row_of[uids]
         hot_mask = rows != _NO_ROW
         shared_rows = hash_to_range(uids[~hot_mask], self.num_shared_rows, seed=self.hash_seed)
         return {"rows": rows, "hot_mask": hot_mask, "shared_rows": shared_rows}
 
-    def lookup_unique(self, uids: np.ndarray) -> np.ndarray:
+    def gather(self, uids: np.ndarray, routes: dict[str, np.ndarray]) -> np.ndarray:
         """Gather hot features (by offline frequency oracle) from private rows
         and cold features from the shared table.
         """
-        routes = self.plan_for(uids).routes
         rows, hot_mask = routes["rows"], routes["hot_mask"]
         out = np.empty((uids.shape[0], self.dim), dtype=self.dtype)
         out[hot_mask] = self.hot_table[rows[hot_mask]]
         out[~hot_mask] = self.shared_table[routes["shared_rows"]]
         return out
 
-    def apply_unique(self, uids: np.ndarray, grad_sums: np.ndarray, scores: np.ndarray) -> None:
+    def apply(
+        self, plan: RoutingPlan, uids: np.ndarray, grad_sums: np.ndarray, scores: np.ndarray
+    ) -> None:
         """Update the private/shared rows under the fixed offline hot/cold
         split; no importance tracking happens online.
         """
-        routes = self.plan_for(uids).routes
+        routes = plan.routes
         rows, hot_mask = routes["rows"], routes["hot_mask"]
         if hot_mask.any():
             self._hot_optimizer.update(self.hot_table, rows[hot_mask], grad_sums[hot_mask])

@@ -13,7 +13,8 @@ A :class:`RoutingPlan` captures a backend's mapping of those unique ids to
 storage locations — hash-table rows, quotient/remainder pairs, sketch slots,
 exclusive-row pointers.  The layer caches the plan of the most recent batch
 and ``apply_unique`` consumes the one ``lookup_unique`` built, so the
-SplitMix64 hashing and slot location run once per step.
+SplitMix64 hashing and slot location run once per step.  Behind a store the
+cache is the store's, whatever its shard count.
 
 Plans are invalidated by a *routing token*: any mutation that can change how
 ids route (sketch insertion, migration, row reallocation, checkpoint load)
@@ -197,27 +198,23 @@ class ScatterPlan:
 
 @dataclass
 class RoutingPlan:
-    """Precomputed routing of one batch of feature ids.
+    """Precomputed routing of one batch's sorted unique ids.
 
     Attributes
     ----------
-    flat_ids:
-        The flattened ``(n,)`` int64 ids the plan was built for (a
-        backend's sorted unique ids).
-    ids_shape:
-        Original shape of those ids.
+    uids:
+        Private copy of the ``(U,)`` int64 ids the plan was built for.
     routes:
         Backend-specific arrays — e.g. ``{"rows": ...}`` for a hash table,
         ``{"hot_mask": ..., "arena_rows": ..., "shared_rows": ...}`` for
-        CAFE.  Everything ``lookup_unique`` builds stops at what a gather
+        CAFE.  Everything a backend's ``routes`` builds stops at what a gather
         needs; table-backed backends add ``"scatter_rows"`` (one destination
         row per scatter entry) and :meth:`scatter` resolves it on demand.
     token:
         Value of the owning layer's routing token when the plan was built.
     """
 
-    flat_ids: np.ndarray
-    ids_shape: tuple[int, ...]
+    uids: np.ndarray
     routes: dict[str, np.ndarray] = field(default_factory=dict)
     token: object = None
 
@@ -225,22 +222,18 @@ class RoutingPlan:
         """The :class:`ScatterPlan` over ``routes["scatter_rows"]``.
 
         Built and memoised (as ``routes["scatter"]``) by the first caller,
-        which is always an ``apply_unique``: a plan that only ever serves
-        lookups — snapshots, replica probes, ``Trainer.predict`` — never
-        pays for the stable sort of an update it will not make.
+        which is always an ``apply``: a plan that only ever serves lookups
+        (``Trainer.predict``, evaluation) never pays for the stable sort of
+        an update it will not make.
         """
         scatter = self.routes.get("scatter")
         if scatter is None:
             scatter = self.routes["scatter"] = ScatterPlan.from_rows(self.routes["scatter_rows"])
         return scatter
 
-    def matches(self, ids: np.ndarray, token: object) -> bool:
-        """True when the plan routes exactly this batch under this token."""
-        return (
-            self.token == token
-            and self.ids_shape == ids.shape
-            and np.array_equal(self.flat_ids, ids.reshape(-1))
-        )
+    def matches(self, uids: np.ndarray, token: object) -> bool:
+        """True when the plan routes exactly these ids under this token."""
+        return self.token == token and np.array_equal(self.uids, uids)
 
 
 @dataclass

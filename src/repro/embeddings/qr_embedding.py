@@ -18,6 +18,7 @@ import numpy as np
 
 from repro.embeddings.base import DEFAULT_DTYPE, TableBackedEmbedding
 from repro.embeddings.memory import MemoryBudget
+from repro.embeddings.plan import RoutingPlan
 from repro.errors import MemoryBudgetError
 from repro.nn.init import embedding_uniform
 from repro.utils.rng import SeedLike, make_rng
@@ -123,15 +124,14 @@ class QRTrickEmbedding(TableBackedEmbedding):
         quotient = ids // self.num_remainder_rows
         return quotient, remainder
 
-    def _build_routes(self, uids: np.ndarray) -> dict[str, np.ndarray]:
+    def routes(self, uids: np.ndarray) -> dict[str, np.ndarray]:
         quotient, remainder = self._decompose(uids)
         return {"quotient": quotient, "remainder": remainder}
 
-    def lookup_unique(self, uids: np.ndarray) -> np.ndarray:
+    def gather(self, uids: np.ndarray, routes: dict[str, np.ndarray]) -> np.ndarray:
         """Compose each embedding as quotient-table row + remainder-table row
         (the Q-R trick), so distinct ids rarely share the full sum.
         """
-        routes = self.plan_for(uids).routes
         q_vec = self.quotient_table[routes["quotient"]]
         r_vec = self.remainder_table[routes["remainder"]]
         if self.operation == "add":
@@ -140,12 +140,13 @@ class QRTrickEmbedding(TableBackedEmbedding):
             return q_vec * r_vec
         return np.concatenate([q_vec, r_vec], axis=-1)
 
-    def apply_unique(self, uids: np.ndarray, grad_sums: np.ndarray, scores: np.ndarray) -> None:
+    def apply(
+        self, plan: RoutingPlan, uids: np.ndarray, grad_sums: np.ndarray, scores: np.ndarray
+    ) -> None:
         """Scatter each id's gradient sum into both its quotient and its
         remainder row.
         """
-        routes = self.plan_for(uids).routes
-        quotient, remainder = routes["quotient"], routes["remainder"]
+        quotient, remainder = plan.routes["quotient"], plan.routes["remainder"]
         if self.operation == "add":
             q_grads = grad_sums
             r_grads = grad_sums

@@ -137,8 +137,9 @@ class OnlinePipeline:
     live model and a :class:`~repro.serving.engine.ServingEngine` over its
     snapshots.  Both run in the calling thread — what makes "serve while
     train" safe is the copy-on-write snapshot contract, not thread
-    separation: requests served between publishes read frozen shard objects
-    the trainer is guaranteed never to mutate.  The engine itself is not
+    separation: requests served between publishes read a frozen table the
+    trainer is guaranteed never to mutate, and write nothing the live store
+    holds (not even its routing-plan cache).  The engine itself is not
     internally locked, so it must stay driven by this one thread (``run``
     calls ``refresh`` and probe ``submit``/``flush`` on it); other threads
     may read the published *snapshots* directly (``engine.snapshot.lookup``)

@@ -159,8 +159,9 @@ class Replica(MicroBatcher):
     def _stage_view(self, payload: SnapshotPayload) -> StoreSnapshot:
         """A view at ``payload``'s version over the current table, or over a
         private copy of the shipped one (the replica models a remote process,
-        so taking a table pays the whole-table shipping cost; a stack copies
-        in one pass, :meth:`~repro.embeddings.cafe.CafeStack.copy`)."""
+        so taking a table pays the whole-table shipping cost; a stack's
+        deepcopy copies its arrays once,
+        :meth:`~repro.embeddings.cafe.CafeStack.__deepcopy__`)."""
         shipped = payload.snapshot
         if shipped is None:  # a delta with no write since its base
             shipped = self._serving.view

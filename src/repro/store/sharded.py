@@ -6,18 +6,21 @@ memory budget.  The store itself is also a ``CompressedEmbedding``: the
 generic wrapper deduplicates the batch once at the store, and everything
 below it works on sorted unique ids only.
 
-One shard, of any backend, is that backend behind the store's checks
-(bit-exact with the direct-embedding path).  ``N ≥ 2`` shards are one
+The store holds one *table*: with one shard, of any backend, that backend
+(bit-exact with the direct-embedding path); with ``N ≥ 2``, one
 :class:`~repro.embeddings.cafe.CafeStack`: plain ``cafe`` shards of one
 geometry whose state lives in one allocation per kind, so a shard is a
 bucket and row range and a step is one pass over the stack.  Any other
 backend at ``N ≥ 2`` is a :class:`~repro.errors.ConfigurationError` (split
 S ways by a second hash, a hash table is still one hashing-trick table).
+Both kinds of table share one contract — ``routes`` / ``gather`` /
+``apply`` / ``memory_floats`` and a routing token — so every store method
+runs one path, and the routing-plan cache is the store's at every shard
+count.
 
 Snapshots are copy-on-write: :meth:`ShardedEmbeddingStore.snapshot` is O(1)
-(it freezes the store's one table, the shard or the stack); the first write
-afterwards replaces it (a stack: all of it, in one copy) with a private deep
-copy.
+(it freezes the store's one table); the first write afterwards replaces it
+with a private deep copy (a stack: all of it, in one copy).
 """
 from __future__ import annotations
 
@@ -31,6 +34,7 @@ import numpy as np
 from repro.analysis.sanitizer import freeze_arrays, single_writer
 from repro.embeddings.base import CompressedEmbedding
 from repro.embeddings.cafe import CafeStack
+from repro.embeddings.plan import RoutingPlan
 from repro.errors import CheckpointLayoutError, ConfigurationError
 from repro.nn.optim import check_row_state
 from repro.store.snapshot import StoreSnapshot
@@ -72,7 +76,8 @@ class ShardedEmbeddingStore(CompressedEmbedding):
     against it.  Any number of threads may read :meth:`snapshot` views,
     which are immutable by contract.
 
-    One shard may be any backend; ``N ≥ 2`` shards must stack
+    One shard may be any backend (the store's table is that backend);
+    ``N ≥ 2`` shards must stack into the table
     (:meth:`CafeStack.can_stack`: plain ``cafe`` layers of one geometry,
     seeds and row optimizer), or construction raises
     :class:`~repro.errors.ConfigurationError`.
@@ -102,22 +107,17 @@ class ShardedEmbeddingStore(CompressedEmbedding):
             )
         super().__init__(shards[0].num_features, shards[0].dim, dtype=shards[0].dtype)
         self.use_frequency = shards[0].use_frequency
-        self._shards = shards
         self.num_shards = len(shards)
-        self.shard_seed = int(shard_seed)
+        #: The one table: the backend, or the stack of the shards (which
+        #: holds the id -> shard seed).
+        self._table = shards[0] if len(shards) == 1 else CafeStack.stacked(shards, shard_seed)
         #: ``perf/workloads.py`` reads ``store.executor.stats``.
         self.executor = SimpleNamespace(stats=ExecutorStats())
-        # The shards become frozen (shared with a snapshot) when snapshot()
+        # The table becomes frozen (shared with a snapshot) when snapshot()
         # runs; the first write afterwards swaps in a private copy.
         self._cow_pending = False
         self.snapshots_taken = 0
         self.cow_copies = 0
-        if self.num_shards == 1:
-            # The delegating path never touches the store-level plan cache,
-            # so surface the backend's stats instead.
-            self.plan_stats = self._shards[0].plan_stats
-        self._stack: CafeStack | None = None
-        self._restack()
 
     # ------------------------------------------------------------------ #
     # Construction
@@ -162,25 +162,9 @@ class ShardedEmbeddingStore(CompressedEmbedding):
 
     @property
     def shards(self) -> tuple[CompressedEmbedding, ...]:
-        return tuple(self._shards)
-
-    # ------------------------------------------------------------------ #
-    # Routing (a stack's: shard owner, then buckets and rows in the stack)
-    # ------------------------------------------------------------------ #
-    def _build_routes(self, uids: np.ndarray) -> dict:
-        return self._stack.routes(uids)
-
-    def _routing_token(self) -> object:
-        # A stacked plan routes through every shard's sketch, so it is tied
-        # to every shard's own token as well.
-        return (self._routing_version, *(shard._routing_token() for shard in self._shards))
-
-    def _restack(self) -> None:
-        """(Re)build the stack from the shards' current arrays (N ≥ 2)."""
-        self._stack = (
-            CafeStack.stacked(self._shards, self.shard_seed) if self.num_shards > 1 else None
-        )
-        self.invalidate_plan()
+        """The shard layers: the stack's members, or the one backend."""
+        table = self._table
+        return tuple(table.members) if isinstance(table, CafeStack) else (table,)
 
     def __reduce_ex__(self, protocol):
         # A copy would sever the stacked shards' views from the stack.
@@ -190,39 +174,40 @@ class ShardedEmbeddingStore(CompressedEmbedding):
         )
 
     # ------------------------------------------------------------------ #
-    # CompressedEmbedding interface
+    # CompressedEmbedding interface: the table's, through the store's plans
     # ------------------------------------------------------------------ #
-    def lookup_unique(self, uids: np.ndarray) -> np.ndarray:
-        """Every id's row: the one shard's, or one gather over the stack
-        (routes computed or reused from the plan cache)."""
-        if self._stack is None:
-            return self._shards[0].lookup_unique(uids)
-        return self._stack.lookup(self.plan_for(uids).routes)
+    def routes(self, uids: np.ndarray) -> dict[str, np.ndarray]:
+        return self._table.routes(uids)
+
+    def _routing_token(self) -> object:
+        # A plan is tied to the table's routing state as well as to the
+        # store's own invalidations (checkpoint load).
+        return (self._routing_version, self._table._routing_token())
+
+    def gather(self, uids: np.ndarray, routes: dict[str, np.ndarray]) -> np.ndarray:
+        return self._table.gather(uids, routes)
 
     @single_writer
     def apply_gradients(self, ids: np.ndarray, grads: np.ndarray) -> None:
         super().apply_gradients(ids, grads)
 
-    def apply_unique(self, uids: np.ndarray, grad_sums: np.ndarray, scores: np.ndarray) -> None:
-        """Apply ``(uids, grad_sums, scores)`` through the one shard, or as one
-        step over the whole stack.  The copy-on-write swap
-        (:meth:`_ensure_private`) comes first, so outstanding snapshots never
-        observe a write."""
-        if self._stack is None:
-            self._ensure_private()
-            self._shards[0].apply_unique(uids, grad_sums, scores)
-        else:
-            plan = self.plan_for(uids)
-            self._ensure_private()
-            self._stack.apply(plan, uids, grad_sums, scores)
+    def apply(
+        self, plan: RoutingPlan, uids: np.ndarray, grad_sums: np.ndarray, scores: np.ndarray
+    ) -> None:
+        """Apply ``(uids, grad_sums, scores)`` as one step of the table.  The
+        copy-on-write swap (:meth:`_ensure_private`) comes first, so
+        outstanding snapshots never observe a write; the plan stays the
+        store's, so the copy keeps it."""
+        self._ensure_private()
+        self._table.apply(plan, uids, grad_sums, scores)
         stats = self.executor.stats
         stats.grad_bytes += uids.nbytes + grad_sums.nbytes + scores.nbytes
         stats.grad_steps += 1
         self._step += 1
 
     def memory_floats(self) -> int:
-        """Sum of all shard footprints (each shard holds 1/N of the budget)."""
-        return int(sum(shard.memory_floats() for shard in self._shards))
+        """The table's footprint (each shard holds 1/N of the budget)."""
+        return int(self._table.memory_floats())
 
     # ------------------------------------------------------------------ #
     # Snapshots (copy-on-write)
@@ -231,15 +216,15 @@ class ShardedEmbeddingStore(CompressedEmbedding):
         """Freeze the current parameters into a read-only serving view.
 
         O(1): no tables are copied here.  The view holds the store's one
-        table (the shard, or the stack of them) and the store marks it as
-        shared; training's next write replaces it with a private deep copy
-        (:attr:`cow_copies` counts those), so the returned view keeps
-        serving exactly the values visible now.
+        table and the store marks it as shared; training's next write
+        replaces it with a private deep copy (:attr:`cow_copies` counts
+        those), so the returned view keeps serving exactly the values
+        visible now.
         """
         self.snapshots_taken += 1
         self._cow_pending = True
         view = StoreSnapshot(
-            table=self._shards[0] if self._stack is None else self._stack,
+            table=self._table,
             dim=self.dim,
             num_features=self.num_features,
             dtype=self.dtype,
@@ -256,12 +241,7 @@ class ShardedEmbeddingStore(CompressedEmbedding):
     def _ensure_private(self) -> None:
         if not self._cow_pending:
             return
-        if self._stack is not None:  # every shard goes private, in one copy
-            self._stack = self._stack.copy()
-            self._shards = self._stack.members
-        else:
-            self._shards[0] = copy.deepcopy(self._shards[0])
-            self.plan_stats = self._shards[0].plan_stats
+        self._table = copy.deepcopy(self._table)  # a stack: in one copy
         self._cow_pending = False
         self.cow_copies += 1
 
@@ -272,14 +252,14 @@ class ShardedEmbeddingStore(CompressedEmbedding):
         """One global HotSketch: the pairwise SpaceSaving merge of every
         shard's.  Shards that track no sketch (anything but CAFE-style
         backends) raise ``NotImplementedError``."""
-        sketches = [shard.merged_sketch() for shard in self._shards]
+        sketches = [shard.merged_sketch() for shard in self.shards]
         return type(sketches[0]).merge_all(sketches)
 
     def describe(self) -> dict[str, float | int | str]:
         info = super().describe()
         info["num_shards"] = self.num_shards
-        info["backend"] = type(self._shards[0]).__name__
-        info["stacked"] = self._stack is not None
+        info["backend"] = type(self.shards[0]).__name__
+        info["stacked"] = self.num_shards > 1
         return info
 
     def state_dict(self) -> dict[str, np.ndarray]:
@@ -292,7 +272,7 @@ class ShardedEmbeddingStore(CompressedEmbedding):
             "num_shards": np.asarray(self.num_shards),
             "step": np.asarray(self._step),
         }
-        for index, shard in enumerate(self._shards):
+        for index, shard in enumerate(self.shards):
             for key, value in shard.state_dict().items():
                 state[f"shard{index}.{key}"] = value
         return state
@@ -324,16 +304,16 @@ class ShardedEmbeddingStore(CompressedEmbedding):
             raise CheckpointLayoutError(
                 f"checkpoint has {int(state['num_shards'])} shards, store has {self.num_shards}"
             )
-        if self._stack is not None:
+        if self.num_shards > 1:
             self._check_stacked_keys(state)
         check_row_state(
-            getattr(self._shards[0], "_optimizer", None),
+            getattr(self.shards[0], "_optimizer", None),
             {match[1] for match in map(_ROW_STATE_KEY.match, state) if match},
         )
 
     def _check_stacked_keys(self, state: dict[str, np.ndarray]) -> None:
         """Every ``shard{i}.`` section must carry a CAFE shard's keys."""
-        expected = {key for key in self._shards[0].state_dict() if not _ROW_STATE_KEY.match(key)}
+        expected = {key for key in self.shards[0].state_dict() if not _ROW_STATE_KEY.match(key)}
         for index in range(self.num_shards):
             prefix = f"shard{index}."
             found = {
@@ -357,20 +337,21 @@ class ShardedEmbeddingStore(CompressedEmbedding):
         a state without one leaves it as it was.
         """
         self.check_state_layout(state)
-        # Restoring is a write: never mutate a shard a snapshot still serves.
+        # Restoring is a write: never mutate a table a snapshot still serves.
         self._ensure_private()
-        if "num_shards" not in state:
-            # Checkpoint written against a bare embedding layer.
-            self._shards[0].load_state_dict(dict(state))
-            self.invalidate_plan()
+        if "num_shards" not in state:  # written against a bare embedding layer
+            sections = [dict(state)]
         else:
-            for index, shard in enumerate(self._shards):
-                prefix = f"shard{index}."
-                shard.load_state_dict(
-                    {key[len(prefix):]: value for key, value in state.items() if key.startswith(prefix)}
-                )
-            # A shard's row optimizer may have adopted private arrays.
-            self._restack()
+            sections = [
+                {key[len(prefix):]: value for key, value in state.items() if key.startswith(prefix)}
+                for prefix in (f"shard{index}." for index in range(self.num_shards))
+            ]
+        for shard, section in zip(self.shards, sections):
+            shard.load_state_dict(section)
+        if self.num_shards > 1:
+            # A restored shard's row optimizer may hold private arrays.
+            self._table.restack()
+        self.invalidate_plan()
         if "step" in state:
             self._step = int(state["step"])
 

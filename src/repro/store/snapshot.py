@@ -46,11 +46,13 @@ class StoreSnapshot:
         self.step = int(step)
 
     def lookup(self, ids: np.ndarray) -> np.ndarray:
-        """Embeddings of shape ``ids.shape + (dim,)`` at the frozen values."""
+        """Embeddings of shape ``ids.shape + (dim,)`` at the frozen values;
+        routed without a plan cache, so a read writes nothing the store holds."""
         batch = UniqueBatch.build(as_id_array(ids), self.num_features)
         if not len(batch):
             return np.empty(batch.ids_shape + (self.dim,), dtype=self.dtype)
-        rows = self.table.lookup_unique(batch.uids)
+        table = self.table
+        rows = table.gather(batch.uids, table.routes(batch.uids))
         return np.take(rows, batch.inverse, axis=0).reshape(batch.ids_shape + (self.dim,))
 
     def memory_floats(self) -> int:

@@ -90,8 +90,8 @@ class Trainer:
 
         The embedding store computes its routing plan during the forward
         lookup and reuses it here when the gradients come back, so hashing
-        and slot location run once per step, not twice — at the shard level
-        and inside each shard backend.  A batch without the model's field or
+        and slot location run once per step, not twice; the plan cache is
+        the store's, at every shard count.  A batch without the model's field or
         numerical-column count, or without one label per row, raises
         :class:`~repro.errors.BatchShapeError`; NaN/inf in
         ``batch.numerical`` :class:`~repro.errors.NonFiniteFeatureError`;

@@ -223,7 +223,7 @@ def test_large_batch_cafe_matches_golden_digest(num_shards, optimizer):
         learning_rate=0.05,
         dtype="float32",
     )
-    assert (store._stack is not None) == (num_shards > 1)
+    assert (store._table is not store.shards[0]) == (num_shards > 1)
     train(store, large_batches(seed=29))
     probe = np.arange(0, LARGE_FEATURES, 97)
     assert run_digest(store, probe) == LARGE_GOLDEN[f"large-cafe-{num_shards}shard"]

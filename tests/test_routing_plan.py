@@ -29,18 +29,18 @@ def make_cafe(**kwargs):
 
 class TestRoutingPlanMatching:
     def test_matches_same_batch(self):
-        ids = np.asarray([[1, 2], [3, 4]])
-        plan = RoutingPlan(flat_ids=ids.reshape(-1).copy(), ids_shape=ids.shape, token=0)
+        ids = np.asarray([1, 2, 3, 4])
+        plan = RoutingPlan(uids=ids.copy(), token=0)
         assert plan.matches(ids, token=0)
 
     def test_rejects_different_token(self):
         ids = np.asarray([1, 2, 3])
-        plan = RoutingPlan(flat_ids=ids.copy(), ids_shape=ids.shape, token=0)
+        plan = RoutingPlan(uids=ids.copy(), token=0)
         assert not plan.matches(ids, token=1)
 
     def test_rejects_different_ids_or_shape(self):
         ids = np.asarray([1, 2, 3])
-        plan = RoutingPlan(flat_ids=ids.copy(), ids_shape=ids.shape, token=0)
+        plan = RoutingPlan(uids=ids.copy(), token=0)
         assert not plan.matches(np.asarray([1, 2, 4]), token=0)
         assert not plan.matches(ids.reshape(3, 1), token=0)
         assert not plan.matches(np.asarray([1, 2]), token=0)

@@ -162,7 +162,7 @@ class TestPayloadAccounting:
         publisher = DeltaSnapshotPublisher(model, rebase_every=0)
         rng = np.random.default_rng(3)
         candidates = np.arange(NUM_FEATURES)
-        owned = candidates[hash_to_range(candidates, 3, seed=store.shard_seed) == 1]
+        owned = candidates[hash_to_range(candidates, 3, seed=store._table.shard_seed) == 1]
         full = publisher.publish()
         for _ in range(2):
             ids = rng.choice(owned, size=(48, FIELDS))
@@ -171,7 +171,7 @@ class TestPayloadAccounting:
             store.apply_gradients(ids, grads)
         delta = publisher.publish()
         assert full.kind == "full" and delta.kind == "delta"
-        assert delta.snapshot.table is store._stack
+        assert delta.snapshot.table is store._table
         assert delta.snapshot.table.members == list(store.shards)
         assert delta.payload_floats == full.payload_floats == store.memory_floats()
         assert delta.payload_rows == store.memory_floats() // DIM

@@ -24,6 +24,7 @@ from hypothesis import strategies as st
 from hypothesis.stateful import RuleBasedStateMachine, initialize, invariant, precondition, rule
 
 from repro.embeddings import create_embedding
+from repro.embeddings.cafe import CafeStack
 from repro.embeddings.plan import UniqueBatch, gradient_norms
 from repro.store import ShardedEmbeddingStore
 from repro.utils.hashing import hash_to_range
@@ -97,7 +98,7 @@ class StackedStoreMachine(RuleBasedStateMachine):
     def partition(self, ids):
         """The batch's unique ids, and each oracle's (ascending) share of them."""
         batch = UniqueBatch.build(np.asarray(ids, dtype=np.int64), N)
-        owner = hash_to_range(batch.uids, self.num_shards, seed=self.store.shard_seed)
+        owner = hash_to_range(batch.uids, self.num_shards, seed=self.store._table.shard_seed)
         shares = [(shard, owner == shard) for shard in range(self.num_shards)]
         return batch, [(shard, mask) for shard, mask in shares if mask.any()]
 
@@ -178,8 +179,8 @@ class StackedStoreMachine(RuleBasedStateMachine):
 
     @invariant()
     def live_shards_view_the_stack_and_frozen_ones_do_not(self):
-        stack = self.store._stack
-        assert stack is not None and stack.members is self.store._shards
+        stack = self.store._table
+        assert isinstance(stack, CafeStack) and tuple(stack.members) == self.store.shards
         stacked = stack_arrays(stack)
         for shard in self.store.shards:
             sketch = shard.sketch
@@ -233,7 +234,7 @@ def test_snapshot_freezes_the_stack_and_the_next_write_copies_it_once():
     ids, grads = make_batch(0, 16)
     store.apply_gradients(ids, grads)
     store.snapshot()
-    frozen = store._stack
+    frozen = store._table
     for base in stack_arrays(frozen):
         assert not base.flags.writeable
     # A write that skipped copy-on-write raises instead of corrupting the
@@ -241,8 +242,8 @@ def test_snapshot_freezes_the_stack_and_the_next_write_copies_it_once():
     with pytest.raises(ValueError, match="read-only"):
         frozen.arena[0] += 1.0
     store.apply_gradients(ids, grads)
-    assert store._stack is not frozen and store.cow_copies == 1
-    assert all(base.flags.writeable for base in stack_arrays(store._stack))
+    assert store._table is not frozen and store.cow_copies == 1
+    assert all(base.flags.writeable for base in stack_arrays(store._table))
 
 
 @pytest.mark.parametrize("num_shards", [2, 3, 4])
@@ -255,7 +256,7 @@ def test_a_stacked_snapshot_keeps_serving_what_the_store_served(num_shards):
     probe = np.concatenate([PROBE, PROBE[:51]]).reshape(-1, FIELDS)  # repeats too
     served = store.lookup(probe)
     view = store.snapshot()
-    assert view.table is store._stack
+    assert view.table is store._table
     np.testing.assert_array_equal(view.lookup(probe), served)
     for seed in range(6, 12):
         store.apply_gradients(*make_batch(seed, 24))
@@ -271,9 +272,11 @@ def test_a_deepcopy_of_a_stack_is_one_private_copy(num_shards):
     store = build_store(num_shards, "adagrad", seed=2)
     for seed in range(3):
         store.apply_gradients(*make_batch(seed, 24))
-    stack = store._stack if num_shards > 1 else store._shards[0]._solo()
+    stack = store._table if num_shards > 1 else store._table._solo()
     uids = np.unique(PROBE)
     first, second = copy.deepcopy([stack, stack])
     assert first is second
     assert not any(np.shares_memory(first.arena, base) for base in stack_arrays(stack))
-    np.testing.assert_array_equal(first.lookup(first.routes(uids)), stack.lookup(stack.routes(uids)))
+    np.testing.assert_array_equal(
+        first.gather(uids, first.routes(uids)), stack.gather(uids, stack.routes(uids))
+    )

@@ -87,22 +87,29 @@ class TestSingleShardParity:
         assert store.num_shards == 1
         assert store.shards[0] is embedding
         assert ensure_store(store) is store
-        # Single-shard stores surface the backend's plan stats.
-        assert store.plan_stats is embedding.plan_stats
+        # The routing-plan cache is the store's at one shard too: a step
+        # counts one miss and one hit there, and never consults the backend's.
+        assert store.plan_stats is not embedding.plan_stats
+        ids = np.arange(8).reshape(2, 4)
+        store.lookup(ids)
+        store.apply_gradients(ids, np.ones(ids.shape + (DIM,), dtype=np.float32))
+        assert store.plan_stats.as_dict() == {"hits": 1, "misses": 1, "reuse_rate": 0.5}
+        assert embedding.plan_stats.as_dict() == {"hits": 0, "misses": 0, "reuse_rate": 0.0}
 
 
 class TestSharding:
     def test_the_stack_routes_each_id_to_its_hash_owner(self):
-        """The id -> shard hash lives in the stack, under the store's seed:
-        each id's buckets and rows fall in its owner's ranges."""
+        """The id -> shard hash lives in the stack, which holds the seed the
+        store was built with: each id's buckets and rows fall in its owner's
+        ranges."""
         from repro.utils.hashing import hash_to_range
 
         store = ShardedEmbeddingStore.build(
             "cafe", num_features=10_000, dim=DIM, num_shards=4, compression_ratio=10.0,
             seed=0, shard_seed=7,
         )
-        stack = store._stack
-        assert stack.shard_seed == store.shard_seed == 7
+        stack = store._table
+        assert stack.shard_seed == 7 and not hasattr(store, "shard_seed")
         uids = np.unique(np.random.default_rng(0).integers(0, 10_000, size=500))
         routes = stack.routes(uids)
         owner = hash_to_range(uids, 4, seed=7)
@@ -122,7 +129,7 @@ class TestSharding:
         from repro.utils.hashing import hash_to_range
 
         flat = ids.reshape(-1)
-        shard_of = hash_to_range(flat, 4, seed=store.shard_seed)
+        shard_of = hash_to_range(flat, 4, seed=store._table.shard_seed)
         flat_out = out.reshape(-1, DIM)
         for s, shard in enumerate(store.shards):
             mask = shard_of == s
@@ -140,7 +147,7 @@ class TestSharding:
         store.apply_gradients(ids, grads)
         from repro.utils.hashing import hash_to_range
 
-        shard_of = hash_to_range(ids.reshape(-1), 3, seed=store.shard_seed)
+        shard_of = hash_to_range(ids.reshape(-1), 3, seed=store._table.shard_seed)
         for s, shard in enumerate(store.shards):
             touched = (shard_of == s).any()
             assert (not np.array_equal(before[s], shard._arena)) == touched

@@ -6,7 +6,9 @@ promise below is pinned for all eight backends at one shard (the backend
 behind the store's checks), and for ``cafe`` at two, three and four as well
 (one stack, the only multi-shard store):
 
-* the shard partition built by ``lookup`` is reused by ``apply_gradients``;
+* the routing plan built by ``lookup`` is reused by ``apply_gradients``,
+  and it is the store's: one per step at every shard count, kept across a
+  copy-on-write copy, and never touched by a snapshot read;
 * a snapshot is frozen while training continues, costs nothing until the
   first write and then one copy per private shard (one per stack);
 * a one-shard store is bit-exact with the bare backend;
@@ -108,6 +110,41 @@ class TestEveryBackend:
         assert store.plan_stats.misses == 4
         assert store.plan_stats.hits == 4
         assert store.plan_stats.reuse_rate == 0.5
+
+    def test_a_snapshot_between_lookup_and_update_keeps_the_plan(self, method, num_shards):
+        """The copy-on-write copy a snapshot forces leaves the store's plan
+        cache alone: the update still reuses the lookup's plan."""
+        store = build_store(method, num_shards)
+        rng = np.random.default_rng(6)
+        for _ in range(4):
+            ids = rng.integers(0, SCHEMA.num_features, size=(32, SCHEMA.num_fields))
+            store.lookup(ids)
+            store.snapshot()
+            store.apply_gradients(ids, rng.normal(scale=0.1, size=ids.shape + (DIM,)))
+        assert store.plan_stats.as_dict() == {"hits": 4, "misses": 4, "reuse_rate": 0.5}
+        assert store.cow_copies == 4
+
+    def test_snapshot_reads_leave_the_live_store_alone(self, method, num_shards):
+        """A snapshot routes and gathers through its frozen table with no plan
+        cache: reads count in no ``plan_stats`` and leave the store's cached
+        plan (the trainer's) in place."""
+        store = build_store(method, num_shards)
+        rng = np.random.default_rng(4)
+        ids = rng.integers(0, SCHEMA.num_features, size=(32, SCHEMA.num_fields))
+        store.lookup(ids)
+        store.apply_gradients(ids, rng.normal(scale=0.1, size=ids.shape + (DIM,)))
+        store.lookup(ids)
+        view = store.snapshot()
+        plan = store._cached_plan
+        stats = [layer.plan_stats.as_dict() for layer in (store, *store.shards)]
+        for probe in (ids, PROBE, ids, PROBE[:7], ids):
+            view.lookup(probe)
+        assert store._cached_plan is plan
+        assert [layer.plan_stats.as_dict() for layer in (store, *store.shards)] == stats
+        # The kept plan is the one the next update uses: a hit, not a rebuild.
+        store.apply_gradients(ids, rng.normal(scale=0.1, size=ids.shape + (DIM,)))
+        after = store.plan_stats
+        assert (after.hits, after.misses) == (stats[0]["hits"] + 1, stats[0]["misses"])
 
     def test_snapshot_frozen_while_training_continues(self, method, num_shards):
         store = build_store(method, num_shards)

@@ -101,10 +101,10 @@ class OwnTable(CompressedEmbedding):
         super().__init__(num_features, dim)
         self.table = np.zeros((num_features, dim), dtype=self.dtype)
 
-    def lookup_unique(self, uids):
+    def gather(self, uids, routes):
         return self.table[uids]
 
-    def apply_unique(self, uids, grad_sums, scores):
+    def apply(self, plan, uids, grad_sums, scores):
         self.table[uids] -= grad_sums
         self._step += 1
 
@@ -181,7 +181,9 @@ class TestEveryShardLayout:
         train(store, ids, grads)
         probe = np.random.default_rng(9).integers(0, NUM_FEATURES, size=256)
         out = store.lookup(probe)
-        owner = hash_to_range(probe, num_shards, seed=store.shard_seed)
+        owner = np.zeros(probe.shape, dtype=np.int64)
+        if num_shards > 1:  # the id -> shard seed is the stack's
+            owner = hash_to_range(probe, num_shards, seed=store._table.shard_seed)
         for index, shard in enumerate(store.shards):
             mask = owner == index
             assert mask.any()

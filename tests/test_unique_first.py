@@ -338,7 +338,8 @@ class SlowStore:
         oracles = {"HashEmbedding": SlowHash, "FullEmbedding": SlowFull}
         oracle = oracles.get(type(store.shards[0]).__name__, SlowCafe)
         self.shards = [oracle(shard, optimizer) for shard in store.shards]
-        self.shard_seed = store.shard_seed
+        # The id -> shard seed is the stack's (a one-shard store has none).
+        self.shard_seed = store._table.shard_seed if len(self.shards) > 1 else None
 
     def shard_of(self, uid):
         if len(self.shards) == 1:
@@ -545,9 +546,9 @@ class TestNamedErrors:
         def unreachable(*args, **kwargs):
             raise AssertionError("a shard was touched")
 
-        for shard in store.shards:
-            monkeypatch.setattr(shard, "lookup_unique", unreachable)
-            monkeypatch.setattr(shard, "apply_unique", unreachable)
+        for table in (store._table, *store.shards):
+            monkeypatch.setattr(table, "gather", unreachable)
+            monkeypatch.setattr(table, "apply", unreachable)
         with pytest.raises(IdOutOfRangeError):
             store.lookup(np.asarray([N + 3]))
         with pytest.raises(NonFiniteGradientError):
@@ -564,13 +565,13 @@ class TestWire:
         store = build_store("cafe_ml", 1)
         received = []
         for shard in store.shards:
-            original = shard.apply_unique
+            original = shard.apply
 
-            def spy(uids, grad_sums, scores, original=original):
+            def spy(plan, uids, grad_sums, scores, original=original):
                 received.append((uids.copy(), grad_sums.copy(), scores.copy()))
-                original(uids, grad_sums, scores)
+                original(plan, uids, grad_sums, scores)
 
-            monkeypatch.setattr(shard, "apply_unique", spy)
+            monkeypatch.setattr(shard, "apply", spy)
         rng = np.random.default_rng(4)
         ids = rng.integers(0, 200, size=(32, 5))
         grads = rng.normal(size=ids.shape + (DIM,)).astype(np.float32)
