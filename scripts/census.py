@@ -111,7 +111,6 @@ KEEP: dict[str, str] = {
     "repro/embeddings/base.py:CompressedEmbedding.memory_floats": "abstract",
     "repro/embeddings/base.py:CompressedEmbedding.load_state_dict": "abstract",
     "repro/embeddings/base.py:CompressedEmbedding.merged_sketch": "error-path",
-    "repro/embeddings/base.py:TableBackedEmbedding.optimizer_memory_floats": "oracle",
     "repro/embeddings/cafe.py:CafeEmbedding.check_row_invariants": "invariant",
     "repro/embeddings/plan.py:ScatterPlan.__len__": "oracle",
     "repro/embeddings/plan.py:FreeRowPool.__iter__": "oracle",

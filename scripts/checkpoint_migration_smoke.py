@@ -1,7 +1,7 @@
 #!/usr/bin/env python
 """CI smoke: old checkpoints load into the current code, new ones resume exactly.
 
-Seven legs.  The dense-optimizer leg: a checkpoint written before there was
+Eight legs.  The dense-optimizer leg: a checkpoint written before there was
 an ``optim/`` section loads into a current session (fresh optimizer state,
 said so in ``describe()``) and trains; a current checkpoint taken after 20
 Adam steps resumes bit-exactly.  The row-optimizer leg is the same pair for
@@ -10,6 +10,9 @@ a 4-shard CAFE store with row-Adagrad, whose shards carried no
 then a checkpoint carrying the retired ``sketched_adagrad``'s
 ``optimizer.sketch_counters`` / ``heavy_keys`` / ``heavy_vals`` is refused
 by that store with ``OptimizerStateMismatchError``, and refused whole.
+The wrong-length leg checks the same refusal, whole, of a 4-shard
+row-Adagrad checkpoint whose last shard's ``optimizer.accumulator`` is three
+entries longer than the shard's rows.
 The store-step leg checks that the store's ``step()`` comes back from a
 checkpoint's ``sparse/step`` header, at 1 and 4 shards, and that a
 checkpoint without that header (as an earlier commit wrote it) still loads.
@@ -126,30 +129,45 @@ def assert_refused_whole(load, error, match: str, model, optimizer) -> None:
             assert np.array_equal(before[key], after[key]), f"refused load wrote {key}"
 
 
-def sketched_state_leg(config: SystemConfig, tmp: Path) -> None:
-    """A row-Adagrad store refuses the retired sketched optimizer's state."""
+def row_state_refused_leg(config: SystemConfig, tmp: Path, unfit, match: str) -> None:
+    """A row-Adagrad store refuses, whole, a checkpoint whose row-optimizer
+    state ``unfit(payload)`` replaced."""
     with build(config) as source, build(config) as target:
         stream = iter(source.dataset.training_stream(source.batch_size))
         for _ in range(5):
             batch = next(stream)
             source.trainer.train_step(batch)
             target.trainer.train_step(batch)  # non-zero moments and accumulators
-        path = source.checkpoint(tmp / "sketched.npz")
+        path = source.checkpoint(tmp / "unfit.npz")
         with np.load(path) as data:
-            payload = {key: data[key] for key in data.files if ".optimizer." not in key}
-        for shard in range(config.store.num_shards):
-            prefix = f"sparse/shard{shard}.optimizer."
-            payload[prefix + "sketch_counters"] = np.zeros((3, 64), dtype=np.float32)
-            payload[prefix + "heavy_keys"] = np.full(16, -1, dtype=np.int64)
-            payload[prefix + "heavy_vals"] = np.zeros(16, dtype=np.float32)
+            payload = {key: data[key] for key in data.files}
+        unfit(payload, config.store.num_shards)
         np.savez(path, **payload)
         assert_refused_whole(
             lambda: target.restore(path),
             OptimizerStateMismatchError,
-            "sketched_adagrad",
+            match,
             target.model,
             target.trainer.dense_optimizer,
         )
+
+
+def sketched_state(payload: dict, num_shards: int) -> None:
+    """The retired ``sketched_adagrad``'s entries in place of the accumulators."""
+    for key in [key for key in payload if ".optimizer." in key]:
+        del payload[key]
+    for shard in range(num_shards):
+        prefix = f"sparse/shard{shard}.optimizer."
+        payload[prefix + "sketch_counters"] = np.zeros((3, 64), dtype=np.float32)
+        payload[prefix + "heavy_keys"] = np.full(16, -1, dtype=np.int64)
+        payload[prefix + "heavy_vals"] = np.zeros(16, dtype=np.float32)
+
+
+def long_accumulator(payload: dict, num_shards: int) -> None:
+    """The last shard's accumulator three entries too long (the shards before
+    it would be written first by a restore that checked late)."""
+    key = f"sparse/shard{num_shards - 1}.optimizer.accumulator"
+    payload[key] = np.ones(payload[key].shape[0] + 3, dtype=payload[key].dtype)
 
 
 def store_step_leg(config: SystemConfig, tmp: Path) -> None:
@@ -231,7 +249,10 @@ def main() -> int:
     with tempfile.TemporaryDirectory() as tmp:
         resume_leg(quickstart, Path(tmp), lambda key: key.startswith("optim/"), dense_optimizer_is_cold)
         resume_leg(cafe_adagrad, Path(tmp), lambda key: ".optimizer." in key)
-        sketched_state_leg(cafe_adagrad, Path(tmp))
+        row_state_refused_leg(cafe_adagrad, Path(tmp), sketched_state, "sketched_adagrad")
+        row_state_refused_leg(
+            cafe_adagrad, Path(tmp), long_accumulator, "row-optimizer state ['accumulator'] (shapes"
+        )
         store_step_leg(quickstart, Path(tmp))
         store_step_leg(cafe_adagrad, Path(tmp))
         backend_leg(quickstart, Path(tmp))
@@ -295,8 +316,9 @@ def main() -> int:
     print(
         "checkpoint migration smoke: optim-less -> current OK, Adam resume bit-exact, "
         "CAFE row-Adagrad resume bit-exact (optimizer-less loads), store step restored "
-        "(step-less loads), full/hash/cafe/cafe_ml resume bit-exact, sketched_adagrad state, 2-shard hash "
-        "checkpoint and table-group checkpoint refused with nothing restored"
+        "(step-less loads), full/hash/cafe/cafe_ml resume bit-exact, sketched_adagrad state, "
+        "a wrong-length accumulator, 2-shard hash checkpoint and table-group checkpoint "
+        "refused with nothing restored"
     )
     return 0
 

@@ -195,13 +195,13 @@ class StoreConfig:
                 f"store.executor '{self.executor}' is not a known executor; expected "
                 "one of ['serial']"
             )
-        from repro.nn.optim import make_row_optimizer
+        from repro.nn.optim import ROW_OPTIMIZERS
 
-        try:
-            # State-free: row optimizers allocate lazily on first use.
-            make_row_optimizer(self.optimizer, self.learning_rate)
-        except ValueError as exc:
-            raise ConfigurationError(f"store.optimizer: {exc}") from None
+        if self.optimizer not in ROW_OPTIMIZERS:
+            raise ConfigurationError(
+                f"store.optimizer: unknown row optimizer '{self.optimizer}'; expected one of "
+                f"{sorted(ROW_OPTIMIZERS)}"
+            )
         try:
             if np.dtype(self.dtype).kind != "f":
                 raise TypeError(f"'{self.dtype}' is not a float dtype")

@@ -72,8 +72,8 @@ class AdaEmbed(TableBackedEmbedding):
         # Exclusive rows for allocated features and a small shared fallback.
         self.table = embedding_uniform((self.num_rows, dim), generator, dtype=self.dtype)
         self.shared_table = embedding_uniform((self.shared_rows, dim), generator, dtype=self.dtype)
-        self._optimizer = self._new_row_optimizer()
-        self._shared_optimizer = self._new_row_optimizer()
+        self._optimizer = self._new_row_optimizer(self.table)
+        self._shared_optimizer = self._new_row_optimizer(self.shared_table)
 
         # Per-feature state: importance score and allocated row (or -1).
         self.importance = np.zeros(num_features, dtype=np.float64)

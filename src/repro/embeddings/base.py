@@ -271,8 +271,9 @@ class TableBackedEmbedding(CompressedEmbedding):
         self.optimizer_name = optimizer
         self.learning_rate = float(learning_rate)
 
-    def _new_row_optimizer(self) -> RowOptimizer:
-        return make_row_optimizer(self.optimizer_name, self.learning_rate)
+    def _new_row_optimizer(self, table: np.ndarray) -> RowOptimizer:
+        """The layer's row optimizer for ``table``, the one table it updates."""
+        return make_row_optimizer(self.optimizer_name, self.learning_rate, table)
 
     def fused_apply(self, table: np.ndarray, scatter, grad_sums: np.ndarray) -> None:
         """One segment-sum + ``self._optimizer`` scatter into ``table``.
@@ -287,22 +288,14 @@ class TableBackedEmbedding(CompressedEmbedding):
     # ------------------------------------------------------------------ #
     # Optimizer state in checkpoints
     # ------------------------------------------------------------------ #
-    def optimizer_memory_floats(self) -> int:
-        """State scalars the row optimizer currently holds (0 if stateless)."""
-        optimizer = getattr(self, "_optimizer", None)
-        return 0 if optimizer is None else int(optimizer.memory_floats())
-
     def _optimizer_state_entries(self) -> dict[str, np.ndarray]:
         """Row-optimizer state under ``optimizer.``-prefixed keys.
 
         Backends merge these into their ``state_dict`` so restoring a
         checkpoint resumes with the same effective per-row learning rates.
         """
-        optimizer = getattr(self, "_optimizer", None)
-        if optimizer is None:
-            return {}
         return {
-            f"optimizer.{key}": array for key, array in optimizer.state_dict().items()
+            f"optimizer.{key}": array for key, array in self._optimizer.state_dict().items()
         }
 
     def _load_optimizer_state(self, state: dict[str, np.ndarray]) -> None:
@@ -312,10 +305,7 @@ class TableBackedEmbedding(CompressedEmbedding):
         or before optimizer state was serialized keep loading: the
         optimizer restarts cold.
         """
-        optimizer = getattr(self, "_optimizer", None)
-        if optimizer is None:
-            return
-        optimizer.load_state_dict(
+        self._optimizer.load_state_dict(
             {
                 key.split(".", 1)[1]: array
                 for key, array in state.items()

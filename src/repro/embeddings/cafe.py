@@ -109,7 +109,7 @@ class CafeEmbedding(TableBackedEmbedding):
             seed=sketch_seed,
         )
         self._build_arena(generator)
-        self._optimizer = self._new_row_optimizer()
+        self._optimizer = self._new_row_optimizer(self._arena)
         self._free_rows = FreeRowPool(self.num_hot_rows)
         self.migrations_in = 0
         self.migrations_out = 0
@@ -490,10 +490,6 @@ class CafeStack:
         self.shard_seed = shard_seed
         self.rows_per = members[0]._arena.shape[0]
         self.buckets_per = members[0].sketch.num_buckets
-        #: Stacked per-row optimizer state, and which members view it yet (a
-        #: member's row optimizer materialises its state at its first step).
-        self._row_state: dict[str, np.ndarray] = {}
-        self._bound: list[bool] = []
 
     # ------------------------------------------------------------------ #
     # Building, copying and binding a stack of S ≥ 2
@@ -514,26 +510,20 @@ class CafeStack:
     @classmethod
     def stacked(cls, members: list, shard_seed: int) -> "CafeStack":
         """Copy ``members``' state into fresh stacked arrays and rebind each
-        member to its views (``members`` must pass :meth:`can_stack`); ids
-        go to members by their hash under ``shard_seed``."""
+        member to its views, once (``members`` must pass :meth:`can_stack`);
+        ids go to members by their hash under ``shard_seed``.  From here on
+        every write to a member — a step's, a restore's — lands in the stack."""
         first, count = members[0], len(members)
         sketch = HotSketch(
             count * first.sketch.num_buckets, first.slots_per_bucket, seed=first.sketch.seed
         )
         arena = np.empty((count * first._arena.shape[0], first.dim), dtype=first.dtype)
-        stack = cls(members, sketch, arena, first._new_row_optimizer(), int(shard_seed))
-        stack._row_state = stack.optimizer.state_buffers(arena)
-        stack.restack()
-        return stack
-
-    def restack(self) -> None:
-        """Copy every member's current arrays into the stack and rebind it to
-        its views (a restored member's row optimizer may hold its own)."""
-        self._bound = [member._optimizer.memory_floats() > 0 for member in self.members]
-        for index in range(len(self.members)):
-            for view, array in zip(self._views(index), self._arrays(index)):
+        stack = cls(members, sketch, arena, first._new_row_optimizer(arena), int(shard_seed))
+        for index in range(count):
+            for view, array in zip(stack._views(index), stack._arrays(index)):
                 view[...] = array
-            self._bind(index)
+            stack._bind(index)
+        return stack
 
     def __deepcopy__(self, memo) -> "CafeStack":
         """Privatise the whole stack in one copy (copy-on-write): the members
@@ -548,9 +538,7 @@ class CafeStack:
         for name in ("keys", "scores", "payloads"):
             setattr(twin.sketch, name, getattr(self.sketch, name).copy())
         twin.optimizer = copy.copy(self.optimizer)
-        twin._row_state = {key: array.copy() for key, array in self._row_state.items()}
-        twin.optimizer.adopt_state_buffers(twin._row_state)
-        twin._bound = list(self._bound)
+        twin.optimizer.state = {key: array.copy() for key, array in self.optimizer.state.items()}
         views = {
             id(old): new
             for index in range(len(self.members))
@@ -566,18 +554,13 @@ class CafeStack:
         sketch = self.sketch
         views = [self.arena[rows]]
         views += [sketch.keys[buckets], sketch.scores[buckets], sketch.payloads[buckets]]
-        if self._bound[index]:
-            views += [state[rows] for state in self._row_state.values()]
-        return views
+        return views + [state[rows] for state in self.optimizer.state.values()]
 
     def _arrays(self, index: int) -> list[np.ndarray]:
         """The arrays member ``index`` holds now, in :meth:`_views` order."""
         member = self.members[index]
         arrays = [member._arena, member.sketch.keys, member.sketch.scores, member.sketch.payloads]
-        if self._bound[index]:
-            live = member._optimizer.state_buffers(member._arena)
-            arrays += [live[key] for key in self._row_state]
-        return arrays
+        return arrays + list(member._optimizer.state.values())
 
     def _bind(self, index: int) -> None:
         member = self.members[index]
@@ -585,8 +568,7 @@ class CafeStack:
         member._arena = views[0]
         member._bind_arena_views()
         member.sketch.keys, member.sketch.scores, member.sketch.payloads = views[1:4]
-        if self._bound[index]:
-            member._optimizer.adopt_state_buffers(dict(zip(self._row_state, views[4:])))
+        member._optimizer.state = dict(zip(self.optimizer.state, views[4:]))
 
     # ------------------------------------------------------------------ #
     # The step
@@ -672,7 +654,4 @@ class CafeStack:
         for index in np.flatnonzero(counts).tolist():
             member = self.members[index]
             member.sketch.total_insertions += int(counts[index])
-            if self._row_state and not self._bound[index]:
-                self._bound[index] = True
-                self._bind(index)
             member._finish_step(evictions.payloads[owners == index])

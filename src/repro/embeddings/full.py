@@ -32,7 +32,7 @@ class FullEmbedding(TableBackedEmbedding):
         )
         generator = make_rng(rng)
         self.table = embedding_uniform((num_features, dim), generator, dtype=self.dtype)
-        self._optimizer = self._new_row_optimizer()
+        self._optimizer = self._new_row_optimizer(self.table)
 
     def routes(self, uids: np.ndarray) -> dict[str, ScatterPlan]:
         # Distinct ids are distinct rows: the scatter is the identity, no sort.

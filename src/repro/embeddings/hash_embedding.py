@@ -41,7 +41,7 @@ class HashEmbedding(TableBackedEmbedding):
         self.num_rows = int(min(num_rows, num_features))
         self.hash_seed = int(hash_seed)
         self.table = embedding_uniform((self.num_rows, dim), generator, dtype=self.dtype)
-        self._optimizer = self._new_row_optimizer()
+        self._optimizer = self._new_row_optimizer(self.table)
 
     @classmethod
     def from_budget(

@@ -76,7 +76,7 @@ class MixedDimensionEmbedding(TableBackedEmbedding):
             else xavier_uniform((fdim, dim), generator, dtype=self.dtype)
             for fdim in self.field_dims
         ]
-        self._table_optimizers = [self._new_row_optimizer() for _ in self.tables]
+        self._table_optimizers = [self._new_row_optimizer(table) for table in self.tables]
         self.projection_lr = self.learning_rate * 0.1
 
     # ------------------------------------------------------------------ #

@@ -67,8 +67,8 @@ class OfflineSeparationEmbedding(TableBackedEmbedding):
         self.shared_table = embedding_uniform(
             (self.num_shared_rows, dim), generator, dtype=self.dtype
         )
-        self._hot_optimizer = self._new_row_optimizer()
-        self._shared_optimizer = self._new_row_optimizer()
+        self._hot_optimizer = self._new_row_optimizer(self.hot_table)
+        self._shared_optimizer = self._new_row_optimizer(self.shared_table)
 
     @classmethod
     def from_budget(

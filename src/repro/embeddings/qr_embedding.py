@@ -61,8 +61,8 @@ class QRTrickEmbedding(TableBackedEmbedding):
         self.remainder_table = embedding_uniform(
             (self.num_remainder_rows, row_dim), generator, dtype=self.dtype
         )
-        self._quotient_optimizer = self._new_row_optimizer()
-        self._remainder_optimizer = self._new_row_optimizer()
+        self._quotient_optimizer = self._new_row_optimizer(self.quotient_table)
+        self._remainder_optimizer = self._new_row_optimizer(self.remainder_table)
 
     # ------------------------------------------------------------------ #
     # Construction from a budget

@@ -219,19 +219,28 @@ class Adam(Optimizer):
 class RowOptimizer:
     """Applies updates to selected rows of a raw parameter matrix.
 
+    The per-row state is :attr:`state`: one zeroed ``(rows,)`` array per
+    name in :attr:`state_keys`, in the dtype of the one table the optimizer
+    updates (so a float32 table keeps its whole optimizer state in single
+    precision too), built with the optimizer.  The optimizer keeps no
+    reference to that table — each step hands it over, and a backend may
+    rebind its table on restore — and writes its state only in place, so
+    the arrays may be views into a :class:`~repro.embeddings.cafe.CafeStack`.
+
     The numeric inner loops — segment sum over duplicate rows, then the
     optimizer scatter — are the primitives of :mod:`repro.kernels.ops`.
     """
 
     #: Name in :data:`ROW_OPTIMIZERS`; set by subclasses.
     kind = ""
-    #: Keys of :meth:`state_dict` (checkpointed as ``optimizer.<key>``).
+    #: Keys of :attr:`state` (checkpointed as ``optimizer.<key>``).
     state_keys: tuple[str, ...] = ()
 
-    def __init__(self, lr: float):
+    def __init__(self, lr: float, table: np.ndarray):
         if lr <= 0:
             raise ValueError(f"learning rate must be positive, got {lr}")
         self.lr = float(lr)
+        self.state = {key: np.zeros(table.shape[0], dtype=table.dtype) for key in self.state_keys}
 
     def update(self, table: np.ndarray, rows: np.ndarray, grads: np.ndarray) -> None:
         """Apply the update ``table[rows] -= f(grads)`` in place.
@@ -259,42 +268,21 @@ class RowOptimizer:
         raise NotImplementedError  # pragma: no cover - abstract
 
     def reset_rows(self, rows: np.ndarray) -> None:
-        """Clear any per-row state (used when an embedding row is recycled)."""
-
-    def state_buffers(self, table: np.ndarray) -> dict[str, np.ndarray]:
-        """The live per-row state arrays for ``table``, by name.
-
-        :class:`~repro.embeddings.cafe.CafeStack` stacks these across shards
-        and rebinds each shard's optimizer to its slice.  Stateless
-        optimizers return ``{}``; stateful ones materialize their state for
-        ``table`` first so the returned arrays are the live ones.
-        """
-        return {}
-
-    def adopt_state_buffers(self, buffers: dict[str, np.ndarray]) -> None:
-        """Re-point per-row state at caller-owned arrays (same keys and
-        shapes as :meth:`state_buffers`)."""
-        if buffers:  # pragma: no cover - defensive: stateless base has no state
-            raise NotImplementedError(
-                f"{type(self).__name__} has no state buffers to adopt: {sorted(buffers)}"
-            )
-
-    def memory_floats(self) -> int:
-        """Per-row state scalars currently held (0 for stateless optimizers)."""
-        return 0
+        """Clear the per-row state of ``rows`` (an embedding row is recycled)."""
+        for array in self.state.values():
+            array[rows] = 0.0
 
     def state_dict(self) -> dict[str, np.ndarray]:
-        """Per-row state arrays for checkpointing (``{}`` when stateless or
-        not yet materialized)."""
-        return {}
+        """Copies of the per-row state arrays, for checkpointing."""
+        return {key: array.copy() for key, array in self.state.items()}
 
     def load_state_dict(self, state: dict[str, np.ndarray]) -> None:
-        """Restore :meth:`state_dict` arrays.  Copies in place when the live
-        arrays match in shape (they may be views into a stack)."""
-        if state:  # pragma: no cover - defensive: stateless base has no state
-            raise NotImplementedError(
-                f"{type(self).__name__} has no optimizer state to load: {sorted(state)}"
-            )
+        """Restore :meth:`state_dict` arrays in place; a key without an entry
+        restarts cold (zeroed).  Entries of another key or shape raise
+        :class:`~repro.errors.OptimizerStateMismatchError` before any write."""
+        check_row_state(self, {(key, np.shape(value)) for key, value in state.items()})
+        for key, array in self.state.items():
+            array[...] = state.get(key, 0.0)
 
 
 class RowSGD(RowOptimizer):
@@ -307,65 +295,21 @@ class RowSGD(RowOptimizer):
 
 
 class RowAdagrad(RowOptimizer):
-    """Sparse Adagrad over embedding rows (row-wise accumulator).
-
-    The accumulator is lazily sized to the table the first time ``update`` is
-    called, and tracks one scalar per row (row-wise Adagrad), which is the
-    standard memory-frugal variant used for huge embedding tables.
-    """
+    """Sparse Adagrad over embedding rows with a row-wise accumulator: one
+    scalar per row, the standard memory-frugal variant for huge embedding
+    tables."""
 
     kind = "adagrad"
     state_keys = ("accumulator",)
 
-    def __init__(self, lr: float, eps: float = 1e-10):
-        super().__init__(lr)
+    def __init__(self, lr: float, table: np.ndarray, eps: float = 1e-10):
+        super().__init__(lr, table)
         self.eps = float(eps)
-        self._accumulator: np.ndarray | None = None
-
-    def _ensure_state(self, table: np.ndarray) -> None:
-        # The accumulator matches the table dtype so a float32 table keeps
-        # its whole optimizer state in single precision too.
-        if self._accumulator is None or self._accumulator.shape[0] != table.shape[0]:
-            self._accumulator = np.zeros(table.shape[0], dtype=table.dtype)
 
     def fused_apply(self, table: np.ndarray, rows: np.ndarray, summed: np.ndarray) -> None:
-        self._ensure_state(table)
         scatter_apply(
-            table, rows, summed, self.lr, accumulator=self._accumulator, eps=self.eps
+            table, rows, summed, self.lr, accumulator=self.state["accumulator"], eps=self.eps
         )
-
-    def reset_rows(self, rows: np.ndarray) -> None:
-        if self._accumulator is not None:
-            self._accumulator[np.asarray(rows, dtype=np.int64)] = 0.0
-
-    def state_buffers(self, table: np.ndarray) -> dict[str, np.ndarray]:
-        self._ensure_state(table)
-        assert self._accumulator is not None
-        return {"accumulator": self._accumulator}
-
-    def adopt_state_buffers(self, buffers: dict[str, np.ndarray]) -> None:
-        self._accumulator = buffers["accumulator"]
-
-    def memory_floats(self) -> int:
-        return 0 if self._accumulator is None else int(self._accumulator.shape[0])
-
-    def state_dict(self) -> dict[str, np.ndarray]:
-        if self._accumulator is None:
-            return {}
-        return {"accumulator": self._accumulator.copy()}
-
-    def load_state_dict(self, state: dict[str, np.ndarray]) -> None:
-        if "accumulator" not in state:
-            # Saved without row-optimizer state (an sgd or pre-state
-            # checkpoint): restart cold, in place (may be a stack view).
-            if self._accumulator is not None:
-                self._accumulator[:] = 0.0
-            return
-        incoming = np.asarray(state["accumulator"])
-        if self._accumulator is not None and self._accumulator.shape == incoming.shape:
-            self._accumulator[:] = incoming  # in place: may be a stack view
-        else:
-            self._accumulator = incoming.copy()
 
 
 #: Row optimizers by the name ``store.optimizer`` and the backends take.
@@ -377,24 +321,33 @@ ROW_OPTIMIZERS: dict[str, type[RowOptimizer]] = {cls.kind: cls for cls in (RowSG
 RETIRED_SKETCHED_STATE = frozenset({"sketch_counters", "heavy_keys", "heavy_vals"})
 
 
-def make_row_optimizer(name: str, lr: float) -> RowOptimizer:
-    """The row optimizer called ``name`` (``"sgd"`` or ``"adagrad"``)."""
+def make_row_optimizer(name: str, lr: float, table: np.ndarray) -> RowOptimizer:
+    """The row optimizer called ``name`` (``"sgd"`` or ``"adagrad"``), its
+    state sized to ``table``, the one table it updates."""
     optimizer = ROW_OPTIMIZERS.get(name)
     if optimizer is None:
         raise ValueError(
             f"unknown row optimizer '{name}'; expected one of {sorted(ROW_OPTIMIZERS)}"
         )
-    return optimizer(lr)
+    return optimizer(lr, table)
 
 
-def check_row_state(optimizer: RowOptimizer | None, keys: set[str]) -> None:
+def check_row_state(
+    optimizer: RowOptimizer | None, entries: set[tuple[str, tuple[int, ...]]]
+) -> None:
     """Raise :class:`~repro.errors.OptimizerStateMismatchError` unless
-    ``optimizer`` takes the checkpointed row-optimizer state ``keys`` (a
-    backend's ``optimizer.<key>`` entries); no keys always fit (cold start)."""
-    takes = set(getattr(optimizer, "state_keys", ()))
-    if not keys <= takes:
+    ``optimizer`` takes the checkpointed row-optimizer state ``entries``:
+    ``(key, shape)`` pairs of a backend's ``optimizer.<key>`` arrays, each of
+    which must name one of its state arrays and match its shape.  No entries
+    always fit (cold start)."""
+    holds = {(key, array.shape) for key, array in getattr(optimizer, "state", {}).items()}
+    if not entries <= holds:
+        found, takes = sorted(entries - holds), sorted(holds)
+        keys = {key for key, _ in found}
         retired = " of the retired 'sketched_adagrad'" if keys == RETIRED_SKETCHED_STATE else ""
         raise OptimizerStateMismatchError(
-            f"checkpoint holds row-optimizer state {sorted(keys)}{retired}; this store's "
-            f"row optimizer '{getattr(optimizer, 'kind', None)}' takes {sorted(takes)}"
+            f"checkpoint holds row-optimizer state {[key for key, _ in found]} (shapes "
+            f"{[shape for _, shape in found]}){retired}; this store's row optimizer "
+            f"'{getattr(optimizer, 'kind', None)}' takes {[key for key, _ in takes]} (shapes "
+            f"{[shape for _, shape in takes]})"
         )

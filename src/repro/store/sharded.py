@@ -284,9 +284,10 @@ class ShardedEmbeddingStore(CompressedEmbedding):
         shard; a ``step`` header is optional.  A multi-shard state must hold
         CAFE shards (a stack's keys, row-optimizer entries aside).  Raise
         :class:`~repro.errors.OptimizerStateMismatchError` for
-        ``optimizer.*`` entries the shards' row optimizer cannot take (none
-        at all fit: it restarts cold).  Reads the keys and headers
-        only, so a checkpoint is refused before any part of it is restored.
+        ``optimizer.*`` entries the shards' row optimizer cannot take: a key
+        it does not hold, or an array of another shape (none at all fit: it
+        restarts cold).  Reads the keys, headers and row-state shapes only,
+        so a checkpoint is refused before any part of it is restored.
         """
         if "num_groups" in state:
             raise CheckpointLayoutError(
@@ -306,9 +307,10 @@ class ShardedEmbeddingStore(CompressedEmbedding):
             )
         if self.num_shards > 1:
             self._check_stacked_keys(state)
+        row_state = (match for match in map(_ROW_STATE_KEY.match, state) if match)
         check_row_state(
             getattr(self.shards[0], "_optimizer", None),
-            {match[1] for match in map(_ROW_STATE_KEY.match, state) if match},
+            {(match[1], np.shape(state[match[0]])) for match in row_state},
         )
 
     def _check_stacked_keys(self, state: dict[str, np.ndarray]) -> None:
@@ -331,10 +333,11 @@ class ShardedEmbeddingStore(CompressedEmbedding):
     def load_state_dict(self, state: dict[str, np.ndarray]) -> None:
         """Restore all shards from :meth:`state_dict` output (the layout must
         pass :meth:`check_state_layout`); also absorbs a pre-store
-        single-layer checkpoint into a single-shard store.  Counts as a write
-        for copy-on-write purposes.  The store's :meth:`step` comes back from
-        the ``step`` header (a bare layer's own ``step`` is the same count);
-        a state without one leaves it as it was.
+        single-layer checkpoint into a single-shard store.  Every shard
+        restores in place, so a stack's shards keep viewing it.  Counts as a
+        write for copy-on-write purposes.  The store's :meth:`step` comes
+        back from the ``step`` header (a bare layer's own ``step`` is the
+        same count); a state without one leaves it as it was.
         """
         self.check_state_layout(state)
         # Restoring is a write: never mutate a table a snapshot still serves.
@@ -348,9 +351,6 @@ class ShardedEmbeddingStore(CompressedEmbedding):
             ]
         for shard, section in zip(self.shards, sections):
             shard.load_state_dict(section)
-        if self.num_shards > 1:
-            # A restored shard's row optimizer may hold private arrays.
-            self._table.restack()
         self.invalidate_plan()
         if "step" in state:
             self._step = int(state["step"])

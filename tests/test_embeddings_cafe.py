@@ -252,12 +252,15 @@ class TestCheckpointing:
         assert clone.hot_threshold == emb.hot_threshold
         assert clone.num_hot_features() == emb.num_hot_features()
 
-    def test_row_optimizer_state_is_counted_and_checkpointed(self):
+    def test_row_optimizer_state_is_built_with_the_arena_and_checkpointed(self):
         emb = make_cafe(optimizer="adagrad")
-        assert emb.optimizer_memory_floats() == 0  # allocated on first use
+        accumulator = emb._optimizer.state["accumulator"]
+        assert accumulator.shape == (emb.num_hot_rows + emb.num_shared_rows,) == (48,)
+        # Checkpointed from the build on: zero before the first step.
+        assert not emb.state_dict()["optimizer.accumulator"].any()
         train_on_skewed_stream(emb, np.arange(6), steps=1)
-        assert emb.optimizer_memory_floats() == emb.num_hot_rows + emb.num_shared_rows
-        assert emb.state_dict()["optimizer.accumulator"].shape == (48,)
+        assert emb._optimizer.state["accumulator"] is accumulator and accumulator.any()
+        assert np.array_equal(emb.state_dict()["optimizer.accumulator"], accumulator)
 
     def test_shared_state_hooks_cover_all_tables(self):
         emb = make_cafe()

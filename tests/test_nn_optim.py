@@ -290,7 +290,7 @@ class TestFlatOptimizersAgainstTheOracle:
 class TestRowOptimizers:
     def test_row_sgd_updates_only_selected_rows(self):
         table = np.zeros((5, 3))
-        opt = RowSGD(lr=0.5)
+        opt = RowSGD(lr=0.5, table=table)
         opt.update(table, np.asarray([1, 3]), np.ones((2, 3)))
         assert np.allclose(table[1], -0.5)
         assert np.allclose(table[3], -0.5)
@@ -298,13 +298,13 @@ class TestRowOptimizers:
 
     def test_row_sgd_duplicate_rows_sum(self):
         table = np.zeros((4, 2))
-        opt = RowSGD(lr=1.0)
+        opt = RowSGD(lr=1.0, table=table)
         opt.update(table, np.asarray([2, 2]), np.ones((2, 2)))
         assert np.allclose(table[2], -2.0)
 
     def test_row_adagrad_scales_updates(self):
         table = np.zeros((4, 2))
-        opt = RowAdagrad(lr=1.0)
+        opt = RowAdagrad(lr=1.0, table=table)
         grads = np.full((1, 2), 2.0)
         opt.update(table, np.asarray([0]), grads)
         first = table[0].copy()
@@ -315,62 +315,74 @@ class TestRowOptimizers:
 
     def test_row_adagrad_reset_rows(self):
         table = np.zeros((4, 2))
-        opt = RowAdagrad(lr=1.0)
-        opt.update(table, np.asarray([1]), np.ones((1, 2)))
+        opt = RowAdagrad(lr=1.0, table=table)
+        opt.update(table, np.asarray([1, 2]), np.ones((2, 2)))
         opt.reset_rows(np.asarray([1]))
-        assert opt._accumulator[1] == 0.0
+        accumulator = opt.state["accumulator"]
+        assert accumulator[2] > 0.0 and accumulator[[0, 1, 3]].tolist() == [0.0, 0.0, 0.0]
 
-    def test_row_adagrad_resizes_with_table(self):
-        opt = RowAdagrad(lr=0.1)
-        small = np.zeros((2, 2))
-        opt.update(small, np.asarray([0]), np.ones((1, 2)))
-        large = np.zeros((6, 2))
-        opt.update(large, np.asarray([5]), np.ones((1, 2)))  # must not raise
-        assert opt._accumulator.shape[0] == 6
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_state_is_sized_to_its_table_when_built(self, dtype):
+        table = np.zeros((6, 2), dtype=dtype)
+        adagrad = make_row_optimizer("adagrad", 0.1, table)
+        assert set(adagrad.state) == {"accumulator"}
+        accumulator = adagrad.state["accumulator"]
+        assert accumulator.shape == (6,) and accumulator.dtype == dtype
+        assert not accumulator.any()
+        assert make_row_optimizer("sgd", 0.1, table).state == {}
 
-    def test_row_adagrad_state_buffers_are_the_live_accumulator(self):
-        table = np.zeros((4, 2))
-        opt = RowAdagrad(lr=1.0)
-        buffers = opt.state_buffers(table)
-        assert set(buffers) == {"accumulator"}
-        assert buffers["accumulator"].shape == (4,)
-        opt.update(table, np.asarray([2]), np.ones((1, 2)))
-        # The returned array is the optimizer's own state, not a copy.
-        assert buffers["accumulator"][2] > 0.0
-        assert buffers["accumulator"][[0, 1, 3]].tolist() == [0.0, 0.0, 0.0]
-
-    def test_adopted_state_buffers_keep_the_update_bits(self):
+    def test_state_written_through_a_caller_view_keeps_the_update_bits(self):
         rng = np.random.default_rng(5)
         rows = rng.integers(0, 6, size=(10, 3))
         grads = rng.normal(size=(10, 3, 2))
-        plain_table, adopted_table = np.zeros((6, 2)), np.zeros((6, 2))
-        plain, adopted = RowAdagrad(lr=0.3), RowAdagrad(lr=0.3)
-        owned = np.zeros(6)
-        adopted.adopt_state_buffers({"accumulator": owned})
+        plain_table, viewed_table = np.zeros((6, 2)), np.zeros((6, 2))
+        plain = RowAdagrad(lr=0.3, table=plain_table)
+        viewed = RowAdagrad(lr=0.3, table=viewed_table)
+        owned = np.zeros(12)
+        viewed.state = {"accumulator": owned[6:]}  # as a stack member's view
         for step_rows, step_grads in zip(rows, grads):
             plain.update(plain_table, step_rows, step_grads)
-            adopted.update(adopted_table, step_rows, step_grads)
-        assert np.array_equal(plain_table, adopted_table)
+            viewed.update(viewed_table, step_rows, step_grads)
+        assert np.array_equal(plain_table, viewed_table)
         # Every step wrote into the caller-owned array.
-        assert adopted.state_buffers(adopted_table)["accumulator"] is owned
-        assert np.array_equal(owned, plain.state_buffers(plain_table)["accumulator"])
+        assert np.array_equal(owned[6:], plain.state["accumulator"])
+        assert not owned[:6].any()
 
-    def test_stateless_row_sgd_has_no_state_buffers(self):
-        opt = RowSGD(lr=0.1)
-        assert opt.state_buffers(np.zeros((3, 2))) == {}
-        opt.adopt_state_buffers({})  # nothing to adopt is fine
+    def test_load_state_dict_writes_in_place_and_no_entries_restart_cold(self):
+        table = np.zeros((4, 2))
+        opt = RowAdagrad(lr=1.0, table=table)
+        live = opt.state["accumulator"]
+        opt.load_state_dict({"accumulator": np.arange(4.0)})
+        assert opt.state["accumulator"] is live and live.tolist() == [0.0, 1.0, 2.0, 3.0]
+        opt.load_state_dict({})
+        assert opt.state["accumulator"] is live and not live.any()
+
+    @pytest.mark.parametrize(
+        "state",
+        [{"accumulator": np.ones(7)}, {"velocity": np.ones(4)}],
+        ids=["wrong-length", "unknown-key"],
+    )
+    def test_load_state_dict_refuses_state_that_does_not_fit(self, state):
+        table = np.zeros((4, 2))
+        opt = RowAdagrad(lr=1.0, table=table)
+        opt.state["accumulator"][:] = 5.0
+        with pytest.raises(OptimizerStateMismatchError, match="'adagrad' takes"):
+            opt.load_state_dict(state)
+        assert opt.state["accumulator"].tolist() == [5.0] * 4
 
     def test_shared_buffer_names_are_retired(self):
-        for opt in (RowSGD(lr=0.1), RowAdagrad(lr=0.1)):
+        table = np.zeros((3, 2))
+        for opt in (RowSGD(lr=0.1, table=table), RowAdagrad(lr=0.1, table=table)):
             assert not hasattr(opt, "shared_buffers")
             assert not hasattr(opt, "adopt_shared_buffers")
 
     def test_factory(self):
-        assert isinstance(make_row_optimizer("sgd", 0.1), RowSGD)
-        assert isinstance(make_row_optimizer("adagrad", 0.1), RowAdagrad)
+        table = np.zeros((3, 2))
+        assert isinstance(make_row_optimizer("sgd", 0.1, table), RowSGD)
+        assert isinstance(make_row_optimizer("adagrad", 0.1, table), RowAdagrad)
         with pytest.raises(ValueError):
-            make_row_optimizer("adamw", 0.1)
+            make_row_optimizer("adamw", 0.1, table)
 
     def test_invalid_lr(self):
         with pytest.raises(ValueError):
-            RowSGD(lr=-1.0)
+            RowSGD(lr=-1.0, table=np.zeros((3, 2)))

@@ -79,7 +79,8 @@ def make_batch(seed, rows):
 
 def stack_arrays(stack):
     sketch = stack.sketch
-    return [stack.arena, sketch.keys, sketch.scores, sketch.payloads, *stack._row_state.values()]
+    state = stack.optimizer.state.values()
+    return [stack.arena, sketch.keys, sketch.scores, sketch.payloads, *state]
 
 
 class StackedStoreMachine(RuleBasedStateMachine):
@@ -186,8 +187,7 @@ class StackedStoreMachine(RuleBasedStateMachine):
             sketch = shard.sketch
             live = [shard._arena, shard.hot_table, shard.shared_table]
             live += [sketch.keys, sketch.scores, sketch.payloads]
-            if shard._optimizer.memory_floats():
-                live += list(shard._optimizer.state_buffers(shard._arena).values())
+            live += list(shard._optimizer.state.values())
             for array in live:
                 assert any(np.shares_memory(array, base) for base in stacked)
         live_shards = {id(shard) for shard in self.store.shards}
@@ -263,6 +263,40 @@ def test_a_stacked_snapshot_keeps_serving_what_the_store_served(num_shards):
     assert not np.array_equal(store.lookup(probe), served)
     np.testing.assert_array_equal(view.lookup(probe), served)
     assert view.memory_floats() == store.memory_floats()
+
+
+@pytest.mark.parametrize("trained", [True, False], ids=["trained", "never-stepped"])
+def test_a_restore_into_a_stack_happens_in_place(trained, tmp_path):
+    """A restore writes through the shards' views: every array a shard holds
+    (arena, sketch, row-optimizer state) is the same object afterwards, so
+    the shards still view the stack and the stack is not rebuilt."""
+    source = build_store(4, "adagrad", seed=3)
+    for seed in range(5):
+        source.apply_gradients(*make_batch(seed, 24))
+    np.savez(tmp_path / "sparse.npz", **source.state_dict())
+    target = build_store(4, "adagrad", seed=9)
+    for seed in range(5, 8 if trained else 5):
+        target.apply_gradients(*make_batch(seed, 24))
+
+    def held(store):
+        return [
+            (shard._arena, shard.sketch.keys, shard.sketch.scores, shard.sketch.payloads,
+             *shard._optimizer.state.values())
+            for shard in store.shards
+        ]
+
+    stack, before = target._table, held(target)
+    with np.load(tmp_path / "sparse.npz") as checkpoint:
+        target.load_state_dict(dict(checkpoint))
+    assert target._table is stack
+    for arrays, expected in zip(held(target), before):
+        assert len(arrays) == 5
+        assert all(array is old for array, old in zip(arrays, expected))
+        for array, base in zip(arrays, stack_arrays(stack)):
+            assert np.shares_memory(array, base)
+    restored = target.state_dict()
+    for key, value in source.state_dict().items():
+        np.testing.assert_array_equal(restored[key], value, err_msg=key)
 
 
 @pytest.mark.parametrize("num_shards", [1, 3])

@@ -18,8 +18,8 @@ behind the store's checks), and for ``cafe`` at two, three and four as well
   store's ``step()`` (and so a pipeline's staleness) survives a restore, a
   restore leaves outstanding snapshots alone, and a checkpoint of another
   shard layout, a multi-shard checkpoint of a backend that does not stack,
-  or row-optimizer state the store's row optimizer cannot take, is refused
-  before anything changes.
+  or row-optimizer state the store's row optimizer cannot take (another key,
+  or an array of another length), is refused before anything changes.
 """
 
 import numpy as np
@@ -310,6 +310,21 @@ class TestEveryCheckpointableBackend:
                 state[f"shard{shard}.optimizer.heavy_keys"] = np.full(4, -1)
                 state[f"shard{shard}.optimizer.heavy_vals"] = np.zeros(4)
         with pytest.raises(OptimizerStateMismatchError, match=match):
+            store.load_state_dict(state)
+        assert_states_equal(before, store.state_dict())
+        assert store.cow_copies == 0
+
+    def test_row_optimizer_state_of_the_wrong_length_is_refused_whole(self, method, num_shards):
+        store = build_store(method, num_shards, seed=0, optimizer="adagrad")
+        steps(store, count=1)
+        before = store.state_dict()
+        other = build_store(method, num_shards, seed=5, optimizer="adagrad")
+        steps(other, seed=4)
+        state = other.state_dict()
+        # The last shard's, so a restore that wrote shard by shard would show.
+        key = f"shard{num_shards - 1}.optimizer.accumulator"
+        state[key] = np.ones(state[key].shape[0] + 3, dtype=state[key].dtype)
+        with pytest.raises(OptimizerStateMismatchError, match=r"'adagrad' takes \['accumulator'\]"):
             store.load_state_dict(state)
         assert_states_equal(before, store.state_dict())
         assert store.cow_copies == 0
