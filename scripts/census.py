@@ -109,14 +109,13 @@ KEEP: dict[str, str] = {
     "repro/embeddings/base.py:CompressedEmbedding.gather": "abstract",
     "repro/embeddings/base.py:CompressedEmbedding.apply": "abstract",
     "repro/embeddings/base.py:CompressedEmbedding.memory_floats": "abstract",
-    "repro/embeddings/base.py:CompressedEmbedding.load_state_dict": "abstract",
+    "repro/embeddings/base.py:CompressedEmbedding._write_state": "abstract",
     "repro/embeddings/base.py:CompressedEmbedding.merged_sketch": "error-path",
     "repro/embeddings/cafe.py:CafeEmbedding.check_row_invariants": "invariant",
     "repro/embeddings/plan.py:ScatterPlan.__len__": "oracle",
     "repro/embeddings/plan.py:FreeRowPool.__iter__": "oracle",
     "repro/embeddings/plan.py:FreeRowPool.__contains__": "oracle",
     "repro/embeddings/plan.py:FreeRowPool.remove": "oracle",
-    "repro/embeddings/plan.py:FreeRowPool.assert_consistent": "invariant",
     "repro/experiments/reporting.py:ExperimentResult.filter_rows": "oracle",
     "repro/models/base.py:RecommendationModel.dense_forward": "abstract",
     "repro/models/base.py:RecommendationModel.dense_backward": "abstract",

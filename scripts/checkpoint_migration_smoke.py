@@ -1,7 +1,7 @@
 #!/usr/bin/env python
 """CI smoke: old checkpoints load into the current code, new ones resume exactly.
 
-Eight legs.  The dense-optimizer leg: a checkpoint written before there was
+Nine legs.  The dense-optimizer leg: a checkpoint written before there was
 an ``optim/`` section loads into a current session (fresh optimizer state,
 said so in ``describe()``) and trains; a current checkpoint taken after 20
 Adam steps resumes bit-exactly.  The row-optimizer leg is the same pair for
@@ -12,7 +12,10 @@ then a checkpoint carrying the retired ``sketched_adagrad``'s
 by that store with ``OptimizerStateMismatchError``, and refused whole.
 The wrong-length leg checks the same refusal, whole, of a 4-shard
 row-Adagrad checkpoint whose last shard's ``optimizer.accumulator`` is three
-entries longer than the shard's rows.
+entries longer than the shard's rows.  The extra-row leg checks that a
+4-shard CAFE checkpoint whose last shard's ``hot_table`` has one more row
+is refused with ``CheckpointLayoutError``, whole: every array of every
+section is checked before the first is written.
 The store-step leg checks that the store's ``step()`` comes back from a
 checkpoint's ``sparse/step`` header, at 1 and 4 shards, and that a
 checkpoint without that header (as an earlier commit wrote it) still loads.
@@ -129,9 +132,11 @@ def assert_refused_whole(load, error, match: str, model, optimizer) -> None:
             assert np.array_equal(before[key], after[key]), f"refused load wrote {key}"
 
 
-def row_state_refused_leg(config: SystemConfig, tmp: Path, unfit, match: str) -> None:
-    """A row-Adagrad store refuses, whole, a checkpoint whose row-optimizer
-    state ``unfit(payload)`` replaced."""
+def refused_leg(
+    config: SystemConfig, tmp: Path, unfit, match: str, error=OptimizerStateMismatchError
+) -> None:
+    """A row-Adagrad store refuses with ``error``, whole, a checkpoint whose
+    payload ``unfit(payload, num_shards)`` edited."""
     with build(config) as source, build(config) as target:
         stream = iter(source.dataset.training_stream(source.batch_size))
         for _ in range(5):
@@ -145,7 +150,7 @@ def row_state_refused_leg(config: SystemConfig, tmp: Path, unfit, match: str) ->
         np.savez(path, **payload)
         assert_refused_whole(
             lambda: target.restore(path),
-            OptimizerStateMismatchError,
+            error,
             match,
             target.model,
             target.trainer.dense_optimizer,
@@ -168,6 +173,13 @@ def long_accumulator(payload: dict, num_shards: int) -> None:
     it would be written first by a restore that checked late)."""
     key = f"sparse/shard{num_shards - 1}.optimizer.accumulator"
     payload[key] = np.ones(payload[key].shape[0] + 3, dtype=payload[key].dtype)
+
+
+def extra_hot_row(payload: dict, num_shards: int) -> None:
+    """The last shard's hot table one row longer (the shards before it would
+    be written first by a restore that checked each shard as it wrote it)."""
+    key = f"sparse/shard{num_shards - 1}.hot_table"
+    payload[key] = np.concatenate([payload[key], payload[key][:1]])
 
 
 def store_step_leg(config: SystemConfig, tmp: Path) -> None:
@@ -249,9 +261,12 @@ def main() -> int:
     with tempfile.TemporaryDirectory() as tmp:
         resume_leg(quickstart, Path(tmp), lambda key: key.startswith("optim/"), dense_optimizer_is_cold)
         resume_leg(cafe_adagrad, Path(tmp), lambda key: ".optimizer." in key)
-        row_state_refused_leg(cafe_adagrad, Path(tmp), sketched_state, "sketched_adagrad")
-        row_state_refused_leg(
+        refused_leg(cafe_adagrad, Path(tmp), sketched_state, "sketched_adagrad")
+        refused_leg(
             cafe_adagrad, Path(tmp), long_accumulator, "row-optimizer state ['accumulator'] (shapes"
+        )
+        refused_leg(
+            cafe_adagrad, Path(tmp), extra_hot_row, "not a CAFE shard's", CheckpointLayoutError
         )
         store_step_leg(quickstart, Path(tmp))
         store_step_leg(cafe_adagrad, Path(tmp))
@@ -317,8 +332,8 @@ def main() -> int:
         "checkpoint migration smoke: optim-less -> current OK, Adam resume bit-exact, "
         "CAFE row-Adagrad resume bit-exact (optimizer-less loads), store step restored "
         "(step-less loads), full/hash/cafe/cafe_ml resume bit-exact, sketched_adagrad state, "
-        "a wrong-length accumulator, 2-shard hash checkpoint and table-group checkpoint "
-        "refused with nothing restored"
+        "a wrong-length accumulator, a 4-shard hot table with an extra row, 2-shard hash "
+        "checkpoint and table-group checkpoint refused with nothing restored"
     )
     return 0
 

@@ -33,6 +33,7 @@ from repro.embeddings.plan import (
     gradient_norms,
 )
 from repro.errors import NonFiniteGradientError
+from repro.nn.module import check_fits, section
 from repro.nn.optim import RowOptimizer, make_row_optimizer
 
 #: Table storage dtype used unless a layer opts out.  The paper's memory
@@ -48,6 +49,11 @@ class CompressedEmbedding:
     #: Importance scores handed to :meth:`apply_unique` count lookups instead
     #: of summing gradient norms (CAFE's frequency ablation).
     use_frequency = False
+    #: What a refused checkpoint says its state is not.
+    _state_owner = "this embedding layer"
+    #: The attributes that check their own section of the state (their
+    #: ``check_state``), by key prefix.
+    _state_parts: dict[str, str] = {}
 
     def __init__(self, num_features: int, dim: int, dtype: np.dtype | str = DEFAULT_DTYPE):
         if num_features <= 0:
@@ -105,7 +111,7 @@ class CompressedEmbedding:
             grads = grads.astype(self.dtype)
         if grads.shape != batch.ids_shape + (self.dim,):
             raise ValueError(
-                f"gradient shape {grads.shape} does not match {batch.ids_shape + (self.dim,)}"
+                f"gradient shape {grads.shape} is not the lookup's {batch.ids_shape + (self.dim,)}"
             )
         if not len(batch):
             return
@@ -174,10 +180,39 @@ class CompressedEmbedding:
         """
         raise NotImplementedError(f"{type(self).__name__} does not support state_dict")
 
+    def check_state(self, state: dict[str, np.ndarray]) -> None:
+        """Raise a named error unless ``state`` fits :meth:`state_dict`
+        (:func:`~repro.nn.module.check_fits`; ``NotImplementedError`` when
+        the scheme has no state).  Writes nothing."""
+        owner = self._state_owner
+        check_fits(
+            state, self.state_dict(),
+            f"checkpoint holds {{found}}, not {owner}'s; {owner} takes {{takes}}",
+            parts={prefix: getattr(self, name) for prefix, name in self._state_parts.items()},
+        )
+
     def load_state_dict(self, state: dict[str, np.ndarray]) -> None:
-        """Restore what :meth:`state_dict` returned (``NotImplementedError``
-        when the scheme has none)."""
+        """Restore what :meth:`state_dict` returned: :meth:`check_state`
+        (``NotImplementedError`` when the scheme has no state), then the
+        writes — the scheme's own entries, then each part's section."""
+        self.check_state(state)
+        self._write_state(state)
+        for prefix, name in self._state_parts.items():
+            getattr(self, name).load_state_dict(section(state, prefix))
+        self.invalidate_plan()
+
+    def _write_state(self, state: dict[str, np.ndarray]) -> None:
+        """Write the scheme's own entries of a state that fits (no parts)."""
         raise NotImplementedError(f"{type(self).__name__} cannot load a state dict")
+
+    def _parts_state_dict(self) -> dict[str, np.ndarray]:
+        """Each part's ``state_dict()``, its keys under the part's prefix
+        (a row optimizer's too, so a restore resumes the per-row rates)."""
+        return {
+            prefix + key: value
+            for prefix, name in self._state_parts.items()
+            for key, value in getattr(self, name).state_dict().items()
+        }
 
     def merged_sketch(self):
         """The hot-feature sketch, merged across members for a composite
@@ -284,31 +319,3 @@ class TableBackedEmbedding(CompressedEmbedding):
         """
         summed = scatter.sum(grad_sums)
         self._optimizer.fused_apply(table, scatter.rows, summed)
-
-    # ------------------------------------------------------------------ #
-    # Optimizer state in checkpoints
-    # ------------------------------------------------------------------ #
-    def _optimizer_state_entries(self) -> dict[str, np.ndarray]:
-        """Row-optimizer state under ``optimizer.``-prefixed keys.
-
-        Backends merge these into their ``state_dict`` so restoring a
-        checkpoint resumes with the same effective per-row learning rates.
-        """
-        return {
-            f"optimizer.{key}": array for key, array in self._optimizer.state_dict().items()
-        }
-
-    def _load_optimizer_state(self, state: dict[str, np.ndarray]) -> None:
-        """Restore the ``optimizer.``-prefixed entries of ``state``.
-
-        Tolerates their absence so checkpoints written by an ``sgd`` store
-        or before optimizer state was serialized keep loading: the
-        optimizer restarts cold.
-        """
-        self._optimizer.load_state_dict(
-            {
-                key.split(".", 1)[1]: array
-                for key, array in state.items()
-                if key.startswith("optimizer.")
-            }
-        )

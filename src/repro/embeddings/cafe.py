@@ -42,6 +42,7 @@ import numpy as np
 from repro.embeddings.base import DEFAULT_DTYPE, TableBackedEmbedding
 from repro.embeddings.memory import MemoryBudget
 from repro.embeddings.plan import FreeRowPool, RoutingPlan
+from repro.errors import CheckpointLayoutError
 from repro.nn.init import embedding_uniform
 from repro.sketch.hotsketch import NO_PAYLOAD, HotSketch
 from repro.utils.hashing import hash_to_bucket, hash_to_range
@@ -54,8 +55,19 @@ from repro.utils.rng import SeedLike, make_rng
 SKETCH_ATTRIBUTES_PER_SLOT = 3
 
 
+def rows_partition(free_rows: np.ndarray, payloads: np.ndarray, num_rows: int) -> bool:
+    """Whether the free rows and the sketch-assigned rows (the ``payloads``
+    that are not ``NO_PAYLOAD``) partition ``[0, num_rows)``: each exclusive
+    row is free or assigned, once."""
+    rows = np.concatenate([payloads[payloads != NO_PAYLOAD], free_rows])
+    return np.array_equal(np.sort(rows), np.arange(num_rows))
+
+
 class CafeEmbedding(TableBackedEmbedding):
     """Hot/cold separated embedding driven by HotSketch."""
+
+    _state_owner = "a CAFE shard"
+    _state_parts = {"sketch.": "sketch", "optimizer.": "_optimizer"}
 
     def __init__(
         self,
@@ -175,18 +187,6 @@ class CafeEmbedding(TableBackedEmbedding):
 
     def _shared_table_floats(self) -> int:
         return int(self.shared_table.size)
-
-    def _shared_state_dict(self) -> dict[str, np.ndarray]:
-        return {"shared_table": self.shared_table.copy()}
-
-    def _load_shared_state_dict(self, state: dict[str, np.ndarray]) -> None:
-        shared = np.asarray(state["shared_table"], dtype=self.dtype)
-        if shared.shape != self.shared_table.shape:
-            raise ValueError(
-                f"checkpoint shared_table shape {shared.shape} does not match "
-                f"{self.shared_table.shape}"
-            )
-        self.shared_table[:] = shared
 
     # ------------------------------------------------------------------ #
     # Scatter hooks (overridden by the multi-level variant)
@@ -404,13 +404,8 @@ class CafeEmbedding(TableBackedEmbedding):
         or double-assigned (present in the pool *and* a sketch slot) across
         insert/evict/rebalance cycles.
         """
-        self._free_rows.assert_consistent(self.num_hot_rows)
-        assigned = self.sketch.payloads[self.sketch.payloads != NO_PAYLOAD]
-        if assigned.size != np.unique(assigned).size:
-            raise AssertionError("two sketch slots point at the same exclusive row")
-        combined = np.concatenate([assigned, self._free_rows.to_array()])
-        if combined.size != self.num_hot_rows or np.unique(combined).size != self.num_hot_rows:
-            raise AssertionError("exclusive rows leaked or double-assigned")
+        if not rows_partition(self._free_rows.to_array(), self.sketch.payloads, self.num_hot_rows):
+            raise AssertionError("exclusive rows leaked, double-assigned or out of range")
 
     def memory_floats(self) -> int:
         """Hot table + shared table(s) + the HotSketch slots (§5.1.4 fairness)."""
@@ -420,38 +415,33 @@ class CafeEmbedding(TableBackedEmbedding):
     # Checkpointing (paper §4, "Fault Tolerance")
     # ------------------------------------------------------------------ #
     def state_dict(self) -> dict[str, np.ndarray]:
-        state = {
-            "hot_table": self.hot_table.copy(),
-            "free_rows": self._free_rows.to_array(),
-            "hot_threshold": np.asarray(self.hot_threshold),
-            "step": np.asarray(self._step),
-        }
-        # Shared-table storage goes through the hook so subclasses with more
-        # tables (e.g. the multi-level variant) checkpoint them too.
-        state.update(self._shared_state_dict())
-        for key, value in self.sketch.state_dict().items():
-            state[f"sketch.{key}"] = value
-        state.update(self._optimizer_state_entries())
+        # Every arena region, so subclasses with more tables (the
+        # multi-level variant) checkpoint them too.
+        state = {name: getattr(self, name).copy() for name, _ in self._arena_regions()}
+        state["free_rows"] = self._free_rows.to_array()
+        state["hot_threshold"] = np.asarray(self.hot_threshold)
+        state["step"] = np.asarray(self._step)
+        state.update(self._parts_state_dict())
         return state
 
-    def load_state_dict(self, state: dict[str, np.ndarray]) -> None:
-        hot = np.asarray(state["hot_table"], dtype=self.dtype)
-        if hot.shape != self.hot_table.shape:
-            raise ValueError(
-                f"checkpoint hot_table shape {hot.shape} does not match {self.hot_table.shape}"
+    def check_state(self, state: dict[str, np.ndarray]) -> None:
+        """The fit rule, then the row partition: the checkpoint's free rows
+        and sketch-assigned rows must partition the exclusive table, or
+        :class:`~repro.errors.CheckpointLayoutError`.  Writes nothing."""
+        super().check_state(state)
+        free_rows = np.asarray(state["free_rows"], dtype=np.int64)
+        if not rows_partition(free_rows, state["sketch.payloads"], self.num_hot_rows):
+            raise CheckpointLayoutError(
+                f"checkpoint free_rows and sketch.payloads do not partition the "
+                f"{self.num_hot_rows} exclusive rows (one leaked, double-assigned or out of range)"
             )
-        self.hot_table[:] = hot
-        self._load_shared_state_dict(state)
-        self._free_rows = FreeRowPool(np.asarray(state["free_rows"], dtype=np.int64))
-        self.hot_threshold = float(state["hot_threshold"])
+
+    def _write_state(self, state: dict[str, np.ndarray]) -> None:
+        for name, _ in self._arena_regions():
+            getattr(self, name)[...] = state[name]
+        self._free_rows = FreeRowPool(state["free_rows"])
+        self.hot_threshold = self.sketch.hot_threshold = float(state["hot_threshold"])
         self._step = int(state["step"])
-        sketch_state = {
-            key.split(".", 1)[1]: value for key, value in state.items() if key.startswith("sketch.")
-        }
-        self.sketch.load_state_dict(sketch_state)
-        self.sketch.hot_threshold = self.hot_threshold
-        self._load_optimizer_state(state)
-        self.invalidate_plan()
 
 
 class CafeStack:

@@ -25,6 +25,8 @@ from repro.utils.rng import SeedLike
 class CafeMultiLevelEmbedding(CafeEmbedding):
     """CAFE with a 2-level hash embedding for the non-hot features."""
 
+    _state_owner = "a CAFE-ML shard"
+
     def __init__(
         self,
         num_features: int,
@@ -145,22 +147,3 @@ class CafeMultiLevelEmbedding(CafeEmbedding):
             slots_per_bucket=slots_per_bucket,
             **kwargs,
         )
-
-    # ------------------------------------------------------------------ #
-    # Checkpointing (via the shared-table hooks, so the base class's
-    # state_dict/load_state_dict need no knowledge of the extra table)
-    # ------------------------------------------------------------------ #
-    def _shared_state_dict(self) -> dict[str, np.ndarray]:
-        state = super()._shared_state_dict()
-        state["secondary_table"] = self.secondary_table.copy()
-        return state
-
-    def _load_shared_state_dict(self, state: dict[str, np.ndarray]) -> None:
-        super()._load_shared_state_dict(state)
-        secondary = np.asarray(state["secondary_table"], dtype=self.dtype)
-        if secondary.shape != self.secondary_table.shape:
-            raise ValueError(
-                f"checkpoint secondary_table shape {secondary.shape} does not match "
-                f"{self.secondary_table.shape}"
-            )
-        self.secondary_table[:] = secondary

@@ -18,6 +18,8 @@ class FullEmbedding(TableBackedEmbedding):
     the plan only carries the (identity) scatter the apply consumes.
     """
 
+    _state_parts = {"optimizer.": "_optimizer"}
+
     def __init__(
         self,
         num_features: int,
@@ -56,16 +58,9 @@ class FullEmbedding(TableBackedEmbedding):
 
     def state_dict(self) -> dict[str, np.ndarray]:
         state = {"table": self.table.copy(), "step": np.asarray(self._step)}
-        state.update(self._optimizer_state_entries())
+        state.update(self._parts_state_dict())
         return state
 
-    def load_state_dict(self, state: dict[str, np.ndarray]) -> None:
-        table = np.asarray(state["table"], dtype=self.dtype)
-        if table.shape != self.table.shape:
-            raise ValueError(
-                f"checkpoint table shape {table.shape} does not match {self.table.shape}"
-            )
-        self.table = table.copy()
+    def _write_state(self, state: dict[str, np.ndarray]) -> None:
+        self.table = np.array(state["table"], dtype=self.dtype)
         self._step = int(state["step"])
-        self._load_optimizer_state(state)
-        self.invalidate_plan()

@@ -13,6 +13,7 @@ import numpy as np
 from repro.embeddings.base import DEFAULT_DTYPE, TableBackedEmbedding
 from repro.embeddings.memory import MemoryBudget
 from repro.embeddings.plan import RoutingPlan
+from repro.errors import CheckpointLayoutError
 from repro.nn.init import embedding_uniform
 from repro.utils.hashing import hash_to_range
 from repro.utils.rng import SeedLike, make_rng
@@ -20,6 +21,8 @@ from repro.utils.rng import SeedLike, make_rng
 
 class HashEmbedding(TableBackedEmbedding):
     """Single-hash shared embedding table."""
+
+    _state_parts = {"optimizer.": "_optimizer"}
 
     def __init__(
         self,
@@ -98,21 +101,17 @@ class HashEmbedding(TableBackedEmbedding):
             "hash_seed": np.asarray(self.hash_seed),
             "step": np.asarray(self._step),
         }
-        state.update(self._optimizer_state_entries())
+        state.update(self._parts_state_dict())
         return state
 
-    def load_state_dict(self, state: dict[str, np.ndarray]) -> None:
-        table = np.asarray(state["table"], dtype=self.dtype)
-        if table.shape != self.table.shape:
-            raise ValueError(
-                f"checkpoint table shape {table.shape} does not match {self.table.shape}"
-            )
+    def check_state(self, state: dict[str, np.ndarray]) -> None:
+        super().check_state(state)
         if int(state["hash_seed"]) != self.hash_seed:
-            raise ValueError(
-                f"checkpoint hash_seed {int(state['hash_seed'])} does not match "
+            raise CheckpointLayoutError(
+                f"checkpoint hash_seed {int(state['hash_seed'])} is not this table's "
                 f"{self.hash_seed}; rows would route differently"
             )
-        self.table = table.copy()
+
+    def _write_state(self, state: dict[str, np.ndarray]) -> None:
+        self.table = np.array(state["table"], dtype=self.dtype)
         self._step = int(state["step"])
-        self._load_optimizer_state(state)
-        self.invalidate_plan()

@@ -320,10 +320,3 @@ class FreeRowPool:
         if matches.size == 0:
             raise ValueError(f"row {row} not in free pool")
         self._rows = np.delete(self._rows, matches[0])
-
-    def assert_consistent(self, num_rows: int) -> None:
-        """Invariant check: free rows are unique and within ``[0, num_rows)``."""
-        if self._rows.size != np.unique(self._rows).size:
-            raise AssertionError("free pool contains duplicate rows (double free)")
-        if self._rows.size and (self._rows.min() < 0 or self._rows.max() >= num_rows):
-            raise AssertionError("free pool contains out-of-range rows")

@@ -126,12 +126,14 @@ class SketchStateMismatchError(ReproError, ValueError):
 
 
 class CheckpointLayoutError(ReproError, ValueError):
-    """A checkpoint's sparse state does not have the store's layout.
+    """A checkpoint does not fit the store or model loading it.
 
-    It was saved from another shard count, or from a table-group store
-    (a ``num_groups`` header over ``group{i}.backend.*`` keys), a store
-    this library no longer has.  ``load_checkpoint`` raises it before the
-    dense optimizer, the dense weights or any shard is restored.
+    It was saved from another shard count or from a table-group store (a
+    ``num_groups`` header over ``group{i}.backend.*`` keys, a store this
+    library no longer has), or it holds another key set or an array of
+    another shape than the object's own ``state_dict()``, another
+    ``hash_seed``, or CAFE free rows that do not partition the exclusive
+    rows.  ``load_checkpoint`` raises it before anything is restored.
     """
 
 

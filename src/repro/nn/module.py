@@ -1,12 +1,70 @@
-"""Module base class: parameter registration, traversal, and state dicts."""
+"""Module base class: parameter registration, traversal, and state dicts;
+and the one rule every restore checks a state against (:func:`check_fits`)."""
 
 from __future__ import annotations
 
-from typing import Iterator
+from typing import Container, Iterator, Mapping
 
 import numpy as np
 
+from repro.errors import CheckpointLayoutError
 from repro.nn.tensor import Parameter
+
+#: The one array whose length is the state's own: CAFE's free-row pool (its
+#: rows are checked by :meth:`~repro.embeddings.cafe.CafeEmbedding.check_state`).
+VARIABLE_LENGTH = "free_rows"
+
+
+def section(state: Mapping[str, np.ndarray], prefix: str) -> dict[str, np.ndarray]:
+    """The entries of ``state`` under ``prefix``, keyed without it."""
+    return {key[len(prefix):]: value for key, value in state.items() if key.startswith(prefix)}
+
+
+def check_fits(
+    state: Mapping[str, np.ndarray],
+    own: Mapping[str, np.ndarray],
+    misfit: str,
+    error: type[Exception] = CheckpointLayoutError,
+    key_error: type[Exception] | None = None,
+    optional: Container[str] = (),
+    parts: Mapping[str, object] | None = None,
+) -> None:
+    """The fit rule of every restore; writes nothing.
+
+    ``state`` fits ``own`` (the object's own ``state_dict()``) when it holds
+    ``own``'s keys with arrays of ``own``'s shapes, save that a key in
+    ``optional`` may be absent (a store's ``step`` header; a row optimizer's
+    keys, which then restart cold) and :data:`VARIABLE_LENGTH` may have any
+    length.  Keys under a prefix of ``parts`` form that part's section,
+    checked after the rest by the part's own ``check_state``.  A misfit
+    raises ``error`` (the owner's key family: optimizer, sketch or, by
+    default, layout), or ``key_error`` for another key set when given, with
+    ``misfit`` formatted with the entries that do not fit on each side
+    (``found``, ``takes``).
+    """
+    parts = parts or {}
+    prefixes = tuple(parts)
+    found = {key: np.shape(value) for key, value in state.items() if not key.startswith(prefixes)}
+    takes = {key: np.shape(value) for key, value in own.items() if not key.startswith(prefixes)}
+
+    def fits(key: str) -> bool:
+        if key not in found or key not in takes:
+            return key not in found and key in optional
+        if key == VARIABLE_LENGTH:
+            return len(found[key]) == len(takes[key])
+        return found[key] == takes[key]
+
+    misfits = sorted(key for key in found.keys() | takes.keys() if not fits(key))
+    if misfits:
+        ours = sorted(key for key in takes if key in misfits or key not in found)
+        differ = any(key not in found or key not in takes for key in misfits)
+        theirs = [key for key in misfits if key in found]
+        raise (key_error if differ and key_error else error)(misfit.format(
+            found=f"{theirs} (shapes {[found[key] for key in theirs]})",
+            takes=f"{ours} (shapes {[takes[key] for key in ours]})",
+        ))
+    for prefix, part in parts.items():
+        part.check_state(section(state, prefix))
 
 
 class Module:
@@ -65,18 +123,21 @@ class Module:
         """Copy of every parameter keyed by its dotted name."""
         return {name: param.data.copy() for name, param in self.named_parameters()}
 
+    def check_state(self, state: dict[str, np.ndarray]) -> None:
+        """Raise unless ``state`` fits :meth:`state_dict` (:func:`check_fits`):
+        ``KeyError`` for another set of names,
+        :class:`~repro.errors.CheckpointLayoutError` for another shape."""
+        check_fits(
+            state, self.state_dict(),
+            "checkpoint holds parameters {found}; this module takes {takes}", key_error=KeyError,
+        )
+
     def load_state_dict(self, state: dict[str, np.ndarray]) -> None:
-        """Load parameter values previously produced by :meth:`state_dict`."""
-        own = dict(self.named_parameters())
-        missing = set(own) - set(state)
-        unexpected = set(state) - set(own)
-        if missing or unexpected:
-            raise KeyError(f"state dict mismatch: missing={sorted(missing)}, unexpected={sorted(unexpected)}")
-        for name, param in own.items():
+        """Load parameter values previously produced by :meth:`state_dict`
+        (refused by :meth:`check_state` before any is written)."""
+        self.check_state(state)
+        for name, param in self.named_parameters():
             # Cast to the parameter's existing dtype: a model configured for
             # float32 (or float16 tables) must not be silently promoted to
             # float64 by a checkpoint restore.
-            value = np.asarray(state[name], dtype=param.data.dtype)
-            if value.shape != param.data.shape:
-                raise ValueError(f"shape mismatch for {name}: {value.shape} vs {param.data.shape}")
-            param.data = value.copy()
+            param.data = np.array(state[name], dtype=param.data.dtype)

@@ -15,6 +15,7 @@ import numpy as np
 
 from repro.errors import NonFiniteGradientError, OptimizerStateMismatchError
 from repro.kernels.ops import scatter_apply
+from repro.nn.module import check_fits
 from repro.nn.tensor import Parameter
 
 
@@ -150,23 +151,28 @@ class Optimizer:
             **{name: array.copy() for name, array in self.state.items()},
         }
 
-    def load_state_dict(self, state: dict[str, np.ndarray]) -> None:
-        """Restore :meth:`state_dict`; refuses another kind, array set or size."""
-        arrays = {
-            name: np.asarray(value)
-            for name, value in state.items()
-            if name not in ("kind", "step_count")
-        }
-        found = (str(state.get("kind")), {name: a.shape for name, a in arrays.items()})
-        expected = (self.kind, {name: a.shape for name, a in self.state.items()})
-        if found != expected:
+    def check_state(self, state: dict[str, np.ndarray]) -> None:
+        """Raise :class:`~repro.errors.OptimizerStateMismatchError` unless
+        ``state`` is this kind's and fits (:func:`~repro.nn.module.check_fits`)."""
+        if str(state.get("kind")) != self.kind:
             raise OptimizerStateMismatchError(
-                f"optimizer state {found} does not fit this optimizer, which holds {expected}"
+                f"checkpoint holds '{state.get('kind')}' optimizer state; this optimizer is "
+                f"'{self.kind}'"
             )
+        check_fits(
+            state, self.state_dict(),
+            f"checkpoint holds optimizer state {{found}}; this '{self.kind}' optimizer takes "
+            "{takes}",
+            OptimizerStateMismatchError,
+        )
+
+    def load_state_dict(self, state: dict[str, np.ndarray]) -> None:
+        """Restore :meth:`state_dict`, once :meth:`check_state` passed."""
+        self.check_state(state)
         self.step_count = int(state["step_count"])
         self.restored = True
         for name, array in self.state.items():
-            array[:] = arrays[name]
+            array[:] = state[name]
 
 
 class Adam(Optimizer):
@@ -276,11 +282,25 @@ class RowOptimizer:
         """Copies of the per-row state arrays, for checkpointing."""
         return {key: array.copy() for key, array in self.state.items()}
 
+    def check_state(self, state: dict[str, np.ndarray]) -> None:
+        """Raise :class:`~repro.errors.OptimizerStateMismatchError` unless
+        every entry of ``state`` is one of :attr:`state`, by key and shape
+        (:func:`~repro.nn.module.check_fits`); a key without an entry fits
+        and restarts cold.  Writes nothing."""
+        retired = RETIRED_SKETCHED_STATE <= state.keys()
+        note = " of the retired 'sketched_adagrad'" if retired else ""
+        check_fits(
+            state, self.state_dict(),
+            f"checkpoint holds row-optimizer state {{found}}{note}; row optimizer "
+            f"'{self.kind}' takes {{takes}}",
+            OptimizerStateMismatchError, optional=self.state_keys,
+        )
+
     def load_state_dict(self, state: dict[str, np.ndarray]) -> None:
-        """Restore :meth:`state_dict` arrays in place; a key without an entry
-        restarts cold (zeroed).  Entries of another key or shape raise
-        :class:`~repro.errors.OptimizerStateMismatchError` before any write."""
-        check_row_state(self, {(key, np.shape(value)) for key, value in state.items()})
+        """Restore :meth:`state_dict` arrays in place (refused by
+        :meth:`check_state` before any write); a key without an entry
+        restarts cold (zeroed)."""
+        self.check_state(state)
         for key, array in self.state.items():
             array[...] = state.get(key, 0.0)
 
@@ -331,23 +351,3 @@ def make_row_optimizer(name: str, lr: float, table: np.ndarray) -> RowOptimizer:
         )
     return optimizer(lr, table)
 
-
-def check_row_state(
-    optimizer: RowOptimizer | None, entries: set[tuple[str, tuple[int, ...]]]
-) -> None:
-    """Raise :class:`~repro.errors.OptimizerStateMismatchError` unless
-    ``optimizer`` takes the checkpointed row-optimizer state ``entries``:
-    ``(key, shape)`` pairs of a backend's ``optimizer.<key>`` arrays, each of
-    which must name one of its state arrays and match its shape.  No entries
-    always fit (cold start)."""
-    holds = {(key, array.shape) for key, array in getattr(optimizer, "state", {}).items()}
-    if not entries <= holds:
-        found, takes = sorted(entries - holds), sorted(holds)
-        keys = {key for key, _ in found}
-        retired = " of the retired 'sketched_adagrad'" if keys == RETIRED_SKETCHED_STATE else ""
-        raise OptimizerStateMismatchError(
-            f"checkpoint holds row-optimizer state {[key for key, _ in found]} (shapes "
-            f"{[shape for _, shape in found]}){retired}; this store's row optimizer "
-            f"'{getattr(optimizer, 'kind', None)}' takes {[key for key, _ in takes]} (shapes "
-            f"{[shape for _, shape in takes]})"
-        )

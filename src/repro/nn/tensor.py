@@ -115,7 +115,7 @@ class Tensor:
             # so a float64 upstream cannot promote a float32 graph.
             seed, owned = np.asarray(grad, dtype=self.data.dtype), False
         if seed.shape != self.data.shape:
-            raise ValueError(f"gradient shape {seed.shape} does not match tensor shape {self.data.shape}")
+            raise ValueError(f"gradient shape {seed.shape} is not the tensor's {self.data.shape}")
 
         order = _topological_order(self)
         self._accumulate_grad(seed, owned)

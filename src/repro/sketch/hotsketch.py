@@ -28,6 +28,7 @@ import numpy as np
 
 from repro.errors import SketchStateMismatchError
 from repro.kernels.ops import run_lengths, segment_boundaries, sketch_insert, stable_sort
+from repro.nn.module import check_fits
 from repro.sketch.base import Sketch
 from repro.utils.hashing import hash_to_bucket
 
@@ -467,16 +468,20 @@ class HotSketch(Sketch):
             "total_insertions": np.asarray(self.total_insertions),
         }
 
+    def check_state(self, state: dict[str, np.ndarray]) -> None:
+        """Raise :class:`~repro.errors.SketchStateMismatchError` unless ``state``
+        fits (:func:`~repro.nn.module.check_fits`): another geometry would
+        misplace every feature."""
+        check_fits(
+            state, self.state_dict(),
+            "checkpoint holds sketch state {found}; this sketch takes {takes}",
+            SketchStateMismatchError,
+        )
+
     def load_state_dict(self, state: dict[str, np.ndarray]) -> None:
         """Restore :meth:`state_dict` output in place (the arrays may be views
-        into a stacked store); all three shapes are checked before any write."""
-        live = {"keys": self.keys, "scores": self.scores, "payloads": self.payloads}
-        for name, array in live.items():
-            if np.shape(state[name]) != array.shape:
-                raise SketchStateMismatchError(
-                    f"checkpoint sketch {name} shape {np.shape(state[name])} does not "
-                    f"match {array.shape}"
-                )
-        for name, array in live.items():
-            array[...] = state[name]
+        into a stacked store), refused by :meth:`check_state` before any write."""
+        self.check_state(state)
+        for name in ("keys", "scores", "payloads"):
+            getattr(self, name)[...] = state[name]
         self.total_insertions = int(state["total_insertions"])

@@ -25,7 +25,6 @@ with a private deep copy (a stack: all of it, in one copy).
 from __future__ import annotations
 
 import copy
-import re
 from types import SimpleNamespace
 from typing import Sequence
 
@@ -36,15 +35,12 @@ from repro.embeddings.base import CompressedEmbedding
 from repro.embeddings.cafe import CafeStack
 from repro.embeddings.plan import RoutingPlan
 from repro.errors import CheckpointLayoutError, ConfigurationError
-from repro.nn.optim import check_row_state
+from repro.nn.module import check_fits, section
 from repro.store.snapshot import StoreSnapshot
 
 #: Default seed of the id -> shard hash (distinct from every backend seed so
 #: shard assignment is independent of intra-shard routing).
 DEFAULT_SHARD_SEED = 2029
-
-#: A shard's (or a headerless layer's) row-optimizer state key.
-_ROW_STATE_KEY = re.compile(r"(?:shard\d+\.)?optimizer\.(.+)")
 
 
 class ExecutorStats:
@@ -268,27 +264,18 @@ class ShardedEmbeddingStore(CompressedEmbedding):
         :meth:`load_state_dict`.  Raises the shards' ``NotImplementedError``
         when their backend has no state.
         """
-        state: dict[str, np.ndarray] = {
-            "num_shards": np.asarray(self.num_shards),
-            "step": np.asarray(self._step),
-        }
-        for index, shard in enumerate(self.shards):
-            for key, value in shard.state_dict().items():
-                state[f"shard{index}.{key}"] = value
+        state = self._headers()
+        for prefix, shard in self._sections().items():
+            state.update({prefix + key: value for key, value in shard.state_dict().items()})
         return state
 
-    def check_state_layout(self, state: dict[str, np.ndarray]) -> None:
-        """Raise :class:`~repro.errors.CheckpointLayoutError` unless ``state``
-        fits this store: a ``num_shards`` header equal to :attr:`num_shards`,
-        or no header (a bare layer's keys, the pre-store format) and one
-        shard; a ``step`` header is optional.  A multi-shard state must hold
-        CAFE shards (a stack's keys, row-optimizer entries aside).  Raise
-        :class:`~repro.errors.OptimizerStateMismatchError` for
-        ``optimizer.*`` entries the shards' row optimizer cannot take: a key
-        it does not hold, or an array of another shape (none at all fit: it
-        restarts cold).  Reads the keys, headers and row-state shapes only,
-        so a checkpoint is refused before any part of it is restored.
-        """
+    def check_state(self, state: dict[str, np.ndarray]) -> None:
+        """Raise a named error unless ``state`` fits this store; writes
+        nothing.  The headers first (:class:`~repro.errors.CheckpointLayoutError`
+        for a table-group store's ``num_groups``, or a ``num_shards`` other
+        than :attr:`num_shards`; without one the state is a bare layer's, the
+        pre-store format, and fits one shard only), then every shard's
+        section (:func:`~repro.nn.module.check_fits`; ``step`` is optional)."""
         if "num_groups" in state:
             raise CheckpointLayoutError(
                 f"checkpoint holds a {int(state['num_groups'])}-group table-group store "
@@ -301,56 +288,43 @@ class ShardedEmbeddingStore(CompressedEmbedding):
                     "checkpoint has no shard layout and cannot be loaded into a "
                     f"{self.num_shards}-shard store"
                 )
-        elif int(state["num_shards"]) != self.num_shards:
+            self.shards[0].check_state(state)
+            return
+        if int(state["num_shards"]) != self.num_shards:
             raise CheckpointLayoutError(
                 f"checkpoint has {int(state['num_shards'])} shards, store has {self.num_shards}"
             )
-        if self.num_shards > 1:
-            self._check_stacked_keys(state)
-        row_state = (match for match in map(_ROW_STATE_KEY.match, state) if match)
-        check_row_state(
-            getattr(self.shards[0], "_optimizer", None),
-            {(match[1], np.shape(state[match[0]])) for match in row_state},
+        check_fits(
+            state, self._headers(),  # the rest of state_dict() is the shards' sections
+            f"checkpoint holds {{found}}; a {self.num_shards}-shard store takes {{takes}}",
+            optional=("step",), parts=self._sections(),
         )
 
-    def _check_stacked_keys(self, state: dict[str, np.ndarray]) -> None:
-        """Every ``shard{i}.`` section must carry a CAFE shard's keys."""
-        expected = {key for key in self.shards[0].state_dict() if not _ROW_STATE_KEY.match(key)}
-        for index in range(self.num_shards):
-            prefix = f"shard{index}."
-            found = {
-                key[len(prefix):] for key in state
-                if key.startswith(prefix) and not _ROW_STATE_KEY.match(key)
-            }
-            if found != expected:
-                raise CheckpointLayoutError(
-                    f"checkpoint shard {index} holds keys {sorted(found)}, not a CAFE shard's "
-                    f"{sorted(expected)}: a {self.num_shards}-shard store is one CAFE stack, "
-                    "and a multi-shard checkpoint of another backend is not loadable"
-                )
+    def _headers(self) -> dict[str, np.ndarray]:
+        return {"num_shards": np.asarray(self.num_shards), "step": np.asarray(self._step)}
+
+    def _sections(self) -> dict[str, CompressedEmbedding]:
+        """Each shard by the prefix of its section of :meth:`state_dict`."""
+        return {f"shard{index}.": shard for index, shard in enumerate(self.shards)}
 
     @single_writer
     def load_state_dict(self, state: dict[str, np.ndarray]) -> None:
-        """Restore all shards from :meth:`state_dict` output (the layout must
-        pass :meth:`check_state_layout`); also absorbs a pre-store
-        single-layer checkpoint into a single-shard store.  Every shard
-        restores in place, so a stack's shards keep viewing it.  Counts as a
-        write for copy-on-write purposes.  The store's :meth:`step` comes
-        back from the ``step`` header (a bare layer's own ``step`` is the
-        same count); a state without one leaves it as it was.
+        """Restore all shards from :meth:`state_dict` output, once
+        :meth:`check_state` passed; also absorbs a pre-store single-layer
+        checkpoint into a single-shard store.  Every shard restores in
+        place, so a stack's shards keep viewing it.  Counts as a write for
+        copy-on-write purposes.  The store's :meth:`step` comes back from the
+        ``step`` header (a bare layer's own ``step`` is the same count); a
+        state without one leaves it as it was.
         """
-        self.check_state_layout(state)
+        self.check_state(state)
         # Restoring is a write: never mutate a table a snapshot still serves.
         self._ensure_private()
         if "num_shards" not in state:  # written against a bare embedding layer
-            sections = [dict(state)]
+            self.shards[0].load_state_dict(state)
         else:
-            sections = [
-                {key[len(prefix):]: value for key, value in state.items() if key.startswith(prefix)}
-                for prefix in (f"shard{index}." for index in range(self.num_shards))
-            ]
-        for shard, section in zip(self.shards, sections):
-            shard.load_state_dict(section)
+            for prefix, shard in self._sections().items():
+                shard.load_state_dict(section(state, prefix))
         self.invalidate_plan()
         if "step" in state:
             self._step = int(state["step"])

@@ -16,6 +16,7 @@ from pathlib import Path
 import numpy as np
 
 from repro.models.base import RecommendationModel
+from repro.nn.module import section
 from repro.nn.optim import Optimizer
 
 _DENSE_PREFIX = "dense/"
@@ -47,76 +48,64 @@ def save_checkpoint(
         for name, value in optimizer.state_dict().items():
             payload[f"{_OPTIM_PREFIX}{name}"] = value
     # The store, not the layer the model was built with: after a copy-on-write
-    # snapshot the live shards may be private copies of it.
-    sparse_state = _sparse_state_dict(model.store)
-    if sparse_state is not None:
-        for name, value in sparse_state.items():
-            payload[f"{_SPARSE_PREFIX}{name}"] = value
-        payload[f"{_META_PREFIX}has_sparse"] = np.asarray(1)
-    else:
-        payload[f"{_META_PREFIX}has_sparse"] = np.asarray(0)
+    # snapshot the live shards may be private copies of it.  A store whose
+    # backend keeps no state raises NotImplementedError (the
+    # CompressedEmbedding default) and the checkpoint omits the section.
+    try:
+        sparse = model.store.state_dict()
+    except NotImplementedError:
+        sparse = {}
+    for name, value in sparse.items():
+        payload[f"{_SPARSE_PREFIX}{name}"] = value
+    payload[f"{_META_PREFIX}has_sparse"] = np.asarray(int(bool(sparse)))
     np.savez(path, **payload)
     return path
-
-
-def _sparse_state_dict(target) -> dict[str, np.ndarray] | None:
-    """``target.state_dict()``, or ``None`` when the layer has no sparse state.
-
-    Layers and stores whose backend keeps no checkpointable state raise
-    ``NotImplementedError`` (the :class:`~repro.embeddings.base.
-    CompressedEmbedding` default); those checkpoints simply omit the sparse
-    section.
-    """
-    try:
-        return target.state_dict()
-    except NotImplementedError:
-        return None
 
 
 def load_checkpoint(
     path: str | Path, model: RecommendationModel, optimizer: Optimizer | None = None
 ) -> int:
-    """Restore a checkpoint written by :func:`save_checkpoint`.
+    """Restore a checkpoint written by :func:`save_checkpoint`; returns the
+    training step recorded at save time.
 
-    Returns the training step recorded at save time.  Raises
-    :class:`~repro.errors.CheckpointLayoutError` if its sparse section has
-    another shard count or is a table-group checkpoint, ``KeyError`` /
-    ``ValueError`` if it does not otherwise match the model structure, and
-    :class:`~repro.errors.OptimizerStateMismatchError` if its ``optim/``
-    section belongs to another kind or size of optimizer, or its sparse
-    section carries row-optimizer state the store's row optimizer cannot
-    take.  The two named
-    errors are raised before anything is restored.  A checkpoint
-    without an ``optim/`` section (written before there was one, or without
-    ``optimizer=``) still loads: ``optimizer`` is reset to its freshly
-    constructed state and says so in ``optimizer.restored``.
+    Every section is checked before any is written — the sparse one by the
+    store's ``check_state``, ``optim/`` by the optimizer's, the dense one by
+    the model's (:func:`~repro.nn.module.check_fits`) — so a refused
+    checkpoint restores nothing.  The error names the key family that does
+    not fit: :class:`~repro.errors.OptimizerStateMismatchError` (another
+    kind or size of dense optimizer, ``optimizer.*`` entries the row
+    optimizer cannot take), :class:`~repro.errors.SketchStateMismatchError`
+    (a HotSketch of another geometry), ``KeyError`` (other dense parameter
+    names) or :class:`~repro.errors.CheckpointLayoutError` (the rest: another
+    shard count, a table-group store, another key set, array shape or
+    ``hash_seed``, CAFE free rows that do not partition its exclusive rows);
+    a sparse section for a store without sparse state is a ``ValueError``.
+    A checkpoint without an ``optim/`` section (written before there was
+    one, or without ``optimizer=``) still loads: ``optimizer`` is reset to
+    its freshly constructed state and says so in ``optimizer.restored``.
     """
-    path = Path(path)
     with np.load(path) as data:
-
-        def section(prefix: str) -> dict[str, np.ndarray]:
-            return {key[len(prefix):]: data[key] for key in data.files if key.startswith(prefix)}
-
-        dense, sparse, optim = section(_DENSE_PREFIX), section(_SPARSE_PREFIX), section(_OPTIM_PREFIX)
-        step = int(data[f"{_META_PREFIX}step"])
-        has_sparse = bool(int(data[f"{_META_PREFIX}has_sparse"]))
-    # The layout check runs first, and the optimizer refuses a mismatch
-    # before it writes, so either error leaves the model untouched.
-    if has_sparse:
-        model.store.check_state_layout(sparse)
+        contents = dict(data)
+    dense, optim = section(contents, _DENSE_PREFIX), section(contents, _OPTIM_PREFIX)
+    has_sparse = bool(int(contents[f"{_META_PREFIX}has_sparse"]))
+    sparse = section(contents, _SPARSE_PREFIX) if has_sparse else None
+    if sparse is not None:
+        try:
+            model.store.check_state(sparse)
+        except NotImplementedError:
+            raise ValueError(
+                "checkpoint contains embedding state but the model's embedding store "
+                f"({type(model.store).__name__}) cannot load one"
+            ) from None
+    if optimizer is not None and optim:
+        optimizer.check_state(optim)
+    model.check_state(dense)
     if optimizer is not None:
         if optim:
             optimizer.load_state_dict(optim)
         else:
             optimizer.reset_state()
     model.load_state_dict(dense)
-    if has_sparse:
-        target = model.store
-        try:
-            target.load_state_dict(sparse)
-        except NotImplementedError:
-            raise ValueError(
-                "checkpoint contains embedding state but the model's embedding store "
-                f"({type(target).__name__}) cannot load one"
-            ) from None
-    return step
+    if sparse is not None:
+        model.store.load_state_dict(sparse)
+    return int(contents[f"{_META_PREFIX}step"])

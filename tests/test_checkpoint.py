@@ -8,7 +8,7 @@ from repro.data.synthetic import SyntheticConfig, SyntheticCTRDataset
 from repro.embeddings.cafe import CafeEmbedding
 from repro.embeddings.full import FullEmbedding
 from repro.embeddings.hash_embedding import HashEmbedding
-from repro.errors import CheckpointLayoutError
+from repro.errors import CheckpointLayoutError, SketchStateMismatchError
 from repro.models.dlrm import DLRM
 from repro.store import ShardedEmbeddingStore
 from repro.training.checkpoint import load_checkpoint, save_checkpoint
@@ -209,9 +209,9 @@ class TestCheckpoint:
         assert all(p.data.dtype == np.float32 for p in restored.parameters())
 
 
-def sharded_cafe_model(dataset, num_shards, seed):
+def sharded_cafe_model(dataset, num_shards, seed, method="cafe"):
     store = ShardedEmbeddingStore.build(
-        "cafe",
+        method,
         num_features=dataset.schema.num_features,
         dim=DIM,
         num_shards=num_shards,
@@ -227,6 +227,19 @@ def trained(model, dataset):
     for batch in list(dataset.day_batches(0, 64))[:4]:
         trainer.train_step(batch)
     return trainer.dense_optimizer
+
+
+def edited_checkpoint(tmp_path, method, num_shards, edit):
+    """A checkpoint of a trained ``method`` model, its payload passed
+    through ``edit(payload)`` before it is written."""
+    dataset = tiny_dataset()
+    source = sharded_cafe_model(dataset, num_shards=num_shards, seed=1, method=method)
+    path = save_checkpoint(tmp_path / "edited.npz", source, optimizer=trained(source, dataset))
+    with np.load(path) as data:
+        payload = dict(data)
+    edit(payload)
+    np.savez(path, **payload)
+    return path
 
 
 def everything_a_restore_writes(model, optimizer) -> dict[str, np.ndarray]:
@@ -254,8 +267,8 @@ def group_namespaced_checkpoint(path, model, optimizer):
 
 
 class TestRefusedCheckpointRestoresNothing:
-    """A checkpoint whose sparse layout does not fit the store is refused
-    before the dense optimizer, the dense weights or any shard is written."""
+    """A checkpoint that does not fit the model is refused before the dense
+    optimizer, the dense weights or any shard is written."""
 
     def test_other_shard_count(self, tmp_path):
         dataset = tiny_dataset()
@@ -275,14 +288,102 @@ class TestRefusedCheckpointRestoresNothing:
             path, dataset, num_shards=1, match="table-group checkpoints are no longer loadable"
         )
 
-    def assert_refused_untouched(self, path, dataset, match, num_shards=4):
-        target = sharded_cafe_model(dataset, num_shards=num_shards, seed=2)
+    # Each array is the last of its section a restore that checked while it
+    # wrote would reach: the last shard's, or after the shard's hot table.
+    @pytest.mark.parametrize(
+        "num_shards, key, match",
+        [
+            (4, "sparse/shard3.hot_table", r"\['hot_table'\].*not a CAFE shard's"),
+            (1, "sparse/shard0.shared_table", r"\['shared_table'\]"),
+            (1, "dense/top.layers.2.weight", r"\['top.layers.2.weight'\]"),
+        ],
+        ids=["4-shard-hot-table", "shared-table", "dense-parameter"],
+    )
+    def test_an_array_with_an_extra_row(self, tmp_path, num_shards, key, match):
+        path = edited_checkpoint(tmp_path, "cafe", num_shards, extra_row(key))
+        self.assert_refused_untouched(path, tiny_dataset(), match, num_shards)
+
+    def test_a_sketch_of_another_geometry(self, tmp_path):
+        def narrow_scores(payload):
+            payload["sparse/shard0.sketch.scores"] = payload["sparse/shard0.sketch.scores"][:, :2]
+
+        path = edited_checkpoint(tmp_path, "cafe", 1, narrow_scores)
+        self.assert_refused_untouched(
+            path, tiny_dataset(), r"\['scores'\]", num_shards=1, error=SketchStateMismatchError
+        )
+
+    def test_a_missing_dense_parameter(self, tmp_path):
+        def drop_last_bias(payload):
+            del payload["dense/top.layers.2.bias"]
+
+        path = edited_checkpoint(tmp_path, "cafe", 1, drop_last_bias)
+        self.assert_refused_untouched(
+            path, tiny_dataset(), r"\['top.layers.2.bias'\]", num_shards=1, error=KeyError
+        )
+
+    @pytest.mark.parametrize(
+        "method, key",
+        [
+            ("cafe_ml", "sparse/shard0.secondary_table"),
+            ("full", "sparse/shard0.table"),
+            ("hash", "sparse/shard0.table"),
+        ],
+    )
+    def test_a_table_of_another_shape(self, tmp_path, method, key):
+        path = edited_checkpoint(tmp_path, method, 1, extra_row(key))
+        self.assert_refused_untouched(
+            path, tiny_dataset(), rf"\['{key.rsplit('.', 1)[1]}'\]", num_shards=1, method=method
+        )
+
+    def test_a_hash_seed_of_another_value(self, tmp_path):
+        def reseed(payload):
+            payload["sparse/shard0.hash_seed"] = payload["sparse/shard0.hash_seed"] + 1
+
+        path = edited_checkpoint(tmp_path, "hash", 1, reseed)
+        self.assert_refused_untouched(
+            path, tiny_dataset(), "rows would route differently", num_shards=1, method="hash"
+        )
+
+    # A CAFE shard's free rows and sketch-assigned rows must partition its
+    # exclusive rows (the rule check_row_invariants holds a live layer to);
+    # at 4 shards the last shard's are the ones that do not.
+    @pytest.mark.parametrize("num_shards", [1, 4])
+    @pytest.mark.parametrize(
+        "edit",
+        [
+            lambda free: np.append(free[1:], 10_000),
+            lambda free: np.append(free, free[0]),
+        ],
+        ids=["out-of-range", "duplicate"],
+    )
+    def test_free_rows_that_do_not_partition_the_exclusive_rows(self, tmp_path, num_shards, edit):
+        key = f"sparse/shard{num_shards - 1}.free_rows"
+
+        def unpartition(payload):
+            payload[key] = edit(payload[key])
+
+        path = edited_checkpoint(tmp_path, "cafe", num_shards, unpartition)
+        self.assert_refused_untouched(path, tiny_dataset(), "do not partition", num_shards)
+
+    def assert_refused_untouched(
+        self, path, dataset, match, num_shards=4, error=CheckpointLayoutError, method="cafe"
+    ):
+        target = sharded_cafe_model(dataset, num_shards=num_shards, seed=2, method=method)
         optimizer = trained(target, dataset)
         before = everything_a_restore_writes(target, optimizer)
-        with pytest.raises(CheckpointLayoutError, match=match):
+        with pytest.raises(error, match=match):
             load_checkpoint(path, target, optimizer=optimizer)
         after = everything_a_restore_writes(target, optimizer)
         assert sorted(after) == sorted(before)
         for key, value in before.items():
             assert after[key].dtype == value.dtype, key
             assert after[key].tobytes() == value.tobytes(), key
+
+
+def extra_row(key):
+    """An edit that gives the payload's ``key`` array one more row."""
+
+    def edit(payload):
+        payload[key] = np.concatenate([payload[key], payload[key][:1]])
+
+    return edit

@@ -262,12 +262,11 @@ class TestCheckpointing:
         assert emb._optimizer.state["accumulator"] is accumulator and accumulator.any()
         assert np.array_equal(emb.state_dict()["optimizer.accumulator"], accumulator)
 
-    def test_shared_state_hooks_cover_all_tables(self):
+    def test_state_covers_every_arena_region(self):
         emb = make_cafe()
         state = emb.state_dict()
-        # The base layer contributes exactly its shared table via the hook.
-        assert set(emb._shared_state_dict()) == {"shared_table"}
-        assert "shared_table" in state
+        # The base layer's tables are exactly its two arena regions.
+        assert {key for key in state if key.endswith("_table")} == {"hot_table", "shared_table"}
 
 
 class TestCafeMultiLevel:
@@ -328,8 +327,8 @@ class TestCafeMultiLevel:
         ids = np.arange(30)
         assert np.allclose(emb.lookup(ids), clone.lookup(ids))
 
-    def test_state_roundtrip_through_shared_hooks(self):
-        """The multi-level subclass checkpoints via _shared_state_dict hooks.
+    def test_state_roundtrip_through_arena_regions(self):
+        """The multi-level subclass checkpoints every arena region.
 
         The secondary table must survive the round trip (a regression guard
         for the base class hardcoding ``shared_table``), and the restored
@@ -338,8 +337,9 @@ class TestCafeMultiLevel:
         emb = self.make_ml()
         train_on_skewed_stream(emb, np.arange(6), steps=20)
         state = emb.state_dict()
-        assert "secondary_table" in state
-        assert set(emb._shared_state_dict()) == {"shared_table", "secondary_table"}
+        assert {key for key in state if key.endswith("_table")} == {
+            "hot_table", "shared_table", "secondary_table"
+        }
 
         clone = self.make_ml()
         clone.load_state_dict(state)

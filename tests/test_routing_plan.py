@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from repro.embeddings import create_embedding
-from repro.embeddings.cafe import CafeEmbedding
+from repro.embeddings.cafe import CafeEmbedding, rows_partition
 from repro.embeddings.plan import FreeRowPool, RoutingPlan, ScatterPlan
 from repro.sketch.hotsketch import EMPTY_KEY, NO_PAYLOAD, EvictionBatch, HotSketch
 from repro.store import ShardedEmbeddingStore
@@ -203,11 +203,10 @@ class TestFreeRowPool:
         with pytest.raises(ValueError):
             pool.remove(2)
 
-    def test_assert_consistent_catches_double_free(self):
+    def test_partition_rule_catches_double_free(self):
         pool = FreeRowPool(np.asarray([1, 2]))
         pool.release(np.asarray([2]))
-        with pytest.raises(AssertionError):
-            pool.assert_consistent(num_rows=4)
+        assert not rows_partition(pool.to_array(), np.asarray([0, 3]), num_rows=4)
 
 
 class ReferenceHotSketch(HotSketch):
