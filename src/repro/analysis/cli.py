@@ -66,8 +66,7 @@ def run_analyze(args: argparse.Namespace) -> int:
     eager = sum(1 for e in graph.edges if e.eager and e.src != e.dst)
     print(f"layers: {len(graph.modules)} modules, {eager} eager edges, "
           f"{len(layer_report.cycles)} cycle(s), "
-          f"{len(layer_report.upward)} upward import(s), "
-          f"{len(layer_report.deferred_upward)} deferred upward edge(s) (allowed)")
+          f"{len(layer_report.upward)} upward import(s)")
     for line in layer_report.render_problems():
         print("  " + line)
 

@@ -7,10 +7,11 @@ module's imports from the AST, and reports:
 
 * **cycles** — strongly connected components in the eager (module-level)
   import graph; always an error.
-* **upward imports** — an eager import from a lower layer into a higher
-  one.  Deferred (function-level) imports are exempt — that is the
-  sanctioned escape hatch for top-down calls — but they are recorded in
-  the emitted graph so reviewers can see them.
+* **upward imports** — an import from a lower layer into a higher one,
+  eager or deferred (function-level): deferring an import hides a
+  dependency from import time, not from the design, so it is an error
+  too.  Deferred downward imports (a front end loading what it runs on
+  demand) are fine and listed separately in the emitted graph.
 
 :func:`render_graph` emits the resolved graph as Markdown (with a Mermaid
 diagram of layer-level eager edges) into ``docs/import_graph.md``.
@@ -36,7 +37,7 @@ __all__ = [
 #: ``(layer name, module prefixes)``; a module belongs to the entry with the
 #: *longest* matching prefix, so ``repro.api.config`` lands in ``api`` even
 #: though ``repro`` is declared in ``foundation``.
-#: An eager import must point at the same or a lower layer.
+#: An import must point at the same or a lower layer.
 LAYERS: tuple[tuple[str, tuple[str, ...]], ...] = (
     ("foundation", ("repro", "repro.errors", "repro.version", "repro.utils")),
     ("analysis", ("repro.analysis",)),
@@ -177,7 +178,6 @@ def build_import_graph(src_root: Path, package: str = "repro") -> ImportGraph:
 class LayerReport:
     cycles: list[list[str]] = field(default_factory=list)
     upward: list[tuple[Edge, str, str]] = field(default_factory=list)  # edge, src layer, dst layer
-    deferred_upward: list[tuple[Edge, str, str]] = field(default_factory=list)
 
     @property
     def ok(self) -> bool:
@@ -188,11 +188,11 @@ class LayerReport:
         for cycle in self.cycles:
             lines.append("import cycle: " + " -> ".join(cycle + cycle[:1]))
         for edge, src_layer, dst_layer in self.upward:
+            where = "at module level" if edge.eager else "in a function"
             lines.append(
                 f"upward import: {edge.src} (layer '{src_layer}') imports "
-                f"{edge.dst} (layer '{dst_layer}') at module level (line {edge.line}); "
-                "either the layer table or the import is wrong — deferred "
-                "(function-level) imports are the sanctioned escape hatch"
+                f"{edge.dst} (layer '{dst_layer}') {where} (line {edge.line}); "
+                "either the layer table or the import is wrong"
             )
         return lines
 
@@ -264,11 +264,7 @@ def check_layers(
         src_index, src_layer = layer_of(edge.src, layers)
         dst_index, dst_layer = layer_of(edge.dst, layers)
         if dst_index > src_index:
-            record = (edge, src_layer, dst_layer)
-            if edge.eager:
-                report.upward.append(record)
-            else:
-                report.deferred_upward.append(record)
+            report.upward.append((edge, src_layer, dst_layer))
     return report
 
 
@@ -298,9 +294,9 @@ def render_graph(
         "",
         "<!-- Generated by `python -m repro analyze --write-graph`; do not edit by hand. -->",
         "",
-        "The declared layer order (lowest first); an eager (module-level) import",
-        "may only point at the same or a lower layer.  Deferred (function-level)",
-        "imports are exempt and listed separately.",
+        "The declared layer order (lowest first); an import, eager (module-level)",
+        "or deferred (function-level), may only point at the same or a lower",
+        "layer.  Deferred edges are listed separately.",
         "",
         "| # | Layer | Modules |",
         "|---|-------|---------|",

@@ -85,18 +85,20 @@ class Session:
         self.trainer = Trainer(self.model, dense_learning_rate=config.train.dense_learning_rate)
 
     def _build_store(self):
-        from repro.embeddings import create_embedding_store
+        from repro.store import ShardedEmbeddingStore
 
         config = self.config
-        return create_embedding_store(
-            self.schema,
-            spec=config.store.spec,
-            compression_ratio=config.store.compression_ratio,
+        return ShardedEmbeddingStore.build(
+            config.store.spec,
+            num_features=self.schema.num_features,
+            dim=self.schema.embedding_dim,
             num_shards=config.store.num_shards,
+            compression_ratio=config.store.compression_ratio,
             optimizer=config.store.optimizer,
             learning_rate=config.store.learning_rate,
             dtype=config.store.dtype,
             seed=config.seed,
+            field_cardinalities=self.schema.field_cardinalities,
         )
 
     # ------------------------------------------------------------------ #

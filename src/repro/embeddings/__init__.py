@@ -1,8 +1,12 @@
 """Compressed embedding layers: CAFE, CAFE-ML, and all paper baselines.
 
-Every scheme has a name in one backend table (:func:`get_backend`) that the
-factories below, the store builder and :class:`~repro.api.config.
-SystemConfig` (``store.spec``) resolve.  What a scheme can do
+Every scheme has a name in one backend table (:func:`get_backend`) that
+:func:`create_embedding`, the store builder and :class:`~repro.api.config.
+SystemConfig` (``store.spec``) resolve.  A scheme is built one way: its
+class's ``from_budget`` sizes its tables from the budget and forwards every
+other keyword to the constructor, where each option has its one default
+(the row optimizer, learning rate and dtype are
+:class:`TableBackedEmbedding`'s).  What a scheme can do
 beyond lookup and apply is what its class implements of the
 :class:`CompressedEmbedding` contract (``state_dict``,
 ``merged_sketch``); a scheme of your own is built
@@ -12,46 +16,30 @@ directly and handed to :class:`~repro.store.sharded.ShardedEmbeddingStore`.
 from __future__ import annotations
 
 import difflib
-from typing import Callable, NamedTuple
+from typing import NamedTuple
 
 import numpy as np
 
 from repro.embeddings.ada_embed import AdaEmbed
-from repro.embeddings.base import DEFAULT_DTYPE, CompressedEmbedding, TableBackedEmbedding
+from repro.embeddings.base import CompressedEmbedding, TableBackedEmbedding
 from repro.embeddings.cafe import CafeEmbedding
 from repro.embeddings.cafe_ml import CafeMultiLevelEmbedding
 from repro.embeddings.full import FullEmbedding
 from repro.embeddings.hash_embedding import HashEmbedding
-from repro.embeddings.memory import (
-    MemoryBudget,
-)
+from repro.embeddings.memory import MemoryBudget
 from repro.embeddings.mde import MixedDimensionEmbedding
 from repro.embeddings.offline import OfflineSeparationEmbedding
-from repro.embeddings.plan import FreeRowPool, PlanStats, RoutingPlan
 from repro.embeddings.qr_embedding import QRTrickEmbedding
 from repro.errors import UnknownBackendError
 
 
-def _full_factory(num_features, dim, compression_ratio=1.0, **kwargs):
-    # A full table ignores the compression ratio by definition.
-    return FullEmbedding(num_features, dim, **kwargs)
-
-
-def _budget_factory(cls):
-    def factory(num_features, dim, compression_ratio=1.0, **kwargs):
-        budget = MemoryBudget.from_compression_ratio(num_features, dim, compression_ratio)
-        return cls.from_budget(budget, **kwargs)
-
-    factory.__name__ = f"{cls.__name__}_from_budget"
-    return factory
-
-
 class Backend(NamedTuple):
-    """One named embedding scheme."""
+    """One named embedding scheme: its class, built from a budget by the
+    class's ``from_budget``."""
 
     name: str
-    factory: Callable[..., CompressedEmbedding]
-    #: Side inputs the factory needs beyond the common arguments; the store
+    cls: type[CompressedEmbedding]
+    #: Side inputs ``from_budget`` needs beyond the budget; the store
     #: builders supply them from the schema.
     requires: tuple[str, ...] = ()
 
@@ -59,14 +47,14 @@ class Backend(NamedTuple):
 _BACKENDS = {
     backend.name: backend
     for backend in (
-        Backend("full", _full_factory),
-        Backend("hash", _budget_factory(HashEmbedding)),
-        Backend("qr", _budget_factory(QRTrickEmbedding)),
-        Backend("adaembed", _budget_factory(AdaEmbed)),
-        Backend("mde", _budget_factory(MixedDimensionEmbedding), requires=("field_cardinalities",)),
-        Backend("cafe", _budget_factory(CafeEmbedding)),
-        Backend("cafe_ml", _budget_factory(CafeMultiLevelEmbedding)),
-        Backend("offline", _budget_factory(OfflineSeparationEmbedding), requires=("frequencies",)),
+        Backend("full", FullEmbedding),
+        Backend("hash", HashEmbedding),
+        Backend("qr", QRTrickEmbedding),
+        Backend("adaembed", AdaEmbed),
+        Backend("mde", MixedDimensionEmbedding, requires=("field_cardinalities",)),
+        Backend("cafe", CafeEmbedding),
+        Backend("cafe_ml", CafeMultiLevelEmbedding),
+        Backend("offline", OfflineSeparationEmbedding, requires=("frequencies",)),
     )
 }
 
@@ -98,10 +86,6 @@ def create_embedding(
     compression_ratio: float = 1.0,
     field_cardinalities: list[int] | None = None,
     frequencies: np.ndarray | None = None,
-    optimizer: str = "sgd",
-    learning_rate: float = 0.05,
-    dtype: np.dtype | str = DEFAULT_DTYPE,
-    rng=None,
     **kwargs,
 ) -> CompressedEmbedding:
     """Factory building any named embedding scheme from a compression ratio.
@@ -114,7 +98,8 @@ def create_embedding(
         Total categorical feature count and embedding dimension.
     compression_ratio:
         Target ``CR``; the uncompressed memory ``num_features * dim`` is
-        divided by this value to obtain the float budget.
+        divided by this value to obtain the float budget.  A ``full`` table
+        ignores it by definition.
     field_cardinalities:
         Required by backends declaring ``requires=("field_cardinalities",)``
         (MDE's per-field dimension rule needs them).
@@ -122,60 +107,20 @@ def create_embedding(
         Required by backends declaring ``requires=("frequencies",)`` (the
         offline-separation oracle).
     kwargs:
-        Method-specific options forwarded to the backend factory.
+        Forwarded to the backend's ``from_budget`` and on to its
+        constructor (``rng``, ``optimizer``, ``learning_rate``, ``dtype`` and
+        the scheme's own options), where each has its one default.
     """
     backend = get_backend(method)
     side_inputs = {"field_cardinalities": field_cardinalities, "frequencies": frequencies}
     for requirement in backend.requires:
-        value = side_inputs.get(requirement, kwargs.get(requirement))
-        if value is None:
+        if side_inputs[requirement] is None:
             raise ValueError(f"{backend.name} requires {requirement}")
-        kwargs.setdefault(requirement, value)
-    return backend.factory(
-        num_features=num_features,
-        dim=dim,
-        compression_ratio=compression_ratio,
-        optimizer=optimizer,
-        learning_rate=learning_rate,
-        dtype=dtype,
-        rng=rng,
-        **kwargs,
-    )
-
-
-def create_embedding_store(
-    schema,
-    spec: str = "cafe",
-    compression_ratio: float = 1.0,
-    num_shards: int = 1,
-    optimizer: str = "sgd",
-    learning_rate: float = 0.05,
-    dtype: np.dtype | str = DEFAULT_DTYPE,
-    seed: int = 0,
-    **kwargs,
-):
-    """Build a :class:`~repro.store.sharded.ShardedEmbeddingStore` of
-    backend ``spec`` over a dataset schema: one table over every field's id
-    space, split ``num_shards`` ways.  The store layer is imported lazily to
-    keep ``repro.embeddings`` free of a circular dependency on
-    ``repro.store``.
-    """
-    from repro.store import ShardedEmbeddingStore
-
-    if "field_cardinalities" in get_backend(spec).requires:
-        kwargs.setdefault("field_cardinalities", schema.field_cardinalities)
-    return ShardedEmbeddingStore.build(
-        spec,
-        num_features=schema.num_features,
-        dim=schema.embedding_dim,
-        num_shards=num_shards,
-        compression_ratio=compression_ratio,
-        seed=seed,
-        optimizer=optimizer,
-        learning_rate=learning_rate,
-        dtype=dtype,
-        **kwargs,
-    )
+        kwargs[requirement] = side_inputs[requirement]
+    if backend.cls is FullEmbedding:  # no budget: a full table is uncompressed by definition
+        return FullEmbedding(num_features, dim, **kwargs)
+    budget = MemoryBudget.from_compression_ratio(num_features, dim, compression_ratio)
+    return backend.cls.from_budget(budget, **kwargs)
 
 
 __all__ = [
@@ -194,5 +139,4 @@ __all__ = [
     "Backend",
     "get_backend",
     "create_embedding",
-    "create_embedding_store",
 ]

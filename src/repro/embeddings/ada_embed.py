@@ -21,7 +21,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.embeddings.base import DEFAULT_DTYPE, TableBackedEmbedding
+from repro.embeddings.base import TableBackedEmbedding, update_rows
 from repro.embeddings.memory import MemoryBudget
 from repro.embeddings.plan import FreeRowPool, RoutingPlan
 from repro.errors import MemoryBudgetError
@@ -44,15 +44,11 @@ class AdaEmbed(TableBackedEmbedding):
         importance_decay: float = 0.99,
         reallocation_interval: int = 100,
         hysteresis: float = 1.25,
-        optimizer: str = "sgd",
-        learning_rate: float = 0.05,
         hash_seed: int = 29,
-        dtype: np.dtype | str = DEFAULT_DTYPE,
         rng: SeedLike = None,
+        **table,
     ):
-        super().__init__(
-            num_features, dim, optimizer=optimizer, learning_rate=learning_rate, dtype=dtype
-        )
+        super().__init__(num_features, dim, **table)
         if num_rows <= 0:
             raise ValueError(f"num_rows must be positive, got {num_rows}")
         if not 0.0 < importance_decay <= 1.0:
@@ -86,16 +82,7 @@ class AdaEmbed(TableBackedEmbedding):
     # Budget-driven construction
     # ------------------------------------------------------------------ #
     @classmethod
-    def from_budget(
-        cls,
-        budget: MemoryBudget,
-        importance_decay: float = 0.99,
-        reallocation_interval: int = 100,
-        optimizer: str = "sgd",
-        learning_rate: float = 0.05,
-        dtype: np.dtype | str = DEFAULT_DTYPE,
-        rng: SeedLike = None,
-    ) -> "AdaEmbed":
+    def from_budget(cls, budget: MemoryBudget, **kwargs) -> "AdaEmbed":
         """Size the row table after reserving one importance float per feature."""
         overhead = budget.num_features  # one score per feature
         if budget.total_floats <= overhead + budget.dim:
@@ -105,17 +92,7 @@ class AdaEmbed(TableBackedEmbedding):
                 "leaves no room for embedding rows"
             )
         rows = budget.rows(overhead_floats=overhead)
-        return cls(
-            num_features=budget.num_features,
-            dim=budget.dim,
-            num_rows=rows,
-            importance_decay=importance_decay,
-            reallocation_interval=reallocation_interval,
-            optimizer=optimizer,
-            learning_rate=learning_rate,
-            dtype=dtype,
-            rng=rng,
-        )
+        return cls(budget.num_features, budget.dim, num_rows=rows, **kwargs)
 
     # ------------------------------------------------------------------ #
     # Lookup / update
@@ -149,10 +126,10 @@ class AdaEmbed(TableBackedEmbedding):
 
         rows, allocated = routes["rows"], routes["allocated"]
         if allocated.any():
-            self._optimizer.update(self.table, rows[allocated], grad_sums[allocated])
+            update_rows(self._optimizer, self.table, rows[allocated], grad_sums[allocated])
         if not allocated.all():
-            self._shared_optimizer.update(
-                self.shared_table, routes["shared_rows"], grad_sums[~allocated]
+            update_rows(
+                self._shared_optimizer, self.shared_table, routes["shared_rows"], grad_sums[~allocated]
             )
 
         self._step += 1

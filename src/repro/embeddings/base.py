@@ -28,12 +28,13 @@ import numpy as np
 from repro.embeddings.plan import (
     PlanStats,
     RoutingPlan,
+    ScatterPlan,
     UniqueBatch,
     as_id_array,
     gradient_norms,
 )
 from repro.errors import NonFiniteGradientError
-from repro.nn.module import check_fits, section
+from repro.nn.module import Restorable, check_fits, section
 from repro.nn.optim import RowOptimizer, make_row_optimizer
 
 #: Table storage dtype used unless a layer opts out.  The paper's memory
@@ -43,7 +44,7 @@ from repro.nn.optim import RowOptimizer, make_row_optimizer
 DEFAULT_DTYPE = np.float32
 
 
-class CompressedEmbedding:
+class CompressedEmbedding(Restorable):
     """Abstract base class for all embedding schemes in this library."""
 
     #: Importance scores handed to :meth:`apply_unique` count lookups instead
@@ -182,8 +183,9 @@ class CompressedEmbedding:
 
     def check_state(self, state: dict[str, np.ndarray]) -> None:
         """Raise a named error unless ``state`` fits :meth:`state_dict`
-        (:func:`~repro.nn.module.check_fits`; ``NotImplementedError`` when
-        the scheme has no state).  Writes nothing."""
+        (:func:`~repro.nn.module.check_fits`, which runs each part's
+        ``check_state`` on its section; ``NotImplementedError`` when the
+        scheme has no state).  Writes nothing."""
         owner = self._state_owner
         check_fits(
             state, self.state_dict(),
@@ -191,14 +193,16 @@ class CompressedEmbedding:
             parts={prefix: getattr(self, name) for prefix, name in self._state_parts.items()},
         )
 
-    def load_state_dict(self, state: dict[str, np.ndarray]) -> None:
-        """Restore what :meth:`state_dict` returned: :meth:`check_state`
-        (``NotImplementedError`` when the scheme has no state), then the
-        writes — the scheme's own entries, then each part's section."""
-        self.check_state(state)
+    def write_state(self, state: dict[str, np.ndarray]) -> None:
+        """Write a state :meth:`check_state` passed, checking nothing: the
+        scheme's own entries, then each part's section.  A scheme of your
+        own that overrides :meth:`load_state_dict` alone is written by it."""
+        if type(self).load_state_dict is not Restorable.load_state_dict:
+            self.load_state_dict(state)
+            return
         self._write_state(state)
         for prefix, name in self._state_parts.items():
-            getattr(self, name).load_state_dict(section(state, prefix))
+            getattr(self, name).write_state(section(state, prefix))
         self.invalidate_plan()
 
     def _write_state(self, state: dict[str, np.ndarray]) -> None:
@@ -319,3 +323,17 @@ class TableBackedEmbedding(CompressedEmbedding):
         """
         summed = scatter.sum(grad_sums)
         self._optimizer.fused_apply(table, scatter.rows, summed)
+
+
+def update_rows(
+    optimizer: RowOptimizer, table: np.ndarray, rows: np.ndarray, grads: np.ndarray
+) -> None:
+    """Apply ``table[rows] -= f(grads)`` in place through ``optimizer``.
+
+    ``rows`` may contain duplicates; gradients for duplicate rows are summed
+    before the update (scatter-add semantics, batch order within each row).
+    The scatter is built from ``rows`` here; a backend whose routing plan
+    already holds one calls :meth:`TableBackedEmbedding.fused_apply` instead.
+    """
+    scatter = ScatterPlan.from_rows(np.asarray(rows, dtype=np.int64))
+    optimizer.fused_apply(table, scatter.rows, scatter.sum(grads))

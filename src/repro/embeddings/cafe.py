@@ -39,7 +39,7 @@ import copy
 
 import numpy as np
 
-from repro.embeddings.base import DEFAULT_DTYPE, TableBackedEmbedding
+from repro.embeddings.base import TableBackedEmbedding
 from repro.embeddings.memory import MemoryBudget
 from repro.embeddings.plan import FreeRowPool, RoutingPlan
 from repro.errors import CheckpointLayoutError
@@ -53,6 +53,15 @@ from repro.utils.rng import SeedLike, make_rng
 # split ("the ratio of memory usage between HotSketch and d dimension
 # exclusive embeddings is 12 : d" with 4 slots per bucket).
 SKETCH_ATTRIBUTES_PER_SLOT = 3
+
+#: HotSketch slots per bucket unless a layer is given another count (the
+#: paper's 4).
+SLOTS_PER_BUCKET = 4
+
+#: Share of a memory budget spent on the sketch plus the exclusive table
+#: unless a layer is given another share (the paper's "hot percentage",
+#: §5.3, best at around 0.7); the rest goes to the shared hash table.
+HOT_PERCENTAGE = 0.7
 
 
 def rows_partition(free_rows: np.ndarray, payloads: np.ndarray, num_rows: int) -> bool:
@@ -77,22 +86,18 @@ class CafeEmbedding(TableBackedEmbedding):
         num_shared_rows: int,
         hot_threshold: float | None = None,
         initial_threshold: float = 1.0,
-        slots_per_bucket: int = 4,
+        slots_per_bucket: int = SLOTS_PER_BUCKET,
         decay: float = 0.98,
-        decay_interval: int = 200,
+        decay_interval: int = 1000,
         rebalance_interval: int = 20,
         hysteresis: float = 1.1,
         use_frequency: bool = False,
-        optimizer: str = "sgd",
-        learning_rate: float = 0.05,
         hash_seed: int = 101,
         sketch_seed: int = 7,
-        dtype: np.dtype | str = DEFAULT_DTYPE,
         rng: SeedLike = None,
+        **table,
     ):
-        super().__init__(
-            num_features, dim, optimizer=optimizer, learning_rate=learning_rate, dtype=dtype
-        )
+        super().__init__(num_features, dim, **table)
         if num_hot_rows <= 0:
             raise ValueError(f"num_hot_rows must be positive, got {num_hot_rows}")
         if num_shared_rows <= 0:
@@ -211,47 +216,22 @@ class CafeEmbedding(TableBackedEmbedding):
     # ------------------------------------------------------------------ #
     @classmethod
     def from_budget(
-        cls,
-        budget: MemoryBudget,
-        hot_percentage: float = 0.7,
-        hot_threshold: float | None = None,
-        slots_per_bucket: int = 4,
-        decay: float = 0.98,
-        decay_interval: int = 1000,
-        use_frequency: bool = False,
-        optimizer: str = "sgd",
-        learning_rate: float = 0.05,
-        rng: SeedLike = None,
-        **kwargs,
+        cls, budget: MemoryBudget, hot_percentage: float = HOT_PERCENTAGE, **kwargs
     ) -> "CafeEmbedding":
-        """Split ``budget`` between sketch + exclusive rows and the shared table.
-
-        ``hot_percentage`` is the fraction of the budget spent on the sketch
-        plus the exclusive table (the paper's "hot percentage", §5.3, best at
-        around 0.7); the rest goes to the shared hash table.
-        """
-        num_hot, num_shared = cls.plan_budget(budget, hot_percentage, slots_per_bucket)
-        return cls(
-            num_features=budget.num_features,
-            dim=budget.dim,
-            num_hot_rows=num_hot,
-            num_shared_rows=num_shared,
-            hot_threshold=hot_threshold,
-            slots_per_bucket=slots_per_bucket,
-            decay=decay,
-            decay_interval=decay_interval,
-            use_frequency=use_frequency,
-            optimizer=optimizer,
-            learning_rate=learning_rate,
-            rng=rng,
-            **kwargs,
-        )
+        """Split ``budget`` between sketch + exclusive rows and the shared
+        table (:meth:`plan_budget`, at the layer's ``slots_per_bucket``);
+        every other keyword goes to the constructor."""
+        slots = kwargs.get("slots_per_bucket", SLOTS_PER_BUCKET)
+        num_hot, num_shared = cls.plan_budget(budget, hot_percentage, slots)
+        return cls(budget.num_features, budget.dim, num_hot, num_shared, **kwargs)
 
     @staticmethod
     def plan_budget(
-        budget: MemoryBudget, hot_percentage: float, slots_per_bucket: int = 4
+        budget: MemoryBudget, hot_percentage: float, slots_per_bucket: int = SLOTS_PER_BUCKET
     ) -> tuple[int, int]:
-        """Return ``(num_hot_rows, num_shared_rows)`` for the given split."""
+        """Return ``(num_hot_rows, num_shared_rows)``: ``hot_percentage`` of
+        the budget goes to the sketch plus the exclusive table, the rest to
+        the shared hash table."""
         if not 0.0 < hot_percentage <= 1.0:
             raise ValueError(f"hot_percentage must be in (0, 1], got {hot_percentage}")
         sketch_cost = slots_per_bucket * SKETCH_ATTRIBUTES_PER_SLOT  # floats per hot row

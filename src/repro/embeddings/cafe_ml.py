@@ -16,10 +16,9 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.embeddings.cafe import SKETCH_ATTRIBUTES_PER_SLOT, CafeEmbedding
+from repro.embeddings.cafe import HOT_PERCENTAGE, SLOTS_PER_BUCKET, CafeEmbedding
 from repro.embeddings.memory import MemoryBudget
 from repro.utils.hashing import hash_to_range
-from repro.utils.rng import SeedLike
 
 
 class CafeMultiLevelEmbedding(CafeEmbedding):
@@ -125,25 +124,18 @@ class CafeMultiLevelEmbedding(CafeEmbedding):
     def from_budget(
         cls,
         budget: MemoryBudget,
-        hot_percentage: float = 0.7,
+        hot_percentage: float = HOT_PERCENTAGE,
         secondary_share: float = 1.0 / 3.0,
-        medium_fraction: float = 0.2,
-        slots_per_bucket: int = 4,
         **kwargs,
     ) -> "CafeMultiLevelEmbedding":
-        """Split the non-hot budget between the primary and secondary tables."""
+        """CAFE's split, with ``secondary_share`` of the non-hot rows in the
+        secondary table; every other keyword goes to the constructor."""
         if not 0.0 < secondary_share < 1.0:
             raise ValueError(f"secondary_share must be in (0, 1), got {secondary_share}")
-        num_hot, total_shared = CafeEmbedding.plan_budget(budget, hot_percentage, slots_per_bucket)
+        slots = kwargs.get("slots_per_bucket", SLOTS_PER_BUCKET)
+        num_hot, total_shared = cls.plan_budget(budget, hot_percentage, slots)
         num_secondary = max(int(total_shared * secondary_share), 1)
         num_primary = max(total_shared - num_secondary, 1)
         return cls(
-            num_features=budget.num_features,
-            dim=budget.dim,
-            num_hot_rows=num_hot,
-            num_shared_rows=num_primary,
-            num_secondary_rows=num_secondary,
-            medium_fraction=medium_fraction,
-            slots_per_bucket=slots_per_bucket,
-            **kwargs,
+            budget.num_features, budget.dim, num_hot, num_primary, num_secondary, **kwargs
         )

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.embeddings.base import DEFAULT_DTYPE, TableBackedEmbedding
+from repro.embeddings.base import TableBackedEmbedding
 from repro.embeddings.plan import RoutingPlan, ScatterPlan
 from repro.nn.init import embedding_uniform
 from repro.utils.rng import SeedLike, make_rng
@@ -20,18 +20,8 @@ class FullEmbedding(TableBackedEmbedding):
 
     _state_parts = {"optimizer.": "_optimizer"}
 
-    def __init__(
-        self,
-        num_features: int,
-        dim: int,
-        optimizer: str = "sgd",
-        learning_rate: float = 0.05,
-        dtype: np.dtype | str = DEFAULT_DTYPE,
-        rng: SeedLike = None,
-    ):
-        super().__init__(
-            num_features, dim, optimizer=optimizer, learning_rate=learning_rate, dtype=dtype
-        )
+    def __init__(self, num_features: int, dim: int, rng: SeedLike = None, **table):
+        super().__init__(num_features, dim, **table)
         generator = make_rng(rng)
         self.table = embedding_uniform((num_features, dim), generator, dtype=self.dtype)
         self._optimizer = self._new_row_optimizer(self.table)

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.embeddings.base import DEFAULT_DTYPE, TableBackedEmbedding
+from repro.embeddings.base import TableBackedEmbedding
 from repro.embeddings.memory import MemoryBudget
 from repro.embeddings.plan import RoutingPlan
 from repro.errors import CheckpointLayoutError
@@ -29,15 +29,11 @@ class HashEmbedding(TableBackedEmbedding):
         num_features: int,
         dim: int,
         num_rows: int,
-        optimizer: str = "sgd",
-        learning_rate: float = 0.05,
         hash_seed: int = 17,
-        dtype: np.dtype | str = DEFAULT_DTYPE,
         rng: SeedLike = None,
+        **table,
     ):
-        super().__init__(
-            num_features, dim, optimizer=optimizer, learning_rate=learning_rate, dtype=dtype
-        )
+        super().__init__(num_features, dim, **table)
         if num_rows <= 0:
             raise ValueError(f"num_rows must be positive, got {num_rows}")
         generator = make_rng(rng)
@@ -47,27 +43,9 @@ class HashEmbedding(TableBackedEmbedding):
         self._optimizer = self._new_row_optimizer(self.table)
 
     @classmethod
-    def from_budget(
-        cls,
-        budget: MemoryBudget,
-        optimizer: str = "sgd",
-        learning_rate: float = 0.05,
-        hash_seed: int = 17,
-        dtype: np.dtype | str = DEFAULT_DTYPE,
-        rng: SeedLike = None,
-    ) -> "HashEmbedding":
+    def from_budget(cls, budget: MemoryBudget, **kwargs) -> "HashEmbedding":
         """Size the table so that its memory fits ``budget`` exactly."""
-        rows = budget.rows()
-        return cls(
-            num_features=budget.num_features,
-            dim=budget.dim,
-            num_rows=rows,
-            optimizer=optimizer,
-            learning_rate=learning_rate,
-            hash_seed=hash_seed,
-            dtype=dtype,
-            rng=rng,
-        )
+        return cls(budget.num_features, budget.dim, num_rows=budget.rows(), **kwargs)
 
     def _rows_for(self, ids: np.ndarray) -> np.ndarray:
         return hash_to_range(ids, self.num_rows, seed=self.hash_seed)

@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.embeddings.base import DEFAULT_DTYPE, TableBackedEmbedding
+from repro.embeddings.base import TableBackedEmbedding, update_rows
 from repro.embeddings.memory import MemoryBudget
 from repro.embeddings.plan import RoutingPlan
 from repro.errors import MemoryBudgetError
@@ -45,15 +45,10 @@ class MixedDimensionEmbedding(TableBackedEmbedding):
         field_cardinalities: list[int],
         dim: int,
         field_dims: list[int],
-        optimizer: str = "sgd",
-        learning_rate: float = 0.05,
-        dtype: np.dtype | str = DEFAULT_DTYPE,
         rng: SeedLike = None,
+        **table,
     ):
-        num_features = int(sum(field_cardinalities))
-        super().__init__(
-            num_features, dim, optimizer=optimizer, learning_rate=learning_rate, dtype=dtype
-        )
+        super().__init__(int(sum(field_cardinalities)), dim, **table)
         if len(field_dims) != len(field_cardinalities):
             raise ValueError("field_dims and field_cardinalities must have the same length")
         if any(d <= 0 for d in field_dims):
@@ -88,10 +83,7 @@ class MixedDimensionEmbedding(TableBackedEmbedding):
         budget: MemoryBudget,
         field_cardinalities: list[int],
         temperature: float = 0.3,
-        optimizer: str = "sgd",
-        learning_rate: float = 0.05,
-        dtype: np.dtype | str = DEFAULT_DTYPE,
-        rng: SeedLike = None,
+        **kwargs,
     ) -> "MixedDimensionEmbedding":
         """Choose per-field dimensions so the total memory fits ``budget``.
 
@@ -132,15 +124,7 @@ class MixedDimensionEmbedding(TableBackedEmbedding):
                 high = mid
         if best_dims is None:
             _, best_dims = total_memory(1.0 / dim)
-        return cls(
-            field_cardinalities=list(field_cardinalities),
-            dim=dim,
-            field_dims=best_dims,
-            optimizer=optimizer,
-            learning_rate=learning_rate,
-            dtype=dtype,
-            rng=rng,
-        )
+        return cls(list(field_cardinalities), dim, field_dims=best_dims, **kwargs)
 
     # ------------------------------------------------------------------ #
     # Lookup / update
@@ -182,7 +166,7 @@ class MixedDimensionEmbedding(TableBackedEmbedding):
             # Backprop through "row @ projection".
             grad_rows = grad_out @ projection.T
             grad_projection = rows.T @ grad_out
-            self._table_optimizers[field_index].update(table, local, grad_rows)
+            update_rows(self._table_optimizers[field_index], table, local, grad_rows)
             if self.field_dims[field_index] != self.dim:
                 projection -= self.projection_lr * grad_projection
         self._step += 1

@@ -17,8 +17,8 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.embeddings.base import DEFAULT_DTYPE, TableBackedEmbedding
-from repro.embeddings.cafe import CafeEmbedding
+from repro.embeddings.base import TableBackedEmbedding, update_rows
+from repro.embeddings.cafe import HOT_PERCENTAGE, CafeEmbedding
 from repro.embeddings.memory import MemoryBudget
 from repro.embeddings.plan import RoutingPlan
 from repro.nn.init import embedding_uniform
@@ -38,15 +38,11 @@ class OfflineSeparationEmbedding(TableBackedEmbedding):
         num_hot_rows: int,
         num_shared_rows: int,
         frequencies: np.ndarray,
-        optimizer: str = "sgd",
-        learning_rate: float = 0.05,
         hash_seed: int = 101,
-        dtype: np.dtype | str = DEFAULT_DTYPE,
         rng: SeedLike = None,
+        **table,
     ):
-        super().__init__(
-            num_features, dim, optimizer=optimizer, learning_rate=learning_rate, dtype=dtype
-        )
+        super().__init__(num_features, dim, **table)
         frequencies = np.asarray(frequencies, dtype=np.float64)
         if frequencies.shape != (num_features,):
             raise ValueError(
@@ -75,25 +71,12 @@ class OfflineSeparationEmbedding(TableBackedEmbedding):
         cls,
         budget: MemoryBudget,
         frequencies: np.ndarray,
-        hot_percentage: float = 0.7,
-        optimizer: str = "sgd",
-        learning_rate: float = 0.05,
-        dtype: np.dtype | str = DEFAULT_DTYPE,
-        rng: SeedLike = None,
+        hot_percentage: float = HOT_PERCENTAGE,
+        **kwargs,
     ) -> "OfflineSeparationEmbedding":
         """Use the same hot/shared split as CAFE for a fair comparison."""
         num_hot, num_shared = CafeEmbedding.plan_budget(budget, hot_percentage)
-        return cls(
-            num_features=budget.num_features,
-            dim=budget.dim,
-            num_hot_rows=num_hot,
-            num_shared_rows=num_shared,
-            frequencies=frequencies,
-            optimizer=optimizer,
-            learning_rate=learning_rate,
-            dtype=dtype,
-            rng=rng,
-        )
+        return cls(budget.num_features, budget.dim, num_hot, num_shared, frequencies, **kwargs)
 
     def routes(self, uids: np.ndarray) -> dict[str, np.ndarray]:
         # The hot/cold split is frozen at construction, so plans never go stale.
@@ -121,10 +104,10 @@ class OfflineSeparationEmbedding(TableBackedEmbedding):
         routes = plan.routes
         rows, hot_mask = routes["rows"], routes["hot_mask"]
         if hot_mask.any():
-            self._hot_optimizer.update(self.hot_table, rows[hot_mask], grad_sums[hot_mask])
+            update_rows(self._hot_optimizer, self.hot_table, rows[hot_mask], grad_sums[hot_mask])
         if not hot_mask.all():
-            self._shared_optimizer.update(
-                self.shared_table, routes["shared_rows"], grad_sums[~hot_mask]
+            update_rows(
+                self._shared_optimizer, self.shared_table, routes["shared_rows"], grad_sums[~hot_mask]
             )
         self._step += 1
 

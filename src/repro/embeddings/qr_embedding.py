@@ -16,7 +16,7 @@ import math
 
 import numpy as np
 
-from repro.embeddings.base import DEFAULT_DTYPE, TableBackedEmbedding
+from repro.embeddings.base import TableBackedEmbedding, update_rows
 from repro.embeddings.memory import MemoryBudget
 from repro.embeddings.plan import RoutingPlan
 from repro.errors import MemoryBudgetError
@@ -35,14 +35,10 @@ class QRTrickEmbedding(TableBackedEmbedding):
         dim: int,
         num_remainder_rows: int,
         operation: str = "add",
-        optimizer: str = "sgd",
-        learning_rate: float = 0.05,
-        dtype: np.dtype | str = DEFAULT_DTYPE,
         rng: SeedLike = None,
+        **table,
     ):
-        super().__init__(
-            num_features, dim, optimizer=optimizer, learning_rate=learning_rate, dtype=dtype
-        )
+        super().__init__(num_features, dim, **table)
         if operation not in _VALID_OPERATIONS:
             raise ValueError(f"operation must be one of {_VALID_OPERATIONS}, got '{operation}'")
         if num_remainder_rows <= 0:
@@ -68,23 +64,16 @@ class QRTrickEmbedding(TableBackedEmbedding):
     # Construction from a budget
     # ------------------------------------------------------------------ #
     @classmethod
-    def from_budget(
-        cls,
-        budget: MemoryBudget,
-        operation: str = "add",
-        optimizer: str = "sgd",
-        learning_rate: float = 0.05,
-        dtype: np.dtype | str = DEFAULT_DTYPE,
-        rng: SeedLike = None,
-    ) -> "QRTrickEmbedding":
+    def from_budget(cls, budget: MemoryBudget, **kwargs) -> "QRTrickEmbedding":
         """Pick the remainder-table size so both tables fit in ``budget``.
 
         The total rows ``r + ceil(n / r)`` is minimized at ``r = sqrt(n)``;
         if even that minimum exceeds the budget the method structurally
-        cannot reach the requested compression ratio.
+        cannot reach the requested compression ratio.  Rows are half as
+        wide under ``operation="concat"``.
         """
         n, dim = budget.num_features, budget.dim
-        row_dim = dim // 2 if operation == "concat" else dim
+        row_dim = dim // 2 if kwargs.get("operation") == "concat" else dim
         max_rows = budget.total_floats // row_dim
         best_r = None
         sqrt_n = int(math.isqrt(n))
@@ -105,16 +94,7 @@ class QRTrickEmbedding(TableBackedEmbedding):
         if best_r is None:
             # Fall back to the memory-minimizing split.
             best_r = max(sqrt_n, 1)
-        return cls(
-            num_features=n,
-            dim=dim,
-            num_remainder_rows=best_r,
-            operation=operation,
-            optimizer=optimizer,
-            learning_rate=learning_rate,
-            dtype=dtype,
-            rng=rng,
-        )
+        return cls(n, dim, num_remainder_rows=best_r, **kwargs)
 
     # ------------------------------------------------------------------ #
     # Lookup / update
@@ -156,8 +136,8 @@ class QRTrickEmbedding(TableBackedEmbedding):
         else:  # concat
             q_grads = grad_sums[:, : self.row_dim]
             r_grads = grad_sums[:, self.row_dim :]
-        self._quotient_optimizer.update(self.quotient_table, quotient, q_grads)
-        self._remainder_optimizer.update(self.remainder_table, remainder, r_grads)
+        update_rows(self._quotient_optimizer, self.quotient_table, quotient, q_grads)
+        update_rows(self._remainder_optimizer, self.remainder_table, remainder, r_grads)
         self._step += 1
 
     def memory_floats(self) -> int:

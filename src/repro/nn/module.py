@@ -1,5 +1,6 @@
 """Module base class: parameter registration, traversal, and state dicts;
-and the one rule every restore checks a state against (:func:`check_fits`)."""
+the one rule every restore checks a state against (:func:`check_fits`), and
+the one restore sequence (:class:`Restorable`)."""
 
 from __future__ import annotations
 
@@ -67,7 +68,21 @@ def check_fits(
         part.check_state(section(state, prefix))
 
 
-class Module:
+class Restorable:
+    """An object whose ``state_dict()`` a checkpoint restores: it has a
+    non-writing ``check_state(state)`` and a ``write_state(state)`` that
+    checks nothing.  A parent's check runs its parts' checks
+    (:func:`check_fits`) and its write calls only their ``write_state``,
+    so a restore checks each object once."""
+
+    def load_state_dict(self, state: Mapping[str, np.ndarray]) -> None:
+        """Restore what ``state_dict()`` returned: :meth:`check_state` (a
+        refused state writes nothing), then :meth:`write_state`."""
+        self.check_state(state)
+        self.write_state(state)
+
+
+class Module(Restorable):
     """Base class for neural-network components.
 
     Sub-modules and parameters assigned as attributes are discovered
@@ -132,10 +147,9 @@ class Module:
             "checkpoint holds parameters {found}; this module takes {takes}", key_error=KeyError,
         )
 
-    def load_state_dict(self, state: dict[str, np.ndarray]) -> None:
-        """Load parameter values previously produced by :meth:`state_dict`
-        (refused by :meth:`check_state` before any is written)."""
-        self.check_state(state)
+    def write_state(self, state: dict[str, np.ndarray]) -> None:
+        """Write the parameters of a state :meth:`check_state` passed,
+        checking nothing."""
         for name, param in self.named_parameters():
             # Cast to the parameter's existing dtype: a model configured for
             # float32 (or float16 tables) must not be silently promoted to

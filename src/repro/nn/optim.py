@@ -15,7 +15,7 @@ import numpy as np
 
 from repro.errors import NonFiniteGradientError, OptimizerStateMismatchError
 from repro.kernels.ops import scatter_apply
-from repro.nn.module import check_fits
+from repro.nn.module import Restorable, check_fits
 from repro.nn.tensor import Parameter
 
 
@@ -27,7 +27,7 @@ from repro.nn.tensor import Parameter
 FLUSH_EVERY = 16
 
 
-class Optimizer:
+class Optimizer(Restorable):
     """Base class of the dense optimizer (:class:`Adam`) over parameters.
 
     All state lives in flat arrays over the concatenation of the parameters
@@ -166,9 +166,8 @@ class Optimizer:
             OptimizerStateMismatchError,
         )
 
-    def load_state_dict(self, state: dict[str, np.ndarray]) -> None:
-        """Restore :meth:`state_dict`, once :meth:`check_state` passed."""
-        self.check_state(state)
+    def write_state(self, state: dict[str, np.ndarray]) -> None:
+        """Write a state :meth:`check_state` passed, checking nothing."""
         self.step_count = int(state["step_count"])
         self.restored = True
         for name, array in self.state.items():
@@ -222,7 +221,7 @@ class Adam(Optimizer):
 # --------------------------------------------------------------------------- #
 # Row-wise (sparse) optimizers for embedding storages
 # --------------------------------------------------------------------------- #
-class RowOptimizer:
+class RowOptimizer(Restorable):
     """Applies updates to selected rows of a raw parameter matrix.
 
     The per-row state is :attr:`state`: one zeroed ``(rows,)`` array per
@@ -248,28 +247,13 @@ class RowOptimizer:
         self.lr = float(lr)
         self.state = {key: np.zeros(table.shape[0], dtype=table.dtype) for key in self.state_keys}
 
-    def update(self, table: np.ndarray, rows: np.ndarray, grads: np.ndarray) -> None:
-        """Apply the update ``table[rows] -= f(grads)`` in place.
-
-        ``rows`` may contain duplicates; gradients for duplicate rows are
-        summed before the update (scatter-add semantics, batch order within
-        each row).  This entry point builds the scatter from scratch.
-        Callers that already hold a
-        :class:`~repro.embeddings.plan.ScatterPlan` should segment-sum and
-        call :meth:`fused_apply` directly instead.
-        """
-        from repro.embeddings.plan import ScatterPlan
-
-        scatter = ScatterPlan.from_rows(np.asarray(rows, dtype=np.int64))
-        summed = scatter.sum(grads)
-        self.fused_apply(table, scatter.rows, summed)
-
     def fused_apply(self, table: np.ndarray, rows: np.ndarray, summed: np.ndarray) -> None:
         """Apply pre-summed per-row gradients to unique ``rows`` in place.
 
         The caller has already collapsed duplicate rows with
         :meth:`~repro.embeddings.plan.ScatterPlan.sum`, so the only work left is one
-        optimizer scatter (plus per-row state, updated in the same pass).
+        optimizer scatter (plus per-row state, updated in the same pass);
+        :func:`~repro.embeddings.base.update_rows` does both halves.
         """
         raise NotImplementedError  # pragma: no cover - abstract
 
@@ -290,17 +274,15 @@ class RowOptimizer:
         retired = RETIRED_SKETCHED_STATE <= state.keys()
         note = " of the retired 'sketched_adagrad'" if retired else ""
         check_fits(
-            state, self.state_dict(),
+            state, self.state,
             f"checkpoint holds row-optimizer state {{found}}{note}; row optimizer "
             f"'{self.kind}' takes {{takes}}",
             OptimizerStateMismatchError, optional=self.state_keys,
         )
 
-    def load_state_dict(self, state: dict[str, np.ndarray]) -> None:
-        """Restore :meth:`state_dict` arrays in place (refused by
-        :meth:`check_state` before any write); a key without an entry
-        restarts cold (zeroed)."""
-        self.check_state(state)
+    def write_state(self, state: dict[str, np.ndarray]) -> None:
+        """Write a state :meth:`check_state` passed in place, checking
+        nothing; a key without an entry restarts cold (zeroed)."""
         for key, array in self.state.items():
             array[...] = state.get(key, 0.0)
 

@@ -28,7 +28,7 @@ import numpy as np
 
 from repro.errors import SketchStateMismatchError
 from repro.kernels.ops import run_lengths, segment_boundaries, sketch_insert, stable_sort
-from repro.nn.module import check_fits
+from repro.nn.module import Restorable, check_fits
 from repro.sketch.base import Sketch
 from repro.utils.hashing import hash_to_bucket
 
@@ -71,7 +71,7 @@ class EvictionBatch:
         return int(self.keys.shape[0])
 
 
-class HotSketch(Sketch):
+class HotSketch(Sketch, Restorable):
     """Bucketized SpaceSaving sketch for tracking feature importance.
 
     Parameters
@@ -478,10 +478,9 @@ class HotSketch(Sketch):
             SketchStateMismatchError,
         )
 
-    def load_state_dict(self, state: dict[str, np.ndarray]) -> None:
-        """Restore :meth:`state_dict` output in place (the arrays may be views
-        into a stacked store), refused by :meth:`check_state` before any write."""
-        self.check_state(state)
+    def write_state(self, state: dict[str, np.ndarray]) -> None:
+        """Write a state :meth:`check_state` passed in place (the arrays may
+        be views into a stacked store), checking nothing."""
         for name in ("keys", "scores", "payloads"):
             getattr(self, name)[...] = state[name]
         self.total_insertions = int(state["total_insertions"])

@@ -31,6 +31,7 @@ from typing import Sequence
 import numpy as np
 
 from repro.analysis.sanitizer import freeze_arrays, single_writer
+from repro.embeddings import create_embedding
 from repro.embeddings.base import CompressedEmbedding
 from repro.embeddings.cafe import CafeStack
 from repro.embeddings.plan import RoutingPlan
@@ -139,8 +140,6 @@ class ShardedEmbeddingStore(CompressedEmbedding):
         :func:`repro.embeddings.create_embedding` (e.g. ``optimizer``,
         ``field_cardinalities``).  ``num_shards ≥ 2`` takes ``cafe``.
         """
-        from repro.embeddings import create_embedding
-
         if num_shards <= 0:
             raise ValueError(f"num_shards must be positive, got {num_shards}")
         shards = [
@@ -308,23 +307,21 @@ class ShardedEmbeddingStore(CompressedEmbedding):
         return {f"shard{index}.": shard for index, shard in enumerate(self.shards)}
 
     @single_writer
-    def load_state_dict(self, state: dict[str, np.ndarray]) -> None:
-        """Restore all shards from :meth:`state_dict` output, once
-        :meth:`check_state` passed; also absorbs a pre-store single-layer
-        checkpoint into a single-shard store.  Every shard restores in
-        place, so a stack's shards keep viewing it.  Counts as a write for
-        copy-on-write purposes.  The store's :meth:`step` comes back from the
-        ``step`` header (a bare layer's own ``step`` is the same count); a
-        state without one leaves it as it was.
+    def write_state(self, state: dict[str, np.ndarray]) -> None:
+        """Write a state :meth:`check_state` passed, checking nothing: every
+        shard's ``write_state`` in place, so a stack's shards keep viewing
+        it; a pre-store single-layer state goes to a single-shard store's
+        shard.  Counts as a write for copy-on-write purposes.  The store's
+        :meth:`step` comes back from the ``step`` header (a bare layer's own
+        ``step`` is the same count); a state without one leaves it as it was.
         """
-        self.check_state(state)
         # Restoring is a write: never mutate a table a snapshot still serves.
         self._ensure_private()
         if "num_shards" not in state:  # written against a bare embedding layer
-            self.shards[0].load_state_dict(state)
+            self.shards[0].write_state(state)
         else:
             for prefix, shard in self._sections().items():
-                shard.load_state_dict(section(state, prefix))
+                shard.write_state(section(state, prefix))
         self.invalidate_plan()
         if "step" in state:
             self._step = int(state["step"])

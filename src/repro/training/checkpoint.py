@@ -68,10 +68,11 @@ def load_checkpoint(
     """Restore a checkpoint written by :func:`save_checkpoint`; returns the
     training step recorded at save time.
 
-    Every section is checked before any is written — the sparse one by the
-    store's ``check_state``, ``optim/`` by the optimizer's, the dense one by
-    the model's (:func:`~repro.nn.module.check_fits`) — so a refused
-    checkpoint restores nothing.  The error names the key family that does
+    Every section is checked once before any is written — the sparse one by
+    the store's ``check_state``, ``optim/`` by the optimizer's, the dense one
+    by the model's (:func:`~repro.nn.module.check_fits`) — and then written
+    by the same objects' ``write_state``, so a refused checkpoint restores
+    nothing.  The error names the key family that does
     not fit: :class:`~repro.errors.OptimizerStateMismatchError` (another
     kind or size of dense optimizer, ``optimizer.*`` entries the row
     optimizer cannot take), :class:`~repro.errors.SketchStateMismatchError`
@@ -102,10 +103,10 @@ def load_checkpoint(
     model.check_state(dense)
     if optimizer is not None:
         if optim:
-            optimizer.load_state_dict(optim)
+            optimizer.write_state(optim)
         else:
             optimizer.reset_state()
-    model.load_state_dict(dense)
+    model.write_state(dense)
     if sparse is not None:
-        model.store.load_state_dict(sparse)
+        model.store.write_state(sparse)
     return int(contents[f"{_META_PREFIX}step"])

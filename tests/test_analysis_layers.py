@@ -79,7 +79,7 @@ class TestUpwardImports:
         assert (src_layer, dst_layer) == ("low", "high")
         assert "upward import" in report.render_problems()[0]
 
-    def test_deferred_upward_import_is_allowed_but_recorded(self, tmp_path):
+    def test_deferred_upward_import_is_a_violation(self, tmp_path):
         write_package(tmp_path, {
             "pkg.__init__": "",
             "pkg.low.__init__": "def f():\n    import pkg.high\n",
@@ -87,8 +87,20 @@ class TestUpwardImports:
         })
         graph = build_import_graph(tmp_path, "pkg")
         report = check_layers(graph, FIXTURE_LAYERS)
-        assert report.ok
-        assert len(report.deferred_upward) == 1
+        assert not report.ok
+        [(edge, src_layer, dst_layer)] = report.upward
+        assert not edge.eager and (src_layer, dst_layer) == ("low", "high")
+        assert "upward import" in report.render_problems()[0]
+        assert "in a function" in report.render_problems()[0]
+
+    def test_deferred_downward_import_passes(self, tmp_path):
+        write_package(tmp_path, {
+            "pkg.__init__": "",
+            "pkg.low.__init__": "",
+            "pkg.high.__init__": "def f():\n    import pkg.low\n",
+        })
+        graph = build_import_graph(tmp_path, "pkg")
+        assert check_layers(graph, FIXTURE_LAYERS).ok
 
     def test_downward_import_passes(self, tmp_path):
         write_package(tmp_path, {

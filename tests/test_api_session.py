@@ -15,8 +15,9 @@ import pytest
 
 from repro.api.config import SystemConfig
 from repro.api.session import build
-from repro.embeddings import METHOD_NAMES, create_embedding, create_embedding_store
+from repro.embeddings import METHOD_NAMES, create_embedding
 from repro.errors import ConfigurationError, OptimizerStateMismatchError
+from repro.store import ShardedEmbeddingStore
 
 #: A non-default store: a 2-shard CAFE stack.
 SHARDED_STORE = {"spec": "cafe", "compression_ratio": 10.0, "num_shards": 2}
@@ -29,6 +30,17 @@ CORE_DESCRIBE_KEYS = {
     "memory_floats",
     "compression_ratio",
 }
+
+
+def build_store(schema, spec="cafe", num_shards=1, **kwargs) -> ShardedEmbeddingStore:
+    """A store over every field of ``schema``, wired by hand."""
+    return ShardedEmbeddingStore.build(
+        spec,
+        num_features=schema.num_features,
+        dim=schema.embedding_dim,
+        num_shards=num_shards,
+        **kwargs,
+    )
 
 
 def tiny_config(**overrides) -> SystemConfig:
@@ -107,7 +119,7 @@ class TestRoundTripBitExactness:
         from repro.training.trainer import Trainer
 
         dataset = build_dataset("criteo", scale="tiny", seed=0)
-        store = create_embedding_store(dataset.schema, seed=0, **SHARDED_STORE)
+        store = build_store(dataset.schema, seed=0, **SHARDED_STORE)
         model = create_model(
             "dlrm", store, num_fields=dataset.schema.num_fields,
             num_numerical=dataset.schema.num_numerical, rng=0,
@@ -144,7 +156,7 @@ class TestFrontDoorEquivalence:
         from repro.runtime.pipeline import OnlinePipeline, PipelineConfig
 
         dataset = build_dataset("criteo", scale="tiny", seed=0)
-        store = create_embedding_store(dataset.schema, seed=0, **SHARDED_STORE)
+        store = build_store(dataset.schema, seed=0, **SHARDED_STORE)
         model = create_model(
             "dlrm", store, num_fields=dataset.schema.num_fields,
             num_numerical=dataset.schema.num_numerical, rng=0,
@@ -185,7 +197,7 @@ class TestDirectConstructionKeepsWorking:
         from repro.models import create_model
 
         schema = make_preset("criteo", base_cardinality=300)
-        store = create_embedding_store(schema, seed=0)
+        store = build_store(schema, seed=0)
         model = create_model("dlrm", store, num_fields=schema.num_fields,
                              num_numerical=schema.num_numerical, rng=0)
         assert model.store is store

@@ -1,5 +1,7 @@
 """Tests for the checkpoint utilities."""
 
+from collections import Counter
+
 import numpy as np
 import pytest
 
@@ -10,6 +12,8 @@ from repro.embeddings.full import FullEmbedding
 from repro.embeddings.hash_embedding import HashEmbedding
 from repro.errors import CheckpointLayoutError, SketchStateMismatchError
 from repro.models.dlrm import DLRM
+from repro.nn.optim import RowOptimizer
+from repro.sketch.hotsketch import HotSketch
 from repro.store import ShardedEmbeddingStore
 from repro.training.checkpoint import load_checkpoint, save_checkpoint
 from repro.training.trainer import Trainer
@@ -387,3 +391,45 @@ def extra_row(key):
         payload[key] = np.concatenate([payload[key], payload[key][:1]])
 
     return edit
+
+
+def count_calls(monkeypatch, cls, name) -> Counter:
+    """Wrap ``cls.name`` to count its calls by the ``id`` of the object."""
+    original, counts = getattr(cls, name), Counter()
+
+    def counted(self, *args, **kwargs):
+        counts[id(self)] += 1
+        return original(self, *args, **kwargs)
+
+    monkeypatch.setattr(cls, name, counted)
+    return counts
+
+
+class TestRestoreChecksOnce:
+    """A restore checks each object once, then only writes: a parent runs
+    its parts' ``write_state`` after its own one ``check_state``."""
+
+    @pytest.mark.parametrize("restore", ["load_checkpoint", "store.load_state_dict"])
+    def test_each_shard_is_checked_once(self, tmp_path, monkeypatch, restore):
+        dataset = tiny_dataset()
+        source = sharded_cafe_model(dataset, num_shards=4, seed=1)
+        path = save_checkpoint(tmp_path / "four.npz", source, optimizer=trained(source, dataset))
+        target = sharded_cafe_model(dataset, num_shards=4, seed=2)
+        optimizer = trained(target, dataset)
+        shard_checks = count_calls(monkeypatch, CafeEmbedding, "check_state")
+        sketch_checks = count_calls(monkeypatch, HotSketch, "check_state")
+        row_checks = count_calls(monkeypatch, RowOptimizer, "check_state")
+        store_checks = count_calls(monkeypatch, ShardedEmbeddingStore, "check_state")
+        if restore == "load_checkpoint":
+            load_checkpoint(path, target, optimizer=optimizer)
+        else:
+            target.store.load_state_dict(source.store.state_dict())
+        shards = target.store.shards
+        assert store_checks == {id(target.store): 1}
+        assert shard_checks == {id(shard): 1 for shard in shards}
+        assert sketch_checks == {id(shard.sketch): 1 for shard in shards}
+        assert row_checks == {id(shard._optimizer): 1 for shard in shards}
+        restored, saved = target.store.state_dict(), source.store.state_dict()
+        assert sorted(restored) == sorted(saved)
+        for key, value in saved.items():
+            assert np.array_equal(restored[key], value), key

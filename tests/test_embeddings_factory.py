@@ -1,5 +1,7 @@
 """Tests for the create_embedding factory and cross-method invariants."""
 
+import inspect
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -15,6 +17,7 @@ from repro.embeddings import (
     MixedDimensionEmbedding,
     OfflineSeparationEmbedding,
     QRTrickEmbedding,
+    TableBackedEmbedding,
     create_embedding,
 )
 
@@ -166,3 +169,56 @@ class TestPropertyBased:
         assert len(set(payloads.tolist())) == payloads.size  # no double-assignment
         assert payloads.size + len(emb._free_rows) == emb.num_hot_rows
         assert np.all((payloads >= 0) & (payloads < emb.num_hot_rows))
+
+
+def cafe_knobs(layer):
+    """Every CAFE setting a layer holds after construction."""
+    return {
+        "decay": layer.decay,
+        "decay_interval": layer.decay_interval,
+        "rebalance_interval": layer.rebalance_interval,
+        "hysteresis": layer.hysteresis,
+        "slots_per_bucket": layer.slots_per_bucket,
+        "hash_seed": layer.hash_seed,
+        "sketch_seed": layer.sketch.seed,
+        "adaptive_threshold": layer.adaptive_threshold,
+        "hot_threshold": layer.hot_threshold,
+        "use_frequency": layer.use_frequency,
+        "optimizer": layer.optimizer_name,
+        "learning_rate": layer.learning_rate,
+        "dtype": layer.dtype,
+    }
+
+
+def constructor_keywords(cls):
+    """The named parameters of ``cls``'s constructor chain."""
+    return {
+        name
+        for klass in cls.__mro__
+        if "__init__" in vars(klass)
+        for name, parameter in inspect.signature(vars(klass)["__init__"]).parameters.items()
+        if name != "self"
+        and parameter.kind not in (parameter.VAR_POSITIONAL, parameter.VAR_KEYWORD)
+    }
+
+
+class TestOneDefaultPerKnob:
+    """A knob has its default in one place, whichever way a layer is built."""
+
+    def test_factory_and_constructor_agree_on_every_cafe_knob(self):
+        direct = CafeEmbedding(N, DIM, num_hot_rows=16, num_shared_rows=64)
+        for method in ("cafe", "cafe_ml"):
+            assert cafe_knobs(build(method)) == cafe_knobs(direct), method
+
+    @pytest.mark.parametrize(
+        "method", [name for name, cls in EXPECTED_TYPES.items() if "from_budget" in vars(cls)]
+    )
+    def test_from_budget_declares_no_default_of_its_constructor(self, method):
+        cls = EXPECTED_TYPES[method]
+        declared = {
+            name
+            for name, parameter in inspect.signature(cls.from_budget).parameters.items()
+            if parameter.default is not parameter.empty
+        }
+        owned = constructor_keywords(cls) | constructor_keywords(TableBackedEmbedding)
+        assert not declared & owned, f"{cls.__name__}.from_budget re-declares {declared & owned}"

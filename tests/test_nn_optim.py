@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from repro.embeddings.base import update_rows
 from repro.errors import NonFiniteGradientError, OptimizerStateMismatchError
 from repro.nn.optim import (
     Adam,
@@ -291,7 +292,7 @@ class TestRowOptimizers:
     def test_row_sgd_updates_only_selected_rows(self):
         table = np.zeros((5, 3))
         opt = RowSGD(lr=0.5, table=table)
-        opt.update(table, np.asarray([1, 3]), np.ones((2, 3)))
+        update_rows(opt, table, np.asarray([1, 3]), np.ones((2, 3)))
         assert np.allclose(table[1], -0.5)
         assert np.allclose(table[3], -0.5)
         assert np.allclose(table[0], 0.0)
@@ -299,16 +300,16 @@ class TestRowOptimizers:
     def test_row_sgd_duplicate_rows_sum(self):
         table = np.zeros((4, 2))
         opt = RowSGD(lr=1.0, table=table)
-        opt.update(table, np.asarray([2, 2]), np.ones((2, 2)))
+        update_rows(opt, table, np.asarray([2, 2]), np.ones((2, 2)))
         assert np.allclose(table[2], -2.0)
 
     def test_row_adagrad_scales_updates(self):
         table = np.zeros((4, 2))
         opt = RowAdagrad(lr=1.0, table=table)
         grads = np.full((1, 2), 2.0)
-        opt.update(table, np.asarray([0]), grads)
+        update_rows(opt, table, np.asarray([0]), grads)
         first = table[0].copy()
-        opt.update(table, np.asarray([0]), grads)
+        update_rows(opt, table, np.asarray([0]), grads)
         second = table[0] - first
         # Adagrad's accumulated state shrinks the second step.
         assert np.all(np.abs(second) < np.abs(first))
@@ -316,7 +317,7 @@ class TestRowOptimizers:
     def test_row_adagrad_reset_rows(self):
         table = np.zeros((4, 2))
         opt = RowAdagrad(lr=1.0, table=table)
-        opt.update(table, np.asarray([1, 2]), np.ones((2, 2)))
+        update_rows(opt, table, np.asarray([1, 2]), np.ones((2, 2)))
         opt.reset_rows(np.asarray([1]))
         accumulator = opt.state["accumulator"]
         assert accumulator[2] > 0.0 and accumulator[[0, 1, 3]].tolist() == [0.0, 0.0, 0.0]
@@ -341,8 +342,8 @@ class TestRowOptimizers:
         owned = np.zeros(12)
         viewed.state = {"accumulator": owned[6:]}  # as a stack member's view
         for step_rows, step_grads in zip(rows, grads):
-            plain.update(plain_table, step_rows, step_grads)
-            viewed.update(viewed_table, step_rows, step_grads)
+            update_rows(plain, plain_table, step_rows, step_grads)
+            update_rows(viewed, viewed_table, step_rows, step_grads)
         assert np.array_equal(plain_table, viewed_table)
         # Every step wrote into the caller-owned array.
         assert np.array_equal(owned[6:], plain.state["accumulator"])
