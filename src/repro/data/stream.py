@@ -8,7 +8,20 @@ from typing import Iterator
 
 import numpy as np
 
-from repro.errors import DataError
+from repro.errors import DataError, NonIntegerIdError
+
+
+def as_id_array(ids) -> np.ndarray:
+    """``ids`` as an int64 array; a non-integer dtype is refused, not truncated."""
+    ids = np.asarray(ids)
+    if ids.dtype == np.int64:
+        return ids
+    if ids.dtype.kind not in "iu" and ids.size:
+        raise NonIntegerIdError(
+            f"feature ids must be integers, got dtype {ids.dtype} "
+            "(casting would silently truncate, e.g. 1.5 -> 1)"
+        )
+    return ids.astype(np.int64)
 
 
 def all_finite(values: np.ndarray) -> bool:
@@ -31,7 +44,10 @@ class Batch:
     ``numerical`` holds dense features ``(batch, num_numerical)`` (possibly
     zero columns), ``labels`` holds binary click labels ``(batch,)``, and
     ``day`` records which logical day the samples belong to (used by the
-    online-training protocol and the drift experiments).
+    online-training protocol and the drift experiments).  Ids of a
+    non-integer dtype raise :class:`~repro.errors.NonIntegerIdError`, as the
+    store does, instead of being truncated; a block given as a scalar or
+    ``None`` raises :class:`~repro.errors.DataError`.
 
     >>> batch = Batch(
     ...     categorical=np.array([[1, 2], [3, 4], [5, 6]]),
@@ -51,9 +67,15 @@ class Batch:
     day: int = 0
 
     def __post_init__(self):
-        self.categorical = np.asarray(self.categorical, dtype=np.int64)
+        self.categorical = as_id_array(self.categorical)
         self.numerical = np.asarray(self.numerical, dtype=np.float64)
         self.labels = np.asarray(self.labels, dtype=np.float64)
+        for name in ("categorical", "numerical", "labels"):
+            if getattr(self, name).ndim == 0:
+                raise DataError(
+                    f"Batch {name} must hold one entry per row (numerical np.zeros((batch, 0)) "
+                    "when there are no dense features), got a scalar or None"
+                )
         batch = self.categorical.shape[0]
         if self.numerical.shape[0] != batch or self.labels.shape[0] != batch:
             raise DataError(

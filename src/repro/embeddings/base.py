@@ -25,12 +25,12 @@ from __future__ import annotations
 
 import numpy as np
 
+from repro.data.stream import as_id_array
 from repro.embeddings.plan import (
     PlanStats,
     RoutingPlan,
     ScatterPlan,
     UniqueBatch,
-    as_id_array,
     gradient_norms,
 )
 from repro.errors import NonFiniteGradientError
@@ -174,21 +174,35 @@ class CompressedEmbedding(Restorable):
         raise NotImplementedError  # pragma: no cover - abstract
 
     def state_dict(self) -> dict[str, np.ndarray]:
-        """The full sparse state (tables, row optimizer, sketch) for checkpoints.
+        """The full sparse state (tables, row optimizer, sketch) for checkpoints:
+        copies of :meth:`_state_view`'s arrays, then each part's ``state_dict()``.
 
         A scheme without checkpointable state raises ``NotImplementedError``;
         a checkpoint then omits its sparse section.
         """
+        state = {key: value.copy() for key, value in self._state_view().items()}
+        state.update(self._parts_state_dict())
+        return state
+
+    def _state_view(self) -> dict[str, np.ndarray]:
+        """The scheme's own entries of :meth:`state_dict` (no parts') as the
+        live arrays, not copies; ``NotImplementedError`` when it has none."""
         raise NotImplementedError(f"{type(self).__name__} does not support state_dict")
 
     def check_state(self, state: dict[str, np.ndarray]) -> None:
         """Raise a named error unless ``state`` fits :meth:`state_dict`
         (:func:`~repro.nn.module.check_fits`, which runs each part's
         ``check_state`` on its section; ``NotImplementedError`` when the
-        scheme has no state).  Writes nothing."""
+        scheme has no state).  Writes nothing and copies nothing: the shapes
+        are read off :meth:`_state_view`, or off ``state_dict()`` for a scheme
+        without a view (one of your own that defines ``state_dict`` alone)."""
         owner = self._state_owner
+        own_state = (
+            self.state_dict if type(self)._state_view is CompressedEmbedding._state_view
+            else self._state_view
+        )
         check_fits(
-            state, self.state_dict(),
+            state, own_state(),
             f"checkpoint holds {{found}}, not {owner}'s; {owner} takes {{takes}}",
             parts={prefix: getattr(self, name) for prefix, name in self._state_parts.items()},
         )

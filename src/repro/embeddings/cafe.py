@@ -384,7 +384,7 @@ class CafeEmbedding(TableBackedEmbedding):
         or double-assigned (present in the pool *and* a sketch slot) across
         insert/evict/rebalance cycles.
         """
-        if not rows_partition(self._free_rows.to_array(), self.sketch.payloads, self.num_hot_rows):
+        if not rows_partition(self._free_rows.rows, self.sketch.payloads, self.num_hot_rows):
             raise AssertionError("exclusive rows leaked, double-assigned or out of range")
 
     def memory_floats(self) -> int:
@@ -394,14 +394,13 @@ class CafeEmbedding(TableBackedEmbedding):
     # ------------------------------------------------------------------ #
     # Checkpointing (paper §4, "Fault Tolerance")
     # ------------------------------------------------------------------ #
-    def state_dict(self) -> dict[str, np.ndarray]:
+    def _state_view(self) -> dict[str, np.ndarray]:
         # Every arena region, so subclasses with more tables (the
         # multi-level variant) checkpoint them too.
-        state = {name: getattr(self, name).copy() for name, _ in self._arena_regions()}
-        state["free_rows"] = self._free_rows.to_array()
+        state = {name: getattr(self, name) for name, _ in self._arena_regions()}
+        state["free_rows"] = self._free_rows.rows
         state["hot_threshold"] = np.asarray(self.hot_threshold)
         state["step"] = np.asarray(self._step)
-        state.update(self._parts_state_dict())
         return state
 
     def check_state(self, state: dict[str, np.ndarray]) -> None:

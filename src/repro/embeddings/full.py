@@ -46,10 +46,8 @@ class FullEmbedding(TableBackedEmbedding):
         """The full ``num_features x dim`` table."""
         return int(self.table.size)
 
-    def state_dict(self) -> dict[str, np.ndarray]:
-        state = {"table": self.table.copy(), "step": np.asarray(self._step)}
-        state.update(self._parts_state_dict())
-        return state
+    def _state_view(self) -> dict[str, np.ndarray]:
+        return {"table": self.table, "step": np.asarray(self._step)}
 
     def _write_state(self, state: dict[str, np.ndarray]) -> None:
         self.table = np.array(state["table"], dtype=self.dtype)

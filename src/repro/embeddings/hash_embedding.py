@@ -73,14 +73,12 @@ class HashEmbedding(TableBackedEmbedding):
         """One ``num_rows x dim`` table; no auxiliary structures."""
         return int(self.table.size)
 
-    def state_dict(self) -> dict[str, np.ndarray]:
-        state = {
-            "table": self.table.copy(),
+    def _state_view(self) -> dict[str, np.ndarray]:
+        return {
+            "table": self.table,
             "hash_seed": np.asarray(self.hash_seed),
             "step": np.asarray(self._step),
         }
-        state.update(self._parts_state_dict())
-        return state
 
     def check_state(self, state: dict[str, np.ndarray]) -> None:
         super().check_state(state)

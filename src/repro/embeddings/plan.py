@@ -33,21 +33,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from repro.errors import IdOutOfRangeError, NonIntegerIdError
+from repro.errors import IdOutOfRangeError
 from repro.kernels.ops import SegmentSum, run_lengths, segment_boundaries, stable_sort
-
-
-def as_id_array(ids) -> np.ndarray:
-    """``ids`` as an int64 array; a non-integer dtype is refused, not truncated."""
-    ids = np.asarray(ids)
-    if ids.dtype == np.int64:
-        return ids
-    if ids.dtype.kind not in "iu" and ids.size:
-        raise NonIntegerIdError(
-            f"feature ids must be integers, got dtype {ids.dtype} "
-            "(casting would silently truncate, e.g. 1.5 -> 1)"
-        )
-    return ids.astype(np.int64)
 
 
 def check_id_range(low: int, high: int, num_features: int) -> None:
@@ -290,8 +277,11 @@ class FreeRowPool:
             self._rows = np.concatenate([self._rows, valid])
         return int(valid.size)
 
-    def to_array(self) -> np.ndarray:
-        return self._rows.copy()
+    @property
+    def rows(self) -> np.ndarray:
+        """The free rows, not a copy: a claim or release rebinds the pool's
+        array and never writes it in place, so a reader may keep it."""
+        return self._rows
 
     # ------------------------------------------------------------------ #
     # list-compatible API

@@ -89,7 +89,8 @@ class BatchShapeError(BadBatchError):
     Raised by the model (``forward`` / ``predict_proba``, so also by
     ``Trainer.train_step``) before any lookup: a batch with 25 of 26 fields
     or 12 of 13 numerical columns is refused with nothing touched, and so is
-    a training batch whose labels are not one value per row.
+    a training batch whose labels are not one value per row, or that holds
+    no rows at all.
     """
 
 

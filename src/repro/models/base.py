@@ -33,6 +33,7 @@ from typing import Any, Sequence
 
 import numpy as np
 
+from repro.data.stream import as_id_array
 from repro.embeddings.base import CompressedEmbedding
 from repro.errors import BatchShapeError
 from repro.nn.functional import sigmoid_array
@@ -167,8 +168,9 @@ class RecommendationModel(Module):
         self, categorical: np.ndarray, numerical: np.ndarray | None
     ) -> tuple[np.ndarray, np.ndarray]:
         """``(categorical as int64, numerical in the model's dtype)``, or
-        :class:`~repro.errors.BatchShapeError` if either has the wrong shape."""
-        categorical = np.asarray(categorical, dtype=np.int64)
+        :class:`~repro.errors.BatchShapeError` if either has the wrong shape
+        (:class:`~repro.errors.NonIntegerIdError` for ids that are not integers)."""
+        categorical = as_id_array(categorical)
         if categorical.ndim != 2 or categorical.shape[1] != self.num_fields:
             raise BatchShapeError(
                 f"categorical input must have shape (batch, {self.num_fields}), got {categorical.shape}"

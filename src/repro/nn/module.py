@@ -32,7 +32,8 @@ def check_fits(
 ) -> None:
     """The fit rule of every restore; writes nothing.
 
-    ``state`` fits ``own`` (the object's own ``state_dict()``) when it holds
+    ``state`` fits ``own`` (the object's own ``state_dict()``, or the live
+    arrays that method copies, whose shapes are the same) when it holds
     ``own``'s keys with arrays of ``own``'s shapes, save that a key in
     ``optional`` may be absent (a store's ``step`` header; a row optimizer's
     keys, which then restart cold) and :data:`VARIABLE_LENGTH` may have any

@@ -7,8 +7,8 @@ import time
 import numpy as np
 
 from repro.analysis import sanitizer
-from repro.data.stream import all_finite
-from repro.embeddings.plan import as_id_array, check_id_range
+from repro.data.stream import all_finite, as_id_array
+from repro.embeddings.plan import check_id_range
 from repro.errors import IdOutOfRangeError, MalformedRequestError
 from repro.serving.stats import LatencyTracker
 

@@ -461,19 +461,23 @@ class HotSketch(Sketch, Restorable):
     # Checkpointing (paper §4, "Fault Tolerance")
     # ------------------------------------------------------------------ #
     def state_dict(self) -> dict[str, np.ndarray]:
+        return {key: value.copy() for key, value in self._state_view().items()}
+
+    def _state_view(self) -> dict[str, np.ndarray]:
+        """:meth:`state_dict`'s entries as the live arrays, not copies."""
         return {
-            "keys": self.keys.copy(),
-            "scores": self.scores.copy(),
-            "payloads": self.payloads.copy(),
+            "keys": self.keys,
+            "scores": self.scores,
+            "payloads": self.payloads,
             "total_insertions": np.asarray(self.total_insertions),
         }
 
     def check_state(self, state: dict[str, np.ndarray]) -> None:
         """Raise :class:`~repro.errors.SketchStateMismatchError` unless ``state``
-        fits (:func:`~repro.nn.module.check_fits`): another geometry would
-        misplace every feature."""
+        fits (:func:`~repro.nn.module.check_fits`, on the live arrays' shapes):
+        another geometry would misplace every feature."""
         check_fits(
-            state, self.state_dict(),
+            state, self._state_view(),
             "checkpoint holds sketch state {found}; this sketch takes {takes}",
             SketchStateMismatchError,
         )

@@ -16,7 +16,8 @@ from typing import Any
 
 import numpy as np
 
-from repro.embeddings.plan import UniqueBatch, as_id_array
+from repro.data.stream import as_id_array
+from repro.embeddings.plan import UniqueBatch
 
 
 class StoreSnapshot:

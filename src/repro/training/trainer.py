@@ -59,7 +59,7 @@ def _checked_labels(labels: np.ndarray, rows: int) -> np.ndarray:
     labels = np.asarray(labels)
     if labels.shape != (rows,):
         raise BatchShapeError(f"labels must have shape ({rows},), got {labels.shape}")
-    if rows and not (labels.min() >= 0 and labels.max() <= 1):
+    if not (labels.min() >= 0 and labels.max() <= 1):
         raise InvalidLabelError(
             "labels must be finite and in [0, 1]; the batch was refused before the lookup"
         )
@@ -91,9 +91,10 @@ class Trainer:
         The embedding store computes its routing plan during the forward
         lookup and reuses it here when the gradients come back, so hashing
         and slot location run once per step, not twice; the plan cache is
-        the store's, at every shard count.  A batch without the model's field or
-        numerical-column count, or without one label per row, raises
-        :class:`~repro.errors.BatchShapeError`; NaN/inf in
+        the store's, at every shard count.  A batch without rows, without the
+        model's field or numerical-column count, or without one label per row,
+        raises :class:`~repro.errors.BatchShapeError`; ids that are not
+        integers :class:`~repro.errors.NonIntegerIdError`; NaN/inf in
         ``batch.numerical`` :class:`~repro.errors.NonFiniteFeatureError`;
         a label that is NaN/inf or outside ``[0, 1]``
         :class:`~repro.errors.InvalidLabelError` — all before the lookup,
@@ -114,6 +115,11 @@ class Trainer:
         """
         model, optimizer = self.model, self.dense_optimizer
         categorical, numerical = model._check_batch(batch.categorical, batch.numerical)
+        if not len(categorical):
+            raise BatchShapeError(
+                "a training batch must hold at least one row; the empty batch was refused "
+                "before the lookup"
+            )
         labels = _checked_labels(batch.labels, len(categorical))
         if not all_finite(batch.numerical):
             raise NonFiniteFeatureError(

@@ -405,6 +405,13 @@ def count_calls(monkeypatch, cls, name) -> Counter:
     return counts
 
 
+def assert_same_store_state(target, source) -> None:
+    restored, saved = target.store.state_dict(), source.store.state_dict()
+    assert sorted(restored) == sorted(saved)
+    for key, value in saved.items():
+        assert np.array_equal(restored[key], value), key
+
+
 class TestRestoreChecksOnce:
     """A restore checks each object once, then only writes: a parent runs
     its parts' ``write_state`` after its own one ``check_state``."""
@@ -429,7 +436,17 @@ class TestRestoreChecksOnce:
         assert shard_checks == {id(shard): 1 for shard in shards}
         assert sketch_checks == {id(shard.sketch): 1 for shard in shards}
         assert row_checks == {id(shard._optimizer): 1 for shard in shards}
-        restored, saved = target.store.state_dict(), source.store.state_dict()
-        assert sorted(restored) == sorted(saved)
-        for key, value in saved.items():
-            assert np.array_equal(restored[key], value), key
+        assert_same_store_state(target, source)
+
+    def test_a_check_copies_no_state(self, tmp_path, monkeypatch):
+        # The checks read shapes off the live arrays, never a state_dict() copy.
+        dataset = tiny_dataset()
+        source = sharded_cafe_model(dataset, num_shards=4, seed=1)
+        path = save_checkpoint(tmp_path / "four.npz", source, optimizer=trained(source, dataset))
+        target = sharded_cafe_model(dataset, num_shards=4, seed=2)
+        optimizer = trained(target, dataset)
+        layer_copies = count_calls(monkeypatch, CafeEmbedding, "state_dict")
+        sketch_copies = count_calls(monkeypatch, HotSketch, "state_dict")
+        load_checkpoint(path, target, optimizer=optimizer)
+        assert not layer_copies and not sketch_copies
+        assert_same_store_state(target, source)

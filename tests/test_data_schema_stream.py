@@ -5,7 +5,7 @@ import pytest
 
 from repro.data.schema import PAPER_DATASET_STATS, DatasetSchema, FieldSchema, make_preset
 from repro.data.stream import Batch, iterate_batches
-from repro.errors import DataError
+from repro.errors import DataError, NonIntegerIdError
 
 
 class TestFieldSchema:
@@ -89,6 +89,24 @@ class TestBatch:
                 numerical=np.zeros((2, 1)),
                 labels=np.zeros(3),
             )
+
+    @pytest.mark.parametrize("block", ["categorical", "numerical", "labels"])
+    def test_a_missing_block_is_a_data_error(self, block):
+        blocks = dict(categorical=np.zeros((3, 2), dtype=np.int64), numerical=np.zeros((3, 1)), labels=np.zeros(3))
+        blocks[block] = None if block != "categorical" else 7
+        with pytest.raises(DataError, match=f"Batch {block} must hold one entry per row"):
+            Batch(**blocks)
+
+    def test_float_ids_are_refused_not_truncated(self):
+        ids = np.arange(6).reshape(3, 2)
+        with pytest.raises(NonIntegerIdError, match="must be integers"):
+            Batch(ids + 0.5, np.zeros((3, 0)), np.zeros(3))
+
+    @pytest.mark.parametrize("dtype", [np.int32, np.uint64])
+    def test_other_integer_ids_are_taken_as_int64(self, dtype):
+        ids = np.arange(6).reshape(3, 2)
+        batch = Batch(ids.astype(dtype), np.zeros((3, 0)), np.zeros(3))
+        assert batch.categorical.dtype == np.int64 and np.array_equal(batch.categorical, ids)
 
     def test_len_counts_rows(self):
         batch = Batch(

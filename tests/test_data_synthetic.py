@@ -210,8 +210,9 @@ class TestDrift:
 def reference_rotating_permutation(drift, cache, day, cardinality, base):
     """``RotatingDrift.permutation_for_day`` with the swap loop on numpy scalars.
 
-    ``cache`` plays ``drift._cache``: keyed ``(day, cardinality)``, so fields
-    of equal cardinality share one permutation here exactly as they do there.
+    ``cache`` keeps every permutation, keyed ``(day, cardinality)``, so fields
+    of equal cardinality share one permutation here exactly as they share one
+    walk there.
     """
     key = (day, cardinality)
     if key in cache:
@@ -401,18 +402,28 @@ class TestSamplesAreTheContract:
             assert_same_planted_logits(new, oracle, day, size)
 
     def test_rotating_drift_equals_the_numpy_scalar_swap_loop(self):
+        # Forward jumps walk the swaps in place, a step back restarts from
+        # day 0, a repeat returns the last answer; the second base of a
+        # cardinality is never used (the first asker's base wins).
+        requests = [56, *range(57), 3, 3, 56, 0]
         for fraction in (0.05, 0.2, 1.0):
             drift, cache = RotatingDrift(fraction, seed=4), {}
+            answers = []
             for cardinality in (1, 2, 31, 3953):
-                base = np.random.default_rng(cardinality).permutation(cardinality).astype(np.int64)
-                for day in (0, 1, 9):
-                    got = drift.permutation_for_day(day, cardinality, base)
-                    want = reference_rotating_permutation(drift, cache, day, cardinality, base)
-                    assert got.dtype == want.dtype and np.array_equal(got, want)
+                rng = np.random.default_rng(cardinality)
+                bases = [rng.permutation(cardinality).astype(np.int64) for _ in range(2)]
+                for day in requests:
+                    for base in bases:
+                        got = drift.permutation_for_day(day, cardinality, base)
+                        want = reference_rotating_permutation(drift, cache, day, cardinality, bases[0])
+                        assert got.dtype == want.dtype and np.array_equal(got, want), (day, cardinality)
+                        answers.append((got, got.copy()))
+            # No later request wrote an earlier answer.
+            assert all(np.array_equal(answer, seen) for answer, seen in answers)
 
     def test_equal_cardinality_fields_share_one_drift_permutation(self):
-        # Known quirk, pinned (see RotatingDrift's docstring): the cache key
-        # is (day, cardinality), so the second of two equally sized fields is
+        # Known quirk, pinned (see RotatingDrift's docstring): the walk is
+        # keyed by cardinality, so the second of two equally sized fields is
         # ranked by the permutation derived from the first one's base.
         schema = random_schema([40, 40, 41], num_numerical=0, num_days=3)
         dataset = SyntheticCTRDataset(schema, SyntheticConfig(seed=1), RotatingDrift(0.2, seed=1))
@@ -422,7 +433,7 @@ class TestSamplesAreTheContract:
         shared = dataset.drift.permutation_for_day(2, 40, second)
         assert shared is dataset.drift.permutation_for_day(2, 40, first)
         assert np.array_equal(dataset.drift.permutation_for_day(0, 40, second), first)
-        assert len(dataset.drift._cache) == 2 * 3  # two cardinalities x days 0..2
+        assert sorted(dataset.drift._walks) == [40, 41]  # one walk per cardinality
 
 
 # SHA-256 over the day's categorical, numerical and label bytes, recorded on
@@ -463,7 +474,7 @@ class TestCostGuards:
 
     def test_peak_allocation_of_a_day(self):
         new, _ = criteo_pair("small", "rotate0.05")
-        new.generate_day(3)  # warm the drift cache: permutations are not the day's cost
+        new.generate_day(3)  # walk the drift to day 3 first: the walk is not the day's cost
         tracemalloc.start()
         try:
             batch = new.generate_day(3)
@@ -476,11 +487,26 @@ class TestCostGuards:
     def test_repeat_day_allocates_no_new_permutation(self):
         new, _ = criteo_pair("tiny", "rotate0.05", samples_per_day=256)
         new.generate_day(5)
-        cached = dict(new.drift._cache)
+        answers = {card: walk.answer for card, walk in new.drift._walks.items()}
         new.generate_day(5, seed_offset=9)
+        assert all(new.drift._walks[card].answer is answers[card] for card in answers)
         new.generate_day(2)
-        assert new.drift._cache.keys() == cached.keys()
-        assert all(new.drift._cache[key] is cached[key] for key in cached)
+        assert new.drift._walks.keys() == answers.keys()
+
+    def test_drift_holds_one_walk_per_cardinality(self):
+        # The footprint of a whole run: the test day, then every train day.
+        new, _ = criteo_pair("small", "rotate0.05", samples_per_day=8)
+        for day in [new.test_day, *new.train_days]:
+            new.generate_day(day)
+        cardinalities = {base.shape[0] for base in new._base_permutations}
+        walks = new.drift._walks
+        assert set(walks) == cardinalities
+        for cardinality, walk in walks.items():
+            assert walk.day == new.train_days[-1]
+            assert len(walk.order) == cardinality
+            assert [a.shape for a in (walk.base, walk.array, walk.answer)] == [(cardinality,)] * 3
+        held = sum(a.nbytes for walk in walks.values() for a in (walk.base, walk.array, walk.answer))
+        assert held == 3 * 8 * sum(cardinalities)
 
 
 class TestNumSamplesBoundary:

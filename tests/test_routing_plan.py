@@ -206,7 +206,7 @@ class TestFreeRowPool:
     def test_partition_rule_catches_double_free(self):
         pool = FreeRowPool(np.asarray([1, 2]))
         pool.release(np.asarray([2]))
-        assert not rows_partition(pool.to_array(), np.asarray([0, 3]), num_rows=4)
+        assert not rows_partition(pool.rows, np.asarray([0, 3]), num_rows=4)
 
 
 class ReferenceHotSketch(HotSketch):

@@ -1,5 +1,7 @@
 """Tests for the training loop, its keywords and latency helpers."""
 
+import warnings
+
 import numpy as np
 import pytest
 
@@ -8,7 +10,13 @@ from repro.data.stream import Batch, all_finite
 from repro.data.synthetic import SyntheticConfig, SyntheticCTRDataset
 from repro.embeddings.cafe import CafeEmbedding
 from repro.embeddings.full import FullEmbedding
-from repro.errors import BadBatchError, BatchShapeError, DataError, NonFiniteFeatureError
+from repro.errors import (
+    BadBatchError,
+    BatchShapeError,
+    DataError,
+    NonFiniteFeatureError,
+    NonIntegerIdError,
+)
 from repro.models.dlrm import DLRM
 from repro.training.latency import measure_latency, measure_sketch_throughput
 from repro.training.trainer import EVAL_BATCH_SIZE, Trainer, TrainingHistory, train_and_evaluate
@@ -213,6 +221,64 @@ class TestBadNumericalInput:
         with np.errstate(over="ignore"):
             assert all_finite(np.full((2, 3), 1e308))
         assert not all_finite(np.asarray([1.0, np.nan])) and not all_finite(np.full((2, 2), np.nan))
+
+
+class TestBatchBoundary:
+    """Refusals that leave parameters, optimizer, step counts and store alone."""
+
+    def test_empty_batch_is_refused_with_nothing_touched(self):
+        dataset = toy_dataset()
+        model = toy_model(dataset)
+        trainer = Trainer(model)
+        trainer.train_step(dataset.generate_day(0, num_samples=64))
+        empty = dataset.generate_day(1, num_samples=64)
+        empty = Batch(empty.categorical[:0], empty.numerical[:0], empty.labels[:0])
+        dense_before = [p.data.copy() for p in model.parameters()]
+        optim_before = trainer.dense_optimizer.state_dict()
+        store_before = model.store.state_dict()
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(BatchShapeError, match="at least one row"):
+                trainer.train_step(empty)
+        assert trainer.global_step == 1
+        assert model.store.step() == 1
+        assert trainer.dense_optimizer.step_count == 1
+        for before, after in zip(dense_before, model.parameters()):
+            assert np.array_equal(before, after.data)
+        for state_before, state_after in [
+            (optim_before, trainer.dense_optimizer.state_dict()),
+            (store_before, model.store.state_dict()),
+        ]:
+            assert state_before.keys() == state_after.keys()
+            for key, value in state_before.items():
+                assert np.array_equal(value, state_after[key]), key
+
+    def test_float_ids_are_refused_at_the_model(self):
+        dataset = toy_dataset()
+        model = toy_model(dataset)
+        trainer = Trainer(model)
+        trainer.train_step(dataset.generate_day(0, num_samples=64))
+        batch = dataset.generate_day(1, num_samples=64)
+        floats = batch.categorical + 0.5
+        with pytest.raises(NonIntegerIdError):
+            model.predict_proba(floats, batch.numerical)
+        batch.categorical = floats  # past Batch's own check
+        dense_before = [p.data.copy() for p in model.parameters()]
+        with pytest.raises(NonIntegerIdError):
+            trainer.train_step(batch)
+        assert trainer.global_step == 1 and model.store.step() == 1
+        for before, after in zip(dense_before, model.parameters()):
+            assert np.array_equal(before, after.data)
+
+    @pytest.mark.parametrize("dtype", [np.int32, np.uint64])
+    def test_other_integer_ids_train_and_predict(self, dtype):
+        dataset = toy_dataset()
+        model = toy_model(dataset)
+        batch = dataset.generate_day(0, num_samples=64)
+        want = model.predict_proba(batch.categorical, batch.numerical)
+        assert np.array_equal(model.predict_proba(batch.categorical.astype(dtype), batch.numerical), want)
+        batch.categorical = batch.categorical.astype(dtype)
+        assert np.isfinite(Trainer(model).train_step(batch))
 
 
 class TestHistory:
