@@ -145,7 +145,10 @@ class SyntheticCTRDataset:
         latent = self.config.latent_dim
         # Returned array first, scratch second, so the freed scratch leaves its
         # hole above the live data: measured lower peak RSS on train_dense
-        # (docs/benchmarks.md, "Earlier runs, for the record").
+        # (docs/benchmarks.md, "Earlier runs, for the record").  The scratch
+        # is freed right after the copy, before the (count, fields) float64
+        # gathers below, so a day never holds two scratch blocks of that size
+        # (docs/benchmarks.md "Evaluation in 512-row pieces").
         global_ids = np.empty((count, self.schema.num_fields), dtype=np.int64)
         field_major = np.empty(global_ids.shape[::-1], dtype=np.int64)
         total = np.zeros((count, latent))
@@ -163,12 +166,16 @@ class SyntheticCTRDataset:
                 vectors *= vectors
                 squares += vectors
         np.copyto(global_ids, field_major.T)
+        del field_major, ids  # ``ids`` is the last row view of the scratch
         if latent == 1:
             # numpy collapses (count, fields, 1) to a contiguous (count, fields)
             # reduce, which is pairwise: sum it the way ``linear`` is summed.
+            # Squared in place: ``x * x`` is the bits of ``x**2``.
             vectors = self._feature_vectors.take(global_ids)
             total = vectors.sum(axis=1, keepdims=True)
-            squares = (vectors**2).sum(axis=1, keepdims=True)
+            vectors *= vectors
+            squares = vectors.sum(axis=1, keepdims=True)
+            del vectors
         linear = self._feature_weights.take(global_ids).sum(axis=1) / self._linear_norm
         pairwise = 0.5 * ((total**2).sum(axis=1) - squares.sum(axis=1)) / self._interaction_norm
         return global_ids, self.config.signal_scale * linear + self.config.interaction_scale * pairwise

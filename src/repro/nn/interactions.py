@@ -44,12 +44,13 @@ class DotInteraction(Module):
         transposed = ws((self, "x"), dim, fields)
         np.copyto(transposed, np.swapaxes(x, 1, 2))
         gram = np.matmul(x, transposed, out=ws(self.gram, fields, fields))
-        # The transposed copy is dead: the pairs go to its region.  mode="clip"
-        # (the indices are in range) lets take write there directly; the
-        # default mode stages every result in a fresh buffer.
+        # The transposed copy is dead: the pairs go to its region.  A mode
+        # other than the default "raise" lets take write there directly (the
+        # default stages every result in a fresh buffer); the indices are in
+        # range, so "wrap" is the bits of "clip", and measured ~20 % faster.
         out = ws((self, "x"), self.output_dim(fields))
         cells = gram.reshape(batch, fields * fields)
-        return np.take(cells, _gram_cell_of_pair(fields), 1, out, "clip")
+        return np.take(cells, _gram_cell_of_pair(fields), 1, out, "wrap")
 
     def backward_array(self, x: np.ndarray, dy: np.ndarray, ws: Workspace) -> np.ndarray:
         """The gradient at ``x`` for upstream ``dy``, a view of the
@@ -64,7 +65,7 @@ class DotInteraction(Module):
         # batched matmul.
         grad_gram = ws(self.gram, fields, fields)
         cells = grad_gram.reshape(batch, fields * fields)
-        np.take(dy, _pair_of_gram_cell(fields), 1, cells, "clip")
+        np.take(dy, _pair_of_gram_cell(fields), 1, cells, "wrap")
         cells[:, :: fields + 1] = 0
         return np.matmul(grad_gram, x, out=dx)
 

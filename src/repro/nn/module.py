@@ -137,14 +137,19 @@ class Module(Restorable):
 
     def state_dict(self) -> dict[str, np.ndarray]:
         """Copy of every parameter keyed by its dotted name."""
-        return {name: param.data.copy() for name, param in self.named_parameters()}
+        return {name: value.copy() for name, value in self._state_view().items()}
+
+    def _state_view(self) -> dict[str, np.ndarray]:
+        """:meth:`state_dict`'s entries as the live arrays, not copies."""
+        return {name: param.data for name, param in self.named_parameters()}
 
     def check_state(self, state: dict[str, np.ndarray]) -> None:
-        """Raise unless ``state`` fits :meth:`state_dict` (:func:`check_fits`):
+        """Raise unless ``state`` fits :meth:`state_dict` (:func:`check_fits`,
+        on the live arrays' shapes):
         ``KeyError`` for another set of names,
         :class:`~repro.errors.CheckpointLayoutError` for another shape."""
         check_fits(
-            state, self.state_dict(),
+            state, self._state_view(),
             "checkpoint holds parameters {found}; this module takes {takes}", key_error=KeyError,
         )
 

@@ -145,22 +145,27 @@ class Optimizer(Restorable):
 
     def state_dict(self) -> dict[str, np.ndarray]:
         """The flat state arrays by name, the step count and the optimizer kind."""
+        return {key: value.copy() for key, value in self._state_view().items()}
+
+    def _state_view(self) -> dict[str, np.ndarray]:
+        """:meth:`state_dict`'s entries as the live arrays, not copies."""
         return {
             "kind": np.asarray(self.kind),
             "step_count": np.asarray(self.step_count),
-            **{name: array.copy() for name, array in self.state.items()},
+            **self.state,
         }
 
     def check_state(self, state: dict[str, np.ndarray]) -> None:
         """Raise :class:`~repro.errors.OptimizerStateMismatchError` unless
-        ``state`` is this kind's and fits (:func:`~repro.nn.module.check_fits`)."""
+        ``state`` is this kind's and fits (:func:`~repro.nn.module.check_fits`,
+        on the live arrays' shapes)."""
         if str(state.get("kind")) != self.kind:
             raise OptimizerStateMismatchError(
                 f"checkpoint holds '{state.get('kind')}' optimizer state; this optimizer is "
                 f"'{self.kind}'"
             )
         check_fits(
-            state, self.state_dict(),
+            state, self._state_view(),
             f"checkpoint holds optimizer state {{found}}; this '{self.kind}' optimizer takes "
             "{takes}",
             OptimizerStateMismatchError,

@@ -15,8 +15,8 @@ from typing import Iterable, Iterator
 
 import numpy as np
 
-from repro.data.stream import Batch, all_finite, iterate_batches
-from repro.errors import BatchShapeError, InvalidLabelError, NonFiniteFeatureError
+from repro.data.stream import Batch, all_finite
+from repro.errors import BatchShapeError, DataError, InvalidLabelError, NonFiniteFeatureError
 from repro.models.base import RecommendationModel
 from repro.nn import functional as F
 from repro.nn.layers import claim_workspace
@@ -26,8 +26,36 @@ from repro.utils.logging import get_logger
 
 logger = get_logger(__name__)
 
-#: Rows per forward pass when :meth:`Trainer.predict` is not given a size.
-EVAL_BATCH_SIZE = 4096
+#: Most rows per forward pass when :meth:`Trainer.predict` is not given a
+#: size.  An evaluation's transient is the dense workspace of one pass (a
+#: 4096-row DLRM pass holds a 12 MB Gram matrix alone), so this can set a
+#: run's high-water mark; 512-row pieces take about as long as 4096-row ones
+#: (docs/benchmarks.md "Evaluation in 512-row pieces").
+EVAL_BATCH_SIZE = 512
+
+#: Every evaluation piece but the last is a whole number of blocks of this
+#: many rows (when the piece size is).
+EVAL_ROW_ALIGN = 16
+
+
+def eval_pieces(rows: int, batch_size: int) -> list[int]:
+    """Where each piece of a ``rows``-row evaluation ends: ``ceil(rows /
+    batch_size)`` pieces of near-equal size, the larger ones first, each a
+    whole number of :data:`EVAL_ROW_ALIGN`-row blocks (when ``batch_size``
+    is) but the last, which also takes the rows past the last whole block.
+
+    BLAS computes a row's bits by where it falls in its pass.  Against one
+    pass over all rows, a remainder piece of up to 32 rows, or pieces that
+    start off a 4-row block, changed the last bits of DLRM, WDL and DCN;
+    near-equal 16-row blocks changed none at the test-set sizes (2 048,
+    4 096, 8 192 rows).  At other sizes one pass itself takes another path
+    for a row or two (docs/benchmarks.md "Evaluation in 512-row pieces").
+    """
+    unit = EVAL_ROW_ALIGN if batch_size % EVAL_ROW_ALIGN == 0 else 1
+    pieces = -(-rows // batch_size)
+    blocks, larger = divmod(rows // unit, pieces or 1)
+    ends = [unit * (i * blocks + min(i, larger)) for i in range(1, pieces)]
+    return ends + [rows] if pieces else ends
 
 
 @dataclass
@@ -180,13 +208,17 @@ class Trainer:
     # ------------------------------------------------------------------ #
     def predict(self, batch: Batch, batch_size: int | None = None) -> np.ndarray:
         """Click probabilities for a (possibly large) evaluation batch, in
-        pieces of ``batch_size`` rows (default :data:`EVAL_BATCH_SIZE`; a size
-        below 1 raises :class:`~repro.errors.DataError`)."""
+        pieces of at most ``batch_size`` rows (default :data:`EVAL_BATCH_SIZE`;
+        a size below 1 raises :class:`~repro.errors.DataError`), cut by
+        :func:`eval_pieces` (near-equal, no sliver)."""
         if batch_size is None:
             batch_size = EVAL_BATCH_SIZE
+        if batch_size <= 0:
+            raise DataError(f"batch_size must be positive, got {batch_size}")
+        ends = eval_pieces(len(batch.categorical), batch_size)
         outputs = [
-            self.model.predict_proba(piece.categorical, piece.numerical)
-            for piece in iterate_batches(batch.categorical, batch.numerical, batch.labels, batch_size)
+            self.model.predict_proba(batch.categorical[start:end], batch.numerical[start:end])
+            for start, end in zip([0, *ends], ends)
         ]
         return np.concatenate(outputs)
 

@@ -12,7 +12,8 @@ from repro.embeddings.full import FullEmbedding
 from repro.embeddings.hash_embedding import HashEmbedding
 from repro.errors import CheckpointLayoutError, SketchStateMismatchError
 from repro.models.dlrm import DLRM
-from repro.nn.optim import RowOptimizer
+from repro.nn.module import Module
+from repro.nn.optim import Optimizer, RowOptimizer
 from repro.sketch.hotsketch import HotSketch
 from repro.store import ShardedEmbeddingStore
 from repro.training.checkpoint import load_checkpoint, save_checkpoint
@@ -439,14 +440,25 @@ class TestRestoreChecksOnce:
         assert_same_store_state(target, source)
 
     def test_a_check_copies_no_state(self, tmp_path, monkeypatch):
-        # The checks read shapes off the live arrays, never a state_dict() copy.
+        # The checks read shapes off the live arrays, never a state_dict() copy:
+        # not the sparse side's (layers, sketches, row optimizers), not the
+        # dense side's (every parameter, Adam's m and v).
         dataset = tiny_dataset()
         source = sharded_cafe_model(dataset, num_shards=4, seed=1)
-        path = save_checkpoint(tmp_path / "four.npz", source, optimizer=trained(source, dataset))
+        source_optimizer = trained(source, dataset)
+        path = save_checkpoint(tmp_path / "four.npz", source, optimizer=source_optimizer)
         target = sharded_cafe_model(dataset, num_shards=4, seed=2)
         optimizer = trained(target, dataset)
-        layer_copies = count_calls(monkeypatch, CafeEmbedding, "state_dict")
-        sketch_copies = count_calls(monkeypatch, HotSketch, "state_dict")
+        copies = {
+            cls: count_calls(monkeypatch, cls, "state_dict")
+            for cls in (CafeEmbedding, HotSketch, RowOptimizer, Module, Optimizer)
+        }
         load_checkpoint(path, target, optimizer=optimizer)
-        assert not layer_copies and not sketch_copies
+        assert {cls.__name__: sum(counts.values()) for cls, counts in copies.items()} == {
+            cls.__name__: 0 for cls in copies
+        }
         assert_same_store_state(target, source)
+        for name, value in source.state_dict().items():
+            assert np.array_equal(target.state_dict()[name], value), name
+        for name, value in source_optimizer.state_dict().items():
+            assert np.array_equal(optimizer.state_dict()[name], value), name

@@ -484,6 +484,28 @@ class TestCostGuards:
         returned = batch.categorical.nbytes + batch.numerical.nbytes + batch.labels.nbytes
         assert peak <= 2.5 * returned, (peak, returned)
 
+    @pytest.mark.parametrize("latent_dim", [1, 4])
+    def test_a_day_holds_one_scratch_block(self, latent_dim):
+        # The day's outputs, one (count, fields) 8-byte scratch block (the
+        # field-major ids, then a float64 gather) and O(count x latent): the
+        # field-major ids are freed before any gather is made.
+        schema = build_dataset("criteo", scale="small", seed=0, num_days=57).schema
+        config = SyntheticConfig(samples_per_day=16384, seed=0, latent_dim=latent_dim)
+        new = SyntheticCTRDataset(schema, config=config, drift=DRIFTS["rotate0.05"]())
+        new.generate_day(3)
+        tracemalloc.start()
+        try:
+            batch = new.generate_day(3)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        count = len(batch.labels)
+        returned = batch.categorical.nbytes + batch.numerical.nbytes + batch.labels.nbytes
+        scratch = count * schema.num_fields * 8
+        # total, squares and one field's vectors, plus a few (count,) vectors.
+        per_row = (3 * latent_dim + 4) * count * 8
+        assert peak <= returned + scratch + per_row, (peak - returned - scratch, per_row)
+
     def test_repeat_day_allocates_no_new_permutation(self):
         new, _ = criteo_pair("tiny", "rotate0.05", samples_per_day=256)
         new.generate_day(5)

@@ -1,10 +1,17 @@
 """Tests for the training loop, its keywords and latency helpers."""
 
+import tracemalloc
 import warnings
+from itertools import islice
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from test_dense_precision import quickstart
+
+from repro.api import build
 from repro.data.schema import DatasetSchema, FieldSchema
 from repro.data.stream import Batch, all_finite
 from repro.data.synthetic import SyntheticConfig, SyntheticCTRDataset
@@ -19,7 +26,14 @@ from repro.errors import (
 )
 from repro.models.dlrm import DLRM
 from repro.training.latency import measure_latency, measure_sketch_throughput
-from repro.training.trainer import EVAL_BATCH_SIZE, Trainer, TrainingHistory, train_and_evaluate
+from repro.training.trainer import (
+    EVAL_BATCH_SIZE,
+    EVAL_ROW_ALIGN,
+    Trainer,
+    TrainingHistory,
+    eval_pieces,
+    train_and_evaluate,
+)
 from repro.sketch.hotsketch import HotSketch
 
 
@@ -64,11 +78,23 @@ class TestTrainerKeywords:
         with pytest.raises(TypeError, match="dense_optimizer"):
             Trainer(toy_model(toy_dataset()), dense_optimizer="adam")
 
-    def test_predict_defaults_to_eval_batch_size_pieces(self):
+    def test_predict_defaults_to_eval_batch_size_pieces(self, monkeypatch):
         dataset = toy_dataset()
         trainer = Trainer(toy_model(dataset))
-        batch = dataset.test_batch(EVAL_BATCH_SIZE + 10)
-        assert np.array_equal(trainer.predict(batch), trainer.predict(batch, batch_size=EVAL_BATCH_SIZE))
+        batch = dataset.test_batch(2 * EVAL_BATCH_SIZE + 10)
+        sizes = []
+        predict_proba = trainer.model.predict_proba
+
+        def recording(categorical, numerical):
+            sizes.append(len(categorical))
+            return predict_proba(categorical, numerical)
+
+        monkeypatch.setattr(trainer.model, "predict_proba", recording)
+        default = trainer.predict(batch)
+        pieces, sizes[:] = list(sizes), []
+        explicit = trainer.predict(batch, batch_size=EVAL_BATCH_SIZE)
+        assert pieces == sizes == np.diff([0, *eval_pieces(len(batch), EVAL_BATCH_SIZE)]).tolist()
+        assert np.array_equal(default, explicit)
 
 
     @pytest.mark.parametrize("size", [0, -1])
@@ -321,6 +347,71 @@ class TestTrainAndEvaluate:
         )
         hottest = counts.argmax()
         assert norms[hottest] > np.median(norms[norms > 0])
+
+
+class TestEvaluationPieces:
+    """``predict`` runs in pieces of at most :data:`EVAL_BATCH_SIZE` rows and
+    answers with the bits of one pass over all rows, at a transient of one
+    piece's pass."""
+
+    @staticmethod
+    def session(model_name, dtype):
+        session = build(quickstart(model__name=model_name, store__dtype=dtype))
+        for batch in islice(session.dataset.training_stream(session.batch_size), 3):
+            session.trainer.train_step(batch)
+        return session
+
+    @given(rows=st.integers(0, 20_000), batch_size=st.sampled_from([1, 7, 16, 100, 512, 4096]))
+    @settings(max_examples=300, deadline=None)
+    def test_pieces_are_near_equal_blocks_and_no_sliver(self, rows, batch_size):
+        ends = eval_pieces(rows, batch_size)
+        sizes = np.diff([0, *ends])
+        assert len(ends) == -(-rows // batch_size) and (not ends or ends[-1] == rows)
+        assert 0 < sizes.min(initial=1) and sizes.max(initial=0) <= batch_size
+        if batch_size % EVAL_ROW_ALIGN == 0:
+            assert not (sizes[:-1] % EVAL_ROW_ALIGN).any()
+            assert sizes.min(initial=rows) >= min(rows, batch_size // 2 - EVAL_ROW_ALIGN)
+        elif rows:
+            assert np.ptp(sizes) <= 1
+
+    @pytest.mark.parametrize("dtype", ["float32", "float64"])
+    @pytest.mark.parametrize("model_name", ["dlrm", "wdl", "dcn"])
+    def test_pieces_are_the_bits_of_one_pass(self, model_name, dtype):
+        # The test-set sizes of experiments/common.py and perf/.
+        with self.session(model_name, dtype) as session:
+            for rows in (2048, 4096, 8192):
+                test = session.dataset.test_batch(rows)
+                one_pass = session.trainer.predict(test, batch_size=rows)
+                assert np.array_equal(session.trainer.predict(test), one_pass), rows
+            # A plain splitter would end this one with a 3-row sliver.  One
+            # pass over 8 195 rows takes another BLAS path for a row or two
+            # itself, so no cut gives its bits on every row: the pieces are
+            # blocks (above) and agree to rounding.
+            test = session.dataset.test_batch(16 * EVAL_BATCH_SIZE + 3)
+            one_pass = session.trainer.predict(test, batch_size=len(test.labels))
+            rtol = 1e-5 if dtype == "float32" else 1e-13
+            np.testing.assert_allclose(session.trainer.predict(test), one_pass, rtol=rtol, atol=0)
+
+    def test_evaluating_more_rows_holds_one_piece_of_transient(self):
+        with self.session("dlrm", "float32") as session:
+            trainer, dataset = session.trainer, session.dataset
+            small, large = dataset.test_batch(512), dataset.test_batch(8192)
+            tracemalloc.start()
+            try:
+                # A piece-sized workspace and store lookup cache exist, traced,
+                # before either rise is measured.
+                trainer.predict(small)
+                rises = []
+                for batch in (small, large):
+                    tracemalloc.reset_peak()
+                    before = tracemalloc.get_traced_memory()[0]
+                    trainer.predict(batch)
+                    rises.append(tracemalloc.get_traced_memory()[1] - before)
+            finally:
+                tracemalloc.stop()
+        # The pieces' outputs and their concatenation, and 64 KiB of slack.
+        outputs = 2 * len(large.labels) * np.dtype(session.model.dtype).itemsize
+        assert rises[1] <= rises[0] + outputs + 64 * 1024, rises
 
 
 class TestLatencyHelpers:
