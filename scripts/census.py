@@ -90,7 +90,6 @@ KEEP_REASONS = {
     "oracle": "what a kept test checks the system against, or observes it through",
     "invariant": "a consistency check tests and the sanitizer call",
     "error-path": "runs only on bad input or a failed check, which the traffic never makes",
-    "item-7": "the HotSketch accessors (ROADMAP item 7)",
     "parked": "real-dataset loading (ROADMAP Parked)",
 }
 KEEP: dict[str, str] = {
@@ -125,9 +124,6 @@ KEEP: dict[str, str] = {
     "repro/serving/batcher.py:MicroBatcher._serve_in_range": "error-path",
     "repro/sketch/analysis.py:retention_probability_uniform": "oracle",
     "repro/sketch/analysis.py:expected_bucket_noise": "oracle",
-    "repro/sketch/base.py:Sketch": "abstract",
-    "repro/sketch/hotsketch.py:EvictionBatch.__len__": "item-7",
-    "repro/sketch/hotsketch.py:HotSketch": "item-7",
     "repro/store/sharded.py:ShardedEmbeddingStore.__reduce_ex__": "error-path",
 }
 #: Why a git-ignored column no test names stays: ``{column: reason}``.

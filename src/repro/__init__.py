@@ -6,7 +6,7 @@ The package provides:
   ``Session``, the field-spec parser and the consolidated ``python -m repro``
   CLI;
 * ``repro.nn`` — NumPy layers over arrays, parameters and optimizers;
-* ``repro.sketch`` — HotSketch and reference sketches;
+* ``repro.sketch`` — HotSketch and its accuracy analysis;
 * ``repro.embeddings`` — CAFE, CAFE-ML and all baseline compressed
   embeddings, and the name → backend table;
 * ``repro.models`` — DLRM, WDL and DCN recommendation models;

@@ -104,12 +104,17 @@ class CafeEmbedding(TableBackedEmbedding):
             raise ValueError(f"num_shared_rows must be positive, got {num_shared_rows}")
         if hysteresis < 1.0:
             raise ValueError(f"hysteresis must be ≥ 1, got {hysteresis}")
+        threshold = initial_threshold if hot_threshold is None else hot_threshold
+        if threshold <= 0:
+            raise ValueError(f"the hot threshold must be positive, got {threshold}")
+        if not 0.0 < decay <= 1.0:
+            raise ValueError(f"decay must be in (0, 1], got {decay}")
         generator = make_rng(rng)
 
         self.num_hot_rows = int(num_hot_rows)
         self.num_shared_rows = int(num_shared_rows)
         self.adaptive_threshold = hot_threshold is None
-        self.hot_threshold = float(initial_threshold if hot_threshold is None else hot_threshold)
+        self.hot_threshold = float(threshold)
         self.slots_per_bucket = int(slots_per_bucket)
         self.decay = float(decay)
         self.decay_interval = int(decay_interval)
@@ -118,13 +123,7 @@ class CafeEmbedding(TableBackedEmbedding):
         self.use_frequency = bool(use_frequency)
         self.hash_seed = int(hash_seed)
 
-        self.sketch = HotSketch(
-            num_buckets=self.num_hot_rows,
-            slots_per_bucket=self.slots_per_bucket,
-            hot_threshold=self.hot_threshold,
-            decay=self.decay,
-            seed=sketch_seed,
-        )
+        self.sketch = HotSketch(self.num_hot_rows, self.slots_per_bucket, sketch_seed)
         self._build_arena(generator)
         self._optimizer = self._new_row_optimizer(self._arena)
         self._free_rows = FreeRowPool(self.num_hot_rows)
@@ -287,7 +286,7 @@ class CafeEmbedding(TableBackedEmbedding):
             self._release_rows(released_rows)
         self._step += 1
         if self.decay < 1.0 and self._step % self.decay_interval == 0:
-            self.sketch.apply_decay()
+            self.sketch.apply_decay(self.decay)
         if self._step % self.rebalance_interval == 0 or self._step == 1:
             if self.adaptive_threshold:
                 self._update_threshold()
@@ -316,7 +315,6 @@ class CafeEmbedding(TableBackedEmbedding):
         kth = float(np.partition(scores, -k)[-k])
         if kth > 0:
             self.hot_threshold = kth
-            self.sketch.hot_threshold = kth
 
     def _rebalance(self) -> None:
         """Migrate features across the hot/non-hot boundary (both directions).
@@ -419,7 +417,7 @@ class CafeEmbedding(TableBackedEmbedding):
         for name, _ in self._arena_regions():
             getattr(self, name)[...] = state[name]
         self._free_rows = FreeRowPool(state["free_rows"])
-        self.hot_threshold = self.sketch.hot_threshold = float(state["hot_threshold"])
+        self.hot_threshold = float(state["hot_threshold"])
         self._step = int(state["step"])
 
 

@@ -113,7 +113,7 @@ def run_fig18_hotsketch(
     true_top = np.argsort(counts)[::-1][:top_k]
     for slots in slots_options:
         buckets = max(memory_slots // slots, 1)
-        sketch = HotSketch(num_buckets=buckets, slots_per_bucket=slots, hot_threshold=1.0, seed=seed)
+        sketch = HotSketch(buckets, slots, seed)
         # One insert is one aggregated step (HotSketch.insert), so the stream
         # arrives the way training feeds it: in batch-sized chunks.
         for start in range(0, stream_length, STREAM_CHUNK):
@@ -121,7 +121,7 @@ def run_fig18_hotsketch(
         reported = sketch.top_k(top_k)
         recall = recall_at_k(true_top, reported)
         throughput = measure_sketch_throughput(
-            HotSketch(num_buckets=buckets, slots_per_bucket=slots, hot_threshold=1.0, seed=seed),
+            HotSketch(buckets, slots, seed),
             stream[:20000],
             np.ones(20000),
         )

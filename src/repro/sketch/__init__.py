@@ -1,4 +1,4 @@
-"""Streaming sketches: HotSketch (the paper's contribution) plus references."""
+"""HotSketch, the paper's streaming sketch, and its accuracy analysis."""
 
 from repro.sketch.analysis import (
     expected_bucket_noise,
@@ -7,19 +7,13 @@ from repro.sketch.analysis import (
     retention_probability_uniform,
     retention_probability_zipf,
 )
-from repro.sketch.base import Sketch
-from repro.sketch.cm_sketch import CountMinSketch
 from repro.sketch.hotsketch import EMPTY_KEY, NO_PAYLOAD, EvictionBatch, HotSketch
-from repro.sketch.spacesaving import SpaceSaving
 
 __all__ = [
-    "Sketch",
     "HotSketch",
     "EvictionBatch",
     "EMPTY_KEY",
     "NO_PAYLOAD",
-    "SpaceSaving",
-    "CountMinSketch",
     "retention_probability_uniform",
     "retention_probability_zipf",
     "retention_probability_grid",

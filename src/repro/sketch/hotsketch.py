@@ -16,8 +16,12 @@ On top of the basic sketch this implementation adds the pieces CAFE needs:
   exclusive embedding row there, exactly as described in §3.1);
 * eviction reporting, so the embedding layer can reclaim rows whose owner was
   pushed out of the sketch;
-* periodic score decay (§3.3) to track shifting distributions;
-* hot / medium classification thresholds (§3.3, §3.4).
+* score decay by a caller-given factor (§3.3) to track shifting
+  distributions.
+
+What counts as hot (§3.3, §3.4) and how often to decay are the embedding
+layer's decisions, not the sketch's: it reads ``keys`` / ``scores`` /
+``payloads`` and ``locate`` results directly.
 """
 
 from __future__ import annotations
@@ -27,9 +31,15 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro.errors import SketchStateMismatchError
-from repro.kernels.ops import run_lengths, segment_boundaries, sketch_insert, stable_sort
+from repro.kernels.ops import (
+    SegmentSum,
+    run_lengths,
+    segment_boundaries,
+    sketch_insert,
+    stable_order,
+    stable_sort,
+)
 from repro.nn.module import Restorable, check_fits
-from repro.sketch.base import Sketch
 from repro.utils.hashing import hash_to_bucket
 
 EMPTY_KEY = np.int64(-1)
@@ -67,11 +77,8 @@ class EvictionBatch:
         nothing = np.empty(0, dtype=np.int64)
         return cls(nothing, nothing, nothing)
 
-    def __len__(self) -> int:
-        return int(self.keys.shape[0])
 
-
-class HotSketch(Sketch, Restorable):
+class HotSketch(Restorable):
     """Bucketized SpaceSaving sketch for tracking feature importance.
 
     Parameters
@@ -81,43 +88,18 @@ class HotSketch(Sketch, Restorable):
         of exclusive (hot) embedding rows.
     slots_per_bucket:
         ``c`` in the paper; 4 by default, following §4.
-    hot_threshold:
-        Importance score above which a feature is reported as *hot*.
-    medium_threshold:
-        Optional lower threshold for the multi-level variant (§3.4); features
-        with scores in ``[medium_threshold, hot_threshold)`` are *medium*.
-    decay:
-        Multiplicative decay applied to all scores by :meth:`apply_decay`
-        (typically called every ``decay_interval`` insertions by the caller).
     seed:
         Seed of the bucket hash function.
     """
 
-    def __init__(
-        self,
-        num_buckets: int,
-        slots_per_bucket: int = 4,
-        hot_threshold: float = 500.0,
-        medium_threshold: float | None = None,
-        decay: float = 1.0,
-        seed: int = 0,
-    ):
+    def __init__(self, num_buckets: int, slots_per_bucket: int = 4, seed: int = 0):
         if num_buckets <= 0:
             raise ValueError(f"num_buckets must be positive, got {num_buckets}")
         if slots_per_bucket <= 0:
             raise ValueError(f"slots_per_bucket must be positive, got {slots_per_bucket}")
-        if hot_threshold <= 0:
-            raise ValueError(f"hot_threshold must be positive, got {hot_threshold}")
-        if medium_threshold is not None and not 0 < medium_threshold <= hot_threshold:
-            raise ValueError("medium_threshold must lie in (0, hot_threshold]")
-        if not 0.0 < decay <= 1.0:
-            raise ValueError(f"decay must be in (0, 1], got {decay}")
 
         self.num_buckets = int(num_buckets)
         self.slots_per_bucket = int(slots_per_bucket)
-        self.hot_threshold = float(hot_threshold)
-        self.medium_threshold = float(medium_threshold) if medium_threshold is not None else None
-        self.decay = float(decay)
         self.seed = int(seed)
 
         shape = (self.num_buckets, self.slots_per_bucket)
@@ -145,11 +127,32 @@ class HotSketch(Sketch, Restorable):
         slot per bucket the largest id of each bucket simply wins.  Feed a
         stream in training-sized batches to get the streaming behaviour.
         """
-        keys, scores = self._normalize_inputs(keys, scores)
+        keys = np.asarray(keys, dtype=np.int64).reshape(-1)
+        if scores is None:
+            scores = np.ones(keys.shape[0], dtype=np.float64)
+        scores = np.asarray(scores, dtype=np.float64).reshape(-1)
+        if scores.shape[0] != keys.shape[0]:
+            raise ValueError(
+                f"keys and scores must have the same length, got {keys.shape[0]} and {scores.shape[0]}"
+            )
         if keys.size == 0:
             return EvictionBatch.empty()
         keys, scores = self.aggregate_duplicates(keys, scores)
         return self.insert_routed(keys, scores, *self.locate(keys))
+
+    @staticmethod
+    def aggregate_duplicates(keys: np.ndarray, scores: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Sum scores of duplicate keys; returns unique keys and their totals.
+
+        Totals are formed by a stable key sort followed by a segment sum
+        (:class:`~repro.kernels.ops.SegmentSum`, ``np.add.reduceat``'s
+        association), summing each key's scores in input order.
+        This is the same aggregation the fused embedding path performs from
+        its routing plan, which keeps the two bit-exact with each other.
+        """
+        order = stable_order(keys)
+        unique_keys, starts = segment_boundaries(keys[order])
+        return unique_keys, SegmentSum(order, starts)(scores)
 
     def insert_routed(
         self,
@@ -293,59 +296,12 @@ class HotSketch(Sketch, Restorable):
         return _row_any(slot_match), slot_match.argmax(axis=1)
 
     # ------------------------------------------------------------------ #
-    # Payload management (embedding pointers)
+    # Decay and reporting
     # ------------------------------------------------------------------ #
-    def get_payloads(self, keys: np.ndarray) -> np.ndarray:
-        """Payload of each key, or ``NO_PAYLOAD`` when absent/unset."""
-        found, buckets, slots = self.locate(keys)
-        payloads = np.where(found, self.payloads[buckets, slots], NO_PAYLOAD)
-        return payloads
-
-    def set_payload(self, key: int, payload: int) -> bool:
-        """Attach ``payload`` to ``key``'s slot; returns False if absent."""
-        found, buckets, slots = self.locate(np.asarray([key]))
-        if not found[0]:
-            return False
-        self.payloads[buckets[0], slots[0]] = np.int64(payload)
-        return True
-
-    def clear_payload(self, key: int) -> int:
-        """Remove and return ``key``'s payload (``NO_PAYLOAD`` if none)."""
-        found, buckets, slots = self.locate(np.asarray([key]))
-        if not found[0]:
-            return int(NO_PAYLOAD)
-        old = int(self.payloads[buckets[0], slots[0]])
-        self.payloads[buckets[0], slots[0]] = NO_PAYLOAD
-        return old
-
-    # ------------------------------------------------------------------ #
-    # Classification, decay, reporting
-    # ------------------------------------------------------------------ #
-    def classify(self, keys: np.ndarray) -> np.ndarray:
-        """Classify keys: 2 = hot, 1 = medium, 0 = cold.
-
-        Medium exists only when ``medium_threshold`` was configured; otherwise
-        the result contains only 0 and 2.
-        """
-        scores = self.query(keys)
-        labels = np.zeros(scores.shape, dtype=np.int8)
-        if self.medium_threshold is not None:
-            labels[scores >= self.medium_threshold] = 1
-        labels[scores >= self.hot_threshold] = 2
-        return labels
-
-    def is_hot(self, keys: np.ndarray) -> np.ndarray:
-        return self.query(keys) >= self.hot_threshold
-
-    def apply_decay(self) -> None:
-        """Multiply every recorded score by the decay coefficient (§3.3)."""
-        if self.decay < 1.0:
-            self.scores *= self.decay
-
-    def hot_features(self) -> tuple[np.ndarray, np.ndarray]:
-        """All recorded features with score ≥ hot threshold, with scores."""
-        mask = (self.keys != EMPTY_KEY) & (self.scores >= self.hot_threshold)
-        return self.keys[mask], self.scores[mask]
+    def apply_decay(self, factor: float) -> None:
+        """Multiply every recorded score by ``factor`` (§3.3's decay, whose
+        coefficient and period the caller owns)."""
+        self.scores *= factor
 
     def top_k(self, k: int) -> np.ndarray:
         """The ``k`` recorded features with the largest scores."""
@@ -356,10 +312,6 @@ class HotSketch(Sketch, Restorable):
             return np.empty(0, dtype=np.int64)
         order = np.argsort(scores)[::-1]
         return keys[order[:k]]
-
-    def occupancy(self) -> float:
-        """Fraction of slots currently holding a feature."""
-        return float((self.keys != EMPTY_KEY).mean())
 
     # ------------------------------------------------------------------ #
     # Merging (sharded stores)
@@ -378,7 +330,6 @@ class HotSketch(Sketch, Restorable):
         Payloads from ``self`` are preserved where their key survives;
         ``other``'s payloads are dropped, because exclusive-row pointers are
         only meaningful inside the embedding layer that owns them.
-        Thresholds and decay of the result are taken from ``self``.
         """
         if not isinstance(other, HotSketch):
             raise TypeError(f"can only merge HotSketch with HotSketch, got {type(other).__name__}")
@@ -421,14 +372,7 @@ class HotSketch(Sketch, Restorable):
         # Keep the c highest-scoring occupied slots per bucket.
         rank = np.where(keys == EMPTY_KEY, -np.inf, scores)
         top = np.argsort(-rank, axis=1, kind="stable")[:, :c]
-        merged = HotSketch(
-            num_buckets=self.num_buckets,
-            slots_per_bucket=c,
-            hot_threshold=self.hot_threshold,
-            medium_threshold=self.medium_threshold,
-            decay=self.decay,
-            seed=self.seed,
-        )
+        merged = HotSketch(self.num_buckets, c, self.seed)
         merged.keys = np.take_along_axis(keys, top, axis=1)
         empty = merged.keys == EMPTY_KEY
         merged.scores = np.where(empty, 0.0, np.take_along_axis(scores, top, axis=1))

@@ -210,11 +210,14 @@ class Trainer:
         """Click probabilities for a (possibly large) evaluation batch, in
         pieces of at most ``batch_size`` rows (default :data:`EVAL_BATCH_SIZE`;
         a size below 1 raises :class:`~repro.errors.DataError`), cut by
-        :func:`eval_pieces` (near-equal, no sliver)."""
+        :func:`eval_pieces` (near-equal, no sliver).  A batch without rows
+        raises :class:`~repro.errors.BatchShapeError`, as in :meth:`train_step`."""
         if batch_size is None:
             batch_size = EVAL_BATCH_SIZE
         if batch_size <= 0:
             raise DataError(f"batch_size must be positive, got {batch_size}")
+        if not len(batch.categorical):
+            raise BatchShapeError("an evaluation batch must hold at least one row")
         ends = eval_pieces(len(batch.categorical), batch_size)
         outputs = [
             self.model.predict_proba(batch.categorical[start:end], batch.numerical[start:end])

@@ -302,7 +302,7 @@ class TestSegmentSum:
         ],
     )
     def test_flags_reduceat_in_src(self, source):
-        found = flags(source, "src/repro/sketch/base.py", "segment-sum")
+        found = flags(source, "src/repro/sketch/hotsketch.py", "segment-sum")
         assert len(found) == 1
         assert "SegmentSum" in found[0].message
 
@@ -317,7 +317,7 @@ class TestSegmentSum:
 
     def test_other_ufunc_methods_pass(self):
         source = "total = np.add.reduce(values)\nsums = np.maximum.reduceat(values, starts)\n"
-        assert not flags(source, "src/repro/sketch/base.py", "segment-sum")
+        assert not flags(source, "src/repro/sketch/hotsketch.py", "segment-sum")
 
 
 class TestGraphInLoop:

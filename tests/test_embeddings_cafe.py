@@ -8,6 +8,7 @@ from repro.embeddings.cafe_ml import CafeMultiLevelEmbedding
 from repro.embeddings.memory import MemoryBudget
 from repro.embeddings.offline import OfflineSeparationEmbedding
 from repro.sketch.hotsketch import NO_PAYLOAD
+from sketch_slots import payloads_of, set_payload
 
 DIM = 8
 N = 2000
@@ -46,6 +47,16 @@ class TestConstruction:
             make_cafe(num_shared_rows=0)
         with pytest.raises(ValueError):
             make_cafe(hysteresis=0.9)
+
+    @pytest.mark.parametrize("decay", [0.0, -0.5, 1.5])
+    def test_decay_outside_zero_one_is_refused(self, decay):
+        with pytest.raises(ValueError, match="decay"):
+            make_cafe(decay=decay)
+
+    @pytest.mark.parametrize("knob", ["hot_threshold", "initial_threshold"])
+    def test_a_non_positive_threshold_is_refused(self, knob):
+        with pytest.raises(ValueError, match="threshold"):
+            make_cafe(**{knob: 0.0})
 
     def test_memory_accounting_includes_sketch(self):
         emb = make_cafe()
@@ -88,7 +99,7 @@ class TestLookupPaths:
         emb = make_cafe(hot_threshold=5.0)
         # Manually record feature 7 as hot with a payload.
         emb.sketch.insert(np.asarray([7]), np.asarray([10.0]))
-        emb.sketch.set_payload(7, 3)
+        assert set_payload(emb.sketch, 7, 3)
         emb._free_rows.remove(3)
         out = emb.lookup(np.asarray([7]))
         assert np.allclose(out[0], emb.hot_table[3])
@@ -104,7 +115,7 @@ class TestMigration:
         emb = make_cafe()
         hot_ids = np.arange(10)
         train_on_skewed_stream(emb, hot_ids, steps=60)
-        payloads = emb.sketch.get_payloads(hot_ids)
+        payloads = payloads_of(emb.sketch, hot_ids)
         # Most of the dominating features should hold exclusive rows by now.
         assert (payloads != NO_PAYLOAD).sum() >= 5
         assert emb.migrations_in > 0
@@ -114,7 +125,7 @@ class TestMigration:
         feature = 42
         shared_before = emb._shared_lookup(np.asarray([feature]))[0].copy()
         emb.apply_gradients(np.asarray([feature]), np.full((1, DIM), 1e-6))
-        payload = emb.sketch.get_payloads(np.asarray([feature]))[0]
+        payload = payloads_of(emb.sketch, [feature])[0]
         assert payload != NO_PAYLOAD
         # The exclusive row starts from the (just updated) shared embedding,
         # so it stays close to it after one tiny gradient step.
@@ -152,6 +163,17 @@ class TestMigration:
         total_rows = emb.num_hot_features() + len(emb._free_rows)
         assert total_rows == emb.num_hot_rows
 
+    @pytest.mark.parametrize("decay", [0.5, 1.0])
+    def test_the_sketch_decays_by_cafes_factor_every_interval(self, decay):
+        emb = make_cafe(decay=decay, decay_interval=2)
+        grad = np.ones((1, DIM))
+        emb.apply_gradients(np.asarray([7]), grad)
+        first = emb.sketch.query(np.asarray([7]))[0]
+        emb.apply_gradients(np.asarray([8]), grad)  # step 2 decays
+        assert emb.sketch.query(np.asarray([7]))[0] == first * decay
+        emb.apply_gradients(np.asarray([8]), grad)  # step 3 does not
+        assert emb.sketch.query(np.asarray([7]))[0] == first * decay
+
     def test_adaptive_threshold_tracks_kth_score(self):
         emb = make_cafe(hot_threshold=None, rebalance_interval=1)
         train_on_skewed_stream(emb, np.arange(8), steps=20)
@@ -167,6 +189,40 @@ class TestMigration:
         # Nothing can cross an absurdly high fixed threshold.
         assert emb.num_hot_features() == 0
         assert emb.hot_threshold == 1e9
+
+
+class TestClassification:
+    """CAFE owns the hot (and CAFE-ML the medium) threshold; the sketch only
+    holds the scores it compares against them."""
+
+    def test_hot_classification(self):
+        emb = make_cafe(hot_threshold=5.0)
+        emb.sketch.insert(np.asarray([1, 2, 3]), np.asarray([10.0, 5.0, 1.0]))
+        emb._rebalance()
+        hot = payloads_of(emb.sketch, [1, 2, 3, 4]) != NO_PAYLOAD
+        assert hot.tolist() == [True, True, False, False]
+        row = payloads_of(emb.sketch, [1])[0]
+        assert np.array_equal(emb.lookup(np.asarray([1]))[0], emb.hot_table[row])
+
+    def test_medium_classification(self):
+        emb = CafeMultiLevelEmbedding(
+            num_features=N, dim=DIM, num_hot_rows=16, num_shared_rows=32,
+            hot_threshold=10.0, medium_fraction=0.3, rng=0,
+        )
+        emb.sketch.insert(np.asarray([1, 2, 3]), np.asarray([20.0, 5.0, 1.0]))
+        emb._rebalance()
+        assert emb.medium_threshold == pytest.approx(3.0)
+        assert (payloads_of(emb.sketch, [1, 2, 3]) != NO_PAYLOAD).tolist() == [True, False, False]
+        assert emb._medium_mask(np.asarray([2, 3])).tolist() == [True, False]
+
+    def test_hot_features_listing(self):
+        emb = make_cafe(hot_threshold=5.0)
+        emb.sketch.insert(np.asarray([1, 2, 3]), np.asarray([10.0, 7.0, 1.0]))
+        emb._rebalance()
+        holders = emb.sketch.payloads != NO_PAYLOAD
+        assert set(emb.sketch.keys[holders].tolist()) == {1, 2}
+        assert np.all(emb.sketch.scores[holders] >= emb.hot_threshold)
+        assert emb.num_hot_features() == 2
 
 
 class TestUpdates:

@@ -8,6 +8,7 @@ from repro.embeddings.cafe import CafeEmbedding, rows_partition
 from repro.embeddings.plan import FreeRowPool, RoutingPlan, ScatterPlan
 from repro.sketch.hotsketch import EMPTY_KEY, NO_PAYLOAD, EvictionBatch, HotSketch
 from repro.store import ShardedEmbeddingStore
+from sketch_slots import set_payload
 
 N = 2000
 DIM = 8
@@ -95,7 +96,7 @@ class TestPlanReuse:
         # Mutating the sketch behind the layer's back must not leave a stale
         # plan: feature 7 becomes hot with an exclusive row.
         emb.sketch.insert(np.asarray([7]), np.asarray([10.0]))
-        emb.sketch.set_payload(7, 3)
+        assert set_payload(emb.sketch, 7, 3)
         emb._free_rows.remove(3)
         out = emb.lookup(ids)
         assert np.allclose(out[0], emb.hot_table[3])
@@ -247,7 +248,7 @@ class TestVectorizedSketchParity:
     @pytest.mark.parametrize("seed", [0, 1, 2])
     @pytest.mark.parametrize("num_buckets,slots", [(4, 2), (16, 4), (1, 3)])
     def test_state_matches_legacy_on_random_streams(self, seed, num_buckets, slots):
-        kwargs = dict(num_buckets=num_buckets, slots_per_bucket=slots, hot_threshold=1.0, seed=7)
+        kwargs = dict(num_buckets=num_buckets, slots_per_bucket=slots, seed=7)
         current = HotSketch(**kwargs)
         legacy = ReferenceHotSketch(**kwargs)
         rng = np.random.default_rng(seed)
@@ -263,7 +264,7 @@ class TestVectorizedSketchParity:
             assert sorted(ev_current.payloads.tolist()) == sorted(ev_legacy.payloads.tolist())
 
     def test_parity_with_payload_evictions(self):
-        kwargs = dict(num_buckets=2, slots_per_bucket=2, hot_threshold=0.5, seed=3)
+        kwargs = dict(num_buckets=2, slots_per_bucket=2, seed=3)
         current, legacy = HotSketch(**kwargs), ReferenceHotSketch(**kwargs)
         rng = np.random.default_rng(5)
         for step in range(40):
@@ -275,6 +276,6 @@ class TestVectorizedSketchParity:
                 # replacements must report them.
                 recorded = sketch.keys[sketch.keys != EMPTY_KEY]
                 for key in recorded.tolist():
-                    sketch.set_payload(int(key), int(key) % 7)
+                    set_payload(sketch, int(key), int(key) % 7)
             assert np.array_equal(current.keys, legacy.keys)
             assert np.array_equal(current.payloads, legacy.payloads)

@@ -6,10 +6,11 @@ import pytest
 from repro.errors import SketchStateMismatchError
 from repro.sketch.hotsketch import EMPTY_KEY, NO_PAYLOAD, HotSketch
 from repro.utils.zipf import ZipfDistribution
+from sketch_slots import payloads_of, set_payload
 
 
 def make_sketch(**kwargs):
-    defaults = dict(num_buckets=64, slots_per_bucket=4, hot_threshold=10.0, seed=1)
+    defaults = dict(num_buckets=64, slots_per_bucket=4, seed=1)
     defaults.update(kwargs)
     return HotSketch(**defaults)
 
@@ -20,18 +21,12 @@ class TestConstruction:
             HotSketch(num_buckets=0)
         with pytest.raises(ValueError):
             HotSketch(num_buckets=4, slots_per_bucket=0)
-        with pytest.raises(ValueError):
-            HotSketch(num_buckets=4, hot_threshold=0.0)
-        with pytest.raises(ValueError):
-            HotSketch(num_buckets=4, decay=0.0)
-        with pytest.raises(ValueError):
-            HotSketch(num_buckets=4, hot_threshold=5.0, medium_threshold=6.0)
 
     def test_initial_state(self):
         sketch = make_sketch()
         assert np.all(sketch.keys == EMPTY_KEY)
         assert np.all(sketch.scores == 0)
-        assert sketch.occupancy() == 0.0
+        assert np.all(sketch.payloads == NO_PAYLOAD)
 
     def test_memory_accounting(self):
         sketch = HotSketch(num_buckets=100, slots_per_bucket=4)
@@ -71,7 +66,7 @@ class TestInsertQuery:
     def test_empty_insert_is_noop(self):
         sketch = make_sketch()
         evictions = sketch.insert(np.asarray([], dtype=np.int64))
-        assert len(evictions) == 0
+        assert evictions.keys.size == 0
 
     def test_mismatched_scores_rejected(self):
         sketch = make_sketch()
@@ -80,7 +75,7 @@ class TestInsertQuery:
 
     def test_overestimation_never_underestimates_hot(self):
         """SpaceSaving guarantees estimates are upper bounds for recorded keys."""
-        sketch = HotSketch(num_buckets=8, slots_per_bucket=2, hot_threshold=1.0, seed=0)
+        sketch = HotSketch(num_buckets=8, slots_per_bucket=2, seed=0)
         rng = np.random.default_rng(0)
         keys = rng.integers(0, 200, size=5000)
         true_counts = np.bincount(keys, minlength=200).astype(float)
@@ -90,9 +85,20 @@ class TestInsertQuery:
             assert score >= true_counts[key] - 1e-9
 
 
+class TestAggregateDuplicates:
+    def test_sums_each_key_like_reduceat_over_a_stable_sort(self):
+        keys = np.asarray([7, 2, 7, 7, 2, 9], dtype=np.int64)
+        scores = np.asarray([1e16, 0.5, 1.0, -1e16, 0.25, 3.0])
+        unique, totals = HotSketch.aggregate_duplicates(keys, scores)
+        order = np.argsort(keys, kind="stable")
+        assert unique.tolist() == [2, 7, 9]
+        expected = np.add.reduceat(scores[order], np.asarray([0, 2, 5]))
+        assert totals.tobytes() == expected.tobytes()
+
+
 class TestEvictionAndReplacement:
     def test_full_bucket_replaces_minimum(self):
-        sketch = HotSketch(num_buckets=1, slots_per_bucket=2, hot_threshold=1.0, seed=0)
+        sketch = HotSketch(num_buckets=1, slots_per_bucket=2, seed=0)
         sketch.insert(np.asarray([1]), np.asarray([5.0]))
         sketch.insert(np.asarray([2]), np.asarray([1.0]))
         # Bucket full; inserting key 3 must replace key 2 (the minimum).
@@ -103,23 +109,23 @@ class TestEvictionAndReplacement:
         assert sketch.query(np.asarray([1]))[0] == pytest.approx(5.0)
 
     def test_eviction_reports_payloads(self):
-        sketch = HotSketch(num_buckets=1, slots_per_bucket=1, hot_threshold=1.0, seed=0)
+        sketch = HotSketch(num_buckets=1, slots_per_bucket=1, seed=0)
         sketch.insert(np.asarray([10]), np.asarray([1.0]))
-        assert sketch.set_payload(10, 5)
+        assert set_payload(sketch, 10, 5)
         evictions = sketch.insert(np.asarray([11]), np.asarray([1.0]))
-        assert len(evictions) == 1
+        assert evictions.keys.size == 1
         assert evictions.keys[0] == 10
         assert evictions.payloads[0] == 5
 
     def test_eviction_without_payload_not_reported(self):
-        sketch = HotSketch(num_buckets=1, slots_per_bucket=1, hot_threshold=1.0, seed=0)
+        sketch = HotSketch(num_buckets=1, slots_per_bucket=1, seed=0)
         sketch.insert(np.asarray([10]), np.asarray([1.0]))
         evictions = sketch.insert(np.asarray([11]), np.asarray([1.0]))
-        assert len(evictions) == 0
+        assert evictions.keys.size == 0
 
     def test_duplicate_missing_keys_in_one_batch_claim_one_slot(self):
         """Duplicates of an unrecorded key are aggregated into a single miss."""
-        sketch = HotSketch(num_buckets=1, slots_per_bucket=4, hot_threshold=1.0, seed=0)
+        sketch = HotSketch(num_buckets=1, slots_per_bucket=4, seed=0)
         sketch.insert(np.asarray([9, 9, 9, 5, 5]), np.asarray([1.0, 2.0, 3.0, 1.0, 1.0]))
         occupied = (sketch.keys != EMPTY_KEY).sum()
         assert occupied == 2  # one slot per distinct key, not per occurrence
@@ -128,10 +134,10 @@ class TestEvictionAndReplacement:
 
     def test_multiple_misses_into_same_full_bucket_are_sequential(self):
         """Misses sharing one full bucket replace minima one after another."""
-        sketch = HotSketch(num_buckets=1, slots_per_bucket=2, hot_threshold=1.0, seed=0)
+        sketch = HotSketch(num_buckets=1, slots_per_bucket=2, seed=0)
         sketch.insert(np.asarray([1, 2]), np.asarray([10.0, 1.0]))
-        assert sketch.set_payload(1, 100)
-        assert sketch.set_payload(2, 200)
+        assert set_payload(sketch, 1, 100)
+        assert set_payload(sketch, 2, 200)
         # Keys 3 and 4 both miss into the (single, full) bucket.  3 replaces
         # the minimum (key 2, score 1 -> 1+s); 4 then replaces the new
         # minimum, whichever that is after 3's SpaceSaving over-estimate.
@@ -147,11 +153,11 @@ class TestEvictionAndReplacement:
         """Shuffling a batch changes nothing about which payloads are reported."""
 
         def run(order: np.ndarray) -> tuple[set, set]:
-            sketch = HotSketch(num_buckets=2, slots_per_bucket=2, hot_threshold=1.0, seed=1)
+            sketch = HotSketch(num_buckets=2, slots_per_bucket=2, seed=1)
             base = np.arange(10, 18)
             sketch.insert(base, np.linspace(1, 3, base.size))
             for key in base.tolist():
-                sketch.set_payload(key, key * 10)
+                set_payload(sketch, key, key * 10)
             evictions = sketch.insert(order, np.full(order.size, 5.0))
             return set(evictions.keys.tolist()), set(evictions.payloads.tolist())
 
@@ -163,61 +169,49 @@ class TestEvictionAndReplacement:
 
 
 class TestPayloads:
+    def test_a_payload_stays_with_its_key_until_displaced(self):
+        sketch = make_sketch()
+        sketch.insert(np.asarray([3]), np.asarray([1.0]))
+        assert payloads_of(sketch, [3, 999]).tolist() == [NO_PAYLOAD, NO_PAYLOAD]
+        assert set_payload(sketch, 3, 17)
+        sketch.insert(np.asarray([3, 4]), np.asarray([1.0, 1.0]))
+        assert payloads_of(sketch, [3, 4]).tolist() == [17, NO_PAYLOAD]
+
     def test_set_get_clear(self):
         sketch = make_sketch()
         sketch.insert(np.asarray([3]), np.asarray([1.0]))
-        assert sketch.get_payloads(np.asarray([3]))[0] == NO_PAYLOAD
-        assert sketch.set_payload(3, 17)
-        assert sketch.get_payloads(np.asarray([3]))[0] == 17
-        assert sketch.clear_payload(3) == 17
-        assert sketch.get_payloads(np.asarray([3]))[0] == NO_PAYLOAD
+        assert payloads_of(sketch, [3])[0] == NO_PAYLOAD
+        assert set_payload(sketch, 3, 17)
+        assert payloads_of(sketch, [3])[0] == 17
+        assert set_payload(sketch, 3, NO_PAYLOAD)
+        assert payloads_of(sketch, [3])[0] == NO_PAYLOAD
+        assert sketch.query(np.asarray([3]))[0] == 1.0  # the key keeps its slot
 
     def test_set_payload_missing_key(self):
         sketch = make_sketch()
-        assert not sketch.set_payload(999, 1)
-        assert sketch.clear_payload(999) == NO_PAYLOAD
+        sketch.insert(np.asarray([3]), np.asarray([1.0]))
+        assert not set_payload(sketch, 999, 1)
+        assert np.all(sketch.payloads == NO_PAYLOAD)
 
     def test_get_payloads_for_absent_keys(self):
         sketch = make_sketch()
-        out = sketch.get_payloads(np.asarray([1, 2, 3]))
+        out = payloads_of(sketch, [1, 2, 3])
         assert np.all(out == NO_PAYLOAD)
-
-
-class TestClassification:
-    def test_hot_classification(self):
-        sketch = make_sketch(hot_threshold=5.0)
-        sketch.insert(np.asarray([1]), np.asarray([10.0]))
-        sketch.insert(np.asarray([2]), np.asarray([1.0]))
-        labels = sketch.classify(np.asarray([1, 2, 3]))
-        assert labels.tolist() == [2, 0, 0]
-        assert sketch.is_hot(np.asarray([1, 2])).tolist() == [True, False]
-
-    def test_medium_classification(self):
-        sketch = make_sketch(hot_threshold=10.0, medium_threshold=3.0)
-        sketch.insert(np.asarray([1, 2, 3]), np.asarray([20.0, 5.0, 1.0]))
-        labels = sketch.classify(np.asarray([1, 2, 3]))
-        assert labels.tolist() == [2, 1, 0]
-
-    def test_hot_features_listing(self):
-        sketch = make_sketch(hot_threshold=5.0)
-        sketch.insert(np.asarray([1, 2, 3]), np.asarray([10.0, 7.0, 1.0]))
-        keys, scores = sketch.hot_features()
-        assert set(keys.tolist()) == {1, 2}
-        assert np.all(scores >= 5.0)
 
 
 class TestDecayAndTopK:
     def test_decay_scales_scores(self):
-        sketch = make_sketch(decay=0.5)
-        sketch.insert(np.asarray([1]), np.asarray([8.0]))
-        sketch.apply_decay()
-        assert sketch.query(np.asarray([1]))[0] == pytest.approx(4.0)
+        sketch = make_sketch()
+        sketch.insert(np.asarray([1, 2]), np.asarray([8.0, 2.0]))
+        sketch.apply_decay(0.5)
+        assert sketch.query(np.asarray([1, 2])).tolist() == [4.0, 1.0]
 
     def test_decay_of_one_is_noop(self):
-        sketch = make_sketch(decay=1.0)
-        sketch.insert(np.asarray([1]), np.asarray([8.0]))
-        sketch.apply_decay()
-        assert sketch.query(np.asarray([1]))[0] == pytest.approx(8.0)
+        sketch = make_sketch()
+        sketch.insert(np.asarray([1, 2]), np.asarray([8.0, 0.1]))
+        before = sketch.scores.copy()
+        sketch.apply_decay(1.0)
+        assert np.array_equal(sketch.scores, before)
 
     def test_top_k_ordering(self):
         sketch = make_sketch()
@@ -235,7 +229,7 @@ class TestAccuracyOnSkewedStream:
         num_items = 20_000
         zipf = ZipfDistribution(num_items, zipf_exponent)
         stream = zipf.sample(300_000, rng=3)
-        sketch = HotSketch(num_buckets=num_buckets, slots_per_bucket=4, hot_threshold=1.0, seed=2)
+        sketch = HotSketch(num_buckets=num_buckets, slots_per_bucket=4, seed=2)
         # Insert in chunks, as the training loop does batch by batch.
         for start in range(0, stream.size, 4096):
             sketch.insert(stream[start : start + 4096])
@@ -262,7 +256,7 @@ class TestCheckpointing:
     def test_state_roundtrip(self):
         sketch = make_sketch()
         sketch.insert(np.arange(100), np.linspace(1, 5, 100))
-        sketch.set_payload(int(sketch.keys[sketch.keys != EMPTY_KEY][0]), 3)
+        set_payload(sketch, int(sketch.keys[sketch.keys != EMPTY_KEY][0]), 3)
         state = sketch.state_dict()
         other = make_sketch()
         other.load_state_dict(state)
@@ -305,8 +299,8 @@ class TestCheckpointing:
 
 class TestMerge:
     def test_disjoint_keys_union(self):
-        a = HotSketch(num_buckets=64, slots_per_bucket=4, hot_threshold=10.0, seed=5)
-        b = HotSketch(num_buckets=64, slots_per_bucket=4, hot_threshold=10.0, seed=5)
+        a = HotSketch(num_buckets=64, slots_per_bucket=4, seed=5)
+        b = HotSketch(num_buckets=64, slots_per_bucket=4, seed=5)
         a.insert(np.arange(0, 50), np.full(50, 2.0))
         b.insert(np.arange(1000, 1050), np.full(50, 3.0))
         merged = a.merge(b)
@@ -322,8 +316,8 @@ class TestMerge:
     def test_common_keys_sum_scores(self):
         """The SpaceSaving merge guarantee: a key recorded in both sketches
         carries the sum of its per-sketch scores."""
-        a = HotSketch(num_buckets=32, slots_per_bucket=4, hot_threshold=10.0, seed=5)
-        b = HotSketch(num_buckets=32, slots_per_bucket=4, hot_threshold=10.0, seed=5)
+        a = HotSketch(num_buckets=32, slots_per_bucket=4, seed=5)
+        b = HotSketch(num_buckets=32, slots_per_bucket=4, seed=5)
         keys = np.arange(20)
         a.insert(keys, np.full(20, 2.0))
         b.insert(keys, np.full(20, 5.0))
@@ -335,8 +329,8 @@ class TestMerge:
 
     def test_keeps_top_slots_per_bucket(self):
         """When the union overflows a bucket, the highest scores survive."""
-        a = HotSketch(num_buckets=1, slots_per_bucket=2, hot_threshold=10.0, seed=5)
-        b = HotSketch(num_buckets=1, slots_per_bucket=2, hot_threshold=10.0, seed=5)
+        a = HotSketch(num_buckets=1, slots_per_bucket=2, seed=5)
+        b = HotSketch(num_buckets=1, slots_per_bucket=2, seed=5)
         a.insert(np.asarray([1, 2]), np.asarray([5.0, 1.0]))
         b.insert(np.asarray([3, 4]), np.asarray([9.0, 2.0]))
         merged = a.merge(b)
@@ -344,19 +338,18 @@ class TestMerge:
         assert surviving == {1, 3}  # top-2 of {1: 5, 2: 1, 3: 9, 4: 2}
 
     def test_merge_preserves_self_payloads_only(self):
-        a = HotSketch(num_buckets=16, slots_per_bucket=4, hot_threshold=10.0, seed=5)
-        b = HotSketch(num_buckets=16, slots_per_bucket=4, hot_threshold=10.0, seed=5)
+        a = HotSketch(num_buckets=16, slots_per_bucket=4, seed=5)
+        b = HotSketch(num_buckets=16, slots_per_bucket=4, seed=5)
         a.insert(np.asarray([7]), np.asarray([4.0]))
         b.insert(np.asarray([8]), np.asarray([4.0]))
-        a.set_payload(7, 123)
-        b.set_payload(8, 456)
+        assert set_payload(a, 7, 123)
+        assert set_payload(b, 8, 456)
         merged = a.merge(b)
-        assert merged.get_payloads(np.asarray([7]))[0] == 123
-        assert merged.get_payloads(np.asarray([8]))[0] == NO_PAYLOAD
+        assert payloads_of(merged, [7, 8]).tolist() == [123, NO_PAYLOAD]
 
     def test_merge_does_not_mutate_inputs(self):
-        a = HotSketch(num_buckets=16, slots_per_bucket=2, hot_threshold=10.0, seed=5)
-        b = HotSketch(num_buckets=16, slots_per_bucket=2, hot_threshold=10.0, seed=5)
+        a = HotSketch(num_buckets=16, slots_per_bucket=2, seed=5)
+        b = HotSketch(num_buckets=16, slots_per_bucket=2, seed=5)
         a.insert(np.arange(30), np.full(30, 1.0))
         b.insert(np.arange(15, 45), np.full(30, 1.0))
         keys_a, scores_a = a.keys.copy(), a.scores.copy()
@@ -377,7 +370,7 @@ class TestMerge:
     def test_merge_all_folds(self):
         sketches = []
         for i in range(3):
-            s = HotSketch(num_buckets=32, slots_per_bucket=4, hot_threshold=10.0, seed=5)
+            s = HotSketch(num_buckets=32, slots_per_bucket=4, seed=5)
             s.insert(np.arange(i * 10, i * 10 + 10), np.full(10, 1.0 + i))
             sketches.append(s)
         merged = HotSketch.merge_all(sketches)

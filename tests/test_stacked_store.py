@@ -314,3 +314,21 @@ def test_a_deepcopy_of_a_stack_is_one_private_copy(num_shards):
     np.testing.assert_array_equal(
         first.gather(uids, first.routes(uids)), stack.gather(uids, stack.routes(uids))
     )
+
+
+@pytest.mark.parametrize("num_shards", [2, 4])
+def test_a_stacked_sketch_decays_by_its_shards_factor(num_shards):
+    """The stacked sketch carries no decay of its own: each shard decays its
+    slice by the store's ``decay`` on the shard's interval."""
+
+    def scores_after_one_step(decay):
+        store = ShardedEmbeddingStore.build(
+            "cafe", num_features=N, dim=DIM, num_shards=num_shards,
+            compression_ratio=COMPRESSION, seed=2, decay=decay, decay_interval=1,
+        )
+        store.apply_gradients(*make_batch(0, 64))
+        return store._table.sketch.scores.copy()
+
+    kept = scores_after_one_step(1.0)
+    assert np.count_nonzero(kept) > num_shards
+    np.testing.assert_array_equal(scores_after_one_step(0.5), kept * 0.5)

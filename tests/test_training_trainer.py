@@ -279,6 +279,15 @@ class TestBatchBoundary:
             for key, value in state_before.items():
                 assert np.array_equal(value, state_after[key]), key
 
+    @pytest.mark.parametrize("method", ["predict", "evaluate_auc", "evaluate_log_loss"])
+    def test_empty_batch_is_refused_by_predict_and_the_metrics(self, method):
+        dataset = toy_dataset()
+        trainer = Trainer(toy_model(dataset))
+        batch = dataset.generate_day(0, num_samples=64)
+        empty = Batch(batch.categorical[:0], batch.numerical[:0], batch.labels[:0])
+        with pytest.raises(BatchShapeError, match="at least one row"):
+            getattr(trainer, method)(empty)
+
     def test_float_ids_are_refused_at_the_model(self):
         dataset = toy_dataset()
         model = toy_model(dataset)
