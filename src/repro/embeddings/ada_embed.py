@@ -31,43 +31,40 @@ from repro.utils.rng import SeedLike, make_rng
 
 UNALLOCATED = np.int64(-1)
 
+#: Rows of the shared fallback table the unallocated features hash into.
+SHARED_ROWS = 1
+#: Per-step decay of the running importance scores.
+IMPORTANCE_DECAY = 0.99
+#: Steps between two reallocation passes.
+REALLOCATION_INTERVAL = 100
+#: How much an unallocated feature's importance must beat the weakest
+#: allocated one's before it takes that row.
+HYSTERESIS = 1.25
+
 
 class AdaEmbed(TableBackedEmbedding):
     """Adaptive embedding with per-feature importance bookkeeping."""
+
+    #: Seed of the hash into the shared fallback table.
+    hash_seed = 29
 
     def __init__(
         self,
         num_features: int,
         dim: int,
         num_rows: int,
-        shared_rows: int = 1,
-        importance_decay: float = 0.99,
-        reallocation_interval: int = 100,
-        hysteresis: float = 1.25,
-        hash_seed: int = 29,
         rng: SeedLike = None,
         **table,
     ):
         super().__init__(num_features, dim, **table)
         if num_rows <= 0:
             raise ValueError(f"num_rows must be positive, got {num_rows}")
-        if not 0.0 < importance_decay <= 1.0:
-            raise ValueError(f"importance_decay must be in (0, 1], got {importance_decay}")
-        if reallocation_interval <= 0:
-            raise ValueError(f"reallocation_interval must be positive, got {reallocation_interval}")
-        if hysteresis < 1.0:
-            raise ValueError(f"hysteresis must be ≥ 1, got {hysteresis}")
         generator = make_rng(rng)
         self.num_rows = int(min(num_rows, num_features))
-        self.shared_rows = int(max(shared_rows, 1))
-        self.importance_decay = float(importance_decay)
-        self.reallocation_interval = int(reallocation_interval)
-        self.hysteresis = float(hysteresis)
-        self.hash_seed = int(hash_seed)
 
         # Exclusive rows for allocated features and a small shared fallback.
         self.table = embedding_uniform((self.num_rows, dim), generator, dtype=self.dtype)
-        self.shared_table = embedding_uniform((self.shared_rows, dim), generator, dtype=self.dtype)
+        self.shared_table = embedding_uniform((SHARED_ROWS, dim), generator, dtype=self.dtype)
         self._optimizer = self._new_row_optimizer(self.table)
         self._shared_optimizer = self._new_row_optimizer(self.shared_table)
 
@@ -100,7 +97,7 @@ class AdaEmbed(TableBackedEmbedding):
     def routes(self, uids: np.ndarray) -> dict[str, np.ndarray]:
         rows = self.row_of[uids]
         allocated = rows != UNALLOCATED
-        shared_rows = hash_to_range(uids[~allocated], self.shared_rows, seed=self.hash_seed)
+        shared_rows = hash_to_range(uids[~allocated], SHARED_ROWS, seed=self.hash_seed)
         return {"rows": rows, "allocated": allocated, "shared_rows": shared_rows}
 
     def gather(self, uids: np.ndarray, routes: dict[str, np.ndarray]) -> np.ndarray:
@@ -121,7 +118,7 @@ class AdaEmbed(TableBackedEmbedding):
         the decayed importance scores, and run the periodic reallocation pass.
         """
         routes = plan.routes
-        self.importance *= self.importance_decay
+        self.importance *= IMPORTANCE_DECAY
         self.importance[uids] += scores
 
         rows, allocated = routes["rows"], routes["allocated"]
@@ -133,7 +130,7 @@ class AdaEmbed(TableBackedEmbedding):
             )
 
         self._step += 1
-        if self._step % self.reallocation_interval == 0:
+        if self._step % REALLOCATION_INTERVAL == 0:
             self._reallocate()
 
     # ------------------------------------------------------------------ #
@@ -162,7 +159,7 @@ class AdaEmbed(TableBackedEmbedding):
                 row = self._free_rows.pop()
             elif candidates_out:
                 weakest = candidates_out[0]
-                if self.importance[feature_in] < self.hysteresis * self.importance[weakest]:
+                if self.importance[feature_in] < HYSTERESIS * self.importance[weakest]:
                     break
                 candidates_out.pop(0)
                 row = int(self.row_of[weakest])
@@ -171,7 +168,7 @@ class AdaEmbed(TableBackedEmbedding):
             else:
                 break
             # Initialize the new row from the shared fallback so training stays smooth.
-            shared_row = hash_to_range(np.asarray([feature_in]), self.shared_rows, seed=self.hash_seed)[0]
+            shared_row = hash_to_range(np.asarray([feature_in]), SHARED_ROWS, seed=self.hash_seed)[0]
             self.table[row] = self.shared_table[shared_row]
             self.row_of[feature_in] = row
             self.owner_of[row] = feature_in

@@ -63,6 +63,18 @@ SLOTS_PER_BUCKET = 4
 #: §5.3, best at around 0.7); the rest goes to the shared hash table.
 HOT_PERCENTAGE = 0.7
 
+#: The hot threshold an adaptive layer starts from, before its first
+#: threshold update.
+INITIAL_THRESHOLD = 1.0
+
+#: Width of the band around the hot threshold: a hot feature is demoted only
+#: once its score falls below ``threshold / HYSTERESIS``, so a feature at the
+#: boundary does not thrash between the exclusive and shared tables.
+HYSTERESIS = 1.1
+
+#: Seed of the HotSketch bucket hash.
+SKETCH_SEED = 7
+
 
 def rows_partition(free_rows: np.ndarray, payloads: np.ndarray, num_rows: int) -> bool:
     """Whether the free rows and the sketch-assigned rows (the ``payloads``
@@ -77,6 +89,8 @@ class CafeEmbedding(TableBackedEmbedding):
 
     _state_owner = "a CAFE shard"
     _state_parts = {"sketch.": "sketch", "optimizer.": "_optimizer"}
+    #: Seed of the hash of non-hot ids into the shared table.
+    hash_seed = 101
 
     def __init__(
         self,
@@ -85,15 +99,11 @@ class CafeEmbedding(TableBackedEmbedding):
         num_hot_rows: int,
         num_shared_rows: int,
         hot_threshold: float | None = None,
-        initial_threshold: float = 1.0,
         slots_per_bucket: int = SLOTS_PER_BUCKET,
         decay: float = 0.98,
         decay_interval: int = 1000,
         rebalance_interval: int = 20,
-        hysteresis: float = 1.1,
         use_frequency: bool = False,
-        hash_seed: int = 101,
-        sketch_seed: int = 7,
         rng: SeedLike = None,
         **table,
     ):
@@ -102,9 +112,7 @@ class CafeEmbedding(TableBackedEmbedding):
             raise ValueError(f"num_hot_rows must be positive, got {num_hot_rows}")
         if num_shared_rows <= 0:
             raise ValueError(f"num_shared_rows must be positive, got {num_shared_rows}")
-        if hysteresis < 1.0:
-            raise ValueError(f"hysteresis must be ≥ 1, got {hysteresis}")
-        threshold = initial_threshold if hot_threshold is None else hot_threshold
+        threshold = INITIAL_THRESHOLD if hot_threshold is None else hot_threshold
         if threshold <= 0:
             raise ValueError(f"the hot threshold must be positive, got {threshold}")
         if not 0.0 < decay <= 1.0:
@@ -119,11 +127,9 @@ class CafeEmbedding(TableBackedEmbedding):
         self.decay = float(decay)
         self.decay_interval = int(decay_interval)
         self.rebalance_interval = int(rebalance_interval)
-        self.hysteresis = float(hysteresis)
         self.use_frequency = bool(use_frequency)
-        self.hash_seed = int(hash_seed)
 
-        self.sketch = HotSketch(self.num_hot_rows, self.slots_per_bucket, sketch_seed)
+        self.sketch = HotSketch(self.num_hot_rows, self.slots_per_bucket, SKETCH_SEED)
         self._build_arena(generator)
         self._optimizer = self._new_row_optimizer(self._arena)
         self._free_rows = FreeRowPool(self.num_hot_rows)
@@ -330,7 +336,7 @@ class CafeEmbedding(TableBackedEmbedding):
 
         # Hot -> non-hot: the slot's score fell below the demotion band
         # (after decay or because other features overtook it).
-        demote_mask = occupied & (payloads != NO_PAYLOAD) & (scores < self.hot_threshold / self.hysteresis)
+        demote_mask = occupied & (payloads != NO_PAYLOAD) & (scores < self.hot_threshold / HYSTERESIS)
         if demote_mask.any():
             released = payloads[demote_mask]
             self.sketch.payloads[demote_mask] = NO_PAYLOAD
@@ -463,13 +469,12 @@ class CafeStack:
     # ------------------------------------------------------------------ #
     @staticmethod
     def can_stack(layers) -> bool:
-        """≥ 2 plain CAFE layers with one geometry, seeds and row optimizer."""
+        """≥ 2 plain CAFE layers with one geometry and row optimizer."""
         def geometry(layer):
             if type(layer) is not CafeEmbedding:
                 return None
             return (layer.dim, layer.dtype, layer.num_hot_rows, layer.num_shared_rows,
-                    layer.slots_per_bucket, layer.hash_seed, layer.sketch.seed,
-                    layer.optimizer_name, layer.learning_rate)
+                    layer.slots_per_bucket, layer.optimizer_name, layer.learning_rate)
 
         kinds = {geometry(layer) for layer in layers}
         return len(layers) >= 2 and len(kinds) == 1 and None not in kinds

@@ -20,6 +20,13 @@ from repro.embeddings.cafe import HOT_PERCENTAGE, SLOTS_PER_BUCKET, CafeEmbeddin
 from repro.embeddings.memory import MemoryBudget
 from repro.utils.hashing import hash_to_range
 
+#: Medium features have scores in ``[MEDIUM_FRACTION · hot_threshold,
+#: hot_threshold)``; below that a non-hot feature is cold.
+MEDIUM_FRACTION = 0.2
+
+#: Share of the non-hot rows a budget gives the secondary table.
+SECONDARY_SHARE = 1.0 / 3.0
+
 
 class CafeMultiLevelEmbedding(CafeEmbedding):
     """CAFE with a 2-level hash embedding for the non-hot features."""
@@ -32,18 +39,12 @@ class CafeMultiLevelEmbedding(CafeEmbedding):
         dim: int,
         num_hot_rows: int,
         num_shared_rows: int,
-        num_secondary_rows: int | None = None,
-        medium_fraction: float = 0.2,
+        num_secondary_rows: int,
         **kwargs,
     ):
         # The secondary region size must be known before the parent
         # constructor lays out the arena.
-        if num_secondary_rows is None:
-            num_secondary_rows = max(num_shared_rows // 2, 1)
         self.num_secondary_rows = int(num_secondary_rows)
-        if not 0.0 < medium_fraction <= 1.0:
-            raise ValueError(f"medium_fraction must be in (0, 1], got {medium_fraction}")
-        self.medium_fraction = float(medium_fraction)
         super().__init__(
             num_features=num_features,
             dim=dim,
@@ -61,7 +62,7 @@ class CafeMultiLevelEmbedding(CafeEmbedding):
     @property
     def medium_threshold(self) -> float:
         """Medium features have scores in ``[medium_threshold, hot_threshold)``."""
-        return self.hot_threshold * self.medium_fraction
+        return self.hot_threshold * MEDIUM_FRACTION
 
     def _medium_mask(self, cold_ids: np.ndarray) -> np.ndarray:
         scores = self.sketch.query(cold_ids)
@@ -125,16 +126,13 @@ class CafeMultiLevelEmbedding(CafeEmbedding):
         cls,
         budget: MemoryBudget,
         hot_percentage: float = HOT_PERCENTAGE,
-        secondary_share: float = 1.0 / 3.0,
         **kwargs,
     ) -> "CafeMultiLevelEmbedding":
-        """CAFE's split, with ``secondary_share`` of the non-hot rows in the
-        secondary table; every other keyword goes to the constructor."""
-        if not 0.0 < secondary_share < 1.0:
-            raise ValueError(f"secondary_share must be in (0, 1), got {secondary_share}")
+        """CAFE's split, with :data:`SECONDARY_SHARE` of the non-hot rows in
+        the secondary table; every other keyword goes to the constructor."""
         slots = kwargs.get("slots_per_bucket", SLOTS_PER_BUCKET)
         num_hot, total_shared = cls.plan_budget(budget, hot_percentage, slots)
-        num_secondary = max(int(total_shared * secondary_share), 1)
+        num_secondary = max(int(total_shared * SECONDARY_SHARE), 1)
         num_primary = max(total_shared - num_secondary, 1)
         return cls(
             budget.num_features, budget.dim, num_hot, num_primary, num_secondary, **kwargs

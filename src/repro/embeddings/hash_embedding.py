@@ -23,22 +23,16 @@ class HashEmbedding(TableBackedEmbedding):
     """Single-hash shared embedding table."""
 
     _state_parts = {"optimizer.": "_optimizer"}
+    #: Seed of the id -> row hash; a checkpoint records it, and one written
+    #: under another seed is refused.
+    hash_seed = 17
 
-    def __init__(
-        self,
-        num_features: int,
-        dim: int,
-        num_rows: int,
-        hash_seed: int = 17,
-        rng: SeedLike = None,
-        **table,
-    ):
+    def __init__(self, num_features: int, dim: int, num_rows: int, rng: SeedLike = None, **table):
         super().__init__(num_features, dim, **table)
         if num_rows <= 0:
             raise ValueError(f"num_rows must be positive, got {num_rows}")
         generator = make_rng(rng)
         self.num_rows = int(min(num_rows, num_features))
-        self.hash_seed = int(hash_seed)
         self.table = embedding_uniform((self.num_rows, dim), generator, dtype=self.dtype)
         self._optimizer = self._new_row_optimizer(self.table)
 

@@ -23,6 +23,12 @@ from repro.errors import MemoryBudgetError
 from repro.nn.init import embedding_uniform, xavier_uniform
 from repro.utils.rng import SeedLike, make_rng
 
+#: The MDE popularity exponent α: fields with larger cardinality get
+#: proportionally fewer columns (``d_f ∝ card_f^{-α}``).  The original paper
+#: derives the rule from frequency; like the CAFE paper notes, the public
+#: implementation uses field cardinality as the proxy.
+TEMPERATURE = 0.3
+
 
 class MixedDimensionEmbedding(TableBackedEmbedding):
     """Per-field narrow embeddings with learned projections to a common dim.
@@ -33,11 +39,6 @@ class MixedDimensionEmbedding(TableBackedEmbedding):
         Number of unique features per field; features are addressed by global
         id (field offsets applied by the caller) exactly like the row-
         compression methods, so MDE is a drop-in replacement in the models.
-    temperature:
-        The MDE popularity exponent α: fields with larger cardinality get
-        proportionally fewer columns (``d_f ∝ card_f^{-α}``).  The original
-        paper derives the rule from frequency; like the CAFE paper notes, the
-        public implementation uses field cardinality as the proxy.
     """
 
     def __init__(
@@ -82,7 +83,6 @@ class MixedDimensionEmbedding(TableBackedEmbedding):
         cls,
         budget: MemoryBudget,
         field_cardinalities: list[int],
-        temperature: float = 0.3,
         **kwargs,
     ) -> "MixedDimensionEmbedding":
         """Choose per-field dimensions so the total memory fits ``budget``.
@@ -96,7 +96,7 @@ class MixedDimensionEmbedding(TableBackedEmbedding):
             raise ValueError("field cardinalities do not sum to the budgeted feature count")
         dim = budget.dim
         cards = np.asarray(field_cardinalities, dtype=np.float64)
-        base = (cards / cards.min()) ** (-temperature)
+        base = (cards / cards.min()) ** (-TEMPERATURE)
 
         def total_memory(scale: float) -> tuple[int, list[int]]:
             dims = np.maximum(1, np.floor(scale * base * dim)).astype(int)

@@ -31,6 +31,9 @@ _NO_ROW = np.int64(-1)
 class OfflineSeparationEmbedding(TableBackedEmbedding):
     """Frequency-oracle hot/cold split with no online adaptation."""
 
+    #: Seed of the hash into the shared table.
+    hash_seed = 101
+
     def __init__(
         self,
         num_features: int,
@@ -38,7 +41,6 @@ class OfflineSeparationEmbedding(TableBackedEmbedding):
         num_hot_rows: int,
         num_shared_rows: int,
         frequencies: np.ndarray,
-        hash_seed: int = 101,
         rng: SeedLike = None,
         **table,
     ):
@@ -53,7 +55,6 @@ class OfflineSeparationEmbedding(TableBackedEmbedding):
         generator = make_rng(rng)
         self.num_hot_rows = int(min(num_hot_rows, num_features))
         self.num_shared_rows = int(num_shared_rows)
-        self.hash_seed = int(hash_seed)
 
         hot_features = np.argsort(frequencies)[::-1][: self.num_hot_rows]
         self.row_of = np.full(num_features, _NO_ROW, dtype=np.int64)
@@ -71,11 +72,10 @@ class OfflineSeparationEmbedding(TableBackedEmbedding):
         cls,
         budget: MemoryBudget,
         frequencies: np.ndarray,
-        hot_percentage: float = HOT_PERCENTAGE,
         **kwargs,
     ) -> "OfflineSeparationEmbedding":
         """Use the same hot/shared split as CAFE for a fair comparison."""
-        num_hot, num_shared = CafeEmbedding.plan_budget(budget, hot_percentage)
+        num_hot, num_shared = CafeEmbedding.plan_budget(budget, HOT_PERCENTAGE)
         return cls(budget.num_features, budget.dim, num_hot, num_shared, frequencies, **kwargs)
 
     def routes(self, uids: np.ndarray) -> dict[str, np.ndarray]:

@@ -1,7 +1,7 @@
 """Quotient-Remainder trick (Shi et al., KDD 2020) — compositional embeddings.
 
 Each feature id is decomposed into a quotient and a remainder with respect to
-a modulus close to sqrt(n); the final embedding combines one row from a
+a modulus close to sqrt(n); the final embedding is the sum of one row from a
 "quotient" table and one from a "remainder" table.  Collisions only occur
 when *both* components collide, which greatly reduces the effective collision
 rate compared to the single-hash baseline, at the cost of a hard floor on the
@@ -23,39 +23,30 @@ from repro.errors import MemoryBudgetError
 from repro.nn.init import embedding_uniform
 from repro.utils.rng import SeedLike, make_rng
 
-_VALID_OPERATIONS = ("add", "multiply", "concat")
-
 
 class QRTrickEmbedding(TableBackedEmbedding):
-    """Compositional embedding with complementary quotient/remainder tables."""
+    """Compositional embedding with complementary quotient/remainder tables,
+    composed by addition (the composition every comparison here uses)."""
 
     def __init__(
         self,
         num_features: int,
         dim: int,
         num_remainder_rows: int,
-        operation: str = "add",
         rng: SeedLike = None,
         **table,
     ):
         super().__init__(num_features, dim, **table)
-        if operation not in _VALID_OPERATIONS:
-            raise ValueError(f"operation must be one of {_VALID_OPERATIONS}, got '{operation}'")
         if num_remainder_rows <= 0:
             raise ValueError(f"num_remainder_rows must be positive, got {num_remainder_rows}")
         generator = make_rng(rng)
-        self.operation = operation
         self.num_remainder_rows = int(min(num_remainder_rows, num_features))
         self.num_quotient_rows = int(math.ceil(num_features / self.num_remainder_rows))
-        row_dim = dim // 2 if operation == "concat" else dim
-        if operation == "concat" and dim % 2 != 0:
-            raise ValueError("concat operation requires an even embedding dimension")
-        self.row_dim = row_dim
         self.quotient_table = embedding_uniform(
-            (self.num_quotient_rows, row_dim), generator, dtype=self.dtype
+            (self.num_quotient_rows, dim), generator, dtype=self.dtype
         )
         self.remainder_table = embedding_uniform(
-            (self.num_remainder_rows, row_dim), generator, dtype=self.dtype
+            (self.num_remainder_rows, dim), generator, dtype=self.dtype
         )
         self._quotient_optimizer = self._new_row_optimizer(self.quotient_table)
         self._remainder_optimizer = self._new_row_optimizer(self.remainder_table)
@@ -69,18 +60,16 @@ class QRTrickEmbedding(TableBackedEmbedding):
 
         The total rows ``r + ceil(n / r)`` is minimized at ``r = sqrt(n)``;
         if even that minimum exceeds the budget the method structurally
-        cannot reach the requested compression ratio.  Rows are half as
-        wide under ``operation="concat"``.
+        cannot reach the requested compression ratio.
         """
         n, dim = budget.num_features, budget.dim
-        row_dim = dim // 2 if kwargs.get("operation") == "concat" else dim
-        max_rows = budget.total_floats // row_dim
+        max_rows = budget.total_floats // dim
         best_r = None
         sqrt_n = int(math.isqrt(n))
         min_total = 2 * math.ceil(math.sqrt(n))
         if min_total > max_rows:
             raise MemoryBudgetError(
-                f"Q-R trick needs at least {min_total * row_dim} floats for {n} features "
+                f"Q-R trick needs at least {min_total * dim} floats for {n} features "
                 f"but the budget is {budget.total_floats} (CR {budget.compression_ratio:.0f}x)"
             )
         # The largest r with r + ceil(n/r) <= max_rows gives the lowest collision
@@ -114,30 +103,17 @@ class QRTrickEmbedding(TableBackedEmbedding):
         """
         q_vec = self.quotient_table[routes["quotient"]]
         r_vec = self.remainder_table[routes["remainder"]]
-        if self.operation == "add":
-            return q_vec + r_vec
-        if self.operation == "multiply":
-            return q_vec * r_vec
-        return np.concatenate([q_vec, r_vec], axis=-1)
+        return q_vec + r_vec
 
     def apply(
         self, plan: RoutingPlan, uids: np.ndarray, grad_sums: np.ndarray, scores: np.ndarray
     ) -> None:
         """Scatter each id's gradient sum into both its quotient and its
-        remainder row.
+        remainder row (the gradient of a sum reaches both terms unchanged).
         """
         quotient, remainder = plan.routes["quotient"], plan.routes["remainder"]
-        if self.operation == "add":
-            q_grads = grad_sums
-            r_grads = grad_sums
-        elif self.operation == "multiply":
-            q_grads = grad_sums * self.remainder_table[remainder]
-            r_grads = grad_sums * self.quotient_table[quotient]
-        else:  # concat
-            q_grads = grad_sums[:, : self.row_dim]
-            r_grads = grad_sums[:, self.row_dim :]
-        update_rows(self._quotient_optimizer, self.quotient_table, quotient, q_grads)
-        update_rows(self._remainder_optimizer, self.remainder_table, remainder, r_grads)
+        update_rows(self._quotient_optimizer, self.quotient_table, quotient, grad_sums)
+        update_rows(self._remainder_optimizer, self.remainder_table, remainder, grad_sums)
         self._step += 1
 
     def memory_floats(self) -> int:

@@ -36,12 +36,12 @@ def run_fig15_sensitivity(
     )
     dataset = build_dataset("criteo", scale=scale, seed=seeds[0])
 
-    def averaged(embedding_kwargs, use_frequency_label=None, method="cafe"):
+    def averaged(embedding_kwargs):
         losses, aucs = [], []
         for seed in seeds:
             outcome = run_single(
                 dataset,
-                method,
+                "cafe",
                 compression_ratio,
                 scale=scale,
                 seed=seed,

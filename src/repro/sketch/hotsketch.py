@@ -87,12 +87,12 @@ class HotSketch(Restorable):
         ``w`` in the paper.  The CAFE implementation sets this to the number
         of exclusive (hot) embedding rows.
     slots_per_bucket:
-        ``c`` in the paper; 4 by default, following §4.
+        ``c`` in the paper (CAFE's ``SLOTS_PER_BUCKET`` is its 4, §4).
     seed:
         Seed of the bucket hash function.
     """
 
-    def __init__(self, num_buckets: int, slots_per_bucket: int = 4, seed: int = 0):
+    def __init__(self, num_buckets: int, slots_per_bucket: int, seed: int):
         if num_buckets <= 0:
             raise ValueError(f"num_buckets must be positive, got {num_buckets}")
         if slots_per_bucket <= 0:

@@ -39,8 +39,8 @@ from repro.errors import CheckpointLayoutError, ConfigurationError
 from repro.nn.module import check_fits, section
 from repro.store.snapshot import StoreSnapshot
 
-#: Default seed of the id -> shard hash (distinct from every backend seed so
-#: shard assignment is independent of intra-shard routing).
+#: Seed of the id -> shard hash (distinct from every backend seed so shard
+#: assignment is independent of intra-shard routing).
 DEFAULT_SHARD_SEED = 2029
 
 
@@ -75,16 +75,12 @@ class ShardedEmbeddingStore(CompressedEmbedding):
 
     One shard may be any backend (the store's table is that backend);
     ``N ≥ 2`` shards must stack into the table
-    (:meth:`CafeStack.can_stack`: plain ``cafe`` layers of one geometry,
-    seeds and row optimizer), or construction raises
+    (:meth:`CafeStack.can_stack`: plain ``cafe`` layers of one geometry
+    and row optimizer), or construction raises
     :class:`~repro.errors.ConfigurationError`.
     """
 
-    def __init__(
-        self,
-        shards: Sequence[CompressedEmbedding],
-        shard_seed: int = DEFAULT_SHARD_SEED,
-    ):
+    def __init__(self, shards: Sequence[CompressedEmbedding]):
         shards = list(shards)
         if not shards:
             raise ValueError("ShardedEmbeddingStore requires at least one shard")
@@ -99,7 +95,7 @@ class ShardedEmbeddingStore(CompressedEmbedding):
             backends = sorted({type(shard).__name__ for shard in shards})
             raise ConfigurationError(
                 f"a store of {len(shards)} shards is one CAFE stack, so only 'cafe' shards "
-                f"(CafeEmbedding, one geometry, seeds and row optimizer) shard; got {backends}. "
+                f"(CafeEmbedding, one geometry and row optimizer) shard; got {backends}. "
                 "Build any other backend with num_shards=1"
             )
         super().__init__(shards[0].num_features, shards[0].dim, dtype=shards[0].dtype)
@@ -107,7 +103,7 @@ class ShardedEmbeddingStore(CompressedEmbedding):
         self.num_shards = len(shards)
         #: The one table: the backend, or the stack of the shards (which
         #: holds the id -> shard seed).
-        self._table = shards[0] if len(shards) == 1 else CafeStack.stacked(shards, shard_seed)
+        self._table = shards[0] if len(shards) == 1 else CafeStack.stacked(shards, DEFAULT_SHARD_SEED)
         #: ``perf/workloads.py`` reads ``store.executor.stats``.
         self.executor = SimpleNamespace(stats=ExecutorStats())
         # The table becomes frozen (shared with a snapshot) when snapshot()
@@ -127,7 +123,6 @@ class ShardedEmbeddingStore(CompressedEmbedding):
         dim: int,
         num_shards: int,
         compression_ratio: float = 1.0,
-        shard_seed: int = DEFAULT_SHARD_SEED,
         seed: int = 0,
         **kwargs,
     ) -> "ShardedEmbeddingStore":
@@ -153,7 +148,7 @@ class ShardedEmbeddingStore(CompressedEmbedding):
             )
             for index in range(num_shards)
         ]
-        return cls(shards, shard_seed=shard_seed)
+        return cls(shards)
 
     @property
     def shards(self) -> tuple[CompressedEmbedding, ...]:

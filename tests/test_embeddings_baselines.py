@@ -3,7 +3,13 @@
 import numpy as np
 import pytest
 
-from repro.embeddings.ada_embed import UNALLOCATED, AdaEmbed
+from repro.embeddings.ada_embed import (
+    HYSTERESIS,
+    IMPORTANCE_DECAY,
+    REALLOCATION_INTERVAL,
+    UNALLOCATED,
+    AdaEmbed,
+)
 from repro.embeddings.full import FullEmbedding
 from repro.embeddings.hash_embedding import HashEmbedding
 from repro.embeddings.memory import MemoryBudget
@@ -92,8 +98,8 @@ class TestHashEmbedding:
         assert not np.allclose(before, after)
 
     def test_deterministic_hash(self):
-        a = HashEmbedding(N, DIM, num_rows=32, hash_seed=3, rng=0)
-        b = HashEmbedding(N, DIM, num_rows=32, hash_seed=3, rng=1)
+        a = HashEmbedding(N, DIM, num_rows=32, rng=0)
+        b = HashEmbedding(N, DIM, num_rows=32, rng=1)
         assert np.array_equal(a._rows_for(np.arange(100)), b._rows_for(np.arange(100)))
 
     def test_invalid_rows(self):
@@ -108,19 +114,26 @@ class TestQRTrickEmbedding:
         pairs = set(zip(q.tolist(), r.tolist()))
         assert len(pairs) == N  # every feature has a unique (quotient, remainder) pair
 
-    def test_operations(self):
-        for op in ("add", "multiply", "concat"):
-            emb = QRTrickEmbedding(N, DIM, num_remainder_rows=40, operation=op, rng=0)
-            out = emb.lookup(np.asarray([3, 4]))
-            assert out.shape == (2, DIM)
+    def test_lookup_is_the_sum_of_its_quotient_and_remainder_rows(self):
+        emb = QRTrickEmbedding(N, DIM, num_remainder_rows=40, rng=0)
+        ids = np.asarray([0, 39, 40, 999])
+        expected = emb.quotient_table[ids // 40] + emb.remainder_table[ids % 40]
+        np.testing.assert_array_equal(emb.lookup(ids), expected)
 
-    def test_concat_requires_even_dim(self):
-        with pytest.raises(ValueError):
-            QRTrickEmbedding(N, 7, num_remainder_rows=40, operation="concat")
-
-    def test_invalid_operation(self):
-        with pytest.raises(ValueError):
-            QRTrickEmbedding(N, DIM, num_remainder_rows=40, operation="xor")
+    def test_gradients_flow_to_both_tables(self):
+        """The gradient of a sum reaches both terms unchanged: the id's
+        quotient and remainder rows take the same step, and no other row moves."""
+        emb = QRTrickEmbedding(N, DIM, num_remainder_rows=40, rng=0)
+        q_before = emb.quotient_table.copy()
+        r_before = emb.remainder_table.copy()
+        emb.apply_gradients(np.asarray([85]), np.ones((1, DIM)))  # quotient 2, remainder 5
+        q_step = emb.quotient_table - q_before
+        r_step = emb.remainder_table - r_before
+        assert np.flatnonzero(np.abs(q_step).sum(axis=1)).tolist() == [2]
+        assert np.flatnonzero(np.abs(r_step).sum(axis=1)).tolist() == [5]
+        # One SGD step of the shared gradient each (float32 table arithmetic).
+        np.testing.assert_allclose(q_step[2], -emb.learning_rate, rtol=1e-5)
+        np.testing.assert_allclose(r_step[5], -emb.learning_rate, rtol=1e-5)
 
     def test_from_budget_fits(self):
         budget = MemoryBudget.from_compression_ratio(N, DIM, 5)
@@ -141,14 +154,6 @@ class TestQRTrickEmbedding:
         error = lookup_update_cycle(emb, ids, steps=150)
         assert error < 0.2
 
-    def test_multiply_gradients_flow_to_both_tables(self):
-        emb = QRTrickEmbedding(N, DIM, num_remainder_rows=40, operation="multiply", rng=0)
-        q_before = emb.quotient_table.copy()
-        r_before = emb.remainder_table.copy()
-        emb.apply_gradients(np.asarray([5]), np.ones((1, DIM)))
-        assert not np.allclose(emb.quotient_table, q_before)
-        assert not np.allclose(emb.remainder_table, r_before)
-
 
 class TestAdaEmbed:
     def test_starts_unallocated(self):
@@ -157,21 +162,57 @@ class TestAdaEmbed:
         assert np.all(emb.row_of == UNALLOCATED)
 
     def test_importance_accumulates_and_allocates(self):
-        emb = AdaEmbed(N, DIM, num_rows=8, reallocation_interval=5, rng=0)
+        emb = AdaEmbed(N, DIM, num_rows=8, rng=0)
         hot_ids = np.asarray([1, 2, 3, 4])
-        for _ in range(10):
+        for _ in range(REALLOCATION_INTERVAL):
             grads = np.ones((4, DIM))
             emb.apply_gradients(hot_ids, grads)
         assert emb.num_allocated() > 0
         assert set(np.nonzero(emb.row_of != UNALLOCATED)[0].tolist()) <= {1, 2, 3, 4}
 
     def test_reallocation_prefers_important_features(self):
-        emb = AdaEmbed(N, DIM, num_rows=2, reallocation_interval=1, hysteresis=1.0, rng=0)
-        emb.apply_gradients(np.asarray([10, 11]), np.ones((2, DIM)) * 0.1)
-        for _ in range(5):
+        """The first pass gives both rows to the only features seen; the next
+        hands them to the features that now beat them by the hysteresis."""
+        emb = AdaEmbed(N, DIM, num_rows=2, rng=0)
+        for _ in range(REALLOCATION_INTERVAL):
+            emb.apply_gradients(np.asarray([10, 11]), np.ones((2, DIM)) * 0.1)
+        assert set(np.nonzero(emb.row_of != UNALLOCATED)[0].tolist()) == {10, 11}
+        for _ in range(REALLOCATION_INTERVAL):
             emb.apply_gradients(np.asarray([20, 21]), np.ones((2, DIM)) * 10.0)
         allocated = set(np.nonzero(emb.row_of != UNALLOCATED)[0].tolist())
         assert allocated == {20, 21}
+
+    def test_importance_decays_by_its_factor_each_step(self):
+        emb = AdaEmbed(N, DIM, num_rows=4, rng=0)
+        emb.apply_gradients(np.asarray([7]), np.ones((1, DIM)))
+        first = emb.importance[7]
+        assert first > 0
+        emb.apply_gradients(np.asarray([8]), np.ones((1, DIM)))
+        assert emb.importance[7] == first * IMPORTANCE_DECAY
+
+    def test_reallocation_runs_every_interval(self):
+        emb = AdaEmbed(N, DIM, num_rows=4, rng=0)
+        for _ in range(REALLOCATION_INTERVAL - 1):
+            emb.apply_gradients(np.asarray([1, 2]), np.ones((2, DIM)))
+        assert emb.num_allocated() == 0 and emb.reallocation_count == 0
+        emb.apply_gradients(np.asarray([1, 2]), np.ones((2, DIM)))
+        assert emb.num_allocated() == 2 and emb.reallocation_count == 2
+
+    @pytest.mark.parametrize("challenger_grad, swapped", [(0.4, False), (0.5, True)])
+    def test_a_challenger_takes_the_row_only_past_the_hysteresis(self, challenger_grad, swapped):
+        """With one row, a feature that outscores the row's holder takes it
+        only once its importance reaches ``HYSTERESIS`` times the holder's."""
+        emb = AdaEmbed(N, DIM, num_rows=1, rng=0)
+        for _ in range(REALLOCATION_INTERVAL):
+            emb.apply_gradients(np.asarray([10]), np.ones((1, DIM)))
+        assert emb.row_of[10] != UNALLOCATED
+        for _ in range(REALLOCATION_INTERVAL):
+            emb.apply_gradients(np.asarray([20]), np.ones((1, DIM)) * challenger_grad)
+        # The pass on the last step compared these two scores.
+        ratio = emb.importance[20] / emb.importance[10]
+        assert ratio > 1.0 and (ratio >= HYSTERESIS) == swapped
+        assert (emb.row_of[20] != UNALLOCATED) == swapped
+        assert (emb.row_of[10] != UNALLOCATED) != swapped
 
     def test_from_budget_floor(self):
         budget = MemoryBudget.from_compression_ratio(N, DIM, DIM + 1)
@@ -185,17 +226,13 @@ class TestAdaEmbed:
         assert emb.importance.size == N
 
     def test_lookup_unallocated_uses_shared(self):
-        emb = AdaEmbed(N, DIM, num_rows=4, shared_rows=2, rng=0)
+        emb = AdaEmbed(N, DIM, num_rows=4, rng=0)
         out = emb.lookup(np.asarray([5, 6]))
         assert out.shape == (2, DIM)
 
     def test_invalid_params(self):
         with pytest.raises(ValueError):
             AdaEmbed(N, DIM, num_rows=0)
-        with pytest.raises(ValueError):
-            AdaEmbed(N, DIM, num_rows=4, importance_decay=0.0)
-        with pytest.raises(ValueError):
-            AdaEmbed(N, DIM, num_rows=4, hysteresis=0.5)
 
 
 class TestMixedDimensionEmbedding:

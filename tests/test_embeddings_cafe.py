@@ -3,8 +3,8 @@
 import numpy as np
 import pytest
 
-from repro.embeddings.cafe import CafeEmbedding
-from repro.embeddings.cafe_ml import CafeMultiLevelEmbedding
+from repro.embeddings.cafe import HYSTERESIS, CafeEmbedding
+from repro.embeddings.cafe_ml import SECONDARY_SHARE, CafeMultiLevelEmbedding
 from repro.embeddings.memory import MemoryBudget
 from repro.embeddings.offline import OfflineSeparationEmbedding
 from repro.sketch.hotsketch import NO_PAYLOAD
@@ -45,18 +45,15 @@ class TestConstruction:
             make_cafe(num_hot_rows=0)
         with pytest.raises(ValueError):
             make_cafe(num_shared_rows=0)
-        with pytest.raises(ValueError):
-            make_cafe(hysteresis=0.9)
 
     @pytest.mark.parametrize("decay", [0.0, -0.5, 1.5])
     def test_decay_outside_zero_one_is_refused(self, decay):
         with pytest.raises(ValueError, match="decay"):
             make_cafe(decay=decay)
 
-    @pytest.mark.parametrize("knob", ["hot_threshold", "initial_threshold"])
-    def test_a_non_positive_threshold_is_refused(self, knob):
+    def test_a_non_positive_threshold_is_refused(self):
         with pytest.raises(ValueError, match="threshold"):
-            make_cafe(**{knob: 0.0})
+            make_cafe(hot_threshold=0.0)
 
     def test_memory_accounting_includes_sketch(self):
         emb = make_cafe()
@@ -142,6 +139,21 @@ class TestMigration:
         assert emb.num_hot_features() <= emb.num_hot_rows
         assert occupied_before > 0
 
+    def test_a_hot_feature_is_demoted_only_below_the_hysteresis_band(self):
+        emb = make_cafe(hot_threshold=10.0)
+        emb.sketch.insert(np.asarray([1]), np.asarray([10.0]))
+        emb._rebalance()
+        assert payloads_of(emb.sketch, [1])[0] != NO_PAYLOAD
+        # Below the threshold but inside the band: the row stays.
+        emb.sketch.apply_decay(1.0 / HYSTERESIS + 0.01)
+        emb._rebalance()
+        assert payloads_of(emb.sketch, [1])[0] != NO_PAYLOAD
+        # Below threshold / HYSTERESIS: the row is released.
+        emb.sketch.apply_decay(0.98)
+        emb._rebalance()
+        assert payloads_of(emb.sketch, [1])[0] == NO_PAYLOAD
+        assert emb.num_hot_features() == 0 and emb.migrations_out == 1
+
     def test_eviction_releases_exclusive_rows(self):
         # A 1-bucket, 1-slot sketch forces evictions of payload-holding slots.
         emb = CafeEmbedding(
@@ -207,11 +219,11 @@ class TestClassification:
     def test_medium_classification(self):
         emb = CafeMultiLevelEmbedding(
             num_features=N, dim=DIM, num_hot_rows=16, num_shared_rows=32,
-            hot_threshold=10.0, medium_fraction=0.3, rng=0,
+            num_secondary_rows=16, hot_threshold=10.0, rng=0,
         )
         emb.sketch.insert(np.asarray([1, 2, 3]), np.asarray([20.0, 5.0, 1.0]))
         emb._rebalance()
-        assert emb.medium_threshold == pytest.approx(3.0)
+        assert emb.medium_threshold == pytest.approx(2.0)
         assert (payloads_of(emb.sketch, [1, 2, 3]) != NO_PAYLOAD).tolist() == [True, False, False]
         assert emb._medium_mask(np.asarray([2, 3])).tolist() == [True, False]
 
@@ -333,7 +345,6 @@ class TestCafeMultiLevel:
             num_hot_rows=16,
             num_shared_rows=32,
             num_secondary_rows=16,
-            medium_fraction=0.2,
             rebalance_interval=5,
             learning_rate=0.1,
             rng=0,
@@ -371,9 +382,13 @@ class TestCafeMultiLevel:
         assert emb.memory_floats() <= budget.total_floats
         assert emb.num_secondary_rows >= 1
 
-    def test_invalid_medium_fraction(self):
-        with pytest.raises(ValueError):
-            self.make_ml(medium_fraction=0.0)
+    def test_from_budget_gives_the_secondary_table_its_share(self):
+        budget = MemoryBudget.from_compression_ratio(N, DIM, 10)
+        emb = CafeMultiLevelEmbedding.from_budget(budget, rng=0)
+        num_hot, total_shared = CafeEmbedding.plan_budget(budget, 0.7, 4)
+        assert emb.num_hot_rows == num_hot
+        assert emb.num_secondary_rows == int(total_shared * SECONDARY_SHARE)
+        assert emb.num_shared_rows == total_shared - emb.num_secondary_rows
 
     def test_state_roundtrip(self):
         emb = self.make_ml()

@@ -20,6 +20,8 @@ from repro.embeddings import (
     TableBackedEmbedding,
     create_embedding,
 )
+from repro.sketch import HotSketch
+from repro.store import ShardedEmbeddingStore
 
 N = 1200
 DIM = 8
@@ -177,7 +179,6 @@ def cafe_knobs(layer):
         "decay": layer.decay,
         "decay_interval": layer.decay_interval,
         "rebalance_interval": layer.rebalance_interval,
-        "hysteresis": layer.hysteresis,
         "slots_per_bucket": layer.slots_per_bucket,
         "hash_seed": layer.hash_seed,
         "sketch_seed": layer.sketch.seed,
@@ -190,20 +191,87 @@ def cafe_knobs(layer):
     }
 
 
+def keywords(*functions):
+    """The named parameters of ``functions`` (not ``self`` / ``cls``, ``*`` or
+    ``**``), each with its default (``empty`` when it has none)."""
+    return {
+        name: parameter.default
+        for function in functions
+        for name, parameter in inspect.signature(function).parameters.items()
+        if name not in ("self", "cls")
+        and parameter.kind not in (parameter.VAR_POSITIONAL, parameter.VAR_KEYWORD)
+    }
+
+
+#: Every keyword each backend's ``__init__`` and ``from_budget`` name (the
+#: row optimizer, learning rate and dtype are ``TableBackedEmbedding``'s).
+#: Sizes, side inputs and ``rng`` aside, each one has a caller, named here;
+#: every other setting is a module constant or a class attribute.
+BACKEND_KEYWORDS = {
+    FullEmbedding: {"num_features", "dim", "rng"},
+    HashEmbedding: {"budget", "num_features", "dim", "num_rows", "rng"},
+    QRTrickEmbedding: {"budget", "num_features", "dim", "num_remainder_rows", "rng"},
+    AdaEmbed: {"budget", "num_features", "dim", "num_rows", "rng"},
+    MixedDimensionEmbedding: {"budget", "field_cardinalities", "dim", "field_dims", "rng"},
+    OfflineSeparationEmbedding: {
+        "budget", "num_features", "dim", "num_hot_rows", "num_shared_rows", "frequencies", "rng",
+    },
+    CafeEmbedding: {
+        "budget", "num_features", "dim", "num_hot_rows", "num_shared_rows", "rng",
+        "hot_percentage",  # fig15 panel (a)
+        "hot_threshold",  # fig15 panel (b); ablation_adaptivity's cafe_no_migration
+        "decay",  # fig15 panel (c); ablation_adaptivity's cafe_no_decay
+        "use_frequency",  # fig15 panel (d)
+        "slots_per_bucket",  # ablation_slots_per_bucket (fig18 sizes its sketches alike)
+        "rebalance_interval",  # ablation_adaptivity; scripts/checkpoint_migration_smoke.py
+        "decay_interval",  # its value is still to be chosen (ROADMAP item 3)
+    },
+    # The CAFE keywords above reach CafeEmbedding through **kwargs.
+    CafeMultiLevelEmbedding: {
+        "budget", "num_features", "dim", "num_hot_rows", "num_shared_rows",
+        "num_secondary_rows", "hot_percentage",
+    },
+}
+
+
 def constructor_keywords(cls):
     """The named parameters of ``cls``'s constructor chain."""
     return {
         name
         for klass in cls.__mro__
         if "__init__" in vars(klass)
-        for name, parameter in inspect.signature(vars(klass)["__init__"]).parameters.items()
-        if name != "self"
-        and parameter.kind not in (parameter.VAR_POSITIONAL, parameter.VAR_KEYWORD)
+        for name in keywords(vars(klass)["__init__"])
     }
 
 
 class TestOneDefaultPerKnob:
     """A knob has its default in one place, whichever way a layer is built."""
+
+    def test_every_keyword_has_a_caller(self):
+        """Each backend, the store builder and HotSketch take exactly the
+        keywords something sets; the settable values with a default (``rng``
+        and the store builder's ratio and seed aside) are CAFE's seven."""
+        settable = set()
+        for cls, expected in BACKEND_KEYWORDS.items():
+            found = keywords(cls.__init__, *([cls.from_budget] if "from_budget" in vars(cls) else []))
+            assert set(found) == expected, cls.__name__
+            settable |= {
+                (cls.__name__, name) for name, default in found.items()
+                if default is not inspect.Parameter.empty and name != "rng"
+            }
+        cafe = {"hot_percentage", "hot_threshold", "decay", "use_frequency", "slots_per_bucket",
+                "rebalance_interval", "decay_interval"}
+        assert settable == {("CafeEmbedding", name) for name in cafe} | {
+            ("CafeMultiLevelEmbedding", "hot_percentage")  # CAFE's, passed on to plan_budget
+        }
+        assert keywords(ShardedEmbeddingStore.__init__) == {"shards": inspect.Parameter.empty}
+        assert set(keywords(ShardedEmbeddingStore.build)) == {
+            "method", "num_features", "dim", "num_shards", "compression_ratio", "seed",
+        }
+        # Every caller passes all three (CAFE its SLOTS_PER_BUCKET and seed).
+        assert keywords(HotSketch.__init__) == dict.fromkeys(
+            ("num_buckets", "slots_per_bucket", "seed"), inspect.Parameter.empty
+        )
 
     def test_factory_and_constructor_agree_on_every_cafe_knob(self):
         direct = CafeEmbedding(N, DIM, num_hot_rows=16, num_shared_rows=64)

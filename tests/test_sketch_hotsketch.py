@@ -18,9 +18,9 @@ def make_sketch(**kwargs):
 class TestConstruction:
     def test_invalid_parameters(self):
         with pytest.raises(ValueError):
-            HotSketch(num_buckets=0)
+            HotSketch(num_buckets=0, slots_per_bucket=4, seed=0)
         with pytest.raises(ValueError):
-            HotSketch(num_buckets=4, slots_per_bucket=0)
+            HotSketch(num_buckets=4, slots_per_bucket=0, seed=0)
 
     def test_initial_state(self):
         sketch = make_sketch()
@@ -29,7 +29,7 @@ class TestConstruction:
         assert np.all(sketch.payloads == NO_PAYLOAD)
 
     def test_memory_accounting(self):
-        sketch = HotSketch(num_buckets=100, slots_per_bucket=4)
+        sketch = HotSketch(num_buckets=100, slots_per_bucket=4, seed=0)
         # 3 attributes per slot (key, score, pointer).
         assert sketch.memory_floats() == 100 * 4 * 3
 
@@ -267,7 +267,7 @@ class TestCheckpointing:
 
     def test_state_shape_mismatch(self):
         sketch = make_sketch()
-        other = HotSketch(num_buckets=8, slots_per_bucket=2)
+        other = HotSketch(num_buckets=8, slots_per_bucket=2, seed=0)
         with pytest.raises(ValueError):
             other.load_state_dict(sketch.state_dict())
 

@@ -8,7 +8,7 @@ from repro.data.synthetic import SyntheticConfig, SyntheticCTRDataset
 from repro.embeddings.cafe import CafeEmbedding
 from repro.embeddings.hash_embedding import HashEmbedding
 from repro.models.dlrm import DLRM
-from repro.store import ShardedEmbeddingStore, StoreSnapshot, ensure_store
+from repro.store import DEFAULT_SHARD_SEED, ShardedEmbeddingStore, StoreSnapshot, ensure_store
 from repro.training.trainer import Trainer
 
 DIM = 8
@@ -99,20 +99,20 @@ class TestSingleShardParity:
 
 class TestSharding:
     def test_the_stack_routes_each_id_to_its_hash_owner(self):
-        """The id -> shard hash lives in the stack, which holds the seed the
-        store was built with: each id's buckets and rows fall in its owner's
+        """The id -> shard hash lives in the stack, which holds the store's
+        one shard seed: each id's buckets and rows fall in its owner's
         ranges."""
         from repro.utils.hashing import hash_to_range
 
         store = ShardedEmbeddingStore.build(
             "cafe", num_features=10_000, dim=DIM, num_shards=4, compression_ratio=10.0,
-            seed=0, shard_seed=7,
+            seed=0,
         )
         stack = store._table
-        assert stack.shard_seed == 7 and not hasattr(store, "shard_seed")
+        assert stack.shard_seed == DEFAULT_SHARD_SEED and not hasattr(store, "shard_seed")
         uids = np.unique(np.random.default_rng(0).integers(0, 10_000, size=500))
         routes = stack.routes(uids)
-        owner = hash_to_range(uids, 4, seed=7)
+        owner = hash_to_range(uids, 4, seed=DEFAULT_SHARD_SEED)
         np.testing.assert_array_equal(routes["shard"], owner)
         np.testing.assert_array_equal(routes["sketch_buckets"] // stack.buckets_per, owner)
         np.testing.assert_array_equal(routes["arena_rows"] // stack.rows_per, owner)

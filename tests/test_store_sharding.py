@@ -1,7 +1,7 @@
 """A sharded store is one CAFE stack: what sharding keeps, and what it refuses.
 
 One shard of any backend is that backend behind the store.  ``N ≥ 2`` shards
-must be plain ``cafe`` layers of one geometry, seeds and row optimizer (one
+must be plain ``cafe`` layers of one geometry and row optimizer (one
 ``CafeStack``); any other set of shards is a ``ConfigurationError`` at
 construction, and so at ``build()``.
 """
@@ -16,6 +16,7 @@ from repro.api.cli import main
 from repro.api.config import SystemConfig
 from repro.api.session import build
 from repro.embeddings import METHOD_NAMES, CompressedEmbedding, create_embedding, get_backend
+from repro.embeddings.ada_embed import REALLOCATION_INTERVAL
 from repro.errors import ConfigurationError
 from repro.store import ShardedEmbeddingStore
 from repro.store.sharded import ExecutorStats
@@ -55,9 +56,10 @@ STATEFUL_IDS = [f"{method}-{num_shards}" for method, _, num_shards in STATEFUL]
 
 #: The backends that move features between rows on their own interval
 #: during ``apply_gradients`` (CAFE's migration, AdaEmbed's reallocation):
-#: the interval's keyword and the counter each pass advances.
+#: the interval's keyword (``None``: AdaEmbed's fixed
+#: ``REALLOCATION_INTERVAL``) and the counter each pass advances.
 ADAPTIVE = [
-    ("adaembed", 2.0, 1, "reallocation_interval", "reallocation_count"),
+    ("adaembed", 2.0, 1, None, "reallocation_count"),
     ("cafe", 10.0, 1, "rebalance_interval", "migrations_in"),
     ("cafe", 10.0, 2, "rebalance_interval", "migrations_in"),
     ("cafe", 10.0, 3, "rebalance_interval", "migrations_in"),
@@ -72,6 +74,14 @@ def build_sharded(method, ratio, num_shards=3, seed=0, **kwargs):
         method, num_features=NUM_FEATURES, dim=DIM, num_shards=num_shards,
         compression_ratio=ratio, seed=seed, **side_inputs, **kwargs,
     )
+
+
+def build_adaptive(method, ratio, num_shards, interval, every):
+    """The store with its pass every ``every`` steps where the interval is a
+    keyword, and the steps between its passes."""
+    if interval is None:
+        return build_sharded(method, ratio, num_shards), REALLOCATION_INTERVAL
+    return build_sharded(method, ratio, num_shards, **{interval: every}), every
 
 
 def workload(steps=5, batch=64):
@@ -252,8 +262,8 @@ class TestIntervalMigration:
     def test_every_shard_migrates_on_its_interval(
         self, method, ratio, num_shards, interval, counter
     ):
-        store = build_sharded(method, ratio, num_shards, **{interval: 2})
-        train(store, *workload(steps=6))
+        store, period = build_adaptive(method, ratio, num_shards, interval, 2)
+        train(store, *workload(steps=3 * period))
         for index, shard in enumerate(store.shards):
             assert getattr(shard, counter) > 0, f"shard {index} never migrated"
             if hasattr(shard, "check_row_invariants"):
@@ -262,8 +272,8 @@ class TestIntervalMigration:
     def test_snapshot_stays_frozen_through_migration(
         self, method, ratio, num_shards, interval, counter
     ):
-        store = build_sharded(method, ratio, num_shards, **{interval: 1})
-        ids, grads = workload(steps=8)
+        store, period = build_adaptive(method, ratio, num_shards, interval, 1)
+        ids, grads = workload(steps=period + 7)
         train(store, ids[:1], grads[:1])
         probe = np.unique(ids)
         snapshot = store.snapshot()

@@ -437,7 +437,7 @@ class TestLatencyHelpers:
         assert row["method"] == "full"
 
     def test_measure_sketch_throughput(self):
-        sketch = HotSketch(num_buckets=64, slots_per_bucket=4)
+        sketch = HotSketch(num_buckets=64, slots_per_bucket=4, seed=0)
         keys = np.random.default_rng(0).integers(0, 1000, size=5000)
         stats = measure_sketch_throughput(sketch, keys, np.ones(5000), repeats=2)
         assert stats["insert_ops_per_s"] > 0

@@ -23,6 +23,8 @@ from collections import Counter
 import numpy as np
 import pytest
 
+from repro.embeddings.cafe import HYSTERESIS
+from repro.embeddings.cafe_ml import MEDIUM_FRACTION
 from repro.embeddings.plan import UniqueBatch
 from repro.errors import (
     BadBatchError,
@@ -272,7 +274,7 @@ class SlowCafe(SlowRows):
         config = self.shard_config
         found = [("shared", int(hash_to_range(uid, config.num_shared_rows, seed=config.hash_seed)))]
         score = slot[1] if slot is not None else 0.0
-        if self.secondary_rows and score >= self.threshold * config.medium_fraction:
+        if self.secondary_rows and score >= self.threshold * MEDIUM_FRACTION:
             row = int(hash_to_range(uid, self.secondary_rows, seed=config.hash_seed + 1))
             found.append(("secondary", row))
         return found
@@ -316,7 +318,7 @@ class SlowCafe(SlowRows):
             if kth > 0:
                 self.threshold = kth
         for slot in self.occupied():
-            if slot[2] and slot[1] < self.threshold / config.hysteresis:
+            if slot[2] and slot[1] < self.threshold / HYSTERESIS:
                 self.release(slot)
         candidates = [s for s in self.occupied() if not s[2] and s[1] >= self.threshold]
         candidates.sort(key=lambda slot: -slot[1])
