@@ -1,14 +1,14 @@
 #!/usr/bin/env python3
-"""Reachability census of ``src/repro``: which functions does real traffic run?
+"""Reachability census of ``src/repro``: which functions and lines does real traffic run?
 
-Every traffic leg below runs in its own process with a profiler installed by a
-generated ``sitecustomize.py`` on ``PYTHONPATH`` (``sys.setprofile`` plus
-``threading.setprofile``), so a child process a leg starts — ``perf/run.py``
-runs each workload in one — is counted too.  Each process writes the code
-objects it entered at exit; a function counts as *reached* when any leg ran
-it.  Every function under ``src/repro`` is found with ``ast``, so decorated
-functions, properties, wrapped methods and nested closures are all counted
-by their own body.
+Every traffic leg below runs in its own process with a tracer installed by a
+generated ``sitecustomize.py`` on ``PYTHONPATH`` (``sys.settrace`` plus
+``threading.settrace``), so a child process a leg starts — ``perf/run.py``
+runs each workload in one — is counted too.  Each process writes, at exit,
+the code objects it entered and the lines it ran inside the counted package;
+a function counts as *reached* when any leg ran it.  Every function under
+``src/repro`` is found with ``ast``, so decorated functions, properties,
+wrapped methods and nested closures are all counted by their own body.
 
 The traffic is what this repository runs for real:
 
@@ -29,7 +29,11 @@ such a column only with one in :data:`KEEP_COLUMNS`; one without a reason is
 a *finding*.  Findings are listed, not refused: ``--check`` pins them with
 the rest of the doc.
 
-    python scripts/census.py            # rewrite docs/census.md (~3 min)
+Both modes also print, and do not write to the doc, the branch listing: each
+reached function's executable lines that no leg ran, leaving out ``raise``
+statements and ``except`` bodies (the error paths traffic never takes).
+
+    python scripts/census.py            # rewrite docs/census.md (~4 min on 2 vCPUs)
     python scripts/census.py --check    # exit 1 if docs/census.md is stale
 """
 
@@ -51,35 +55,46 @@ REPO = Path(__file__).resolve().parent.parent
 CENSUS_PATH = REPO / "docs" / "census.md"
 
 #: Written next to nothing else in a temporary directory that leads
-#: ``PYTHONPATH``; ``site`` imports it at the start of every process.
+#: ``PYTHONPATH``; ``site`` imports it at the start of every process.  Only
+#: frames of files under ``CENSUS_ROOT`` get a line tracer.
 SITECUSTOMIZE = '''\
 import atexit, json, os, sys, threading
 
+_root = os.path.realpath(os.environ["CENSUS_ROOT"]) + os.sep
+_counted = {}
 _entered = set()
+_lines = set()
 
 
-def _profile(frame, event, arg):
-    if event == "call":
-        _entered.add(frame.f_code)
+def _line(frame, event, arg):
+    if event == "line":
+        _lines.add((frame.f_code, frame.f_lineno))
+    return _line
+
+
+def _call(frame, event, arg):
+    code = frame.f_code
+    _entered.add(code)
+    counted = _counted.get(code.co_filename)
+    if counted is None:
+        counted = _counted[code.co_filename] = os.path.realpath(code.co_filename).startswith(_root)
+    return _line if counted else None
 
 
 def _dump():
-    sys.setprofile(None)
-    root = os.environ["CENSUS_ROOT"]
-    files = {code.co_filename: os.path.realpath(code.co_filename) for code in _entered}
-    reached = sorted({
-        (os.path.relpath(files[code.co_filename], root), code.co_firstlineno)
-        for code in _entered
-        if files[code.co_filename].startswith(root + os.sep)
-    })
+    sys.settrace(None)
+    def site(code, line):
+        return os.path.relpath(os.path.realpath(code.co_filename), _root), line
+    reached = sorted({site(code, code.co_firstlineno) for code in _entered if _counted[code.co_filename]})
+    lines = sorted({site(code, line) for code, line in _lines})
     path = os.path.join(os.environ["CENSUS_DIR"], f"{os.environ['CENSUS_LEG']}.{os.getpid()}.json")
     with open(path, "w", encoding="utf-8") as handle:
-        json.dump(reached, handle)
+        json.dump({"reached": reached, "lines": lines}, handle)
 
 
 atexit.register(_dump)
-sys.setprofile(_profile)
-threading.setprofile(_profile)
+sys.settrace(_call)
+threading.settrace(_call)
 '''
 
 #: Why a function no leg reaches stays.  A key is a module path relative to
@@ -170,8 +185,11 @@ def functions(package: Path) -> list[Function]:
     return sorted(found, key=lambda function: (function.path, function.first_line))
 
 
-def run_legs(legs: dict[str, list[str]], root: Path, cwd: Path, pythonpath: list[Path]) -> dict[str, set]:
-    """Run every leg under the profiler; ``{leg: {(path, first_line), ...}}``.
+def run_legs(legs: dict[str, list[str]], root: Path, cwd: Path,
+             pythonpath: list[Path]) -> tuple[dict[str, set], set]:
+    """Run every leg under the tracer: ``{leg: {(path, first_line), ...}}``
+    (the code objects each leg entered) and ``{(path, line), ...}`` (the
+    lines any leg ran), paths relative to ``root``.
 
     ``root`` is the directory the counted package sits in; a leg whose
     command fails raises ``RuntimeError`` with its output.
@@ -193,10 +211,13 @@ def run_legs(legs: dict[str, list[str]], root: Path, cwd: Path, pythonpath: list
                                    f"\n{done.stderr[-4000:]}")
             print(f"census: {name}", file=sys.stderr)
         reached: dict[str, set] = {name: set() for name in legs}
+        ran: set = set()
         for dump in dumps.iterdir():
             leg = dump.name.rsplit(".", 2)[0]
-            reached[leg].update(map(tuple, json.loads(dump.read_text(encoding="utf-8"))))
-    return reached
+            found = json.loads(dump.read_text(encoding="utf-8"))
+            reached[leg].update(map(tuple, found["reached"]))
+            ran.update(map(tuple, found["lines"]))
+    return reached, ran
 
 
 def repo_legs(experiments: list[str], scratch_src: str) -> dict[str, list[str]]:
@@ -344,16 +365,98 @@ def render(package: Path, reached: dict[str, set], keep: dict[str, str], runners
     return "\n".join(lines) + "\n"
 
 
-def census_text() -> str:
+def _error_lines(tree: ast.AST) -> set[int]:
+    """Every line of a ``raise`` statement or an ``except`` clause."""
+    return {
+        line
+        for node in ast.walk(tree)
+        if isinstance(node, (ast.Raise, ast.ExceptHandler))
+        for line in range(node.lineno, node.end_lineno + 1)
+    }
+
+
+def _code_lines(code, owner: Function | None, by_site: dict, found: dict) -> None:
+    """Add ``code``'s lines to its function (a comprehension's or a lambda's
+    to the function around it; a class body's to none), then its children's."""
+    own = by_site.get(code.co_firstlineno)
+    if own is not None and own.qualname.rsplit(".", 1)[-1] == code.co_name:
+        owner = own
+    elif not code.co_name.startswith("<"):  # a class body
+        owner = None
+    if owner is not None:
+        found.setdefault(owner, set()).update(line for _, _, line in code.co_lines() if line)
+    for const in code.co_consts:
+        if hasattr(const, "co_lines"):
+            _code_lines(const, owner, by_site, found)
+
+
+def untaken_lines(package: Path, reached: set, ran: set) -> tuple[dict[Function, list[int]], int]:
+    """``{function: lines no leg ran}`` over the reached functions, and how
+    many lines were looked at: the executable lines of each body (not its
+    signature), less ``raise`` statements and ``except`` clauses."""
+    root = package.parent
+    everything = functions(package)
+    untaken: dict[Function, list[int]] = {}
+    looked_at = 0
+    for source in sorted(package.rglob("*.py")):
+        path = source.relative_to(root).as_posix()
+        text = source.read_text(encoding="utf-8")
+        tree = ast.parse(text)
+        by_site = {function.first_line: function for function in everything if function.path == path}
+        found: dict[Function, set[int]] = {}
+        _code_lines(compile(text, str(source), "exec"), None, by_site, found)
+        # Where each body starts, by the function's first line: the lines
+        # above it are its decorators and signature.
+        bodies = {min([node.lineno] + [d.lineno for d in node.decorator_list]): node.body[0].lineno
+                  for node in ast.walk(tree) if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))}
+        skipped = _error_lines(tree)
+        for function, lines in found.items():
+            if (path, function.first_line) not in reached:
+                continue
+            start = bodies[function.first_line]
+            body = {line for line in lines - skipped if line >= start}
+            looked_at += len(body)
+            missed = sorted(line for line in body if (path, line) not in ran)
+            if missed:
+                untaken[function] = missed
+    return untaken, looked_at
+
+
+def _spans(lines: list[int]) -> str:
+    """``[3, 4, 5, 9]`` as ``3-5, 9``."""
+    spans: list[list[int]] = []
+    for line in lines:
+        if spans and line == spans[-1][1] + 1:
+            spans[-1][1] = line
+        else:
+            spans.append([line, line])
+    return ", ".join(str(a) if a == b else f"{a}-{b}" for a, b in spans)
+
+
+def branch_listing(package: Path, reached: set, ran: set) -> str:
+    """The printed branch census: each reached function's untaken lines."""
+    untaken, looked_at = untaken_lines(package, reached, ran)
+    order = sorted(untaken, key=lambda function: (function.path, function.first_line))
+    lines = [f"{function.key}: {_spans(untaken[function])}" for function in order]
+    lines.append(f"branch census: {sum(map(len, untaken.values()))} of {looked_at} executable lines "
+                 f"of reached functions untaken, in {len(untaken)} functions (raise statements "
+                 "and except clauses left out)")
+    return "\n".join(lines)
+
+
+def census() -> tuple[str, str]:
+    """``docs/census.md`` and the branch listing, from one run of the legs."""
     sys.path.insert(0, str(REPO / "src"))
     from repro.experiments.registry import ABLATIONS, EXPERIMENTS
 
     specs = {**EXPERIMENTS, **ABLATIONS}
     with tempfile.TemporaryDirectory() as tree:
         shutil.copytree(REPO / "src", Path(tree, "src"))
-        reached = run_legs(repo_legs(list(specs), tree), REPO / "src", REPO, [REPO / "src"])
+        reached, ran = run_legs(repo_legs(list(specs), tree), REPO / "src", REPO, [REPO / "src"])
     runners = {spec.runner.__name__: name for name, spec in specs.items()}
-    return render(REPO / "src" / "repro", reached, KEEP, runners, KEEP_COLUMNS)
+    package = REPO / "src" / "repro"
+    text = render(package, reached, KEEP, runners, KEEP_COLUMNS)
+    return text, branch_listing(package, set().union(*reached.values()), ran)
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -361,7 +464,8 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument("--check", action="store_true",
                         help=f"exit 1 if {CENSUS_PATH.relative_to(REPO)} differs from a fresh census")
     args = parser.parse_args(argv)
-    text = census_text()
+    text, branches = census()
+    print(branches)
     if args.check:
         current = CENSUS_PATH.read_text(encoding="utf-8") if CENSUS_PATH.exists() else ""
         if current != text:

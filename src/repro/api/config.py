@@ -3,7 +3,10 @@
 :class:`SystemConfig` nests one section per layer of the system —
 ``data`` (which synthetic preset, at what scale), ``store`` (embedding
 backends, sharding), ``model`` (dense architecture), ``train``,
-``serve`` and ``pipeline`` (cadences) — plus one global ``seed``.  The tree:
+``serve`` and ``pipeline`` (cadences; the section is
+:class:`repro.runtime.pipeline.PipelineConfig`, which
+:class:`~repro.runtime.pipeline.OnlinePipeline` takes as it is) — plus one
+global ``seed``.  The tree:
 
 * **round-trips losslessly**: ``SystemConfig.from_json(cfg.to_json()) ==
   cfg``, and building a session from either side is bit-exact;
@@ -29,6 +32,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 
 from repro.errors import ConfigurationError
+from repro.runtime.pipeline import PipelineConfig
 
 
 # --------------------------------------------------------------------- #
@@ -178,9 +182,10 @@ class StoreConfig:
             get_backend(self.spec)
         except UnknownBackendError as exc:
             raise UnknownBackendError(f"store.spec: {exc}") from None
-        if self.compression_ratio <= 0:
+        if not self.compression_ratio >= 1:
             raise ConfigurationError(
-                f"store.compression_ratio must be positive, got {self.compression_ratio}"
+                f"store.compression_ratio must be at least 1 (1 is the full table), "
+                f"got {self.compression_ratio}"
             )
         if self.num_shards <= 0:
             raise ConfigurationError(
@@ -279,36 +284,6 @@ class ServeConfig:
             raise ConfigurationError(
                 f"serve.replicas must be non-negative (0 = single engine), "
                 f"got {self.replicas}"
-            )
-
-
-@dataclass
-class PipelineConfig:
-    """Online train→serve pipeline cadences (the ``pipeline`` lifecycle)."""
-
-    publish_every_steps: int = 10
-    probe_every_steps: int = 5
-    micro_batch: int = 64
-    max_steps: int | None = None
-
-    def __post_init__(self):
-        if self.publish_every_steps <= 0:
-            raise ConfigurationError(
-                f"pipeline.publish_every_steps must be positive, got "
-                f"{self.publish_every_steps}"
-            )
-        if self.probe_every_steps < 0:
-            raise ConfigurationError(
-                f"pipeline.probe_every_steps must be non-negative, got "
-                f"{self.probe_every_steps}"
-            )
-        if self.micro_batch <= 0:
-            raise ConfigurationError(
-                f"pipeline.micro_batch must be positive, got {self.micro_batch}"
-            )
-        if self.max_steps is not None and self.max_steps <= 0:
-            raise ConfigurationError(
-                f"pipeline.max_steps must be positive, got {self.max_steps}"
             )
 
 

@@ -60,18 +60,8 @@ class Session:
             scale=config.data.scale,
             seed=config.seed,
             num_days=config.data.num_days,
+            samples_per_day=config.data.samples_per_day,
         )
-        if config.data.samples_per_day is not None:
-            # build_dataset fixes samples/day from the scale; an explicit
-            # override rebuilds the synthetic config with the same seed.
-            from repro.data.synthetic import SyntheticCTRDataset, SyntheticConfig
-
-            self.dataset = SyntheticCTRDataset(
-                self.dataset.schema,
-                config=SyntheticConfig(
-                    samples_per_day=config.data.samples_per_day, seed=config.seed
-                ),
-            )
         self.schema = self.dataset.schema
         self.store = self._build_store()
         self.model = create_model(
@@ -194,21 +184,11 @@ class Session:
     def run_pipeline(self) -> dict[str, Any]:
         """Run the online train→publish→probe loop over the day-stream."""
         from repro.runtime.pipeline import OnlinePipeline
-        from repro.runtime.pipeline import PipelineConfig as RuntimePipelineConfig
 
         config = self.config
-        pipeline = OnlinePipeline(
-            self.model,
-            config=RuntimePipelineConfig(
-                publish_every_steps=config.pipeline.publish_every_steps,
-                serving_micro_batch=config.pipeline.micro_batch,
-                probe_every_steps=config.pipeline.probe_every_steps,
-                max_steps=config.pipeline.max_steps,
-            ),
-            trainer=self.trainer,
-        )
+        pipeline = OnlinePipeline(self.model, config=config.pipeline, trainer=self.trainer)
         probe_batch = self.dataset.test_batch(
-            num_samples=max(config.pipeline.micro_batch, 64)
+            num_samples=max(config.pipeline.serving_micro_batch, 64)
         )
         report = pipeline.run(
             self.dataset.training_stream(self.batch_size), probe_batch=probe_batch

@@ -18,6 +18,9 @@ import numpy as np
 
 from repro.utils.rng import SeedLike, make_rng
 
+#: Exponent of the head bias of the swapped ranks: ``floor(card * u**HEAD_BIAS)``.
+HEAD_BIAS = 2.0
+
 
 class DriftModel:
     """Base class: produces the rank→feature permutation for each day."""
@@ -70,13 +73,10 @@ class RotatingDrift(DriftModel):
     on it; only a benchmark-only re-baseline may change it.
     """
 
-    def __init__(self, swap_fraction: float = 0.05, head_bias: float = 2.0, seed: SeedLike = 0):
+    def __init__(self, swap_fraction: float, seed: SeedLike):
         if not 0.0 <= swap_fraction <= 1.0:
             raise ValueError(f"swap_fraction must be in [0, 1], got {swap_fraction}")
-        if head_bias <= 0:
-            raise ValueError(f"head_bias must be positive, got {head_bias}")
         self.swap_fraction = float(swap_fraction)
-        self.head_bias = float(head_bias)
         self._seed_root = make_rng(seed).integers(0, 2**31 - 1)
         self._walks: dict[int, _Walk] = {}
 
@@ -100,9 +100,9 @@ class RotatingDrift(DriftModel):
         """Apply ``day``'s swaps to ``walk``: the list, then the touched ranks."""
         rng = np.random.default_rng(self._seed_root + 7919 * day + cardinality)
         num_swaps = max(int(self.swap_fraction * cardinality), 1)
-        # Head-biased rank choices: ranks ~ floor(card * u**head_bias).
+        # Head-biased rank choices: ranks ~ floor(card * u**HEAD_BIAS).
         u = rng.random(size=(num_swaps, 2))
-        ranks = np.floor(cardinality * u**self.head_bias).astype(np.int64)
+        ranks = np.floor(cardinality * u**HEAD_BIAS).astype(np.int64)
         np.minimum(ranks, cardinality - 1, out=ranks)  # never negative; rounding may reach card
         # Swaps are sequential (a rank may be hit twice), so they run on the list.
         order, touched = walk.order, ranks.ravel()

@@ -120,18 +120,12 @@ _PRESET_STRUCTURE = {
 }
 
 
-def make_preset(
-    name: str,
-    scale: float = 1.0,
-    base_cardinality: int = 2000,
-    seed: int = 0,
-) -> DatasetSchema:
+def make_preset(name: str, base_cardinality: int, seed: int) -> DatasetSchema:
     """Build a scaled-down synthetic preset mirroring one of the paper datasets.
 
     Field cardinalities are drawn log-uniformly around ``base_cardinality`` so
     that, like the real datasets, a few fields dominate the total feature
-    count.  ``scale`` multiplies every cardinality, letting experiments trade
-    fidelity for runtime.
+    count; ``base_cardinality`` is what trades fidelity for runtime.
     """
     lowered = name.lower()
     if lowered not in _PRESET_STRUCTURE:
@@ -145,7 +139,6 @@ def make_preset(
     log_base = np.log10(base_cardinality)
     cards = np.round(10 ** rng.uniform(log_base - 1, log_base + 1, size=num_fields)).astype(int)
     cards = np.maximum(cards, 10)
-    cards = np.maximum((cards * scale).astype(int), 4)
     fields = [FieldSchema(name=f"{lowered}_c{i}", cardinality=int(c)) for i, c in enumerate(cards)]
     return DatasetSchema(
         name=lowered,
@@ -154,5 +147,5 @@ def make_preset(
         embedding_dim=dim,
         num_days=days,
         zipf_exponent=zipf,
-        metadata={"paper_stats": PAPER_DATASET_STATS[lowered], "scale": scale},
+        metadata={"paper_stats": PAPER_DATASET_STATS[lowered]},
     )

@@ -6,9 +6,12 @@ import numpy as np
 
 from repro.errors import DataError
 
+#: Added to every count before normalizing, so an empty bin has no infinite log.
+SMOOTHING = 1e-9
 
-def kl_divergence(p_counts: np.ndarray, q_counts: np.ndarray, smoothing: float = 1e-9) -> float:
-    """KL(P ‖ Q) between two count histograms with additive smoothing.
+
+def kl_divergence(p_counts: np.ndarray, q_counts: np.ndarray) -> float:
+    """KL(P ‖ Q) between two count histograms with additive :data:`SMOOTHING`.
 
     Matches the asymmetric measure used for the paper's Figure 2: the inputs
     are raw per-day feature frequency histograms, normalized here.
@@ -17,14 +20,14 @@ def kl_divergence(p_counts: np.ndarray, q_counts: np.ndarray, smoothing: float =
     q_counts = np.asarray(q_counts, dtype=np.float64)
     if p_counts.shape != q_counts.shape:
         raise DataError(f"histogram shapes differ: {p_counts.shape} vs {q_counts.shape}")
-    p = p_counts + smoothing
-    q = q_counts + smoothing
+    p = p_counts + SMOOTHING
+    q = q_counts + SMOOTHING
     p /= p.sum()
     q /= q.sum()
     return float(np.sum(p * np.log(p / q)))
 
 
-def kl_divergence_matrix(day_histograms: np.ndarray, smoothing: float = 1e-9) -> np.ndarray:
+def kl_divergence_matrix(day_histograms: np.ndarray) -> np.ndarray:
     """Pairwise KL(day_i ‖ day_j) matrix — the data behind Figure 2."""
     day_histograms = np.asarray(day_histograms, dtype=np.float64)
     if day_histograms.ndim != 2:
@@ -34,7 +37,7 @@ def kl_divergence_matrix(day_histograms: np.ndarray, smoothing: float = 1e-9) ->
     for i in range(days):
         for j in range(days):
             if i != j:
-                matrix[i, j] = kl_divergence(day_histograms[i], day_histograms[j], smoothing)
+                matrix[i, j] = kl_divergence(day_histograms[i], day_histograms[j])
     return matrix
 
 

@@ -93,16 +93,13 @@ def iterate_batches(
     labels: np.ndarray,
     batch_size: int,
     day: int = 0,
-    drop_last: bool = False,
 ) -> Iterator[Batch]:
-    """Slice arrays into consecutive :class:`Batch` objects."""
+    """Slice arrays into consecutive :class:`Batch` objects (the last may be short)."""
     if batch_size <= 0:
         raise DataError(f"batch_size must be positive, got {batch_size}")
     total = categorical.shape[0]
     for start in range(0, total, batch_size):
         end = min(start + batch_size, total)
-        if drop_last and end - start < batch_size:
-            break
         yield Batch(
             categorical=categorical[start:end],
             numerical=numerical[start:end],

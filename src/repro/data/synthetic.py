@@ -26,8 +26,17 @@ from repro.data.drift import DriftModel, RotatingDrift
 from repro.data.schema import DatasetSchema
 from repro.data.stream import Batch, iterate_batches
 from repro.errors import DataError
-from repro.utils.rng import SeedLike, make_rng
+from repro.utils.rng import make_rng
 from repro.utils.zipf import ZipfDistribution
+
+#: Standard deviation of the logit noise (the Bayes error of the labels).
+LABEL_NOISE = 0.3
+#: Standard deviation of the numerical features.
+NUMERICAL_NOISE = 1.0
+#: ``RotatingDrift.swap_fraction`` of the stream's default drift.
+DRIFT_SWAP_FRACTION = 0.05
+#: Width of each feature's latent vector (the second-order signal).
+LATENT_DIM = 4
 
 
 @dataclass
@@ -39,16 +48,14 @@ class SyntheticConfig:
     vector (second-order signal); the logit mixes both, so the models can only
     fit the data if the embeddings of frequently-occurring features are
     learned accurately — the property that separates good and bad embedding
-    compression schemes.
+    compression schemes.  ``signal_scale`` and ``interaction_scale`` weigh
+    the two orders; the noise levels, the drift and the latent width are
+    the module constants above.
     """
 
     samples_per_day: int = 4096
-    label_noise: float = 0.3
-    numerical_noise: float = 1.0
-    drift_swap_fraction: float = 0.05
     signal_scale: float = 2.0
     interaction_scale: float = 0.6
-    latent_dim: int = 4
     seed: int = 0
 
 
@@ -67,9 +74,7 @@ class SyntheticCTRDataset:
             raise DataError("samples_per_day must be positive")
         if drift is None:
             # Day 0 is the base permutation, so a one-day schema is stationary.
-            drift = RotatingDrift(
-                swap_fraction=self.config.drift_swap_fraction, seed=self.config.seed + 1
-            )
+            drift = RotatingDrift(swap_fraction=DRIFT_SWAP_FRACTION, seed=self.config.seed + 1)
         self.drift = drift
 
         # Per-field Zipf distributions over ranks and base rank→feature maps.
@@ -86,7 +91,7 @@ class SyntheticCTRDataset:
         weight_rng = make_rng(self.config.seed + 29)
         self._feature_weights = weight_rng.normal(0.0, 1.0, size=schema.num_features)
         self._feature_vectors = weight_rng.normal(
-            0.0, 1.0, size=(schema.num_features, self.config.latent_dim)
+            0.0, 1.0, size=(schema.num_features, LATENT_DIM)
         )
         self._numerical_weights = weight_rng.normal(
             0.0, 0.5 / max(np.sqrt(schema.num_numerical), 1.0), size=schema.num_numerical
@@ -96,7 +101,7 @@ class SyntheticCTRDataset:
         # standard deviation before the configured scales are applied.
         num_pairs = schema.num_fields * (schema.num_fields - 1) / 2
         self._linear_norm = np.sqrt(schema.num_fields)
-        self._interaction_norm = np.sqrt(max(num_pairs, 1.0) * self.config.latent_dim)
+        self._interaction_norm = np.sqrt(max(num_pairs, 1.0) * LATENT_DIM)
 
     # ------------------------------------------------------------------ #
     # Sample generation
@@ -129,9 +134,9 @@ class SyntheticCTRDataset:
             raise DataError(f"num_samples / samples_per_day must be positive or None, got {num_samples}")
         rng = make_rng(self.config.seed + 1000 * (day + 1) + seed_offset)
         global_ids, logits = self._draw_fields(day, count, rng)
-        numerical = rng.normal(0.0, self.config.numerical_noise, size=(count, self.schema.num_numerical))
+        numerical = rng.normal(0.0, NUMERICAL_NOISE, size=(count, self.schema.num_numerical))
         logits = logits + numerical @ self._numerical_weights + self._bias
-        logits += rng.normal(0.0, self.config.label_noise, size=count)
+        logits += rng.normal(0.0, LABEL_NOISE, size=count)
         probabilities = 1.0 / (1.0 + np.exp(-logits))
         labels = (rng.random(count) < probabilities).astype(np.float64)
         return Batch(categorical=global_ids, numerical=numerical, labels=labels, day=day)
@@ -142,7 +147,6 @@ class SyntheticCTRDataset:
         One pass: each field is sampled, mapped to global ids and folded into
         the interaction sums before the next one is drawn.
         """
-        latent = self.config.latent_dim
         # Returned array first, scratch second, so the freed scratch leaves its
         # hole above the live data: measured lower peak RSS on train_dense
         # (docs/benchmarks.md, "Earlier runs, for the record").  The scratch
@@ -151,46 +155,34 @@ class SyntheticCTRDataset:
         # (docs/benchmarks.md "Evaluation in 512-row pieces").
         global_ids = np.empty((count, self.schema.num_fields), dtype=np.int64)
         field_major = np.empty(global_ids.shape[::-1], dtype=np.int64)
-        total = np.zeros((count, latent))
-        squares = np.zeros((count, latent))
+        total = np.zeros((count, LATENT_DIM))
+        squares = np.zeros((count, LATENT_DIM))
         for ids, offset, zipf, base in zip(
             field_major, self.schema.field_offsets, self._zipf, self._base_permutations
         ):
             permutation = self.drift.permutation_for_day(day, base.shape[0], base)
             np.add(permutation.take(zipf.sample(count, rng)), offset, out=ids)
-            if latent > 1:
-                # Field by field, left to right: the order in which numpy
-                # reduces axis 1 of the gathered (count, fields, latent) array.
-                vectors = self._feature_vectors.take(ids, axis=0)
-                total += vectors
-                vectors *= vectors
-                squares += vectors
+            # Field by field, left to right: the order in which numpy reduces
+            # axis 1 of the gathered (count, fields, latent) array.
+            vectors = self._feature_vectors.take(ids, axis=0)
+            total += vectors
+            vectors *= vectors
+            squares += vectors
         np.copyto(global_ids, field_major.T)
         del field_major, ids  # ``ids`` is the last row view of the scratch
-        if latent == 1:
-            # numpy collapses (count, fields, 1) to a contiguous (count, fields)
-            # reduce, which is pairwise: sum it the way ``linear`` is summed.
-            # Squared in place: ``x * x`` is the bits of ``x**2``.
-            vectors = self._feature_vectors.take(global_ids)
-            total = vectors.sum(axis=1, keepdims=True)
-            vectors *= vectors
-            squares = vectors.sum(axis=1, keepdims=True)
-            del vectors
         linear = self._feature_weights.take(global_ids).sum(axis=1) / self._linear_norm
         pairwise = 0.5 * ((total**2).sum(axis=1) - squares.sum(axis=1)) / self._interaction_norm
         return global_ids, self.config.signal_scale * linear + self.config.interaction_scale * pairwise
 
-    def day_batches(self, day: int, batch_size: int, num_samples: int | None = None) -> Iterator[Batch]:
+    def day_batches(self, day: int, batch_size: int) -> Iterator[Batch]:
         """Yield the day's samples split into mini-batches."""
-        data = self.generate_day(day, num_samples=num_samples)
+        data = self.generate_day(day)
         yield from iterate_batches(data.categorical, data.numerical, data.labels, batch_size, day=day)
 
-    def training_stream(
-        self, batch_size: int, days: list[int] | None = None, samples_per_day: int | None = None
-    ) -> Iterator[Batch]:
+    def training_stream(self, batch_size: int, days: list[int] | None = None) -> Iterator[Batch]:
         """Chronological stream over the training days (online protocol)."""
         for day in days if days is not None else self.train_days:
-            yield from self.day_batches(day, batch_size, num_samples=samples_per_day)
+            yield from self.day_batches(day, batch_size)
 
     def test_batch(self, num_samples: int | None = None) -> Batch:
         """The held-out last-day data used for the offline testing AUC."""
@@ -199,22 +191,22 @@ class SyntheticCTRDataset:
     # ------------------------------------------------------------------ #
     # Statistics needed by baselines / analyses
     # ------------------------------------------------------------------ #
-    def feature_frequencies(self, days: list[int] | None = None, samples_per_day: int | None = None) -> np.ndarray:
-        """Exact global-feature frequency counts over the given days.
+    def feature_frequencies(self) -> np.ndarray:
+        """Exact global-feature frequency counts over the training days.
 
         This is the offline statistics pass required by the
         :class:`~repro.embeddings.offline.OfflineSeparationEmbedding` oracle.
         """
         counts = np.zeros(self.schema.num_features, dtype=np.float64)
-        for day in days if days is not None else self.train_days:
-            counts += self._histogram(day, samples_per_day)
+        for day in self.train_days:
+            counts += self._histogram(day)
         return counts
 
-    def day_histograms(self, samples_per_day: int | None = None) -> np.ndarray:
+    def day_histograms(self) -> np.ndarray:
         """Per-day global-feature frequency histograms, shape ``(days, n)``."""
-        histograms = [self._histogram(day, samples_per_day) for day in range(self.num_days)]
+        histograms = [self._histogram(day) for day in range(self.num_days)]
         return np.array(histograms, dtype=np.float64)
 
-    def _histogram(self, day: int, samples_per_day: int | None) -> np.ndarray:
-        ids = self.generate_day(day, num_samples=samples_per_day).categorical
+    def _histogram(self, day: int) -> np.ndarray:
+        ids = self.generate_day(day).categorical
         return np.bincount(ids.reshape(-1), minlength=self.schema.num_features)

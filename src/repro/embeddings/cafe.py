@@ -501,9 +501,7 @@ class CafeStack:
         """Privatise the whole stack in one copy (copy-on-write): the members
         are deep-copied with their views mapped straight onto the copies (a
         member-by-member deepcopy would copy the stacked arrays twice and
-        unstack them).  A stack of one copies its member instead."""
-        if len(self.members) == 1:
-            return copy.deepcopy(self.members[0], memo)._solo()
+        unstack them)."""
         twin = copy.copy(self)
         twin.arena = self.arena.copy()
         twin.sketch = copy.copy(self.sketch)

@@ -71,12 +71,14 @@ def build_dataset(
     seed: int = 0,
     num_days: int | None = None,
     drift=None,
+    samples_per_day: int | None = None,
 ) -> SyntheticCTRDataset:
     """Create the scaled synthetic preset for one of the paper's datasets.
 
     ``num_days`` overrides the preset's day count; otherwise the scale's
     ``max_days`` caps it so that the larger presets (CriteoTB has 24 days)
-    stay affordable at benchmark scale.
+    stay affordable at benchmark scale.  ``samples_per_day`` overrides the
+    scale's day length.
     """
     spec = get_scale(scale)
     schema = make_preset(dataset_name, base_cardinality=spec.base_cardinality, seed=seed)
@@ -84,7 +86,9 @@ def build_dataset(
         schema.num_days = num_days
     elif spec.max_days is not None:
         schema.num_days = min(schema.num_days, spec.max_days)
-    config = SyntheticConfig(samples_per_day=spec.samples_per_day, seed=seed)
+    if samples_per_day is None:
+        samples_per_day = spec.samples_per_day
+    config = SyntheticConfig(samples_per_day=samples_per_day, seed=seed)
     return SyntheticCTRDataset(schema, config=config, drift=drift)
 
 

@@ -98,7 +98,7 @@ def run_fig17_drift_shift(
                 feasible=True,
             )
             if ratio == iteration_ratio and history is not None:
-                result.extras[f"{method}_loss_curve"] = history.smoothed_losses(window=10)
+                result.extras[f"{method}_loss_curve"] = history.smoothed_losses()
     result.add_note(
         f"training days subsampled 1-in-3 from {full_days} days; test day unchanged "
         f"({spec.samples_per_day} samples/day)"

@@ -83,7 +83,7 @@ def run_fig9_metrics_vs_iterations(
                         dataset=dataset_name, method=method, compression_ratio=ratio, feasible=False
                     )
                     continue
-                curve = outcome.history.smoothed_losses(window=10)
+                curve = outcome.history.smoothed_losses()
                 key = f"{dataset_name}_{method}_cr{int(ratio)}"
                 result.extras[f"{key}_loss_curve"] = curve
                 result.extras[f"{key}_auc_steps"] = np.asarray(outcome.history.eval_steps)
@@ -132,7 +132,7 @@ def run_fig10_kdd12_avazu(
     for method in methods:
         outcome = run_single(avazu, method, iteration_ratio, scale=scale, seed=seeds[0], eval_every=eval_every)
         if outcome.feasible:
-            result.extras[f"avazu_{method}_loss_curve"] = outcome.history.smoothed_losses(window=10)
+            result.extras[f"avazu_{method}_loss_curve"] = outcome.history.smoothed_losses()
     result.add_note("KDD12 has no day structure in the paper; the preset uses a 2-day random-style split")
     return result
 

@@ -50,7 +50,7 @@ def run_fig3_gradient_zipf(
         norms = trainer.collect_gradient_norms(stream, dataset.schema.num_features)
         positive = norms[norms > 0]
         max_rank = max(int(positive.size * fit_top_fraction), 10)
-        exponent = fit_zipf_exponent(norms, min_rank=1, max_rank=max_rank)
+        exponent = fit_zipf_exponent(norms, max_rank=max_rank)
         result.extras[f"{dataset_name}_gradient_norms"] = np.sort(positive)[::-1]
         result.add_row(
             dataset=dataset_name,

@@ -44,7 +44,7 @@ def run_fig14_offline_separation(
                 losses.append(outcome.train_loss)
                 aucs.append(outcome.test_auc)
                 if ratio == iteration_ratio and curve is None:
-                    curve = outcome.history.smoothed_losses(window=10)
+                    curve = outcome.history.smoothed_losses()
             result.add_row(
                 method=method,
                 compression_ratio=ratio,

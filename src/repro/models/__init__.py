@@ -17,7 +17,6 @@ def create_model(
     num_fields: int,
     num_numerical: int,
     rng=None,
-    **kwargs,
 ) -> RecommendationModel:
     """Factory used by experiment configurations (``"dlrm"``, ``"wdl"``, ``"dcn"``).
 
@@ -26,11 +25,11 @@ def create_model(
     """
     lowered = name.lower()
     if lowered == "dlrm":
-        return DLRM(embedding, num_fields, num_numerical, rng=rng, **kwargs)
+        return DLRM(embedding, num_fields, num_numerical, rng=rng)
     if lowered == "wdl":
-        return WDL(embedding, num_fields, num_numerical, rng=rng, **kwargs)
+        return WDL(embedding, num_fields, num_numerical, rng=rng)
     if lowered == "dcn":
-        return DCN(embedding, num_fields, num_numerical, rng=rng, **kwargs)
+        return DCN(embedding, num_fields, num_numerical, rng=rng)
     raise ValueError(f"unknown model '{name}'; expected one of {MODEL_NAMES}")
 
 

@@ -11,6 +11,10 @@ from repro.nn.layers import MLP, Linear, Workspace
 from repro.store import ShardedEmbeddingStore
 from repro.utils.rng import SeedLike, make_rng
 
+#: Cross layers, and the hidden widths of the deep MLP.
+NUM_CROSS_LAYERS = 3
+DEEP_MLP = (64, 32)
+
 
 class DCN(RecommendationModel):
     """Cross network + deep network over the stacked input vector.
@@ -25,15 +29,13 @@ class DCN(RecommendationModel):
         embedding: CompressedEmbedding | ShardedEmbeddingStore,
         num_fields: int,
         num_numerical: int,
-        num_cross_layers: int = 3,
-        deep_mlp: list[int] | None = None,
         rng: SeedLike = None,
     ):
         super().__init__(embedding, num_fields, num_numerical)
         generator = make_rng(rng)
         input_dim = num_fields * self.dim + num_numerical
-        deep_sizes = [input_dim] + (deep_mlp or [64, 32])
-        self.cross = CrossNetwork(input_dim, num_cross_layers, rng=generator, dtype=self.dtype)
+        deep_sizes = [input_dim, *DEEP_MLP]
+        self.cross = CrossNetwork(input_dim, NUM_CROSS_LAYERS, rng=generator, dtype=self.dtype)
         self.deep = MLP(deep_sizes, rng=generator, dtype=self.dtype)
         self.output = Linear(input_dim + deep_sizes[-1], 1, rng=generator, dtype=self.dtype)
 

@@ -11,6 +11,10 @@ from repro.nn.layers import MLP, Workspace
 from repro.store import ShardedEmbeddingStore
 from repro.utils.rng import SeedLike, make_rng
 
+#: Hidden widths of the bottom (numerical) and top MLPs.
+BOTTOM_MLP = (64, 32)
+TOP_MLP = (64, 32)
+
 
 class DLRM(RecommendationModel):
     """Deep Learning Recommendation Model with pairwise dot interactions.
@@ -26,8 +30,6 @@ class DLRM(RecommendationModel):
         embedding: CompressedEmbedding | ShardedEmbeddingStore,
         num_fields: int,
         num_numerical: int,
-        bottom_mlp: list[int] | None = None,
-        top_mlp: list[int] | None = None,
         rng: SeedLike = None,
     ):
         super().__init__(embedding, num_fields, num_numerical)
@@ -35,14 +37,14 @@ class DLRM(RecommendationModel):
         dim = self.dim
         self.has_dense_field = num_numerical > 0
         if self.has_dense_field:
-            bottom_sizes = [num_numerical] + (bottom_mlp or [64, 32]) + [dim]
+            bottom_sizes = [num_numerical, *BOTTOM_MLP, dim]
             self.bottom = MLP(bottom_sizes, rng=generator, dtype=self.dtype)
         else:
             self.bottom = None
         interaction_fields = num_fields + (1 if self.has_dense_field else 0)
         interaction_dim = DotInteraction.output_dim(interaction_fields)
         top_input = interaction_dim + (dim if self.has_dense_field else 0)
-        top_sizes = [top_input] + (top_mlp or [64, 32]) + [1]
+        top_sizes = [top_input, *TOP_MLP, 1]
         self.interaction = DotInteraction()
         self.top = MLP(top_sizes, rng=generator, dtype=self.dtype)
 

@@ -10,6 +10,9 @@ from repro.nn.layers import MLP, Linear, Workspace
 from repro.store import ShardedEmbeddingStore
 from repro.utils.rng import SeedLike, make_rng
 
+#: Hidden widths of the deep MLP.
+DEEP_MLP = (64, 32)
+
 
 class WDL(RecommendationModel):
     """Wide (single linear layer) + Deep (MLP) model, predictions summed.
@@ -25,14 +28,13 @@ class WDL(RecommendationModel):
         embedding: CompressedEmbedding | ShardedEmbeddingStore,
         num_fields: int,
         num_numerical: int,
-        deep_mlp: list[int] | None = None,
         rng: SeedLike = None,
     ):
         super().__init__(embedding, num_fields, num_numerical)
         generator = make_rng(rng)
         input_dim = num_fields * self.dim + num_numerical
         self.wide = Linear(input_dim, 1, rng=generator, dtype=self.dtype)
-        deep_sizes = [input_dim] + (deep_mlp or [64, 32]) + [1]
+        deep_sizes = [input_dim, *DEEP_MLP, 1]
         self.deep = MLP(deep_sizes, rng=generator, dtype=self.dtype)
 
     def dense_forward(self, weights, embeddings, numerical, ws: Workspace) -> np.ndarray:

@@ -180,23 +180,16 @@ class Optimizer(Restorable):
 
 
 class Adam(Optimizer):
-    """Adam (Kingma & Ba, 2015), the dense network's optimizer."""
+    """Adam (Kingma & Ba, 2015), the dense network's optimizer, at that
+    paper's default ``beta1`` / ``beta2`` / ``eps`` (class attributes)."""
 
     kind = "adam"
+    beta1 = 0.9
+    beta2 = 0.999
+    eps = 1e-8
 
-    def __init__(
-        self,
-        parameters: list[Parameter],
-        lr: float,
-        betas: tuple[float, float] = (0.9, 0.999),
-        eps: float = 1e-8,
-    ):
-        beta1, beta2 = betas
-        if not (0.0 <= beta1 < 1.0 and 0.0 <= beta2 < 1.0):
-            raise ValueError(f"betas must be in [0, 1), got {betas}")
+    def __init__(self, parameters: list[Parameter], lr: float):
         super().__init__(parameters, lr, state=("m", "v"))
-        self.beta1, self.beta2 = float(beta1), float(beta2)
-        self.eps = float(eps)
 
     def _compute_update(self, run: slice) -> None:
         grad, update, denom = self._grad[run], self._update[run], self._denom[run]
@@ -308,10 +301,7 @@ class RowAdagrad(RowOptimizer):
 
     kind = "adagrad"
     state_keys = ("accumulator",)
-
-    def __init__(self, lr: float, table: np.ndarray, eps: float = 1e-10):
-        super().__init__(lr, table)
-        self.eps = float(eps)
+    eps = 1e-10
 
     def fused_apply(self, table: np.ndarray, rows: np.ndarray, summed: np.ndarray) -> None:
         scatter_apply(

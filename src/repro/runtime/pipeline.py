@@ -32,6 +32,7 @@ from typing import Any, Iterable
 import numpy as np
 
 from repro.data.stream import Batch
+from repro.errors import ConfigurationError
 from repro.models.base import RecommendationModel
 from repro.serving.engine import ServingEngine
 from repro.serving.replica import ReplicaTier
@@ -39,36 +40,44 @@ from repro.serving.stats import LatencyTracker
 from repro.training.trainer import Trainer
 
 
-@dataclass(frozen=True)
+@dataclass
 class PipelineConfig:
-    """Cadences and sizes of one online train→serve run.
+    """Cadences and sizes of one online train→serve run: the ``pipeline``
+    section of :class:`~repro.api.config.SystemConfig`, and what
+    :class:`OnlinePipeline` takes.
 
     ``publish_every_steps`` is the snapshot cadence: after every such number
     of training steps the engine re-snapshots the store, which bounds
     snapshot staleness (in steps) by exactly this value.
-    ``probe_every_steps`` optionally sends a one-row probe request through
-    the serving engine every N steps to sample serve-while-train latency
-    (``0`` disables probing).  ``max_steps`` (positive, or ``None`` for the
-    whole stream) bounds the run.  When the stream ends the pipeline
-    publishes once more, so serving finishes fresh.
+    ``probe_every_steps`` sends a one-row probe request through the serving
+    engine every N steps to sample serve-while-train latency (``0``
+    disables probing).  ``serving_micro_batch`` is the engine's micro-batch.
+    ``max_steps`` (positive, or ``None`` for the whole stream) bounds the
+    run.  When the stream ends the pipeline publishes once more, so serving
+    finishes fresh.  A bad value raises
+    :class:`~repro.errors.ConfigurationError` naming its ``pipeline.`` key.
     """
 
-    publish_every_steps: int = 20
+    publish_every_steps: int = 10
+    probe_every_steps: int = 5
     serving_micro_batch: int = 64
-    probe_every_steps: int = 0
     max_steps: int | None = None
 
     def __post_init__(self):
         if self.publish_every_steps <= 0:
-            raise ValueError(
-                f"publish_every_steps must be positive, got {self.publish_every_steps}"
+            raise ConfigurationError(
+                f"pipeline.publish_every_steps must be positive, got {self.publish_every_steps}"
             )
         if self.probe_every_steps < 0:
-            raise ValueError(
-                f"probe_every_steps must be non-negative, got {self.probe_every_steps}"
+            raise ConfigurationError(
+                f"pipeline.probe_every_steps must be non-negative, got {self.probe_every_steps}"
+            )
+        if self.serving_micro_batch <= 0:
+            raise ConfigurationError(
+                f"pipeline.serving_micro_batch must be positive, got {self.serving_micro_batch}"
             )
         if self.max_steps is not None and self.max_steps <= 0:
-            raise ValueError(f"max_steps must be positive, got {self.max_steps}")
+            raise ConfigurationError(f"pipeline.max_steps must be positive, got {self.max_steps}")
 
 
 @dataclass

@@ -267,8 +267,8 @@ class ReplicaTier:
     def __init__(
         self,
         model: Any,
-        num_replicas: int = 2,
-        max_batch_size: int = 64,
+        num_replicas: int,
+        max_batch_size: int,
         rebase_every: int = 8,
     ):
         self.publisher = DeltaSnapshotPublisher(model, rebase_every=rebase_every)

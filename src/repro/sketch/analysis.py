@@ -10,6 +10,9 @@ from __future__ import annotations
 
 import numpy as np
 
+#: The η values Theorem 3.3's supremum is maximized over.
+ETA_GRID = np.logspace(-4, 2, 2000)
+
 
 def retention_probability_uniform(gamma: float, num_buckets: int, slots_per_bucket: int) -> float:
     """Theorem 3.1: lower bound on holding a feature with score ≥ γ‖a‖₁.
@@ -27,20 +30,16 @@ def retention_probability_zipf(
     zipf_exponent: float,
     num_buckets: int,
     slots_per_bucket: int,
-    eta_grid: np.ndarray | None = None,
 ) -> float:
     """Theorem 3.3: lower bound under a Zipf(z) score distribution.
 
     The theorem states ``Pr > sup_{η>0} 3^{-η} (1 - η / ((c-1) γ (η w)^z))``;
-    the supremum is approximated by maximizing over ``eta_grid``.
+    the supremum is approximated by maximizing over :data:`ETA_GRID`.
     """
     _validate(gamma, num_buckets, slots_per_bucket)
     if zipf_exponent <= 1.0:
         raise ValueError(f"the Zipf bound requires z > 1, got {zipf_exponent}")
-    if eta_grid is None:
-        eta_grid = np.logspace(-4, 2, 2000)
-    eta = np.asarray(eta_grid, dtype=np.float64)
-    eta = eta[eta > 0]
+    eta = ETA_GRID
     values = 3.0**-eta * (
         1.0
         - eta / ((slots_per_bucket - 1) * gamma * (eta * num_buckets) ** zipf_exponent)

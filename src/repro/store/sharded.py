@@ -35,7 +35,7 @@ from repro.embeddings import create_embedding
 from repro.embeddings.base import CompressedEmbedding
 from repro.embeddings.cafe import CafeStack
 from repro.embeddings.plan import RoutingPlan
-from repro.errors import CheckpointLayoutError, ConfigurationError
+from repro.errors import CheckpointLayoutError, ConfigurationError, MemoryBudgetError
 from repro.nn.module import check_fits, section
 from repro.store.snapshot import StoreSnapshot
 
@@ -133,10 +133,17 @@ class ShardedEmbeddingStore(CompressedEmbedding):
         total float budget, which is expressed by scaling the per-shard
         compression ratio.  Remaining ``kwargs`` are forwarded to
         :func:`repro.embeddings.create_embedding` (e.g. ``optimizer``,
-        ``field_cardinalities``).  ``num_shards ≥ 2`` takes ``cafe``.
+        ``field_cardinalities``).  ``num_shards ≥ 2`` takes ``cafe``.  A
+        ratio below 1 (more floats than the full table) raises
+        :class:`~repro.errors.MemoryBudgetError` before any shard is built.
         """
         if num_shards <= 0:
             raise ValueError(f"num_shards must be positive, got {num_shards}")
+        if not compression_ratio >= 1:
+            raise MemoryBudgetError(
+                f"compression ratio must be at least 1, got {compression_ratio} "
+                "(1 is the full table)"
+            )
         shards = [
             create_embedding(
                 method,

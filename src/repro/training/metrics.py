@@ -6,6 +6,9 @@ import numpy as np
 
 from repro.errors import DataError
 
+#: How far :func:`log_loss` clips a probability away from 0 and 1.
+LOG_LOSS_EPS = 1e-12
+
 
 def roc_auc(labels: np.ndarray, scores: np.ndarray) -> float:
     """Area under the ROC curve via the rank-statistic (Mann-Whitney) formula.
@@ -44,10 +47,13 @@ def _average_ranks(values: np.ndarray) -> np.ndarray:
     return ranks
 
 
-def log_loss(labels: np.ndarray, probabilities: np.ndarray, eps: float = 1e-12) -> float:
-    """Mean binary cross entropy between labels and predicted probabilities."""
+def log_loss(labels: np.ndarray, probabilities: np.ndarray) -> float:
+    """Mean binary cross entropy between labels and predicted probabilities
+    (clipped :data:`LOG_LOSS_EPS` away from 0 and 1)."""
     labels = np.asarray(labels, dtype=np.float64).reshape(-1)
-    probabilities = np.clip(np.asarray(probabilities, dtype=np.float64).reshape(-1), eps, 1 - eps)
+    probabilities = np.clip(
+        np.asarray(probabilities, dtype=np.float64).reshape(-1), LOG_LOSS_EPS, 1 - LOG_LOSS_EPS
+    )
     if labels.shape != probabilities.shape:
         raise DataError("labels and probabilities must have the same length")
     return float(-np.mean(labels * np.log(probabilities) + (1 - labels) * np.log(1 - probabilities)))

@@ -16,7 +16,7 @@ from typing import Iterable, Iterator
 import numpy as np
 
 from repro.data.stream import Batch, all_finite
-from repro.errors import BatchShapeError, DataError, InvalidLabelError, NonFiniteFeatureError
+from repro.errors import BatchShapeError, InvalidLabelError, NonFiniteFeatureError
 from repro.models.base import RecommendationModel
 from repro.nn import functional as F
 from repro.nn.layers import claim_workspace
@@ -26,16 +26,19 @@ from repro.utils.logging import get_logger
 
 logger = get_logger(__name__)
 
-#: Most rows per forward pass when :meth:`Trainer.predict` is not given a
-#: size.  An evaluation's transient is the dense workspace of one pass (a
-#: 4096-row DLRM pass holds a 12 MB Gram matrix alone), so this can set a
-#: run's high-water mark; 512-row pieces take about as long as 4096-row ones
-#: (docs/benchmarks.md "Evaluation in 512-row pieces").
+#: Most rows per forward pass of :meth:`Trainer.predict`.  An evaluation's
+#: transient is the dense workspace of one pass (a 4096-row DLRM pass holds a
+#: 12 MB Gram matrix alone), so this can set a run's high-water mark; 512-row
+#: pieces take about as long as 4096-row ones (docs/benchmarks.md "Evaluation
+#: in 512-row pieces").
 EVAL_BATCH_SIZE = 512
 
 #: Every evaluation piece but the last is a whole number of blocks of this
 #: many rows (when the piece size is).
 EVAL_ROW_ALIGN = 16
+
+#: Width of :meth:`TrainingHistory.smoothed_losses`' moving average.
+SMOOTHING_WINDOW = 10
 
 
 def eval_pieces(rows: int, batch_size: int) -> list[int]:
@@ -71,12 +74,13 @@ class TrainingHistory:
     def average_loss(self) -> float:
         return float(np.mean(self.losses)) if self.losses else float("nan")
 
-    def smoothed_losses(self, window: int = 20) -> np.ndarray:
-        """Moving average of the loss curve (for iteration plots)."""
+    def smoothed_losses(self) -> np.ndarray:
+        """Moving average of the loss curve over :data:`SMOOTHING_WINDOW`
+        steps, or fewer when the run is shorter (for iteration plots)."""
         if not self.losses:
             return np.empty(0)
         values = np.asarray(self.losses, dtype=np.float64)
-        window = max(min(window, values.size), 1)
+        window = min(SMOOTHING_WINDOW, values.size)
         kernel = np.ones(window) / window
         return np.convolve(values, kernel, mode="valid")
 
@@ -206,30 +210,25 @@ class Trainer:
     # ------------------------------------------------------------------ #
     # Evaluation
     # ------------------------------------------------------------------ #
-    def predict(self, batch: Batch, batch_size: int | None = None) -> np.ndarray:
+    def predict(self, batch: Batch) -> np.ndarray:
         """Click probabilities for a (possibly large) evaluation batch, in
-        pieces of at most ``batch_size`` rows (default :data:`EVAL_BATCH_SIZE`;
-        a size below 1 raises :class:`~repro.errors.DataError`), cut by
+        pieces of at most :data:`EVAL_BATCH_SIZE` rows cut by
         :func:`eval_pieces` (near-equal, no sliver).  A batch without rows
         raises :class:`~repro.errors.BatchShapeError`, as in :meth:`train_step`."""
-        if batch_size is None:
-            batch_size = EVAL_BATCH_SIZE
-        if batch_size <= 0:
-            raise DataError(f"batch_size must be positive, got {batch_size}")
         if not len(batch.categorical):
             raise BatchShapeError("an evaluation batch must hold at least one row")
-        ends = eval_pieces(len(batch.categorical), batch_size)
+        ends = eval_pieces(len(batch.categorical), EVAL_BATCH_SIZE)
         outputs = [
             self.model.predict_proba(batch.categorical[start:end], batch.numerical[start:end])
             for start, end in zip([0, *ends], ends)
         ]
         return np.concatenate(outputs)
 
-    def evaluate_auc(self, batch: Batch, batch_size: int | None = None) -> float:
-        return roc_auc(batch.labels, self.predict(batch, batch_size))
+    def evaluate_auc(self, batch: Batch) -> float:
+        return roc_auc(batch.labels, self.predict(batch))
 
-    def evaluate_log_loss(self, batch: Batch, batch_size: int | None = None) -> float:
-        return log_loss(batch.labels, self.predict(batch, batch_size))
+    def evaluate_log_loss(self, batch: Batch) -> float:
+        return log_loss(batch.labels, self.predict(batch))
 
     # ------------------------------------------------------------------ #
     # Analysis hooks

@@ -8,8 +8,8 @@ import sys
 _FORMAT = "%(asctime)s %(levelname)s %(name)s: %(message)s"
 
 
-def get_logger(name: str, level: int = logging.INFO) -> logging.Logger:
-    """Return a configured logger writing to stderr.
+def get_logger(name: str) -> logging.Logger:
+    """Return a configured logger writing INFO and above to stderr.
 
     Handlers are attached only once per logger name so repeated calls (e.g.
     inside pytest) never duplicate output lines.
@@ -20,5 +20,5 @@ def get_logger(name: str, level: int = logging.INFO) -> logging.Logger:
         handler.setFormatter(logging.Formatter(_FORMAT))
         logger.addHandler(handler)
         logger.propagate = False
-    logger.setLevel(level)
+    logger.setLevel(logging.INFO)
     return logger

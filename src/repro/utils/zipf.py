@@ -69,24 +69,24 @@ class ZipfDistribution:
         return ranks
 
 
-def fit_zipf_exponent(scores: np.ndarray, min_rank: int = 1, max_rank: int | None = None) -> float:
+def fit_zipf_exponent(scores: np.ndarray, max_rank: int) -> float:
     """Fit a Zipf exponent to sorted positive ``scores`` via log-log regression.
 
     The scores are sorted in decreasing order and regressed against their rank
-    on a log-log scale; the negative slope is the Zipf exponent.  Ranks outside
-    ``[min_rank, max_rank]`` are ignored, which mirrors the common practice of
-    fitting only the head/torso of the distribution where Zipf behaviour holds.
+    on a log-log scale; the negative slope is the Zipf exponent.  Ranks past
+    ``max_rank`` are ignored (a larger value fits every score), which mirrors
+    the common practice of fitting only the head/torso of the distribution
+    where Zipf behaviour holds.
     """
     values = np.asarray(scores, dtype=np.float64)
     values = values[values > 0]
     if values.size < 2:
         raise ValueError("need at least two positive scores to fit a Zipf exponent")
     values = np.sort(values)[::-1]
-    if max_rank is None or max_rank > values.size:
-        max_rank = values.size
-    if not 1 <= min_rank < max_rank:
-        raise ValueError(f"invalid rank window [{min_rank}, {max_rank})")
-    ranks = np.arange(min_rank, max_rank + 1, dtype=np.float64)
-    selected = values[min_rank - 1 : max_rank]
+    max_rank = min(max_rank, values.size)
+    if max_rank < 2:
+        raise ValueError(f"a fit needs at least two ranks, got max_rank {max_rank}")
+    ranks = np.arange(1, max_rank + 1, dtype=np.float64)
+    selected = values[:max_rank]
     slope, _ = np.polyfit(np.log(ranks), np.log(selected), 1)
     return float(-slope)

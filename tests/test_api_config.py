@@ -86,6 +86,31 @@ class TestValidation:
         with pytest.raises(ConfigurationError, match=message):
             apply_overrides(SystemConfig(), [f"pipeline.{key}={value}"])
 
+    def test_the_old_pipeline_micro_batch_key_names_its_new_name(self):
+        # The pipeline section is runtime.pipeline.PipelineConfig, whose key
+        # is serving_micro_batch.
+        message = (r"unknown config key 'pipeline\.micro_batch'; "
+                   r"did you mean 'serving_micro_batch'\?")
+        with pytest.raises(ConfigurationError, match=message):
+            SystemConfig.from_dict({"pipeline": {"micro_batch": 32}})
+        with pytest.raises(ConfigurationError, match=message):
+            apply_overrides(SystemConfig(), ["pipeline.micro_batch=32"])
+        assert apply_overrides(
+            SystemConfig(), ["pipeline.serving_micro_batch=32"]
+        ).pipeline.serving_micro_batch == 32
+
+    @pytest.mark.parametrize("ratio", [0.5, 0.0, -2.0, float("nan")])
+    def test_a_compression_ratio_below_one_names_the_key(self, ratio):
+        # Below 1 is more floats than the full table: at 1 shard the backend
+        # refused it with a bare ValueError, at 4 shards the per-shard
+        # scaling let it through at twice the full table.
+        message = r"store\.compression_ratio must be at least 1"
+        with pytest.raises(ConfigurationError, match=message):
+            SystemConfig.from_dict({"store": {"compression_ratio": ratio}})
+        with pytest.raises(ConfigurationError, match=message):
+            apply_overrides(SystemConfig(), [f"store.compression_ratio={ratio}"])
+        assert StoreConfig(compression_ratio=1.0).compression_ratio == 1.0
+
     @pytest.mark.parametrize("key, value", [
         ("traffic", "zipf"), ("traffic_duration_s", 2.0), ("traffic_rate", 800.0),
         ("slo_target_p99_ms", 50.0), ("policy", "round_robin"), ("rebase_every", 8),

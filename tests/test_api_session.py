@@ -63,7 +63,7 @@ def sharded_pipeline_config() -> SystemConfig:
             "pipeline": {
                 "publish_every_steps": 5,
                 "probe_every_steps": 2,
-                "micro_batch": 32,
+                "serving_micro_batch": 32,
                 "max_steps": 12,
             },
         }
@@ -71,6 +71,32 @@ def sharded_pipeline_config() -> SystemConfig:
 
 
 class TestBuild:
+    def test_a_samples_per_day_override_builds_the_dataset_once(self, monkeypatch):
+        from repro.data.synthetic import SyntheticConfig, SyntheticCTRDataset
+
+        built = []
+        original = SyntheticCTRDataset.__init__
+
+        def counting(self, *args, **kwargs):
+            built.append(self)
+            original(self, *args, **kwargs)
+
+        monkeypatch.setattr(SyntheticCTRDataset, "__init__", counting)
+        config = tiny_config(seed=3)
+        config.data.samples_per_day = 700
+        with build(config) as session:
+            assert built == [session.dataset]
+            assert len(session.dataset.generate_day(0)) == 700
+            # The samples are those of the config the override names, under
+            # the default drift.
+            direct = SyntheticCTRDataset(
+                session.schema, config=SyntheticConfig(samples_per_day=700, seed=3)
+            )
+            for day in (0, session.dataset.test_day):
+                ours, theirs = session.dataset.generate_day(day), direct.generate_day(day)
+                assert np.array_equal(ours.categorical, theirs.categorical)
+                assert np.array_equal(ours.labels, theirs.labels)
+
     def test_train_report_shape(self):
         with build(tiny_config()) as session:
             report = session.train()
@@ -196,7 +222,7 @@ class TestDirectConstructionKeepsWorking:
         from repro.data.schema import make_preset
         from repro.models import create_model
 
-        schema = make_preset("criteo", base_cardinality=300)
+        schema = make_preset("criteo", base_cardinality=300, seed=0)
         store = build_store(schema, seed=0)
         model = create_model("dlrm", store, num_fields=schema.num_fields,
                              num_numerical=schema.num_numerical, rng=0)

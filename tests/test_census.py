@@ -9,7 +9,7 @@ import pytest
 REPO = Path(__file__).resolve().parent.parent
 sys.path.insert(0, str(REPO / "scripts"))
 
-from census import Function, functions, keep_reason, render, run_legs  # noqa: E402
+from census import Function, branch_listing, functions, keep_reason, render, run_legs  # noqa: E402
 
 TOY = '''
 import functools
@@ -71,7 +71,7 @@ def test_every_kind_of_function_counts_as_reached(tmp_path):
     package.mkdir()
     (package / "__init__.py").write_text(textwrap.dedent(TOY), encoding="utf-8")
     legs = {"main": [sys.executable, "-c", "import toy; toy.main()"]}
-    reached = run_legs(legs, tmp_path, tmp_path, [tmp_path, REPO / "src"])["main"]
+    reached = run_legs(legs, tmp_path, tmp_path, [tmp_path, REPO / "src"])[0]["main"]
     status = {
         function.qualname: (function.path, function.first_line) in reached
         for function in functions(package)
@@ -88,6 +88,45 @@ def test_every_kind_of_function_counts_as_reached(tmp_path):
         "never": False,
         "main": True,
     }
+
+
+BRANCHY = '''
+def pick(flag):
+    if flag:
+        value = 1
+    else:
+        value = 2
+    try:
+        value = int(value)
+    except ValueError:
+        value = 0
+    if value > 5:
+        raise RuntimeError(
+            "too big"
+        )
+    for item in range(value - 1):
+        value += item
+    return [item for item in range(value)]
+
+
+class Box:
+    def never(self):
+        return 3
+'''
+
+
+def test_the_branch_listing_names_each_untaken_line_but_error_paths(tmp_path):
+    package = tmp_path / "toy"
+    package.mkdir()
+    (package / "__init__.py").write_text(textwrap.dedent(BRANCHY), encoding="utf-8")
+    legs = {"main": [sys.executable, "-c", "import toy; toy.pick(True)"]}
+    reached, ran = run_legs(legs, tmp_path, tmp_path, [tmp_path, REPO / "src"])
+    listing = branch_listing(package, reached["main"], ran).splitlines()
+    # Line 6 (``value = 2``) and line 16 (the body of a loop over nothing)
+    # are untaken; the except clause (9-10) and the raise (12-14) are left
+    # out, and ``Box.never`` is unreached, which the function census reports.
+    assert listing[:-1] == ["toy/__init__.py:pick: 6, 16"]
+    assert listing[-1].startswith("branch census: 2 of ")
 
 
 def test_keep_reason_matches_module_class_and_function():

@@ -12,6 +12,7 @@ from repro.embeddings.full import FullEmbedding
 from repro.embeddings.hash_embedding import HashEmbedding
 from repro.errors import CheckpointLayoutError, SketchStateMismatchError
 from repro.models.dlrm import DLRM
+from repro.models.wdl import WDL
 from repro.nn.module import Module
 from repro.nn.optim import Optimizer, RowOptimizer
 from repro.sketch.hotsketch import HotSketch
@@ -150,12 +151,11 @@ class TestCheckpoint:
         dataset = tiny_dataset()
         model = build_model(dataset)
         path = save_checkpoint(tmp_path / "ckpt.npz", model)
-        other = DLRM(
+        other = WDL(
             FullEmbedding(dataset.schema.num_features, DIM, rng=0),
             dataset.schema.num_fields,
             dataset.schema.num_numerical,
             rng=0,
-            top_mlp=[32, 16],
         )
         with pytest.raises((KeyError, ValueError)):
             load_checkpoint(path, other)

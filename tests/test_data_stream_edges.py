@@ -56,13 +56,9 @@ class TestSingleBatchDay:
         assert len(batches) == 1
         assert len(batches[0]) == 64
 
-    def test_drop_last_discards_short_tail(self):
+    def test_the_last_batch_keeps_the_short_tail(self):
         dataset = make_dataset(samples_per_day=100)
         data = dataset.generate_day(0)
-        kept = list(
-            iterate_batches(data.categorical, data.numerical, data.labels, 64, drop_last=True)
-        )
-        assert [len(b) for b in kept] == [64]
         full = list(iterate_batches(data.categorical, data.numerical, data.labels, 64))
         assert [len(b) for b in full] == [64, 36]
 

@@ -20,8 +20,23 @@ from repro.embeddings import (
     TableBackedEmbedding,
     create_embedding,
 )
+from repro.api import config as api_config
+from repro.data.drift import RotatingDrift
+from repro.data.schema import make_preset
+from repro.data.stats import kl_divergence, kl_divergence_matrix
+from repro.data.stream import iterate_batches
+from repro.data.synthetic import SyntheticConfig, SyntheticCTRDataset
+from repro.models import DCN, DLRM, WDL, create_model
+from repro.nn.optim import Adam, RowAdagrad
+from repro.runtime.pipeline import PipelineConfig
+from repro.serving.replica import ReplicaTier
 from repro.sketch import HotSketch
+from repro.sketch.analysis import retention_probability_zipf
 from repro.store import ShardedEmbeddingStore
+from repro.training.metrics import log_loss
+from repro.training.trainer import Trainer, TrainingHistory
+from repro.utils.logging import get_logger
+from repro.utils.zipf import fit_zipf_exponent
 
 N = 1200
 DIM = 8
@@ -244,8 +259,86 @@ def constructor_keywords(cls):
     }
 
 
+#: Every parameter of the public callables outside the backends whose
+#: keywords were audited against their callers.  A keyword with a default is
+#: set to another value by a non-test caller, named beside it; every other
+#: setting is a module constant or a class attribute (docs/api.md
+#: "Constants").  Side inputs and ``rng`` carry no comment.
+PUBLIC_KEYWORDS = {
+    RotatingDrift.__init__: {  # every caller passes both
+        "swap_fraction",  # perf/ train_sparse, ablation_adaptivity, examples/online_training_drift.py
+        "seed",  # perf/ train_sparse; the dataset's default drift
+    },
+    SyntheticConfig: {
+        "samples_per_day",  # perf/ build_session, build_dataset's scales
+        "signal_scale", "interaction_scale",  # the calibration levers (ROADMAP item 2)
+        "seed",  # perf/ build_session, build_dataset
+    },
+    SyntheticCTRDataset.generate_day: {
+        "day",
+        "num_samples",  # perf/ test_rows, fig13's latency batches, test_batch
+        "seed_offset",  # perf/ input_offset, test_batch
+    },
+    SyntheticCTRDataset.day_batches: {"day", "batch_size"},
+    SyntheticCTRDataset.training_stream: {
+        "batch_size",
+        "days",  # run_single's fig17 subsample, fig3's first two days
+    },
+    SyntheticCTRDataset.feature_frequencies: set(),
+    SyntheticCTRDataset.day_histograms: set(),
+    iterate_batches: {
+        "categorical", "numerical", "labels", "batch_size",
+        "day",  # perf/ training_stream, day_batches
+    },
+    kl_divergence: {"p_counts", "q_counts"},
+    kl_divergence_matrix: {"day_histograms"},
+    make_preset: {"name", "base_cardinality", "seed"},  # every caller passes both
+    DLRM.__init__: {"embedding", "num_fields", "num_numerical", "rng"},
+    WDL.__init__: {"embedding", "num_fields", "num_numerical", "rng"},
+    DCN.__init__: {"embedding", "num_fields", "num_numerical", "rng"},
+    create_model: {"name", "embedding", "num_fields", "num_numerical", "rng"},
+    Adam.__init__: {"parameters", "lr"},
+    RowAdagrad.__init__: {"lr", "table"},
+    TrainingHistory.smoothed_losses: set(),
+    Trainer.predict: {"batch"},
+    Trainer.evaluate_auc: {"batch"},
+    Trainer.evaluate_log_loss: {"batch"},
+    log_loss: {"labels", "probabilities"},
+    retention_probability_zipf: {"gamma", "zipf_exponent", "num_buckets", "slots_per_bucket"},
+    get_logger: {"name"},
+    fit_zipf_exponent: {"scores", "max_rank"},  # fig3 fits the head; every caller passes it
+    PipelineConfig: {
+        # SystemConfig's pipeline section (the CLI's --set pipeline.*); perf/
+        # online_publish passes the cadence and the micro-batch.
+        "publish_every_steps", "probe_every_steps", "serving_micro_batch", "max_steps",
+    },
+    ReplicaTier.__init__: {
+        "model", "num_replicas", "max_batch_size",  # every caller passes both
+        "rebase_every",  # perf/ online_publish
+    },
+}
+
+
 class TestOneDefaultPerKnob:
     """A knob has its default in one place, whichever way a layer is built."""
+
+    def test_every_public_keyword_has_a_caller(self):
+        """The audited callables outside the backends take exactly the
+        keywords listed, none takes ``**kwargs``, and 13 values have a
+        default (``rng`` aside).  The two pipeline configs are one class."""
+        settable = 0
+        for function, expected in PUBLIC_KEYWORDS.items():
+            parameters = inspect.signature(function).parameters
+            assert not any(p.kind is p.VAR_KEYWORD for p in parameters.values()), function
+            found = keywords(function)
+            assert set(found) == expected, function
+            settable += sum(
+                default is not inspect.Parameter.empty and name != "rng"
+                for name, default in found.items()
+            )
+        assert settable == 13
+        assert api_config.PipelineConfig is PipelineConfig
+        assert api_config.SystemConfig().pipeline == PipelineConfig()
 
     def test_every_keyword_has_a_caller(self):
         """Each backend, the store builder and HotSketch take exactly the

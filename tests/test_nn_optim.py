@@ -34,10 +34,6 @@ class TestDenseOptimizers:
         with pytest.raises(ValueError):
             Adam([Parameter(np.zeros(1))], lr=0.0)
 
-    def test_invalid_betas(self):
-        with pytest.raises(ValueError):
-            Adam([Parameter(np.zeros(1))], lr=0.1, betas=(1.0, 0.9))
-
     def test_step_skips_parameters_without_grad(self):
         p = Parameter(np.ones(2))
         optimizer = Adam([p], lr=0.1)
@@ -68,9 +64,10 @@ class ReferenceOptimizer:
 
 
 class ReferenceAdam(ReferenceOptimizer):
-    def __init__(self, parameters, lr, betas=(0.9, 0.999), eps=1e-8):
+    beta1, beta2, eps = 0.9, 0.999, 1e-8
+
+    def __init__(self, parameters, lr):
         super().__init__(parameters, lr, ("m", "v"))
-        (self.beta1, self.beta2), self.eps = betas, eps
 
     def update(self, param, m, v, update, denom):
         bias1 = 1.0 - self.beta1**self.step_count
@@ -92,22 +89,28 @@ class ReferenceAdam(ReferenceOptimizer):
 
 
 SHAPES = [(5, 7), (7,), (7, 3), (3,), (3, 1), (1,)]
+#: The learning rate, and Adam's constants set on both instances (the class
+#: attributes are the defaults; other values reach the flush paths sooner).
 CASES = {
-    "adam": (Adam, ReferenceAdam, {"lr": 0.01}),
-    "adam-fast-betas": (Adam, ReferenceAdam, {"lr": 0.003, "betas": (0.8, 0.95)}),
-    "adam-large-eps": (Adam, ReferenceAdam, {"lr": 0.1, "eps": 1e-3}),
+    "adam": {"lr": 0.01},
+    "adam-fast-betas": {"lr": 0.003, "beta1": 0.8, "beta2": 0.95},
+    "adam-large-eps": {"lr": 0.1, "eps": 1e-3},
 }
 
 
 def twin_optimizers(case, dtype, seed=0, **overrides):
     """The flat optimizer and the oracle over equal copies of one parameter set."""
-    new_cls, reference_cls, kwargs = CASES[case]
+    constants = {**CASES[case], **overrides}
+    lr = constants.pop("lr")
     rng = np.random.default_rng(seed)
     values = [rng.normal(size=shape).astype(dtype) for shape in SHAPES]
     new_params = [Parameter(value.copy()) for value in values]
     reference_params = [Parameter(value.copy()) for value in values]
-    kwargs = {**kwargs, **overrides}
-    return new_cls(new_params, **kwargs), reference_cls(reference_params, **kwargs), rng
+    optimizer, reference = Adam(new_params, lr), ReferenceAdam(reference_params, lr)
+    for name, value in constants.items():
+        setattr(optimizer, name, value)
+        setattr(reference, name, value)
+    return optimizer, reference, rng
 
 
 def flat(arrays) -> np.ndarray:
@@ -159,8 +162,8 @@ class TestFlatOptimizersAgainstTheOracle:
         "case, dtype, overrides, dead_state",
         [
             ("adam", np.float32, {}, ("m",)),
-            ("adam", np.float32, {"betas": (0.9, 0.95)}, ("m", "v")),
-            ("adam", np.float64, {"betas": (0.5, 0.6)}, ("m", "v")),
+            ("adam", np.float32, {"beta2": 0.95}, ("m", "v")),
+            ("adam", np.float64, {"beta1": 0.5, "beta2": 0.6}, ("m", "v")),
         ],
     )
     def test_dead_units_flush_to_zero_and_leave_no_subnormal(

@@ -29,6 +29,5 @@ class TestLogging:
         assert logger1 is logger2
         assert len(logger1.handlers) == 1
 
-    def test_level_set(self):
-        logger = get_logger("repro.test.level", level=logging.WARNING)
-        assert logger.level == logging.WARNING
+    def test_level_is_info(self):
+        assert get_logger("repro.test.level").level == logging.INFO

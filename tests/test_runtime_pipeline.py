@@ -7,6 +7,7 @@ import pytest
 
 from repro.data.schema import DatasetSchema, FieldSchema
 from repro.data.synthetic import SyntheticConfig, SyntheticCTRDataset
+from repro.errors import ConfigurationError
 from repro.models.dlrm import DLRM
 from repro.runtime import OnlinePipeline, PipelineConfig
 from repro.serving import ReplicaTier
@@ -42,23 +43,40 @@ def make_pipeline(dataset, replicas=0, **config):
     model = DLRM(store, num_fields=schema.num_fields, num_numerical=schema.num_numerical, rng=0)
     defaults = dict(publish_every_steps=4, probe_every_steps=2, serving_micro_batch=32)
     defaults.update(config)
-    tier = ReplicaTier(model, num_replicas=replicas) if replicas else None
+    tier = ReplicaTier(model, num_replicas=replicas, max_batch_size=64) if replicas else None
     return OnlinePipeline(model, config=PipelineConfig(**defaults), tier=tier)
 
 
 class TestConfigValidation:
     def test_rejects_bad_cadence(self):
-        with pytest.raises(ValueError, match="publish_every_steps"):
+        with pytest.raises(ConfigurationError, match="pipeline.publish_every_steps"):
             PipelineConfig(publish_every_steps=0)
 
     def test_rejects_negative_probe_cadence(self):
-        with pytest.raises(ValueError, match="probe_every_steps"):
+        with pytest.raises(ConfigurationError, match="pipeline.probe_every_steps"):
             PipelineConfig(probe_every_steps=-1)
+
+    def test_rejects_an_empty_micro_batch(self):
+        with pytest.raises(ConfigurationError, match="pipeline.serving_micro_batch must be positive"):
+            PipelineConfig(serving_micro_batch=0)
 
     @pytest.mark.parametrize("max_steps", [0, -3])
     def test_rejects_a_step_bound_below_one(self, max_steps):
-        with pytest.raises(ValueError, match="max_steps must be positive"):
+        with pytest.raises(ConfigurationError, match="pipeline.max_steps must be positive"):
             PipelineConfig(max_steps=max_steps)
+
+    def test_a_bare_pipeline_takes_the_system_config_defaults(self):
+        """``OnlinePipeline(model)`` runs the ``pipeline`` section's defaults:
+        publish every 10 steps (20 before the two configs were one) and probe
+        every 5 (0, no probes, before)."""
+        from repro.api import SystemConfig
+
+        pipeline = make_pipeline(tiny_dataset())
+        bare = OnlinePipeline(pipeline.model)
+        assert bare.config == PipelineConfig() == SystemConfig().pipeline
+        assert (bare.config.publish_every_steps, bare.config.probe_every_steps) == (10, 5)
+        assert bare.config.serving_micro_batch == bare.engine.max_batch_size == 64
+        assert bare.config.max_steps is None
 
     def test_the_step_bound_draws_no_batch_past_it(self):
         dataset = tiny_dataset()
@@ -212,7 +230,7 @@ class TestPipelineCLI:
                      "--set", "pipeline.publish_every_steps=3",
                      "--set", "pipeline.probe_every_steps=2",
                      "--set", "store.num_shards=2", "--set", "store.executor=serial",
-                     "--set", "pipeline.micro_batch=16", "--output", str(out)]) == 0
+                     "--set", "pipeline.serving_micro_batch=16", "--output", str(out)]) == 0
         report = json.loads(out.read_text())
         assert report["pipeline"]["steps"] == 8
         assert report["pipeline"]["staleness_within_cadence"] is True

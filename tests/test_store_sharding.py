@@ -17,7 +17,7 @@ from repro.api.config import SystemConfig
 from repro.api.session import build
 from repro.embeddings import METHOD_NAMES, CompressedEmbedding, create_embedding, get_backend
 from repro.embeddings.ada_embed import REALLOCATION_INTERVAL
-from repro.errors import ConfigurationError
+from repro.errors import ConfigurationError, MemoryBudgetError
 from repro.store import ShardedEmbeddingStore
 from repro.store.sharded import ExecutorStats
 from repro.utils.hashing import hash_to_range
@@ -163,6 +163,24 @@ class TestOnlyCafeShards:
     def test_a_multi_shard_store_is_one_stack(self):
         store = build_sharded("cafe", 10.0, num_shards=3)
         assert store.describe()["stacked"] and "executor" not in store.describe()
+
+    @pytest.mark.parametrize("num_shards", [1, 4])
+    def test_a_ratio_below_one_is_refused_before_the_per_shard_scaling(self, num_shards, monkeypatch):
+        # At 4 shards the per-shard ratio 0.5 * 4 = 2 would pass the backend
+        # and build twice the full table's floats.
+        built = []
+        with monkeypatch.context() as patched:
+            patched.setattr("repro.store.sharded.create_embedding",
+                            lambda *args, **kwargs: built.append(kwargs))
+            with pytest.raises(MemoryBudgetError, match="ratio must be at least 1, got 0.5"):
+                ShardedEmbeddingStore.build(
+                    "cafe", num_features=NUM_FEATURES, dim=DIM, num_shards=num_shards,
+                    compression_ratio=0.5,
+                )
+        assert built == []
+        full = ShardedEmbeddingStore.build("cafe", num_features=NUM_FEATURES, dim=DIM,
+                                           num_shards=num_shards, compression_ratio=1.0)
+        assert full.memory_floats() <= NUM_FEATURES * DIM
 
 
 class TestExecutorStats:

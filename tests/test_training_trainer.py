@@ -20,7 +20,6 @@ from repro.embeddings.full import FullEmbedding
 from repro.errors import (
     BadBatchError,
     BatchShapeError,
-    DataError,
     NonFiniteFeatureError,
     NonIntegerIdError,
 )
@@ -78,7 +77,7 @@ class TestTrainerKeywords:
         with pytest.raises(TypeError, match="dense_optimizer"):
             Trainer(toy_model(toy_dataset()), dense_optimizer="adam")
 
-    def test_predict_defaults_to_eval_batch_size_pieces(self, monkeypatch):
+    def test_predict_runs_in_eval_batch_size_pieces(self, monkeypatch):
         dataset = toy_dataset()
         trainer = Trainer(toy_model(dataset))
         batch = dataset.test_batch(2 * EVAL_BATCH_SIZE + 10)
@@ -90,22 +89,9 @@ class TestTrainerKeywords:
             return predict_proba(categorical, numerical)
 
         monkeypatch.setattr(trainer.model, "predict_proba", recording)
-        default = trainer.predict(batch)
-        pieces, sizes[:] = list(sizes), []
-        explicit = trainer.predict(batch, batch_size=EVAL_BATCH_SIZE)
-        assert pieces == sizes == np.diff([0, *eval_pieces(len(batch), EVAL_BATCH_SIZE)]).tolist()
-        assert np.array_equal(default, explicit)
+        trainer.predict(batch)
+        assert sizes == np.diff([0, *eval_pieces(len(batch), EVAL_BATCH_SIZE)]).tolist()
 
-
-    @pytest.mark.parametrize("size", [0, -1])
-    def test_predict_refuses_a_batch_size_below_one(self, size):
-        dataset = toy_dataset()
-        trainer = Trainer(toy_model(dataset))
-        batch = dataset.test_batch(10)
-        with pytest.raises(DataError, match="batch_size must be positive"):
-            trainer.predict(batch, batch_size=size)
-        with pytest.raises(DataError):
-            trainer.evaluate_auc(batch, batch_size=size)
 
 class TestTrainerBasics:
     def test_train_step_returns_finite_loss(self):
@@ -167,7 +153,7 @@ class TestTrainerBasics:
         dataset = toy_dataset()
         trainer = Trainer(toy_model(dataset))
         batch = dataset.test_batch(500)
-        probs = trainer.predict(batch, batch_size=200)
+        probs = trainer.predict(batch)
         assert probs.shape == (500,)
         assert 0.0 <= trainer.evaluate_auc(batch) <= 1.0
         assert trainer.evaluate_log_loss(batch) > 0
@@ -318,10 +304,13 @@ class TestBatchBoundary:
 
 class TestHistory:
     def test_average_and_smoothing(self):
-        history = TrainingHistory(losses=[1.0, 2.0, 3.0, 4.0], steps=[1, 2, 3, 4])
-        assert history.average_loss == pytest.approx(2.5)
-        smooth = history.smoothed_losses(window=2)
-        assert np.allclose(smooth, [1.5, 2.5, 3.5])
+        losses = [float(step) for step in range(1, 13)]
+        history = TrainingHistory(losses=losses, steps=list(range(1, 13)))
+        assert history.average_loss == pytest.approx(6.5)
+        # A 10-step window; a run shorter than that is one mean.
+        assert np.allclose(history.smoothed_losses(), [5.5, 6.5, 7.5])
+        short = TrainingHistory(losses=[1.0, 2.0, 3.0, 4.0], steps=[1, 2, 3, 4])
+        assert np.allclose(short.smoothed_losses(), [2.5])
 
     def test_empty_history(self):
         history = TrainingHistory()
@@ -390,14 +379,14 @@ class TestEvaluationPieces:
         with self.session(model_name, dtype) as session:
             for rows in (2048, 4096, 8192):
                 test = session.dataset.test_batch(rows)
-                one_pass = session.trainer.predict(test, batch_size=rows)
+                one_pass = session.model.predict_proba(test.categorical, test.numerical)
                 assert np.array_equal(session.trainer.predict(test), one_pass), rows
             # A plain splitter would end this one with a 3-row sliver.  One
             # pass over 8 195 rows takes another BLAS path for a row or two
             # itself, so no cut gives its bits on every row: the pieces are
             # blocks (above) and agree to rounding.
             test = session.dataset.test_batch(16 * EVAL_BATCH_SIZE + 3)
-            one_pass = session.trainer.predict(test, batch_size=len(test.labels))
+            one_pass = session.model.predict_proba(test.categorical, test.numerical)
             rtol = 1e-5 if dtype == "float32" else 1e-13
             np.testing.assert_allclose(session.trainer.predict(test), one_pass, rtol=rtol, atol=0)
 

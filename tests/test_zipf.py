@@ -148,26 +148,26 @@ class TestFitZipfExponent:
     def test_recovers_planted_exponent(self):
         true_z = 1.4
         scores = np.arange(1, 2001, dtype=float) ** -true_z
-        fitted = fit_zipf_exponent(scores)
+        fitted = fit_zipf_exponent(scores, max_rank=scores.size)
         assert abs(fitted - true_z) < 0.05
 
     def test_rank_window(self):
         scores = np.arange(1, 1001, dtype=float) ** -1.2
-        fitted = fit_zipf_exponent(scores, min_rank=1, max_rank=100)
+        fitted = fit_zipf_exponent(scores, max_rank=100)
         assert abs(fitted - 1.2) < 0.05
 
     def test_requires_positive_scores(self):
         with pytest.raises(ValueError):
-            fit_zipf_exponent(np.zeros(10))
+            fit_zipf_exponent(np.zeros(10), max_rank=10)
 
     def test_invalid_window(self):
         scores = np.arange(1, 101, dtype=float) ** -1.0
-        with pytest.raises(ValueError):
-            fit_zipf_exponent(scores, min_rank=50, max_rank=10)
+        with pytest.raises(ValueError, match="at least two ranks"):
+            fit_zipf_exponent(scores, max_rank=1)
 
     @given(exponent=st.floats(min_value=1.05, max_value=2.5))
     @settings(max_examples=20, deadline=None)
     def test_fit_property(self, exponent):
         scores = np.arange(1, 501, dtype=float) ** -exponent
-        fitted = fit_zipf_exponent(scores)
+        fitted = fit_zipf_exponent(scores, max_rank=scores.size)
         assert abs(fitted - exponent) < 0.1
