@@ -20,10 +20,3 @@ def test_fig13_latency_throughput(benchmark, bench_scale):
         assert row["train_latency_ms"] > 0
         assert row["inference_latency_ms"] > 0
         assert row["train_throughput"] > 0
-
-    # Shape: Hash (a single modulo on top of the plain lookup) is never much
-    # slower than CAFE, whose sketch maintenance adds the extra work.  The
-    # tolerance is generous because single-machine wall-clock timings at this
-    # scale are noisy.
-    assert rows["hash"]["train_latency_ms"] <= rows["cafe"]["train_latency_ms"] * 3.0
-    assert rows["hash"]["inference_latency_ms"] <= rows["cafe"]["inference_latency_ms"] * 3.0

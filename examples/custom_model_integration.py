@@ -24,7 +24,7 @@ wraps it in a one-shard store.  Only ``cafe`` shards: a store of several
 shards is one CAFE stack, so ``ShardedEmbeddingStore([...])`` of two tables
 of your own raises ``ConfigurationError``.  What the class implements of the
 rest of the contract is what it can do: ``state_dict`` / ``load_state_dict``
-make it checkpointable and ``merged_sketch`` gives it a hot-feature sketch.
+make it checkpointable.
 An adaptive scheme migrates on its own schedule inside ``apply``, as CAFE
 and AdaEmbed do (and calls ``invalidate_plan()`` when routing changes).
 

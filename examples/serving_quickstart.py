@@ -86,11 +86,13 @@ def main() -> None:
           f"p99 {stats['p99_ms']:.2f} ms over {stats['count']} requests "
           f"({stats['avg_micro_batch_rows']:.0f} rows/micro-batch)")
 
+    # The shard hash splits the ids, so each shard's own sketch is the whole
+    # hot view of its ids.
     snapshot = engine.snapshot
-    merged = store.merged_sketch()
+    hot = [shard.num_hot_features() for shard in store.shards]
     print(f"served from one frozen {type(snapshot.table).__name__} of {snapshot.memory_floats()} "
-          f"floats; global hot view: {len(merged.top_k(10))} of the top-10 features, merged "
-          f"from the {store.num_shards} shards' sketches")
+          f"floats; exclusive rows held per shard: {hot}, top feature per shard sketch: "
+          f"{[int(shard.sketch.top_k(1)[0]) for shard in store.shards]}")
 
 
 if __name__ == "__main__":

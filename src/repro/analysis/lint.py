@@ -6,8 +6,8 @@ Six rules encode contracts that previously existed only as prose:
     No ``hasattr(...)`` (or ``callable(getattr(...))``) capability probing
     in ``src/``: what a backend can do is a method of the
     :class:`~repro.embeddings.base.CompressedEmbedding` contract
-    (``state_dict`` and ``merged_sketch`` raise ``NotImplementedError``
-    where the scheme has no such state), so call it.
+    (``state_dict`` raises ``NotImplementedError`` where the scheme has no
+    such state), so call it.
 ``bench-wallclock``
     ``time.time()`` drifts with NTP and has platform-dependent resolution;
     timing paths must use ``time.perf_counter()`` (wall-clock *timestamps*
@@ -17,8 +17,11 @@ Six rules encode contracts that previously existed only as prose:
     ``time.monotonic()`` — directly or through a local name assigned from
     one in the same function — passes or fails with the host's load, so it
     belongs to ``perf/`` (repeats, pinned threads, bounds), not to a test.
-    A ``while time.monotonic() < deadline:`` polling loop is not an assert
-    and passes.
+    So does an ``assert`` comparing two values of the wall-clock columns an
+    experiment declares (its ``timing_columns``), such as one method's
+    ``train_latency_ms`` against another's; a positivity check on one such
+    value passes.  A ``while time.monotonic() < deadline:`` polling loop is
+    not an assert and passes.
 ``mutable-default``
     Mutable default arguments (``def f(x=[])``) alias across calls.
 ``implicit-dtype``
@@ -54,6 +57,7 @@ may be allowed at once: ``# lint: allow[rule-a, rule-b] reason``.
 from __future__ import annotations
 
 import ast
+import functools
 import io
 import re
 import tokenize
@@ -99,6 +103,8 @@ _GRAPH_NAMES = frozenset({"tensor", "Tensor", "make_node"})
 #: Where an ``assert`` on a clock reading is flagged (bench-wallclock).
 _CLOCK_ASSERT_SCOPES = ("tests/", "benchmarks/")
 _CLOCKS = frozenset({"perf_counter", "monotonic", "perf_counter_ns", "monotonic_ns"})
+#: The experiment modules whose ``timing_columns`` name the wall-clock columns.
+_EXPERIMENTS = Path(__file__).resolve().parents[1] / "experiments"
 
 
 @dataclass(frozen=True)
@@ -142,7 +148,8 @@ RULES: tuple[Rule, ...] = (
         id="bench-wallclock",
         summary=(
             "time.time() in timing code (use time.perf_counter()); in tests/ and "
-            "benchmarks/, an assert on a perf_counter()/monotonic() reading"
+            "benchmarks/, an assert on a perf_counter()/monotonic() reading or "
+            "comparing two wall-clock columns"
         ),
         scope=_everywhere,
         scope_doc="everywhere",
@@ -389,6 +396,35 @@ def _clock_asserts(function: ast.FunctionDef | ast.AsyncFunctionDef) -> Iterator
             yield node
 
 
+@functools.cache
+def _timing_columns() -> frozenset[str]:
+    """Every column an experiment declares in ``timing_columns``, read from source."""
+    names: set[str] = set()
+    for source in sorted(_EXPERIMENTS.glob("*.py")):
+        for node in ast.walk(ast.parse(source.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.keyword) and node.arg == "timing_columns":
+                names.update(ast.literal_eval(node.value))
+    return frozenset(names)
+
+
+def _compares_timing_columns(test: ast.expr) -> bool:
+    """True when a comparison in ``test`` reads a wall-clock column on two sides."""
+    columns = _timing_columns()
+    for compare in ast.walk(test):
+        if not isinstance(compare, ast.Compare):
+            continue
+        timed = sum(
+            any(
+                isinstance(sub, ast.Constant) and sub.value in columns
+                for sub in ast.walk(operand)
+            )
+            for operand in [compare.left, *compare.comparators]
+        )
+        if timed >= 2:
+            return True
+    return False
+
+
 def lint_source(source: str, rel: str) -> list[Violation]:
     """Lint one file's source; ``rel`` is its repo-relative posix path."""
     try:
@@ -432,6 +468,19 @@ def lint_source(source: str, rel: str) -> list[Violation]:
                 node.lineno,
                 "np.add.reduceat outside repro/kernels/ops.py; sum segments with "
                 "SegmentSum, the one implementation of the summation order",
+            )
+        elif (
+            isinstance(node, ast.Assert)
+            and rel.startswith(_CLOCK_ASSERT_SCOPES)
+            and node.lineno not in clock_asserts_seen
+            and _compares_timing_columns(node.test)
+        ):
+            clock_asserts_seen.add(node.lineno)
+            emit(
+                "bench-wallclock",
+                node.lineno,
+                "assert compares two wall-clock columns (an experiment's timing_columns), "
+                "which depends on host load; measure time in perf/",
             )
         elif isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
             if rel.startswith(_CLOCK_ASSERT_SCOPES):

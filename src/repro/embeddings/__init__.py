@@ -8,9 +8,9 @@ other keyword to the constructor, where each option has its one default
 (the row optimizer, learning rate and dtype are
 :class:`TableBackedEmbedding`'s).  What a scheme can do
 beyond lookup and apply is what its class implements of the
-:class:`CompressedEmbedding` contract (``state_dict``,
-``merged_sketch``); a scheme of your own is built
-directly and handed to :class:`~repro.store.sharded.ShardedEmbeddingStore`.
+:class:`CompressedEmbedding` contract (``state_dict``); a scheme of your
+own is built directly and handed to
+:class:`~repro.store.sharded.ShardedEmbeddingStore`.
 """
 
 from __future__ import annotations

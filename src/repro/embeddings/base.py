@@ -87,11 +87,7 @@ class CompressedEmbedding(Restorable):
         should call ``lookup`` before ``apply_gradients`` to get the sort and
         the hash/locate pass for free on the update half.
         """
-        batch = self._unique_batch(ids)
-        if not len(batch):
-            return np.empty(batch.ids_shape + (self.dim,), dtype=self.dtype)
-        rows = self.lookup_unique(batch.uids)
-        return np.take(rows, batch.inverse, axis=0).reshape(batch.ids_shape + (self.dim,))
+        return self._unique_batch(ids).broadcast(self.lookup_unique, self.dim, self.dtype)
 
     def apply_gradients(self, ids: np.ndarray, grads: np.ndarray) -> None:
         """Apply per-lookup gradients; the layer's only mutating operation.
@@ -231,12 +227,6 @@ class CompressedEmbedding(Restorable):
             for prefix, name in self._state_parts.items()
             for key, value in getattr(self, name).state_dict().items()
         }
-
-    def merged_sketch(self):
-        """The hot-feature sketch, merged across members for a composite
-        store.  A scheme that tracks no sketch raises
-        ``NotImplementedError``."""
-        raise NotImplementedError(f"{type(self).__name__} tracks no hot-feature sketch")
 
     def memory_floats(self) -> int:
         """Total memory footprint in float32-equivalent parameters.

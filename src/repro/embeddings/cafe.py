@@ -185,15 +185,13 @@ class CafeEmbedding(TableBackedEmbedding):
     # ------------------------------------------------------------------ #
     # Shared-table hooks (overridden by the multi-level variant)
     # ------------------------------------------------------------------ #
-    def _shared_routes(self, cold_ids: np.ndarray) -> dict[str, np.ndarray]:
-        """Routing of non-hot ids through the shared table(s)."""
+    def _shared_routes(
+        self, cold_ids: np.ndarray, routes: dict[str, np.ndarray]
+    ) -> dict[str, np.ndarray]:
+        """Routing of the non-hot ids through the shared table(s); ``routes``
+        holds the sketch probe of every routed id (``sketch_found`` /
+        ``sketch_buckets`` / ``sketch_slots``, and ``hot_mask``)."""
         return {"shared_rows": hash_to_range(cold_ids, self.num_shared_rows, seed=self.hash_seed)}
-
-    def _shared_lookup_routed(self, routes: dict[str, np.ndarray]) -> np.ndarray:
-        return self.shared_table[routes["shared_rows"]]
-
-    def _shared_lookup(self, ids: np.ndarray) -> np.ndarray:
-        return self._shared_lookup_routed(self._shared_routes(ids))
 
     def _shared_table_floats(self) -> int:
         return int(self.shared_table.size)
@@ -348,22 +346,21 @@ class CafeEmbedding(TableBackedEmbedding):
         # Non-hot -> hot: promote the highest-scoring candidates above the
         # threshold into the free rows (demotion uses the lower edge of the
         # hysteresis band, so borderline features do not bounce).  All
-        # promotions of one rebalance happen as a single batched
-        # shared-lookup + one reset_rows call.
+        # promotions of one rebalance happen as one routed gather + one
+        # reset_rows call.
         promote_mask = occupied & (payloads == NO_PAYLOAD) & (scores >= self.hot_threshold)
         if not promote_mask.any():
             return
         buckets, slots = np.nonzero(promote_mask)
         order = np.argsort(scores[buckets, slots], kind="stable")[::-1]
-        rows = self._free_rows.claim(order.size)
-        if rows.size == 0:
-            return
+        rows = self._free_rows.claim(order.size)  # ≥ 1: a row is free, a feature waits
         chosen = order[: rows.size]
         buckets, slots = buckets[chosen], slots[chosen]
         features = keys[buckets, slots]
+        # Initialize from the shared embeddings so training stays smooth: the
+        # features' rows as read before the payload write makes them hot.
+        self.hot_table[rows] = self.gather(features, self.routes(features))
         self.sketch.payloads[buckets, slots] = rows
-        # Initialize from the shared embeddings so training stays smooth.
-        self.hot_table[rows] = self._shared_lookup(features)
         self._optimizer.reset_rows(rows)  # hot rows sit at arena offset 0
         self.migrations_in += int(rows.size)
         self.invalidate_plan()
@@ -377,9 +374,6 @@ class CafeEmbedding(TableBackedEmbedding):
 
     def num_hot_features(self) -> int:
         return self.num_hot_rows - len(self._free_rows)
-
-    def merged_sketch(self) -> HotSketch:
-        return self.sketch
 
     def check_row_invariants(self) -> None:
         """Assert free rows + sketch-assigned rows exactly partition the hot table.
@@ -544,8 +538,8 @@ class CafeStack:
     # The step
     # ------------------------------------------------------------------ #
     def routes(self, uids: np.ndarray) -> dict[str, np.ndarray]:
-        """Routing of sorted unique ids; a stack of S ≥ 2 also routes each id
-        to its member (``routes["shard"]``)."""
+        """Routing of distinct ids (sorted, on the step path); a stack of
+        S ≥ 2 also routes each id to its member (``routes["shard"]``)."""
         # The first member's routing hooks serve the stack (S ≥ 2 members
         # share them).  One sketch probe per distinct id, whose results the
         # sketch insertion in apply reuses.
@@ -566,7 +560,7 @@ class CafeStack:
             "hot_mask": hot_mask,
             "arena_rows": arena_rows,
         }
-        routes.update(layer._shared_routes(uids[cold]))
+        routes.update(layer._shared_routes(uids[cold], routes))
         arena_rows[cold] = layer._shared_offset + routes["shared_rows"]
         if shard is not None:
             arena_rows += shard * self.rows_per

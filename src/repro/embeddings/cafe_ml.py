@@ -64,25 +64,21 @@ class CafeMultiLevelEmbedding(CafeEmbedding):
         """Medium features have scores in ``[medium_threshold, hot_threshold)``."""
         return self.hot_threshold * MEDIUM_FRACTION
 
-    def _medium_mask(self, cold_ids: np.ndarray) -> np.ndarray:
-        scores = self.sketch.query(cold_ids)
-        return scores >= self.medium_threshold
-
-    def _shared_routes(self, cold_ids: np.ndarray) -> dict[str, np.ndarray]:
-        routes = super()._shared_routes(cold_ids)
-        medium = self._medium_mask(cold_ids)
-        routes["medium_mask"] = medium
-        routes["secondary_rows"] = hash_to_range(
+    def _shared_routes(
+        self, cold_ids: np.ndarray, routes: dict[str, np.ndarray]
+    ) -> dict[str, np.ndarray]:
+        shared = super()._shared_routes(cold_ids, routes)
+        # A cold id's score is the routing probe's (0 where unrecorded).  The
+        # buckets are this layer's own: only plain CAFE layers stack.
+        cold = ~routes["hot_mask"]
+        found = routes["sketch_found"][cold]
+        scores = self.sketch.scores[routes["sketch_buckets"][cold], routes["sketch_slots"][cold]]
+        medium = np.where(found, scores, 0.0) >= self.medium_threshold
+        shared["medium_mask"] = medium
+        shared["secondary_rows"] = hash_to_range(
             cold_ids[medium], self.num_secondary_rows, seed=self.hash_seed + 1
         )
-        return routes
-
-    def _shared_lookup_routed(self, routes: dict[str, np.ndarray]) -> np.ndarray:
-        out = self.shared_table[routes["shared_rows"]].copy()
-        medium = routes["medium_mask"]
-        if medium.any():
-            out[medium] += self.secondary_table[routes["secondary_rows"]]
-        return out
+        return shared
 
     def _shared_table_floats(self) -> int:
         return int(self.shared_table.size + self.secondary_table.size)

@@ -107,6 +107,14 @@ class UniqueBatch:
         """True when ``ids`` is exactly the batch this was built from."""
         return self.ids_shape == ids.shape and np.array_equal(self.flat_ids, ids.reshape(-1))
 
+    def broadcast(self, rows_of, dim: int, dtype: np.dtype) -> np.ndarray:
+        """``rows_of(uids)``'s ``(U, dim)`` rows at every batch position, shaped
+        ``ids_shape + (dim,)`` (an empty batch calls nothing)."""
+        if not len(self):
+            return np.empty(self.ids_shape + (dim,), dtype=dtype)
+        rows = rows_of(self.uids)
+        return np.take(rows, self.inverse, axis=0).reshape(self.ids_shape + (dim,))
+
     def counts(self) -> np.ndarray:
         """``(U,)`` number of batch positions holding each id."""
         return run_lengths(self.starts, len(self))
@@ -242,10 +250,10 @@ class PlanStats:
 class FreeRowPool:
     """Array-backed LIFO pool of free exclusive-row indices.
 
-    Mirrors the subset of the ``list`` API the embedding layers and their
-    tests rely on (``len``, ``pop``, ``remove``, ``in``, truthiness,
-    iteration) while supporting batched :meth:`claim` and :meth:`release`
-    with no per-row Python loop.
+    ``len``, truthiness and :meth:`pop` serve AdaEmbed's one-row claims;
+    CAFE claims and releases rows in batches (:meth:`claim`,
+    :meth:`release`) with no per-row Python loop.  :attr:`rows` reads the
+    pool.
     """
 
     __slots__ = ("_rows",)
@@ -284,7 +292,7 @@ class FreeRowPool:
         return self._rows
 
     # ------------------------------------------------------------------ #
-    # list-compatible API
+    # Size, and one row at a time
     # ------------------------------------------------------------------ #
     def __len__(self) -> int:
         return int(self._rows.shape[0])
@@ -292,21 +300,9 @@ class FreeRowPool:
     def __bool__(self) -> bool:
         return self._rows.shape[0] > 0
 
-    def __iter__(self):
-        return iter(self._rows.tolist())
-
-    def __contains__(self, row: int) -> bool:
-        return bool(np.any(self._rows == int(row)))
-
     def pop(self) -> int:
         if not self._rows.shape[0]:
             raise IndexError("pop from empty FreeRowPool")
         row = int(self._rows[-1])
         self._rows = self._rows[:-1]
         return row
-
-    def remove(self, row: int) -> None:
-        matches = np.nonzero(self._rows == int(row))[0]
-        if matches.size == 0:
-            raise ValueError(f"row {row} not in free pool")
-        self._rows = np.delete(self._rows, matches[0])

@@ -313,84 +313,6 @@ class HotSketch(Restorable):
         order = np.argsort(scores)[::-1]
         return keys[order[:k]]
 
-    # ------------------------------------------------------------------ #
-    # Merging (sharded stores)
-    # ------------------------------------------------------------------ #
-    def merge(self, other: "HotSketch") -> "HotSketch":
-        """Merge two sketches into a new one (SpaceSaving bucket merge).
-
-        Both sketches must share ``(num_buckets, slots_per_bucket, seed)`` so
-        that every key hashes to the same bucket in both.  Per bucket, the
-        slot union is formed, scores of keys recorded in both sketches are
-        summed, and the ``slots_per_bucket`` highest-scoring keys survive —
-        the standard mergeability argument for SpaceSaving summaries.  This
-        is what lets a sharded store expose one global hot-feature view from
-        per-shard sketches.
-
-        Payloads from ``self`` are preserved where their key survives;
-        ``other``'s payloads are dropped, because exclusive-row pointers are
-        only meaningful inside the embedding layer that owns them.
-        """
-        if not isinstance(other, HotSketch):
-            raise TypeError(f"can only merge HotSketch with HotSketch, got {type(other).__name__}")
-        if (self.num_buckets, self.slots_per_bucket, self.seed) != (
-            other.num_buckets,
-            other.slots_per_bucket,
-            other.seed,
-        ):
-            raise ValueError(
-                "sketches must agree on (num_buckets, slots_per_bucket, seed) to merge: "
-                f"({self.num_buckets}, {self.slots_per_bucket}, {self.seed}) vs "
-                f"({other.num_buckets}, {other.slots_per_bucket}, {other.seed})"
-            )
-
-        c = self.slots_per_bucket
-        keys = np.concatenate([self.keys, other.keys], axis=1)  # (w, 2c)
-        scores = np.concatenate([self.scores, other.scores], axis=1)
-        payloads = np.concatenate(
-            [self.payloads, np.full_like(other.payloads, NO_PAYLOAD)], axis=1
-        )
-
-        # Sort each bucket row by key so duplicates become adjacent, then fold
-        # each duplicate pair leftward (keys are unique within one sketch's
-        # bucket, so a key appears at most twice).
-        order = np.argsort(keys, axis=1, kind="stable")
-        keys = np.take_along_axis(keys, order, axis=1)
-        scores = np.take_along_axis(scores, order, axis=1)
-        payloads = np.take_along_axis(payloads, order, axis=1)
-        for j in range(1, 2 * c):
-            dup = (keys[:, j] == keys[:, j - 1]) & (keys[:, j] != EMPTY_KEY)
-            if not dup.any():
-                continue
-            scores[dup, j] += scores[dup, j - 1]
-            keep_prev = dup & (payloads[:, j] == NO_PAYLOAD)
-            payloads[keep_prev, j] = payloads[keep_prev, j - 1]
-            keys[dup, j - 1] = EMPTY_KEY
-            scores[dup, j - 1] = 0.0
-            payloads[dup, j - 1] = NO_PAYLOAD
-
-        # Keep the c highest-scoring occupied slots per bucket.
-        rank = np.where(keys == EMPTY_KEY, -np.inf, scores)
-        top = np.argsort(-rank, axis=1, kind="stable")[:, :c]
-        merged = HotSketch(self.num_buckets, c, self.seed)
-        merged.keys = np.take_along_axis(keys, top, axis=1)
-        empty = merged.keys == EMPTY_KEY
-        merged.scores = np.where(empty, 0.0, np.take_along_axis(scores, top, axis=1))
-        merged.payloads = np.where(empty, NO_PAYLOAD, np.take_along_axis(payloads, top, axis=1))
-        merged.total_insertions = self.total_insertions + other.total_insertions
-        return merged
-
-    @classmethod
-    def merge_all(cls, sketches: "list[HotSketch] | tuple[HotSketch, ...]") -> "HotSketch":
-        """Fold :meth:`merge` over a non-empty sequence of sketches."""
-        sketches = list(sketches)
-        if not sketches:
-            raise ValueError("merge_all requires at least one sketch")
-        merged = sketches[0]
-        for other in sketches[1:]:
-            merged = merged.merge(other)
-        return merged
-
     def memory_floats(self) -> int:
         """Each slot stores a key, a score and a payload: 3 attributes.
 

@@ -245,13 +245,6 @@ class ShardedEmbeddingStore(CompressedEmbedding):
     # ------------------------------------------------------------------ #
     # Introspection / checkpointing
     # ------------------------------------------------------------------ #
-    def merged_sketch(self):
-        """One global HotSketch: the pairwise SpaceSaving merge of every
-        shard's.  Shards that track no sketch (anything but CAFE-style
-        backends) raise ``NotImplementedError``."""
-        sketches = [shard.merged_sketch() for shard in self.shards]
-        return type(sketches[0]).merge_all(sketches)
-
     def describe(self) -> dict[str, float | int | str]:
         info = super().describe()
         info["num_shards"] = self.num_shards

@@ -49,12 +49,10 @@ class StoreSnapshot:
     def lookup(self, ids: np.ndarray) -> np.ndarray:
         """Embeddings of shape ``ids.shape + (dim,)`` at the frozen values;
         routed without a plan cache, so a read writes nothing the store holds."""
-        batch = UniqueBatch.build(as_id_array(ids), self.num_features)
-        if not len(batch):
-            return np.empty(batch.ids_shape + (self.dim,), dtype=self.dtype)
         table = self.table
-        rows = table.gather(batch.uids, table.routes(batch.uids))
-        return np.take(rows, batch.inverse, axis=0).reshape(batch.ids_shape + (self.dim,))
+        return UniqueBatch.build(as_id_array(ids), self.num_features).broadcast(
+            lambda uids: table.gather(uids, table.routes(uids)), self.dim, self.dtype
+        )
 
     def memory_floats(self) -> int:
         """Footprint of the frozen table (shared with the live store until

@@ -32,18 +32,20 @@ def roc_auc(labels: np.ndarray, scores: np.ndarray) -> float:
 
 
 def _average_ranks(values: np.ndarray) -> np.ndarray:
-    """1-based ranks with ties assigned their average rank."""
+    """1-based ranks with ties assigned their average rank: ``k + 1`` at
+    position ``k`` of the stable sort order, ``(first + last) / 2 + 1`` over
+    each run of equal values there."""
     order = np.argsort(values, kind="mergesort")
-    ranks = np.empty(values.size, dtype=np.float64)
     sorted_values = values[order]
-    i = 0
-    while i < values.size:
-        j = i
-        while j + 1 < values.size and sorted_values[j + 1] == sorted_values[i]:
-            j += 1
-        average = (i + j) / 2.0 + 1.0
-        ranks[order[i : j + 1]] = average
-        i = j + 1
+    # repeats[k]: sorted position k equals position k - 1 (padded both ends).
+    repeats = np.concatenate(([False], sorted_values[1:] == sorted_values[:-1], [False]))
+    del sorted_values  # live: the order and two rank arrays, as before
+    sorted_ranks = np.arange(1.0, values.size + 1.0)
+    edges = np.flatnonzero(repeats[1:] != repeats[:-1])
+    first, last = edges[0::2], edges[1::2]
+    sorted_ranks[repeats[:-1] | repeats[1:]] = np.repeat((first + last) / 2.0 + 1.0, last - first + 1)
+    ranks = np.empty_like(sorted_ranks)
+    ranks[order] = sorted_ranks
     return ranks
 
 

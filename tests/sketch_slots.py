@@ -3,6 +3,7 @@ the CAFE layer reaches them) for tests that set up or inspect a slot."""
 
 import numpy as np
 
+from repro.embeddings.plan import FreeRowPool
 from repro.sketch.hotsketch import NO_PAYLOAD
 
 
@@ -19,3 +20,14 @@ def set_payload(sketch, key: int, payload: int) -> bool:
     if found[0]:
         sketch.payloads[buckets[0], slots[0]] = payload
     return bool(found[0])
+
+
+def assign_row(layer, key: int, row: int) -> bool:
+    """Point ``key``'s slot at exclusive ``row`` and rebuild the CAFE layer's
+    free pool without it, as a promotion would; False, writing nothing,
+    when the key is not recorded."""
+    if not set_payload(layer.sketch, key, row):
+        return False
+    free = layer._free_rows.rows
+    layer._free_rows = FreeRowPool(free[free != row])
+    return True

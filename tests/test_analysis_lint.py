@@ -159,6 +159,44 @@ class TestClockAssert:
     def test_src_is_out_of_scope(self):
         assert not flags(self.RATIO_OF_LOCALS, TIMING_PATH, "bench-wallclock")
 
+    # benchmarks/test_fig13_latency_throughput.py before the two comparisons
+    # left it: one method's timed column against another's.
+    COMPARED_TIMING_COLUMNS = """
+    def test_fig13(benchmark):
+        result = run_once(benchmark, run_fig13_latency_throughput)
+        rows = {r["method"]: r for r in result.rows}
+        assert rows["hash"]["train_latency_ms"] <= rows["cafe"]["train_latency_ms"] * 3.0
+        assert rows["hash"]["inference_latency_ms"] <= rows["cafe"]["inference_latency_ms"] * 3.0
+    """
+
+    def test_flags_an_assert_comparing_two_timing_columns(self):
+        found = flags(self.COMPARED_TIMING_COLUMNS, "benchmarks/test_fig13_x.py", "bench-wallclock")
+        assert [violation.line for violation in found] == [5, 6]
+        assert "timing_columns" in found[0].message
+
+    def test_a_positivity_check_on_a_timing_column_passes(self):
+        source = """
+        def test_fig13(benchmark):
+            rows = {r["method"]: r for r in run_fig13_latency_throughput().rows}
+            for row in rows.values():
+                assert row["train_latency_ms"] > 0
+                assert row["train_throughput"] > 0
+            assert rows["hash"]["auc"] <= rows["cafe"]["auc"]
+        """
+        assert not flags(source, "benchmarks/test_fig13_x.py", "bench-wallclock")
+
+    def test_a_clock_assert_on_timing_columns_is_reported_once(self):
+        source = """
+        def test_fig18():
+            start = time.perf_counter()
+            row = run()
+            assert row["insert_mops"] > row["query_mops"] * (time.perf_counter() - start)
+        """
+        assert len(flags(source, "tests/test_x.py", "bench-wallclock")) == 1
+
+    def test_timing_columns_out_of_tests_pass(self):
+        assert not flags(self.COMPARED_TIMING_COLUMNS, TIMING_PATH, "bench-wallclock")
+
     def test_nested_function_is_reported_once(self):
         source = """
         def test_outer():

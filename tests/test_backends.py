@@ -23,7 +23,6 @@ from repro.store import ShardedEmbeddingStore
 from repro.training.checkpoint import load_checkpoint, save_checkpoint
 
 CHECKPOINTABLE = {"full", "hash", "cafe", "cafe_ml"}
-SKETCH_CARRYING = {"cafe", "cafe_ml"}
 
 SCHEMA = DatasetSchema(
     name="matrix",
@@ -66,14 +65,6 @@ def checkpointable(layer) -> bool:
     return True
 
 
-def sketch_carrying(layer) -> bool:
-    try:
-        layer.merged_sketch()
-    except NotImplementedError:
-        return False
-    return True
-
-
 class TestBackendTable:
     def test_every_method_name_is_a_backend(self):
         assert all(get_backend(name).name == name for name in METHOD_NAMES)
@@ -98,7 +89,6 @@ class TestCapabilityMatrix:
         layer = build(method)
         train(layer)
         assert checkpointable(layer) == (method in CHECKPOINTABLE)
-        assert sketch_carrying(layer) == (method in SKETCH_CARRYING)
         if method not in CHECKPOINTABLE:
             with pytest.raises(NotImplementedError):
                 layer.load_state_dict({})
@@ -106,7 +96,6 @@ class TestCapabilityMatrix:
     def test_store(self, method):
         store = build(method, num_shards=2 if method == "cafe" else 1)
         assert checkpointable(store) == (method in CHECKPOINTABLE)
-        assert sketch_carrying(store) == (method in SKETCH_CARRYING)
 
     def test_checkpoint_has_sparse(self, method, tmp_path):
         def model(seed):
@@ -145,7 +134,6 @@ def test_a_class_of_your_own_is_checkpointable_through_a_store():
     restored.load_state_dict(trained.state_dict())
     ids = np.arange(SCHEMA.num_fields * 20).reshape(-1, SCHEMA.num_fields)
     assert np.array_equal(restored.lookup(ids), trained.lookup(ids))
-    assert not sketch_carrying(trained)
 
 
 def test_sparse_section_into_a_stateless_store_is_refused(tmp_path):

@@ -2,19 +2,24 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import repro.embeddings.cafe as cafe_module
+import repro.sketch.hotsketch as hotsketch_module
 from repro.embeddings.cafe import HYSTERESIS, CafeEmbedding
 from repro.embeddings.cafe_ml import SECONDARY_SHARE, CafeMultiLevelEmbedding
 from repro.embeddings.memory import MemoryBudget
 from repro.embeddings.offline import OfflineSeparationEmbedding
-from repro.sketch.hotsketch import NO_PAYLOAD
-from sketch_slots import payloads_of, set_payload
+from repro.sketch.hotsketch import NO_PAYLOAD, HotSketch
+from repro.utils.hashing import hash_to_range
+from sketch_slots import assign_row, payloads_of
 
 DIM = 8
 N = 2000
 
 
-def make_cafe(**kwargs):
+def make_cafe(cls=CafeEmbedding, **kwargs):
     defaults = dict(
         num_features=N,
         dim=DIM,
@@ -25,7 +30,18 @@ def make_cafe(**kwargs):
         rng=0,
     )
     defaults.update(kwargs)
-    return CafeEmbedding(**defaults)
+    return cls(**defaults)
+
+
+def make_cafe_ml(**kwargs):
+    defaults = dict(num_secondary_rows=16)
+    defaults.update(kwargs)
+    return make_cafe(cls=CafeMultiLevelEmbedding, **defaults)
+
+
+def shared_rows_of(emb, ids):
+    """The shared-table rows of ``ids``, hashed independently of the layer."""
+    return emb.shared_table[hash_to_range(np.asarray(ids), emb.num_shared_rows, seed=emb.hash_seed)]
 
 
 def train_on_skewed_stream(embedding, hot_ids, steps=60, batch=64, seed=0):
@@ -89,15 +105,13 @@ class TestLookupPaths:
         emb = make_cafe()
         ids = np.asarray([10, 20])
         out = emb.lookup(ids)
-        rows = emb._shared_lookup(ids)
-        assert np.allclose(out, rows)
+        assert np.array_equal(out, shared_rows_of(emb, ids))
 
     def test_hot_feature_uses_exclusive_row(self):
         emb = make_cafe(hot_threshold=5.0)
         # Manually record feature 7 as hot with a payload.
         emb.sketch.insert(np.asarray([7]), np.asarray([10.0]))
-        assert set_payload(emb.sketch, 7, 3)
-        emb._free_rows.remove(3)
+        assert assign_row(emb, 7, 3)
         out = emb.lookup(np.asarray([7]))
         assert np.allclose(out[0], emb.hot_table[3])
 
@@ -120,7 +134,7 @@ class TestMigration:
     def test_promotion_initializes_from_shared_row(self):
         emb = make_cafe(hot_threshold=1e-8, rebalance_interval=1)
         feature = 42
-        shared_before = emb._shared_lookup(np.asarray([feature]))[0].copy()
+        shared_before = shared_rows_of(emb, [feature])[0].copy()
         emb.apply_gradients(np.asarray([feature]), np.full((1, DIM), 1e-6))
         payload = payloads_of(emb.sketch, [feature])[0]
         assert payload != NO_PAYLOAD
@@ -203,6 +217,77 @@ class TestMigration:
         assert emb.hot_threshold == 1e9
 
 
+class TestOneReadPath:
+    """A CAFE table reads a feature one way, routes -> gather: the step's
+    lookup, CAFE-ML's medium class and a promotion's initial row."""
+
+    def test_a_cafe_ml_step_probes_the_sketch_once(self, monkeypatch):
+        emb = make_cafe_ml(hot_threshold=1.0, rebalance_interval=1000)
+        rng = np.random.default_rng(0)
+        ids = rng.integers(0, 64, size=(32, 3))
+        emb.apply_gradients(ids, rng.normal(scale=0.1, size=ids.shape + (DIM,)))
+        queries, probes = [], []
+        real_query, real_hash = HotSketch.query, cafe_module.hash_to_bucket
+
+        def query(sketch, keys):
+            queries.append(keys)
+            return real_query(sketch, keys)
+
+        def hash_to_bucket(values, num_buckets, seed=0):
+            probes.append(seed)
+            return real_hash(values, num_buckets, seed=seed)
+
+        monkeypatch.setattr(HotSketch, "query", query)
+        monkeypatch.setattr(cafe_module, "hash_to_bucket", hash_to_bucket)
+        monkeypatch.setattr(hotsketch_module, "hash_to_bucket", hash_to_bucket)
+        emb.lookup(ids)  # step 2: no rebalance
+        assert emb._cached_plan.routes["medium_mask"].any()
+        emb.apply_gradients(ids, rng.normal(scale=0.1, size=ids.shape + (DIM,)))
+        assert emb.step() == 2
+        assert queries == []
+        assert probes.count(emb.sketch.seed) == 1
+
+    @pytest.mark.parametrize("cls", [CafeEmbedding, CafeMultiLevelEmbedding])
+    def test_a_promoted_row_is_the_gather_taken_just_before(self, cls, monkeypatch):
+        kwargs = {"num_secondary_rows": 16} if cls is CafeMultiLevelEmbedding else {}
+        emb = make_cafe(cls=cls, hot_threshold=5.0, **kwargs)
+        emb.sketch.insert(np.asarray([1, 2, 3]), np.asarray([10.0, 7.0, 1.5]))
+        ids = np.asarray([1, 2])
+        routes = emb.routes(ids)
+        before = emb.gather(ids, routes)
+        if cls is CafeMultiLevelEmbedding:
+            assert routes["medium_mask"].all()  # each reads two rows until promoted
+        gathered = []
+        real_gather = CafeEmbedding.gather
+
+        def gather(layer, uids, routes):
+            gathered.append(sorted(uids.tolist()))
+            return real_gather(layer, uids, routes)
+
+        monkeypatch.setattr(CafeEmbedding, "gather", gather)
+        emb._rebalance()
+        rows = payloads_of(emb.sketch, ids)
+        assert (rows != NO_PAYLOAD).all()
+        assert gathered == [[1, 2]]
+        assert np.array_equal(emb.hot_table[rows], before)
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        st.lists(st.integers(0, 40), min_size=1, max_size=60),
+        st.lists(st.floats(0.0, 30.0), min_size=60, max_size=60),
+        st.floats(0.5, 20.0),
+    )
+    def test_the_medium_class_is_the_sketch_score_band(self, keys, scores, threshold):
+        emb = make_cafe_ml(num_hot_rows=4, slots_per_bucket=2, hot_threshold=threshold)
+        emb.sketch.insert(np.asarray(keys), np.asarray(scores[: len(keys)]))
+        emb._rebalance()
+        ids = np.arange(48)
+        routes = emb.routes(ids)
+        cold = ids[~routes["hot_mask"]]
+        oracle = emb.sketch.query(cold) >= emb.medium_threshold
+        assert np.array_equal(routes["medium_mask"], oracle)
+
+
 class TestClassification:
     """CAFE owns the hot (and CAFE-ML the medium) threshold; the sketch only
     holds the scores it compares against them."""
@@ -225,7 +310,7 @@ class TestClassification:
         emb._rebalance()
         assert emb.medium_threshold == pytest.approx(2.0)
         assert (payloads_of(emb.sketch, [1, 2, 3]) != NO_PAYLOAD).tolist() == [True, False, False]
-        assert emb._medium_mask(np.asarray([2, 3])).tolist() == [True, False]
+        assert emb.routes(np.asarray([2, 3]))["medium_mask"].tolist() == [True, False]
 
     def test_hot_features_listing(self):
         emb = make_cafe(hot_threshold=5.0)

@@ -8,7 +8,7 @@ from repro.embeddings.cafe import CafeEmbedding, rows_partition
 from repro.embeddings.plan import FreeRowPool, RoutingPlan, ScatterPlan
 from repro.sketch.hotsketch import EMPTY_KEY, NO_PAYLOAD, EvictionBatch, HotSketch
 from repro.store import ShardedEmbeddingStore
-from sketch_slots import set_payload
+from sketch_slots import assign_row, set_payload
 
 N = 2000
 DIM = 8
@@ -96,8 +96,7 @@ class TestPlanReuse:
         # Mutating the sketch behind the layer's back must not leave a stale
         # plan: feature 7 becomes hot with an exclusive row.
         emb.sketch.insert(np.asarray([7]), np.asarray([10.0]))
-        assert set_payload(emb.sketch, 7, 3)
-        emb._free_rows.remove(3)
+        assert assign_row(emb, 7, 3)
         out = emb.lookup(ids)
         assert np.allclose(out[0], emb.hot_table[3])
 
@@ -194,15 +193,14 @@ class TestFreeRowPool:
         pool = FreeRowPool(np.empty(0, dtype=np.int64))
         released = pool.release(np.asarray([3, -1, 7, -1]))
         assert released == 2
-        assert sorted(pool) == [3, 7]
+        assert sorted(pool.rows.tolist()) == [3, 7]
 
-    def test_remove_and_contains(self):
-        pool = FreeRowPool(4)
-        pool.remove(2)
-        assert 2 not in pool
-        assert len(pool) == 3
-        with pytest.raises(ValueError):
-            pool.remove(2)
+    def test_pop_refuses_an_empty_pool(self):
+        pool = FreeRowPool(1)
+        assert pool.pop() == 0
+        assert not pool and len(pool) == 0
+        with pytest.raises(IndexError):
+            pool.pop()
 
     def test_partition_rule_catches_double_free(self):
         pool = FreeRowPool(np.asarray([1, 2]))

@@ -296,84 +296,3 @@ class TestCheckpointing:
         assert all(a is b for a, b in zip(live, (other.keys, other.scores, other.payloads)))
         assert np.array_equal(other.scores, sketch.scores)
 
-
-class TestMerge:
-    def test_disjoint_keys_union(self):
-        a = HotSketch(num_buckets=64, slots_per_bucket=4, seed=5)
-        b = HotSketch(num_buckets=64, slots_per_bucket=4, seed=5)
-        a.insert(np.arange(0, 50), np.full(50, 2.0))
-        b.insert(np.arange(1000, 1050), np.full(50, 3.0))
-        merged = a.merge(b)
-        for key in range(0, 50):
-            assert merged.query(np.asarray([key]))[0] in (0.0, a.query(np.asarray([key]))[0])
-        # Keys only in b keep b's scores (when they survive top-c selection).
-        kept_b = [k for k in range(1000, 1050) if merged.query(np.asarray([k]))[0] > 0]
-        assert kept_b, "merge dropped every key from the second sketch"
-        for key in kept_b:
-            assert merged.query(np.asarray([key]))[0] == b.query(np.asarray([key]))[0]
-        assert merged.total_insertions == a.total_insertions + b.total_insertions
-
-    def test_common_keys_sum_scores(self):
-        """The SpaceSaving merge guarantee: a key recorded in both sketches
-        carries the sum of its per-sketch scores."""
-        a = HotSketch(num_buckets=32, slots_per_bucket=4, seed=5)
-        b = HotSketch(num_buckets=32, slots_per_bucket=4, seed=5)
-        keys = np.arange(20)
-        a.insert(keys, np.full(20, 2.0))
-        b.insert(keys, np.full(20, 5.0))
-        merged = a.merge(b)
-        expected = a.query(keys) + b.query(keys)
-        recorded = merged.query(keys) > 0
-        assert recorded.any()
-        assert np.array_equal(merged.query(keys)[recorded], expected[recorded])
-
-    def test_keeps_top_slots_per_bucket(self):
-        """When the union overflows a bucket, the highest scores survive."""
-        a = HotSketch(num_buckets=1, slots_per_bucket=2, seed=5)
-        b = HotSketch(num_buckets=1, slots_per_bucket=2, seed=5)
-        a.insert(np.asarray([1, 2]), np.asarray([5.0, 1.0]))
-        b.insert(np.asarray([3, 4]), np.asarray([9.0, 2.0]))
-        merged = a.merge(b)
-        surviving = set(merged.keys[merged.keys != EMPTY_KEY].tolist())
-        assert surviving == {1, 3}  # top-2 of {1: 5, 2: 1, 3: 9, 4: 2}
-
-    def test_merge_preserves_self_payloads_only(self):
-        a = HotSketch(num_buckets=16, slots_per_bucket=4, seed=5)
-        b = HotSketch(num_buckets=16, slots_per_bucket=4, seed=5)
-        a.insert(np.asarray([7]), np.asarray([4.0]))
-        b.insert(np.asarray([8]), np.asarray([4.0]))
-        assert set_payload(a, 7, 123)
-        assert set_payload(b, 8, 456)
-        merged = a.merge(b)
-        assert payloads_of(merged, [7, 8]).tolist() == [123, NO_PAYLOAD]
-
-    def test_merge_does_not_mutate_inputs(self):
-        a = HotSketch(num_buckets=16, slots_per_bucket=2, seed=5)
-        b = HotSketch(num_buckets=16, slots_per_bucket=2, seed=5)
-        a.insert(np.arange(30), np.full(30, 1.0))
-        b.insert(np.arange(15, 45), np.full(30, 1.0))
-        keys_a, scores_a = a.keys.copy(), a.scores.copy()
-        keys_b, scores_b = b.keys.copy(), b.scores.copy()
-        a.merge(b)
-        assert np.array_equal(a.keys, keys_a) and np.array_equal(a.scores, scores_a)
-        assert np.array_equal(b.keys, keys_b) and np.array_equal(b.scores, scores_b)
-
-    def test_incompatible_shapes_rejected(self):
-        a = HotSketch(num_buckets=16, slots_per_bucket=4, seed=5)
-        with pytest.raises(ValueError):
-            a.merge(HotSketch(num_buckets=8, slots_per_bucket=4, seed=5))
-        with pytest.raises(ValueError):
-            a.merge(HotSketch(num_buckets=16, slots_per_bucket=4, seed=6))
-        with pytest.raises(TypeError):
-            a.merge(object())
-
-    def test_merge_all_folds(self):
-        sketches = []
-        for i in range(3):
-            s = HotSketch(num_buckets=32, slots_per_bucket=4, seed=5)
-            s.insert(np.arange(i * 10, i * 10 + 10), np.full(10, 1.0 + i))
-            sketches.append(s)
-        merged = HotSketch.merge_all(sketches)
-        assert merged.total_insertions == sum(s.total_insertions for s in sketches)
-        with pytest.raises(ValueError):
-            HotSketch.merge_all([])

@@ -8,8 +8,10 @@ from repro.data.synthetic import SyntheticConfig, SyntheticCTRDataset
 from repro.embeddings.cafe import CafeEmbedding
 from repro.embeddings.hash_embedding import HashEmbedding
 from repro.models.dlrm import DLRM
+from repro.sketch.hotsketch import EMPTY_KEY
 from repro.store import DEFAULT_SHARD_SEED, ShardedEmbeddingStore, StoreSnapshot, ensure_store
 from repro.training.trainer import Trainer
+from repro.utils.hashing import hash_to_range
 
 DIM = 8
 
@@ -169,10 +171,12 @@ class TestSharding:
         # Store-level partition is built in lookup and reused by apply_gradients.
         stats = trainer.embedding_plan_stats()
         assert stats["reuse_rate"] == 0.5
-        # Per-shard CAFE sketches stay mergeable into one global view.
-        merged = store.merged_sketch()
-        assert merged is not None
-        assert merged.total_insertions == sum(s.sketch.total_insertions for s in store.shards)
+        # The shard hash splits the ids, so each shard's own sketch records
+        # only the ids it owns: it is the whole hot view of them.
+        for index, shard in enumerate(store.shards):
+            recorded = shard.sketch.keys[shard.sketch.keys != EMPTY_KEY]
+            assert recorded.size and shard.sketch.total_insertions > 0
+            assert (hash_to_range(recorded, 4, seed=DEFAULT_SHARD_SEED) == index).all()
 
     def test_memory_and_describe_aggregate_shards(self):
         store = ShardedEmbeddingStore.build(

@@ -2,9 +2,35 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.errors import DataError
-from repro.training.metrics import log_loss, recall_at_k, roc_auc
+from repro.training.metrics import _average_ranks, log_loss, recall_at_k, roc_auc
+
+
+def loop_average_ranks(values):
+    """The per-element oracle: walk the stable sort, one tie run at a time."""
+    order = np.argsort(values, kind="mergesort")
+    ranks = np.empty(values.size, dtype=np.float64)
+    sorted_values = values[order]
+    i = 0
+    while i < values.size:
+        j = i
+        while j + 1 < values.size and sorted_values[j + 1] == sorted_values[i]:
+            j += 1
+        ranks[order[i : j + 1]] = (i + j) / 2.0 + 1.0
+        i = j + 1
+    return ranks
+
+
+def loop_roc_auc(labels, scores):
+    """Mann-Whitney AUC over the oracle's ranks, summed as roc_auc sums them."""
+    positives = labels > 0.5
+    num_pos = int(positives.sum())
+    num_neg = labels.size - num_pos
+    ranks = loop_average_ranks(scores)
+    return float((ranks[positives].sum() - num_pos * (num_pos + 1) / 2.0) / (num_pos * num_neg))
 
 
 class TestRocAuc:
@@ -37,6 +63,19 @@ class TestRocAuc:
         neg = scores[labels == 0]
         pairwise = np.mean([(p > n) + 0.5 * (p == n) for p in pos for n in neg])
         assert roc_auc(labels, scores) == pytest.approx(pairwise)
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        st.lists(st.sampled_from([0.0, 0.25, 0.5, 1.0, float("nan")]), min_size=1, max_size=300),
+        st.integers(0, 2**32 - 1),
+    )
+    def test_ranks_and_auc_match_the_loop_under_heavy_ties(self, values, seed):
+        scores = np.asarray(values)
+        assert np.array_equal(_average_ranks(scores), loop_average_ranks(scores))
+        labels = np.random.default_rng(seed).integers(0, 2, size=scores.size).astype(np.float64)
+        labels[0], labels[-1] = 0.0, 1.0
+        if scores.size > 1:  # bit for bit, NaN scores included
+            assert np.array_equal(roc_auc(labels, scores), loop_roc_auc(labels, scores), equal_nan=True)
 
     def test_single_class_rejected(self):
         with pytest.raises(DataError):

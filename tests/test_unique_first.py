@@ -32,7 +32,7 @@ from repro.errors import (
     NonFiniteGradientError,
     NonIntegerIdError,
 )
-from repro.store import ShardedEmbeddingStore
+from repro.store import DEFAULT_SHARD_SEED, ShardedEmbeddingStore
 from repro.utils.hashing import hash_to_range
 
 N, DIM = 2000, 4
@@ -72,6 +72,23 @@ class TestUniqueBatch:
         assert batch.starts.tolist() == [0, 2, 5]
         assert batch.counts().tolist() == [2, 3, 1]
         assert batch.matches(ids) and not batch.matches(ids.reshape(-1))
+
+    def test_broadcast_puts_each_id_row_at_its_positions(self):
+        """The position axis of every lookup, the store's and a snapshot's."""
+        ids = np.asarray([[7, 3, 7], [3, 9, 7]])
+        calls = []
+
+        def rows_of(uids):
+            calls.append(uids.tolist())
+            return np.repeat(uids[:, None].astype(np.float32), DIM, axis=1)
+
+        out = UniqueBatch.build(ids, 10).broadcast(rows_of, DIM, np.float32)
+        assert calls == [[3, 7, 9]]
+        assert out.shape == (2, 3, DIM) and np.array_equal(out[..., 0], ids)
+        empty = UniqueBatch.build(np.empty((0, 4), dtype=np.int64), 10)
+        assert empty.broadcast(rows_of, DIM, np.float64).dtype == np.float64
+        assert empty.broadcast(rows_of, DIM, np.float32).shape == (0, 4, DIM)
+        assert len(calls) == 1
 
     @pytest.mark.parametrize("shape", [(40, 5), (1,), (64,)])
     def test_sum_per_id_equals_a_position_loop(self, shape):
@@ -601,6 +618,8 @@ class TestWire:
         assert store.use_frequency
         ids = np.asarray([[5, 5, 9], [5, 9, 11]])
         store.apply_gradients(ids, np.ones(ids.shape + (DIM,), dtype=np.float32))
-        # The importance each id reached its shard's sketch with is its count.
-        scores = store.merged_sketch().query(np.asarray([5, 9, 11]))
-        assert scores.tolist() == [3.0, 2.0, 1.0]
+        # The importance each id reached its owner shard's sketch with is its count.
+        uids = np.asarray([5, 9, 11])
+        owners = hash_to_range(uids, 2, seed=DEFAULT_SHARD_SEED)
+        scores = [store.shards[o].sketch.query(uids[i : i + 1])[0] for i, o in enumerate(owners)]
+        assert scores == [3.0, 2.0, 1.0]
