@@ -10,24 +10,24 @@ Run with:  python examples/compression_sweep.py
 
 from __future__ import annotations
 
-from repro.experiments import build_dataset, compare_methods, format_table
+from repro.experiments import World, format_table, grid, mean_rows, run_paired
 
 METHODS = ["full", "hash", "qr", "adaembed", "mde", "cafe", "cafe_ml"]
 RATIOS = [1.0, 5.0, 20.0, 100.0, 500.0]
 
 
 def main() -> None:
-    dataset = build_dataset("criteo", scale="tiny", seed=0)
+    world = World("criteo")
+    schema = world.build("tiny", seed=0).schema
     print(
-        f"dataset: {dataset.schema.name} preset, {dataset.schema.num_features} features, "
-        f"{dataset.schema.num_days - 1} training days"
+        f"dataset: {schema.name} preset, {schema.num_features} features, "
+        f"{schema.num_days - 1} training days"
     )
-    outcomes = compare_methods(dataset, METHODS, RATIOS, model_name="dlrm", scale="tiny", seed=0)
+    outcomes = run_paired(world, grid(METHODS, RATIOS, "dlrm"), scale="tiny", seeds=(0,))
 
     rows = []
-    for outcome in outcomes:
-        row = outcome.as_row()
-        if not outcome.feasible:
+    for row in mean_rows(outcomes).values():
+        if not row["feasible"]:
             row["train_loss"] = "-"
             row["test_auc"] = "infeasible"
         rows.append(row)

@@ -15,7 +15,8 @@ The traffic is what this repository runs for real:
 * every ``EXPERIMENTS`` and ``ABLATIONS`` runner at ``tiny`` scale;
 * ``train`` / ``serve`` / ``pipeline`` / ``describe`` over each
   ``examples/configs/*.json``, and ``validate-config``;
-* CI's pipeline and ``serve --replicas 3`` smokes, ``analyze --strict`` and
+* CI's pipeline, ``serve --replicas 3`` and two-seed ``experiment sweep``
+  smokes, ``analyze --strict`` and
   ``analyze --write-graph`` (against a copy of ``src/``);
 * every ``examples/*.py``;
 * ``perf/run.py --smoke`` (every workload, untraced and traced);
@@ -233,6 +234,9 @@ def repo_legs(experiments: list[str], scratch_src: str) -> dict[str, list[str]]:
     legs["ci-serve-replicas"] = cli + ["serve", "--replicas", "3", "--set", "serve.warmup_steps=8"]
     legs["ci-serve-replicas-hash"] = legs["ci-serve-replicas"] + ["--set", "store.spec=hash"]
     legs["ci-serve-replicas-stack"] = legs["ci-serve-replicas"] + ["--set", "store.num_shards=2"]
+    legs["ci-experiment-sweep"] = cli + [
+        "experiment", "sweep", "--scale", "tiny", "--methods", "hash", "cafe", "--ratios", "10",
+        "--seeds", "0", "1"]
     legs["analyze-strict"] = cli + ["analyze", "--strict"]
     legs["analyze-write-graph"] = cli + ["analyze", "--write-graph", "--root", scratch_src]
     for example in sorted((REPO / "examples").glob("*.py")):

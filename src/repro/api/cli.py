@@ -101,7 +101,8 @@ def _add_experiment_parser(subparsers) -> None:
                      help="experiment id (e.g. fig8, ablation_slots)")
     run.add_argument("--scale", default="tiny", choices=["tiny", "small", "medium"],
                      help="workload scale (default: tiny)")
-    run.add_argument("--seed", type=int, default=0, help="base random seed")
+    run.add_argument("--seeds", type=int, nargs="+", default=[0],
+                     help="random seeds; each builds its own world (default: 0)")
     run.add_argument("--output", type=Path, default=None,
                      help="write the result table to this file")
 
@@ -114,7 +115,7 @@ def _add_experiment_parser(subparsers) -> None:
     sweep.add_argument("--ratios", nargs="+", type=float, default=[10.0, 100.0],
                        help="compression ratios to sweep")
     sweep.add_argument("--scale", default="tiny", choices=["tiny", "small", "medium"])
-    sweep.add_argument("--seed", type=int, default=0)
+    sweep.add_argument("--seeds", type=int, nargs="+", default=[0])
     sweep.add_argument("--output", type=Path, default=None)
 
 
@@ -164,8 +165,12 @@ def _run_validate(paths: list[Path]) -> int:
     return 0
 
 
-def _experiment_kwargs(experiment_id: str, scale: str, seed: int) -> dict:
-    """Map CLI options onto the (slightly heterogeneous) runner signatures."""
+def _experiment_kwargs(experiment_id: str, scale: str, seeds: list[int]) -> dict:
+    """Map CLI options onto the (slightly heterogeneous) runner signatures.
+
+    A runner without a ``seeds`` parameter takes one seed; given more, it is
+    refused (``ValueError``) rather than run on the first.
+    """
     from repro.experiments import EXPERIMENTS
     from repro.experiments.registry import ABLATIONS
 
@@ -174,20 +179,24 @@ def _experiment_kwargs(experiment_id: str, scale: str, seed: int) -> dict:
     kwargs: dict = {}
     if "scale" in parameters:
         kwargs["scale"] = scale
-    if "seed" in parameters:
-        kwargs["seed"] = seed
-    elif "seeds" in parameters:
-        kwargs["seeds"] = (seed,)
+    if "seeds" in parameters:
+        kwargs["seeds"] = tuple(seeds)
+    elif len(seeds) > 1:
+        raise ValueError(f"{experiment_id} takes one seed, got --seeds {' '.join(map(str, seeds))}")
+    elif "seed" in parameters:
+        kwargs["seed"] = seeds[0]
     return kwargs
 
 
 def _run_experiment(args: argparse.Namespace) -> int:
     from repro.experiments import (
         EXPERIMENTS,
-        build_dataset,
-        compare_methods,
+        World,
         format_table,
+        grid,
+        mean_rows,
         run_experiment,
+        run_paired,
     )
     from repro.experiments.registry import ABLATIONS
     from repro.experiments.reporting import ExperimentResult
@@ -201,22 +210,19 @@ def _run_experiment(args: argparse.Namespace) -> int:
         return 0
 
     if args.action == "run":
-        kwargs = _experiment_kwargs(args.experiment, args.scale, args.seed)
+        try:
+            kwargs = _experiment_kwargs(args.experiment, args.scale, args.seeds)
+        except ValueError as exc:
+            print(f"error: {exc}", file=sys.stderr)
+            return 2
         result = run_experiment(args.experiment, **kwargs)
     else:
-        dataset = build_dataset(args.dataset, scale=args.scale, seed=args.seed)
-        outcomes = compare_methods(
-            dataset,
-            list(args.methods),
-            list(args.ratios),
-            model_name=args.model,
-            scale=args.scale,
-            seed=args.seed,
-        )
+        configs = grid(args.methods, args.ratios, args.model)
+        outcomes = run_paired(World(args.dataset), configs, args.scale, tuple(args.seeds))
         result = ExperimentResult(
             experiment_id="sweep",
             title=f"{args.model} on the {args.dataset} preset",
-            rows=[o.as_row() for o in outcomes],
+            rows=list(mean_rows(outcomes).values()),
         )
     _emit(result.to_text(), args.output)
     return 0

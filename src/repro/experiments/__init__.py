@@ -2,12 +2,15 @@
 
 from repro.experiments.common import (
     SCALES,
+    RunConfig,
     ScaleSpec,
-    averaged_rows,
+    World,
     build_dataset,
     build_embedding,
     build_model,
-    compare_methods,
+    grid,
+    mean_rows,
+    run_paired,
     run_single,
 )
 from repro.experiments.registry import EXPERIMENTS, ExperimentSpec, list_experiments, run_experiment
@@ -20,8 +23,11 @@ __all__ = [
     "build_embedding",
     "build_model",
     "run_single",
-    "compare_methods",
-    "averaged_rows",
+    "World",
+    "RunConfig",
+    "grid",
+    "run_paired",
+    "mean_rows",
     "ExperimentResult",
     "format_table",
     "EXPERIMENTS",

@@ -16,10 +16,10 @@ quantifies.  These runners isolate them end to end on the Criteo preset:
 
 from __future__ import annotations
 
-import numpy as np
+import inspect
 
-from repro.data.drift import RotatingDrift
-from repro.experiments.common import build_dataset, get_scale, run_single
+from repro.embeddings.cafe import CafeEmbedding
+from repro.experiments.common import RunConfig, World, get_scale, mean_rows, run_paired
 from repro.experiments.reporting import ExperimentResult
 
 
@@ -34,25 +34,14 @@ def run_ablation_slots_per_bucket(
         experiment_id="ablation_slots",
         title="CAFE ablation: HotSketch slots per bucket (fixed sketch memory)",
     )
-    dataset = build_dataset("criteo", scale=scale, seed=seeds[0])
-    for slots in slots_options:
-        losses, aucs = [], []
-        for seed in seeds:
-            outcome = run_single(
-                dataset,
-                "cafe",
-                compression_ratio,
-                scale=scale,
-                seed=seed,
-                embedding_kwargs={"slots_per_bucket": slots},
-            )
-            losses.append(outcome.train_loss)
-            aucs.append(outcome.test_auc)
-        result.add_row(
-            slots_per_bucket=slots,
-            train_loss=round(float(np.mean(losses)), 4),
-            test_auc=round(float(np.mean(aucs)), 4),
-        )
+    configs = [
+        RunConfig("cafe", compression_ratio, embedding_kwargs=(("slots_per_bucket", slots),))
+        for slots in slots_options
+    ]
+    rows = mean_rows(run_paired(World("criteo"), configs, scale, seeds))
+    for slots, config in zip(slots_options, configs):
+        row = rows[config]
+        result.add_row(slots_per_bucket=slots, train_loss=row["train_loss"], test_auc=row["test_auc"])
     result.add_note("the paper adopts 4 slots per bucket as the recall/throughput sweet spot (§5.6)")
     return result
 
@@ -69,41 +58,36 @@ def run_ablation_adaptivity(
         title="CAFE ablation: migration and decay under distribution drift",
     )
     spec = get_scale(scale)
-    drift = RotatingDrift(swap_fraction=drift_swap_fraction, seed=seeds[0] + 1)
-    dataset = build_dataset("criteo", scale=scale, seed=seeds[0], drift=drift)
-
     variants = {
         # Full CAFE: adaptive threshold, frequent rebalance, decaying scores.
-        "cafe": {},
+        "cafe": RunConfig("cafe", compression_ratio),
         # No decay: scores accumulate forever, old hot features never fade.
-        "cafe_no_decay": {"decay": 1.0},
+        "cafe_no_decay": RunConfig("cafe", compression_ratio, embedding_kwargs=(("decay", 1.0),)),
         # Frozen assignment: an absurdly long rebalance interval means features
         # that grab exclusive rows early keep them regardless of later drift.
-        "cafe_no_migration": {"rebalance_interval": 10_000_000, "hot_threshold": 1.0},
+        "cafe_no_migration": RunConfig(
+            "cafe",
+            compression_ratio,
+            embedding_kwargs=(("rebalance_interval", 10_000_000), ("hot_threshold", 1.0)),
+        ),
         # Static hash baseline for reference.
-        "hash": None,
+        "hash": RunConfig("hash", compression_ratio),
     }
-    for name, kwargs in variants.items():
-        method = "hash" if kwargs is None else "cafe"
-        losses, aucs = [], []
-        for seed in seeds:
-            outcome = run_single(
-                dataset,
-                method,
-                compression_ratio,
-                scale=scale,
-                seed=seed,
-                embedding_kwargs=kwargs or {},
-            )
-            losses.append(outcome.train_loss)
-            aucs.append(outcome.test_auc)
-        result.add_row(
-            variant=name,
-            train_loss=round(float(np.mean(losses)), 4),
-            test_auc=round(float(np.mean(aucs)), 4),
-        )
+    world = World("criteo", swap_fraction=drift_swap_fraction)
+    outcomes = run_paired(world, list(variants.values()), scale, seeds)
+    rows = mean_rows(outcomes)
+    for name, config in variants.items():
+        row = rows[config]
+        result.add_row(variant=name, train_loss=row["train_loss"], test_auc=row["test_auc"])
     result.add_note(
         f"stream uses an amplified drift (swap fraction {drift_swap_fraction}); "
         f"{spec.samples_per_day} samples/day"
     )
+    steps = max(len(outcomes[variants["cafe"], seed].history.losses) for seed in seeds)
+    decay_interval = inspect.signature(CafeEmbedding).parameters["decay_interval"].default
+    if steps < decay_interval:
+        result.add_note(
+            f"no decay fired: a run is {steps} steps and CAFE decays every {decay_interval}, "
+            "so cafe_no_decay repeats cafe's run"
+        )
     return result

@@ -4,16 +4,20 @@ Every end-to-end experiment follows the same recipe: build a scaled synthetic
 dataset preset, construct an embedding method at a target compression ratio,
 train one chronological epoch, and record the online metric (average training
 loss) and the offline metric (testing AUC on the last day).  This module owns
-that recipe so the individual runners contain only the sweep logic specific
-to their figure.
+that recipe (:func:`run_single`) and the one shape every comparison figure
+takes over it: a :class:`World`, a list of :class:`RunConfig`, and seeds, run
+by :func:`run_paired` (one world per seed, every config on it) and reduced to
+table rows by :func:`mean_rows`.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Any
 
 import numpy as np
 
+from repro.data.drift import RotatingDrift
 from repro.data.schema import DatasetSchema, make_preset
 from repro.data.synthetic import SyntheticConfig, SyntheticCTRDataset
 from repro.embeddings import create_embedding
@@ -155,17 +159,6 @@ class RunOutcome:
     feasible: bool = True
     failure_reason: str = ""
 
-    def as_row(self) -> dict:
-        return {
-            "method": self.method,
-            "compression_ratio": self.compression_ratio,
-            "achieved_ratio": round(self.achieved_ratio, 1),
-            "train_loss": round(self.train_loss, 4),
-            "test_auc": round(self.test_auc, 4),
-            "test_log_loss": round(self.test_log_loss, 4),
-            "feasible": self.feasible,
-        }
-
 
 def run_single(
     dataset: SyntheticCTRDataset,
@@ -217,93 +210,122 @@ def run_single(
     )
 
 
-def compare_methods(
-    dataset: SyntheticCTRDataset,
-    methods: list[str],
-    compression_ratios: list[float],
-    model_name: str = "dlrm",
-    scale: str | ScaleSpec = "tiny",
-    seed: int = 0,
-    eval_every: int | None = None,
-) -> list[RunOutcome]:
-    """Sweep methods × compression ratios (the generic figure-8-style grid)."""
-    outcomes = []
-    for method in methods:
-        for ratio in compression_ratios:
-            if method == "full" and ratio != 1.0:
-                continue
-            outcomes.append(
-                run_single(
-                    dataset,
-                    method,
-                    ratio,
-                    model_name=model_name,
-                    scale=scale,
-                    seed=seed,
-                    eval_every=eval_every,
-                )
+
+
+@dataclass(frozen=True)
+class World:
+    """A synthetic preset plus its :func:`build_dataset` keywords; the seed
+    that builds it is the run's.
+
+    ``swap_fraction`` replaces the preset's drift with a
+    :class:`~repro.data.drift.RotatingDrift` of that fraction, seeded as the
+    default drift is (``seed + 1``), so the drift varies with the seed too.
+    """
+
+    preset: str
+    num_days: int | None = None
+    swap_fraction: float | None = None
+
+    def build(self, scale: str | ScaleSpec, seed: int) -> SyntheticCTRDataset:
+        drift = None
+        if self.swap_fraction is not None:
+            drift = RotatingDrift(swap_fraction=self.swap_fraction, seed=seed + 1)
+        return build_dataset(self.preset, scale=scale, seed=seed, num_days=self.num_days, drift=drift)
+
+
+@dataclass(frozen=True)
+class RunConfig:
+    """One run of a figure on a given world and seed: what :func:`run_single`
+    takes beside them.  ``embedding_kwargs`` is a tuple of ``(name, value)``
+    pairs so that a config can key a dict."""
+
+    method: str
+    compression_ratio: float
+    model_name: str = "dlrm"
+    embedding_kwargs: tuple[tuple[str, Any], ...] = ()
+    days: tuple[int, ...] | None = None
+    eval_every: int | None = None
+
+
+def grid(methods, compression_ratios, model_name: str = "dlrm") -> list[RunConfig]:
+    """The method × compression-ratio configs; ``full`` runs at CR 1 only."""
+    return [
+        RunConfig(method, ratio, model_name)
+        for method in methods
+        for ratio in compression_ratios
+        if method != "full" or ratio == 1.0
+    ]
+
+
+def run_paired(
+    world: World,
+    configs: list[RunConfig],
+    scale: str | ScaleSpec,
+    seeds: tuple[int, ...],
+) -> dict[tuple[RunConfig, int], RunOutcome]:
+    """Run every config on one world per seed, keyed by ``(config, seed)``.
+
+    Seed ``s`` builds the world and seeds every model trained on it, so all
+    configs of one seed share that world and a comparison of two configs is
+    paired by world.
+    """
+    outcomes = {}
+    for seed in seeds:
+        dataset = world.build(scale, seed)
+        for config in configs:
+            outcomes[config, seed] = run_single(
+                dataset,
+                config.method,
+                config.compression_ratio,
+                model_name=config.model_name,
+                scale=scale,
+                seed=seed,
+                eval_every=config.eval_every,
+                embedding_kwargs=dict(config.embedding_kwargs),
+                days=config.days,
             )
     return outcomes
 
 
-def averaged_rows(
-    dataset: SyntheticCTRDataset,
-    methods: list[str],
-    compression_ratios: list[float],
-    model_name: str = "dlrm",
-    scale: str | ScaleSpec = "tiny",
-    seeds: tuple[int, ...] = (0,),
-    eval_every: int | None = None,
-) -> list[dict]:
-    """Run the method × CR grid for several seeds and average the metrics.
+#: The metrics of a table row and the digits each is rounded to.
+ROW_METRICS = (("achieved_ratio", 1), ("train_loss", 4), ("test_auc", 4), ("test_log_loss", 4))
 
-    The paper's curves are single training runs on very large datasets; at the
-    reduced scale of this reproduction a small amount of seed averaging is the
-    cheapest way to recover comparable stability.  Rows for infeasible
-    configurations (e.g. AdaEmbed beyond its memory floor) are kept with
-    ``feasible=False`` so the tables show the same gaps the paper reports.
+
+def mean_rows(outcomes: dict[tuple[RunConfig, int], RunOutcome]) -> dict[RunConfig, dict]:
+    """One table row per config, in run order.
+
+    A config with a feasible seed gets the means over its feasible seeds and
+    their count (``num_seeds``).  An infeasible one (e.g. AdaEmbed beyond its
+    memory floor) keeps a NaN row with ``feasible=False``, so the tables show
+    the same gaps the paper reports.
     """
-    grouped: dict[tuple[str, float], list[RunOutcome]] = {}
-    for seed in seeds:
-        for outcome in compare_methods(
-            dataset,
-            methods,
-            compression_ratios,
-            model_name=model_name,
-            scale=scale,
-            seed=seed,
-            eval_every=eval_every,
-        ):
-            grouped.setdefault((outcome.method, outcome.compression_ratio), []).append(outcome)
-
-    rows = []
-    for (method, ratio), outcomes in grouped.items():
-        feasible = [o for o in outcomes if o.feasible]
-        if feasible:
-            rows.append(
-                {
-                    "method": method,
-                    "compression_ratio": ratio,
-                    "achieved_ratio": round(float(np.mean([o.achieved_ratio for o in feasible])), 1),
-                    "train_loss": round(float(np.mean([o.train_loss for o in feasible])), 4),
-                    "test_auc": round(float(np.mean([o.test_auc for o in feasible])), 4),
-                    "test_log_loss": round(float(np.mean([o.test_log_loss for o in feasible])), 4),
-                    "feasible": True,
-                    "num_seeds": len(feasible),
-                }
-            )
-        else:
-            rows.append(
-                {
-                    "method": method,
-                    "compression_ratio": ratio,
-                    "achieved_ratio": float("nan"),
-                    "train_loss": float("nan"),
-                    "test_auc": float("nan"),
-                    "test_log_loss": float("nan"),
-                    "feasible": False,
-                    "num_seeds": 0,
-                }
-            )
-    rows.sort(key=lambda r: (r["method"], r["compression_ratio"]))
+    grouped: dict[RunConfig, list[RunOutcome]] = {}
+    for (config, _), outcome in outcomes.items():
+        grouped.setdefault(config, []).append(outcome)
+    rows = {}
+    for config, runs in grouped.items():
+        feasible = [run for run in runs if run.feasible]
+        means = {
+            metric: round(float(np.mean([getattr(run, metric) for run in feasible])), digits)
+            if feasible
+            else float("nan")
+            for metric, digits in ROW_METRICS
+        }
+        rows[config] = {
+            "method": config.method,
+            "compression_ratio": config.compression_ratio,
+            **means,
+            "feasible": bool(feasible),
+            "num_seeds": len(feasible),
+        }
     return rows
+
+
+def mean_curve(outcomes: dict[tuple[RunConfig, int], RunOutcome], config: RunConfig) -> np.ndarray:
+    """The mean of ``config``'s smoothed loss curves over its feasible seeds."""
+    curves = [
+        outcome.history.smoothed_losses()
+        for (run, _), outcome in outcomes.items()
+        if run == config and outcome.feasible
+    ]
+    return np.mean(curves, axis=0)

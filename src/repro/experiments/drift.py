@@ -12,7 +12,15 @@ from __future__ import annotations
 import numpy as np
 
 from repro.data.stats import kl_divergence_matrix
-from repro.experiments.common import build_dataset, get_scale, run_single
+from repro.experiments.common import (
+    RunConfig,
+    World,
+    build_dataset,
+    get_scale,
+    mean_curve,
+    mean_rows,
+    run_paired,
+)
 from repro.experiments.reporting import ExperimentResult
 
 
@@ -65,40 +73,29 @@ def run_fig17_drift_shift(
         experiment_id="fig17",
         title="Experiments on CriteoTB-1/3 (stronger distribution shift)",
     )
-    dataset = build_dataset("criteotb", scale=scale, seed=seeds[0])
+    spec = get_scale(scale)
+    # The day count is the scaled preset's; no seed changes it.
+    full_days = build_dataset("criteotb", scale=scale).num_days
     # Keep days 0, 3, 6, ... plus the original last day as the test day,
     # mirroring the paper's "days 1,4,7,...,22 + unchanged test data".
-    subsampled = list(range(0, dataset.num_days - 1, 3))
-    full_days = dataset.schema.num_days
-    spec = get_scale(scale)
-
-    for method in methods:
-        for ratio in compression_ratios:
-            losses, aucs, feasible = [], [], True
-            history = None
-            for seed in seeds:
-                outcome = run_single(
-                    dataset, method, ratio, model_name="dlrm", scale=scale, seed=seed,
-                    days=subsampled,
-                )
-                if not outcome.feasible:
-                    feasible = False
-                    break
-                losses.append(outcome.train_loss)
-                aucs.append(outcome.test_auc)
-                history = outcome.history
-            if not feasible:
-                result.add_row(method=method, compression_ratio=ratio, feasible=False)
-                continue
-            result.add_row(
-                method=method,
-                compression_ratio=ratio,
-                train_loss=round(float(np.mean(losses)), 4),
-                test_auc=round(float(np.mean(aucs)), 4),
-                feasible=True,
-            )
-            if ratio == iteration_ratio and history is not None:
-                result.extras[f"{method}_loss_curve"] = history.smoothed_losses()
+    subsampled = tuple(range(0, full_days - 1, 3))
+    configs = [
+        RunConfig(method, ratio, days=subsampled) for method in methods for ratio in compression_ratios
+    ]
+    outcomes = run_paired(World("criteotb"), configs, scale, seeds)
+    for config, row in mean_rows(outcomes).items():
+        if not row["feasible"]:
+            result.add_row(method=config.method, compression_ratio=config.compression_ratio, feasible=False)
+            continue
+        result.add_row(
+            method=config.method,
+            compression_ratio=config.compression_ratio,
+            train_loss=row["train_loss"],
+            test_auc=row["test_auc"],
+            feasible=True,
+        )
+        if config.compression_ratio == iteration_ratio:
+            result.extras[f"{config.method}_loss_curve"] = mean_curve(outcomes, config)
     result.add_note(
         f"training days subsampled 1-in-3 from {full_days} days; test day unchanged "
         f"({spec.samples_per_day} samples/day)"

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.experiments.common import averaged_rows, build_dataset, get_scale, run_single
+from repro.experiments.common import RunConfig, World, grid, mean_curve, mean_rows, run_paired
 from repro.experiments.reporting import ExperimentResult
 
 #: Compression ratios used by the scaled sweeps.  The paper sweeps 2×–10000×;
@@ -37,13 +37,10 @@ def run_fig8_metrics_vs_cr(
         experiment_id="fig8",
         title="Metrics vs. compression ratios (DLRM)",
     )
+    configs = grid(sorted(methods), sorted([1.0, *compression_ratios]), model_name)
     for dataset_name in datasets:
-        dataset = build_dataset(dataset_name, scale=scale, seed=seeds[0])
-        ratios = [1.0] + list(compression_ratios)
-        rows = averaged_rows(
-            dataset, list(methods), ratios, model_name=model_name, scale=scale, seeds=seeds
-        )
-        for row in rows:
+        rows = mean_rows(run_paired(World(dataset_name), configs, scale, seeds))
+        for row in rows.values():
             result.add_row(dataset=dataset_name, **row)
     result.add_note(
         "the 'full' method is the uncompressed ideal; infeasible rows mark methods whose "
@@ -66,39 +63,37 @@ def run_fig9_metrics_vs_iterations(
         experiment_id="fig9",
         title="Metrics vs. iterations",
     )
+    configs = [
+        RunConfig(method, ratio, eval_every=eval_every)
+        for ratio in (high_ratio, low_ratio)
+        for method in methods
+    ]
     for dataset_name in datasets:
-        dataset = build_dataset(dataset_name, scale=scale, seed=seed)
-        for ratio in (high_ratio, low_ratio):
-            for method in methods:
-                outcome = run_single(
-                    dataset,
-                    method,
-                    ratio,
-                    scale=scale,
-                    seed=seed,
-                    eval_every=eval_every,
-                )
-                if not outcome.feasible:
-                    result.add_row(
-                        dataset=dataset_name, method=method, compression_ratio=ratio, feasible=False
-                    )
-                    continue
-                curve = outcome.history.smoothed_losses()
-                key = f"{dataset_name}_{method}_cr{int(ratio)}"
-                result.extras[f"{key}_loss_curve"] = curve
-                result.extras[f"{key}_auc_steps"] = np.asarray(outcome.history.eval_steps)
-                result.extras[f"{key}_auc_curve"] = np.asarray(outcome.history.eval_aucs)
+        outcomes = run_paired(World(dataset_name), configs, scale, (seed,))
+        for config in configs:
+            outcome = outcomes[config, seed]
+            method, ratio = config.method, config.compression_ratio
+            if not outcome.feasible:
                 result.add_row(
-                    dataset=dataset_name,
-                    method=method,
-                    compression_ratio=ratio,
-                    feasible=True,
-                    first_loss=round(float(curve[0]), 4) if curve.size else float("nan"),
-                    last_loss=round(float(curve[-1]), 4) if curve.size else float("nan"),
-                    final_auc=round(float(outcome.history.eval_aucs[-1]), 4)
-                    if outcome.history.eval_aucs
-                    else round(outcome.test_auc, 4),
+                    dataset=dataset_name, method=method, compression_ratio=ratio, feasible=False
                 )
+                continue
+            curve = outcome.history.smoothed_losses()
+            key = f"{dataset_name}_{method}_cr{int(ratio)}"
+            result.extras[f"{key}_loss_curve"] = curve
+            result.extras[f"{key}_auc_steps"] = np.asarray(outcome.history.eval_steps)
+            result.extras[f"{key}_auc_curve"] = np.asarray(outcome.history.eval_aucs)
+            result.add_row(
+                dataset=dataset_name,
+                method=method,
+                compression_ratio=ratio,
+                feasible=True,
+                first_loss=round(float(curve[0]), 4) if curve.size else float("nan"),
+                last_loss=round(float(curve[-1]), 4) if curve.size else float("nan"),
+                final_auc=round(float(outcome.history.eval_aucs[-1]), 4)
+                if outcome.history.eval_aucs
+                else round(outcome.test_auc, 4),
+            )
     result.add_note("loss curves are smoothed with a 10-step moving average, as in the paper's plots")
     return result
 
@@ -116,23 +111,21 @@ def run_fig10_kdd12_avazu(
         experiment_id="fig10",
         title="Performance on KDD12 and Avazu",
     )
+    configs = grid(sorted(methods), sorted([1.0, *compression_ratios]))
     # KDD12: no temporal information — random split, offline metric (test AUC).
-    kdd12 = build_dataset("kdd12", scale=scale, seed=seeds[0], num_days=2)
-    rows = averaged_rows(kdd12, list(methods), [1.0] + list(compression_ratios), scale=scale, seeds=seeds)
-    for row in rows:
+    for row in mean_rows(run_paired(World("kdd12", num_days=2), configs, scale, seeds)).values():
         result.add_row(dataset="kdd12", **row)
 
-    # Avazu: online metric (training loss) is the focus.
-    avazu = build_dataset("avazu", scale=scale, seed=seeds[0])
-    rows = averaged_rows(avazu, list(methods), [1.0] + list(compression_ratios), scale=scale, seeds=seeds)
-    for row in rows:
-        result.add_row(dataset="avazu", **row)
-
-    # Loss-vs-iteration curves on Avazu at a small compression ratio.
-    for method in methods:
-        outcome = run_single(avazu, method, iteration_ratio, scale=scale, seed=seeds[0], eval_every=eval_every)
-        if outcome.feasible:
-            result.extras[f"avazu_{method}_loss_curve"] = outcome.history.smoothed_losses()
+    # Avazu: online metric (training loss) is the focus, plus loss-vs-iteration
+    # curves at a small compression ratio.
+    curves = [RunConfig(method, iteration_ratio, eval_every=eval_every) for method in methods]
+    outcomes = run_paired(World("avazu"), configs + curves, scale, seeds)
+    rows = mean_rows(outcomes)
+    for config in configs:
+        result.add_row(dataset="avazu", **rows[config])
+    for config in curves:
+        if rows[config]["feasible"]:
+            result.extras[f"avazu_{config.method}_loss_curve"] = mean_curve(outcomes, config)
     result.add_note("KDD12 has no day structure in the paper; the preset uses a 2-day random-style split")
     return result
 
@@ -149,11 +142,12 @@ def run_fig11_wdl_dcn(
         experiment_id="fig11",
         title="WDL and DCN performance on CriteoTB",
     )
-    dataset = build_dataset("criteotb", scale=scale, seed=seeds[0])
-    for model_name in models:
-        rows = averaged_rows(
-            dataset, list(methods), list(compression_ratios), model_name=model_name, scale=scale, seeds=seeds
-        )
-        for row in rows:
-            result.add_row(model=model_name, **row)
+    configs = [
+        config
+        for model_name in models
+        for config in grid(sorted(methods), sorted(compression_ratios), model_name)
+    ]
+    rows = mean_rows(run_paired(World("criteotb"), configs, scale, seeds))
+    for config, row in rows.items():
+        result.add_row(model=config.model_name, **row)
     return result

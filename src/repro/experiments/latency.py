@@ -9,6 +9,7 @@ training / inference latency and throughput.
 
 from __future__ import annotations
 
+from repro.embeddings.ada_embed import REALLOCATION_INTERVAL
 from repro.experiments.common import build_dataset, build_embedding, build_model, get_scale
 from repro.experiments.reporting import ExperimentResult
 from repro.training.latency import measure_latency
@@ -57,8 +58,16 @@ def run_fig13_latency_throughput(
     for report in measure_latency(models, train_batch, inference_batch, repeats=repeats):
         result.add_row(feasible=True, **report.as_row())
     result.add_note(
-        "expected shape: Hash fastest, Q-R and MDE close behind, CAFE adds sketch maintenance, "
-        "AdaEmbed slowest in training due to its reallocation pass"
+        f"each model takes {repeats + 1} train steps here and AdaEmbed reallocates every "
+        f"{REALLOCATION_INTERVAL}, so its reallocation pass runs in "
+        f"{(repeats + 1) // REALLOCATION_INTERVAL} of them"
+    )
+    result.add_note(
+        "every timed call re-allocates the model's workspace: a round alternates a "
+        f"b{train_batch_size} train step and a b{inference_batch_size} inference pass on one "
+        "model, which keeps the workspace of the last batch size only (one measurement at "
+        "tiny on 2 vCPUs, one BLAS thread: a b1024 DLRM inference pass took 3.3 ms repeated "
+        "and 8.0 ms right after a b128 train step, for hash and cafe alike)"
     )
     result.add_note(
         "plan_reuse_rate: fraction of routing-plan requests served from the lookup-time cache "

@@ -9,7 +9,7 @@ the AUC / loss of MDE, Hash and CAFE side by side.
 
 from __future__ import annotations
 
-from repro.experiments.common import averaged_rows, build_dataset
+from repro.experiments.common import World, grid, mean_rows, run_paired
 from repro.experiments.reporting import ExperimentResult
 
 
@@ -25,10 +25,10 @@ def run_fig12_mde(
         experiment_id="fig12",
         title="Comparison with MDE (column compression)",
     )
+    configs = grid(sorted(methods), sorted(compression_ratios))
     for dataset_name in datasets:
-        dataset = build_dataset(dataset_name, scale=scale, seed=seeds[0])
-        rows = averaged_rows(dataset, list(methods), list(compression_ratios), scale=scale, seeds=seeds)
-        for row in rows:
+        rows = mean_rows(run_paired(World(dataset_name), configs, scale, seeds))
+        for row in rows.values():
             result.add_row(dataset=dataset_name, **row)
     result.add_note(
         "MDE becomes infeasible once the budget drops below one column per feature "

@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from repro.experiments.common import averaged_rows, build_dataset
+from repro.experiments.common import World, grid, mean_rows, run_paired
 from repro.experiments.reporting import ExperimentResult
 
 
@@ -16,9 +16,8 @@ def run_fig16_multilevel(
         experiment_id="fig16",
         title="Multi-level hash embedding on Criteo (CAFE vs CAFE-ML)",
     )
-    dataset = build_dataset("criteo", scale=scale, seed=seeds[0])
-    rows = averaged_rows(dataset, ["cafe", "cafe_ml"], list(compression_ratios), scale=scale, seeds=seeds)
-    for row in rows:
+    configs = grid(["cafe", "cafe_ml"], sorted(compression_ratios))
+    for row in mean_rows(run_paired(World("criteo"), configs, scale, seeds)).values():
         result.add_row(**row)
     result.add_note(
         "CAFE-ML assigns medium-importance features two pooled hash embeddings and cold features one; "

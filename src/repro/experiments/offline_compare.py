@@ -9,9 +9,7 @@ separation.
 
 from __future__ import annotations
 
-import numpy as np
-
-from repro.experiments.common import build_dataset, get_scale, run_single
+from repro.experiments.common import RunConfig, World, mean_curve, mean_rows, run_paired
 from repro.experiments.reporting import ExperimentResult
 
 
@@ -27,32 +25,23 @@ def run_fig14_offline_separation(
         experiment_id="fig14",
         title="CAFE vs. offline feature separation (Criteo)",
     )
-    dataset = build_dataset("criteo", scale=scale, seed=seeds[0])
-    for method in ("cafe", "offline"):
-        for ratio in compression_ratios:
-            losses, aucs = [], []
-            curve = None
-            for seed in seeds:
-                outcome = run_single(
-                    dataset,
-                    method,
-                    ratio,
-                    scale=scale,
-                    seed=seed,
-                    eval_every=eval_every if ratio == iteration_ratio else None,
-                )
-                losses.append(outcome.train_loss)
-                aucs.append(outcome.test_auc)
-                if ratio == iteration_ratio and curve is None:
-                    curve = outcome.history.smoothed_losses()
-            result.add_row(
-                method=method,
-                compression_ratio=ratio,
-                train_loss=round(float(np.mean(losses)), 4),
-                test_auc=round(float(np.mean(aucs)), 4),
+    configs = [
+        RunConfig(method, ratio, eval_every=eval_every if ratio == iteration_ratio else None)
+        for method in ("cafe", "offline")
+        for ratio in compression_ratios
+    ]
+    outcomes = run_paired(World("criteo"), configs, scale, seeds)
+    for config, row in mean_rows(outcomes).items():
+        result.add_row(
+            method=config.method,
+            compression_ratio=config.compression_ratio,
+            train_loss=row["train_loss"],
+            test_auc=row["test_auc"],
+        )
+        if config.compression_ratio == iteration_ratio:
+            result.extras[f"{config.method}_loss_curve_cr{int(iteration_ratio)}"] = mean_curve(
+                outcomes, config
             )
-            if curve is not None:
-                result.extras[f"{method}_loss_curve_cr{int(iteration_ratio)}"] = curve
     result.add_note(
         "the offline oracle is not deployable (it needs a full statistics pass and cannot adapt online); "
         "matching it validates HotSketch's online separation"

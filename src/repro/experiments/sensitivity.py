@@ -15,9 +15,7 @@ scaled dataset still has a meaningful number of exclusive rows.
 
 from __future__ import annotations
 
-import numpy as np
-
-from repro.experiments.common import build_dataset, run_single
+from repro.experiments.common import RunConfig, World, mean_rows, run_paired
 from repro.experiments.reporting import ExperimentResult
 
 
@@ -34,45 +32,26 @@ def run_fig15_sensitivity(
         experiment_id="fig15",
         title="Configuration sensitivity of CAFE (Criteo)",
     )
-    dataset = build_dataset("criteo", scale=scale, seed=seeds[0])
-
-    def averaged(embedding_kwargs):
-        losses, aucs = [], []
-        for seed in seeds:
-            outcome = run_single(
-                dataset,
-                "cafe",
-                compression_ratio,
-                scale=scale,
-                seed=seed,
-                embedding_kwargs=embedding_kwargs,
-            )
-            losses.append(outcome.train_loss)
-            aucs.append(outcome.test_auc)
-        return float(np.mean(losses)), float(np.mean(aucs))
-
-    # (a) memory split between hot (sketch + exclusive rows) and shared table.
-    for hot_pct in hot_percentages:
-        loss, auc = averaged({"hot_percentage": hot_pct})
-        result.add_row(panel="hot_percentage", value=hot_pct, train_loss=round(loss, 4), test_auc=round(auc, 4))
-
-    # (b) fixed hot thresholds (versus the adaptive default).
-    for threshold in thresholds:
-        loss, auc = averaged({"hot_threshold": threshold})
-        result.add_row(panel="threshold", value=threshold, train_loss=round(loss, 4), test_auc=round(auc, 4))
-    loss, auc = averaged({})
-    result.add_row(panel="threshold", value="adaptive", train_loss=round(loss, 4), test_auc=round(auc, 4))
-
-    # (c) decay coefficient of the sketch scores.
-    for decay in decays:
-        loss, auc = averaged({"decay": decay})
-        result.add_row(panel="decay", value=decay, train_loss=round(loss, 4), test_auc=round(auc, 4))
-
-    # (d) design details: gradient-norm importance vs. raw frequency.
-    loss, auc = averaged({"use_frequency": False})
-    result.add_row(panel="design", value="gradient_norm", train_loss=round(loss, 4), test_auc=round(auc, 4))
-    loss, auc = averaged({"use_frequency": True})
-    result.add_row(panel="design", value="frequency", train_loss=round(loss, 4), test_auc=round(auc, 4))
+    # (panel, value, CAFE keywords): (a) the memory split between hot (sketch +
+    # exclusive rows) and shared table, (b) fixed hot thresholds against the
+    # adaptive default, (c) the decay coefficient of the sketch scores, and
+    # (d) gradient-norm importance against raw frequency.
+    settings = [
+        *(("hot_percentage", hot_pct, {"hot_percentage": hot_pct}) for hot_pct in hot_percentages),
+        *(("threshold", threshold, {"hot_threshold": threshold}) for threshold in thresholds),
+        ("threshold", "adaptive", {}),
+        *(("decay", decay, {"decay": decay}) for decay in decays),
+        ("design", "gradient_norm", {"use_frequency": False}),
+        ("design", "frequency", {"use_frequency": True}),
+    ]
+    configs = [
+        RunConfig("cafe", compression_ratio, embedding_kwargs=tuple(kwargs.items()))
+        for _, _, kwargs in settings
+    ]
+    rows = mean_rows(run_paired(World("criteo"), configs, scale, seeds))
+    for (panel, value, _), config in zip(settings, configs):
+        row = rows[config]
+        result.add_row(panel=panel, value=value, train_loss=row["train_loss"], test_auc=row["test_auc"])
     result.add_note(
         "panel (d)'s one-table-vs-per-field comparison is implicit: this implementation always uses a "
         "single exclusive table shared by all fields, the design the paper finds superior"

@@ -18,11 +18,11 @@ class TestParser:
 
     def test_run_command_parses(self):
         args = build_parser().parse_args(
-            ["experiment", "run", "fig7", "--scale", "small", "--seed", "3"]
+            ["experiment", "run", "fig7", "--scale", "small", "--seeds", "3"]
         )
         assert args.experiment == "fig7"
         assert args.scale == "small"
-        assert args.seed == 3
+        assert args.seeds == [3]
 
     def test_run_rejects_unknown_experiment(self):
         with pytest.raises(SystemExit):
@@ -31,10 +31,15 @@ class TestParser:
     def test_sweep_command_parses(self):
         args = build_parser().parse_args(
             ["experiment", "sweep", "--dataset", "avazu", "--methods", "hash", "cafe",
-             "--ratios", "10", "50"]
+             "--ratios", "10", "50", "--seeds", "0", "1"]
         )
         assert args.methods == ["hash", "cafe"]
         assert args.ratios == [10.0, 50.0]
+        assert args.seeds == [0, 1]
+
+    @pytest.mark.parametrize("action", [["run", "fig8"], ["sweep"]])
+    def test_seeds_default_to_one_seed(self, action):
+        assert build_parser().parse_args(["experiment", *action]).seeds == [0]
 
     def test_command_required(self):
         with pytest.raises(SystemExit):
@@ -66,8 +71,19 @@ class TestMain:
         assert "criteo" in target.read_text()
 
     def test_run_table2_respects_seed_and_scale(self, capsys):
-        assert main(["experiment", "run", "table2", "--scale", "small", "--seed", "5"]) == 0
+        assert main(["experiment", "run", "table2", "--scale", "small", "--seeds", "5"]) == 0
         assert "criteotb" in capsys.readouterr().out
+
+    def test_run_averages_over_seeds(self, capsys):
+        assert main(["experiment", "run", "fig16", "--scale", "tiny", "--seeds", "0", "1"]) == 0
+        header, *rows = [line for line in capsys.readouterr().out.splitlines() if "|" in line]
+        column = [name.strip() for name in header.split("|")].index("num_seeds")
+        assert [row.split("|")[column].strip() for row in rows] == ["2"] * 8
+
+    @pytest.mark.parametrize("experiment", ["fig2", "fig3", "fig7", "fig9", "fig13", "fig18"])
+    def test_single_seed_experiment_refuses_two_seeds(self, experiment, capsys):
+        assert main(["experiment", "run", experiment, "--seeds", "0", "1"]) == 2
+        assert f"{experiment} takes one seed" in capsys.readouterr().err
 
 
 class TestAblationRegistry:
@@ -100,3 +116,8 @@ class TestAblationRunners:
         assert variants == {"cafe", "cafe_no_decay", "cafe_no_migration", "hash"}
         for row in result.rows:
             assert np.isfinite(row["train_loss"])
+        # A MICRO run is 4 x 2 steps, far short of CAFE's decay interval.
+        assert result.notes[-1] == (
+            "no decay fired: a run is 8 steps and CAFE decays every 1000, "
+            "so cafe_no_decay repeats cafe's run"
+        )

@@ -3,15 +3,20 @@
 import numpy as np
 import pytest
 
+from repro.data.drift import RotatingDrift
 from repro.experiments.common import (
     SCALES,
+    RunConfig,
     ScaleSpec,
-    averaged_rows,
+    World,
     build_dataset,
     build_embedding,
     build_model,
-    compare_methods,
     get_scale,
+    grid,
+    mean_curve,
+    mean_rows,
+    run_paired,
     run_single,
 )
 from repro.experiments.registry import EXPERIMENTS, list_experiments, run_experiment
@@ -109,7 +114,7 @@ class TestRunSingle:
         assert np.isfinite(outcome.train_loss)
         assert 0.0 <= outcome.test_auc <= 1.0
         assert outcome.achieved_ratio >= 10.0
-        assert outcome.as_row()["method"] == "hash"
+        assert outcome.method == "hash"
 
     def test_infeasible_run_reported_not_raised(self):
         dataset = build_dataset("avazu", scale=MICRO, seed=0, num_days=2)
@@ -117,18 +122,82 @@ class TestRunSingle:
         assert not outcome.feasible
         assert "importance" in outcome.failure_reason
 
-    def test_compare_methods_grid(self):
-        dataset = build_dataset("avazu", scale=MICRO, seed=0, num_days=2)
-        outcomes = compare_methods(dataset, ["full", "hash"], [1.0, 10.0], scale=MICRO, seed=0)
-        # full runs only at CR 1, hash at both ratios.
-        assert len(outcomes) == 3
 
-    def test_averaged_rows_grouping(self):
-        dataset = build_dataset("avazu", scale=MICRO, seed=0, num_days=2)
-        rows = averaged_rows(dataset, ["hash"], [10.0], scale=MICRO, seeds=(0, 1))
-        assert len(rows) == 1
-        assert rows[0]["num_seeds"] == 2
-        assert rows[0]["feasible"]
+
+class TestPairedRunner:
+    WORLD = World("avazu", num_days=2)
+
+    def test_grid_runs_full_at_cr_1_only(self):
+        configs = grid(["full", "hash"], [1.0, 10.0])
+        assert [(c.method, c.compression_ratio) for c in configs] == [
+            ("full", 1.0), ("hash", 1.0), ("hash", 10.0)
+        ]
+        outcomes = run_paired(self.WORLD, configs, scale=MICRO, seeds=(0,))
+        assert set(outcomes) == {(config, 0) for config in configs}
+
+    def test_each_seed_trains_on_its_own_world(self):
+        """Seed s's outcome of every config is run_single on the world built
+        from s with model seed s: all configs of one seed share that world."""
+        configs = [
+            RunConfig("hash", 10.0),
+            RunConfig("cafe", 10.0, embedding_kwargs=(("decay", 0.9),), days=(0,), eval_every=2),
+        ]
+        seeds = (0, 1)
+        outcomes = run_paired(self.WORLD, configs, scale=MICRO, seeds=seeds)
+        assert list(outcomes) == [(config, seed) for seed in seeds for config in configs]
+        for seed in seeds:
+            dataset = build_dataset("avazu", scale=MICRO, seed=seed, num_days=2)
+            for config in configs:
+                expected = run_single(
+                    dataset, config.method, config.compression_ratio, scale=MICRO, seed=seed,
+                    eval_every=config.eval_every, embedding_kwargs=dict(config.embedding_kwargs),
+                    days=config.days,
+                )
+                got = outcomes[config, seed]
+                assert got.history.losses == expected.history.losses
+                assert got.history.eval_aucs == expected.history.eval_aucs
+                assert (got.test_auc, got.test_log_loss) == (expected.test_auc, expected.test_log_loss)
+        # Seed 1 is another world, not seed 0's world with another model.
+        hash_run = configs[0]
+        seed0_world = build_dataset("avazu", scale=MICRO, seed=0, num_days=2)
+        on_seed0_world = run_single(seed0_world, "hash", 10.0, scale=MICRO, seed=1)
+        assert outcomes[hash_run, 1].history.losses != on_seed0_world.history.losses
+
+    def test_world_drift_follows_the_seed(self):
+        """A world's drift is seeded as the default drift is: seed + 1."""
+        world = World("criteo", swap_fraction=0.15)
+        base = np.arange(50, dtype=np.int64)
+        for seed in (0, 3):
+            drift = world.build(MICRO, seed).drift
+            expected = RotatingDrift(swap_fraction=0.15, seed=seed + 1)
+            assert np.array_equal(
+                drift.permutation_for_day(3, 50, base), expected.permutation_for_day(3, 50, base)
+            )
+
+    def test_mean_rows_average_feasible_seeds(self):
+        configs = [RunConfig("hash", 10.0), RunConfig("adaembed", 1000.0)]
+        outcomes = run_paired(self.WORLD, configs, scale=MICRO, seeds=(0, 1))
+        rows = mean_rows(outcomes)
+        assert list(rows) == configs
+        feasible = rows[configs[0]]
+        runs = [outcomes[configs[0], seed] for seed in (0, 1)]
+        assert feasible["feasible"] and feasible["num_seeds"] == 2
+        assert feasible["train_loss"] == round(float(np.mean([r.train_loss for r in runs])), 4)
+        assert feasible["test_auc"] == round(float(np.mean([r.test_auc for r in runs])), 4)
+        assert feasible["achieved_ratio"] == round(float(np.mean([r.achieved_ratio for r in runs])), 1)
+        # AdaEmbed is infeasible at CR 1000: a NaN row, no seed counted.
+        infeasible = rows[configs[1]]
+        assert not infeasible["feasible"] and infeasible["num_seeds"] == 0
+        for metric in ("achieved_ratio", "train_loss", "test_auc", "test_log_loss"):
+            assert np.isnan(infeasible[metric])
+
+    def test_mean_curve_of_one_seed_is_its_curve(self):
+        config = RunConfig("hash", 10.0)
+        outcomes = run_paired(self.WORLD, [config], scale=MICRO, seeds=(0, 1))
+        curves = [outcomes[config, seed].history.smoothed_losses() for seed in (0, 1)]
+        single = {key: value for key, value in outcomes.items() if key[1] == 0}
+        assert np.array_equal(mean_curve(single, config), curves[0])
+        assert np.array_equal(mean_curve(outcomes, config), np.mean(curves, axis=0))
 
 
 class TestRegistry:
